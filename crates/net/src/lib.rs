@@ -11,8 +11,9 @@
 //!   the paper's eq. (2) buffer bound — so a remote edge blocks its
 //!   producer exactly where an in-memory ring would. With
 //!   [`transport::BatchParams`] the sender coalesces up to `batch_max`
-//!   records into one vectored write (Nagle-style adaptive flush), and
-//!   the receiver returns credit in cumulative acks
+//!   records into one write (on the wire no later than the liveness
+//!   contract in [`transport`] says), and the receiver returns credit
+//!   in cumulative acks
 //!   ([`transport::AckPolicy`]) — the runtime analogue of the paper's
 //!   §4 resynchronization, trading per-message acknowledgement traffic
 //!   for one byte-accurate cumulative grant.
@@ -36,6 +37,7 @@
 #![deny(unsafe_code)]
 
 pub mod error;
+mod flush;
 pub mod launcher;
 pub mod merge;
 pub mod node;
@@ -51,4 +53,6 @@ pub use launcher::{
 pub use merge::{merge_node_traces, NodeTrace};
 pub use node::{build_endpoints, deploy, socket_path, ChannelRole, Deployment};
 pub use stream::NetStream;
-pub use transport::{loopback, loopback_with, AckPolicy, BatchParams, NetReceiver, NetSender};
+pub use transport::{
+    loopback, loopback_with, AckPolicy, BatchParams, NetListener, NetReceiver, NetSender,
+};

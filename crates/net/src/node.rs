@@ -172,7 +172,9 @@ pub fn socket_path(dir: &Path, ch: usize) -> PathBuf {
 /// Builds this node's endpoint for every channel. Two-phase: all
 /// listeners are bound first, then `barrier` runs (the worker reports
 /// READY and waits for the launcher's PROCEED — i.e. for *every* node's
-/// binds), then senders connect. Under supervision each endpoint is
+/// binds), then senders connect and, last, each listener accepts its
+/// sender (a connect needs only the bind, so no two nodes can wait on
+/// each other here). Under supervision each endpoint is
 /// sized with [`framed_spec`], matching what the supervised runner
 /// expects of pre-built endpoints.
 ///
@@ -206,13 +208,14 @@ pub fn build_endpoints(
         .collect();
     let local_procs = d.procs_on(node);
     let mut slots: Vec<Option<Box<dyn Transport>>> = (0..d.specs.len()).map(|_| None).collect();
+    let mut listeners = Vec::new();
     for (ch, role) in d.roles.iter().enumerate() {
         let s_node = d.partition.node_of(role.sender)?;
         let r_node = d.partition.node_of(role.receiver)?;
         if r_node == node && s_node != node {
             let policy = AckPolicy::for_batch(&eff[ch], d.batches[ch]);
-            let recv = NetReceiver::bind_with(&socket_path(dir, ch), &eff[ch], policy)?;
-            slots[ch] = Some(Box::new(recv));
+            let bound = NetReceiver::bind_with(&socket_path(dir, ch), &eff[ch], policy)?;
+            listeners.push((ch, bound));
         }
     }
     barrier()?;
@@ -236,13 +239,16 @@ pub fn build_endpoints(
                 Some(Box::new(sender))
             }
             (true, true) => Some(local_kind.instantiate(&eff[ch])),
-            (false, true) => slots[ch].take(), // bound above
+            (false, true) => None, // bound above, accepted below
             (false, false) => Some(Box::new(UnmappedChannel {
                 spec: eff[ch],
                 channel: ch,
                 node,
             })),
         };
+    }
+    for (ch, bound) in listeners {
+        slots[ch] = Some(Box::new(bound.accept()?));
     }
     Ok(slots
         .into_iter()

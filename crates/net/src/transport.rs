@@ -9,81 +9,100 @@
 //! by its payload size, and blocks when the balance cannot cover the
 //! next message. The receiver returns credits only when the application
 //! actually **consumes** a message — not on socket arrival — so the
-//! bytes in flight across socket buffers, pending batches and the
-//! receive queue together never exceed the eq. (2) bound, exactly like
-//! the in-memory ring.
+//! bytes in the sender's staging buffer, the socket and the receiver's
+//! read-ahead buffer together never exceed the eq. (2) bound, exactly
+//! like the in-memory ring.
 //!
-//! # Batched fast path
+//! # PE-driven endpoints
+//!
+//! The endpoints run no threads of their own. The **consuming thread
+//! reads the socket itself** into one read-ahead buffer
+//! ([`crate::wire::RecordBuf`]): one `read` pulls in a whole batch and
+//! [`Transport::recv_with`] hands each record out as a borrowed slice.
+//! The **sending thread reads credit acks itself**, and only when its
+//! window is short (the occupancy accessors poll without blocking, so
+//! an observer still sees credit come back); an ack carries the
+//! receiver's running totals, so the latest one is the whole truth.
+//! Records are framed **directly into one staging buffer**
+//! ([`Transport::send_with`], [`Transport::send_in_place`]) that a flush
+//! puts on the wire with one `write`.
+//!
+//! **No endpoint ever waits for socket space.** Every write is made in
+//! non-blocking mode. The staging buffer holds a whole credit window, so
+//! a sender blocks on credit and on nothing else — exactly where the
+//! in-memory ring would — however little of the window the kernel's
+//! socket buffer takes; what the socket refuses stays staged and is
+//! offered again at the sender's next flush and, every millisecond until
+//! it is gone, by the `net-timer`. A receiver whose acknowledgement is
+//! refused skips it: the next one carries the totals.
+//!
+//! # Batching and the liveness contract
 //!
 //! The paper's resynchronization pass (§4) removes redundant UBS
 //! acknowledgements at compile time; this transport applies the same
-//! idea at runtime, in both directions:
+//! idea at runtime. With [`BatchParams`] a sender stages up to
+//! `max_msgs` records per write — debiting credits at append, so the
+//! eq. (2) accounting is untouched — and with [`AckPolicy`] the receiver
+//! acknowledges every `every_msgs` consumptions or at a byte low-water
+//! mark. No runtime feedback tells a sender that its peer is waiting; a
+//! staged record is on the wire by the **earliest** of:
 //!
-//! * **Record coalescing** ([`BatchParams`]): a sender may accumulate
-//!   up to `max_msgs` framed records — always debiting credits at
-//!   append, so the eq. (2) accounting is untouched — and flush them
-//!   with one vectored write. The Nagle-style flush policy is adaptive:
-//!   flush on a full batch, on a credit window that cannot cover the
-//!   next message (unsent records can never earn credits back), on the
-//!   peer reporting itself blocked in `recv` (a HUNGRY ack), on a
-//!   µs deadline derived from the schedule's predicted period, and on
-//!   endpoint teardown. Every flush is observable as a
-//!   [`ProbeKind::BatchFlush`] event when a probe is attached.
-//! * **Coalesced credit acks** ([`AckPolicy`]): the receiver replaces
-//!   the per-message acknowledgement with a cumulative
-//!   `[freed_bytes][freed_msgs][flags]` record emitted every
-//!   `every_msgs` consumptions or at a byte low-water mark, keeping the
-//!   sender's balance byte-accurate to B(e) while cutting the ack
-//!   traffic by the coalescing factor. A receiver that runs dry parks
-//!   only after settling its accumulated credits and raising the
-//!   HUNGRY flag, so coalescing can never starve a blocked sender or
-//!   deadlock a request/response loop.
+//! | trigger | [`FlushReason`] |
+//! |---|---|
+//! | the batch holds `max_msgs` records | `Full` |
+//! | the credit window cannot cover another message | `Window` |
+//! | the thread that staged it is about to wait in `spi-net`, polls an empty receiver, or exits | `Idle` |
+//! | `flush_after` has passed since the batch started | `Deadline` |
+//! | the endpoint is flushed explicitly or dropped | `Final` |
 //!
-//! Supervision frames (`[seq][crc32]`, PR 4) ride opaquely inside the
-//! data records; corruption injected by a [`spi_fault`] decorator on
-//! the sender's side hits real frame bytes and is caught by the
-//! receiver's CRC check in the supervised runner, unchanged.
+//! `Idle` is the flush-before-block rule and `Deadline` the `net-timer`
+//! safety net, both in `flush.rs`. Symmetrically, a receiver
+//! returns all accumulated credit before it waits, so coalesced acks
+//! can never starve a blocked sender. Every batch closed this way is a
+//! [`ProbeKind::BatchFlush`] event when a probe is attached.
 //!
-//! Error semantics mirror [`spi_platform::RingTransport`]:
+//! Supervision frames (`[seq][crc32]`) ride opaquely inside the data
+//! records. Error semantics mirror [`spi_platform::RingTransport`]:
 //! [`TransportError::Timeout`] carries the configured deadline and the
 //! time since the channel last made progress; non-blocking ops return
 //! [`TransportError::Full`] / [`TransportError::Empty`]; oversized
 //! payloads return [`TransportError::TooLarge`] without consuming
-//! credits. A torn connection (peer exit, socket error) parks the
-//! channel in a closed state where blocking ops fail fast with a
-//! `Timeout` — the supervised runner's retry/degrade machinery treats
-//! that like any other unresponsive peer.
+//! credits. A torn connection (peer exit, socket error, a corrupt
+//! length prefix or acknowledgement) closes the channel: blocking ops
+//! then fail fast with a `Timeout`, which the supervised runner treats
+//! like any other unresponsive peer. A receiver first hands out every
+//! record the sender managed to write — a sender that finishes and exits
+//! ahead of its consumer loses nothing.
 
-use std::collections::VecDeque;
-use std::io::Write;
+use std::io;
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::Path;
-use std::sync::atomic::Ordering;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use spi_platform::shim::{self, AtomicBool, Condvar, Mutex};
+use spi_platform::shim::{self, AtomicBool, Mutex, MutexGuard};
 use spi_platform::{
     ChannelId, ChannelSpec, FlushReason, PeId, ProbeKind, Tracer, Transport, TransportError,
 };
 
+use crate::flush::{self, Seat, Staged, RETRY_STEP};
 use crate::stream::NetStream;
-use crate::wire::{frame_with, read_record, write_framed_vectored, write_record};
+use crate::wire::{decode_ack, encode_ack, is_would_block, write_staged, RecordBuf, ACK_BYTES};
 
-/// How long [`NetSender::connect`] keeps retrying a missing socket path
+/// How long [`NetSender::connect_with`] keeps retrying a missing socket path
 /// before giving up — covers the window between the launcher's PROCEED
 /// and a peer node finishing its binds under load.
 pub const CONNECT_RETRY_WINDOW: Duration = Duration::from_secs(10);
 
 const CONNECT_RETRY_STEP: Duration = Duration::from_millis(5);
 
-/// Wire size of a credit acknowledgement record:
-/// `[freed_bytes: u32][freed_msgs: u32][flags: u32]`, all LE.
-const ACK_BYTES: usize = 12;
+/// How long a final flush (explicit, or the endpoint's drop) keeps
+/// offering a socket that takes nothing before it gives the rest up.
+const DRAIN_PATIENCE: Duration = Duration::from_secs(5);
 
-/// Ack flag: the receiver is parked in a blocking `recv` on an empty
-/// queue — the sender should flush any pending batch immediately.
-const ACK_FLAG_HUNGRY: u32 = 1;
+/// Acknowledgements taken in per read.
+const ACK_READ_RECORDS: usize = 16;
 
 fn effective_capacity(spec: &ChannelSpec) -> usize {
     // Like the in-memory transports, a channel always admits at least
@@ -102,6 +121,56 @@ fn closed_err(timeout: Duration, since: Instant) -> TransportError {
     }
 }
 
+/// How a stream read waits: for at most this long, or not at all.
+type Wait = Option<Duration>;
+
+/// One read from `stream` under `wait`, through `read`. `timeout_set`
+/// caches the stream's read timeout so steady-state waits of one length
+/// cost no `setsockopt`. "Nothing yet" comes back as `Ok(None)`.
+fn read_within<S: NetStream>(
+    stream: &mut S,
+    timeout_set: &mut Option<Duration>,
+    wait: Wait,
+    read: impl FnOnce(&mut S) -> io::Result<usize>,
+) -> io::Result<Option<usize>> {
+    let res = match wait {
+        None => {
+            // Non-blocking mode belongs to the connection end, shared
+            // with every clone: callers hold the lock the end's writes
+            // are made under.
+            stream.set_nonblocking(true)?;
+            let res = read(stream);
+            stream.set_nonblocking(false)?;
+            res
+        }
+        Some(d) => {
+            if *timeout_set != Some(d) {
+                stream.set_read_timeout(Some(d))?;
+                *timeout_set = Some(d);
+            }
+            read(stream)
+        }
+    };
+    match res {
+        Ok(n) => Ok(Some(n)),
+        Err(e) if is_would_block(&e) || e.kind() == io::ErrorKind::Interrupted => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Writes as much of `bytes` as `stream` takes without waiting; the
+/// caller holds the lock that owns the connection end's blocking mode.
+fn write_now<S: NetStream>(stream: &mut S, bytes: &[u8]) -> io::Result<usize> {
+    stream.set_nonblocking(true)?;
+    let res = write_staged(stream, bytes);
+    stream.set_nonblocking(false)?;
+    res
+}
+
+fn eof() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed the connection")
+}
+
 // ---------------------------------------------------------------------
 // Batching configuration
 // ---------------------------------------------------------------------
@@ -111,7 +180,7 @@ fn closed_err(timeout: Duration, since: Instant) -> TransportError {
 /// is the unbatched legacy path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchParams {
-    /// Most records coalesced into one vectored write; `1` writes every
+    /// Most records coalesced into one write; `1` writes every
     /// record immediately. Must stay within the edge's credit window in
     /// messages (the SPI046 analyzer lint enforces the declared form).
     pub max_msgs: usize,
@@ -193,256 +262,379 @@ struct ProbePoint {
 // Sender
 // ---------------------------------------------------------------------
 
-struct SenderState {
-    /// Unspent credit bytes; `capacity - credits` is the in-flight load.
-    credits: usize,
-    /// Messages sent but not yet consumed by the peer.
-    in_flight_msgs: usize,
-    /// Monotonic count of credit grants, for idle tracking.
-    grants: u64,
+/// The credit side of a sender: what was sent, what the receiver says it
+/// consumed, and the stream handle the acknowledgements are read from.
+struct Credit<S> {
+    acks: S,
+    /// `(bytes, messages)` totals debited at append, and the receiver's
+    /// totals from the latest acknowledgement. Their difference is the
+    /// in-flight load.
+    sent: (u64, u64),
+    acked: (u64, u64),
+    ack_buf: [u8; ACK_READ_RECORDS * ACK_BYTES],
+    ack_len: usize,
+    timeout_set: Option<Duration>,
 }
 
-/// Records appended but not yet written to the socket. Credits are
-/// debited at append time, so pending bytes already count against the
-/// eq. (2) window.
-struct PendingBatch {
-    /// Framed `[len][payload]` buffers, send order.
-    records: Vec<Vec<u8>>,
-    /// Total payload bytes across `records`.
+impl<S: NetStream> Credit<S> {
+    fn in_flight_bytes(&self) -> usize {
+        (self.sent.0 - self.acked.0) as usize
+    }
+
+    fn in_flight_msgs(&self) -> usize {
+        (self.sent.1 - self.acked.1) as usize
+    }
+
+    /// One read of acknowledgements under `wait`, applying the latest.
+    /// Returns whether any credit came back.
+    ///
+    /// # Errors
+    ///
+    /// End of stream, a socket error, or totals that run backwards or
+    /// ahead of what was sent (stream corruption).
+    fn read_acks(&mut self, wait: Wait) -> io::Result<bool> {
+        let (buf, at) = (&mut self.ack_buf, self.ack_len);
+        match read_within(&mut self.acks, &mut self.timeout_set, wait, |s| {
+            s.read(&mut buf[at..])
+        })? {
+            Some(0) => return Err(eof()),
+            Some(n) => self.ack_len += n,
+            None => return Ok(false),
+        }
+        let whole = self.ack_len - self.ack_len % ACK_BYTES;
+        if whole == 0 {
+            return Ok(false);
+        }
+        let mut latest = [0u8; ACK_BYTES];
+        latest.copy_from_slice(&self.ack_buf[whole - ACK_BYTES..whole]);
+        self.ack_buf.copy_within(whole..self.ack_len, 0);
+        self.ack_len -= whole;
+        let (was, now) = (self.acked, decode_ack(&latest));
+        if !(was.0..=self.sent.0).contains(&now.0) || !(was.1..=self.sent.1).contains(&now.1) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "credit ack of {now:?} (bytes, msgs) against {:?} sent",
+                    self.sent
+                ),
+            ));
+        }
+        self.acked = now;
+        Ok(now != was)
+    }
+}
+
+/// Records framed but not yet on the wire, back to back in one buffer,
+/// and the stream handle they are written to. Credits are debited at
+/// append time, so staged bytes already count against the eq. (2) window.
+struct Staging<S> {
+    stream: S,
+    buf: Box<[u8]>,
+    /// `buf[head..len]` is staged, prefixes included.
+    head: usize,
+    len: usize,
+    /// Records and payload bytes of the open batch: staged since the
+    /// last flush.
+    msgs: usize,
     bytes: usize,
-    /// When the oldest pending record was appended (deadline anchor).
+    /// When the open batch's first record was appended (deadline anchor).
     first_at: Option<Instant>,
+    /// The socket refused part of the last flush.
+    stuck: bool,
+}
+
+impl<S> Staging<S> {
+    /// Whether a record of up to `reserve` bytes fits behind what is
+    /// staged, after moving that to the front of the buffer if need be.
+    fn room_for(&mut self, reserve: usize) -> bool {
+        if self.buf.len() - self.len < 4 + reserve && self.head > 0 {
+            self.buf.copy_within(self.head..self.len, 0);
+            (self.head, self.len) = (0, self.len - self.head);
+        }
+        self.buf.len() - self.len >= 4 + reserve
+    }
 }
 
 struct SenderShared<S: NetStream> {
     capacity: usize,
     max_msg: usize,
     batch: BatchParams,
-    state: Mutex<SenderState>,
-    credit_back: Condvar,
+    /// Lock order: `credit` → `staging`. The owner holds `credit` while
+    /// it waits for acknowledgements; the timer and other threads'
+    /// flushes take `staging` alone.
+    credit: Mutex<Credit<S>>,
+    /// In-flight `(bytes, messages)` as of the last change made under
+    /// `credit` — what an occupancy reader reports while the owner is
+    /// inside.
+    in_flight: [AtomicUsize; 2],
+    /// Held across a flush's socket write so batches land whole and in
+    /// order — and so [`ProbeKind::BatchFlush`] records made under it are
+    /// release/acquire-ordered with the endpoint's final flush, which the
+    /// trace collector runs after. Also owns the connection end's
+    /// blocking mode, which only writes and acknowledgement polls change.
+    staging: Mutex<Staging<S>>,
     closed: AtomicBool,
-    /// Lock order: `state` → `pending` → `stream`. Flushing holds
-    /// `pending` across the socket write so batches land whole and in
-    /// order — and so [`ProbeKind::BatchFlush`] records made under it
-    /// are release/acquire-ordered with the endpoint's final flush,
-    /// which the trace collector runs after.
-    pending: Mutex<PendingBatch>,
-    /// Wakes the deadline-flusher thread when a batch starts or the
-    /// endpoint closes. Paired with `pending`.
-    flush_wake: Condvar,
-    stream: Mutex<S>,
-    /// Sticky peer-is-blocked hint from a HUNGRY ack; cleared by the
-    /// next successful flush (whose records will unpark the peer).
-    hungry: AtomicBool,
     probe: OnceLock<ProbePoint>,
 }
 
 impl<S: NetStream> SenderShared<S> {
-    /// Drains the pending batch with one vectored write. No-op when
-    /// nothing is pending; on a socket error the channel closes.
-    fn flush(&self, reason: FlushReason) -> std::io::Result<()> {
-        let mut p = self.pending.lock();
-        self.flush_locked(&mut p, reason)
+    fn closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
     }
 
-    fn flush_locked(&self, p: &mut PendingBatch, reason: FlushReason) -> std::io::Result<()> {
-        if p.records.is_empty() {
+    fn publish(&self, credit: &Credit<S>) -> (usize, usize) {
+        let now = (credit.in_flight_bytes(), credit.in_flight_msgs());
+        self.in_flight[0].store(now.0, Ordering::Relaxed);
+        self.in_flight[1].store(now.1, Ordering::Relaxed);
+        now
+    }
+
+    /// Closes the open batch and offers the socket everything staged,
+    /// with one write when it takes it all. Returns whether nothing is
+    /// left: what a full socket refuses stays staged. On a socket error
+    /// the channel closes and the staged records are dropped.
+    fn flush_locked(&self, st: &mut Staging<S>, reason: FlushReason) -> io::Result<bool> {
+        if st.head == st.len {
+            return Ok(true);
+        }
+        let res = if self.closed() {
+            Err(io::Error::from(io::ErrorKind::BrokenPipe))
+        } else {
+            if let (true, Some(pr)) = (st.msgs > 0, self.probe.get()) {
+                pr.tracer.record(
+                    pr.pe,
+                    pr.tracer.now(),
+                    ProbeKind::BatchFlush {
+                        channel: pr.channel,
+                        msgs: st.msgs as u32,
+                        bytes: st.bytes as u32,
+                        reason,
+                    },
+                );
+            }
+            write_now(&mut st.stream, &st.buf[st.head..st.len])
+        };
+        (st.msgs, st.bytes, st.first_at) = (0, 0, None);
+        match res {
+            Ok(n) if st.head + n < st.len => {
+                st.head += n;
+                st.stuck = true;
+                Ok(false)
+            }
+            _ => {
+                (st.head, st.len, st.stuck) = (0, 0, false);
+                if res.is_err() {
+                    self.closed.store(true, Ordering::Release);
+                }
+                res.map(|_| true)
+            }
+        }
+    }
+
+    /// A final flush: keeps offering the socket what is staged until it
+    /// has taken everything, or nothing for [`DRAIN_PATIENCE`].
+    fn drain(&self) -> io::Result<()> {
+        let mut last = (usize::MAX, shim::now());
+        loop {
+            let left = {
+                let mut st = self.staging.lock();
+                if self.flush_locked(&mut st, FlushReason::Final)? {
+                    return Ok(());
+                }
+                st.len - st.head
+            };
+            let now = shim::now();
+            if left < last.0 {
+                last = (left, now);
+            } else if now.duration_since(last.1) >= DRAIN_PATIENCE {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            shim::sleep(RETRY_STEP);
+        }
+    }
+
+    /// Takes in whatever acknowledgements have arrived, without waiting.
+    fn poll_acks(&self, credit: &mut Credit<S>) -> io::Result<bool> {
+        // The read flips the connection end's blocking mode.
+        let _mode = self.staging.lock();
+        credit.read_acks(None)
+    }
+
+    /// Returns with `credit` able to cover `need` bytes, waiting until
+    /// `timeout` after `started` (set by a send's first wait) for the
+    /// receiver to consume.
+    fn wait_for_credit(
+        &self,
+        credit: &mut MutexGuard<'_, Credit<S>>,
+        need: usize,
+        timeout: Duration,
+        started: &mut Option<Instant>,
+    ) -> Result<(), TransportError> {
+        // An idle channel always admits one message (the window is at
+        // least `max_msg`), so this cannot wedge on a degenerate spec.
+        if self.capacity - credit.in_flight_bytes() >= need {
             return Ok(());
         }
-        let records = std::mem::take(&mut p.records);
-        let bytes = std::mem::take(&mut p.bytes);
-        p.first_at = None;
-        let res = {
-            let mut tx = self.stream.lock();
-            write_framed_vectored(&mut *tx as &mut dyn Write, &records)
-        };
-        match res {
-            Ok(()) => {
-                // Data on the wire will unpark a hungry peer.
-                self.hungry.store(false, Ordering::Release);
-                if let Some(pr) = self.probe.get() {
-                    pr.tracer.record(
-                        pr.pe,
-                        pr.tracer.now(),
-                        ProbeKind::BatchFlush {
-                            channel: pr.channel,
-                            msgs: records.len() as u32,
-                            bytes: bytes as u32,
-                            reason,
-                        },
-                    );
+        let start = *started.get_or_insert_with(shim::now);
+        let deadline = start + timeout;
+        let mut progress_at = start;
+        // Credit can only return for records the peer has seen (this
+        // sender's went out when the window ran short), and the peer may
+        // itself be waiting on this thread's other batches.
+        flush::flush_owed();
+        loop {
+            if self.closed() {
+                return Err(closed_err(timeout, start));
+            }
+            let now = shim::now();
+            let wait = (now < deadline).then(|| deadline - now);
+            let got = match wait {
+                None => self.poll_acks(credit),
+                Some(_) => credit.read_acks(wait),
+            };
+            match got {
+                Ok(true) => {
+                    progress_at = now;
+                    self.publish(credit);
                 }
-                Ok(())
+                Ok(false) => {}
+                Err(_) => {
+                    self.closed.store(true, Ordering::Release);
+                    return Err(closed_err(timeout, start));
+                }
             }
-            Err(e) => {
-                self.closed.store(true, Ordering::Release);
-                self.credit_back.notify_all();
-                self.flush_wake.notify_all();
-                Err(e)
+            if self.capacity - credit.in_flight_bytes() >= need {
+                return Ok(());
             }
+            if wait.is_none() {
+                return Err(TransportError::Timeout {
+                    after: timeout,
+                    idle: now.duration_since(progress_at).min(timeout),
+                });
+            }
+        }
+    }
+}
+
+impl<S: NetStream> Staged for SenderShared<S> {
+    fn flush_idle(&self) -> bool {
+        self.flush_locked(&mut self.staging.lock(), FlushReason::Idle)
+            .unwrap_or(true)
+    }
+
+    fn flush_due(&self, now: Instant) -> Option<Instant> {
+        let mut st = self.staging.lock();
+        if let (false, Some(first_at)) = (st.stuck, st.first_at) {
+            let due = first_at + self.batch.flush_after;
+            if now < due {
+                return Some(due);
+            }
+        }
+        match self.flush_locked(&mut st, FlushReason::Deadline) {
+            Ok(false) => Some(now + RETRY_STEP),
+            _ => None,
         }
     }
 }
 
 /// The sending endpoint of a cross-process channel.
 ///
-/// Owns the socket's write half, a background thread draining credit
-/// acknowledgements from the read half, and — when batching is on — a
-/// deadline-flusher thread enforcing the Nagle timer.
+/// Owns both directions of the socket and runs no thread: the thread
+/// that sends also reads the credit acknowledgements, when it needs
+/// them. It holds a seat on the process's `net-timer` thread (see
+/// `flush.rs`).
 ///
 /// Generic over the underlying byte stream ([`NetStream`]): real
 /// deployments use the `UnixStream` default, `spi-sim` substitutes a
 /// deterministic in-memory pair.
 pub struct NetSender<S: NetStream = UnixStream> {
     shared: Arc<SenderShared<S>>,
+    seat: Seat,
 }
 
 impl NetSender {
     /// Connects to the receiving endpoint at `path`, retrying for up to
-    /// [`CONNECT_RETRY_WINDOW`] while the peer is still binding. The
-    /// unbatched legacy path; see [`NetSender::connect_with`].
+    /// [`CONNECT_RETRY_WINDOW`] while the peer is still binding.
     ///
     /// # Errors
     ///
-    /// The final connect error if the window elapses.
-    pub fn connect(path: &Path, spec: &ChannelSpec) -> std::io::Result<NetSender> {
-        NetSender::connect_with(path, spec, BatchParams::disabled())
-    }
-
-    /// [`NetSender::connect`] with record coalescing configured.
-    ///
-    /// # Errors
-    ///
-    /// The final connect error if the retry window elapses.
+    /// The final connect error if the window elapses; as
+    /// [`NetSender::from_stream_with`].
     pub fn connect_with(
         path: &Path,
         spec: &ChannelSpec,
         batch: BatchParams,
-    ) -> std::io::Result<NetSender> {
+    ) -> io::Result<NetSender> {
         let deadline = Instant::now() + CONNECT_RETRY_WINDOW;
         let stream = loop {
             match UnixStream::connect(path) {
                 Ok(s) => break s,
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(CONNECT_RETRY_STEP);
-                }
+                Err(_) if Instant::now() < deadline => std::thread::sleep(CONNECT_RETRY_STEP),
                 Err(e) => return Err(e),
             }
         };
-        Ok(NetSender::from_stream_with(stream, spec, batch))
+        NetSender::from_stream_with(stream, spec, batch)
     }
 }
 
 impl<S: NetStream> NetSender<S> {
-    /// Wraps an already-connected stream (socketpair loopback, tests),
-    /// unbatched.
-    pub fn from_stream(stream: S, spec: &ChannelSpec) -> NetSender<S> {
-        NetSender::from_stream_with(stream, spec, BatchParams::disabled())
-    }
-
-    /// Wraps an already-connected stream with record coalescing
-    /// configured.
-    pub fn from_stream_with(stream: S, spec: &ChannelSpec, batch: BatchParams) -> NetSender<S> {
+    /// Wraps an already-connected stream (socketpair loopback,
+    /// `spi-sim`), coalescing records under `batch`.
+    ///
+    /// # Errors
+    ///
+    /// The stream refusing a second handle (the acknowledgement reader).
+    pub fn from_stream_with(
+        stream: S,
+        spec: &ChannelSpec,
+        batch: BatchParams,
+    ) -> io::Result<NetSender<S>> {
         let capacity = effective_capacity(spec);
+        let max_msg = spec.max_message_bytes.max(1);
         let batch = BatchParams {
             max_msgs: batch.max_msgs.max(1),
             ..batch
         };
+        // Room for a credit window of maximum-size records, so that a
+        // socket taking less than the window never makes a send wait.
+        // (Smaller records carry more prefixes per byte; a window of
+        // those can fill the buffer early and waits for the socket.)
+        let stage_bytes = capacity + 4 * capacity.div_ceil(max_msg);
+        let acks = stream.try_clone()?;
         let shared = Arc::new(SenderShared {
             capacity,
-            max_msg: spec.max_message_bytes.max(1),
+            max_msg,
             batch,
-            state: Mutex::labeled(
-                SenderState {
-                    credits: capacity,
-                    in_flight_msgs: 0,
-                    grants: 0,
+            credit: Mutex::labeled(
+                Credit {
+                    acks,
+                    sent: (0, 0),
+                    acked: (0, 0),
+                    ack_buf: [0u8; ACK_READ_RECORDS * ACK_BYTES],
+                    ack_len: 0,
+                    timeout_set: None,
                 },
-                "net_sender_state",
+                "net_sender_credit",
             ),
-            credit_back: Condvar::labeled("net_credit_back"),
-            closed: AtomicBool::labeled(false, "net_sender_closed"),
-            pending: Mutex::labeled(
-                PendingBatch {
-                    records: Vec::new(),
+            staging: Mutex::labeled(
+                Staging {
+                    stream,
+                    buf: vec![0u8; stage_bytes].into_boxed_slice(),
+                    head: 0,
+                    len: 0,
+                    msgs: 0,
                     bytes: 0,
                     first_at: None,
+                    stuck: false,
                 },
-                "net_pending_batch",
+                "net_sender_staging",
             ),
-            flush_wake: Condvar::labeled("net_flush_wake"),
-            stream: Mutex::labeled(
-                stream.try_clone().expect("clone socket"),
-                "net_sender_stream",
-            ),
-            hungry: AtomicBool::labeled(false, "net_hungry"),
+            in_flight: [AtomicUsize::new(0), AtomicUsize::new(0)],
+            closed: AtomicBool::labeled(false, "net_sender_closed"),
             probe: OnceLock::new(),
         });
-        let reader = Arc::clone(&shared);
-        // Detached on purpose: the thread holds only the Arc and exits
-        // as soon as the socket EOFs or errors (Drop shuts it down).
-        shim::spawn("net-ack", move || {
-            let mut rx = stream;
-            loop {
-                match read_record(&mut rx) {
-                    Ok(Some(ack)) if ack.len() == ACK_BYTES => {
-                        let word =
-                            |i: usize| u32::from_le_bytes(ack[i..i + 4].try_into().expect("word"));
-                        let freed = word(0) as usize;
-                        let msgs = word(4) as usize;
-                        let flags = word(8);
-                        if freed > 0 || msgs > 0 {
-                            let mut st = reader.state.lock();
-                            st.credits = (st.credits + freed).min(reader.capacity);
-                            st.in_flight_msgs = st.in_flight_msgs.saturating_sub(msgs);
-                            st.grants += 1;
-                            drop(st);
-                            reader.credit_back.notify_all();
-                        }
-                        if flags & ACK_FLAG_HUNGRY != 0 {
-                            // The peer is parked in recv: latency beats
-                            // amortization, push whatever is pending.
-                            // The sticky hint also fast-flushes the
-                            // next appended record if nothing is
-                            // pending right now.
-                            reader.hungry.store(true, Ordering::Release);
-                            let _ = reader.flush(FlushReason::Hungry);
-                        }
-                    }
-                    // Malformed ack, clean EOF, or socket error: the
-                    // channel is unusable either way.
-                    _ => break,
-                }
-            }
-            reader.closed.store(true, Ordering::Release);
-            reader.credit_back.notify_all();
-            reader.flush_wake.notify_all();
-        });
-        if shared.batch.is_batched() {
-            let fl = Arc::clone(&shared);
-            // Deadline flusher: parks on `flush_wake` until a batch
-            // starts, then sleeps out the Nagle deadline and drains
-            // whatever is still pending.
-            shim::spawn("net-flush", move || {
-                let mut p = fl.pending.lock();
-                while !fl.closed.load(Ordering::Acquire) {
-                    let Some(first_at) = p.first_at else {
-                        let (guard, _) = fl.flush_wake.wait_timeout(p, Duration::from_millis(50));
-                        p = guard;
-                        continue;
-                    };
-                    let age = shim::now().saturating_duration_since(first_at);
-                    if age >= fl.batch.flush_after {
-                        let _ = fl.flush_locked(&mut p, FlushReason::Deadline);
-                        continue;
-                    }
-                    let (guard, _) = fl.flush_wake.wait_timeout(p, fl.batch.flush_after - age);
-                    p = guard;
-                }
-            });
-        }
-        NetSender { shared }
+        let seat = flush::seat(Arc::clone(&shared) as Arc<dyn Staged>);
+        Ok(NetSender { shared, seat })
     }
 
     /// Attaches a tracer: every batch flush records a
@@ -458,37 +650,135 @@ impl<S: NetStream> NetSender<S> {
         }
     }
 
-    /// Forces any pending batch onto the wire now (reason `Final`).
-    /// Useful at iteration boundaries and in tests; the adaptive policy
-    /// makes routine calls unnecessary.
+    /// Forces everything staged onto the wire now (reason `Final`),
+    /// waiting for a full socket as the endpoint's drop does. Useful at
+    /// iteration boundaries and in tests; the liveness contract makes
+    /// routine calls unnecessary.
     ///
     /// # Errors
     ///
-    /// A closed-channel timeout shape if the socket write fails.
+    /// A closed-channel timeout shape if the socket write fails or the
+    /// socket takes nothing for five seconds.
     pub fn flush_pending(&self) -> Result<(), TransportError> {
         self.shared
-            .flush(FlushReason::Final)
+            .drain()
             .map_err(|_| closed_err(Duration::ZERO, shim::now()))
     }
 
-    fn closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
+    /// Reserves `reserve` bytes of credit and staging, lets `frame`
+    /// build the message in place and stages the length it returns.
+    fn send_framed(
+        &self,
+        reserve: usize,
+        frame: &mut dyn FnMut(&mut [u8]) -> usize,
+        timeout: Duration,
+    ) -> Result<(), TransportError> {
+        let sh = &*self.shared;
+        if reserve > sh.max_msg {
+            return Err(TransportError::TooLarge {
+                bytes: reserve,
+                max: sh.max_msg,
+            });
+        }
+        let gone = || closed_err(timeout, shim::now());
+        let mut started = None;
+        let mut credit = sh.credit.lock();
+        sh.wait_for_credit(&mut credit, reserve, timeout, &mut started)?;
+        let mut st = sh.staging.lock();
+        let was_stuck = st.stuck;
+        while !st.room_for(reserve) {
+            // Only a socket that refuses a window of small records gets
+            // here: make room by writing, for as long as the send may
+            // wait.
+            let out = sh.flush_locked(&mut st, FlushReason::Full);
+            if out.map_err(|_| gone())? || st.room_for(reserve) {
+                break;
+            }
+            drop(st);
+            let waited = shim::now().duration_since(*started.get_or_insert_with(shim::now));
+            if waited >= timeout {
+                return Err(TransportError::Timeout {
+                    after: timeout,
+                    idle: timeout,
+                });
+            }
+            shim::sleep(RETRY_STEP.min(timeout - waited));
+            st = sh.staging.lock();
+        }
+        if sh.closed() {
+            return Err(gone());
+        }
+        let at = st.len;
+        let n = frame(&mut st.buf[at + 4..at + 4 + reserve]).min(reserve);
+        st.buf[at..at + 4].copy_from_slice(&(n as u32).to_le_bytes());
+        st.len += 4 + n;
+        st.msgs += 1;
+        st.bytes += n;
+        credit.sent.0 += n as u64;
+        credit.sent.1 += 1;
+        let credit_left = sh.capacity - sh.publish(&credit).0;
+        drop(credit);
+
+        let reason = if st.msgs >= sh.batch.max_msgs {
+            Some(FlushReason::Full)
+        } else if credit_left < sh.max_msg {
+            // The window cannot cover another message; the peer must
+            // see these records to return credits.
+            Some(FlushReason::Window)
+        } else {
+            None
+        };
+        // When the timer has to look: at what a full socket refused, in
+        // a moment; at a batch this record opened, after `flush_after` —
+        // unless this thread reaches a wait point first.
+        let due = if let Some(reason) = reason {
+            sh.flush_locked(&mut st, reason).map_err(|_| gone())?;
+            (st.stuck && !was_stuck).then(|| shim::now() + RETRY_STEP)
+        } else if st.msgs == 1 {
+            let now = shim::now();
+            st.first_at = Some(now);
+            flush::owe(&self.seat);
+            Some(now + sh.batch.flush_after)
+        } else {
+            None
+        };
+        drop(st);
+        if let Some(due) = due {
+            self.seat.staged(due);
+        }
+        Ok(())
+    }
+
+    /// `(in-flight bytes, in-flight messages)`, after taking in any
+    /// acknowledgement that has arrived — unless a sending thread is
+    /// inside (it takes them in itself), in which case the figures are
+    /// as of its last change.
+    fn observe(&self) -> (usize, usize) {
+        let sh = &*self.shared;
+        let Some(mut credit) = sh.credit.try_lock() else {
+            return (
+                sh.in_flight[0].load(Ordering::Relaxed),
+                sh.in_flight[1].load(Ordering::Relaxed),
+            );
+        };
+        if credit.in_flight_msgs() > 0 && !sh.closed() && sh.poll_acks(&mut credit).is_err() {
+            sh.closed.store(true, Ordering::Release);
+        }
+        sh.publish(&credit)
     }
 }
 
 impl<S: NetStream> Drop for NetSender<S> {
     fn drop(&mut self) {
-        // Drain any coalesced records first: peers distinguish a clean
+        // Drain any staged records first: peers distinguish a clean
         // EOF from a truncated stream, and credits for unsent bytes are
         // unrecoverable either way.
-        let _ = self.shared.flush(FlushReason::Final);
+        let _ = self.shared.drain();
         self.shared.closed.store(true, Ordering::Release);
-        {
-            let s = self.shared.stream.lock();
-            let _ = s.shutdown(std::net::Shutdown::Both);
-        }
-        self.shared.credit_back.notify_all();
-        self.shared.flush_wake.notify_all();
+        let st = self.shared.staging.lock();
+        let _ = st.stream.shutdown(std::net::Shutdown::Both);
+        drop(st);
+        self.seat.vacate();
     }
 }
 
@@ -502,26 +792,19 @@ impl<S: NetStream> Transport for NetSender<S> {
     }
 
     fn len_bytes(&self) -> usize {
-        let st = self.shared.state.lock();
-        self.shared.capacity - st.credits
+        self.observe().0
     }
 
     fn occupancy(&self) -> usize {
-        self.shared.state.lock().in_flight_msgs
+        self.observe().1
     }
 
     fn snapshot(&self) -> (usize, usize) {
-        let st = self.shared.state.lock();
-        (self.shared.capacity - st.credits, st.in_flight_msgs)
+        self.observe()
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        self.send_with(
-            data.len(),
-            &mut |buf| buf.copy_from_slice(data),
-            Duration::ZERO,
-        )
-        .map_err(|e| match e {
+        self.send(data, Duration::ZERO).map_err(|e| match e {
             TransportError::Timeout { .. } => TransportError::Full,
             other => other,
         })
@@ -537,88 +820,23 @@ impl<S: NetStream> Transport for NetSender<S> {
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.shared.max_msg {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.shared.max_msg,
-            });
-        }
-        let start = shim::now();
-        let deadline = start + timeout;
-        let credits_after;
-        {
-            let mut st = self.shared.state.lock();
-            let mut seen_grants = st.grants;
-            let mut progress_at = start;
-            // An idle channel always admits one message (credits start
-            // at full capacity ≥ max_msg), so this loop cannot wedge on
-            // a degenerate spec.
-            while st.credits < len {
-                if self.closed() {
-                    return Err(closed_err(timeout, start));
-                }
-                if self.shared.batch.is_batched() {
-                    // Credits can only return for records the peer has
-                    // seen — drain the pending batch before waiting.
-                    let unsent = {
-                        let p = self.shared.pending.lock();
-                        !p.records.is_empty()
-                    };
-                    if unsent {
-                        drop(st);
-                        if self.shared.flush(FlushReason::Window).is_err() {
-                            return Err(closed_err(timeout, start));
-                        }
-                        st = self.shared.state.lock();
-                        continue;
-                    }
-                }
-                let now = shim::now();
-                if st.grants != seen_grants {
-                    seen_grants = st.grants;
-                    progress_at = now;
-                }
-                if now >= deadline {
-                    return Err(TransportError::Timeout {
-                        after: timeout,
-                        idle: now.duration_since(progress_at).min(timeout),
-                    });
-                }
-                let (guard, _) = self.shared.credit_back.wait_timeout(st, deadline - now);
-                st = guard;
-            }
-            st.credits -= len;
-            st.in_flight_msgs += 1;
-            credits_after = st.credits;
-        }
-        let rec = frame_with(len, fill);
-        let flush_reason = {
-            let mut p = self.shared.pending.lock();
-            if p.records.is_empty() {
-                p.first_at = Some(shim::now());
-                // Arm the deadline flusher for this batch.
-                self.shared.flush_wake.notify_all();
-            }
-            p.records.push(rec);
-            p.bytes += len;
-            if p.records.len() >= self.shared.batch.max_msgs {
-                Some(FlushReason::Full)
-            } else if credits_after < self.shared.max_msg {
-                // The window cannot cover another message; the peer
-                // must see these records to return credits.
-                Some(FlushReason::Window)
-            } else if self.shared.hungry.load(Ordering::Acquire) {
-                Some(FlushReason::Hungry)
-            } else {
-                None
-            }
-        };
-        if let Some(reason) = flush_reason {
-            if self.shared.flush(reason).is_err() {
-                return Err(closed_err(timeout, start));
-            }
-        }
-        Ok(())
+        self.send_framed(
+            len,
+            &mut |buf| {
+                fill(buf);
+                len
+            },
+            timeout,
+        )
+    }
+
+    fn send_in_place(
+        &self,
+        max_len: usize,
+        frame: &mut dyn FnMut(&mut [u8]) -> usize,
+        timeout: Duration,
+    ) -> Result<(), TransportError> {
+        self.send_framed(max_len, frame, timeout)
     }
 
     fn recv_with(
@@ -634,277 +852,199 @@ impl<S: NetStream> Transport for NetSender<S> {
 // Receiver
 // ---------------------------------------------------------------------
 
-struct ReceiverState {
-    queue: VecDeque<Vec<u8>>,
-    queued_bytes: usize,
-    /// Monotonic count of arrivals, for idle tracking.
-    arrivals: u64,
-    /// Consumed-but-not-yet-acknowledged credit, per [`AckPolicy`].
-    unacked_bytes: usize,
-    unacked_msgs: usize,
-    /// A HUNGRY ack was sent for the current empty-queue episode;
-    /// cleared by the pump on the next arrival so each episode raises
-    /// the flag at most once.
-    hungry_sent: bool,
+struct ReceiverState<S> {
+    stream: S,
+    ahead: RecordBuf,
+    /// Totals consumed by the application, and the totals the sender
+    /// has been told.
+    consumed: (u64, u64),
+    acked: (u64, u64),
+    /// The acknowledgement being written and how much of it is out: one
+    /// the socket cut short is finished before the next is started.
+    ack: [u8; ACK_BYTES],
+    ack_out: usize,
+    /// The sender is gone or no longer listening; there may still be
+    /// records of its to read.
+    acks_off: bool,
+    timeout_set: Option<Duration>,
+    closed: bool,
 }
 
-/// The credit-ack write half plus the drop flag, under one lock so the
-/// endpoint's `Drop` and the pump thread cannot race past each other:
-/// whichever runs second sees the other's effect and performs the
-/// socket shutdown exactly once.
-struct AckSlot<S> {
-    /// Populated by the pump once the connection exists (immediately
-    /// for socketpair construction, after accept when bound).
-    stream: Option<S>,
-    /// Set by the endpoint's `Drop`.
-    dropped: bool,
-}
+impl<S: NetStream> ReceiverState<S> {
+    /// Whether the sender has yet to be told of something consumed.
+    fn owes_ack(&self) -> bool {
+        self.acked != self.consumed && !self.acks_off
+    }
 
-impl<S> Default for AckSlot<S> {
-    fn default() -> Self {
-        AckSlot {
-            stream: None,
-            dropped: false,
+    /// Tells the sender everything consumed so far. An acknowledgement
+    /// the socket has no room for right now is skipped: the totals the
+    /// next one carries cover it.
+    fn settle(&mut self) {
+        while self.owes_ack() {
+            if self.ack_out.is_multiple_of(ACK_BYTES) {
+                self.ack = encode_ack(self.consumed.0, self.consumed.1);
+                self.ack_out = 0;
+            }
+            match write_now(&mut self.stream, &self.ack[self.ack_out..]) {
+                // Try again at the next wait point.
+                Ok(0) => return,
+                Ok(n) => self.ack_out += n,
+                Err(_) => self.acks_off = true,
+            }
+            if self.ack_out == ACK_BYTES {
+                self.acked = decode_ack(&self.ack);
+            }
         }
     }
-}
 
-struct ReceiverShared<S: NetStream> {
-    capacity: usize,
-    max_msg: usize,
-    ack_policy: AckPolicy,
-    state: Mutex<ReceiverState>,
-    arrived: Condvar,
-    closed: AtomicBool,
-    ack_tx: Mutex<AckSlot<S>>,
+    /// Accounts for one consumed message of `len` bytes and acknowledges
+    /// if `policy` says it is time.
+    fn consume(&mut self, len: usize, policy: AckPolicy) {
+        self.consumed.0 += len as u64;
+        self.consumed.1 += 1;
+        if self.consumed.1 - self.acked.1 >= policy.every_msgs as u64
+            || self.consumed.0 - self.acked.0 >= policy.low_water_bytes.max(1) as u64
+        {
+            self.settle();
+        }
+    }
+
+    /// One read into the read-ahead buffer under `wait`. Returns whether
+    /// bytes arrived.
+    ///
+    /// # Errors
+    ///
+    /// End of stream or a socket error.
+    fn fill(&mut self, wait: Wait) -> io::Result<bool> {
+        let ahead = &mut self.ahead;
+        let read = |s: &mut S| ahead.fill_from(s);
+        match read_within(&mut self.stream, &mut self.timeout_set, wait, read)? {
+            Some(0) => Err(eof()),
+            Some(_) => Ok(true),
+            None => Ok(false),
+        }
+    }
 }
 
 /// The receiving endpoint of a cross-process channel.
 ///
-/// A background thread (accepting first, when bound to a listener)
-/// drains data records into a bounded-by-protocol queue; consuming a
-/// message accumulates credit that is returned to the sender per the
-/// endpoint's [`AckPolicy`].
-/// Generic over the underlying byte stream ([`NetStream`]): real
-/// deployments use the `UnixStream` default, `spi-sim` substitutes a
-/// deterministic in-memory pair.
+/// Runs no thread: the consuming thread reads the socket into the
+/// endpoint's read-ahead buffer, and consuming a message accumulates
+/// credit that is returned to the sender per the endpoint's
+/// [`AckPolicy`]. Generic over the underlying byte stream
+/// ([`NetStream`]): real deployments use the `UnixStream` default,
+/// `spi-sim` substitutes a deterministic in-memory pair.
 pub struct NetReceiver<S: NetStream = UnixStream> {
-    shared: Arc<ReceiverShared<S>>,
-    /// Socket path to poke on Drop so a never-connected accept thread
-    /// unblocks and exits.
-    listener_path: Option<std::path::PathBuf>,
+    capacity: usize,
+    max_msg: usize,
+    ack_policy: AckPolicy,
+    state: Mutex<ReceiverState<S>>,
+}
+
+/// A receiving endpoint bound to its socket path, waiting for its sender
+/// to connect. Dropping it removes the path.
+pub struct NetListener {
+    listener: UnixListener,
+    path: PathBuf,
+    spec: ChannelSpec,
+    ack: AckPolicy,
 }
 
 impl NetReceiver {
-    /// Binds a listener at `path` and accepts the sender's connection
-    /// in the background, acking every message (legacy policy). The
-    /// path must not exist yet.
+    /// Binds a listener at `path`, which must not exist yet.
     ///
     /// # Errors
     ///
     /// Any bind error.
-    pub fn bind(path: &Path, spec: &ChannelSpec) -> std::io::Result<NetReceiver> {
-        NetReceiver::bind_with(path, spec, AckPolicy::immediate())
-    }
-
-    /// [`NetReceiver::bind`] with a coalesced ack policy.
-    ///
-    /// # Errors
-    ///
-    /// Any bind error.
-    pub fn bind_with(
-        path: &Path,
-        spec: &ChannelSpec,
-        ack: AckPolicy,
-    ) -> std::io::Result<NetReceiver> {
-        let listener = UnixListener::bind(path)?;
-        let shared = Self::shared_for(spec, ack);
-        let reader = Arc::clone(&shared);
-        shim::spawn("net-accept", move || {
-            let Ok((stream, _)) = listener.accept() else {
-                reader.closed.store(true, Ordering::Release);
-                reader.arrived.notify_all();
-                return;
-            };
-            Self::pump(&reader, stream);
-        });
-        Ok(NetReceiver {
-            shared,
-            listener_path: Some(path.to_path_buf()),
+    pub fn bind_with(path: &Path, spec: &ChannelSpec, ack: AckPolicy) -> io::Result<NetListener> {
+        Ok(NetListener {
+            listener: UnixListener::bind(path)?,
+            path: path.to_path_buf(),
+            spec: *spec,
+            ack,
         })
     }
 }
 
+impl NetListener {
+    /// Waits for the sender's connection. A sender can connect (and
+    /// send) as soon as the listener is bound, so two nodes that each
+    /// connect their senders before accepting cannot wait on each other.
+    ///
+    /// # Errors
+    ///
+    /// Any accept error.
+    pub fn accept(self) -> io::Result<NetReceiver> {
+        let (stream, _) = self.listener.accept()?;
+        Ok(NetReceiver::from_stream_with(stream, &self.spec, self.ack))
+    }
+}
+
+impl Drop for NetListener {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
 impl<S: NetStream> NetReceiver<S> {
-    /// Wraps an already-connected stream (socketpair loopback, tests),
-    /// acking every message.
-    pub fn from_stream(stream: S, spec: &ChannelSpec) -> NetReceiver<S> {
-        NetReceiver::from_stream_with(stream, spec, AckPolicy::immediate())
-    }
-
-    /// Wraps an already-connected stream with a coalesced ack policy.
+    /// Wraps an already-connected stream (socketpair loopback,
+    /// `spi-sim`), acknowledging under `ack`.
     pub fn from_stream_with(stream: S, spec: &ChannelSpec, ack: AckPolicy) -> NetReceiver<S> {
-        let shared = Self::shared_for(spec, ack);
-        let reader = Arc::clone(&shared);
-        shim::spawn("net-pump", move || Self::pump(&reader, stream));
+        let (capacity, max_msg) = (effective_capacity(spec), spec.max_message_bytes.max(1));
         NetReceiver {
-            shared,
-            listener_path: None,
-        }
-    }
-
-    fn shared_for(spec: &ChannelSpec, ack: AckPolicy) -> Arc<ReceiverShared<S>> {
-        Arc::new(ReceiverShared {
-            capacity: effective_capacity(spec),
-            max_msg: spec.max_message_bytes.max(1),
+            capacity,
+            max_msg,
             ack_policy: AckPolicy {
                 every_msgs: ack.every_msgs.max(1),
                 ..ack
             },
             state: Mutex::labeled(
                 ReceiverState {
-                    queue: VecDeque::new(),
-                    queued_bytes: 0,
-                    arrivals: 0,
-                    unacked_bytes: 0,
-                    unacked_msgs: 0,
-                    hungry_sent: false,
+                    stream,
+                    ahead: RecordBuf::new(max_msg, capacity),
+                    consumed: (0, 0),
+                    acked: (0, 0),
+                    ack: [0u8; ACK_BYTES],
+                    ack_out: ACK_BYTES,
+                    acks_off: false,
+                    timeout_set: None,
+                    closed: false,
                 },
                 "net_receiver_state",
             ),
-            arrived: Condvar::labeled("net_arrived"),
-            closed: AtomicBool::labeled(false, "net_receiver_closed"),
-            ack_tx: Mutex::labeled(AckSlot::default(), "net_ack_tx"),
-        })
-    }
-
-    /// Reads data records off `stream` into the queue until EOF/error.
-    fn pump(shared: &Arc<ReceiverShared<S>>, stream: S) {
-        {
-            let mut slot = shared.ack_tx.lock();
-            if slot.dropped {
-                // The endpoint was dropped before the connection came
-                // up; tear it down here — Drop could not, it never saw
-                // a stream.
-                let _ = stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-            slot.stream = stream.try_clone().ok();
         }
-        let mut rx = stream;
-        while let Ok(Some(msg)) = read_record(&mut rx) {
-            let mut st = shared.state.lock();
-            st.queued_bytes += msg.len();
-            st.arrivals += 1;
-            st.hungry_sent = false;
-            st.queue.push_back(msg);
-            drop(st);
-            shared.arrived.notify_all();
-        }
-        shared.closed.store(true, Ordering::Release);
-        shared.arrived.notify_all();
-    }
-
-    fn closed(&self) -> bool {
-        self.shared.closed.load(Ordering::Acquire)
-    }
-
-    /// Writes one cumulative credit-ack record.
-    fn ack(&self, freed_bytes: usize, freed_msgs: usize, flags: u32) {
-        let mut slot = self.shared.ack_tx.lock();
-        if let Some(tx) = slot.stream.as_mut() {
-            let mut rec = [0u8; ACK_BYTES];
-            rec[..4].copy_from_slice(&(freed_bytes as u32).to_le_bytes());
-            rec[4..8].copy_from_slice(&(freed_msgs as u32).to_le_bytes());
-            rec[8..].copy_from_slice(&flags.to_le_bytes());
-            if write_record(tx as &mut dyn Write, &rec).is_err() {
-                self.shared.closed.store(true, Ordering::Release);
-            }
-        }
-    }
-
-    /// Accumulates credit for one consumed message under `st` and
-    /// decides whether the policy requires emitting an ack now. The
-    /// caller emits after dropping the state lock (acks write to a
-    /// socket and must not hold it).
-    fn accrue(&self, st: &mut ReceiverState, len: usize) -> Option<(usize, usize)> {
-        st.unacked_bytes += len;
-        st.unacked_msgs += 1;
-        let due = st.unacked_msgs >= self.shared.ack_policy.every_msgs
-            || st.unacked_bytes >= self.shared.ack_policy.low_water_bytes.max(1);
-        due.then(|| {
-            (
-                std::mem::take(&mut st.unacked_bytes),
-                std::mem::take(&mut st.unacked_msgs),
-            )
-        })
-    }
-
-    /// Settles all accumulated credit with the HUNGRY flag raised —
-    /// called when the consumer finds the queue empty, so a coalescing
-    /// receiver can never sit on credits while its sender blocks, and
-    /// the sender learns to flush any pending batch. At most one per
-    /// empty-queue episode.
-    fn settle_hungry(&self, st: &mut ReceiverState) -> Option<(usize, usize)> {
-        if st.hungry_sent {
-            return None;
-        }
-        st.hungry_sent = true;
-        Some((
-            std::mem::take(&mut st.unacked_bytes),
-            std::mem::take(&mut st.unacked_msgs),
-        ))
     }
 }
 
 impl<S: NetStream> Drop for NetReceiver<S> {
     fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
-        let connected = {
-            let mut slot = self.shared.ack_tx.lock();
-            slot.dropped = true;
-            if let Some(tx) = slot.stream.as_ref() {
-                let _ = tx.shutdown(std::net::Shutdown::Both);
-                true
-            } else {
-                false
-            }
-        };
-        // No connection yet: either the pump will see `dropped` and
-        // shut the socket itself, or the accept is still parked — poke
-        // it with a throwaway connection so the thread exits.
-        if !connected {
-            if let Some(path) = &self.listener_path {
-                let _ = UnixStream::connect(path);
-            }
-        }
-        if let Some(path) = &self.listener_path {
-            let _ = std::fs::remove_file(path);
-        }
-        self.shared.arrived.notify_all();
+        let _ = self.state.lock().stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
 impl<S: NetStream> Transport for NetReceiver<S> {
     fn capacity_bytes(&self) -> usize {
-        self.shared.capacity
+        self.capacity
     }
 
     fn max_message_bytes(&self) -> usize {
-        self.shared.max_msg
+        self.max_msg
     }
 
+    /// Payload bytes read ahead and not yet consumed; what the socket
+    /// still holds is not counted.
     fn len_bytes(&self) -> usize {
-        self.shared.state.lock().queued_bytes
+        self.snapshot().0
     }
 
     fn occupancy(&self) -> usize {
-        self.shared.state.lock().queue.len()
+        self.snapshot().1
     }
 
     fn snapshot(&self) -> (usize, usize) {
-        let st = self.shared.state.lock();
-        (st.queued_bytes, st.queue.len())
+        // A consumer inside is waiting on an empty buffer, or about to
+        // take what it found: zero never over-states either.
+        self.state.try_lock().map_or((0, 0), |rx| rx.ahead.ready())
     }
 
     fn try_send(&self, _data: &[u8]) -> Result<(), TransportError> {
@@ -912,30 +1052,12 @@ impl<S: NetStream> Transport for NetReceiver<S> {
     }
 
     fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        let (msg, due) = {
-            let mut st = self.shared.state.lock();
-            match st.queue.pop_front() {
-                Some(m) => {
-                    st.queued_bytes -= m.len();
-                    let due = self.accrue(&mut st, m.len());
-                    (m, due)
-                }
-                None => {
-                    // A polling consumer never parks, so the park-time
-                    // settlement below can't run — settle here instead.
-                    let hungry = self.settle_hungry(&mut st);
-                    drop(st);
-                    if let Some((b, n)) = hungry {
-                        self.ack(b, n, ACK_FLAG_HUNGRY);
-                    }
-                    return Err(TransportError::Empty);
-                }
-            }
-        };
-        if let Some((b, n)) = due {
-            self.ack(b, n, 0);
+        let mut out = Vec::new();
+        match self.recv_with(&mut |bytes| out.extend_from_slice(bytes), Duration::ZERO) {
+            Ok(()) => Ok(out),
+            Err(TransportError::Timeout { .. }) => Err(TransportError::Empty),
+            Err(other) => Err(other),
         }
-        Ok(msg)
     }
 
     fn send_with(
@@ -952,71 +1074,72 @@ impl<S: NetStream> Transport for NetReceiver<S> {
         consume: &mut dyn FnMut(&[u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        let start = shim::now();
-        let deadline = start + timeout;
-        let mut seen_arrivals: Option<u64> = None;
-        let mut progress_at = start;
-        let mut st = self.shared.state.lock();
-        let (msg, due) = loop {
-            if let Some(m) = st.queue.pop_front() {
-                st.queued_bytes -= m.len();
-                let due = self.accrue(&mut st, m.len());
-                break (m, due);
-            }
-            if self.closed() {
-                return Err(closed_err(timeout, start));
-            }
-            // About to park: settle accumulated credit and tell the
-            // sender we are starving so it flushes any pending batch.
-            if let Some((b, n)) = self.settle_hungry(&mut st) {
-                drop(st);
-                self.ack(b, n, ACK_FLAG_HUNGRY);
-                st = self.shared.state.lock();
-                continue;
+        let mut rx = self.state.lock();
+        // The clock is read only once there is something to wait for.
+        let mut waiting: Option<(Instant, Instant)> = None;
+        loop {
+            match rx.ahead.front() {
+                Ok(Some(payload)) => {
+                    consume(payload);
+                    let len = payload.len();
+                    rx.ahead.pop();
+                    rx.consume(len, self.ack_policy);
+                    return Ok(());
+                }
+                Ok(None) => {}
+                // A corrupt length prefix: the stream has lost framing.
+                Err(_) => rx.closed = true,
             }
             let now = shim::now();
-            if seen_arrivals != Some(st.arrivals) {
-                if seen_arrivals.is_some() {
-                    progress_at = now;
+            let (start, progress_at) = *waiting.get_or_insert((now, now));
+            if rx.closed {
+                return Err(closed_err(timeout, start));
+            }
+            // About to wait. Whatever this thread staged elsewhere may
+            // be what the peer needs before it sends more, and a sender
+            // short of credit needs everything consumed here back.
+            flush::flush_owed();
+            rx.settle();
+            let deadline = start + timeout;
+            let wait = (now < deadline).then(|| match rx.owes_ack() {
+                false => deadline - now,
+                // A full socket refused the totals: offer them again.
+                true => (deadline - now).min(RETRY_STEP),
+            });
+            match rx.fill(wait) {
+                Ok(true) => waiting = Some((start, now)),
+                Ok(false) if wait.is_none() => {
+                    return Err(TransportError::Timeout {
+                        after: timeout,
+                        idle: now.duration_since(progress_at).min(timeout),
+                    });
                 }
-                seen_arrivals = Some(st.arrivals);
+                Ok(false) => {}
+                // End of stream, once everything written has been read.
+                Err(_) => rx.closed = true,
             }
-            if now >= deadline {
-                return Err(TransportError::Timeout {
-                    after: timeout,
-                    idle: now.duration_since(progress_at).min(timeout),
-                });
-            }
-            let (guard, _) = self.shared.arrived.wait_timeout(st, deadline - now);
-            st = guard;
-        };
-        drop(st);
-        consume(&msg);
-        if let Some((b, n)) = due {
-            self.ack(b, n, 0);
         }
-        Ok(())
     }
 }
 
 /// A connected loopback channel over `socketpair(2)` — both endpoints
 /// in one process, the full wire protocol in between, no coalescing.
 /// The workhorse of the transport tests.
-pub fn loopback(spec: &ChannelSpec) -> std::io::Result<(NetSender, NetReceiver)> {
+pub fn loopback(spec: &ChannelSpec) -> io::Result<(NetSender, NetReceiver)> {
     loopback_with(spec, BatchParams::disabled())
 }
 
 /// [`loopback`] with the batched fast path: the sender coalesces under
 /// `batch` and the receiver acks under the matched
-/// [`AckPolicy::for_batch`] policy. The `fir_3pe_net_loopback`
-/// benchmark's configuration.
+/// [`AckPolicy::for_batch`] policy. The `fir2k_net` benchmark's
+/// configuration.
 pub fn loopback_with(
     spec: &ChannelSpec,
     batch: BatchParams,
-) -> std::io::Result<(NetSender, NetReceiver)> {
+) -> io::Result<(NetSender, NetReceiver)> {
     let (a, b) = UnixStream::pair()?;
     Ok((
-        NetSender::from_stream_with(a, spec, batch),
+        NetSender::from_stream_with(a, spec, batch)?,
         NetReceiver::from_stream_with(b, spec, AckPolicy::for_batch(spec, batch)),
     ))
 }

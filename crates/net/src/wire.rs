@@ -1,15 +1,25 @@
 //! Length-prefixed message framing over byte streams.
 //!
-//! Everything `spi-net` puts on a socket — data messages (which already
-//! carry the supervision layer's `[seq][crc32]` frame when the run is
-//! supervised), credit acknowledgements, and the control-plane handshake
-//! — travels as `[len: u32 LE][len bytes]` records. The codec is
-//! deliberately resilient to the two stream pathologies TCP/Unix sockets
-//! exhibit under load: **short reads** (a record arriving split across
-//! an arbitrary number of `read` returns, including mid-prefix) and
+//! Data messages (which already carry the supervision layer's
+//! `[seq][crc32]` frame when the run is supervised) and the control-plane
+//! handshake travel as `[len: u32 LE][len bytes]` records; credit
+//! acknowledgements, the only traffic in the other direction of a data
+//! socket, are fixed-size ([`ACK_BYTES`]). The codec is deliberately
+//! resilient to the two stream pathologies TCP/Unix sockets exhibit
+//! under load: **short reads** (a record arriving split across an
+//! arbitrary number of `read` returns, including mid-prefix) and
 //! **short writes** (the kernel accepting only part of a buffer per
-//! `write`). `read_record` reassembles across both; `write_record`
-//! relies on `write_all`, which loops over partial acceptance.
+//! `write`).
+//!
+//! There are two readers. The **data path** never allocates per record:
+//! [`RecordBuf`] reads ahead into one buffer sized from the channel's
+//! eq. (2) window and parses records in place, rejecting any length
+//! prefix beyond the channel's own message bound as corruption;
+//! [`write_staged`] is its counterpart, putting a whole staged batch on
+//! the stream with one `write` when the kernel takes it and reporting
+//! how far it got when the stream is full. The **control
+//! plane** ([`read_record`] / [`write_record`]) returns owned buffers
+//! and bounds a record only by [`MAX_RECORD_BYTES`].
 //!
 //! A second concern the codec owns is **structured field encoding** for
 //! the control plane: the handshake exchanges manifests and result
@@ -17,7 +27,7 @@
 //! with the `put_*`/[`WireReader`] helpers here rather than trusting a
 //! general serializer with cross-process wire data.
 
-use std::io::{self, IoSlice, Read, Write};
+use std::io::{self, Read, Write};
 
 /// Upper bound on a single wire record. Anything larger is treated as
 /// stream corruption rather than an allocation request: a legal SPI
@@ -44,89 +54,201 @@ pub fn write_record(w: &mut dyn Write, bytes: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// Writes a batch of pre-framed records (each buffer already carries
-/// its `[len: u32 LE]` prefix) with vectored I/O, then flushes once.
+/// Writes as much of a staging buffer — back-to-back
+/// `[len: u32 LE][payload]` records, one or more batches — as the stream
+/// takes without refusing, with as few `write` calls as it allows (one,
+/// when it accepts the whole buffer). Returns the byte count.
 ///
-/// One `writev` per fully-accepted batch; on a **short write** the
-/// gather list is rebuilt past the accepted bytes and retried, so a
-/// batch torn across arbitrary kernel acceptance boundaries — including
-/// mid-prefix — still lands on the stream intact and in order.
-/// `Interrupted` (EINTR) and `WouldBlock` (EWOULDBLOCK, transiently
-/// possible on streams shared with timeout-taking code paths) are
-/// retried; empty buffers are skipped.
+/// On a **short write** the remainder is retried, so a batch torn across
+/// arbitrary kernel acceptance boundaries — including mid-prefix — still
+/// lands on the stream intact and in order; `Interrupted` (EINTR) is
+/// retried too. `WouldBlock` ends the call early: the endpoints write in
+/// non-blocking mode, the stream is full, and the caller keeps the rest
+/// staged for later.
 ///
 /// # Errors
 ///
-/// Any other I/O error from the stream; a `write_vectored` that accepts
-/// zero bytes surfaces as `WriteZero` (a wedged peer, not progress).
-pub fn write_framed_vectored(w: &mut dyn Write, framed: &[Vec<u8>]) -> io::Result<()> {
-    let mut idx = 0usize; // first buffer with unwritten bytes
-    let mut off = 0usize; // bytes of `framed[idx]` already written
-    while idx < framed.len() {
-        if off >= framed[idx].len() {
-            idx += 1;
-            off = 0;
-            continue;
-        }
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(framed.len() - idx);
-        slices.push(IoSlice::new(&framed[idx][off..]));
-        slices.extend(
-            framed[idx + 1..]
-                .iter()
-                .filter(|b| !b.is_empty())
-                .map(|b| IoSlice::new(b)),
-        );
-        match w.write_vectored(&slices) {
+/// Any other I/O error from the stream; a `write` that accepts zero
+/// bytes surfaces as `WriteZero` (a wedged peer, not progress).
+pub fn write_staged(w: &mut dyn Write, staged: &[u8]) -> io::Result<usize> {
+    let mut off = 0usize;
+    while off < staged.len() {
+        match w.write(&staged[off..]) {
             Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::WriteZero,
-                    "vectored write accepted zero bytes",
+                    "staged write accepted zero bytes",
                 ));
             }
-            Ok(mut n) => {
-                while n > 0 {
-                    let rem = framed[idx].len() - off;
-                    if n >= rem {
-                        n -= rem;
-                        idx += 1;
-                        off = 0;
-                        while idx < framed.len() && framed[idx].is_empty() {
-                            idx += 1;
-                        }
-                    } else {
-                        off += n;
-                        n = 0;
-                    }
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock
-                ) => {}
+            Ok(n) => off += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if is_would_block(&e) => break,
             Err(e) => return Err(e),
         }
     }
-    w.flush()
+    Ok(off)
 }
 
-/// Frames `len` payload bytes into a fresh `[len: u32 LE][payload]`
-/// buffer and hands the payload region to `fill` — the single
-/// allocation a batched sender makes per message.
-///
-/// # Panics
-///
-/// `len` beyond [`MAX_RECORD_BYTES`] is a caller bug (transport specs
-/// bound messages far below the wire limit).
-pub fn frame_with(len: usize, fill: &mut dyn FnMut(&mut [u8])) -> Vec<u8> {
-    assert!(
-        len <= MAX_RECORD_BYTES,
-        "record of {len} bytes exceeds wire bound"
-    );
-    let mut rec = vec![0u8; 4 + len];
-    rec[..4].copy_from_slice(&(len as u32).to_le_bytes());
-    fill(&mut rec[4..]);
+/// Whether an I/O error means "nothing transferred yet, try later" — a
+/// read or write timeout, or a non-blocking call that would block —
+/// rather than a broken stream. (`SO_RCVTIMEO` expiry reports
+/// `WouldBlock` on Linux and `TimedOut` elsewhere.)
+pub fn is_would_block(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+/// Wire size of a credit acknowledgement:
+/// `[consumed_bytes: u64][consumed_msgs: u64]`, both LE and both
+/// **totals since the connection came up**. Fixed-size and unframed —
+/// the ack direction carries nothing else — and idempotent: a later ack
+/// supersedes every earlier one, so a receiver may skip one when the
+/// stream would block without any credit being lost.
+pub const ACK_BYTES: usize = 16;
+
+/// Encodes one credit acknowledgement.
+pub fn encode_ack(consumed_bytes: u64, consumed_msgs: u64) -> [u8; ACK_BYTES] {
+    let mut rec = [0u8; ACK_BYTES];
+    rec[..8].copy_from_slice(&consumed_bytes.to_le_bytes());
+    rec[8..].copy_from_slice(&consumed_msgs.to_le_bytes());
     rec
+}
+
+/// Decodes one credit acknowledgement into `(consumed_bytes,
+/// consumed_msgs)`.
+pub fn decode_ack(rec: &[u8; ACK_BYTES]) -> (u64, u64) {
+    let (b, m) = rec.split_at(8);
+    let word = |half: &[u8]| {
+        let mut w = [0u8; 8];
+        w.copy_from_slice(half);
+        u64::from_le_bytes(w)
+    };
+    (word(b), word(m))
+}
+
+/// Most bytes a receiver reads ahead beyond one record. One `read` moves
+/// at most what the kernel's socket buffer holds (a few hundred KiB), so
+/// a larger credit window gains nothing from a larger buffer: the rest of
+/// it waits in the socket and in the sender's staging buffer.
+pub const READ_AHEAD_CAP: usize = 1 << 20;
+
+/// The receiving endpoint's read-ahead buffer and in-buffer record
+/// parser: one `read` pulls in as many `[len: u32 LE][payload]` records
+/// as the stream has — a whole batch — and the consumer is handed each
+/// payload as a borrowed slice, so a received record costs its copy out
+/// of the kernel and nothing else (no per-record allocation, no queue).
+///
+/// The buffer is sized once from the channel's eq. (2) window and never
+/// grows. A length prefix beyond the channel's per-message bound is
+/// stream corruption and is rejected as soon as it reaches the front —
+/// before a single payload byte is waited for — instead of being treated
+/// as an allocation request. Records split across reads anywhere,
+/// including inside the prefix, are reassembled in place.
+#[derive(Debug)]
+pub struct RecordBuf {
+    buf: Box<[u8]>,
+    /// Start of the front record's length prefix, and end of the bytes
+    /// read so far.
+    head: usize,
+    tail: usize,
+    max_record: usize,
+}
+
+impl RecordBuf {
+    /// A buffer for records of at most `max_record_bytes`, roomy enough
+    /// to hold a full `window_bytes` credit window of them — up to
+    /// [`READ_AHEAD_CAP`], and never smaller than one maximum-size
+    /// record.
+    pub fn new(max_record_bytes: usize, window_bytes: usize) -> RecordBuf {
+        let max_record = max_record_bytes.clamp(1, MAX_RECORD_BYTES);
+        let window = window_bytes.clamp(max_record, max_record.max(READ_AHEAD_CAP));
+        let prefixes = 4 * window.div_ceil(max_record);
+        RecordBuf {
+            buf: vec![0u8; window + prefixes].into_boxed_slice(),
+            head: 0,
+            tail: 0,
+            max_record,
+        }
+    }
+
+    /// The payload range of the record whose prefix starts at `at`, if
+    /// the buffer holds all of it.
+    fn record_at(&self, at: usize) -> io::Result<Option<std::ops::Range<usize>>> {
+        if self.tail - at < 4 {
+            return Ok(None);
+        }
+        let mut prefix = [0u8; 4];
+        prefix.copy_from_slice(&self.buf[at..at + 4]);
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len > self.max_record {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "record length {len} exceeds the channel's {} byte message bound",
+                    self.max_record
+                ),
+            ));
+        }
+        Ok((self.tail - at >= 4 + len).then_some(at + 4..at + 4 + len))
+    }
+
+    /// The front record's payload, if a complete record is buffered.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the front length prefix exceeds the
+    /// per-message bound: the stream has lost framing.
+    pub fn front(&self) -> io::Result<Option<&[u8]>> {
+        Ok(self.record_at(self.head)?.map(|r| &self.buf[r]))
+    }
+
+    /// Drops the front record, if one is complete.
+    pub fn pop(&mut self) {
+        if let Ok(Some(r)) = self.record_at(self.head) {
+            self.head = r.end;
+            if self.head == self.tail {
+                (self.head, self.tail) = (0, 0);
+            }
+        }
+    }
+
+    /// `(payload bytes, records)` buffered complete.
+    pub fn ready(&self) -> (usize, usize) {
+        let (mut bytes, mut msgs, mut at) = (0, 0, self.head);
+        while let Ok(Some(r)) = self.record_at(at) {
+            bytes += r.len();
+            msgs += 1;
+            at = r.end;
+        }
+        (bytes, msgs)
+    }
+
+    /// One `read` from `r` into the free space behind the buffered
+    /// bytes. Call when [`RecordBuf::front`] has nothing: the partial
+    /// front record is moved to the start of the buffer if that is what
+    /// it takes to fit the rest of it. Returns the byte count; `Ok(0)`
+    /// is end-of-stream.
+    ///
+    /// # Errors
+    ///
+    /// Any error of the read itself (including `WouldBlock`/`TimedOut`
+    /// from a stream with a timeout or in non-blocking mode).
+    pub fn fill_from(&mut self, r: &mut dyn Read) -> io::Result<usize> {
+        if self.buf.len() - self.tail < 4 + self.max_record {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, self.tail - self.head);
+        }
+        if self.tail == self.buf.len() {
+            return Err(io::Error::other(
+                "read-ahead buffer is full of unconsumed records",
+            ));
+        }
+        let n = r.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
 }
 
 /// Reads one `[len][bytes]` record, reassembling across arbitrarily
@@ -363,11 +485,10 @@ mod tests {
         }
     }
 
-    /// A writer whose `write_vectored` accepts at most `chunk` bytes
-    /// per call — potentially mid-slice, potentially mid-prefix — and
-    /// injects `EINTR`/`EWOULDBLOCK` on a fixed cadence before making
-    /// progress. The worst stream a batched writer can face, made
-    /// deterministic.
+    /// A writer that accepts at most `chunk` bytes per call —
+    /// potentially mid-prefix — and injects `EINTR` (retried inside) or
+    /// `EWOULDBLOCK` (the call ends early) on a fixed cadence. The worst
+    /// stream a batched writer can face, made deterministic.
     struct TornWriter {
         out: Vec<u8>,
         chunk: usize,
@@ -379,9 +500,6 @@ mod tests {
 
     impl Write for TornWriter {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.write_vectored(&[IoSlice::new(buf)])
-        }
-        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
             self.calls += 1;
             if self.interrupt_every != 0 && self.calls.is_multiple_of(self.interrupt_every) {
                 let kind = if (self.calls / self.interrupt_every) % 2 == 1 {
@@ -391,34 +509,31 @@ mod tests {
                 };
                 return Err(io::Error::new(kind, "injected"));
             }
-            let mut budget = self.chunk;
-            let mut accepted = 0usize;
-            for b in bufs {
-                if budget == 0 {
-                    break;
-                }
-                let n = budget.min(b.len());
-                self.out.extend_from_slice(&b[..n]);
-                budget -= n;
-                accepted += n;
-            }
-            Ok(accepted)
+            let n = self.chunk.min(buf.len());
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
         }
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
 
-    fn frame(payload: &[u8]) -> Vec<u8> {
-        frame_with(payload.len(), &mut |buf| buf.copy_from_slice(payload))
+    /// `payloads` staged back to back, as a sender's batch is.
+    fn stage(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for p in payloads {
+            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            out.extend_from_slice(p);
+        }
+        out
     }
 
     #[test]
-    fn vectored_batch_survives_torn_writes_and_injected_interrupts() {
+    fn staged_batch_survives_torn_writes_and_injected_interrupts() {
         let payloads: Vec<Vec<u8>> = (0..7)
             .map(|i| (0..=255u8).cycle().take(37 * (i + 1)).collect())
             .collect();
-        let batch: Vec<Vec<u8>> = payloads.iter().map(|p| frame(p)).collect();
+        let batch = stage(&payloads.iter().map(Vec::as_slice).collect::<Vec<_>>());
         // Sweep acceptance granularities (1 byte tears every prefix)
         // and interrupt cadences (0 = never).
         for chunk in [1, 2, 3, 5, 64, 1 << 20] {
@@ -429,7 +544,12 @@ mod tests {
                     calls: 0,
                     interrupt_every,
                 };
-                write_framed_vectored(&mut w, &batch).unwrap();
+                // A refused write ends the call; the sender resumes from
+                // where it got to.
+                let mut at = 0;
+                while at < batch.len() {
+                    at += write_staged(&mut w, &batch[at..]).unwrap();
+                }
                 // The stream must parse back into the exact records, in
                 // order, ending at a clean boundary.
                 let mut r: &[u8] = &w.out;
@@ -446,26 +566,7 @@ mod tests {
     }
 
     #[test]
-    fn vectored_batch_skips_empty_buffers_and_handles_empty_records() {
-        // A zero-length record is legal ([0u32] prefix, no payload) and
-        // must not wedge the cursor arithmetic.
-        let batch = vec![frame(b""), frame(b"x"), frame(b"")];
-        let mut w = TornWriter {
-            out: Vec::new(),
-            chunk: 1,
-            calls: 0,
-            interrupt_every: 3,
-        };
-        write_framed_vectored(&mut w, &batch).unwrap();
-        let mut r: &[u8] = &w.out;
-        assert_eq!(read_record(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_record(&mut r).unwrap().unwrap(), b"x");
-        assert_eq!(read_record(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_record(&mut r).unwrap(), None);
-    }
-
-    #[test]
-    fn vectored_batch_reports_write_zero_on_a_wedged_stream() {
+    fn staged_write_reports_write_zero_on_a_wedged_stream() {
         struct Wedged;
         impl Write for Wedged {
             fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
@@ -475,17 +576,17 @@ mod tests {
                 Ok(())
             }
         }
-        let err = write_framed_vectored(&mut Wedged, &[frame(b"data")]).unwrap_err();
+        let err = write_staged(&mut Wedged, &stage(&[b"data"])).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]
-    fn single_record_vectored_write_matches_write_record_bytes() {
+    fn single_staged_record_matches_write_record_bytes() {
         let mut classic = Vec::new();
         write_record(&mut classic, b"identical").unwrap();
-        let mut vectored = Vec::new();
-        write_framed_vectored(&mut vectored, &[frame(b"identical")]).unwrap();
-        assert_eq!(classic, vectored);
+        let mut staged = Vec::new();
+        let n = write_staged(&mut staged, &stage(&[b"identical"])).unwrap();
+        assert_eq!((n, &classic), (classic.len(), &staged));
     }
 
     #[test]

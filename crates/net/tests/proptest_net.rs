@@ -1,7 +1,10 @@
 //! Property-based tests of the batched socket transport: on any
 //! interleaving of sends and receives, the coalesced-ack credit
 //! accounting must keep the in-flight bytes inside the eq. (2) window
-//! B(e), preserve FIFO order, and eventually return every credit.
+//! B(e), preserve FIFO order, and eventually return every credit —
+//! with nobody but the two calling sides reading the socket: the sender
+//! takes acknowledgements in when its window is short (or when asked
+//! for its occupancy), the receiver reads data when asked to receive.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -66,7 +69,8 @@ proptest! {
                         // A full window with records pending is exactly
                         // where a lost or late cumulative ack would
                         // wedge; a blocking receive must always unblock
-                        // it (hungry flush + credit return).
+                        // it (the sender flushed before reporting Full,
+                        // the receiver returns credit as it consumes).
                         let queued = pop_and_check(&mut expected);
                         prop_assert!(
                             queued <= capacity,

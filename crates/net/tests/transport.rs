@@ -5,10 +5,14 @@
 //! socket I/O.
 
 use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use spi_net::wire::{read_record, write_record};
-use spi_net::{loopback, loopback_with, socket_path, BatchParams, NetReceiver, NetSender};
+use spi_net::{
+    loopback, loopback_with, socket_path, AckPolicy, BatchParams, NetReceiver, NetSender,
+};
 use spi_platform::{
     decode_frame, encode_frame_into, ChannelSpec, FrameError, Transport, TransportError,
     FRAME_HEADER_BYTES,
@@ -127,8 +131,10 @@ fn bind_and_connect_establish_across_a_filesystem_socket() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = socket_path(&dir, 0);
     let s = spec(1024, 128);
-    let rx = NetReceiver::bind(&path, &s).expect("bind");
-    let tx = NetSender::connect(&path, &s).expect("connect");
+    let bound = NetReceiver::bind_with(&path, &s, AckPolicy::immediate()).expect("bind");
+    let tx = NetSender::connect_with(&path, &s, BatchParams::disabled()).expect("connect");
+    let rx = bound.accept().expect("accept");
+    assert!(!path.exists(), "the path is needed only until the accept");
     tx.send(b"over the wall", Duration::from_secs(5))
         .expect("send");
     assert_eq!(
@@ -140,7 +146,7 @@ fn bind_and_connect_establish_across_a_filesystem_socket() {
 }
 
 // ---------------------------------------------------------------------
-// Batched path: sender-side coalescing with vectored writes and the
+// Batched path: sender-side coalescing into one staged write and the
 // receiver's cumulative credit acks must preserve every semantic the
 // unbatched tests above pin down.
 // ---------------------------------------------------------------------
@@ -183,48 +189,210 @@ fn batched_sender_still_enforces_the_credit_window() {
     assert_eq!(tx.occupancy(), 8);
 }
 
-#[test]
-fn deadline_flush_delivers_a_lone_record_without_a_full_batch() {
-    // One record in a batch of 8: only the flush deadline (or the
-    // receiver's hungry signal) can put it on the wire. try_recv polls
-    // without parking, so a prompt arrival proves a sender-side flush.
-    let (tx, rx) = loopback_with(&spec(4096, 64), batch(8, Duration::from_millis(20)))
-        .expect("batched loopback");
-    tx.try_send(b"lone").expect("send");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        match rx.try_recv() {
-            Ok(got) => {
-                assert_eq!(got, b"lone");
-                break;
-            }
-            Err(TransportError::Empty) => {
-                assert!(Instant::now() < deadline, "deadline flush never fired");
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(other) => panic!("unexpected {other:?}"),
-        }
-    }
+/// Stages `payload` on `tx` from a helper thread that then stays alive
+/// without ever waiting inside spi-net — an owner gone off to compute —
+/// until the returned handle is dropped. Also returns when the record
+/// was staged.
+fn stage_and_wander(tx: &Arc<NetSender>, payload: &'static [u8]) -> (mpsc::Sender<()>, Instant) {
+    let tx = Arc::clone(tx);
+    let (release, parked) = mpsc::channel::<()>();
+    let (staged, when) = mpsc::channel();
+    std::thread::spawn(move || {
+        tx.try_send(payload).expect("stage");
+        staged.send(Instant::now()).expect("report");
+        let _ = parked.recv();
+    });
+    (release, when.recv().expect("helper staged the record"))
 }
 
 #[test]
-fn hungry_receiver_forces_an_early_flush() {
-    // The flush deadline is far beyond the assertion window, so a
-    // blocked receiver getting the record quickly proves the HUNGRY
-    // ack path: recv parks, signals hunger, the sender drains.
-    let (tx, rx) = loopback_with(&spec(4096, 64), batch(8, Duration::from_secs(30)))
-        .expect("batched loopback");
-    let waiter = std::thread::spawn(move || rx.recv(Duration::from_secs(10)));
-    // Let the receiver park (and its hungry signal land) before the
-    // send, exercising the sticky-flag path too.
+fn deadline_flush_delivers_a_lone_record_while_its_owner_is_away() {
+    // One record in a batch of 8, staged by a thread that never waits
+    // inside spi-net again: only the net-timer deadline can put it on
+    // the wire, and it must do so within flush_after (plus scheduling).
+    let flush_after = Duration::from_millis(20);
+    let (tx, rx) = loopback_with(&spec(4096, 64), batch(8, flush_after)).expect("batched loopback");
+    let tx = Arc::new(tx);
+    let (_owner, staged_at) = stage_and_wander(&tx, b"lone");
+    assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), b"lone");
+    let waited = staged_at.elapsed();
+    assert!(
+        waited >= flush_after - Duration::from_millis(1),
+        "arrived after {waited:?}: something other than the deadline flushed it"
+    );
+    assert!(
+        waited < Duration::from_secs(2),
+        "deadline flush took {waited:?}"
+    );
+}
+
+#[test]
+fn a_blocked_receiver_is_served_by_the_deadline_not_by_feedback() {
+    // A receiver parked in recv sends nothing back (there is no hungry
+    // signal): a record staged by a wandering owner reaches it at the
+    // flush deadline — not earlier, and not at the batch-full never.
+    let flush_after = Duration::from_millis(40);
+    let (tx, rx) = loopback_with(&spec(4096, 64), batch(8, flush_after)).expect("batched loopback");
+    let waiter = std::thread::spawn(move || {
+        let got = rx.recv(Duration::from_secs(10));
+        (got, Instant::now())
+    });
+    // Let the receiver park before the record is staged.
     std::thread::sleep(Duration::from_millis(50));
+    let tx = Arc::new(tx);
+    let (_owner, staged_at) = stage_and_wander(&tx, b"eager");
+    let (got, arrived_at) = waiter.join().expect("join");
+    assert_eq!(got.expect("recv"), b"eager");
+    let waited = arrived_at.duration_since(staged_at);
+    assert!(
+        waited >= flush_after - Duration::from_millis(1) && waited < Duration::from_secs(2),
+        "delivery took {waited:?} against a {flush_after:?} deadline"
+    );
+}
+
+#[test]
+fn request_response_over_two_batched_edges_needs_no_deadline() {
+    // Flush-before-block: each side stages one record in a batch of 8
+    // and then waits for the other's reply. With a 30 s deadline only
+    // the rule "drain what you staged before you wait" can keep the
+    // loop turning.
+    let far = batch(8, Duration::from_secs(30));
+    let (req_tx, req_rx) = loopback_with(&spec(4096, 64), far).expect("request edge");
+    let (rsp_tx, rsp_rx) = loopback_with(&spec(4096, 64), far).expect("response edge");
+    let server = std::thread::spawn(move || {
+        for _ in 0..200u32 {
+            let mut req = req_rx.recv(Duration::from_secs(10)).expect("request");
+            req.reverse();
+            rsp_tx.send(&req, Duration::from_secs(10)).expect("reply");
+        }
+    });
     let start = Instant::now();
-    tx.send(b"eager", Duration::from_secs(5)).expect("send");
-    let got = waiter.join().expect("join").expect("recv");
-    assert_eq!(got, b"eager");
+    for i in 0..200u32 {
+        req_tx
+            .send(&i.to_le_bytes(), Duration::from_secs(10))
+            .expect("request");
+        let rsp = rsp_rx.recv(Duration::from_secs(10)).expect("response");
+        assert_eq!(rsp, i.to_be_bytes());
+    }
+    server.join().expect("server");
     assert!(
         start.elapsed() < Duration::from_secs(10),
-        "delivery waited on the 30s deadline instead of the hungry flush"
+        "200 round trips took {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+fn polling_an_empty_receiver_flushes_what_the_poller_staged() {
+    // The non-blocking face of the same rule: try_recv reporting Empty
+    // is a wait point too.
+    let far = batch(8, Duration::from_secs(30));
+    let (tx, rx) = loopback_with(&spec(4096, 64), far).expect("edge");
+    let (_other_tx, other_rx) = loopback_with(&spec(4096, 64), far).expect("other edge");
+    tx.try_send(b"staged").expect("stage");
+    assert_eq!(
+        other_rx.try_recv().map(|_| ()),
+        Err(TransportError::Empty),
+        "nothing was sent on the other edge"
+    );
+    assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), b"staged");
+}
+
+#[test]
+fn a_thread_that_exits_with_a_partial_batch_strands_nothing() {
+    let far = batch(8, Duration::from_secs(30));
+    let (tx, rx) = loopback_with(&spec(4096, 64), far).expect("batched loopback");
+    let tx = Arc::new(tx);
+    let stager = Arc::clone(&tx);
+    std::thread::spawn(move || {
+        stager.try_send(b"one").expect("stage");
+        stager.try_send(b"two").expect("stage");
+    })
+    .join()
+    .expect("stager");
+    // The endpoint is still alive (no Final flush) and the deadline is
+    // 30 s away: the records are here because the thread's exit
+    // flushed them.
+    assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), b"one");
+    assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), b"two");
+    drop(tx);
+}
+
+/// `comm` of every live thread of this process.
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .expect("/proc/self/task")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .map(|c| c.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn eight_batched_edges_run_on_at_most_one_helper_thread() {
+    let fast = batch(4, Duration::from_millis(1));
+    let edges: Vec<_> = (0..8)
+        .map(|_| loopback_with(&spec(1024, 16), fast).expect("edge"))
+        .collect();
+    // Steady state: traffic on every edge, partial batches left for the
+    // timer, credit going round.
+    for round in 0..50u8 {
+        for (tx, rx) in &edges {
+            for i in 0..3u8 {
+                tx.send(&[round, i], Duration::from_secs(5)).expect("send");
+            }
+            for i in 0..3u8 {
+                assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), [round, i]);
+            }
+        }
+    }
+    let names = thread_names();
+    let helpers: Vec<&String> = names.iter().filter(|n| n.starts_with("net-")).collect();
+    // One timer per process, however many edges (other tests of this
+    // binary share it); none of the per-edge threads of old.
+    assert!(
+        helpers.len() <= 1 && helpers.iter().all(|n| *n == "net-timer"),
+        "spi-net helper threads with 8 edges open: {helpers:?}"
+    );
+    drop(edges);
+}
+
+#[test]
+fn a_corrupt_length_prefix_closes_the_channel_instead_of_allocating() {
+    let (mut raw, ours) = UnixStream::pair().expect("socketpair");
+    let rx = NetReceiver::from_stream_with(ours, &spec(256, 64), AckPolicy::immediate());
+    // One good record, then a prefix claiming 200 MiB on a channel
+    // whose messages are at most 64 bytes.
+    write_record(&mut raw, b"fine").expect("good record");
+    raw.write_all(&(200u32 << 20).to_le_bytes())
+        .expect("prefix");
+    assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), b"fine");
+    let start = Instant::now();
+    let res = rx.recv(Duration::from_secs(30));
+    assert!(
+        matches!(res, Err(TransportError::Timeout { .. })),
+        "expected the closed-channel error, got {res:?}"
+    );
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "corruption must fail fast, waited {:?}",
+        start.elapsed()
+    );
+}
+
+#[test]
+fn a_sender_refuses_credit_it_never_extended() {
+    // An acknowledgement for more than was sent is stream corruption:
+    // the channel closes rather than letting the window run negative.
+    let (ours, mut raw) = UnixStream::pair().expect("socketpair");
+    let tx =
+        NetSender::from_stream_with(ours, &spec(8, 8), BatchParams::disabled()).expect("sender");
+    tx.try_send(&[1u8; 8]).expect("fills the window");
+    raw.write_all(&spi_net::wire::encode_ack(1 << 40, 3))
+        .expect("bogus ack");
+    let res = tx.send(&[2u8; 8], Duration::from_secs(30));
+    assert!(
+        matches!(res, Err(TransportError::Timeout { .. })),
+        "expected the closed-channel error, got {res:?}"
     );
 }
 
@@ -264,7 +432,7 @@ fn coalesced_acks_return_credit_for_sustained_traffic() {
         assert_eq!(m, &[i as u8; 8], "message {i}");
     }
     // Every credit returns once the receiver settles on its empty poll
-    // (sub-threshold residue rides the hungry ack).
+    // (sub-threshold residue is acknowledged at every wait point).
     assert_eq!(rx.try_recv().map(|_| ()), Err(TransportError::Empty));
     let deadline = Instant::now() + Duration::from_secs(5);
     while tx.len_bytes() != 0 {
@@ -281,8 +449,9 @@ fn batched_endpoints_interoperate_across_a_filesystem_socket() {
     let path = socket_path(&dir, 1);
     let s = spec(1024, 128);
     let b = batch(4, Duration::from_millis(10));
-    let rx = NetReceiver::bind_with(&path, &s, spi_net::AckPolicy::for_batch(&s, b)).expect("bind");
+    let bound = NetReceiver::bind_with(&path, &s, AckPolicy::for_batch(&s, b)).expect("bind");
     let tx = NetSender::connect_with(&path, &s, b).expect("connect");
+    let rx = bound.accept().expect("accept");
     for i in 0..16u8 {
         tx.send(&[i; 16], Duration::from_secs(5)).expect("send");
     }
@@ -291,6 +460,155 @@ fn batched_endpoints_interoperate_across_a_filesystem_socket() {
     }
     drop(rx);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// No endpoint waits for socket space: the socket buffer is the kernel's
+// business, the window is eq. (2)'s. A sender blocks on credit only, a
+// receiver never on an acknowledgement, and a sender's exit costs its
+// consumer nothing.
+// ---------------------------------------------------------------------
+
+/// A 1 MiB window of 4 KiB messages: five times what a default Unix
+/// socket buffer takes.
+const WIDE: usize = 256;
+
+fn wide_spec() -> ChannelSpec {
+    spec(WIDE * 4096, 4096)
+}
+
+fn wide_msg(i: usize) -> Vec<u8> {
+    (0..4096).map(|b| (b ^ i) as u8).collect()
+}
+
+#[test]
+fn a_sender_that_finishes_first_loses_none_of_its_tail() {
+    // The receiver reads one batch ahead, the sender writes another and
+    // exits: the acknowledgement that then fails says the sender is
+    // gone, not that its stream is over.
+    let (tx, rx) =
+        loopback_with(&spec(64, 8), batch(4, Duration::from_secs(30))).expect("batched loopback");
+    for i in 0..4u8 {
+        tx.try_send(&[i; 8]).expect("first batch");
+    }
+    assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), [0u8; 8]);
+    for i in 4..8u8 {
+        tx.try_send(&[i; 8]).expect("second batch");
+    }
+    drop(tx);
+    for i in 1..8u8 {
+        assert_eq!(rx.recv(Duration::from_secs(5)).expect("tail"), [i; 8]);
+    }
+    let res = rx.recv(Duration::from_secs(30));
+    assert!(
+        matches!(res, Err(TransportError::Timeout { .. })),
+        "expected the closed-channel error after the last record, got {res:?}"
+    );
+}
+
+#[test]
+fn a_window_wider_than_the_socket_buffer_blocks_on_credit_alone() {
+    for b in [BatchParams::disabled(), batch(32, Duration::from_secs(30))] {
+        let (tx, rx) = loopback_with(&wide_spec(), b).expect("loopback");
+        // Nobody is reading: the whole window must still go in without
+        // a wait, as it would into a ring of that size.
+        let start = Instant::now();
+        for i in 0..WIDE {
+            tx.try_send(&wide_msg(i)).expect("the window admits it");
+        }
+        assert_eq!(tx.try_send(&wide_msg(0)), Err(TransportError::Full));
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert_eq!(tx.snapshot(), (WIDE * 4096, WIDE));
+        // This thread staged what the socket refused, so its own waits
+        // in recv push it out.
+        for i in 0..WIDE {
+            assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), wide_msg(i));
+        }
+    }
+}
+
+#[test]
+fn a_schedule_that_fits_the_window_cannot_deadlock_on_the_socket() {
+    // A fills e1 and then sends on e3; B waits for e3 before it reads
+    // e1. Deadlock-free on rings sized to the windows, so deadlock-free
+    // here — including e1's tail, which A leaves to the timer.
+    let (e1_tx, e1_rx) = loopback_with(&wide_spec(), BatchParams::disabled()).expect("e1");
+    let (e3_tx, e3_rx) = loopback(&spec(64, 8)).expect("e3");
+    let (done, parked) = mpsc::channel::<()>();
+    let a = std::thread::spawn(move || {
+        for i in 0..WIDE {
+            e1_tx
+                .send(&wide_msg(i), Duration::from_secs(10))
+                .expect("e1");
+        }
+        e3_tx.send(b"go", Duration::from_secs(10)).expect("e3");
+        // Off computing: no spi-net wait point, endpoints kept alive.
+        let _ = parked.recv();
+    });
+    assert_eq!(e3_rx.recv(Duration::from_secs(10)).expect("e3"), b"go");
+    for i in 0..WIDE {
+        assert_eq!(
+            e1_rx.recv(Duration::from_secs(10)).expect("e1"),
+            wide_msg(i)
+        );
+    }
+    done.send(()).expect("release");
+    a.join().expect("A");
+}
+
+#[test]
+fn a_send_that_finds_no_room_anywhere_honours_its_deadline() {
+    // One-byte records cost five staged bytes each: a window of them
+    // outgrows the staging buffer, and with the socket full too the send
+    // has to wait for the consumer — for as long as it was given.
+    let (tx, rx) = loopback(&spec(1 << 16, 1 << 16)).expect("loopback");
+    let mut sent = 0usize;
+    while tx.try_send(&[sent as u8]).is_ok() {
+        sent += 1;
+        assert!(sent < 1 << 16, "credit ran out before room did");
+    }
+    let (timeout, start) = (Duration::from_millis(50), Instant::now());
+    match tx.send(&[0], timeout) {
+        Err(TransportError::Timeout { after, idle }) => assert!(after == timeout && idle <= after),
+        other => panic!("expected Timeout, got {other:?}"),
+    }
+    let waited = start.elapsed();
+    assert!(waited >= timeout && waited < Duration::from_secs(5));
+    for i in 0..sent {
+        assert_eq!(rx.recv(Duration::from_secs(5)).expect("recv"), [i as u8]);
+    }
+    tx.send(&[7], Duration::from_secs(5))
+        .expect("room came back");
+}
+
+#[test]
+fn acknowledgements_nobody_reads_do_not_slow_the_receiver() {
+    // Unbatched, one ack per message, and a sender that reads them only
+    // when its window is short: the ack direction fills after a few
+    // hundred. From there on each ack must be skipped on the spot.
+    const N: u32 = 3000;
+    let (tx, rx) = loopback(&spec(N as usize * 4, 4)).expect("loopback");
+    for i in 0..N {
+        tx.try_send(&i.to_le_bytes()).expect("the window admits it");
+    }
+    let start = Instant::now();
+    for i in 0..N {
+        let got = rx.recv(Duration::from_secs(5)).expect("recv");
+        assert_eq!(got, i.to_le_bytes());
+    }
+    assert!(
+        start.elapsed() < Duration::from_secs(1),
+        "{N} receives took {:?}: the receiver waited on its acks",
+        start.elapsed()
+    );
+    // Once the sender reads through the backlog, the receiver's next
+    // wait point gets the latest totals out, and they cover every ack
+    // that was skipped.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while tx.snapshot() != (0, 0) {
+        assert!(Instant::now() < deadline, "credit lost with a skipped ack");
+        assert_eq!(rx.try_recv().map(|_| ()), Err(TransportError::Empty));
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -122,7 +122,7 @@ impl AtomicUsize {
 }
 
 /// A `bool` atomic that doubles as a model schedule point (the socket
-/// transport's `closed` / `hungry` flags).
+/// transport's `closed` flag).
 #[derive(Debug)]
 pub struct AtomicBool {
     inner: std::sync::atomic::AtomicBool,
@@ -230,9 +230,39 @@ impl<T> Mutex<T> {
             simrt::op_lock(self.id);
             verify::op_lock(self.id);
         }
+        self.lock_real()
+    }
+
+    /// The real acquisition behind a granted (or unmodeled) lock.
+    #[inline]
+    fn lock_real(&self) -> MutexGuard<'_, T> {
         MutexGuard {
             inner: Some(self.inner.lock().expect("shim mutex poisoned")),
             lock: self,
+        }
+    }
+
+    /// Acquires the lock if no thread holds it, without waiting. A
+    /// schedule point under a `simrt` session (the attempt succeeds iff
+    /// the lock is free when granted); the `verify` checker does not
+    /// model it — nothing it explores calls this.
+    #[inline]
+    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
+        #[cfg(feature = "verify-shim")]
+        match simrt::op_try_lock(self.id) {
+            // Free in the model means free for real, or released by
+            // the time its holder reaches its next schedule point.
+            Some(true) => return Some(self.lock_real()),
+            Some(false) => return None,
+            None => {}
+        }
+        match self.inner.try_lock() {
+            Ok(inner) => Some(MutexGuard {
+                inner: Some(inner),
+                lock: self,
+            }),
+            Err(std::sync::TryLockError::WouldBlock) => None,
+            Err(std::sync::TryLockError::Poisoned(_)) => panic!("shim mutex poisoned"),
         }
     }
 }
@@ -536,8 +566,23 @@ pub fn spin_budget(real: u32) -> u32 {
     real
 }
 
-/// Spawns a detached background thread (the socket transport's ack
-/// reader, deadline flusher and receive pump). Under a `simrt` session
+/// Number of the `simrt` session the calling thread belongs to — unique
+/// within the process, never reused — or `0` outside any session.
+/// Process-wide singletons that own shim objects or shim-spawned threads
+/// (the socket transport's flush timer) key themselves by it, so
+/// concurrent sessions — and the real world beside them — never share
+/// one.
+#[inline]
+pub fn session_id() -> usize {
+    #[cfg(feature = "verify-shim")]
+    if let Some(sess) = simrt::session_handle() {
+        return sess.id;
+    }
+    0
+}
+
+/// Spawns a detached background thread (the socket transport's flush
+/// timer). Under a `simrt` session
 /// the thread is registered as a simulated thread: its every shim
 /// operation becomes a schedule point and the run does not complete
 /// until it exits — a background thread that never terminates surfaces

@@ -22,7 +22,7 @@
 //! * Threads register dynamically: [`crate::shim::scope`] and
 //!   [`crate::shim::spawn`] enroll children into the running session,
 //!   so the full stack — runner PEs, supervision retry loops, and the
-//!   `spi-net` background ack/flush/pump threads — simulates without
+//!   `spi-net` flush-timer thread — simulates without
 //!   scenario-side plumbing.
 //!
 //! Failures carry the granted schedule; [`shrink`] reuses the greedy
@@ -44,6 +44,9 @@ use crate::verify::{self, FailureKind, Step};
 
 /// Number of live simulation sessions, process-wide (shim fast path).
 static SIM_ACTIVE: StdAtomicUsize = StdAtomicUsize::new(0);
+
+/// Sessions started so far; a session's number is never reused.
+static SESSIONS: StdAtomicUsize = StdAtomicUsize::new(0);
 
 thread_local! {
     static SIM_CTX: std::cell::RefCell<Option<SimCtx>> = const { std::cell::RefCell::new(None) };
@@ -72,6 +75,8 @@ enum SOp {
     Store(usize),
     Rmw(usize),
     Lock(usize),
+    /// Never blocks: takes the lock if it is free at the grant.
+    TryLock(usize),
     Unlock(usize),
     Park {
         deadline: Option<Duration>,
@@ -106,6 +111,8 @@ struct ThreadSt {
     notified: bool,
     /// Result slot read back by the waiter after a CvWait grant.
     timed_out: bool,
+    /// Result slot read back after a TryLock grant.
+    acquired: bool,
 }
 
 impl ThreadSt {
@@ -117,6 +124,7 @@ impl ThreadSt {
             token: false,
             notified: false,
             timed_out: false,
+            acquired: false,
         }
     }
 }
@@ -145,6 +153,9 @@ pub(crate) struct Session {
     worker_cv: Condvar,
     ctrl_cv: Condvar,
     epoch: Instant,
+    /// Nonzero and unique within the process (see
+    /// [`crate::shim::session_id`]).
+    pub(crate) id: usize,
 }
 
 impl Session {
@@ -163,6 +174,7 @@ impl Session {
             worker_cv: Condvar::new(),
             ctrl_cv: Condvar::new(),
             epoch: Instant::now(),
+            id: 1 + SESSIONS.fetch_add(1, Ordering::Relaxed),
         })
     }
 
@@ -288,6 +300,17 @@ pub(crate) fn op_rmw(obj: usize) {
 
 pub(crate) fn op_lock(obj: usize) {
     worker_point(SOp::Lock(obj));
+}
+
+/// Modeled `try_lock`: whether the lock was free when the controller
+/// granted the attempt, or `None` outside a session.
+pub(crate) fn op_try_lock(obj: usize) -> Option<bool> {
+    ctx().map(|c| {
+        let st = c.sess.lock_st();
+        c.sess
+            .declare_and_wait(st, c.tid, SOp::TryLock(obj))
+            .is_some_and(|st| st.threads[c.tid].acquired)
+    })
 }
 
 pub(crate) fn op_unlock(obj: usize) {
@@ -626,6 +649,13 @@ fn apply_grant(st: &mut St, choice: usize, op: &SOp) {
         SOp::Lock(m) => {
             st.lock_owner.insert(m, choice);
         }
+        SOp::TryLock(m) => {
+            let free = !st.lock_owner.contains_key(&m);
+            if free {
+                st.lock_owner.insert(m, choice);
+            }
+            st.threads[choice].acquired = free;
+        }
         SOp::Unlock(m) => {
             st.lock_owner.remove(&m);
         }
@@ -671,6 +701,7 @@ fn op_text(
         SOp::Store(o) => format!("store {}", obj_name(o, labels)),
         SOp::Rmw(o) => format!("cas {}", obj_name(o, labels)),
         SOp::Lock(o) => format!("lock {}", obj_name(o, labels)),
+        SOp::TryLock(o) => format!("try-lock {}", obj_name(o, labels)),
         SOp::Unlock(o) => format!("unlock {}", obj_name(o, labels)),
         SOp::Park { deadline: Some(d) } => format!("park (deadline {}ns)", d.as_nanos()),
         SOp::Park { deadline: None } => "park".to_string(),

@@ -122,7 +122,7 @@ pub enum ProbeKind {
         iter: u64,
     },
     /// A batched network sender flushed its pending records in one
-    /// vectored write. `msgs`/`bytes` size the flush; `reason` records
+    /// write. `msgs`/`bytes` size the flush; `reason` records
     /// which adaptive-flush trigger fired, so trace consumers can audit
     /// the Nagle policy against the schedule's batching budget.
     BatchFlush {
@@ -151,9 +151,11 @@ pub enum FlushReason {
     Window,
     /// The Nagle deadline elapsed with the batch still partial.
     Deadline,
-    /// The peer reported itself blocked in `recv` (a HUNGRY ack), so
-    /// latency beats amortization.
-    Hungry,
+    /// The thread that appended the records stopped feeding the batch:
+    /// it was about to block in (or polled empty) a network endpoint, or
+    /// it exited — nothing more will join the batch soon, so latency
+    /// beats amortization.
+    Idle,
     /// Endpoint teardown drained the remaining records.
     Final,
 }
@@ -165,7 +167,7 @@ impl FlushReason {
             FlushReason::Full => 0,
             FlushReason::Window => 1,
             FlushReason::Deadline => 2,
-            FlushReason::Hungry => 3,
+            FlushReason::Idle => 3,
             FlushReason::Final => 4,
         }
     }
@@ -176,7 +178,7 @@ impl FlushReason {
             0 => FlushReason::Full,
             1 => FlushReason::Window,
             2 => FlushReason::Deadline,
-            3 => FlushReason::Hungry,
+            3 => FlushReason::Idle,
             4 => FlushReason::Final,
             _ => return None,
         })

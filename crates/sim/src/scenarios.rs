@@ -179,7 +179,7 @@ fn net_pair(
 ) -> (NetSender<crate::SimStream>, NetReceiver<crate::SimStream>) {
     let spec = byte_spec(64);
     let (a, b) = sim_stream_pair(stream_seed);
-    let tx = NetSender::from_stream_with(a, &spec, batch);
+    let tx = NetSender::from_stream_with(a, &spec, batch).expect("sim sender");
     let rx = NetReceiver::from_stream_with(b, &spec, AckPolicy::for_batch(&spec, batch));
     (tx, rx)
 }
@@ -244,12 +244,12 @@ fn flush_log() -> Arc<FlushLog> {
     })
 }
 
-/// Flush-policy edge: the Nagle deadline fires with a non-empty partial
-/// batch. Three records go into an 8-record batch window while the
-/// consumer sits in a virtual-time sleep past the deadline, so neither
-/// a Full nor a Hungry trigger can flush first; the records must reach
-/// the consumer via a [`FlushReason::Deadline`] flush on the virtual
-/// clock.
+/// Flush-policy edge: the deadline fires with a non-empty partial
+/// batch. Three records go into an 8-record batch window and their
+/// owner then sleeps — off computing, no `spi-net` wait point in sight —
+/// so neither a Full nor an Idle trigger can flush; the records must
+/// reach the parked consumer via the `net-timer`'s
+/// [`FlushReason::Deadline`] flush, on the virtual clock.
 pub fn net_deadline_flush(stream_seed: u64) {
     let batch = BatchParams {
         max_msgs: 8,
@@ -258,82 +258,95 @@ pub fn net_deadline_flush(stream_seed: u64) {
     let (tx, rx) = net_pair(stream_seed, batch);
     let log = flush_log();
     tx.set_probe(Arc::clone(&log) as Arc<dyn Tracer>, PeId(0), ChannelId(0));
+    let started = shim::now();
     shim::scope(|s| {
         let txr = &tx;
         s.spawn_named("producer".into(), move || {
             for i in 0..3u32 {
                 txr.send(&i.to_le_bytes(), SIM_TIMEOUT).expect("send");
             }
+            shim::sleep(Duration::from_millis(50));
         });
         let rxr = &rx;
         s.spawn_named("consumer".into(), move || {
-            // Stay out of recv until well past the deadline: a parked
-            // consumer would send a HUNGRY ack and flush early.
-            shim::sleep(Duration::from_millis(50));
             for i in 0..3u32 {
                 let got = rxr.recv(SIM_TIMEOUT).expect("recv");
                 assert_eq!(got, i.to_le_bytes());
             }
+            assert!(
+                shim::now().duration_since(started) < Duration::from_millis(50),
+                "records arrived only once their owner woke up"
+            );
         });
     });
     let reasons = log.reasons.lock().clone();
-    assert!(
-        reasons.contains(&FlushReason::Deadline),
-        "expected a Deadline flush, got {reasons:?}"
+    assert_eq!(
+        reasons,
+        [FlushReason::Deadline],
+        "expected exactly one Deadline flush"
     );
     drop(tx);
     drop(rx);
 }
 
-/// Flush-policy edge: the Hungry→Full transition. A consumer parked in
-/// `recv` earns a HUNGRY-flagged ack, so the first record flushes
-/// immediately despite a cold batch window and an hour-long deadline;
-/// once the consumer stops being hungry, a full window of records must
-/// flush via [`FlushReason::Full`].
-pub fn net_hungry_then_full(stream_seed: u64) {
+/// Flush-policy edge: the Idle→Full transition. A producer stages one
+/// request in a cold 4-record batch with an hour-long deadline and then
+/// waits for the reply: flush-before-block must put the request on the
+/// wire ([`FlushReason::Idle`]), and the consumer's reply leaves the
+/// same way. After that a full window of records must flush on count
+/// ([`FlushReason::Full`]).
+pub fn net_idle_then_full(stream_seed: u64) {
     let batch = BatchParams {
         max_msgs: 4,
         flush_after: Duration::from_secs(3600),
     };
     let (tx, rx) = net_pair(stream_seed, batch);
+    let (back_tx, back_rx) = net_pair(stream_seed ^ 0x5EED, batch);
     let log = flush_log();
     tx.set_probe(Arc::clone(&log) as Arc<dyn Tracer>, PeId(0), ChannelId(0));
+    let back_log = flush_log();
+    back_tx.set_probe(
+        Arc::clone(&back_log) as Arc<dyn Tracer>,
+        PeId(1),
+        ChannelId(1),
+    );
     shim::scope(|s| {
-        let txr = &tx;
+        let (txr, back_rxr) = (&tx, &back_rx);
         s.spawn_named("producer".into(), move || {
-            // Give the consumer time to park and report hungry.
-            shim::sleep(Duration::from_millis(20));
-            txr.send(&0u32.to_le_bytes(), SIM_TIMEOUT).expect("send");
+            txr.send(&0u32.to_le_bytes(), SIM_TIMEOUT).expect("request");
+            let reply = back_rxr.recv(SIM_TIMEOUT).expect("reply");
+            assert_eq!(reply, 0u32.to_le_bytes());
             // Now a full window: must flush on count, not deadline.
             for i in 1..=4u32 {
                 txr.send(&i.to_le_bytes(), SIM_TIMEOUT).expect("send");
             }
-            txr.flush_pending().expect("final flush");
         });
-        let rxr = &rx;
+        let (rxr, back_txr) = (&rx, &back_tx);
         s.spawn_named("consumer".into(), move || {
             for i in 0..=4u32 {
                 let got = rxr.recv(SIM_TIMEOUT).expect("recv");
                 assert_eq!(got, i.to_le_bytes());
+                if i == 0 {
+                    back_txr.send(&got, SIM_TIMEOUT).expect("reply");
+                }
             }
         });
     });
-    let reasons = log.reasons.lock().clone();
-    assert!(
-        reasons.contains(&FlushReason::Hungry) || reasons.first() == Some(&FlushReason::Full),
-        "expected the first record to leave via a Hungry flush, got {reasons:?}"
+    assert_eq!(
+        *log.reasons.lock(),
+        [FlushReason::Idle, FlushReason::Full],
+        "request leaves when its owner blocks, the window when it fills"
     );
-    assert!(
-        reasons.contains(&FlushReason::Full),
-        "expected a Full-window flush, got {reasons:?}"
+    assert_eq!(
+        *back_log.reasons.lock(),
+        [FlushReason::Idle],
+        "reply leaves when the consumer goes back to waiting"
     );
-    drop(tx);
-    drop(rx);
+    drop((tx, rx, back_tx, back_rx));
 }
 
 /// Flush-policy edge: the Final flush racing peer EOF. A producer
-/// batches records it never flushes explicitly, the consumer tears
-/// down concurrently; the sender's `flush_pending` (and its Drop-time
+/// batches records, the consumer tears down concurrently; the sender's `flush_pending` (and its Drop-time
 /// Final flush) must either deliver cleanly or observe the close as an
 /// error — never panic, never hang the virtual clock.
 pub fn net_final_flush_races_eof(stream_seed: u64) {
@@ -359,6 +372,37 @@ pub fn net_final_flush_races_eof(stream_seed: u64) {
         });
     });
     drop(tx);
+}
+
+/// A producer that finishes ahead of its consumer: it stages two and a
+/// half batches through a socket that refuses writes on a coin toss,
+/// drops its endpoint and exits while the consumer is still asleep. The
+/// consumer must then receive every record — the acknowledgements it can
+/// no longer deliver say that the sender is gone, not that its stream is
+/// over — and only after the last one see the channel closed.
+pub fn net_sender_finishes_first(stream_seed: u64) {
+    let batch = BatchParams {
+        max_msgs: 4,
+        flush_after: Duration::from_secs(3600),
+    };
+    let (tx, rx) = net_pair(stream_seed, batch);
+    shim::scope(|s| {
+        s.spawn_named("producer".into(), move || {
+            for i in 0..10u32 {
+                tx.send(&i.to_le_bytes(), SIM_TIMEOUT).expect("send");
+            }
+        });
+        let rxr = &rx;
+        s.spawn_named("consumer".into(), move || {
+            shim::sleep(Duration::from_millis(50));
+            for i in 0..10u32 {
+                let got = rxr.recv(SIM_TIMEOUT).expect("recv");
+                assert_eq!(got, i.to_le_bytes(), "tail lost or reordered");
+            }
+            assert!(rxr.recv(SIM_TIMEOUT).is_err(), "stream is over");
+        });
+    });
+    drop(rx);
 }
 
 /// A stalled ring channel under virtual time: a full single-slot ring

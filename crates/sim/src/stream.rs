@@ -13,21 +13,31 @@
 //!
 //! The chunk cap is co-prime with the 4-byte record-length prefix, so
 //! frames routinely split *inside* the length word — the exact
-//! short-read/short-write loops in `spi_net::wire` (and the vectored
-//! batch writer's partial-write resume) get exercised on virtually
-//! every run, something a kernel socketpair almost never does.
+//! short-read/short-write loops in `spi_net::wire` (the staged batch
+//! writer's partial-write resume, the read-ahead buffer's reassembly)
+//! get exercised on virtually every run, something a kernel socketpair
+//! almost never does.
 //!
 //! Shutdown follows socket semantics: closing the write half EOFs the
 //! peer's reads once it drains; writes into a shut-down direction fail
-//! with `BrokenPipe`.
+//! with `BrokenPipe`. So do the read timeout — a deadline on the
+//! *virtual* clock under a session — and the non-blocking mode, which
+//! belong to the connection end and are shared by its clones, exactly
+//! like a socket's open file description. The queues are unbounded, so
+//! a blocking write never waits; a non-blocking one — every write the
+//! endpoints make — is refused on a seeded coin toss, as a full socket
+//! would refuse it, so the staged-remainder and skipped-ack paths run on
+//! nearly every record.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::Shutdown;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use spi_net::NetStream;
-use spi_platform::shim::{Condvar, Mutex};
+use spi_platform::shim::{self, Condvar, Mutex};
 
 /// Largest single `write` the stream accepts. Chosen co-prime with the
 /// wire format's 4-byte length prefix so records fragment mid-header.
@@ -75,6 +85,24 @@ impl Dir {
     }
 }
 
+/// Read timeout and blocking mode of one connection end. Plain atomics:
+/// the endpoints change them only under their own locks, and under a
+/// session one thread runs at a time anyway.
+struct Mode {
+    /// Nanoseconds; `u64::MAX` waits forever.
+    read_timeout: AtomicU64,
+    nonblocking: AtomicBool,
+}
+
+impl Mode {
+    fn new() -> Arc<Mode> {
+        Arc::new(Mode {
+            read_timeout: AtomicU64::new(u64::MAX),
+            nonblocking: AtomicBool::new(false),
+        })
+    }
+}
+
 /// One endpoint of an in-memory simulated socket pair. Implements
 /// [`NetStream`], so `NetSender::<SimStream>::from_stream_with` /
 /// `NetReceiver::<SimStream>::from_stream_with` run the full framed
@@ -82,6 +110,7 @@ impl Dir {
 pub struct SimStream {
     rd: Arc<Dir>,
     wr: Arc<Dir>,
+    mode: Arc<Mode>,
 }
 
 /// Creates a connected pair of [`SimStream`] endpoints whose partial
@@ -98,8 +127,13 @@ pub fn sim_stream_pair(seed: u64) -> (SimStream, SimStream) {
         SimStream {
             rd: Arc::clone(&b2a),
             wr: Arc::clone(&a2b),
+            mode: Mode::new(),
         },
-        SimStream { rd: a2b, wr: b2a },
+        SimStream {
+            rd: a2b,
+            wr: b2a,
+            mode: Mode::new(),
+        },
     )
 }
 
@@ -108,6 +142,11 @@ impl Read for SimStream {
         if out.is_empty() {
             return Ok(0);
         }
+        let timeout = match self.mode.read_timeout.load(Ordering::SeqCst) {
+            u64::MAX => None,
+            nanos => Some(Duration::from_nanos(nanos)),
+        };
+        let deadline = timeout.map(|d| shim::now() + d);
         let mut h = self.rd.st.lock();
         loop {
             if !h.buf.is_empty() {
@@ -121,7 +160,19 @@ impl Read for SimStream {
             if h.eof {
                 return Ok(0);
             }
-            h = self.rd.changed.wait(h);
+            if self.mode.nonblocking.load(Ordering::SeqCst) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            h = match deadline {
+                None => self.rd.changed.wait(h),
+                Some(at) => {
+                    let left = at.saturating_duration_since(shim::now());
+                    if left.is_zero() {
+                        return Err(io::ErrorKind::WouldBlock.into());
+                    }
+                    self.rd.changed.wait_timeout(h, left).0
+                }
+            };
         }
     }
 }
@@ -137,6 +188,11 @@ impl Write for SimStream {
                 io::ErrorKind::BrokenPipe,
                 "simulated peer closed",
             ));
+        }
+        // A non-blocking write may be refused, as a full socket would
+        // refuse it.
+        if self.mode.nonblocking.load(Ordering::SeqCst) && splitmix(&mut h.rng).is_multiple_of(2) {
+            return Err(io::ErrorKind::WouldBlock.into());
         }
         let cap = data.len().min(MAX_WRITE_CHUNK);
         let n = 1 + (splitmix(&mut h.rng) as usize) % cap;
@@ -156,7 +212,23 @@ impl NetStream for SimStream {
         Ok(SimStream {
             rd: Arc::clone(&self.rd),
             wr: Arc::clone(&self.wr),
+            mode: Arc::clone(&self.mode),
         })
+    }
+
+    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        let nanos = match dur {
+            None => u64::MAX,
+            Some(d) if d.is_zero() => return Err(io::ErrorKind::InvalidInput.into()),
+            Some(d) => u64::try_from(d.as_nanos()).unwrap_or(u64::MAX - 1),
+        };
+        self.mode.read_timeout.store(nanos, Ordering::SeqCst);
+        Ok(())
+    }
+
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        self.mode.nonblocking.store(nonblocking, Ordering::SeqCst);
+        Ok(())
     }
 
     fn shutdown(&self, how: Shutdown) -> io::Result<()> {

@@ -9,6 +9,10 @@
 # drop as release ack, cross-thread token streaming), and the
 # equivalence + fault passes drive TransportKind::Pointer through the
 # runner and the FaultyTransport decorator (incl. the pool_leak suite).
+# The `-p spi-net` pass covers the socket endpoints, whose two sides and
+# the net-timer thread share the staging buffer and the flush registry
+# (`transport`, `proptest_net`, `wire`; `zero_alloc` brings its own
+# allocator and is left to the plain test run).
 #
 # TSan needs `-Z sanitizer=thread`, which implies nightly plus a
 # rebuilt-std (`-Z build-std`) so the standard library is instrumented
@@ -41,6 +45,12 @@ if rustup toolchain list 2>/dev/null | grep -q nightly && \
   CHAOS_CASES="${CHAOS_CASES:-10}" \
     cargo +nightly test -Z build-std --target "${TARGET}" \
       -p spi-fault --tests "$@" -- --test-threads=1
+  # Socket endpoints: PE-driven reads, lazy ack reads, flush-before-block
+  # and the one timer thread racing the owners' flushes.
+  RUSTFLAGS="-Z sanitizer=thread" \
+  TSAN_OPTIONS="halt_on_error=1" \
+    cargo +nightly test -Z build-std --target "${TARGET}" \
+      -p spi-net --test transport --test proptest_net --test wire "$@"
   # The model-checking session machinery itself (worker pool, targeted
   # condvar handshakes, abort broadcast) is concurrent code; run the
   # explorations under TSan too so the verifier is verified.
@@ -59,6 +69,10 @@ else
   cargo test --release --test engine_equivalence "$@"
   echo "-- chaos stress (randomized fault plans, CHAOS_CASES=${CHAOS_CASES:-40})"
   CHAOS_CASES="${CHAOS_CASES:-40}" cargo test --release -p spi-fault "$@"
+  echo "-- socket endpoints (flush contract, thread count, credit proptest), 3 rounds"
+  for round in 1 2 3; do
+    cargo test --release -p spi-net --test transport --test proptest_net --test wire "$@"
+  done
   echo "-- bounded model checking (exhaustive tier-1 + regression oracle)"
   cargo test --release -p spi-verify "$@"
 fi

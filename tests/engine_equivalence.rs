@@ -5,8 +5,10 @@
 //!
 //! The randomized case also runs every engine under a `RingTracer` and
 //! cross-checks the captured traces: identical per-channel send/receive
-//! digest sequences on all three engines, and a clean FIFO/conservation
-//! replay by the conformance checker.
+//! digest sequences on every backend — the DES, the three in-process
+//! transports, and the `spi-net` socket endpoints over `spi-sim`'s
+//! fragmenting in-memory stream — and a clean FIFO/conservation replay
+//! by the conformance checker.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,9 +16,12 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use spi_net::{AckPolicy, BatchParams, NetReceiver, NetSender};
 use spi_repro::platform::{
-    run_threaded, ChannelId, ChannelSpec, Machine, Op, Program, ThreadedRunner, TransportKind,
+    run_threaded, ChannelId, ChannelSpec, Machine, Op, Program, ThreadedPeResult, ThreadedRunner,
+    Transport, TransportError, TransportKind,
 };
+use spi_repro::sim::{sim_stream_pair, SimStream};
 use spi_repro::trace::{check, ClockKind, ProbeEvent, ProbeKind, RingTracer, TraceMeta};
 
 /// Builds the same 3-PE pipeline twice (programs contain closures and
@@ -248,13 +253,109 @@ fn channel_digests(events: &[ProbeEvent]) -> (HashMap<usize, Vec<u64>>, HashMap<
     (sends, recvs)
 }
 
+/// Both ends of one `spi-net` channel as the single endpoint object a
+/// one-process run needs: sends go to the sender, receives to the
+/// receiver, and occupancy is the sender's credit view (what eq. (2)
+/// bounds).
+struct NetEdge {
+    tx: NetSender<SimStream>,
+    rx: NetReceiver<SimStream>,
+}
+
+impl NetEdge {
+    /// The edge over a [`SimStream`] pair that splits reads and writes
+    /// at boundaries drawn from `seed`, batched as the schedule would
+    /// lower a window of this depth.
+    fn boxed(spec: &ChannelSpec, seed: u64) -> Box<dyn Transport> {
+        let window = (spec.capacity_bytes / spec.max_message_bytes.max(1)) as u64;
+        let plan = spi_repro::sched::batch_plan(window, None);
+        let batch = BatchParams {
+            max_msgs: plan.max_msgs as usize,
+            flush_after: plan.flush_after,
+        };
+        let (a, b) = sim_stream_pair(seed);
+        Box::new(NetEdge {
+            tx: NetSender::from_stream_with(a, spec, batch).expect("sender"),
+            rx: NetReceiver::from_stream_with(b, spec, AckPolicy::for_batch(spec, batch)),
+        })
+    }
+}
+
+impl Transport for NetEdge {
+    fn capacity_bytes(&self) -> usize {
+        self.tx.capacity_bytes()
+    }
+    fn max_message_bytes(&self) -> usize {
+        self.tx.max_message_bytes()
+    }
+    fn len_bytes(&self) -> usize {
+        self.tx.len_bytes()
+    }
+    fn occupancy(&self) -> usize {
+        self.tx.occupancy()
+    }
+    fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
+        self.tx.try_send(data)
+    }
+    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
+        self.rx.try_recv()
+    }
+    fn send_with(
+        &self,
+        len: usize,
+        fill: &mut dyn FnMut(&mut [u8]),
+        timeout: Duration,
+    ) -> Result<(), TransportError> {
+        self.tx.send_with(len, fill, timeout)
+    }
+    fn recv_with(
+        &self,
+        consume: &mut dyn FnMut(&[u8]),
+        timeout: Duration,
+    ) -> Result<(), TransportError> {
+        self.rx.recv_with(consume, timeout)
+    }
+}
+
+/// One threaded backend of the randomized comparison.
+#[derive(Debug, Clone, Copy)]
+enum Backend {
+    InProcess(TransportKind),
+    NetOverSimStream,
+}
+
+impl Backend {
+    fn run(
+        self,
+        p: PipelineParams,
+        tracer: Arc<RingTracer>,
+    ) -> spi_repro::platform::Result<Vec<ThreadedPeResult>> {
+        let (specs, programs) = random_pipeline(p);
+        let runner = ThreadedRunner::new()
+            .timeout(Duration::from_secs(20))
+            .tracer(tracer);
+        match self {
+            Backend::InProcess(kind) => runner.transport(kind).run(&specs, programs),
+            Backend::NetOverSimStream => {
+                let endpoints = specs
+                    .iter()
+                    .enumerate()
+                    .map(|(ch, spec)| NetEdge::boxed(spec, p.seed * 16 + ch as u64))
+                    .collect();
+                runner.run_with_endpoints(&specs, endpoints, programs)
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// DES, LockedTransport, and RingTransport must produce identical
-    /// stores, per-channel message orders, and — under trace capture —
-    /// identical per-channel digest sequences with a clean conformance
-    /// replay.
+    /// The DES and every threaded backend — Locked, Ring, Pointer and
+    /// the socket endpoints over a simulated stream — must produce
+    /// identical stores, per-channel message orders, and — under trace
+    /// capture — identical per-channel digest sequences with a clean
+    /// conformance replay.
     #[test]
     fn all_three_engines_agree_on_random_pipelines(
         n_pes in 2u64..5,
@@ -290,18 +391,13 @@ proptest! {
         prop_assert_eq!(des_sends[&0].len() as u64, iterations);
 
         for kind in [
-            TransportKind::Locked,
-            TransportKind::Ring,
-            TransportKind::Pointer,
+            Backend::InProcess(TransportKind::Locked),
+            Backend::InProcess(TransportKind::Ring),
+            Backend::InProcess(TransportKind::Pointer),
+            Backend::NetOverSimStream,
         ] {
-            let (specs, programs) = random_pipeline(p);
             let ring = Arc::new(RingTracer::new(n_pes as usize, 4096));
-            let threaded = ThreadedRunner::new()
-                .transport(kind)
-                .timeout(Duration::from_secs(20))
-                .tracer(ring.clone())
-                .run(&specs, programs)
-                .expect("threaded run");
+            let threaded = kind.run(p, ring.clone()).expect("threaded run");
             for (i, t) in threaded.iter().enumerate() {
                 prop_assert_eq!(
                     &des.locals[i].store, &t.store,
