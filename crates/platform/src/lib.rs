@@ -57,19 +57,17 @@
 #![deny(unsafe_code)]
 
 mod error;
+#[cfg(feature = "verify-shim")]
+pub mod model;
 mod mpi;
 mod pool;
 mod resource;
 mod runner;
 pub mod shim;
 mod sim;
-#[cfg(feature = "verify-shim")]
-pub mod simrt;
 mod supervise;
 mod trace;
 mod transport;
-#[cfg(feature = "verify-shim")]
-pub mod verify;
 
 pub use error::{BlockKind, BlockedOp, PlatformError, Result};
 pub use mpi::{

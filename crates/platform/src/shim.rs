@@ -3,49 +3,122 @@
 //! Every atomic, lock, condvar, park/unpark, sleep, spawn and clock
 //! read on the transport hot paths goes through this module instead of
 //! using `std` directly. In a normal build the wrappers compile down to
-//! the exact `std` operation (the types are `repr`-identical newtypes
-//! and every method is `#[inline]`), so the production semantics and
-//! codegen are unchanged.
+//! the exact `std` operation: the [`engine`] they consult is a set of
+//! `#[inline(always)]` no-op stubs and object ids are zero-sized, so
+//! the production semantics and codegen are unchanged.
 //!
-//! With the `verify-shim` cargo feature enabled, each operation first
-//! consults the two model engines in this crate:
-//!
-//! * the bounded model checker in [`crate::verify`] (DFS + sleep sets
-//!   over a fixed thread set, frozen clock), and
-//! * the seeded whole-system simulator in [`crate::simrt`] (one random
-//!   schedule per seed, dynamic threads, virtual clock).
-//!
-//! When the calling thread belongs to an active session of either
-//! engine the operation becomes a *schedule point* — the thread pauses,
-//! declares the operation it is about to perform, and waits for the
-//! controller to grant it. When no session is active (the common case
-//! even with the feature on), the cost is one relaxed load of a global
-//! counter per operation.
+//! With the `verify-shim` cargo feature enabled, `engine` is
+//! `crate::model`, the controlled-execution engine behind `spi-verify`
+//! (exhaustive, frozen clock) and `spi-sim` (seeded, virtual clock).
+//! Each operation asks it once. When the calling thread belongs to a
+//! live session the operation becomes a *schedule point* — the thread
+//! pauses, declares the operation it is about to perform, and waits for
+//! the controller to grant it. When no session is live (the common
+//! case even with the feature on), the cost is one relaxed load of a
+//! global counter per operation.
 //!
 //! The module also centralizes the *time source* ([`now`]): real runs
 //! read the monotonic clock once per blocking slice and reuse it for
-//! both the supervision deadline and progress accounting; `verify`
-//! sessions observe a frozen clock so park timeouts can never fire
-//! inside an exploration; `simrt` sessions observe a virtual clock that
-//! advances only when every simulated thread is blocked on a deadline.
+//! both the supervision deadline and progress accounting; a session
+//! substitutes its own clock, which is frozen under exploration (park
+//! timeouts can never fire) and virtual under simulation (it advances
+//! only when every thread is blocked on a deadline).
 
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 #[cfg(feature = "verify-shim")]
-use crate::simrt;
-#[cfg(feature = "verify-shim")]
-use crate::verify;
+use crate::model as engine;
 
-#[cfg(feature = "verify-shim")]
-#[inline]
-fn object_id(label: &'static str) -> usize {
-    // At most one engine has a session on the calling thread; ids are
-    // per-session, so the namespaces never mix.
-    if let Some(id) = simrt::next_object_id(label) {
-        return id;
+/// What the wrappers below see of `crate::model` when it is compiled
+/// out: nothing is ever in a session, so every question is answered
+/// "not handled" at compile time and the `std` operation follows.
+#[cfg(not(feature = "verify-shim"))]
+mod engine {
+    use std::time::{Duration, Instant};
+
+    #[derive(Debug, Clone, Copy)]
+    pub(crate) struct ObjId;
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) struct ThreadId;
+    pub(crate) struct Children;
+    pub(crate) enum Child {}
+
+    #[inline(always)]
+    pub(crate) fn object_id(_: &'static str) -> ObjId {
+        ObjId
     }
-    verify::next_object_id(label)
+    #[inline(always)]
+    pub(crate) fn load(_: ObjId) {}
+    #[inline(always)]
+    pub(crate) fn store(_: ObjId) {}
+    #[inline(always)]
+    pub(crate) fn rmw(_: ObjId) {}
+    #[inline(always)]
+    pub(crate) fn lock(_: ObjId) {}
+    #[inline(always)]
+    pub(crate) fn unlock(_: ObjId) {}
+    #[inline(always)]
+    pub(crate) fn try_lock(_: ObjId) -> Option<bool> {
+        None
+    }
+    #[inline(always)]
+    pub(crate) fn cv_wait(_: ObjId, _: ObjId, _: Option<Duration>) -> bool {
+        false
+    }
+    #[inline(always)]
+    pub(crate) fn cv_notify(_: ObjId, _: bool) -> bool {
+        false
+    }
+    #[inline(always)]
+    pub(crate) fn park(_: Duration) -> bool {
+        false
+    }
+    #[inline(always)]
+    pub(crate) fn unpark(_: ThreadId) -> bool {
+        false
+    }
+    #[inline(always)]
+    pub(crate) fn sleep(_: Duration) -> bool {
+        false
+    }
+    #[inline(always)]
+    pub(crate) fn current_tid() -> ThreadId {
+        ThreadId
+    }
+    #[inline(always)]
+    pub(crate) fn in_session() -> bool {
+        false
+    }
+    #[inline(always)]
+    pub(crate) fn now() -> Option<Instant> {
+        None
+    }
+    #[inline(always)]
+    pub(crate) fn session_id() -> usize {
+        0
+    }
+    #[inline(always)]
+    pub(crate) fn run_child(_: Option<Child>, f: impl FnOnce()) {
+        f()
+    }
+
+    impl Children {
+        #[inline(always)]
+        pub(crate) fn here() -> Self {
+            Children
+        }
+        #[inline(always)]
+        pub(crate) fn enroll(&self, _: &str) -> Option<Child> {
+            None
+        }
+        #[inline(always)]
+        pub(crate) fn len(&self) -> usize {
+            0
+        }
+        #[inline(always)]
+        pub(crate) fn join_all(&self) {}
+    }
 }
 
 /// A `usize` atomic that doubles as a model-checker schedule point.
@@ -55,8 +128,7 @@ fn object_id(label: &'static str) -> usize {
 #[derive(Debug)]
 pub struct AtomicUsize {
     inner: std::sync::atomic::AtomicUsize,
-    #[cfg(feature = "verify-shim")]
-    id: usize,
+    id: engine::ObjId,
 }
 
 impl AtomicUsize {
@@ -64,12 +136,9 @@ impl AtomicUsize {
     /// traces; ignored in normal builds).
     #[inline]
     pub fn labeled(v: usize, label: &'static str) -> Self {
-        #[cfg(not(feature = "verify-shim"))]
-        let _ = label;
         Self {
             inner: std::sync::atomic::AtomicUsize::new(v),
-            #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::object_id(label),
         }
     }
 
@@ -82,22 +151,14 @@ impl AtomicUsize {
     /// Atomic load; a schedule point under an active model session.
     #[inline]
     pub fn load(&self, order: Ordering) -> usize {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_load(self.id);
-            verify::op_load(self.id);
-        }
+        engine::load(self.id);
         self.inner.load(order)
     }
 
     /// Atomic store; a schedule point under an active model session.
     #[inline]
     pub fn store(&self, v: usize, order: Ordering) {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_store(self.id);
-            verify::op_store(self.id);
-        }
+        engine::store(self.id);
         self.inner.store(v, order);
     }
 
@@ -111,11 +172,7 @@ impl AtomicUsize {
         success: Ordering,
         failure: Ordering,
     ) -> Result<usize, usize> {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_rmw(self.id);
-            verify::op_rmw(self.id);
-        }
+        engine::rmw(self.id);
         self.inner
             .compare_exchange_weak(current, new, success, failure)
     }
@@ -126,20 +183,16 @@ impl AtomicUsize {
 #[derive(Debug)]
 pub struct AtomicBool {
     inner: std::sync::atomic::AtomicBool,
-    #[cfg(feature = "verify-shim")]
-    id: usize,
+    id: engine::ObjId,
 }
 
 impl AtomicBool {
     /// Creates a bool atomic with an identifying label for model traces.
     #[inline]
     pub fn labeled(v: bool, label: &'static str) -> Self {
-        #[cfg(not(feature = "verify-shim"))]
-        let _ = label;
         Self {
             inner: std::sync::atomic::AtomicBool::new(v),
-            #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::object_id(label),
         }
     }
 
@@ -152,22 +205,14 @@ impl AtomicBool {
     /// Atomic load; a schedule point under an active model session.
     #[inline]
     pub fn load(&self, order: Ordering) -> bool {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_load(self.id);
-            verify::op_load(self.id);
-        }
+        engine::load(self.id);
         self.inner.load(order)
     }
 
     /// Atomic store; a schedule point under an active model session.
     #[inline]
     pub fn store(&self, v: bool, order: Ordering) {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_store(self.id);
-            verify::op_store(self.id);
-        }
+        engine::store(self.id);
         self.inner.store(v, order);
     }
 
@@ -175,11 +220,7 @@ impl AtomicBool {
     /// session.
     #[inline]
     pub fn swap(&self, v: bool, order: Ordering) -> bool {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_rmw(self.id);
-            verify::op_rmw(self.id);
-        }
+        engine::rmw(self.id);
         self.inner.swap(v, order)
     }
 }
@@ -198,20 +239,16 @@ pub fn fence(order: Ordering) {
 #[derive(Debug)]
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,
-    #[cfg(feature = "verify-shim")]
-    id: usize,
+    id: engine::ObjId,
 }
 
 impl<T> Mutex<T> {
     /// Creates a mutex with an identifying label for model traces.
     #[inline]
     pub fn labeled(value: T, label: &'static str) -> Self {
-        #[cfg(not(feature = "verify-shim"))]
-        let _ = label;
         Self {
             inner: std::sync::Mutex::new(value),
-            #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::object_id(label),
         }
     }
 
@@ -225,11 +262,7 @@ impl<T> Mutex<T> {
     /// unwinds while holding its locks in a healthy run).
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_lock(self.id);
-            verify::op_lock(self.id);
-        }
+        engine::lock(self.id);
         self.lock_real()
     }
 
@@ -243,13 +276,11 @@ impl<T> Mutex<T> {
     }
 
     /// Acquires the lock if no thread holds it, without waiting. A
-    /// schedule point under a `simrt` session (the attempt succeeds iff
-    /// the lock is free when granted); the `verify` checker does not
-    /// model it — nothing it explores calls this.
+    /// schedule point under a session: the attempt succeeds iff the
+    /// lock is free when granted.
     #[inline]
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        #[cfg(feature = "verify-shim")]
-        match simrt::op_try_lock(self.id) {
+        match engine::try_lock(self.id) {
             // Free in the model means free for real, or released by
             // the time its holder reaches its next schedule point.
             Some(true) => return Some(self.lock_real()),
@@ -299,11 +330,7 @@ impl<T> Drop for MutexGuard<'_, T> {
         // other model thread can be granted the lock until this thread
         // reaches its next schedule point — by which time the real
         // guard below is gone.
-        #[cfg(feature = "verify-shim")]
-        {
-            simrt::op_unlock(self.lock.id);
-            verify::op_unlock(self.lock.id);
-        }
+        engine::unlock(self.lock.id);
         self.inner.take();
     }
 }
@@ -311,14 +338,14 @@ impl<T> Drop for MutexGuard<'_, T> {
 /// A condition variable whose wait/notify are model schedule points.
 ///
 /// Mirrors the subset of [`std::sync::Condvar`] the transports use.
-/// Under a `simrt` session the wait is virtual: the deadline is a
-/// virtual-clock instant and the simulated clock only advances to it
-/// when no other simulated thread can run.
+/// Under a session the wait is modeled: a timeout is a deadline on the
+/// session clock, which fires only when no other thread can run (and
+/// never under a frozen clock), and `notify_one` wakes the waiter with
+/// the lowest thread index.
 #[derive(Debug)]
 pub struct Condvar {
     inner: std::sync::Condvar,
-    #[cfg(feature = "verify-shim")]
-    id: usize,
+    id: engine::ObjId,
 }
 
 impl Default for Condvar {
@@ -331,12 +358,9 @@ impl Condvar {
     /// Creates a condvar with an identifying label for model traces.
     #[inline]
     pub fn labeled(label: &'static str) -> Self {
-        #[cfg(not(feature = "verify-shim"))]
-        let _ = label;
         Self {
             inner: std::sync::Condvar::new(),
-            #[cfg(feature = "verify-shim")]
-            id: object_id(label),
+            id: engine::object_id(label),
         }
     }
 
@@ -349,21 +373,17 @@ impl Condvar {
     /// Wakes one thread waiting on this condvar.
     #[inline]
     pub fn notify_one(&self) {
-        #[cfg(feature = "verify-shim")]
-        if simrt::op_cv_notify(self.id, false) {
-            return;
+        if !engine::cv_notify(self.id, false) {
+            self.inner.notify_one();
         }
-        self.inner.notify_one();
     }
 
     /// Wakes every thread waiting on this condvar.
     #[inline]
     pub fn notify_all(&self) {
-        #[cfg(feature = "verify-shim")]
-        if simrt::op_cv_notify(self.id, true) {
-            return;
+        if !engine::cv_notify(self.id, true) {
+            self.inner.notify_all();
         }
-        self.inner.notify_all();
     }
 
     /// Blocks until notified, releasing and re-acquiring the guard's
@@ -392,18 +412,17 @@ impl Condvar {
         let lock = guard.lock;
         // Take the inner std guard out without running the shim guard's
         // Drop (which would declare a spurious model unlock — under a
-        // sim session the release is part of the CvWait declaration).
+        // session the release is part of the wait's declaration).
         let mut g = std::mem::ManuallyDrop::new(guard);
         let inner = g.inner.take().expect("guard taken");
-        #[cfg(feature = "verify-shim")]
-        if simrt::in_session() {
+        if engine::in_session() {
             // Modeled wait: atomically (from the model's view, at the
-            // CvWait declaration) release the mutex and enqueue on the
+            // wait's declaration) release the mutex and enqueue on the
             // condvar; the real guard is dropped first so the real
             // mutex is free for whichever thread the controller grants
             // next.
             drop(inner);
-            let timed_out = simrt::op_cv_wait(self.id, lock.id, dur);
+            let timed_out = engine::cv_wait(self.id, lock.id, dur);
             return (lock.lock(), timed_out);
         }
         match dur {
@@ -435,14 +454,11 @@ impl Condvar {
 }
 
 /// Identity of a thread as seen by the wait list (OS thread id in real
-/// runs, model thread index under a model session).
+/// runs, plus the session's thread index under a session).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadIdent {
     os: std::thread::ThreadId,
-    #[cfg(feature = "verify-shim")]
-    model: Option<usize>,
-    #[cfg(feature = "verify-shim")]
-    sim: Option<usize>,
+    model: engine::ThreadId,
 }
 
 /// A parkable thread handle (the shim analogue of
@@ -450,10 +466,7 @@ pub struct ThreadIdent {
 #[derive(Debug, Clone)]
 pub struct ThreadHandle {
     os: std::thread::Thread,
-    #[cfg(feature = "verify-shim")]
-    model: Option<usize>,
-    #[cfg(feature = "verify-shim")]
-    sim: Option<usize>,
+    model: engine::ThreadId,
 }
 
 impl ThreadHandle {
@@ -462,32 +475,18 @@ impl ThreadHandle {
     pub fn id(&self) -> ThreadIdent {
         ThreadIdent {
             os: self.os.id(),
-            #[cfg(feature = "verify-shim")]
             model: self.model,
-            #[cfg(feature = "verify-shim")]
-            sim: self.sim,
         }
     }
 
-    /// Makes a park token available to the thread. Under a model the
+    /// Makes a park token available to the thread. Under a session the
     /// token is session state and the grant is a schedule point; in
     /// real runs this is exactly [`std::thread::Thread::unpark`].
     #[inline]
     pub fn unpark(&self) {
-        #[cfg(feature = "verify-shim")]
-        {
-            if let Some(tid) = self.sim {
-                if simrt::op_unpark(tid) {
-                    return;
-                }
-            }
-            if let Some(tid) = self.model {
-                if verify::op_unpark(tid) {
-                    return;
-                }
-            }
+        if !engine::unpark(self.model) {
+            self.os.unpark();
         }
-        self.os.unpark();
     }
 }
 
@@ -496,115 +495,81 @@ impl ThreadHandle {
 pub fn current() -> ThreadHandle {
     ThreadHandle {
         os: std::thread::current(),
-        #[cfg(feature = "verify-shim")]
-        model: verify::worker_tid(),
-        #[cfg(feature = "verify-shim")]
-        sim: simrt::worker_tid(),
+        model: engine::current_tid(),
     }
 }
 
 /// Blocks the calling thread until a park token is available or the
-/// timeout elapses. Under `verify` the timeout *never* fires (the
+/// timeout elapses. Under exploration the timeout *never* fires (the
 /// session clock is frozen), so a wakeup that production code would
 /// paper over with its bounded park slice becomes an observable
-/// deadlock in the explorer. Under `simrt` the timeout is a virtual
-/// deadline: it fires only when the whole simulation is otherwise
-/// blocked (and never fires in strict-park mode).
+/// deadlock. Under simulation the timeout is a virtual deadline: it
+/// fires only when the whole simulation is otherwise blocked (and never
+/// in strict-park mode).
 #[inline]
 pub fn park_timeout(dur: Duration) {
-    #[cfg(feature = "verify-shim")]
-    {
-        if simrt::op_park(Some(dur)) {
-            return;
-        }
-        if verify::op_park() {
-            return;
-        }
+    if !engine::park(dur) {
+        std::thread::park_timeout(dur);
     }
-    std::thread::park_timeout(dur);
 }
 
-/// Suspends the calling thread for `dur`. Under a `simrt` session this
-/// is a virtual-clock sleep (a schedule point with a deadline); in real
-/// runs it is exactly [`std::thread::sleep`].
+/// Suspends the calling thread for `dur`. Under simulation this is a
+/// virtual-clock sleep (a schedule point with a deadline) and under
+/// exploration a yield; in real runs it is exactly
+/// [`std::thread::sleep`].
 #[inline]
 pub fn sleep(dur: Duration) {
-    #[cfg(feature = "verify-shim")]
-    if simrt::op_sleep(dur) {
-        return;
+    if !engine::sleep(dur) {
+        std::thread::sleep(dur);
     }
-    std::thread::sleep(dur);
 }
 
 /// Reads the transport time source. Real runs read the monotonic
-/// clock; under a `verify` session every call returns the session
-/// epoch (frozen), and under a `simrt` session the session epoch plus
-/// the current virtual offset.
+/// clock; under a session every call returns the session epoch plus
+/// its virtual offset (which a frozen clock never moves).
 #[inline]
 pub fn now() -> Instant {
-    #[cfg(feature = "verify-shim")]
-    {
-        if let Some(t) = simrt::virtual_now() {
-            return t;
-        }
-        if let Some(t) = verify::frozen_now() {
-            return t;
-        }
-    }
-    Instant::now()
+    engine::now().unwrap_or_else(Instant::now)
 }
 
-/// Scales a spin budget: model sessions spin zero times (a spin
-/// retry is indistinguishable from a scheduling choice the explorer
-/// already enumerates), real runs keep the configured budget.
+/// Scales a spin budget: scheduled threads spin zero times (a spin
+/// retry is indistinguishable from a scheduling choice the controller
+/// already makes), real runs keep the configured budget.
 #[inline]
 pub fn spin_budget(real: u32) -> u32 {
-    #[cfg(feature = "verify-shim")]
-    if verify::in_session() || simrt::in_session() {
-        return 0;
+    if engine::in_session() {
+        0
+    } else {
+        real
     }
-    real
 }
 
-/// Number of the `simrt` session the calling thread belongs to — unique
-/// within the process, never reused — or `0` outside any session.
+/// Number of the session the calling thread belongs to — unique within
+/// the process, never reused — or `0` outside any session.
 /// Process-wide singletons that own shim objects or shim-spawned threads
 /// (the socket transport's flush timer) key themselves by it, so
 /// concurrent sessions — and the real world beside them — never share
 /// one.
 #[inline]
 pub fn session_id() -> usize {
-    #[cfg(feature = "verify-shim")]
-    if let Some(sess) = simrt::session_handle() {
-        return sess.id;
-    }
-    0
+    engine::session_id()
 }
 
 /// Spawns a detached background thread (the socket transport's flush
-/// timer). Under a `simrt` session
-/// the thread is registered as a simulated thread: its every shim
+/// timer). Under a session the thread is enrolled in it: its every shim
 /// operation becomes a schedule point and the run does not complete
 /// until it exits — a background thread that never terminates surfaces
-/// as a simulated hang instead of a leaked OS thread.
+/// as a hang the controller reports instead of a leaked OS thread.
 pub fn spawn(name: &'static str, f: impl FnOnce() + Send + 'static) {
-    #[cfg(feature = "verify-shim")]
-    if let Some(sess) = simrt::session_handle() {
-        let tid = simrt::register_child(&sess, name.to_string());
-        std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || simrt::child_main(sess, tid, f))
-            .expect("spawn shim thread");
-        return;
-    }
+    let child = engine::Children::here().enroll(name);
     std::thread::Builder::new()
         .name(name.to_string())
-        .spawn(f)
+        .spawn(move || engine::run_child(child, f))
         .expect("spawn shim thread");
 }
 
 /// Model-aware [`std::thread::scope`]: threads spawned through the
-/// [`Scope`] become simulated threads under a `simrt` session, and the
+/// [`Scope`] are enrolled in the caller's session (if any), and the
 /// implicit joins at scope exit are modeled as explicit join schedule
 /// points (so the controller never sees the scope owner silently block
 /// in a real join).
@@ -615,36 +580,21 @@ where
     std::thread::scope(|s| {
         let wrapper = Scope {
             inner: s,
-            #[cfg(feature = "verify-shim")]
-            sim: simrt::session_handle(),
-            #[cfg(feature = "verify-shim")]
-            children: std::cell::RefCell::new(Vec::new()),
+            children: engine::Children::here(),
         };
         let out = f(&wrapper);
-        // Model the joins std::thread::scope is about to perform: each
-        // is a schedule point enabled once the child's simulated thread
-        // has finished (after which its real exit is imminent, so the
-        // real join below blocks only momentarily).
-        #[cfg(feature = "verify-shim")]
-        if wrapper.sim.is_some() {
-            for tid in wrapper.children.borrow().iter() {
-                simrt::op_join(*tid);
-            }
-        }
+        wrapper.children.join_all();
         out
     })
 }
 
 /// Spawn handle collection for [`scope`]. Only the closure-spawning
 /// subset of [`std::thread::Scope`] the runners use is mirrored; under
-/// a sim session spawning from any thread but the scope owner is not
+/// a session spawning from any thread but the scope owner is not
 /// supported (the child registry is single-threaded).
 pub struct Scope<'scope, 'env: 'scope> {
     inner: &'scope std::thread::Scope<'scope, 'env>,
-    #[cfg(feature = "verify-shim")]
-    sim: Option<simrt::SessionHandle>,
-    #[cfg(feature = "verify-shim")]
-    children: std::cell::RefCell<Vec<usize>>,
+    children: engine::Children,
 }
 
 impl<'scope, 'env> Scope<'scope, 'env> {
@@ -654,20 +604,10 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        #[cfg(feature = "verify-shim")]
-        if let Some(sess) = &self.sim {
-            let tid = simrt::register_child(sess, name.clone());
-            self.children.borrow_mut().push(tid);
-            let sess = sess.clone();
-            std::thread::Builder::new()
-                .name(name)
-                .spawn_scoped(self.inner, move || simrt::child_main(sess, tid, f))
-                .expect("spawn scoped shim thread");
-            return;
-        }
+        let child = self.children.enroll(&name);
         std::thread::Builder::new()
             .name(name)
-            .spawn_scoped(self.inner, f)
+            .spawn_scoped(self.inner, move || engine::run_child(child, f))
             .expect("spawn scoped shim thread");
     }
 
@@ -676,17 +616,6 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     where
         F: FnOnce() + Send + 'scope,
     {
-        self.spawn_named(format!("t{}", self.next_name_index()), f);
-    }
-
-    fn next_name_index(&self) -> usize {
-        #[cfg(feature = "verify-shim")]
-        {
-            self.children.borrow().len()
-        }
-        #[cfg(not(feature = "verify-shim"))]
-        {
-            0
-        }
+        self.spawn_named(format!("t{}", self.children.len()), f);
     }
 }

@@ -431,7 +431,7 @@ fn stalled_channel_timeout_reports_peer_idle_time() {
     // keeps the wall-clock variant.
     #[cfg(feature = "verify-shim")]
     {
-        let r = spi_platform::simrt::run(&spi_platform::simrt::SimOptions::seeded(17), || {
+        let r = spi_platform::model::run(&spi_platform::model::SimOptions::seeded(17), || {
             assert_stalled_timeout(TransportKind::Ring)
         });
         assert!(r.failure.is_none(), "sim run failed: {:?}", r.failure);

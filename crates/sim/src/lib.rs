@@ -18,14 +18,16 @@
 //!
 //! The payoff is **one-command failure replay**: any failing run prints
 //! a `SPI_SIM_SEED=<n> cargo test …` line that reproduces the exact
-//! schedule, and [`shrink`] (sharing the model checker's
-//! witness-minimization machinery) reduces it to a minimal
+//! schedule, and [`shrink`] (the engine's one witness minimizer, which
+//! the model checker applies to its own failures) reduces it to a minimal
 //! context-switch story before reporting.
 //!
-//! The engine itself lives in [`spi_platform::simrt`] behind the
-//! `verify-shim` feature — the same instrumentation seam the `spi-verify`
-//! bounded model checker uses, so any code the checker can explore, the
-//! simulator can run at whole-system scale. This crate packages it with
+//! The engine itself is [`spi_platform::model`] behind the `verify-shim`
+//! feature — the one controlled-execution engine the `spi-verify`
+//! bounded model checker also drives, here under its seeded choice and
+//! virtual clock policies — so any code the checker can explore, the
+//! simulator can run at whole-system scale, and a schedule either finds
+//! means the same to the other. This crate packages it with
 //! the pieces a whole-system test needs: the in-memory [`SimStream`]
 //! socket, ready-made [`scenarios`], and the seed/replay/report
 //! [`harness`](crate::check).
@@ -33,8 +35,9 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub use spi_platform::simrt::{replay, run, shrink, SimFailure, SimOptions, SimRun};
-pub use spi_platform::verify::{FailureKind, Step};
+pub use spi_platform::model::{
+    replay, run, shrink, Failure as SimFailure, FailureKind, SimOptions, SimRun, Step,
+};
 
 mod stream;
 pub use stream::{sim_stream_pair, SimStream};

@@ -4,7 +4,7 @@
 //! reproduction is most exposed to ordering bugs:
 //!
 //! 1. **Bounded model checking** ([`ring`], engine in
-//!    [`spi_platform::verify`]) — a loom-style stateless explorer that
+//!    [`spi_platform::model`]) — a loom-style stateless explorer that
 //!    enumerates every thread interleaving (up to happens-before
 //!    equivalence, via DFS with sleep-set pruning) of the
 //!    [`RingTransport`](spi_platform::RingTransport) ring + waitlist
@@ -42,6 +42,6 @@ pub mod ring;
 pub use framing::{explore_framing, FramingExploration, FramingOptions, FramingViolation};
 pub use race::{race_check, RaceReport};
 pub use ring::{explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc};
-pub use spi_platform::verify::{
+pub use spi_platform::model::{
     explore, Exploration, Failure, FailureKind, ModelOptions, Scenario, Step,
 };

@@ -27,7 +27,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use spi_platform::verify::{explore, Exploration, ModelOptions};
+use spi_platform::model::{explore, Exploration, ModelOptions};
 use spi_platform::{PointerTransport, RingTransport, Transport};
 
 /// Far beyond any exploration: the model clock is frozen, so this

@@ -5,10 +5,13 @@
 //! 1. the 2-thread SPSC protocol is deadlock/panic-free and the
 //!    exploration is *exhaustive* at the tier-1 bound (2 messages
 //!    through a 1-slot ring — every send and receive blocks at least
-//!    once, plus all their spins and parks), and not vacuous: it must
-//!    visit at least [`MIN_SCHEDULES`] distinct interleavings
-//!    (anti-vacuity floor, committed as a baseline). A deeper bound
-//!    (3 messages, 2 slots) runs `#[ignore]`d for the CI `verify` job;
+//!    once, plus all their spins and parks), and visits *exactly* the
+//!    schedule tree measured when the bound was committed: the counts
+//!    are pinned, so a refactor of the shim or the engine that drops a
+//!    schedule point, changes the dependency relation or reorders the
+//!    search fails here even though nothing visibly "breaks". A deeper
+//!    bound (3 messages, 2 slots) runs `#[ignore]`d for the CI `verify`
+//!    job;
 //! 2. the shared-consumer scenario is clean with the shipped wait-list
 //!    within a fixed schedule budget (its full space is too large to
 //!    exhaust in tier-1; the budget is ~3x the depth at which the
@@ -17,128 +20,73 @@
 //! 3. with the PR 3 lost-wakeup fix mechanically reverted
 //!    (`new_with_reverted_wakeup`: wake-all *with* dequeue), the same
 //!    scenario deadlocks, and the explorer reports it with a minimized
-//!    interleaving trace — the regression oracle.
+//!    interleaving trace — the regression oracle;
+//! 4. that witness is a schedule of *the* engine, not of one of two:
+//!    fed to the simulator's `replay` it reproduces the same deadlock.
 
+use std::sync::OnceLock;
+
+use spi_sim::{replay, scenarios, SimOptions};
 use spi_verify::{
-    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc, FailureKind,
-    ModelOptions,
+    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc, Exploration, Failure,
+    FailureKind, ModelOptions,
 };
 
-/// Anti-vacuity floor for the tier-1 SPSC exploration. The committed
-/// baseline at (messages = 2, slots = 1) is 2461 distinct schedules
-/// (8912 sleep-set pruned); if a refactor of the shim or explorer
-/// silently stops generating schedule points, the count collapses and
-/// this test fails even though nothing visibly "breaks". Override via
-/// `SPI_VERIFY_MIN_SCHEDULES` after re-measuring the baseline — upward
-/// freely, downward only with a DESIGN.md §12 note.
-const MIN_SCHEDULES: u64 = 2_000;
-
-/// Anti-vacuity floor for the minimal pointer-exchange exploration.
-/// Measured baseline at (messages = 1, slots = 1): 13 distinct
-/// schedules (72 sleep-set pruned) — small because the free ring
-/// starts full, so the only contention is the descriptor publish
-/// against the consumer's dequeue-and-release.
-const PTR_MIN_SCHEDULES: u64 = 10;
-
-fn min_schedules() -> u64 {
-    std::env::var("SPI_VERIFY_MIN_SCHEDULES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(MIN_SCHEDULES)
+/// Asserts an exploration ran to exhaustion, found nothing, and visited
+/// exactly the pinned tree. A pin moves only with a DESIGN.md §12 note
+/// saying which schedules appeared or went and why.
+fn assert_exhaustive(what: &str, ex: &Exploration, schedules: u64, pruned: u64) {
+    assert!(
+        !ex.capped,
+        "{what}: hit the schedule cap — bound too large to be exhaustive"
+    );
+    if let Some(f) = &ex.failure {
+        panic!("{what} failed:\n{f}");
+    }
+    assert_eq!(
+        (ex.schedules, ex.pruned),
+        (schedules, pruned),
+        "{what}: (schedules, sleep-set pruned) moved off the pinned tree"
+    );
 }
 
 #[test]
 fn spsc_exhaustive_at_tier1_bound() {
-    let opts = ModelOptions::default();
-    let ex = explore_ring_spsc(2, 1, &opts);
-    assert!(
-        !ex.capped,
-        "exploration hit the schedule cap — bound too large to be exhaustive"
-    );
-    if let Some(f) = &ex.failure {
-        panic!("SPSC protocol failed at the tier-1 bound:\n{f}");
-    }
-    assert!(
-        ex.schedules >= min_schedules(),
-        "vacuous exploration: {} schedules < floor {} (sleep-set pruned {})",
-        ex.schedules,
-        min_schedules(),
-        ex.pruned
-    );
+    let ex = explore_ring_spsc(2, 1, &ModelOptions::default());
+    assert_exhaustive("ring(2,1)", &ex, 2461, 8912);
 }
 
 /// Deeper SPSC bound for the CI `verify` job (`--ignored`): 3 messages
-/// through a 2-slot ring, exhaustive. Measured baseline: 33869
-/// schedules (130451 pruned), ~100 s in release — too slow for tier-1,
-/// which is why it is ignored by default.
+/// through a 2-slot ring, ~100 s in release — too slow for tier-1.
 #[test]
 #[ignore = "exhaustive deep bound (~100s release); run by the CI verify job"]
 fn spsc_exhaustive_at_deep_bound() {
-    let opts = ModelOptions::default();
-    let ex = explore_ring_spsc(3, 2, &opts);
-    assert!(!ex.capped, "deep bound no longer exhaustive within the cap");
-    if let Some(f) = &ex.failure {
-        panic!("SPSC protocol failed at the deep bound:\n{f}");
-    }
-    assert!(
-        ex.schedules >= 30_000,
-        "vacuous deep exploration: {} schedules (committed baseline 33869)",
-        ex.schedules
-    );
+    let ex = explore_ring_spsc(3, 2, &ModelOptions::default());
+    assert_exhaustive("ring(3,2)", &ex, 33869, 130451);
 }
 
 /// The pointer-exchange handoff at its minimal bound: one message
 /// through a one-slot pool. Even this smallest case exercises the full
 /// slot cycle — free-ring dequeue, in-place frame, descriptor publish,
-/// lease drop re-enqueueing the slot — across two Vyukov rings.
-/// Exhaustive; the anti-vacuity floor is the committed baseline
-/// (re-measure before lowering, per DESIGN.md §12).
+/// lease drop re-enqueueing the slot — across two Vyukov rings. The
+/// tree is small because the free ring starts full, so the only
+/// contention is the descriptor publish against the consumer's
+/// dequeue-and-release.
 #[test]
 fn pointer_spsc_exhaustive_at_minimal_bound() {
-    let opts = ModelOptions::default();
-    let ex = explore_pointer_spsc(1, 1, &opts);
-    assert!(
-        !ex.capped,
-        "pointer exploration hit the schedule cap — bound too large to be exhaustive"
-    );
-    if let Some(f) = &ex.failure {
-        panic!("pointer handoff failed at the minimal bound:\n{f}");
-    }
-    println!(
-        "pointer(1,1): {} schedules ({} pruned)",
-        ex.schedules, ex.pruned
-    );
-    assert!(
-        ex.schedules >= PTR_MIN_SCHEDULES,
-        "vacuous pointer exploration: {} schedules < floor {} (pruned {})",
-        ex.schedules,
-        PTR_MIN_SCHEDULES,
-        ex.pruned
-    );
+    let ex = explore_pointer_spsc(1, 1, &ModelOptions::default());
+    assert_exhaustive("pointer(1,1)", &ex, 13, 72);
 }
 
 /// Deeper pointer bound (2 messages, 1 slot — the producer must block
 /// until the consumer's lease drop recycles the slot, covering the
-/// full release-then-reacquire cycle). Exhaustive: measured baseline
-/// 2461 schedules (13292 pruned), ~7 s in release — run `#[ignore]`d
-/// by the CI verify job like the deep plain-ring bound.
+/// full release-then-reacquire cycle), ~7 s in release — run
+/// `#[ignore]`d by the CI verify job like the deep plain-ring bound.
 #[test]
 #[ignore = "exhaustive slot-reuse bound (~7s release); run by the CI verify job"]
 fn pointer_spsc_exhaustive_at_reuse_bound() {
-    let opts = ModelOptions::default();
-    let ex = explore_pointer_spsc(2, 1, &opts);
-    assert!(
-        !ex.capped,
-        "reuse bound no longer exhaustive within the cap"
-    );
-    if let Some(f) = &ex.failure {
-        panic!("pointer slot reuse failed:\n{f}");
-    }
-    assert!(
-        ex.schedules >= 2_000,
-        "vacuous reuse exploration: {} schedules (committed baseline 2461)",
-        ex.schedules
-    );
+    let ex = explore_pointer_spsc(2, 1, &ModelOptions::default());
+    assert_exhaustive("pointer(2,1)", &ex, 2461, 13292);
 }
 
 #[test]
@@ -156,12 +104,20 @@ fn shared_consumers_clean_with_shipped_waitlist() {
     }
 }
 
+/// The minimized witness of the reverted-wakeup exploration, found once
+/// for the two tests that examine it (it is the suite's long pole).
+fn lost_wakeup_witness() -> &'static Failure {
+    static WITNESS: OnceLock<Failure> = OnceLock::new();
+    WITNESS.get_or_init(|| {
+        explore_ring_shared_consumers(true, &ModelOptions::default())
+            .failure
+            .expect("explorer must rediscover the PR 3 lost-wakeup deadlock")
+    })
+}
+
 #[test]
 fn reverted_wakeup_rediscovers_pr3_lost_wakeup() {
-    let ex = explore_ring_shared_consumers(true, &ModelOptions::default());
-    let failure = ex
-        .failure
-        .expect("explorer must rediscover the PR 3 lost-wakeup deadlock");
+    let failure = lost_wakeup_witness();
     match &failure.kind {
         FailureKind::Deadlock { blocked } => {
             assert!(
@@ -175,7 +131,60 @@ fn reverted_wakeup_rediscovers_pr3_lost_wakeup() {
         !failure.trace.is_empty(),
         "failure must carry an interleaving trace"
     );
+    assert_eq!(
+        failure.context_switches, 5,
+        "the minimized witness is 5 context switches:\n{failure}"
+    );
     // The minimized witness is part of the oracle's value: print it so
     // `cargo test -- --nocapture` shows the exact schedule.
     println!("minimized lost-wakeup witness:\n{failure}");
+}
+
+/// Names of the threads a deadlock left blocked.
+fn blocked_threads(kind: &FailureKind) -> Vec<&str> {
+    match kind {
+        FailureKind::Deadlock { blocked } => blocked
+            .iter()
+            .map(|b| b.split(':').next().expect("name: reason"))
+            .collect(),
+        other => panic!("expected a deadlock, found {other:?}"),
+    }
+}
+
+/// The witness `explore` (depth-first, frozen clock, pooled threads)
+/// finds is replayed by `replay` (forced, virtual clock, threads spawned
+/// under a `main` root): same operations, same enabled-set rule, same
+/// grant effects, so the same schedule strands the same consumers.
+#[test]
+fn explored_witness_replays_under_the_simulator() {
+    let witness = lost_wakeup_witness();
+
+    // The simulator's scenario spawns the same three threads in the same
+    // order, under a root thread 0 that is granted its start, spawns
+    // them and then only joins them: explore's thread `t` is replay's
+    // `t + 1`.
+    let schedule: Vec<usize> = std::iter::once(0)
+        .chain(witness.schedule.iter().map(|t| t + 1))
+        .collect();
+    // Park slices must not fire, as under the explorer's frozen clock.
+    let opts = SimOptions {
+        strict_park: true,
+        ..SimOptions::default()
+    };
+    let run = replay(&opts, &schedule, || scenarios::ring_shared_consumers(true));
+
+    let replayed = run
+        .failure
+        .expect("the explored schedule must not diverge or complete under replay");
+    assert_eq!(run.schedule[..schedule.len()], schedule[..]);
+    let mut stranded = blocked_threads(&replayed.kind);
+    stranded.retain(|t| *t != "main");
+    assert_eq!(stranded, blocked_threads(&witness.kind), "{replayed}");
+    // Step for step the same operations on the same objects (only the
+    // park slices differ: a virtual clock arms them, a frozen one does
+    // not).
+    let unarmed = |op: &str| op.split(" (deadline").next().expect("op text").to_string();
+    for (w, r) in witness.trace.iter().zip(&replayed.trace) {
+        assert_eq!((&w.thread, unarmed(&w.op)), (&r.thread, unarmed(&r.op)));
+    }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the transport and supervision unit tests under Miri, with the
-# model-checking shim seams compiled in (`--features verify-shim`) so
-# the interpreter sees exactly the code paths the bounded model checker
-# instruments.
+# controlled-execution engine compiled in (`--features verify-shim`:
+# `shim` calls `spi_platform::model` instead of its no-op stubs) so the
+# interpreter sees exactly the code paths the model checker and the
+# simulator instrument.
 #
 # Miri catches what neither the SC-only model checker nor TSan can:
 # undefined behavior, invalid aliasing, and (with its own weak-memory

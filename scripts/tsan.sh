@@ -51,9 +51,10 @@ if rustup toolchain list 2>/dev/null | grep -q nightly && \
   TSAN_OPTIONS="halt_on_error=1" \
     cargo +nightly test -Z build-std --target "${TARGET}" \
       -p spi-net --test transport --test proptest_net --test wire "$@"
-  # The model-checking session machinery itself (worker pool, targeted
-  # condvar handshakes, abort broadcast) is concurrent code; run the
-  # explorations under TSan too so the verifier is verified.
+  # The controlled-execution engine itself (`spi_platform::model`:
+  # worker pool, per-thread condvar handshakes, abort broadcast) is
+  # concurrent code; run the explorations under TSan too so the
+  # verifier is verified.
   RUSTFLAGS="-Z sanitizer=thread" \
   TSAN_OPTIONS="halt_on_error=1" \
     cargo +nightly test -Z build-std --target "${TARGET}" \
