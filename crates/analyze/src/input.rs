@@ -11,6 +11,24 @@ use spi_dataflow::{EdgeId, LengthSignal, SdfGraph, VtsConversion};
 use spi_platform::{Device, ResourceEstimate};
 use spi_sched::{IpcGraph, Protocol, ResyncCertificate, SyncGraph};
 
+/// What a lowering decided for one dataflow edge with at least one IPC
+/// instance: its synchronization protocol and what the execution layer
+/// allocated for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EdgeDecl {
+    /// The dataflow edge.
+    pub edge: EdgeId,
+    /// Protocol chosen for it.
+    pub protocol: Protocol,
+    /// Transport allocated for its data channel, when declared; enables
+    /// the SPI043/SPI044 capacity checks.
+    pub transport: Option<TransportDecl>,
+    /// Socket transport of a **cross-partition** edge of a distributed
+    /// deployment: the sender-side credit window it was granted (SPI045)
+    /// and its record batch (SPI046). `None` for edges inside one node.
+    pub net_transport: Option<TransportDecl>,
+}
+
 /// Runtime transport declared for one edge's data channel: what the
 /// execution layer actually allocated, checked by SPI043 against the
 /// statically required eq. (2) bytes.
@@ -53,15 +71,9 @@ pub struct AnalysisInput<'a> {
     /// Proof artifact of a certified resynchronization run; checked by
     /// the `ResyncCertification` pass (SPI061/SPI062) against `sync`.
     pub resync_cert: Option<&'a ResyncCertificate>,
-    /// Protocol chosen per dataflow edge with at least one IPC instance.
-    pub protocols: Option<&'a HashMap<EdgeId, Protocol>>,
-    /// Transport capacities declared per edge by the execution layer.
-    pub transports: Option<&'a HashMap<EdgeId, TransportDecl>>,
-    /// Socket transports declared for **cross-partition** edges of a
-    /// distributed deployment: the sender-side credit window each edge
-    /// was granted. Only edges that cross a node boundary appear here.
-    /// Checked by SPI045 against the eq. (2) byte requirement.
-    pub net_transports: Option<&'a HashMap<EdgeId, TransportDecl>>,
+    /// The lowering's per-edge decisions: protocol and declared
+    /// transports, one entry per dataflow edge with an IPC instance.
+    pub edges: Option<&'a [EdgeDecl]>,
     /// Aggregated hardware cost of the system.
     pub resources: Option<ResourceEstimate>,
     /// Target device; defaults to the paper's Virtex-4 SX35 when
@@ -80,9 +92,7 @@ impl<'a> AnalysisInput<'a> {
             ipc: None,
             sync: None,
             resync_cert: None,
-            protocols: None,
-            transports: None,
-            net_transports: None,
+            edges: None,
             resources: None,
             device: None,
         }
@@ -125,27 +135,10 @@ impl<'a> AnalysisInput<'a> {
         self
     }
 
-    /// Attaches the per-edge protocol decisions.
-    pub fn with_protocols(mut self, protocols: &'a HashMap<EdgeId, Protocol>) -> Self {
-        self.protocols = Some(protocols);
-        self
-    }
-
-    /// Declares the runtime transport allocated per edge (capacity and
-    /// largest framed message), enabling the SPI043 capacity check.
-    pub fn with_transports(mut self, transports: &'a HashMap<EdgeId, TransportDecl>) -> Self {
-        self.transports = Some(transports);
-        self
-    }
-
-    /// Declares the socket transports of a partitioned deployment: one
-    /// entry per cross-partition edge with the sender-side credit
-    /// window it was granted, enabling the SPI045 under-run check.
-    pub fn with_net_transports(
-        mut self,
-        net_transports: &'a HashMap<EdgeId, TransportDecl>,
-    ) -> Self {
-        self.net_transports = Some(net_transports);
+    /// Attaches the per-edge protocol decisions and transport
+    /// declarations, enabling the SPI040–SPI046 protocol lints.
+    pub fn with_edges(mut self, edges: &'a [EdgeDecl]) -> Self {
+        self.edges = Some(edges);
         self
     }
 

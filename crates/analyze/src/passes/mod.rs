@@ -40,7 +40,7 @@
 //! | SPI086 | error    | trace-check | a batched flush exceeded the channel's declared batching budget |
 //!
 //! The `SPI10x` range is reserved for the vector-clock happens-before
-//! checker in `spi-verify` (`spi-lint race-check`), which replays a
+//! checker in `spi_trace::race` (`spi-lint race-check`), which replays a
 //! captured trace and reports concurrency hazards:
 //!
 //! | Code   | Severity | Pass | Finding |

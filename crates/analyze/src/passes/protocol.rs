@@ -37,7 +37,7 @@ impl Pass for ProtocolLints {
     }
 
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
-        let (Some(ipc), Some(protocols)) = (input.ipc, input.protocols) else {
+        let (Some(ipc), Some(decls)) = (input.ipc, input.edges) else {
             return;
         };
 
@@ -46,9 +46,10 @@ impl Pass for ProtocolLints {
         // instance makes the whole edge unbounded.
         let bounds = ipc.buffer_bounds_by_edge();
 
-        let mut entries: Vec<_> = protocols.iter().collect();
-        entries.sort_by_key(|(id, _)| id.0);
-        for (&edge, &protocol) in entries {
+        let mut entries: Vec<_> = decls.iter().collect();
+        entries.sort_by_key(|d| d.edge);
+        for entry in entries {
+            let (edge, protocol) = (entry.edge, entry.protocol);
             let Some(&bound) = bounds.get(&edge) else {
                 // Not an IPC edge under this schedule; no protocol runs.
                 continue;
@@ -108,69 +109,67 @@ impl Pass for ProtocolLints {
             // SPI043: the runtime allocation must cover the statically
             // required bytes — bound tokens per iteration of drift ×
             // producer firings per iteration × framed message size.
-            if let (Some(decls), Some(b)) = (input.transports, bound) {
-                if let Some(decl) = decls.get(&edge) {
-                    let q_src = ipc
-                        .tasks()
-                        .iter()
-                        .filter(|t| t.firing.actor == e.src)
-                        .count() as u64;
-                    let required = b * q_src.max(1) * decl.message_bytes_max;
-                    if decl.capacity_bytes < required {
+            if let (Some(decl), Some(b)) = (entry.transport, bound) {
+                let q_src = ipc
+                    .tasks()
+                    .iter()
+                    .filter(|t| t.firing.actor == e.src)
+                    .count() as u64;
+                let required = b * q_src.max(1) * decl.message_bytes_max;
+                if decl.capacity_bytes < required {
+                    out.push(
+                        Diagnostic::new(
+                            "SPI043",
+                            Severity::Warning,
+                            Locus::Edge(edge),
+                            format!(
+                                "edge {edge} ({pair}) declares a transport of \
+                                 {} byte(s), below the eq. (2) requirement of \
+                                 {required} bytes ({b} token(s) × {} firing(s) × \
+                                 {} bytes/message); a self-timed run can block on a \
+                                 legally full buffer",
+                                decl.capacity_bytes,
+                                q_src.max(1),
+                                decl.message_bytes_max,
+                            ),
+                        )
+                        .with_suggestion(format!(
+                            "allocate at least {required} bytes for edge {edge}"
+                        )),
+                    );
+                }
+
+                // SPI044: a pointer-exchange transport moves slot
+                // indices, not bytes, so the channel's message
+                // capacity (eq. (2) bytes over eq. (1)-sized
+                // messages) is only reachable if the pool has a
+                // slot for every in-flight message.
+                if let Some(slots) = decl.pool_slots {
+                    let messages = decl
+                        .capacity_bytes
+                        .checked_div(decl.message_bytes_max)
+                        .unwrap_or(0);
+                    if slots < messages {
                         out.push(
                             Diagnostic::new(
-                                "SPI043",
+                                "SPI044",
                                 Severity::Warning,
                                 Locus::Edge(edge),
                                 format!(
-                                    "edge {edge} ({pair}) declares a transport of \
-                                     {} byte(s), below the eq. (2) requirement of \
-                                     {required} bytes ({b} token(s) × {} firing(s) × \
-                                     {} bytes/message); a self-timed run can block on a \
-                                     legally full buffer",
-                                    decl.capacity_bytes,
-                                    q_src.max(1),
-                                    decl.message_bytes_max,
+                                    "edge {edge} ({pair}) backs a pointer-exchange \
+                                     transport with {slots} pool slot(s), but its \
+                                     declared capacity holds {messages} eq. (1)-sized \
+                                     message(s) ({} bytes / {} bytes each); slot \
+                                     exhaustion stalls the sender before the eq. (2) \
+                                     bound is reached",
+                                    decl.capacity_bytes, decl.message_bytes_max,
                                 ),
                             )
                             .with_suggestion(format!(
-                                "allocate at least {required} bytes for edge {edge}"
+                                "size the pool to at least {messages} slot(s) for \
+                                 edge {edge}"
                             )),
                         );
-                    }
-
-                    // SPI044: a pointer-exchange transport moves slot
-                    // indices, not bytes, so the channel's message
-                    // capacity (eq. (2) bytes over eq. (1)-sized
-                    // messages) is only reachable if the pool has a
-                    // slot for every in-flight message.
-                    if let Some(slots) = decl.pool_slots {
-                        let messages = decl
-                            .capacity_bytes
-                            .checked_div(decl.message_bytes_max)
-                            .unwrap_or(0);
-                        if slots < messages {
-                            out.push(
-                                Diagnostic::new(
-                                    "SPI044",
-                                    Severity::Warning,
-                                    Locus::Edge(edge),
-                                    format!(
-                                        "edge {edge} ({pair}) backs a pointer-exchange \
-                                         transport with {slots} pool slot(s), but its \
-                                         declared capacity holds {messages} eq. (1)-sized \
-                                         message(s) ({} bytes / {} bytes each); slot \
-                                         exhaustion stalls the sender before the eq. (2) \
-                                         bound is reached",
-                                        decl.capacity_bytes, decl.message_bytes_max,
-                                    ),
-                                )
-                                .with_suggestion(format!(
-                                    "size the pool to at least {messages} slot(s) for \
-                                     edge {edge}"
-                                )),
-                            );
-                        }
                     }
                 }
             }
@@ -180,37 +179,35 @@ impl Pass for ProtocolLints {
             // in-memory buffer (SPI043), an undersized credit window is
             // invisible locally — each node's buffers look fine — so
             // the distributed deployment is called out explicitly.
-            if let (Some(decls), Some(b)) = (input.net_transports, bound) {
-                if let Some(decl) = decls.get(&edge) {
-                    let q_src = ipc
-                        .tasks()
-                        .iter()
-                        .filter(|t| t.firing.actor == e.src)
-                        .count() as u64;
-                    let required = b * q_src.max(1) * decl.message_bytes_max;
-                    if decl.capacity_bytes < required {
-                        out.push(
-                            Diagnostic::new(
-                                "SPI045",
-                                Severity::Warning,
-                                Locus::Edge(edge),
-                                format!(
-                                    "cross-partition edge {edge} ({pair}) grants a socket \
-                                     credit window of {} byte(s), below the eq. (2) \
-                                     requirement of {required} bytes ({b} token(s) × {} \
-                                     firing(s) × {} bytes/message); the sender can stall \
-                                     on exhausted credits inside a legal self-timed run",
-                                    decl.capacity_bytes,
-                                    q_src.max(1),
-                                    decl.message_bytes_max,
-                                ),
-                            )
-                            .with_suggestion(format!(
-                                "widen the credit window to at least {required} bytes \
-                                 for edge {edge}"
-                            )),
-                        );
-                    }
+            if let (Some(decl), Some(b)) = (entry.net_transport, bound) {
+                let q_src = ipc
+                    .tasks()
+                    .iter()
+                    .filter(|t| t.firing.actor == e.src)
+                    .count() as u64;
+                let required = b * q_src.max(1) * decl.message_bytes_max;
+                if decl.capacity_bytes < required {
+                    out.push(
+                        Diagnostic::new(
+                            "SPI045",
+                            Severity::Warning,
+                            Locus::Edge(edge),
+                            format!(
+                                "cross-partition edge {edge} ({pair}) grants a socket \
+                                 credit window of {} byte(s), below the eq. (2) \
+                                 requirement of {required} bytes ({b} token(s) × {} \
+                                 firing(s) × {} bytes/message); the sender can stall \
+                                 on exhausted credits inside a legal self-timed run",
+                                decl.capacity_bytes,
+                                q_src.max(1),
+                                decl.message_bytes_max,
+                            ),
+                        )
+                        .with_suggestion(format!(
+                            "widen the credit window to at least {required} bytes \
+                             for edge {edge}"
+                        )),
+                    );
                 }
             }
 
@@ -219,33 +216,30 @@ impl Pass for ProtocolLints {
             // beyond `window / c(e)` messages cannot fill before the
             // window itself forces a flush, so the configuration's
             // claimed amortization is unreachable.
-            if let Some(decls) = input.net_transports {
-                if let Some(decl) = decls.get(&edge) {
-                    if let Some(batch) = decl.batch_msgs {
-                        let window_msgs =
-                            (decl.capacity_bytes / decl.message_bytes_max.max(1)).max(1);
-                        if batch > window_msgs {
-                            out.push(
-                                Diagnostic::new(
-                                    "SPI046",
-                                    Severity::Warning,
-                                    Locus::Edge(edge),
-                                    format!(
-                                        "cross-partition edge {edge} ({pair}) configures a \
-                                         record batch of {batch} message(s), beyond the \
-                                         {window_msgs} message(s) its credit window admits \
-                                         ({} bytes / {} bytes per message); the window \
-                                         flushes every batch early and the configured \
-                                         amortization is never reached",
-                                        decl.capacity_bytes, decl.message_bytes_max,
-                                    ),
-                                )
-                                .with_suggestion(format!(
-                                    "cap the batch at {window_msgs} message(s) — half the \
-                                     window leaves credit for the next batch in flight"
-                                )),
-                            );
-                        }
+            if let Some(decl) = entry.net_transport {
+                if let Some(batch) = decl.batch_msgs {
+                    let window_msgs = (decl.capacity_bytes / decl.message_bytes_max.max(1)).max(1);
+                    if batch > window_msgs {
+                        out.push(
+                            Diagnostic::new(
+                                "SPI046",
+                                Severity::Warning,
+                                Locus::Edge(edge),
+                                format!(
+                                    "cross-partition edge {edge} ({pair}) configures a \
+                                     record batch of {batch} message(s), beyond the \
+                                     {window_msgs} message(s) its credit window admits \
+                                     ({} bytes / {} bytes per message); the window \
+                                     flushes every batch early and the configured \
+                                     amortization is never reached",
+                                    decl.capacity_bytes, decl.message_bytes_max,
+                                ),
+                            )
+                            .with_suggestion(format!(
+                                "cap the batch at {window_msgs} message(s) — half the \
+                                 window leaves credit for the next batch in flight"
+                            )),
+                        );
                     }
                 }
             }

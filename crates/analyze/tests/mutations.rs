@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use spi_analyze::{AnalysisInput, Analyzer, Severity};
+use spi_analyze::{AnalysisInput, Analyzer, EdgeDecl, Severity, TransportDecl};
 use spi_dataflow::{EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::{Device, ResourceEstimate};
 use spi_sched::{
@@ -37,7 +37,35 @@ struct Derived {
     vts: VtsConversion,
     ipc: IpcGraph,
     sync: SyncGraph,
-    protocols: HashMap<EdgeId, Protocol>,
+    /// One entry per IPC edge, ascending, with no transport declared.
+    edges: Vec<EdgeDecl>,
+}
+
+/// A generously sized, unbatched copying transport of 6-byte messages:
+/// no edge of these graphs can require more.
+const ROOMY: TransportDecl = TransportDecl {
+    capacity_bytes: 1 << 20,
+    message_bytes_max: 6,
+    pool_slots: None,
+    batch_msgs: None,
+};
+
+/// `edges` with transports declared: `transport(i)` for the i-th edge's
+/// in-memory channel, `net(i)` for its cross-partition socket.
+fn declare(
+    edges: &[EdgeDecl],
+    transport: impl Fn(usize) -> Option<TransportDecl>,
+    net: impl Fn(usize) -> Option<TransportDecl>,
+) -> Vec<EdgeDecl> {
+    edges
+        .iter()
+        .enumerate()
+        .map(|(i, e)| EdgeDecl {
+            transport: transport(i),
+            net_transport: net(i),
+            ..*e
+        })
+        .collect()
 }
 
 fn derive(
@@ -57,19 +85,28 @@ fn derive(
         .iter()
         .map(|(&via, &b)| (via, protocol_of(via, b)))
         .collect();
-    let protocols_view = protocols.clone();
     let sync = SyncGraph::from_ipc(&ipc, |e| {
         let IpcEdgeKind::Ipc { via } = e.kind else {
             unreachable!()
         };
-        protocols_view[&via]
+        protocols[&via]
     })
     .unwrap();
+    let mut edges: Vec<EdgeDecl> = protocols
+        .into_iter()
+        .map(|(edge, protocol)| EdgeDecl {
+            edge,
+            protocol,
+            transport: None,
+            net_transport: None,
+        })
+        .collect();
+    edges.sort_by_key(|e| e.edge);
     Derived {
         vts,
         ipc,
         sync,
-        protocols,
+        edges,
     }
 }
 
@@ -100,7 +137,7 @@ fn baseline_schedule_is_clean() {
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols),
+            .with_edges(&d.edges),
     );
     assert!(
         !report.has_errors(),
@@ -287,7 +324,7 @@ fn mutation_ubs_despite_bound_fires_spi040() {
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols),
+            .with_edges(&d.edges),
     );
     let spi040: Vec<_> = report.with_code("SPI040").collect();
     assert!(!spi040.is_empty(), "got: {}", report.render_human());
@@ -315,19 +352,23 @@ fn mutation_bbs_without_bound_fires_spi041() {
     // Declare BBS although the bound does not exist. (The sync graph is
     // built with UBS, since BBS feedback edges would be unconstructible.)
     let sync = SyncGraph::from_ipc(&ipc, |_| Protocol::Ubs { ack_window: 4 }).unwrap();
-    let mut protocols: HashMap<EdgeId, Protocol> = HashMap::new();
-    for e in ipc.ipc_edges() {
-        if let IpcEdgeKind::Ipc { via } = e.kind {
-            protocols.insert(via, Protocol::Bbs { capacity: 4 });
-        }
-    }
-    assert!(!protocols.is_empty(), "schedule must cross processors");
+    let edges: Vec<EdgeDecl> = ipc
+        .buffer_bounds_by_edge()
+        .into_keys()
+        .map(|edge| EdgeDecl {
+            edge,
+            protocol: Protocol::Bbs { capacity: 4 },
+            transport: None,
+            net_transport: None,
+        })
+        .collect();
+    assert!(!edges.is_empty(), "schedule must cross processors");
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&vts)
             .with_ipc(&ipc)
             .with_sync(&sync)
-            .with_protocols(&protocols),
+            .with_edges(&edges),
     );
     assert!(
         codes(&report).contains(&"SPI041"),
@@ -344,18 +385,21 @@ fn mutation_undersized_bbs_fires_spi042() {
     // edge — below the eq. (2) bound of >= 2 on the forward edge. (The
     // sync graph itself stays sound; only the declared FIFO sizing lies.)
     let d = derive(&g, 2, default_protocol);
-    let undersized: HashMap<EdgeId, Protocol> = d
-        .protocols
+    let undersized: Vec<EdgeDecl> = d
+        .edges
         .iter()
-        .map(|(&id, &p)| match p {
-            Protocol::Bbs { .. } => (id, Protocol::Bbs { capacity: 1 }),
-            other => (id, other),
+        .map(|e| match e.protocol {
+            Protocol::Bbs { .. } => EdgeDecl {
+                protocol: Protocol::Bbs { capacity: 1 },
+                ..*e
+            },
+            _ => *e,
         })
         .collect();
     assert!(
         undersized
-            .values()
-            .any(|p| matches!(p, Protocol::Bbs { .. })),
+            .iter()
+            .any(|e| matches!(e.protocol, Protocol::Bbs { .. })),
         "precondition: the schedule selects BBS somewhere"
     );
     let report = Analyzer::default_pipeline().run(
@@ -363,7 +407,7 @@ fn mutation_undersized_bbs_fires_spi042() {
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&undersized),
+            .with_edges(&undersized),
     );
     assert!(
         codes(&report).contains(&"SPI042"),
@@ -375,33 +419,20 @@ fn mutation_undersized_bbs_fires_spi042() {
 
 #[test]
 fn mutation_undersized_transport_fires_spi043() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
     // Declare one byte of runtime buffer for every edge — far below any
     // eq. (2) requirement — while the protocol choices stay sound.
-    let starved: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: None,
-                },
-            )
-        })
-        .collect();
+    let starved = TransportDecl {
+        capacity_bytes: 1,
+        ..ROOMY
+    };
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_transports(&starved),
+            .with_edges(&declare(&d.edges, |_| Some(starved), |_| None)),
     );
     let spi043: Vec<_> = report.with_code("SPI043").collect();
     assert!(!spi043.is_empty(), "got: {}", report.render_human());
@@ -414,32 +445,14 @@ fn mutation_undersized_transport_fires_spi043() {
 
 #[test]
 fn adequately_sized_transport_stays_clean_of_spi043() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
-    // Generously sized: no edge can require more than this.
-    let roomy: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: None,
-                },
-            )
-        })
-        .collect();
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_transports(&roomy),
+            .with_edges(&declare(&d.edges, |_| Some(ROOMY), |_| None)),
     );
     assert!(
         !codes(&report).contains(&"SPI043"),
@@ -450,34 +463,21 @@ fn adequately_sized_transport_stays_clean_of_spi043() {
 
 #[test]
 fn mutation_starved_pointer_pool_fires_spi044() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
     // The byte capacity is generous (SPI043 stays quiet), but the
     // pointer-exchange pool declares a single slot — far below the
     // `capacity / message` count the channel is supposed to hold.
-    let starved_pool: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: Some(1),
-                    batch_msgs: None,
-                },
-            )
-        })
-        .collect();
+    let starved_pool = TransportDecl {
+        pool_slots: Some(1),
+        ..ROOMY
+    };
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_transports(&starved_pool),
+            .with_edges(&declare(&d.edges, |_| Some(starved_pool), |_| None)),
     );
     let spi044: Vec<_> = report.with_code("SPI044").collect();
     assert!(!spi044.is_empty(), "got: {}", report.render_human());
@@ -494,39 +494,23 @@ fn mutation_starved_pointer_pool_fires_spi044() {
 
 #[test]
 fn matching_pointer_pool_stays_clean_of_spi044() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
     // PointerTransport::new's sizing rule: one slot per message the
     // declared capacity holds. Also covers copying transports, which
     // declare no pool at all.
-    let sized: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .enumerate()
-        .map(|(i, &id)| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: if i % 2 == 0 {
-                        Some((1 << 20) / 6)
-                    } else {
-                        None
-                    },
-                    batch_msgs: None,
-                },
-            )
+    let sized = |i: usize| {
+        Some(TransportDecl {
+            pool_slots: i.is_multiple_of(2).then_some((1 << 20) / 6),
+            ..ROOMY
         })
-        .collect();
+    };
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_transports(&sized),
+            .with_edges(&declare(&d.edges, sized, |_| None)),
     );
     assert!(
         !codes(&report).contains(&"SPI044"),
@@ -537,49 +521,20 @@ fn matching_pointer_pool_stays_clean_of_spi044() {
 
 #[test]
 fn mutation_starved_credit_window_fires_spi045() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
     // The in-memory transports are generous (SPI043 quiet), but the
     // cross-partition socket edges grant a one-byte credit window.
-    let roomy: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: None,
-                },
-            )
-        })
-        .collect();
-    let starved_net: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: None,
-                },
-            )
-        })
-        .collect();
+    let starved_net = TransportDecl {
+        capacity_bytes: 1,
+        ..ROOMY
+    };
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_transports(&roomy)
-            .with_net_transports(&starved_net),
+            .with_edges(&declare(&d.edges, |_| Some(ROOMY), |_| Some(starved_net))),
     );
     let spi045: Vec<_> = report.with_code("SPI045").collect();
     assert!(!spi045.is_empty(), "got: {}", report.render_human());
@@ -596,31 +551,14 @@ fn mutation_starved_credit_window_fires_spi045() {
 
 #[test]
 fn adequate_credit_window_stays_clean_of_spi045() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
-    let roomy: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: None,
-                },
-            )
-        })
-        .collect();
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_net_transports(&roomy),
+            .with_edges(&declare(&d.edges, |_| None, |_| Some(ROOMY))),
     );
     assert!(
         !codes(&report).contains(&"SPI045"),
@@ -631,34 +569,21 @@ fn adequate_credit_window_stays_clean_of_spi045() {
 
 #[test]
 fn mutation_oversized_batch_fires_spi046() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
     // A generous credit window (SPI045 quiet) of 1 MiB / 6-byte
     // messages, but the batch claims more records than the window can
     // ever hold in flight.
-    let over_batched: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .map(|&id| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: Some(((1u64 << 20) / 6) + 1),
-                },
-            )
-        })
-        .collect();
+    let over_batched = TransportDecl {
+        batch_msgs: Some(((1u64 << 20) / 6) + 1),
+        ..ROOMY
+    };
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_net_transports(&over_batched),
+            .with_edges(&declare(&d.edges, |_| None, |_| Some(over_batched))),
     );
     let spi046: Vec<_> = report.with_code("SPI046").collect();
     assert!(!spi046.is_empty(), "got: {}", report.render_human());
@@ -675,38 +600,22 @@ fn mutation_oversized_batch_fires_spi046() {
 
 #[test]
 fn window_bounded_batch_stays_clean_of_spi046() {
-    use spi_analyze::TransportDecl;
     let g = bounded_graph();
     let d = derive(&g, 2, default_protocol);
     // Batches at (and below) the window's message capacity are sound;
     // unbatched transports declare nothing at all.
-    let bounded: HashMap<EdgeId, TransportDecl> = d
-        .protocols
-        .keys()
-        .enumerate()
-        .map(|(i, &id)| {
-            (
-                id,
-                TransportDecl {
-                    capacity_bytes: 1 << 20,
-                    message_bytes_max: 6,
-                    pool_slots: None,
-                    batch_msgs: if i % 2 == 0 {
-                        Some((1u64 << 20) / 6 / 2)
-                    } else {
-                        None
-                    },
-                },
-            )
+    let bounded = |i: usize| {
+        Some(TransportDecl {
+            batch_msgs: i.is_multiple_of(2).then_some((1u64 << 20) / 6 / 2),
+            ..ROOMY
         })
-        .collect();
+    };
     let report = Analyzer::default_pipeline().run(
         &AnalysisInput::new(&g)
             .with_vts(&d.vts)
             .with_ipc(&d.ipc)
             .with_sync(&d.sync)
-            .with_protocols(&d.protocols)
-            .with_net_transports(&bounded),
+            .with_edges(&declare(&d.edges, |_| None, bounded)),
     );
     assert!(
         !codes(&report).contains(&"SPI046"),

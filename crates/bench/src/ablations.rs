@@ -3,7 +3,9 @@
 use spi::{SchedulingMode, SpiSystemBuilder};
 use spi_apps::{ErrorStageApp, ErrorStageConfig, PrognosisApp, PrognosisConfig};
 use spi_dataflow::LengthSignal;
-use spi_platform::{ChannelSpec, Machine, MpiEndpoint, Program};
+use spi_platform::{ChannelSpec, Machine, Program};
+
+use crate::mpi::MpiEndpoint;
 
 /// One ablation comparison: a label plus the two measured values.
 #[derive(Debug, Clone, PartialEq)]

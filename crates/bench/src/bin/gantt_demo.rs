@@ -1,8 +1,11 @@
-//! Prints a textual Gantt trace of a small 2-PE error-stage run — shows
-//! the SPI actors, waits and transfers cycle by cycle.
+//! Prints a textual Gantt chart of a small 2-PE error-stage run — one
+//! row per PE, `#` where it is inside a firing.
+
+use std::sync::Arc;
 
 use spi::SpiSystemBuilder;
 use spi_apps::{ErrorStageApp, ErrorStageConfig};
+use spi_trace::{render_gantt, ClockKind, RingTracer};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = ErrorStageApp::new(ErrorStageConfig {
@@ -11,14 +14,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         order: 4,
         ..Default::default()
     })?;
+    let ring = Arc::new(RingTracer::with_default_capacity(3));
     let mut builder = SpiSystemBuilder::new(app.graph.clone());
     app.configure(&mut builder);
     builder.iterations(2);
-    builder.trace(true);
+    builder.tracer(ring.clone());
     let system = app.build_with(builder)?;
+    let meta = system.trace_meta(ClockKind::Cycles);
     let report = system.run()?;
     println!("Gantt trace — 2-PE error stage, 2 frames\n");
-    println!("{}", report.sim.render_gantt());
+    println!("{}", render_gantt(&ring.finish(meta), 72));
     println!("makespan: {} cycles", report.sim.makespan_cycles);
     Ok(())
 }

@@ -14,7 +14,7 @@
 //! emitting the `SPI080`–`SPI085` runtime diagnostics.
 //!
 //! The `race-check` subcommand replays the same trace files through the
-//! vector-clock happens-before checker in `spi-verify`, emitting the
+//! vector-clock happens-before checker in `spi_trace::race`, emitting the
 //! `SPI100`–`SPI106` concurrency diagnostics (unordered accesses,
 //! premature receives, unsynchronized buffer-slot reuse).
 //!
@@ -30,7 +30,7 @@
 use std::collections::HashMap;
 use std::process::ExitCode;
 
-use spi_analyze::{AnalysisInput, Analyzer};
+use spi_analyze::{AnalysisInput, Analyzer, EdgeDecl};
 use spi_dataflow::dif::from_dif;
 use spi_dataflow::{EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_sched::{
@@ -103,7 +103,7 @@ struct ScheduleArtifacts {
     ipc: IpcGraph,
     sync: SyncGraph,
     resync_cert: Option<spi_sched::ResyncCertificate>,
-    protocols: HashMap<EdgeId, Protocol>,
+    edges: Vec<EdgeDecl>,
 }
 
 fn derive_schedule(
@@ -121,23 +121,8 @@ fn derive_schedule(
     let ipc = IpcGraph::build(&cg, &pg, &st).map_err(|e| e.to_string())?;
 
     // eq. (2) bound per edge, folded with MAX; one unbounded instance
-    // forces UBS (same rule as the system builder).
-    let mut bounds: HashMap<EdgeId, Option<u64>> = HashMap::new();
-    for e in ipc.ipc_edges() {
-        let IpcEdgeKind::Ipc { via } = e.kind else {
-            continue;
-        };
-        let instance = ipc.ipc_buffer_bound_tokens(e);
-        bounds
-            .entry(via)
-            .and_modify(|acc| {
-                *acc = match (*acc, instance) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    _ => None,
-                }
-            })
-            .or_insert(instance);
-    }
+    // forces UBS (the fold the system builder uses).
+    let bounds = ipc.buffer_bounds_by_edge();
     let mut max_delay: HashMap<EdgeId, u64> = HashMap::new();
     for e in ipc.ipc_edges() {
         if let IpcEdgeKind::Ipc { via } = e.kind {
@@ -161,12 +146,11 @@ fn derive_schedule(
         })
         .collect();
 
-    let protocols_view = protocols.clone();
     let mut sync = SyncGraph::from_ipc(&ipc, |e| {
         let IpcEdgeKind::Ipc { via } = e.kind else {
             unreachable!("protocol_of is only called for IPC edges")
         };
-        match protocols_view[&via] {
+        match protocols[&via] {
             Protocol::Ubs { .. } => Protocol::Ubs { ack_window: 1 },
             bbs => bbs,
         }
@@ -184,7 +168,15 @@ fn derive_schedule(
         ipc,
         sync,
         resync_cert,
-        protocols,
+        edges: protocols
+            .into_iter()
+            .map(|(edge, protocol)| EdgeDecl {
+                edge,
+                protocol,
+                transport: None,
+                net_transport: None,
+            })
+            .collect(),
     })
 }
 
@@ -214,7 +206,7 @@ fn lint_file(path: &str, opts: &Options) -> Result<spi_analyze::AnalysisReport, 
                     .with_signal(signal)
                     .with_ipc(&art.ipc)
                     .with_sync(&art.sync)
-                    .with_protocols(&art.protocols);
+                    .with_edges(&art.edges);
                 if let Some(cert) = &art.resync_cert {
                     input = input.with_resync_cert(cert);
                 }
@@ -364,7 +356,7 @@ fn race_check(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let report = spi_verify::race_check(&trace);
+        let report = spi_trace::race::race_check(&trace);
         any_error |= report.has_errors();
         if json {
             let diags: Vec<String> = report

@@ -2,8 +2,8 @@
 //!
 //! One function per experiment of the DATE 2008 SPI paper, plus the
 //! ablations called out in `DESIGN.md`. Each `fig*`/`table*` binary in
-//! `src/bin/` prints the corresponding rows; the Criterion benches in
-//! `benches/` micro-benchmark the underlying machinery.
+//! `src/bin/` prints the corresponding rows. Timings come from the
+//! repository's `benchmark/` (see `BENCHMARK.json`), not from here.
 //!
 //! | Paper artifact | Function | Binary |
 //! |---|---|---|
@@ -35,6 +35,7 @@
 
 pub mod ablations;
 pub mod figures;
+pub mod mpi;
 pub mod tables;
 
 pub use ablations::{

@@ -16,13 +16,12 @@
 //! request/clear-to-send exchange first.
 //!
 //! Because the lowering targets plain [`Op`] sequences, MPI transfers
-//! are observable through the [`crate::Tracer`] probe machinery with no
+//! are observable through the [`spi_platform::Tracer`] probe machinery with no
 //! extra instrumentation: the `mpi:marshal` / `mpi:match` computes
 //! appear as firings and the envelope/control/payload messages as
 //! ordinary send/receive events on whichever engine executes them.
 
-use crate::error::{PlatformError, Result};
-use crate::sim::{ChannelId, Op, PeLocal};
+use spi_platform::{ChannelId, Op, PeLocal, PlatformError, Result};
 
 /// Size of a full MPI envelope in bytes:
 /// source (4) + dest (4) + tag (4) + datatype (4) + length (4) + comm (4).
@@ -212,7 +211,7 @@ impl MpiEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{ChannelSpec, Machine, Program};
+    use spi_platform::{ChannelSpec, Machine, Program};
 
     #[test]
     fn eager_transfer_carries_envelope_overhead() {

@@ -13,8 +13,7 @@
 //!   [`transport::BatchParams`] the sender coalesces up to `batch_max`
 //!   records into one write (on the wire no later than the liveness
 //!   contract in [`transport`] says), and the receiver returns credit
-//!   in cumulative acks
-//!   ([`transport::AckPolicy`]) — the runtime analogue of the paper's
+//!   in cumulative acks paced by the same parameters — the runtime analogue of the paper's
 //!   §4 resynchronization, trading per-message acknowledgement traffic
 //!   for one byte-accurate cumulative grant.
 //! * **[`node`]** lowers a partition-annotated
@@ -53,6 +52,4 @@ pub use launcher::{
 pub use merge::{merge_node_traces, NodeTrace};
 pub use node::{build_endpoints, deploy, socket_path, ChannelRole, Deployment};
 pub use stream::NetStream;
-pub use transport::{
-    loopback, loopback_with, AckPolicy, BatchParams, NetListener, NetReceiver, NetSender,
-};
+pub use transport::{loopback, loopback_with, BatchParams, NetListener, NetReceiver, NetSender};

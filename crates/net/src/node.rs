@@ -28,7 +28,7 @@ use spi_platform::{
 use spi_sched::{Partition, ProcId};
 
 use crate::error::NetError;
-use crate::transport::{AckPolicy, BatchParams, NetReceiver, NetSender};
+use crate::transport::{BatchParams, NetReceiver, NetSender};
 
 /// The two processors a channel connects (data channels run
 /// producer→consumer; UBS acknowledgement channels run the reverse).
@@ -52,7 +52,7 @@ pub struct Deployment {
     /// applied at endpoint construction), indexed by `ChannelId`.
     pub specs: Vec<ChannelSpec>,
     /// Per-channel batching parameters lowered from the schedule
-    /// ([`spi::SpiSystem::batch_plans`]), indexed by `ChannelId`.
+    /// ([`spi::EdgePlan::batch`]), indexed by `ChannelId`.
     /// [`BatchParams::disabled`] for ack channels and edges whose
     /// credit window is too small to amortize.
     pub batches: Vec<BatchParams>,
@@ -72,59 +72,37 @@ pub struct Deployment {
 /// belongs to no edge plan (a builder invariant violation).
 pub fn deploy(system: SpiSystem) -> Result<Deployment, NetError> {
     let partition = system.partition().cloned().ok_or(NetError::Unpartitioned)?;
-    let mut role_of: Vec<Option<ChannelRole>> = Vec::new();
-    let mut set = |ch: usize, role: ChannelRole| {
-        if role_of.len() <= ch {
-            role_of.resize(ch + 1, None);
-        }
-        role_of[ch] = Some(role);
-    };
-    let mut batch_of: Vec<BatchParams> = Vec::new();
-    for (eid, plan) in system.edge_plans() {
-        set(
-            plan.data_ch.0,
-            ChannelRole {
-                sender: plan.src_proc,
-                receiver: plan.dst_proc,
-            },
-        );
-        if let Some(p) = system.batch_plans().get(eid) {
-            if p.is_batched() {
-                let ch = plan.data_ch.0;
-                if batch_of.len() <= ch {
-                    batch_of.resize(ch + 1, BatchParams::disabled());
-                }
-                batch_of[ch] = BatchParams {
-                    max_msgs: p.max_msgs as usize,
-                    flush_after: p.flush_after,
-                };
-            }
-        }
+    let mut ends: Vec<(usize, ChannelRole, BatchParams)> = Vec::new();
+    for plan in system.edge_plans().values() {
+        let data = ChannelRole {
+            sender: plan.src_proc,
+            receiver: plan.dst_proc,
+        };
+        let batch = plan.batch.map_or(BatchParams::disabled(), Into::into);
+        ends.push((plan.data_ch.0, data, batch));
         if let Some(ack) = plan.ack_ch {
-            set(
-                ack.0,
-                ChannelRole {
-                    sender: plan.dst_proc,
-                    receiver: plan.src_proc,
-                },
-            );
+            let back = ChannelRole {
+                sender: plan.dst_proc,
+                receiver: plan.src_proc,
+            };
+            ends.push((ack.0, back, BatchParams::disabled()));
         }
     }
     let (specs, programs) = system.into_parts();
-    if role_of.len() < specs.len() {
-        role_of.resize(specs.len(), None);
+    // Every channel of the machine belongs to exactly one plan: sorted
+    // by id, the collected endpoints read 0, 1, 2, ….
+    ends.sort_by_key(|&(ch, ..)| ch);
+    if let Some(ch) = (0..specs.len()).find(|&i| ends.get(i).map(|e| e.0) != Some(i)) {
+        return Err(NetError::UncoveredChannel(ch));
     }
-    let roles = role_of
+    let (roles, batches): (Vec<ChannelRole>, Vec<BatchParams>) = ends
         .into_iter()
-        .enumerate()
-        .map(|(i, r)| r.ok_or(NetError::UncoveredChannel(i)))
-        .collect::<Result<Vec<_>, _>>()?;
+        .map(|(_, role, batch)| (role, batch))
+        .unzip();
     for role in &roles {
         partition.node_of(role.sender)?;
         partition.node_of(role.receiver)?;
     }
-    let mut batches = batch_of;
-    batches.resize(specs.len(), BatchParams::disabled());
     Ok(Deployment {
         partition,
         roles,
@@ -179,8 +157,8 @@ pub fn socket_path(dir: &Path, ch: usize) -> PathBuf {
 /// expects of pre-built endpoints.
 ///
 /// Cross-partition channels with a batched entry in
-/// [`Deployment::batches`] get the coalescing sender and the matching
-/// [`AckPolicy`]; when `tracer` is given, each batched sender records a
+/// [`Deployment::batches`] get the coalescing sender and a receiver
+/// acknowledging at the matching rate; when `tracer` is given, each batched sender records a
 /// [`spi_platform::ProbeKind::BatchFlush`] probe per flush, stamped with
 /// the local PE that runs the sending processor (so merged traces pass
 /// the SPI086 budget check).
@@ -213,8 +191,7 @@ pub fn build_endpoints(
         let s_node = d.partition.node_of(role.sender)?;
         let r_node = d.partition.node_of(role.receiver)?;
         if r_node == node && s_node != node {
-            let policy = AckPolicy::for_batch(&eff[ch], d.batches[ch]);
-            let bound = NetReceiver::bind_with(&socket_path(dir, ch), &eff[ch], policy)?;
+            let bound = NetReceiver::bind_with(&socket_path(dir, ch), &eff[ch], d.batches[ch])?;
             listeners.push((ch, bound));
         }
     }

@@ -42,9 +42,9 @@
 //! acknowledgements at compile time; this transport applies the same
 //! idea at runtime. With [`BatchParams`] a sender stages up to
 //! `max_msgs` records per write — debiting credits at append, so the
-//! eq. (2) accounting is untouched — and with [`AckPolicy`] the receiver
-//! acknowledges every `every_msgs` consumptions or at a byte low-water
-//! mark. No runtime feedback tells a sender that its peer is waiting; a
+//! eq. (2) accounting is untouched — and the receiver of a batched edge
+//! acknowledges every `max_msgs` consumptions or at the half-window
+//! byte mark. No runtime feedback tells a sender that its peer is waiting; a
 //! staged record is on the wire by the **earliest** of:
 //!
 //! | trigger | [`FlushReason`] |
@@ -210,43 +210,45 @@ impl Default for BatchParams {
     }
 }
 
-/// Receiver-side credit-acknowledgement coalescing policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AckPolicy {
+impl From<spi_sched::BatchPlan> for BatchParams {
+    /// The schedule's plan for an edge, in this transport's units.
+    fn from(plan: spi_sched::BatchPlan) -> Self {
+        BatchParams {
+            max_msgs: plan.max_msgs as usize,
+            flush_after: plan.flush_after,
+        }
+    }
+}
+
+/// Receiver-side credit-acknowledgement coalescing, derived from the
+/// edge's [`BatchParams`] (the sender's batch decides how often credit
+/// has to come back, so there is nothing to configure separately).
+#[derive(Debug, Clone, Copy)]
+struct AckPolicy {
     /// Emit a cumulative ack after this many consumptions.
-    pub every_msgs: usize,
+    every_msgs: usize,
     /// ... or as soon as the accumulated un-acked bytes reach this
     /// low-water mark, whichever comes first. Half the credit window
     /// keeps the sender from ever draining completely while the
     /// receiver is making progress.
-    pub low_water_bytes: usize,
+    low_water_bytes: usize,
 }
 
 impl AckPolicy {
-    /// The legacy policy: one ack per consumed message.
-    pub fn immediate() -> AckPolicy {
-        AckPolicy {
-            every_msgs: 1,
-            low_water_bytes: 0,
-        }
-    }
-
     /// The policy matched to a sender batching under `batch`: ack every
-    /// `batch.max_msgs` consumptions or at the half-window byte mark.
-    pub fn for_batch(spec: &ChannelSpec, batch: BatchParams) -> AckPolicy {
+    /// `batch.max_msgs` consumptions or at the half-window byte mark;
+    /// one ack per consumed message when the sender does not batch.
+    fn for_batch(spec: &ChannelSpec, batch: BatchParams) -> AckPolicy {
         if !batch.is_batched() {
-            return AckPolicy::immediate();
+            return AckPolicy {
+                every_msgs: 1,
+                low_water_bytes: 0,
+            };
         }
         AckPolicy {
             every_msgs: batch.max_msgs,
             low_water_bytes: effective_capacity(spec) / 2,
         }
-    }
-}
-
-impl Default for AckPolicy {
-    fn default() -> Self {
-        AckPolicy::immediate()
     }
 }
 
@@ -930,8 +932,8 @@ impl<S: NetStream> ReceiverState<S> {
 ///
 /// Runs no thread: the consuming thread reads the socket into the
 /// endpoint's read-ahead buffer, and consuming a message accumulates
-/// credit that is returned to the sender per the endpoint's
-/// [`AckPolicy`]. Generic over the underlying byte stream
+/// credit that is returned to the sender at the rate the edge's
+/// [`BatchParams`] imply. Generic over the underlying byte stream
 /// ([`NetStream`]): real deployments use the `UnixStream` default,
 /// `spi-sim` substitutes a deterministic in-memory pair.
 pub struct NetReceiver<S: NetStream = UnixStream> {
@@ -947,21 +949,26 @@ pub struct NetListener {
     listener: UnixListener,
     path: PathBuf,
     spec: ChannelSpec,
-    ack: AckPolicy,
+    batch: BatchParams,
 }
 
 impl NetReceiver {
-    /// Binds a listener at `path`, which must not exist yet.
+    /// Binds a listener at `path`, which must not exist yet, for an
+    /// edge whose sender batches under `batch`.
     ///
     /// # Errors
     ///
     /// Any bind error.
-    pub fn bind_with(path: &Path, spec: &ChannelSpec, ack: AckPolicy) -> io::Result<NetListener> {
+    pub fn bind_with(
+        path: &Path,
+        spec: &ChannelSpec,
+        batch: BatchParams,
+    ) -> io::Result<NetListener> {
         Ok(NetListener {
             listener: UnixListener::bind(path)?,
             path: path.to_path_buf(),
             spec: *spec,
-            ack,
+            batch,
         })
     }
 }
@@ -976,7 +983,9 @@ impl NetListener {
     /// Any accept error.
     pub fn accept(self) -> io::Result<NetReceiver> {
         let (stream, _) = self.listener.accept()?;
-        Ok(NetReceiver::from_stream_with(stream, &self.spec, self.ack))
+        Ok(NetReceiver::from_stream_with(
+            stream, &self.spec, self.batch,
+        ))
     }
 }
 
@@ -988,16 +997,14 @@ impl Drop for NetListener {
 
 impl<S: NetStream> NetReceiver<S> {
     /// Wraps an already-connected stream (socketpair loopback,
-    /// `spi-sim`), acknowledging under `ack`.
-    pub fn from_stream_with(stream: S, spec: &ChannelSpec, ack: AckPolicy) -> NetReceiver<S> {
+    /// `spi-sim`), acknowledging at the rate the sender's `batch`
+    /// needs its credit back.
+    pub fn from_stream_with(stream: S, spec: &ChannelSpec, batch: BatchParams) -> NetReceiver<S> {
         let (capacity, max_msg) = (effective_capacity(spec), spec.max_message_bytes.max(1));
         NetReceiver {
             capacity,
             max_msg,
-            ack_policy: AckPolicy {
-                every_msgs: ack.every_msgs.max(1),
-                ..ack
-            },
+            ack_policy: AckPolicy::for_batch(spec, batch),
             state: Mutex::labeled(
                 ReceiverState {
                     stream,
@@ -1130,9 +1137,8 @@ pub fn loopback(spec: &ChannelSpec) -> io::Result<(NetSender, NetReceiver)> {
 }
 
 /// [`loopback`] with the batched fast path: the sender coalesces under
-/// `batch` and the receiver acks under the matched
-/// [`AckPolicy::for_batch`] policy. The `fir2k_net` benchmark's
-/// configuration.
+/// `batch` and the receiver acks at the matching rate. The
+/// `fir2k_net` benchmark's configuration.
 pub fn loopback_with(
     spec: &ChannelSpec,
     batch: BatchParams,
@@ -1140,6 +1146,6 @@ pub fn loopback_with(
     let (a, b) = UnixStream::pair()?;
     Ok((
         NetSender::from_stream_with(a, spec, batch)?,
-        NetReceiver::from_stream_with(b, spec, AckPolicy::for_batch(spec, batch)),
+        NetReceiver::from_stream_with(b, spec, batch),
     ))
 }

@@ -51,7 +51,7 @@ fn two_process_run_is_byte_identical_and_trace_conformant() {
         "trace-check on merged trace:\n{}",
         report.render_human()
     );
-    let races = spi_verify::race_check(&trace);
+    let races = spi_trace::race::race_check(&trace);
     assert!(
         !races.has_errors(),
         "race-check on merged trace:\n{}",
@@ -119,7 +119,7 @@ fn batched_two_process_run_passes_both_checkers() {
         "trace-check on batched merged trace:\n{}",
         report.render_human()
     );
-    let races = spi_verify::race_check(&trace);
+    let races = spi_trace::race::race_check(&trace);
     assert!(
         !races.has_errors(),
         "race-check on batched merged trace:\n{}",
@@ -130,7 +130,7 @@ fn batched_two_process_run_passes_both_checkers() {
 #[test]
 fn supervised_two_process_run_stays_identical() {
     let trace = run_launch(&["--supervised"], "e2e_supervised.trace");
-    let races = spi_verify::race_check(&trace);
+    let races = spi_trace::race::race_check(&trace);
     assert!(
         !races.has_errors(),
         "race-check on supervised merged trace:\n{}",

@@ -10,9 +10,7 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use spi_net::wire::{read_record, write_record};
-use spi_net::{
-    loopback, loopback_with, socket_path, AckPolicy, BatchParams, NetReceiver, NetSender,
-};
+use spi_net::{loopback, loopback_with, socket_path, BatchParams, NetReceiver, NetSender};
 use spi_platform::{
     decode_frame, encode_frame_into, ChannelSpec, FrameError, Transport, TransportError,
     FRAME_HEADER_BYTES,
@@ -131,7 +129,7 @@ fn bind_and_connect_establish_across_a_filesystem_socket() {
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = socket_path(&dir, 0);
     let s = spec(1024, 128);
-    let bound = NetReceiver::bind_with(&path, &s, AckPolicy::immediate()).expect("bind");
+    let bound = NetReceiver::bind_with(&path, &s, BatchParams::disabled()).expect("bind");
     let tx = NetSender::connect_with(&path, &s, BatchParams::disabled()).expect("connect");
     let rx = bound.accept().expect("accept");
     assert!(!path.exists(), "the path is needed only until the accept");
@@ -359,7 +357,7 @@ fn eight_batched_edges_run_on_at_most_one_helper_thread() {
 #[test]
 fn a_corrupt_length_prefix_closes_the_channel_instead_of_allocating() {
     let (mut raw, ours) = UnixStream::pair().expect("socketpair");
-    let rx = NetReceiver::from_stream_with(ours, &spec(256, 64), AckPolicy::immediate());
+    let rx = NetReceiver::from_stream_with(ours, &spec(256, 64), BatchParams::disabled());
     // One good record, then a prefix claiming 200 MiB on a channel
     // whose messages are at most 64 bytes.
     write_record(&mut raw, b"fine").expect("good record");
@@ -449,7 +447,7 @@ fn batched_endpoints_interoperate_across_a_filesystem_socket() {
     let path = socket_path(&dir, 1);
     let s = spec(1024, 128);
     let b = batch(4, Duration::from_millis(10));
-    let bound = NetReceiver::bind_with(&path, &s, AckPolicy::for_batch(&s, b)).expect("bind");
+    let bound = NetReceiver::bind_with(&path, &s, b).expect("bind");
     let tx = NetSender::connect_with(&path, &s, b).expect("connect");
     let rx = bound.accept().expect("accept");
     for i in 0..16u8 {

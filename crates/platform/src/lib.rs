@@ -10,8 +10,6 @@
 //!   simultaneously functional and timed;
 //! * [`ChannelSpec`] — FIFO capacity, word width, wire latency and
 //!   per-message occupancy;
-//! * [`MpiEndpoint`] — a faithful generic-MPI baseline (envelopes,
-//!   matching, rendezvous) that SPI is compared against;
 //! * [`ResourceEstimate`] / [`Device`] — the additive area model standing
 //!   in for ISE synthesis reports (tables 1–2);
 //! * [`Transport`] / [`LockedTransport`] / [`RingTransport`] — pluggable
@@ -59,7 +57,6 @@
 mod error;
 #[cfg(feature = "verify-shim")]
 pub mod model;
-mod mpi;
 mod pool;
 mod resource;
 mod runner;
@@ -70,10 +67,6 @@ mod trace;
 mod transport;
 
 pub use error::{BlockKind, BlockedOp, PlatformError, Result};
-pub use mpi::{
-    MpiConfig, MpiEndpoint, CONTROL_BYTES, EAGER_LIMIT_BYTES, ENVELOPE_BYTES, MARSHAL_CYCLES,
-    MATCH_CYCLES,
-};
 pub use pool::{BufferPool, Token, TokenBuf};
 pub use resource::{components, Device, ResourceEstimate, ResourcePercent};
 pub use runner::{
@@ -81,8 +74,7 @@ pub use runner::{
 };
 pub use sim::{
     BusSpec, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op, OrderedBusSpec,
-    PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, TraceEvent, TraceKind,
-    WaitFn,
+    PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn,
 };
 pub use supervise::{
     crc32, decode_frame, encode_frame_into, framed_spec, DegradePolicy, FrameError,

@@ -242,44 +242,6 @@ pub struct PeStats {
     pub finish_cycle: u64,
 }
 
-/// One recorded simulation event (tracing must be enabled via
-/// [`Machine::enable_trace`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Simulation cycle.
-    pub cycle: u64,
-    /// PE the event belongs to.
-    pub pe: PeId,
-    /// What happened.
-    pub kind: TraceKind,
-}
-
-/// Kinds of trace events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A compute op started; carries its label and duration.
-    Compute {
-        /// The op's label.
-        label: String,
-        /// Cycles it will occupy.
-        cycles: u64,
-    },
-    /// A message entered a channel.
-    Send {
-        /// Destination channel.
-        channel: ChannelId,
-        /// Payload bytes.
-        bytes: usize,
-    },
-    /// A message was taken from a channel.
-    Recv {
-        /// Source channel.
-        channel: ChannelId,
-        /// Payload bytes.
-        bytes: usize,
-    },
-}
-
 /// Result of a completed simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
@@ -291,40 +253,6 @@ pub struct SimReport {
     pub channels: Vec<ChannelStats>,
     /// Final local state of each PE (for functional checks).
     pub locals: Vec<PeLocalSnapshot>,
-    /// Recorded events, empty unless tracing was enabled.
-    pub trace: Vec<TraceEvent>,
-}
-
-impl SimReport {
-    /// Renders the trace as a per-PE activity listing — a textual Gantt
-    /// chart. Empty string when tracing was off.
-    pub fn render_gantt(&self) -> String {
-        let mut out = String::new();
-        for (i, _) in self.pe.iter().enumerate() {
-            let events: Vec<&TraceEvent> = self.trace.iter().filter(|e| e.pe.0 == i).collect();
-            if events.is_empty() {
-                continue;
-            }
-            out.push_str(&format!("pe{i}:\n"));
-            for e in events {
-                match &e.kind {
-                    TraceKind::Compute { label, cycles } => out.push_str(&format!(
-                        "  [{:>8}..{:>8}] {}\n",
-                        e.cycle,
-                        e.cycle + cycles,
-                        label
-                    )),
-                    TraceKind::Send { channel, bytes } => {
-                        out.push_str(&format!("  [{:>8}] send {bytes} B -> {channel}\n", e.cycle))
-                    }
-                    TraceKind::Recv { channel, bytes } => {
-                        out.push_str(&format!("  [{:>8}] recv {bytes} B <- {channel}\n", e.cycle))
-                    }
-                }
-            }
-        }
-        out
-    }
 }
 
 /// Snapshot of a PE's local memory after simulation.
@@ -380,7 +308,6 @@ pub struct Machine {
     channels: Vec<ChannelSpec>,
     programs: Vec<Program>,
     budget_cycles: u64,
-    trace: bool,
     tracer: Option<Arc<dyn Tracer>>,
     bus: Option<BusSpec>,
     ordered_bus: Option<OrderedBusSpec>,
@@ -424,24 +351,16 @@ impl Machine {
             channels: Vec::new(),
             programs: Vec::new(),
             budget_cycles: u64::MAX / 4,
-            trace: false,
             tracer: None,
             bus: None,
             ordered_bus: None,
         }
     }
 
-    /// Records a [`TraceEvent`] log during the run (off by default —
-    /// traces of long simulations are large).
-    pub fn enable_trace(&mut self) {
-        self.trace = true;
-    }
-
     /// Attaches a [`Tracer`] probe sink: the engine emits firing
     /// begin/end, send/receive (with payload digest and occupancy), and
     /// block/unblock events through it, timestamped in **simulation
-    /// cycles**. Independent of [`Machine::enable_trace`]'s in-report
-    /// event log. A tracer whose [`Tracer::enabled`] is `false` costs
+    /// cycles**. A tracer whose [`Tracer::enabled`] is `false` costs
     /// nothing.
     pub fn set_tracer(&mut self, tracer: Arc<dyn Tracer>) {
         self.tracer = Some(tracer);
@@ -557,8 +476,6 @@ struct Engine {
     budget: u64,
     /// Fatal condition detected inside the event loop.
     fault: Option<PlatformError>,
-    trace_on: bool,
-    trace: Vec<TraceEvent>,
     /// Probe sink, `None` when absent or disabled so the hot loop pays
     /// one pointer test per emission site.
     probe: Option<Arc<dyn Tracer>>,
@@ -614,8 +531,6 @@ impl Engine {
             channels,
             budget: m.budget_cycles,
             fault: None,
-            trace_on: m.trace,
-            trace: Vec::new(),
             probe: m.tracer.filter(|t| t.enabled()),
             bus: m.bus,
             ordered_bus: m.ordered_bus,
@@ -704,7 +619,6 @@ impl Engine {
                     leftover_inbox: p.local.inbox.len(),
                 })
                 .collect(),
-            trace: self.trace,
         })
     }
 
@@ -762,14 +676,6 @@ impl Engine {
                     let cycles = (raw * speed.0.max(1)).div_ceil(speed.1.max(1));
                     pe.stats.busy_cycles += cycles;
                     pe.state = PeState::Ready;
-                    if self.trace_on {
-                        let label = label.clone();
-                        self.trace.push(TraceEvent {
-                            cycle: self.now,
-                            pe: id,
-                            kind: TraceKind::Compute { label, cycles },
-                        });
-                    }
                     if let Some(t) = &self.probe {
                         // The DES knows the firing's duration up front,
                         // so both endpoints are stamped here; the PE
@@ -857,16 +763,6 @@ impl Engine {
                         if advanced_order {
                             self.grant_idx += 1;
                         }
-                        if self.trace_on {
-                            self.trace.push(TraceEvent {
-                                cycle: self.now,
-                                pe: id,
-                                kind: TraceKind::Send {
-                                    channel: ch,
-                                    bytes: data.len(),
-                                },
-                            });
-                        }
                         let c = &mut self.channels[ch.0];
                         c.used_bytes += data.len();
                         c.stats.peak_bytes = c.stats.peak_bytes.max(c.used_bytes as u64);
@@ -923,16 +819,6 @@ impl Engine {
                     if let Some(data) = self.channels[ch.0].available.pop_front() {
                         let spec = self.channels[ch.0].spec;
                         self.channels[ch.0].used_bytes -= data.len();
-                        if self.trace_on {
-                            self.trace.push(TraceEvent {
-                                cycle: self.now,
-                                pe: id,
-                                kind: TraceKind::Recv {
-                                    channel: ch,
-                                    bytes: data.len(),
-                                },
-                            });
-                        }
                         if let Some(t) = &self.probe {
                             let c = &self.channels[ch.0];
                             t.record(
@@ -1365,63 +1251,6 @@ mod tests {
         assert_eq!(a.makespan_cycles, b.makespan_cycles);
         assert_eq!(a.pe, b.pe);
         assert_eq!(a.channels, b.channels);
-    }
-
-    #[test]
-    fn trace_records_compute_send_recv() {
-        let mut m = Machine::new();
-        m.enable_trace();
-        let ch = m.add_channel(ChannelSpec::default());
-        m.add_pe(Program::new(
-            vec![
-                Op::Compute {
-                    label: "produce".into(),
-                    work: Box::new(|_| 5),
-                },
-                Op::Send {
-                    channel: ch,
-                    payload: Box::new(|_| vec![0; 8]),
-                },
-            ],
-            2,
-        ));
-        m.add_pe(Program::new(vec![Op::Recv { channel: ch }], 2));
-        let report = m.run().unwrap();
-        let computes = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Compute { .. }))
-            .count();
-        let sends = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Send { .. }))
-            .count();
-        let recvs = report
-            .trace
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Recv { .. }))
-            .count();
-        assert_eq!((computes, sends, recvs), (2, 2, 2));
-        let gantt = report.render_gantt();
-        assert!(gantt.contains("pe0:"));
-        assert!(gantt.contains("produce"));
-        assert!(gantt.contains("send 8 B"));
-    }
-
-    #[test]
-    fn trace_off_by_default() {
-        let mut m = Machine::new();
-        m.add_pe(Program::new(
-            vec![Op::Compute {
-                label: "w".into(),
-                work: Box::new(|_| 1),
-            }],
-            3,
-        ));
-        let report = m.run().unwrap();
-        assert!(report.trace.is_empty());
-        assert!(report.render_gantt().is_empty());
     }
 
     #[test]

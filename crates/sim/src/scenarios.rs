@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spi_fault::{FaultKind, FaultPlan};
-use spi_net::{AckPolicy, BatchParams, NetReceiver, NetSender};
+use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_platform::shim;
 use spi_platform::{
     ChannelId, ChannelSpec, FlushReason, Op, PeId, PeLocal, ProbeKind, Program, RingTransport,
@@ -180,7 +180,7 @@ fn net_pair(
     let spec = byte_spec(64);
     let (a, b) = sim_stream_pair(stream_seed);
     let tx = NetSender::from_stream_with(a, &spec, batch).expect("sim sender");
-    let rx = NetReceiver::from_stream_with(b, &spec, AckPolicy::for_batch(&spec, batch));
+    let rx = NetReceiver::from_stream_with(b, &spec, batch);
     (tx, rx)
 }
 

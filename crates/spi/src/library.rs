@@ -101,26 +101,29 @@ impl SpiLibraryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spi_platform::ChannelId;
     use spi_sched::Protocol;
 
+    /// The plan of a lowered two-processor pipeline, re-labelled; the
+    /// report reads only the phase, protocol, payload bound, ack flag
+    /// and processors.
     fn plan(edge: usize, phase: SpiPhase, ack: bool) -> EdgePlan {
+        let mut g = spi_dataflow::SdfGraph::new();
+        let (a, b) = (g.add_actor("a", 1), g.add_actor("b", 1));
+        let e = g.add_edge(a, b, 1, 1, 0, 128).unwrap();
+        let mut builder = crate::SpiSystemBuilder::new(g);
+        builder.actor(a, |_: &mut crate::Firing| 1);
+        builder.actor(b, |_: &mut crate::Firing| 1);
+        let system = builder.build(2, |x| ProcId(x.0)).unwrap();
         EdgePlan {
             edge: EdgeId(edge),
             phase,
-            payload_max: 128,
-            src_proc: ProcId(0),
-            dst_proc: ProcId(1),
-            bound_tokens: Some(2),
-            bound_msgs: Some(3),
             protocol: if ack {
                 Protocol::Ubs { ack_window: 1 }
             } else {
                 Protocol::Bbs { capacity: 2 }
             },
             ack_kept: ack,
-            data_ch: ChannelId(0),
-            ack_ch: None,
+            ..system.edge_plans()[&e].clone()
         }
     }
 

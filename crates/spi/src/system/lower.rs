@@ -1,0 +1,534 @@
+//! Lower: [`EdgePlan`]s → platform channels and PE programs.
+//!
+//! One FIFO channel per inter-processor edge (sized by the plan's
+//! eq. (2) capacity), an acknowledgement channel where resynchronization
+//! could not prove the acks redundant, and per processor a looped
+//! program of `SPI_receive` / fire / `SPI_send` ops framing messages
+//! with the 2-byte (static) or 6-byte (dynamic) headers of §5.1, behind
+//! a one-shot prologue (delay-token priming, credit grants, pipeline
+//! fills). Every number used here is read from the plan.
+
+use std::collections::{HashMap, HashSet};
+
+use spi_dataflow::{ActorId, EdgeId, SdfGraph, VtsConversion};
+use spi_platform::{ChannelId, ChannelSpec, Machine, Op, PeLocal, Program};
+use spi_sched::{IpcGraph, SyncGraph};
+
+use super::build::{
+    EdgePlan, MessageCost, Plans, Scheduled, SchedulingMode, SpiSystemBuilder, ACK_BYTES,
+};
+use crate::actors::{Firing, SharedActor};
+use crate::error::{Result, SpiError};
+use crate::message::{self, SpiPhase};
+
+/// Plans → machine: channels, interconnect and one program per
+/// processor.
+pub(super) fn machine(
+    b: &SpiSystemBuilder,
+    s: &Scheduled,
+    sync: &SyncGraph,
+    plans: &mut Plans,
+) -> Result<Machine> {
+    let mut machine = Machine::new();
+    if let Some(tracer) = &b.tracer {
+        machine.set_tracer(tracer.clone());
+    }
+    if let Some(bus) = b.bus {
+        machine.set_shared_bus(bus);
+    }
+    add_channels(&mut machine, plans, b.channel_template);
+    if let Some(slot) = b.ordered_transactions {
+        machine.set_ordered_bus(spi_platform::OrderedBusSpec {
+            order: grant_order(s, sync, plans),
+            slot_overhead_cycles: slot,
+        });
+    }
+    let gen = Lowering {
+        graph: s.vts.graph(),
+        vts: &s.vts,
+        plans,
+        impls: &b.impls,
+        initial_payloads: &b.initial_payloads,
+        static_timing: match b.mode {
+            SchedulingMode::SelfTimed => None,
+            SchedulingMode::FullyStatic { slack_percent } => {
+                Some(static_timing(&s.ipc, sync, slack_percent))
+            }
+        },
+    };
+    for (proc, order) in s.st.processors() {
+        let mut program = gen.program_for(order, b.iterations)?;
+        if let Some(&(num, den)) = b.proc_speeds.get(&proc) {
+            program = program.with_speed(num, den);
+        }
+        machine.add_pe(program);
+    }
+    Ok(machine)
+}
+
+/// Allocates the machine's channels in edge order — each edge's data
+/// channel, then its acknowledgement channel if the acks were kept — and
+/// records the ids in the plans.
+fn add_channels(machine: &mut Machine, plans: &mut Plans, template: ChannelSpec) {
+    let mut in_edge_order: Vec<&mut EdgePlan> = plans.values_mut().collect();
+    in_edge_order.sort_by_key(|p| p.edge);
+    for plan in in_edge_order {
+        plan.data_ch = machine.add_channel(ChannelSpec {
+            capacity_bytes: plan.transport.capacity_bytes as usize,
+            max_message_bytes: plan.msg_max,
+            ..template
+        });
+        if plan.ack_kept {
+            let cap = ((plan.ack_window() as usize + 1) * ACK_BYTES).max(16);
+            plan.ack_ch = Some(machine.add_channel(ChannelSpec {
+                capacity_bytes: cap,
+                max_message_bytes: ACK_BYTES,
+                ..template
+            }));
+        }
+    }
+}
+
+const FAIL_KEY: &str = "__spi_error";
+
+fn fail(local: &mut PeLocal, msg: String) {
+    local
+        .store
+        .entry(FAIL_KEY.to_string())
+        .or_insert_with(|| msg.into_bytes());
+}
+
+fn failed(local: &PeLocal) -> bool {
+    local.store.contains_key(FAIL_KEY)
+}
+
+/// The failure an actor recorded in a PE's final store, if any.
+pub(super) fn recorded_failure(store: &HashMap<String, Vec<u8>>) -> Option<SpiError> {
+    store.get(FAIL_KEY).map(|err| SpiError::ActorFailed {
+        message: String::from_utf8_lossy(err).into_owned(),
+    })
+}
+
+fn queue_key(edge: EdgeId) -> String {
+    format!("__q_e{}", edge.0)
+}
+
+fn send_key(edge: EdgeId) -> String {
+    format!("__send_e{}", edge.0)
+}
+
+/// Appends raw bytes to an edge's byte queue.
+fn queue_push(local: &mut PeLocal, edge: EdgeId, bytes: &[u8]) {
+    local
+        .store
+        .entry(queue_key(edge))
+        .or_default()
+        .extend_from_slice(bytes);
+}
+
+/// Takes exactly `n` bytes from the queue; `None` if short (a protocol
+/// bug — the schedule guarantees availability).
+fn queue_take(local: &mut PeLocal, edge: EdgeId, n: usize) -> Option<Vec<u8>> {
+    let q = local.store.entry(queue_key(edge)).or_default();
+    if q.len() < n {
+        return None;
+    }
+    let rest = q.split_off(n);
+    Some(std::mem::replace(q, rest))
+}
+
+/// Appends a length-prefixed frame (dynamic edges).
+fn frame_push(local: &mut PeLocal, edge: EdgeId, bytes: &[u8]) {
+    frame_into(local.store.entry(queue_key(edge)).or_default(), bytes);
+}
+
+fn frame_into(queue: &mut Vec<u8>, bytes: &[u8]) {
+    queue.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    queue.extend_from_slice(bytes);
+}
+
+/// Pops one frame; `None` if the queue is empty or corrupt.
+fn frame_pop(local: &mut PeLocal, edge: EdgeId) -> Option<Vec<u8>> {
+    let q = local.store.entry(queue_key(edge)).or_default();
+    if q.len() < 4 {
+        return None;
+    }
+    let len = u32::from_le_bytes([q[0], q[1], q[2], q[3]]) as usize;
+    if q.len() < 4 + len {
+        return None;
+    }
+    let rest = q.split_off(4 + len);
+    let frame = std::mem::replace(q, rest)[4..].to_vec();
+    Some(frame)
+}
+
+fn ack_send(edge: EdgeId, ack_ch: ChannelId) -> Op {
+    Op::Send {
+        channel: ack_ch,
+        payload: Box::new(move |_| (edge.0 as u16).to_le_bytes().to_vec()),
+    }
+}
+
+/// Precomputed release schedule for the fully-static mode.
+struct StaticTiming {
+    start: HashMap<spi_dataflow::Firing, u64>,
+    period: u64,
+}
+
+/// Fully-static release times (paper §2's alternative): each firing's
+/// analytic start inflated by `slack_percent`, in a blocked
+/// (non-overlapped) schedule whose period is the worst-case makespan of
+/// one iteration.
+fn static_timing(ipc: &IpcGraph, sync: &SyncGraph, slack_percent: u32) -> StaticTiming {
+    let times = spi_sched::latency::self_timed_times(sync, 1);
+    let scale = 1.0 + f64::from(slack_percent) / 100.0;
+    let start = ipc
+        .tasks()
+        .iter()
+        .enumerate()
+        .map(|(i, t)| (t.firing, (times[0][i].0 as f64 * scale).ceil() as u64))
+        .collect();
+    let max_end = times[0].iter().map(|&(_, e)| e).max().unwrap_or(0);
+    StaticTiming {
+        start,
+        period: ((max_end as f64) * scale).ceil() as u64,
+    }
+}
+
+/// Ordered-transactions grant order: one grant per steady-state send
+/// event — data messages at the producer task's analytic end time,
+/// acknowledgements (one per message the firing receives) at the
+/// consumer's.
+fn grant_order(s: &Scheduled, sync: &SyncGraph, plans: &Plans) -> Vec<ChannelId> {
+    let times = spi_sched::latency::self_timed_times(sync, 1);
+    let graph = s.vts.graph();
+    let mut events: Vec<(u64, usize, ChannelId)> = Vec::new();
+    for (i, task) in s.ipc.tasks().iter().enumerate() {
+        let end = times[0][i].1;
+        for eid in graph.out_edges(task.firing.actor) {
+            if let Some(plan) = plans.get(&eid) {
+                events.push((end, eid.0, plan.data_ch));
+            }
+        }
+        for eid in graph.in_edges(task.firing.actor) {
+            if let Some((plan, ack)) = plans.get(&eid).and_then(|p| Some((p, p.ack_ch?))) {
+                let count = plan.recv_counts[task.firing.k as usize];
+                events.extend(std::iter::repeat_n((end, eid.0, ack), count as usize));
+            }
+        }
+    }
+    events.sort();
+    events.into_iter().map(|(_, _, ch)| ch).collect()
+}
+
+/// Program generator over the finished plans.
+struct Lowering<'a> {
+    graph: &'a SdfGraph,
+    vts: &'a VtsConversion,
+    plans: &'a Plans,
+    impls: &'a HashMap<ActorId, SharedActor>,
+    initial_payloads: &'a HashMap<EdgeId, Vec<Vec<u8>>>,
+    static_timing: Option<StaticTiming>,
+}
+
+impl Lowering<'_> {
+    /// The program of the processor that fires `order` each iteration.
+    fn program_for(&self, order: &[spi_dataflow::Firing], iterations: u64) -> Result<Program> {
+        // Prologue: ahead of an actor's first firing, prime its in-edges
+        // and send the pipeline fills of its cross out-edges.
+        let mut prologue: Vec<Op> = Vec::new();
+        let mut started: HashSet<ActorId> = HashSet::new();
+        for f in order {
+            if started.insert(f.actor) {
+                for eid in self.graph.in_edges(f.actor) {
+                    self.prime_consumer(eid, &mut prologue);
+                }
+                for eid in self.graph.out_edges(f.actor) {
+                    self.fill_producer(eid, &mut prologue)?;
+                }
+            }
+        }
+
+        let mut ops: Vec<Op> = Vec::new();
+        for &f in order {
+            self.emit_firing(f, &mut ops);
+        }
+
+        let mut program = Program::new(ops, iterations);
+        program.prologue = prologue;
+        Ok(program)
+    }
+
+    /// Consumer-side priming: local-queue delay tokens and UBS credits.
+    fn prime_consumer(&self, eid: EdgeId, prologue: &mut Vec<Op>) {
+        let e = self.graph.edge(eid);
+        let plan = self.plans.get(&eid);
+        // A cross edge primes only the `delay mod produce` remainder —
+        // whole production batches arrive as the producer's pipeline-fill
+        // messages, whose override entries come first; a local edge
+        // primes its whole delay from entry 0.
+        let (prime_tokens, offset) = match plan {
+            Some(p) => (p.prime_tokens, p.fill_msgs as usize),
+            None => (e.delay, 0),
+        };
+        if prime_tokens > 0 {
+            // The queue's initial image: for a dynamic edge one frame per
+            // delay token (default empty), for a static one the tokens'
+            // bytes (default zeros).
+            let overrides = self.initial_payloads.get(&eid);
+            let mut image = Vec::new();
+            if self.vts.edge_info(eid).is_some() {
+                for i in offset..offset + prime_tokens as usize {
+                    let payload = overrides.and_then(|v| v.get(i));
+                    frame_into(&mut image, payload.map_or(&[], Vec::as_slice));
+                }
+            } else {
+                match overrides.and_then(|v| v.get(offset)) {
+                    Some(bytes) => image.extend_from_slice(bytes),
+                    None => image.resize(prime_tokens as usize * e.token_bytes as usize, 0),
+                }
+            }
+            prologue.push(Op::Compute {
+                label: format!("spi:prime:{eid}"),
+                work: Box::new(move |l| {
+                    queue_push(l, eid, &image);
+                    1
+                }),
+            });
+        }
+        // UBS credits: the receiver grants the initial window.
+        if let Some((plan, ack_ch)) = plan.and_then(|p| Some((p, p.ack_ch?))) {
+            prologue.extend((0..plan.ack_window()).map(|_| ack_send(eid, ack_ch)));
+        }
+    }
+
+    /// Producer-side pipeline-fill messages of a cross edge with delay.
+    fn fill_producer(&self, eid: EdgeId, prologue: &mut Vec<Op>) -> Result<()> {
+        let Some(plan) = self.plans.get(&eid) else {
+            return Ok(());
+        };
+        let overrides = self.initial_payloads.get(&eid);
+        for i in 0..plan.fill_msgs {
+            // Fill payloads depend only on the fill index, so frame them
+            // now and surface encoding problems as build errors instead
+            // of panicking inside the send closure at run time.
+            let payload = overrides
+                .and_then(|v| v.get(i as usize))
+                .cloned()
+                .unwrap_or_else(|| match plan.phase {
+                    SpiPhase::Static => vec![0u8; plan.payload_max],
+                    SpiPhase::Dynamic => Vec::new(),
+                });
+            let framed = message::encode(plan.phase, eid, &payload)?;
+            prologue.push(Op::Send {
+                channel: plan.data_ch,
+                payload: Box::new(move |_| framed.clone()),
+            });
+        }
+        Ok(())
+    }
+
+    /// Emits the op sequence of one firing.
+    fn emit_firing(&self, f: spi_dataflow::Firing, ops: &mut Vec<Op>) {
+        let actor = f.actor;
+        if let Some(timing) = &self.static_timing {
+            let start = timing.start.get(&f).copied().unwrap_or(0);
+            let period = timing.period;
+            ops.push(Op::WaitUntil {
+                target: Box::new(move |iter| start + iter * period),
+            });
+        }
+        // Both lists come back in ascending edge order.
+        let in_edges = self.graph.in_edges(actor);
+        let out_edges = self.graph.out_edges(actor);
+
+        // 1. Receive ops for cross in-edges (and, for step 3, one ack per
+        //    received message where acks were kept).
+        let mut receives: Vec<Receive> = Vec::new();
+        let mut acks: Vec<Op> = Vec::new();
+        for plan in in_edges.iter().filter_map(|eid| self.plans.get(eid)) {
+            let count = plan.recv_counts[f.k as usize];
+            let channel = plan.data_ch;
+            ops.extend((0..count).map(|_| Op::Recv { channel }));
+            if let Some(ack_ch) = plan.ack_ch {
+                acks.extend((0..count).map(|_| ack_send(plan.edge, ack_ch)));
+            }
+            receives.push(Receive {
+                edge: plan.edge,
+                channel,
+                count,
+                phase: plan.phase,
+                payload_max: plan.payload_max,
+                cost: plan.cost,
+            });
+        }
+
+        // 2. The firing's compute op: decode messages, gather inputs,
+        //    run the actor, stage outputs.
+        let port = |eid: EdgeId, rate: u32| {
+            let dynamic = self.vts.edge_info(eid).is_some();
+            Port {
+                edge: eid,
+                dynamic,
+                bytes: if dynamic {
+                    self.vts.bytes_per_packed_token(eid).expect("edge exists") as usize
+                } else {
+                    rate as usize * self.graph.edge(eid).token_bytes as usize
+                },
+                cross: self.plans.get(&eid).map(|p| p.phase),
+            }
+        };
+        let body = FiringBody {
+            k: f.k,
+            actor: self.impls[&actor].clone(),
+            receives,
+            consumes: in_edges
+                .iter()
+                .map(|&e| port(e, self.graph.edge(e).consume.bound()))
+                .collect(),
+            produces: out_edges
+                .iter()
+                .map(|&e| port(e, self.graph.edge(e).produce.bound()))
+                .collect(),
+        };
+        ops.push(Op::Compute {
+            label: format!("fire:{}#{}", self.graph.actor(actor).name, f.k),
+            work: Box::new(move |l| body.run(l)),
+        });
+
+        // 3. Ack sends for consumed messages (UBS with acks).
+        ops.extend(acks);
+
+        // 4. Data sends for cross out-edges (credit-gated when acks are
+        //    kept).
+        for plan in out_edges.iter().filter_map(|eid| self.plans.get(eid)) {
+            let edge = plan.edge;
+            if let Some(ack_ch) = plan.ack_ch {
+                ops.push(Op::Recv { channel: ack_ch });
+                ops.push(Op::Compute {
+                    label: format!("spi:credit:{edge}"),
+                    work: Box::new(move |l| {
+                        let _ = l.take_from(ack_ch);
+                        1
+                    }),
+                });
+            }
+            ops.push(Op::Send {
+                channel: plan.data_ch,
+                payload: Box::new(move |l| l.store.remove(&send_key(edge)).unwrap_or_default()),
+            });
+        }
+    }
+}
+
+/// One cross in-edge of a firing: what to receive and how to decode it.
+struct Receive {
+    edge: EdgeId,
+    channel: ChannelId,
+    count: u64,
+    phase: SpiPhase,
+    payload_max: usize,
+    cost: MessageCost,
+}
+
+/// One edge of a firing as its queue sees it. `bytes` is what a static
+/// edge moves per firing (exactly) or the most a dynamic one may
+/// (eq. (1)); `cross` is the phase to frame an inter-processor output in.
+struct Port {
+    edge: EdgeId,
+    dynamic: bool,
+    bytes: usize,
+    cross: Option<SpiPhase>,
+}
+
+/// Everything a firing's compute op needs at run time.
+struct FiringBody {
+    k: u64,
+    actor: SharedActor,
+    receives: Vec<Receive>,
+    consumes: Vec<Port>,
+    produces: Vec<Port>,
+}
+
+impl FiringBody {
+    /// Returns the cycles the firing took. A failure is recorded in the
+    /// PE's store (see [`recorded_failure`]) and turns every later
+    /// firing of that PE into a no-op.
+    fn run(&self, l: &mut PeLocal) -> u64 {
+        if failed(l) {
+            return 0;
+        }
+        self.try_run(l).unwrap_or_else(|msg| {
+            fail(l, msg);
+            0
+        })
+    }
+
+    fn try_run(&self, l: &mut PeLocal) -> std::result::Result<u64, String> {
+        let mut overhead = 0u64;
+        // Decode incoming messages into edge queues.
+        for r in &self.receives {
+            for _ in 0..r.count {
+                // Take the token by ownership (a pooled lease stays in
+                // its slot) and decode borrowed: the payload view aliases
+                // the slot until it is pushed into the edge queue.
+                let msg = l
+                    .take_token_from(r.channel)
+                    .ok_or_else(|| format!("missing message on {}", r.edge))?;
+                let payload = message::decode_borrowed(r.phase, &msg, r.edge, r.payload_max)
+                    .map_err(|e| e.to_string())?;
+                overhead += r.cost.decode_cycles(payload.len());
+                match r.phase {
+                    SpiPhase::Static => queue_push(l, r.edge, payload),
+                    SpiPhase::Dynamic => frame_push(l, r.edge, payload),
+                }
+            }
+        }
+        // Gather this firing's inputs.
+        let mut inputs = HashMap::new();
+        for c in &self.consumes {
+            let data = if c.dynamic {
+                frame_pop(l, c.edge)
+            } else {
+                queue_take(l, c.edge, c.bytes)
+            };
+            let data = data.ok_or_else(|| format!("input underflow on {}", c.edge))?;
+            inputs.insert(c.edge, data);
+        }
+        // Fire.
+        let mut ctx = Firing::new(l.iter, self.k, inputs);
+        let cycles = self.actor.lock().expect("actor lock").fire(&mut ctx);
+        let mut outputs = ctx.into_outputs();
+        // Stage outputs.
+        for p in &self.produces {
+            let bytes = outputs.remove(&p.edge).unwrap_or_default();
+            let (edge, got) = (p.edge, bytes.len());
+            if p.dynamic && got > p.bytes {
+                let bound = p.bytes;
+                return Err(SpiError::VtsBoundExceeded { edge, got, bound }.to_string());
+            }
+            if !p.dynamic && got != p.bytes {
+                let expected = p.bytes;
+                return Err(SpiError::StaticSizeMismatch {
+                    edge,
+                    got,
+                    expected,
+                }
+                .to_string());
+            }
+            match p.cross {
+                // Frame now (SPI_send header cost) and stash for the
+                // Send op that follows.
+                Some(phase) => {
+                    let framed =
+                        message::encode(phase, p.edge, &bytes).map_err(|e| e.to_string())?;
+                    overhead += 1;
+                    l.store.insert(send_key(p.edge), framed);
+                }
+                None if p.dynamic => frame_push(l, p.edge, &bytes),
+                None => queue_push(l, p.edge, &bytes),
+            }
+        }
+        Ok(cycles + overhead)
+    }
+}

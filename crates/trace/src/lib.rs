@@ -22,6 +22,9 @@
 //!   predicted makespan, emitting analyzer-style `SPI080`–`SPI095`
 //!   diagnostics — including the supervision-budget checks over the
 //!   fault/retry/degrade/restart events a supervised run emits.
+//! * [`race`] — the vector-clock happens-before checker: replays a
+//!   trace, orders events by matched send/receive pairs, and reports
+//!   endpoint races and slot-reuse violations as `SPI100`–`SPI106`.
 //!
 //! ## Typical flow
 //!
@@ -45,6 +48,7 @@ mod check;
 mod export;
 mod metrics;
 mod model;
+pub mod race;
 
 pub use capture::{RingTracer, DEFAULT_EVENTS_PER_PE};
 pub use check::{check, ConformanceReport};

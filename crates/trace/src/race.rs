@@ -31,8 +31,8 @@
 
 use std::collections::HashMap;
 
+use crate::{ProbeKind, Trace};
 use spi_analyze::{Diagnostic, Locus, Severity};
-use spi_trace::{ProbeKind, Trace};
 
 /// Outcome of [`race_check`].
 #[derive(Debug, Clone)]
@@ -362,8 +362,8 @@ mod tests {
     //! trips exactly its own code and the clean trace trips none.
 
     use super::*;
+    use crate::{ClockKind, EdgeBound, TraceMeta};
     use spi_platform::{ChannelId, PeId, ProbeEvent};
-    use spi_trace::{ClockKind, EdgeBound, TraceMeta};
 
     fn meta() -> TraceMeta {
         TraceMeta::new(ClockKind::Cycles)

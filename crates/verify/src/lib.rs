@@ -1,7 +1,9 @@
 //! # spi-verify — static & exhaustive-dynamic verification for SPI
 //!
-//! Three connected engines that check the places where the SPI
-//! reproduction is most exposed to ordering bugs:
+//! Two connected engines that check the places where the SPI
+//! reproduction is most exposed to ordering bugs (the trace-replay
+//! happens-before checker, SPI100–SPI106, lives in `spi_trace::race`:
+//! it needs nothing from the instrumented shim):
 //!
 //! 1. **Bounded model checking** ([`ring`], engine in
 //!    [`spi_platform::model`]) — a loom-style stateless explorer that
@@ -12,14 +14,7 @@
 //!    [`ring::explore_ring_shared_consumers`] mechanically reverts the
 //!    PR 3 lost-wakeup fix and asserts the explorer rediscovers the
 //!    bug as a deadlocking schedule with a minimized interleaving.
-//! 2. **Happens-before race checking** ([`race`]) — replays a
-//!    `spi-trace` capture, reconstructs cross-PE ordering from matched
-//!    send/receive pairs (data *and* ack/control channels — the
-//!    materialized synchronization edges of the paper's `G_s`) with
-//!    vector clocks, and reports races and ordering violations as the
-//!    stable diagnostics SPI100–SPI106 (surfaced by
-//!    `spi-lint race-check`).
-//! 3. **Framing-protocol exploration** ([`framing`]) — exhaustive DFS
+//! 2. **Framing-protocol exploration** ([`framing`]) — exhaustive DFS
 //!    over adversarial channel behavior (drop / corrupt / duplicate
 //!    within a fault budget) against the real supervision seq/crc
 //!    framing codecs, checking the delivered stream respects the
@@ -36,11 +31,9 @@
 #![warn(missing_docs)]
 
 pub mod framing;
-pub mod race;
 pub mod ring;
 
 pub use framing::{explore_framing, FramingExploration, FramingOptions, FramingViolation};
-pub use race::{race_check, RaceReport};
 pub use ring::{explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc};
 pub use spi_platform::model::{
     explore, Exploration, Failure, FailureKind, ModelOptions, Scenario, Step,

@@ -14,12 +14,12 @@
 //!   ([`spi_dsp`]);
 //! * [`spi`] — the Signal Passing Interface itself;
 //! * [`trace`] — runtime observability: lock-free capture, Chrome
-//!   trace export and the bound-conformance checker ([`spi_trace`]);
+//!   trace export, the bound-conformance checker and the vector-clock
+//!   race checker behind `spi-lint race-check` ([`spi_trace`]);
 //! * [`fault`] — deterministic fault injection: seeded fault plans and
 //!   the faulty-transport decorator for chaos testing ([`spi_fault`]);
-//! * [`verify`] — bounded model checking of the transport protocols,
-//!   the vector-clock race checker behind `spi-lint race-check`, and
-//!   the supervision-framing fault explorer ([`spi_verify`]);
+//! * [`verify`] — bounded model checking of the transport protocols
+//!   and the supervision-framing fault explorer ([`spi_verify`]);
 //! * [`apps`] — the paper's two evaluation applications
 //!   ([`spi_apps`]).
 //!

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use spi_net::{AckPolicy, BatchParams, NetReceiver, NetSender};
+use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_repro::platform::{
     run_threaded, ChannelId, ChannelSpec, Machine, Op, Program, ThreadedPeResult, ThreadedRunner,
     Transport, TransportError, TransportKind,
@@ -276,7 +276,7 @@ impl NetEdge {
         let (a, b) = sim_stream_pair(seed);
         Box::new(NetEdge {
             tx: NetSender::from_stream_with(a, spec, batch).expect("sender"),
-            rx: NetReceiver::from_stream_with(b, spec, AckPolicy::for_batch(spec, batch)),
+            rx: NetReceiver::from_stream_with(b, spec, batch),
         })
     }
 }

@@ -2,11 +2,14 @@
 //! filter bank, fully-static scheduling, the shared bus, DIF round-trips
 //! and trace rendering.
 
+use std::sync::Arc;
+
 use spi_repro::apps::{FilterBankApp, FilterBankConfig, PrognosisApp, PrognosisConfig};
 use spi_repro::dataflow::{dif, CsdfGraph, PhaseRates};
 use spi_repro::platform::BusSpec;
 use spi_repro::sched::ProcId;
 use spi_repro::spi::{SchedulingMode, SpiSystemBuilder};
+use spi_repro::trace::{render_gantt, ClockKind, RingTracer};
 
 #[test]
 fn filter_bank_output_is_band_limited() {
@@ -174,10 +177,14 @@ fn trace_gantt_covers_all_pes() {
     });
     b.actor(b_, |_: &mut spi_repro::spi::Firing| 10);
     b.iterations(3);
-    b.trace(true);
+    let ring = Arc::new(RingTracer::with_default_capacity(2));
+    b.tracer(ring.clone());
     let sys = b.build(2, |x| ProcId(x.0)).expect("buildable");
-    let report = sys.run().expect("clean run");
-    let gantt = report.sim.render_gantt();
-    assert!(gantt.contains("pe0:") && gantt.contains("pe1:"));
-    assert!(gantt.contains("fire:producer"));
+    let meta = sys.trace_meta(ClockKind::Cycles);
+    sys.run().expect("clean run");
+    let trace = ring.finish(meta);
+    let gantt = render_gantt(&trace, 40);
+    assert!(gantt.contains("pe0 |") && gantt.contains("pe1 |"));
+    assert!(gantt.contains('#'), "firings are drawn:\n{gantt}");
+    assert!(trace.meta.labels.iter().any(|l| l == "fire:producer#0"));
 }
