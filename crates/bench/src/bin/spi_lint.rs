@@ -3,9 +3,10 @@
 //!
 //! Runs the full `spi-analyze` pipeline over each DIF file and renders
 //! the diagnostics. With `--procs N` the graph is additionally pushed
-//! through scheduling (round-robin actor assignment, like the stress
-//! harness) so the schedule-level passes — protocol lints, sync
-//! coverage, resynchronization fixpoint — run too.
+//! through `SpiSystemBuilder::plan` (round-robin actor assignment, like
+//! the stress harness) so the schedule-level passes — protocol and
+//! transport lints, sync coverage, resynchronization fixpoint — run on
+//! exactly the lowering `build` would produce.
 //!
 //! The `trace-check` subcommand instead replays captured `spi-trace`
 //! files (native `# spi-trace v1` format) against the bounds recorded
@@ -27,15 +28,13 @@
 //! Exit status: 0 clean (warnings allowed), 1 when any error-severity
 //! diagnostic fires, 2 on usage or parse problems.
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 
-use spi_analyze::{AnalysisInput, Analyzer, EdgeDecl};
+use spi::SpiSystemBuilder;
+use spi_analyze::{AnalysisInput, Analyzer};
 use spi_dataflow::dif::from_dif;
-use spi_dataflow::{EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
-use spi_sched::{
-    Assignment, IpcEdgeKind, IpcGraph, ProcId, Protocol, SelfTimedSchedule, SyncGraph,
-};
+use spi_dataflow::LengthSignal;
+use spi_sched::ProcId;
 
 struct Options {
     json: bool,
@@ -95,91 +94,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Mirrors the builder's schedule derivation far enough to feed the
-/// schedule-level passes: VTS → precedence graph → round-robin actor
-/// assignment → IPC graph → protocol selection → sync graph (+ resync).
-struct ScheduleArtifacts {
-    vts: VtsConversion,
-    ipc: IpcGraph,
-    sync: SyncGraph,
-    resync_cert: Option<spi_sched::ResyncCertificate>,
-    edges: Vec<EdgeDecl>,
-}
-
-fn derive_schedule(
-    graph: &SdfGraph,
-    procs: usize,
-    force_ubs: bool,
-    resync: bool,
-) -> Result<ScheduleArtifacts, String> {
-    let vts = VtsConversion::convert(graph).map_err(|e| e.to_string())?;
-    let cg = vts.graph().clone();
-    let pg = PrecedenceGraph::expand(&cg).map_err(|e| e.to_string())?;
-    let assignment =
-        Assignment::by_actor(&pg, procs, |a| ProcId(a.0 % procs)).map_err(|e| e.to_string())?;
-    let st = SelfTimedSchedule::from_assignment(&pg, assignment).map_err(|e| e.to_string())?;
-    let ipc = IpcGraph::build(&cg, &pg, &st).map_err(|e| e.to_string())?;
-
-    // eq. (2) bound per edge, folded with MAX; one unbounded instance
-    // forces UBS (the fold the system builder uses).
-    let bounds = ipc.buffer_bounds_by_edge();
-    let mut max_delay: HashMap<EdgeId, u64> = HashMap::new();
-    for e in ipc.ipc_edges() {
-        if let IpcEdgeKind::Ipc { via } = e.kind {
-            let d = max_delay.entry(via).or_insert(0);
-            *d = (*d).max(e.delay);
-        }
-    }
-    let q = pg.repetitions().clone();
-    let protocols: HashMap<EdgeId, Protocol> = bounds
-        .iter()
-        .map(|(&via, &bound)| {
-            let protocol = match bound {
-                Some(b) if !force_ubs => Protocol::Bbs {
-                    capacity: b.max(max_delay[&via] + 1),
-                },
-                _ => Protocol::Ubs {
-                    ack_window: q[cg.edge(via).src].max(1),
-                },
-            };
-            (via, protocol)
-        })
-        .collect();
-
-    let mut sync = SyncGraph::from_ipc(&ipc, |e| {
-        let IpcEdgeKind::Ipc { via } = e.kind else {
-            unreachable!("protocol_of is only called for IPC edges")
-        };
-        match protocols[&via] {
-            Protocol::Ubs { .. } => Protocol::Ubs { ack_window: 1 },
-            bbs => bbs,
-        }
-    })
-    .map_err(|e| e.to_string())?;
-    let resync_cert = if resync {
-        // Certified variant: the SPI061/SPI062 pass re-verifies every
-        // removal proof against the final graph during the lint run.
-        Some(sync.resynchronize_certified(true, None).1)
-    } else {
-        None
-    };
-    Ok(ScheduleArtifacts {
-        vts,
-        ipc,
-        sync,
-        resync_cert,
-        edges: protocols
-            .into_iter()
-            .map(|(edge, protocol)| EdgeDecl {
-                edge,
-                protocol,
-                transport: None,
-                net_transport: None,
-            })
-            .collect(),
-    })
-}
-
 fn lint_file(path: &str, opts: &Options) -> Result<spi_analyze::AnalysisReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let graph = from_dif(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -189,32 +103,22 @@ fn lint_file(path: &str, opts: &Options) -> Result<spi_analyze::AnalysisReport, 
         LengthSignal::Header
     };
 
-    let analyzer = Analyzer::default_pipeline();
-    let report = match opts.procs {
-        None => analyzer.run(&AnalysisInput::new(&graph).with_signal(signal)),
+    Ok(match opts.procs {
+        None => Analyzer::default_pipeline().run(&AnalysisInput::new(&graph).with_signal(signal)),
+        // The builder's own plan: the checks `build` would enforce on
+        // this graph under a round-robin actor assignment (like the
+        // stress harness), SPI043–SPI046 included.
         Some(procs) => {
-            // Graph-level errors make schedule derivation meaningless;
-            // report them directly.
-            let graph_report = analyzer.run(&AnalysisInput::new(&graph).with_signal(signal));
-            if graph_report.has_errors() {
-                graph_report
-            } else {
-                let art = derive_schedule(&graph, procs, opts.force_ubs, opts.resync)
-                    .map_err(|e| format!("{path}: scheduling failed: {e}"))?;
-                let mut input = AnalysisInput::new(&graph)
-                    .with_vts(&art.vts)
-                    .with_signal(signal)
-                    .with_ipc(&art.ipc)
-                    .with_sync(&art.sync)
-                    .with_edges(&art.edges);
-                if let Some(cert) = &art.resync_cert {
-                    input = input.with_resync_cert(cert);
-                }
-                analyzer.run(&input)
-            }
+            let mut builder = SpiSystemBuilder::new(graph);
+            builder
+                .force_ubs(opts.force_ubs)
+                .resynchronization(opts.resync)
+                .length_signal(signal);
+            builder
+                .plan(procs, |a| ProcId(a.0 % procs))
+                .map_err(|e| format!("{path}: scheduling failed: {e}"))?
         }
-    };
-    Ok(report)
+    })
 }
 
 /// `trace-check TRACE...`: replay each captured trace file against its

@@ -362,15 +362,8 @@ fn worker_run(
         runner = runner.supervise(policy);
     }
     let results = runner.run_with_endpoints(&dep.specs, endpoints, programs)?;
-    for r in &results {
-        // The SPI actor harness reports firing failures through this
-        // store key (mirrors `SpiSystem::run_threaded_with`).
-        if let Some(msg) = r.store.get("__spi_error") {
-            return Err(NetError::Protocol(format!(
-                "actor failed: {}",
-                String::from_utf8_lossy(msg)
-            )));
-        }
+    if let Some(err) = results.iter().find_map(|r| spi::recorded_failure(&r.store)) {
+        return Err(NetError::Protocol(err.to_string()));
     }
 
     let trace = tracer.finish(TraceMeta::new(ClockKind::Nanos));

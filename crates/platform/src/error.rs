@@ -9,10 +9,6 @@ use crate::sim::{ChannelId, PeId};
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PlatformError {
-    /// A channel id referenced a channel that does not exist.
-    UnknownChannel(ChannelId),
-    /// A PE id referenced a processing element that does not exist.
-    UnknownPe(PeId),
     /// A send was attempted with a payload larger than the channel's
     /// total capacity — it could never be delivered.
     MessageExceedsCapacity {
@@ -157,8 +153,6 @@ impl fmt::Display for BlockedOp {
 impl fmt::Display for PlatformError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlatformError::UnknownChannel(c) => write!(f, "unknown channel {c}"),
-            PlatformError::UnknownPe(p) => write!(f, "unknown processing element {p}"),
             PlatformError::MessageExceedsCapacity {
                 channel,
                 bytes,

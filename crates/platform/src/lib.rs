@@ -15,7 +15,7 @@
 //! * [`Transport`] / [`LockedTransport`] / [`RingTransport`] — pluggable
 //!   byte-accurate inter-thread channels; the ring is a lock-free SPSC
 //!   buffer sized exactly to the paper's eq. (2) bound `B(e)`;
-//! * [`run_threaded`] / [`ThreadedRunner`] — an OS-thread functional
+//! * [`ThreadedRunner`] — an OS-thread functional
 //!   runner cross-checking the DES's protocol logic under real
 //!   concurrency, executing over any [`Transport`];
 //! * [`Tracer`] / [`NopTracer`] — runtime probe points both engines emit
@@ -69,16 +69,16 @@ mod transport;
 pub use error::{BlockKind, BlockedOp, PlatformError, Result};
 pub use pool::{BufferPool, Token, TokenBuf};
 pub use resource::{components, Device, ResourceEstimate, ResourcePercent};
-pub use runner::{
-    run_threaded, ThreadedPeResult, ThreadedRunner, TransportDecorator, DEFAULT_DEADLOCK_TIMEOUT,
-};
+pub use runner::{ThreadedPeResult, ThreadedRunner, TransportDecorator, DEFAULT_DEADLOCK_TIMEOUT};
 pub use sim::{
     BusSpec, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op, OrderedBusSpec,
     PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn,
 };
+#[cfg(feature = "verify-shim")]
+pub use supervise::protocol;
 pub use supervise::{
-    crc32, decode_frame, encode_frame_into, framed_spec, DegradePolicy, FrameError,
-    SupervisionPolicy, FRAME_HEADER_BYTES,
+    decode_frame, encode_frame_into, framed_spec, DegradePolicy, FrameError, SupervisionPolicy,
+    FRAME_HEADER_BYTES,
 };
 pub use trace::{payload_digest, FlushReason, NopTracer, ProbeEvent, ProbeKind, Tracer};
 pub use transport::{

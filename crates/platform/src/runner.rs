@@ -13,6 +13,10 @@
 //! paper's eq. (2) buffer bounds. The transport implementation is chosen
 //! per run via [`ThreadedRunner::transport`]: the `Mutex`+`Condvar`
 //! reference queue, or the lock-free ring sized to the static bound.
+//!
+//! There is one executor, [`run_pes`]: it walks each PE's ops through a
+//! [`Port`], and whether a run is supervised only decides which port
+//! that is ([`Direct`] here, `Supervised` in [`crate::supervise`]).
 
 use std::collections::HashMap;
 use std::fmt;
@@ -20,8 +24,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use crate::error::{BlockKind, BlockedOp, PlatformError, Result};
-use crate::sim::{ChannelId, ChannelSpec, Op, PeId, PeLocal, Program};
-use crate::supervise::{framed_spec, run_supervised, SupervisionPolicy};
+use crate::pool::Token;
+use crate::sim::{ChannelId, ChannelSpec, ComputeFn, Op, PeId, PeLocal, Program};
+use crate::supervise::{framed_spec, Checkpointed, SupervisionPolicy};
 use crate::trace::{payload_digest, ProbeKind, Tracer};
 use crate::transport::{Transport, TransportError, TransportKind};
 
@@ -38,10 +43,6 @@ pub type TransportDecorator =
 /// so half a minute of no progress is unambiguous even on a loaded CI
 /// machine.
 pub const DEFAULT_DEADLOCK_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Shared log of blocking channel ops that hit their deadline:
-/// `(pe, channel, direction, idle time since last progress)`.
-type TimedOutLog = Mutex<Vec<(PeId, ChannelId, BlockKind, Option<Duration>)>>;
 
 /// Functional result of one PE's threaded execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,16 +170,6 @@ impl ThreadedRunner {
         self
     }
 
-    /// The configured transport kind.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.kind
-    }
-
-    /// The configured deadlock timeout.
-    pub fn deadlock_timeout(&self) -> Duration {
-        self.timeout
-    }
-
     /// Executes `programs` on OS threads over `channels`.
     ///
     /// # Errors
@@ -186,37 +177,27 @@ impl ThreadedRunner {
     /// [`PlatformError::Deadlock`] once any thread's blocking operation
     /// times out; [`PlatformError::MessageExceedsCapacity`] when a
     /// payload exceeds the channel's per-message bound;
-    /// [`PlatformError::ZeroCapacity`] for unusable channels.
+    /// [`PlatformError::ZeroCapacity`] for unusable channels (no
+    /// capacity, or no declared message bound).
     pub fn run(
         &self,
         channels: &[ChannelSpec],
         programs: Vec<Program>,
     ) -> Result<Vec<ThreadedPeResult>> {
-        for (i, c) in channels.iter().enumerate() {
-            if c.capacity_bytes == 0 {
-                return Err(PlatformError::ZeroCapacity {
-                    channel: ChannelId(i),
-                });
+        let instantiate = |(i, spec): (usize, &ChannelSpec)| {
+            // Supervision inflates the physical spec by one frame
+            // header per slot; the decorator wraps the result so
+            // injected corruption hits real frame bytes.
+            let framed = self.supervision.map(|_| framed_spec(spec));
+            let transport = self.kind.instantiate(framed.as_ref().unwrap_or(spec));
+            match &self.decorator {
+                Some(d) => d(ChannelId(i), transport),
+                None => transport,
             }
-        }
-        let endpoints: Vec<Box<dyn Transport>> = channels
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                // Supervision inflates the physical spec by one frame
-                // header per slot; the decorator wraps the result so
-                // injected corruption hits real frame bytes.
-                let transport = match self.supervision {
-                    Some(_) => self.kind.instantiate(&framed_spec(c)),
-                    None => self.kind.instantiate(c),
-                };
-                match &self.decorator {
-                    Some(d) => d(ChannelId(i), transport),
-                    None => transport,
-                }
-            })
-            .collect();
-        self.run_with_endpoints(channels, endpoints, programs)
+        };
+        self.launch(channels, programs, || {
+            channels.iter().enumerate().map(instantiate).collect()
+        })
     }
 
     /// As [`ThreadedRunner::run`], over **pre-built** channel endpoints
@@ -239,130 +220,286 @@ impl ThreadedRunner {
         endpoints: Vec<Box<dyn Transport>>,
         programs: Vec<Program>,
     ) -> Result<Vec<ThreadedPeResult>> {
-        for (i, c) in channels.iter().enumerate() {
-            if c.capacity_bytes == 0 {
-                return Err(PlatformError::ZeroCapacity {
-                    channel: ChannelId(i),
-                });
-            }
+        self.launch(channels, programs, || endpoints)
+    }
+
+    /// Checks the specs, takes the endpoints (built only once the specs
+    /// are known to be usable) and runs the programs through the port
+    /// the configuration selects.
+    fn launch(
+        &self,
+        channels: &[ChannelSpec],
+        programs: Vec<Program>,
+        endpoints: impl FnOnce() -> Vec<Box<dyn Transport>>,
+    ) -> Result<Vec<ThreadedPeResult>> {
+        let unusable = |c: &ChannelSpec| c.capacity_bytes == 0 || c.max_message_bytes == 0;
+        if let Some(i) = channels.iter().position(unusable) {
+            return Err(PlatformError::ZeroCapacity {
+                channel: ChannelId(i),
+            });
         }
-        assert_eq!(
-            channels.len(),
-            endpoints.len(),
-            "one endpoint per channel spec"
-        );
-        let timeout = self.timeout;
+        let endpoints = endpoints();
+        assert_eq!(channels.len(), endpoints.len(), "one endpoint per spec");
         // Resolve the tracer once: a disabled tracer takes the untraced
         // code path everywhere (emitters check a plain Option).
-        let probe: Option<&dyn Tracer> = self.tracer.as_deref().filter(|t| t.enabled());
-
-        if let Some(policy) = self.supervision {
-            return run_supervised(policy, channels, &endpoints, programs, probe);
+        let probe = self.tracer.as_deref().filter(|t| t.enabled());
+        let (endpoints, timeout) = (endpoints.as_slice(), self.timeout);
+        match self.supervision {
+            None => run_pes(channels, endpoints, probe, programs, |io| Direct {
+                io,
+                timeout,
+            }),
+            Some(policy) => run_pes(channels, endpoints, probe, programs, |io| {
+                Checkpointed::new(io, policy)
+            }),
         }
+    }
+}
 
-        let timed_out: TimedOutLog = Mutex::new(Vec::new());
-        let fault: Mutex<Option<PlatformError>> = Mutex::new(None);
-        let results: Mutex<Vec<Option<ThreadedPeResult>>> =
-            Mutex::new((0..programs.len()).map(|_| None).collect());
+/// One PE's view of a run: its id, the channels' logical specs and
+/// endpoints, and the probe sink. Every port embeds one.
+#[derive(Clone, Copy)]
+pub(crate) struct PeIo<'a> {
+    pub(crate) pe: PeId,
+    pub(crate) specs: &'a [ChannelSpec],
+    pub(crate) endpoints: &'a [Box<dyn Transport>],
+    pub(crate) probe: Option<&'a dyn Tracer>,
+}
 
-        crate::shim::scope(|scope| {
-            for (idx, mut program) in programs.into_iter().enumerate() {
-                let endpoints = &endpoints;
-                let timed_out = &timed_out;
-                let fault = &fault;
-                let results = &results;
-                // Firing labels are static across iterations; intern
-                // them up front so the hot loop never touches the
-                // tracer's (locking) intern table.
-                let labels = intern_labels(probe, &program);
-                scope.spawn_named(format!("pe{idx}"), move || {
-                    let mut local = PeLocal::default();
-                    let mut prologue = std::mem::take(&mut program.prologue);
-                    let mut aborted = false;
-                    for (i, op) in prologue.iter_mut().enumerate() {
-                        let label = labels.prologue.get(i).copied().unwrap_or(0);
-                        if !step(
-                            op, label, &mut local, endpoints, timeout, idx, probe, timed_out, fault,
-                        ) {
-                            aborted = true;
-                            break;
-                        }
-                    }
-                    if !aborted {
-                        'outer: for iter in 0..program.iterations {
-                            local.iter = iter;
-                            for (i, op) in program.ops.iter_mut().enumerate() {
-                                let label = labels.ops.get(i).copied().unwrap_or(0);
-                                if !step(
-                                    op, label, &mut local, endpoints, timeout, idx, probe,
-                                    timed_out, fault,
-                                ) {
-                                    break 'outer;
-                                }
-                            }
-                        }
-                    }
-                    results.lock().expect("results lock")[idx] = Some(ThreadedPeResult {
-                        store: std::mem::take(&mut local.store),
-                        leftover_inbox: local.inbox.len(),
-                    });
-                });
-            }
-        });
-
-        if let Some(err) = fault.into_inner().expect("fault lock") {
-            return Err(err);
+impl PeIo<'_> {
+    pub(crate) fn emit(&self, kind: ProbeKind) {
+        if let Some(t) = self.probe {
+            t.record(self.pe, t.now(), kind);
         }
-        let timed = timed_out.into_inner().expect("timed_out lock");
-        if !timed.is_empty() {
-            let blocked: Vec<PeId> = timed.iter().map(|&(pe, _, _, _)| pe).collect();
-            let detail = timed
-                .into_iter()
-                .map(|(pe, channel, kind, idle)| BlockedOp {
-                    pe,
+    }
+
+    /// Records the Send / Recv event for `data` having moved through
+    /// `channel`. `header` is what each buffered message carries beyond
+    /// its logical payload (the supervision frame header, or nothing),
+    /// so the occupancies reported are the logical ones the analyzer's
+    /// bounds are about.
+    pub(crate) fn moved(
+        &self,
+        t: &dyn Tracer,
+        dir: BlockKind,
+        channel: ChannelId,
+        data: &[u8],
+        header: usize,
+    ) {
+        let (occ_bytes, occ_msgs) = self.endpoints[channel.0].snapshot();
+        let occ_bytes = occ_bytes.saturating_sub(occ_msgs * header) as u32;
+        let (occ_msgs, bytes, at) = (occ_msgs as u32, data.len() as u32, t.now());
+        let digest = payload_digest(data);
+        let kind = match dir {
+            BlockKind::Send => ProbeKind::Send {
+                channel,
+                bytes,
+                digest,
+                occ_bytes,
+                occ_msgs,
+            },
+            BlockKind::Recv => ProbeKind::Recv {
+                channel,
+                bytes,
+                digest,
+                occ_bytes,
+                occ_msgs,
+            },
+        };
+        t.record(self.pe, at, kind);
+    }
+
+    /// Maps a transport failure nothing will retry to the platform
+    /// error space. `bytes` is the logical size of the payload being
+    /// sent (0 on the receive side).
+    pub(crate) fn failed(
+        &self,
+        channel: ChannelId,
+        kind: BlockKind,
+        err: &TransportError,
+        bytes: usize,
+    ) -> PlatformError {
+        match err {
+            // The deadlock timeout: one entry of the run's report.
+            &TransportError::Timeout { idle, .. } => {
+                let ep = &self.endpoints[channel.0];
+                let op = BlockedOp {
+                    pe: self.pe,
                     channel,
                     kind,
-                    occupied_bytes: endpoints[channel.0].len_bytes(),
-                    occupied_messages: endpoints[channel.0].occupancy(),
-                    capacity_bytes: endpoints[channel.0].capacity_bytes(),
-                    idle,
-                })
-                .collect();
-            return Err(PlatformError::Deadlock { blocked, detail });
+                    occupied_bytes: ep.len_bytes(),
+                    occupied_messages: ep.occupancy(),
+                    capacity_bytes: ep.capacity_bytes(),
+                    idle: Some(idle),
+                };
+                PlatformError::Deadlock {
+                    blocked: vec![op.pe],
+                    detail: vec![op],
+                }
+            }
+            TransportError::TooLarge { .. } => PlatformError::MessageExceedsCapacity {
+                channel,
+                bytes,
+                capacity: self.specs[channel.0].capacity_bytes,
+            },
+            // Without supervision nothing retries an injected fault, so
+            // it surfaces as an unrecovered channel fault naming the
+            // edge.
+            other => PlatformError::ChannelFault {
+                channel,
+                detail: other.to_string(),
+            },
         }
-        Ok(results
-            .into_inner()
-            .expect("results lock")
-            .into_iter()
-            .map(|r| r.expect("every PE thread stores a result"))
-            .collect())
     }
 }
 
-/// Interned firing-label ids for a program's prologue and loop ops,
-/// parallel to the op lists (non-compute ops hold id 0).
-pub(crate) struct ProgramLabels {
-    pub(crate) prologue: Vec<u32>,
-    pub(crate) ops: Vec<u32>,
+/// What the walk does after a compute op.
+#[derive(PartialEq, Eq)]
+pub(crate) enum Flow {
+    Next,
+    /// The op list is run again from its first op (a rolled-back
+    /// iteration).
+    Restart,
 }
 
-pub(crate) fn intern_labels(probe: Option<&dyn Tracer>, program: &Program) -> ProgramLabels {
-    let intern_list = |ops: &[Op]| -> Vec<u32> {
-        match probe {
-            Some(t) => ops
-                .iter()
-                .map(|op| match op {
-                    Op::Compute { label, .. } => t.intern(label),
+/// How one PE moves tokens and fires actors. The op walk in
+/// [`run_pes`] is written once against this; what differs between an
+/// unsupervised and a supervised run is only the port.
+pub(crate) trait Port {
+    /// Transmits one logical token.
+    fn send(&mut self, channel: ChannelId, data: &[u8]) -> Result<()>;
+
+    /// Receives one logical token.
+    fn recv(&mut self, channel: ChannelId) -> Result<Token>;
+
+    /// Fires a compute closure.
+    fn compute(&mut self, work: &mut ComputeFn, local: &mut PeLocal) -> Result<Flow> {
+        let _cycles = work(local);
+        Ok(Flow::Next)
+    }
+
+    /// An iteration of the program's loop is about to start.
+    fn begin_iteration(&mut self, _local: &PeLocal) {}
+}
+
+/// The one PE executor: a named thread per program, firing labels
+/// interned up front, the prologue and then the iterations walked op by
+/// op through the port `make_port` builds for each PE, results and
+/// errors collected.
+fn run_pes<'a, P: Port>(
+    specs: &'a [ChannelSpec],
+    endpoints: &'a [Box<dyn Transport>],
+    probe: Option<&'a dyn Tracer>,
+    programs: Vec<Program>,
+    make_port: impl Fn(PeIo<'a>) -> P + Sync,
+) -> Result<Vec<ThreadedPeResult>> {
+    let errors: Mutex<Vec<PlatformError>> = Mutex::new(Vec::new());
+    let results: Mutex<Vec<Option<ThreadedPeResult>>> =
+        Mutex::new((0..programs.len()).map(|_| None).collect());
+
+    crate::shim::scope(|scope| {
+        for (idx, mut program) in programs.into_iter().enumerate() {
+            let (errors, results, make_port) = (&errors, &results, &make_port);
+            let io = PeIo {
+                pe: PeId(idx),
+                specs,
+                endpoints,
+                probe,
+            };
+            // Firing labels are static across iterations; intern them
+            // up front so the hot loop never touches the tracer's
+            // (locking) intern table.
+            let intern = |ops: &[Op]| -> Vec<u32> {
+                let label = |op: &Op| match (op, io.probe) {
+                    (Op::Compute { label, .. }, Some(t)) => t.intern(label),
                     _ => 0,
-                })
-                .collect(),
-            None => Vec::new(),
+                };
+                ops.iter().map(label).collect()
+            };
+            let labels = (intern(&program.prologue), intern(&program.ops));
+            scope.spawn_named(format!("pe{idx}"), move || {
+                let mut port = make_port(io);
+                let mut local = PeLocal::default();
+                let mut walk = || -> Result<()> {
+                    // Prologue ops run before the first iteration
+                    // boundary; nothing restarts them.
+                    run_ops(&mut port, io, &mut program.prologue, &labels.0, &mut local)?;
+                    for iter in 0..program.iterations {
+                        local.iter = iter;
+                        port.begin_iteration(&local);
+                        while run_ops(&mut port, io, &mut program.ops, &labels.1, &mut local)?
+                            == Flow::Restart
+                        {}
+                    }
+                    Ok(())
+                };
+                if let Err(err) = walk() {
+                    errors.lock().expect("errors lock").push(err);
+                }
+                results.lock().expect("results lock")[idx] = Some(ThreadedPeResult {
+                    store: std::mem::take(&mut local.store),
+                    leftover_inbox: local.inbox.len(),
+                });
+            });
         }
-    };
-    ProgramLabels {
-        prologue: intern_list(&program.prologue),
-        ops: intern_list(&program.ops),
+    });
+
+    // Every PE that ran into the deadlock timeout is one entry of a
+    // single report; any other error fails the run by itself, first
+    // come first.
+    let (mut blocked, mut detail) = (Vec::new(), Vec::new());
+    for err in errors.into_inner().expect("errors lock") {
+        match err {
+            PlatformError::Deadlock {
+                blocked: b,
+                detail: d,
+            } => {
+                blocked.extend(b);
+                detail.extend(d);
+            }
+            other => return Err(other),
+        }
     }
+    if !blocked.is_empty() {
+        return Err(PlatformError::Deadlock { blocked, detail });
+    }
+    let results = results.into_inner().expect("results lock").into_iter();
+    Ok(results
+        .map(|r| r.expect("every PE thread stores a result"))
+        .collect())
+}
+
+/// Runs `ops` once, in order. `labels` is parallel to `ops` (id 0 for
+/// everything but compute ops).
+fn run_ops<P: Port>(
+    port: &mut P,
+    io: PeIo<'_>,
+    ops: &mut [Op],
+    labels: &[u32],
+    local: &mut PeLocal,
+) -> Result<Flow> {
+    for (op, &label) in ops.iter_mut().zip(labels) {
+        match op {
+            Op::Compute { work, .. } => {
+                io.emit(ProbeKind::FiringBegin { label });
+                if port.compute(work, local)? == Flow::Restart {
+                    return Ok(Flow::Restart);
+                }
+                io.emit(ProbeKind::FiringEnd { label });
+            }
+            Op::Send { channel, payload } => {
+                let data = payload(local);
+                port.send(*channel, &data)?;
+            }
+            Op::Recv { channel } => {
+                let token = port.recv(*channel)?;
+                local.inbox.push_back((*channel, token));
+            }
+            // The functional runner has no simulated clock.
+            Op::WaitUntil { .. } => {}
+        }
+    }
+    Ok(Flow::Next)
 }
 
 /// Shortest wait worth recording as a Block/Unblock event pair, in
@@ -374,215 +511,91 @@ pub(crate) fn intern_labels(probe: Option<&dyn Tracer>, program: &Program) -> Pr
 /// always captured.
 const STALL_RECORD_NS: u64 = 1_000;
 
-/// Executes one op; returns `false` when the PE must abort (timeout or
-/// transport fault), recording the cause.
-///
-/// With a probe attached, blocking channel ops attempt the non-blocking
-/// variant first: a `Full`/`Empty` result marks the block edge, and the
-/// Block/Unblock pair is emitted retroactively once the blocking call
-/// resolves — but only when the wait exceeded [`STALL_RECORD_NS`].
-/// Without a probe the original single blocking call is used, so
-/// tracing costs nothing when disabled.
-#[allow(clippy::too_many_arguments)]
-fn step(
-    op: &mut Op,
-    label: u32,
-    local: &mut PeLocal,
-    endpoints: &[Box<dyn Transport>],
+/// The unsupervised [`Port`]: each op is one transport call bounded by
+/// the deadlock timeout.
+struct Direct<'a> {
+    io: PeIo<'a>,
     timeout: Duration,
-    idx: usize,
-    probe: Option<&dyn Tracer>,
-    timed_out: &TimedOutLog,
-    fault: &Mutex<Option<PlatformError>>,
-) -> bool {
-    let pe = PeId(idx);
-    match op {
-        Op::Compute { work, .. } => {
-            if let Some(t) = probe {
-                t.record(pe, t.now(), ProbeKind::FiringBegin { label });
-                let _cycles = work(local);
-                t.record(pe, t.now(), ProbeKind::FiringEnd { label });
-            } else {
-                let _cycles = work(local);
-            }
-            true
+}
+
+impl Direct<'_> {
+    /// The traced form of a blocking channel op. The non-blocking
+    /// variant went first and came to `attempt`: a `Full` / `Empty`
+    /// answer marks the block edge, and the Block/Unblock pair is
+    /// emitted retroactively once the blocking call resolves — but only
+    /// when the wait reached [`STALL_RECORD_NS`]. (Without a probe an op
+    /// is the single blocking call, so tracing costs nothing when
+    /// disabled.)
+    // Kept out of line (and `send` / `recv` marked for inlining) so that
+    // an untraced op stays small enough to be inlined into the walk: on
+    // `selfloop8` the difference is 4 ns of a 106 ns iteration.
+    #[inline(never)]
+    fn stalling<T>(
+        &self,
+        t: &dyn Tracer,
+        channel: ChannelId,
+        dir: BlockKind,
+        attempt: std::result::Result<T, TransportError>,
+        block: impl FnOnce() -> std::result::Result<T, TransportError>,
+    ) -> std::result::Result<T, TransportError> {
+        if !matches!(attempt, Err(TransportError::Full | TransportError::Empty)) {
+            return attempt;
         }
-        Op::Send { channel, payload } => {
-            let ch = *channel;
-            let data = payload(local);
-            let ep = &endpoints[ch.0];
-            let sent = match probe {
-                Some(t) => match ep.try_send(&data) {
-                    Ok(()) => Ok(()),
-                    Err(TransportError::Full) => {
-                        let blocked_at = t.now();
-                        let res = ep.send(&data, timeout);
-                        if res.is_ok() {
-                            let resumed_at = t.now();
-                            if resumed_at.saturating_sub(blocked_at) >= STALL_RECORD_NS {
-                                t.record(pe, blocked_at, ProbeKind::BlockSend { channel: ch });
-                                t.record(pe, resumed_at, ProbeKind::UnblockSend { channel: ch });
-                            }
-                        } else {
-                            // Never resumed: keep the block edge so the
-                            // trace shows where the PE was stuck.
-                            t.record(pe, blocked_at, ProbeKind::BlockSend { channel: ch });
-                        }
-                        res
-                    }
-                    Err(e) => Err(e),
-                },
-                None => ep.send(&data, timeout),
-            };
-            match sent {
-                Ok(()) => {
-                    if let Some(t) = probe {
-                        let (occ_b, occ_m) = ep.snapshot();
-                        t.record(
-                            pe,
-                            t.now(),
-                            ProbeKind::Send {
-                                channel: ch,
-                                bytes: data.len() as u32,
-                                digest: payload_digest(&data),
-                                occ_bytes: occ_b as u32,
-                                occ_msgs: occ_m as u32,
-                            },
-                        );
-                    }
-                    true
-                }
-                Err(TransportError::Timeout { idle, .. }) => {
-                    timed_out.lock().expect("timed_out lock").push((
-                        pe,
-                        ch,
-                        BlockKind::Send,
-                        Some(idle),
-                    ));
-                    false
-                }
-                Err(e) => {
-                    record_fault(fault, ch, &data, &e, endpoints);
-                    false
-                }
-            }
+        let (stalled, resumed) = match dir {
+            BlockKind::Send => (
+                ProbeKind::BlockSend { channel },
+                ProbeKind::UnblockSend { channel },
+            ),
+            BlockKind::Recv => (
+                ProbeKind::BlockRecv { channel },
+                ProbeKind::UnblockRecv { channel },
+            ),
+        };
+        let blocked_at = t.now();
+        let res = block();
+        if res.is_err() {
+            // Never resumed: keep the block edge so the trace shows
+            // where the PE was stuck.
+            t.record(self.io.pe, blocked_at, stalled);
+            return res;
         }
-        Op::Recv { channel } => {
-            let ch = *channel;
-            let ep = &endpoints[ch.0];
-            let got = match probe {
-                Some(t) => match ep.try_recv_token() {
-                    Ok(d) => Ok(d),
-                    Err(TransportError::Empty) => {
-                        let blocked_at = t.now();
-                        let res = ep.recv_token(timeout);
-                        if res.is_ok() {
-                            let resumed_at = t.now();
-                            if resumed_at.saturating_sub(blocked_at) >= STALL_RECORD_NS {
-                                t.record(pe, blocked_at, ProbeKind::BlockRecv { channel: ch });
-                                t.record(pe, resumed_at, ProbeKind::UnblockRecv { channel: ch });
-                            }
-                        } else {
-                            t.record(pe, blocked_at, ProbeKind::BlockRecv { channel: ch });
-                        }
-                        res
-                    }
-                    Err(e) => Err(e),
-                },
-                None => ep.recv_token(timeout),
-            };
-            match got {
-                Ok(data) => {
-                    if let Some(t) = probe {
-                        let (occ_b, occ_m) = ep.snapshot();
-                        t.record(
-                            pe,
-                            t.now(),
-                            ProbeKind::Recv {
-                                channel: ch,
-                                bytes: data.len() as u32,
-                                digest: payload_digest(&data),
-                                occ_bytes: occ_b as u32,
-                                occ_msgs: occ_m as u32,
-                            },
-                        );
-                    }
-                    local.inbox.push_back((ch, data));
-                    true
-                }
-                Err(TransportError::Timeout { idle, .. }) => {
-                    timed_out.lock().expect("timed_out lock").push((
-                        pe,
-                        ch,
-                        BlockKind::Recv,
-                        Some(idle),
-                    ));
-                    false
-                }
-                Err(e) => {
-                    record_fault(fault, ch, &[], &e, endpoints);
-                    false
-                }
-            }
+        let resumed_at = t.now();
+        if resumed_at.saturating_sub(blocked_at) >= STALL_RECORD_NS {
+            t.record(self.io.pe, blocked_at, stalled);
+            t.record(self.io.pe, resumed_at, resumed);
         }
-        // The functional runner has no simulated clock.
-        Op::WaitUntil { .. } => true,
+        res
     }
 }
 
-/// Maps a non-timeout transport failure to the platform error space.
-fn record_fault(
-    fault: &Mutex<Option<PlatformError>>,
-    channel: ChannelId,
-    data: &[u8],
-    err: &TransportError,
-    endpoints: &[Box<dyn Transport>],
-) {
-    // Blocking ops fail with Timeout (handled by the caller), TooLarge,
-    // or — under a fault-injecting decorator — a declared injection.
-    // Without supervision nothing retries an injected fault, so it
-    // surfaces as an unrecovered channel fault naming the edge.
-    let mapped = match err {
-        TransportError::Injected { fault } => PlatformError::ChannelFault {
-            channel,
-            detail: fault.to_string(),
-        },
-        TransportError::TooLarge { bytes, .. } => PlatformError::MessageExceedsCapacity {
-            channel,
-            bytes: *bytes,
-            capacity: endpoints[channel.0].capacity_bytes(),
-        },
-        _ => PlatformError::MessageExceedsCapacity {
-            channel,
-            bytes: data.len(),
-            capacity: endpoints[channel.0].capacity_bytes(),
-        },
-    };
-    let mut slot = fault.lock().expect("fault lock");
-    if slot.is_none() {
-        *slot = Some(mapped);
+impl Port for Direct<'_> {
+    #[inline]
+    fn send(&mut self, channel: ChannelId, data: &[u8]) -> Result<()> {
+        let (ep, timeout, dir) = (&self.io.endpoints[channel.0], self.timeout, BlockKind::Send);
+        let sent = match self.io.probe {
+            None => ep.send(data, timeout),
+            Some(t) => self
+                .stalling(t, channel, dir, ep.try_send(data), || {
+                    ep.send(data, timeout)
+                })
+                .inspect(|()| self.io.moved(t, dir, channel, data, 0)),
+        };
+        sent.map_err(|e| self.io.failed(channel, dir, &e, data.len()))
     }
-}
 
-/// Executes programs with the default (locked) transport; see
-/// [`ThreadedRunner`] for transport selection and the module docs for
-/// semantics.
-///
-/// `timeout` bounds every blocking channel operation; a deadlocked
-/// program surfaces as [`PlatformError::Deadlock`] once any thread times
-/// out.
-///
-/// # Errors
-///
-/// As [`ThreadedRunner::run`].
-pub fn run_threaded(
-    channels: &[ChannelSpec],
-    programs: Vec<Program>,
-    timeout: Duration,
-) -> Result<Vec<ThreadedPeResult>> {
-    ThreadedRunner::new()
-        .timeout(timeout)
-        .run(channels, programs)
+    #[inline]
+    fn recv(&mut self, channel: ChannelId) -> Result<Token> {
+        let (ep, timeout, dir) = (&self.io.endpoints[channel.0], self.timeout, BlockKind::Recv);
+        let got = match self.io.probe {
+            None => ep.recv_token(timeout),
+            Some(t) => self
+                .stalling(t, channel, dir, ep.try_recv_token(), || {
+                    ep.recv_token(timeout)
+                })
+                .inspect(|token| self.io.moved(t, dir, channel, token, 0)),
+        };
+        got.map_err(|e| self.io.failed(channel, dir, &e, 0))
+    }
 }
 
 #[cfg(test)]
@@ -729,12 +742,27 @@ mod tests {
 
     #[test]
     fn zero_capacity_rejected_up_front() {
-        let channels = vec![ChannelSpec {
+        // No room at all, or no declared message bound to size slots
+        // from: both are refused before any transport is built.
+        let no_capacity = ChannelSpec {
             capacity_bytes: 0,
             ..ChannelSpec::default()
-        }];
-        let err = run_threaded(&channels, vec![], Duration::from_secs(1));
-        assert!(matches!(err, Err(PlatformError::ZeroCapacity { .. })));
+        };
+        let no_bound = ChannelSpec {
+            max_message_bytes: 0,
+            ..ChannelSpec::default()
+        };
+        for (bad, policy) in [
+            (no_capacity, None),
+            (no_bound, None),
+            (no_bound, Some(SupervisionPolicy::default())),
+        ] {
+            let mut runner = ThreadedRunner::new().transport(TransportKind::Ring);
+            runner.supervision = policy;
+            let err = runner.run(&[ChannelSpec::default(), bad], vec![]);
+            let channel = ChannelId(1);
+            assert_eq!(err, Err(PlatformError::ZeroCapacity { channel }));
+        }
     }
 
     #[test]
@@ -813,8 +841,8 @@ mod tests {
 
     #[test]
     fn default_runner_uses_locked_transport_and_default_timeout() {
-        let r = ThreadedRunner::new();
-        assert_eq!(r.transport_kind(), TransportKind::Locked);
-        assert_eq!(r.deadlock_timeout(), DEFAULT_DEADLOCK_TIMEOUT);
+        let shown = format!("{:?}", ThreadedRunner::new());
+        assert!(shown.contains("kind: Locked"), "{shown}");
+        assert!(shown.contains("timeout: 30s"), "{shown}");
     }
 }

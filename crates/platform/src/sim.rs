@@ -60,9 +60,9 @@ pub struct ChannelSpec {
     pub recv_overhead_cycles: u64,
     /// Largest single message the channel carries, in bytes — the packed
     /// token size `c(e) = c_sdf(e) · b_max(e)` plus header when derived
-    /// from the paper's eq. (1). `0` means "not declared": transports
-    /// fall back to word granularity and the analyzer skips
-    /// capacity-vs-bound checks.
+    /// from the paper's eq. (1). Slot-based transports size their slots
+    /// from it, so it is always declared: the threaded runner refuses a
+    /// spec where it is 0.
     pub max_message_bytes: usize,
 }
 
@@ -76,7 +76,7 @@ impl Default for ChannelSpec {
             cycles_per_word: 1,
             send_overhead_cycles: 2,
             recv_overhead_cycles: 2,
-            max_message_bytes: 0,
+            max_message_bytes: 4, // one channel word
         }
     }
 }
@@ -400,7 +400,7 @@ impl Machine {
     }
 
     /// Decomposes the machine into its channel specs and PE programs —
-    /// the inputs [`crate::run_threaded`] needs to execute the same
+    /// the inputs [`crate::ThreadedRunner::run`] needs to execute the same
     /// system on OS threads.
     pub fn into_parts(self) -> (Vec<ChannelSpec>, Vec<Program>) {
         (self.channels, self.programs)

@@ -23,8 +23,8 @@
 //!   retransmission protocol idempotent without a reverse channel.
 //! * **Degradation** — when a token cannot be recovered inside the
 //!   retry budget, [`DegradePolicy`] picks the UBS-style fallback:
-//!   substitute a neutral (zero) token of the last observed size, skip
-//!   it, or fail the run with an error naming the edge.
+//!   substitute a neutral (zero) token of the edge's shape, skip it, or
+//!   fail the run with an error naming the edge.
 //! * **Checkpoint / restart** — each PE snapshots its functional state
 //!   (store + inbox) at every iteration boundary. A panicking compute
 //!   closure rolls the iteration back and replays it: receives are
@@ -34,21 +34,26 @@
 //!   compute and payload closures are deterministic functions of
 //!   [`PeLocal`].
 //!
-//! Every fault-handling decision is emitted through the [`Tracer`] as a
-//! `FaultRetry` / `FaultCorrupt` / `FaultDegraded` / `FaultRestart`
-//! probe event; the `spi-trace` conformance checker holds those events
-//! against the declared budgets (diagnostics SPI090–SPI095).
+//! What the protocol *decides* lives in [`protocol`], two pure state
+//! machines per channel; what it *does* — transport calls, deadlines,
+//! backoff — lives in the `Supervised` port that drives them inside the
+//! runner's one op walk, with checkpoint / restart as an adaptor around
+//! it. Every fault-handling decision is emitted through the
+//! [`crate::Tracer`] as a `FaultRetry` / `FaultCorrupt` /
+//! `FaultDegraded` / `FaultRestart` probe event; the `spi-trace`
+//! conformance checker holds those events against the declared budgets
+//! (diagnostics SPI090–SPI095).
 
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::error::{BlockKind, PlatformError, Result};
 use crate::pool::Token;
-use crate::runner::{intern_labels, ThreadedPeResult};
-use crate::sim::{ChannelId, ChannelSpec, Op, PeId, PeLocal, Program};
-use crate::trace::{payload_digest, ProbeKind, Tracer};
-use crate::transport::{Transport, TransportError};
+use crate::runner::{Flow, PeIo, Port};
+use crate::sim::{ChannelId, ChannelSpec, ComputeFn, PeLocal};
+use crate::trace::ProbeKind;
+use crate::transport::TransportError;
 
 /// Bytes of supervision header prepended to every framed message:
 /// `[seq: u32 LE][crc32: u32 LE]`.
@@ -70,8 +75,11 @@ pub enum DegradePolicy {
     /// payload when the stream ran dry.
     Skip,
     /// Substitute a neutral token: zero-filled, sized like the last
-    /// token seen on the channel (tokens have a fixed packed size
-    /// c(e), so the substitute is shape-correct).
+    /// token delivered on the channel (tokens have a fixed packed size
+    /// c(e), so the substitute is shape-correct) — and, until one has
+    /// been delivered, like the channel's declared
+    /// [`ChannelSpec::max_message_bytes`], so a lost *first* token is
+    /// still a token of the edge's shape rather than an empty one.
     Substitute,
 }
 
@@ -191,7 +199,7 @@ fn crc_tables() -> &'static [[u32; 256]; 16] {
 /// The polynomial choice is invisible outside the process: frames are
 /// produced and verified by PEs of the same run, never persisted or
 /// exchanged across machines, so both ends always use the same path.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("sse4.2") {
         // SAFETY: gated on runtime SSE4.2 detection.
@@ -264,17 +272,10 @@ pub enum FrameError {
     BadCrc,
 }
 
-/// Wraps `payload` in a supervision frame.
-#[cfg(test)]
-pub(crate) fn encode_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::new();
-    encode_frame_into(&mut frame, seq, payload);
-    frame
-}
-
-/// [`encode_frame`] into a reused buffer: the hot send path frames one
-/// message per iteration per channel, so after the first message the
-/// per-channel scratch buffer makes framing allocation-free.
+/// Wraps `payload` in a supervision frame, in a reused buffer: the hot
+/// send path frames one message per iteration per channel, so after the
+/// first message the caller's scratch buffer makes framing
+/// allocation-free.
 pub fn encode_frame_into(frame: &mut Vec<u8>, seq: u32, payload: &[u8]) {
     frame.clear();
     frame.reserve(FRAME_HEADER_BYTES + payload.len());
@@ -307,571 +308,548 @@ pub fn decode_frame(frame: &[u8]) -> std::result::Result<(u32, &[u8]), FrameErro
 /// socket channel's credit window for a supervised distributed run —
 /// must apply the same inflation before handing endpoints to
 /// [`crate::ThreadedRunner::run_with_endpoints`].
+///
+/// # Panics
+///
+/// If `spec` declares no message bound; the runner rejects such a spec
+/// before sizing anything from it.
 pub fn framed_spec(spec: &ChannelSpec) -> ChannelSpec {
-    let mut s = *spec;
-    if let Some(slots) = spec.capacity_bytes.checked_div(spec.max_message_bytes) {
-        let slots = slots.max(1);
-        s.max_message_bytes = spec.max_message_bytes + FRAME_HEADER_BYTES;
-        s.capacity_bytes = spec.capacity_bytes + slots * FRAME_HEADER_BYTES;
-    } else {
-        // No declared per-message bound: treat the whole channel as one
-        // message (the ring serializes to a single slot; the locked
-        // queue keeps byte-accurate admission).
-        s.max_message_bytes = spec.capacity_bytes + FRAME_HEADER_BYTES;
-        s.capacity_bytes = spec.capacity_bytes + FRAME_HEADER_BYTES;
+    assert!(spec.max_message_bytes > 0, "spec declares no message bound");
+    let slots = (spec.capacity_bytes / spec.max_message_bytes).max(1);
+    ChannelSpec {
+        max_message_bytes: spec.max_message_bytes + FRAME_HEADER_BYTES,
+        capacity_bytes: spec.capacity_bytes + slots * FRAME_HEADER_BYTES,
+        ..*spec
     }
-    s
-}
-
-/// `(occ_bytes, occ_msgs)` of a framed endpoint with the header bytes
-/// stripped — the logical numbers probe events carry.
-fn logical_snapshot(ep: &dyn Transport) -> (u32, u32) {
-    let (b, m) = ep.snapshot();
-    (b.saturating_sub(m * FRAME_HEADER_BYTES) as u32, m as u32)
 }
 
 // ---------------------------------------------------------------------
-// Supervised executor
+// The protocol, as a pure state machine
 // ---------------------------------------------------------------------
 
-/// Receiver/sender-side sequencing state for one channel, owned by the
-/// single PE thread that uses that side (edges are SPSC).
-#[derive(Default, Clone)]
-struct ChanState {
-    /// Next sequence number to transmit.
-    send_seq: u32,
-    /// Next sequence number expected by the receiver.
-    recv_seq: u32,
-    /// An out-of-order frame held back for the next receive.
-    pending: Option<(u32, Vec<u8>)>,
-    /// Payload size of the last delivered token (substitute sizing).
-    last_len: usize,
-    /// When the channel last completed an operation for this PE.
-    last_ok: Option<Instant>,
-    /// Reused send-side framing buffer (capacity persists per channel).
+/// The supervision protocol with the I/O taken out: sequence numbering,
+/// stale-duplicate discard, gap handling per [`DegradePolicy`], the
+/// retry-budget verdicts and substitute sizing, as one send-side and
+/// one receive-side state machine per channel. Nothing in here touches
+/// a transport, a tracer or a clock — [`Supervised`] does that and asks
+/// these machines for every decision, and `spi_verify::framing` drives
+/// the same machines against an adversarial channel (which is why the
+/// module is exported, under `verify-shim` only).
+pub mod protocol {
+    use super::{decode_frame, encode_frame_into, DegradePolicy, FRAME_HEADER_BYTES};
+    use crate::pool::Token;
+
+    /// A fault-handling step a machine took on the way to its verdict.
+    /// The supervised port turns each into the `Fault*` probe event of
+    /// the same name.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Note {
+        /// A deadline miss is being retried; 1-based attempt number.
+        Retry(u32),
+        /// A frame failed its CRC and was discarded.
+        Corrupt,
+        /// One lost token was skipped or substituted.
+        Degraded {
+            /// `true` for a zero-filled substitute, `false` for a skip.
+            substituted: bool,
+        },
+    }
+
+    /// What the sender does after a transmission attempt failed.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum SendVerdict {
+        /// Retransmit the same frame; 1-based attempt number.
+        Retry(u32),
+        /// Budget spent under `Skip` / `Substitute`: the token is
+        /// abandoned and its sequence number burned, so the receiver
+        /// sees the gap and degrades under its own policy.
+        Skip,
+        /// Budget spent under `Fail`: stop the run. Carries the attempts
+        /// made (first try plus retries).
+        Fail(u32),
+    }
+
+    /// Sender side of one channel.
+    #[derive(Debug, Clone)]
+    pub struct SendSide {
+        policy: DegradePolicy,
+        max_retries: u32,
+        /// Sequence number of the token in flight.
+        seq: u32,
+        /// Failed attempts at transmitting it.
+        attempt: u32,
+    }
+
+    impl SendSide {
+        /// A sender at sequence number 0.
+        pub fn new(policy: DegradePolicy, max_retries: u32) -> Self {
+            SendSide {
+                policy,
+                max_retries,
+                seq: 0,
+                attempt: 0,
+            }
+        }
+
+        /// Frames `payload` under the sequence number of the token in
+        /// flight — the same one on every retransmission, which is what
+        /// lets the receiver discard duplicates without a reverse
+        /// channel.
+        pub fn frame_into(&self, frame: &mut Vec<u8>, payload: &[u8]) {
+            encode_frame_into(frame, self.seq, payload);
+        }
+
+        /// The transport took the frame.
+        pub fn sent(&mut self) {
+            self.seq = self.seq.wrapping_add(1);
+            self.attempt = 0;
+        }
+
+        /// A transmission attempt failed transiently.
+        pub fn failed(&mut self) -> SendVerdict {
+            self.attempt += 1;
+            if self.attempt <= self.max_retries {
+                return SendVerdict::Retry(self.attempt);
+            }
+            match self.policy {
+                DegradePolicy::Fail => SendVerdict::Fail(self.attempt),
+                DegradePolicy::Skip | DegradePolicy::Substitute => {
+                    self.sent();
+                    SendVerdict::Skip
+                }
+            }
+        }
+    }
+
+    /// What one step of a receive op came to.
+    #[derive(Debug)]
+    pub enum RecvVerdict {
+        /// The next token of the stream, intact and in order.
+        Deliver(Token),
+        /// A stand-in for a token that is lost for good: zero-filled
+        /// under `Substitute`, empty under `Skip` (the stream ran dry).
+        StandIn(Token),
+        /// Nothing to hand over yet: read the transport (again).
+        Read,
+        /// `Fail` policy, a frame from the future arrived: stop the run.
+        /// Carries the number of tokens missing before that frame.
+        Lost(u32),
+        /// `Fail` policy, retry budget spent: stop the run. Carries the
+        /// attempts made (first try plus retries).
+        Exhausted(u32),
+    }
+
+    /// Receiver side of one channel. A receive op is [`RecvSide::begin`],
+    /// then [`RecvSide::frame`] / [`RecvSide::timeout`] for as long as
+    /// the verdict is [`RecvVerdict::Read`]; every op ends in exactly
+    /// one token or a fail-stop.
+    #[derive(Debug, Clone)]
+    pub struct RecvSide {
+        policy: DegradePolicy,
+        max_retries: u32,
+        /// Next sequence number to deliver.
+        expected: u32,
+        /// A frame from the future, held back while the receive ops
+        /// before it hand out substitutes for the tokens it overtook.
+        parked: Option<(u32, Vec<u8>)>,
+        /// Size of a substitute: the channel's declared message bound
+        /// until a token has been delivered, that token's size after.
+        token_bytes: usize,
+        /// Failed attempts of the receive op in progress.
+        attempt: u32,
+        /// Frames numbered below `expected` are discarded. Only the
+        /// `verify-shim` mutant (`RecvSide::without_dedup`) clears it.
+        dedup: bool,
+    }
+
+    impl RecvSide {
+        /// A receiver expecting sequence number 0 on a channel whose
+        /// logical spec declares `max_message_bytes`.
+        pub fn new(policy: DegradePolicy, max_retries: u32, max_message_bytes: usize) -> Self {
+            RecvSide {
+                policy,
+                max_retries,
+                expected: 0,
+                parked: None,
+                token_bytes: max_message_bytes,
+                attempt: 0,
+                dedup: true,
+            }
+        }
+
+        /// The same receiver with stale frames delivered as if they were
+        /// in order. This is the framing explorer's regression oracle —
+        /// `spi-verify` asserts it reports `duplicate-delivered` for
+        /// this variant and nothing for the shipped one. Never reachable
+        /// from production builds.
+        #[cfg(feature = "verify-shim")]
+        pub fn without_dedup(self) -> Self {
+            RecvSide {
+                dedup: false,
+                ..self
+            }
+        }
+
+        /// Starts a receive op. A parked frame is looked at before the
+        /// transport is touched again.
+        pub fn begin(&mut self, note: impl FnMut(Note)) -> RecvVerdict {
+            self.attempt = 0;
+            match self.parked.take() {
+                Some((seq, payload)) => self.accept(seq, Token::Owned(payload), note),
+                None => RecvVerdict::Read,
+            }
+        }
+
+        /// A frame came off the transport. Pooled leases flow through
+        /// unchanged: the CRC check reads the frame in place and the
+        /// verified header is stripped by a pointer bump, not a copy.
+        pub fn frame(&mut self, mut frame: Token, mut note: impl FnMut(Note)) -> RecvVerdict {
+            match decode_frame(&frame).map(|(seq, _)| seq) {
+                Ok(seq) => {
+                    frame.trim_front(FRAME_HEADER_BYTES);
+                    self.accept(seq, frame, note)
+                }
+                // The sender was told (typed error) and retransmits;
+                // wait for the clean copy.
+                Err(_) => {
+                    note(Note::Corrupt);
+                    self.missed(false, note)
+                }
+            }
+        }
+
+        /// The attempt's deadline passed with nothing to read.
+        pub fn timeout(&mut self, note: impl FnMut(Note)) -> RecvVerdict {
+            self.missed(true, note)
+        }
+        fn accept(&mut self, seq: u32, payload: Token, mut note: impl FnMut(Note)) -> RecvVerdict {
+            let stale = seq < self.expected;
+            if stale && self.dedup {
+                // A duplicate of a delivered token (injected, or a
+                // retransmission that raced its original): no attempt
+                // consumed.
+                return RecvVerdict::Read;
+            }
+            if stale || seq == self.expected {
+                return self.deliver(payload);
+            }
+            // A frame from the future: tokens `expected..seq` were
+            // abandoned upstream.
+            let missing = seq.wrapping_sub(self.expected);
+            match self.policy {
+                DegradePolicy::Fail => RecvVerdict::Lost(missing),
+                DegradePolicy::Skip => {
+                    (0..missing).for_each(|_| note(Note::Degraded { substituted: false }));
+                    self.expected = seq;
+                    self.deliver(payload)
+                }
+                // One substitute per receive op keeps the one-token-
+                // per-op contract; the frame waits in `parked`, and a
+                // wider gap is re-derived from it by the next op.
+                // Parking releases a pooled frame's slot (cold path).
+                DegradePolicy::Substitute => {
+                    self.parked = Some((seq, payload.into_vec()));
+                    self.stand_in(note)
+                }
+            }
+        }
+
+        fn deliver(&mut self, payload: Token) -> RecvVerdict {
+            self.expected = self.expected.wrapping_add(1);
+            self.token_bytes = payload.len();
+            RecvVerdict::Deliver(payload)
+        }
+
+        /// One failed attempt; past the budget the token is given up.
+        fn missed(&mut self, timed_out: bool, mut note: impl FnMut(Note)) -> RecvVerdict {
+            self.attempt += 1;
+            if self.attempt > self.max_retries {
+                return match self.policy {
+                    DegradePolicy::Fail => RecvVerdict::Exhausted(self.attempt),
+                    DegradePolicy::Skip | DegradePolicy::Substitute => self.stand_in(note),
+                };
+            }
+            if timed_out {
+                note(Note::Retry(self.attempt));
+            }
+            RecvVerdict::Read
+        }
+
+        /// Gives up on token `expected` (never under `Fail`).
+        fn stand_in(&mut self, mut note: impl FnMut(Note)) -> RecvVerdict {
+            let substituted = self.policy == DegradePolicy::Substitute;
+            note(Note::Degraded { substituted });
+            self.expected = self.expected.wrapping_add(1);
+            let len = if substituted { self.token_bytes } else { 0 };
+            RecvVerdict::StandIn(Token::Owned(vec![0u8; len]))
+        }
+    }
+}
+
+use protocol::{Note, RecvSide, RecvVerdict, SendSide, SendVerdict};
+
+// ---------------------------------------------------------------------
+// The supervised port
+// ---------------------------------------------------------------------
+
+/// One channel as one PE uses it (edges are SPSC, so each side's
+/// machine is only ever driven by the PE that owns that side).
+struct Chan {
+    tx: SendSide,
+    rx: RecvSide,
+    /// When the channel last completed an operation for this PE (when
+    /// the PE started, before the first).
+    last_ok: Instant,
+}
+
+/// The supervised [`Port`]: transport calls, deadlines, backoff and
+/// `Fault*` probe events around the [`protocol`] machines' decisions.
+pub(crate) struct Supervised<'a> {
+    io: PeIo<'a>,
+    policy: SupervisionPolicy,
+    chans: Vec<Chan>,
+    /// Reused send-side framing buffer.
     frame_buf: Vec<u8>,
 }
 
-/// Per-PE supervision context (one per thread).
-struct PeCtx<'a> {
-    pe: PeId,
-    policy: SupervisionPolicy,
-    specs: &'a [ChannelSpec],
-    endpoints: &'a [Box<dyn Transport>],
-    probe: Option<&'a dyn Tracer>,
-    fault: &'a Mutex<Option<PlatformError>>,
-    started: Instant,
-    chans: Vec<ChanState>,
-    restarts: u32,
-}
-
-impl PeCtx<'_> {
-    fn record(&self, err: PlatformError) {
-        let mut slot = self.fault.lock().expect("fault lock");
-        if slot.is_none() {
-            *slot = Some(err);
+impl<'a> Supervised<'a> {
+    fn new(io: PeIo<'a>, policy: SupervisionPolicy) -> Self {
+        let started = crate::shim::now();
+        let chan = |spec: &ChannelSpec| Chan {
+            tx: SendSide::new(policy.degrade, policy.max_retries),
+            rx: RecvSide::new(policy.degrade, policy.max_retries, spec.max_message_bytes),
+            last_ok: started,
+        };
+        Supervised {
+            io,
+            policy,
+            chans: io.specs.iter().map(chan).collect(),
+            frame_buf: Vec::new(),
         }
     }
 
-    fn emit(&self, kind: ProbeKind) {
-        if let Some(t) = self.probe {
-            t.record(self.pe, t.now(), kind);
+    fn exhausted(&self, ch: ChannelId, kind: BlockKind, attempts: u32) -> PlatformError {
+        PlatformError::RetryBudgetExhausted {
+            pe: self.io.pe,
+            channel: ch,
+            attempts,
+            kind,
+            idle: crate::shim::now().duration_since(self.chans[ch.0].last_ok),
         }
-    }
-
-    fn idle_since(&self, ch: usize) -> Duration {
-        let anchor = self.chans[ch].last_ok.unwrap_or(self.started);
-        crate::shim::now().duration_since(anchor)
     }
 
     fn backoff(&self, attempt: u32) {
         let base = self.policy.backoff_base;
-        if base.is_zero() {
-            return;
+        if !base.is_zero() {
+            let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+            crate::shim::sleep(exp.min(MAX_BACKOFF));
         }
-        let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        crate::shim::sleep(exp.min(MAX_BACKOFF));
     }
+}
 
-    /// Transmits one logical token; returns `false` when the PE must
-    /// abort (a terminal fault was recorded).
-    fn sup_send(&mut self, ch: ChannelId, data: &[u8]) -> bool {
-        let seq = self.chans[ch.0].send_seq;
-        let mut frame = std::mem::take(&mut self.chans[ch.0].frame_buf);
-        encode_frame_into(&mut frame, seq, data);
-        let ok = self.send_framed(ch, seq, &frame, data);
-        self.chans[ch.0].frame_buf = frame;
-        ok
-    }
-
-    /// The retry loop behind [`Self::sup_send`], over an already-framed
-    /// message.
-    fn send_framed(&mut self, ch: ChannelId, seq: u32, frame: &[u8], data: &[u8]) -> bool {
-        let ep = &self.endpoints[ch.0];
-        let mut attempt: u32 = 0;
-        loop {
-            match ep.send(frame, self.policy.op_deadline) {
+impl Port for Supervised<'_> {
+    fn send(&mut self, ch: ChannelId, data: &[u8]) -> Result<()> {
+        // The frame is built once and retransmitted as is; its buffer
+        // goes back to the port afterwards, so framing stops allocating
+        // after the first message.
+        let mut frame = std::mem::take(&mut self.frame_buf);
+        self.chans[ch.0].tx.frame_into(&mut frame, data);
+        let ep = &self.io.endpoints[ch.0];
+        let sent = loop {
+            let err = match ep.send(&frame, self.policy.op_deadline) {
                 Ok(()) => {
                     let c = &mut self.chans[ch.0];
-                    c.send_seq = seq.wrapping_add(1);
-                    c.last_ok = Some(crate::shim::now());
-                    if self.probe.is_some() {
-                        let (occ_b, occ_m) = logical_snapshot(ep.as_ref());
-                        self.emit(ProbeKind::Send {
-                            channel: ch,
-                            bytes: data.len() as u32,
-                            digest: payload_digest(data),
-                            occ_bytes: occ_b,
-                            occ_msgs: occ_m,
-                        });
+                    c.tx.sent();
+                    c.last_ok = crate::shim::now();
+                    if let Some(t) = self.io.probe {
+                        (self.io).moved(t, BlockKind::Send, ch, data, FRAME_HEADER_BYTES);
                     }
-                    return true;
+                    break Ok(());
                 }
-                // Declared injections and deadline misses are
-                // transient: the frame is retransmitted under the same
-                // sequence number (receivers deduplicate), so recovery
-                // is idempotent.
-                Err(e @ (TransportError::Injected { .. } | TransportError::Timeout { .. })) => {
-                    attempt += 1;
-                    if attempt > self.policy.max_retries {
-                        match self.policy.degrade {
-                            DegradePolicy::Fail => {
-                                self.record(PlatformError::RetryBudgetExhausted {
-                                    pe: self.pe,
-                                    channel: ch,
-                                    attempts: attempt,
-                                    kind: BlockKind::Send,
-                                    idle: self.idle_since(ch.0),
-                                });
-                                return false;
-                            }
-                            // Skip the token on the sender side: the
-                            // receiver sees the sequence gap and
-                            // degrades under its own policy.
-                            DegradePolicy::Skip | DegradePolicy::Substitute => {
-                                self.chans[ch.0].send_seq = seq.wrapping_add(1);
-                                return true;
-                            }
-                        }
-                    }
-                    self.emit(ProbeKind::FaultRetry {
+                Err(e) => e,
+            };
+            // Declared injections and deadline misses are transient.
+            let injected = matches!(err, TransportError::Injected { .. });
+            if !injected && !matches!(err, TransportError::Timeout { .. }) {
+                break Err((self.io).failed(ch, BlockKind::Send, &err, data.len()));
+            }
+            match self.chans[ch.0].tx.failed() {
+                SendVerdict::Retry(attempt) => {
+                    self.io.emit(ProbeKind::FaultRetry {
                         channel: ch,
                         attempt,
                     });
                     // A deadline miss already waited out the op
                     // deadline; only immediate failures back off.
-                    if matches!(e, TransportError::Injected { .. }) {
+                    if injected {
                         self.backoff(attempt);
                     }
                 }
-                Err(e) => {
-                    self.record(map_terminal(ch, data.len(), &e, self.specs));
-                    return false;
+                SendVerdict::Skip => break Ok(()),
+                SendVerdict::Fail(attempts) => {
+                    break Err(self.exhausted(ch, BlockKind::Send, attempts))
                 }
             }
-        }
+        };
+        self.frame_buf = frame;
+        sent
     }
 
-    /// Receives one logical token, or `None` when the PE must abort.
-    /// Pooled leases flow through unchanged: the CRC check reads the
-    /// frame in place over the pool slot, and the verified header is
-    /// stripped by a pointer bump, not a copy.
-    fn sup_recv(&mut self, ch: ChannelId) -> Option<Token> {
-        // An out-of-order frame buffered by an earlier gap is consumed
-        // before the transport is touched again.
-        if let Some((seq, payload)) = self.chans[ch.0].pending.take() {
-            let expected = self.chans[ch.0].recv_seq;
-            if seq == expected {
-                return Some(self.deliver(ch, Token::Owned(payload)));
-            }
-            if seq > expected {
-                return self.handle_gap(ch, seq, Token::Owned(payload));
-            }
-            // Stale duplicate: drop it and read the transport.
-        }
-        let mut attempt: u32 = 0;
-        loop {
-            let got = self.endpoints[ch.0].recv_token(self.policy.op_deadline);
-            match got {
-                Ok(mut frame) => match decode_frame(&frame).map(|(seq, _)| seq) {
-                    Ok(seq) => {
-                        let expected = self.chans[ch.0].recv_seq;
-                        if seq < expected {
-                            // Duplicate of an already-delivered token
-                            // (injected duplication or a replayed
-                            // retransmission): discard, no attempt
-                            // consumed.
-                            continue;
-                        }
-                        // Strip the verified header in place — a
-                        // pointer bump on pooled leases, a front drain
-                        // on owned frames; never a second allocation.
-                        frame.trim_front(FRAME_HEADER_BYTES);
-                        if seq == expected {
-                            return Some(self.deliver(ch, frame));
-                        }
-                        return self.handle_gap(ch, seq, frame);
-                    }
-                    Err(_) => {
-                        // CRC failure: a declared corruption. The
-                        // sender was told (typed error) and
-                        // retransmits; wait for the clean copy.
-                        self.emit(ProbeKind::FaultCorrupt { channel: ch });
-                        attempt += 1;
-                        if attempt > self.policy.max_retries {
-                            return self.degrade_missing(ch, attempt);
-                        }
-                    }
+    fn recv(&mut self, ch: ChannelId) -> Result<Token> {
+        let io = self.io;
+        let note = |n: Note| {
+            io.emit(match n {
+                Note::Retry(attempt) => ProbeKind::FaultRetry {
+                    channel: ch,
+                    attempt,
                 },
-                Err(TransportError::Timeout { .. }) => {
-                    attempt += 1;
-                    if attempt > self.policy.max_retries {
-                        return self.degrade_missing(ch, attempt);
+                Note::Corrupt => ProbeKind::FaultCorrupt { channel: ch },
+                Note::Degraded { substituted } => ProbeKind::FaultDegraded {
+                    channel: ch,
+                    substituted,
+                },
+            })
+        };
+        let mut verdict = self.chans[ch.0].rx.begin(note);
+        loop {
+            match verdict {
+                RecvVerdict::Deliver(token) => {
+                    self.chans[ch.0].last_ok = crate::shim::now();
+                    if let Some(t) = io.probe {
+                        io.moved(t, BlockKind::Recv, ch, &token, FRAME_HEADER_BYTES);
                     }
-                    self.emit(ProbeKind::FaultRetry {
+                    return Ok(token);
+                }
+                RecvVerdict::StandIn(token) => return Ok(token),
+                RecvVerdict::Read => {}
+                RecvVerdict::Lost(missing) => {
+                    return Err(PlatformError::TokensLost {
+                        pe: io.pe,
                         channel: ch,
-                        attempt,
-                    });
+                        missing,
+                    })
                 }
-                Err(e) => {
-                    self.record(map_terminal(ch, 0, &e, self.specs));
-                    return None;
+                RecvVerdict::Exhausted(attempts) => {
+                    return Err(self.exhausted(ch, BlockKind::Recv, attempts))
                 }
             }
-        }
-    }
-
-    fn deliver(&mut self, ch: ChannelId, payload: Token) -> Token {
-        let c = &mut self.chans[ch.0];
-        c.recv_seq = c.recv_seq.wrapping_add(1);
-        c.last_len = payload.len();
-        c.last_ok = Some(crate::shim::now());
-        if self.probe.is_some() {
-            let (occ_b, occ_m) = logical_snapshot(self.endpoints[ch.0].as_ref());
-            self.emit(ProbeKind::Recv {
-                channel: ch,
-                bytes: payload.len() as u32,
-                digest: payload_digest(&payload),
-                occ_bytes: occ_b,
-                occ_msgs: occ_m,
-            });
-        }
-        payload
-    }
-
-    /// A frame from the future arrived: tokens in `recv_seq..seq` are
-    /// lost (dropped upstream past its retry budget). Degrade per
-    /// policy; the arrived frame is either delivered now (skip) or
-    /// parked for the next receive (substitute).
-    fn handle_gap(&mut self, ch: ChannelId, seq: u32, payload: Token) -> Option<Token> {
-        let expected = self.chans[ch.0].recv_seq;
-        let missing = seq.wrapping_sub(expected);
-        match self.policy.degrade {
-            DegradePolicy::Fail => {
-                self.record(PlatformError::TokensLost {
-                    pe: self.pe,
-                    channel: ch,
-                    missing,
-                });
-                None
-            }
-            DegradePolicy::Skip => {
-                for _ in 0..missing {
-                    self.emit(ProbeKind::FaultDegraded {
-                        channel: ch,
-                        substituted: false,
-                    });
-                }
-                self.chans[ch.0].recv_seq = seq;
-                Some(self.deliver(ch, payload))
-            }
-            DegradePolicy::Substitute => {
-                // One substitution per receive op keeps the one-token-
-                // per-op contract; the real frame waits in `pending`
-                // (and later gaps re-derive from it).
-                self.emit(ProbeKind::FaultDegraded {
-                    channel: ch,
-                    substituted: true,
-                });
-                // Parking the frame releases its pool slot (cold path:
-                // tokens were already lost on this channel).
-                let payload = payload.into_vec();
-                let c = &mut self.chans[ch.0];
-                c.recv_seq = c.recv_seq.wrapping_add(1);
-                c.pending = Some((seq, payload));
-                Some(Token::Owned(vec![0u8; c.last_len]))
-            }
-        }
-    }
-
-    /// The retry budget ran dry with nothing delivered.
-    fn degrade_missing(&mut self, ch: ChannelId, attempts: u32) -> Option<Token> {
-        match self.policy.degrade {
-            DegradePolicy::Fail => {
-                self.record(PlatformError::RetryBudgetExhausted {
-                    pe: self.pe,
-                    channel: ch,
-                    attempts,
-                    kind: BlockKind::Recv,
-                    idle: self.idle_since(ch.0),
-                });
-                None
-            }
-            DegradePolicy::Skip => {
-                self.emit(ProbeKind::FaultDegraded {
-                    channel: ch,
-                    substituted: false,
-                });
-                self.chans[ch.0].recv_seq = self.chans[ch.0].recv_seq.wrapping_add(1);
-                Some(Token::Owned(Vec::new()))
-            }
-            DegradePolicy::Substitute => {
-                self.emit(ProbeKind::FaultDegraded {
-                    channel: ch,
-                    substituted: true,
-                });
-                let c = &mut self.chans[ch.0];
-                c.recv_seq = c.recv_seq.wrapping_add(1);
-                Some(Token::Owned(vec![0u8; c.last_len]))
-            }
-        }
-    }
-}
-
-/// Maps a non-transient transport failure to the platform error space
-/// using the *logical* channel numbers.
-fn map_terminal(
-    ch: ChannelId,
-    logical_bytes: usize,
-    err: &TransportError,
-    specs: &[ChannelSpec],
-) -> PlatformError {
-    match err {
-        TransportError::TooLarge { bytes, .. } => PlatformError::MessageExceedsCapacity {
-            channel: ch,
-            bytes: bytes.saturating_sub(FRAME_HEADER_BYTES).max(logical_bytes),
-            capacity: specs[ch.0].capacity_bytes,
-        },
-        other => PlatformError::ChannelFault {
-            channel: ch,
-            detail: other.to_string(),
-        },
-    }
-}
-
-/// Executes `programs` under supervision over already-instantiated
-/// (framed, possibly fault-decorated) `endpoints`.
-pub(crate) fn run_supervised(
-    policy: SupervisionPolicy,
-    specs: &[ChannelSpec],
-    endpoints: &[Box<dyn Transport>],
-    programs: Vec<Program>,
-    probe: Option<&dyn Tracer>,
-) -> Result<Vec<ThreadedPeResult>> {
-    let fault: Mutex<Option<PlatformError>> = Mutex::new(None);
-    let results: Mutex<Vec<Option<ThreadedPeResult>>> =
-        Mutex::new((0..programs.len()).map(|_| None).collect());
-    let n_chans = specs.len();
-
-    crate::shim::scope(|scope| {
-        for (idx, mut program) in programs.into_iter().enumerate() {
-            let fault = &fault;
-            let results = &results;
-            let labels = intern_labels(probe, &program);
-            let mut ctx = PeCtx {
-                pe: PeId(idx),
-                policy,
-                specs,
-                endpoints,
-                probe,
-                fault,
-                started: crate::shim::now(),
-                chans: vec![ChanState::default(); n_chans],
-                restarts: 0,
+            let rx = &mut self.chans[ch.0].rx;
+            verdict = match io.endpoints[ch.0].recv_token(self.policy.op_deadline) {
+                Ok(frame) => rx.frame(frame, note),
+                Err(TransportError::Timeout { .. }) => rx.timeout(note),
+                Err(e) => return Err(io.failed(ch, BlockKind::Recv, &e, 0)),
             };
-            scope.spawn_named(format!("pe{idx}"), move || {
-                ctx.started = crate::shim::now();
-                let mut local = PeLocal::default();
-                let mut prologue = std::mem::take(&mut program.prologue);
-                let mut aborted = false;
-                // Prologue ops are supervised but outside the
-                // checkpoint/restart loop: a panic here is fatal.
-                for (i, op) in prologue.iter_mut().enumerate() {
-                    let label = labels.prologue.get(i).copied().unwrap_or(0);
-                    match sup_op(&mut ctx, op, label, &mut local) {
-                        OpOutcome::Ok => {}
-                        OpOutcome::Abort => {
-                            aborted = true;
-                            break;
-                        }
-                        OpOutcome::Panicked => {
-                            // No checkpoint exists before the first
-                            // iteration boundary, so a prologue panic
-                            // cannot be replayed.
-                            ctx.record(PlatformError::RestartBudgetExhausted {
-                                pe: ctx.pe,
-                                restarts: 0,
-                                iter: 0,
-                            });
-                            aborted = true;
-                            break;
-                        }
-                    }
-                }
-                if !aborted {
-                    // Checkpoint and replay buffers live outside the
-                    // iteration loop so `clone_from`/`clear` reuse
-                    // their allocations on the fault-free hot path.
-                    let mut ckpt_store = local.store.clone();
-                    let mut ckpt_inbox = local.inbox.clone();
-                    // Replay entries are deep copies (`Token::clone`),
-                    // so a pooled lease delivered to the inbox never
-                    // has its slot pinned by the log.
-                    let mut replay: Vec<(ChannelId, Token)> = Vec::new();
-                    'iters: for iter in 0..program.iterations {
-                        local.iter = iter;
-                        // Iteration-boundary checkpoint: the functional
-                        // state a restart rolls back to.
-                        ckpt_store.clone_from(&local.store);
-                        ckpt_inbox.clone_from(&local.inbox);
-                        replay.clear();
-                        let mut sends_done: usize = 0;
-                        'attempt: loop {
-                            let mut send_skip = sends_done;
-                            let mut replay_cursor = 0usize;
-                            for (i, op) in program.ops.iter_mut().enumerate() {
-                                let label = labels.ops.get(i).copied().unwrap_or(0);
-                                let outcome = match op {
-                                    Op::Send { channel, payload } => {
-                                        let ch = *channel;
-                                        let data = payload(&mut local);
-                                        if send_skip > 0 {
-                                            // Already transmitted before
-                                            // the rollback; the payload
-                                            // closure re-ran (determinism)
-                                            // but nothing is re-sent, so
-                                            // occupancy stays bounded.
-                                            send_skip -= 1;
-                                            OpOutcome::Ok
-                                        } else if ctx.sup_send(ch, &data) {
-                                            sends_done += 1;
-                                            OpOutcome::Ok
-                                        } else {
-                                            OpOutcome::Abort
-                                        }
-                                    }
-                                    Op::Recv { channel } => {
-                                        let ch = *channel;
-                                        if replay_cursor < replay.len() {
-                                            let (rch, data) = replay[replay_cursor].clone();
-                                            replay_cursor += 1;
-                                            local.inbox.push_back((rch, data));
-                                            OpOutcome::Ok
-                                        } else {
-                                            match ctx.sup_recv(ch) {
-                                                Some(data) => {
-                                                    replay.push((ch, data.clone()));
-                                                    replay_cursor += 1;
-                                                    local.inbox.push_back((ch, data));
-                                                    OpOutcome::Ok
-                                                }
-                                                None => OpOutcome::Abort,
-                                            }
-                                        }
-                                    }
-                                    _ => sup_op(&mut ctx, op, label, &mut local),
-                                };
-                                match outcome {
-                                    OpOutcome::Ok => {}
-                                    OpOutcome::Abort => break 'iters,
-                                    OpOutcome::Panicked => {
-                                        if ctx.restarts < ctx.policy.max_restarts {
-                                            ctx.restarts += 1;
-                                            ctx.emit(ProbeKind::FaultRestart { iter });
-                                            local.store.clone_from(&ckpt_store);
-                                            local.inbox.clone_from(&ckpt_inbox);
-                                            continue 'attempt;
-                                        }
-                                        ctx.record(PlatformError::RestartBudgetExhausted {
-                                            pe: ctx.pe,
-                                            restarts: ctx.restarts,
-                                            iter,
-                                        });
-                                        break 'iters;
-                                    }
-                                }
-                            }
-                            break 'attempt;
-                        }
-                    }
-                }
-                results.lock().expect("results lock")[idx] = Some(ThreadedPeResult {
-                    store: std::mem::take(&mut local.store),
-                    leftover_inbox: local.inbox.len(),
-                });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Checkpoint / restart
+// ---------------------------------------------------------------------
+
+/// Checkpoint / replay around the [`Supervised`] port. The functional
+/// state (store + inbox) is snapshotted at every iteration boundary; a
+/// compute closure that panics rolls the iteration back and replays it:
+/// receives are served from a local log (the transport is not touched
+/// again) and transmitted sends are not re-sent, so a restart can never
+/// push channel occupancy past the eq. (2) bound. The buffers live
+/// across iterations so `clone_from` / `clear` reuse their allocations
+/// on the fault-free hot path.
+pub(crate) struct Checkpointed<'a> {
+    port: Supervised<'a>,
+    restarts: u32,
+    /// An iteration boundary has been passed. Prologue ops run before
+    /// the first one, so a panic there has nothing to roll back to.
+    armed: bool,
+    store: HashMap<String, Vec<u8>>,
+    inbox: VecDeque<(ChannelId, Token)>,
+    /// Tokens received since the checkpoint — deep copies
+    /// (`Token::clone`), so the log never pins a pool slot — and how
+    /// many of them the current pass has consumed.
+    log: Vec<Token>,
+    cursor: usize,
+    /// Sends transmitted since the checkpoint, and how many of them the
+    /// current pass has yet to skip.
+    sent: usize,
+    skip: usize,
+}
+
+impl<'a> Checkpointed<'a> {
+    pub(crate) fn new(io: PeIo<'a>, policy: SupervisionPolicy) -> Self {
+        Checkpointed {
+            port: Supervised::new(io, policy),
+            restarts: 0,
+            armed: false,
+            store: HashMap::new(),
+            inbox: VecDeque::new(),
+            log: Vec::new(),
+            cursor: 0,
+            sent: 0,
+            skip: 0,
+        }
+    }
+}
+
+impl Port for Checkpointed<'_> {
+    fn send(&mut self, ch: ChannelId, data: &[u8]) -> Result<()> {
+        if self.skip > 0 {
+            // Transmitted before the rollback: the payload closure
+            // re-ran (determinism) but nothing is re-sent.
+            self.skip -= 1;
+            return Ok(());
+        }
+        self.port.send(ch, data)?;
+        self.sent += 1;
+        Ok(())
+    }
+    fn recv(&mut self, ch: ChannelId) -> Result<Token> {
+        self.cursor += 1;
+        if let Some(replayed) = self.log.get(self.cursor - 1) {
+            return Ok(replayed.clone());
+        }
+        let token = self.port.recv(ch)?;
+        self.log.push(token.clone());
+        Ok(token)
+    }
+
+    fn begin_iteration(&mut self, local: &PeLocal) {
+        self.store.clone_from(&local.store);
+        self.inbox.clone_from(&local.inbox);
+        self.log.clear();
+        (self.cursor, self.sent, self.skip, self.armed) = (0, 0, 0, true);
+    }
+
+    fn compute(&mut self, work: &mut ComputeFn, local: &mut PeLocal) -> Result<Flow> {
+        if catch_unwind(AssertUnwindSafe(|| work(local))).is_ok() {
+            return Ok(Flow::Next);
+        }
+        if !self.armed || self.restarts >= self.port.policy.max_restarts {
+            return Err(PlatformError::RestartBudgetExhausted {
+                pe: self.port.io.pe,
+                restarts: self.restarts,
+                iter: local.iter,
             });
         }
-    });
-
-    if let Some(err) = fault.into_inner().expect("fault lock") {
-        return Err(err);
-    }
-    Ok(results
-        .into_inner()
-        .expect("results lock")
-        .into_iter()
-        .map(|r| r.expect("every PE thread stores a result"))
-        .collect())
-}
-
-/// Outcome of one supervised op.
-enum OpOutcome {
-    Ok,
-    /// A terminal fault was recorded; the PE stops.
-    Abort,
-    /// A compute closure panicked; the caller decides restart vs fail.
-    Panicked,
-}
-
-/// Executes compute/wait ops (and prologue sends/receives) with panic
-/// capture. Channel ops inside the iteration loop are handled inline by
-/// the caller, which owns the replay bookkeeping.
-fn sup_op(ctx: &mut PeCtx<'_>, op: &mut Op, label: u32, local: &mut PeLocal) -> OpOutcome {
-    match op {
-        Op::Compute { work, .. } => {
-            ctx.emit(ProbeKind::FiringBegin { label });
-            let result = catch_unwind(AssertUnwindSafe(|| work(local)));
-            match result {
-                Ok(_cycles) => {
-                    ctx.emit(ProbeKind::FiringEnd { label });
-                    OpOutcome::Ok
-                }
-                Err(_) => OpOutcome::Panicked,
-            }
-        }
-        Op::Send { channel, payload } => {
-            let ch = *channel;
-            let data = payload(local);
-            if ctx.sup_send(ch, &data) {
-                OpOutcome::Ok
-            } else {
-                OpOutcome::Abort
-            }
-        }
-        Op::Recv { channel } => match ctx.sup_recv(*channel) {
-            Some(data) => {
-                local.inbox.push_back((*channel, data));
-                OpOutcome::Ok
-            }
-            None => OpOutcome::Abort,
-        },
-        Op::WaitUntil { .. } => OpOutcome::Ok,
+        self.restarts += 1;
+        self.port
+            .io
+            .emit(ProbeKind::FaultRestart { iter: local.iter });
+        local.store.clone_from(&self.store);
+        local.inbox.clone_from(&self.inbox);
+        (self.cursor, self.skip) = (0, self.sent);
+        Ok(Flow::Restart)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encode_frame(seq: u32, payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        encode_frame_into(&mut frame, seq, payload);
+        frame
+    }
 
     #[test]
     fn crc32_software_matches_ieee_vectors() {
@@ -939,15 +917,6 @@ mod tests {
             spec.capacity_bytes / spec.max_message_bytes,
             "token bound Γ + delay(e) must be unchanged"
         );
-
-        // Undeclared bound: whole channel treated as one message.
-        let raw = ChannelSpec {
-            capacity_bytes: 32,
-            ..ChannelSpec::default()
-        };
-        let framed = framed_spec(&raw);
-        assert_eq!(framed.capacity_bytes, 40);
-        assert_eq!(framed.max_message_bytes, 40);
     }
 
     #[test]

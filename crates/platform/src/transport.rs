@@ -345,18 +345,11 @@ pub enum TransportKind {
 impl TransportKind {
     /// Builds a transport for `spec`.
     ///
-    /// The per-message bound comes from [`ChannelSpec::max_message_bytes`]
-    /// when declared (the SPI builder always declares it — the packed
-    /// token size `c(e) = c_sdf(e) · b_max(e)` plus header); otherwise it
-    /// falls back to the channel word size, preserving the historical
-    /// "capacity ÷ word" message-count approximation for hand-written
-    /// programs.
+    /// The per-message bound is [`ChannelSpec::max_message_bytes`] (the
+    /// SPI builder declares the packed token size
+    /// `c(e) = c_sdf(e) · b_max(e)` plus header).
     pub fn instantiate(self, spec: &ChannelSpec) -> Box<dyn Transport> {
-        let max_msg = if spec.max_message_bytes > 0 {
-            spec.max_message_bytes
-        } else {
-            spec.word_bytes.max(1) as usize
-        };
+        let max_msg = spec.max_message_bytes;
         match self {
             TransportKind::Locked => Box::new(LockedTransport::new(
                 spec.capacity_bytes,
@@ -1550,12 +1543,6 @@ mod tests {
         let pointer = TransportKind::Pointer.instantiate(&spec);
         assert_eq!(pointer.capacity_bytes(), 48);
         assert_eq!(pointer.max_message_bytes(), 6);
-        // Undeclared bound falls back to word granularity for the ring.
-        let raw = ChannelSpec {
-            capacity_bytes: 16,
-            ..ChannelSpec::default()
-        };
-        assert_eq!(TransportKind::Ring.instantiate(&raw).max_message_bytes(), 4);
     }
 
     #[test]

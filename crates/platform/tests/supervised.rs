@@ -273,6 +273,27 @@ fn substitute_policy_fills_lost_token_with_zeros() {
 }
 
 #[test]
+fn substitute_for_a_lost_first_token_has_the_declared_size() {
+    for kind in kinds() {
+        let (channels, programs) = pipeline();
+        let results = ThreadedRunner::new()
+            .transport(kind)
+            .supervise(
+                fast_policy()
+                    .with_degrade(DegradePolicy::Substitute)
+                    .with_deadline(Duration::from_millis(50)),
+            )
+            .decorate_transports(faulty_ch0(FaultMode::DropSeq(0)))
+            .run(&channels, programs)
+            .unwrap();
+        // Nothing has been delivered yet to size the substitute from:
+        // it takes the spec's 4-byte message bound, not zero bytes
+        // (which the consumer would fold as 0xEE).
+        assert_eq!(results[1].store["acc"], vec![0, 1, 2, 3, 4, 5], "{kind:?}");
+    }
+}
+
+#[test]
 fn skip_policy_drops_lost_token_and_continues() {
     for kind in kinds() {
         let (channels, programs) = pipeline();

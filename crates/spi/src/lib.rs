@@ -44,6 +44,6 @@ pub use message::{
     header_bytes, static_frame_bytes, SpiPhase, DYNAMIC_HEADER_BYTES, STATIC_HEADER_BYTES,
 };
 pub use system::{
-    BufferRow, EdgePlan, MessageCost, SchedulingMode, SpiRunReport, SpiSystem, SpiSystemBuilder,
-    ACK_BYTES,
+    recorded_failure, BufferRow, EdgePlan, MessageCost, SchedulingMode, SpiRunReport, SpiSystem,
+    SpiSystemBuilder, ACK_BYTES,
 };

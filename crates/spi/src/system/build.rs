@@ -1,6 +1,6 @@
 //! Build: from dataflow graph to the per-edge lowering record.
 //!
-//! [`SpiSystemBuilder::build`] schedules the graph, then computes one
+//! [`SpiSystemBuilder::plan`] schedules the graph, then computes one
 //! [`EdgePlan`] per inter-processor edge — the only place the paper's
 //! eq. (1) message size, eq. (2) buffer bound, the per-firing message
 //! counts and the per-message cycle costs are worked out. Every later
@@ -296,6 +296,35 @@ impl SpiSystemBuilder {
         })
     }
 
+    /// Everything [`SpiSystemBuilder::build`] does except generate the
+    /// channels and programs: schedules the graph, plans every
+    /// inter-processor edge, synchronizes, and runs the analyzer over
+    /// the result. Needs no actor implementations. The report is
+    /// returned whole — error diagnostics included, where `build` would
+    /// fail on them — and is the graph-level report alone when that
+    /// already has errors (scheduling a malformed graph is meaningless).
+    /// `spi-lint --procs` is this call.
+    ///
+    /// # Errors
+    ///
+    /// Any dataflow/scheduling error from the underlying analyses;
+    /// [`SpiError::ActorSplitAcrossProcessors`] if the assignment puts
+    /// firings of one actor on different processors.
+    pub fn plan(
+        &self,
+        processors: usize,
+        assign: impl FnMut(ActorId) -> ProcId,
+    ) -> Result<AnalysisReport> {
+        let report = graph_level(&self.graph, self.signal);
+        if report.has_errors() {
+            return Ok(report);
+        }
+        Ok(self
+            .planned(processors, assign, |_, _, _| Ok(()))?
+            .1
+            .analysis)
+    }
+
     /// Runs the full SPI flow and produces a runnable system.
     ///
     /// # Errors
@@ -304,10 +333,8 @@ impl SpiSystemBuilder {
     /// error-severity diagnostics (ill-formed graph, inconsistent rates,
     /// deadlock, unsound VTS bounds, uncovered IPC edges…) — the
     /// diagnostics explain each defect;
-    /// any dataflow/scheduling error from the underlying analyses;
     /// [`SpiError::MissingActorImpl`] for unregistered actors;
-    /// [`SpiError::ActorSplitAcrossProcessors`] if the assignment puts
-    /// firings of one actor on different processors.
+    /// otherwise as [`SpiSystemBuilder::plan`].
     pub fn build(
         self,
         processors: usize,
@@ -316,6 +343,40 @@ impl SpiSystemBuilder {
         // Graph-level pre-flight: explain structural defects before the
         // raw scheduler errors would surface them.
         preflight(&self.graph, self.signal)?;
+        if let Some((a, _)) = (self.graph.actors()).find(|(a, _)| !self.impls.contains_key(a)) {
+            return Err(SpiError::MissingActorImpl(a));
+        }
+        let lower = |s: &Scheduled, sync: &SyncGraph, plans: &mut Plans| {
+            lower::machine(&self, s, sync, plans)
+        };
+        let (machine, planned) = self.planned(processors, assign, lower)?;
+        // Errors here mean the lowering itself is unsound — abort rather
+        // than hand out a racy or overcommitted system; warnings (e.g.
+        // SPI040 under `force_ubs`) ride along on the built system.
+        fail_on_errors(&planned.analysis)?;
+        Ok(SpiSystem {
+            machine,
+            plans: planned.plans,
+            sync: planned.sync,
+            clock_mhz: self.clock_mhz,
+            library: planned.library,
+            iterations: self.iterations,
+            analysis: planned.analysis,
+            predicted: planned.predicted,
+            tracer: self.tracer,
+            partition: self.partition,
+        })
+    }
+
+    /// Schedule → one [`EdgePlan`] per inter-processor edge →
+    /// synchronization → `lower` (the one step [`SpiSystemBuilder::plan`]
+    /// leaves out) → predicted makespan → batch plans → analysis.
+    fn planned<M>(
+        &self,
+        processors: usize,
+        assign: impl FnMut(ActorId) -> ProcId,
+        lower: impl FnOnce(&Scheduled, &SyncGraph, &mut Plans) -> Result<M>,
+    ) -> Result<(M, Planned)> {
         let sched = self.schedule(processors, assign)?;
         // A channel's capacity must cover its longest-resident message,
         // so the eq. (2) bound is folded with MAX over the edge's
@@ -326,24 +387,20 @@ impl SpiSystemBuilder {
             plans.insert(via, self.plan_edge(&sched, via, bound));
         }
         let (sync_graph, sync) = self.synchronize(&sched.ipc, &mut plans)?;
-        let machine = lower::machine(&self, &sched, &sync_graph, &mut plans)?;
+        let lowered = lower(&sched, &sync_graph, &mut plans)?;
         let library =
             SpiLibraryReport::for_system(&plans, &sched.actor_proc, &self.actor_resources);
         let predicted = self.predict(&sync_graph, &plans);
         self.plan_batches(predicted.as_ref(), &mut plans)?;
-        let analysis = self.verify(&sched, &sync_graph, sync.cert.as_ref(), &plans, &library)?;
-        Ok(SpiSystem {
-            machine,
-            plans,
+        let analysis = self.verify(&sched, &sync_graph, sync.cert.as_ref(), &plans, &library);
+        let planned = Planned {
             sync,
-            clock_mhz: self.clock_mhz,
+            plans,
             library,
-            iterations: self.iterations,
-            analysis,
             predicted,
-            tracer: self.tracer,
-            partition: self.partition,
-        })
+            analysis,
+        };
+        Ok((lowered, planned))
     }
 
     /// VTS conversion, precedence expansion, assignment, self-timed
@@ -363,11 +420,6 @@ impl SpiSystemBuilder {
             let p = assignment.processor(f)?;
             if *actor_proc.entry(f.actor).or_insert(p) != p {
                 return Err(SpiError::ActorSplitAcrossProcessors(f.actor));
-            }
-        }
-        for (a, _) in vts.graph().actors() {
-            if !self.impls.contains_key(&a) {
-                return Err(SpiError::MissingActorImpl(a));
             }
         }
 
@@ -600,10 +652,7 @@ impl SpiSystemBuilder {
 
     /// Schedule-level verification: re-runs the analyzer with the full
     /// picture (VTS, IPC graph, optimized sync graph, every edge's
-    /// protocol and transport, resource totals). Errors here mean the
-    /// lowering itself is unsound — abort rather than hand out a racy or
-    /// overcommitted system; warnings (e.g. SPI040 under `force_ubs`)
-    /// ride along on the built system.
+    /// protocol and transport, resource totals).
     fn verify(
         &self,
         s: &Scheduled,
@@ -611,7 +660,7 @@ impl SpiSystemBuilder {
         cert: Option<&ResyncCertificate>,
         plans: &Plans,
         library: &SpiLibraryReport,
-    ) -> Result<AnalysisReport> {
+    ) -> AnalysisReport {
         let decls: Vec<EdgeDecl> = plans.values().map(EdgePlan::decl).collect();
         let mut input = spi_analyze::AnalysisInput::new(&self.graph)
             .with_vts(&s.vts)
@@ -623,25 +672,38 @@ impl SpiSystemBuilder {
         if let Some(cert) = cert {
             input = input.with_resync_cert(cert);
         }
-        analyze(&input)
+        spi_analyze::Analyzer::default_pipeline().run(&input)
     }
 }
 
 /// Graph-level static analysis gate shared by [`SpiSystemBuilder::build`]
 /// and [`SpiSystemBuilder::build_auto`].
 fn preflight(graph: &SdfGraph, signal: LengthSignal) -> Result<()> {
-    analyze(&spi_analyze::AnalysisInput::new(graph).with_signal(signal)).map(drop)
+    fail_on_errors(&graph_level(graph, signal))
 }
 
-/// Runs the analyzer; error-severity diagnostics fail the build.
-fn analyze(input: &spi_analyze::AnalysisInput<'_>) -> Result<AnalysisReport> {
-    let report = spi_analyze::Analyzer::default_pipeline().run(input);
+fn graph_level(graph: &SdfGraph, signal: LengthSignal) -> AnalysisReport {
+    let input = spi_analyze::AnalysisInput::new(graph).with_signal(signal);
+    spi_analyze::Analyzer::default_pipeline().run(&input)
+}
+
+/// Error-severity diagnostics fail the build.
+fn fail_on_errors(report: &AnalysisReport) -> Result<()> {
     if report.has_errors() {
         return Err(SpiError::Analysis {
             diagnostics: report.errors().cloned().collect(),
         });
     }
-    Ok(report)
+    Ok(())
+}
+
+/// What planning fixes about a system, lowered or not.
+struct Planned {
+    sync: SyncOutcome,
+    plans: Plans,
+    library: SpiLibraryReport,
+    predicted: Option<PredictedMetrics>,
+    analysis: AnalysisReport,
 }
 
 /// What scheduling produced, read by every later stage.

@@ -102,8 +102,10 @@ fn failed(local: &PeLocal) -> bool {
     local.store.contains_key(FAIL_KEY)
 }
 
-/// The failure an actor recorded in a PE's final store, if any.
-pub(super) fn recorded_failure(store: &HashMap<String, Vec<u8>>) -> Option<SpiError> {
+/// The failure an actor implementation recorded in a PE's final store,
+/// if any — what a caller running the lowered programs itself
+/// ([`super::SpiSystem::into_parts`]) checks each PE's result for.
+pub fn recorded_failure(store: &HashMap<String, Vec<u8>>) -> Option<SpiError> {
     store.get(FAIL_KEY).map(|err| SpiError::ActorFailed {
         message: String::from_utf8_lossy(err).into_owned(),
     })

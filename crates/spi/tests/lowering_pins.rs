@@ -5,13 +5,15 @@
 //! `system.rs` was split into build / lower / run (less the
 //! `spi:fillmark:` marker ops that split removed), so a change to the
 //! lowering that moves any eq. (1)/(2) number, drops an op or reorders a
-//! program fails here first.
+//! program fails here first. Each system is also planned without being
+//! lowered ([`SpiSystemBuilder::plan`], what `spi-lint --procs` runs):
+//! the report must be the one the built system carries.
 
 use spi::{Firing, SchedulingMode, SpiSystem, SpiSystemBuilder};
 use spi_apps::{
     ErrorStageApp, ErrorStageConfig, FilterBankApp, FilterBankConfig, PrognosisApp, PrognosisConfig,
 };
-use spi_dataflow::{LengthSignal, SdfGraph};
+use spi_dataflow::{ActorId, LengthSignal, SdfGraph};
 use spi_platform::Op;
 use spi_sched::{Partition, ProcId};
 use spi_trace::ClockKind;
@@ -22,12 +24,16 @@ const ITERATIONS: u64 = 6;
 trait Knobs: Fn(&mut SpiSystemBuilder) -> &mut SpiSystemBuilder {}
 impl<F: Fn(&mut SpiSystemBuilder) -> &mut SpiSystemBuilder> Knobs for F {}
 
+/// A configured builder, the processor count and the actor assignment:
+/// everything `plan` and `build` take.
+type Recipe = (SpiSystemBuilder, usize, Box<dyn Fn(ActorId) -> ProcId>);
+
 fn blocks(processors: usize, nodes: usize) -> Partition {
     Partition::blocks(processors, nodes).expect("no more nodes than processors")
 }
 
 /// Paper application 1 at the benchmark's configuration.
-fn app1(n_pes: usize, knobs: impl Knobs) -> SpiSystem {
+fn app1(n_pes: usize, knobs: impl Knobs) -> Recipe {
     let app = ErrorStageApp::new(ErrorStageConfig {
         n_pes,
         frame: 512,
@@ -39,30 +45,47 @@ fn app1(n_pes: usize, knobs: impl Knobs) -> SpiSystem {
     let mut builder = SpiSystemBuilder::new(app.graph.clone());
     app.configure(&mut builder);
     knobs(builder.iterations(ITERATIONS));
-    app.build_with(builder).expect("application 1 lowers")
+    // `ErrorStageApp::build_with`'s assignment.
+    let error_pe = move |a| app.d_error.iter().position(|&d| d == a);
+    let assign = move |a| ProcId(error_pe(a).map_or(0, |i| 1 + i));
+    (builder, 1 + n_pes, Box::new(assign))
 }
 
-fn app2(n_pes: usize) -> SpiSystem {
+fn app2(n_pes: usize) -> Recipe {
     let config = PrognosisConfig {
         n_pes,
         ..PrognosisConfig::default()
     };
     let app = PrognosisApp::new(config).expect("valid configuration");
-    app.system(ITERATIONS).expect("application 2 lowers")
+    let mut builder = SpiSystemBuilder::new(app.graph.clone());
+    let configured = app.configure(&mut builder, ITERATIONS);
+    configured.expect("scenario covers the iterations");
+    builder.iterations(ITERATIONS);
+    let map = app.actor_processor_map();
+    (builder, n_pes, Box::new(move |a| map[&a]))
 }
 
-fn filterbank(knobs: impl Knobs) -> SpiSystem {
+fn filterbank(knobs: impl Knobs) -> Recipe {
     let app = FilterBankApp::new(FilterBankConfig::default()).expect("valid configuration");
-    let lowered = app.system_with(ITERATIONS, |b| {
-        knobs(b);
-    });
-    lowered.expect("filter bank lowers")
+    let mut builder = SpiSystemBuilder::new(app.graph.clone());
+    app.configure(&mut builder);
+    knobs(builder.iterations(ITERATIONS));
+    // `FilterBankApp::system_with`'s assignment.
+    let (low, high) = (app.low, app.high);
+    let assign = move |a| {
+        ProcId(if a == low {
+            1
+        } else {
+            usize::from(a == high) * 2
+        })
+    };
+    (builder, 3, Box::new(assign))
 }
 
 /// Three processors: a dynamic-rate edge with two delay tokens, a
 /// multirate static edge whose delay leaves both pipeline-fill messages
 /// and a primed remainder, and a unit-delay feedback edge.
-fn delayed(knobs: impl Knobs) -> SpiSystem {
+fn delayed(knobs: impl Knobs) -> Recipe {
     let mut g = SdfGraph::new();
     let a = g.add_actor("a", 30);
     let b = g.add_actor("b", 40);
@@ -82,14 +105,13 @@ fn delayed(knobs: impl Knobs) -> SpiSystem {
     });
     builder.actor(c, |_: &mut Firing| 25);
     knobs(builder.iterations(ITERATIONS));
-    let lowered = builder.build(3, |actor| ProcId(actor.0));
-    lowered.expect("delayed system lowers")
+    (builder, 3, Box::new(|actor| ProcId(actor.0)))
 }
 
 /// A multirate fan-out without feedback — every edge is UBS and keeps
 /// its acknowledgements — on the ordered-transactions bus, whose grant
 /// order repeats each ack once per message its firing receives.
-fn fanout_ordered(knobs: impl Knobs) -> SpiSystem {
+fn fanout_ordered(knobs: impl Knobs) -> Recipe {
     let mut g = SdfGraph::new();
     let a = g.add_actor("a", 30);
     let b = g.add_actor("b", 30);
@@ -105,8 +127,7 @@ fn fanout_ordered(knobs: impl Knobs) -> SpiSystem {
     builder.actor(b, |_: &mut Firing| 30);
     builder.actor(c, |_: &mut Firing| 30);
     knobs(builder.iterations(ITERATIONS).ordered_transactions(1));
-    let lowered = builder.build(3, |actor| ProcId(actor.0));
-    lowered.expect("fan-out lowers")
+    (builder, 3, Box::new(|actor| ProcId(actor.0)))
 }
 
 /// `ops` as text, runs of one op folded to `NxOp`.
@@ -126,7 +147,16 @@ fn folded(ops: &[Op]) -> String {
     text.collect::<Vec<_>>().join(" ")
 }
 
-fn dump(name: &str, make: &dyn Fn() -> SpiSystem) -> Vec<String> {
+fn dump(name: &str, recipe: &dyn Fn() -> Recipe) -> Vec<String> {
+    let make = || -> SpiSystem {
+        let (builder, processors, assign) = recipe();
+        let planned = builder.plan(processors, &assign);
+        let planned = planned.unwrap_or_else(|e| panic!("{name} plans: {e}"));
+        let sys = builder.build(processors, &assign);
+        let sys = sys.unwrap_or_else(|e| panic!("{name} lowers: {e}"));
+        assert_eq!(&planned, sys.analysis(), "{name}: plan-only report");
+        sys
+    };
     let sys = make();
     let mut out = vec![format!("== {name}")];
     let mut plans: Vec<_> = sys.edge_plans().values().collect();
@@ -190,7 +220,7 @@ fn dump(name: &str, make: &dyn Fn() -> SpiSystem) -> Vec<String> {
 #[test]
 fn lowering_matches_the_pinned_capture() {
     let static_10 = SchedulingMode::FullyStatic { slack_percent: 10 };
-    let systems: [(&str, &dyn Fn() -> SpiSystem); 15] = [
+    let systems: [(&str, &dyn Fn() -> Recipe); 15] = [
         ("app1 n=1", &|| app1(1, |b| b)),
         ("app1 n=2", &|| app1(2, |b| b)),
         ("app1 n=4", &|| app1(4, |b| b)),

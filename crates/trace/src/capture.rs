@@ -394,6 +394,96 @@ mod tests {
         }
     }
 
+    /// The supervised and the unsupervised runner are one op walk over
+    /// two ports, so a fault-free run reports the same firings and the
+    /// same transfers — payload sizes, digests and *logical*
+    /// occupancies — either way. (Block / Unblock events exist only
+    /// unsupervised and are left out.) The compute closures meet at a
+    /// barrier so that no send races the receive that drains it, which
+    /// makes every occupancy snapshot deterministic.
+    #[test]
+    fn runner_reports_the_same_events_supervised_and_not() {
+        use spi_platform::{
+            ChannelId, ChannelSpec, Op, Program, SupervisionPolicy, ThreadedRunner, TransportKind,
+        };
+        use std::sync::Barrier;
+
+        const ITERS: u64 = 5;
+        let events_per_pe = |kind: TransportKind, policy: Option<SupervisionPolicy>| {
+            let ch = ChannelId(0);
+            let meet = Arc::new(Barrier::new(2));
+            let wait = |times: usize| -> Op {
+                let meet = meet.clone();
+                Op::Compute {
+                    label: format!("meet x{times}"),
+                    work: Box::new(move |_| {
+                        for _ in 0..times {
+                            meet.wait();
+                        }
+                        0
+                    }),
+                }
+            };
+            let producer = Program::new(
+                vec![
+                    Op::Send {
+                        channel: ch,
+                        payload: Box::new(|l| vec![l.iter as u8; 4]),
+                    },
+                    wait(2), // sent, then drained
+                ],
+                ITERS,
+            );
+            let consumer = Program::new(vec![wait(1), Op::Recv { channel: ch }, wait(1)], ITERS);
+            let spec = ChannelSpec {
+                capacity_bytes: 16,
+                max_message_bytes: 4,
+                ..ChannelSpec::default()
+            };
+            let tracer = Arc::new(RingTracer::new(2, 256));
+            let mut runner = ThreadedRunner::new().transport(kind).tracer(tracer.clone());
+            if let Some(policy) = policy {
+                runner = runner.supervise(policy);
+            }
+            runner
+                .run(&[spec], vec![producer, consumer])
+                .expect("clean run");
+            assert_eq!(tracer.dropped(), 0);
+            let of = |pe: usize| -> Vec<ProbeKind> {
+                let all = tracer
+                    .events()
+                    .into_iter()
+                    .filter(move |e| e.pe == PeId(pe));
+                let compared = |k: &ProbeKind| {
+                    use ProbeKind::{FiringBegin, FiringEnd, Recv, Send};
+                    matches!(
+                        k,
+                        FiringBegin { .. } | FiringEnd { .. } | Send { .. } | Recv { .. }
+                    )
+                };
+                all.map(|e| e.kind).filter(compared).collect()
+            };
+            [of(0), of(1)]
+        };
+        for kind in [TransportKind::Locked, TransportKind::Ring] {
+            let plain = events_per_pe(kind, None);
+            let supervised = events_per_pe(kind, Some(SupervisionPolicy::default()));
+            assert_eq!(plain, supervised, "{kind:?}");
+            // One transfer and one firing per iteration on the producer,
+            // and the send saw exactly its own 4 logical bytes buffered.
+            assert_eq!(plain[0].len(), 3 * ITERS as usize, "{kind:?}");
+            assert!(plain[0].iter().any(|k| matches!(
+                k,
+                ProbeKind::Send {
+                    bytes: 4,
+                    occ_bytes: 4,
+                    occ_msgs: 1,
+                    ..
+                }
+            )));
+        }
+    }
+
     #[test]
     fn now_is_monotonic() {
         let t = RingTracer::new(1, 4);

@@ -18,8 +18,8 @@ use proptest::prelude::*;
 
 use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_repro::platform::{
-    run_threaded, ChannelId, ChannelSpec, Machine, Op, Program, ThreadedPeResult, ThreadedRunner,
-    Transport, TransportError, TransportKind,
+    ChannelId, ChannelSpec, Machine, Op, Program, ThreadedPeResult, ThreadedRunner, Transport,
+    TransportError, TransportKind,
 };
 use spi_repro::sim::{sim_stream_pair, SimStream};
 use spi_repro::trace::{check, ClockKind, ProbeEvent, ProbeKind, RingTracer, TraceMeta};
@@ -89,7 +89,8 @@ fn des_and_threads_produce_identical_stores() {
 
     // Threaded run of freshly built identical programs.
     let (specs, programs) = pipeline_programs();
-    let threaded = run_threaded(&specs, programs, Duration::from_secs(10)).expect("threaded run");
+    let runner = ThreadedRunner::new().timeout(Duration::from_secs(10));
+    let threaded = runner.run(&specs, programs).expect("threaded run");
 
     for (i, t) in threaded.iter().enumerate() {
         assert_eq!(des.locals[i].store, t.store, "store mismatch on PE {i}");
@@ -153,7 +154,8 @@ fn engines_agree_with_prologues_and_backpressure() {
     let des = machine.run().expect("DES run");
 
     let (specs, programs) = build();
-    let threaded = run_threaded(&specs, programs, Duration::from_secs(10)).expect("threads");
+    let runner = ThreadedRunner::new().timeout(Duration::from_secs(10));
+    let threaded = runner.run(&specs, programs).expect("threads");
 
     assert_eq!(des.locals[1].store, threaded[1].store);
     let acc = &threaded[1].store["acc"];
