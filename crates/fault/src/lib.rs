@@ -10,10 +10,11 @@
 //! index, kind)* triples — built explicitly or sampled from a seed
 //! ([`FaultPlan::random`]). [`FaultPlan::into_decorator`] compiles the
 //! plan into a [`spi_platform::TransportDecorator`]: channels named by
-//! the plan are wrapped in a [`FaultyTransport`] that counts blocking
-//! send calls and fires the planned fault when the count matches, so
-//! the same plan on the same program faults the same tokens every run
-//! — *schedule-indexed* determinism, independent of thread timing.
+//! the plan are wrapped in a [`FaultyTransport`] that counts the
+//! messages the PE sends and fires the planned fault when the count
+//! matches, so the same plan on the same program faults the same tokens
+//! every run — *schedule-indexed* determinism, independent of thread
+//! timing and of whether a tracer is attached.
 //!
 //! ## Fault kinds and their observable contracts
 //!
@@ -24,6 +25,12 @@
 //! | [`FaultKind::Drop`] | token never delivered | [`InjectedFault::Dropped`] |
 //! | [`FaultKind::Duplicate`] | token delivered twice | none (send succeeds) |
 //! | [`FaultKind::Corrupt`] | bit-flipped copy delivered | [`InjectedFault::Corrupted`] |
+//!
+//! An index counts **the k-th message the PE sends on the channel**
+//! (0-based), whichever send shape carries it and whichever way the
+//! port reaches the transport — one blocking `send`, or the traced
+//! port's `try_send` followed by `send` on `Full`; a retransmission is
+//! the next message. [`FaultyTransport`] states the exact rule.
 //!
 //! `Drop` and `Corrupt` report a typed [`TransportError::Injected`] so
 //! a *supervised* sender retransmits the same sequence number (the
@@ -103,14 +110,14 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// One planned fault: fire `kind` on the `message_index`-th blocking
-/// send call on `channel` (0-based; retransmissions count, so a fault
-/// at index *i* can land on the retry of a fault at *i − 1*).
+/// One planned fault: fire `kind` on the `message_index`-th message
+/// sent on `channel` (0-based; retransmissions count, so a fault at
+/// index *i* can land on the retry of a fault at *i − 1*).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultSpec {
     /// The edge to fault.
     pub channel: ChannelId,
-    /// Which send call on that edge to fault (0-based).
+    /// Which message sent on that edge to fault (0-based).
     pub message_index: u64,
     /// What to do to it.
     pub kind: FaultKind,
@@ -285,9 +292,51 @@ impl FaultPlan {
     }
 }
 
-/// A [`Transport`] decorator that fires planned faults on blocking
-/// sends, indexed by the per-channel send-call count. Receives and
-/// non-blocking sends pass straight through to the wrapped transport.
+/// A message on its way into the wrapped transport, in the form its
+/// sender handed it over.
+enum Msg<'a> {
+    Bytes(&'a [u8]),
+    Token(Token),
+}
+
+impl Msg<'_> {
+    /// Passes the message on in the form it came — the decorator adds
+    /// no copy to a message it does not rewrite — waiting at most
+    /// `wait` for room (`None`: not at all).
+    fn forward(self, to: &dyn Transport, wait: Option<Duration>) -> Result<(), TransportError> {
+        match (self, wait) {
+            (Msg::Bytes(data), Some(timeout)) => to.send(data, timeout),
+            (Msg::Bytes(data), None) => to.try_send(data),
+            (Msg::Token(token), wait) => to.send_token(token, wait.unwrap_or(Duration::ZERO)),
+        }
+    }
+
+    /// The message as an owned token, for the faults that deliver a
+    /// second or a rewritten copy: those have to hold its bytes, and a
+    /// fault injector is not a zero-copy fast path.
+    fn into_token(self) -> Token {
+        match self {
+            Msg::Bytes(data) => Token::Owned(data.to_vec()),
+            Msg::Token(token) => token,
+        }
+    }
+}
+
+/// A [`Transport`] decorator that fires planned faults on sends,
+/// indexed by the per-channel count of messages the PE has sent — every
+/// send shape (bytes or token; copied, filled or framed in place;
+/// blocking or not) goes through one body, so none bypasses the plan.
+/// Receives pass straight through to the wrapped transport.
+///
+/// What an index counts: each blocking send call is one message and
+/// advances the index whatever its outcome (so a retransmission is the
+/// next message). A non-blocking send is the port's probe *ahead of*
+/// its blocking call for the same message (`try_send`, then `send` on
+/// `Full` — how a traced runner tells a stall from a pass-through): it
+/// advances the index only when the wrapped transport accepts it, and
+/// when a fault is planned for the index it answers `Full`, leaving the
+/// fault to fire on the blocking call that follows. Either way the
+/// *k*-th message the PE sends meets the fault planned for *k*.
 pub struct FaultyTransport {
     inner: Box<dyn Transport>,
     channel: ChannelId,
@@ -297,7 +346,25 @@ pub struct FaultyTransport {
 }
 
 impl FaultyTransport {
-    fn record(&self, message_index: u64, kind: FaultKind) {
+    /// The one send body: decides which index `msg` has, whether a
+    /// fault is planned for it, and what the fault does.
+    fn inject(&self, msg: Msg<'_>, wait: Option<Duration>) -> Result<(), TransportError> {
+        let inner = &*self.inner;
+        let Some(timeout) = wait else {
+            if self
+                .faults
+                .contains_key(&self.sends.load(Ordering::Relaxed))
+            {
+                return Err(TransportError::Full);
+            }
+            return msg.forward(inner, None).inspect(|()| {
+                self.sends.fetch_add(1, Ordering::Relaxed);
+            });
+        };
+        let message_index = self.sends.fetch_add(1, Ordering::Relaxed);
+        let Some(&kind) = self.faults.get(&message_index) else {
+            return msg.forward(inner, wait);
+        };
         self.log
             .lock()
             .expect("injection log")
@@ -306,6 +373,68 @@ impl FaultyTransport {
                 message_index,
                 kind,
             });
+        // Best-effort delivery of a fault's extra message: it never
+        // blocks (`try_send` for owned bytes; a zero wait for a pooled
+        // lease, which the trait has no non-blocking send for), and on
+        // a full channel the message simply vanishes.
+        let offer = |extra: Token| {
+            let _ = match extra {
+                Token::Owned(bytes) => inner.try_send(&bytes),
+                pooled => inner.send_token(pooled, Duration::ZERO),
+            };
+        };
+        match kind {
+            FaultKind::Delay { micros } => {
+                spi_platform::shim::sleep(Duration::from_micros(micros));
+                msg.forward(inner, wait)
+            }
+            FaultKind::Stall { millis } => {
+                spi_platform::shim::sleep(Duration::from_millis(millis));
+                msg.forward(inner, wait)
+            }
+            // Dropping a token releases its pool slot, if any — a
+            // dropped lease can never leak (the fault leak test pins
+            // this down).
+            FaultKind::Drop => Err(TransportError::Injected {
+                fault: InjectedFault::Dropped,
+            }),
+            FaultKind::Duplicate => {
+                let token = msg.into_token();
+                // A pooled lease's duplicate is staged in one of the
+                // wrapped transport's own pool slots when one is free —
+                // no heap allocation. (Not so for owned bytes: their
+                // own delivery needs a slot, which the duplicate must
+                // not take first.)
+                let pool = inner.pool().filter(|_| token.is_pooled());
+                let dup = match pool.and_then(|p| p.try_acquire()) {
+                    Some(mut lease) if lease.capacity() >= token.len() => {
+                        lease[..token.len()].copy_from_slice(&token);
+                        lease.truncate(token.len());
+                        Token::Pooled(lease)
+                    }
+                    _ => Token::Owned(token.to_vec()),
+                };
+                inner.send_token(token, timeout)?;
+                // Opportunistic, so duplication can never exceed the
+                // channel's static bound.
+                offer(dup);
+                Ok(())
+            }
+            FaultKind::Corrupt => {
+                // Flip the last byte in place — directly over the pool
+                // slot for a pooled lease — deliver the bad copy (a
+                // full channel degrades the fault into a drop) and tell
+                // the sender, which retransmits under supervision.
+                let mut token = msg.into_token();
+                if let Some(last) = token.last_mut() {
+                    *last ^= 0x5A;
+                }
+                offer(token);
+                Err(TransportError::Injected {
+                    fault: InjectedFault::Corrupted,
+                })
+            }
+        }
     }
 }
 
@@ -331,7 +460,7 @@ impl Transport for FaultyTransport {
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        self.inner.try_send(data)
+        self.inject(Msg::Bytes(data), None)
     }
 
     fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
@@ -339,55 +468,17 @@ impl Transport for FaultyTransport {
     }
 
     fn send(&self, data: &[u8], timeout: Duration) -> Result<(), TransportError> {
-        let idx = self.sends.fetch_add(1, Ordering::Relaxed);
-        let Some(&kind) = self.faults.get(&idx) else {
-            return self.inner.send(data, timeout);
-        };
-        self.record(idx, kind);
-        match kind {
-            FaultKind::Delay { micros } => {
-                spi_platform::shim::sleep(Duration::from_micros(micros));
-                self.inner.send(data, timeout)
-            }
-            FaultKind::Stall { millis } => {
-                spi_platform::shim::sleep(Duration::from_millis(millis));
-                self.inner.send(data, timeout)
-            }
-            FaultKind::Drop => Err(TransportError::Injected {
-                fault: InjectedFault::Dropped,
-            }),
-            FaultKind::Duplicate => {
-                self.inner.send(data, timeout)?;
-                // The duplicate is delivered opportunistically: when
-                // the channel is full it vanishes, so duplication can
-                // never exceed the channel's static bound.
-                let _ = self.inner.try_send(data);
-                Ok(())
-            }
-            FaultKind::Corrupt => {
-                let mut bad = data.to_vec();
-                if let Some(last) = bad.last_mut() {
-                    *last ^= 0x5A;
-                }
-                // Deliver the corrupted copy (best effort: a full
-                // channel degrades the fault into a drop) and tell the
-                // sender, which retransmits under supervision.
-                let _ = self.inner.try_send(&bad);
-                Err(TransportError::Injected {
-                    fault: InjectedFault::Corrupted,
-                })
-            }
-        }
+        self.inject(Msg::Bytes(data), Some(timeout))
     }
 
+    // `send_in_place` is the trait's default, which materializes the
+    // frame like this and hands the bytes to `send`.
     fn send_with(
         &self,
         len: usize,
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        // Materialize the payload so the fault logic in `send` sees the
-        // bytes; a fault injector is not a zero-copy fast path.
         let mut buf = vec![0u8; len];
         fill(&mut buf);
         self.send(&buf, timeout)
@@ -401,78 +492,8 @@ impl Transport for FaultyTransport {
         self.inner.recv_with(consume, timeout)
     }
 
-    fn send_in_place(
-        &self,
-        max_len: usize,
-        frame: &mut dyn FnMut(&mut [u8]) -> usize,
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        // Materialize the frame so the fault logic in `send` sees the
-        // bytes; a fault injector is not a zero-copy fast path.
-        let mut buf = vec![0u8; max_len];
-        let n = frame(&mut buf).min(max_len);
-        buf.truncate(n);
-        self.send(&buf, timeout)
-    }
-
-    fn send_token(&self, mut token: Token, timeout: Duration) -> Result<(), TransportError> {
-        let idx = self.sends.fetch_add(1, Ordering::Relaxed);
-        let Some(&kind) = self.faults.get(&idx) else {
-            return self.inner.send_token(token, timeout);
-        };
-        self.record(idx, kind);
-        match kind {
-            FaultKind::Delay { micros } => {
-                spi_platform::shim::sleep(Duration::from_micros(micros));
-                self.inner.send_token(token, timeout)
-            }
-            FaultKind::Stall { millis } => {
-                spi_platform::shim::sleep(Duration::from_millis(millis));
-                self.inner.send_token(token, timeout)
-            }
-            // Dropping the token releases its pool slot, if any — a
-            // dropped lease can never leak (the fault leak test pins
-            // this down).
-            FaultKind::Drop => Err(TransportError::Injected {
-                fault: InjectedFault::Dropped,
-            }),
-            FaultKind::Duplicate => {
-                // Stage the duplicate in one of the inner transport's
-                // own pool slots when one is free — no heap allocation
-                // — falling back to an owned copy otherwise.
-                let dup = match self.inner.pool().and_then(|p| p.try_acquire()) {
-                    Some(mut lease) if lease.capacity() >= token.len() => {
-                        lease[..token.len()].copy_from_slice(&token);
-                        lease.truncate(token.len());
-                        Token::Pooled(lease)
-                    }
-                    _ => Token::Owned(token.to_vec()),
-                };
-                self.inner.send_token(token, timeout)?;
-                // The duplicate is delivered opportunistically: when
-                // the channel is full it vanishes, so duplication can
-                // never exceed the channel's static bound.
-                let _ = self.inner.try_send_token(dup);
-                Ok(())
-            }
-            FaultKind::Corrupt => {
-                // Flip the last byte in place — directly over the pool
-                // slot for a pooled lease, no re-allocation — deliver
-                // the bad copy best-effort, and tell the sender, which
-                // retransmits under supervision.
-                if let Some(last) = token.last_mut() {
-                    *last ^= 0x5A;
-                }
-                let _ = self.inner.try_send_token(token);
-                Err(TransportError::Injected {
-                    fault: InjectedFault::Corrupted,
-                })
-            }
-        }
-    }
-
-    fn try_send_token(&self, token: Token) -> Result<(), TransportError> {
-        self.inner.try_send_token(token)
+    fn send_token(&self, token: Token, timeout: Duration) -> Result<(), TransportError> {
+        self.inject(Msg::Token(token), Some(timeout))
     }
 
     fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
@@ -528,9 +549,9 @@ mod tests {
                 fault: InjectedFault::Dropped
             }
         ));
-        t.send(b"msg1-retry", T).unwrap();
+        t.send(b"msg1-2nd", T).unwrap();
         assert_eq!(t.recv(T).unwrap(), b"msg0");
-        assert_eq!(t.recv(T).unwrap(), b"msg1-retry");
+        assert_eq!(t.recv(T).unwrap(), b"msg1-2nd");
         let records = log.lock().unwrap();
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].message_index, 1);

@@ -38,7 +38,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::transport::{RingTransport, Transport, TransportError};
+use crate::transport::{le_u32, RingTransport, Transport, TransportError};
 
 /// Bytes of one slot-index message on the pool's free ring.
 const IDX_BYTES: usize = 4;
@@ -187,15 +187,13 @@ impl BufferPool {
     /// [`TransportError::Timeout`] when no slot frees up in time; the
     /// `idle` field reports how long no release has been observed.
     pub fn acquire(&self, timeout: Duration) -> Result<TokenBuf, TransportError> {
-        let mut slot = 0u32;
-        self.inner.free.recv_index(&mut slot, timeout)?;
+        let slot = self.inner.free.recv_framed(Some(timeout), le_u32)?;
         Ok(self.lease(slot, 0, self.inner.slot_bytes as u32))
     }
 
     /// Non-blocking acquisition; `None` when the pool is exhausted.
     pub fn try_acquire(&self) -> Option<TokenBuf> {
-        let mut slot = 0u32;
-        self.inner.free.try_recv_index(&mut slot).ok()?;
+        let slot = self.inner.free.recv_framed(None, le_u32).ok()?;
         Some(self.lease(slot, 0, self.inner.slot_bytes as u32))
     }
 

@@ -809,34 +809,41 @@ mod tests {
 
     #[test]
     fn oversized_message_surfaces_as_capacity_error() {
-        // Ring slots are the declared max message size; a payload larger
-        // than the slot is a programming error, not a deadlock.
-        let channels = vec![ChannelSpec {
-            capacity_bytes: 16,
-            max_message_bytes: 4,
-            ..ChannelSpec::default()
-        }];
-        let producer = Program::new(
-            vec![Op::Send {
-                channel: ChannelId(0),
-                payload: Box::new(|_| vec![0u8; 9]),
-            }],
-            1,
-        );
-        let consumer = Program::new(
-            vec![Op::Recv {
-                channel: ChannelId(0),
-            }],
-            1,
-        );
-        let err = ThreadedRunner::new()
-            .transport(TransportKind::Ring)
-            .timeout(Duration::from_millis(200))
-            .run(&channels, vec![producer, consumer]);
-        assert!(matches!(
-            err,
-            Err(PlatformError::MessageExceedsCapacity { bytes: 9, .. })
-        ));
+        // The declared max message size is the eq. (1) bound on every
+        // transport (a ring slot, a pool slot, the reference queue's
+        // per-message cap); a larger payload is a programming error,
+        // not a deadlock.
+        for kind in kinds() {
+            let channels = vec![ChannelSpec {
+                capacity_bytes: 16,
+                max_message_bytes: 4,
+                ..ChannelSpec::default()
+            }];
+            let producer = Program::new(
+                vec![Op::Send {
+                    channel: ChannelId(0),
+                    payload: Box::new(|_| vec![0u8; 9]),
+                }],
+                1,
+            );
+            let consumer = Program::new(
+                vec![Op::Recv {
+                    channel: ChannelId(0),
+                }],
+                1,
+            );
+            let err = ThreadedRunner::new()
+                .transport(kind)
+                .timeout(Duration::from_millis(200))
+                .run(&channels, vec![producer, consumer]);
+            assert!(
+                matches!(
+                    err,
+                    Err(PlatformError::MessageExceedsCapacity { bytes: 9, .. })
+                ),
+                "{kind:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -196,9 +196,12 @@ fn crc_tables() -> &'static [[u32; 256]; 16] {
 /// * elsewhere: slice-by-16 software CRC-32 (IEEE 802.3, reflected) at
 ///   ~0.5 ns/byte.
 ///
-/// The polynomial choice is invisible outside the process: frames are
-/// produced and verified by PEs of the same run, never persisted or
-/// exchanged across machines, so both ends always use the same path.
+/// The polynomial choice is invisible outside one run: frames are
+/// never persisted and never cross machines. Supervised `spi-net` runs
+/// do exchange them between *processes*, but on one host — Unix
+/// sockets, with every worker spawned from the launcher's own
+/// executable — so both ends detect the same CPU features and always
+/// pick the same path.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("sse4.2") {

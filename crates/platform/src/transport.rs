@@ -5,7 +5,7 @@
 //! `B(e) = (Γ + delay(e)) · c(e)` of the paper's eq. (2). The threaded
 //! runner historically approximated that bound by message count through
 //! one hardwired `Mutex`+`Condvar` queue; this module turns the channel
-//! into a first-class [`Transport`] abstraction with two byte-accurate
+//! into a first-class [`Transport`] abstraction with three byte-accurate
 //! implementations:
 //!
 //! * [`LockedTransport`] — the reference implementation: a bounded FIFO
@@ -28,6 +28,23 @@
 //!   payload copies and zero heap allocation in the steady state; the
 //!   lease's drop is the UBS-style slot-release acknowledgement.
 //!
+//! Each implementation has **one send body and one receive body** — the
+//! paper's one `SPI_send` and one `SPI_receive` per edge — taking how
+//! long the caller may wait (`None`: not at all, answering
+//! [`TransportError::Full`] / [`TransportError::Empty`]; `Some(timeout)`:
+//! until that deadline), and every data-path [`Transport`] method is a
+//! one-expression adaptor over the pair:
+//!
+//! | transport | send body | receive body |
+//! |-----------|-----------|--------------|
+//! | [`LockedTransport`] | `push`: frame an owned buffer → wait for admission → enqueue | `pop`: wait for a message → dequeue |
+//! | [`RingTransport`] | `send_framed`: claim a slot → frame up to `max_len` bytes in place → publish the returned length | `recv_framed`: claim → hand out the slot bytes → recycle |
+//! | [`PointerTransport`] | `send_framed`: acquire a pool slot → frame → publish its descriptor | `next_lease`: dequeue a descriptor → lease the slot |
+//!
+//! So the non-blocking calls the traced runner makes run the same code
+//! the blocking calls do (and the model checker explores), and the
+//! per-message eq. (1) bound is checked in one place (`admit`).
+//!
 //! SPI edges are point-to-point, so the rings are used single-producer /
 //! single-consumer in practice; the per-slot sequence protocol keeps
 //! them memory-safe (merely slower) if a hand-written program ever
@@ -39,7 +56,7 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::pool::{BufferPool, Token, TokenBuf};
@@ -262,12 +279,7 @@ pub trait Transport: Send + Sync {
         frame: &mut dyn FnMut(&mut [u8]) -> usize,
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if max_len > self.max_message_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: max_len,
-                max: self.max_message_bytes(),
-            });
-        }
+        admit(max_len, self.max_message_bytes())?;
         let mut buf = vec![0u8; max_len];
         let n = frame(&mut buf).min(max_len);
         self.send(&buf[..n], timeout)
@@ -300,15 +312,6 @@ pub trait Transport: Send + Sync {
         self.recv(timeout).map(Token::Owned)
     }
 
-    /// Non-blocking variant of [`Transport::send_token`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Transport::try_send`].
-    fn try_send_token(&self, token: Token) -> Result<(), TransportError> {
-        self.try_send(&token)
-    }
-
     /// Non-blocking variant of [`Transport::recv_token`].
     ///
     /// # Errors
@@ -324,6 +327,38 @@ pub trait Transport: Send + Sync {
     /// payloads in pool slots instead of fresh heap buffers.
     fn pool(&self) -> Option<&BufferPool> {
         None
+    }
+}
+
+/// The eq. (1) per-message bound, checked here for every send shape of
+/// every transport in this module: a message of `bytes` bytes (for an
+/// in-place frame, the bytes it reserves) either fits `max` or can never
+/// be accepted.
+fn admit(bytes: usize, max: usize) -> Result<(), TransportError> {
+    if bytes > max {
+        return Err(TransportError::TooLarge { bytes, max });
+    }
+    Ok(())
+}
+
+/// The framing closure of a plain byte send: copy `data` into the
+/// reserved storage, all of it.
+fn copy_of(data: &[u8]) -> impl FnOnce(&mut [u8]) -> usize + '_ {
+    move |buf| {
+        buf.copy_from_slice(data);
+        data.len()
+    }
+}
+
+/// The framing closure of [`Transport::send_with`]: `fill` writes
+/// exactly the `len` bytes reserved.
+fn filled<'a>(
+    len: usize,
+    fill: &'a mut dyn FnMut(&mut [u8]),
+) -> impl FnOnce(&mut [u8]) -> usize + 'a {
+    move |buf| {
+        fill(buf);
+        len
     }
 }
 
@@ -351,10 +386,7 @@ impl TransportKind {
     pub fn instantiate(self, spec: &ChannelSpec) -> Box<dyn Transport> {
         let max_msg = spec.max_message_bytes;
         match self {
-            TransportKind::Locked => Box::new(LockedTransport::new(
-                spec.capacity_bytes,
-                spec.capacity_bytes.max(max_msg),
-            )),
+            TransportKind::Locked => Box::new(LockedTransport::new(spec.capacity_bytes, max_msg)),
             TransportKind::Ring => Box::new(RingTransport::new(spec.capacity_bytes, max_msg)),
             TransportKind::Pointer => Box::new(PointerTransport::new(spec.capacity_bytes, max_msg)),
         }
@@ -407,6 +439,98 @@ impl LockedTransport {
             max_message_bytes: max_message_bytes.clamp(1, capacity_bytes),
         }
     }
+
+    /// Takes the queue lock and holds it until `blocked` stops holding,
+    /// sleeping on `cv` for at most `wait` (`None`: not at all — a
+    /// blocked queue answers `would_block`). `peer_ops` reads the
+    /// peer's monotonic operation counter: any movement while blocked
+    /// is peer progress, and its absence over the whole wait marks the
+    /// timeout as a dead link rather than a slow one.
+    fn unblocked(
+        &self,
+        cv: &Condvar,
+        wait: Option<Duration>,
+        would_block: TransportError,
+        blocked: impl Fn(&LockedInner) -> bool,
+        peer_ops: impl Fn(&LockedInner) -> u64,
+    ) -> Result<MutexGuard<'_, LockedInner>, TransportError> {
+        let mut inner = self.inner.lock().expect("transport lock");
+        if !blocked(&inner) {
+            return Ok(inner);
+        }
+        let Some(timeout) = wait else {
+            return Err(would_block);
+        };
+        let start = Instant::now();
+        let deadline = start + timeout;
+        let mut seen = peer_ops(&inner);
+        let mut progress_at = start;
+        while blocked(&inner) {
+            let (now, ops) = (Instant::now(), peer_ops(&inner));
+            if ops != seen {
+                seen = ops;
+                progress_at = now;
+            }
+            if now >= deadline {
+                return Err(TransportError::Timeout {
+                    after: timeout,
+                    idle: now.duration_since(progress_at),
+                });
+            }
+            let (guard, _) = cv
+                .wait_timeout(inner, deadline - now)
+                .expect("transport lock");
+            inner = guard;
+        }
+        Ok(inner)
+    }
+
+    /// The one send body: frames the message into an owned buffer of up
+    /// to `max_len` bytes, waits (per `wait`) until the queue admits
+    /// it, and enqueues it.
+    fn push(
+        &self,
+        max_len: usize,
+        wait: Option<Duration>,
+        frame: impl FnOnce(&mut [u8]) -> usize,
+    ) -> Result<(), TransportError> {
+        admit(max_len, self.max_message_bytes)?;
+        let mut data = vec![0u8; max_len];
+        let len = frame(&mut data).min(max_len);
+        data.truncate(len);
+        // An empty queue always admits one message: `max_message_bytes`
+        // is clamped to the capacity, so progress is never wedged.
+        let mut inner = self.unblocked(
+            &self.not_full,
+            wait,
+            TransportError::Full,
+            |q| q.used_bytes + len > self.capacity_bytes && !q.queue.is_empty(),
+            |q| q.pops,
+        )?;
+        inner.used_bytes += len;
+        inner.pushes += 1;
+        inner.queue.push_back(data);
+        self.not_empty.notify_one();
+        Ok(())
+    }
+
+    /// The one receive body: waits (per `wait`) for a message and
+    /// dequeues it.
+    fn pop(&self, wait: Option<Duration>) -> Result<Vec<u8>, TransportError> {
+        let mut inner = self.unblocked(
+            &self.not_empty,
+            wait,
+            TransportError::Empty,
+            |q| q.queue.is_empty(),
+            |q| q.pushes,
+        )?;
+        let data = inner.queue.pop_front().expect("unblocked on a message");
+        inner.used_bytes -= data.len();
+        inner.pops += 1;
+        drop(inner);
+        self.not_full.notify_one();
+        Ok(data)
+    }
 }
 
 impl Transport for LockedTransport {
@@ -432,34 +556,11 @@ impl Transport for LockedTransport {
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        if data.len() > self.max_message_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: data.len(),
-                max: self.max_message_bytes,
-            });
-        }
-        let mut inner = self.inner.lock().expect("transport lock");
-        if inner.used_bytes + data.len() > self.capacity_bytes && !inner.queue.is_empty() {
-            return Err(TransportError::Full);
-        }
-        inner.used_bytes += data.len();
-        inner.pushes += 1;
-        inner.queue.push_back(data.to_vec());
-        self.not_empty.notify_one();
-        Ok(())
+        self.push(data.len(), None, copy_of(data))
     }
 
     fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        let mut inner = self.inner.lock().expect("transport lock");
-        match inner.queue.pop_front() {
-            Some(data) => {
-                inner.used_bytes -= data.len();
-                inner.pops += 1;
-                self.not_full.notify_one();
-                Ok(data)
-            }
-            None => Err(TransportError::Empty),
-        }
+        self.pop(None)
     }
 
     fn send_with(
@@ -468,44 +569,7 @@ impl Transport for LockedTransport {
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.max_message_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.max_message_bytes,
-            });
-        }
-        let mut data = vec![0u8; len];
-        fill(&mut data);
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let mut inner = self.inner.lock().expect("transport lock");
-        // An empty queue always admits one message: `max_message_bytes`
-        // is clamped to the capacity, so progress is never wedged.
-        let mut seen_pops = inner.pops;
-        let mut progress_at = start;
-        while inner.used_bytes + len > self.capacity_bytes && !inner.queue.is_empty() {
-            let now = Instant::now();
-            if inner.pops != seen_pops {
-                seen_pops = inner.pops;
-                progress_at = now;
-            }
-            if now >= deadline {
-                return Err(TransportError::Timeout {
-                    after: timeout,
-                    idle: now.duration_since(progress_at),
-                });
-            }
-            let (guard, _) = self
-                .not_full
-                .wait_timeout(inner, deadline - now)
-                .expect("transport lock");
-            inner = guard;
-        }
-        inner.used_bytes += len;
-        inner.pushes += 1;
-        inner.queue.push_back(data);
-        self.not_empty.notify_one();
-        Ok(())
+        self.push(len, Some(timeout), filled(len, fill))
     }
 
     fn recv_with(
@@ -513,37 +577,16 @@ impl Transport for LockedTransport {
         consume: &mut dyn FnMut(&[u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        let start = Instant::now();
-        let deadline = start + timeout;
-        let mut inner = self.inner.lock().expect("transport lock");
-        let mut seen_pushes = inner.pushes;
-        let mut progress_at = start;
-        loop {
-            if let Some(data) = inner.queue.pop_front() {
-                inner.used_bytes -= data.len();
-                inner.pops += 1;
-                drop(inner);
-                self.not_full.notify_one();
-                consume(&data);
-                return Ok(());
-            }
-            let now = Instant::now();
-            if inner.pushes != seen_pushes {
-                seen_pushes = inner.pushes;
-                progress_at = now;
-            }
-            if now >= deadline {
-                return Err(TransportError::Timeout {
-                    after: timeout,
-                    idle: now.duration_since(progress_at),
-                });
-            }
-            let (guard, _) = self
-                .not_empty
-                .wait_timeout(inner, deadline - now)
-                .expect("transport lock");
-            inner = guard;
-        }
+        self.pop(Some(timeout)).map(|data| consume(&data))
+    }
+
+    fn send_in_place(
+        &self,
+        max_len: usize,
+        frame: &mut dyn FnMut(&mut [u8]) -> usize,
+        timeout: Duration,
+    ) -> Result<(), TransportError> {
+        self.push(max_len, Some(timeout), frame)
     }
 }
 
@@ -589,7 +632,7 @@ impl WaitList {
     /// buffers while each side's subsequent load reads stale state, so
     /// the parker re-checks "still blocked" *and* this load reads
     /// "nobody waiting", losing the wakeup for good.
-    fn wake_one(&self) {
+    fn wake_all(&self) {
         shim::fence(Ordering::SeqCst);
         if self.waiting.load(Ordering::Acquire) == 0 {
             return;
@@ -626,7 +669,7 @@ impl WaitList {
     /// race: a publisher that misses the registration is ordered before
     /// the re-check; one that sees it will unpark us. The SeqCst fence
     /// between registration and re-check makes that ordering real on
-    /// hardware with store buffers (see [`WaitList::wake_one`]).
+    /// hardware with store buffers (see [`WaitList::wake_all`]).
     fn park_until(&self, deadline: Instant, ready: &dyn Fn() -> bool) -> bool {
         {
             let mut threads = self.threads.lock();
@@ -661,6 +704,23 @@ impl WaitList {
     }
 }
 
+/// One end of a ring — the producer's or the consumer's — so that
+/// claiming, parking and progress tracking are each written once, over
+/// an end and its peer, instead of as send / receive mirror functions.
+struct End {
+    /// The claim counter this end advances: the next position it will
+    /// take. A blocked peer watches it for signs of life.
+    cursor: shim::AtomicUsize,
+    /// This end's threads, parked on a ring with nothing to claim.
+    waiters: WaitList,
+    /// Low bit of the `seq` value that hands a slot to this end: `0` —
+    /// free, the producer's; `1` — published, the consumer's.
+    ready: usize,
+    /// What a non-blocking caller is told when there is nothing to
+    /// claim.
+    would_block: TransportError,
+}
+
 /// A lock-free bounded ring of fixed-size packed-token slots.
 ///
 /// Layout: `slots × slot_bytes` of payload storage, a length word per
@@ -690,14 +750,10 @@ pub struct RingTransport {
     lens: Box<[UnsafeCell<usize>]>,
     /// Slot payload storage, `slots × slot_bytes` contiguous bytes.
     buf: Box<[UnsafeCell<u8>]>,
-    /// Next dequeue position.
-    head: shim::AtomicUsize,
-    /// Next enqueue position.
-    tail: shim::AtomicUsize,
-    /// Consumers parked on an empty ring.
-    recv_waiters: WaitList,
-    /// Producers parked on a full ring.
-    send_waiters: WaitList,
+    /// The enqueuing end: `tail`, producers parked on a full ring.
+    producer: End,
+    /// The dequeuing end: `head`, consumers parked on an empty ring.
+    consumer: End,
 }
 
 // SAFETY: slot payload (`lens`, `buf`) is only accessed by the thread
@@ -732,16 +788,29 @@ impl RingTransport {
         let buf: Box<[UnsafeCell<u8>]> = (0..slots * slot_bytes)
             .map(|_| UnsafeCell::new(0))
             .collect();
+        // Shim objects are numbered in creation order, which the
+        // simulator's golden logs print: cursors first, head before
+        // tail, then the consumer's wait list, then the producer's.
+        let head = shim::AtomicUsize::labeled(0, "head");
+        let tail = shim::AtomicUsize::labeled(0, "tail");
         RingTransport {
             slot_bytes,
             slots,
             seq,
             lens,
             buf,
-            head: shim::AtomicUsize::labeled(0, "head"),
-            tail: shim::AtomicUsize::labeled(0, "tail"),
-            recv_waiters: WaitList::new("recv_waiting", "recv_waitlist"),
-            send_waiters: WaitList::new("send_waiting", "send_waitlist"),
+            consumer: End {
+                cursor: head,
+                waiters: WaitList::new("recv_waiting", "recv_waitlist"),
+                ready: 1,
+                would_block: TransportError::Empty,
+            },
+            producer: End {
+                cursor: tail,
+                waiters: WaitList::new("send_waiting", "send_waitlist"),
+                ready: 0,
+                would_block: TransportError::Full,
+            },
         }
     }
 
@@ -753,8 +822,8 @@ impl RingTransport {
     #[cfg(feature = "verify-shim")]
     pub fn new_with_reverted_wakeup(capacity_bytes: usize, slot_bytes: usize) -> Self {
         let mut t = Self::new(capacity_bytes, slot_bytes);
-        t.recv_waiters.wake_dequeues = true;
-        t.send_waiters.wake_dequeues = true;
+        t.consumer.waiters.wake_dequeues = true;
+        t.producer.waiters.wake_dequeues = true;
         t
     }
 
@@ -763,46 +832,26 @@ impl RingTransport {
         self.slots
     }
 
-    /// Claims the next enqueue position, or `None` when the ring is
-    /// full. On success the caller owns slot `pos % slots` until it
-    /// publishes `seq = pos + 1`.
-    fn claim_send(&self) -> Option<usize> {
-        let mut pos = self.tail.load(Ordering::Relaxed);
-        loop {
-            let idx = pos % self.slots;
-            let seq = self.seq[idx].load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_mul(2) as isize;
-            if dif == 0 {
-                match self.tail.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(pos),
-                    Err(p) => pos = p,
-                }
-            } else if dif < 0 {
-                // Slot still holds an unconsumed message from one lap
-                // ago: the ring is full.
-                return None;
-            } else {
-                pos = self.tail.load(Ordering::Relaxed);
-            }
-        }
+    /// `seq[pos % slots]` relative to the value that hands position
+    /// `pos` to `end`: zero when the slot is ready to claim, negative
+    /// when it still belongs to the peer from one lap ago (ring full /
+    /// empty), positive when another thread sharing this end already
+    /// took `pos`.
+    fn lead(&self, end: &End, pos: usize) -> isize {
+        let seq = self.seq[pos % self.slots].load(Ordering::Acquire);
+        seq as isize - pos.wrapping_mul(2).wrapping_add(end.ready) as isize
     }
 
-    /// Claims the next dequeue position, or `None` when the ring is
-    /// empty. On success the caller owns slot `pos % slots` until it
-    /// releases `seq = pos + slots`.
-    fn claim_recv(&self) -> Option<usize> {
-        let mut pos = self.head.load(Ordering::Relaxed);
+    /// Claims `end`'s next position, or `None` when the ring is full
+    /// (send end) / empty (receive end). On success the caller owns
+    /// slot `pos % slots` until it stores the slot's next `seq`.
+    #[inline]
+    fn try_claim(&self, end: &End) -> Option<usize> {
+        let mut pos = end.cursor.load(Ordering::Relaxed);
         loop {
-            let idx = pos % self.slots;
-            let seq = self.seq[idx].load(Ordering::Acquire);
-            let dif = seq as isize - pos.wrapping_mul(2).wrapping_add(1) as isize;
+            let dif = self.lead(end, pos);
             if dif == 0 {
-                match self.head.compare_exchange_weak(
+                match end.cursor.compare_exchange_weak(
                     pos,
                     pos.wrapping_add(1),
                     Ordering::Relaxed,
@@ -814,184 +863,148 @@ impl RingTransport {
             } else if dif < 0 {
                 return None;
             } else {
-                pos = self.head.load(Ordering::Relaxed);
+                pos = end.cursor.load(Ordering::Relaxed);
             }
         }
     }
 
-    /// Writes the claimed slot and publishes it to the consumer side.
-    fn publish(&self, pos: usize, len: usize, fill: &mut dyn FnMut(&mut [u8])) {
+    /// Whether `end` can currently claim a slot (the park re-check;
+    /// exact in the SPSC case).
+    fn claimable(&self, end: &End) -> bool {
+        self.lead(end, end.cursor.load(Ordering::Relaxed)) >= 0
+    }
+
+    /// The slot claim under every send and receive: an immediate
+    /// attempt — all a caller that may not wait (`None`) gets — then
+    /// [`RingTransport::await_claim`]. On success the caller owns the
+    /// slot and **must** store its next `seq`.
+    // Inlined, with the waiting half out of line: a claim that succeeds
+    // at once is the per-message path of every transport built on this
+    // ring. As one out-of-line function it cost the benchmark ladder
+    // 3–9 ns per ring operation (`ring_op_ns.8B` +8 %,
+    // `pointer_frame_ns.2k` +20 % against the mirrored-function parent;
+    // split like this, −7 % and within the parent's own spread).
+    #[inline]
+    fn claim(
+        &self,
+        end: &End,
+        peer: &End,
+        wait: Option<Duration>,
+    ) -> Result<usize, TransportError> {
+        match (self.try_claim(end), wait) {
+            (Some(pos), _) => Ok(pos),
+            (None, Some(timeout)) => self.await_claim(end, peer, timeout),
+            (None, None) => Err(end.would_block),
+        }
+    }
+
+    /// The waiting half of a claim: a brief spin, then parking with
+    /// peer-progress tracking for the timeout's idle report.
+    #[cold]
+    fn await_claim(
+        &self,
+        end: &End,
+        peer: &End,
+        timeout: Duration,
+    ) -> Result<usize, TransportError> {
+        // Brief spin before parking: a pipelined peer typically turns a
+        // slot around within a few hundred nanoseconds, far cheaper to
+        // catch here than via a park/unpark round trip through the
+        // kernel.
+        for _ in 0..shim::spin_budget(Self::spin_claims()) {
+            std::hint::spin_loop();
+            if let Some(pos) = self.try_claim(end) {
+                return Ok(pos);
+            }
+        }
+        let start = shim::now();
+        let deadline = start + timeout;
+        // A blocked caller watches the peer's claim counter: any
+        // movement is peer progress, and its absence over the whole
+        // wait marks the timeout as a dead link rather than a slow one.
+        let mut seen = peer.cursor.load(Ordering::Relaxed);
+        let mut progress_at = start;
+        loop {
+            if let Some(pos) = self.try_claim(end) {
+                return Ok(pos);
+            }
+            let parked = end.waiters.park_until(deadline, &|| self.claimable(end));
+            // One clock read per wake, shared by the progress stamp and
+            // the idle computation below.
+            let now = shim::now();
+            let at = peer.cursor.load(Ordering::Relaxed);
+            if at != seen {
+                seen = at;
+                progress_at = now;
+            }
+            if !parked {
+                // One last claim attempt closes the race where the slot
+                // turned around exactly at the deadline.
+                if let Some(pos) = self.try_claim(end) {
+                    return Ok(pos);
+                }
+                return Err(TransportError::Timeout {
+                    after: timeout,
+                    idle: now.duration_since(progress_at),
+                });
+            }
+        }
+    }
+
+    /// The one send body: claims a slot (waiting per `wait`), lets
+    /// `frame` build the message in the slot's first `max_len` bytes,
+    /// and publishes the length it returns to the consumer side.
+    fn send_framed(
+        &self,
+        max_len: usize,
+        wait: Option<Duration>,
+        frame: impl FnOnce(&mut [u8]) -> usize,
+    ) -> Result<(), TransportError> {
+        admit(max_len, self.slot_bytes)?;
+        let pos = self.claim(&self.producer, &self.consumer, wait)?;
         let idx = pos % self.slots;
         // SAFETY: the claim protocol gives this thread exclusive access
-        // to slot `idx` between `claim_send` and the seq store below;
-        // slots are disjoint byte ranges of `buf`.
+        // to slot `idx` between the claim and the seq store below;
+        // slots are disjoint byte ranges of `buf`, and `admit` keeps
+        // `max_len` within the slot.
         unsafe {
-            *self.lens[idx].get() = len;
-            let dst = std::slice::from_raw_parts_mut(self.buf[idx * self.slot_bytes].get(), len);
-            fill(dst);
+            let dst =
+                std::slice::from_raw_parts_mut(self.buf[idx * self.slot_bytes].get(), max_len);
+            *self.lens[idx].get() = frame(dst).min(max_len);
         }
         self.seq[idx].store(pos.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-        self.recv_waiters.wake_one();
+        self.consumer.waiters.wake_all();
+        Ok(())
     }
 
-    /// Reads the claimed slot, then recycles it to the producer side.
-    fn consume_slot(&self, pos: usize, consume: &mut dyn FnMut(&[u8])) {
+    /// The one receive body: claims the next message (waiting per
+    /// `wait`), hands `read` its bytes while they still live in ring
+    /// storage, then recycles the slot to the producer side.
+    /// Crate-visible because the pool's free list is such a ring, read
+    /// without allocating.
+    pub(crate) fn recv_framed<R>(
+        &self,
+        wait: Option<Duration>,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, TransportError> {
+        let pos = self.claim(&self.consumer, &self.producer, wait)?;
         let idx = pos % self.slots;
-        // SAFETY: symmetric to `publish` — exclusive access between
-        // `claim_recv` and the seq store below.
-        unsafe {
+        // SAFETY: symmetric to `send_framed` — exclusive access between
+        // the claim and the seq store below; the length was written by
+        // the slot's producer before its publishing seq store.
+        let out = unsafe {
             let len = *self.lens[idx].get();
-            let src =
-                std::slice::from_raw_parts(self.buf[idx * self.slot_bytes].get() as *const u8, len);
-            consume(src);
-        }
+            read(std::slice::from_raw_parts(
+                self.buf[idx * self.slot_bytes].get() as *const u8,
+                len,
+            ))
+        };
         self.seq[idx].store(
             pos.wrapping_add(self.slots).wrapping_mul(2),
             Ordering::Release,
         );
-        self.send_waiters.wake_one();
-    }
-
-    /// Blocking slot claim shared by every send path: immediate
-    /// attempt, brief spin, then park with peer-progress tracking for
-    /// the timeout's idle report. On success the caller owns the slot
-    /// and **must** publish it.
-    fn claim_send_blocking(&self, timeout: Duration) -> Result<usize, TransportError> {
-        if let Some(pos) = self.claim_send() {
-            return Ok(pos);
-        }
-        // Brief spin before parking: a pipelined peer typically frees a
-        // slot within a few hundred nanoseconds, far cheaper to catch
-        // here than via a park/unpark round trip through the kernel.
-        for _ in 0..shim::spin_budget(Self::spin_claims()) {
-            std::hint::spin_loop();
-            if let Some(pos) = self.claim_send() {
-                return Ok(pos);
-            }
-        }
-        let start = shim::now();
-        let deadline = start + timeout;
-        // A blocked sender watches the consumer's claim counter: any
-        // movement is peer progress, and its absence over the whole
-        // wait marks the timeout as a dead link rather than a slow one.
-        let mut seen_head = self.head.load(Ordering::Relaxed);
-        let mut progress_at = start;
-        loop {
-            if let Some(pos) = self.claim_send() {
-                return Ok(pos);
-            }
-            let parked = self.send_waiters.park_until(deadline, &|| self.can_send());
-            // One clock read per wake, shared by the progress stamp and
-            // the idle computation below.
-            let now = shim::now();
-            let head = self.head.load(Ordering::Relaxed);
-            if head != seen_head {
-                seen_head = head;
-                progress_at = now;
-            }
-            if !parked {
-                // One last claim attempt closes the race where space
-                // freed up exactly at the deadline.
-                if let Some(pos) = self.claim_send() {
-                    return Ok(pos);
-                }
-                return Err(TransportError::Timeout {
-                    after: timeout,
-                    idle: now.duration_since(progress_at),
-                });
-            }
-        }
-    }
-
-    /// Blocking dequeue claim, symmetric to
-    /// [`RingTransport::claim_send_blocking`]: a blocked receiver
-    /// watches the producer's claim counter for signs of life. On
-    /// success the caller **must** consume the slot.
-    fn claim_recv_blocking(&self, timeout: Duration) -> Result<usize, TransportError> {
-        if let Some(pos) = self.claim_recv() {
-            return Ok(pos);
-        }
-        for _ in 0..shim::spin_budget(Self::spin_claims()) {
-            std::hint::spin_loop();
-            if let Some(pos) = self.claim_recv() {
-                return Ok(pos);
-            }
-        }
-        let start = shim::now();
-        let deadline = start + timeout;
-        let mut seen_tail = self.tail.load(Ordering::Relaxed);
-        let mut progress_at = start;
-        loop {
-            if let Some(pos) = self.claim_recv() {
-                return Ok(pos);
-            }
-            let parked = self.recv_waiters.park_until(deadline, &|| self.can_recv());
-            let now = shim::now();
-            let tail = self.tail.load(Ordering::Relaxed);
-            if tail != seen_tail {
-                seen_tail = tail;
-                progress_at = now;
-            }
-            if !parked {
-                if let Some(pos) = self.claim_recv() {
-                    return Ok(pos);
-                }
-                return Err(TransportError::Timeout {
-                    after: timeout,
-                    idle: now.duration_since(progress_at),
-                });
-            }
-        }
-    }
-
-    /// Non-blocking in-place receive (crate-internal: the pool's free
-    /// list reads fixed-size index messages without allocating).
-    pub(crate) fn try_recv_with(
-        &self,
-        consume: &mut dyn FnMut(&[u8]),
-    ) -> Result<(), TransportError> {
-        match self.claim_recv() {
-            Some(pos) => {
-                self.consume_slot(pos, consume);
-                Ok(())
-            }
-            None => Err(TransportError::Empty),
-        }
-    }
-
-    /// Blocking receive of one 4-byte little-endian index message into
-    /// `out` — no heap allocation (the pool free-list hot path).
-    pub(crate) fn recv_index(
-        &self,
-        out: &mut u32,
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        self.recv_with(
-            &mut |b| *out = u32::from_le_bytes(b.try_into().expect("4-byte index message")),
-            timeout,
-        )
-    }
-
-    /// Non-blocking variant of [`RingTransport::recv_index`].
-    pub(crate) fn try_recv_index(&self, out: &mut u32) -> Result<(), TransportError> {
-        self.try_recv_with(&mut |b| {
-            *out = u32::from_le_bytes(b.try_into().expect("4-byte index message"));
-        })
-    }
-
-    /// Whether an enqueue can currently claim a slot (used as the park
-    /// re-check; exact in the SPSC case).
-    fn can_send(&self) -> bool {
-        let pos = self.tail.load(Ordering::Relaxed);
-        let seq = self.seq[pos % self.slots].load(Ordering::Acquire);
-        seq as isize - pos.wrapping_mul(2) as isize >= 0
-    }
-
-    /// Whether a dequeue can currently claim a slot.
-    fn can_recv(&self) -> bool {
-        let pos = self.head.load(Ordering::Relaxed);
-        let seq = self.seq[pos % self.slots].load(Ordering::Acquire);
-        seq as isize - pos.wrapping_mul(2).wrapping_add(1) as isize >= 0
+        self.producer.waiters.wake_all();
+        Ok(out)
     }
 }
 
@@ -1014,8 +1027,8 @@ impl Transport for RingTransport {
         // slots. Loading `tail` first means a racing consumer can only
         // shrink the difference (possibly below zero, which clamps to
         // empty), so the snapshot never over-estimates.
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
+        let tail = self.producer.cursor.load(Ordering::Acquire);
+        let head = self.consumer.cursor.load(Ordering::Acquire);
         let diff = tail.wrapping_sub(head);
         if diff > self.slots {
             0
@@ -1030,30 +1043,11 @@ impl Transport for RingTransport {
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        if data.len() > self.slot_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: data.len(),
-                max: self.slot_bytes,
-            });
-        }
-        match self.claim_send() {
-            Some(pos) => {
-                self.publish(pos, data.len(), &mut |buf| buf.copy_from_slice(data));
-                Ok(())
-            }
-            None => Err(TransportError::Full),
-        }
+        self.send_framed(data.len(), None, copy_of(data))
     }
 
     fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        match self.claim_recv() {
-            Some(pos) => {
-                let mut out = Vec::new();
-                self.consume_slot(pos, &mut |bytes| out.extend_from_slice(bytes));
-                Ok(out)
-            }
-            None => Err(TransportError::Empty),
-        }
+        self.recv_framed(None, <[u8]>::to_vec)
     }
 
     fn send_with(
@@ -1062,15 +1056,7 @@ impl Transport for RingTransport {
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.slot_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.slot_bytes,
-            });
-        }
-        let pos = self.claim_send_blocking(timeout)?;
-        self.publish(pos, len, fill);
-        Ok(())
+        self.send_framed(len, Some(timeout), filled(len, fill))
     }
 
     fn recv_with(
@@ -1078,9 +1064,7 @@ impl Transport for RingTransport {
         consume: &mut dyn FnMut(&[u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        let pos = self.claim_recv_blocking(timeout)?;
-        self.consume_slot(pos, consume);
-        Ok(())
+        self.recv_framed(Some(timeout), consume)
     }
 
     fn send_in_place(
@@ -1089,25 +1073,7 @@ impl Transport for RingTransport {
         frame: &mut dyn FnMut(&mut [u8]) -> usize,
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if max_len > self.slot_bytes {
-            return Err(TransportError::TooLarge {
-                bytes: max_len,
-                max: self.slot_bytes,
-            });
-        }
-        let pos = self.claim_send_blocking(timeout)?;
-        let idx = pos % self.slots;
-        // SAFETY: as `publish` — the claim protocol gives this thread
-        // exclusive access to slot `idx` until the seq store below.
-        unsafe {
-            let dst =
-                std::slice::from_raw_parts_mut(self.buf[idx * self.slot_bytes].get(), max_len);
-            let n = frame(dst).min(max_len);
-            *self.lens[idx].get() = n;
-        }
-        self.seq[idx].store(pos.wrapping_mul(2).wrapping_add(1), Ordering::Release);
-        self.recv_waiters.wake_one();
-        Ok(())
+        self.send_framed(max_len, Some(timeout), frame)
     }
 }
 
@@ -1129,11 +1095,15 @@ fn encode_desc(slot: u32, off: u32, len: u32) -> [u8; DESC_BYTES] {
 }
 
 fn decode_desc(d: &[u8]) -> (u32, u32, u32) {
-    (
-        u32::from_le_bytes(d[0..4].try_into().expect("slot word")),
-        u32::from_le_bytes(d[4..8].try_into().expect("offset word")),
-        u32::from_le_bytes(d[8..12].try_into().expect("length word")),
-    )
+    (le_u32(&d[0..4]), le_u32(&d[4..8]), le_u32(&d[8..12]))
+}
+
+/// One little-endian `u32` word of a fixed-layout ring message — a
+/// descriptor field here, a slot index on the pool's free ring — read
+/// in place (the rings' receive body hands out slot bytes, so neither
+/// reader allocates).
+pub(crate) fn le_u32(word: &[u8]) -> u32 {
+    u32::from_le_bytes(word.try_into().expect("4-byte word"))
 }
 
 /// The paper's §5.2 pointer exchange: payloads live in a [`BufferPool`]
@@ -1169,11 +1139,7 @@ impl PointerTransport {
     /// slab allocation.
     pub fn new(capacity_bytes: usize, slot_bytes: usize) -> Self {
         let slot_bytes = slot_bytes.max(1);
-        let slots = (capacity_bytes / slot_bytes).max(1);
-        PointerTransport {
-            pool: BufferPool::new(slots, slot_bytes),
-            ring: RingTransport::new(slots * DESC_BYTES, DESC_BYTES),
-        }
+        Self::with_pool(BufferPool::new(capacity_bytes / slot_bytes, slot_bytes))
     }
 
     /// A pointer transport publishing into an existing `pool` — the
@@ -1212,13 +1178,37 @@ impl PointerTransport {
     /// slot is returned to the pool rather than leaked.
     fn publish_lease(&self, lease: TokenBuf) -> Result<(), TransportError> {
         let (slot, off, len) = BufferPool::detach(lease);
-        match self.ring.try_send(&encode_desc(slot, off, len)) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                drop(self.pool.lease(slot, 0, 0));
-                Err(e)
-            }
-        }
+        self.ring
+            .try_send(&encode_desc(slot, off, len))
+            .inspect_err(|_| drop(self.pool.lease(slot, 0, 0)))
+    }
+
+    /// The one send body: acquires a free pool slot (waiting per `wait`
+    /// — an exhausted pool *is* the full channel), lets `frame` build
+    /// the message in its first `max_len` bytes, and publishes the
+    /// slot's descriptor.
+    fn send_framed(
+        &self,
+        max_len: usize,
+        wait: Option<Duration>,
+        frame: impl FnOnce(&mut [u8]) -> usize,
+    ) -> Result<(), TransportError> {
+        admit(max_len, self.pool.slot_bytes())?;
+        let mut lease = match wait {
+            Some(timeout) => self.pool.acquire(timeout)?,
+            None => self.pool.try_acquire().ok_or(TransportError::Full)?,
+        };
+        let len = frame(&mut lease[..max_len]).min(max_len);
+        lease.truncate(len);
+        self.publish_lease(lease)
+    }
+
+    /// The one receive body: dequeues the next descriptor (waiting per
+    /// `wait`) and wraps its slot in a lease, which releases the slot
+    /// when it drops — including if its reader panics mid-read.
+    fn next_lease(&self, wait: Option<Duration>) -> Result<TokenBuf, TransportError> {
+        let (slot, off, len) = self.ring.recv_framed(wait, decode_desc)?;
+        Ok(self.pool.lease(slot, off, len))
     }
 }
 
@@ -1247,24 +1237,11 @@ impl Transport for PointerTransport {
     }
 
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        if data.len() > self.pool.slot_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: data.len(),
-                max: self.pool.slot_bytes(),
-            });
-        }
-        let Some(mut lease) = self.pool.try_acquire() else {
-            return Err(TransportError::Full);
-        };
-        lease[..data.len()].copy_from_slice(data);
-        lease.truncate(data.len());
-        self.publish_lease(lease)
+        self.send_framed(data.len(), None, copy_of(data))
     }
 
     fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        let mut desc = (0u32, 0u32, 0u32);
-        self.ring.try_recv_with(&mut |d| desc = decode_desc(d))?;
-        Ok(self.pool.lease(desc.0, desc.1, desc.2).to_vec())
+        self.next_lease(None).map(|lease| lease.to_vec())
     }
 
     fn send_with(
@@ -1273,16 +1250,7 @@ impl Transport for PointerTransport {
         fill: &mut dyn FnMut(&mut [u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if len > self.pool.slot_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: len,
-                max: self.pool.slot_bytes(),
-            });
-        }
-        let mut lease = self.pool.acquire(timeout)?;
-        fill(&mut lease[..len]);
-        lease.truncate(len);
-        self.publish_lease(lease)
+        self.send_framed(len, Some(timeout), filled(len, fill))
     }
 
     fn recv_with(
@@ -1290,14 +1258,7 @@ impl Transport for PointerTransport {
         consume: &mut dyn FnMut(&[u8]),
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        let mut desc = (0u32, 0u32, 0u32);
-        self.ring
-            .recv_with(&mut |d| desc = decode_desc(d), timeout)?;
-        // The lease releases the slot when it drops — including if
-        // `consume` panics mid-read.
-        let lease = self.pool.lease(desc.0, desc.1, desc.2);
-        consume(&lease);
-        Ok(())
+        self.next_lease(Some(timeout)).map(|lease| consume(&lease))
     }
 
     fn send_in_place(
@@ -1306,16 +1267,7 @@ impl Transport for PointerTransport {
         frame: &mut dyn FnMut(&mut [u8]) -> usize,
         timeout: Duration,
     ) -> Result<(), TransportError> {
-        if max_len > self.pool.slot_bytes() {
-            return Err(TransportError::TooLarge {
-                bytes: max_len,
-                max: self.pool.slot_bytes(),
-            });
-        }
-        let mut lease = self.pool.acquire(timeout)?;
-        let n = frame(&mut lease[..max_len]).min(max_len);
-        lease.truncate(n);
-        self.publish_lease(lease)
+        self.send_framed(max_len, Some(timeout), frame)
     }
 
     fn send_token(&self, token: Token, timeout: Duration) -> Result<(), TransportError> {
@@ -1330,23 +1282,11 @@ impl Transport for PointerTransport {
     }
 
     fn recv_token(&self, timeout: Duration) -> Result<Token, TransportError> {
-        let mut desc = (0u32, 0u32, 0u32);
-        self.ring
-            .recv_with(&mut |d| desc = decode_desc(d), timeout)?;
-        Ok(Token::Pooled(self.pool.lease(desc.0, desc.1, desc.2)))
-    }
-
-    fn try_send_token(&self, token: Token) -> Result<(), TransportError> {
-        match token {
-            Token::Pooled(lease) if self.pool.owns(&lease) => self.publish_lease(lease),
-            token => self.try_send(&token),
-        }
+        self.next_lease(Some(timeout)).map(Token::Pooled)
     }
 
     fn try_recv_token(&self) -> Result<Token, TransportError> {
-        let mut desc = (0u32, 0u32, 0u32);
-        self.ring.try_recv_with(&mut |d| desc = decode_desc(d))?;
-        Ok(Token::Pooled(self.pool.lease(desc.0, desc.1, desc.2)))
+        self.next_lease(None).map(Token::Pooled)
     }
 
     fn pool(&self) -> Option<&BufferPool> {
@@ -1444,15 +1384,61 @@ mod tests {
         }
     }
 
+    /// Every way of putting `data` (at most 8 bytes) into a transport.
+    type SendShape = fn(&dyn Transport, &[u8]) -> Result<(), TransportError>;
+    const SEND_SHAPES: [(&str, SendShape); 5] = [
+        ("try_send", |t, data| t.try_send(data)),
+        ("send", |t, data| t.send(data, T)),
+        ("send_with", |t, data| {
+            t.send_with(data.len(), &mut |buf| buf.copy_from_slice(data), T)
+        }),
+        ("send_in_place", |t, data| {
+            // Reserve the whole slot when the message fits one, as a
+            // framing sender does, and publish only the prefix.
+            let frame = &mut |buf: &mut [u8]| {
+                buf[..data.len()].copy_from_slice(data);
+                data.len()
+            };
+            t.send_in_place(data.len().max(8), frame, T)
+        }),
+        ("send_token", |t, data| {
+            t.send_token(Token::Owned(data.to_vec()), T)
+        }),
+    ];
+
+    /// Every way of taking the next message out of a transport.
+    type RecvShape = fn(&dyn Transport) -> Result<Vec<u8>, TransportError>;
+    const RECV_SHAPES: [(&str, RecvShape); 5] = [
+        ("try_recv", |t| t.try_recv()),
+        ("recv", |t| t.recv(T)),
+        ("recv_with", |t| {
+            let mut got = Vec::new();
+            t.recv_with(&mut |bytes| got.extend_from_slice(bytes), T)?;
+            Ok(got)
+        }),
+        ("recv_token", |t| t.recv_token(T).map(Token::into_vec)),
+        ("try_recv_token", |t| {
+            t.try_recv_token().map(Token::into_vec)
+        }),
+    ];
+
     #[test]
     fn in_place_send_and_recv_roundtrip() {
         for t in all(32, 8) {
-            t.send_with(6, &mut |buf| buf.copy_from_slice(b"packed"), T)
-                .unwrap();
-            let mut got = Vec::new();
-            t.recv_with(&mut |bytes| got.extend_from_slice(bytes), T)
-                .unwrap();
-            assert_eq!(got, b"packed");
+            for (sent_by, send) in SEND_SHAPES {
+                for (got_by, recv) in RECV_SHAPES {
+                    send(&*t, b"packed").unwrap();
+                    assert_eq!(recv(&*t).unwrap(), b"packed", "{sent_by} → {got_by}");
+                }
+                // One bound, one error, whichever shape carries the
+                // oversized message.
+                assert_eq!(
+                    send(&*t, &[0; 9]),
+                    Err(TransportError::TooLarge { bytes: 9, max: 8 }),
+                    "{sent_by}"
+                );
+            }
+            assert_eq!(t.occupancy(), 0, "every shape left the channel empty");
         }
     }
 
@@ -1540,6 +1526,7 @@ mod tests {
         assert_eq!(ring.max_message_bytes(), 6);
         let locked = TransportKind::Locked.instantiate(&spec);
         assert_eq!(locked.capacity_bytes(), 48);
+        assert_eq!(locked.max_message_bytes(), 6);
         let pointer = TransportKind::Pointer.instantiate(&spec);
         assert_eq!(pointer.capacity_bytes(), 48);
         assert_eq!(pointer.max_message_bytes(), 6);

@@ -34,7 +34,10 @@ pub mod framing;
 pub mod ring;
 
 pub use framing::{explore_framing, FramingExploration, FramingOptions, FramingViolation};
-pub use ring::{explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc};
+pub use ring::{
+    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc,
+    explore_try_then_block_spsc,
+};
 pub use spi_platform::model::{
     explore, Exploration, Failure, FailureKind, ModelOptions, Scenario, Step,
 };

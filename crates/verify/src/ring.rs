@@ -1,6 +1,6 @@
 //! Canonical `RingTransport` / `PointerTransport` exploration scenarios.
 //!
-//! Three scenarios cover the ring + waitlist + pool protocols:
+//! Four scenarios cover the ring + waitlist + pool protocols:
 //!
 //! * [`explore_ring_spsc`] — the production topology: one producer,
 //!   one consumer, small ring, `n` messages each way. Exhaustive at
@@ -10,6 +10,12 @@
 //!   acquire, in-place framing, descriptor publish, lease drop as the
 //!   slot-release ack. Covers the descriptor ring, the free ring and
 //!   the slab recycling between them.
+//! * [`explore_try_then_block_spsc`] — the traced runner's call
+//!   pattern over either transport: a non-blocking attempt first, the
+//!   blocking call only on `Full` / `Empty`. Since each transport has
+//!   one send body and one receive body taking the wait as a parameter,
+//!   this puts the non-blocking answers (and the hand-over from a
+//!   failed attempt to the parking claim) inside an exhaustive bound.
 //! * [`explore_ring_shared_consumers`] — the regression oracle for the
 //!   PR 3 lost-wakeup fix. Two consumers share the receive endpoint
 //!   (the documented memory-safe-but-slower mode). With the fix
@@ -28,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spi_platform::model::{explore, Exploration, ModelOptions};
-use spi_platform::{PointerTransport, RingTransport, Transport};
+use spi_platform::{PointerTransport, RingTransport, Transport, TransportError};
 
 /// Far beyond any exploration: the model clock is frozen, so this
 /// deadline is simply "never" inside a session.
@@ -102,6 +108,49 @@ pub fn explore_pointer_spsc(messages: usize, slots: usize, opts: &ModelOptions) 
                 assert_eq!(&token[..], &i.to_le_bytes(), "FIFO order violated");
                 // Dropping the lease is the slot-release ack.
                 drop(token);
+            }
+        });
+    })
+}
+
+/// Exhaustively explores the call pattern of the runner's traced
+/// `Direct` port over the transport `new` builds
+/// ([`RingTransport::new`] or [`PointerTransport::new`]; the locked
+/// reference queue blocks on a real mutex and cannot run under the
+/// explorer): the producer offers each of `messages` 4-byte payloads
+/// with `try_send` and falls back to the blocking `send` on `Full`, the
+/// consumer asks `try_recv_token` and falls back to `recv_token` on
+/// `Empty`, checking FIFO order. Any other answer from a non-blocking
+/// call fails the run.
+pub fn explore_try_then_block_spsc<T: Transport + 'static>(
+    new: fn(usize, usize) -> T,
+    messages: usize,
+    slots: usize,
+    opts: &ModelOptions,
+) -> Exploration {
+    let slots = slots.max(1);
+    explore(opts, move |sc| {
+        let t = Arc::new(new(slots * 4, 4));
+        let p = Arc::clone(&t);
+        sc.thread("producer", move || {
+            for i in 0..messages as u32 {
+                let data = i.to_le_bytes();
+                match p.try_send(&data) {
+                    Err(TransportError::Full) => p.send(&data, NEVER),
+                    sent => sent,
+                }
+                .expect("model send");
+            }
+        });
+        let c = Arc::clone(&t);
+        sc.thread("consumer", move || {
+            for i in 0..messages as u32 {
+                let token = match c.try_recv_token() {
+                    Err(TransportError::Empty) => c.recv_token(NEVER),
+                    got => got,
+                }
+                .expect("model recv");
+                assert_eq!(&token[..], &i.to_le_bytes(), "FIFO order violated");
             }
         });
     })

@@ -1,6 +1,6 @@
 //! Bounded model checking of the `RingTransport` protocol.
 //!
-//! Three claims, per the verification plan (DESIGN.md §12):
+//! Five claims, per the verification plan (DESIGN.md §12):
 //!
 //! 1. the 2-thread SPSC protocol is deadlock/panic-free and the
 //!    exploration is *exhaustive* at the tier-1 bound (2 messages
@@ -22,14 +22,18 @@
 //!    scenario deadlocks, and the explorer reports it with a minimized
 //!    interleaving trace — the regression oracle;
 //! 4. that witness is a schedule of *the* engine, not of one of two:
-//!    fed to the simulator's `replay` it reproduces the same deadlock.
+//!    fed to the simulator's `replay` it reproduces the same deadlock;
+//! 5. the non-blocking calls are inside a bound as well: the traced
+//!    runner's try-then-block pattern is exhaustive and pinned at the
+//!    tier-1 bounds of claim 1, over the ring and the pointer transport.
 
 use std::sync::OnceLock;
 
+use spi_platform::{PointerTransport, RingTransport};
 use spi_sim::{replay, scenarios, SimOptions};
 use spi_verify::{
-    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc, Exploration, Failure,
-    FailureKind, ModelOptions,
+    explore_pointer_spsc, explore_ring_shared_consumers, explore_ring_spsc,
+    explore_try_then_block_spsc, Exploration, Failure, FailureKind, ModelOptions,
 };
 
 /// Asserts an exploration ran to exhaustion, found nothing, and visited
@@ -87,6 +91,22 @@ fn pointer_spsc_exhaustive_at_minimal_bound() {
 fn pointer_spsc_exhaustive_at_reuse_bound() {
     let ex = explore_pointer_spsc(2, 1, &ModelOptions::default());
     assert_exhaustive("pointer(2,1)", &ex, 2461, 13292);
+}
+
+/// The non-blocking bodies, at the tier-1 bounds of the blocking ones
+/// above: try first, block on `Full` / `Empty` — what every traced
+/// message does. Pinned exactly like the rest; moving a pin needs a
+/// DESIGN.md §12 note.
+#[test]
+fn ring_try_then_block_exhaustive_at_tier1_bound() {
+    let ex = explore_try_then_block_spsc(RingTransport::new, 2, 1, &ModelOptions::default());
+    assert_exhaustive("try-then-block ring(2,1)", &ex, 3032, 10635);
+}
+
+#[test]
+fn pointer_try_then_block_exhaustive_at_minimal_bound() {
+    let ex = explore_try_then_block_spsc(PointerTransport::new, 1, 1, &ModelOptions::default());
+    assert_exhaustive("try-then-block pointer(1,1)", &ex, 14, 74);
 }
 
 #[test]

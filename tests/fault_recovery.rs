@@ -16,9 +16,11 @@ use std::time::Duration;
 
 use spi_repro::apps::{FilterBankApp, FilterBankConfig};
 use spi_repro::fault::{FaultKind, FaultPlan};
-use spi_repro::platform::{ChannelId, SupervisionPolicy, ThreadedRunner, TransportKind};
+use spi_repro::platform::{
+    ChannelId, ChannelSpec, Op, Program, SupervisionPolicy, ThreadedRunner, TransportKind,
+};
 use spi_repro::spi::SpiSystem;
-use spi_repro::trace::ClockKind;
+use spi_repro::trace::{ClockKind, RingTracer};
 
 const ITERATIONS: u64 = 6;
 
@@ -230,6 +232,65 @@ fn randomized_plans_recover_and_failures_name_their_seed() {
             );
             std::panic::resume_unwind(cause);
         }
+    }
+}
+
+/// A fault index means "the k-th message the PE sends on the channel",
+/// whichever way the port reaches the transport: untraced it calls
+/// `send` alone, under an enabled tracer `try_send` first and `send`
+/// only on `Full`. The same plan over the same two-PE program must
+/// therefore fire the same faults and end the same way with and without
+/// a tracer attached. (Unsupervised, so nothing recovers: `Drop` and
+/// `Corrupt` surface as channel faults, the other kinds complete.)
+#[test]
+fn a_tracer_does_not_change_which_planned_faults_fire() {
+    for kind in [
+        FaultKind::Delay { micros: 200 },
+        FaultKind::Stall { millis: 2 },
+        FaultKind::Drop,
+        FaultKind::Duplicate,
+        FaultKind::Corrupt,
+    ] {
+        let run = |traced: bool| {
+            let channels = vec![ChannelSpec {
+                capacity_bytes: 16,
+                max_message_bytes: 4,
+                ..ChannelSpec::default()
+            }];
+            let producer = Program::new(
+                vec![Op::Send {
+                    channel: ChannelId(0),
+                    payload: Box::new(|l| (l.iter as u32).to_le_bytes().to_vec()),
+                }],
+                4,
+            );
+            let consumer = Program::new(
+                vec![Op::Recv {
+                    channel: ChannelId(0),
+                }],
+                4,
+            );
+            let (decorator, log) = FaultPlan::new()
+                .inject(ChannelId(0), 1, kind)
+                .into_decorator()
+                .expect("valid plan");
+            let mut runner = ThreadedRunner::new()
+                .transport(TransportKind::Ring)
+                .timeout(Duration::from_millis(300))
+                .decorate_transports(decorator);
+            if traced {
+                runner = runner.tracer(Arc::new(RingTracer::with_default_capacity(2)));
+            }
+            let outcome = runner
+                .run(&channels, vec![producer, consumer])
+                .map(|results| results.len())
+                .map_err(|e| std::mem::discriminant(&e));
+            let fired = log.lock().unwrap().clone();
+            (outcome, fired)
+        };
+        let (untraced, traced) = (run(false), run(true));
+        assert_eq!(untraced.1.len(), 1, "the planned {kind} fired untraced");
+        assert_eq!(untraced, traced, "{kind}: a tracer changed the run");
     }
 }
 
