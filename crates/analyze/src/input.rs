@@ -42,12 +42,13 @@ pub struct TransportDecl {
     /// transport, when one is used. `None` for copying transports.
     /// Checked by SPI044 against the channel's message capacity.
     pub pool_slots: Option<u64>,
-    /// Most records the sending endpoint may coalesce into one batched
-    /// write, when the transport batches (`spi-net`'s vectored fast
-    /// path). `None` for unbatched transports. Checked by SPI046
+    /// Most records the sending endpoint may coalesce into one write,
+    /// when the transport batches (`spi-net`'s staged fast path). `None`
+    /// for unbatched transports. Checked by SPI046
     /// against the credit window in messages: a batch larger than the
     /// window can never fill before the window forces a flush, so the
-    /// configuration is lying about its own amortization.
+    /// configuration is lying about its own amortization, and one
+    /// larger than half of it runs the edge in lock-step.
     pub batch_msgs: Option<u64>,
 }
 

@@ -17,7 +17,7 @@
 //! | SPI043 | warning  | protocol-lints | declared transport capacity below the eq. (2) byte requirement |
 //! | SPI044 | warning  | protocol-lints | pointer-exchange pool with fewer slots than the channel's eq. (1) message capacity |
 //! | SPI045 | warning  | protocol-lints | cross-partition socket credit window below the eq. (2) byte requirement |
-//! | SPI046 | warning  | protocol-lints | configured record batch exceeds the credit window in messages |
+//! | SPI046 | warning  | protocol-lints | configured record batch exceeds the credit window in messages, or leaves it fewer than two batches (lock-step) |
 //! | SPI050 | error    | sync-coverage | IPC edge not enforced by any synchronization path (data race) |
 //! | SPI060 | warning  | resync-fixpoint | redundant synchronization edges remain after optimization |
 //! | SPI061 | error    | resync-certification | removed sync edge whose redundancy proof is missing or does not re-verify |

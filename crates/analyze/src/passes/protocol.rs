@@ -16,11 +16,14 @@
 //! eq. (2) through a sender-side credit window, so a window declared
 //! below the required bytes throttles — or deadlocks — a legal
 //! self-timed run even though every in-memory buffer is sized right.
-//! SPI046 sanity-checks the batched fast path riding on that window: a
-//! record batch configured larger than the window holds messages can
-//! never actually fill (the window forces a flush first), so the
-//! declared amortization is unreachable and usually signals a
-//! mis-lowered batch parameter.
+//! SPI046 holds the batched fast path riding on that window to the
+//! lowering rule (`spi_sched::batch_plan`). A record batch configured
+//! larger than the window holds messages can never actually fill (the
+//! window forces a flush first), so the declared amortization is
+//! unreachable and usually signals a mis-lowered batch parameter. One
+//! that fits but leaves fewer than two batches per window runs the edge
+//! in lock-step: the sender stages its one batch and then has no credit
+//! to stage the next until the receiver has worked through the first.
 
 use spi_sched::Protocol;
 
@@ -215,32 +218,47 @@ impl Pass for ProtocolLints {
             // records than the credit window admits in flight — a batch
             // beyond `window / c(e)` messages cannot fill before the
             // window itself forces a flush, so the configuration's
-            // claimed amortization is unreachable.
+            // claimed amortization is unreachable — and it must leave
+            // the window room for a second batch, or sender and
+            // receiver take turns instead of overlapping.
             if let Some(decl) = entry.net_transport {
-                if let Some(batch) = decl.batch_msgs {
-                    let window_msgs = (decl.capacity_bytes / decl.message_bytes_max.max(1)).max(1);
-                    if batch > window_msgs {
-                        out.push(
-                            Diagnostic::new(
-                                "SPI046",
-                                Severity::Warning,
-                                Locus::Edge(edge),
-                                format!(
-                                    "cross-partition edge {edge} ({pair}) configures a \
-                                     record batch of {batch} message(s), beyond the \
-                                     {window_msgs} message(s) its credit window admits \
-                                     ({} bytes / {} bytes per message); the window \
-                                     flushes every batch early and the configured \
-                                     amortization is never reached",
-                                    decl.capacity_bytes, decl.message_bytes_max,
-                                ),
-                            )
-                            .with_suggestion(format!(
-                                "cap the batch at {window_msgs} message(s) — half the \
-                                 window leaves credit for the next batch in flight"
-                            )),
-                        );
-                    }
+                let window_msgs = (decl.capacity_bytes / decl.message_bytes_max.max(1)).max(1);
+                let fault = match decl.batch_msgs {
+                    Some(batch) if batch > window_msgs => Some((
+                        batch,
+                        "beyond",
+                        "the window flushes every batch early and the configured \
+                         amortization is never reached",
+                    )),
+                    Some(batch) if batch > 1 && 2 * batch > window_msgs => Some((
+                        batch,
+                        "more than half of",
+                        "with fewer than two batches per window the sender cannot stage \
+                         one while the receiver consumes another, and the edge runs in \
+                         lock-step",
+                    )),
+                    _ => None,
+                };
+                if let Some((batch, how, consequence)) = fault {
+                    let lowered = spi_sched::batch_plan(window_msgs, None).max_msgs;
+                    out.push(
+                        Diagnostic::new(
+                            "SPI046",
+                            Severity::Warning,
+                            Locus::Edge(edge),
+                            format!(
+                                "cross-partition edge {edge} ({pair}) configures a record \
+                                 batch of {batch} message(s), {how} the {window_msgs} \
+                                 message(s) its credit window admits ({} bytes / {} bytes \
+                                 per message); {consequence}",
+                                decl.capacity_bytes, decl.message_bytes_max,
+                            ),
+                        )
+                        .with_suggestion(format!(
+                            "batch {lowered} message(s), what `spi_sched::batch_plan` \
+                             lowers a window of {window_msgs} to"
+                        )),
+                    );
                 }
             }
         }

@@ -624,6 +624,63 @@ fn window_bounded_batch_stays_clean_of_spi046() {
     );
 }
 
+/// SPI046 findings when every cross-partition socket of the bounded
+/// graph carries a `window_msgs`-message window and batches `batch_msgs`.
+fn spi046(window_msgs: u64, batch_msgs: u64) -> Vec<String> {
+    let g = bounded_graph();
+    let d = derive(&g, 2, default_protocol);
+    let socket = TransportDecl {
+        capacity_bytes: window_msgs * ROOMY.message_bytes_max,
+        batch_msgs: Some(batch_msgs),
+        ..ROOMY
+    };
+    let report = Analyzer::default_pipeline().run(
+        &AnalysisInput::new(&g)
+            .with_vts(&d.vts)
+            .with_ipc(&d.ipc)
+            .with_sync(&d.sync)
+            .with_edges(&declare(&d.edges, |_| None, |_| Some(socket))),
+    );
+    report
+        .with_code("SPI046")
+        .map(|d| {
+            assert_eq!(d.severity, Severity::Warning);
+            d.message.clone()
+        })
+        .collect()
+}
+
+#[test]
+fn mutation_lock_step_batch_fires_spi046() {
+    // The whole window in one batch, and one record more than half of
+    // it: either way a second batch cannot be staged while the first is
+    // consumed. (Half the window was the lowering rule until PR 20 and
+    // is the configuration measured as lock-step on `fir2k_net`; it
+    // still leaves two batches and stays clean.)
+    for batch in [32, 32 / 2 + 1] {
+        let found = spi046(32, batch);
+        assert!(!found.is_empty(), "batch {batch} of a 32-message window");
+        assert!(found[0].contains("lock-step"), "got: {}", found[0]);
+    }
+    assert_eq!(spi046(32, 32 / 2), Vec::<String>::new());
+}
+
+#[test]
+fn the_lowered_batch_plan_stays_clean_of_spi046() {
+    // What `batch_plan` lowers is what the lint holds a declaration to,
+    // at every window: the quarter rule (8 of 32, the benchmark's
+    // edge), the halved small windows and the unbatched plan.
+    assert_eq!(spi_sched::batch_plan(32, None).max_msgs, 8);
+    for window in 1..=40 {
+        let lowered = spi_sched::batch_plan(window, None).max_msgs;
+        assert_eq!(
+            spi046(window, lowered),
+            Vec::<String>::new(),
+            "window {window}"
+        );
+    }
+}
+
 // ---- sync coverage ------------------------------------------------------
 
 #[test]

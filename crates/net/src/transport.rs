@@ -44,7 +44,11 @@
 //! `max_msgs` records per write — debiting credits at append, so the
 //! eq. (2) accounting is untouched — and the receiver of a batched edge
 //! acknowledges every `max_msgs` consumptions or at the half-window
-//! byte mark. No runtime feedback tells a sender that its peer is waiting; a
+//! byte mark. The schedule lowers `max_msgs` to a quarter of the window
+//! (`spi_sched::batch_plan`), so a window holds the batch being staged,
+//! the one in the socket and the read-ahead, the one being consumed and
+//! the one whose acknowledgement is on its way back, and neither end
+//! has to stop for the other. No runtime feedback tells a sender that its peer is waiting; a
 //! staged record is on the wire by the **earliest** of:
 //!
 //! | trigger | [`FlushReason`] |
@@ -60,6 +64,27 @@
 //! returns all accumulated credit before it waits, so coalesced acks
 //! can never starve a blocked sender. Every batch closed this way is a
 //! [`ProbeKind::BatchFlush`] event when a probe is attached.
+//!
+//! # Waiting
+//!
+//! Both blocking waits — a receiver's for data, a sender's for credit —
+//! are one function (`read_within`) and have the shape of the rings'
+//! claim wait: **poll, then block**. After flushing what it owes and
+//! returning the credit it holds (the peer may be waiting on either),
+//! the thread reads the socket in non-blocking mode for at most
+//! [`spi_sched::WAKEUP_COST`] and only then sleeps in a blocking read
+//! for what is left of its deadline. A peer that the schedule keeps busy
+//! answers within its own turnaround, a few microseconds; a thread that
+//! goes straight to sleep is woken ≈ 20 µs later, so a round trip that
+//! takes ≈ 8 µs of software used to take ≈ 58. The bound is time, not a
+//! retry count: a count is a cliff (on the reference host 4 or 8 polls
+//! cost more than they caught, 16 and up caught everything), whereas
+//! polling for as long as the sleep would cost is within 2× of the best
+//! possible whatever the peer does. It is read through the shim clock
+//! and gated like the rings' spin ([`shim::spin_budget`]): none inside a
+//! model or `spi-sim` session, none on a host with one hardware thread.
+//! The non-blocking calls (`try_send`, `try_recv`, a zero timeout, the
+//! occupancy accessors) make one read and never poll.
 //!
 //! Supervision frames (`[seq][crc32]`) ride opaquely inside the data
 //! records. Error semantics mirror [`spi_platform::RingTransport`]:
@@ -88,7 +113,9 @@ use spi_platform::{
 
 use crate::flush::{self, Seat, Staged, RETRY_STEP};
 use crate::stream::NetStream;
-use crate::wire::{decode_ack, encode_ack, is_would_block, write_staged, RecordBuf, ACK_BYTES};
+use crate::wire::{
+    commit, decode_ack, encode_ack, is_would_block, write_staged, RecordBuf, ACK_BYTES,
+};
 
 /// How long [`NetSender::connect_with`] keeps retrying a missing socket path
 /// before giving up — covers the window between the launcher's PROCEED
@@ -124,38 +151,74 @@ fn closed_err(timeout: Duration, since: Instant) -> TransportError {
 /// How a stream read waits: for at most this long, or not at all.
 type Wait = Option<Duration>;
 
-/// One read from `stream` under `wait`, through `read`. `timeout_set`
-/// caches the stream's read timeout so steady-state waits of one length
-/// cost no `setsockopt`. "Nothing yet" comes back as `Ok(None)`.
-fn read_within<S: NetStream>(
+/// How long a wait polls the stream before it blocks: for as long as
+/// the sleep it may avoid would cost (spin-then-block is within 2× of
+/// the best possible when the spin lasts what the block costs). A peer
+/// that the schedule keeps busy answers within its turnaround — a few
+/// microseconds — which a thread on its way into the kernel and back
+/// sleeps through. Measured on the target, not tuned
+/// ([`spi_sched::WAKEUP_COST`]); none where [`shim::spin_budget`] allows
+/// no spinning (a session, a host with one hardware thread). That looks
+/// at the host on its first call, so the endpoints call as they are
+/// built — by the thread assembling the system, not by a PE thread that
+/// may since have pinned itself to one CPU.
+fn poll_window() -> Duration {
+    shim::spin_budget(spi_sched::WAKEUP_COST)
+}
+
+fn nothing_yet(res: &io::Result<usize>) -> bool {
+    matches!(res, Err(e) if is_would_block(e) || e.kind() == io::ErrorKind::Interrupted)
+}
+
+/// Reads from `stream` under `wait`, through `read`: without waiting at
+/// all, or by polling for up to `poll` — non-blocking reads, timed on
+/// [`shim::now`] — and then blocking for what is left of `wait`. The
+/// non-blocking mode belongs to the connection end, shared with every
+/// clone, and is switched once around the reads made in it, under
+/// `own_mode`'s guard: the lock the end's writes are made under, unless
+/// the caller holds it already. `timeout_set` caches the stream's read
+/// timeout so waits of one length cost no `setsockopt`. "Nothing yet"
+/// comes back as `Ok(None)`.
+fn read_within<S: NetStream, G>(
     stream: &mut S,
     timeout_set: &mut Option<Duration>,
     wait: Wait,
-    read: impl FnOnce(&mut S) -> io::Result<usize>,
+    poll: Duration,
+    own_mode: impl FnOnce() -> G,
+    mut read: impl FnMut(&mut S) -> io::Result<usize>,
 ) -> io::Result<Option<usize>> {
-    let res = match wait {
-        None => {
-            // Non-blocking mode belongs to the connection end, shared
-            // with every clone: callers hold the lock the end's writes
-            // are made under.
-            stream.set_nonblocking(true)?;
-            let res = read(stream);
-            stream.set_nonblocking(false)?;
-            res
-        }
-        Some(d) => {
-            if *timeout_set != Some(d) {
-                stream.set_read_timeout(Some(d))?;
-                *timeout_set = Some(d);
+    let mut left = wait.unwrap_or_default();
+    let poll = poll.min(left);
+    let mut res = Err(io::ErrorKind::WouldBlock.into());
+    if wait.is_none() || !poll.is_zero() {
+        let _mode = own_mode();
+        stream.set_nonblocking(true)?;
+        let started = (!poll.is_zero()).then(shim::now);
+        loop {
+            res = read(stream);
+            let (true, Some(started)) = (nothing_yet(&res), started) else {
+                break;
+            };
+            let polled = shim::now().saturating_duration_since(started);
+            if polled >= poll {
+                // The poll counts against the caller's deadline.
+                left = left.saturating_sub(polled);
+                break;
             }
-            read(stream)
         }
-    };
-    match res {
-        Ok(n) => Ok(Some(n)),
-        Err(e) if is_would_block(&e) || e.kind() == io::ErrorKind::Interrupted => Ok(None),
-        Err(e) => Err(e),
+        stream.set_nonblocking(false)?;
     }
+    if nothing_yet(&res) && !left.is_zero() {
+        if *timeout_set != Some(left) {
+            stream.set_read_timeout(Some(left))?;
+            *timeout_set = Some(left);
+        }
+        res = read(stream);
+    }
+    if nothing_yet(&res) {
+        return Ok(None);
+    }
+    res.map(Some)
 }
 
 /// Writes as much of `bytes` as `stream` takes without waiting; the
@@ -180,9 +243,10 @@ fn eof() -> io::Error {
 /// is the unbatched legacy path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchParams {
-    /// Most records coalesced into one write; `1` writes every
-    /// record immediately. Must stay within the edge's credit window in
-    /// messages (the SPI046 analyzer lint enforces the declared form).
+    /// Most records coalesced into one write of the staging buffer; `1`
+    /// writes every record immediately. Must leave the edge's credit
+    /// window room for at least two batches, or the two ends take turns
+    /// (the SPI046 analyzer lint holds the declared form to that).
     pub max_msgs: usize,
     /// Nagle deadline: a pending batch older than this is flushed even
     /// if partial. Ignored when `max_msgs == 1`.
@@ -287,18 +351,19 @@ impl<S: NetStream> Credit<S> {
         (self.sent.1 - self.acked.1) as usize
     }
 
-    /// One read of acknowledgements under `wait`, applying the latest.
-    /// Returns whether any credit came back.
+    /// Reads acknowledgements under `wait`, applying the latest. Returns
+    /// whether any credit came back. `mode` is the lock that owns the
+    /// connection end's blocking mode, taken around non-blocking reads.
     ///
     /// # Errors
     ///
     /// End of stream, a socket error, or totals that run backwards or
     /// ahead of what was sent (stream corruption).
-    fn read_acks(&mut self, wait: Wait) -> io::Result<bool> {
+    fn read_acks(&mut self, wait: Wait, mode: &Mutex<Staging<S>>) -> io::Result<bool> {
         let (buf, at) = (&mut self.ack_buf, self.ack_len);
-        match read_within(&mut self.acks, &mut self.timeout_set, wait, |s| {
-            s.read(&mut buf[at..])
-        })? {
+        let (acks, timeout_set) = (&mut self.acks, &mut self.timeout_set);
+        let read = |s: &mut S| s.read(&mut buf[at..]);
+        match read_within(acks, timeout_set, wait, poll_window(), || mode.lock(), read)? {
             Some(0) => return Err(eof()),
             Some(n) => self.ack_len += n,
             None => return Ok(false),
@@ -331,7 +396,7 @@ impl<S: NetStream> Credit<S> {
 /// append time, so staged bytes already count against the eq. (2) window.
 struct Staging<S> {
     stream: S,
-    buf: Box<[u8]>,
+    buf: Vec<u8>,
     /// `buf[head..len]` is staged, prefixes included.
     head: usize,
     len: usize,
@@ -349,6 +414,7 @@ impl<S> Staging<S> {
     /// Whether a record of up to `reserve` bytes fits behind what is
     /// staged, after moving that to the front of the buffer if need be.
     fn room_for(&mut self, reserve: usize) -> bool {
+        commit(&mut self.buf);
         if self.buf.len() - self.len < 4 + reserve && self.head > 0 {
             self.buf.copy_within(self.head..self.len, 0);
             (self.head, self.len) = (0, self.len - self.head);
@@ -455,13 +521,6 @@ impl<S: NetStream> SenderShared<S> {
         }
     }
 
-    /// Takes in whatever acknowledgements have arrived, without waiting.
-    fn poll_acks(&self, credit: &mut Credit<S>) -> io::Result<bool> {
-        // The read flips the connection end's blocking mode.
-        let _mode = self.staging.lock();
-        credit.read_acks(None)
-    }
-
     /// Returns with `credit` able to cover `need` bytes, waiting until
     /// `timeout` after `started` (set by a send's first wait) for the
     /// receiver to consume.
@@ -490,11 +549,7 @@ impl<S: NetStream> SenderShared<S> {
             }
             let now = shim::now();
             let wait = (now < deadline).then(|| deadline - now);
-            let got = match wait {
-                None => self.poll_acks(credit),
-                Some(_) => credit.read_acks(wait),
-            };
-            match got {
+            match credit.read_acks(wait, &self.staging) {
                 Ok(true) => {
                     progress_at = now;
                     self.publish(credit);
@@ -593,6 +648,8 @@ impl<S: NetStream> NetSender<S> {
     ) -> io::Result<NetSender<S>> {
         let capacity = effective_capacity(spec);
         let max_msg = spec.max_message_bytes.max(1);
+        // Has the host judged from this thread's CPU mask, not a PE's.
+        poll_window();
         let batch = BatchParams {
             max_msgs: batch.max_msgs.max(1),
             ..batch
@@ -621,7 +678,7 @@ impl<S: NetStream> NetSender<S> {
             staging: Mutex::labeled(
                 Staging {
                     stream,
-                    buf: vec![0u8; stage_bytes].into_boxed_slice(),
+                    buf: Vec::with_capacity(stage_bytes),
                     head: 0,
                     len: 0,
                     msgs: 0,
@@ -763,7 +820,10 @@ impl<S: NetStream> NetSender<S> {
                 sh.in_flight[1].load(Ordering::Relaxed),
             );
         };
-        if credit.in_flight_msgs() > 0 && !sh.closed() && sh.poll_acks(&mut credit).is_err() {
+        if credit.in_flight_msgs() > 0
+            && !sh.closed()
+            && credit.read_acks(None, &sh.staging).is_err()
+        {
             sh.closed.store(true, Ordering::Release);
         }
         sh.publish(&credit)
@@ -911,16 +971,18 @@ impl<S: NetStream> ReceiverState<S> {
         }
     }
 
-    /// One read into the read-ahead buffer under `wait`. Returns whether
+    /// Reads into the read-ahead buffer under `wait`. Returns whether
     /// bytes arrived.
     ///
     /// # Errors
     ///
     /// End of stream or a socket error.
     fn fill(&mut self, wait: Wait) -> io::Result<bool> {
-        let ahead = &mut self.ahead;
+        let (stream, timeout_set, ahead) =
+            (&mut self.stream, &mut self.timeout_set, &mut self.ahead);
         let read = |s: &mut S| ahead.fill_from(s);
-        match read_within(&mut self.stream, &mut self.timeout_set, wait, read)? {
+        // The caller's lock on this state owns the end's blocking mode.
+        match read_within(stream, timeout_set, wait, poll_window(), || (), read)? {
             Some(0) => Err(eof()),
             Some(_) => Ok(true),
             None => Ok(false),
@@ -1001,6 +1063,8 @@ impl<S: NetStream> NetReceiver<S> {
     /// needs its credit back.
     pub fn from_stream_with(stream: S, spec: &ChannelSpec, batch: BatchParams) -> NetReceiver<S> {
         let (capacity, max_msg) = (effective_capacity(spec), spec.max_message_bytes.max(1));
+        // Has the host judged from this thread's CPU mask, not a PE's.
+        poll_window();
         NetReceiver {
             capacity,
             max_msg,
@@ -1148,4 +1212,240 @@ pub fn loopback_with(
         NetSender::from_stream_with(a, spec, batch)?,
         NetReceiver::from_stream_with(b, spec, batch),
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    //! The wait policy of `read_within`, against a stream that answers
+    //! from a script. The poll window is passed in, so what the host
+    //! gate says about this machine does not matter here.
+
+    use super::*;
+    use std::sync::atomic::AtomicBool as StdBool;
+    use std::sync::Mutex as StdMutex;
+
+    /// What the stream was asked to do.
+    #[derive(Default)]
+    struct Asked {
+        nonblocking: bool,
+        /// Times the end was switched into non-blocking mode.
+        switched: usize,
+        timeout: Option<Duration>,
+        polls: usize,
+        /// The read timeout in force at each blocking read.
+        blocked_for: Vec<Duration>,
+        /// A blocking read was made with the mode lock held.
+        blocked_under_lock: bool,
+    }
+
+    /// Non-blocking reads find nothing `empty_polls` times and then get
+    /// `then`; a blocking read gets `blocked`.
+    struct Scripted {
+        empty_polls: usize,
+        then: fn() -> io::Result<usize>,
+        blocked: fn() -> io::Result<usize>,
+        asked: Arc<StdMutex<Asked>>,
+        mode_locked: Arc<StdBool>,
+    }
+
+    fn timed_out() -> io::Result<usize> {
+        Err(io::ErrorKind::WouldBlock.into())
+    }
+
+    impl Scripted {
+        fn new(empty_polls: usize, then: fn() -> io::Result<usize>) -> Scripted {
+            Scripted {
+                empty_polls,
+                then,
+                blocked: timed_out,
+                asked: Arc::default(),
+                mode_locked: Arc::default(),
+            }
+        }
+
+        /// `read_within` over this stream, the mode lock modelled by a
+        /// flag the stream can see.
+        fn read(&mut self, wait: Wait, poll: Duration) -> io::Result<Option<usize>> {
+            struct Held(Arc<StdBool>);
+            impl Drop for Held {
+                fn drop(&mut self) {
+                    self.0.store(false, Ordering::SeqCst);
+                }
+            }
+            let flag = Arc::clone(&self.mode_locked);
+            let own_mode = || {
+                flag.store(true, Ordering::SeqCst);
+                Held(flag)
+            };
+            let mut timeout_set = None;
+            let mut byte = [0u8; 1];
+            read_within(self, &mut timeout_set, wait, poll, own_mode, |s| {
+                io::Read::read(s, &mut byte)
+            })
+        }
+
+        fn asked(&self) -> std::sync::MutexGuard<'_, Asked> {
+            self.asked.lock().unwrap()
+        }
+    }
+
+    impl io::Read for Scripted {
+        fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+            let mut asked = self.asked.lock().unwrap();
+            if asked.nonblocking {
+                asked.polls += 1;
+                if asked.polls <= self.empty_polls {
+                    return Err(io::ErrorKind::WouldBlock.into());
+                }
+                return (self.then)();
+            }
+            let timeout = asked.timeout.expect("blocking read without a timeout");
+            asked.blocked_for.push(timeout);
+            asked.blocked_under_lock |= self.mode_locked.load(Ordering::SeqCst);
+            (self.blocked)()
+        }
+    }
+
+    impl io::Write for Scripted {
+        fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+            Ok(data.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl NetStream for Scripted {
+        fn try_clone(&self) -> io::Result<Self> {
+            Ok(Scripted {
+                asked: Arc::clone(&self.asked),
+                mode_locked: Arc::clone(&self.mode_locked),
+                ..*self
+            })
+        }
+
+        fn shutdown(&self, _: std::net::Shutdown) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+            assert_ne!(dur, Some(Duration::ZERO), "a socket refuses a zero timeout");
+            self.asked().timeout = dur;
+            Ok(())
+        }
+
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            let mut asked = self.asked();
+            asked.switched += usize::from(nonblocking && !asked.nonblocking);
+            asked.nonblocking = nonblocking;
+            Ok(())
+        }
+    }
+
+    const LONG: Duration = Duration::from_secs(30);
+
+    #[test]
+    fn data_within_the_poll_window_is_taken_without_blocking() {
+        for k in [0, 1, 7] {
+            let mut s = Scripted::new(k, || Ok(1));
+            assert_eq!(s.read(Some(LONG), LONG).unwrap(), Some(1));
+            let asked = s.asked();
+            assert_eq!(asked.polls, k + 1);
+            assert!(asked.blocked_for.is_empty(), "slept with the reply there");
+            assert_eq!((asked.switched, asked.nonblocking), (1, false));
+        }
+    }
+
+    #[test]
+    fn an_exhausted_poll_window_blocks_once_for_the_rest_of_the_deadline() {
+        let (wait, poll) = (Duration::from_secs(10), Duration::from_millis(2));
+        let mut s = Scripted::new(usize::MAX, || Ok(1));
+        assert_eq!(s.read(Some(wait), poll).unwrap(), None);
+        let asked = s.asked();
+        assert!(asked.polls > 1, "no poll phase");
+        let [blocked_for] = asked.blocked_for[..] else {
+            panic!("blocking reads: {:?}", asked.blocked_for);
+        };
+        // The time polled came off the caller's deadline.
+        assert!(blocked_for <= wait - poll, "{blocked_for:?}");
+        assert!(
+            blocked_for > wait - Duration::from_secs(5),
+            "{blocked_for:?}"
+        );
+        assert!(!asked.blocked_under_lock, "slept holding the mode lock");
+        assert_eq!((asked.switched, asked.nonblocking), (1, false));
+    }
+
+    #[test]
+    fn a_deadline_inside_the_poll_window_never_blocks() {
+        let mut s = Scripted::new(usize::MAX, || Ok(1));
+        let before = Instant::now();
+        assert_eq!(s.read(Some(Duration::from_millis(2)), LONG).unwrap(), None);
+        assert!(before.elapsed() >= Duration::from_millis(2));
+        assert!(s.asked().blocked_for.is_empty());
+        assert!(!s.asked().nonblocking);
+    }
+
+    #[test]
+    fn no_poll_window_means_the_blocking_read_alone() {
+        // A session, a host with one hardware thread.
+        let mut s = Scripted::new(0, || Ok(1));
+        s.blocked = || Ok(1);
+        assert_eq!(s.read(Some(LONG), Duration::ZERO).unwrap(), Some(1));
+        let asked = s.asked();
+        assert_eq!((asked.polls, asked.switched), (0, 0));
+        assert_eq!(asked.blocked_for, [LONG]);
+    }
+
+    #[test]
+    fn a_caller_that_will_not_wait_reads_once_and_never_polls() {
+        let mut s = Scripted::new(usize::MAX, || Ok(1));
+        assert_eq!(s.read(None, LONG).unwrap(), None);
+        let asked = s.asked();
+        assert_eq!(asked.polls, 1);
+        assert!(asked.blocked_for.is_empty());
+        assert_eq!((asked.switched, asked.nonblocking), (1, false));
+    }
+
+    #[test]
+    fn end_of_stream_and_errors_come_out_of_the_poll_as_out_of_the_block() {
+        let reset = || Err(io::ErrorKind::ConnectionReset.into());
+        for (then, polled) in [(0, true), (3, true), (0, false)] {
+            let poll = if polled { LONG } else { Duration::ZERO };
+            let mut s = Scripted::new(then, || Ok(0));
+            s.blocked = || Ok(0);
+            assert_eq!(s.read(Some(LONG), poll).unwrap(), Some(0));
+            assert_eq!(s.asked().blocked_for.is_empty(), polled);
+            assert!(!s.asked().nonblocking);
+
+            let mut s = Scripted::new(then, reset);
+            s.blocked = reset;
+            let err = s.read(Some(LONG), poll).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+            assert_eq!(s.asked().blocked_for.is_empty(), polled);
+            assert!(!s.asked().nonblocking);
+        }
+    }
+
+    #[test]
+    fn a_stream_that_ends_while_its_receiver_waits_closes_the_channel() {
+        // Whichever phase of the wait meets the end of the stream.
+        let spec = ChannelSpec {
+            capacity_bytes: 64,
+            max_message_bytes: 8,
+            ..ChannelSpec::default()
+        };
+        let mut s = Scripted::new(2, || Ok(0));
+        s.blocked = || Ok(0);
+        let rx = NetReceiver::from_stream_with(s, &spec, BatchParams::disabled());
+        let before = Instant::now();
+        for _ in 0..2 {
+            assert!(matches!(
+                rx.recv(LONG),
+                Err(TransportError::Timeout { after: LONG, .. })
+            ));
+        }
+        assert!(before.elapsed() < LONG / 2, "waited the deadline out");
+    }
 }

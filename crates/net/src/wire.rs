@@ -134,6 +134,19 @@ pub fn decode_ack(rec: &[u8; ACK_BYTES]) -> (u64, u64) {
 /// it waits in the socket and in the sender's staging buffer.
 pub const READ_AHEAD_CAP: usize = 1 << 20;
 
+/// Makes all of a window buffer's capacity usable, zeroing it the first
+/// time. The endpoints allocate a window's worth of staging and
+/// read-ahead when they are built and call this when they first use it,
+/// so building an endpoint touches none of that memory — what set-up
+/// costs does not depend on whether the allocator hands it pages it has
+/// to fault in — and an edge that never carries traffic never pays for
+/// its window. Never reallocates.
+pub(crate) fn commit(buf: &mut Vec<u8>) {
+    if buf.len() < buf.capacity() {
+        buf.resize(buf.capacity(), 0);
+    }
+}
+
 /// The receiving endpoint's read-ahead buffer and in-buffer record
 /// parser: one `read` pulls in as many `[len: u32 LE][payload]` records
 /// as the stream has — a whole batch — and the consumer is handed each
@@ -141,14 +154,15 @@ pub const READ_AHEAD_CAP: usize = 1 << 20;
 /// of the kernel and nothing else (no per-record allocation, no queue).
 ///
 /// The buffer is sized once from the channel's eq. (2) window and never
-/// grows. A length prefix beyond the channel's per-message bound is
-/// stream corruption and is rejected as soon as it reaches the front —
+/// grows; its bytes are zeroed by the first read, not when it is built.
+/// A length prefix beyond the channel's per-message bound is stream
+/// corruption and is rejected as soon as it reaches the front —
 /// before a single payload byte is waited for — instead of being treated
 /// as an allocation request. Records split across reads anywhere,
 /// including inside the prefix, are reassembled in place.
 #[derive(Debug)]
 pub struct RecordBuf {
-    buf: Box<[u8]>,
+    buf: Vec<u8>,
     /// Start of the front record's length prefix, and end of the bytes
     /// read so far.
     head: usize,
@@ -166,7 +180,7 @@ impl RecordBuf {
         let window = window_bytes.clamp(max_record, max_record.max(READ_AHEAD_CAP));
         let prefixes = 4 * window.div_ceil(max_record);
         RecordBuf {
-            buf: vec![0u8; window + prefixes].into_boxed_slice(),
+            buf: Vec::with_capacity(window + prefixes),
             head: 0,
             tail: 0,
             max_record,
@@ -236,6 +250,7 @@ impl RecordBuf {
     /// Any error of the read itself (including `WouldBlock`/`TimedOut`
     /// from a stream with a timeout or in non-blocking mode).
     pub fn fill_from(&mut self, r: &mut dyn Read) -> io::Result<usize> {
+        commit(&mut self.buf);
         if self.buf.len() - self.tail < 4 + self.max_record {
             self.buf.copy_within(self.head..self.tail, 0);
             (self.head, self.tail) = (0, self.tail - self.head);

@@ -97,6 +97,35 @@ fn empty_receiver_reports_empty_then_times_out() {
 }
 
 #[test]
+fn the_nonblocking_calls_never_sit_through_a_poll_window() {
+    // `try_recv` on an empty receiver and `try_send` on a full window
+    // make one non-blocking read each. If they polled the way a
+    // blocking wait does before it sleeps, no call could come back in
+    // less than the poll window; the fastest of many is free of
+    // scheduling noise.
+    let (tx, rx) = loopback(&spec(8, 8)).expect("loopback");
+    let (_idle_tx, idle_rx) = loopback(&spec(8, 8)).expect("loopback");
+    tx.try_send(&[1u8; 8]).expect("fills the window");
+    let fastest = |call: &dyn Fn()| {
+        let time = |_| {
+            let start = Instant::now();
+            call();
+            start.elapsed()
+        };
+        (0..200).map(time).min().expect("200 calls")
+    };
+    let full = fastest(&|| assert_eq!(tx.try_send(&[2u8; 8]), Err(TransportError::Full)));
+    let empty = fastest(&|| assert_eq!(idle_rx.try_recv(), Err(TransportError::Empty)));
+    let bound = spi_sched::WAKEUP_COST / 2;
+    assert!(full < bound, "try_send on a full window took {full:?}");
+    assert!(
+        empty < bound,
+        "try_recv on an empty receiver took {empty:?}"
+    );
+    assert_eq!(rx.try_recv().expect("the one message"), [1u8; 8]);
+}
+
+#[test]
 fn an_empty_window_always_admits_one_message() {
     // Mirrors the in-memory transports: a message as large as the whole
     // capacity must pass when the channel is idle.

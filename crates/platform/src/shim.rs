@@ -532,13 +532,25 @@ pub fn now() -> Instant {
     engine::now().unwrap_or_else(Instant::now)
 }
 
-/// Scales a spin budget: scheduled threads spin zero times (a spin
-/// retry is indistinguishable from a scheduling choice the controller
-/// already makes), real runs keep the configured budget.
+/// Scales what a wait may spend polling before it sleeps — a retry
+/// count (the rings' claim spin) or a span of time (the socket's poll
+/// window). Real runs on a host with more than one hardware thread keep
+/// the configured budget. Scheduled threads get none: a spin retry is
+/// indistinguishable from a scheduling choice the controller already
+/// makes. Neither does a one-hardware-thread host, where polling only
+/// delays the peer that would end the wait.
+///
+/// The host is looked at once per process, by the first call outside a
+/// session, through that thread's CPU mask: a thread already pinned to
+/// one CPU would take it for the whole machine, so whoever assembles a
+/// system should have called before its PE threads pin themselves
+/// (`spi-net` endpoints call when they are built).
 #[inline]
-pub fn spin_budget(real: u32) -> u32 {
-    if engine::in_session() {
-        0
+pub fn spin_budget<B: Default>(real: B) -> B {
+    static PARALLEL: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    let look = || std::thread::available_parallelism().is_ok_and(|cpus| cpus.get() > 1);
+    if engine::in_session() || !*PARALLEL.get_or_init(look) {
+        B::default()
     } else {
         real
     }

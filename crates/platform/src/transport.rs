@@ -762,19 +762,12 @@ pub struct RingTransport {
 unsafe impl Sync for RingTransport {}
 
 impl RingTransport {
-    /// Claim retries spun through before a blocked send/receive parks.
-    /// Roughly a few hundred nanoseconds of polling — shorter than one
-    /// park/unpark round trip, long enough to ride out a pipelined
-    /// peer's typical slot turnaround. Zero on single-hardware-thread
-    /// hosts, where spinning only delays the peer that would free the
-    /// slot.
-    fn spin_claims() -> u32 {
-        static N: std::sync::OnceLock<u32> = std::sync::OnceLock::new();
-        *N.get_or_init(|| match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => 64,
-            _ => 0,
-        })
-    }
+    /// Claim retries spun through before a blocked send/receive parks,
+    /// where [`shim::spin_budget`] allows any. Roughly a few hundred
+    /// nanoseconds of polling — shorter than one park/unpark round
+    /// trip, long enough to ride out a pipelined peer's typical slot
+    /// turnaround.
+    const SPIN_CLAIMS: u32 = 64;
 
     /// Creates a ring with `capacity_bytes / slot_bytes` slots (at least
     /// one) of `slot_bytes` each.
@@ -911,7 +904,7 @@ impl RingTransport {
         // slot around within a few hundred nanoseconds, far cheaper to
         // catch here than via a park/unpark round trip through the
         // kernel.
-        for _ in 0..shim::spin_budget(Self::spin_claims()) {
+        for _ in 0..shim::spin_budget(Self::SPIN_CLAIMS) {
             std::hint::spin_loop();
             if let Some(pos) = self.try_claim(end) {
                 return Ok(pos);

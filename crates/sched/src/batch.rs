@@ -19,13 +19,24 @@
 use std::time::Duration;
 
 /// Upper clamp on a lowered batch: past a few dozen records per
-/// `writev` the syscall amortization is already >95% and larger batches
+/// `write` the syscall amortization is already >95% and larger batches
 /// only add latency.
 pub const BATCH_MAX_MSGS_CAP: u64 = 32;
 
-/// Shortest useful flush deadline — below this the timer fires faster
-/// than a cross-core wakeup and degenerates to per-record flushing.
-pub const FLUSH_AFTER_MIN: Duration = Duration::from_micros(20);
+/// What a cross-core wake-up costs: how long after its peer acts a
+/// thread asleep in the kernel is running again. ≈ 20 µs on the
+/// reference host (`benchmark/README.md`: "a park/unpark hop costs
+/// ≈ 20 µs here"). It is a property of the target, not a tuning value,
+/// and two policies are this one fact: the shortest useful flush
+/// deadline ([`FLUSH_AFTER_MIN`]) and how long a `spi-net` wait polls
+/// before it blocks — a wait that polls for as long as the sleep it
+/// avoids would cost is within 2× of the best it could have done.
+pub const WAKEUP_COST: Duration = Duration::from_micros(20);
+
+/// Shortest useful flush deadline — below [`WAKEUP_COST`] the timer
+/// fires faster than the thread it serves could be woken and
+/// degenerates to per-record flushing.
+pub const FLUSH_AFTER_MIN: Duration = WAKEUP_COST;
 
 /// Longest tolerated flush deadline — bounds the latency a straggling
 /// record can sit in a sender's pending batch.
@@ -40,8 +51,8 @@ pub const FLUSH_AFTER_DEFAULT: Duration = Duration::from_micros(200);
 /// instantiated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPlan {
-    /// Most records a sender may coalesce into one vectored write.
-    /// `1` disables batching (the legacy one-record-per-write path).
+    /// Most records a sender may coalesce into one write of its staging
+    /// buffer. `1` disables batching (the one-record-per-write path).
     pub max_msgs: u64,
     /// Nagle deadline: a pending batch older than this is flushed even
     /// if it is not full. Irrelevant when `max_msgs == 1`.
@@ -73,19 +84,26 @@ impl Default for BatchPlan {
 ///
 /// `window_msgs` is the edge's credit window in messages —
 /// `B(e) / c(e)`, i.e. `capacity_bytes / max_message_bytes` of the
-/// lowered transport. The batch is capped at **half** the window so the
-/// receiver always holds enough returned credit for the next batch
-/// while the current one is in flight (double buffering), and at
-/// [`BATCH_MAX_MSGS_CAP`] because syscall amortization saturates.
-/// Windows of ≤ 3 messages lower to the unbatched plan — there is no
-/// room to coalesce without stalling the pipeline.
+/// lowered transport. The batch is a **quarter** of the window, because
+/// a window has four batches to hold while both ends keep working: the
+/// one the sender is staging, the one in the socket and the receiver's
+/// read-ahead, the one being consumed, and the one whose cumulative
+/// acknowledgement is on its way back. With two batches per window (the
+/// rule until PR 20) a feedback loop whose tokens fill half the window
+/// fits in one batch, and its PEs take turns instead of overlapping. It
+/// is capped at [`BATCH_MAX_MSGS_CAP`] because syscall amortization
+/// saturates. A window too small for four batches of two records
+/// (< 8 messages) is halved instead, and one of ≤ 3 messages lowers to
+/// the unbatched plan — there is no room to coalesce without stalling
+/// the pipeline.
 ///
 /// `op_deadline` is the schedule's predicted per-operation wall time
 /// ([`crate::PredictedMetrics::op_deadline`]); the flush deadline is an
 /// eighth of it, clamped to `[`[`FLUSH_AFTER_MIN`]`, `[`FLUSH_AFTER_MAX`]`]`,
 /// falling back to [`FLUSH_AFTER_DEFAULT`] when no prediction exists.
 pub fn batch_plan(window_msgs: u64, op_deadline: Option<Duration>) -> BatchPlan {
-    let max_msgs = (window_msgs / 2).min(BATCH_MAX_MSGS_CAP);
+    let batches = if window_msgs >= 8 { 4 } else { 2 };
+    let max_msgs = (window_msgs / batches).min(BATCH_MAX_MSGS_CAP);
     if max_msgs <= 1 {
         return BatchPlan::disabled();
     }
@@ -109,18 +127,27 @@ mod tests {
             assert_eq!(p, BatchPlan::disabled(), "window {w}");
             assert!(!p.is_batched());
         }
+        // From there on every plan coalesces: the quarter rule starts
+        // where a quarter is two records, never at a batch of one.
+        for w in 4..=64 {
+            assert!(batch_plan(w, None).max_msgs >= 2, "window {w}");
+        }
     }
 
     #[test]
     fn batch_never_exceeds_half_the_credit_window() {
-        for w in 4..=128 {
-            let p = batch_plan(w, None);
-            assert!(
-                p.max_msgs <= w / 2,
-                "window {w}: batch {} > half-window",
-                p.max_msgs
-            );
+        // Four batches per window wherever four batches of two fit;
+        // the two halves below that.
+        for w in 4..=7 {
+            assert_eq!(batch_plan(w, None).max_msgs, w / 2, "window {w}");
         }
+        for w in 8..=128 {
+            let p = batch_plan(w, None);
+            assert_eq!(p.max_msgs, w / 4, "window {w}");
+            assert!(p.is_batched() && 4 * p.max_msgs <= w, "window {w}");
+        }
+        // The benchmark's edge: 32 slots for a loop of 16 tokens.
+        assert_eq!(batch_plan(32, None).max_msgs, 8);
     }
 
     #[test]

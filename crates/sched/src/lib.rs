@@ -56,7 +56,7 @@ pub use analysis::{
 pub use assign::{Assignment, Partition, ProcId};
 pub use batch::{
     batch_plan, BatchPlan, BATCH_MAX_MSGS_CAP, FLUSH_AFTER_DEFAULT, FLUSH_AFTER_MAX,
-    FLUSH_AFTER_MIN,
+    FLUSH_AFTER_MIN, WAKEUP_COST,
 };
 pub use error::{Result, SchedError};
 pub use ipc_graph::{IpcEdge, IpcEdgeKind, IpcGraph, Task, TaskId};

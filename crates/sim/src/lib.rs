@@ -40,7 +40,7 @@ pub use spi_platform::model::{
 };
 
 mod stream;
-pub use stream::{sim_stream_pair, SimStream};
+pub use stream::{sim_socket_pair, sim_stream_pair, SimStream};
 
 pub mod scenarios;
 

@@ -24,7 +24,7 @@ use spi_platform::{
     ThreadedRunner, Tracer, Transport, TransportKind,
 };
 
-use crate::{sim_stream_pair, SIM_TIMEOUT};
+use crate::{sim_socket_pair, sim_stream_pair, SIM_TIMEOUT};
 
 fn byte_spec(capacity_bytes: usize) -> ChannelSpec {
     ChannelSpec {
@@ -403,6 +403,77 @@ pub fn net_sender_finishes_first(stream_seed: u64) {
         });
     });
     drop(rx);
+}
+
+/// What [`net_closed_loop`]'s I/O PE spends on each result.
+pub const CLOSED_LOOP_IO_STEP: Duration = Duration::from_nanos(1_000);
+
+/// What [`net_closed_loop`]'s filter PE spends on each frame.
+pub const CLOSED_LOOP_FILTER_STEP: Duration = Duration::from_nanos(2_500);
+
+/// The `fir2k_net` benchmark's loop in virtual time: an I/O PE keeps
+/// `tokens` frames in flight to a filter PE and back over two socket
+/// edges batched under `batch`, each provisioned with a credit window of
+/// `2 * tokens` messages, for `rounds * tokens` frames. The I/O PE
+/// spends [`CLOSED_LOOP_IO_STEP`] on each result before it sends the
+/// next frame and the filter PE [`CLOSED_LOOP_FILTER_STEP`] on each
+/// frame, both as `shim::sleep`: the filter PE is the bottleneck and,
+/// wherever the two overlap, never has to wait. Returns how long it
+/// nevertheless sat in `recv` after the first `tokens` frames (the
+/// pipeline filling).
+///
+/// The edges are [`sim_socket_pair`]s — every batch arrives whole and at
+/// once — so the only thing that takes time is a PE's own work, and what
+/// the figure shows is when batches are *sent*.
+///
+/// # Panics
+///
+/// When a frame is lost, reordered or altered.
+pub fn net_closed_loop(tokens: u32, rounds: u32, batch: BatchParams) -> Duration {
+    let spec = byte_spec(4 * 2 * tokens as usize);
+    let edge = || {
+        let (a, b) = sim_socket_pair();
+        let tx = NetSender::from_stream_with(a, &spec, batch).expect("sim sender");
+        (tx, NetReceiver::from_stream_with(b, &spec, batch))
+    };
+    let ((tx, rx), (back_tx, back_rx)) = (edge(), edge());
+    let frames = rounds * tokens;
+    let mut idle = Duration::ZERO;
+    shim::scope(|s| {
+        let (txr, back_rxr) = (&tx, &back_rx);
+        s.spawn_named("io-pe".into(), move || {
+            let (mut sent, mut recvd) = (0u32, 0u32);
+            while recvd < frames {
+                while sent < frames && sent - recvd < tokens {
+                    txr.send(&sent.to_le_bytes(), SIM_TIMEOUT).expect("frame");
+                    sent += 1;
+                }
+                let got = back_rxr.recv(SIM_TIMEOUT).expect("result");
+                assert_eq!(got, (!recvd).to_le_bytes(), "result lost or reordered");
+                shim::sleep(CLOSED_LOOP_IO_STEP);
+                recvd += 1;
+            }
+        });
+        let (rxr, back_txr, idle) = (&rx, &back_tx, &mut idle);
+        s.spawn_named("filter-pe".into(), move || {
+            for i in 0..frames {
+                let waiting_since = shim::now();
+                let got = rxr.recv(SIM_TIMEOUT).expect("frame");
+                if i >= tokens {
+                    *idle += shim::now().duration_since(waiting_since);
+                }
+                assert_eq!(got, i.to_le_bytes(), "frame lost or reordered");
+                shim::sleep(CLOSED_LOOP_FILTER_STEP);
+                back_txr
+                    .send(&(!i).to_le_bytes(), SIM_TIMEOUT)
+                    .expect("result");
+            }
+            // A simulated thread's exit flushes nothing.
+            back_txr.flush_pending().expect("final flush");
+        });
+    });
+    drop((tx, rx, back_tx, back_rx));
+    idle
 }
 
 /// A stalled ring channel under virtual time: a full single-slot ring

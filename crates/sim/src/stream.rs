@@ -28,6 +28,13 @@
 //! endpoints make — is refused on a seeded coin toss, as a full socket
 //! would refuse it, so the staged-remainder and skipped-ack paths run on
 //! nearly every record.
+//!
+//! [`sim_socket_pair`] makes the other kind of pair: one that moves
+//! bytes the way a kernel socket with room does — a write is taken
+//! whole, a read takes everything buffered — for scenarios about *when*
+//! batches travel, which fragmentation would blur (a receiver that gets
+//! its batch in pieces reaches a wait point, and flushes what it owes,
+//! between the pieces).
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -56,7 +63,19 @@ struct Half {
     /// Set by shutdown of either end; readers drain then see EOF,
     /// writers fail immediately.
     eof: bool,
-    rng: u64,
+    /// Draws the partial-I/O boundaries and write refusals; `None`
+    /// moves every read and write whole.
+    rng: Option<u64>,
+}
+
+impl Half {
+    /// How many of `most` bytes the next read or write moves.
+    fn chunk(&mut self, most: usize) -> usize {
+        match &mut self.rng {
+            Some(rng) => 1 + (splitmix(rng) as usize) % most,
+            None => most,
+        }
+    }
 }
 
 struct Dir {
@@ -65,7 +84,7 @@ struct Dir {
 }
 
 impl Dir {
-    fn new(seed: u64, label: &'static str) -> Arc<Dir> {
+    fn new(seed: Option<u64>, label: &'static str) -> Arc<Dir> {
         Arc::new(Dir {
             st: Mutex::labeled(
                 Half {
@@ -121,8 +140,19 @@ pub struct SimStream {
 /// unit tests too.
 pub fn sim_stream_pair(seed: u64) -> (SimStream, SimStream) {
     let mut s = seed ^ 0xA076_1D64_78BD_642F;
-    let a2b = Dir::new(splitmix(&mut s), "sim_stream_a2b");
-    let b2a = Dir::new(splitmix(&mut s), "sim_stream_b2a");
+    pair([Some(splitmix(&mut s)), Some(splitmix(&mut s))])
+}
+
+/// Creates a connected pair of [`SimStream`] endpoints that never split
+/// or refuse I/O: what is written arrives whole, and one read takes all
+/// of it, as over a kernel socket that has room.
+pub fn sim_socket_pair() -> (SimStream, SimStream) {
+    pair([None, None])
+}
+
+fn pair([a2b, b2a]: [Option<u64>; 2]) -> (SimStream, SimStream) {
+    let a2b = Dir::new(a2b, "sim_stream_a2b");
+    let b2a = Dir::new(b2a, "sim_stream_b2a");
     (
         SimStream {
             rd: Arc::clone(&b2a),
@@ -151,7 +181,7 @@ impl Read for SimStream {
         loop {
             if !h.buf.is_empty() {
                 let avail = h.buf.len().min(out.len());
-                let n = 1 + (splitmix(&mut h.rng) as usize) % avail;
+                let n = h.chunk(avail);
                 for slot in out.iter_mut().take(n) {
                     *slot = h.buf.pop_front().expect("sized by avail");
                 }
@@ -191,11 +221,15 @@ impl Write for SimStream {
         }
         // A non-blocking write may be refused, as a full socket would
         // refuse it.
-        if self.mode.nonblocking.load(Ordering::SeqCst) && splitmix(&mut h.rng).is_multiple_of(2) {
-            return Err(io::ErrorKind::WouldBlock.into());
+        if let (true, Some(rng)) = (self.mode.nonblocking.load(Ordering::SeqCst), &mut h.rng) {
+            if splitmix(rng).is_multiple_of(2) {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
         }
-        let cap = data.len().min(MAX_WRITE_CHUNK);
-        let n = 1 + (splitmix(&mut h.rng) as usize) % cap;
+        let cap = h
+            .rng
+            .map_or(data.len(), |_| data.len().min(MAX_WRITE_CHUNK));
+        let n = h.chunk(cap);
         h.buf.extend(&data[..n]);
         drop(h);
         self.wr.changed.notify_all();

@@ -270,11 +270,7 @@ impl NetEdge {
     /// lower a window of this depth.
     fn boxed(spec: &ChannelSpec, seed: u64) -> Box<dyn Transport> {
         let window = (spec.capacity_bytes / spec.max_message_bytes.max(1)) as u64;
-        let plan = spi_repro::sched::batch_plan(window, None);
-        let batch = BatchParams {
-            max_msgs: plan.max_msgs as usize,
-            flush_after: plan.flush_after,
-        };
+        let batch = BatchParams::from(spi_repro::sched::batch_plan(window, None));
         let (a, b) = sim_stream_pair(seed);
         Box::new(NetEdge {
             tx: NetSender::from_stream_with(a, spec, batch).expect("sender"),
