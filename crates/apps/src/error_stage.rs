@@ -13,6 +13,7 @@
 //! graph), figure 6 (execution time vs sample size for n = 1..4) and
 //! table 1 (FPGA area of the 4-PE implementation).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
@@ -71,6 +72,18 @@ pub struct ErrorStageApp {
     config: ErrorStageConfig,
     /// Residual energy per frame, reassembled at the I/O side.
     pub residual_energy: Arc<Mutex<Vec<f64>>>,
+    /// Frame analyses computed so far (one per frame, however many PEs
+    /// it is sent to).
+    analyses: Arc<AtomicU64>,
+}
+
+/// What the I/O processor derives from one input frame before it sends
+/// anything (figure 3): the samples and their predictor coefficients.
+struct Analysis {
+    iter: u64,
+    order: usize,
+    frame: Vec<f64>,
+    coeffs: Vec<f64>,
 }
 
 impl ErrorStageApp {
@@ -132,6 +145,7 @@ impl ErrorStageApp {
             error_edges,
             config,
             residual_energy: Arc::new(Mutex::new(Vec::new())),
+            analyses: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -171,6 +185,10 @@ impl ErrorStageApp {
 
         // Residual reassembly across the n io_recv actors.
         let frame_acc: Arc<Mutex<(u64, f64, usize)>> = Arc::new(Mutex::new((0, 0.0, 0)));
+        // The frame analysis, shared by the n io_send actors: whichever
+        // fires first in an iteration computes it. Keyed by iteration,
+        // so a replayed firing finds the values it saw the first time.
+        let analysis: Arc<Mutex<Option<Analysis>>> = Arc::new(Mutex::new(None));
 
         for i in 0..n {
             let sec = self.section_edges[i];
@@ -178,18 +196,29 @@ impl ErrorStageApp {
             let err = self.error_edges[i];
 
             // ----- io_send_i: frame section + coefficients ---------------
+            let analysis = Arc::clone(&analysis);
+            let analyses = Arc::clone(&self.analyses);
             builder.actor(self.io_send[i], move |ctx: &mut Firing| {
-                let (frame_len, order) = dims(cfg, ctx.iter);
-                let frame = synth_frame(cfg.seed, ctx.iter, frame_len);
-                let r = autocorr_via_fft(&frame, order);
-                let coeffs = solve_normal_equations(&r, order);
-                let start = i * frame_len / n;
-                let end = (i + 1) * frame_len / n;
-                let hist_start = start.saturating_sub(order);
+                let mut shared = analysis.lock().expect("frame analysis");
+                let Analysis {
+                    order,
+                    frame,
+                    coeffs,
+                    ..
+                } = match &mut *shared {
+                    Some(current) if current.iter == ctx.iter => current,
+                    stale => {
+                        analyses.fetch_add(1, Ordering::Relaxed);
+                        stale.insert(analyse(cfg, ctx.iter))
+                    }
+                };
+                let start = i * frame.len() / n;
+                let end = (i + 1) * frame.len() / n;
+                let hist_start = start.saturating_sub(*order);
                 ctx.set_output(sec, f64s_to_bytes(&frame[hist_start..end]));
                 let mut payload = Vec::with_capacity(8 + coeffs.len() * 8);
-                payload.extend((order as u64).to_le_bytes());
-                payload.extend(f64s_to_bytes(&coeffs));
+                payload.extend((*order as u64).to_le_bytes());
+                payload.extend(f64s_to_bytes(coeffs));
                 ctx.set_output(coe, payload);
                 cost::read_cycles(end - hist_start)
             });
@@ -237,6 +266,20 @@ impl ErrorStageApp {
     }
 }
 
+/// The I/O-side analysis of iteration `iter`'s frame (actors A, B and C
+/// of figure 2, which this subsystem keeps on the I/O processor).
+fn analyse(cfg: ErrorStageConfig, iter: u64) -> Analysis {
+    let (frame_len, order) = dims(cfg, iter);
+    let frame = synth_frame(cfg.seed, iter, frame_len);
+    let coeffs = solve_normal_equations(&autocorr_via_fft(&frame, order), order);
+    Analysis {
+        iter,
+        order,
+        frame,
+        coeffs,
+    }
+}
+
 /// Run-time frame length and order for an iteration.
 fn dims(cfg: ErrorStageConfig, iter: u64) -> (usize, usize) {
     if !cfg.vary_rates {
@@ -251,7 +294,139 @@ fn dims(cfg: ErrorStageConfig, iter: u64) -> (usize, usize) {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use spi_fault::{FaultKind, FaultPlan};
+    use spi_platform::{Op, SupervisionPolicy, ThreadedRunner, TransportKind};
+
     use super::*;
+
+    /// Application 1 as the benchmark runs it: 512-sample frames, order
+    /// 10, both varying at run time.
+    fn app(n_pes: usize) -> ErrorStageApp {
+        ErrorStageApp::new(ErrorStageConfig {
+            n_pes,
+            frame: 512,
+            order: 10,
+            vary_rates: true,
+            seed: 5,
+        })
+        .unwrap()
+    }
+
+    fn ring() -> ThreadedRunner {
+        ThreadedRunner::new()
+            .transport(TransportKind::Ring)
+            .timeout(Duration::from_secs(10))
+    }
+
+    /// Residual energy per frame straight from the kernels — no graph,
+    /// no schedule, no messages: each PE's section plus `order` samples
+    /// of history (§5.2).
+    fn serial_residuals(cfg: ErrorStageConfig, count: u64) -> Vec<f64> {
+        (0..count)
+            .map(|iter| {
+                let (len, order) = dims(cfg, iter);
+                let frame = synth_frame(cfg.seed, iter, len);
+                let coeffs = solve_normal_equations(&autocorr_via_fft(&frame, order), order);
+                (0..cfg.n_pes)
+                    .map(|pe| {
+                        let (start, end) = (pe * len / cfg.n_pes, (pe + 1) * len / cfg.n_pes);
+                        let section = &frame[start.saturating_sub(order)..end];
+                        let hist = if pe == 0 { 0 } else { order.min(section.len()) };
+                        prediction_error_range(section, &coeffs, hist, section.len())
+                            .iter()
+                            .map(|e| e * e)
+                            .sum::<f64>()
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
+    fn assert_residuals(app: &ErrorStageApp, count: u64, engine: &str) {
+        let got = app.residual_energy.lock().unwrap();
+        let want = serial_residuals(app.config, count);
+        assert_eq!(got.len(), want.len(), "{engine}");
+        for (iter, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-9 * w.abs(),
+                "{engine}, n = {}, frame {iter}: {g} vs serial {w}",
+                app.config.n_pes
+            );
+        }
+    }
+
+    #[test]
+    fn residuals_equal_the_serial_composition_on_both_engines() {
+        const FRAMES: u64 = 12;
+        for n in [1, 2, 4] {
+            let des = app(n);
+            des.system(FRAMES).unwrap().run().unwrap();
+            assert_residuals(&des, FRAMES, "DES");
+            let threaded = app(n);
+            let sys = threaded.system(FRAMES).unwrap();
+            sys.run_threaded_with(&ring()).unwrap();
+            assert_residuals(&threaded, FRAMES, "ring");
+        }
+    }
+
+    #[test]
+    fn each_frame_is_analysed_once_for_all_four_pes() {
+        const FRAMES: u64 = 9;
+        let des = app(4);
+        des.system(FRAMES).unwrap().run().unwrap();
+        assert_eq!(des.analyses.load(Ordering::Relaxed), FRAMES);
+
+        let threaded = app(4);
+        let sys = threaded.system(FRAMES).unwrap();
+        sys.run_threaded_with(&ring()).unwrap();
+        assert_eq!(threaded.analyses.load(Ordering::Relaxed), FRAMES);
+    }
+
+    #[test]
+    fn a_replayed_iteration_reuses_its_analysis() {
+        // Supervised, with both recoveries in one run: a dropped frame
+        // section (retransmitted under the same sequence number) and a
+        // panic on the I/O processor after io_send2 fired in iteration
+        // 3, which rolls P0 back and replays io_send0..2 of that frame.
+        const FRAMES: u64 = 6;
+        let app = app(4);
+        let sys = app.system(FRAMES).unwrap();
+        let dropped = sys.edge_plans()[&app.section_edges[1]].data_ch;
+        let (decorator, log) = FaultPlan::new()
+            .inject(dropped, 2, FaultKind::Drop)
+            .into_decorator()
+            .unwrap();
+        let (specs, mut programs) = sys.into_parts();
+        let fired = programs[0]
+            .ops
+            .iter_mut()
+            .find_map(|op| match op {
+                Op::Compute { label, work } if label.starts_with("fire:io_send2") => Some(work),
+                _ => None,
+            })
+            .expect("io_send2 fires on P0");
+        let mut inner = std::mem::replace(fired, Box::new(|_| 0));
+        let firings = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&firings);
+        *fired = Box::new(move |local| {
+            let cycles = inner(local);
+            if count.fetch_add(1, Ordering::Relaxed) == 3 {
+                panic!("transient fault after io_send2's fourth firing");
+            }
+            cycles
+        });
+        ring()
+            .supervise(SupervisionPolicy::retry(3).with_deadline(Duration::from_secs(2)))
+            .decorate_transports(decorator)
+            .run(&specs, programs)
+            .unwrap();
+        assert_eq!(log.lock().unwrap().len(), 1, "the planned drop fired");
+        assert_eq!(firings.load(Ordering::Relaxed), FRAMES + 1, "one replay");
+        assert_eq!(app.analyses.load(Ordering::Relaxed), FRAMES);
+        assert_residuals(&app, FRAMES, "supervised ring");
+    }
 
     #[test]
     fn graph_shape_per_figure3() {

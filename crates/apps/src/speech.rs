@@ -17,7 +17,7 @@ use std::sync::{Arc, Mutex};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
-use spi_dsp::fft::{fft, fft_cycles, Complex};
+use spi_dsp::fft::fft_cycles;
 use spi_dsp::huffman::{huffman_cycles, HuffmanCode};
 use spi_dsp::lpc::{cost, lu_decompose, lu_solve, prediction_error_range, Quantizer};
 use spi_platform::components;
@@ -383,20 +383,7 @@ pub fn synth_frame(seed: u64, iter: u64, len: usize) -> Vec<f64> {
 /// Autocorrelation lags `0..=order` via the FFT power-spectrum method
 /// (Wiener–Khinchin), matching what a hardware FFT front-end computes.
 pub fn autocorr_via_fft(frame: &[f64], order: usize) -> Vec<f64> {
-    let n = (2 * frame.len().max(1)).next_power_of_two();
-    let mut data = vec![Complex::default(); n];
-    for (i, &x) in frame.iter().enumerate() {
-        data[i] = Complex::new(x, 0.0);
-    }
-    fft(&mut data).expect("power-of-two FFT");
-    for z in &mut data {
-        let mag = z.re * z.re + z.im * z.im;
-        *z = Complex::new(mag, 0.0);
-    }
-    spi_dsp::fft::ifft(&mut data).expect("power-of-two IFFT");
-    (0..=order.min(frame.len().saturating_sub(1)))
-        .map(|lag| data[lag].re)
-        .collect()
+    spi_dsp::fft::autocorrelation(frame, order)
 }
 
 /// Solves the order-`order` normal equations from autocorrelation `r`
@@ -455,12 +442,23 @@ mod tests {
 
     #[test]
     fn autocorr_via_fft_matches_direct() {
-        let frame: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
-        let via_fft = autocorr_via_fft(&frame, 6);
-        let direct = spi_dsp::lpc::autocorrelation(&frame, 6);
-        for (a, b) in via_fft.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        // Every frame length application 1 can see and every order up
+        // to 16, including order ≥ len (the lag count clamps to len).
+        for len in 1..=600usize {
+            let frame = synth_frame(9, len as u64, len);
+            for order in 0..=16usize {
+                let via_fft = autocorr_via_fft(&frame, order);
+                let direct = spi_dsp::lpc::autocorrelation(&frame, order.min(len - 1));
+                assert_eq!(via_fft.len(), direct.len(), "len {len} order {order}");
+                for (a, b) in via_fft.iter().zip(&direct) {
+                    assert!(
+                        (a - b).abs() <= 1e-9 * direct[0],
+                        "len {len} order {order}: {a} vs {b}"
+                    );
+                }
+            }
         }
+        assert_eq!(autocorr_via_fft(&[], 6), vec![0.0]);
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! Iterative radix-2 complex FFT (actor "B" of application 1).
+//! Planned radix-2 FFT (actor "B" of application 1): one butterfly body
+//! over per-size twiddle and bit-reversal tables, the real-input
+//! transform built on it, and the power-spectrum autocorrelation the
+//! LPC front-end takes from that.
 
+use std::cell::RefCell;
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -38,6 +43,14 @@ impl Complex {
     fn sub(self, o: Complex) -> Complex {
         Complex::new(self.re - o.re, self.im - o.im)
     }
+
+    fn conj(self) -> Complex {
+        Complex::new(self.re, -self.im)
+    }
+
+    fn norm_sqr(self) -> f64 {
+        self.re * self.re + self.im * self.im
+    }
 }
 
 /// Errors from the FFT routines.
@@ -61,6 +74,46 @@ impl std::fmt::Display for FftError {
 }
 
 impl std::error::Error for FftError {}
+
+/// The tables of one power-of-two transform size.
+struct Plan {
+    /// Twiddles stage by stage: `twiddles[half + i]` is `e^(−2πi·i/2half)`
+    /// for `half = 1, 2, 4, … n/2` and `i < half` (entry 0 is unused),
+    /// so every stage reads one contiguous run, and the last run is the
+    /// `W_n^k` the real-input untangle pass needs.
+    twiddles: Vec<Complex>,
+    /// `rev[i]` is `i` with its log₂ n bits reversed.
+    rev: Vec<usize>,
+}
+
+impl Plan {
+    fn build(n: usize) -> Plan {
+        let mut twiddles = vec![Complex::default(); n];
+        let mut half = 1;
+        while half < n {
+            for (i, w) in twiddles[half..2 * half].iter_mut().enumerate() {
+                let ang = -PI * i as f64 / half as f64;
+                *w = Complex::new(ang.cos(), ang.sin());
+            }
+            half *= 2;
+        }
+        let shift = usize::BITS - n.trailing_zeros();
+        let rev = (0..n).map(|i| i.reverse_bits() >> shift).collect();
+        Plan { twiddles, rev }
+    }
+}
+
+/// One slot per log₂ n: a length that is not a power of two has none.
+static PLANS: [OnceLock<Plan>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
+
+/// The plan of power-of-two size `n ≥ 2`, built by whichever caller
+/// gets there first; callers reject any other length before they come
+/// here.
+fn plan(n: usize) -> &'static Plan {
+    debug_assert!(n.is_power_of_two() && n >= 2);
+    PLANS[n.trailing_zeros() as usize].get_or_init(|| Plan::build(n))
+}
 
 /// In-place forward FFT (decimation in time).
 ///
@@ -96,46 +149,162 @@ fn transform(data: &mut [Complex], inverse: bool) -> Result<(), FftError> {
     if !n.is_power_of_two() {
         return Err(FftError::NotPowerOfTwo { len: n });
     }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) & (n - 1);
-        if j > i {
+    let plan = plan(n);
+    for (i, &j) in plan.rev.iter().enumerate() {
+        if i < j {
             data.swap(i, j);
         }
     }
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * PI / len as f64;
-        let wlen = Complex::new(ang.cos(), ang.sin());
-        for block in data.chunks_mut(len) {
-            let mut w = Complex::new(1.0, 0.0);
-            let half = len / 2;
-            for i in 0..half {
-                let u = block[i];
-                let v = block[i + half].mul(w);
-                block[i] = u.add(v);
-                block[i + half] = u.sub(v);
-                w = w.mul(wlen);
+    let mut half = 1;
+    while half < n {
+        let stage = &plan.twiddles[half..2 * half];
+        for block in data.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((u, v), &w) in lo.iter_mut().zip(hi).zip(stage) {
+                let t = v.mul(if inverse { w.conj() } else { w });
+                (*u, *v) = (u.add(t), u.sub(t));
             }
         }
-        len <<= 1;
+        half *= 2;
     }
     Ok(())
 }
 
+thread_local! {
+    /// The real-input path's packed half-size buffer and power spectrum,
+    /// kept per thread so a frame analysis allocates only its result.
+    static SCRATCH: RefCell<(Vec<Complex>, Vec<f64>)> =
+        const { RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// Forward transform of `samples` (at most `n` of them, zero-padded to
+/// `n`, a power of two ≥ 2): the `n` real points go through one
+/// `n/2`-point complex transform in `z`, as `z[j] = x[2j] + i·x[2j+1]`,
+/// and the returned untangle step yields spectrum bin `k ∈ 0..=n/2`
+/// from `z[k]` and `z[n/2 − k]`.
+fn real_forward(
+    samples: impl IntoIterator<Item = f64>,
+    n: usize,
+    z: &mut Vec<Complex>,
+) -> impl Fn(usize) -> Complex + '_ {
+    let m = n / 2;
+    z.clear();
+    z.resize(m, Complex::default());
+    samples.into_iter().enumerate().for_each(|(i, x)| {
+        let slot = &mut z[i / 2];
+        if i % 2 == 0 {
+            slot.re = x;
+        } else {
+            slot.im = x;
+        }
+    });
+    transform(z, false).expect("half of a power of two ≥ 2");
+    let w = &plan(n).twiddles[m..];
+    move |k| {
+        if k % m == 0 {
+            // Bins 0 and n/2 pair z[0] with itself and come out real.
+            let im = if k == 0 { z[0].im } else { -z[0].im };
+            return Complex::new(z[0].re + im, 0.0);
+        }
+        // X[k] = E[k] + W_n^k·O[k], with E = even/2 and O = odd/2i the
+        // spectra of the even- and odd-indexed samples.
+        let (a, b) = (z[k], z[m - k].conj());
+        let (even, odd) = (a.add(b), a.sub(b));
+        let t = Complex::new(odd.im, -odd.re).mul(w[k]);
+        Complex::new(0.5 * (even.re + t.re), 0.5 * (even.im + t.im))
+    }
+}
+
 /// FFT of a real signal: convenience wrapper returning the complex
-/// spectrum.
+/// spectrum (all `n` bins; the upper half mirrors the lower).
 ///
 /// # Errors
 ///
 /// Same conditions as [`fft`].
 pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>, FftError> {
-    let mut data: Vec<Complex> = signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
-    fft(&mut data)?;
-    Ok(data)
+    let n = signal.len();
+    if n <= 1 {
+        return Ok(signal.iter().map(|&x| Complex::new(x, 0.0)).collect());
+    }
+    if !n.is_power_of_two() {
+        return Err(FftError::NotPowerOfTwo { len: n });
+    }
+    SCRATCH.with_borrow_mut(|(z, _)| {
+        let bin = real_forward(signal.iter().copied(), n, z);
+        let lower = (0..=n / 2).map(&bin);
+        let upper = (1..n / 2).rev().map(|k| bin(k).conj());
+        Ok(lower.chain(upper).collect())
+    })
+}
+
+/// Power spectrum of a real signal: `|X[k]|²` on the `n/2 + 1`
+/// non-negative-frequency bins of `samples` (at most `n` of them)
+/// zero-padded to `n` points.
+///
+/// # Errors
+///
+/// [`FftError::NotPowerOfTwo`] unless `n` is a power of two.
+pub(crate) fn power_spectrum(
+    samples: impl IntoIterator<Item = f64>,
+    n: usize,
+) -> Result<Vec<f64>, FftError> {
+    if !n.is_power_of_two() {
+        return Err(FftError::NotPowerOfTwo { len: n });
+    }
+    if n == 1 {
+        let x = samples.into_iter().next().unwrap_or(0.0);
+        return Ok(vec![x * x]);
+    }
+    SCRATCH.with_borrow_mut(|(z, _)| {
+        let bin = real_forward(samples, n, z);
+        Ok((0..=n / 2).map(|k| bin(k).norm_sqr()).collect())
+    })
+}
+
+/// Autocorrelation lags `0..=max_lag` (clamped to `len − 1`; one `0.0`
+/// for an empty frame) by the Wiener–Khinchin route a hardware FFT
+/// front-end takes: power spectrum of the frame zero-padded to
+/// `n = (2·len).next_power_of_two()` points, so the circular
+/// correlation is the linear one, then its inverse transform at the
+/// kept lags.
+pub fn autocorrelation(frame: &[f64], max_lag: usize) -> Vec<f64> {
+    if frame.len() <= 1 {
+        return vec![frame.first().map_or(0.0, |x| x * x)];
+    }
+    let n = (2 * frame.len()).next_power_of_two();
+    let lags = max_lag.min(frame.len() - 1) + 1;
+    SCRATCH.with_borrow_mut(|(z, power)| {
+        let bin = real_forward(frame.iter().copied(), n, z);
+        power.clear();
+        power.extend((0..=n / 2).map(|k| bin(k).norm_sqr()));
+        (0..lags)
+            .map(|lag| inverse_at_lag(power, lag) / n as f64)
+            .collect()
+    })
+}
+
+/// `Σ P[k]·cos(2πk·lag/n)` over all `n ≥ 4` bins of a real signal's
+/// power spectrum, given as its `n/2 + 1` non-negative-frequency bins:
+/// the unscaled inverse transform of a real, even spectrum at one lag.
+/// The sum is folded twice — `P[n − k] = P[k]`, and bins `k` and
+/// `n/2 − k` see the same cosine up to `(−1)^lag` — and the cosines are
+/// read off the plan's last twiddle run, whose `n/2` entries span half a
+/// turn.
+fn inverse_at_lag(power: &[f64], lag: usize) -> f64 {
+    let m = power.len() - 1;
+    let w = &plan(2 * m).twiddles[m..];
+    let sign = if lag.is_multiple_of(2) { 1.0 } else { -1.0 };
+    let term = |k: usize| {
+        let j = (k * lag) & (2 * m - 1);
+        let cos = if j < m { w[j].re } else { -w[j - m].re };
+        (power[k] + sign * power[m - k]) * cos
+    };
+    // Four independent partial sums, so the additions pipeline.
+    let mut acc = [0.0; 4];
+    for k in 1..m / 2 {
+        acc[k % 4] += term(k);
+    }
+    term(0) + term(m / 2) + 2.0 * ((acc[0] + acc[1]) + (acc[2] + acc[3]))
 }
 
 /// Cycle-cost model of a streaming FFT core: `~5·N·log2(N)` cycles plus
@@ -151,48 +320,140 @@ pub fn fft_cycles(n: usize) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
     use super::*;
 
+    /// The O(n²) definition, with the angle reduced mod n so the
+    /// reference stays exact at the large sizes.
     fn naive_dft(x: &[Complex]) -> Vec<Complex> {
         let n = x.len();
+        let roots: Vec<Complex> = (0..n)
+            .map(|j| {
+                let ang = -2.0 * PI * j as f64 / n as f64;
+                Complex::new(ang.cos(), ang.sin())
+            })
+            .collect();
         (0..n)
             .map(|k| {
                 let mut acc = Complex::default();
                 for (j, &v) in x.iter().enumerate() {
-                    let ang = -2.0 * PI * (k * j) as f64 / n as f64;
-                    acc = acc.add(v.mul(Complex::new(ang.cos(), ang.sin())));
+                    acc = acc.add(v.mul(roots[k * j % n]));
                 }
                 acc
             })
             .collect()
     }
 
-    #[test]
-    fn matches_naive_dft() {
-        let x: Vec<Complex> = (0..16)
-            .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.3).cos()))
-            .collect();
-        let expected = naive_dft(&x);
-        let mut got = x.clone();
-        fft(&mut got).unwrap();
-        for (a, b) in got.iter().zip(&expected) {
-            assert!((a.re - b.re).abs() < 1e-9, "{a:?} vs {b:?}");
-            assert!((a.im - b.im).abs() < 1e-9);
+    /// A seeded test signal of `n` points in [−1, 1)².
+    fn signal(n: usize, seed: u64) -> Vec<Complex> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut unit = move || rng.gen_range(-1.0..1.0);
+        (0..n).map(|_| Complex::new(unit(), unit())).collect()
+    }
+
+    fn norm(x: &[Complex]) -> f64 {
+        x.iter().map(|z| z.norm_sqr()).sum::<f64>().sqrt()
+    }
+
+    fn max_error(got: &[Complex], want: &[Complex]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        got.iter()
+            .zip(want)
+            .map(|(a, b)| a.sub(*b).abs())
+            .fold(0.0, f64::max)
+    }
+
+    /// `fft` against the naive DFT at every power of two `2..=max`.
+    fn differential_up_to(max: usize) {
+        let mut n = 2;
+        while n <= max {
+            let x = signal(n, n as u64);
+            let mut got = x.clone();
+            fft(&mut got).unwrap();
+            let err = max_error(&got, &naive_dft(&x));
+            assert!(err <= 1e-9 * norm(&x), "n = {n}: error {err:e}");
+            n *= 2;
         }
     }
 
     #[test]
+    fn matches_naive_dft() {
+        differential_up_to(4096);
+    }
+
+    /// The long form: `cargo test -p spi-dsp --release -- --include-ignored`.
+    #[test]
+    #[ignore = "O(n²) reference up to 65536 points; the nightly verify tier runs it"]
+    fn matches_naive_dft_long() {
+        differential_up_to(1 << 16);
+    }
+
+    #[test]
     fn roundtrip_fft_ifft() {
-        let x: Vec<Complex> = (0..64)
-            .map(|i| Complex::new(i as f64, -(i as f64) / 3.0))
-            .collect();
-        let mut y = x.clone();
-        fft(&mut y).unwrap();
-        ifft(&mut y).unwrap();
-        for (a, b) in y.iter().zip(&x) {
-            assert!((a.re - b.re).abs() < 1e-9);
-            assert!((a.im - b.im).abs() < 1e-9);
+        for n in [1, 2, 64, 512, 1024] {
+            let x = signal(n, 3);
+            let mut y = x.clone();
+            fft(&mut y).unwrap();
+            ifft(&mut y).unwrap();
+            let err = max_error(&y, &x);
+            assert!(err <= 1e-9 * norm(&x), "n = {n}: error {err:e}");
         }
+    }
+
+    #[test]
+    fn real_path_matches_complex_path_bin_for_bin() {
+        let mut n = 1;
+        while n <= 4096 {
+            let x: Vec<f64> = signal(n, 17).iter().map(|z| z.re).collect();
+            let mut want: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
+            fft(&mut want).unwrap();
+            let got = fft_real(&x).unwrap();
+            let err = max_error(&got, &want);
+            assert!(
+                err <= 1e-12 * norm(&want).max(1.0),
+                "n = {n}: error {err:e}"
+            );
+            n *= 2;
+        }
+        assert_eq!(fft_real(&[]), Ok(Vec::new()));
+        assert_eq!(
+            fft_real(&[0.0; 12]),
+            Err(FftError::NotPowerOfTwo { len: 12 })
+        );
+    }
+
+    #[test]
+    fn real_path_edge_bins_at_two_and_four_points() {
+        // n/2 = 1 has only the self-paired bins 0 and n/2; n = 4 adds
+        // the one bin that pairs with itself at k = n/4.
+        let got = fft_real(&[3.0, -1.0]).unwrap();
+        assert_eq!(got, vec![Complex::new(2.0, 0.0), Complex::new(4.0, 0.0)]);
+        let got = fft_real(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let want = [(10.0, 0.0), (-2.0, 2.0), (-2.0, 0.0), (-2.0, -2.0)];
+        for (z, (re, im)) in got.iter().zip(want) {
+            assert!(z.sub(Complex::new(re, im)).abs() < 1e-15, "{got:?}");
+        }
+    }
+
+    #[test]
+    fn power_spectrum_is_the_squared_magnitude_of_the_padded_spectrum() {
+        let x: Vec<f64> = signal(37, 5).iter().map(|z| z.re).collect();
+        let mut padded = x.clone();
+        padded.resize(64, 0.0);
+        let want = fft_real(&padded).unwrap();
+        let got = power_spectrum(x.iter().copied(), 64).unwrap();
+        assert_eq!(got.len(), 33);
+        for (p, z) in got.iter().zip(&want) {
+            assert!((p - z.norm_sqr()).abs() <= 1e-12 * z.norm_sqr().max(1.0));
+        }
+        assert_eq!(power_spectrum([3.0], 1), Ok(vec![9.0]));
+        assert_eq!(power_spectrum([], 1), Ok(vec![0.0]));
+        assert_eq!(
+            power_spectrum([], 0),
+            Err(FftError::NotPowerOfTwo { len: 0 })
+        );
     }
 
     #[test]
@@ -225,12 +486,71 @@ mod tests {
     fn rejects_non_power_of_two() {
         let mut x = vec![Complex::default(); 12];
         assert_eq!(fft(&mut x), Err(FftError::NotPowerOfTwo { len: 12 }));
+        assert_eq!(ifft(&mut x), Err(FftError::NotPowerOfTwo { len: 12 }));
+        // 3·2¹⁶ lies between two sizes no test transforms: had the
+        // length reached the planner, one of their slots would be set.
+        let mut x = vec![Complex::default(); 3 << 16];
+        assert_eq!(fft(&mut x), Err(FftError::NotPowerOfTwo { len: 3 << 16 }));
+        assert!(PLANS[17].get().is_none() && PLANS[18].get().is_none());
     }
 
     #[test]
     fn empty_input_is_noop() {
         let mut x: Vec<Complex> = Vec::new();
         assert!(fft(&mut x).is_ok());
+    }
+
+    #[test]
+    fn single_point_is_the_identity() {
+        let mut x = vec![Complex::new(2.5, -1.0)];
+        fft(&mut x).unwrap();
+        ifft(&mut x).unwrap();
+        assert_eq!(x, vec![Complex::new(2.5, -1.0)]);
+        assert!(PLANS[0].get().is_none(), "no plan below two points");
+    }
+
+    #[test]
+    fn first_calls_from_two_threads_agree_bit_for_bit() {
+        // 2¹³ is this test's own size: both threads race to build its
+        // plan, and whoever loses must read the winner's tables.
+        let x = signal(1 << 13, 29);
+        let barrier = std::sync::Barrier::new(2);
+        let run = || {
+            let mut y = x.clone();
+            barrier.wait();
+            fft(&mut y).unwrap();
+            y
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(run);
+            (run(), other.join().expect("transform thread"))
+        });
+        assert_eq!(a, b);
+        let mut again = x.clone();
+        fft(&mut again).unwrap();
+        assert_eq!(a, again);
+    }
+
+    #[test]
+    fn autocorrelation_lag_count_at_the_edges() {
+        // (len, max_lag) → max_lag.min(len − 1) + 1 lags. Frames of 0
+        // and 1 samples need no transform; 2 and 3 samples pad to 4 and
+        // 8 points, the two smallest half-size transforms the cosine
+        // sum's fold sees (its middle bin is then bin 1 and bin 2).
+        assert_eq!(autocorrelation(&[], 4), vec![0.0]);
+        assert_eq!(autocorrelation(&[3.0], 4), vec![9.0]);
+        assert_eq!(autocorrelation(&[3.0], 0), vec![9.0]);
+        let close = |got: Vec<f64>, want: &[f64]| {
+            assert_eq!(got.len(), want.len(), "{got:?}");
+            for (g, w) in got.iter().zip(want) {
+                assert!((g - w).abs() <= 1e-12 * want[0], "{got:?} vs {want:?}");
+            }
+        };
+        close(autocorrelation(&[1.0, 2.0], 0), &[5.0]);
+        close(autocorrelation(&[1.0, 2.0], 1), &[5.0, 2.0]);
+        close(autocorrelation(&[1.0, 2.0], 9), &[5.0, 2.0]);
+        close(autocorrelation(&[1.0, 2.0, 3.0], 2), &[14.0, 8.0, 3.0]);
+        close(autocorrelation(&[1.0, 2.0, 3.0], 3), &[14.0, 8.0, 3.0]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Functional implementations (plus cycle-cost models) of every kernel
 //! the DATE 2008 SPI paper's two applications need:
 //!
-//! * [`fft`] — radix-2 complex FFT (application 1, actor B);
+//! * [`fft`] — planned radix-2 FFT, its real-input form and the
+//!   power-spectrum autocorrelation built on it (application 1, actor B);
 //! * [`lpc`] — windowing, autocorrelation, **LU-decomposition** predictor
 //!   solve, prediction error, quantization (actors C and D);
 //! * [`huffman`] — canonical Huffman coding of the error symbols

@@ -4,7 +4,7 @@
 //! collects the standard windows plus a windowed power-spectrum helper
 //! used by tooling around the speech application.
 
-use crate::fft::{fft, Complex, FftError};
+use crate::fft::{self, FftError};
 
 /// The supported window shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +52,7 @@ impl Window {
         if len == 0 {
             return 1.0;
         }
-        self.coefficients(len).iter().sum::<f64>() / len as f64
+        (0..len).map(|n| self.coefficient(n, len)).sum::<f64>() / len as f64
     }
 }
 
@@ -65,18 +65,12 @@ impl Window {
 /// Propagates [`FftError`] (cannot occur for the padded length, kept in
 /// the signature for transparency).
 pub fn power_spectrum(frame: &[f64], window: Window) -> Result<Vec<f64>, FftError> {
-    let mut data = frame.to_vec();
-    window.apply(&mut data);
-    let n = data.len().max(1).next_power_of_two();
-    let mut buf = vec![Complex::default(); n];
-    for (i, &x) in data.iter().enumerate() {
-        buf[i] = Complex::new(x, 0.0);
-    }
-    fft(&mut buf)?;
-    Ok(buf[..n / 2 + 1]
+    let len = frame.len();
+    let windowed = frame
         .iter()
-        .map(|z| z.re * z.re + z.im * z.im)
-        .collect())
+        .enumerate()
+        .map(|(n, &x)| x * window.coefficient(n, len));
+    fft::power_spectrum(windowed, len.max(1).next_power_of_two())
 }
 
 /// Index of the strongest bin in a power spectrum.

@@ -9,40 +9,75 @@ use spi_dsp::huffman::HuffmanCode;
 use spi_dsp::lpc::{autocorrelation, prediction_error, Quantizer};
 use spi_dsp::particle::{systematic_draw, CrackModel};
 
+/// 1e-9 of the signal's 2-norm: the bound every transform identity
+/// below is held to.
+fn tolerance(signal: &[f64]) -> f64 {
+    1e-9 * signal.iter().map(|x| x * x).sum::<f64>().sqrt().max(1.0)
+}
+
 proptest! {
+    // The transform properties draw 4096 samples and keep a
+    // power-of-two prefix, so every size the applications use (512 and
+    // 1024 points) is covered along with the 1- and 2-point edges.
     #[test]
     fn fft_ifft_is_identity(
-        signal in prop::collection::vec(-100.0f64..100.0, 1..5)
-            .prop_map(|seed| {
-                // Expand the seed into a power-of-two-length signal.
-                let n = 64;
-                (0..n).map(|i| {
-                    seed.iter()
-                        .enumerate()
-                        .map(|(k, &a)| a * ((i * (k + 1)) as f64 * 0.1).sin())
-                        .sum()
-                }).collect::<Vec<f64>>()
-            })
+        signal in prop::collection::vec(-100.0f64..100.0, 4096..4097),
+        log2 in 0u32..13,
     ) {
+        let signal = &signal[..1 << log2];
         let mut data: Vec<Complex> =
             signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
         fft(&mut data).expect("power of two");
         ifft(&mut data).expect("power of two");
-        for (z, &x) in data.iter().zip(&signal) {
-            prop_assert!((z.re - x).abs() < 1e-8);
-            prop_assert!(z.im.abs() < 1e-8);
+        let tol = tolerance(signal);
+        for (z, &x) in data.iter().zip(signal) {
+            prop_assert!((z.re - x).abs() <= tol);
+            prop_assert!(z.im.abs() <= tol);
         }
     }
 
     #[test]
     fn parseval_energy_conservation(
-        signal in prop::collection::vec(-10.0f64..10.0, 32..33)
+        signal in prop::collection::vec(-10.0f64..10.0, 4096..4097),
+        log2 in 0u32..13,
     ) {
-        let spec = fft_real(&signal).expect("32-point");
+        let signal = &signal[..1 << log2];
+        let spec = fft_real(signal).expect("power of two");
         let time_energy: f64 = signal.iter().map(|x| x * x).sum();
         let freq_energy: f64 =
             spec.iter().map(|z| z.re * z.re + z.im * z.im).sum::<f64>() / signal.len() as f64;
-        prop_assert!((time_energy - freq_energy).abs() < 1e-6 * time_energy.max(1.0));
+        prop_assert!((time_energy - freq_energy).abs() <= 1e-9 * time_energy.max(1.0));
+    }
+
+    #[test]
+    fn real_input_path_matches_complex_path(
+        signal in prop::collection::vec(-10.0f64..10.0, 4096..4097),
+        log2 in 0u32..13,
+    ) {
+        let signal = &signal[..1 << log2];
+        let mut want: Vec<Complex> =
+            signal.iter().map(|&x| Complex::new(x, 0.0)).collect();
+        fft(&mut want).expect("power of two");
+        let got = fft_real(signal).expect("power of two");
+        prop_assert_eq!(got.len(), want.len());
+        let tol = tolerance(signal);
+        for (a, b) in got.iter().zip(&want) {
+            prop_assert!((a.re - b.re).abs() <= tol && (a.im - b.im).abs() <= tol);
+        }
+    }
+
+    #[test]
+    fn fft_autocorrelation_matches_direct(
+        signal in prop::collection::vec(-10.0f64..10.0, 1..601),
+        order in 0usize..17,
+    ) {
+        let got = spi_dsp::fft::autocorrelation(&signal, order);
+        let lags = order.min(signal.len() - 1);
+        let want = autocorrelation(&signal, lags);
+        prop_assert_eq!(got.len(), lags + 1);
+        for (a, b) in got.iter().zip(&want) {
+            prop_assert!((a - b).abs() <= 1e-9 * want[0], "{a} vs {b}");
+        }
     }
 
     #[test]
