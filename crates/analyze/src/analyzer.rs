@@ -9,8 +9,6 @@ use crate::passes;
 /// One analysis pass. Passes are stateless: they read the input and
 /// append diagnostics.
 pub trait Pass {
-    /// Stable pass name (used in reports and docs).
-    fn name(&self) -> &'static str;
     /// Runs the pass, appending any findings to `out`.
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>);
 }
@@ -47,11 +45,6 @@ impl Analyzer {
     pub fn with_pass(mut self, pass: impl Pass + 'static) -> Self {
         self.passes.push(Box::new(pass));
         self
-    }
-
-    /// Names of the registered passes, in execution order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
     }
 
     /// Runs every pass over `input`.

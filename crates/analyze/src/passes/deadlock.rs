@@ -19,10 +19,6 @@ use crate::input::AnalysisInput;
 pub struct DeadlockWitness;
 
 impl Pass for DeadlockWitness {
-    fn name(&self) -> &'static str {
-        "deadlock-witness"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let graph = input.graph;
         if graph.actor_count() == 0 {

@@ -35,10 +35,6 @@ use crate::input::AnalysisInput;
 pub struct ProtocolLints;
 
 impl Pass for ProtocolLints {
-    fn name(&self) -> &'static str {
-        "protocol-lints"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let (Some(ipc), Some(decls)) = (input.ipc, input.edges) else {
             return;

@@ -75,10 +75,6 @@ fn effective_rates(e: &spi_dataflow::Edge) -> (u32, u32) {
 pub struct RateConsistency;
 
 impl Pass for RateConsistency {
-    fn name(&self) -> &'static str {
-        "rate-consistency"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let g = input.graph;
         // Zero rates make the ratios meaningless; SPI002 already fired.

@@ -17,10 +17,6 @@ use crate::input::AnalysisInput;
 pub struct ResourceOvercommit;
 
 impl Pass for ResourceOvercommit {
-    fn name(&self) -> &'static str {
-        "resource-overcommit"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let Some(used) = input.resources else {
             return;

@@ -14,10 +14,6 @@ use crate::input::AnalysisInput;
 pub struct ResyncFixpoint;
 
 impl Pass for ResyncFixpoint {
-    fn name(&self) -> &'static str {
-        "resync-fixpoint"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let Some(sync) = input.sync else {
             return;

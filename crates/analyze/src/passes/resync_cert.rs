@@ -27,10 +27,6 @@ use spi_sched::{RedundancyProof, SyncGraph, SyncKind};
 pub struct ResyncCertification;
 
 impl Pass for ResyncCertification {
-    fn name(&self) -> &'static str {
-        "resync-certification"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let Some(cert) = input.resync_cert else {
             return;

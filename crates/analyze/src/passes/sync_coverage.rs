@@ -16,10 +16,6 @@ use spi_sched::IpcEdgeKind;
 pub struct SyncCoverage;
 
 impl Pass for SyncCoverage {
-    fn name(&self) -> &'static str {
-        "sync-coverage"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let (Some(ipc), Some(sync)) = (input.ipc, input.sync) else {
             return;

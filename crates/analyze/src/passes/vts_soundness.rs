@@ -18,10 +18,6 @@ use crate::input::AnalysisInput;
 pub struct VtsSoundness;
 
 impl Pass for VtsSoundness {
-    fn name(&self) -> &'static str {
-        "vts-soundness"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let graph = input.graph;
 

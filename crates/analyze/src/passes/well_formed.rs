@@ -10,10 +10,6 @@ use crate::input::AnalysisInput;
 pub struct WellFormedness;
 
 impl Pass for WellFormedness {
-    fn name(&self) -> &'static str {
-        "well-formedness"
-    }
-
     fn run(&self, input: &AnalysisInput<'_>, out: &mut Vec<Diagnostic>) {
         let g = input.graph;
 

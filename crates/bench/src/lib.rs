@@ -25,7 +25,6 @@
 //! | interconnect | [`ablation_bus_vs_p2p`] | `ablation_bus_vs_p2p` |
 //! | §5.2 co-design | [`hwsw_codesign_sweep`] | `ablation_hwsw_codesign` |
 //! | fuzzing | — | `stress_random_graphs` |
-//! | tracing | — | `gantt_demo` |
 //! | buffers | — | `report_buffers` |
 //! | Amdahl study | — | `app1_full_pipeline` |
 //! | codec R-D | — | `rate_distortion` |

@@ -319,15 +319,6 @@ impl SdfGraph {
         self.edges.get(id.0).ok_or(DataflowError::UnknownEdge(id))
     }
 
-    /// Mutable access to an actor (e.g. to refine its cost estimate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn actor_mut(&mut self, id: ActorId) -> &mut Actor {
-        &mut self.actors[id.0]
-    }
-
     /// Iterates over `(ActorId, &Actor)` pairs in id order.
     pub fn actors(&self) -> impl Iterator<Item = (ActorId, &Actor)> {
         self.actors.iter().enumerate().map(|(i, a)| (ActorId(i), a))

@@ -16,10 +16,6 @@
 //! * [`PrecedenceGraph`] — single-rate expansion feeding multiprocessor
 //!   scheduling in `spi-sched`;
 //! * [`CsdfGraph`] — cyclo-static dataflow with reduction to SDF;
-//! * [`bdf`] — Boolean-dataflow switch/select and the VTS envelope that
-//!   re-models bounded conditional streams (paper §3.1);
-//! * [`loops`] — looped single-appearance schedules and the
-//!   buffer-optimal chain DP for single-processor synthesis;
 //! * [`psdf`] — parameterized dataflow with per-configuration
 //!   instantiation and the VTS envelope bridging it to the paper's
 //!   dynamic-rate discipline.
@@ -47,13 +43,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bdf;
 pub mod csdf;
 pub mod dif;
 mod error;
 mod graph;
 mod hsdf;
-pub mod loops;
 pub mod psdf;
 mod rates;
 mod schedule;
@@ -63,7 +57,6 @@ pub use csdf::{CsdfGraph, CsdfReduction, PhaseRates};
 pub use error::{DataflowError, Result};
 pub use graph::{Actor, ActorId, Edge, EdgeId, Rate, SdfGraph};
 pub use hsdf::{Firing, Precedence, PrecedenceGraph};
-pub use loops::LoopedSchedule;
 pub use rates::{gcd, lcm, RepetitionVector};
 pub use schedule::{BufferBounds, FirePolicy, FlatSchedule, ScheduleReport, ValidationReport};
 pub use vts::{LengthSignal, PackError, TokenPacker, VtsConversion, VtsEdge};

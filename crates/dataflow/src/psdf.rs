@@ -14,8 +14,14 @@
 //! [`PsdfGraph::vts_envelope`] collapses every parameterized rate into a
 //! dynamic edge bounded by the rate's domain maximum, after which the
 //! ordinary VTS/SPI flow applies.
-
-use std::collections::HashMap;
+//!
+//! What this is, and is not: a *front end* that reduces to [`SdfGraph`],
+//! as [`crate::csdf`] does. Nothing downstream knows a graph was
+//! parameterized — `SpiSystemBuilder` lowers the envelope like any other
+//! dynamic-rate graph, sized once for the domain maxima (pinned as the
+//! `psdf envelope …` system in `crates/spi/tests/lowering_pins.txt`).
+//! Per-scenario plans (one `EdgePlan` set per valuation, switched at an
+//! iteration boundary) are ROADMAP's deferred scenario item, not here.
 
 use serde::{Deserialize, Serialize};
 
@@ -199,11 +205,6 @@ impl PsdfGraph {
         Ok(id)
     }
 
-    /// Number of declared parameters.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
     /// Instantiates the graph for one parameter valuation (`values[i]`
     /// is the value of `ParamId(i)`).
     ///
@@ -360,15 +361,6 @@ pub fn param_table(g: &PsdfGraph) -> Vec<(String, u32, u32)> {
     g.params
         .iter()
         .map(|p| (p.name.clone(), p.min, p.max))
-        .collect()
-}
-
-/// Map from parameter name to id, convenient for tooling.
-pub fn params_by_name(g: &PsdfGraph) -> HashMap<String, ParamId> {
-    g.params
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (p.name.clone(), ParamId(i)))
         .collect()
 }
 
@@ -539,9 +531,8 @@ mod tests {
 
     #[test]
     fn helper_tables() {
-        let (g, n, ..) = frame_graph();
+        let (g, ..) = frame_graph();
         assert_eq!(param_table(&g), vec![("N".to_string(), 2, 8)]);
-        assert_eq!(params_by_name(&g)["N"], n);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use spi_dataflow::loops::{buffer_memory, flat_single_appearance, optimal_chain_schedule};
 use spi_dataflow::{
     dif, CsdfGraph, FirePolicy, PhaseRates, PrecedenceGraph, SdfGraph, VtsConversion,
 };
@@ -75,27 +74,6 @@ proptest! {
         let vts = VtsConversion::convert(&g).expect("no dynamic edges");
         prop_assert_eq!(vts.graph(), &g);
         prop_assert!(vts.converted_edges().is_empty());
-    }
-
-    #[test]
-    fn optimal_chain_never_worse_than_flat(
-        spec in prop::collection::vec((1u32..6, 1u32..6), 1..5)
-    ) {
-        // Delay-free chains: the DP schedule's measured memory must not
-        // exceed the flat single-appearance schedule's.
-        let mut g = SdfGraph::new();
-        let mut prev = g.add_actor("a0", 1);
-        for (i, &(p, c)) in spec.iter().enumerate() {
-            let next = g.add_actor(format!("a{}", i + 1), 1);
-            g.add_edge(prev, next, p, c, 0, 4).expect("edge");
-            prev = next;
-        }
-        let flat = flat_single_appearance(&g).expect("acyclic");
-        let opt = optimal_chain_schedule(&g).expect("chain");
-        prop_assert!(opt.is_single_appearance());
-        let m_flat = buffer_memory(&g, &flat).expect("valid");
-        let m_opt = buffer_memory(&g, &opt).expect("valid");
-        prop_assert!(m_opt <= m_flat, "opt {m_opt} > flat {m_flat}");
     }
 
     #[test]

@@ -237,30 +237,6 @@ pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>, FftError> {
     })
 }
 
-/// Power spectrum of a real signal: `|X[k]|²` on the `n/2 + 1`
-/// non-negative-frequency bins of `samples` (at most `n` of them)
-/// zero-padded to `n` points.
-///
-/// # Errors
-///
-/// [`FftError::NotPowerOfTwo`] unless `n` is a power of two.
-pub(crate) fn power_spectrum(
-    samples: impl IntoIterator<Item = f64>,
-    n: usize,
-) -> Result<Vec<f64>, FftError> {
-    if !n.is_power_of_two() {
-        return Err(FftError::NotPowerOfTwo { len: n });
-    }
-    if n == 1 {
-        let x = samples.into_iter().next().unwrap_or(0.0);
-        return Ok(vec![x * x]);
-    }
-    SCRATCH.with_borrow_mut(|(z, _)| {
-        let bin = real_forward(samples, n, z);
-        Ok((0..=n / 2).map(|k| bin(k).norm_sqr()).collect())
-    })
-}
-
 /// Autocorrelation lags `0..=max_lag` (clamped to `len − 1`; one `0.0`
 /// for an empty frame) by the Wiener–Khinchin route a hardware FFT
 /// front-end takes: power spectrum of the frame zero-padded to
@@ -435,25 +411,6 @@ mod tests {
         for (z, (re, im)) in got.iter().zip(want) {
             assert!(z.sub(Complex::new(re, im)).abs() < 1e-15, "{got:?}");
         }
-    }
-
-    #[test]
-    fn power_spectrum_is_the_squared_magnitude_of_the_padded_spectrum() {
-        let x: Vec<f64> = signal(37, 5).iter().map(|z| z.re).collect();
-        let mut padded = x.clone();
-        padded.resize(64, 0.0);
-        let want = fft_real(&padded).unwrap();
-        let got = power_spectrum(x.iter().copied(), 64).unwrap();
-        assert_eq!(got.len(), 33);
-        for (p, z) in got.iter().zip(&want) {
-            assert!((p - z.norm_sqr()).abs() <= 1e-12 * z.norm_sqr().max(1.0));
-        }
-        assert_eq!(power_spectrum([3.0], 1), Ok(vec![9.0]));
-        assert_eq!(power_spectrum([], 1), Ok(vec![0.0]));
-        assert_eq!(
-            power_spectrum([], 0),
-            Err(FftError::NotPowerOfTwo { len: 0 })
-        );
     }
 
     #[test]

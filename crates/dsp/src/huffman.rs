@@ -145,11 +145,6 @@ impl HuffmanCode {
         }
     }
 
-    /// Number of distinct symbols in the code.
-    pub fn alphabet_size(&self) -> usize {
-        self.lengths.len()
-    }
-
     /// Code length in bits for `symbol`, if present.
     pub fn code_length(&self, symbol: u16) -> Option<u8> {
         self.encode_table.get(&symbol).map(|&(_, l)| l)
@@ -296,7 +291,6 @@ mod tests {
     fn single_symbol_alphabet() {
         let symbols = vec![42u16; 10];
         let code = HuffmanCode::from_symbols(&symbols).unwrap();
-        assert_eq!(code.alphabet_size(), 1);
         let (bits, bitlen) = code.encode(&symbols).unwrap();
         assert_eq!(bitlen, 10);
         let back = code.decode(&bits, bitlen, 10).unwrap();

@@ -5,15 +5,14 @@
 //!
 //! * [`fft`] — planned radix-2 FFT, its real-input form and the
 //!   power-spectrum autocorrelation built on it (application 1, actor B);
-//! * [`lpc`] — windowing, autocorrelation, **LU-decomposition** predictor
+//! * [`lpc`] — autocorrelation, **LU-decomposition** predictor
 //!   solve, prediction error, quantization (actors C and D);
 //! * [`huffman`] — canonical Huffman coding of the error symbols
 //!   (actor E);
 //! * [`particle`] — Paris-law crack-growth particle filter with the
 //!   paper's three-step **distributed resampling** (application 2);
 //! * [`fir`] — FIR filtering and polyphase decimation for the multirate
-//!   filter-bank example;
-//! * [`window`] — window functions and windowed spectral analysis.
+//!   filter-bank example.
 //!
 //! Every kernel is a pure function or small struct so it can run both
 //! standalone (unit tests, examples) and inside `spi-platform` compute
@@ -47,4 +46,3 @@ pub mod fir;
 pub mod huffman;
 pub mod lpc;
 pub mod particle;
-pub mod window;

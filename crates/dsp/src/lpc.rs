@@ -44,18 +44,6 @@ impl std::fmt::Display for LpcError {
 
 impl std::error::Error for LpcError {}
 
-/// Applies a Hamming window in place.
-pub fn hamming_window(frame: &mut [f64]) {
-    let n = frame.len();
-    if n < 2 {
-        return;
-    }
-    for (i, x) in frame.iter_mut().enumerate() {
-        let w = 0.54 - 0.46 * (2.0 * std::f64::consts::PI * i as f64 / (n - 1) as f64).cos();
-        *x *= w;
-    }
-}
-
 /// Autocorrelation `r[0..=order]` of `frame`.
 pub fn autocorrelation(frame: &[f64], order: usize) -> Vec<f64> {
     (0..=order)
@@ -273,11 +261,6 @@ pub mod cost {
     pub fn read_cycles(n: usize) -> u64 {
         n as u64 + 10
     }
-
-    /// Quantization cost (one sample per cycle, pipelined).
-    pub fn quantize_cycles(n: usize) -> u64 {
-        n as u64 + 8
-    }
 }
 
 #[cfg(test)]
@@ -438,15 +421,6 @@ mod tests {
         let q = Quantizer::new(1.0, 4);
         assert_eq!(q.quantize(100.0), q.levels() as u16 - 1);
         assert_eq!(q.quantize(-100.0), 0);
-    }
-
-    #[test]
-    fn hamming_window_tapers_edges() {
-        let mut frame = vec![1.0; 32];
-        hamming_window(&mut frame);
-        assert!(frame[0] < 0.1);
-        assert!(frame[31] < 0.1);
-        assert!((frame[16] - 1.0).abs() < 0.05);
     }
 
     #[test]

@@ -332,11 +332,6 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends an `i64` (LE) to a control blob.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Appends a length-prefixed byte string to a control blob.
 pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
     put_u64(out, v.len() as u64);
@@ -413,16 +408,6 @@ impl<'a> WireReader<'a> {
     pub fn u64(&mut self, what: &str) -> Result<u64, WireDecodeError> {
         let b = self.take(8, what)?;
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `i64`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireDecodeError`] on truncation.
-    pub fn i64(&mut self, what: &str) -> Result<i64, WireDecodeError> {
-        let b = self.take(8, what)?;
-        Ok(i64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
     /// Reads a length-prefixed byte string.
@@ -676,14 +661,12 @@ mod tests {
         let mut blob = Vec::new();
         put_u32(&mut blob, 42);
         put_u64(&mut blob, u64::MAX - 1);
-        put_i64(&mut blob, -123_456_789);
         put_str(&mut blob, "filterbank");
         put_bytes(&mut blob, &[1, 2, 3]);
 
         let mut r = WireReader::new(&blob);
         assert_eq!(r.u32("a").unwrap(), 42);
         assert_eq!(r.u64("b").unwrap(), u64::MAX - 1);
-        assert_eq!(r.i64("c").unwrap(), -123_456_789);
         assert_eq!(r.str("d").unwrap(), "filterbank");
         assert_eq!(r.bytes("e").unwrap(), &[1, 2, 3]);
         assert!(r.is_empty());

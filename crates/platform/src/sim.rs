@@ -328,6 +328,15 @@ pub struct BusSpec {
 /// only `slot_overhead_cycles`; one out of turn waits for its slot.
 /// Channels absent from the order (and sends issued from a PE's
 /// prologue) bypass the ordering.
+///
+/// The order is a contract the programs must be able to meet: the bus
+/// never skips a slot, so each PE's gated sends must appear in the order
+/// its program issues them, and no gated send may find its channel full
+/// when its slot comes up — the PE that would drain it may be waiting
+/// for a later slot, and the run ends in
+/// [`PlatformError::Deadlock`](crate::PlatformError). `spi`'s lowering
+/// refuses the plans that can break the second rule
+/// (`SpiError::OrderedBusUnsupported`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderedBusSpec {
     /// The cyclic grant order, one entry per steady-state send per
@@ -884,9 +893,11 @@ impl Engine {
             .map(|(i, _)| i)
             .collect();
         for i in waiters {
-            let ch = match self.pes[i].state {
-                PeState::BlockedBus(c) => c,
-                _ => unreachable!("filtered to BlockedBus"),
+            // Stepping an earlier waiter re-enters this function when its
+            // send advances the order, and that inner call may already
+            // have woken this one.
+            let PeState::BlockedBus(ch) = self.pes[i].state else {
+                continue;
             };
             self.pes[i].state = PeState::Ready;
             self.pes[i].stats.send_stall_cycles += self.now - self.pes[i].blocked_since;
@@ -1313,22 +1324,23 @@ mod tests {
 
     #[test]
     fn ordered_bus_enforces_grant_order() {
-        // Two producers; the order says ch1 goes first each round. PE0
-        // (ch0) is ready immediately but must wait for PE1's send.
+        // Three producers; the order says ch1 goes first each round. PE0
+        // (ch0) and PE4 (ch2) are ready immediately but must wait for
+        // PE1's send — and waking PE0 hands the slot straight on to PE4
+        // from inside that wake-up.
         let mut m = Machine::new();
         let ch0 = m.add_channel(ChannelSpec::default());
         let ch1 = m.add_channel(ChannelSpec::default());
+        let ch2 = m.add_channel(ChannelSpec::default());
         m.set_ordered_bus(OrderedBusSpec {
-            order: vec![ch1, ch0],
+            order: vec![ch1, ch0, ch2],
             slot_overhead_cycles: 1,
         });
-        m.add_pe(Program::new(
-            vec![Op::Send {
-                channel: ch0,
-                payload: Box::new(|_| vec![0; 4]),
-            }],
-            3,
-        ));
+        let sender = |channel| {
+            let payload: PayloadFn = Box::new(|_| vec![0; 4]);
+            Program::new(vec![Op::Send { channel, payload }], 3)
+        };
+        m.add_pe(sender(ch0));
         m.add_pe(Program::new(
             vec![
                 Op::Compute {
@@ -1344,11 +1356,16 @@ mod tests {
         ));
         m.add_pe(Program::new(vec![Op::Recv { channel: ch0 }], 3));
         m.add_pe(Program::new(vec![Op::Recv { channel: ch1 }], 3));
+        m.add_pe(sender(ch2));
+        m.add_pe(Program::new(vec![Op::Recv { channel: ch2 }], 3));
         let report = m.run().unwrap();
-        // PE0 stalls waiting for its slots behind PE1's slow compute.
+        // PE0 and PE4 stall waiting for their slots behind PE1's slow
+        // compute.
         assert!(report.pe[0].send_stall_cycles >= 200);
-        assert_eq!(report.channels[0].messages, 3);
-        assert_eq!(report.channels[1].messages, 3);
+        assert!(report.pe[4].send_stall_cycles >= 200);
+        for channel in &report.channels {
+            assert_eq!(channel.messages, 3);
+        }
     }
 
     #[test]

@@ -334,7 +334,7 @@ pub fn framed_spec(spec: &ChannelSpec) -> ChannelSpec {
 /// stale-duplicate discard, gap handling per [`DegradePolicy`], the
 /// retry-budget verdicts and substitute sizing, as one send-side and
 /// one receive-side state machine per channel. Nothing in here touches
-/// a transport, a tracer or a clock — [`Supervised`] does that and asks
+/// a transport, a tracer or a clock — `Supervised` does that and asks
 /// these machines for every decision, and `spi_verify::framing` drives
 /// the same machines against an adversarial channel (which is why the
 /// module is exported, under `verify-shim` only).

@@ -1144,7 +1144,7 @@ impl PointerTransport {
     /// payload bytes ever being copied.
     ///
     /// The descriptor ring is sized to the pool's full slot count, so
-    /// the conservation argument on [`PointerTransport::ring`] holds
+    /// the conservation argument on `PointerTransport::ring` holds
     /// regardless of how the shared slots distribute across edges.
     pub fn with_pool(pool: BufferPool) -> Self {
         let slots = pool.slots();

@@ -84,36 +84,6 @@ impl Assignment {
         Ok(Assignment { map, processors })
     }
 
-    /// Builds an assignment from an explicit firing→processor map.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::NoProcessors`], [`SchedError::ProcessorOutOfRange`],
-    /// or [`SchedError::UnassignedFiring`] if a firing of `pg` is missing
-    /// from `map`.
-    pub fn from_map(
-        pg: &PrecedenceGraph,
-        processors: usize,
-        map: HashMap<Firing, ProcId>,
-    ) -> Result<Self> {
-        if processors == 0 {
-            return Err(SchedError::NoProcessors);
-        }
-        for &firing in pg.firings() {
-            match map.get(&firing) {
-                None => return Err(SchedError::UnassignedFiring(firing)),
-                Some(p) if p.0 >= processors => {
-                    return Err(SchedError::ProcessorOutOfRange {
-                        proc: p.0,
-                        count: processors,
-                    })
-                }
-                Some(_) => {}
-            }
-        }
-        Ok(Assignment { map, processors })
-    }
-
     /// HLFET (Highest Level First, Estimated Time) list scheduling.
     ///
     /// Levels are longest paths (in execution cycles) to any APG sink;
@@ -190,91 +160,6 @@ impl Assignment {
         Ok(Assignment { map, processors })
     }
 
-    /// ETF (Earliest Task First) list scheduling with communication
-    /// costs: like HLFET, but a candidate's start time on a processor
-    /// includes `comm_cycles(bytes)` for every cross-processor
-    /// dependence, so the mapper weighs data locality against load
-    /// balance. `comm_cycles` receives the producing edge's payload
-    /// bytes per firing.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::NoProcessors`] for a zero processor count.
-    pub fn etf(
-        graph: &SdfGraph,
-        pg: &PrecedenceGraph,
-        processors: usize,
-        mut comm_cycles: impl FnMut(u64) -> u64,
-    ) -> Result<Self> {
-        if processors == 0 {
-            return Err(SchedError::NoProcessors);
-        }
-        let firings = pg.firings();
-        let n = firings.len();
-        let idx: HashMap<Firing, usize> =
-            firings.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut remaining_preds = vec![0usize; n];
-        for p in pg.apg_edges() {
-            let (u, v) = (idx[&p.from], idx[&p.to]);
-            succ[u].push(v);
-            remaining_preds[v] += 1;
-        }
-        let exec = |i: usize| graph.actor(firings[i].actor).exec_cycles;
-        // Per-edge transfer bytes per producer firing.
-        let bytes_of = |via: spi_dataflow::EdgeId| {
-            let e = graph.edge(via);
-            u64::from(e.produce.bound()) * u64::from(e.token_bytes)
-        };
-
-        let mut ready: Vec<usize> = (0..n).filter(|&i| remaining_preds[i] == 0).collect();
-        let mut proc_free = vec![0u64; processors];
-        let mut placed: Vec<Option<(usize, u64)>> = vec![None; n]; // (proc, finish)
-        let mut map = HashMap::new();
-        let mut scheduled = 0;
-        while scheduled < n {
-            // For every (ready firing, processor) pair compute the
-            // earliest start; pick the global minimum.
-            let mut best: Option<(u64, usize, usize)> = None; // (start, firing, proc)
-            for &u in &ready {
-                #[allow(clippy::needless_range_loop)] // p IS the processor index
-                for p in 0..processors {
-                    let mut data_ready = 0u64;
-                    for dep in pg.apg_edges().filter(|d| idx[&d.to] == u) {
-                        let (dp, dfinish) = placed[idx[&dep.from]].expect("preds scheduled first");
-                        let arrive = if dp == p {
-                            dfinish
-                        } else {
-                            dfinish + comm_cycles(bytes_of(dep.via))
-                        };
-                        data_ready = data_ready.max(arrive);
-                    }
-                    let start = proc_free[p].max(data_ready);
-                    if best
-                        .map(|(s, bu, bp)| (start, u, p) < (s, bu, bp))
-                        .unwrap_or(true)
-                    {
-                        best = Some((start, u, p));
-                    }
-                }
-            }
-            let (start, u, p) = best.expect("ready set nonempty");
-            let finish = start + exec(u);
-            placed[u] = Some((p, finish));
-            proc_free[p] = finish;
-            map.insert(firings[u], ProcId(p));
-            ready.retain(|&x| x != u);
-            scheduled += 1;
-            for &v in &succ[u] {
-                remaining_preds[v] -= 1;
-                if remaining_preds[v] == 0 {
-                    ready.push(v);
-                }
-            }
-        }
-        Ok(Assignment { map, processors })
-    }
-
     /// Processor of `firing`.
     ///
     /// # Errors
@@ -290,26 +175,6 @@ impl Assignment {
     /// Number of processors in the target.
     pub fn processor_count(&self) -> usize {
         self.processors
-    }
-
-    /// All firings assigned to `proc`, in deterministic (actor, k) order.
-    pub fn firings_on(&self, proc: ProcId) -> Vec<Firing> {
-        let mut v: Vec<Firing> = self
-            .map
-            .iter()
-            .filter(|(_, &p)| p == proc)
-            .map(|(&f, _)| f)
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// Number of distinct processors actually used.
-    pub fn processors_used(&self) -> usize {
-        let mut used: Vec<ProcId> = self.map.values().copied().collect();
-        used.sort();
-        used.dedup();
-        used.len()
     }
 }
 
@@ -458,7 +323,6 @@ mod tests {
             assert_eq!(assign.processor(f).unwrap().0, f.actor.0 % 2);
         }
         assert_eq!(assign.processor_count(), 2);
-        assert_eq!(assign.processors_used(), 2);
     }
 
     #[test]
@@ -471,21 +335,6 @@ mod tests {
         assert!(matches!(
             Assignment::by_actor(&pg, 0, |_| ProcId(0)),
             Err(SchedError::NoProcessors)
-        ));
-    }
-
-    #[test]
-    fn from_map_requires_total_coverage() {
-        let (_, pg) = diamond();
-        let partial: HashMap<Firing, ProcId> = pg
-            .firings()
-            .iter()
-            .take(2)
-            .map(|&f| (f, ProcId(0)))
-            .collect();
-        assert!(matches!(
-            Assignment::from_map(&pg, 1, partial),
-            Err(SchedError::UnassignedFiring(_))
         ));
     }
 
@@ -505,65 +354,9 @@ mod tests {
     fn hlfet_single_processor_is_total() {
         let (g, pg) = diamond();
         let assign = Assignment::hlfet(&g, &pg, 1).unwrap();
-        assert_eq!(assign.processors_used(), 1);
-        assert_eq!(assign.firings_on(ProcId(0)).len(), pg.firings().len());
-    }
-
-    #[test]
-    fn firings_on_is_sorted_and_disjoint() {
-        let (g, pg) = diamond();
-        let assign = Assignment::hlfet(&g, &pg, 2).unwrap();
-        let on0 = assign.firings_on(ProcId(0));
-        let on1 = assign.firings_on(ProcId(1));
-        assert_eq!(on0.len() + on1.len(), pg.firings().len());
-        let mut sorted = on0.clone();
-        sorted.sort();
-        assert_eq!(on0, sorted);
-        assert!(on0.iter().all(|f| !on1.contains(f)));
-    }
-
-    #[test]
-    fn etf_prefers_locality_under_heavy_comm() {
-        // Chain a → b with huge transfer cost: ETF should co-locate
-        // them; with zero comm cost it may split freely.
-        let mut g = SdfGraph::new();
-        let a = g.add_actor("A", 10);
-        let b = g.add_actor("B", 10);
-        g.add_edge(a, b, 1, 1, 0, 4096).unwrap();
-        let pg = PrecedenceGraph::expand(&g).unwrap();
-        let heavy = Assignment::etf(&g, &pg, 2, |bytes| bytes).unwrap();
-        let pa = heavy.processor(Firing { actor: a, k: 0 }).unwrap();
-        let pb = heavy.processor(Firing { actor: b, k: 0 }).unwrap();
-        assert_eq!(pa, pb, "huge comm cost must keep the chain together");
-    }
-
-    #[test]
-    fn etf_spreads_independent_work() {
-        // Fork A → {B, C} with cheap comm: B and C go to different PEs.
-        let mut g = SdfGraph::new();
-        let a = g.add_actor("A", 5);
-        let b = g.add_actor("B", 200);
-        let c = g.add_actor("C", 200);
-        g.add_edge(a, b, 1, 1, 0, 4).unwrap();
-        g.add_edge(a, c, 1, 1, 0, 4).unwrap();
-        let pg = PrecedenceGraph::expand(&g).unwrap();
-        let assign = Assignment::etf(&g, &pg, 2, |_| 1).unwrap();
-        let pb = assign.processor(Firing { actor: b, k: 0 }).unwrap();
-        let pc = assign.processor(Firing { actor: c, k: 0 }).unwrap();
-        assert_ne!(pb, pc, "independent heavy work must spread");
-    }
-
-    #[test]
-    fn etf_covers_every_firing() {
-        let (g, pg) = diamond();
-        let assign = Assignment::etf(&g, &pg, 3, |b| b / 4).unwrap();
         for &f in pg.firings() {
-            assert!(assign.processor(f).is_ok());
+            assert_eq!(assign.processor(f).unwrap(), ProcId(0));
         }
-        assert!(matches!(
-            Assignment::etf(&g, &pg, 0, |_| 0),
-            Err(SchedError::NoProcessors)
-        ));
     }
 
     #[test]
@@ -609,6 +402,7 @@ mod tests {
         let pg = PrecedenceGraph::expand(&g).unwrap();
         let assign = Assignment::hlfet(&g, &pg, 3).unwrap();
         // The four independent "work" firings should spread across PEs.
-        assert!(assign.processors_used() >= 2);
+        let work0 = assign.processor(Firing { actor: b, k: 0 }).unwrap();
+        assert!((1..4).any(|k| assign.processor(Firing { actor: b, k }).unwrap() != work0));
     }
 }

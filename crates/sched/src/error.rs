@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use spi_dataflow::{ActorId, DataflowError, Firing};
+use spi_dataflow::{DataflowError, Firing};
 
 /// Errors produced by scheduling, IPC-graph and sync-graph analyses.
 #[derive(Debug, Clone, PartialEq)]
@@ -12,8 +12,6 @@ pub enum SchedError {
     Dataflow(DataflowError),
     /// A firing was not assigned to any processor.
     UnassignedFiring(Firing),
-    /// An actor was not assigned to any processor.
-    UnassignedActor(ActorId),
     /// A processor index exceeded the declared processor count.
     ProcessorOutOfRange {
         /// Offending processor index.
@@ -23,14 +21,6 @@ pub enum SchedError {
     },
     /// The requested processor count was zero.
     NoProcessors,
-    /// A per-processor firing order violates intra-iteration precedence,
-    /// so no self-timed execution of it can succeed.
-    OrderViolatesPrecedence {
-        /// The firing scheduled too early.
-        early: Firing,
-        /// The firing it depends on, scheduled later on the same processor.
-        late: Firing,
-    },
     /// The synchronization graph contains a zero-delay cycle, so the
     /// self-timed execution deadlocks.
     ZeroDelayCycle,
@@ -41,14 +31,10 @@ impl fmt::Display for SchedError {
         match self {
             SchedError::Dataflow(e) => write!(f, "dataflow analysis failed: {e}"),
             SchedError::UnassignedFiring(x) => write!(f, "firing {x} has no processor"),
-            SchedError::UnassignedActor(a) => write!(f, "actor {a} has no processor"),
             SchedError::ProcessorOutOfRange { proc, count } => {
                 write!(f, "processor {proc} out of range (count {count})")
             }
             SchedError::NoProcessors => write!(f, "processor count must be positive"),
-            SchedError::OrderViolatesPrecedence { early, late } => {
-                write!(f, "schedule places {early} before its producer {late}")
-            }
             SchedError::ZeroDelayCycle => {
                 write!(f, "synchronization graph has a zero-delay cycle (deadlock)")
             }

@@ -80,7 +80,6 @@ pub struct IpcEdge {
 pub struct IpcGraph {
     tasks: Vec<Task>,
     edges: Vec<IpcEdge>,
-    by_firing: HashMap<Firing, TaskId>,
 }
 
 impl IpcGraph {
@@ -145,11 +144,7 @@ impl IpcGraph {
             }
         }
 
-        Ok(IpcGraph {
-            tasks,
-            edges,
-            by_firing,
-        })
+        Ok(IpcGraph { tasks, edges })
     }
 
     /// All tasks in id order.
@@ -160,11 +155,6 @@ impl IpcGraph {
     /// All edges.
     pub fn edges(&self) -> &[IpcEdge] {
         &self.edges
-    }
-
-    /// Task executing `firing`, if any.
-    pub fn task_of(&self, firing: Firing) -> Option<TaskId> {
-        self.by_firing.get(&firing).copied()
     }
 
     /// Task lookup.
@@ -247,20 +237,6 @@ impl IpcGraph {
     pub fn ipc_buffer_bound_tokens(&self, edge: &IpcEdge) -> Option<u64> {
         let gamma = self.min_delay_path(edge.to, edge.from)?;
         Some(gamma + edge.delay)
-    }
-
-    /// Eq. (2) in bytes: token bound × max packed-token bytes.
-    ///
-    /// `bytes_per_packed_token` comes from
-    /// [`spi_dataflow::VtsConversion::bytes_per_packed_token`] (it equals
-    /// the raw token size for static edges).
-    pub fn ipc_buffer_bound_bytes(
-        &self,
-        edge: &IpcEdge,
-        bytes_per_packed_token: u64,
-    ) -> Option<u64> {
-        self.ipc_buffer_bound_tokens(edge)
-            .map(|t| t * bytes_per_packed_token)
     }
 
     /// Eq. (2) bounds folded per application edge: a dataflow edge can
@@ -378,7 +354,6 @@ mod tests {
             .expect("forward edge");
         // Γ = 2 along the B→A feedback edge; bound = 2 + 0.
         assert_eq!(ipc.ipc_buffer_bound_tokens(&forward), Some(2));
-        assert_eq!(ipc.ipc_buffer_bound_bytes(&forward, 4), Some(8));
     }
 
     #[test]

@@ -6,11 +6,8 @@
 //! this as latency-constrained resynchronization). This module computes
 //! self-timed start/end times directly from the paper's eq. (3)
 //! semantics — `start(v, k) ≥ end(v_j, k − delay)` — by fixed-point
-//! iteration over a finite horizon, and derives first-output latency.
+//! iteration over a finite horizon, and measures the period over it.
 
-use std::collections::HashMap;
-
-use crate::ipc_graph::TaskId;
 use crate::sync_graph::SyncGraph;
 
 /// Self-timed start/end times of every task over `iterations` graph
@@ -58,16 +55,6 @@ pub fn self_timed_times(graph: &SyncGraph, iterations: u64) -> Vec<Vec<(u64, u64
     times
 }
 
-/// First-output latency: cycle at which `sink` first completes, under
-/// the eq. (3) semantics. `None` if the task id is out of range.
-pub fn first_completion(graph: &SyncGraph, sink: TaskId) -> Option<u64> {
-    if sink.0 >= graph.tasks().len() {
-        return None;
-    }
-    let times = self_timed_times(graph, 1);
-    Some(times[0][sink.0].1)
-}
-
 /// Average iteration period measured over a finite horizon (converges to
 /// the maximum cycle mean as the horizon grows).
 pub fn measured_period(graph: &SyncGraph, iterations: u64) -> f64 {
@@ -84,41 +71,6 @@ pub fn measured_period(graph: &SyncGraph, iterations: u64) -> f64 {
     } else {
         (makespan_last - makespan_first) as f64 / (iterations - 1) as f64
     }
-}
-
-/// Per-task latency report across the graph.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LatencyReport {
-    /// `(task, first start, first end)` in task-id order.
-    pub first_iteration: Vec<(TaskId, u64, u64)>,
-    /// Measured steady-state period.
-    pub period: f64,
-}
-
-/// Computes the full latency report over a default 16-iteration horizon.
-pub fn latency_report(graph: &SyncGraph) -> LatencyReport {
-    let times = self_timed_times(graph, 1);
-    let first_iteration = times[0]
-        .iter()
-        .enumerate()
-        .map(|(i, &(s, e))| (TaskId(i), s, e))
-        .collect();
-    LatencyReport {
-        first_iteration,
-        period: measured_period(graph, 16),
-    }
-}
-
-/// Map from firing label to first completion, convenient for tests.
-pub fn first_completions_by_name(
-    graph: &SyncGraph,
-    names: &HashMap<TaskId, String>,
-) -> HashMap<String, u64> {
-    let times = self_timed_times(graph, 1);
-    names
-        .iter()
-        .map(|(&t, name)| (name.clone(), times[0][t.0].1))
-        .collect()
 }
 
 #[cfg(test)]
@@ -161,21 +113,10 @@ mod tests {
     #[test]
     fn first_completion_matches_manual_chain() {
         let sg = two_proc_pipeline(&[5, 7]);
-        // Task order in the sync graph follows processor order; find the
-        // sink as the task with the largest completion.
+        // The sink is the task with the largest completion.
         let times = self_timed_times(&sg, 1);
         let max_end = times[0].iter().map(|&(_, e)| e).max().unwrap();
         assert_eq!(max_end, 12);
-        let sink = TaskId(
-            times[0]
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, &(_, e))| e)
-                .unwrap()
-                .0,
-        );
-        assert_eq!(first_completion(&sg, sink), Some(12));
-        assert_eq!(first_completion(&sg, TaskId(99)), None);
     }
 
     #[test]
@@ -203,23 +144,21 @@ mod tests {
     #[test]
     fn completions_by_name_maps_labels() {
         let sg = two_proc_pipeline(&[4, 6]);
-        let names: HashMap<TaskId, String> = sg
+        let times = self_timed_times(&sg, 1);
+        let mut ends: Vec<(String, u64)> = sg
             .tasks()
             .iter()
-            .enumerate()
-            .map(|(i, t)| (TaskId(i), format!("{}", t.firing.actor)))
+            .zip(&times[0])
+            .map(|(t, &(_, end))| (t.firing.actor.to_string(), end))
             .collect();
-        let map = first_completions_by_name(&sg, &names);
-        assert_eq!(map.len(), 2);
-        assert_eq!(map["a0"], 4);
-        assert_eq!(map["a1"], 10);
+        ends.sort();
+        assert_eq!(ends, [("a0".to_string(), 4), ("a1".to_string(), 10)]);
     }
 
     #[test]
     fn latency_report_is_complete() {
         let sg = two_proc_pipeline(&[10, 20]);
-        let report = latency_report(&sg);
-        assert_eq!(report.first_iteration.len(), sg.tasks().len());
-        assert!(report.period > 0.0);
+        assert_eq!(self_timed_times(&sg, 1)[0].len(), sg.tasks().len());
+        assert!(measured_period(&sg, 16) > 0.0);
     }
 }

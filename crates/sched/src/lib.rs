@@ -60,9 +60,7 @@ pub use batch::{
 };
 pub use error::{Result, SchedError};
 pub use ipc_graph::{IpcEdge, IpcEdgeKind, IpcGraph, Task, TaskId};
-pub use latency::{
-    first_completion, latency_report, measured_period, self_timed_times, LatencyReport,
-};
+pub use latency::{measured_period, self_timed_times};
 pub use predicted::{predicted_metrics, PredictedMetrics};
 pub use selftimed::SelfTimedSchedule;
 pub use sync_graph::{

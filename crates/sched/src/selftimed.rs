@@ -6,14 +6,12 @@
 //! middle ground between fully-static and fully-dynamic scheduling that
 //! the paper adopts for SPI.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use spi_dataflow::{Firing, PrecedenceGraph};
 
 use crate::assign::{Assignment, ProcId};
-use crate::error::{Result, SchedError};
+use crate::error::Result;
 
 /// A self-timed schedule: the assignment plus a total order per processor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -29,7 +27,7 @@ impl SelfTimedSchedule {
     ///
     /// # Errors
     ///
-    /// [`SchedError::UnassignedFiring`] if the assignment does not cover
+    /// [`crate::SchedError::UnassignedFiring`] if the assignment does not cover
     /// every firing of `pg`.
     pub fn from_assignment(pg: &PrecedenceGraph, assignment: Assignment) -> Result<Self> {
         let topo = pg
@@ -43,45 +41,6 @@ impl SelfTimedSchedule {
         Ok(SelfTimedSchedule { assignment, order })
     }
 
-    /// Builds a schedule from explicit per-processor orders, validating
-    /// that each order respects intra-iteration precedence among firings
-    /// on the *same* processor (cross-processor ordering is enforced at
-    /// run time by synchronization, but a processor-local inversion can
-    /// never be executed).
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::OrderViolatesPrecedence`] on a local inversion, plus
-    /// assignment coverage errors.
-    pub fn from_orders(
-        pg: &PrecedenceGraph,
-        assignment: Assignment,
-        order: Vec<Vec<Firing>>,
-    ) -> Result<Self> {
-        let pos: HashMap<Firing, (usize, usize)> = order
-            .iter()
-            .enumerate()
-            .flat_map(|(p, list)| list.iter().enumerate().map(move |(i, &f)| (f, (p, i))))
-            .collect();
-        for &f in pg.firings() {
-            let p = assignment.processor(f)?;
-            if pos.get(&f).map(|&(pp, _)| pp) != Some(p.0) {
-                return Err(SchedError::UnassignedFiring(f));
-            }
-        }
-        for e in pg.apg_edges() {
-            let (pf, fi) = pos[&e.from];
-            let (pt, ti) = pos[&e.to];
-            if pf == pt && ti < fi {
-                return Err(SchedError::OrderViolatesPrecedence {
-                    early: e.to,
-                    late: e.from,
-                });
-            }
-        }
-        Ok(SelfTimedSchedule { assignment, order })
-    }
-
     /// The underlying assignment.
     pub fn assignment(&self) -> &Assignment {
         &self.assignment
@@ -90,15 +49,6 @@ impl SelfTimedSchedule {
     /// Number of processors.
     pub fn processor_count(&self) -> usize {
         self.assignment.processor_count()
-    }
-
-    /// Firing order on `proc`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `proc` is out of range.
-    pub fn order_on(&self, proc: ProcId) -> &[Firing] {
-        &self.order[proc.0]
     }
 
     /// Iterates `(ProcId, order)` pairs.
@@ -160,31 +110,9 @@ mod tests {
         let assign =
             Assignment::by_actor(&pg, 2, |a| ProcId(if a.0 == 1 { 1 } else { 0 })).unwrap();
         let st = SelfTimedSchedule::from_assignment(&pg, assign).unwrap();
-        let p0 = st.order_on(ProcId(0));
+        let (_, p0) = st.processors().next().unwrap();
         assert_eq!(p0.len(), 2);
         assert!(p0[0].actor.0 < p0[1].actor.0);
-    }
-
-    #[test]
-    fn from_orders_rejects_local_inversion() {
-        let (_, pg) = pipeline();
-        let assign = Assignment::by_actor(&pg, 1, |_| ProcId(0)).unwrap();
-        let mut firings: Vec<Firing> = pg.firings().to_vec();
-        firings.reverse(); // C, B, A — violates A→B on the same processor
-        let err = SelfTimedSchedule::from_orders(&pg, assign, vec![firings]);
-        assert!(matches!(
-            err,
-            Err(SchedError::OrderViolatesPrecedence { .. })
-        ));
-    }
-
-    #[test]
-    fn from_orders_accepts_valid_order() {
-        let (_, pg) = pipeline();
-        let assign = Assignment::by_actor(&pg, 1, |_| ProcId(0)).unwrap();
-        let firings: Vec<Firing> = pg.firings().to_vec();
-        let st = SelfTimedSchedule::from_orders(&pg, assign, vec![firings]).unwrap();
-        assert_eq!(st.total_firings(), 3);
     }
 
     #[test]
@@ -196,15 +124,5 @@ mod tests {
         assert!(s.contains("P0:"));
         assert!(s.contains("P1:"));
         assert!(s.contains("a0#0"));
-    }
-
-    #[test]
-    fn from_orders_detects_misplaced_firing() {
-        let (_, pg) = pipeline();
-        let assign = Assignment::by_actor(&pg, 2, |a| ProcId(a.0 % 2)).unwrap();
-        // Put everything on P0's list although B is assigned to P1.
-        let err =
-            SelfTimedSchedule::from_orders(&pg, assign, vec![pg.firings().to_vec(), Vec::new()]);
-        assert!(matches!(err, Err(SchedError::UnassignedFiring(_))));
     }
 }

@@ -6,7 +6,7 @@
 //! log — on every run of the same seed. All of them run the real
 //! production stack: [`ThreadedRunner`] worker threads over
 //! [`RingTransport`] rings, `spi-fault` decorators, and the `spi-net`
-//! framed credit protocol over [`SimStream`] sockets.
+//! framed credit protocol over [`crate::SimStream`] sockets.
 //!
 //! [`TransportKind::Locked`] is deliberately absent: the locked queue
 //! uses raw `std::sync` primitives (by design — it is the
@@ -187,7 +187,7 @@ fn net_pair(
 /// Full framed round trip over the simulated socket: a producer thread
 /// sends `msgs` sequenced records through the credit window, a
 /// consumer thread receives and checks order. Partial reads and short
-/// writes on the [`SimStream`] exercise the wire-format resume loops
+/// writes on the [`crate::SimStream`] exercise the wire-format resume loops
 /// on nearly every record.
 pub fn net_round_trip(stream_seed: u64, msgs: u32, batch: BatchParams) {
     let (tx, rx) = net_pair(stream_seed, batch);

@@ -96,10 +96,10 @@ where
 /// Firings of one actor may be scheduled onto different processors, and
 /// the threaded runner executes processors on OS threads, so the
 /// implementation is shared behind `Arc<Mutex<…>>`.
-pub type SharedActor = Arc<Mutex<Box<dyn ActorFire>>>;
+pub(crate) type SharedActor = Arc<Mutex<Box<dyn ActorFire>>>;
 
 /// Wraps an implementation into a [`SharedActor`].
-pub fn share(actor: impl ActorFire + 'static) -> SharedActor {
+pub(crate) fn share(actor: impl ActorFire + 'static) -> SharedActor {
     Arc::new(Mutex::new(Box::new(actor)))
 }
 

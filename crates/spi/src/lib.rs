@@ -35,7 +35,7 @@ mod library;
 mod message;
 mod system;
 
-pub use actors::{share, ActorFire, Firing, SharedActor};
+pub use actors::{ActorFire, Firing};
 pub use error::{Result, SpiError};
 pub use library::SpiLibraryReport;
 pub use message::{

@@ -145,6 +145,12 @@ impl SpiSystemBuilder {
     /// the synchronization graph's analytic send times replaces
     /// run-time arbitration. `slot_overhead_cycles` is the per-slot
     /// cost of the order controller.
+    ///
+    /// Not every plan can run on it: [`SpiSystemBuilder::build`] returns
+    /// [`SpiError::OrderedBusUnsupported`] when an edge that keeps its
+    /// UBS acknowledgements also carries enough pipeline-fill messages
+    /// (`⌊delay / produce⌋`) for those acknowledgements to fill its ack
+    /// channel.
     pub fn ordered_transactions(&mut self, slot_overhead_cycles: u64) -> &mut Self {
         self.ordered_transactions = Some(slot_overhead_cycles);
         self
@@ -194,12 +200,6 @@ impl SpiSystemBuilder {
     ) -> &mut Self {
         self.impls
             .insert(actor, crate::actors::share(implementation));
-        self
-    }
-
-    /// Registers a pre-shared implementation (for reuse across builds).
-    pub fn actor_shared(&mut self, actor: ActorId, shared: SharedActor) -> &mut Self {
-        self.impls.insert(actor, shared);
         self
     }
 
@@ -386,13 +386,13 @@ impl SpiSystemBuilder {
         for (via, bound) in sched.ipc.buffer_bounds_by_edge() {
             plans.insert(via, self.plan_edge(&sched, via, bound));
         }
-        let (sync_graph, sync) = self.synchronize(&sched.ipc, &mut plans)?;
+        let (sync_graph, sync, cert) = self.synchronize(&sched.ipc, &mut plans)?;
         let lowered = lower(&sched, &sync_graph, &mut plans)?;
         let library =
             SpiLibraryReport::for_system(&plans, &sched.actor_proc, &self.actor_resources);
         let predicted = self.predict(&sync_graph, &plans);
         self.plan_batches(predicted.as_ref(), &mut plans)?;
-        let analysis = self.verify(&sched, &sync_graph, sync.cert.as_ref(), &plans, &library);
+        let analysis = self.verify(&sched, &sync_graph, cert.as_ref(), &plans, &library);
         let planned = Planned {
             sync,
             plans,
@@ -541,9 +541,14 @@ impl SpiSystemBuilder {
         }
     }
 
-    /// Synchronization graph, resynchronization, and which UBS edges
-    /// keep their acknowledgements.
-    fn synchronize(&self, ipc: &IpcGraph, plans: &mut Plans) -> Result<(SyncGraph, SyncOutcome)> {
+    /// Synchronization graph, resynchronization (with the certificate
+    /// `verify` re-checks), and which UBS edges keep their
+    /// acknowledgements.
+    fn synchronize(
+        &self,
+        ipc: &IpcGraph,
+        plans: &mut Plans,
+    ) -> Result<(SyncGraph, SyncOutcome, Option<ResyncCertificate>)> {
         let mut graph = SyncGraph::from_ipc(ipc, |e| match e.kind {
             IpcEdgeKind::Ipc { via } => plans[&via].sync_protocol(),
             _ => unreachable!("protocol_of is only called for IPC edges"),
@@ -569,12 +574,11 @@ impl SpiSystemBuilder {
         let outcome = SyncOutcome {
             cost_after: graph.sync_cost(),
             report,
-            cert,
             period_estimate: graph.iteration_period(),
             dot_before,
             dot_after,
         };
-        Ok((graph, outcome))
+        Ok((graph, outcome, cert))
     }
 
     /// Predicted-makespan bound for trace conformance, supervision

@@ -8,7 +8,7 @@
 //! a one-shot prologue (delay-token priming, credit grants, pipeline
 //! fills). Every number used here is read from the plan.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use spi_dataflow::{ActorId, EdgeId, SdfGraph, VtsConversion};
 use spi_platform::{ChannelId, ChannelSpec, Machine, Op, PeLocal, Program};
@@ -38,6 +38,7 @@ pub(super) fn machine(
     }
     add_channels(&mut machine, plans, b.channel_template);
     if let Some(slot) = b.ordered_transactions {
+        check_ordered_bus(plans)?;
         machine.set_ordered_bus(spi_platform::OrderedBusSpec {
             order: grant_order(s, sync, plans),
             slot_overhead_cycles: slot,
@@ -79,13 +80,39 @@ fn add_channels(machine: &mut Machine, plans: &mut Plans, template: ChannelSpec)
             ..template
         });
         if plan.ack_kept {
-            let cap = ((plan.ack_window() as usize + 1) * ACK_BYTES).max(16);
             plan.ack_ch = Some(machine.add_channel(ChannelSpec {
-                capacity_bytes: cap,
+                capacity_bytes: ack_channel_bytes(plan),
                 max_message_bytes: ACK_BYTES,
                 ..template
             }));
         }
+    }
+}
+
+/// An acknowledgement channel holds the edge's credit window plus one.
+fn ack_channel_bytes(plan: &EdgePlan) -> usize {
+    ((plan.ack_window() as usize + 1) * ACK_BYTES).max(16)
+}
+
+/// The ordered bus grants its slots in a fixed cyclic order and cannot
+/// skip one, so a sender blocked for *space* when its slot comes up
+/// stalls every other sender, the PE that would drain it included. Data
+/// channels never fill (eq. (2), or the credit window); an
+/// acknowledgement channel can, because the consumer also acknowledges
+/// the edge's pipeline-fill messages, which the producer sent from its
+/// prologue without taking a credit: up to `window + fill_msgs` acks are
+/// outstanding at once. Plans where that exceeds the channel are
+/// rejected, lowest edge first.
+fn check_ordered_bus(plans: &Plans) -> Result<()> {
+    let ack_slots = |p: &EdgePlan| (ack_channel_bytes(p) / ACK_BYTES) as u64;
+    let overflows = |p: &&EdgePlan| p.ack_kept && p.ack_window() + p.fill_msgs > ack_slots(p);
+    match plans.values().filter(overflows).min_by_key(|p| p.edge) {
+        None => Ok(()),
+        Some(plan) => Err(SpiError::OrderedBusUnsupported {
+            edge: plan.edge,
+            fill_msgs: plan.fill_msgs,
+            ack_slots: ack_slots(plan),
+        }),
     }
 }
 
@@ -198,29 +225,37 @@ fn static_timing(ipc: &IpcGraph, sync: &SyncGraph, slack_percent: u32) -> Static
 }
 
 /// Ordered-transactions grant order: one grant per steady-state send
-/// event — data messages at the producer task's analytic end time,
-/// acknowledgements (one per message the firing receives) at the
-/// consumer's.
+/// event — acknowledgements (one per message the firing receives) and
+/// data messages at their task's analytic end time — merged across
+/// processors by (time, edge, channel). Each processor's sends keep the
+/// order its program issues them in (a firing's acks, then its data):
+/// a grant order that inverted two sends of one PE could never be met.
 fn grant_order(s: &Scheduled, sync: &SyncGraph, plans: &Plans) -> Vec<ChannelId> {
     let times = spi_sched::latency::self_timed_times(sync, 1);
     let graph = s.vts.graph();
-    let mut events: Vec<(u64, usize, ChannelId)> = Vec::new();
+    let mut per_pe = vec![VecDeque::new(); s.st.processor_count()];
+    // Tasks are numbered processor by processor, in firing order.
     for (i, task) in s.ipc.tasks().iter().enumerate() {
         let end = times[0][i].1;
-        for eid in graph.out_edges(task.firing.actor) {
-            if let Some(plan) = plans.get(&eid) {
-                events.push((end, eid.0, plan.data_ch));
-            }
-        }
+        let events = &mut per_pe[task.proc.0];
         for eid in graph.in_edges(task.firing.actor) {
             if let Some((plan, ack)) = plans.get(&eid).and_then(|p| Some((p, p.ack_ch?))) {
                 let count = plan.recv_counts[task.firing.k as usize];
                 events.extend(std::iter::repeat_n((end, eid.0, ack), count as usize));
             }
         }
+        for eid in graph.out_edges(task.firing.actor) {
+            if let Some(plan) = plans.get(&eid) {
+                events.push_back((end, eid.0, plan.data_ch));
+            }
+        }
     }
-    events.sort();
-    events.into_iter().map(|(_, _, ch)| ch).collect()
+    let mut order = Vec::new();
+    let pending = |q: &&mut VecDeque<_>| !q.is_empty();
+    while let Some(next) = per_pe.iter_mut().filter(pending).min_by_key(|q| q[0]) {
+        order.extend(next.pop_front().map(|(_, _, ch)| ch));
+    }
+    order
 }
 
 /// Program generator over the finished plans.

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use spi_dataflow::EdgeId;
 use spi_platform::{ChannelId, Machine, SimReport, Tracer};
-use spi_sched::{Partition, Protocol, ResyncCertificate, ResyncReport};
+use spi_sched::{Partition, Protocol, ResyncReport};
 
 use super::build::{EdgePlan, Plans};
 use super::lower::recorded_failure;
@@ -19,7 +19,6 @@ use crate::message::SpiPhase;
 pub(super) struct SyncOutcome {
     pub(super) cost_after: usize,
     pub(super) report: Option<ResyncReport>,
-    pub(super) cert: Option<ResyncCertificate>,
     pub(super) period_estimate: Option<f64>,
     pub(super) dot_before: String,
     pub(super) dot_after: String,
@@ -49,14 +48,14 @@ impl SpiSystem {
     }
 
     /// The processor→node mapping of a distributed build (set with
-    /// [`SpiSystemBuilder::partition`]), for the node launcher. `None`
+    /// [`crate::SpiSystemBuilder::partition`]), for the node launcher. `None`
     /// for a single-process system.
     pub fn partition(&self) -> Option<&Partition> {
         self.partition.as_ref()
     }
 
     /// The full static-analysis report of the build. Error-severity
-    /// diagnostics abort [`SpiSystemBuilder::build`], so this contains
+    /// diagnostics abort [`crate::SpiSystemBuilder::build`], so this contains
     /// at most warnings and notes.
     pub fn analysis(&self) -> &spi_analyze::AnalysisReport {
         &self.analysis
@@ -71,14 +70,6 @@ impl SpiSystem {
     /// Resynchronization outcome (if the pass was enabled).
     pub fn resync_report(&self) -> Option<ResyncReport> {
         self.sync.report
-    }
-
-    /// Proof artifact of the certified resynchronization run: one
-    /// redundancy witness per removed sync edge, plus the net-cost
-    /// justification of every added resync edge. Already re-verified by
-    /// the SPI061/SPI062 analyzer pass during the build.
-    pub fn resync_certificate(&self) -> Option<&ResyncCertificate> {
-        self.sync.cert.as_ref()
     }
 
     /// Removable synchronization edges remaining after optimization.
@@ -228,7 +219,7 @@ impl SpiSystem {
     /// # Errors
     ///
     /// Platform errors (a timeout surfaces as deadlock) and
-    /// [`SpiError::ActorFailed`] if any actor recorded a failure.
+    /// [`crate::SpiError::ActorFailed`] if any actor recorded a failure.
     pub fn run_threaded(self) -> Result<Vec<spi_platform::ThreadedPeResult>> {
         self.run_threaded_with(&spi_platform::ThreadedRunner::new())
     }
@@ -269,7 +260,7 @@ impl SpiSystem {
     /// # Errors
     ///
     /// Platform errors (deadlock, budget) and
-    /// [`SpiError::ActorFailed`] if any actor recorded a failure during
+    /// [`crate::SpiError::ActorFailed`] if any actor recorded a failure during
     /// the run.
     pub fn run(self) -> Result<SpiRunReport> {
         let sim = self.machine.run()?;

@@ -304,6 +304,36 @@ fn ordered_transactions_run_and_serialize_grants() {
 }
 
 #[test]
+fn ordered_grants_keep_each_processors_send_order() {
+    // A chain whose second edge has the lower id: when `y` finishes it
+    // acknowledges e1 and then sends on e0, both at one analytic time. A
+    // grant order sorted by edge id alone asks for the data send first,
+    // which `y`'s program can never deliver.
+    let mut g = SdfGraph::new();
+    let x = g.add_actor("x", 30);
+    let y = g.add_actor("y", 30);
+    let z = g.add_actor("z", 30);
+    let e0 = g.add_edge(y, z, 1, 1, 0, 4).unwrap();
+    let e1 = g.add_edge(x, y, 1, 1, 0, 4).unwrap();
+    let mut b = SpiSystemBuilder::new(g);
+    b.actor(x, move |ctx: &mut Firing| {
+        ctx.set_output(e1, vec![1; 4]);
+        30
+    });
+    b.actor(y, move |ctx: &mut Firing| {
+        ctx.set_output(e0, vec![2; 4]);
+        30
+    });
+    b.actor(z, |_: &mut Firing| 30);
+    b.iterations(6).ordered_transactions(1);
+    let sys = b.build(3, |a| ProcId(a.0)).unwrap();
+    assert!(sys.edge_plans().values().all(|p| p.ack_kept));
+    let report = sys.run().expect("every grant slot is reachable");
+    let data = [e0, e1].map(|e| report.edge_traffic(e).expect("cross edge"));
+    assert!(data.iter().all(|stats| stats.messages == 6));
+}
+
+#[test]
 fn software_io_processor_shifts_the_bottleneck() {
     // Hardware/software co-design (paper §5.2): the I/O processor is
     // software. Making it 4× slower must lengthen the period.

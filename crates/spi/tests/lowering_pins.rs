@@ -9,10 +9,11 @@
 //! lowered ([`SpiSystemBuilder::plan`], what `spi-lint --procs` runs):
 //! the report must be the one the built system carries.
 
-use spi::{Firing, SchedulingMode, SpiSystem, SpiSystemBuilder};
+use spi::{Firing, SchedulingMode, SpiError, SpiSystem, SpiSystemBuilder};
 use spi_apps::{
     ErrorStageApp, ErrorStageConfig, FilterBankApp, FilterBankConfig, PrognosisApp, PrognosisConfig,
 };
+use spi_dataflow::psdf::{PsdfGraph, RateExpr};
 use spi_dataflow::{ActorId, LengthSignal, SdfGraph};
 use spi_platform::Op;
 use spi_sched::{Partition, ProcId};
@@ -130,6 +131,43 @@ fn fanout_ordered(knobs: impl Knobs) -> Recipe {
     (builder, 3, Box::new(|actor| ProcId(actor.0)))
 }
 
+/// The VTS envelope of a parameterized graph — frame length
+/// N ∈ 16..=64, model order M ∈ 2..=8 — one actor per processor, moving
+/// a different N and M every iteration, as
+/// `examples/parameterized_rates.rs` has them. What is pinned is the
+/// reduction: an `SdfGraph` whose two edges are dynamic, bounded by the
+/// domain maxima, and lowered like any other.
+fn psdf_envelope() -> Recipe {
+    let mut psdf = PsdfGraph::new();
+    let n = psdf.add_param("N", 16, 64);
+    let m = psdf.add_param("M", 2, 8);
+    let reader = psdf.add_actor("reader", 30);
+    let solver = psdf.add_actor("solver", 80);
+    let sink = psdf.add_actor("sink", 20);
+    let var = |param| RateExpr::Param { param, mul: 1 };
+    let data = psdf.add_edge(reader, solver, var(n), var(n), 0, 8);
+    let coef = psdf.add_edge(solver, sink, var(m), var(m), 0, 8);
+    let (data, coef) = (data.unwrap(), coef.unwrap());
+    let n_at = |iter: u64| (16 + (iter * 7) % 49) as usize;
+    let m_at = |iter: u64| (2 + (iter * 3) % 7) as usize;
+    let mut builder = SpiSystemBuilder::new(psdf.vts_envelope().expect("bounded domains"));
+    builder.actor(reader, move |ctx: &mut Firing| {
+        ctx.set_output(data, vec![0x11; n_at(ctx.iter) * 8]);
+        30
+    });
+    builder.actor(solver, move |ctx: &mut Firing| {
+        assert_eq!(ctx.input(data).len(), n_at(ctx.iter) * 8);
+        ctx.set_output(coef, vec![0x22; m_at(ctx.iter) * 8]);
+        80
+    });
+    builder.actor(sink, move |ctx: &mut Firing| {
+        assert_eq!(ctx.input(coef).len(), m_at(ctx.iter) * 8);
+        20
+    });
+    builder.iterations(ITERATIONS);
+    (builder, 3, Box::new(|actor| ProcId(actor.0)))
+}
+
 /// `ops` as text, runs of one op folded to `NxOp`.
 fn folded(ops: &[Op]) -> String {
     let mut runs: Vec<(String, usize)> = Vec::new();
@@ -220,7 +258,7 @@ fn dump(name: &str, recipe: &dyn Fn() -> Recipe) -> Vec<String> {
 #[test]
 fn lowering_matches_the_pinned_capture() {
     let static_10 = SchedulingMode::FullyStatic { slack_percent: 10 };
-    let systems: [(&str, &dyn Fn() -> Recipe); 15] = [
+    let systems: [(&str, &dyn Fn() -> Recipe); 16] = [
         ("app1 n=1", &|| app1(1, |b| b)),
         ("app1 n=2", &|| app1(2, |b| b)),
         ("app1 n=4", &|| app1(4, |b| b)),
@@ -248,6 +286,7 @@ fn lowering_matches_the_pinned_capture() {
         ("app1 n=2 partitioned 3 procs / 3 nodes", &|| {
             app1(2, |b| b.partition(blocks(3, 3)))
         }),
+        ("psdf envelope N=16..=64 M=2..=8", &psdf_envelope),
     ];
     let actual: Vec<String> = systems
         .iter()
@@ -268,4 +307,22 @@ fn lowering_matches_the_pinned_capture() {
         actual.get(line).map_or("<end of dump>", String::as_str),
         actual.join("\n"),
     );
+}
+
+/// `delayed` on the ordered-transactions bus: e2 keeps its acks and
+/// carries two pipeline-fill messages, so its 17-slot ack channel can
+/// fill and wedge the grant order — built anyway, the DES run used to
+/// die in `unreachable!` and, past that, deadlock.
+#[test]
+fn ordered_bus_rejects_acknowledged_pipeline_fills() {
+    let (builder, processors, assign) = delayed(|b| b.ordered_transactions(1));
+    match builder.build(processors, &assign) {
+        Err(SpiError::OrderedBusUnsupported {
+            edge,
+            fill_msgs: 2,
+            ack_slots: 17,
+        }) => assert_eq!(edge.0, 2),
+        Err(other) => panic!("wrong rejection: {other}"),
+        Ok(_) => panic!("delayed must not lower onto the ordered bus"),
+    }
 }

@@ -2,13 +2,14 @@
 //! filter bank, fully-static scheduling, the shared bus, DIF round-trips
 //! and trace rendering.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use spi_repro::apps::{FilterBankApp, FilterBankConfig, PrognosisApp, PrognosisConfig};
+use spi_repro::dataflow::psdf::{PsdfGraph, RateExpr};
 use spi_repro::dataflow::{dif, CsdfGraph, PhaseRates};
 use spi_repro::platform::BusSpec;
 use spi_repro::sched::ProcId;
-use spi_repro::spi::{SchedulingMode, SpiSystemBuilder};
+use spi_repro::spi::{Firing, SchedulingMode, SpiSystem, SpiSystemBuilder};
 use spi_repro::trace::{render_gantt, ClockKind, RingTracer};
 
 #[test]
@@ -128,12 +129,41 @@ fn fully_static_and_bus_compose() {
     );
 }
 
+/// Runs one freshly built system per engine — the DES, then real
+/// threads over each copying transport — and holds every threaded run to
+/// the DES's final PE stores and to what `build`'s second half reads
+/// back from the actors afterwards. Returns the DES's reading.
+fn engines_agree<O: PartialEq + std::fmt::Debug>(
+    build: impl Fn() -> (SpiSystem, Box<dyn FnOnce() -> O>),
+) -> O {
+    use spi_repro::platform::{ThreadedRunner, TransportKind};
+
+    let (sys, observe) = build();
+    let des = sys.run().expect("DES run").sim.locals;
+    let des_seen = observe();
+    for kind in [TransportKind::Locked, TransportKind::Ring] {
+        let (sys, observe) = build();
+        let threaded = sys
+            .run_threaded_with(&ThreadedRunner::new().transport(kind))
+            .expect("threaded run");
+        assert_eq!(des.len(), threaded.len());
+        for (pe, (d, t)) in des.iter().zip(&threaded).enumerate() {
+            assert_eq!(d.store, t.store, "pe{pe} final store ({kind:?})");
+        }
+        assert_eq!(
+            des_seen,
+            observe(),
+            "engines must agree bit-for-bit ({kind:?})"
+        );
+    }
+    des_seen
+}
+
 #[test]
 fn spi_systems_run_identically_on_real_threads() {
     use spi_repro::apps::{ErrorStageApp, ErrorStageConfig};
-    use spi_repro::platform::{ThreadedRunner, TransportKind};
 
-    let build = || {
+    let des_residuals = engines_agree(|| {
         let app = ErrorStageApp::new(ErrorStageConfig {
             n_pes: 3,
             frame: 120,
@@ -143,25 +173,61 @@ fn spi_systems_run_identically_on_real_threads() {
         })
         .expect("valid config");
         let sys = app.system(4).expect("buildable");
-        (app, sys)
-    };
-    // DES run.
-    let (app_des, sys) = build();
-    sys.run().expect("DES run");
-    let des_residuals = app_des.residual_energy.lock().expect("res").clone();
-    // Threaded runs of identical, freshly built systems — once per
-    // transport implementation.
-    for kind in [TransportKind::Locked, TransportKind::Ring] {
-        let (app_thr, sys) = build();
-        sys.run_threaded_with(&ThreadedRunner::new().transport(kind))
-            .expect("threaded run");
-        let thr_residuals = app_thr.residual_energy.lock().expect("res").clone();
-        assert_eq!(des_residuals.len(), 4);
-        assert_eq!(
-            des_residuals, thr_residuals,
-            "engines must agree bit-for-bit ({kind:?})"
-        );
-    }
+        let residuals = app.residual_energy.clone();
+        (
+            sys,
+            Box::new(move || residuals.lock().expect("res").clone()),
+        )
+    });
+    assert_eq!(des_residuals.len(), 4);
+}
+
+#[test]
+fn psdf_envelope_runs_identically_on_real_threads() {
+    // The parameterized front end beside the cyclo-static one above: a
+    // PSDF graph (N ∈ 16..=64, M ∈ 2..=8) reduced to its VTS envelope,
+    // three processors, N and M changing every iteration — the system
+    // `lowering_pins.txt` pins, here on both engines.
+    let seen = engines_agree(|| {
+        let mut psdf = PsdfGraph::new();
+        let n = psdf.add_param("N", 16, 64);
+        let m = psdf.add_param("M", 2, 8);
+        let reader = psdf.add_actor("reader", 30);
+        let solver = psdf.add_actor("solver", 80);
+        let sink = psdf.add_actor("sink", 20);
+        let var = |param| RateExpr::Param { param, mul: 1 };
+        let data = psdf.add_edge(reader, solver, var(n), var(n), 0, 8);
+        let coef = psdf.add_edge(solver, sink, var(m), var(m), 0, 8);
+        let (data, coef) = (data.expect("edge"), coef.expect("edge"));
+        psdf.check_consistency()
+            .expect("consistent over the domain");
+        let n_at = |iter: u64| (16 + (iter * 7) % 49) as usize;
+        let m_at = |iter: u64| (2 + (iter * 3) % 7) as usize;
+        let mut b = SpiSystemBuilder::new(psdf.vts_envelope().expect("bounded domains"));
+        b.actor(reader, move |ctx: &mut Firing| {
+            ctx.set_output(data, vec![ctx.iter as u8; n_at(ctx.iter) * 8]);
+            30
+        });
+        b.actor(solver, move |ctx: &mut Firing| {
+            let frame = ctx.input(data);
+            let digest = frame
+                .iter()
+                .fold(frame.len() as u8, |d, x| d.wrapping_add(*x));
+            ctx.set_output(coef, vec![digest; m_at(ctx.iter) * 8]);
+            80
+        });
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = seen.clone();
+        b.actor(sink, move |ctx: &mut Firing| {
+            log.lock().expect("log").push(ctx.input(coef).to_vec());
+            20
+        });
+        b.iterations(40);
+        let sys = b.build(3, |a| ProcId(a.0)).expect("buildable");
+        (sys, Box::new(move || seen.lock().expect("log").clone()))
+    });
+    assert_eq!(seen.len(), 40);
+    assert_eq!(seen[1].len(), (2 + 3) * 8, "M follows its schedule");
 }
 
 #[test]
