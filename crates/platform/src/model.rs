@@ -262,6 +262,9 @@ struct St {
     current: Option<usize>,
     /// Mutex object id -> owning thread.
     lock_owner: HashMap<usize, usize>,
+    /// Set by [`waive_wake_rule`]: this run holds a wait list that
+    /// unparks under its lock on purpose.
+    wake_rule_waived: bool,
     /// Label of object `i + 1`, in creation order — which the scenario
     /// (explore) or the schedule (everything after) makes deterministic.
     labels: Vec<&'static str>,
@@ -289,6 +292,7 @@ impl Session {
                 threads: Vec::new(),
                 current: None,
                 lock_owner: HashMap::new(),
+                wake_rule_waived: false,
                 labels: Vec::new(),
                 panicked: None,
                 abort: false,
@@ -463,6 +467,14 @@ pub(crate) fn park(dur: Duration) -> bool {
 /// Returns `true` when the unpark was handled by the session.
 pub(crate) fn unpark(target: ThreadId) -> bool {
     target.is_some_and(|t| point(|_, _| Op::Unpark(t)))
+}
+
+/// Exempts the calling thread's session from [`wake_under_lock`]. For
+/// the reverted-wakeup regression oracle alone, whose wait list keeps
+/// the pre-PR 3 wake path — unparks under the lock included — so that
+/// the lost wakeup it is kept for stays the failure its runs report.
+pub(crate) fn waive_wake_rule() {
+    with_ctx(|ctx| ctx.sess.lock_st().wake_rule_waived = true);
 }
 
 /// The condvar wait protocol: atomically (in the model's view, at this
@@ -671,7 +683,9 @@ pub enum FailureKind {
         /// One description per unfinished thread.
         blocked: Vec<String>,
     },
-    /// A scenario thread panicked.
+    /// A scenario thread panicked, or broke a rule the engine holds
+    /// every thread to (a wake-up issued under a lock); the message
+    /// says which.
     Panic {
         /// Thread name.
         thread: String,
@@ -894,6 +908,29 @@ fn apply_grant(st: &mut St, choice: usize, op: Op) {
     }
 }
 
+/// The rule every granted `Unpark` is held to, on every schedule of
+/// every policy: the waker owns no shim mutex. A woken waiter's next
+/// steps take the lock it registered under; woken while its waker
+/// still holds that lock it blocks again at once, and the hand-off pays
+/// a lock convoy that the step counts of a sequentially consistent
+/// model do not show. Reported as the waker's failure.
+fn wake_under_lock(st: &St, waker: usize, op: Op) -> Option<FailureKind> {
+    let Op::Unpark(woken) = op else { return None };
+    if st.wake_rule_waived {
+        return None;
+    }
+    let owned = st.lock_owner.iter().filter(|&(_, &t)| t == waker);
+    let held = owned.map(|(&m, _)| m).min()?;
+    Some(FailureKind::Panic {
+        thread: st.threads[waker].name.clone(),
+        message: format!(
+            "wake-up under a lock: unpark [{}] while holding {}",
+            thread_name(woken, st),
+            obj_name(held, st)
+        ),
+    })
+}
+
 fn obj_name(id: usize, st: &St) -> String {
     match id.checked_sub(1).and_then(|i| st.labels.get(i)) {
         Some(l) => format!("{l}#{id}"),
@@ -1073,6 +1110,9 @@ fn drive(sess: &Session, mut choice: Choice<'_>, max_steps: usize) -> Outcome {
             );
         }
         granted.push((pick, op));
+        if let Some(kind) = wake_under_lock(&st, pick, op) {
+            break End::Failed(kind);
+        }
         last = Some(pick);
         st.current = Some(pick);
         st.threads[pick].wake.notify_one();

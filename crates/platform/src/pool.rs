@@ -173,6 +173,13 @@ impl BufferPool {
         self.inner.free.occupancy()
     }
 
+    /// The free list, for the transport's wait-list test: the one ring
+    /// whose receive end real threads share.
+    #[cfg(test)]
+    pub(crate) fn free_list(&self) -> &RingTransport {
+        &self.inner.free
+    }
+
     /// Whether `lease` was acquired from this pool (same slab).
     pub fn owns(&self, lease: &TokenBuf) -> bool {
         Arc::ptr_eq(&self.inner, &lease.inner)

@@ -510,6 +510,7 @@ impl LockedTransport {
         inner.used_bytes += len;
         inner.pushes += 1;
         inner.queue.push_back(data);
+        drop(inner);
         self.not_empty.notify_one();
         Ok(())
     }
@@ -595,9 +596,10 @@ impl Transport for LockedTransport {
 // ---------------------------------------------------------------------
 
 /// A set of threads parked on one side (producer or consumer) of a
-/// ring. The fast path is a single relaxed load of `waiting`; the mutex
-/// is only touched when a thread actually has to park — i.e. when the
-/// ring is full or empty and blocking was inevitable anyway.
+/// ring. The fast path is a `SeqCst` fence and an `Acquire` load of
+/// `waiting`; the mutex is only touched when a thread actually has to
+/// park — i.e. when the ring is full or empty and blocking was
+/// inevitable anyway.
 struct WaitList {
     waiting: shim::AtomicUsize,
     threads: shim::Mutex<Vec<shim::ThreadHandle>>,
@@ -632,6 +634,16 @@ impl WaitList {
     /// buffers while each side's subsequent load reads stale state, so
     /// the parker re-checks "still blocked" *and* this load reads
     /// "nobody waiting", losing the wakeup for good.
+    ///
+    /// No thread is woken while its waker holds a lock the woken thread
+    /// takes next: the handles are cloned out of the list and unparked
+    /// *after* the unlock. A woken waiter goes straight to its
+    /// deregistration in [`WaitList::park_until`]; where it pre-empts
+    /// its waker (every PE on one CPU) an unpark under the lock sends
+    /// it to sleep again on this mutex, and each hand-off pays two more
+    /// context switches and a futex pair to pass the lock back. With
+    /// one waiter (every SPI edge) the clone is a reference-count bump;
+    /// only a shared end (the pool's free list) allocates for the rest.
     fn wake_all(&self) {
         shim::fence(Ordering::SeqCst);
         if self.waiting.load(Ordering::Acquire) == 0 {
@@ -640,17 +652,23 @@ impl WaitList {
         let mut threads = self.threads.lock();
         if self.wake_dequeues {
             // The mechanically reverted PR 3 bug, reachable only from
-            // the model-checker oracle: draining on wake orphans a
-            // waiter that re-parks after its token was absorbed
-            // elsewhere — the next wake finds an empty list.
+            // the model-checker oracle, lock held across the unparks as
+            // it was then: draining on wake orphans a waiter that
+            // re-parks after its token was absorbed elsewhere — the
+            // next wake finds an empty list.
             for t in threads.drain(..) {
                 t.unpark();
             }
             self.waiting.store(0, Ordering::Release);
-        } else {
-            for t in threads.iter() {
-                t.unpark();
-            }
+            return;
+        }
+        let Some((first, rest)) = threads.split_first() else {
+            return;
+        };
+        let (first, rest) = (first.clone(), rest.to_vec());
+        drop(threads);
+        for t in std::iter::once(first).chain(rest) {
+            t.unpark();
         }
     }
 
@@ -811,9 +829,13 @@ impl RingTransport {
     /// mechanically reverted (wake-all *with* dequeue). This is the
     /// model checker's regression oracle — `spi-verify` asserts the
     /// explorer finds a deadlocking schedule for this variant and none
-    /// for the fixed one. Never reachable from production builds.
+    /// for the fixed one. Never reachable from production builds. The
+    /// reverted wake path also unparks under its lock, so building one
+    /// inside a session waives the engine's wake-up rule for that run:
+    /// the lost wakeup stays what the oracle's runs report.
     #[cfg(feature = "verify-shim")]
     pub fn new_with_reverted_wakeup(capacity_bytes: usize, slot_bytes: usize) -> Self {
+        crate::model::waive_wake_rule();
         let mut t = Self::new(capacity_bytes, slot_bytes);
         t.consumer.waiters.wake_dequeues = true;
         t.producer.waiters.wake_dequeues = true;
@@ -1474,6 +1496,53 @@ mod tests {
             t.send(&[9; 4], T).unwrap();
             assert_eq!(receiver.join().unwrap().unwrap(), vec![9; 4]);
         }
+    }
+
+    /// `wake_all` with more than one waiter registered — a shared end,
+    /// which among real threads only the pool's free list is: every
+    /// one of them is unparked (after the unlock), so each wake-up lets
+    /// one through and leaves the other parked for the next.
+    #[test]
+    fn every_registered_waiter_is_woken() {
+        let long = Duration::from_secs(5);
+        let both_registered = |ring: &RingTransport| {
+            while ring.consumer.waiters.waiting.load(Ordering::Acquire) < 2 {
+                thread::yield_now();
+            }
+        };
+
+        let ring = Arc::new(RingTransport::new(4, 4));
+        let receivers: Vec<_> = (0..2)
+            .map(|_| {
+                let r = Arc::clone(&ring);
+                thread::spawn(move || r.recv(long))
+            })
+            .collect();
+        both_registered(&ring);
+        ring.send(&[1; 4], long).unwrap();
+        ring.send(&[2; 4], long).unwrap();
+        let mut got: Vec<Vec<u8>> = receivers
+            .into_iter()
+            .map(|r| r.join().unwrap().unwrap())
+            .collect();
+        got.sort();
+        assert_eq!(got, [vec![1; 4], vec![2; 4]]);
+
+        let pool = BufferPool::new(1, 8);
+        let held = pool.acquire(T).unwrap();
+        let acquirers: Vec<_> = (0..2)
+            .map(|_| {
+                let p = pool.clone();
+                thread::spawn(move || p.acquire(long).map(drop))
+            })
+            .collect();
+        both_registered(pool.free_list());
+        // The release wakes both; the winner's own release, the other.
+        drop(held);
+        for a in acquirers {
+            a.join().unwrap().unwrap();
+        }
+        assert_eq!(pool.available(), 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Exploration of scenarios that use the shim's condvar and `try_lock`.
+//! Exploration of scenarios that use the shim's condvar, `try_lock` and
+//! park / unpark directly.
 //!
 //! Before the engines were merged these operations were schedule points
 //! only under the seeded simulator: under `explore` they fell through
@@ -16,7 +17,7 @@ use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 use std::time::Duration;
 
-use spi_platform::shim::{AtomicUsize, Condvar, Mutex};
+use spi_platform::shim::{self, AtomicUsize, Condvar, Mutex, ThreadHandle};
 use spi_verify::{explore, FailureKind, ModelOptions};
 
 /// The model clock is frozen, so this timeout is "never".
@@ -125,4 +126,60 @@ fn try_lock_is_a_schedule_point() {
         ex.schedules >= 2,
         "both outcomes of the attempt are explored"
     );
+}
+
+/// A waiter publishes its handle under a mutex and parks until a flag
+/// is set; the waker sets the flag, reads the handle under the mutex,
+/// and unparks it — before or after it unlocks.
+fn explore_wake(under_lock: bool) -> spi_verify::Exploration {
+    explore(&ModelOptions::default(), move |sc| {
+        let slot = Arc::new(Mutex::labeled(None::<ThreadHandle>, "waiter_slot"));
+        let woken = Arc::new(AtomicUsize::labeled(0, "woken"));
+        let (slot2, woken2) = (Arc::clone(&slot), Arc::clone(&woken));
+        sc.thread("waiter", move || {
+            *slot2.lock() = Some(shim::current());
+            while woken2.load(SeqCst) == 0 {
+                shim::park_timeout(NEVER);
+            }
+        });
+        sc.thread("waker", move || {
+            woken.store(1, SeqCst);
+            let guard = slot.lock();
+            let waiter = guard.clone();
+            // Unlocks here unless the unpark is to happen under the lock.
+            let held = under_lock.then_some(guard);
+            if let Some(t) = waiter {
+                t.unpark();
+            }
+            drop(held);
+        });
+    })
+}
+
+/// The engine's wake-up rule has teeth: the same hand-off is clean when
+/// the unpark follows the unlock and fails — on the first schedule in
+/// which the waiter has registered — when it does not. This is what the
+/// ring, pointer and try-then-block explorations hold `WaitList::wake_all`
+/// to on every schedule (`explore_ring.rs`; the parent's wake path, which
+/// unparked under `threads.lock()`, failed all of them).
+#[test]
+fn unpark_under_a_lock_fails_the_exploration() {
+    let clean = explore_wake(false);
+    assert!(!clean.capped);
+    if let Some(f) = &clean.failure {
+        panic!("unlock-then-unpark failed:\n{f}");
+    }
+    let failure = explore_wake(true)
+        .failure
+        .expect("an unpark under a lock must fail the exploration");
+    match &failure.kind {
+        FailureKind::Panic { thread, message } => {
+            assert_eq!(thread, "waker");
+            assert!(
+                message.contains("unpark [waiter] while holding waiter_slot"),
+                "the report names the woken thread and the lock: {message}"
+            );
+        }
+        other => panic!("expected the wake-up rule, found {other:?}\n{failure}"),
+    }
 }
