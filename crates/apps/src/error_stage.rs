@@ -226,8 +226,8 @@ impl ErrorStageApp {
 
             // ----- D_i: the hardware error generator ---------------------
             builder.actor(self.d_error[i], move |ctx: &mut Firing| {
-                let section = f64s_from_bytes(&ctx.take_input(sec));
-                let raw = ctx.take_input(coe);
+                let section = f64s_from_bytes(ctx.input(sec));
+                let raw = ctx.input(coe);
                 let order = u64::from_le_bytes(raw[..8].try_into().expect("order header")) as usize;
                 let coeffs = f64s_from_bytes(&raw[8..]);
                 let hist = if i == 0 { 0 } else { order.min(section.len()) };
@@ -244,7 +244,7 @@ impl ErrorStageApp {
             let acc = Arc::clone(&frame_acc);
             let out = Arc::clone(&self.residual_energy);
             builder.actor(self.io_recv[i], move |ctx: &mut Firing| {
-                let errors = f64s_from_bytes(&ctx.take_input(err));
+                let errors = f64s_from_bytes(ctx.input(err));
                 let energy: f64 = errors.iter().map(|e| e * e).sum();
                 let mut a = acc.lock().expect("frame accumulator");
                 if a.0 != ctx.iter {

@@ -192,7 +192,7 @@ impl FilterBankApp {
 
         let mut low_fir = Fir::lowpass(cfg.taps, 0.2);
         builder.actor(self.low, move |ctx: &mut Firing| {
-            let frame = f64s_from_bytes(&ctx.take_input(e_sl));
+            let frame = f64s_from_bytes(ctx.input(e_sl));
             let filtered = low_fir.process(&frame);
             let out = decimate(&filtered, cfg.low_decimation);
             ctx.set_output(e_ls, f64s_to_bytes(&out));
@@ -202,7 +202,7 @@ impl FilterBankApp {
 
         let mut high_fir = Fir::lowpass(cfg.taps, 0.05);
         builder.actor(self.high, move |ctx: &mut Firing| {
-            let frame = f64s_from_bytes(&ctx.take_input(e_sh));
+            let frame = f64s_from_bytes(ctx.input(e_sh));
             let filtered = high_fir.process(&frame);
             let out = decimate(&filtered, cfg.high_decimation);
             ctx.set_output(e_hs, f64s_to_bytes(&out));
@@ -211,8 +211,8 @@ impl FilterBankApp {
 
         let output = Arc::clone(&self.output);
         builder.actor(self.sink, move |ctx: &mut Firing| {
-            let mut merged = f64s_from_bytes(&ctx.take_input(e_ls));
-            merged.extend(f64s_from_bytes(&ctx.take_input(e_hs)));
+            let mut merged = f64s_from_bytes(ctx.input(e_ls));
+            merged.extend(f64s_from_bytes(ctx.input(e_hs)));
             let n = merged.len();
             output.lock().expect("output").push(merged);
             30 + n as u64

@@ -263,7 +263,7 @@ impl SpeechApp {
             .copied()
             .expect("B has one out edge");
         builder.actor(self.b_fft, move |ctx: &mut Firing| {
-            let frame = f64s_from_bytes(&ctx.take_input(ab));
+            let frame = f64s_from_bytes(ctx.input(ab));
             let order = cfg.order(ctx.iter);
             let r = autocorr_via_fft(&frame, order);
             let mut payload = Vec::with_capacity(8 * (r.len() + 1));
@@ -277,7 +277,7 @@ impl SpeechApp {
         let coeff_edges = self.coeff_edges.clone();
         let coeff_to_coder = self.coeff_to_coder;
         builder.actor(self.c_lu, move |ctx: &mut Firing| {
-            let raw = ctx.take_input(bc);
+            let raw = ctx.input(bc);
             let order = u64::from_le_bytes(raw[..8].try_into().expect("order header")) as usize;
             let r = f64s_from_bytes(&raw[8..]);
             let coeffs = solve_normal_equations(&r, order);
@@ -297,8 +297,8 @@ impl SpeechApp {
             let coe = self.coeff_edges[i];
             let err = self.error_edges[i];
             builder.actor(di, move |ctx: &mut Firing| {
-                let section = f64s_from_bytes(&ctx.take_input(sec));
-                let raw = ctx.take_input(coe);
+                let section = f64s_from_bytes(ctx.input(sec));
+                let raw = ctx.input(coe);
                 let order = u64::from_le_bytes(raw[..8].try_into().expect("order header")) as usize;
                 let coeffs = f64s_from_bytes(&raw[8..]);
                 // History samples precede the section's own range.
@@ -317,9 +317,9 @@ impl SpeechApp {
         builder.actor(self.e_huffman, move |ctx: &mut Firing| {
             let mut residual = Vec::new();
             for &edge in &error_edges {
-                residual.extend(f64s_from_bytes(&ctx.take_input(edge)));
+                residual.extend(f64s_from_bytes(ctx.input(edge)));
             }
-            let raw_coeffs = ctx.take_input(coder_coeffs);
+            let raw_coeffs = ctx.input(coder_coeffs);
             let coeffs = f64s_from_bytes(&raw_coeffs[8.min(raw_coeffs.len())..]);
             let energy: f64 = residual.iter().map(|e| e * e).sum();
             let q = Quantizer::new(4.0, 8);

@@ -225,12 +225,8 @@ pub fn ablation_selftimed_vs_static(jitter_percent: u32, iterations: u64) -> Abl
         }
         let mut b = SpiSystemBuilder::new(g);
         for (i, &a) in actors.iter().enumerate() {
-            let in_edge = if i > 0 { Some(edges[i - 1]) } else { None };
             let out_edge = edges.get(i).copied();
             b.actor(a, move |ctx: &mut spi::Firing| {
-                if let Some(e) = in_edge {
-                    let _ = ctx.take_input(e);
-                }
                 if let Some(e) = out_edge {
                     ctx.set_output(e, vec![0; 4]);
                 }

@@ -71,8 +71,8 @@ pub use pool::{BufferPool, Token, TokenBuf};
 pub use resource::{components, Device, ResourceEstimate, ResourcePercent};
 pub use runner::{ThreadedPeResult, ThreadedRunner, TransportDecorator, DEFAULT_DEADLOCK_TIMEOUT};
 pub use sim::{
-    BusSpec, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op, OrderedBusSpec,
-    PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn,
+    BusSpec, ByteQueue, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op,
+    OrderedBusSpec, PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn,
 };
 #[cfg(feature = "verify-shim")]
 pub use supervise::protocol;

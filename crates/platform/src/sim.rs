@@ -89,11 +89,61 @@ impl ChannelSpec {
     }
 }
 
+/// A FIFO of bytes in one reused buffer with a read cursor: what a
+/// dataflow edge between two ops of one PE is made of.
+///
+/// [`take`](ByteQueue::take) lends the next bytes out of the buffer and
+/// moves the cursor past them; [`push`](ByteQueue::push) appends, first
+/// dropping the consumed prefix once it is longer than what is still
+/// pending. A queue that drains therefore restarts at offset 0, one
+/// that never drains (an edge with delay tokens) stays within twice its
+/// pending bytes plus one push, and neither allocates once its buffer
+/// has reached that size.
+#[derive(Debug, Default, Clone)]
+pub struct ByteQueue {
+    buf: Vec<u8>,
+    head: usize,
+}
+
+impl ByteQueue {
+    /// Appends `bytes`.
+    pub fn push(&mut self, bytes: &[u8]) {
+        let pending = self.buf.len() - self.head;
+        if self.head > pending {
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(pending);
+            self.head = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The bytes pushed and not yet taken.
+    pub fn pending(&self) -> &[u8] {
+        &self.buf[self.head..]
+    }
+
+    /// Takes the next `n` bytes; `None` (and nothing consumed) if fewer
+    /// are pending.
+    pub fn take(&mut self, n: usize) -> Option<&[u8]> {
+        let end = self.head.checked_add(n).filter(|&e| e <= self.buf.len())?;
+        let start = std::mem::replace(&mut self.head, end);
+        Some(&self.buf[start..end])
+    }
+
+    /// Bytes the buffer holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+}
+
 /// Mutable per-PE state visible to program closures.
 ///
 /// `store` is the PE's local memory (keyed scratch space shared by all
 /// ops of the PE); `inbox` receives payloads in arrival order, tagged by
-/// channel.
+/// channel. `queues` and `staged` are the same memory addressed by
+/// index, for whoever generated the program and numbered its slots
+/// (both start empty; the generator's closures size them): bytes moving
+/// between two ops every iteration have no name to hash.
 #[derive(Debug, Default)]
 pub struct PeLocal {
     /// Current iteration index (0-based).
@@ -104,9 +154,40 @@ pub struct PeLocal {
     pub inbox: VecDeque<(ChannelId, Token)>,
     /// Keyed local memory.
     pub store: HashMap<String, Vec<u8>>,
+    /// Indexed byte queues: tokens produced by one compute op and
+    /// consumed by a later one.
+    pub queues: Vec<ByteQueue>,
+    /// Indexed staged messages: built by a compute op, taken by the
+    /// send op that follows it.
+    pub staged: Vec<Vec<u8>>,
 }
 
 impl PeLocal {
+    /// Makes `self` a copy of `from`, reusing `self`'s buffers: what a
+    /// checkpoint takes and a restart puts back. The destructuring is
+    /// exhaustive so that a new field cannot be left out of either.
+    pub(crate) fn copy_from(&mut self, from: &PeLocal) {
+        let PeLocal {
+            iter,
+            inbox,
+            store,
+            queues,
+            staged,
+        } = from;
+        self.iter = *iter;
+        self.inbox.clone_from(inbox);
+        self.store.clone_from(store);
+        // A program that indexes nothing keeps both tables empty on both
+        // sides; `Vec::clone_from` is not free even then (5 % of a
+        // supervised 8-byte self-loop iteration for the pair).
+        if !(queues.is_empty() && self.queues.is_empty()) {
+            self.queues.clone_from(queues);
+        }
+        if !(staged.is_empty() && self.staged.is_empty()) {
+            self.staged.clone_from(staged);
+        }
+    }
+
     /// Pops the oldest pending payload from `channel` as an owned
     /// buffer (copying if it was a pooled lease; the lease's slot is
     /// released on return).
@@ -468,7 +549,7 @@ struct PeRuntime {
     pending_send: Option<Vec<u8>>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     PeReady(PeId),
     Arrival(ChannelId),
@@ -477,9 +558,9 @@ enum Event {
 struct Engine {
     now: u64,
     seq: u64,
-    queue: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    // Parallel array decoding events: (time, seq) → event payload.
-    payloads: HashMap<(u64, u64), Event>,
+    /// Min-heap on `(time, seq)`; `seq` is unique, so the event itself
+    /// never decides an order.
+    queue: BinaryHeap<Reverse<(u64, u64, Event)>>,
     pes: Vec<PeRuntime>,
     channels: Vec<ChannelState>,
     budget: u64,
@@ -535,7 +616,6 @@ impl Engine {
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
-            payloads: HashMap::new(),
             pes,
             channels,
             budget: m.budget_cycles,
@@ -549,9 +629,7 @@ impl Engine {
     }
 
     fn schedule(&mut self, time: u64, ev: Event) {
-        let key = (time, self.seq);
-        self.queue.push(Reverse((time, self.seq, 0)));
-        self.payloads.insert(key, ev);
+        self.queue.push(Reverse((time, self.seq, ev)));
         self.seq += 1;
     }
 
@@ -559,14 +637,13 @@ impl Engine {
         for i in 0..self.pes.len() {
             self.schedule(0, Event::PeReady(PeId(i)));
         }
-        while let Some(Reverse((time, seq, _))) = self.queue.pop() {
+        while let Some(Reverse((time, _, ev))) = self.queue.pop() {
             if time > self.budget {
                 return Err(PlatformError::BudgetExceeded {
                     budget_cycles: self.budget,
                 });
             }
             self.now = time;
-            let ev = self.payloads.remove(&(time, seq)).expect("event payload");
             match ev {
                 Event::PeReady(p) => self.step_pe(p),
                 Event::Arrival(ch) => self.handle_arrival(ch),
@@ -940,6 +1017,54 @@ mod tests {
             recv_overhead_cycles: 1,
             max_message_bytes: 0,
         }
+    }
+
+    #[test]
+    fn byte_queue_is_a_fifo_across_reset_and_compaction() {
+        // Interleaved pushes and takes against a plain byte list; the
+        // take sizes walk the cursor over both boundaries — a drain (the
+        // next push restarts at offset 0) and a dead prefix longer than
+        // what is pending (the next push compacts).
+        let mut q = ByteQueue::default();
+        let mut model: VecDeque<u8> = VecDeque::new();
+        let mut next = 0u8;
+        for round in 0..200usize {
+            let burst: Vec<u8> = (0..1 + round % 7).map(|_| next).collect();
+            next = next.wrapping_add(1);
+            q.push(&burst);
+            model.extend(&burst);
+            let n = [0, 1, 3, model.len(), model.len() / 2][round % 5].min(model.len());
+            let want: Vec<u8> = model.drain(..n).collect();
+            assert_eq!(q.take(n), Some(&want[..]), "round {round}");
+            assert_eq!(q.pending(), model.make_contiguous(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn byte_queue_short_take_consumes_nothing() {
+        let mut q = ByteQueue::default();
+        assert_eq!(q.take(1), None);
+        assert_eq!(q.take(0), Some(&[][..]));
+        q.push(&[1, 2, 3]);
+        assert_eq!(q.take(4), None);
+        assert_eq!(q.take(usize::MAX), None);
+        assert_eq!(q.pending(), [1, 2, 3]);
+        assert_eq!(q.take(3), Some(&[1, 2, 3][..]));
+        assert_eq!(q.take(1), None);
+    }
+
+    #[test]
+    fn byte_queue_that_never_drains_stays_bounded() {
+        // 5 bytes stay pending for ever, 3 move per round: the buffer
+        // holds at most twice the pending bytes plus the push.
+        let mut q = ByteQueue::default();
+        q.push(&[0; 5]);
+        for _ in 0..10_000 {
+            q.push(&[1; 3]);
+            assert!(q.take(3).is_some());
+        }
+        assert_eq!(q.pending().len(), 5);
+        assert!(q.capacity() <= 2 * (2 * 5 + 3), "capacity {}", q.capacity());
     }
 
     #[test]

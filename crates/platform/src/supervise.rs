@@ -26,7 +26,8 @@
 //!   substitute a neutral (zero) token of the edge's shape, skip it, or
 //!   fail the run with an error naming the edge.
 //! * **Checkpoint / restart** — each PE snapshots its functional state
-//!   (store + inbox) at every iteration boundary. A panicking compute
+//!   (all of [`PeLocal`]: store, inbox, indexed queues and staged
+//!   sends) at every iteration boundary. A panicking compute
 //!   closure rolls the iteration back and replays it: receives are
 //!   replayed from a local log (the transport is not touched again) and
 //!   already-transmitted sends are not re-sent, so a restart can never
@@ -44,7 +45,6 @@
 //! conformance checker holds those events against the declared budgets
 //! (diagnostics SPI090–SPI095).
 
-use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -764,8 +764,8 @@ pub(crate) struct Checkpointed<'a> {
     /// An iteration boundary has been passed. Prologue ops run before
     /// the first one, so a panic there has nothing to roll back to.
     armed: bool,
-    store: HashMap<String, Vec<u8>>,
-    inbox: VecDeque<(ChannelId, Token)>,
+    /// The PE's local state as the current iteration began.
+    saved: PeLocal,
     /// Tokens received since the checkpoint — deep copies
     /// (`Token::clone`), so the log never pins a pool slot — and how
     /// many of them the current pass has consumed.
@@ -783,8 +783,7 @@ impl<'a> Checkpointed<'a> {
             port: Supervised::new(io, policy),
             restarts: 0,
             armed: false,
-            store: HashMap::new(),
-            inbox: VecDeque::new(),
+            saved: PeLocal::default(),
             log: Vec::new(),
             cursor: 0,
             sent: 0,
@@ -816,8 +815,7 @@ impl Port for Checkpointed<'_> {
     }
 
     fn begin_iteration(&mut self, local: &PeLocal) {
-        self.store.clone_from(&local.store);
-        self.inbox.clone_from(&local.inbox);
+        self.saved.copy_from(local);
         self.log.clear();
         (self.cursor, self.sent, self.skip, self.armed) = (0, 0, 0, true);
     }
@@ -837,8 +835,7 @@ impl Port for Checkpointed<'_> {
         self.port
             .io
             .emit(ProbeKind::FaultRestart { iter: local.iter });
-        local.store.clone_from(&self.store);
-        local.inbox.clone_from(&self.inbox);
+        local.copy_from(&self.saved);
         (self.cursor, self.skip) = (0, self.sent);
         Ok(Flow::Restart)
     }

@@ -9,30 +9,33 @@
 //! protocols, acknowledgements — is the SPI system's concern, invisible
 //! here.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use spi_dataflow::EdgeId;
 
 /// Per-firing context handed to an actor implementation.
+///
+/// Inputs are lent, not copied: each is a range of the edge's queue on
+/// the firing PE, valid for the firing. A firing has a handful of
+/// ports, so both lists are plain vectors searched by edge.
 #[derive(Debug, Default)]
-pub struct Firing {
+pub struct Firing<'a> {
     /// Graph iteration this firing belongs to.
     pub iter: u64,
     /// Index of this firing within the actor's repetitions (0-based).
     pub k: u64,
-    inputs: HashMap<EdgeId, Vec<u8>>,
-    outputs: HashMap<EdgeId, Vec<u8>>,
+    inputs: Vec<(EdgeId, &'a [u8])>,
+    outputs: Vec<(EdgeId, Vec<u8>)>,
 }
 
-impl Firing {
+impl<'a> Firing<'a> {
     /// Creates a context with the given consumed inputs.
-    pub fn new(iter: u64, k: u64, inputs: HashMap<EdgeId, Vec<u8>>) -> Self {
+    pub fn new(iter: u64, k: u64, inputs: Vec<(EdgeId, &'a [u8])>) -> Self {
         Firing {
             iter,
             k,
             inputs,
-            outputs: HashMap::new(),
+            outputs: Vec::new(),
         }
     }
 
@@ -40,13 +43,16 @@ impl Firing {
     ///
     /// For a static edge this is exactly `consume_rate × token_bytes`;
     /// for a dynamic (VTS) edge it is one packed token of variable size.
-    pub fn input(&self, edge: EdgeId) -> &[u8] {
-        self.inputs.get(&edge).map(Vec::as_slice).unwrap_or(&[])
+    pub fn input(&self, edge: EdgeId) -> &'a [u8] {
+        let found = self.inputs.iter().find(|(e, _)| *e == edge);
+        found.map_or(&[], |&(_, bytes)| bytes)
     }
 
-    /// Takes ownership of the input bytes of `edge` (avoiding a copy).
+    /// Takes the input bytes of `edge` as an owned buffer; the context
+    /// no longer holds them.
     pub fn take_input(&mut self, edge: EdgeId) -> Vec<u8> {
-        self.inputs.remove(&edge).unwrap_or_default()
+        let found = self.inputs.iter_mut().find(|(e, _)| *e == edge);
+        found.map_or_else(Vec::new, |(_, bytes)| std::mem::take(bytes).to_vec())
     }
 
     /// Sets the bytes produced on `edge` this firing.
@@ -56,15 +62,19 @@ impl Firing {
     /// [`crate::SpiError::StaticSizeMismatch`] /
     /// [`crate::SpiError::VtsBoundExceeded`] when the system runs.
     pub fn set_output(&mut self, edge: EdgeId, bytes: Vec<u8>) {
-        self.outputs.insert(edge, bytes);
+        match self.outputs.iter_mut().find(|(e, _)| *e == edge) {
+            Some((_, staged)) => *staged = bytes,
+            None => self.outputs.push((edge, bytes)),
+        }
     }
 
     /// The output staged for `edge`, if any.
     pub fn output(&self, edge: EdgeId) -> Option<&[u8]> {
-        self.outputs.get(&edge).map(Vec::as_slice)
+        let found = self.outputs.iter().find(|(e, _)| *e == edge);
+        found.map(|(_, bytes)| bytes.as_slice())
     }
 
-    pub(crate) fn into_outputs(self) -> HashMap<EdgeId, Vec<u8>> {
+    pub(crate) fn into_outputs(self) -> Vec<(EdgeId, Vec<u8>)> {
         self.outputs
     }
 }
@@ -121,24 +131,22 @@ mod tests {
 
     #[test]
     fn firing_io_roundtrip() {
-        let mut inputs = HashMap::new();
-        inputs.insert(EdgeId(0), vec![1, 2, 3]);
-        let mut ctx = Firing::new(5, 1, inputs);
+        let mut ctx = Firing::new(5, 1, vec![(EdgeId(0), &[1, 2, 3][..])]);
         assert_eq!(ctx.iter, 5);
         assert_eq!(ctx.k, 1);
         assert_eq!(ctx.input(EdgeId(0)), &[1, 2, 3]);
         assert_eq!(ctx.input(EdgeId(9)), &[] as &[u8]);
+        ctx.set_output(EdgeId(1), vec![8]);
         ctx.set_output(EdgeId(1), vec![9, 9]);
         assert_eq!(ctx.output(EdgeId(1)), Some(&[9u8, 9][..]));
-        let outs = ctx.into_outputs();
-        assert_eq!(outs[&EdgeId(1)], vec![9, 9]);
+        assert_eq!(ctx.output(EdgeId(2)), None);
+        assert_eq!(ctx.into_outputs(), vec![(EdgeId(1), vec![9, 9])]);
     }
 
     #[test]
     fn take_input_moves_bytes() {
-        let mut inputs = HashMap::new();
-        inputs.insert(EdgeId(0), vec![7; 100]);
-        let mut ctx = Firing::new(0, 0, inputs);
+        let bytes = [7; 100];
+        let mut ctx = Firing::new(0, 0, vec![(EdgeId(0), &bytes[..])]);
         let data = ctx.take_input(EdgeId(0));
         assert_eq!(data.len(), 100);
         assert!(ctx.input(EdgeId(0)).is_empty());

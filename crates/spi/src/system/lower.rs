@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 
 use spi_dataflow::{ActorId, EdgeId, SdfGraph, VtsConversion};
-use spi_platform::{ChannelId, ChannelSpec, Machine, Op, PeLocal, Program};
+use spi_platform::{ByteQueue, ChannelId, ChannelSpec, Machine, Op, PeLocal, Program};
 use spi_sched::{IpcGraph, SyncGraph};
 
 use super::build::{
@@ -125,8 +125,10 @@ fn fail(local: &mut PeLocal, msg: String) {
         .or_insert_with(|| msg.into_bytes());
 }
 
+/// Lowered programs keep nothing in the store, so a run without a
+/// failure answers from the emptiness test and hashes no key.
 fn failed(local: &PeLocal) -> bool {
-    local.store.contains_key(FAIL_KEY)
+    !local.store.is_empty() && local.store.contains_key(FAIL_KEY)
 }
 
 /// The failure an actor implementation recorded in a PE's final store,
@@ -138,57 +140,31 @@ pub fn recorded_failure(store: &HashMap<String, Vec<u8>>) -> Option<SpiError> {
     })
 }
 
-fn queue_key(edge: EdgeId) -> String {
-    format!("__q_e{}", edge.0)
-}
-
-fn send_key(edge: EdgeId) -> String {
-    format!("__send_e{}", edge.0)
-}
-
-/// Appends raw bytes to an edge's byte queue.
-fn queue_push(local: &mut PeLocal, edge: EdgeId, bytes: &[u8]) {
-    local
-        .store
-        .entry(queue_key(edge))
-        .or_default()
-        .extend_from_slice(bytes);
-}
-
-/// Takes exactly `n` bytes from the queue; `None` if short (a protocol
-/// bug — the schedule guarantees availability).
-fn queue_take(local: &mut PeLocal, edge: EdgeId, n: usize) -> Option<Vec<u8>> {
-    let q = local.store.entry(queue_key(edge)).or_default();
-    if q.len() < n {
-        return None;
+/// The slot of `edge` in one of a PE's two tables, which are indexed by
+/// `EdgeId`. Both engines start a PE from `PeLocal::default()`, so the
+/// tables are empty until the first write to each slot — a prime op, or
+/// the PE's first iteration — grows them to hold it (an edge that never
+/// touches the PE keeps an empty slot below one that does); every later
+/// write pays the bounds test an index pays anyway. Reads index.
+fn slot<T: Default>(table: &mut Vec<T>, edge: EdgeId) -> &mut T {
+    if table.len() <= edge.0 {
+        table.resize_with(edge.0 + 1, T::default);
     }
-    let rest = q.split_off(n);
-    Some(std::mem::replace(q, rest))
+    &mut table[edge.0]
 }
 
 /// Appends a length-prefixed frame (dynamic edges).
-fn frame_push(local: &mut PeLocal, edge: EdgeId, bytes: &[u8]) {
-    frame_into(local.store.entry(queue_key(edge)).or_default(), bytes);
+pub(super) fn frame_push(queue: &mut ByteQueue, bytes: &[u8]) {
+    queue.push(&(bytes.len() as u32).to_le_bytes());
+    queue.push(bytes);
 }
 
-fn frame_into(queue: &mut Vec<u8>, bytes: &[u8]) {
-    queue.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    queue.extend_from_slice(bytes);
-}
-
-/// Pops one frame; `None` if the queue is empty or corrupt.
-fn frame_pop(local: &mut PeLocal, edge: EdgeId) -> Option<Vec<u8>> {
-    let q = local.store.entry(queue_key(edge)).or_default();
-    if q.len() < 4 {
-        return None;
-    }
-    let len = u32::from_le_bytes([q[0], q[1], q[2], q[3]]) as usize;
-    if q.len() < 4 + len {
-        return None;
-    }
-    let rest = q.split_off(4 + len);
-    let frame = std::mem::replace(q, rest)[4..].to_vec();
-    Some(frame)
+/// Pops one frame; `None`, with nothing consumed, if the queue is empty
+/// or ends inside the frame.
+pub(super) fn frame_pop(queue: &mut ByteQueue) -> Option<&[u8]> {
+    let prefix = queue.pending().get(..4)?;
+    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+    queue.take(len.checked_add(4)?).map(|frame| &frame[4..])
 }
 
 fn ack_send(edge: EdgeId, ack_ch: ChannelId) -> Op {
@@ -313,22 +289,22 @@ impl Lowering<'_> {
             // delay token (default empty), for a static one the tokens'
             // bytes (default zeros).
             let overrides = self.initial_payloads.get(&eid);
-            let mut image = Vec::new();
+            let mut image = ByteQueue::default();
             if self.vts.edge_info(eid).is_some() {
                 for i in offset..offset + prime_tokens as usize {
                     let payload = overrides.and_then(|v| v.get(i));
-                    frame_into(&mut image, payload.map_or(&[], Vec::as_slice));
+                    frame_push(&mut image, payload.map_or(&[], Vec::as_slice));
                 }
             } else {
                 match overrides.and_then(|v| v.get(offset)) {
-                    Some(bytes) => image.extend_from_slice(bytes),
-                    None => image.resize(prime_tokens as usize * e.token_bytes as usize, 0),
+                    Some(bytes) => image.push(bytes),
+                    None => image.push(&vec![0; prime_tokens as usize * e.token_bytes as usize]),
                 }
             }
             prologue.push(Op::Compute {
                 label: format!("spi:prime:{eid}"),
                 work: Box::new(move |l| {
-                    queue_push(l, eid, &image);
+                    slot(&mut l.queues, eid).push(image.pending());
                     1
                 }),
             });
@@ -452,7 +428,7 @@ impl Lowering<'_> {
             }
             ops.push(Op::Send {
                 channel: plan.data_ch,
-                payload: Box::new(move |l| l.store.remove(&send_key(edge)).unwrap_or_default()),
+                payload: Box::new(move |l| std::mem::take(slot(&mut l.staged, edge))),
             });
         }
     }
@@ -516,29 +492,36 @@ impl FiringBody {
                     .map_err(|e| e.to_string())?;
                 overhead += r.cost.decode_cycles(payload.len());
                 match r.phase {
-                    SpiPhase::Static => queue_push(l, r.edge, payload),
-                    SpiPhase::Dynamic => frame_push(l, r.edge, payload),
+                    SpiPhase::Static => slot(&mut l.queues, r.edge).push(payload),
+                    SpiPhase::Dynamic => frame_push(slot(&mut l.queues, r.edge), payload),
                 }
             }
         }
-        // Gather this firing's inputs.
-        let mut inputs = HashMap::new();
+        // Gather this firing's inputs, lent out of the edge queues: the
+        // in-edges come in ascending order, so one pass over the table
+        // borrows each queue once.
+        let mut inputs = Vec::with_capacity(self.consumes.len());
+        let mut queues = l.queues.iter_mut().enumerate();
         for c in &self.consumes {
-            let data = if c.dynamic {
-                frame_pop(l, c.edge)
-            } else {
-                queue_take(l, c.edge, c.bytes)
-            };
+            let queue = queues.find(|(slot, _)| *slot == c.edge.0).map(|(_, q)| q);
+            let data = queue.and_then(|q| {
+                if c.dynamic {
+                    frame_pop(q)
+                } else {
+                    q.take(c.bytes)
+                }
+            });
             let data = data.ok_or_else(|| format!("input underflow on {}", c.edge))?;
-            inputs.insert(c.edge, data);
+            inputs.push((c.edge, data));
         }
         // Fire.
         let mut ctx = Firing::new(l.iter, self.k, inputs);
         let cycles = self.actor.lock().expect("actor lock").fire(&mut ctx);
-        let mut outputs = ctx.into_outputs();
+        let outputs = ctx.into_outputs();
         // Stage outputs.
         for p in &self.produces {
-            let bytes = outputs.remove(&p.edge).unwrap_or_default();
+            let found = outputs.iter().find(|(e, _)| *e == p.edge);
+            let bytes = found.map_or(&[][..], |(_, bytes)| bytes);
             let (edge, got) = (p.edge, bytes.len());
             if p.dynamic && got > p.bytes {
                 let bound = p.bytes;
@@ -557,13 +540,12 @@ impl FiringBody {
                 // Frame now (SPI_send header cost) and stash for the
                 // Send op that follows.
                 Some(phase) => {
-                    let framed =
-                        message::encode(phase, p.edge, &bytes).map_err(|e| e.to_string())?;
+                    *slot(&mut l.staged, p.edge) =
+                        message::encode(phase, p.edge, bytes).map_err(|e| e.to_string())?;
                     overhead += 1;
-                    l.store.insert(send_key(p.edge), framed);
                 }
-                None if p.dynamic => frame_push(l, p.edge, &bytes),
-                None => queue_push(l, p.edge, &bytes),
+                None if p.dynamic => frame_push(slot(&mut l.queues, p.edge), bytes),
+                None => slot(&mut l.queues, p.edge).push(bytes),
             }
         }
         Ok(cycles + overhead)

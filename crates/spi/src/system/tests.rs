@@ -1,9 +1,11 @@
 //! End-to-end tests of build → lower → run on small graphs.
 
 use spi_dataflow::{EdgeId, SdfGraph};
+use spi_platform::{ByteQueue, Op, PeLocal};
 use spi_sched::{ProcId, Protocol};
 
 use super::build::cumulative_messages;
+use super::lower::{frame_pop, frame_push};
 use super::{SchedulingMode, SpiRunReport, SpiSystemBuilder};
 use crate::actors::Firing;
 use crate::error::SpiError;
@@ -523,4 +525,81 @@ fn local_delay_edge_is_primed_when_its_producer_fires_first() {
     });
     b.iterations(5);
     b.build(1, |_| ProcId(0)).unwrap().run().unwrap();
+}
+
+#[test]
+fn frames_pop_whole_or_not_at_all() {
+    let mut q = ByteQueue::default();
+    assert_eq!(frame_pop(&mut q), None);
+    frame_push(&mut q, &[1, 2, 3]);
+    frame_push(&mut q, &[]);
+    assert_eq!(frame_pop(&mut q), Some(&[1, 2, 3][..]));
+    assert_eq!(frame_pop(&mut q), Some(&[][..]));
+    // A truncated length prefix, then a whole prefix whose payload is
+    // short: neither consumes anything.
+    q.push(&[5, 0, 0]);
+    assert_eq!(frame_pop(&mut q), None);
+    q.push(&[0, 9, 9]);
+    assert_eq!(frame_pop(&mut q), None);
+    assert_eq!(q.pending(), [5, 0, 0, 0, 9, 9]);
+    q.push(&[9, 9, 9]);
+    assert_eq!(frame_pop(&mut q), Some(&[9; 5][..]));
+    assert_eq!(frame_pop(&mut q), None);
+}
+
+#[test]
+fn queues_of_edges_that_never_drain_stay_bounded() {
+    // The `delayed` system of `tests/lowering_pins.rs` on one processor:
+    // every edge is local and keeps its delay tokens pending for ever,
+    // so no queue ever restarts from an empty buffer.
+    let mut g = SdfGraph::new();
+    let a = g.add_actor("a", 30);
+    let b_ = g.add_actor("b", 40);
+    let c = g.add_actor("c", 25);
+    let dynamic = g.add_dynamic_edge(a, b_, 16, 16, 2, 1).unwrap();
+    let feedback = g.add_edge(b_, a, 1, 1, 1, 4).unwrap();
+    let multirate = g.add_edge(b_, c, 2, 3, 5, 2).unwrap();
+    let mut b = SpiSystemBuilder::new(g);
+    b.actor(a, move |ctx: &mut Firing| {
+        ctx.set_output(dynamic, vec![7; (ctx.iter % 17) as usize]);
+        30
+    });
+    b.actor(b_, move |ctx: &mut Firing| {
+        ctx.set_output(feedback, vec![0; 4]);
+        ctx.set_output(multirate, vec![1; 4]);
+        40
+    });
+    b.actor(c, |_: &mut Firing| 25);
+    let (specs, mut programs) = b.build(1, |_| ProcId(0)).unwrap().into_parts();
+    assert!(specs.is_empty(), "one processor, no channels");
+    let mut program = programs.pop().expect("one program");
+    let mut local = PeLocal::default();
+    let mut walk = |ops: &mut [Op], iter: u64| {
+        local.iter = iter;
+        for op in ops {
+            match op {
+                Op::Compute { work, .. } => work(&mut local),
+                other => panic!("a one-processor program only computes: {other:?}"),
+            };
+        }
+        assert!(super::recorded_failure(&local.store).is_none());
+    };
+    walk(&mut program.prologue, 0);
+    for iter in 0..50_000 {
+        walk(&mut program.ops, iter);
+    }
+    // Most bytes an edge ever holds: its delay plus one iteration's
+    // production (a and b fire three times an iteration), a frame being
+    // a 4-byte length and up to 16 bytes.
+    for (edge, most_pending) in [
+        (dynamic, (2 + 3) * 20),
+        (feedback, (1 + 3) * 4),
+        (multirate, (5 + 6) * 2),
+    ] {
+        let capacity = local.queues[edge.0].capacity();
+        assert!(
+            capacity <= 4 * most_pending,
+            "{edge}: {capacity} B of buffer for at most {most_pending} B pending"
+        );
+    }
 }

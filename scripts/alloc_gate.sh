@@ -1,0 +1,38 @@
+#!/usr/bin/env sh
+# The CI allocation gate: the lowered data plane's allocation count must
+# not creep back. Runs the benchmark's two application workloads traced
+# for two seconds each, reads the JSON line the run prints last, and
+# fails if a run reports a failed operation or more allocations an
+# iteration than its ceiling. `allocs_per_iter` is a count made by the
+# benchmark's own allocator and repeats exactly on a given build, so the
+# ceilings sit close to the figures (EXPERIMENTS.md, "The lowered data
+# plane by index"): des_app1 73.9, app1_lpc 24.1.
+#
+# Usage: scripts/alloc_gate.sh
+set -eu
+cd "$(dirname "$0")/.."
+
+gate() {
+  workload=$1
+  ceiling=$2
+  line=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+  failed=$(printf '%s\n' "$line" | sed -n 's/.*"failed": \([0-9]*\).*/\1/p')
+  allocs=$(printf '%s\n' "$line" | sed -n 's/.*"allocs_per_iter": {"value": \([0-9.eE+-]*\).*/\1/p')
+  if [ -z "$failed" ] || [ -z "$allocs" ]; then
+    echo "alloc gate: $workload printed no failed / allocs_per_iter: $line" >&2
+    exit 1
+  fi
+  echo "== alloc gate: $workload allocs_per_iter=$allocs (ceiling $ceiling) failed=$failed"
+  if [ "$failed" -ne 0 ]; then
+    echo "alloc gate: $workload reports $failed failed operations" >&2
+    exit 1
+  fi
+  if ! awk -v a="$allocs" -v c="$ceiling" 'BEGIN { exit !(a <= c) }'; then
+    echo "alloc gate: $workload allocates $allocs times an iteration, ceiling $ceiling" >&2
+    exit 1
+  fi
+}
+
+gate des_app1 90
+gate app1_lpc 28
+echo "alloc gate OK"

@@ -11,15 +11,18 @@
 //! run. The degrade policy is `Fail`, so success *means* exactness —
 //! there is no substitution path that could mask corruption.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use spi_repro::apps::{FilterBankApp, FilterBankConfig};
+use spi_repro::dataflow::SdfGraph;
 use spi_repro::fault::{FaultKind, FaultPlan};
 use spi_repro::platform::{
-    ChannelId, ChannelSpec, Op, Program, SupervisionPolicy, ThreadedRunner, TransportKind,
+    ChannelId, ChannelSpec, Op, Program, SupervisionPolicy, ThreadedPeResult, ThreadedRunner,
+    TransportKind,
 };
-use spi_repro::spi::SpiSystem;
+use spi_repro::sched::ProcId;
+use spi_repro::spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_repro::trace::{ClockKind, RingTracer};
 
 const ITERATIONS: u64 = 6;
@@ -292,6 +295,73 @@ fn a_tracer_does_not_change_which_planned_faults_fire() {
         assert_eq!(untraced.1.len(), 1, "the planned {kind} fired untraced");
         assert_eq!(untraced, traced, "{kind}: a tracer changed the run");
     }
+}
+
+/// A restart must roll back the whole of the PE's local state, the
+/// indexed queues and staged sends of the lowered data plane included.
+/// `a` and `b` share P0, `c` is alone on P1; `a -> b` is a local edge
+/// with one delay token, `a -> c` and `b -> c` cross. In iteration 2 a
+/// closure wrapped around `b`'s firing panics once — after `a` has
+/// pushed its token on the local edge, staged its message and sent it.
+/// The replay fires `a` again: a checkpoint that forgot the queues
+/// would leave that token queued twice, and `b` would run one token
+/// behind from then on.
+#[test]
+fn restart_rolls_back_the_lowered_data_plane() {
+    let run = |panic_at: Option<u64>| -> (Vec<ThreadedPeResult>, Vec<(u8, u8)>) {
+        let mut g = SdfGraph::new();
+        let a = g.add_actor("a", 10);
+        let b = g.add_actor("b", 10);
+        let c = g.add_actor("c", 10);
+        let ab = g.add_edge(a, b, 1, 1, 1, 1).unwrap();
+        let ac = g.add_edge(a, c, 1, 1, 0, 1).unwrap();
+        let bc = g.add_dynamic_edge(b, c, 4, 4, 0, 1).unwrap();
+        let seen: Arc<Mutex<Vec<(u8, u8)>>> = Arc::default();
+        let sink = Arc::clone(&seen);
+        let mut builder = SpiSystemBuilder::new(g);
+        builder.actor(a, move |ctx: &mut Firing| {
+            ctx.set_output(ab, vec![ctx.iter as u8 + 1]);
+            ctx.set_output(ac, vec![ctx.iter as u8 + 1]);
+            10
+        });
+        builder.actor(b, move |ctx: &mut Firing| {
+            ctx.set_output(bc, ctx.input(ab).to_vec());
+            10
+        });
+        builder.actor(c, move |ctx: &mut Firing| {
+            let pair = (ctx.input(ac)[0], ctx.input(bc)[0]);
+            sink.lock().unwrap().push(pair);
+            10
+        });
+        builder.iterations(ITERATIONS);
+        let system = builder.build(2, |x| ProcId(usize::from(x == c))).unwrap();
+        let (specs, mut programs) = system.into_parts();
+        if let Some(iter) = panic_at {
+            let fire_b = programs[0].ops.iter_mut().find_map(|op| match op {
+                Op::Compute { label, work } if label == "fire:b#0" => Some(work),
+                _ => None,
+            });
+            let work = fire_b.expect("b fires on P0");
+            let mut inner = std::mem::replace(work, Box::new(|_| 0));
+            let mut armed = true;
+            *work = Box::new(move |l| {
+                if l.iter == iter && std::mem::take(&mut armed) {
+                    panic!("injected fault in iteration {iter}");
+                }
+                inner(l)
+            });
+        }
+        let results = ThreadedRunner::new()
+            .supervise(strict())
+            .run(&specs, programs)
+            .expect("one restart is inside the budget");
+        let seen = seen.lock().unwrap().clone();
+        (results, seen)
+    };
+    let clean = run(None);
+    let want: Vec<(u8, u8)> = (0..ITERATIONS as u8).map(|i| (i + 1, i)).collect();
+    assert_eq!(clean.1, want, "b forwards what a produced an iteration ago");
+    assert_eq!(run(Some(2)), clean);
 }
 
 #[test]
