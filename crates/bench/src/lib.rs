@@ -24,7 +24,6 @@
 //! | §2 claim | [`ablation_selftimed_vs_static`] | `ablation_selftimed_vs_static` |
 //! | interconnect | [`ablation_bus_vs_p2p`] | `ablation_bus_vs_p2p` |
 //! | §5.2 co-design | [`hwsw_codesign_sweep`] | `ablation_hwsw_codesign` |
-//! | fuzzing | — | `stress_random_graphs` |
 //! | buffers | — | `report_buffers` |
 //! | Amdahl study | — | `app1_full_pipeline` |
 //! | codec R-D | — | `rate_distortion` |

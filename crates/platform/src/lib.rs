@@ -18,7 +18,7 @@
 //! * [`ThreadedRunner`] — an OS-thread functional
 //!   runner cross-checking the DES's protocol logic under real
 //!   concurrency, executing over any [`Transport`];
-//! * [`Tracer`] / [`NopTracer`] — runtime probe points both engines emit
+//! * [`Tracer`] — runtime probe points both engines emit
 //!   through (firing begin/end, send/receive with payload digests and
 //!   occupancy, block/unblock); the `spi-trace` crate supplies the
 //!   lock-free capture buffer, exporters, and the conformance checker
@@ -80,7 +80,7 @@ pub use supervise::{
     decode_frame, encode_frame_into, framed_spec, DegradePolicy, FrameError, SupervisionPolicy,
     FRAME_HEADER_BYTES,
 };
-pub use trace::{payload_digest, FlushReason, NopTracer, ProbeEvent, ProbeKind, Tracer};
+pub use trace::{payload_digest, FlushReason, ProbeEvent, ProbeKind, Tracer};
 pub use transport::{
     InjectedFault, LockedTransport, PointerTransport, RingTransport, Transport, TransportError,
     TransportKind,

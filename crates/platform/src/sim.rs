@@ -415,9 +415,7 @@ pub struct BusSpec {
 /// its program issues them, and no gated send may find its channel full
 /// when its slot comes up — the PE that would drain it may be waiting
 /// for a later slot, and the run ends in
-/// [`PlatformError::Deadlock`](crate::PlatformError). `spi`'s lowering
-/// refuses the plans that can break the second rule
-/// (`SpiError::OrderedBusUnsupported`).
+/// [`PlatformError::Deadlock`](crate::PlatformError).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OrderedBusSpec {
     /// The cyclic grant order, one entry per steady-state send per

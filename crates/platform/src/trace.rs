@@ -11,10 +11,10 @@
 //!
 //! Only the *interface* lives here (the platform crate must stay at the
 //! bottom of the dependency stack); the lock-free capture buffer, the
-//! exporters and the checker live in `spi-trace`. The default sink is
-//! [`NopTracer`], whose [`Tracer::enabled`] returns `false` — emitters
-//! cache that flag in a local before their hot loops, so a disabled
-//! tracer costs one branch per run, not per event.
+//! exporters and the checker live in `spi-trace`. By default no tracer
+//! is attached; a tracer whose [`Tracer::enabled`] returns `false` is
+//! treated the same — emitters resolve the flag once, before their hot
+//! loops, so a disabled tracer costs one branch per run, not per event.
 //!
 //! Timestamps are a bare `u64` whose unit depends on the engine: the
 //! DES stamps events with its **simulation cycle**, the threaded runner
@@ -227,26 +227,6 @@ pub trait Tracer: Send + Sync {
     fn now(&self) -> u64;
 }
 
-/// The zero-overhead default: captures nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NopTracer;
-
-impl Tracer for NopTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn intern(&self, _label: &str) -> u32 {
-        0
-    }
-
-    fn record(&self, _pe: PeId, _ts: u64, _kind: ProbeKind) {}
-
-    fn now(&self) -> u64 {
-        0
-    }
-}
-
 /// FNV-1a 64-bit hash — the payload digest carried by send/receive
 /// probe events. Stable across engines and platforms, so two traces of
 /// the same system can be compared digest-by-digest.
@@ -279,15 +259,6 @@ pub fn payload_digest(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nop_tracer_is_disabled_and_inert() {
-        let t = NopTracer;
-        assert!(!t.enabled());
-        assert_eq!(t.intern("fire:x#0"), 0);
-        assert_eq!(t.now(), 0);
-        t.record(PeId(0), 0, ProbeKind::FiringBegin { label: 0 });
-    }
 
     #[test]
     fn digest_distinguishes_payloads_and_is_stable() {

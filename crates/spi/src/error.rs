@@ -58,20 +58,6 @@ pub enum SpiError {
         /// Error-severity diagnostics, most severe first.
         diagnostics: Vec<spi_analyze::Diagnostic>,
     },
-    /// The ordered-transactions bus was requested for a plan it cannot
-    /// serve: `edge` keeps its UBS acknowledgements and carries
-    /// pipeline-fill messages, which the consumer acknowledges although
-    /// the producer never took a credit for them, so the acknowledgement
-    /// channel can fill — and a sender blocked for space in its own
-    /// grant slot wedges the bus. The system was not built.
-    OrderedBusUnsupported {
-        /// The lowest such edge.
-        edge: EdgeId,
-        /// Its pipeline-fill messages (`⌊delay / produce⌋`).
-        fill_msgs: u64,
-        /// Acknowledgements its ack channel holds (the window plus one).
-        ack_slots: u64,
-    },
 }
 
 impl fmt::Display for SpiError {
@@ -109,16 +95,6 @@ impl fmt::Display for SpiError {
                 }
                 Ok(())
             }
-            SpiError::OrderedBusUnsupported {
-                edge,
-                fill_msgs,
-                ack_slots,
-            } => write!(
-                f,
-                "ordered-transactions bus: edge {edge} acknowledges its {fill_msgs} pipeline-fill \
-                 messages on top of its credit window, more than the {ack_slots} its ack channel \
-                 holds; a sender blocked for space in its grant slot would wedge the bus"
-            ),
         }
     }
 }

@@ -145,12 +145,6 @@ impl SpiSystemBuilder {
     /// the synchronization graph's analytic send times replaces
     /// run-time arbitration. `slot_overhead_cycles` is the per-slot
     /// cost of the order controller.
-    ///
-    /// Not every plan can run on it: [`SpiSystemBuilder::build`] returns
-    /// [`SpiError::OrderedBusUnsupported`] when an edge that keeps its
-    /// UBS acknowledgements also carries enough pipeline-fill messages
-    /// (`⌊delay / produce⌋`) for those acknowledgements to fill its ack
-    /// channel.
     pub fn ordered_transactions(&mut self, slot_overhead_cycles: u64) -> &mut Self {
         self.ordered_transactions = Some(slot_overhead_cycles);
         self

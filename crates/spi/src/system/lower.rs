@@ -38,7 +38,6 @@ pub(super) fn machine(
     }
     add_channels(&mut machine, plans, b.channel_template);
     if let Some(slot) = b.ordered_transactions {
-        check_ordered_bus(plans)?;
         machine.set_ordered_bus(spi_platform::OrderedBusSpec {
             order: grant_order(s, sync, plans),
             slot_overhead_cycles: slot,
@@ -89,31 +88,13 @@ fn add_channels(machine: &mut Machine, plans: &mut Plans, template: ChannelSpec)
     }
 }
 
-/// An acknowledgement channel holds the edge's credit window plus one.
+/// An acknowledgement channel never fills: the consumer acknowledges the
+/// edge's pipeline-fill messages too, which the producer sent from its
+/// prologue without taking a credit, so up to `window + fill_msgs` acks
+/// are outstanding at once — plus one. (On the ordered bus a sender
+/// blocked for space in its grant slot would stall every other sender.)
 fn ack_channel_bytes(plan: &EdgePlan) -> usize {
-    ((plan.ack_window() as usize + 1) * ACK_BYTES).max(16)
-}
-
-/// The ordered bus grants its slots in a fixed cyclic order and cannot
-/// skip one, so a sender blocked for *space* when its slot comes up
-/// stalls every other sender, the PE that would drain it included. Data
-/// channels never fill (eq. (2), or the credit window); an
-/// acknowledgement channel can, because the consumer also acknowledges
-/// the edge's pipeline-fill messages, which the producer sent from its
-/// prologue without taking a credit: up to `window + fill_msgs` acks are
-/// outstanding at once. Plans where that exceeds the channel are
-/// rejected, lowest edge first.
-fn check_ordered_bus(plans: &Plans) -> Result<()> {
-    let ack_slots = |p: &EdgePlan| (ack_channel_bytes(p) / ACK_BYTES) as u64;
-    let overflows = |p: &&EdgePlan| p.ack_kept && p.ack_window() + p.fill_msgs > ack_slots(p);
-    match plans.values().filter(overflows).min_by_key(|p| p.edge) {
-        None => Ok(()),
-        Some(plan) => Err(SpiError::OrderedBusUnsupported {
-            edge: plan.edge,
-            fill_msgs: plan.fill_msgs,
-            ack_slots: ack_slots(plan),
-        }),
-    }
+    (((plan.ack_window() + plan.fill_msgs) as usize + 1) * ACK_BYTES).max(16)
 }
 
 const FAIL_KEY: &str = "__spi_error";

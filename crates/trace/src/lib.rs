@@ -61,4 +61,4 @@ pub use model::{
 
 // Re-export the probe-side vocabulary so trace consumers need only this
 // crate.
-pub use spi_platform::{payload_digest, FlushReason, NopTracer, ProbeEvent, ProbeKind, Tracer};
+pub use spi_platform::{payload_digest, FlushReason, ProbeEvent, ProbeKind, Tracer};

@@ -9,6 +9,9 @@
 # drop as release ack, cross-thread token streaming), and the
 # equivalence + fault passes drive TransportKind::Pointer through the
 # runner and the FaultyTransport decorator (incl. the pool_leak suite).
+# `engine_equivalence` holds the generated-system oracle: random SPI
+# systems on the DES, all three transports and the socket endpoints
+# (`CHAOS_CASES` systems; fewer under TSan).
 # The `-p spi-net` pass covers the socket endpoints, whose two sides and
 # the net-timer thread share the staging buffer and the flush registry
 # (`transport`, `proptest_net`, `wire`; `zero_alloc` brings its own
@@ -35,6 +38,7 @@ if rustup toolchain list 2>/dev/null | grep -q nightly && \
       -p spi-platform --tests "$@" -- --test-threads=1
   RUSTFLAGS="-Z sanitizer=thread" \
   TSAN_OPTIONS="halt_on_error=1" \
+  CHAOS_CASES="${CHAOS_CASES:-50}" \
     cargo +nightly test -Z build-std --target "${TARGET}" \
       --test engine_equivalence "$@"
   # FaultyTransport + supervised recovery under TSan: the decorator and

@@ -9,8 +9,11 @@ use spi_repro::dataflow::psdf::{PsdfGraph, RateExpr};
 use spi_repro::dataflow::{dif, CsdfGraph, PhaseRates};
 use spi_repro::platform::BusSpec;
 use spi_repro::sched::ProcId;
-use spi_repro::spi::{Firing, SchedulingMode, SpiSystem, SpiSystemBuilder};
+use spi_repro::spi::{Firing, SchedulingMode, SpiSystemBuilder};
 use spi_repro::trace::{render_gantt, ClockKind, RingTracer};
+
+#[path = "support/oracle.rs"]
+mod oracle;
 
 #[test]
 fn filter_bank_output_is_band_limited() {
@@ -129,41 +132,11 @@ fn fully_static_and_bus_compose() {
     );
 }
 
-/// Runs one freshly built system per engine — the DES, then real
-/// threads over each copying transport — and holds every threaded run to
-/// the DES's final PE stores and to what `build`'s second half reads
-/// back from the actors afterwards. Returns the DES's reading.
-fn engines_agree<O: PartialEq + std::fmt::Debug>(
-    build: impl Fn() -> (SpiSystem, Box<dyn FnOnce() -> O>),
-) -> O {
-    use spi_repro::platform::{ThreadedRunner, TransportKind};
-
-    let (sys, observe) = build();
-    let des = sys.run().expect("DES run").sim.locals;
-    let des_seen = observe();
-    for kind in [TransportKind::Locked, TransportKind::Ring] {
-        let (sys, observe) = build();
-        let threaded = sys
-            .run_threaded_with(&ThreadedRunner::new().transport(kind))
-            .expect("threaded run");
-        assert_eq!(des.len(), threaded.len());
-        for (pe, (d, t)) in des.iter().zip(&threaded).enumerate() {
-            assert_eq!(d.store, t.store, "pe{pe} final store ({kind:?})");
-        }
-        assert_eq!(
-            des_seen,
-            observe(),
-            "engines must agree bit-for-bit ({kind:?})"
-        );
-    }
-    des_seen
-}
-
 #[test]
 fn spi_systems_run_identically_on_real_threads() {
     use spi_repro::apps::{ErrorStageApp, ErrorStageConfig};
 
-    let des_residuals = engines_agree(|| {
+    let des_residuals = oracle::on_every_backend(|_| {
         let app = ErrorStageApp::new(ErrorStageConfig {
             n_pes: 3,
             frame: 120,
@@ -174,10 +147,8 @@ fn spi_systems_run_identically_on_real_threads() {
         .expect("valid config");
         let sys = app.system(4).expect("buildable");
         let residuals = app.residual_energy.clone();
-        (
-            sys,
-            Box::new(move || residuals.lock().expect("res").clone()),
-        )
+        let observe = move || residuals.lock().expect("res").clone();
+        (sys, None, Box::new(observe))
     });
     assert_eq!(des_residuals.len(), 4);
 }
@@ -187,8 +158,8 @@ fn psdf_envelope_runs_identically_on_real_threads() {
     // The parameterized front end beside the cyclo-static one above: a
     // PSDF graph (N ∈ 16..=64, M ∈ 2..=8) reduced to its VTS envelope,
     // three processors, N and M changing every iteration — the system
-    // `lowering_pins.txt` pins, here on both engines.
-    let seen = engines_agree(|| {
+    // `lowering_pins.txt` pins, here on every backend.
+    let seen = oracle::on_every_backend(|_| {
         let mut psdf = PsdfGraph::new();
         let n = psdf.add_param("N", 16, 64);
         let m = psdf.add_param("M", 2, 8);
@@ -224,7 +195,11 @@ fn psdf_envelope_runs_identically_on_real_threads() {
         });
         b.iterations(40);
         let sys = b.build(3, |a| ProcId(a.0)).expect("buildable");
-        (sys, Box::new(move || seen.lock().expect("log").clone()))
+        (
+            sys,
+            None,
+            Box::new(move || seen.lock().expect("log").clone()),
+        )
     });
     assert_eq!(seen.len(), 40);
     assert_eq!(seen[1].len(), (2 + 3) * 8, "M follows its schedule");
