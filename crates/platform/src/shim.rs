@@ -259,7 +259,9 @@ impl<T> Mutex<T> {
     }
 
     /// Acquires the lock, panicking on poisoning (the transport never
-    /// unwinds while holding its locks in a healthy run).
+    /// unwinds while holding its locks in a healthy run) — unless the
+    /// caller is itself unwinding (a `Drop` after a failed run), when
+    /// the original panic is the one to report.
     #[inline]
     pub fn lock(&self) -> MutexGuard<'_, T> {
         engine::lock(self.id);
@@ -269,8 +271,12 @@ impl<T> Mutex<T> {
     /// The real acquisition behind a granted (or unmodeled) lock.
     #[inline]
     fn lock_real(&self) -> MutexGuard<'_, T> {
+        let inner = self.inner.lock().unwrap_or_else(|poisoned| {
+            assert!(std::thread::panicking(), "shim mutex poisoned");
+            poisoned.into_inner()
+        });
         MutexGuard {
-            inner: Some(self.inner.lock().expect("shim mutex poisoned")),
+            inner: Some(inner),
             lock: self,
         }
     }
