@@ -79,8 +79,9 @@ fn two_process_chaos_run_recovers_to_identical_output() {
 
 #[test]
 fn batched_two_process_run_passes_both_checkers() {
-    // --force-ubs deepens the cross-partition windows past the batching
-    // threshold, so the schedule lowers real batch plans: the merged
+    // --force-ubs widens the cross-partition windows to the credit
+    // window, past the batching threshold, so the schedule lowers real
+    // batch plans: the merged
     // trace must carry the declared budgets, observed flush events, and
     // still satisfy trace-check (incl. the SPI086 budget diagnostic)
     // and race-check.

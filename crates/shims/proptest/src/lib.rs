@@ -9,10 +9,12 @@
 //!
 //! Semantics differ from real proptest in two deliberate ways: cases are
 //! generated from a fixed per-test seed (fully deterministic, no
-//! persisted regressions), and failures are reported via ordinary
-//! panics with no shrinking. That trades minimality of counterexamples
-//! for zero dependencies, which is the right trade in a registry-less
-//! build environment.
+//! persisted regressions), and a failing case is not shrunk. It is
+//! reported by its case index and a replay line,
+//! `SPI_CHAOS_SEED=<case>` ([`CHAOS_SEED_VAR`]), which runs that case
+//! alone. That trades minimality of counterexamples for zero
+//! dependencies, which is the right trade in a registry-less build
+//! environment.
 
 use std::ops::{Range, RangeInclusive};
 

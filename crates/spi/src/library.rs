@@ -44,9 +44,9 @@ impl SpiLibraryReport {
                     components::spi_send_dynamic() + components::spi_receive_dynamic()
                 }
             };
-            // The IPC FIFO sized by the plan. For UBS we charge the
-            // FIFO actually instantiated (credit-bounded working set),
-            // not the nominal "unbounded" capacity.
+            // The IPC FIFO sized by the plan, in payload bytes: the
+            // eq. (2) capacity for BBS, the credit window plus one for
+            // UBS.
             let fifo_bytes = match plan.protocol {
                 spi_sched::Protocol::Bbs { capacity } => capacity.max(1) * plan.payload_max as u64,
                 spi_sched::Protocol::Ubs { ack_window } => {

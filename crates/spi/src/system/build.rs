@@ -30,6 +30,11 @@ use crate::message::{self, SpiPhase};
 /// Size of a UBS acknowledgement message (the edge id).
 pub const ACK_BYTES: usize = 2;
 
+/// Least UBS credit window in messages: deep enough that
+/// acknowledgements pipeline across the wire latency of large messages
+/// instead of degenerating into a per-message rendezvous.
+const ACK_WINDOW: u64 = 16;
+
 /// Which of the paper's §2 multiprocessor scheduling classes drives the
 /// run-time release of firings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +91,6 @@ pub struct SpiSystemBuilder {
     pub(super) iterations: u64,
     clock_mhz: f64,
     pub(super) channel_template: ChannelSpec,
-    ack_window: u64,
     resync: bool,
     force_ubs: bool,
     signal: LengthSignal,
@@ -109,10 +113,6 @@ impl SpiSystemBuilder {
             iterations: 1,
             clock_mhz: 100.0,
             channel_template: ChannelSpec::default(),
-            // Deep enough that UBS acknowledgements pipeline across the
-            // wire latency of large messages instead of degenerating into
-            // a per-message rendezvous.
-            ack_window: 16,
             resync: true,
             force_ubs: false,
             signal: LengthSignal::Header,
@@ -233,12 +233,6 @@ impl SpiSystemBuilder {
     /// per edge; the other fields are taken from this template).
     pub fn channel_template(&mut self, spec: ChannelSpec) -> &mut Self {
         self.channel_template = spec;
-        self
-    }
-
-    /// UBS credit window (outstanding unacknowledged messages).
-    pub fn ack_window(&mut self, window: u64) -> &mut Self {
-        self.ack_window = window.max(1);
         self
     }
 
@@ -454,6 +448,7 @@ impl SpiSystemBuilder {
             .map(|m| (m[1] - m[0]).max(0) as u64)
             .collect();
         let max_burst = recv_counts.iter().copied().max().unwrap_or(1).max(1);
+        let fill_msgs = edge.delay / u64::from(edge.produce.bound());
 
         let protocol = match bound_tokens {
             // Liveness guard: the BBS feedback edge of the most-delayed
@@ -474,27 +469,21 @@ impl SpiSystemBuilder {
             // deadlock against the program order of a coupled edge
             // (found by the stress fuzzer, seed 738).
             _ => Protocol::Ubs {
-                ack_window: self.ack_window.max(max_burst).max(msgs_per_iter),
+                ack_window: ACK_WINDOW.max(max_burst).max(msgs_per_iter),
             },
         };
-        let (capacity, bound_msgs) = match protocol {
-            Protocol::Bbs { capacity } => {
-                // eq. (2): tokens-in-flight bound × messages per
-                // iteration of drift, plus one message of slack.
-                let msgs = (capacity + 1) * msgs_per_iter;
-                // Static-phase messages are always exactly `msg_max`
-                // bytes, so the byte capacity implies a message-count
-                // bound the runtime checker can hold occupancy against.
-                // Dynamic messages may be shorter, letting more of them
-                // legitimately fit in the same bytes.
-                let counted = (phase == SpiPhase::Static).then_some(msgs);
-                (msgs as usize * msg_max, counted)
-            }
-            // "Unbounded": large enough to never backpressure in
-            // practice; credits govern the flow instead.
-            Protocol::Ubs { .. } => ((msg_max * 256).max(1 << 20), None),
+        // The messages the data channel holds.
+        let msgs = match protocol {
+            // eq. (2): tokens-in-flight bound, plus one, × messages per
+            // iteration of drift.
+            Protocol::Bbs { capacity } => (capacity + 1) * msgs_per_iter,
+            // The credit window: every data message past the pipeline
+            // fills (sent without a credit) takes one of `ack_window`
+            // credits; plus one message of slack. An edge whose acks
+            // resynchronization removed is held to the same depth by the
+            // path that made them redundant.
+            Protocol::Ubs { ack_window } => ack_window + fill_msgs + 1,
         };
-        let capacity = capacity.max(msg_max);
         EdgePlan {
             edge: via,
             phase,
@@ -504,11 +493,16 @@ impl SpiSystemBuilder {
             dst_proc: s.actor_proc[&edge.dst],
             msgs_per_iter,
             recv_counts,
-            fill_msgs: edge.delay / u64::from(edge.produce.bound()),
+            fill_msgs,
             prime_tokens: edge.delay % u64::from(edge.produce.bound()),
             max_burst,
             bound_tokens,
-            bound_msgs,
+            // Static-phase messages are always exactly `msg_max` bytes,
+            // so the byte capacity implies a message-count bound the
+            // runtime checker can hold occupancy against. Dynamic
+            // messages may be shorter, letting more of them legitimately
+            // fit in the same bytes.
+            bound_msgs: (phase == SpiPhase::Static).then_some(msgs),
             protocol,
             ack_kept: false,
             cost: MessageCost::new(
@@ -520,13 +514,13 @@ impl SpiSystemBuilder {
             ),
             // Declaring the packed-token message size makes the channel
             // a valid substrate for slot-based transports: a ring of
-            // `capacity / msg_max` fixed slots is exactly the eq. (2)
-            // allocation, and the same count is the pool a
-            // pointer-exchange transport derives (SPI044).
+            // `msgs` fixed slots is exactly the allocation, and the same
+            // count is the pool a pointer-exchange transport derives
+            // (SPI044).
             transport: TransportDecl {
-                capacity_bytes: capacity as u64,
+                capacity_bytes: msgs * msg_max as u64,
                 message_bytes_max: msg_max as u64,
-                pool_slots: Some((capacity / msg_max).max(1) as u64),
+                pool_slots: Some(msgs),
                 batch_msgs: None,
             },
             batch: None,
@@ -624,11 +618,11 @@ impl SpiSystemBuilder {
     }
 
     /// Cross-partition edges additionally lower to socket channels: the
-    /// sender-side credit window is the in-memory channel's eq. (2)
-    /// capacity, the record batch is bounded by that window in messages
-    /// (so SPI046 can hold it against the window), and the Nagle flush
-    /// deadline comes from the predicted per-iteration wall time at this
-    /// system's clock.
+    /// sender-side credit window is the in-memory channel's capacity
+    /// (eq. (2) under BBS, the credit window under UBS), the record
+    /// batch is bounded by that window in messages (so SPI046 can hold
+    /// it against the window), and the Nagle flush deadline comes from
+    /// the predicted per-iteration wall time at this system's clock.
     fn plan_batches(&self, predicted: Option<&PredictedMetrics>, plans: &mut Plans) -> Result<()> {
         let Some(partition) = &self.partition else {
             return Ok(());
@@ -827,12 +821,11 @@ pub struct EdgePlan {
     pub max_burst: u64,
     /// eq. (2) bound in tokens, when it exists.
     pub bound_tokens: Option<u64>,
-    /// Message-count capacity the data channel was provisioned for
-    /// (`(capacity + 1) · msgs_per_iter` for static-phase BBS); `None`
-    /// for UBS, where credits govern flow instead of the buffer, and for
-    /// dynamic messages, which may be shorter than `msg_max`. The
-    /// runtime conformance checker holds observed occupancy against
-    /// this.
+    /// Message-count capacity the data channel was provisioned for:
+    /// `(capacity + 1) · msgs_per_iter` under BBS, `ack_window +
+    /// fill_msgs + 1` under UBS. `None` for dynamic messages, which may
+    /// be shorter than `msg_max`. The runtime conformance checker holds
+    /// observed occupancy against this.
     pub bound_msgs: Option<u64>,
     /// Chosen protocol, with its BBS capacity or UBS credit window.
     pub protocol: Protocol,
@@ -841,8 +834,9 @@ pub struct EdgePlan {
     /// Per-message cycle costs on the configured channel hardware.
     pub cost: MessageCost,
     /// The data channel's allocation as declared to the analyzer:
-    /// eq. (2) capacity in bytes, `msg_max`, and the slot count a
-    /// pointer-exchange transport derives from them.
+    /// `msg_max`, the message count `bound_msgs` states (computed on
+    /// dynamic edges too) times `msg_max` in bytes, and that count as
+    /// the slot count a pointer-exchange transport derives.
     pub transport: TransportDecl,
     /// Record batching of the edge's socket, for edges that cross the
     /// partition of a distributed build; unbatchable edges (windows of

@@ -13,7 +13,8 @@
 //! 4. derives the **synchronization graph** and runs
 //!    **resynchronization** to drop redundant acknowledgement edges;
 //! 5. lowers everything onto the simulated platform: one FIFO channel
-//!    per inter-processor edge (sized by eq. (2) for BBS), `SPI_send` /
+//!    per inter-processor edge (sized by eq. (2) for BBS, by the credit
+//!    window for UBS), `SPI_send` /
 //!    `SPI_receive` actor pairs framing messages with the 2-byte
 //!    (static) or 6-byte (dynamic) headers of §5.1, ack channels only
 //!    where resynchronization could not prove them redundant;

@@ -188,8 +188,8 @@ impl SpiSystem {
 
     /// Per-edge buffer sizing report: the paper's bounded-memory story
     /// (eqs. 1–2) made concrete. One row per inter-processor edge with
-    /// its protocol, eq.-(2) token bound (where it exists) and the bytes
-    /// actually reserved for the FIFO.
+    /// its protocol (the eq.-(2)-derived BBS capacity or the UBS credit
+    /// window) and the bytes actually reserved for the FIFO.
     pub fn buffer_report(&self) -> Vec<BufferRow> {
         let mut rows: Vec<BufferRow> = self
             .plans
@@ -198,7 +198,7 @@ impl SpiSystem {
                 edge: p.edge,
                 phase: p.phase,
                 protocol: p.protocol,
-                bound_tokens: p.bound_tokens,
+                capacity_bytes: p.transport.capacity_bytes,
                 message_bytes_max: p.msg_max,
             })
             .collect();
@@ -288,8 +288,8 @@ pub struct BufferRow {
     pub phase: SpiPhase,
     /// Chosen protocol (BBS capacity is the eq.-(2)-derived size).
     pub protocol: Protocol,
-    /// eq. (2) bound in packed tokens, when a feedback path exists.
-    pub bound_tokens: Option<u64>,
+    /// Bytes reserved for the edge's FIFO.
+    pub capacity_bytes: u64,
     /// Largest single message (header + payload bound).
     pub message_bytes_max: usize,
 }
@@ -298,13 +298,11 @@ impl std::fmt::Display for BufferRow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{:>4}  {:<8}  {:<22}  bound {:<9}  ≤{} B/msg",
+            "{:>4}  {:<8}  {:<22}  {:>6} B  ≤{} B/msg",
             self.edge.to_string(),
             format!("{:?}", self.phase),
             format!("{:?}", self.protocol),
-            self.bound_tokens
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "∞ (UBS)".into()),
+            self.capacity_bytes,
             self.message_bytes_max,
         )
     }

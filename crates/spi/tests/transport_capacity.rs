@@ -3,13 +3,14 @@
 //! ring is exactly the eq. (2) sizing derived from `sched::ipc_graph` —
 //! `slots = (bound ∨ (d_max+1)) + 1 slack) × q_src` messages of
 //! `header + payload_max` bytes each, nothing rounded up to a power of
-//! two, nothing approximated by message counts.
+//! two, nothing approximated by message counts. A UBS data channel is
+//! its credit window by the same rule.
 
 use std::collections::HashMap;
 
-use spi::{SpiSystemBuilder, STATIC_HEADER_BYTES};
+use spi::{SpiSystem, SpiSystemBuilder, STATIC_HEADER_BYTES};
 use spi_dataflow::{EdgeId, PrecedenceGraph, SdfGraph, VtsConversion};
-use spi_platform::{RingTransport, Transport};
+use spi_platform::{ChannelSpec, RingTransport, Transport};
 use spi_sched::{Assignment, IpcEdgeKind, IpcGraph, ProcId, SelfTimedSchedule};
 
 /// Two actors on two processors exchanging tokens in both directions;
@@ -24,9 +25,46 @@ fn bounded_graph() -> (SdfGraph, EdgeId, EdgeId) {
     (g, fwd, fb)
 }
 
+/// The bounded graph built on two processors, `configure`d.
+fn built(configure: impl Fn(&mut SpiSystemBuilder) -> &mut SpiSystemBuilder) -> SpiSystem {
+    let (g, fwd, fb) = bounded_graph();
+    let (a, b) = (g.edge(fwd).src, g.edge(fb).src);
+    let mut builder = SpiSystemBuilder::new(g);
+    builder.actor(a, move |ctx: &mut spi::Firing| {
+        ctx.set_output(fwd, vec![1u8; 4]);
+        5
+    });
+    builder.actor(b, move |ctx: &mut spi::Firing| {
+        ctx.set_output(fb, vec![2u8; 4]);
+        5
+    });
+    configure(builder.iterations(3));
+    builder.build(2, |a| ProcId(a.0)).expect("buildable")
+}
+
+/// Asserts `edge`'s data channel `spec` is `msgs` slots of `msg_max`
+/// bytes, and so is the ring built from it.
+fn assert_ring_of(spec: &ChannelSpec, edge: EdgeId, msgs: u64) {
+    let msg_max = STATIC_HEADER_BYTES + 4; // header + 1 token × 4 B
+    assert_eq!(
+        spec.max_message_bytes, msg_max,
+        "slot size is the packed token"
+    );
+    assert_eq!(
+        spec.capacity_bytes,
+        msgs as usize * msg_max,
+        "edge {edge}: the bound's bytes are the literal allocation",
+    );
+    // The ring allocates exactly that: no rounding, no slop.
+    let ring = RingTransport::new(spec.capacity_bytes, spec.max_message_bytes);
+    assert_eq!(ring.capacity_bytes(), msgs as usize * msg_max);
+    assert_eq!(ring.slots(), msgs as usize);
+    assert_eq!(ring.max_message_bytes(), msg_max);
+}
+
 #[test]
 fn ring_capacity_equals_eq2_bytes_from_ipc_graph() {
-    let (g, fwd, fb) = bounded_graph();
+    let (g, _, _) = bounded_graph();
 
     // Independently derive the schedule exactly as the builder does.
     let vts = VtsConversion::convert(&g).unwrap();
@@ -49,23 +87,8 @@ fn ring_capacity_equals_eq2_bytes_from_ipc_graph() {
     }
 
     // Build the runnable system with the same assignment.
-    let (g, _, _) = bounded_graph();
-    let mut b = SpiSystemBuilder::new(g);
-    b.actor(cg.edge(fwd).src, {
-        move |ctx: &mut spi::Firing| {
-            ctx.set_output(fwd, vec![1u8; 4]);
-            5
-        }
-    });
-    b.actor(cg.edge(fb).src, {
-        move |ctx: &mut spi::Firing| {
-            ctx.set_output(fb, vec![2u8; 4]);
-            5
-        }
-    });
-    b.iterations(3);
-    let sys = b.build(2, |a| ProcId(a.0)).expect("buildable");
-
+    let sys = built(|b| b);
+    let plans = sys.edge_plans().clone();
     let report = sys.buffer_report();
     let (specs, _programs) = sys.into_parts();
 
@@ -76,32 +99,46 @@ fn ring_capacity_equals_eq2_bytes_from_ipc_graph() {
     for row in &report {
         let bound = bounds[&row.edge].expect("feedback makes every edge bounded");
         assert_eq!(
-            row.bound_tokens,
+            plans[&row.edge].bound_tokens,
             Some(bound),
-            "report agrees with ipc_graph"
+            "plan agrees with ipc_graph"
         );
         let cap_tokens = bound.max(d_max[&row.edge] + 1);
         let q_src = q[cg.edge(row.edge).src];
-        let expected_msgs = ((cap_tokens + 1) * q_src) as usize;
-        let msg_max = STATIC_HEADER_BYTES + 4; // header + 1 token × 4 B
-        assert_eq!(row.message_bytes_max, msg_max);
-
-        let spec = &specs[row.edge.0];
-        assert_eq!(
-            spec.max_message_bytes, msg_max,
-            "slot size is the packed token"
-        );
-        assert_eq!(
-            spec.capacity_bytes,
-            expected_msgs * msg_max,
-            "edge {}: eq. (2) bytes are the literal allocation",
-            row.edge
-        );
-
-        // The ring allocates exactly that: no rounding, no slop.
-        let ring = RingTransport::new(spec.capacity_bytes, spec.max_message_bytes);
-        assert_eq!(ring.capacity_bytes(), expected_msgs * msg_max);
-        assert_eq!(ring.slots(), expected_msgs);
-        assert_eq!(ring.max_message_bytes(), msg_max);
+        let expected_msgs = (cap_tokens + 1) * q_src;
+        assert_eq!(row.message_bytes_max, STATIC_HEADER_BYTES + 4);
+        assert_eq!(row.capacity_bytes, specs[row.edge.0].capacity_bytes as u64);
+        assert_ring_of(&specs[row.edge.0], row.edge, expected_msgs);
     }
+}
+
+/// Forced onto UBS, each edge's data channel holds its credit window:
+/// `ack_window` credited messages past the `fill_msgs` the producer
+/// sends without a credit (two on the delayed feedback edge), plus one.
+/// The same holds for an edge whose acknowledgements resynchronization
+/// removed.
+#[test]
+fn ubs_ring_capacity_is_the_credit_window() {
+    let mut acks_seen = [false; 2];
+    for resync in [false, true] {
+        let sys = built(|b| b.force_ubs(true).resynchronization(resync));
+        let plans = sys.edge_plans().clone();
+        let (specs, _programs) = sys.into_parts();
+        for plan in plans.values() {
+            let msgs = plan.ack_window() + plan.fill_msgs + 1;
+            assert!(plan.ack_window() > 0, "edge {} is UBS", plan.edge);
+            assert_eq!(
+                plan.transport.capacity_bytes,
+                msgs * plan.msg_max as u64,
+                "edge {} (resync {resync})",
+                plan.edge
+            );
+            assert_eq!(plan.bound_msgs, Some(msgs), "edge {}", plan.edge);
+            assert_ring_of(&specs[plan.data_ch.0], plan.edge, msgs);
+            acks_seen[usize::from(plan.ack_kept)] = true;
+        }
+        let fills: Vec<u64> = plans.values().map(|p| p.fill_msgs).collect();
+        assert!(fills.contains(&2), "the feedback edge's two fills");
+    }
+    assert_eq!(acks_seen, [true, true], "edges with and without acks");
 }

@@ -418,18 +418,22 @@ pub struct Covered {
     pub cross_dynamic: u64,
     pub delayed_or_feedback: u64,
     pub acknowledged: u64,
+    /// A static-phase UBS edge, whose credit-window occupancy SPI080
+    /// holds against `bound_msgs`.
+    pub static_ubs: u64,
     pub ordered_bus_acked_fills: u64,
     pub partitioned: u64,
 }
 
 impl Covered {
     /// Each count, named, with the floor the [`SYSTEMS`] set must reach.
-    pub fn floors(self) -> [(&'static str, u64, u64); 6] {
+    pub fn floors(self) -> [(&'static str, u64, u64); 7] {
         [
             ("multi-processor systems", self.multi_processor, 100),
             ("cross-processor dynamic edges", self.cross_dynamic, 50),
             ("delayed or feedback edges", self.delayed_or_feedback, 150),
             ("acknowledged edges", self.acknowledged, 70),
+            ("static-phase UBS edges", self.static_ubs, 60),
             (
                 "ordered-bus plans with acknowledged fills",
                 self.ordered_bus_acked_fills,
@@ -444,6 +448,7 @@ impl Covered {
         self.cross_dynamic += other.cross_dynamic;
         self.delayed_or_feedback += other.delayed_or_feedback;
         self.acknowledged += other.acknowledged;
+        self.static_ubs += other.static_ubs;
         self.ordered_bus_acked_fills += other.ordered_bus_acked_fills;
         self.partitioned += other.partitioned;
     }
@@ -466,6 +471,7 @@ pub fn check(g: &Generated) -> Covered {
             cross_dynamic: u64::from(plans().any(|p| p.phase == SpiPhase::Dynamic)),
             delayed_or_feedback: u64::from(g.graph.edges().any(|(_, e)| e.delay > 0)),
             acknowledged: u64::from(plans().any(|p| p.ack_kept)),
+            static_ubs: u64::from(plans().any(|p| p.ack_window() > 0 && p.bound_msgs.is_some())),
             ordered_bus_acked_fills: u64::from(matches!(g.bus, Bus::Ordered) && acked_fills()),
             partitioned: u64::from(g.nodes.is_some()),
         };
