@@ -192,10 +192,10 @@ impl FaultPlan {
 
     /// Samples `count` faults over `n_channels` edges and the first
     /// `messages` sends of each, deterministically from `seed`. Fault
-    /// kinds are drawn uniformly; delays are 10–200 µs and stalls 1–3 ms
-    /// — sized to perturb scheduling without blowing sensible retry
-    /// budgets (chaos tests wanting budget-busting stalls add them
-    /// explicitly via [`FaultPlan::inject`]).
+    /// kinds are drawn uniformly; delays are 10–200 µs and stalls 1–3 ms,
+    /// both ranges inclusive — sized to perturb scheduling without
+    /// blowing sensible retry budgets (a test wanting a budget-busting
+    /// stall adds it explicitly via [`FaultPlan::inject`]).
     pub fn random(seed: u64, n_channels: usize, messages: u64, count: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut taken: HashSet<(usize, u64)> = HashSet::new();
@@ -212,10 +212,10 @@ impl FaultPlan {
             }
             let kind = match rng.gen_range(0..5u32) {
                 0 => FaultKind::Delay {
-                    micros: rng.gen_range(10..200u64),
+                    micros: rng.gen_range(10..=200u64),
                 },
                 1 => FaultKind::Stall {
-                    millis: rng.gen_range(1..3u64),
+                    millis: rng.gen_range(1..=3u64),
                 },
                 2 => FaultKind::Drop,
                 3 => FaultKind::Duplicate,

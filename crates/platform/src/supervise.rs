@@ -59,6 +59,11 @@ use crate::transport::TransportError;
 /// `[seq: u32 LE][crc32: u32 LE]`.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
+/// Base of the exponential backoff between retries
+/// (`base · 2^(attempt−1)`, capped at [`MAX_BACKOFF`]). Deadline-miss
+/// retries skip the backoff — the deadline already waited.
+const BACKOFF_BASE: Duration = Duration::from_micros(500);
+
 /// Longest single exponential-backoff sleep between retries.
 const MAX_BACKOFF: Duration = Duration::from_millis(100);
 
@@ -96,10 +101,6 @@ pub struct SupervisionPolicy {
     pub op_deadline: Duration,
     /// Retries after the first failed attempt before degrading.
     pub max_retries: u32,
-    /// Base of the exponential backoff between retries
-    /// (`base · 2^(attempt−1)`, capped at 100 ms). Deadline-miss
-    /// retries skip the backoff — the deadline already waited.
-    pub backoff_base: Duration,
     /// What to do with a token the retry budget could not recover.
     pub degrade: DegradePolicy,
     /// Checkpoint restarts allowed per PE before a panic is fatal.
@@ -111,7 +112,6 @@ impl Default for SupervisionPolicy {
         SupervisionPolicy {
             op_deadline: Duration::from_secs(2),
             max_retries: 3,
-            backoff_base: Duration::from_micros(500),
             degrade: DegradePolicy::Fail,
             max_restarts: 1,
         }
@@ -642,11 +642,8 @@ impl<'a> Supervised<'a> {
     }
 
     fn backoff(&self, attempt: u32) {
-        let base = self.policy.backoff_base;
-        if !base.is_zero() {
-            let exp = base.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-            crate::shim::sleep(exp.min(MAX_BACKOFF));
-        }
+        let exp = BACKOFF_BASE.saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
+        crate::shim::sleep(exp.min(MAX_BACKOFF));
     }
 }
 
@@ -922,8 +919,13 @@ mod tests {
     #[test]
     fn policy_defaults_are_strict() {
         let p = SupervisionPolicy::default();
-        assert_eq!(p.degrade, DegradePolicy::Fail);
-        assert_eq!(p.max_retries, 3);
+        let strict = SupervisionPolicy {
+            op_deadline: Duration::from_secs(2),
+            max_retries: 3,
+            degrade: DegradePolicy::Fail,
+            max_restarts: 1,
+        };
+        assert_eq!(p, strict, "four settable values, strict by default");
         let p = SupervisionPolicy::retry(5)
             .with_deadline(Duration::from_millis(50))
             .with_degrade(DegradePolicy::Substitute)

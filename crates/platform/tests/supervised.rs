@@ -1,134 +1,13 @@
-//! Supervised-runner recovery semantics, driven by a scripted
-//! fault-injecting [`Transport`] decorator (the same seam `spi-fault`
-//! uses, scripted here instead of seeded so each test pins one
-//! recovery path).
+//! Supervised-runner semantics without injected faults: the fault-free
+//! run, checkpoint restarts, and deadline misses. (Recovery from injected
+//! transport faults is `spi-fault`'s `tests/supervised.rs`.)
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 use spi_platform::{
-    ChannelId, ChannelSpec, DegradePolicy, InjectedFault, Op, PeLocal, PlatformError, Program,
-    SupervisionPolicy, ThreadedRunner, Transport, TransportError, TransportKind,
+    ChannelId, ChannelSpec, Op, PeLocal, PlatformError, Program, SupervisionPolicy, ThreadedRunner,
+    TransportError, TransportKind,
 };
-
-/// What the scripted decorator does to send attempts.
-#[derive(Clone, Copy)]
-enum FaultMode {
-    /// Drop (fail without delivering) every attempt carrying the given
-    /// frame sequence number — exhausts the sender's budget for
-    /// exactly one token.
-    DropSeq(u32),
-    /// Drop the first attempt of the given sequence number only; the
-    /// retransmission goes through.
-    DropSeqOnce(u32),
-    /// Deliver a corrupted copy of the first attempt of the given
-    /// sequence number and report the injection; retransmission clean.
-    CorruptSeqOnce(u32),
-    /// Drop every attempt on the channel.
-    DropAll,
-}
-
-struct FaultingTransport {
-    inner: Box<dyn Transport>,
-    mode: FaultMode,
-    injected: AtomicU64,
-}
-
-fn frame_seq(data: &[u8]) -> u32 {
-    u32::from_le_bytes(data[0..4].try_into().expect("frame header"))
-}
-
-impl Transport for FaultingTransport {
-    fn capacity_bytes(&self) -> usize {
-        self.inner.capacity_bytes()
-    }
-    fn max_message_bytes(&self) -> usize {
-        self.inner.max_message_bytes()
-    }
-    fn len_bytes(&self) -> usize {
-        self.inner.len_bytes()
-    }
-    fn occupancy(&self) -> usize {
-        self.inner.occupancy()
-    }
-    fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
-        self.inner.try_send(data)
-    }
-    fn try_recv(&self) -> Result<Vec<u8>, TransportError> {
-        self.inner.try_recv()
-    }
-    fn send(&self, data: &[u8], timeout: Duration) -> Result<(), TransportError> {
-        let seq = frame_seq(data);
-        match self.mode {
-            FaultMode::DropSeq(target) if seq == target => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(TransportError::Injected {
-                    fault: InjectedFault::Dropped,
-                })
-            }
-            FaultMode::DropSeqOnce(target) | FaultMode::CorruptSeqOnce(target)
-                if seq == target && self.injected.load(Ordering::Relaxed) == 0 =>
-            {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                if matches!(self.mode, FaultMode::CorruptSeqOnce(_)) {
-                    let mut bad = data.to_vec();
-                    *bad.last_mut().expect("non-empty frame") ^= 0x5A;
-                    // Best effort: if the channel is full the corrupt
-                    // copy vanishes, which is also a valid fault.
-                    let _ = self.inner.try_send(&bad);
-                }
-                Err(TransportError::Injected {
-                    fault: if matches!(self.mode, FaultMode::CorruptSeqOnce(_)) {
-                        InjectedFault::Corrupted
-                    } else {
-                        InjectedFault::Dropped
-                    },
-                })
-            }
-            FaultMode::DropAll => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(TransportError::Injected {
-                    fault: InjectedFault::Dropped,
-                })
-            }
-            _ => self.inner.send(data, timeout),
-        }
-    }
-    fn send_with(
-        &self,
-        len: usize,
-        fill: &mut dyn FnMut(&mut [u8]),
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        self.inner.send_with(len, fill, timeout)
-    }
-    fn recv_with(
-        &self,
-        consume: &mut dyn FnMut(&[u8]),
-        timeout: Duration,
-    ) -> Result<(), TransportError> {
-        self.inner.recv_with(consume, timeout)
-    }
-}
-
-/// Wraps channel 0 in a [`FaultingTransport`]; other channels pass
-/// through untouched.
-fn faulty_ch0(mode: FaultMode) -> Arc<spi_platform::TransportDecorator> {
-    Arc::new(
-        move |ch: ChannelId, inner: Box<dyn Transport>| -> Box<dyn Transport> {
-            if ch.0 == 0 {
-                Box::new(FaultingTransport {
-                    inner,
-                    mode,
-                    injected: AtomicU64::new(0),
-                })
-            } else {
-                inner
-            }
-        },
-    )
-}
 
 const ITERS: u64 = 6;
 
@@ -193,128 +72,6 @@ fn supervised_fault_free_matches_unsupervised() {
             .unwrap();
         assert_eq!(plain[1].store, supervised[1].store, "{kind:?}");
         assert_eq!(supervised[1].leftover_inbox, 0);
-    }
-}
-
-#[test]
-fn dropped_frame_is_retransmitted_byte_identically() {
-    for kind in kinds() {
-        let (channels, programs) = pipeline();
-        let results = ThreadedRunner::new()
-            .transport(kind)
-            .supervise(fast_policy())
-            .decorate_transports(faulty_ch0(FaultMode::DropSeqOnce(2)))
-            .run(&channels, programs)
-            .unwrap();
-        assert_eq!(results[1].store["acc"], vec![0, 1, 2, 3, 4, 5], "{kind:?}");
-    }
-}
-
-#[test]
-fn corrupt_frame_is_rejected_and_recovered() {
-    for kind in kinds() {
-        let (channels, programs) = pipeline();
-        let results = ThreadedRunner::new()
-            .transport(kind)
-            .supervise(fast_policy())
-            .decorate_transports(faulty_ch0(FaultMode::CorruptSeqOnce(1)))
-            .run(&channels, programs)
-            .unwrap();
-        // The corrupted copy is CRC-rejected by the receiver; the
-        // retransmission restores the exact byte stream.
-        assert_eq!(results[1].store["acc"], vec![0, 1, 2, 3, 4, 5], "{kind:?}");
-    }
-}
-
-#[test]
-fn fail_policy_names_the_faulted_edge() {
-    for kind in kinds() {
-        let (channels, programs) = pipeline();
-        let err = ThreadedRunner::new()
-            .transport(kind)
-            .supervise(fast_policy())
-            .decorate_transports(faulty_ch0(FaultMode::DropAll))
-            .run(&channels, programs)
-            .unwrap_err();
-        match err {
-            PlatformError::RetryBudgetExhausted {
-                channel, attempts, ..
-            } => {
-                assert_eq!(channel, ChannelId(0), "{kind:?}");
-                assert_eq!(attempts, 4, "first try + 3 retries ({kind:?})");
-            }
-            // The receiver may hit its own budget first and also names
-            // the edge; under Fail either is a correct outcome.
-            other => panic!("expected RetryBudgetExhausted under {kind:?}, got {other}"),
-        }
-    }
-}
-
-#[test]
-fn substitute_policy_fills_lost_token_with_zeros() {
-    for kind in kinds() {
-        let (channels, programs) = pipeline();
-        let results = ThreadedRunner::new()
-            .transport(kind)
-            .supervise(
-                fast_policy()
-                    .with_degrade(DegradePolicy::Substitute)
-                    .with_deadline(Duration::from_millis(50)),
-            )
-            .decorate_transports(faulty_ch0(FaultMode::DropSeq(2)))
-            .run(&channels, programs)
-            .unwrap();
-        // Token 2 is unrecoverable: the sender skips it after its
-        // budget, the receiver sees the sequence gap and substitutes a
-        // zero token shaped like the last delivered one.
-        assert_eq!(results[1].store["acc"], vec![0, 1, 0, 3, 4, 5], "{kind:?}");
-        assert_eq!(results[1].leftover_inbox, 0);
-    }
-}
-
-#[test]
-fn substitute_for_a_lost_first_token_has_the_declared_size() {
-    for kind in kinds() {
-        let (channels, programs) = pipeline();
-        let results = ThreadedRunner::new()
-            .transport(kind)
-            .supervise(
-                fast_policy()
-                    .with_degrade(DegradePolicy::Substitute)
-                    .with_deadline(Duration::from_millis(50)),
-            )
-            .decorate_transports(faulty_ch0(FaultMode::DropSeq(0)))
-            .run(&channels, programs)
-            .unwrap();
-        // Nothing has been delivered yet to size the substitute from:
-        // it takes the spec's 4-byte message bound, not zero bytes
-        // (which the consumer would fold as 0xEE).
-        assert_eq!(results[1].store["acc"], vec![0, 1, 2, 3, 4, 5], "{kind:?}");
-    }
-}
-
-#[test]
-fn skip_policy_drops_lost_token_and_continues() {
-    for kind in kinds() {
-        let (channels, programs) = pipeline();
-        let results = ThreadedRunner::new()
-            .transport(kind)
-            .supervise(
-                fast_policy()
-                    .with_degrade(DegradePolicy::Skip)
-                    .with_deadline(Duration::from_millis(50)),
-            )
-            .decorate_transports(faulty_ch0(FaultMode::DropSeq(2)))
-            .run(&channels, programs)
-            .unwrap();
-        // The receive op where token 2 went missing delivers the next
-        // arrived token instead; the final receive finds the stream
-        // dry, degrades to an empty token (folded as 0xEE).
-        assert_eq!(
-            results[1].store["acc"],
-            vec![0, 1, 3, 4, 5, 0xEE],
-            "{kind:?}"
-        );
     }
 }
 
@@ -396,25 +153,6 @@ fn restart_budget_exhaustion_is_fatal_and_descriptive() {
             assert_eq!(iter, 2);
         }
         other => panic!("expected RestartBudgetExhausted, got {other}"),
-    }
-}
-
-#[test]
-fn unsupervised_run_surfaces_injected_fault_as_channel_fault() {
-    // Without supervision nothing retries: the injection is a terminal,
-    // named error — not a hang, not silent corruption.
-    let (channels, programs) = pipeline();
-    let err = ThreadedRunner::new()
-        .timeout(Duration::from_secs(2))
-        .decorate_transports(faulty_ch0(FaultMode::DropAll))
-        .run(&channels, programs)
-        .unwrap_err();
-    match err {
-        PlatformError::ChannelFault { channel, detail } => {
-            assert_eq!(channel, ChannelId(0));
-            assert!(detail.contains("dropped"), "{detail}");
-        }
-        other => panic!("expected ChannelFault, got {other}"),
     }
 }
 

@@ -10,7 +10,8 @@
 # equivalence + fault passes drive TransportKind::Pointer through the
 # runner and the FaultyTransport decorator (incl. the pool_leak suite).
 # `engine_equivalence` holds the generated-system oracle: random SPI
-# systems on the DES, all three transports and the socket endpoints
+# systems on the DES, all three transports and the socket endpoints,
+# about a third of them supervised under random fault plans
 # (`CHAOS_CASES` systems; fewer under TSan).
 # The `-p spi-net` pass covers the socket endpoints, whose two sides and
 # the net-timer thread share the staging buffer and the flush registry
@@ -42,11 +43,10 @@ if rustup toolchain list 2>/dev/null | grep -q nightly && \
     cargo +nightly test -Z build-std --target "${TARGET}" \
       --test engine_equivalence "$@"
   # FaultyTransport + supervised recovery under TSan: the decorator and
-  # the retry/backoff machinery race against PE threads by design. A
-  # reduced chaos case count keeps the instrumented run tractable.
+  # the retry/backoff machinery race against PE threads by design (random
+  # plans ride along in the engine_equivalence pass above).
   RUSTFLAGS="-Z sanitizer=thread" \
   TSAN_OPTIONS="halt_on_error=1" \
-  CHAOS_CASES="${CHAOS_CASES:-10}" \
     cargo +nightly test -Z build-std --target "${TARGET}" \
       -p spi-fault --tests "$@" -- --test-threads=1
   # Socket endpoints: PE-driven reads, lazy ack reads, flush-before-block
@@ -72,8 +72,6 @@ else
     cargo test --release -p spi-platform --test transport_stress "$@"
   done
   cargo test --release --test engine_equivalence "$@"
-  echo "-- chaos stress (randomized fault plans, CHAOS_CASES=${CHAOS_CASES:-40})"
-  CHAOS_CASES="${CHAOS_CASES:-40}" cargo test --release -p spi-fault "$@"
   echo "-- socket endpoints (flush contract, thread count, credit proptest), 3 rounds"
   for round in 1 2 3; do
     cargo test --release -p spi-net --test transport --test proptest_net --test wire "$@"

@@ -3,13 +3,13 @@
 //! supervised runner **byte-identically** under the strict retry
 //! policy.
 //!
-//! This is the application-level face of the tentpole robustness claim:
-//! the chaos proptest (`crates/fault/tests/chaos.rs`) sweeps randomized
-//! plans over synthetic pipelines; here each [`FaultKind`] is pinned,
-//! one at a time, against the paper's evaluation application, and the
-//! decimated band outputs are compared against a fault-free reference
-//! run. The degrade policy is `Fail`, so success *means* exactness —
-//! there is no substitution path that could mask corruption.
+//! This is the application-level face of the robustness claim: the
+//! generated-system oracle (`support/oracle.rs`) runs random fault plans
+//! on random systems over every threaded backend; here each [`FaultKind`]
+//! is pinned, one at a time, against the paper's evaluation application,
+//! and the decimated band outputs are compared against a fault-free
+//! reference run. The degrade policy is `Fail`, so success *means*
+//! exactness — there is no substitution path that could mask corruption.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -159,83 +159,6 @@ fn faults_on_every_data_channel_recover_together() {
         .expect("multi-edge fault run recovers");
     assert_eq!(log.lock().unwrap().len(), channels.len());
     assert_eq!(want, output.lock().unwrap().clone());
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One randomized-but-seeded chaos run: up to three faults drawn from
-/// `seed` land on random data edges, and the supervised run must still
-/// match the fault-free reference bit-for-bit.
-fn randomized_plan_recovers(seed: u64) {
-    let want = reference();
-    let (output, system) = build();
-    let mut channels: Vec<ChannelId> = system.edge_plans().values().map(|p| p.data_ch).collect();
-    channels.sort();
-    let kinds = [
-        FaultKind::Drop,
-        FaultKind::Corrupt,
-        FaultKind::Duplicate,
-        FaultKind::Delay { micros: 200 },
-        FaultKind::Stall { millis: 10 },
-    ];
-    let mut s = seed ^ 0xA076_1D64_78BD_642F;
-    let mut used = std::collections::HashSet::new();
-    let mut plan = FaultPlan::new();
-    for _ in 0..3 {
-        let ch = channels[splitmix(&mut s) as usize % channels.len()];
-        let idx = splitmix(&mut s) % ITERATIONS;
-        if !used.insert((ch, idx)) {
-            continue; // same slot drawn twice: keep the first fault
-        }
-        plan = plan.inject(ch, idx, kinds[splitmix(&mut s) as usize % kinds.len()]);
-    }
-    let planned = plan.len();
-    let (decorator, log) = plan.into_decorator().expect("valid plan");
-    system
-        .run_threaded_with(
-            &ThreadedRunner::new()
-                .supervise(strict())
-                .decorate_transports(decorator),
-        )
-        .unwrap_or_else(|e| panic!("seed {seed} must recover: {e}"));
-    assert_eq!(log.lock().unwrap().len(), planned, "seed {seed}");
-    assert_eq!(
-        want,
-        output.lock().unwrap().clone(),
-        "band outputs must match the fault-free reference bit-for-bit (seed {seed})"
-    );
-}
-
-#[test]
-fn randomized_plans_recover_and_failures_name_their_seed() {
-    // `SPI_CHAOS_SEED=<n>` pins the sweep to one seed — the exact
-    // command a failure report prints.
-    let seeds: Vec<u64> = match std::env::var("SPI_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-    {
-        Some(s) => vec![s],
-        None => (0..3).collect(),
-    };
-    for seed in seeds {
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            randomized_plan_recovers(seed)
-        }));
-        if let Err(cause) = outcome {
-            eprintln!(
-                "chaos seed {seed} failed\n\
-                 replay: SPI_CHAOS_SEED={seed} cargo test --test fault_recovery \
-                 randomized_plans_recover -- --nocapture"
-            );
-            std::panic::resume_unwind(cause);
-        }
-    }
 }
 
 /// A fault index means "the k-th message the PE sends on the channel",

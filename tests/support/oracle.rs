@@ -15,6 +15,15 @@
 //! under `spi_trace::check` against `trace_meta` (eq. (1)/(2) bounds
 //! and, on the DES, the predicted makespan); and every channel carried
 //! the messages its `EdgePlan` says.
+//!
+//! About half the multi-processor systems also draw [`Faults`]: their
+//! threaded runs are supervised, with a seeded `FaultPlan` injected into
+//! every channel and now and then one firing that panics once. The DES
+//! stays the fault-free run, and the contract is supervision's: the run
+//! converges to the same stores and digests, replays clean against the
+//! policy's budgets, and fired every planned fault it reached — or, for
+//! the rare plan that is one budget-busting stall, it ends in a typed
+//! supervision error naming a channel of the system.
 #![allow(dead_code)] // each test target uses its own part
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -29,8 +38,10 @@ use rand::{Rng, RngCore, SeedableRng};
 use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_repro::dataflow::VtsConversion;
 use spi_repro::dataflow::{Actor, ActorId, Edge, EdgeId, FirePolicy, LengthSignal, SdfGraph};
+use spi_repro::fault::{FaultKind, FaultPlan, FaultSpec, InjectionLog};
 use spi_repro::platform::TransportKind::{Locked, Pointer, Ring};
-use spi_repro::platform::{BusSpec, ChannelSpec, ThreadedRunner, Transport, TransportError};
+use spi_repro::platform::{framed_spec, BusSpec, ChannelId, ChannelSpec, Op, PlatformError};
+use spi_repro::platform::{Program, SupervisionPolicy, ThreadedRunner, Transport, TransportError};
 use spi_repro::sched::{Partition, ProcId};
 use spi_repro::sim::{sim_stream_pair, SimStream};
 use spi_repro::spi::SpiSystemBuilder;
@@ -43,6 +54,18 @@ const MAX_ACTORS: usize = 6;
 const MAX_ITERATIONS: u64 = 8;
 /// Firings per iteration a generated graph stays within.
 const MAX_FIRINGS: u64 = 20;
+/// Per-attempt deadline of a supervised run.
+const DEADLINE: Duration = Duration::from_millis(100);
+/// Retries a supervised channel operation gets beyond its first attempt.
+const RETRIES: u32 = 2;
+/// A stall one deadline longer than the whole retry budget of
+/// `deadline × (retries + 1)`: whoever waits on it gives up first.
+const BUSTING_STALL_MS: u64 = DEADLINE.as_millis() as u64 * (RETRIES as u64 + 2);
+
+/// The supervised runs' strict policy: retry, never degrade.
+fn policy() -> SupervisionPolicy {
+    SupervisionPolicy::retry(RETRIES).with_deadline(DEADLINE)
+}
 
 /// Interconnect of a generated system.
 #[derive(Debug, Clone, Copy, Default)]
@@ -74,11 +97,37 @@ pub struct Generated {
     /// Fully-static scheduling's slack; `None` is self-timed.
     pub slack: Option<u32>,
     pub bus: Bus,
+    /// What the threaded runs are put through; `None` runs them plain.
+    pub faults: Option<Faults>,
 }
+
+/// The fault dimension of a system: its threaded runs are supervised
+/// under [`policy`] with `plan` injected into its channels, and the
+/// first firing of `panic_once`'s actor in its iteration panics once,
+/// which the checkpoint restart replays.
+#[derive(Debug, Clone, Default)]
+pub struct Faults {
+    pub plan: FaultPlan,
+    pub panic_once: Option<(ActorId, u64)>,
+}
+
+impl Faults {
+    /// Whether the plan is the budget-busting stall: the error path.
+    fn busts_budget(&self) -> bool {
+        let busting = FaultKind::Stall {
+            millis: BUSTING_STALL_MS,
+        };
+        self.plan.faults().iter().any(|f| f.kind == busting)
+    }
+}
+
+/// Each actor's input digests, keyed by `(iteration, firing)` so that a
+/// replayed iteration overwrites its entries.
+type ActorLogs = Arc<Mutex<Vec<BTreeMap<(u64, u64), u64>>>>;
 
 impl Generated {
     /// The system, its actors logging every firing's input digest.
-    fn build(&self, tracer: Arc<RingTracer>) -> (SpiSystem, Arc<Mutex<Vec<Vec<u64>>>>) {
+    fn build(&self, tracer: Arc<RingTracer>) -> (SpiSystem, ActorLogs) {
         let mut b = SpiSystemBuilder::new(self.graph.clone());
         b.iterations(self.iterations).tracer(tracer);
         b.force_ubs(self.force_ubs).resynchronization(self.resync);
@@ -101,13 +150,13 @@ impl Generated {
         for (&edge, tokens) in &self.initial {
             b.initial_tokens(edge, self.entries(edge, tokens));
         }
-        let logs = Arc::new(Mutex::new(vec![Vec::new(); self.graph.actor_count()]));
+        let logs = Arc::new(Mutex::new(vec![BTreeMap::new(); self.graph.actor_count()]));
         for shape in shapes(&self.graph) {
             let logs = logs.clone();
             b.actor(shape.actor, move |ctx: &mut Firing| {
                 let inputs: Vec<&[u8]> = shape.ins.iter().map(|&(e, _)| ctx.input(e)).collect();
                 let (digest, cycles, outputs) = fire(&shape, ctx.iter, ctx.k, &inputs);
-                logs.lock().expect("logs")[shape.actor.0].push(digest);
+                logs.lock().expect("logs")[shape.actor.0].insert((ctx.iter, ctx.k), digest);
                 outputs
                     .into_iter()
                     .for_each(|(e, bytes)| ctx.set_output(e, bytes));
@@ -159,7 +208,7 @@ fn generate(seed: u64, max_actors: usize, max_iterations: u64) -> Generated {
     for i in (1..n).rev() {
         assign.swap(i, rng.gen_range(0..=i));
     }
-    Generated {
+    let mut g = Generated {
         nodes: (procs > 1 && rng.gen_bool(0.3)).then(|| rng.gen_range(2..=procs)),
         force_ubs: rng.gen_bool(0.25),
         resync: rng.gen_bool(0.75),
@@ -171,7 +220,65 @@ fn generate(seed: u64, max_actors: usize, max_iterations: u64) -> Generated {
         procs,
         assign,
         iterations,
+        faults: None,
+    };
+    // Drawn last, so the draws above do not depend on it.
+    if procs > 1 && rng.gen_bool(0.5) {
+        g.faults = Some(draw_faults(&mut rng, &g));
     }
+    g
+}
+
+/// Draws the faults of multi-processor system `g`. One plan in about
+/// seventy is the budget-busting stall alone, on the first message of a
+/// data channel, which its consumer always waits for. The others are
+/// `FaultPlan::random` over every channel and as many messages as the
+/// busiest carries, less any duplicate or corruption on an ack channel:
+/// both leave a stray frame that the receiver drops only when it reads
+/// past it, an ack channel's last credits are never read, and its
+/// `window + fill_msgs + 1` slots have no room for a stray among them.
+/// One system in ten also panics once in a firing.
+fn draw_faults(rng: &mut StdRng, g: &Generated) -> Faults {
+    let (sys, _) = g.build(Arc::new(RingTracer::new(g.procs, 1)));
+    let planned = planned_messages(&sys, g.iterations);
+    let mut data: Vec<ChannelId> = sys.edge_plans().values().map(|p| p.data_ch).collect();
+    data.sort_unstable();
+    let acks: Vec<ChannelId> = sys.edge_plans().values().filter_map(|p| p.ack_ch).collect();
+    let channels = sys.into_parts().0.len();
+    let plan = if rng.gen_bool(0.015) {
+        let stall = FaultKind::Stall {
+            millis: BUSTING_STALL_MS,
+        };
+        FaultPlan::new().inject(data[rng.gen_range(0..data.len())], 0, stall)
+    } else {
+        let busiest = planned.values().copied().max().unwrap_or(0);
+        let random = FaultPlan::random(rng.next_u64(), channels, busiest, rng.gen_range(0..=6));
+        let stray = |f: &FaultSpec| {
+            matches!(f.kind, FaultKind::Duplicate | FaultKind::Corrupt) && acks.contains(&f.channel)
+        };
+        let kept = random.faults().iter().filter(|f| !stray(f));
+        kept.fold(FaultPlan::new(), |plan, f| {
+            plan.inject(f.channel, f.message_index, f.kind)
+        })
+    };
+    let panic_once = rng.gen_bool(0.1).then(|| {
+        let actor = ActorId(rng.gen_range(0..g.graph.actor_count()));
+        (actor, rng.gen_range(0..g.iterations))
+    });
+    Faults { plan, panic_once }
+}
+
+/// Per channel, what the plan sends: the fills and one message per
+/// producer firing on a data channel; the credit grants and one per
+/// consumed message on an ack channel.
+fn planned_messages(sys: &SpiSystem, iterations: u64) -> BTreeMap<usize, u64> {
+    let mut planned = BTreeMap::new();
+    for p in sys.edge_plans().values() {
+        let looped = p.msgs_per_iter * iterations;
+        planned.insert(p.data_ch.0, p.fill_msgs + looped);
+        planned.extend(p.ack_ch.map(|ack| (ack.0, p.ack_window() + looped)));
+    }
+    planned
 }
 
 /// A consistent, live graph of `n` actors, or `None` if it would fire
@@ -351,43 +458,84 @@ pub const BACKENDS: [Backend; 5] = [
 pub type Store = HashMap<String, Vec<u8>>;
 
 impl Backend {
-    /// Runs `sys` to completion and returns every PE's final store;
-    /// panics on any failure. `probe` is the tracer `sys` was built with,
-    /// which the threaded backends attach to their runner.
-    pub fn run(self, sys: SpiSystem, probe: Option<Arc<RingTracer>>) -> Vec<Store> {
+    /// Runs `sys` to completion and returns every PE's final store, or
+    /// a threaded run's error, and the log of the faults that fired.
+    /// `probe` is the tracer `sys` was built with, which the threaded
+    /// backends attach to their runner; under `faults` they run
+    /// supervised under [`policy`] with the plan injected.
+    pub fn run(
+        self,
+        sys: SpiSystem,
+        probe: Option<Arc<RingTracer>>,
+        faults: Option<&Faults>,
+    ) -> (Result<Vec<Store>, PlatformError>, InjectionLog) {
+        let plan = faults.map_or_else(FaultPlan::new, |f| f.plan.clone());
+        let (decorate, log) = plan.into_decorator().expect("valid plan");
+        if self == Backend::Des {
+            let report = sys.run().unwrap_or_else(|e| panic!("DES: {e}"));
+            let stores = report.sim.locals.into_iter().map(|l| l.store);
+            return (Ok(stores.collect()), log);
+        }
         let runner = ThreadedRunner::new().timeout(Duration::from_secs(20));
-        let runner = match probe {
-            Some(probe) => runner.tracer(probe),
-            None => runner,
-        };
+        let mut runner = runner.decorate_transports(decorate.clone());
+        if let Some(probe) = probe {
+            runner = runner.tracer(probe);
+        }
+        // Cross-partition edges batch as `spi_net::deploy` lowers them.
+        let plans = sys.edge_plans().values();
+        let batches = plans.filter_map(|p| Some((p.data_ch.0, p.batch?.into())));
+        let mut batch: HashMap<usize, BatchParams> = batches.collect();
+        let (specs, mut programs) = sys.into_parts();
+        if let Some(faults) = faults {
+            runner = runner.supervise(policy());
+            if let Some((actor, iter)) = faults.panic_once {
+                panic_once(&mut programs, actor, iter);
+            }
+        }
         let results = match self {
-            Backend::Des => {
-                let report = sys.run().unwrap_or_else(|e| panic!("DES: {e}"));
-                return report.sim.locals.into_iter().map(|l| l.store).collect();
-            }
-            Backend::Threads(kind) => {
-                let (specs, programs) = sys.into_parts();
-                runner.transport(kind).run(&specs, programs)
-            }
-            Backend::Net => {
-                // Cross-partition edges batch as `spi_net::deploy` lowers them.
-                let plans = sys.edge_plans().values();
-                let batches = plans.filter_map(|p| Some((p.data_ch.0, p.batch?.into())));
-                let mut batch: HashMap<usize, BatchParams> = batches.collect();
-                let (specs, programs) = sys.into_parts();
+            Backend::Threads(kind) => runner.transport(kind).run(&specs, programs),
+            // `Backend::Net`. The runner leaves pre-built endpoints to
+            // their builder, so they are sized for frames and decorated
+            // here, as `spi-noded --chaos` does.
+            _ => {
                 let ends = specs.iter().enumerate().map(|(ch, spec)| {
                     let batch = batch.remove(&ch).unwrap_or(BatchParams::disabled());
-                    NetEdge::boxed(spec, batch, ch as u64)
+                    let spec = faults.map_or(*spec, |_| framed_spec(spec));
+                    decorate(ChannelId(ch), NetEdge::boxed(&spec, batch, ch as u64))
                 });
                 runner.run_with_endpoints(&specs, ends.collect(), programs)
             }
         };
-        let results = results.unwrap_or_else(|e| panic!("{self:?}: {e}"));
-        if let Some(e) = results.iter().find_map(|r| recorded_failure(&r.store)) {
-            panic!("{self:?}: {e}");
-        }
-        results.into_iter().map(|r| r.store).collect()
+        let stores = results.map(|results| {
+            if let Some(e) = results.iter().find_map(|r| recorded_failure(&r.store)) {
+                panic!("{self:?}: {e}");
+            }
+            results.into_iter().map(|r| r.store).collect()
+        });
+        (stores, log)
     }
+}
+
+/// Wraps `actor`'s first firing in the loop so that in iteration `iter`
+/// it panics once before it fires.
+fn panic_once(programs: &mut [Program], actor: ActorId, iter: u64) {
+    let label = format!("fire:v{}#0", actor.0);
+    let fire = programs
+        .iter_mut()
+        .flat_map(|p| &mut p.ops)
+        .find_map(|op| match op {
+            Op::Compute { label: l, work } if *l == label => Some(work),
+            _ => None,
+        });
+    let work = fire.unwrap_or_else(|| panic!("no {label} in a loop"));
+    let mut inner = std::mem::replace(work, Box::new(|_| 0));
+    let mut armed = true;
+    *work = Box::new(move |l| {
+        if l.iter == iter && std::mem::take(&mut armed) {
+            panic!("injected panic in iteration {iter}");
+        }
+        inner(l)
+    });
 }
 
 /// A freshly built system, the tracer it was built with, and what its
@@ -401,7 +549,9 @@ pub fn on_every_backend<O: PartialEq + Debug>(mut build: impl FnMut(Backend) -> 
     let mut des: Option<(Vec<Store>, O)> = None;
     for backend in BACKENDS {
         let (sys, probe, observe) = build(backend);
-        let run = (backend.run(sys, probe), observe());
+        let (stores, _) = backend.run(sys, probe, None);
+        let stores = stores.unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+        let run = (stores, observe());
         match &des {
             None => des = Some(run),
             Some(des) => assert_eq!(des, &run, "{backend:?}: PE stores or observations"),
@@ -410,8 +560,9 @@ pub fn on_every_backend<O: PartialEq + Debug>(mut build: impl FnMut(Backend) -> 
     des.expect("the DES ran").1
 }
 
-/// The kinds of system [`check`] saw — one each per system, summed over
-/// a seed set — for the coverage floors.
+/// The kinds of system [`check`] saw — one each per system, or per
+/// threaded run where a field says so, summed over a seed set — for the
+/// coverage floors.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Covered {
     pub multi_processor: u64,
@@ -423,12 +574,39 @@ pub struct Covered {
     pub static_ubs: u64,
     pub ordered_bus_acked_fills: u64,
     pub partitioned: u64,
+    pub supervised: u64,
+    /// Injections that fired over the threaded runs, per kind in
+    /// [`FIRED`] order.
+    pub fired: [u64; 5],
+    /// Checkpoint restarts over the threaded runs.
+    pub restarts: u64,
+    /// Threaded runs that ended in the budget-busting stall's error.
+    pub error_path: u64,
+}
+
+/// [`Covered::fired`]'s kinds, each with its floor.
+const FIRED: [(&str, u64); 5] = [
+    ("fired delays", 65),
+    ("fired stalls", 55),
+    ("fired drops", 60),
+    ("fired duplicates", 38),
+    ("fired corruptions", 50),
+];
+
+fn fired_index(kind: FaultKind) -> usize {
+    match kind {
+        FaultKind::Delay { .. } => 0,
+        FaultKind::Stall { .. } => 1,
+        FaultKind::Drop => 2,
+        FaultKind::Duplicate => 3,
+        FaultKind::Corrupt => 4,
+    }
 }
 
 impl Covered {
     /// Each count, named, with the floor the [`SYSTEMS`] set must reach.
-    pub fn floors(self) -> [(&'static str, u64, u64); 7] {
-        [
+    pub fn floors(self) -> Vec<(&'static str, u64, u64)> {
+        let mut floors = vec![
             ("multi-processor systems", self.multi_processor, 100),
             ("cross-processor dynamic edges", self.cross_dynamic, 50),
             ("delayed or feedback edges", self.delayed_or_feedback, 150),
@@ -440,7 +618,13 @@ impl Covered {
                 5,
             ),
             ("partitioned builds", self.partitioned, 25),
-        ]
+            ("supervised systems", self.supervised, 44),
+            ("checkpoint restarts", self.restarts, 24),
+            ("error-path runs", self.error_path, 2),
+        ];
+        let fired = FIRED.iter().zip(self.fired);
+        floors.extend(fired.map(|(&(what, floor), count)| (what, count, floor)));
+        floors
     }
 
     pub fn add(&mut self, other: Covered) {
@@ -451,22 +635,19 @@ impl Covered {
         self.static_ubs += other.static_ubs;
         self.ordered_bus_acked_fills += other.ordered_bus_acked_fills;
         self.partitioned += other.partitioned;
+        self.supervised += other.supervised;
+        for (sum, fired) in self.fired.iter_mut().zip(other.fired) {
+            *sum += fired;
+        }
+        self.restarts += other.restarts;
+        self.error_path += other.error_path;
     }
-}
 
-/// Builds `g` once per backend and holds every run to [`reference`];
-/// returns what of [`Covered`] the system exercises.
-pub fn check(g: &Generated) -> Covered {
-    let lint = spi_analyze::analyze_graph(&g.graph);
-    assert!(!lint.has_errors(), "analyzer: {}", lint.render_human());
-    let want = reference(g);
-    let mut covered = Covered::default();
-    let seen = on_every_backend(|backend| {
-        let ring = Arc::new(RingTracer::new(g.procs, 1 << 13));
-        let (sys, logs) = g.build(ring.clone());
+    /// What `g`'s structure, as built into `sys`, exercises.
+    fn structure(g: &Generated, sys: &SpiSystem) -> Covered {
         let plans = || sys.edge_plans().values();
         let acked_fills = || plans().any(|p| p.ack_kept && p.fill_msgs >= 2);
-        covered = Covered {
+        Covered {
             multi_processor: u64::from(g.procs > 1),
             cross_dynamic: u64::from(plans().any(|p| p.phase == SpiPhase::Dynamic)),
             delayed_or_feedback: u64::from(g.graph.edges().any(|(_, e)| e.delay > 0)),
@@ -474,38 +655,93 @@ pub fn check(g: &Generated) -> Covered {
             static_ubs: u64::from(plans().any(|p| p.ack_window() > 0 && p.bound_msgs.is_some())),
             ordered_bus_acked_fills: u64::from(matches!(g.bus, Bus::Ordered) && acked_fills()),
             partitioned: u64::from(g.nodes.is_some()),
-        };
-        // Per channel, what the plan sends: the fills and one message
-        // per producer firing on a data channel; the credit grants and
-        // one per consumed message on an ack channel.
-        let mut planned = BTreeMap::new();
-        for p in plans() {
-            let looped = p.msgs_per_iter * g.iterations;
-            planned.insert(p.data_ch.0, p.fill_msgs + looped);
-            planned.extend(p.ack_ch.map(|ack| (ack.0, p.ack_window() + looped)));
+            supervised: u64::from(g.faults.is_some()),
+            ..Covered::default()
         }
-        let clock = match backend {
-            Backend::Des => ClockKind::Cycles,
-            _ => ClockKind::Nanos,
+    }
+}
+
+/// Builds `g` once per backend, holds every run to [`reference`] and
+/// every threaded run to the DES's stores (or, on the error path, to a
+/// typed error); returns what of [`Covered`] the system exercises.
+pub fn check(g: &Generated) -> Covered {
+    let lint = spi_analyze::analyze_graph(&g.graph);
+    assert!(!lint.has_errors(), "analyzer: {}", lint.render_human());
+    let want = reference(g);
+    let mut covered = Covered::default();
+    let mut des: Option<(Vec<Store>, Vec<Vec<u64>>)> = None;
+    for backend in BACKENDS {
+        let faults = g.faults.as_ref().filter(|_| backend != Backend::Des);
+        let ring = Arc::new(RingTracer::new(g.procs, 1 << 13));
+        let (sys, logs) = g.build(ring.clone());
+        if backend == Backend::Des {
+            covered = Covered::structure(g, &sys);
+        }
+        let planned = planned_messages(&sys, g.iterations);
+        let meta = match (backend, faults) {
+            (Backend::Des, _) => sys.trace_meta(ClockKind::Cycles),
+            (_, None) => sys.trace_meta(ClockKind::Nanos),
+            (_, Some(_)) => sys.trace_meta_supervised(ClockKind::Nanos, &policy()),
         };
-        let (meta, probe) = (sys.trace_meta(clock), ring.clone());
-        let observe = move || {
-            let trace = probe.finish(meta);
-            assert_eq!(trace.meta.dropped, 0, "{backend:?}: capture dropped events");
-            let report = spi_repro::trace::check(&trace);
-            let clean = report.diagnostics.is_empty();
-            assert!(clean, "{backend:?}: {}", report.render_human());
-            let mut sent = BTreeMap::new();
-            for ev in &trace.events {
-                if let ProbeKind::Send { channel, .. } = ev.kind {
-                    *sent.entry(channel.0).or_insert(0) += 1;
-                }
+        let (stores, fired) = backend.run(sys, Some(ring.clone()), faults);
+        if faults.is_some_and(Faults::busts_budget) {
+            let err = stores.err();
+            let err = err.unwrap_or_else(|| panic!("{backend:?}: the stall was absorbed"));
+            let channel = match &err {
+                PlatformError::RetryBudgetExhausted { channel, .. }
+                | PlatformError::TokensLost { channel, .. }
+                | PlatformError::ChannelFault { channel, .. } => *channel,
+                other => panic!("{backend:?}: not a supervision error: {other}"),
+            };
+            assert!(planned.contains_key(&channel.0), "{backend:?}: {err}");
+            assert!(err.to_string().contains(&channel.to_string()), "{err}");
+            covered.error_path += 1;
+            continue;
+        }
+        let stores = stores.unwrap_or_else(|e| panic!("{backend:?}: {e}"));
+        let trace = ring.finish(meta);
+        assert_eq!(trace.meta.dropped, 0, "{backend:?}: capture dropped events");
+        let report = spi_repro::trace::check(&trace);
+        // A frame the receiver's CRC rejected is the SPI094 warning.
+        let clean = (report.diagnostics.iter()).all(|d| faults.is_some() && d.code == "SPI094");
+        assert!(clean, "{backend:?}: {}", report.render_human());
+        let (mut sent, mut restarts) = (BTreeMap::new(), 0);
+        for ev in &trace.events {
+            match ev.kind {
+                ProbeKind::Send { channel, .. } => *sent.entry(channel.0).or_insert(0) += 1,
+                ProbeKind::FaultRestart { .. } => restarts += 1,
+                _ => {}
             }
-            assert_eq!(sent, planned, "{backend:?}: messages per channel");
-            std::mem::take(&mut *logs.lock().expect("logs"))
+        }
+        assert_eq!(sent, planned, "{backend:?}: messages per channel");
+        let panicked = faults.is_some_and(|f| f.panic_once.is_some());
+        assert_eq!(restarts, u64::from(panicked), "{backend:?}: restarts");
+        covered.restarts += restarts;
+        let fired = fired.lock().expect("injection log");
+        let reached =
+            |f: &&FaultSpec| f.message_index < planned.get(&f.channel.0).copied().unwrap_or(0);
+        let logged = |f: &FaultSpec| {
+            let spec = (f.channel, f.message_index, f.kind);
+            fired
+                .iter()
+                .any(|r| (r.channel, r.message_index, r.kind) == spec)
         };
-        (sys, Some(ring), Box::new(observe))
-    });
+        let planned_faults = faults.into_iter().flat_map(|f| f.plan.faults());
+        if let Some(f) = planned_faults.filter(reached).find(|f| !logged(f)) {
+            panic!("{backend:?}: {f:?} did not fire");
+        }
+        for r in fired.iter() {
+            covered.fired[fired_index(r.kind)] += 1;
+        }
+        let logs = std::mem::take(&mut *logs.lock().expect("logs"));
+        let seen = logs.into_iter().map(|log| log.into_values().collect());
+        let seen = seen.collect();
+        match &des {
+            None => des = Some((stores, seen)),
+            Some(des) => assert_eq!(des, &(stores, seen), "{backend:?}: PE stores or digests"),
+        }
+    }
+    let (_, seen) = des.expect("the DES ran");
     for (a, (seen, want)) in seen.iter().zip(&want).enumerate() {
         assert_eq!(
             seen, want,
@@ -575,6 +811,9 @@ impl Transport for NetEdge {
     }
     fn occupancy(&self) -> usize {
         self.tx.occupancy()
+    }
+    fn snapshot(&self) -> (usize, usize) {
+        self.tx.snapshot()
     }
     fn try_send(&self, data: &[u8]) -> Result<(), TransportError> {
         self.tx.try_send(data)
