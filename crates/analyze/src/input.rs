@@ -5,8 +5,6 @@
 //! absent. A graph-only input therefore runs the graph-level passes; the
 //! builder's pre-flight adds the schedule-level sections once they exist.
 
-use std::collections::HashMap;
-
 use spi_dataflow::{EdgeId, LengthSignal, SdfGraph, VtsConversion};
 use spi_platform::{Device, ResourceEstimate};
 use spi_sched::{IpcGraph, Protocol, ResyncCertificate, SyncGraph};
@@ -61,9 +59,6 @@ pub struct AnalysisInput<'a> {
     pub vts: Option<&'a VtsConversion>,
     /// Length-signalling scheme chosen for dynamic tokens.
     pub signal: Option<LengthSignal>,
-    /// Declared FIFO payload capacity in bytes per edge, when the
-    /// hardware depths are fixed up front.
-    pub fifo_depths: Option<&'a HashMap<EdgeId, u64>>,
     /// The interprocessor-communication graph of the chosen schedule.
     pub ipc: Option<&'a IpcGraph>,
     /// The synchronization graph after protocol selection (and after
@@ -89,7 +84,6 @@ impl<'a> AnalysisInput<'a> {
             graph,
             vts: None,
             signal: None,
-            fifo_depths: None,
             ipc: None,
             sync: None,
             resync_cert: None,
@@ -108,12 +102,6 @@ impl<'a> AnalysisInput<'a> {
     /// Declares the length-signalling scheme.
     pub fn with_signal(mut self, signal: LengthSignal) -> Self {
         self.signal = Some(signal);
-        self
-    }
-
-    /// Declares fixed FIFO payload capacities (bytes per edge).
-    pub fn with_fifo_depths(mut self, depths: &'a HashMap<EdgeId, u64>) -> Self {
-        self.fifo_depths = Some(depths);
         self
     }
 

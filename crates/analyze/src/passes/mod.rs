@@ -9,8 +9,8 @@
 //! | SPI010 | error    | rate-consistency | inconsistent balance equations, with the offending cycle |
 //! | SPI020 | error    | deadlock-witness | delay-free cycle (or starved actor set) that deadlocks the schedule |
 //! | SPI030 | error    | vts-soundness | dynamic edge with `b_max = 0` (unusable rate bound or zero token size) |
-//! | SPI031 | error    | vts-soundness | declared FIFO depth below the eq. (1) packed capacity |
-//! | SPI032 | warning/error | vts-soundness | delimiter signalling: worst-case frame expansion (error when it overflows a declared depth) |
+//! | SPI031 | —        | retired | declared FIFO depth below the eq. (1) packed capacity (no caller declared depths) |
+//! | SPI032 | warning  | vts-soundness | delimiter signalling: worst-case frame expansion |
 //! | SPI040 | warning  | protocol-lints | UBS chosen although a static eq. (2) bound exists (§5.1 prefers BBS) |
 //! | SPI041 | error    | protocol-lints | BBS chosen with no provable buffer bound |
 //! | SPI042 | error    | protocol-lints | BBS capacity below the eq. (2) bound |
@@ -24,10 +24,12 @@
 //! | SPI062 | error    | resync-certification | resync addition that does not pay for itself, or inconsistent certificate totals |
 //! | SPI070 | warning/error | resource-overcommit | device utilization above 80 % (error above 100 %) |
 //!
-//! The `SPI08x` range is reserved for the *runtime* conformance checker
-//! in `spi-trace` (`spi-lint trace-check`), which replays a captured
-//! execution trace against the same static bounds these passes verify
-//! up front:
+//! The `SPI08x`–`SPI10x` ranges are reserved for the *runtime* replay
+//! in `spi_trace::check` (`spi-lint trace-check`): one pass over a
+//! captured, linearized execution trace holds it to the same static
+//! bounds these passes verify up front, to the supervision budgets
+//! (`SPI090`–`SPI095`), and to the happens-before order its sends and
+//! receives imply:
 //!
 //! | Code   | Severity | Pass | Finding |
 //! |--------|----------|------|---------|
@@ -38,20 +40,13 @@
 //! | SPI084 | warning  | trace-check | capture dropped events; checks ran on a partial stream |
 //! | SPI085 | error    | trace-check | conservation violated: more receives than sends |
 //! | SPI086 | error    | trace-check | a batched flush exceeded the channel's declared batching budget |
-//!
-//! The `SPI10x` range is reserved for the vector-clock happens-before
-//! checker in `spi_trace::race` (`spi-lint race-check`), which replays a
-//! captured trace and reports concurrency hazards:
-//!
-//! | Code   | Severity | Pass | Finding |
-//! |--------|----------|------|---------|
-//! | SPI100 | error    | race-check | receive observed before its matching send |
-//! | SPI101 | error    | race-check | unordered sends from different PEs on one channel |
-//! | SPI102 | error    | race-check | unordered receives from different PEs on one channel |
-//! | SPI103 | error    | race-check | buffer-slot reuse not separated from the consuming receive |
-//! | SPI104 | warning  | race-check | unpaired blocking-window marker (Block without Unblock) |
-//! | SPI105 | warning  | race-check | endpoint shared by several PEs (ordered, but fragile) |
-//! | SPI106 | warning  | race-check | capture dropped events; race analysis ran on a partial stream |
+//! | SPI100 | error    | trace-check | receive precedes its matching send in the stream |
+//! | SPI101 | error    | trace-check | unordered sends from different PEs on one channel |
+//! | SPI102 | error    | trace-check | unordered receives from different PEs on one channel |
+//! | SPI103 | error    | trace-check | buffer-slot reuse precedes the receive that frees the slot |
+//! | SPI104 | warning  | trace-check | unpaired blocking-window marker (Block without Unblock) |
+//! | SPI105 | warning  | trace-check | endpoint shared by several PEs (ordered, but fragile) |
+//! | SPI106 | —        | retired | dropped events: SPI084 reports the same condition |
 
 mod deadlock;
 mod protocol;

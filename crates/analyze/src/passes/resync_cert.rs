@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn valid_certificate_is_silent() {
         let (g, mut sync) = pipeline();
-        let (_, cert) = sync.resynchronize_certified(true, None);
+        let (_, cert) = sync.resynchronize_certified(true);
         let out = run_pass(&g, &sync, &cert);
         assert!(out.is_empty(), "{out:?}");
     }
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn unproven_removal_trips_spi061() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true, None);
+        let (_, mut cert) = sync.resynchronize_certified(true);
         let p = cert.removals.pop().expect("pipeline removes two acks");
         cert.unproven.push(p.edge);
         let out = run_pass(&g, &sync, &cert);
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn tampered_witness_delay_trips_spi061() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true, None);
+        let (_, mut cert) = sync.resynchronize_certified(true);
         cert.removals[0].witness_delay += 1;
         let out = run_pass(&g, &sync, &cert);
         assert!(out.iter().any(|d| d.code == "SPI061"), "{out:?}");
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn phantom_addition_trips_spi062() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true, None);
+        let (_, mut cert) = sync.resynchronize_certified(true);
         cert.additions.push(spi_sched::ResyncAddition {
             edge: spi_sched::SyncEdge {
                 from: TaskId(0),
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn inconsistent_totals_trip_spi062() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true, None);
+        let (_, mut cert) = sync.resynchronize_certified(true);
         cert.report.edges_removed += 1;
         let out = run_pass(&g, &sync, &cert);
         assert!(out.iter().any(|d| d.code == "SPI062"), "{out:?}");

@@ -1,11 +1,12 @@
-//! SPI030/031/032 — variable-token-size (VTS, §3) soundness.
+//! SPI030/032 — variable-token-size (VTS, §3) soundness.
 //!
 //! The VTS conversion replaces each dynamic-rate edge by a rate-1 edge
 //! carrying packed tokens of at most `b_max` bytes. That only works
-//! when `b_max` is positive (SPI030), when any hardware FIFO declared
-//! for the edge holds the eq. (1) packed capacity (SPI031), and — under
-//! delimiter length-signalling — when the worst-case escaped frame
-//! (`2·b + 1` bytes versus `4 + b` with a header) still fits (SPI032).
+//! when `b_max` is positive (SPI030); under delimiter length-signalling
+//! the worst-case escaped frame grows to `2·b + 1` bytes versus `4 + b`
+//! with a header (SPI032, advisory). SPI031 (a declared FIFO depth
+//! below the eq. (1) packed capacity) is retired: no caller declared
+//! depths, so it could not fire.
 
 use spi_dataflow::{DataflowError, LengthSignal, TokenPacker, VtsConversion};
 
@@ -13,8 +14,8 @@ use crate::analyzer::Pass;
 use crate::diag::{Diagnostic, Locus, Severity};
 use crate::input::AnalysisInput;
 
-/// Validates the VTS conversion against declared FIFO depths and the
-/// chosen length-signalling discipline.
+/// Validates the VTS conversion and the chosen length-signalling
+/// discipline.
 pub struct VtsSoundness;
 
 impl Pass for VtsSoundness {
@@ -92,7 +93,7 @@ impl Pass for VtsSoundness {
                 );
                 continue;
             }
-            // SPI032 (warning flavor): delimiter signalling expands the
+            // SPI032: delimiter signalling expands the
             // worst-case frame to 2*b_max + 1 bytes because every payload
             // byte may need escaping; the header discipline is flat 4 + b.
             if input.signal == Some(LengthSignal::Delimiter) {
@@ -114,59 +115,6 @@ impl Pass for VtsSoundness {
                     )
                     .with_suggestion("prefer header length-signalling on FPGA targets"),
                 );
-                // SPI032 (error flavor): the expanded frame no longer
-                // fits a FIFO sized for the nominal packed capacity.
-                if let Some(&depth) = input.fifo_depths.and_then(|d| d.get(&info.edge)) {
-                    if framed > depth {
-                        out.push(
-                            Diagnostic::new(
-                                "SPI032",
-                                Severity::Error,
-                                Locus::Edge(info.edge),
-                                format!(
-                                    "declared FIFO depth of {depth} bytes on edge {} cannot \
-                                     hold one worst-case delimiter-framed token ({framed} \
-                                     bytes); a maximal burst would be truncated",
-                                    info.edge,
-                                ),
-                            )
-                            .with_suggestion(format!(
-                                "deepen the FIFO to at least {framed} bytes or switch to \
-                                 header signalling"
-                            )),
-                        );
-                    }
-                }
-            }
-        }
-
-        // SPI031: eq. (1) packed capacity versus declared FIFO depths,
-        // for every edge the hardware constrains.
-        if let Some(depths) = input.fifo_depths {
-            let mut entries: Vec<_> = depths.iter().collect();
-            entries.sort_by_key(|(id, _)| id.0);
-            for (&edge, &depth) in entries {
-                let Ok(required) = vts.packed_capacity_bytes(edge) else {
-                    continue;
-                };
-                if depth < required {
-                    let e = graph.edge(edge);
-                    out.push(
-                        Diagnostic::new(
-                            "SPI031",
-                            Severity::Error,
-                            Locus::Edge(edge),
-                            format!(
-                                "declared FIFO depth of {depth} bytes on edge {edge} \
-                                 ({} -> {}) is below the eq. (1) packed capacity \
-                                 c(e) = {required} bytes; one iteration's tokens overflow it",
-                                input.actor_name(e.src),
-                                input.actor_name(e.dst),
-                            ),
-                        )
-                        .with_suggestion(format!("deepen the FIFO to at least {required} bytes")),
-                    );
-                }
             }
         }
     }

@@ -258,23 +258,6 @@ fn mutation_zero_byte_dynamic_tokens_fire_spi030() {
 }
 
 #[test]
-fn mutation_shallow_fifo_fires_spi031() {
-    let mut g = good_graph();
-    let b = g.actor_by_name("mid").unwrap();
-    let c = g.actor_by_name("sink").unwrap();
-    let e = g.add_dynamic_edge(b, c, 8, 8, 0, 4).unwrap();
-    // eq. (1): packed capacity = c_sdf * b_max; declare far less.
-    let depths: HashMap<EdgeId, u64> = [(e, 8u64)].into_iter().collect();
-    let report =
-        Analyzer::default_pipeline().run(&AnalysisInput::new(&g).with_fifo_depths(&depths));
-    assert!(
-        codes(&report).contains(&"SPI031"),
-        "got: {}",
-        report.render_human()
-    );
-}
-
-#[test]
 fn mutation_delimiter_signalling_fires_spi032() {
     let mut g = good_graph();
     let b = g.actor_by_name("mid").unwrap();
@@ -284,22 +267,8 @@ fn mutation_delimiter_signalling_fires_spi032() {
         .run(&AnalysisInput::new(&g).with_signal(LengthSignal::Delimiter));
     let spi032: Vec<_> = report.with_code("SPI032").collect();
     assert!(!spi032.is_empty(), "got: {}", report.render_human());
-    // Advisory only — until a declared depth cannot hold the frame.
-    assert!(!report.has_errors());
-    // Worst-case escaped frame (2*b_max+1 = 65) overflows a 40-byte FIFO.
-    let depths: HashMap<EdgeId, u64> = g.edges().map(|(id, _)| (id, 40u64)).collect();
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_signal(LengthSignal::Delimiter)
-            .with_fifo_depths(&depths),
-    );
-    assert!(
-        report
-            .with_code("SPI032")
-            .any(|d| d.severity == Severity::Error),
-        "got: {}",
-        report.render_human()
-    );
+    assert!(spi032.iter().all(|d| d.severity == Severity::Warning));
+    assert!(!report.has_errors(), "advisory only");
 }
 
 // ---- protocol lints -----------------------------------------------------

@@ -8,22 +8,18 @@
 //! transport lints, sync coverage, resynchronization fixpoint — run on
 //! exactly the lowering `build` would produce.
 //!
-//! The `trace-check` subcommand instead replays captured `spi-trace`
-//! files (native `# spi-trace v1` format) against the bounds recorded
-//! in their metadata — eq. (2) occupancy, eq. (1) message size,
-//! per-channel FIFO, token conservation and the predicted makespan —
-//! emitting the `SPI080`–`SPI085` runtime diagnostics.
-//!
-//! The `race-check` subcommand replays the same trace files through the
-//! vector-clock happens-before checker in `spi_trace::race`, emitting the
-//! `SPI100`–`SPI106` concurrency diagnostics (unordered accesses,
-//! premature receives, unsynchronized buffer-slot reuse).
+//! The `trace-check` subcommand instead linearizes captured `spi-trace`
+//! files (native `# spi-trace v1` format) and replays them against the
+//! bounds recorded in their metadata — eq. (2) occupancy, eq. (1)
+//! message size, per-channel FIFO, token conservation, the predicted
+//! makespan, supervision budgets — and against their happens-before
+//! order (premature receives, endpoint races, unsynchronized slot
+//! reuse), emitting the `SPI080`–`SPI105` runtime diagnostics.
 //!
 //! Usage:
 //!   spi-lint [--format human|json] [--procs N] [--force-ubs]
 //!            [--no-resync] [--delimiter] FILE...
 //!   spi-lint trace-check [--format human|json] TRACE...
-//!   spi-lint race-check [--format human|json] TRACE...
 //!
 //! Exit status: 0 clean (warnings allowed), 1 when any error-severity
 //! diagnostic fires, 2 on usage or parse problems.
@@ -121,8 +117,8 @@ fn lint_file(path: &str, opts: &Options) -> Result<spi_analyze::AnalysisReport, 
     })
 }
 
-/// `trace-check TRACE...`: replay each captured trace file against its
-/// recorded bounds and render the conformance report.
+/// `trace-check TRACE...`: linearize each captured trace file, replay it
+/// against its recorded bounds and render the conformance report.
 fn trace_check(args: &[String]) -> ExitCode {
     let mut json = false;
     let mut files: Vec<String> = Vec::new();
@@ -163,13 +159,14 @@ fn trace_check(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let trace = match spi_trace::Trace::from_native(&text) {
+        let mut trace = match spi_trace::Trace::from_native(&text) {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("{path}: {e}");
                 return ExitCode::from(2);
             }
         };
+        trace.linearize();
         let report = spi_trace::check(&trace);
         any_error |= report.has_errors();
         if json {
@@ -180,12 +177,13 @@ fn trace_check(args: &[String]) -> ExitCode {
                 .collect();
             json_files.push(format!(
                 "{{\"file\":{},\"events\":{},\"channels\":{},\"messages\":{},\
-                 \"observed_makespan\":{},\"predicted_makespan\":{},\"slack\":{},\
-                 \"diagnostics\":[{}]}}",
+                 \"hb_edges\":{},\"observed_makespan\":{},\"predicted_makespan\":{},\
+                 \"slack\":{},\"diagnostics\":[{}]}}",
                 json_escape(path),
                 trace.events.len(),
                 report.channels_checked,
                 report.messages_checked,
+                report.hb_edges,
                 report.observed_makespan,
                 report
                     .predicted_makespan
@@ -210,95 +208,10 @@ fn trace_check(args: &[String]) -> ExitCode {
     }
 }
 
-/// `race-check TRACE...`: replay each captured trace through the
-/// vector-clock happens-before checker and render the SPI100–SPI106
-/// concurrency report.
-fn race_check(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut files: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => json = true,
-                Some("human") => json = false,
-                _ => {
-                    eprintln!("--format expects human|json");
-                    return ExitCode::from(2);
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: spi-lint race-check [--format human|json] TRACE...");
-                return ExitCode::from(2);
-            }
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag {flag}");
-                return ExitCode::from(2);
-            }
-            file => files.push(file.to_string()),
-        }
-    }
-    if files.is_empty() {
-        eprintln!("usage: spi-lint race-check [--format human|json] TRACE...");
-        return ExitCode::from(2);
-    }
-
-    let mut any_error = false;
-    let mut json_files: Vec<String> = Vec::new();
-    for path in &files {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let trace = match spi_trace::Trace::from_native(&text) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let report = spi_trace::race::race_check(&trace);
-        any_error |= report.has_errors();
-        if json {
-            let diags: Vec<String> = report
-                .diagnostics
-                .iter()
-                .map(spi_analyze::Diagnostic::render_json)
-                .collect();
-            json_files.push(format!(
-                "{{\"file\":{},\"events\":{},\"channels\":{},\"hb_edges\":{},\
-                 \"diagnostics\":[{}]}}",
-                json_escape(path),
-                report.events,
-                report.channels,
-                report.hb_edges,
-                diags.join(",")
-            ));
-        } else {
-            println!("{path}:");
-            print!("{}", report.render_human());
-        }
-    }
-    if json {
-        println!("[{}]", json_files.join(","));
-    }
-    if any_error {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace-check") {
         return trace_check(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("race-check") {
-        return race_check(&args[1..]);
     }
     let opts = match parse_args(&args) {
         Ok(o) => o,

@@ -26,7 +26,7 @@
 //!   child failure with whole-run restarts.
 //! * **[`merge`]** folds the per-node trace captures into one
 //!   clock-aligned, causally consistent trace that `spi-lint
-//!   trace-check` and `race-check` accept unchanged.
+//!   trace-check` accepts unchanged.
 //!
 //! The `spi-noded` binary packages all of this: `spi-noded launch`
 //! drives a multi-process run from one command line, `spi-noded

@@ -11,38 +11,15 @@
 //! 2. **Identity restoration** — remap local PE ids back to global
 //!    processor ids, and re-intern each node's label table into one
 //!    shared table.
-//! 3. **Causally consistent linearization** — probe timestamps lag the
-//!    operations they describe (a `Send` probe is stamped after the
-//!    push, so a racing receiver — descheduled senders make this
-//!    common — can stamp its `Recv` earlier), and offset estimates add
-//!    up to half the ping RTT on top. Raw timestamp order is therefore
-//!    not causal order. The merge emits events under the same
-//!    happens-before constraints the checkers verify: the k-th receive
-//!    on a channel only after its k-th send (`SPI100`), and — on a
-//!    `B`-token bounded channel — send `n+B` only after receive `n`
-//!    (`SPI103`, the eq. (2) reuse window). Within those constraints
-//!    events are taken in adjusted-timestamp order, and output
-//!    timestamps are made monotonically nondecreasing so the emitted
-//!    order and the timestamps agree.
+//! 3. **Causally consistent linearization** — clock offsets add up to
+//!    half the ping RTT of error, so adjusted timestamps are not causal
+//!    order. The merged events go through [`Trace::linearize`], the one
+//!    merge of per-PE streams, which gates each receive behind its send
+//!    and each reused slot behind the receive that freed it.
 //!
-//! The merge works on **per-PE streams**, not whole-node streams: a PE
-//! is a single thread, so its probe order equals its operation order —
-//! that is the only interleaving a capture actually certifies. A
-//! node-level interleaving is merely timestamp-sorted and can already
-//! order a receive before its send across two local PEs.
-//!
-//! The gated merge always makes progress on well-formed inputs: take
-//! the blocked head whose *operation* happened earliest. A blocked
-//! receive's matching send operated strictly earlier on some other PE,
-//! so that PE's head operated earlier still — and a blocked send's
-//! window-opening receive likewise — contradicting minimality unless
-//! some head is enabled. A defensive fallback emits the earliest head
-//! anyway if gating ever wedges on a malformed trace (e.g. one with
-//! dropped events), so the merge terminates on any input; such traces
-//! already carry a `dropped` count that flags every downstream verdict
-//! as partial.
-
-use std::collections::HashMap;
+//! A node's capture was already linearized by `RingTracer::finish`, and
+//! filtering it by PE recovers each PE's own order, which is all the
+//! linearizer needs.
 
 use spi_platform::{PeId, ProbeEvent, ProbeKind};
 use spi_trace::{Trace, TraceMeta};
@@ -88,16 +65,11 @@ pub fn merge_node_traces(mut meta: TraceMeta, nodes: &[NodeTrace]) -> Trace {
     meta.labels = labels;
 
     // ---- Adjust timestamps and restore global identities. -----------
-    // One stream per (node, PE): per-PE probe order is operation order
-    // (a PE is one thread); node-level interleavings are only ts-sorted
-    // and carry no causal guarantee. `RingTracer::finish` merges per-PE
-    // rings stably, so filtering by PE recovers each ring's order.
     // i128 arithmetic: a u64 nano timestamp plus an i64 offset cannot
-    // overflow, and the global shift below restores u64 range.
-    let mut streams: Vec<Vec<(i128, ProbeEvent)>> = Vec::new();
-    let mut min_ts: i128 = 0;
+    // overflow, and the shift onto the smallest adjusted timestamp
+    // restores u64 range.
+    let mut events: Vec<(i128, ProbeEvent)> = Vec::new();
     for (node, label_map) in nodes.iter().zip(&label_maps) {
-        let mut per_pe: HashMap<usize, Vec<(i128, ProbeEvent)>> = HashMap::new();
         for ev in &node.trace.events {
             let mut ev = *ev;
             ev.pe = PeId(node.procs.get(ev.pe.0).copied().unwrap_or(ev.pe.0));
@@ -107,91 +79,27 @@ pub fn merge_node_traces(mut meta: TraceMeta, nodes: &[NodeTrace]) -> Trace {
                 }
                 _ => {}
             }
-            let adj = i128::from(ev.ts) + i128::from(node.offset_ns);
-            min_ts = min_ts.min(adj);
-            per_pe.entry(ev.pe.0).or_default().push((adj, ev));
-        }
-        let mut pes: Vec<usize> = per_pe.keys().copied().collect();
-        pes.sort_unstable();
-        for pe in pes {
-            streams.push(per_pe.remove(&pe).expect("pe key present"));
+            events.push((i128::from(ev.ts) + i128::from(node.offset_ns), ev));
         }
     }
-
-    // ---- Gated k-way merge. ------------------------------------------
-    let bound_of: HashMap<usize, u64> = meta
-        .edges
-        .iter()
-        .filter_map(|b| b.bound_tokens.map(|t| (b.channel.0, t)))
+    let min_ts = events.iter().map(|e| e.0).min().unwrap_or(0).min(0);
+    let events = (events.into_iter())
+        .map(|(adj, ev)| ProbeEvent {
+            ts: (adj - min_ts) as u64,
+            ..ev
+        })
         .collect();
-    let mut heads = vec![0usize; streams.len()];
-    let mut sent: HashMap<usize, u64> = HashMap::new();
-    let mut recvd: HashMap<usize, u64> = HashMap::new();
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut events: Vec<ProbeEvent> = Vec::with_capacity(total);
-    let mut last_ts: u64 = 0;
-
-    let enabled =
-        |ev: &ProbeEvent, sent: &HashMap<usize, u64>, recvd: &HashMap<usize, u64>| match ev.kind {
-            ProbeKind::Recv { channel, .. } => {
-                sent.get(&channel.0).copied().unwrap_or(0)
-                    > recvd.get(&channel.0).copied().unwrap_or(0)
-            }
-            ProbeKind::Send { channel, .. } => match bound_of.get(&channel.0) {
-                Some(&b) => {
-                    sent.get(&channel.0).copied().unwrap_or(0)
-                        < b + recvd.get(&channel.0).copied().unwrap_or(0)
-                }
-                None => true,
-            },
-            _ => true,
-        };
-
-    while events.len() < total {
-        let mut pick: Option<usize> = None;
-        let mut pick_ts = i128::MAX;
-        let mut fallback: Option<usize> = None;
-        let mut fallback_ts = i128::MAX;
-        for (i, stream) in streams.iter().enumerate() {
-            let Some(&(adj, ref ev)) = stream.get(heads[i]) else {
-                continue;
-            };
-            if adj < fallback_ts {
-                fallback_ts = adj;
-                fallback = Some(i);
-            }
-            if adj < pick_ts && enabled(ev, &sent, &recvd) {
-                pick_ts = adj;
-                pick = Some(i);
-            }
-        }
-        // Well-formed inputs always have an enabled head (see module
-        // docs); the fallback keeps malformed ones terminating.
-        let i = pick.or(fallback).expect("a non-empty stream remains");
-        let (adj, mut ev) = streams[i][heads[i]];
-        heads[i] += 1;
-        match ev.kind {
-            ProbeKind::Send { channel, .. } => *sent.entry(channel.0).or_insert(0) += 1,
-            ProbeKind::Recv { channel, .. } => *recvd.entry(channel.0).or_insert(0) += 1,
-            _ => {}
-        }
-        // Shift onto a shared non-negative axis, then clamp monotonic
-        // so the emitted order and the timestamps tell the same story.
-        let shifted = (adj - min_ts) as u64;
-        ev.ts = shifted.max(last_ts);
-        last_ts = ev.ts;
-        events.push(ev);
-    }
-
-    Trace { meta, events }
+    let mut trace = Trace { meta, events };
+    trace.linearize();
+    trace
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spi_dataflow::EdgeId;
     use spi_platform::ChannelId;
-    use spi_trace::{ClockKind, EdgeBound};
+    use spi_trace::ClockKind;
+    use std::collections::HashMap;
 
     fn send(ts: u64, pe: usize, ch: usize) -> ProbeEvent {
         ProbeEvent {
@@ -230,87 +138,6 @@ mod tests {
             offset_ns,
             procs,
         }
-    }
-
-    #[test]
-    fn clock_skew_cannot_reorder_recv_before_send() {
-        // The receiving node's clock runs 1 µs "early": raw merge order
-        // would put its receives before the matching sends. The gate
-        // must hold each receive back.
-        let sender = node(vec![send(1000, 0, 0), send(2000, 0, 0)], 0, vec![0]);
-        let receiver = node(vec![recv(100, 0, 0), recv(1100, 0, 0)], 0, vec![1]);
-        let merged = merge_node_traces(TraceMeta::new(ClockKind::Nanos), &[sender, receiver]);
-
-        let order: Vec<&str> = merged
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                ProbeKind::Send { .. } => "S",
-                ProbeKind::Recv { .. } => "R",
-                _ => "?",
-            })
-            .collect();
-        assert_eq!(order, vec!["S", "R", "S", "R"]);
-        // Timestamps agree with the emitted order.
-        for w in merged.events.windows(2) {
-            assert!(w[0].ts <= w[1].ts);
-        }
-    }
-
-    #[test]
-    fn slot_reuse_window_is_respected_in_the_linearization() {
-        // One-token channel: send #1 must not be emitted before recv #0
-        // even though the sender's adjusted clock puts it earlier.
-        let mut meta = TraceMeta::new(ClockKind::Nanos);
-        meta.edges.push(EdgeBound {
-            edge: EdgeId(0),
-            channel: ChannelId(0),
-            capacity_bytes: 8,
-            max_message_bytes: 8,
-            bound_tokens: Some(1),
-        });
-        let sender = node(vec![send(0, 0, 0), send(10, 0, 0)], 0, vec![0]);
-        let receiver = node(vec![recv(5000, 0, 0), recv(6000, 0, 0)], 0, vec![1]);
-        let merged = merge_node_traces(meta, &[sender, receiver]);
-
-        let kinds: Vec<&str> = merged
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                ProbeKind::Send { .. } => "S",
-                ProbeKind::Recv { .. } => "R",
-                _ => "?",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["S", "R", "S", "R"]);
-    }
-
-    #[test]
-    fn probe_lag_within_one_node_is_repaired() {
-        // Two PEs on one node: the sender was descheduled between its
-        // push and its probe, so the receiver's Recv probe carries the
-        // earlier timestamp. A whole-node ts order would emit R before
-        // S; the per-PE gated merge must restore S-before-R.
-        let n = node(
-            vec![
-                // RingTracer::finish interleaves per-PE rings by ts:
-                recv(1000, 1, 0), // PE1 (receiver) — probe stamped early
-                send(1024, 0, 0), // PE0 (sender) — probe lagged the push
-            ],
-            0,
-            vec![0, 1],
-        );
-        let merged = merge_node_traces(TraceMeta::new(ClockKind::Nanos), &[n]);
-        let kinds: Vec<&str> = merged
-            .events
-            .iter()
-            .map(|e| match e.kind {
-                ProbeKind::Send { .. } => "S",
-                ProbeKind::Recv { .. } => "R",
-                _ => "?",
-            })
-            .collect();
-        assert_eq!(kinds, vec!["S", "R"]);
     }
 
     #[test]

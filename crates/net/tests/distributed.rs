@@ -1,8 +1,8 @@
 //! End-to-end: the filter bank partitioned across two OS processes must
 //! produce byte-identical output to the single-process path — clean and
 //! under socket-level fault injection — and the merged distributed
-//! trace must pass the same conformance and race checkers as a local
-//! capture.
+//! trace must pass the same replay (bounds, FIFO and happens-before
+//! order) as a local capture.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -51,11 +51,9 @@ fn two_process_run_is_byte_identical_and_trace_conformant() {
         "trace-check on merged trace:\n{}",
         report.render_human()
     );
-    let races = spi_trace::race::race_check(&trace);
     assert!(
-        !races.has_errors(),
-        "race-check on merged trace:\n{}",
-        races.render_human()
+        report.hb_edges > 0,
+        "the replay must see the cross-PE order"
     );
     assert!(
         trace.events.iter().any(|e| e.pe.0 == 2),
@@ -83,8 +81,8 @@ fn batched_two_process_run_passes_both_checkers() {
     // window, past the batching threshold, so the schedule lowers real
     // batch plans: the merged
     // trace must carry the declared budgets, observed flush events, and
-    // still satisfy trace-check (incl. the SPI086 budget diagnostic)
-    // and race-check.
+    // still satisfy trace-check (incl. the SPI086 budget diagnostic and
+    // the SPI100–SPI105 order checks).
     let trace = run_launch(&["--force-ubs"], "e2e_batched.trace");
     assert!(
         !trace.meta.batch_bounds.is_empty(),
@@ -120,21 +118,15 @@ fn batched_two_process_run_passes_both_checkers() {
         "trace-check on batched merged trace:\n{}",
         report.render_human()
     );
-    let races = spi_trace::race::race_check(&trace);
-    assert!(
-        !races.has_errors(),
-        "race-check on batched merged trace:\n{}",
-        races.render_human()
-    );
 }
 
 #[test]
 fn supervised_two_process_run_stays_identical() {
     let trace = run_launch(&["--supervised"], "e2e_supervised.trace");
-    let races = spi_trace::race::race_check(&trace);
+    let report = spi_trace::check(&trace);
     assert!(
-        !races.has_errors(),
-        "race-check on supervised merged trace:\n{}",
-        races.render_human()
+        !report.has_errors(),
+        "trace-check on supervised merged trace:\n{}",
+        report.render_human()
     );
 }

@@ -314,25 +314,11 @@ impl SyncGraph {
     ///
     /// Returns a report of edges added and removed.
     pub fn resynchronize(&mut self, preserve_throughput: bool) -> ResyncReport {
-        self.resynchronize_constrained(preserve_throughput, None)
-    }
-
-    /// Latency-constrained resynchronization: like
-    /// [`SyncGraph::resynchronize`], but additionally rejects any added
-    /// edge that would push the first-iteration completion time of any
-    /// task beyond `max_latency` cycles (the latency-aware variant of
-    /// the optimization in Sriram & Bhattacharyya).
-    pub fn resynchronize_constrained(
-        &mut self,
-        preserve_throughput: bool,
-        max_latency: Option<u64>,
-    ) -> ResyncReport {
-        self.resynchronize_certified(preserve_throughput, max_latency)
-            .0
+        self.resynchronize_certified(preserve_throughput).0
     }
 
     /// Certified resynchronization: identical optimization to
-    /// [`SyncGraph::resynchronize_constrained`], but every edge removal
+    /// [`SyncGraph::resynchronize`], but every edge removal
     /// is justified by a [`RedundancyProof`] — a concrete witness path
     /// in the *final* graph whose total delay does not exceed the
     /// removed edge's — and every addition records how many removals it
@@ -340,6 +326,9 @@ impl SyncGraph {
     /// because redundancy removal is transitive: each intermediate
     /// witness that was itself later removed was in turn path-implied,
     /// so the composed final-graph path still enforces the constraint.
+    /// The certificate describes the input graph → the final graph: an
+    /// added edge a later addition made redundant appears in neither
+    /// its additions nor its removals.
     ///
     /// A removal the final graph cannot justify lands in
     /// [`ResyncCertificate::unproven`] — that is a bug in the optimizer
@@ -347,12 +336,11 @@ impl SyncGraph {
     pub fn resynchronize_certified(
         &mut self,
         preserve_throughput: bool,
-        max_latency: Option<u64>,
     ) -> (ResyncReport, ResyncCertificate) {
         let baseline_cost = self.sync_cost();
         // Always start from the irredundant form.
         let mut removed_edges = self.remove_redundant_tracked();
-        let mut additions = Vec::new();
+        let mut additions: Vec<ResyncAddition> = Vec::new();
         let base_mcm = max_cycle_mean(&self.tasks, &self.edges);
 
         loop {
@@ -403,17 +391,14 @@ impl SyncGraph {
                     break;
                 }
             }
-            if let Some(limit) = max_latency {
-                let times = crate::latency::self_timed_times(&trial, 1);
-                let worst = times[0].iter().map(|&(_, e)| e).max().unwrap_or(0);
-                if worst > limit {
-                    break;
-                }
-            }
             *self = trial;
+            let kills = killed.len();
+            let (undone, killed): (Vec<_>, Vec<_>) =
+                (killed.into_iter()).partition(|e| additions.iter().any(|a| a.edge == *e));
+            additions.retain(|a| !undone.contains(&a.edge));
             additions.push(ResyncAddition {
                 edge: candidate,
-                killed: killed.len(),
+                killed: kills,
             });
             removed_edges.extend(killed);
         }
@@ -785,7 +770,7 @@ mod tests {
     #[test]
     fn certified_resync_proves_every_removal() {
         let mut sg = two_proc_pipeline();
-        let (report, cert) = sg.resynchronize_certified(true, None);
+        let (report, cert) = sg.resynchronize_certified(true);
         // The pipeline drops both UBS acks; each must carry a witness.
         assert_eq!(report.edges_removed, 2);
         assert!(cert.unproven.is_empty(), "unproven: {:?}", cert.unproven);
@@ -816,12 +801,82 @@ mod tests {
         assert!(cert.render().contains("removals proven"));
     }
 
+    /// Seven tasks on four processors, shrunk from a generated UBS
+    /// system: the greedy step that adds `t4 -> t5` makes the earlier
+    /// addition `t0 -> t5` redundant. The certificate must describe the
+    /// input graph → the final graph, so that edge is neither an
+    /// addition nor a removal.
+    #[test]
+    fn a_resync_edge_a_later_one_kills_leaves_the_certificate() {
+        use spi_dataflow::{ActorId, EdgeId, Firing};
+        let task = |t, proc| Task {
+            firing: Firing {
+                actor: ActorId(t),
+                k: 0,
+            },
+            proc: ProcId(proc),
+            exec_cycles: 1,
+        };
+        let edge = |from, to, delay, kind| SyncEdge {
+            from: TaskId(from),
+            to: TaskId(to),
+            delay,
+            kind,
+        };
+        let via = |e| {
+            (
+                SyncKind::Data { via: EdgeId(e) },
+                SyncKind::Ack { via: EdgeId(e) },
+            )
+        };
+        let ((data0, ack0), (data1, ack1), (data2, ack2)) = (via(0), via(1), via(2));
+        let input = SyncGraph {
+            tasks: [0, 0, 1, 1, 2, 3, 3]
+                .iter()
+                .enumerate()
+                .map(|(t, &p)| task(t, p))
+                .collect(),
+            edges: vec![
+                edge(0, 1, 0, SyncKind::Sequence),
+                edge(1, 0, 1, SyncKind::Loopback),
+                edge(2, 3, 0, SyncKind::Sequence),
+                edge(5, 6, 0, SyncKind::Sequence),
+                edge(2, 6, 0, data0),
+                edge(6, 2, 8, ack0),
+                edge(0, 2, 9, ack1),
+                edge(3, 5, 1, data0),
+                edge(3, 0, 1, data1),
+                edge(4, 0, 8, ack2),
+                edge(1, 4, 0, data2),
+            ],
+        };
+        let mut sg = input.clone();
+        let (report, cert) = sg.resynchronize_certified(true);
+        assert_eq!(cert.additions.len(), 2, "{}", cert.render());
+        for a in &cert.additions {
+            assert!(
+                sg.edges().contains(&a.edge),
+                "{a:?} is not in the final graph"
+            );
+            assert!(a.killed >= 2);
+        }
+        assert!(cert.unproven.is_empty());
+        assert!(cert
+            .removals
+            .iter()
+            .all(|p| input.edges().contains(&p.edge)));
+        assert_eq!(
+            input.edges().len() + report.edges_added - report.edges_removed,
+            sg.edges().len()
+        );
+    }
+
     #[test]
     fn certified_and_plain_resync_agree() {
         let mut a = two_proc_pipeline();
         let mut b = two_proc_pipeline();
         let plain = a.resynchronize(true);
-        let (certified, _) = b.resynchronize_certified(true, None);
+        let (certified, _) = b.resynchronize_certified(true);
         assert_eq!(plain, certified);
         assert_eq!(a, b);
     }

@@ -545,9 +545,7 @@ impl SpiSystemBuilder {
         // The certified variant records a redundancy proof (witness path
         // in the final graph) for every removed edge; the SPI061/SPI062
         // analyzer pass re-verifies the certificate in `verify`.
-        let resynced = self
-            .resync
-            .then(|| graph.resynchronize_certified(true, None));
+        let resynced = self.resync.then(|| graph.resynchronize_certified(true));
         let (report, cert) = resynced.unzip();
         let dot_after = graph.to_dot("after resynchronization");
         // An edge keeps its acknowledgements if any Ack sync edge for it

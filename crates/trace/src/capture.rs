@@ -3,11 +3,15 @@
 //! The capture buffer follows the same discipline as the runtime's
 //! `RingTransport`: preallocated storage, atomics for coordination, and
 //! zero heap allocation on the hot path. Each PE gets its **own** event
-//! buffer — the [`spi_platform::Tracer`] contract guarantees
-//! `record(pe, …)` is only called from the thread executing that PE (the
-//! DES calls everything from one thread, which is the degenerate case) —
+//! buffer, written almost always by the thread executing that PE (the
+//! DES calls everything from one thread, which is the degenerate case),
 //! so recording an event is one atomic claim plus a plain slot write,
-//! with no cross-thread contention and no locks.
+//! with no locks. The claim is a `fetch_add`, so a second writer is
+//! safe too: a `spi-net` endpoint's `net-timer` thread, or the thread
+//! that drops a sender, records that channel's `BatchFlush` into the
+//! sending PE's buffer, and the claim hands it a slot of its own.
+//! [`RingTracer::finish`] merges the buffers once, causally, with
+//! [`Trace::linearize`].
 //!
 //! When a per-PE buffer fills, further events for that PE are **dropped
 //! and counted**, never blocked on: observability must not perturb the
@@ -99,18 +103,22 @@ pub const DEFAULT_EVENTS_PER_PE: usize = 1 << 16;
 /// One PE's single-writer event buffer.
 struct PeBuffer {
     /// Preallocated event slots. A slot is written at most once per
-    /// capture (between two [`RingTracer::reset`] calls) by the single
-    /// thread that owns this PE.
+    /// capture (between two [`RingTracer::reset`] calls), by the thread
+    /// that claimed it.
     slots: Box<[UnsafeCell<ProbeEvent>]>,
     /// Number of claimed slots; may run past `slots.len()` when events
-    /// overflow (the excess is the per-PE drop count).
+    /// overflow (the excess is the per-PE drop count). Usually only the
+    /// PE's own thread claims, but a `BatchFlush` can come from another
+    /// thread (module docs); the atomic `fetch_add` keeps every claim
+    /// exclusive either way.
     len: AtomicUsize,
 }
 
-// SAFETY: each slot is written exactly once, by the single thread that
-// claimed its index via the `len` fetch_add below, and only read after
-// the capture quiesces (run threads joined, or same thread for the
-// DES); the join / program order provides the needed happens-before.
+// SAFETY: each slot is written exactly once, by the thread that claimed
+// its index via the `len` fetch_add below, and only read after the
+// capture quiesces (run threads joined and endpoints dropped, or same
+// thread for the DES); the join / program order provides the needed
+// happens-before.
 unsafe impl Sync for PeBuffer {}
 
 impl PeBuffer {
@@ -206,49 +214,8 @@ impl RingTracer {
         self.out_of_range.store(0, Ordering::Relaxed);
     }
 
-    /// Merges the per-PE buffers into one timestamp-ordered stream.
-    ///
-    /// The merge is a stable k-way merge: ties on `ts` preserve each
-    /// PE's own emission order, so per-channel FIFO order (sends from
-    /// one producer PE, receives from one consumer PE) survives into
-    /// the merged stream even when timestamps collide.
-    pub fn events(&self) -> Vec<ProbeEvent> {
-        let mut streams: Vec<(usize, &[UnsafeCell<ProbeEvent>])> = self
-            .pes
-            .iter()
-            .map(|b| {
-                let (kept, _) = b.counts();
-                (0usize, &b.slots[..kept])
-            })
-            .collect();
-        let total: usize = streams.iter().map(|(_, s)| s.len()).sum();
-        let mut out = Vec::with_capacity(total);
-        // K is tiny (the PE count), so a linear scan per pop is faster
-        // than a heap in practice and trivially stable.
-        loop {
-            let mut best: Option<usize> = None;
-            let mut best_ts = u64::MAX;
-            for (i, (pos, slots)) in streams.iter().enumerate() {
-                if *pos < slots.len() {
-                    // SAFETY: `pos < kept` slots were fully written
-                    // before the capture quiesced (see `PeBuffer`).
-                    let ts = unsafe { (*slots[*pos].get()).ts };
-                    if ts < best_ts {
-                        best_ts = ts;
-                        best = Some(i);
-                    }
-                }
-            }
-            let Some(i) = best else { break };
-            let (pos, slots) = &mut streams[i];
-            // SAFETY: as above.
-            out.push(unsafe { *slots[*pos].get() });
-            *pos += 1;
-        }
-        out
-    }
-
-    /// Consumes the capture into an owned [`Trace`]: merged events plus
+    /// Consumes the capture into an owned [`Trace`]: the per-PE buffers
+    /// merged by [`Trace::linearize`] under `meta`'s edge bounds, plus
     /// `meta` with the label table and drop count filled in from this
     /// tracer. The caller supplies the rest of the metadata (clock,
     /// edge bounds, predicted makespan) — typically via
@@ -256,10 +223,15 @@ impl RingTracer {
     pub fn finish(&self, mut meta: TraceMeta) -> Trace {
         meta.labels = self.labels.lock().expect("label lock").clone();
         meta.dropped += self.dropped();
-        Trace {
-            meta,
-            events: self.events(),
-        }
+        let events = (self.pes.iter())
+            .flat_map(|b| &b.slots[..b.counts().0])
+            // SAFETY: the first `kept` slots were fully written before
+            // the capture quiesced (see `PeBuffer`).
+            .map(|slot| unsafe { *slot.get() })
+            .collect();
+        let mut trace = Trace { meta, events };
+        trace.linearize();
+        trace
     }
 }
 
@@ -318,7 +290,7 @@ mod tests {
         t.record(PeId(1), 5, ProbeKind::FiringEnd { label: l });
         t.record(PeId(0), 3, ProbeKind::FiringBegin { label: l });
         t.record(PeId(0), 5, ProbeKind::FiringEnd { label: l });
-        let ev = t.events();
+        let ev = t.finish(TraceMeta::new(ClockKind::Cycles)).events;
         assert_eq!(ev.len(), 4);
         assert_eq!(ev[0].ts, 3);
         // Tie at ts=5: PE 0's stream order is preserved relative to
@@ -383,7 +355,7 @@ mod tests {
         });
         assert_eq!(t.captured(), 4 * 1000);
         assert_eq!(t.dropped(), 0);
-        let ev = t.events();
+        let ev = t.finish(TraceMeta::new(ClockKind::Nanos)).events;
         // Each PE's stream is intact and in its own order.
         for pe in 0..4 {
             let mine: Vec<_> = ev.iter().filter(|e| e.pe == PeId(pe)).collect();
@@ -449,11 +421,9 @@ mod tests {
                 .run(&[spec], vec![producer, consumer])
                 .expect("clean run");
             assert_eq!(tracer.dropped(), 0);
+            let events = tracer.finish(TraceMeta::new(ClockKind::Nanos)).events;
             let of = |pe: usize| -> Vec<ProbeKind> {
-                let all = tracer
-                    .events()
-                    .into_iter()
-                    .filter(move |e| e.pe == PeId(pe));
+                let all = events.iter().filter(move |e| e.pe == PeId(pe));
                 let compared = |k: &ProbeKind| {
                     use ProbeKind::{FiringBegin, FiringEnd, Recv, Send};
                     matches!(
@@ -482,6 +452,39 @@ mod tests {
                 }
             )));
         }
+    }
+
+    /// The traced runner stamps a `Send` after its push, so a receiver
+    /// that pops first can stamp its `Recv` earlier. `finish` still
+    /// emits the send first, with timestamps that never decrease, and
+    /// the replay finds nothing to report.
+    #[test]
+    fn finish_orders_a_recv_stamped_before_its_send() {
+        let t = RingTracer::new(2, 8);
+        let channel = spi_platform::ChannelId(0);
+        let recv = ProbeKind::Recv {
+            channel,
+            bytes: 4,
+            digest: 7,
+            occ_bytes: 0,
+            occ_msgs: 0,
+        };
+        let send = ProbeKind::Send {
+            channel,
+            bytes: 4,
+            digest: 7,
+            occ_bytes: 4,
+            occ_msgs: 1,
+        };
+        t.record(PeId(1), 100, recv);
+        t.record(PeId(0), 130, send);
+        let trace = t.finish(TraceMeta::new(ClockKind::Nanos));
+        assert!(matches!(trace.events[0].kind, ProbeKind::Send { .. }));
+        assert!(matches!(trace.events[1].kind, ProbeKind::Recv { .. }));
+        assert!(trace.events.windows(2).all(|w| w[0].ts <= w[1].ts));
+        let report = crate::check(&trace);
+        assert!(report.diagnostics.is_empty(), "{}", report.render_human());
+        assert_eq!(report.hb_edges, 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Trace conformance: replaying an observed run against the paper's
-//! static guarantees.
+//! Trace conformance: one replay of an observed run against the paper's
+//! static guarantees and its synchronization order.
 //!
 //! The static side of this repo *proves* things about an SPI system:
 //! eq. (1) bounds every packed message to `c(e)` bytes, eq. (2) sizes
@@ -7,9 +7,17 @@
 //! transports promise per-channel FIFO delivery, and the self-timed
 //! analysis predicts a makespan. This module closes the loop: given a
 //! captured [`Trace`], it verifies the run actually stayed inside every
-//! one of those envelopes, and emits analyzer-style diagnostics
-//! (`SPI080`–`SPI095`, same [`spi_analyze::Diagnostic`] machinery as
-//! the static passes) when it did not.
+//! one of those envelopes, and emits analyzer-style diagnostics (same
+//! [`spi_analyze::Diagnostic`] machinery as the static passes) when it
+//! did not.
+//!
+//! The same pass rebuilds the cross-PE happens-before order the run
+//! exhibited — program order per PE, plus "the k-th receive on a
+//! channel happens after the k-th send" on data and ack channels alike,
+//! so the reconstruction is the runtime image of the synchronization
+//! graph `G_s` — with one vector clock per PE. It expects the stream in
+//! the order [`Trace::linearize`] emits; the order checks compare
+//! stream positions, never timestamps.
 //!
 //! | code   | severity | meaning |
 //! |--------|----------|---------|
@@ -26,6 +34,15 @@
 //! | SPI093 | error    | unresolved corruption: a corrupt frame was never followed by a delivery or degradation |
 //! | SPI094 | warning  | corrupt frames observed (recovered by retransmission) |
 //! | SPI095 | warning  | degraded tokens present; output may deviate from fault-free |
+//! | SPI100 | error    | a receive precedes its matching send in the stream |
+//! | SPI101 | error    | concurrent (unordered) sends on one channel from different PEs — producer endpoint race |
+//! | SPI102 | error    | concurrent (unordered) receives on one channel from different PEs — consumer endpoint race |
+//! | SPI103 | error    | slot reuse: send `n+B` precedes receive `n` on a `B`-token-bounded channel (eq. (2) window) |
+//! | SPI104 | warning  | block/unblock events unpaired — blocking instrumentation incomplete |
+//! | SPI105 | warning  | channel endpoint shared by more than one PE (ordered, so not a race, but outside the point-to-point contract) |
+//!
+//! (SPI106, "the race check ran on a partial stream", is retired:
+//! SPI084 reports the same dropped-events condition.)
 //!
 //! The supervision-budget checks (`SPI090`–`SPI092`) run only when the
 //! trace metadata carries [`SupervisionBounds`](crate::SupervisionBounds)
@@ -44,7 +61,7 @@
 //! the analysis; a clean report on a threaded-runner trace additionally
 //! exercises the real lock-free transports.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use spi_analyze::{Diagnostic, Locus, Severity};
 use spi_platform::{ChannelId, ProbeKind};
@@ -61,6 +78,9 @@ pub struct ConformanceReport {
     pub channels_checked: usize,
     /// Send/receive pairs whose digests were compared in FIFO order.
     pub messages_checked: u64,
+    /// Cross-event happens-before edges the replay reconstructed: one
+    /// per receive whose matching send preceded it.
+    pub hb_edges: usize,
     /// Observed makespan (last event timestamp).
     pub observed_makespan: u64,
     /// The predicted bound the makespan was held against, when the
@@ -88,8 +108,8 @@ impl ConformanceReport {
             out.push('\n');
         }
         out.push_str(&format!(
-            "trace-check: {} channel(s), {} message(s)",
-            self.channels_checked, self.messages_checked
+            "trace-check: {} channel(s), {} message(s), {} happens-before edge(s)",
+            self.channels_checked, self.messages_checked, self.hb_edges
         ));
         match (self.predicted_makespan, self.slack) {
             (Some(p), Some(s)) => out.push_str(&format!(
@@ -113,36 +133,64 @@ impl ConformanceReport {
     }
 }
 
-/// Per-channel replay state.
-///
-/// Sends and receives are collected separately and matched **by index**
-/// at the end, not by stream position: the transports are SPSC, so each
-/// side's per-channel order in the merged stream is exact (one writer,
-/// monotonic per-PE timestamps), but the *relative* interleaving of the
-/// two sides is not trustworthy on a wall-clock trace — a receiver can
-/// pop a message and stamp its event before the sender stamps the
-/// matching send. Index matching is immune to that race and still exact
-/// for the FIFO property.
-#[derive(Default)]
-struct ChannelReplay {
-    /// (digest, bytes) of every send, in emission order.
-    sent: Vec<(u64, u32)>,
-    /// (digest, bytes, ts) of every receive, in emission order.
-    recvd: Vec<(u64, u32, u64)>,
+/// One send or receive as the replay keeps it.
+struct Moved {
+    digest: u64,
+    bytes: u32,
+    ts: u64,
+    /// Position in the stream.
+    pos: usize,
+    /// A send's vector clock, taken by its receive's join.
+    vc: Vec<u64>,
 }
 
-/// Replays `trace` against the bounds in its metadata.
+/// One channel's replay record.
+#[derive(Default)]
+struct ChannelReplay {
+    sends: Vec<Moved>,
+    recvs: Vec<Moved>,
+    /// Per endpoint side (sends, receives): each PE's latest event on
+    /// it, as (dense PE, its own clock component, PE id, ts).
+    last: [Vec<(usize, u64, usize, u64)>; 2],
+    /// Per side, the first pair of events with no happens-before path
+    /// between them: (PE, ts) of the earlier and of the later one.
+    race: [Option<[(usize, u64); 2]>; 2],
+}
+
+impl ChannelReplay {
+    /// Records an event from dense PE `pe` (id `id`) on endpoint
+    /// `side`, whose clock after the event is `vc`. It is unordered
+    /// with an earlier event of PE `p` iff its clock has not absorbed
+    /// that event's own component.
+    fn endpoint(&mut self, side: usize, pe: usize, id: usize, vc: &[u64], ts: u64) {
+        let last = &mut self.last[side];
+        if self.race[side].is_none() {
+            if let Some(&(.., a_id, a_ts)) =
+                (last.iter()).find(|&&(p, own, ..)| p != pe && vc[p] < own)
+            {
+                self.race[side] = Some([(a_id, a_ts), (id, ts)]);
+            }
+        }
+        match last.iter_mut().find(|l| l.0 == pe) {
+            Some(l) => *l = (pe, vc[pe], id, ts),
+            None => last.push((pe, vc[pe], id, ts)),
+        }
+    }
+}
+
+/// Replays `trace` against the bounds in its metadata and rebuilds its
+/// happens-before order, in one pass.
 ///
 /// Channels that carry traffic but appear in no [`EdgeBound`] (ack and
 /// control channels, whose capacity the builder provisions separately)
-/// are exempt from the eq. (1)/(2) checks but still replayed for FIFO
-/// and conservation.
+/// are exempt from the eq. (1)/(2) checks but still replayed for FIFO,
+/// conservation and ordering.
 pub fn check(trace: &Trace) -> ConformanceReport {
     let meta = &trace.meta;
     let bounds: HashMap<usize, &EdgeBound> = meta.edges.iter().map(|b| (b.channel.0, b)).collect();
 
     let mut diagnostics = Vec::new();
-    let mut replays: HashMap<usize, ChannelReplay> = HashMap::new();
+    let mut replays: BTreeMap<usize, ChannelReplay> = BTreeMap::new();
     let mut messages_checked = 0u64;
     // Report each bound violation class once per channel, at its worst
     // observation — a sustained overflow would otherwise flood the
@@ -166,7 +214,21 @@ pub fn check(trace: &Trace) -> ConformanceReport {
         .collect();
     let mut worst_flush: HashMap<usize, (u32, u32, u64)> = HashMap::new(); // ch -> (msgs, bytes, ts)
 
-    for ev in &trace.events {
+    // Happens-before replay: one vector clock per PE, over dense PE
+    // indices, ticking on every send and receive.
+    let dense: HashMap<usize, usize> = (trace.events.iter().map(|e| e.pe.0))
+        .collect::<BTreeSet<_>>()
+        .into_iter()
+        .enumerate()
+        .map(|(i, pe)| (pe, i))
+        .collect();
+    let mut clock = vec![vec![0u64; dense.len()]; dense.len()];
+    let mut hb_edges = 0usize;
+    // (pe, channel, direction) -> open block depth.
+    let mut open_blocks: BTreeMap<(usize, usize, &str), u64> = BTreeMap::new();
+    let mut spi104 = BTreeSet::new();
+
+    for (pos, ev) in trace.events.iter().enumerate() {
         match ev.kind {
             ProbeKind::Send {
                 channel,
@@ -184,11 +246,17 @@ pub fn check(trace: &Trace) -> ConformanceReport {
                     }
                     record_occupancy(&mut worst_occ, channel, occ_bytes, occ_msgs, ev.ts, b);
                 }
-                replays
-                    .entry(channel.0)
-                    .or_default()
-                    .sent
-                    .push((digest, bytes));
+                let pe = dense[&ev.pe.0];
+                clock[pe][pe] += 1;
+                let r = replays.entry(channel.0).or_default();
+                r.endpoint(0, pe, ev.pe.0, &clock[pe], ev.ts);
+                r.sends.push(Moved {
+                    digest,
+                    bytes,
+                    ts: ev.ts,
+                    pos,
+                    vc: clock[pe].clone(),
+                });
             }
             ProbeKind::Recv {
                 channel,
@@ -200,14 +268,48 @@ pub fn check(trace: &Trace) -> ConformanceReport {
                 if let Some(b) = bounds.get(&channel.0) {
                     record_occupancy(&mut worst_occ, channel, occ_bytes, occ_msgs, ev.ts, b);
                 }
-                replays
-                    .entry(channel.0)
-                    .or_default()
-                    .recvd
-                    .push((digest, bytes, ev.ts));
+                let pe = dense[&ev.pe.0];
+                clock[pe][pe] += 1;
+                let r = replays.entry(channel.0).or_default();
+                // The k-th receive happens after the k-th send: join
+                // the sender's clock, if the send came first.
+                if let Some(send) = r.sends.get_mut(r.recvs.len()) {
+                    for (c, s) in clock[pe].iter_mut().zip(&std::mem::take(&mut send.vc)) {
+                        *c = (*c).max(*s);
+                    }
+                    hb_edges += 1;
+                }
+                r.endpoint(1, pe, ev.pe.0, &clock[pe], ev.ts);
+                r.recvs.push(Moved {
+                    digest,
+                    bytes,
+                    ts: ev.ts,
+                    pos,
+                    vc: Vec::new(),
+                });
                 // A successful delivery resolves any earlier corrupt
                 // frame on this channel: the retransmission landed.
                 unresolved_corrupt.remove(&channel.0);
+            }
+            ProbeKind::BlockSend { channel }
+            | ProbeKind::BlockRecv { channel }
+            | ProbeKind::UnblockSend { channel }
+            | ProbeKind::UnblockRecv { channel } => {
+                let (dir, opens) = match ev.kind {
+                    ProbeKind::BlockSend { .. } => ("Send", true),
+                    ProbeKind::BlockRecv { .. } => ("Recv", true),
+                    ProbeKind::UnblockSend { .. } => ("Send", false),
+                    _ => ("Recv", false),
+                };
+                let depth = open_blocks.entry((ev.pe.0, channel.0, dir)).or_insert(0);
+                if opens {
+                    *depth += 1;
+                } else if *depth == 0 {
+                    let what = format!("Unblock{dir} without Block{dir}");
+                    spi104.insert((ev.pe.0, channel.0, what));
+                } else {
+                    *depth -= 1;
+                }
             }
             ProbeKind::FaultRetry { channel, attempt } => {
                 let w = worst_retry.entry(channel.0).or_insert((0, ev.ts));
@@ -253,68 +355,32 @@ pub fn check(trace: &Trace) -> ConformanceReport {
         }
     }
 
-    // FIFO + conservation: match receives against sends by index. One
-    // diagnostic per channel — a single out-of-order message
-    // desynchronizes every later comparison on that channel.
+    for (&(pe, ch, dir), _) in open_blocks.iter().filter(|(_, &d)| d > 0) {
+        spi104.insert((pe, ch, format!("Block{dir} never unblocked")));
+    }
+    for (pe, ch, what) in spi104 {
+        diagnostics.push(
+            Diagnostic::new(
+                "SPI104",
+                Severity::Warning,
+                Locus::System,
+                format!("PE {pe}, channel {ch}: {what} — blocking instrumentation unpaired"),
+            )
+            .with_suggestion(
+                "happens-before reconstruction ignores blocking pairs it cannot match; fix the \
+                 emitter or re-capture",
+            ),
+        );
+    }
+
     for (&ch, r) in &replays {
-        let channel = ChannelId(ch);
-        let mut broken = false;
-        for (i, &(digest, bytes, ts)) in r.recvd.iter().enumerate() {
-            match r.sent.get(i) {
-                Some(&(sent_digest, sent_bytes)) => {
-                    if sent_digest != digest || sent_bytes != bytes {
-                        broken = true;
-                        diagnostics.push(
-                            Diagnostic::new(
-                                "SPI082",
-                                Severity::Error,
-                                locus_for(&bounds, channel),
-                                format!(
-                                    "FIFO violation on {} at t={}: receive #{} carries \
-                                     digest {:#018x} ({} B) but send #{} was digest \
-                                     {:#018x} ({} B)",
-                                    channel, ts, i, digest, bytes, i, sent_digest, sent_bytes
-                                ),
-                            )
-                            .with_suggestion(
-                                "the SPSC transport contract promises per-channel order; \
-                                 a mismatch means payload corruption or interleaved \
-                                 writers on one channel",
-                            ),
-                        );
-                    } else {
-                        messages_checked += 1;
-                    }
-                }
-                None => {
-                    // More receives than sends: conservation broken.
-                    broken = true;
-                    diagnostics.push(
-                        Diagnostic::new(
-                            "SPI085",
-                            Severity::Error,
-                            locus_for(&bounds, channel),
-                            format!(
-                                "conservation violation on {} at t={}: receive #{} \
-                                 observed but only {} send(s) traced",
-                                channel,
-                                ts,
-                                i,
-                                r.sent.len()
-                            ),
-                        )
-                        .with_suggestion(
-                            "tokens appeared from nowhere — if the capture dropped \
-                             events (SPI084) the send may simply be missing from \
-                             the stream",
-                        ),
-                    );
-                }
-            }
-            if broken {
-                break;
-            }
-        }
+        replay_channel(
+            ChannelId(ch),
+            r,
+            &bounds,
+            &mut diagnostics,
+            &mut messages_checked,
+        );
     }
 
     for (ch, (occ_bytes, occ_msgs, ts)) in &worst_occ {
@@ -585,9 +651,136 @@ pub fn check(trace: &Trace) -> ConformanceReport {
         diagnostics,
         channels_checked: replays.len(),
         messages_checked,
+        hb_edges,
         observed_makespan,
         predicted_makespan,
         slack,
+    }
+}
+
+/// The per-channel findings of the replay: FIFO and conservation
+/// (SPI082, SPI085, matched by index), the stream order of each pair
+/// (SPI100) and of each reused slot (SPI103), and the endpoint checks
+/// (SPI101, SPI102, SPI105).
+fn replay_channel(
+    channel: ChannelId,
+    r: &ChannelReplay,
+    bounds: &HashMap<usize, &EdgeBound>,
+    out: &mut Vec<Diagnostic>,
+    messages_checked: &mut u64,
+) {
+    let locus = locus_for(bounds, channel);
+    let mut push = |code, severity, message: String, suggestion: &str| {
+        out.push(
+            Diagnostic::new(code, severity, locus.clone(), message).with_suggestion(suggestion),
+        );
+    };
+
+    let premature = (r.recvs.iter().zip(&r.sends)).position(|(recv, send)| send.pos > recv.pos);
+    if let Some(k) = premature {
+        push(
+            "SPI100",
+            Severity::Error,
+            format!(
+                "receive #{k} on {channel} at t={} precedes its matching send (t={}): \
+                 the order is causally inconsistent",
+                r.recvs[k].ts, r.sends[k].ts
+            ),
+            "a FIFO receive cannot precede its send; check the capture's linearization \
+             or the transport's ordering",
+        );
+    }
+
+    // FIFO + conservation: one diagnostic per channel — a single
+    // out-of-order message desynchronizes every later comparison.
+    for (i, recv) in r.recvs.iter().enumerate() {
+        match r.sends.get(i) {
+            Some(send) if (send.digest, send.bytes) != (recv.digest, recv.bytes) => {
+                push(
+                    "SPI082",
+                    Severity::Error,
+                    format!(
+                        "FIFO violation on {channel} at t={}: receive #{i} carries digest \
+                         {:#018x} ({} B) but send #{i} was digest {:#018x} ({} B)",
+                        recv.ts, recv.digest, recv.bytes, send.digest, send.bytes
+                    ),
+                    "the SPSC transport contract promises per-channel order; a mismatch \
+                     means payload corruption or interleaved writers on one channel",
+                );
+                break;
+            }
+            Some(_) => *messages_checked += 1,
+            None => {
+                push(
+                    "SPI085",
+                    Severity::Error,
+                    format!(
+                        "conservation violation on {channel} at t={}: receive #{i} observed \
+                         but only {} send(s) traced",
+                        recv.ts,
+                        r.sends.len()
+                    ),
+                    "tokens appeared from nowhere — if the capture dropped events (SPI084) \
+                     the send may simply be missing from the stream",
+                );
+                break;
+            }
+        }
+    }
+
+    // Slot reuse: with a B-token bound, send n+B overwrites the slot
+    // receive n vacates, so it must come later in the stream.
+    if let Some(b) = bounds.get(&channel.0).and_then(|b| b.bound_tokens) {
+        let lapped = r.recvs.iter().enumerate().find_map(|(n, recv)| {
+            let send = r.sends.get(n.checked_add(usize::try_from(b).ok()?)?)?;
+            (send.pos < recv.pos).then_some((n, recv, send))
+        });
+        if let Some((n, recv, send)) = lapped {
+            push(
+                "SPI103",
+                Severity::Error,
+                format!(
+                    "{channel}: send #{} (t={}) precedes receive #{n} (t={}) on a {b}-token \
+                     channel — the eq. (2) reuse window was violated",
+                    n as u64 + b,
+                    send.ts,
+                    recv.ts
+                ),
+                "the producer lapped the consumer inside the static bound; check the \
+                 channel's capacity derivation and backpressure",
+            );
+        }
+    }
+
+    for (side, code, race, last) in [
+        ("send", "SPI101", r.race[0], &r.last[0]),
+        ("receive", "SPI102", r.race[1], &r.last[1]),
+    ] {
+        if let Some([(a, a_ts), (b, b_ts)]) = race {
+            push(
+                code,
+                Severity::Error,
+                format!(
+                    "{channel}: concurrent {side}s from PE {a} (t={a_ts}) and PE {b} \
+                     (t={b_ts}) with no happens-before path — {side} endpoint race"
+                ),
+                "SPI edges are single-producer single-consumer; route the second PE \
+                 through its own edge or add a synchronization edge",
+            );
+        } else if last.len() > 1 {
+            let mut pes: Vec<usize> = last.iter().map(|l| l.2).collect();
+            pes.sort_unstable();
+            push(
+                "SPI105",
+                Severity::Warning,
+                format!(
+                    "{channel}: {side} endpoint shared by PEs {pes:?} (totally ordered, so \
+                     not a race, but outside the point-to-point edge contract)"
+                ),
+                "shared endpoints are memory-safe but serialize on the slot protocol; give \
+                 each PE its own edge",
+            );
+        }
     }
 }
 
@@ -1073,5 +1266,130 @@ mod tests {
         let cs = codes(&r);
         assert_eq!(cs, vec!["SPI080", "SPI081", "SPI084"]);
         assert!(r.render_human().contains("FAIL"));
+    }
+
+    // --- Ordering (SPI100–SPI105): one single-fault trace per code. ---
+
+    /// A 4-byte message with digest 7 on `ch` from `pe`, well inside
+    /// `bounded_meta`'s channel-0 bound.
+    fn send_on(ts: u64, pe: usize, ch: usize) -> ProbeEvent {
+        ProbeEvent {
+            pe: PeId(pe),
+            ..send(ts, ch, 4, 7, 4, 1)
+        }
+    }
+
+    fn recv_on(ts: u64, pe: usize, ch: usize) -> ProbeEvent {
+        ProbeEvent {
+            pe: PeId(pe),
+            ..recv(ts, ch, 4, 7, 0, 0)
+        }
+    }
+
+    fn codes_of(meta: TraceMeta, events: Vec<ProbeEvent>) -> Vec<&'static str> {
+        codes(&check(&Trace { meta, events }))
+    }
+
+    fn one_token_meta() -> TraceMeta {
+        let mut meta = bounded_meta();
+        meta.edges[0].bound_tokens = Some(1);
+        meta
+    }
+
+    #[test]
+    fn clean_pipeline_is_silent() {
+        let trace = Trace {
+            meta: bounded_meta(),
+            events: vec![
+                send_on(1, 0, 0),
+                recv_on(2, 1, 0),
+                send_on(3, 0, 0),
+                recv_on(4, 1, 0),
+            ],
+        };
+        let r = check(&trace);
+        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+        assert_eq!(r.hb_edges, 2);
+    }
+
+    #[test]
+    fn spi100_recv_before_send() {
+        let events = vec![recv_on(1, 1, 0), send_on(5, 0, 0)];
+        assert_eq!(codes_of(bounded_meta(), events), vec!["SPI100"]);
+    }
+
+    #[test]
+    fn spi101_concurrent_senders() {
+        let events = vec![send_on(1, 0, 0), send_on(2, 2, 0)];
+        assert_eq!(codes_of(bounded_meta(), events), vec!["SPI101"]);
+    }
+
+    #[test]
+    fn spi102_concurrent_receivers() {
+        let events = vec![
+            send_on(1, 0, 0),
+            send_on(2, 0, 0),
+            recv_on(3, 1, 0),
+            recv_on(4, 2, 0),
+        ];
+        assert_eq!(codes_of(bounded_meta(), events), vec!["SPI102"]);
+    }
+
+    #[test]
+    fn spi103_slot_reuse_window() {
+        // Send #1 precedes receive #0 on a one-token channel. The
+        // timestamps say otherwise; the stream position decides.
+        let events = vec![
+            send_on(1, 0, 0),
+            send_on(9, 0, 0),
+            recv_on(5, 1, 0),
+            recv_on(10, 1, 0),
+        ];
+        assert_eq!(codes_of(one_token_meta(), events), vec!["SPI103"]);
+    }
+
+    #[test]
+    fn spi104_unpaired_block() {
+        let block = ProbeKind::BlockSend {
+            channel: ChannelId(0),
+        };
+        assert_eq!(
+            codes_of(bounded_meta(), vec![fault(1, 0, block)]),
+            vec!["SPI104"]
+        );
+    }
+
+    #[test]
+    fn spi105_shared_but_ordered_endpoint() {
+        // PE 0 sends on channel 5, then hands the baton to PE 2 over
+        // channel 9; PE 2's later send on channel 5 is therefore
+        // ordered — a contract violation but not a race.
+        let events = vec![
+            send_on(1, 0, 5),
+            send_on(2, 0, 9),
+            recv_on(3, 2, 9),
+            send_on(4, 2, 5),
+        ];
+        assert_eq!(codes_of(bounded_meta(), events), vec!["SPI105"]);
+    }
+
+    #[test]
+    fn hb_through_ack_channel_suppresses_slot_reuse_race() {
+        // The producer waits for the consumer's ack (channel 1) before
+        // reusing the slot.
+        let trace = Trace {
+            meta: one_token_meta(),
+            events: vec![
+                send_on(1, 0, 0),
+                recv_on(2, 1, 0),
+                send_on(3, 1, 1),
+                recv_on(4, 0, 1),
+                send_on(5, 0, 0),
+                recv_on(6, 1, 0),
+            ],
+        };
+        let r = check(&trace);
+        assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+        assert_eq!(r.hb_edges, 3);
     }
 }

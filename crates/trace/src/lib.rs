@@ -7,8 +7,11 @@
 //!
 //! * [`RingTracer`] — lock-free per-PE event capture implementing the
 //!   platform's [`Tracer`] probe trait: no locks or allocation on the
-//!   hot path, overflow drops-and-counts instead of blocking, and a
-//!   stable timestamp merge that preserves per-channel FIFO order.
+//!   hot path, overflow drops-and-counts instead of blocking.
+//! * [`Trace::linearize`] — the one merge of per-PE streams: the k-th
+//!   receive on a channel after its k-th send, a reused slot after the
+//!   receive that freed it, timestamps never decreasing.
+//!   [`RingTracer::finish`] and the distributed merge both call it.
 //! * [`Trace`] / [`TraceMeta`] — the owned capture model plus a
 //!   line-oriented native format (`# spi-trace v1`) that is diffable
 //!   and greppable in failure reports.
@@ -17,14 +20,12 @@
 //! * [`to_chrome_json`] / [`render_gantt`] — Chrome `trace_event`
 //!   export (open in `chrome://tracing` or Perfetto) and a terminal
 //!   Gantt chart.
-//! * [`check`] — the conformance checker: replays a trace against the
-//!   eq. (1)/(2) bounds, per-channel FIFO, token conservation, and the
-//!   predicted makespan, emitting analyzer-style `SPI080`–`SPI095`
-//!   diagnostics — including the supervision-budget checks over the
-//!   fault/retry/degrade/restart events a supervised run emits.
-//! * [`race`] — the vector-clock happens-before checker: replays a
-//!   trace, orders events by matched send/receive pairs, and reports
-//!   endpoint races and slot-reuse violations as `SPI100`–`SPI106`.
+//! * [`check`] — the one replay: holds a trace to the eq. (1)/(2)
+//!   bounds, per-channel FIFO, token conservation, the predicted
+//!   makespan and the supervision budgets (`SPI080`–`SPI095`), and
+//!   rebuilds its happens-before order with vector clocks to report
+//!   premature receives, endpoint races and slot-reuse violations
+//!   (`SPI100`–`SPI105`).
 //!
 //! ## Typical flow
 //!
@@ -32,7 +33,7 @@
 //! builder.tracer(ring.clone())         // attach a RingTracer
 //!     -> system.run()                  // engines emit probe events
 //!     -> ring.finish(system.trace_meta(ClockKind::Cycles))
-//!     -> check(&trace)                 // SPI08x conformance report
+//!     -> check(&trace)                 // SPI080–SPI105 report
 //!     -> to_chrome_json(&trace)        // visualize
 //! ```
 //!
@@ -46,9 +47,9 @@
 mod capture;
 mod check;
 mod export;
+mod linearize;
 mod metrics;
 mod model;
-pub mod race;
 
 pub use capture::{RingTracer, DEFAULT_EVENTS_PER_PE};
 pub use check::{check, ConformanceReport};

@@ -279,7 +279,7 @@ impl Trace {
                 continue;
             }
             if let Some(rest) = line.strip_prefix("# ") {
-                parse_meta_line(rest, n, &mut meta)?;
+                parse_meta_line(rest, n, text.len(), &mut meta)?;
             } else if let Some(rest) = line.strip_prefix("E ") {
                 events.push(parse_event_line(rest, n)?);
             } else {
@@ -293,7 +293,15 @@ impl Trace {
     }
 }
 
-fn parse_meta_line(rest: &str, n: usize, meta: &mut TraceMeta) -> Result<(), TraceParseError> {
+/// `text_len` bounds a label id: a table with more entries than the
+/// text has bytes cannot have come from one file, and a resize to fit
+/// a forged id must not exhaust memory.
+fn parse_meta_line(
+    rest: &str,
+    n: usize,
+    text_len: usize,
+    meta: &mut TraceMeta,
+) -> Result<(), TraceParseError> {
     let mut it = rest.splitn(2, ' ');
     let key = it.next().unwrap_or("");
     let val = it.next().unwrap_or("").trim();
@@ -330,6 +338,12 @@ fn parse_meta_line(rest: &str, n: usize, meta: &mut TraceMeta) -> Result<(), Tra
         "label" => {
             let mut parts = val.splitn(2, ' ');
             let id = parse_u64(parts.next().unwrap_or(""), n, "label id")? as usize;
+            if id > text_len {
+                return Err(TraceParseError::at(
+                    n,
+                    format!("label id {id} out of range"),
+                ));
+            }
             let name = parts.next().unwrap_or("").to_string();
             if meta.labels.len() <= id {
                 meta.labels.resize(id + 1, String::new());

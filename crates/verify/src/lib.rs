@@ -2,8 +2,8 @@
 //!
 //! Two connected engines that check the places where the SPI
 //! reproduction is most exposed to ordering bugs (the trace-replay
-//! happens-before checker, SPI100–SPI106, lives in `spi_trace::race`:
-//! it needs nothing from the instrumented shim):
+//! happens-before checks, SPI100–SPI105, live in `spi_trace::check`:
+//! they need nothing from the instrumented shim):
 //!
 //! 1. **Bounded model checking** ([`ring`], engine in
 //!    [`spi_platform::model`]) — a loom-style stateless explorer that

@@ -13,9 +13,10 @@
 //! * [`dsp`] — FFT / LPC / Huffman / particle-filter kernels
 //!   ([`spi_dsp`]);
 //! * [`spi`] — the Signal Passing Interface itself;
-//! * [`trace`] — runtime observability: lock-free capture, Chrome
-//!   trace export, the bound-conformance checker and the vector-clock
-//!   race checker behind `spi-lint race-check` ([`spi_trace`]);
+//! * [`trace`] — runtime observability: lock-free capture with one
+//!   causal linearization, Chrome trace export, and the one replay
+//!   (bounds, FIFO, supervision budgets, vector-clock ordering) behind
+//!   `spi-lint trace-check` ([`spi_trace`]);
 //! * [`fault`] — deterministic fault injection: seeded fault plans and
 //!   the faulty-transport decorator for chaos testing ([`spi_fault`]);
 //! * [`verify`] — bounded model checking of the transport protocols

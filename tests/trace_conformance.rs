@@ -4,8 +4,11 @@
 //! predicted self-timed makespan — and each `SPI08x` check must
 //! actually fire when the trace is corrupted the way it guards against.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use spi_repro::apps::{FilterBankApp, FilterBankConfig};
 use spi_repro::trace::{check, ClockKind, RingTracer, Trace};
 
@@ -172,4 +175,84 @@ fn threaded_run_trace_is_fifo_clean() {
         report.predicted_makespan, None,
         "ns clock has no cycle bound"
     );
+}
+
+/// The `spi-lint trace-check` input path — bytes from outside the
+/// program through `Trace::from_native`, `Trace::linearize` and
+/// `check` — never panics. Each case is a mutated filterbank trace or
+/// a random well-formed event stream; it must parse to a trace that
+/// linearizes and checks, or fail with a `TraceParseError`.
+#[test]
+fn native_trace_input_never_panics() {
+    let base = traced_filterbank(2).to_native();
+    for seed in 0..2_000 {
+        let text = fuzz_input(&mut StdRng::seed_from_u64(seed), &base);
+        let replay = catch_unwind(AssertUnwindSafe(|| {
+            if let Ok(mut trace) = Trace::from_native(&text) {
+                trace.linearize();
+                check(&trace);
+            }
+        }));
+        assert!(replay.is_ok(), "seed {seed} panicked on:\n{text}");
+    }
+}
+
+/// One fuzz input: byte mutations, line mutations, or a random stream
+/// with unmatched receives, shared endpoints and a dropped count.
+fn fuzz_input(rng: &mut StdRng, base: &str) -> String {
+    let lines: Vec<&str> = base.lines().collect();
+    let pick = |rng: &mut StdRng, from: &[u8]| from[rng.gen_range(0..from.len())];
+    match rng.gen_range(0..3u32) {
+        0 => {
+            let mut bytes = base.as_bytes().to_vec();
+            for _ in 0..rng.gen_range(1..=8u32) {
+                let i = rng.gen_range(0..bytes.len());
+                match rng.gen_range(0..4u32) {
+                    0 => bytes[i] = rng.gen_range(0..=255u8),
+                    1 => drop(bytes.remove(i)),
+                    2 => bytes.insert(i, pick(rng, b"0123456789 -#ERSbf\n")),
+                    _ => drop(bytes.splice(i..i, *b"99999999999")),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+        1 => {
+            let mut out: Vec<&str> = lines.clone();
+            for _ in 0..rng.gen_range(1..=6u32) {
+                let (i, j) = (rng.gen_range(1..out.len()), rng.gen_range(1..out.len()));
+                match rng.gen_range(0..3u32) {
+                    0 => out.swap(i, j),
+                    1 => drop(out.remove(i)),
+                    _ => out.insert(i, lines[j]),
+                }
+            }
+            out.join("\n")
+        }
+        _ => {
+            let mut text = String::from("# spi-trace v1\n# clock ns\n");
+            text += &format!("# dropped {}\n", rng.gen_range(0..3u32));
+            for ch in 0..3 {
+                let tokens = rng.gen_range(0..4u32);
+                text += &format!("# edge {ch} ch {ch} cap 64 max 16 tokens {tokens}\n");
+            }
+            for _ in 0..rng.gen_range(0..60u32) {
+                let (ts, pe, ch) = (
+                    rng.gen_range(0..100u32),
+                    rng.gen_range(0..4u32),
+                    rng.gen_range(0..3u32),
+                );
+                let kind = pick(rng, b"SSRRbu");
+                text += &match kind {
+                    b'S' | b'R' => format!(
+                        "E {ts} {pe} {} {ch} 8 {} 8 1\n",
+                        kind as char,
+                        rng.gen_range(0..3u32)
+                    ),
+                    b'b' => format!("E {ts} {pe} bs {ch}\n"),
+                    _ => format!("E {ts} {pe} ur {ch}\n"),
+                };
+            }
+            text
+        }
+    }
 }
