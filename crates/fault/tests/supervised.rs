@@ -3,6 +3,7 @@
 //! injected through the runner's transport decorator. (Random plans on
 //! generated systems are the generated-system oracle's fault dimension.)
 
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use spi_fault::{FaultKind, FaultPlan, InjectionLog};
@@ -164,6 +165,75 @@ fn skip_policy_drops_lost_token_and_continues() {
         // arrived token instead; the final receive finds the stream
         // dry, degrades to an empty token (folded as 0xEE).
         assert_eq!(consumer.store["acc"], vec![0, 1, 3, 4, 5, 0xEE], "{kind:?}");
+    }
+}
+
+/// Two receives in one iteration, then a firing that panics once after
+/// both: the restart replays the two tokens from the checkpoint's byte
+/// log, and the firing sees exactly the bytes it saw before the panic
+/// — pooled tokens (`Pointer`) and tokens of unequal length included.
+#[test]
+fn restart_replays_two_receives_byte_identically() {
+    let a = |i: u64| vec![i as u8, 0xA1, 0xA2, 0xA3];
+    let b = |i: u64| vec![!(i as u8), 0x5B];
+    for kind in [TransportKind::Ring, TransportKind::Pointer] {
+        let spec = ChannelSpec {
+            capacity_bytes: 16,
+            max_message_bytes: 4,
+            ..ChannelSpec::default()
+        };
+        let producer = Program::new(
+            vec![
+                Op::Send {
+                    channel: ChannelId(0),
+                    payload: Box::new(move |l: &mut PeLocal| a(l.iter)),
+                },
+                Op::Send {
+                    channel: ChannelId(1),
+                    payload: Box::new(move |l: &mut PeLocal| b(l.iter)),
+                },
+            ],
+            ITERS,
+        );
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let firings = Arc::clone(&seen);
+        let mut panicked = false;
+        let consumer = Program::new(
+            vec![
+                Op::Recv {
+                    channel: ChannelId(0),
+                },
+                Op::Recv {
+                    channel: ChannelId(1),
+                },
+                Op::Compute {
+                    label: "fire".into(),
+                    work: Box::new(move |l: &mut PeLocal| {
+                        let got_a = l.take_from(ChannelId(0)).expect("token on ch0");
+                        let got_b = l.take_from(ChannelId(1)).expect("token on ch1");
+                        firings.lock().unwrap().push((l.iter, got_a, got_b));
+                        if l.iter == 3 && !panicked {
+                            panicked = true;
+                            panic!("transient fault after both receives");
+                        }
+                        0
+                    }),
+                },
+            ],
+            ITERS,
+        );
+        ThreadedRunner::new()
+            .transport(kind)
+            .supervise(fast_policy())
+            .run(&[spec, spec], vec![producer, consumer])
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        // Every iteration fires once, iteration 3 twice: the pass that
+        // panicked and its replay.
+        let want: Vec<_> = (0..ITERS)
+            .flat_map(|i| std::iter::repeat_n(i, if i == 3 { 2 } else { 1 }))
+            .map(|i| (i, a(i), b(i)))
+            .collect();
+        assert_eq!(*seen.lock().unwrap(), want, "{kind:?}");
     }
 }
 

@@ -60,9 +60,11 @@ pub enum PlatformError {
         attempts: u32,
         /// Send- or receive-side operation.
         kind: BlockKind,
-        /// Time since the channel last completed an operation for this
-        /// PE when the budget ran out — recent activity points at a
-        /// stalled-but-alive link, a full-budget idle at a dead one.
+        /// How long the op that ran out of budget had been failing,
+        /// from the start of its first failed attempt (a deadline miss
+        /// began one deadline before it was seen). `attempts` deadlines'
+        /// worth points at a dead link; less, at immediate failures
+        /// such as injected drops or corrupt frames.
         idle: Duration,
     },
     /// Sequence-checked frames revealed tokens that were lost on the
@@ -203,7 +205,7 @@ impl fmt::Display for PlatformError {
                 write!(
                     f,
                     "supervised {pe} exhausted its retry budget ({attempts} attempts) \
-                     trying to {verb} {channel} (channel idle {idle:?})"
+                     trying to {verb} {channel} (failing for {idle:?})"
                 )
             }
             PlatformError::TokensLost {

@@ -272,6 +272,8 @@ struct St {
     abort: bool,
     /// Virtual time since the session epoch.
     vnow: Duration,
+    /// `shim::now()` reads by the session's threads.
+    clock_reads: u64,
 }
 
 struct Session {
@@ -297,6 +299,7 @@ impl Session {
                 panicked: None,
                 abort: false,
                 vnow: Duration::ZERO,
+                clock_reads: 0,
             }),
             ctrl_cv: Condvar::new(),
             epoch: Instant::now(),
@@ -524,7 +527,11 @@ pub(crate) fn in_session() -> bool {
 
 /// The session clock, if the calling thread belongs to a session.
 pub(crate) fn now() -> Option<Instant> {
-    with_ctx(|ctx| ctx.sess.epoch + ctx.sess.lock_st().vnow)
+    with_ctx(|ctx| {
+        let mut st = ctx.sess.lock_st();
+        st.clock_reads += 1;
+        ctx.sess.epoch + st.vnow
+    })
 }
 
 /// Number of the calling thread's session, or 0 outside any.
@@ -771,6 +778,8 @@ pub struct SimRun {
     pub steps: usize,
     /// Final virtual time.
     pub vtime: Duration,
+    /// `shim::now()` reads the run's threads made.
+    pub clock_reads: u64,
     /// Canonical event log: byte-identical for the same seed across
     /// runs and platforms (no wall-clock values, no addresses, no
     /// hash-order iteration).
@@ -816,6 +825,7 @@ struct Outcome {
     end: End,
     granted: Vec<(usize, Op)>,
     vtime: Duration,
+    clock_reads: u64,
     /// The canonical step log; empty under [`Choice::Dfs`], which must
     /// not pay a `format!` per grant.
     log: String,
@@ -1129,6 +1139,7 @@ fn drive(sess: &Session, mut choice: Choice<'_>, max_steps: usize) -> Outcome {
         end,
         granted,
         vtime: st.vnow,
+        clock_reads: st.clock_reads,
         log,
     }
 }
@@ -1448,6 +1459,7 @@ fn run_rooted(opts: &SimOptions, choice: Choice<'_>, scenario: &(impl Fn() + Syn
         seed,
         steps: out.granted.len(),
         vtime: out.vtime,
+        clock_reads: out.clock_reads,
         log: out.log,
         schedule: out.granted.iter().map(|&(t, _)| t).collect(),
         failure,

@@ -45,6 +45,7 @@
 //! conformance checker holds those events against the declared budgets
 //! (diagnostics SPI090–SPI095).
 
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -600,13 +601,14 @@ use protocol::{Note, RecvSide, RecvVerdict, SendSide, SendVerdict};
 struct Chan {
     tx: SendSide,
     rx: RecvSide,
-    /// When the channel last completed an operation for this PE (when
-    /// the PE started, before the first).
-    last_ok: Instant,
 }
 
 /// The supervised [`Port`]: transport calls, deadlines, backoff and
 /// `Fault*` probe events around the [`protocol`] machines' decisions.
+///
+/// A fault-free op reads no clock: the only time a failure report
+/// needs — when the failing op's first failed attempt began — is
+/// stamped by that failure, in `failed_at`.
 pub(crate) struct Supervised<'a> {
     io: PeIo<'a>,
     policy: SupervisionPolicy,
@@ -615,13 +617,21 @@ pub(crate) struct Supervised<'a> {
     frame_buf: Vec<u8>,
 }
 
+/// Stamps `since` with when the failing op's first failed attempt
+/// began, unless an earlier attempt of the op already did: a deadline
+/// miss (`waited`) began one deadline ago, any other failure just now.
+fn failed_at(since: &Cell<Option<Instant>>, waited: Option<Duration>) {
+    if since.get().is_none() {
+        let now = crate::shim::now();
+        since.set(Some(waited.and_then(|d| now.checked_sub(d)).unwrap_or(now)));
+    }
+}
+
 impl<'a> Supervised<'a> {
     fn new(io: PeIo<'a>, policy: SupervisionPolicy) -> Self {
-        let started = crate::shim::now();
         let chan = |spec: &ChannelSpec| Chan {
             tx: SendSide::new(policy.degrade, policy.max_retries),
             rx: RecvSide::new(policy.degrade, policy.max_retries, spec.max_message_bytes),
-            last_ok: started,
         };
         Supervised {
             io,
@@ -631,13 +641,22 @@ impl<'a> Supervised<'a> {
         }
     }
 
-    fn exhausted(&self, ch: ChannelId, kind: BlockKind, attempts: u32) -> PlatformError {
+    /// The error for an op whose retry budget ran out; it had been
+    /// failing since `since`.
+    fn exhausted(
+        &self,
+        ch: ChannelId,
+        kind: BlockKind,
+        attempts: u32,
+        since: Option<Instant>,
+    ) -> PlatformError {
+        let now = crate::shim::now();
         PlatformError::RetryBudgetExhausted {
             pe: self.io.pe,
             channel: ch,
             attempts,
             kind,
-            idle: crate::shim::now().duration_since(self.chans[ch.0].last_ok),
+            idle: since.map_or(Duration::ZERO, |t| now.duration_since(t)),
         }
     }
 
@@ -655,12 +674,12 @@ impl Port for Supervised<'_> {
         let mut frame = std::mem::take(&mut self.frame_buf);
         self.chans[ch.0].tx.frame_into(&mut frame, data);
         let ep = &self.io.endpoints[ch.0];
+        let deadline = self.policy.op_deadline;
+        let failing_since = Cell::new(None);
         let sent = loop {
-            let err = match ep.send(&frame, self.policy.op_deadline) {
+            let err = match ep.send(&frame, deadline) {
                 Ok(()) => {
-                    let c = &mut self.chans[ch.0];
-                    c.tx.sent();
-                    c.last_ok = crate::shim::now();
+                    self.chans[ch.0].tx.sent();
                     if let Some(t) = self.io.probe {
                         (self.io).moved(t, BlockKind::Send, ch, data, FRAME_HEADER_BYTES);
                     }
@@ -673,6 +692,7 @@ impl Port for Supervised<'_> {
             if !injected && !matches!(err, TransportError::Timeout { .. }) {
                 break Err((self.io).failed(ch, BlockKind::Send, &err, data.len()));
             }
+            failed_at(&failing_since, (!injected).then_some(deadline));
             match self.chans[ch.0].tx.failed() {
                 SendVerdict::Retry(attempt) => {
                     self.io.emit(ProbeKind::FaultRetry {
@@ -687,7 +707,7 @@ impl Port for Supervised<'_> {
                 }
                 SendVerdict::Skip => break Ok(()),
                 SendVerdict::Fail(attempts) => {
-                    break Err(self.exhausted(ch, BlockKind::Send, attempts))
+                    break Err(self.exhausted(ch, BlockKind::Send, attempts, failing_since.get()))
                 }
             }
         };
@@ -697,7 +717,12 @@ impl Port for Supervised<'_> {
 
     fn recv(&mut self, ch: ChannelId) -> Result<Token> {
         let io = self.io;
+        let deadline = self.policy.op_deadline;
+        let failing_since = Cell::new(None);
         let note = |n: Note| {
+            if n == Note::Corrupt {
+                failed_at(&failing_since, None);
+            }
             io.emit(match n {
                 Note::Retry(attempt) => ProbeKind::FaultRetry {
                     channel: ch,
@@ -714,7 +739,6 @@ impl Port for Supervised<'_> {
         loop {
             match verdict {
                 RecvVerdict::Deliver(token) => {
-                    self.chans[ch.0].last_ok = crate::shim::now();
                     if let Some(t) = io.probe {
                         io.moved(t, BlockKind::Recv, ch, &token, FRAME_HEADER_BYTES);
                     }
@@ -730,13 +754,16 @@ impl Port for Supervised<'_> {
                     })
                 }
                 RecvVerdict::Exhausted(attempts) => {
-                    return Err(self.exhausted(ch, BlockKind::Recv, attempts))
+                    return Err(self.exhausted(ch, BlockKind::Recv, attempts, failing_since.get()))
                 }
             }
             let rx = &mut self.chans[ch.0].rx;
-            verdict = match io.endpoints[ch.0].recv_token(self.policy.op_deadline) {
+            verdict = match io.endpoints[ch.0].recv_token(deadline) {
                 Ok(frame) => rx.frame(frame, note),
-                Err(TransportError::Timeout { .. }) => rx.timeout(note),
+                Err(TransportError::Timeout { .. }) => {
+                    failed_at(&failing_since, Some(deadline));
+                    rx.timeout(note)
+                }
                 Err(e) => return Err(io.failed(ch, BlockKind::Recv, &e, 0)),
             };
         }
@@ -763,10 +790,12 @@ pub(crate) struct Checkpointed<'a> {
     armed: bool,
     /// The PE's local state as the current iteration began.
     saved: PeLocal,
-    /// Tokens received since the checkpoint — deep copies
-    /// (`Token::clone`), so the log never pins a pool slot — and how
-    /// many of them the current pass has consumed.
-    log: Vec<Token>,
+    /// The bytes of every token received since the checkpoint, back to
+    /// back in one reused buffer (so the log never pins a pool slot and
+    /// a fault-free receive allocates nothing), where each token ends in
+    /// it, and how many of them the current pass has consumed.
+    log: Vec<u8>,
+    ends: Vec<usize>,
     cursor: usize,
     /// Sends transmitted since the checkpoint, and how many of them the
     /// current pass has yet to skip.
@@ -782,6 +811,7 @@ impl<'a> Checkpointed<'a> {
             armed: false,
             saved: PeLocal::default(),
             log: Vec::new(),
+            ends: Vec::new(),
             cursor: 0,
             sent: 0,
             skip: 0,
@@ -802,18 +832,23 @@ impl Port for Checkpointed<'_> {
         Ok(())
     }
     fn recv(&mut self, ch: ChannelId) -> Result<Token> {
+        let i = self.cursor;
         self.cursor += 1;
-        if let Some(replayed) = self.log.get(self.cursor - 1) {
-            return Ok(replayed.clone());
+        if let Some(&end) = self.ends.get(i) {
+            // A replay after a restart: the one allocating path.
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            return Ok(Token::Owned(self.log[start..end].to_vec()));
         }
         let token = self.port.recv(ch)?;
-        self.log.push(token.clone());
+        self.log.extend_from_slice(&token);
+        self.ends.push(self.log.len());
         Ok(token)
     }
 
     fn begin_iteration(&mut self, local: &PeLocal) {
         self.saved.copy_from(local);
         self.log.clear();
+        self.ends.clear();
         (self.cursor, self.sent, self.skip, self.armed) = (0, 0, 0, true);
     }
 

@@ -20,8 +20,8 @@ use spi_fault::{FaultKind, FaultPlan};
 use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_platform::shim;
 use spi_platform::{
-    ChannelId, ChannelSpec, FlushReason, Op, PeId, PeLocal, ProbeKind, Program, RingTransport,
-    ThreadedRunner, Tracer, Transport, TransportKind,
+    BlockKind, ChannelId, ChannelSpec, FlushReason, Op, PeId, PeLocal, PlatformError, ProbeKind,
+    Program, RingTransport, SupervisionPolicy, ThreadedRunner, Tracer, Transport, TransportKind,
 };
 
 use crate::{sim_socket_pair, sim_stream_pair, SIM_TIMEOUT};
@@ -505,4 +505,88 @@ pub fn stalled_ring_reports_exact_idle() {
         }
         other => panic!("expected Timeout, got {other}"),
     }
+}
+
+/// A supervised PE receiving on a channel nobody feeds, under
+/// `retry(2)` with a 50 ms deadline: three deadline misses end the op
+/// in `RetryBudgetExhausted`, and its `idle` — how long the op had
+/// been failing, from the start of its first failed attempt — is
+/// exactly the three deadlines, 150 ms.
+///
+/// # Panics
+///
+/// When the run ends any other way.
+pub fn lone_recv_exhausts_with_exact_idle() {
+    let recv = Program::new(
+        vec![Op::Recv {
+            channel: ChannelId(0),
+        }],
+        1,
+    );
+    let policy = SupervisionPolicy::retry(2).with_deadline(Duration::from_millis(50));
+    let err = ThreadedRunner::new()
+        .transport(TransportKind::Ring)
+        .supervise(policy)
+        .run(&[byte_spec(4)], vec![recv])
+        .expect_err("nothing is ever sent");
+    match err {
+        PlatformError::RetryBudgetExhausted {
+            pe,
+            channel,
+            attempts,
+            kind,
+            idle,
+        } => {
+            assert_eq!(
+                (pe, channel, kind),
+                (PeId(0), ChannelId(0), BlockKind::Recv)
+            );
+            assert_eq!(attempts, 3, "first try + 2 retries");
+            assert_eq!(idle, Duration::from_millis(150), "three whole deadlines");
+        }
+        other => panic!("expected RetryBudgetExhausted, got {other}"),
+    }
+}
+
+/// One PE sending itself `iterations` 4-byte tokens over a ring
+/// self-edge — supervised with `retry(3)` or not — checking each one
+/// comes back. Fault-free, so the supervised run must read the clock
+/// exactly as often as the bare one.
+///
+/// # Panics
+///
+/// When the run fails or a token comes back altered.
+pub fn self_loop(iterations: u64, supervised: bool) {
+    let word = |iter: u64| (iter as u32).wrapping_mul(0x9E37_79B9).to_le_bytes();
+    let program = Program::new(
+        vec![
+            Op::Send {
+                channel: ChannelId(0),
+                payload: Box::new(move |l: &mut PeLocal| word(l.iter).to_vec()),
+            },
+            Op::Recv {
+                channel: ChannelId(0),
+            },
+            Op::Compute {
+                label: "verify".into(),
+                work: Box::new(move |l: &mut PeLocal| {
+                    let got = l.take_from(ChannelId(0)).expect("token");
+                    assert_eq!(*got, word(l.iter), "token altered");
+                    0
+                }),
+            },
+        ],
+        iterations,
+    );
+    let runner = ThreadedRunner::new()
+        .transport(TransportKind::Ring)
+        .timeout(SIM_TIMEOUT);
+    let runner = if supervised {
+        runner.supervise(SupervisionPolicy::retry(3))
+    } else {
+        runner
+    };
+    runner
+        .run(&[byte_spec(16)], vec![program])
+        .expect("self-loop completes");
 }

@@ -37,3 +37,27 @@ fn stalled_ring_idle_holds_across_seeds() {
         scenarios::stalled_ring_reports_exact_idle,
     );
 }
+
+#[test]
+fn exhausted_recv_reports_exact_failing_time_across_seeds() {
+    sweep(
+        TEST,
+        &SimOptions::seeded(0),
+        5,
+        scenarios::lone_recv_exhausts_with_exact_idle,
+    );
+}
+
+/// The clock rule: a fault-free supervised op reads no clock, so a
+/// supervised self-loop reads it exactly as often as the bare one.
+#[test]
+fn fault_free_supervision_reads_no_clock() {
+    const N: u64 = 20;
+    let o = SimOptions::seeded(env_seed("SPI_SIM_SEED").unwrap_or(3));
+    let bare = check(TEST, &o, || scenarios::self_loop(N, false));
+    let supervised = check(TEST, &o, || scenarios::self_loop(N, true));
+    assert_eq!(
+        supervised.clock_reads, bare.clock_reads,
+        "supervision read the clock on a fault-free path"
+    );
+}

@@ -57,7 +57,7 @@ pub use export::{render_gantt, to_chrome_json};
 pub use metrics::{aggregate, ActorMetrics, ChannelMetrics, PeMetrics, TraceMetrics};
 pub use model::{
     BatchBound, ClockKind, EdgeBound, SupervisionBounds, Trace, TraceMeta, TraceParseError,
-    NATIVE_VERSION,
+    MAX_NATIVE_PES, NATIVE_VERSION,
 };
 
 // Re-export the probe-side vocabulary so trace consumers need only this

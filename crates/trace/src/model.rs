@@ -21,6 +21,11 @@ use spi_platform::{ChannelId, FlushReason, PeId, ProbeEvent, ProbeKind};
 /// Format version written in the header line.
 pub const NATIVE_VERSION: u32 = 1;
 
+/// Most distinct PE ids a native file may name. The conformance replay
+/// keeps one vector clock per PE, `O(PEs²)` words in all, so a forged
+/// file naming millions of PEs must be refused at parse time.
+pub const MAX_NATIVE_PES: usize = 1024;
+
 /// What one unit of [`ProbeEvent::ts`] means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClockKind {
@@ -256,11 +261,13 @@ impl Trace {
     /// # Errors
     ///
     /// [`TraceParseError`] with the offending 1-based line number on any
-    /// malformed header, metadata or event line.
+    /// malformed header, metadata or event line, or on the event that
+    /// names a PE past the first [`MAX_NATIVE_PES`].
     pub fn from_native(text: &str) -> Result<Trace, TraceParseError> {
         let mut lines = text.lines().enumerate();
         let mut meta = TraceMeta::new(ClockKind::Cycles);
         let mut events = Vec::new();
+        let mut pes = std::collections::HashSet::new();
 
         let (_, first) = lines
             .next()
@@ -281,7 +288,14 @@ impl Trace {
             if let Some(rest) = line.strip_prefix("# ") {
                 parse_meta_line(rest, n, text.len(), &mut meta)?;
             } else if let Some(rest) = line.strip_prefix("E ") {
-                events.push(parse_event_line(rest, n)?);
+                let ev = parse_event_line(rest, n)?;
+                if pes.insert(ev.pe.0) && pes.len() > MAX_NATIVE_PES {
+                    return Err(TraceParseError::at(
+                        n,
+                        format!("more than {MAX_NATIVE_PES} distinct PE ids"),
+                    ));
+                }
+                events.push(ev);
             } else {
                 return Err(TraceParseError::at(
                     n,

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spi_repro::apps::{FilterBankApp, FilterBankConfig};
-use spi_repro::trace::{check, ClockKind, RingTracer, Trace};
+use spi_repro::trace::{check, ClockKind, RingTracer, Trace, MAX_NATIVE_PES};
 
 /// Runs the 3-PE filterbank on the DES with a RingTracer attached and
 /// returns the finished cycle-clocked trace.
@@ -195,6 +195,24 @@ fn native_trace_input_never_panics() {
         }));
         assert!(replay.is_ok(), "seed {seed} panicked on:\n{text}");
     }
+    // A forged file naming more PEs than the format allows is refused
+    // at the event that names one too many, before `check` could size
+    // one vector clock per PE; at the cap it still parses and checks.
+    let at_cap = Trace::from_native(&forged_pes(MAX_NATIVE_PES)).expect("at the cap");
+    check(&at_cap);
+    let err = Trace::from_native(&forged_pes(MAX_NATIVE_PES + 1)).expect_err("past the cap");
+    assert_eq!(err.line, 2 + MAX_NATIVE_PES + 1, "{err}");
+    assert!(err.message.contains("distinct PE ids"), "{err}");
+}
+
+/// A well-formed native file of one send on each of `pes` distinct,
+/// sparse PE ids.
+fn forged_pes(pes: usize) -> String {
+    let mut text = String::from("# spi-trace v1\n# clock ns\n");
+    for i in 0..pes {
+        text += &format!("E {i} {} S 0 8 0 8 1\n", i * 1_000_003);
+    }
+    text
 }
 
 /// One fuzz input: byte mutations, line mutations, or a random stream
