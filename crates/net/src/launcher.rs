@@ -249,12 +249,12 @@ impl CtlMsg {
             },
             TAG_MANIFEST => {
                 let nodes = r.u32("manifest.nodes")?;
-                let n = r.u32("manifest.node_of.len")? as usize;
+                let n = r.count("manifest.node_of.len", 4)?;
                 let mut node_of = Vec::with_capacity(n);
                 for _ in 0..n {
                     node_of.push(r.u32("manifest.node_of[]")?);
                 }
-                let n = r.u32("manifest.channels.len")? as usize;
+                let n = r.count("manifest.channels.len", 24)?;
                 let mut channels = Vec::with_capacity(n);
                 for _ in 0..n {
                     channels.push(ChanDecl {
@@ -284,7 +284,7 @@ impl CtlMsg {
                 let error = r.str("done.error")?.to_string();
                 let artifact = r.bytes("done.artifact")?.to_vec();
                 let trace_text = r.str("done.trace")?.to_string();
-                let n = r.u32("done.procs.len")? as usize;
+                let n = r.count("done.procs.len", 4)?;
                 let mut procs = Vec::with_capacity(n);
                 for _ in 0..n {
                     procs.push(r.u32("done.procs[]")?);
@@ -688,6 +688,31 @@ mod tests {
             let decoded = CtlMsg::decode(&msg.encode()).expect("round trip");
             assert_eq!(decoded, msg);
         }
+    }
+
+    /// A count off the wire must not size an allocation the bytes after
+    /// it cannot back: sized as read, this 16-byte manifest claiming
+    /// `u32::MAX` channels aborts the process on the failed allocation.
+    #[test]
+    fn an_oversized_count_is_a_decode_error_not_an_abort() {
+        let mut manifest = Vec::new();
+        for word in [TAG_MANIFEST, 2, 0, u32::MAX] {
+            put_u32(&mut manifest, word);
+        }
+        assert_eq!(manifest.len(), 16);
+        let err = CtlMsg::decode(&manifest).expect_err("oversized channel count");
+        assert!(err.what.contains("manifest.channels.len"), "{err}");
+
+        let mut node_of = Vec::new();
+        for word in [TAG_MANIFEST, 2, u32::MAX] {
+            put_u32(&mut node_of, word);
+        }
+        assert!(CtlMsg::decode(&node_of).is_err());
+
+        let mut done = CtlMsg::Done(NodeDone::default()).encode();
+        done.truncate(done.len() - 4);
+        put_u32(&mut done, u32::MAX);
+        assert!(CtlMsg::decode(&done).is_err());
     }
 
     #[test]

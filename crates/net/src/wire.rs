@@ -410,6 +410,29 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
     }
 
+    /// Reads a `u32` element count for a sequence of `item_bytes`-byte
+    /// elements, refusing a count the remaining bytes cannot hold — so a
+    /// caller may reserve that many elements up front.
+    ///
+    /// # Errors
+    ///
+    /// [`WireDecodeError`] on truncation or an oversized count.
+    pub(crate) fn count(
+        &mut self,
+        what: &str,
+        item_bytes: usize,
+    ) -> Result<usize, WireDecodeError> {
+        let n = self.u32(what)? as usize;
+        let left = self.buf.len() - self.pos;
+        if n.saturating_mul(item_bytes) > left {
+            return Err(WireDecodeError {
+                at: self.pos,
+                what: format!("{what} {n} does not fit the {left} byte(s) left"),
+            });
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed byte string.
     ///
     /// # Errors

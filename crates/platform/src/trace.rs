@@ -48,8 +48,9 @@ pub enum ProbeKind {
         channel: ChannelId,
         /// Payload bytes.
         bytes: u32,
-        /// FNV-1a hash of the payload — lets consumers check per-edge
-        /// FIFO order and cross-engine agreement without storing bytes.
+        /// [`payload_digest`] of the payload — lets consumers check
+        /// per-edge FIFO order and cross-engine agreement without
+        /// storing bytes.
         digest: u64,
         /// Channel occupancy in bytes observed just after the send
         /// (exact in the DES; a racy-but-conservative snapshot from
@@ -64,7 +65,7 @@ pub enum ProbeKind {
         channel: ChannelId,
         /// Payload bytes.
         bytes: u32,
-        /// FNV-1a hash of the payload.
+        /// [`payload_digest`] of the payload.
         digest: u64,
         /// Channel occupancy in bytes just after the receive.
         occ_bytes: u32,
@@ -208,7 +209,14 @@ pub struct ProbeEvent {
 /// * [`Tracer::intern`] may lock (it is only called outside hot loops);
 /// * [`Tracer::record`] must not lock or allocate in a real capture
 ///   implementation — the `spi-trace` ring uses per-PE single-writer
-///   buffers.
+///   buffers;
+/// * the writer contract: only the thread running a PE records that
+///   PE's events (the runner's PE thread, the DES's one thread), with
+///   one exception — [`ProbeKind::BatchFlush`], which a network
+///   endpoint's timer thread or the thread dropping a sender may record
+///   on the sending PE's behalf, concurrently with the PE's own thread.
+///   A capture may rely on it: the `spi-trace` ring claims an owned
+///   slot without a read-modify-write.
 pub trait Tracer: Send + Sync {
     /// Whether this tracer captures anything at all. `false` lets
     /// emitters skip payload digests, occupancy reads and timestamping
@@ -227,9 +235,13 @@ pub trait Tracer: Send + Sync {
     fn now(&self) -> u64;
 }
 
-/// FNV-1a 64-bit hash — the payload digest carried by send/receive
-/// probe events. Stable across engines and platforms, so two traces of
-/// the same system can be compared digest-by-digest.
+/// The payload digest carried by send/receive probe events: FNV-1a's
+/// offset basis and prime, folding the payload 8 little-endian bytes
+/// per multiply (leftover tail bytes one at a time). Stable across
+/// engines and platforms, so two traces of the same system can be
+/// compared digest-by-digest. Each fold step is a bijection in both the
+/// state and the input word, so two payloads that differ in a single
+/// word always digest differently.
 ///
 /// Payloads up to 64 bytes are hashed in full. Longer payloads hash
 /// their length plus the first and last 32 bytes, bounding the
@@ -239,11 +251,17 @@ pub trait Tracer: Send + Sync {
 /// engines apply the same rule so traces stay comparable.
 pub fn payload_digest(bytes: &[u8]) -> u64 {
     const FULL: usize = 64;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |chunk: &[u8]| {
-        for &b in chunk {
+        let mut words = chunk.chunks_exact(8);
+        for w in &mut words {
+            h ^= u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+            h = h.wrapping_mul(PRIME);
+        }
+        for &b in words.remainder() {
             h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(PRIME);
         }
     };
     if bytes.len() <= FULL {

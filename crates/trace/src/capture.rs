@@ -3,18 +3,24 @@
 //! The capture buffer follows the same discipline as the runtime's
 //! `RingTransport`: preallocated storage, atomics for coordination, and
 //! zero heap allocation on the hot path. Each PE gets its **own** event
-//! buffer, written almost always by the thread executing that PE (the
-//! DES calls everything from one thread, which is the degenerate case),
-//! so recording an event is one atomic claim plus a plain slot write,
-//! with no locks. The claim is a `fetch_add`, so a second writer is
-//! safe too: a `spi-net` endpoint's `net-timer` thread, or the thread
-//! that drops a sender, records that channel's `BatchFlush` into the
-//! sending PE's buffer, and the claim hands it a slot of its own.
-//! [`RingTracer::finish`] merges the buffers once, causally, with
+//! buffer, and the writer contract is what makes recording cheap:
+//!
+//! * only the thread running a PE records that PE's events — the
+//!   runner's PE thread, or the DES's one thread — so the PE's own
+//!   stream claims a slot with a plain `Relaxed` load and store of its
+//!   length, no read-modify-write;
+//! * [`ProbeKind::BatchFlush`] is the one exception: a `spi-net`
+//!   endpoint's `net-timer` thread, or the thread that drops a sender,
+//!   can flush on the PE's behalf. Flushes therefore go to a second
+//!   per-PE stream whose claim is a `fetch_add`, so any number of
+//!   threads may write it.
+//!
+//! [`RingTracer::finish`] merges each PE's flush stream into its own
+//! stream by timestamp, then merges the PEs once, causally, with
 //! [`Trace::linearize`].
 //!
-//! When a per-PE buffer fills, further events for that PE are **dropped
-//! and counted**, never blocked on: observability must not perturb the
+//! When a stream fills, further events for it are **dropped and
+//! counted**, never blocked on: observability must not perturb the
 //! execution it observes beyond its fixed per-event cost. A non-zero
 //! [`RingTracer::dropped`] count is carried into the trace metadata so
 //! the conformance checker can flag that its verdict covers a partial
@@ -23,6 +29,7 @@
 #![allow(unsafe_code)]
 
 use std::cell::UnsafeCell;
+use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -36,21 +43,23 @@ use crate::model::{Trace, TraceMeta};
 /// On x86-64 a raw `rdtsc` plus a once-per-process calibration against
 /// the OS monotonic clock shaves a vDSO call off every timestamp — the
 /// timestamp is the single largest fixed cost of recording an event, so
-/// this is worth the few lines. Elsewhere it falls back to
-/// [`Instant::elapsed`].
+/// this is worth the few lines — and the calibrated rate is a 32.32
+/// fixed-point factor, so scaling ticks to nanoseconds is one integer
+/// multiply. Elsewhere it falls back to [`Instant::elapsed`].
 struct NsClock {
     #[cfg_attr(target_arch = "x86_64", allow(dead_code))]
     epoch: Instant,
     #[cfg(target_arch = "x86_64")]
     tsc_base: u64,
+    /// Nanoseconds per tick, scaled by 2^32.
     #[cfg(target_arch = "x86_64")]
-    ns_per_tick: f64,
+    ns_per_tick: u64,
 }
 
 #[cfg(target_arch = "x86_64")]
-fn tsc_ns_per_tick() -> f64 {
+fn tsc_ns_per_tick() -> u64 {
     use std::sync::OnceLock;
-    static NS_PER_TICK: OnceLock<f64> = OnceLock::new();
+    static NS_PER_TICK: OnceLock<u64> = OnceLock::new();
     *NS_PER_TICK.get_or_init(|| {
         // The TSC rate is a hardware constant (the kernel exposes `tsc`
         // as a clocksource only when it is invariant), so one short
@@ -65,9 +74,9 @@ fn tsc_ns_per_tick() -> f64 {
         if ticks == 0 {
             // Degenerate TSC (emulator): fall back to 1 ns per tick so
             // now() stays monotonic even if meaningless.
-            1.0
+            1 << 32
         } else {
-            t0.elapsed().as_nanos() as f64 / ticks as f64
+            ((t0.elapsed().as_nanos() << 32) / u128::from(ticks)) as u64
         }
     })
 }
@@ -88,7 +97,7 @@ impl NsClock {
         #[cfg(target_arch = "x86_64")]
         {
             let ticks = unsafe { core::arch::x86_64::_rdtsc() }.wrapping_sub(self.tsc_base);
-            (ticks as f64 * self.ns_per_tick) as u64
+            ((u128::from(ticks) * u128::from(self.ns_per_tick)) >> 32) as u64
         }
         #[cfg(not(target_arch = "x86_64"))]
         {
@@ -100,37 +109,38 @@ impl NsClock {
 /// Default per-PE event capacity (events, not bytes).
 pub const DEFAULT_EVENTS_PER_PE: usize = 1 << 16;
 
-/// One PE's single-writer event buffer.
-struct PeBuffer {
-    /// Preallocated event slots. A slot is written at most once per
-    /// capture (between two [`RingTracer::reset`] calls), by the thread
-    /// that claimed it.
-    slots: Box<[UnsafeCell<ProbeEvent>]>,
-    /// Number of claimed slots; may run past `slots.len()` when events
-    /// overflow (the excess is the per-PE drop count). Usually only the
-    /// PE's own thread claims, but a `BatchFlush` can come from another
-    /// thread (module docs); the atomic `fetch_add` keeps every claim
-    /// exclusive either way.
+/// A captured event without its PE, which is the buffer's: the
+/// timestamp and the kind.
+type Slot = (u64, ProbeKind);
+
+/// A run of event slots and the count of claims made on them.
+struct Stream {
+    /// Preallocated, never pre-written slots: a slot is written at most
+    /// once per capture (between two [`RingTracer::reset`] calls), by
+    /// the thread that claimed it, and only claimed slots are read. An
+    /// untouched slot costs address space, not memory.
+    slots: Box<[MaybeUninit<UnsafeCell<Slot>>]>,
+    /// Number of claims; may run past `slots.len()` when events
+    /// overflow (the excess is the stream's drop count).
     len: AtomicUsize,
 }
 
-// SAFETY: each slot is written exactly once, by the thread that claimed
-// its index via the `len` fetch_add below, and only read after the
-// capture quiesces (run threads joined and endpoints dropped, or same
-// thread for the DES); the join / program order provides the needed
-// happens-before.
-unsafe impl Sync for PeBuffer {}
-
-impl PeBuffer {
+impl Stream {
     fn new(capacity: usize) -> Self {
-        let zero = ProbeEvent {
-            ts: 0,
-            pe: PeId(0),
-            kind: ProbeKind::FiringBegin { label: 0 },
-        };
-        PeBuffer {
-            slots: (0..capacity).map(|_| UnsafeCell::new(zero)).collect(),
+        Stream {
+            slots: Box::new_uninit_slice(capacity),
             len: AtomicUsize::new(0),
+        }
+    }
+
+    /// Writes an event into claim `idx`, or drops it when the stream is
+    /// full (the excess claim stays counted in `len`).
+    #[inline]
+    fn put(&self, idx: usize, ts: u64, kind: ProbeKind) {
+        if let Some(slot) = self.slots.get(idx) {
+            // SAFETY: claim `idx` is this writer's alone (see `PeBuffer`),
+            // and nothing reads the slot before the capture quiesces.
+            unsafe { UnsafeCell::raw_get(slot.as_ptr()).write((ts, kind)) }
         }
     }
 
@@ -139,6 +149,78 @@ impl PeBuffer {
         let n = self.len.load(Ordering::Acquire);
         let kept = n.min(self.slots.len());
         (kept, (n - kept) as u64)
+    }
+
+    /// The captured events of PE `pe`, in claim order.
+    fn events(&self, pe: PeId) -> impl Iterator<Item = ProbeEvent> + '_ {
+        (self.slots[..self.counts().0].iter()).map(move |slot| {
+            // SAFETY: every claimed slot below `kept` was written before
+            // the capture quiesced (see `PeBuffer`).
+            let (ts, kind) = unsafe { *UnsafeCell::raw_get(slot.as_ptr()) };
+            ProbeEvent { ts, pe, kind }
+        })
+    }
+}
+
+/// One PE's event buffer: the PE's own stream, written by the one
+/// thread running the PE, and its [`ProbeKind::BatchFlush`] stream,
+/// written by whichever thread flushes one of the PE's senders.
+struct PeBuffer {
+    /// Every kind but `BatchFlush`. Claimed with a `Relaxed` load and
+    /// store of `len`: one writer at a time, so no read-modify-write.
+    own: Stream,
+    /// `BatchFlush` only. Claimed with `fetch_add`, so concurrent
+    /// writers each get a slot of their own. As long as `own`: every
+    /// flush carries at least one message the PE recorded a `Send` for,
+    /// so it overflows only after `own` has.
+    flushes: Stream,
+    /// Set while a thread is inside an own-stream claim and write, so a
+    /// debug build panics when two threads overlap there — a broken
+    /// writer contract, which the release build's plain claim cannot
+    /// survive.
+    #[cfg(debug_assertions)]
+    writing: std::sync::atomic::AtomicBool,
+}
+
+// SAFETY: each slot is written at most once per capture, by the thread
+// that claimed its index. A flush slot's claim is a `fetch_add`, so it
+// is exclusive among any number of writers. An own slot's claim is a
+// plain load and store, which is exclusive because only the thread
+// running the PE writes that stream (the writer contract in the module
+// docs; debug builds assert it), and a PE that moves to another thread
+// between runs does so across a join or a spawn. Slots are read only
+// after the capture quiesces (run threads joined and endpoints dropped,
+// or the same thread for the DES); the join / program order provides
+// the needed happens-before.
+unsafe impl Sync for PeBuffer {}
+
+impl PeBuffer {
+    fn new(capacity: usize) -> Self {
+        PeBuffer {
+            own: Stream::new(capacity),
+            flushes: Stream::new(capacity),
+            #[cfg(debug_assertions)]
+            writing: std::sync::atomic::AtomicBool::new(false),
+        }
+    }
+
+    /// Events captured and events dropped, over both streams.
+    fn counts(&self) -> (usize, u64) {
+        let (own, flushes) = (self.own.counts(), self.flushes.counts());
+        (own.0 + flushes.0, own.1 + flushes.1)
+    }
+
+    /// Both streams as one, each in its own order: by timestamp, the
+    /// own event first on a tie.
+    fn merged(&self, pe: PeId, out: &mut Vec<ProbeEvent>) {
+        let mut flushes = self.flushes.events(pe).peekable();
+        for ev in self.own.events(pe) {
+            while let Some(f) = flushes.next_if(|f| f.ts < ev.ts) {
+                out.push(f);
+            }
+            out.push(ev);
+        }
+        out.extend(flushes);
     }
 }
 
@@ -175,8 +257,10 @@ pub struct RingTracer {
 }
 
 impl RingTracer {
-    /// A tracer for up to `pes` processing elements with
-    /// `events_per_pe` preallocated event slots each.
+    /// A tracer for up to `pes` processing elements with room for
+    /// `events_per_pe` of each PE's own events and as many of its
+    /// `BatchFlush` events. The slots are allocated here but not
+    /// written: a page is touched by the first event that lands on it.
     pub fn new(pes: usize, events_per_pe: usize) -> Self {
         RingTracer {
             clock: NsClock::start(),
@@ -193,14 +277,14 @@ impl RingTracer {
         RingTracer::new(pes, DEFAULT_EVENTS_PER_PE)
     }
 
-    /// Total events dropped so far (full buffers plus out-of-range PE
-    /// ids).
+    /// Total events dropped so far (full streams, own and flush, plus
+    /// out-of-range PE ids).
     pub fn dropped(&self) -> u64 {
         let overflow: u64 = self.pes.iter().map(|b| b.counts().1).sum();
         overflow + self.out_of_range.load(Ordering::Relaxed)
     }
 
-    /// Events currently captured across all PEs.
+    /// Events currently captured across all PEs, both streams.
     pub fn captured(&self) -> usize {
         self.pes.iter().map(|b| b.counts().0).sum()
     }
@@ -209,13 +293,16 @@ impl RingTracer {
     /// Must not be called while a traced run is in flight.
     pub fn reset(&self) {
         for b in &self.pes {
-            b.len.store(0, Ordering::Release);
+            b.own.len.store(0, Ordering::Release);
+            b.flushes.len.store(0, Ordering::Release);
         }
         self.out_of_range.store(0, Ordering::Relaxed);
     }
 
-    /// Consumes the capture into an owned [`Trace`]: the per-PE buffers
-    /// merged by [`Trace::linearize`] under `meta`'s edge bounds, plus
+    /// Consumes the capture into an owned [`Trace`]: each PE's flush
+    /// stream merged into its own stream by timestamp (own event first
+    /// on a tie), then the PEs merged by [`Trace::linearize`] under
+    /// `meta`'s edge bounds, plus
     /// `meta` with the label table and drop count filled in from this
     /// tracer. The caller supplies the rest of the metadata (clock,
     /// edge bounds, predicted makespan) — typically via
@@ -223,12 +310,10 @@ impl RingTracer {
     pub fn finish(&self, mut meta: TraceMeta) -> Trace {
         meta.labels = self.labels.lock().expect("label lock").clone();
         meta.dropped += self.dropped();
-        let events = (self.pes.iter())
-            .flat_map(|b| &b.slots[..b.counts().0])
-            // SAFETY: the first `kept` slots were fully written before
-            // the capture quiesced (see `PeBuffer`).
-            .map(|slot| unsafe { *slot.get() })
-            .collect();
+        let mut events = Vec::with_capacity(self.captured());
+        for (pe, b) in self.pes.iter().enumerate() {
+            b.merged(PeId(pe), &mut events);
+        }
         let mut trace = Trace { meta, events };
         trace.linearize();
         trace
@@ -254,19 +339,26 @@ impl Tracer for RingTracer {
             self.out_of_range.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        // Claim the next slot. Relaxed suffices: this counter is only
-        // incremented by the one thread owning this PE; the reader
-        // synchronizes via thread join (threaded) or program order
-        // (DES).
-        let idx = buf.len.fetch_add(1, Ordering::Relaxed);
-        if idx >= buf.slots.len() {
-            // Full: drop, never block. The excess count stays in `len`.
-            return;
-        }
-        // SAFETY: `idx` was claimed exclusively by the fetch_add above;
-        // no other write to this slot happens within the capture.
-        unsafe {
-            *buf.slots[idx].get() = ProbeEvent { ts, pe, kind };
+        if let ProbeKind::BatchFlush { .. } = kind {
+            // Any thread may flush for this PE: claim atomically.
+            let idx = buf.flushes.len.fetch_add(1, Ordering::Relaxed);
+            buf.flushes.put(idx, ts, kind);
+        } else {
+            // Only this PE's thread writes its own stream, so a plain
+            // load and store claim the slot. Relaxed suffices: the
+            // reader synchronizes via thread join (threaded) or program
+            // order (DES).
+            #[cfg(debug_assertions)]
+            assert!(
+                !buf.writing.swap(true, Ordering::Acquire),
+                "writer contract broken: two threads record PE {}'s own events at once",
+                pe.0
+            );
+            let idx = buf.own.len.load(Ordering::Relaxed);
+            buf.own.len.store(idx + 1, Ordering::Relaxed);
+            buf.own.put(idx, ts, kind);
+            #[cfg(debug_assertions)]
+            buf.writing.store(false, Ordering::Release);
         }
     }
 
@@ -282,7 +374,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn records_and_merges_by_timestamp_stably() {
+    fn records_each_pe_stream_in_its_own_order() {
         let t = RingTracer::new(2, 8);
         let l = t.intern("fire:a#0");
         // PE 1 events recorded first but timestamped later/equal.
@@ -298,6 +390,110 @@ mod tests {
         let pe1: Vec<_> = ev.iter().filter(|e| e.pe == PeId(1)).collect();
         assert!(matches!(pe1[0].kind, ProbeKind::FiringBegin { .. }));
         assert!(matches!(pe1[1].kind, ProbeKind::FiringEnd { .. }));
+    }
+
+    fn flush(msgs: u32) -> ProbeKind {
+        ProbeKind::BatchFlush {
+            channel: spi_platform::ChannelId(0),
+            msgs,
+            bytes: 8 * msgs,
+            reason: spi_platform::FlushReason::Deadline,
+        }
+    }
+
+    /// The writer contract: the PE's own thread records its events while
+    /// a second thread records `BatchFlush` for the same PE. Nothing is
+    /// lost, and each stream keeps its own order in the finished trace.
+    #[test]
+    fn a_second_thread_flushes_while_the_owner_records() {
+        const N: u64 = 5_000;
+        let t = Arc::new(RingTracer::new(1, N as usize));
+        std::thread::scope(|s| {
+            let owner = Arc::clone(&t);
+            s.spawn(move || {
+                for i in 0..N {
+                    owner.record(
+                        PeId(0),
+                        owner.now(),
+                        ProbeKind::FiringBegin { label: i as u32 },
+                    );
+                }
+            });
+            let timer = Arc::clone(&t);
+            s.spawn(move || {
+                for i in 0..N {
+                    timer.record(PeId(0), timer.now(), flush(i as u32 + 1));
+                }
+            });
+        });
+        assert_eq!(t.captured(), 2 * N as usize);
+        assert_eq!(t.dropped(), 0);
+        let ev = t.finish(TraceMeta::new(ClockKind::Nanos)).events;
+        let own: Vec<u32> = (ev.iter())
+            .filter_map(|e| match e.kind {
+                ProbeKind::FiringBegin { label } => Some(label),
+                _ => None,
+            })
+            .collect();
+        let flushes: Vec<u32> = (ev.iter())
+            .filter_map(|e| match e.kind {
+                ProbeKind::BatchFlush { msgs, .. } => Some(msgs - 1),
+                _ => None,
+            })
+            .collect();
+        let in_order: Vec<u32> = (0..N as u32).collect();
+        assert_eq!(own, in_order);
+        assert_eq!(flushes, in_order);
+        assert!(ev.windows(2).all(|w| w[0].ts <= w[1].ts));
+    }
+
+    /// A debug build catches a second thread inside a PE's own-stream
+    /// write, here simulated by the flag that thread would have set.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "writer contract broken")]
+    fn overlapping_owner_writes_panic_in_debug_builds() {
+        let t = RingTracer::new(1, 4);
+        t.pes[0].writing.store(true, Ordering::Relaxed);
+        t.record(PeId(0), 0, ProbeKind::FiringBegin { label: 0 });
+    }
+
+    /// A flush stamped at the same time as an own event follows it; one
+    /// stamped earlier precedes it.
+    #[test]
+    fn finish_merges_flushes_by_timestamp_own_events_first_on_ties() {
+        let t = RingTracer::new(1, 4);
+        t.record(PeId(0), 10, ProbeKind::FiringBegin { label: 0 });
+        t.record(PeId(0), 20, ProbeKind::FiringEnd { label: 0 });
+        t.record(PeId(0), 5, flush(1));
+        t.record(PeId(0), 20, flush(2));
+        let ev = t.finish(TraceMeta::new(ClockKind::Nanos)).events;
+        let order: Vec<(u64, bool)> = (ev.iter())
+            .map(|e| (e.ts, matches!(e.kind, ProbeKind::BatchFlush { .. })))
+            .collect();
+        assert_eq!(order, [(5, true), (10, false), (20, false), (20, true)]);
+    }
+
+    /// A full flush stream drops and counts like a full own stream, and
+    /// the count reaches the checker as SPI084.
+    #[test]
+    fn an_overflowing_flush_stream_is_counted_and_fires_spi084() {
+        let t = RingTracer::new(1, 2);
+        t.record(PeId(0), 0, ProbeKind::FiringBegin { label: 0 });
+        for ts in 1..=5 {
+            t.record(PeId(0), ts, flush(1));
+        }
+        assert_eq!(t.captured(), 3);
+        assert_eq!(t.dropped(), 3);
+        let trace = t.finish(TraceMeta::new(ClockKind::Nanos));
+        assert_eq!(trace.meta.dropped, 3);
+        assert_eq!(trace.events.len(), 3);
+        let report = crate::check(&trace);
+        assert!(
+            report.diagnostics.iter().any(|d| d.code == "SPI084"),
+            "{}",
+            report.render_human()
+        );
     }
 
     #[test]

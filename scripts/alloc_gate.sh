@@ -1,16 +1,18 @@
 #!/usr/bin/env sh
-# The CI allocation gate: the lowered data plane's and the supervised
-# port's allocation counts must not creep back. Runs the benchmark's two
-# application workloads and the supervised self-loop traced for two
-# seconds each, reads the JSON line the run prints last, and fails if a
-# run reports a failed operation or more allocations an iteration than
-# its ceiling. `allocs_per_iter` is a count made by the benchmark's own
-# allocator and repeats exactly on a given build, so the ceilings sit
-# close to the figures (EXPERIMENTS.md, "The lowered data plane by
-# index" and "The supervision ledger"): des_app1 73.9, app1_lpc 24.1,
-# selfloop8_supervised 2.0002 (the payload closure's `Vec` and the ring's
-# received `Vec`; the checkpoint log copies into a reused buffer, and
-# one more allocation a message would read 3).
+# The CI allocation gate: the lowered data plane's, the supervised
+# port's and the trace capture's allocation counts must not creep back.
+# Runs the benchmark's two application workloads and the supervised and
+# traced self-loops with `--trace 1` for two seconds each, reads the JSON
+# line the run prints last, and fails if a run reports a failed
+# operation or more allocations an iteration than its ceiling.
+# `allocs_per_iter` is a count made by the benchmark's own allocator and
+# repeats exactly on a given build, so the ceilings sit close to the
+# figures (EXPERIMENTS.md, "The lowered data plane by index", "The
+# supervision ledger" and "Owner-claimed trace slots"): des_app1 73.9,
+# app1_lpc 24.1, and 2.0002 for both self-loops — the bare loop's count
+# (the payload closure's `Vec` and the ring's received `Vec`). The
+# checkpoint log copies into a reused buffer and a captured event lands
+# in a preallocated slot, so one more allocation a message would read 3.
 #
 # Usage: scripts/alloc_gate.sh
 set -eu
@@ -40,4 +42,5 @@ gate() {
 gate des_app1 90
 gate app1_lpc 28
 gate selfloop8_supervised 2.1
+gate selfloop8_traced 2.1
 echo "alloc gate OK"
