@@ -1,7 +1,5 @@
 //! The pass pipeline and its report.
 
-use serde::{Deserialize, Serialize};
-
 use crate::diag::{Diagnostic, Severity};
 use crate::input::AnalysisInput;
 use crate::passes;
@@ -61,7 +59,7 @@ impl Analyzer {
 }
 
 /// The collected findings of one analyzer run.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AnalysisReport {
     /// All findings, most severe first.
     pub diagnostics: Vec<Diagnostic>,

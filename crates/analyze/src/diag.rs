@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use spi_dataflow::{ActorId, EdgeId};
 use spi_sched::ProcId;
 
 /// How serious a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
     /// Informational note; no action needed.
     Info,
@@ -31,7 +29,7 @@ impl fmt::Display for Severity {
 }
 
 /// Where in the system a diagnostic points.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Locus {
     /// The system as a whole (or no more precise location exists).
     System,
@@ -70,7 +68,7 @@ impl fmt::Display for Locus {
 }
 
 /// One finding of the static analyzer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable machine-readable code (`SPI001`…); see the crate docs for
     /// the full table.

@@ -19,9 +19,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
 use spi_dsp::particle::{
@@ -29,6 +26,7 @@ use spi_dsp::particle::{
     CrackModel, ParticleFilter,
 };
 use spi_platform::components;
+use spi_platform::rng::SplitMix64;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
@@ -65,7 +63,7 @@ impl Default for PrognosisConfig {
 #[derive(Debug)]
 struct PeState {
     filter: ParticleFilter,
-    rng: StdRng,
+    rng: SplitMix64,
     /// Local resample result awaiting the exchange step.
     kept: Vec<f64>,
     surplus: Vec<f64>,
@@ -158,7 +156,7 @@ impl PrognosisApp {
         }
 
         // Precompute the scenario.
-        let mut rng = StdRng::seed_from_u64(config.seed);
+        let mut rng = SplitMix64::seed_from_u64(config.seed);
         let (truth, observations) = config.model.simulate(1.0, config.steps, &mut rng);
 
         Ok(PrognosisApp {
@@ -225,7 +223,7 @@ impl PrognosisApp {
         // Shared per-PE particle stores.
         let states: Vec<Arc<Mutex<PeState>>> = (0..n)
             .map(|i| {
-                let mut rng = StdRng::seed_from_u64(cfg.seed ^ (0x9E37 + i as u64));
+                let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ (0x9E37 + i as u64));
                 let filter = ParticleFilter::new(cfg.model, per_pe, 0.5, 1.5, &mut rng);
                 Arc::new(Mutex::new(PeState {
                     filter,
@@ -258,7 +256,7 @@ impl PrognosisApp {
                 let y =
                     f64::from_le_bytes(ctx.input(obs_edge).try_into().expect("8-byte observation"));
                 let mut st = state.lock().expect("pe state");
-                st.rng = StdRng::seed_from_u64(
+                st.rng = SplitMix64::seed_from_u64(
                     cfg.seed ^ ctx.iter.wrapping_mul(0x5851F42D) ^ (i as u64),
                 );
                 let mut rng = st.rng.clone();
@@ -393,7 +391,7 @@ impl PrognosisApp {
         if last.is_empty() {
             return None;
         }
-        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x52554C);
+        let mut rng = SplitMix64::seed_from_u64(self.config.seed ^ 0x52554C);
         Some(rul_summary(remaining_useful_life(
             &self.config.model,
             &last,

@@ -15,13 +15,11 @@
 //! and [`CsdfGraph::phase_schedule`] produces a phase-accurate
 //! admissible schedule used to validate the reduction.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataflowError, Result};
 use crate::graph::{ActorId, EdgeId, SdfGraph};
 
 /// A cyclo-static port rate: one entry per phase.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PhaseRates(Vec<u32>);
 
 impl PhaseRates {
@@ -67,7 +65,7 @@ impl PhaseRates {
 }
 
 /// A CSDF edge: phase vectors on both ports.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CsdfEdge {
     /// Producing actor.
     pub src: ActorId,
@@ -111,7 +109,7 @@ pub struct CsdfEdge {
 /// assert_eq!(q[src], 1);
 /// # Ok::<(), spi_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CsdfGraph {
     names: Vec<String>,
     exec_cycles: Vec<u64>,
@@ -274,7 +272,7 @@ impl CsdfGraph {
 }
 
 /// Outcome of the CSDF→SDF reduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsdfReduction {
     graph: SdfGraph,
     phases: Vec<u64>,

@@ -188,7 +188,7 @@ pub fn from_dif(text: &str) -> Result<SdfGraph> {
                     .map_err(|e| err(e.to_string()))?;
             }
             Some(other) => return Err(err(format!("unknown statement `{other}`"))),
-            None => unreachable!("blank lines skipped"),
+            None => return Err(err("empty statement `;`".into())),
         }
     }
     if !in_graph || !closed {
@@ -214,6 +214,18 @@ graph lpc {
   edge B -> C produce dyn 10 consume dyn 8 bytes 4;
 }
 "#;
+
+    #[test]
+    fn bare_semicolon_is_a_parse_error() {
+        for text in ["graph g {\n;\n}\n", "graph g {\n  ;  \n}\n"] {
+            match from_dif(text) {
+                Err(DataflowError::Parse { line, message }) => {
+                    assert_eq!(line, 2, "{message}");
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn parses_sample() {

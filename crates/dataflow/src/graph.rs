@@ -9,15 +9,13 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataflowError, Result};
 
 /// Identifier of an actor inside one [`SdfGraph`].
 ///
 /// Ids are dense indices assigned in insertion order; they are only
 /// meaningful relative to the graph that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub usize);
 
 impl fmt::Display for ActorId {
@@ -27,7 +25,7 @@ impl fmt::Display for ActorId {
 }
 
 /// Identifier of an edge inside one [`SdfGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EdgeId(pub usize);
 
 impl fmt::Display for EdgeId {
@@ -43,7 +41,7 @@ impl fmt::Display for EdgeId {
 /// the number of raw tokens moved per firing varies at run time but never
 /// exceeds `bound`. VTS conversion ([`crate::vts::VtsConversion`]) turns
 /// dynamic rates into static rate-1 packed-token transfers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rate {
     /// Fixed number of tokens per firing.
     Static(u32),
@@ -89,7 +87,7 @@ impl fmt::Display for Rate {
 }
 
 /// An actor (computational node) in a dataflow graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Actor {
     /// Human-readable name used in reports and graph dumps.
     pub name: String,
@@ -111,7 +109,7 @@ impl Actor {
 }
 
 /// A directed edge (FIFO channel) between two actors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Edge {
     /// Producing actor.
     pub src: ActorId,
@@ -159,7 +157,7 @@ impl Edge {
 /// assert_eq!(q[b], 2);
 /// # Ok::<(), spi_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SdfGraph {
     actors: Vec<Actor>,
     edges: Vec<Edge>,

@@ -10,15 +10,13 @@
 //! producer firing index falls beyond `q[src]` belong to a later iteration
 //! and are recorded as *inter-iteration* edges with delay 1.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Result;
 use crate::graph::{ActorId, EdgeId, SdfGraph};
 use crate::rates::RepetitionVector;
 
 /// One firing of one actor within an iteration: `(actor, k)` with
 /// `0 ≤ k < q[actor]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Firing {
     /// The actor being fired.
     pub actor: ActorId,
@@ -33,7 +31,7 @@ impl std::fmt::Display for Firing {
 }
 
 /// A precedence edge between two firings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Precedence {
     /// Producing firing.
     pub from: Firing,
@@ -53,7 +51,7 @@ fn signed_div_ceil(a: i128, b: i128) -> i128 {
 }
 
 /// The expanded single-rate precedence graph of one SDF iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrecedenceGraph {
     firings: Vec<Firing>,
     edges: Vec<Precedence>,

@@ -23,13 +23,11 @@
 //! Per-scenario plans (one `EdgePlan` set per valuation, switched at an
 //! iteration boundary) are ROADMAP's deferred scenario item, not here.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataflowError, Result};
 use crate::graph::{ActorId, EdgeId, SdfGraph};
 
 /// An integer run-time parameter with an inclusive domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Name used in diagnostics.
     pub name: String,
@@ -40,11 +38,11 @@ pub struct Param {
 }
 
 /// Identifier of a parameter within one [`PsdfGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ParamId(pub usize);
 
 /// A port rate that may reference a parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RateExpr {
     /// A compile-time constant.
     Const(u32),
@@ -83,7 +81,7 @@ impl RateExpr {
 }
 
 /// A parameterized edge.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PsdfEdge {
     src: ActorId,
     dst: ActorId,
@@ -118,7 +116,7 @@ struct PsdfEdge {
 /// assert!(spi_dataflow::VtsConversion::convert(&envelope)?.graph().is_pure_sdf());
 /// # Ok::<(), spi_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PsdfGraph {
     params: Vec<Param>,
     names: Vec<String>,

@@ -11,8 +11,6 @@
 use std::collections::VecDeque;
 use std::ops::Index;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataflowError, Result};
 use crate::graph::{ActorId, SdfGraph};
 
@@ -34,7 +32,7 @@ use crate::graph::{ActorId, SdfGraph};
 /// assert_eq!((q[a], q[b]), (2, 3));
 /// # Ok::<(), spi_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepetitionVector {
     counts: Vec<u64>,
 }

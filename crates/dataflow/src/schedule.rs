@@ -10,8 +10,6 @@
 //! running maximum token count per edge. If the simulation stalls before
 //! the quota is met, the graph deadlocks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataflowError, Result};
 use crate::graph::{ActorId, EdgeId, SdfGraph};
 use crate::rates::RepetitionVector;
@@ -20,7 +18,7 @@ use crate::rates::RepetitionVector;
 ///
 /// Produced by [`SdfGraph::class_s_schedule`]; also reusable as the firing
 /// order inside each processor of a multiprocessor partition.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatSchedule {
     firings: Vec<ActorId>,
 }
@@ -47,7 +45,7 @@ impl FlatSchedule {
 /// `bound(e)` is the maximum number of simultaneously-live tokens observed
 /// on `e` under the schedule that produced this report, which is a valid
 /// buffer size for executing that schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BufferBounds {
     bounds: Vec<u64>,
 }
@@ -76,7 +74,7 @@ impl BufferBounds {
 
 /// Outcome of one class-S scheduling run: the schedule plus the buffer
 /// bounds it witnessed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScheduleReport {
     /// The admissible firing order found.
     pub schedule: FlatSchedule,
@@ -89,7 +87,7 @@ pub struct ScheduleReport {
 /// Different policies witness different (all valid) buffer bounds; the
 /// default `FewestFirings` keeps actors in lock-step, which empirically
 /// yields tight bounds on signal-processing graphs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum FirePolicy {
     /// Fire the fireable actor with the fewest completed firings
     /// (ties broken by actor id). Keeps the graph in lock-step.
@@ -187,7 +185,7 @@ impl SdfGraph {
 /// Aggregate validation of a graph: consistency, liveness, and buffer
 /// bounds in one pass (the checks a tool runs before committing to a
 /// design).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidationReport {
     /// Firings per minimal iteration.
     pub total_firings: u64,

@@ -19,14 +19,12 @@
 //! `header_vs_delimiter` ablation bench); [`TokenPacker`] implements the
 //! packing/unpacking discipline.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DataflowError, Result};
 use crate::graph::{EdgeId, Rate, SdfGraph};
 
 /// How a converted edge signals each packed token's length to the
 /// receiver (paper §3 implementation discussion).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LengthSignal {
     /// Length travels in a fixed header field — constant-time parse;
     /// the paper's choice for FPGA targets.
@@ -38,7 +36,7 @@ pub enum LengthSignal {
 }
 
 /// Record of one edge's VTS conversion.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VtsEdge {
     /// Edge id in the *converted* graph (ids are preserved 1:1).
     pub edge: EdgeId,
@@ -73,7 +71,7 @@ pub struct VtsEdge {
 /// assert_eq!(info.b_max, 10 * 4);
 /// # Ok::<(), spi_dataflow::DataflowError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VtsConversion {
     graph: SdfGraph,
     converted: Vec<VtsEdge>,
@@ -182,7 +180,7 @@ impl VtsConversion {
 /// The packer is deliberately simple: a packed token is a length-prefixed
 /// (or delimiter-terminated) run of raw-token bytes. SPI's send actors
 /// call [`TokenPacker::pack`]; receive actors call [`TokenPacker::unpack`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TokenPacker {
     raw_token_bytes: u32,
     max_raw_tokens: u32,

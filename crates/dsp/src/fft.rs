@@ -7,10 +7,8 @@ use std::cell::RefCell;
 use std::f64::consts::PI;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number (re, im) — minimal, `Copy`, sufficient for the FFT.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Complex {
     /// Real part.
     pub re: f64,
@@ -296,8 +294,7 @@ pub fn fft_cycles(n: usize) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use spi_platform::rng::SplitMix64;
 
     use super::*;
 
@@ -324,7 +321,7 @@ mod tests {
 
     /// A seeded test signal of `n` points in [−1, 1)².
     fn signal(n: usize, seed: u64) -> Vec<Complex> {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut unit = move || rng.gen_range(-1.0..1.0);
         (0..n).map(|_| Complex::new(unit(), unit())).collect()
     }

@@ -1,11 +1,9 @@
 //! FIR filtering and polyphase decimation — the multirate kernels used
 //! by the filter-bank example (a classic SDF/CSDF showcase workload).
 
-use serde::{Deserialize, Serialize};
-
 /// A direct-form FIR filter with persistent state, suitable for
 //  streaming frame-by-frame inside an actor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fir {
     taps: Vec<f64>,
     history: Vec<f64>,

@@ -7,8 +7,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from Huffman coding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -44,7 +42,7 @@ impl std::fmt::Display for HuffmanError {
 impl std::error::Error for HuffmanError {}
 
 /// A canonical Huffman code over `u16` symbols.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HuffmanCode {
     /// (symbol, code length in bits), sorted canonically.
     lengths: Vec<(u16, u8)>,

@@ -6,8 +6,6 @@
 //! "C"); the prediction error (actor "D") plus quantized coefficients
 //! form the compressed representation.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from the LPC pipeline.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -206,7 +204,7 @@ pub fn synthesize(residual: &[f64], coeffs: &[f64]) -> Vec<f64> {
 
 /// A uniform scalar quantizer over `[-range, range]` with `2^bits`
 /// levels (the compression step before Huffman coding).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     /// Half-range of representable values.
     pub range: f64,

@@ -14,14 +14,13 @@
 //! 3. **intra-resampling**: surplus particles travel to deficit PEs so
 //!    every PE again holds `N/n` particles.
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use spi_platform::rng::SplitMix64;
 
 /// Paris-law crack-growth model with additive Gaussian process noise.
 ///
 /// `a_{k+1} = a_k + c · (β · Δσ · √(π·a_k))^m + w_k`,
 /// observed as `y_k = a_k + v_k`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrackModel {
     /// Paris-law coefficient `C`.
     pub c: f64,
@@ -57,12 +56,12 @@ impl CrackModel {
     }
 
     /// Propagates a crack length one step with process noise from `rng`.
-    pub fn step(&self, a: f64, rng: &mut impl Rng) -> f64 {
+    pub fn step(&self, a: f64, rng: &mut SplitMix64) -> f64 {
         (a + self.growth(a) + gaussian(rng) * self.process_noise).max(0.0)
     }
 
     /// Simulates a ground-truth trajectory and its noisy observations.
-    pub fn simulate(&self, a0: f64, steps: usize, rng: &mut impl Rng) -> (Vec<f64>, Vec<f64>) {
+    pub fn simulate(&self, a0: f64, steps: usize, rng: &mut SplitMix64) -> (Vec<f64>, Vec<f64>) {
         let mut truth = Vec::with_capacity(steps);
         let mut obs = Vec::with_capacity(steps);
         let mut a = a0;
@@ -82,14 +81,14 @@ impl CrackModel {
 }
 
 /// Standard-normal sample via Box–Muller.
-pub fn gaussian(rng: &mut impl Rng) -> f64 {
+pub fn gaussian(rng: &mut SplitMix64) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 /// A sampling-importance-resampling particle filter over crack length.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParticleFilter {
     /// The dynamics/observation model.
     pub model: CrackModel,
@@ -101,7 +100,7 @@ pub struct ParticleFilter {
 
 impl ParticleFilter {
     /// Initializes `n` particles uniformly in `[lo, hi]`.
-    pub fn new(model: CrackModel, n: usize, lo: f64, hi: f64, rng: &mut impl Rng) -> Self {
+    pub fn new(model: CrackModel, n: usize, lo: f64, hi: f64, rng: &mut SplitMix64) -> Self {
         let particles: Vec<f64> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
         let weights = vec![1.0 / n as f64; n];
         ParticleFilter {
@@ -112,7 +111,7 @@ impl ParticleFilter {
     }
 
     /// Prediction step (actor "E"): propagate every particle.
-    pub fn predict(&mut self, rng: &mut impl Rng) {
+    pub fn predict(&mut self, rng: &mut SplitMix64) {
         for p in &mut self.particles {
             *p = self.model.step(*p, rng);
         }
@@ -169,7 +168,7 @@ impl ParticleFilter {
     /// Systematic resampling (actor "S", serial reference): replaces
     /// particles by replicas with multiplicities proportional to weight
     /// and resets weights to uniform.
-    pub fn systematic_resample(&mut self, rng: &mut impl Rng) {
+    pub fn systematic_resample(&mut self, rng: &mut SplitMix64) {
         let n = self.particles.len();
         let new = systematic_draw(&self.particles, &self.weights, n, rng);
         self.particles = new;
@@ -185,7 +184,7 @@ pub fn systematic_draw(
     particles: &[f64],
     weights: &[f64],
     count: usize,
-    rng: &mut impl Rng,
+    rng: &mut SplitMix64,
 ) -> Vec<f64> {
     assert_eq!(particles.len(), weights.len());
     if particles.is_empty() || count == 0 {
@@ -254,7 +253,7 @@ pub fn allocate_counts(partial_sums: &[f64], total_count: usize) -> Vec<usize> {
 }
 
 /// One planned particle transfer between PEs during intra-resampling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exchange {
     /// Sending PE index (has surplus particles).
     pub from: usize,
@@ -322,7 +321,7 @@ pub fn remaining_useful_life(
     particles: &[f64],
     threshold: f64,
     horizon: usize,
-    rng: &mut impl Rng,
+    rng: &mut SplitMix64,
 ) -> Vec<usize> {
     particles
         .iter()
@@ -374,11 +373,9 @@ pub mod cost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0xC0FFEE)
+    fn rng() -> SplitMix64 {
+        SplitMix64::seed_from_u64(0xC0FFEE)
     }
 
     #[test]

@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use spi_platform::rng::SplitMix64;
 use spi_platform::{
     BufferPool, ChannelId, InjectedFault, Token, Transport, TransportDecorator, TransportError,
 };
@@ -197,7 +197,7 @@ impl FaultPlan {
     /// blowing sensible retry budgets (a test wanting a budget-busting
     /// stall adds it explicitly via [`FaultPlan::inject`]).
     pub fn random(seed: u64, n_channels: usize, messages: u64, count: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = SplitMix64::seed_from_u64(seed);
         let mut taken: HashSet<(usize, u64)> = HashSet::new();
         let mut plan = FaultPlan::new();
         if n_channels == 0 || messages == 0 {

@@ -1,29 +1,30 @@
-//! Property-based tests of the batched socket transport: on any
-//! interleaving of sends and receives, the coalesced-ack credit
-//! accounting must keep the in-flight bytes inside the eq. (2) window
-//! B(e), preserve FIFO order, and eventually return every credit —
-//! with nobody but the two calling sides reading the socket: the sender
-//! takes acknowledgements in when its window is short (or when asked
-//! for its occupancy), the receiver reads data when asked to receive.
+//! Property test of the batched socket transport: on any interleaving
+//! of sends and receives, the coalesced-ack credit accounting must keep
+//! the in-flight bytes inside the eq. (2) window B(e), preserve FIFO
+//! order, and eventually return every credit — with nobody but the two
+//! calling sides reading the socket: the sender takes acknowledgements
+//! in when its window is short (or when asked for its occupancy), the
+//! receiver reads data when asked to receive. A seeded loop over 32
+//! cases (`SPI_CHAOS_SEED=<case>` replays one).
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use proptest::prelude::*;
-
 use spi_net::{loopback_with, BatchParams};
+use spi_platform::rng::for_each_case;
 use spi_platform::{ChannelSpec, Transport, TransportError};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn coalesced_ack_accounting_never_exceeds_the_eq2_window(
-        sizes in prop::collection::vec(1usize..32, 1..60),
-        recv_gaps in prop::collection::vec(0usize..4, 1..60),
-        max_msgs in 1usize..9,
-        cap_msgs in 2usize..9,
-    ) {
+#[test]
+fn coalesced_ack_accounting_never_exceeds_the_eq2_window() {
+    for_each_case(32, |rng| {
+        let sizes: Vec<usize> = (0..rng.gen_range(1..60usize))
+            .map(|_| rng.gen_range(1..32usize))
+            .collect();
+        let recv_gaps: Vec<usize> = (0..rng.gen_range(1..60usize))
+            .map(|_| rng.gen_range(0..4usize))
+            .collect();
+        let max_msgs = rng.gen_range(1..9usize);
+        let cap_msgs = rng.gen_range(2..9usize);
         let max_msg = 32usize;
         let capacity = cap_msgs * max_msg;
         let spec = ChannelSpec {
@@ -33,8 +34,12 @@ proptest! {
         };
         let (tx, rx) = loopback_with(
             &spec,
-            BatchParams { max_msgs, flush_after: Duration::from_millis(2) },
-        ).expect("batched loopback");
+            BatchParams {
+                max_msgs,
+                flush_after: Duration::from_millis(2),
+            },
+        )
+        .expect("batched loopback");
 
         let mut expected: VecDeque<Vec<u8>> = VecDeque::new();
         let tx_dbg = &tx;
@@ -72,7 +77,7 @@ proptest! {
                         // it (the sender flushed before reporting Full,
                         // the receiver returns credit as it consumes).
                         let queued = pop_and_check(&mut expected);
-                        prop_assert!(
+                        assert!(
                             queued <= capacity,
                             "receiver holds {queued} B > B(e) = {capacity} B"
                         );
@@ -82,7 +87,7 @@ proptest! {
             }
             expected.push_back(payload);
             let in_flight = tx.len_bytes();
-            prop_assert!(
+            assert!(
                 in_flight <= capacity,
                 "sender admitted {in_flight} B in flight > B(e) = {capacity} B"
             );
@@ -91,7 +96,7 @@ proptest! {
                     break;
                 }
                 let queued = pop_and_check(&mut expected);
-                prop_assert!(queued <= capacity);
+                assert!(queued <= capacity);
             }
         }
 
@@ -105,10 +110,10 @@ proptest! {
         // below the ack threshold stay unacknowledged only until the
         // receiver settles them on the empty poll (the same settle that
         // precedes every park, so a sender can never wedge on them).
-        prop_assert_eq!(rx.try_recv().map(|_| ()), Err(TransportError::Empty));
+        assert_eq!(rx.try_recv().map(|_| ()), Err(TransportError::Empty));
         let deadline = Instant::now() + Duration::from_secs(5);
         while tx.len_bytes() != 0 || tx.occupancy() != 0 {
-            prop_assert!(
+            assert!(
                 Instant::now() < deadline,
                 "credits never fully returned: {} B / {} msg outstanding",
                 tx.len_bytes(),
@@ -116,5 +121,5 @@ proptest! {
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-    }
+    });
 }

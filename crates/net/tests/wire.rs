@@ -5,6 +5,7 @@
 use std::io::{self, Read};
 
 use spi_net::wire::{decode_ack, encode_ack, RecordBuf};
+use spi_platform::rng::{cases, SplitMix64};
 
 /// A reader that returns at most `chunk(remaining)` bytes per `read`.
 struct Chunked<'a, F: FnMut() -> usize> {
@@ -128,32 +129,21 @@ fn record_buf_hands_out_nothing_of_a_stream_that_ends_mid_record() {
 /// `SPI_CHAOS_SEED=<case>` replays it alone.
 #[test]
 fn fuzz_record_buf_never_panics_and_matches_the_reference_parse() {
-    fn splitmix(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
     const MAX: usize = 24;
-    let cases: Vec<u64> = match std::env::var("SPI_CHAOS_SEED") {
-        Ok(s) => vec![s.trim().parse().expect("SPI_CHAOS_SEED is a case number")],
-        Err(_) => (0..2000).collect(),
-    };
-    for case in cases {
-        let mut rng = case ^ 0x5EED_F00D;
+    for case in cases(2000) {
+        let mut rng = SplitMix64::seed_from_u64(case ^ 0x5EED_F00D);
         // Mostly well-formed records, so parses run deep, with raw noise
         // (usually a corrupt prefix) spliced in now and then.
         let mut stream = Vec::new();
-        for _ in 0..splitmix(&mut rng) % 24 {
-            if splitmix(&mut rng).is_multiple_of(8) {
-                for _ in 0..splitmix(&mut rng) % 9 {
-                    stream.push(splitmix(&mut rng) as u8);
+        for _ in 0..rng.next_u64() % 24 {
+            if rng.next_u64().is_multiple_of(8) {
+                for _ in 0..rng.next_u64() % 9 {
+                    stream.push(rng.next_u64() as u8);
                 }
             } else {
-                let len = (splitmix(&mut rng) % (MAX as u64 + 1)) as usize;
+                let len = (rng.next_u64() % (MAX as u64 + 1)) as usize;
                 stream.extend_from_slice(&(len as u32).to_le_bytes());
-                stream.extend((0..len).map(|_| splitmix(&mut rng) as u8));
+                stream.extend((0..len).map(|_| rng.next_u64() as u8));
             }
         }
         // Reference: walk the whole stream once.
@@ -174,7 +164,7 @@ fn fuzz_record_buf_never_panics_and_matches_the_reference_parse() {
         }
 
         let (got, end) = parse(RecordBuf::new(MAX, 2 * MAX), &stream, || {
-            1 + splitmix(&mut rng) as usize % 11
+            1 + rng.next_u64() as usize % 11
         });
         let replay = format!("replay: SPI_CHAOS_SEED={case}");
         assert_eq!(got, want, "case {case}: records ({replay})");

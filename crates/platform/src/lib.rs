@@ -28,7 +28,9 @@
 //!   bounded retry with backoff, UBS-style substitute/skip degradation
 //!   and iteration-boundary checkpoint/restart, with every recovery
 //!   decision emitted as a `Fault*` probe event. [`TransportDecorator`]
-//!   is the seam deterministic fault injectors (`spi-fault`) plug into.
+//!   is the seam deterministic fault injectors (`spi-fault`) plug into;
+//! * [`rng`] — the workspace's one seeded generator and the case loop
+//!   every property and fuzz test runs on.
 //!
 //! # Examples
 //!
@@ -59,6 +61,7 @@ mod error;
 pub mod model;
 mod pool;
 mod resource;
+pub mod rng;
 mod runner;
 pub mod shim;
 mod sim;

@@ -54,6 +54,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
 
+use crate::rng::SplitMix64;
+
 /// Live sessions, process-wide. The shim fast path loads this with
 /// relaxed ordering and skips all model logic when it is zero.
 static ACTIVE: AtomicUsize = AtomicUsize::new(0);
@@ -806,8 +808,7 @@ struct Node {
 /// Who runs next when more than one thread can.
 enum Choice<'a> {
     Dfs(&'a mut Vec<Node>),
-    /// The splitmix64 state.
-    Seeded(u64),
+    Seeded(SplitMix64),
     Forced(&'a [usize]),
 }
 
@@ -829,14 +830,6 @@ struct Outcome {
     /// The canonical step log; empty under [`Choice::Dfs`], which must
     /// not pay a `format!` per grant.
     log: String,
-}
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Stay on the previously-running thread when possible (keeps
@@ -1064,7 +1057,7 @@ fn drive(sess: &Session, mut choice: Choice<'_>, max_steps: usize) -> Outcome {
                 None => prefer(last, &enabled, &[]),
             },
             Choice::Seeded(_) if enabled.len() == 1 => enabled[0],
-            Choice::Seeded(rng) => enabled[(splitmix(rng) % enabled.len() as u64) as usize],
+            Choice::Seeded(rng) => enabled[rng.gen_range(0..enabled.len())],
             Choice::Dfs(_) if enabled.len() == 1 => {
                 if cur_sleep.iter().any(|(s, _)| *s == enabled[0]) {
                     break End::SleepBlocked;
@@ -1468,7 +1461,7 @@ fn run_rooted(opts: &SimOptions, choice: Choice<'_>, scenario: &(impl Fn() + Syn
 
 /// Runs `scenario` once under the seeded scheduler.
 pub fn run(opts: &SimOptions, scenario: impl Fn() + Send + Sync) -> SimRun {
-    let rng = opts.seed ^ 0xD6E8_FEB8_6659_FD93;
+    let rng = SplitMix64::seed_from_u64(opts.seed ^ 0xD6E8_FEB8_6659_FD93);
     run_rooted(opts, Choice::Seeded(rng), &scenario)
 }
 

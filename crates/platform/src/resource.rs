@@ -14,10 +14,8 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul};
 
-use serde::{Deserialize, Serialize};
-
 /// Post-synthesis area estimate in Virtex-4 resource categories.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResourceEstimate {
     /// Occupied slices.
     pub slices: u64,
@@ -123,7 +121,7 @@ impl fmt::Display for ResourceEstimate {
 }
 
 /// Per-category utilization percentages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ResourcePercent {
     /// Slices, percent.
     pub slices: f64,
@@ -148,7 +146,7 @@ impl fmt::Display for ResourcePercent {
 }
 
 /// Device capacity table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Device {
     /// Marketing name.
     pub name: &'static str,

@@ -1,0 +1,206 @@
+//! The workspace's one seeded generator.
+//!
+//! Everything seeded — the particle filter's noise, the prognosis
+//! application, random fault plans, the controlled-execution engine's
+//! seeded scheduler, the simulated sockets' fragmentation, and every
+//! property and fuzz loop — draws from [`SplitMix64`], so a seed names
+//! the same stream everywhere. Deterministic per seed; not
+//! cryptographic.
+//!
+//! [`cases`] is the case list every seeded test loop walks, and
+//! [`for_each_case`] runs a property over it: a failure prints
+//! `replay: SPI_CHAOS_SEED=<case>`, and setting that variable runs the
+//! one case alone.
+
+use std::ops::{Range, RangeInclusive};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+/// SplitMix64 (Steele, Lea & Flood): one additive step plus two
+/// xor-shift multiplies per output; the state is the seed itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SplitMix64 {
+    state: u64,
+}
+
+impl SplitMix64 {
+    /// A generator whose state starts at `seed`.
+    pub fn seed_from_u64(seed: u64) -> Self {
+        SplitMix64 { state: seed }
+    }
+
+    /// Next 64 uniformly distributed bits.
+    pub fn next_u64(&mut self) -> u64 {
+        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One draw from `range` (half-open or inclusive): an integer is
+    /// `start + next_u64 % span`, an `f64` `start + unit · (end − start)`
+    /// with `unit` the top 53 bits scaled into [0, 1).
+    ///
+    /// # Panics
+    ///
+    /// On an empty range.
+    pub fn gen_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
+        range.sample(self)
+    }
+
+    /// `true` with probability `p` (one draw, compared on the same
+    /// 53-bit grid as the `f64` range).
+    pub fn gen_bool(&mut self, p: f64) -> bool {
+        self.unit_f64() < p
+    }
+
+    fn unit_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+}
+
+/// A range [`SplitMix64::gen_range`] can draw a `T` from.
+pub trait SampleRange<T> {
+    /// Draws one value with `rng`.
+    fn sample(self, rng: &mut SplitMix64) -> T;
+}
+
+macro_rules! int_sample_range {
+    ($($t:ty),*) => {$(
+        impl SampleRange<$t> for Range<$t> {
+            fn sample(self, rng: &mut SplitMix64) -> $t {
+                assert!(self.start < self.end, "cannot sample empty range");
+                let span = (self.end as u128) - (self.start as u128);
+                self.start + (rng.next_u64() as u128 % span) as $t
+            }
+        }
+        impl SampleRange<$t> for RangeInclusive<$t> {
+            fn sample(self, rng: &mut SplitMix64) -> $t {
+                let (lo, hi) = (*self.start(), *self.end());
+                assert!(lo <= hi, "cannot sample empty range");
+                let span = (hi as u128) - (lo as u128) + 1;
+                lo + (rng.next_u64() as u128 % span) as $t
+            }
+        }
+    )*};
+}
+
+int_sample_range!(u8, u16, u32, u64, usize);
+
+impl SampleRange<f64> for Range<f64> {
+    fn sample(self, rng: &mut SplitMix64) -> f64 {
+        assert!(self.start < self.end, "cannot sample empty range");
+        self.start + rng.unit_f64() * (self.end - self.start)
+    }
+}
+
+/// The cases a seeded test loop runs: `0..default`, or the one case
+/// `SPI_CHAOS_SEED` names.
+///
+/// # Panics
+///
+/// If `SPI_CHAOS_SEED` is set to something other than a case number.
+pub fn cases(default: u64) -> Vec<u64> {
+    match std::env::var("SPI_CHAOS_SEED") {
+        Ok(s) => vec![s.trim().parse().expect("SPI_CHAOS_SEED is a case number")],
+        Err(_) => (0..default).collect(),
+    }
+}
+
+/// Runs `property` once per case of [`cases`]`(n)`, each time with a
+/// generator seeded by the case number. A case that panics is named by
+/// its replay line before the panic goes on.
+pub fn for_each_case(n: u64, mut property: impl FnMut(&mut SplitMix64)) {
+    for case in cases(n) {
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            property(&mut SplitMix64::seed_from_u64(case))
+        }));
+        if let Err(cause) = run {
+            eprintln!("case {case} failed\nreplay: SPI_CHAOS_SEED={case}");
+            resume_unwind(cause);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SplitMix64;
+
+    #[test]
+    fn deterministic_per_seed() {
+        let mut a = SplitMix64::seed_from_u64(7);
+        let mut b = SplitMix64::seed_from_u64(7);
+        for _ in 0..64 {
+            assert_eq!(a.gen_range(0u64..1000), b.gen_range(0u64..1000));
+        }
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut r = SplitMix64::seed_from_u64(1);
+        for _ in 0..1000 {
+            let v = r.gen_range(3u32..17);
+            assert!((3..17).contains(&v));
+            let w = r.gen_range(1usize..=4);
+            assert!((1..=4).contains(&w));
+            let f = r.gen_range(-2.0f64..2.0);
+            assert!((-2.0..2.0).contains(&f));
+        }
+    }
+
+    #[test]
+    fn gen_bool_matches_probability_roughly() {
+        let mut r = SplitMix64::seed_from_u64(42);
+        let hits = (0..10_000).filter(|_| r.gen_bool(0.25)).count();
+        assert!((1500..3500).contains(&hits), "got {hits}");
+    }
+
+    /// The stream and its range mappings, pinned: every seeded figure,
+    /// golden log, model pin and oracle draw in the workspace depends
+    /// on them, so a change here must fail loudly.
+    #[test]
+    fn stream_is_pinned() {
+        let mut r = SplitMix64::seed_from_u64(0);
+        let first: Vec<u64> = (0..8).map(|_| r.next_u64()).collect();
+        assert_eq!(
+            first,
+            [
+                0xe220_a839_7b1d_cdaf,
+                0x6e78_9e6a_a1b9_65f4,
+                0x06c4_5d18_8009_454f,
+                0xf88b_b8a8_724c_81ec,
+                0x1b39_896a_51a8_749b,
+                0x53cb_9f0c_747e_a2ea,
+                0x2c82_9abe_1f45_32e1,
+                0xc584_133a_c916_ab3c,
+            ]
+        );
+
+        let mut r = SplitMix64::seed_from_u64(7);
+        let half_open: Vec<u32> = (0..8).map(|_| r.gen_range(3u32..17)).collect();
+        assert_eq!(half_open, [12, 13, 3, 6, 15, 16, 15, 3]);
+        let inclusive: Vec<usize> = (0..8).map(|_| r.gen_range(1usize..=4)).collect();
+        assert_eq!(inclusive, [2, 2, 4, 1, 3, 1, 3, 1]);
+        let bytes: Vec<u8> = (0..8).map(|_| r.gen_range(0..=255u8)).collect();
+        assert_eq!(bytes, [175, 199, 53, 248, 47, 205, 157, 255]);
+
+        let mut r = SplitMix64::seed_from_u64(7);
+        let floats: Vec<u64> = (0..4).map(|_| r.gen_range(-2.0..2.0).to_bits()).collect();
+        // −0.4407, −1.9328, 1.6030, 0.3317
+        assert_eq!(
+            floats,
+            [
+                0xbfdc_341e_1ba6_cdf8,
+                0xbffe_ecf0_ca02_f0e8,
+                0x3ff9_a610_202e_ac4a,
+                0x3fd5_3aeb_7067_3e28
+            ]
+        );
+
+        let mut r = SplitMix64::seed_from_u64(42);
+        let coins: String = (0..16)
+            .map(|_| if r.gen_bool(0.25) { '1' } else { '0' })
+            .collect();
+        assert_eq!(coins, "0100101000100001");
+    }
+}

@@ -1,18 +1,17 @@
-//! Property-based tests of the discrete-event engine.
+//! Property tests of the discrete-event engine, each a seeded loop over
+//! 64 cases (`SPI_CHAOS_SEED=<case>` replays one).
 
-use proptest::prelude::*;
-
+use spi_platform::rng::for_each_case;
 use spi_platform::{ChannelId, ChannelSpec, Machine, Op, Program};
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn every_sent_message_is_delivered_in_order(
-        sizes in prop::collection::vec(1usize..64, 1..20),
-        cap in 128usize..1024,
-        consumer_cost in 0u64..50,
-    ) {
+#[test]
+fn every_sent_message_is_delivered_in_order() {
+    for_each_case(64, |rng| {
+        let sizes: Vec<usize> = (0..rng.gen_range(1..20usize))
+            .map(|_| rng.gen_range(1..64usize))
+            .collect();
+        let cap = rng.gen_range(128..1024usize);
+        let consumer_cost = rng.gen_range(0..50u64);
         let mut m = Machine::new();
         let ch = m.add_channel(ChannelSpec {
             capacity_bytes: cap,
@@ -47,48 +46,60 @@ proptest! {
             n,
         ));
         let report = m.run().expect("live pipeline");
-        prop_assert_eq!(report.channels[0].messages, n);
+        assert_eq!(report.channels[0].messages, n);
         let expected: Vec<u8> = (0..n).map(|i| (i % 251) as u8).collect();
-        prop_assert_eq!(&report.locals[1].store["seq"], &expected);
+        assert_eq!(&report.locals[1].store["seq"], &expected);
         // Byte accounting matches the payloads.
-        prop_assert_eq!(
+        assert_eq!(
             report.channels[0].bytes,
             sizes.iter().map(|&s| s as u64).sum::<u64>()
         );
-        prop_assert!(report.channels[0].peak_bytes as usize <= cap);
-    }
+        assert!(report.channels[0].peak_bytes as usize <= cap);
+    });
+}
 
-    #[test]
-    fn makespan_dominates_total_busy_per_pe(
-        costs in prop::collection::vec(1u64..200, 1..6),
-        iters in 1u64..20,
-    ) {
+#[test]
+fn makespan_dominates_total_busy_per_pe() {
+    for_each_case(64, |rng| {
+        let costs: Vec<u64> = (0..rng.gen_range(1..6usize))
+            .map(|_| rng.gen_range(1..200u64))
+            .collect();
+        let iters = rng.gen_range(1..20u64);
         let mut m = Machine::new();
         for &c in &costs {
             m.add_pe(Program::new(
-                vec![Op::Compute { label: "w".into(), work: Box::new(move |_| c) }],
+                vec![Op::Compute {
+                    label: "w".into(),
+                    work: Box::new(move |_| c),
+                }],
                 iters,
             ));
         }
         let report = m.run().expect("independent PEs");
         for (i, &c) in costs.iter().enumerate() {
-            prop_assert_eq!(report.pe[i].busy_cycles, c * iters);
-            prop_assert!(report.pe[i].finish_cycle >= c * iters);
+            assert_eq!(report.pe[i].busy_cycles, c * iters);
+            assert!(report.pe[i].finish_cycle >= c * iters);
         }
-        prop_assert_eq!(
+        assert_eq!(
             report.makespan_cycles,
             costs.iter().map(|&c| c * iters).max().expect("nonempty")
         );
-    }
+    });
+}
 
-    #[test]
-    fn budget_is_respected(budget in 1u64..500) {
+#[test]
+fn budget_is_respected() {
+    for_each_case(64, |rng| {
+        let budget = rng.gen_range(1..500u64);
         let mut m = Machine::new();
         m.add_pe(Program::new(
-            vec![Op::Compute { label: "w".into(), work: Box::new(|_| 100) }],
+            vec![Op::Compute {
+                label: "w".into(),
+                work: Box::new(|_| 100),
+            }],
             1000,
         ));
         m.set_budget_cycles(budget);
-        prop_assert!(m.run().is_err());
-    }
+        assert!(m.run().is_err());
+    });
 }

@@ -10,14 +10,12 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use spi_dataflow::{ActorId, Firing, PrecedenceGraph, SdfGraph};
 
 use crate::error::{Result, SchedError};
 
 /// A processor index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(pub usize);
 
 impl std::fmt::Display for ProcId {
@@ -47,7 +45,7 @@ impl std::fmt::Display for ProcId {
 /// assert_eq!(assign.processor_count(), 2);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     map: HashMap<Firing, ProcId>,
     processors: usize,
@@ -187,7 +185,7 @@ impl Assignment {
 /// partition is purely a grouping of [`ProcId`]s — the assignment,
 /// firing order and IPC graph are untouched, so eq. (1)/(2) bounds
 /// carry over per edge regardless of where its endpoints land.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// `node_of[p]` is the node hosting processor `p`.
     node_of: Vec<usize>,

@@ -17,8 +17,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use spi_dataflow::{EdgeId, Firing, PrecedenceGraph, SdfGraph};
 
 use crate::assign::ProcId;
@@ -26,7 +24,7 @@ use crate::error::Result;
 use crate::selftimed::SelfTimedSchedule;
 
 /// Index of a task (node) in the IPC graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub usize);
 
 impl std::fmt::Display for TaskId {
@@ -36,7 +34,7 @@ impl std::fmt::Display for TaskId {
 }
 
 /// One task: a firing pinned to a processor with an execution estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Task {
     /// The firing this task executes.
     pub firing: Firing,
@@ -47,7 +45,7 @@ pub struct Task {
 }
 
 /// Classification of IPC-graph edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IpcEdgeKind {
     /// Processor-internal sequencing between consecutive tasks.
     Sequence,
@@ -63,7 +61,7 @@ pub enum IpcEdgeKind {
 }
 
 /// A directed edge of `G_ipc`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IpcEdge {
     /// Source task (the `v_j` of eq. 3).
     pub from: TaskId,
@@ -76,7 +74,7 @@ pub struct IpcEdge {
 }
 
 /// The IPC graph of a self-timed schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IpcGraph {
     tasks: Vec<Task>,
     edges: Vec<IpcEdge>,

@@ -6,15 +6,13 @@
 //! middle ground between fully-static and fully-dynamic scheduling that
 //! the paper adopts for SPI.
 
-use serde::{Deserialize, Serialize};
-
 use spi_dataflow::{Firing, PrecedenceGraph};
 
 use crate::assign::{Assignment, ProcId};
 use crate::error::Result;
 
 /// A self-timed schedule: the assignment plus a total order per processor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelfTimedSchedule {
     assignment: Assignment,
     order: Vec<Vec<Firing>>,

@@ -17,8 +17,6 @@
 //!    implement the standard greedy heuristic with an optional
 //!    throughput-preservation guard.
 
-use serde::{Deserialize, Serialize};
-
 use spi_dataflow::EdgeId;
 
 use crate::analysis::max_cycle_mean;
@@ -26,7 +24,7 @@ use crate::error::{Result, SchedError};
 use crate::ipc_graph::{IpcEdgeKind, IpcGraph, Task, TaskId};
 
 /// Classification of synchronization edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SyncKind {
     /// Processor-internal sequencing; enforced by the program counter,
     /// costs nothing, never removable.
@@ -62,7 +60,7 @@ impl SyncKind {
 }
 
 /// One synchronization edge: `start(to, k) ≥ end(from, k − delay)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SyncEdge {
     /// Source task.
     pub from: TaskId,
@@ -75,7 +73,7 @@ pub struct SyncEdge {
 }
 
 /// Synchronization protocol chosen for one IPC edge (paper §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Bounded-buffer synchronization: usable when a static buffer bound
     /// is guaranteed; sender blocks via shared read/write pointers.
@@ -93,7 +91,7 @@ pub enum Protocol {
 }
 
 /// The synchronization graph of a self-timed SPI implementation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyncGraph {
     tasks: Vec<Task>,
     edges: Vec<SyncEdge>,
@@ -548,7 +546,7 @@ fn mcm_worse(base: Option<f64>, new: Option<f64>) -> bool {
 }
 
 /// Outcome of a resynchronization pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResyncReport {
     /// Removable sync edges before any optimization.
     pub sync_cost_before: usize,
@@ -563,7 +561,7 @@ pub struct ResyncReport {
 /// Machine-checkable witness that a removed synchronization edge's
 /// constraint is still enforced: a path in the final graph from the
 /// edge's source to its destination with total delay ≤ the edge's.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RedundancyProof {
     /// The edge that was removed.
     pub edge: SyncEdge,
@@ -578,7 +576,7 @@ pub struct RedundancyProof {
 /// justification: how many removable edges it made redundant. The
 /// greedy step only accepts a candidate whose net cost drops, so
 /// `killed ≥ 2` always holds for a sound run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResyncAddition {
     /// The added zero-delay [`SyncKind::Resync`] edge.
     pub edge: SyncEdge,
@@ -592,7 +590,7 @@ pub struct ResyncAddition {
 /// summary [`ResyncReport`]. The `spi-analyze` pass
 /// `ResyncCertification` re-derives every claim against the final
 /// graph and reports SPI061/SPI062 when anything fails to check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResyncCertificate {
     /// Proven removals.
     pub removals: Vec<RedundancyProof>,

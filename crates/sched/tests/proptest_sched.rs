@@ -1,35 +1,33 @@
-//! Property-based tests of the scheduling and synchronization layer.
-
-use proptest::prelude::*;
+//! Property tests of the scheduling and synchronization layer, each a
+//! seeded loop over 64 cases (`SPI_CHAOS_SEED=<case>` replays one).
 
 use spi_dataflow::{PrecedenceGraph, SdfGraph};
+use spi_platform::rng::{for_each_case, SplitMix64};
 use spi_sched::{
     latency, maximum_cycle_ratio, Assignment, IpcGraph, ProcId, Protocol, SelfTimedSchedule,
     SyncGraph, WeightedEdge,
 };
 
-/// Strategy: a live random pipeline with a delayed feedback edge, plus a
+/// A live random pipeline with a delayed feedback edge, plus a
 /// processor count.
-fn scenario() -> impl Strategy<Value = (SdfGraph, usize)> {
-    (
-        prop::collection::vec(1u64..40, 2..7), // exec times
-        1usize..4,                             // processors
-        1u64..4,                               // feedback delay
-    )
-        .prop_map(|(execs, procs, delay)| {
-            let mut g = SdfGraph::new();
-            let actors: Vec<_> = execs
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| g.add_actor(format!("v{i}"), c))
-                .collect();
-            for w in actors.windows(2) {
-                g.add_edge(w[0], w[1], 1, 1, 0, 4).expect("edge");
-            }
-            g.add_edge(*actors.last().expect("nonempty"), actors[0], 1, 1, delay, 4)
-                .expect("feedback");
-            (g, procs)
-        })
+fn scenario(rng: &mut SplitMix64) -> (SdfGraph, usize) {
+    let execs: Vec<u64> = (0..rng.gen_range(2..7usize))
+        .map(|_| rng.gen_range(1..40u64))
+        .collect();
+    let procs = rng.gen_range(1..4usize);
+    let delay = rng.gen_range(1..4u64);
+    let mut g = SdfGraph::new();
+    let actors: Vec<_> = execs
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| g.add_actor(format!("v{i}"), c))
+        .collect();
+    for w in actors.windows(2) {
+        g.add_edge(w[0], w[1], 1, 1, 0, 4).expect("edge");
+    }
+    g.add_edge(*actors.last().expect("nonempty"), actors[0], 1, 1, delay, 4)
+        .expect("feedback");
+    (g, procs)
 }
 
 fn build_sync(g: &SdfGraph, procs: usize, ack: u64) -> SyncGraph {
@@ -40,98 +38,150 @@ fn build_sync(g: &SdfGraph, procs: usize, ack: u64) -> SyncGraph {
     SyncGraph::from_ipc(&ipc, |_| Protocol::Ubs { ack_window: ack }).expect("live")
 }
 
-proptest! {
-    #[test]
-    fn hlfet_schedules_are_always_valid((g, procs) in scenario()) {
+#[test]
+fn hlfet_schedules_are_always_valid() {
+    for_each_case(64, |rng| {
+        let (g, procs) = scenario(rng);
         let pg = PrecedenceGraph::expand(&g).expect("consistent");
         let assign = Assignment::hlfet(&g, &pg, procs).expect("assigned");
         // from_assignment validates precedence internally; HLFET must
         // always produce a coverable assignment.
         let st = SelfTimedSchedule::from_assignment(&pg, assign).expect("valid");
-        prop_assert_eq!(st.total_firings(), pg.firings().len());
-    }
+        assert_eq!(st.total_firings(), pg.firings().len());
+    });
+}
 
-    #[test]
-    fn resync_never_increases_cost_or_breaks_liveness((g, procs) in scenario()) {
+#[test]
+fn resync_never_increases_cost_or_breaks_liveness() {
+    for_each_case(64, |rng| {
+        let (g, procs) = scenario(rng);
         let mut sg = build_sync(&g, procs, 2);
         let before = sg.sync_cost();
         let report = sg.resynchronize(true);
-        prop_assert!(report.sync_cost_after <= before);
-        prop_assert_eq!(report.sync_cost_after, sg.sync_cost());
-        prop_assert!(!sg.has_zero_delay_cycle());
-    }
+        assert!(report.sync_cost_after <= before);
+        assert_eq!(report.sync_cost_after, sg.sync_cost());
+        assert!(!sg.has_zero_delay_cycle());
+    });
+}
 
-    #[test]
-    fn resync_preserves_original_constraints((g, procs) in scenario()) {
-        let original = build_sync(&g, procs, 1);
-        let mut optimized = original.clone();
-        optimized.resynchronize(false);
-        // Min-plus closure of the optimized graph must still enforce
-        // every original edge.
-        let n = optimized.tasks().len();
-        let mut dist = vec![vec![u64::MAX; n]; n];
-        for (i, row) in dist.iter_mut().enumerate() { row[i] = 0; }
-        for e in optimized.edges() {
-            let d = &mut dist[e.from.0][e.to.0];
-            *d = (*d).min(e.delay);
-        }
-        for k in 0..n {
-            for i in 0..n {
-                for j in 0..n {
-                    if dist[i][k] != u64::MAX && dist[k][j] != u64::MAX {
-                        dist[i][j] = dist[i][j].min(dist[i][k] + dist[k][j]);
-                    }
+/// Asserts that `reduced` still enforces every edge of `original`: it
+/// has a path of no greater delay (min-plus closure, Floyd–Warshall).
+fn assert_enforced(original: &SyncGraph, reduced: &SyncGraph) {
+    let n = reduced.tasks().len();
+    let mut dist = vec![vec![u64::MAX; n]; n];
+    for (i, row) in dist.iter_mut().enumerate() {
+        row[i] = 0;
+    }
+    for e in reduced.edges() {
+        let d = &mut dist[e.from.0][e.to.0];
+        *d = (*d).min(e.delay);
+    }
+    for k in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                if dist[i][k] != u64::MAX && dist[k][j] != u64::MAX {
+                    dist[i][j] = dist[i][j].min(dist[i][k] + dist[k][j]);
                 }
             }
         }
-        for e in original.edges() {
-            prop_assert!(dist[e.from.0][e.to.0] <= e.delay);
-        }
     }
+    for e in original.edges() {
+        assert!(
+            dist[e.from.0][e.to.0] <= e.delay,
+            "constraint {} -> {} (d={}) lost",
+            e.from.0,
+            e.to.0,
+            e.delay
+        );
+    }
+}
 
-    #[test]
-    fn measured_period_never_beats_mcm((g, procs) in scenario()) {
-        // The analytic maximum cycle mean lower-bounds the asymptotic
-        // period; the measured finite-horizon period converges from
-        // above (up to transient effects within tolerance).
+#[test]
+fn resync_preserves_original_constraints() {
+    for_each_case(64, |rng| {
+        let (g, procs) = scenario(rng);
+        let original = build_sync(&g, procs, 1);
+        let mut optimized = original.clone();
+        optimized.resynchronize(false);
+        assert_enforced(&original, &optimized);
+    });
+}
+
+#[test]
+fn redundancy_removal_preserves_constraints() {
+    for_each_case(64, |rng| {
+        let (g, procs) = scenario(rng);
+        let original = build_sync(&g, procs, rng.gen_range(1..=3u64));
+        let mut reduced = original.clone();
+        reduced.remove_redundant();
+        assert!(!reduced.has_zero_delay_cycle());
+        assert_enforced(&original, &reduced);
+    });
+}
+
+#[test]
+fn measured_period_never_beats_mcm() {
+    // The analytic maximum cycle mean lower-bounds the asymptotic
+    // period; the measured finite-horizon period converges from above
+    // (up to transient effects within tolerance).
+    for_each_case(64, |rng| {
+        let (g, procs) = scenario(rng);
         let sg = build_sync(&g, procs, 2);
         if let Some(mcm) = sg.iteration_period() {
             let measured = latency::measured_period(&sg, 48);
-            prop_assert!(
+            assert!(
                 measured >= mcm * 0.95,
                 "measured {measured} far below analytic bound {mcm}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn mcr_scales_linearly_with_weights(
-        w1 in 1u64..50, w2 in 1u64..50, d in 1u64..5, scale in 2u64..5
-    ) {
+#[test]
+fn mcr_scales_linearly_with_weights() {
+    for_each_case(64, |rng| {
+        let (w1, w2) = (rng.gen_range(1..50u64), rng.gen_range(1..50u64));
+        let (d, scale) = (rng.gen_range(1..5u64), rng.gen_range(2..5u64));
         let base = [
-            WeightedEdge { from: 0, to: 1, weight: w1, delay: 0 },
-            WeightedEdge { from: 1, to: 0, weight: w2, delay: d },
+            WeightedEdge {
+                from: 0,
+                to: 1,
+                weight: w1,
+                delay: 0,
+            },
+            WeightedEdge {
+                from: 1,
+                to: 0,
+                weight: w2,
+                delay: d,
+            },
         ];
         let scaled: Vec<WeightedEdge> = base
             .iter()
-            .map(|e| WeightedEdge { weight: e.weight * scale, ..*e })
+            .map(|e| WeightedEdge {
+                weight: e.weight * scale,
+                ..*e
+            })
             .collect();
         let r1 = maximum_cycle_ratio(2, &base).expect("cyclic");
         let r2 = maximum_cycle_ratio(2, &scaled).expect("cyclic");
-        prop_assert!((r2 - r1 * scale as f64).abs() < 1e-6 * r2.max(1.0));
-    }
+        assert!((r2 - r1 * scale as f64).abs() < 1e-6 * r2.max(1.0));
+    });
+}
 
-    #[test]
-    fn latency_is_monotone_under_added_constraints((g, procs) in scenario()) {
-        // Removing redundant edges must not increase any task's first
-        // completion (constraints only ever get weaker).
+#[test]
+fn latency_is_monotone_under_added_constraints() {
+    // Removing redundant edges must not increase any task's first
+    // completion (constraints only ever get weaker).
+    for_each_case(64, |rng| {
+        let (g, procs) = scenario(rng);
         let sg = build_sync(&g, procs, 2);
         let before = latency::self_timed_times(&sg, 1);
         let mut reduced = sg.clone();
         reduced.remove_redundant();
         let after = latency::self_timed_times(&reduced, 1);
         for t in 0..sg.tasks().len() {
-            prop_assert!(after[0][t].1 <= before[0][t].1);
+            assert!(after[0][t].1 <= before[0][t].1);
         }
-    }
+    });
 }

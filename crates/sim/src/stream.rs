@@ -44,19 +44,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use spi_net::NetStream;
+use spi_platform::rng::SplitMix64;
 use spi_platform::shim::{self, Condvar, Mutex};
 
 /// Largest single `write` the stream accepts. Chosen co-prime with the
 /// wire format's 4-byte length prefix so records fragment mid-header.
 pub const MAX_WRITE_CHUNK: usize = 7;
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 struct Half {
     buf: VecDeque<u8>,
@@ -65,14 +58,14 @@ struct Half {
     eof: bool,
     /// Draws the partial-I/O boundaries and write refusals; `None`
     /// moves every read and write whole.
-    rng: Option<u64>,
+    rng: Option<SplitMix64>,
 }
 
 impl Half {
     /// How many of `most` bytes the next read or write moves.
     fn chunk(&mut self, most: usize) -> usize {
         match &mut self.rng {
-            Some(rng) => 1 + (splitmix(rng) as usize) % most,
+            Some(rng) => rng.gen_range(1..=most),
             None => most,
         }
     }
@@ -84,13 +77,13 @@ struct Dir {
 }
 
 impl Dir {
-    fn new(seed: Option<u64>, label: &'static str) -> Arc<Dir> {
+    fn new(rng: Option<SplitMix64>, label: &'static str) -> Arc<Dir> {
         Arc::new(Dir {
             st: Mutex::labeled(
                 Half {
                     buf: VecDeque::new(),
                     eof: false,
-                    rng: seed,
+                    rng,
                 },
                 label,
             ),
@@ -139,8 +132,9 @@ pub struct SimStream {
 /// primitives fall back to `std::sync`), making it usable from plain
 /// unit tests too.
 pub fn sim_stream_pair(seed: u64) -> (SimStream, SimStream) {
-    let mut s = seed ^ 0xA076_1D64_78BD_642F;
-    pair([Some(splitmix(&mut s)), Some(splitmix(&mut s))])
+    let mut s = SplitMix64::seed_from_u64(seed ^ 0xA076_1D64_78BD_642F);
+    let mut half = || Some(SplitMix64::seed_from_u64(s.next_u64()));
+    pair([half(), half()])
 }
 
 /// Creates a connected pair of [`SimStream`] endpoints that never split
@@ -150,7 +144,7 @@ pub fn sim_socket_pair() -> (SimStream, SimStream) {
     pair([None, None])
 }
 
-fn pair([a2b, b2a]: [Option<u64>; 2]) -> (SimStream, SimStream) {
+fn pair([a2b, b2a]: [Option<SplitMix64>; 2]) -> (SimStream, SimStream) {
     let a2b = Dir::new(a2b, "sim_stream_a2b");
     let b2a = Dir::new(b2a, "sim_stream_b2a");
     (
@@ -222,12 +216,13 @@ impl Write for SimStream {
         // A non-blocking write may be refused, as a full socket would
         // refuse it.
         if let (true, Some(rng)) = (self.mode.nonblocking.load(Ordering::SeqCst), &mut h.rng) {
-            if splitmix(rng).is_multiple_of(2) {
+            if rng.next_u64().is_multiple_of(2) {
                 return Err(io::ErrorKind::WouldBlock.into());
             }
         }
         let cap = h
             .rng
+            .as_ref()
             .map_or(data.len(), |_| data.len().min(MAX_WRITE_CHUNK));
         let n = h.chunk(cap);
         h.buf.extend(&data[..n]);

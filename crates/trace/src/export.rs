@@ -9,8 +9,8 @@
 //! microsecond so the viewer's zoom numbers read directly as the
 //! trace's native unit.
 //!
-//! JSON is emitted by hand — the workspace builds offline and the serde
-//! shim has no serializer; the same approach as the bench writers.
+//! JSON is emitted by hand — the workspace depends on no external
+//! crates; the same approach as the bench writers.
 
 use std::fmt::Write as _;
 

@@ -72,7 +72,7 @@ else
     cargo test --release -p spi-platform --test transport_stress "$@"
   done
   cargo test --release --test engine_equivalence "$@"
-  echo "-- socket endpoints (flush contract, thread count, credit proptest), 3 rounds"
+  echo "-- socket endpoints (flush contract, thread count, credit property), 3 rounds"
   for round in 1 2 3; do
     cargo test --release -p spi-net --test transport --test proptest_net --test wire "$@"
   done

@@ -13,6 +13,7 @@
 use std::time::Duration;
 
 use spi_repro::dataflow::SdfGraph;
+use spi_repro::platform::rng::cases;
 use spi_repro::platform::{ChannelId, ChannelSpec, Machine, Op, Program, ThreadedRunner};
 
 #[path = "support/oracle.rs"]
@@ -162,16 +163,15 @@ fn engines_agree_with_prologues_and_backpressure() {
 /// keep a generator regression from leaving it vacuous.
 #[test]
 fn generated_systems_agree_with_the_reference() {
-    let var = |name| std::env::var(name).ok().and_then(|v| v.trim().parse().ok());
-    let seeds = match var("SPI_CHAOS_SEED") {
-        Some(seed) => seed..seed + 1,
-        None => 0..var("CHAOS_CASES").unwrap_or(oracle::SYSTEMS),
-    };
+    let systems = std::env::var("CHAOS_CASES")
+        .ok()
+        .and_then(|v| v.trim().parse().ok());
+    let seeds = cases(systems.unwrap_or(oracle::SYSTEMS));
     let mut covered = oracle::Covered::default();
-    for seed in seeds.clone() {
+    for &seed in &seeds {
         covered.add(oracle::check_seed(seed));
     }
-    let checked = seeds.end - seeds.start;
+    let checked = seeds.len() as u64;
     eprintln!("{checked} generated systems agree with the reference");
     let whole_set = checked >= oracle::SYSTEMS;
     for (what, count, floor) in covered.floors() {

