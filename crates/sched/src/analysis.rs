@@ -114,31 +114,34 @@ impl SpeedupBounds {
 ///
 /// # Errors
 ///
-/// Anything [`spi_dataflow::PrecedenceGraph::expand`] can return.
+/// Anything [`spi_dataflow::PrecedenceGraph::expand`] can return, and
+/// [`spi_dataflow::DataflowError::Deadlock`] naming the actors whose
+/// firings sit on or behind a delay-0 precedence cycle.
 pub fn speedup_bounds(
     graph: &spi_dataflow::SdfGraph,
 ) -> Result<SpeedupBounds, spi_dataflow::DataflowError> {
     let pg = spi_dataflow::PrecedenceGraph::expand(graph)?;
     let firings = pg.firings();
-    let exec = |f: &spi_dataflow::Firing| graph.actor(f.actor).exec_cycles;
-    let total_work_cycles: u64 = firings.iter().map(exec).sum();
+    let exec = |i: usize| graph.actor(firings[i].actor).exec_cycles;
+    let total_work_cycles: u64 = (0..firings.len()).map(exec).sum();
 
-    use std::collections::HashMap;
-    let idx: HashMap<spi_dataflow::Firing, usize> =
+    let idx: std::collections::HashMap<spi_dataflow::Firing, usize> =
         firings.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-    let order = pg
-        .topological_order()
-        .expect("APG of a consistent graph is acyclic");
+    let apg: Vec<(usize, usize)> = pg.apg_edges().map(|e| (idx[&e.from], idx[&e.to])).collect();
+    let mut preds = vec![Vec::new(); firings.len()];
+    for &(u, v) in &apg {
+        preds[v].push(u);
+    }
+    let order = topological_order(firings.len(), apg).map_err(|stuck| {
+        let mut starved: Vec<_> = stuck.into_iter().map(|i| firings[i].actor).collect();
+        starved.sort_unstable();
+        starved.dedup();
+        spi_dataflow::DataflowError::Deadlock { starved }
+    })?;
     let mut finish = vec![0u64; firings.len()];
-    for f in order {
-        let u = idx[&f];
-        let ready = pg
-            .apg_edges()
-            .filter(|e| e.to == f)
-            .map(|e| finish[idx[&e.from]])
-            .max()
-            .unwrap_or(0);
-        finish[u] = ready + exec(&f);
+    for u in order {
+        let ready = preds[u].iter().map(|&p| finish[p]).max().unwrap_or(0);
+        finish[u] = ready + exec(u);
     }
     Ok(SpeedupBounds {
         total_work_cycles,
@@ -146,30 +149,42 @@ pub fn speedup_bounds(
     })
 }
 
-/// Cycle detection over the subgraph of edges passing `filter`.
-fn has_cycle(n: usize, edges: &[WeightedEdge], filter: impl Fn(&WeightedEdge) -> bool) -> bool {
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for e in edges.iter().filter(|e| filter(e)) {
-        adj[e.from].push(e.to);
-    }
+/// Kahn's algorithm over nodes `0..n` and the `(from, to)` pairs of
+/// `edges`: a topological order, or `Err` with the nodes that never
+/// drain (each lies on a cycle or downstream of one), in index order.
+pub(crate) fn topological_order(
+    n: usize,
+    edges: impl IntoIterator<Item = (usize, usize)>,
+) -> Result<Vec<usize>, Vec<usize>> {
+    let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut indeg = vec![0usize; n];
-    for row in &adj {
-        for &v in row {
-            indeg[v] += 1;
-        }
+    for (u, v) in edges {
+        succ[u].push(v);
+        indeg[v] += 1;
     }
-    let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut seen = 0;
-    while let Some(u) = stack.pop() {
-        seen += 1;
-        for &v in &adj[u] {
+    // The order doubles as the work queue: `order[head..]` is ready.
+    let mut order: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        for &v in &succ[u] {
             indeg[v] -= 1;
             if indeg[v] == 0 {
-                stack.push(v);
+                order.push(v);
             }
         }
     }
-    seen != n
+    if order.len() == n {
+        Ok(order)
+    } else {
+        Err((0..n).filter(|&i| indeg[i] > 0).collect())
+    }
+}
+
+/// Cycle detection over the subgraph of edges passing `filter`.
+fn has_cycle(n: usize, edges: &[WeightedEdge], filter: impl Fn(&WeightedEdge) -> bool) -> bool {
+    let kept = edges.iter().filter(|e| filter(e)).map(|e| (e.from, e.to));
+    topological_order(n, kept).is_err()
 }
 
 /// Does a cycle with `Σ(w − λ·d) > 0` exist? (Bellman–Ford, run from a
@@ -353,6 +368,30 @@ mod tests {
         let bounds = speedup_bounds(&g).unwrap();
         assert_eq!(bounds.total_work_cycles, bounds.critical_path_cycles);
         assert!((bounds.max_speedup() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn speedup_bounds_names_the_actors_of_a_deadlocked_cycle() {
+        // c feeds a ⇄ b, a cycle with no initial token: c drains, a and
+        // b never do.
+        let mut g = spi_dataflow::SdfGraph::new();
+        let c = g.add_actor("c", 1);
+        let a = g.add_actor("a", 1);
+        let b = g.add_actor("b", 1);
+        g.add_edge(c, a, 1, 1, 0, 4).unwrap();
+        g.add_edge(a, b, 1, 1, 0, 4).unwrap();
+        g.add_edge(b, a, 1, 1, 0, 4).unwrap();
+        let starved = vec![a, b];
+        let err = speedup_bounds(&g).unwrap_err();
+        assert_eq!(err, spi_dataflow::DataflowError::Deadlock { starved });
+    }
+
+    #[test]
+    fn topological_order_or_the_undrained_nodes() {
+        assert_eq!(topological_order(3, [(2, 1), (1, 0)]), Ok(vec![2, 1, 0]));
+        // 0 → 1 ⇄ 2 → 3: node 0 drains, the cycle and what it feeds do not.
+        let edges = [(0, 1), (1, 2), (2, 1), (2, 3)];
+        assert_eq!(topological_order(4, edges), Err(vec![1, 2, 3]));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 
 use spi_dataflow::{ActorId, Firing, PrecedenceGraph, SdfGraph};
 
+use crate::analysis::topological_order;
 use crate::error::{Result, SchedError};
 
 /// A processor index.
@@ -90,7 +91,9 @@ impl Assignment {
     ///
     /// # Errors
     ///
-    /// [`SchedError::NoProcessors`] for a zero processor count.
+    /// [`SchedError::NoProcessors`] for a zero processor count;
+    /// [`SchedError::ZeroDelayCycle`] if `pg`'s delay-0 precedence edges
+    /// form a cycle (the graph deadlocks).
     pub fn hlfet(graph: &SdfGraph, pg: &PrecedenceGraph, processors: usize) -> Result<Self> {
         if processors == 0 {
             return Err(SchedError::NoProcessors);
@@ -100,49 +103,41 @@ impl Assignment {
         let idx: HashMap<Firing, usize> =
             firings.iter().enumerate().map(|(i, &f)| (f, i)).collect();
 
-        // Build APG adjacency.
+        // APG adjacency, both directions.
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut pred_count = vec![0usize; n];
-        for p in pg.apg_edges() {
-            let (u, v) = (idx[&p.from], idx[&p.to]);
+        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let apg: Vec<(usize, usize)> = pg.apg_edges().map(|p| (idx[&p.from], idx[&p.to])).collect();
+        for &(u, v) in &apg {
             succ[u].push(v);
-            pred_count[v] += 1;
+            preds[v].push(u);
         }
 
         // Static levels via reverse topological order.
         let exec = |i: usize| graph.actor(firings[i].actor).exec_cycles;
-        let order = pg
-            .topological_order()
-            .expect("APG of a consistent graph is acyclic");
+        let order = topological_order(n, apg).map_err(|_| SchedError::ZeroDelayCycle)?;
         let mut level = vec![0u64; n];
-        for &f in order.iter().rev() {
-            let u = idx[&f];
+        for &u in order.iter().rev() {
             let best_succ = succ[u].iter().map(|&v| level[v]).max().unwrap_or(0);
             level[u] = exec(u) + best_succ;
         }
 
         // List schedule: ready set ordered by (level desc, firing id asc).
-        let mut ready: Vec<usize> = (0..n).filter(|&i| pred_count[i] == 0).collect();
+        let mut ready: Vec<usize> = (0..n).filter(|&i| preds[i].is_empty()).collect();
         let mut proc_free = vec![0u64; processors];
         let mut finish = vec![0u64; n];
         let mut map = HashMap::new();
-        let mut remaining_preds = pred_count;
+        let mut remaining_preds: Vec<usize> = preds.iter().map(Vec::len).collect();
         let mut scheduled = 0;
         while scheduled < n {
             ready.sort_by(|&x, &y| level[y].cmp(&level[x]).then(firings[x].cmp(&firings[y])));
             let u = ready.remove(0);
             // Earliest start = max(processor free, predecessors' finish).
-            let data_ready = pg
-                .apg_edges()
-                .filter(|p| idx[&p.to] == u)
-                .map(|p| finish[idx[&p.from]])
-                .max()
-                .unwrap_or(0);
-            let (best_p, _) = proc_free
-                .iter()
-                .enumerate()
-                .min_by_key(|&(p, &free)| (free.max(data_ready), p))
-                .expect("processors > 0");
+            let data_ready = preds[u].iter().map(|&p| finish[p]).max().unwrap_or(0);
+            let Some((best_p, _)) =
+                (proc_free.iter().enumerate()).min_by_key(|&(p, &free)| (free.max(data_ready), p))
+            else {
+                return Err(SchedError::NoProcessors);
+            };
             let start = proc_free[best_p].max(data_ready);
             finish[u] = start + exec(u);
             proc_free[best_p] = finish[u];

@@ -21,8 +21,9 @@ pub enum SchedError {
     },
     /// The requested processor count was zero.
     NoProcessors,
-    /// The synchronization graph contains a zero-delay cycle, so the
-    /// self-timed execution deadlocks.
+    /// The synchronization graph, or the precedence graph a schedule is
+    /// derived from, contains a zero-delay cycle, so the self-timed
+    /// execution deadlocks.
     ZeroDelayCycle,
 }
 
@@ -36,7 +37,7 @@ impl fmt::Display for SchedError {
             }
             SchedError::NoProcessors => write!(f, "processor count must be positive"),
             SchedError::ZeroDelayCycle => {
-                write!(f, "synchronization graph has a zero-delay cycle (deadlock)")
+                write!(f, "zero-delay cycle in the schedule (deadlock)")
             }
         }
     }

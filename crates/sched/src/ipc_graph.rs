@@ -109,9 +109,9 @@ impl IpcGraph {
         let mut edges = Vec::new();
         // Same-processor sequencing + loopback.
         for (_, order) in schedule.processors() {
-            if order.is_empty() {
+            let (Some(first), Some(last)) = (order.first(), order.last()) else {
                 continue;
-            }
+            };
             for w in order.windows(2) {
                 edges.push(IpcEdge {
                     from: by_firing[&w[0]],
@@ -121,8 +121,8 @@ impl IpcGraph {
                 });
             }
             edges.push(IpcEdge {
-                from: by_firing[order.last().expect("nonempty")],
-                to: by_firing[&order[0]],
+                from: by_firing[last],
+                to: by_firing[first],
                 delay: 1,
                 kind: IpcEdgeKind::Loopback,
             });

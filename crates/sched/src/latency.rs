@@ -5,8 +5,9 @@
 //! steady-state throughput is unchanged (Sriram & Bhattacharyya treat
 //! this as latency-constrained resynchronization). This module computes
 //! self-timed start/end times directly from the paper's eq. (3)
-//! semantics — `start(v, k) ≥ end(v_j, k − delay)` — by fixed-point
-//! iteration over a finite horizon, and measures the period over it.
+//! semantics — `start(v, k) ≥ end(v_j, k − delay)` — in one forward pass
+//! over a finite horizon, O(horizon · edges), and measures the period
+//! over it.
 
 use crate::sync_graph::SyncGraph;
 
@@ -16,41 +17,40 @@ use crate::sync_graph::SyncGraph;
 ///
 /// Returns `times[k][t] = (start, end)` for iteration `k` and task `t`.
 /// Tasks with no enabling constraints start at cycle 0 of iteration 0.
+///
+/// Each iteration is one pass over the tasks in a topological order of
+/// the zero-delay edges, each task reading only its own incoming edges:
+/// a delayed edge reads an iteration already finished, a zero-delay one
+/// a task already visited in this one. That is the least fixed point of
+/// eq. (3), the ASAP schedule.
 pub fn self_timed_times(graph: &SyncGraph, iterations: u64) -> Vec<Vec<(u64, u64)>> {
-    let n = graph.tasks().len();
-    let iters = iterations as usize;
-    let exec: Vec<u64> = graph.tasks().iter().map(|t| t.exec_cycles).collect();
-    let mut times = vec![vec![(0u64, 0u64); n]; iters];
+    let tasks = graph.tasks();
+    let mut incoming: Vec<Vec<(usize, u64)>> = vec![Vec::new(); tasks.len()];
+    for e in graph.edges() {
+        incoming[e.to.0].push((e.from.0, e.delay));
+    }
+    // Every `SyncGraph` constructor rejects zero-delay cycles, so the order exists.
+    #[allow(clippy::expect_used)]
+    let order = graph
+        .zero_delay_order()
+        .expect("a SyncGraph has no zero-delay cycle");
 
-    // Iterate to fixed point: constraints only reference earlier or
-    // same-iteration events, so a few sweeps converge (same-iteration
-    // cycles are excluded by the zero-delay-cycle liveness check).
-    let mut changed = true;
-    let mut sweeps = 0;
-    while changed && sweeps < n * iters + 2 {
-        changed = false;
-        sweeps += 1;
-        for k in 0..iters {
-            for t in 0..n {
-                let mut start = 0u64;
-                for e in graph.edges() {
-                    if e.to.0 != t {
-                        continue;
-                    }
-                    let dep_iter = k as i64 - e.delay as i64;
-                    if dep_iter < 0 {
-                        continue; // satisfied by initial state
-                    }
-                    let (_, dep_end) = times[dep_iter as usize][e.from.0];
-                    start = start.max(dep_end);
-                }
-                let end = start + exec[t];
-                if times[k][t] != (start, end) {
-                    times[k][t] = (start, end);
-                    changed = true;
-                }
+    let mut times: Vec<Vec<(u64, u64)>> = Vec::with_capacity(iterations as usize);
+    for k in 0..iterations {
+        let mut row = vec![(0u64, 0u64); tasks.len()];
+        for &t in &order {
+            let mut start = 0u64;
+            for &(from, delay) in &incoming[t] {
+                let dep_end = match (delay, k.checked_sub(delay)) {
+                    (0, _) => row[from].1,
+                    (_, Some(dep)) => times[dep as usize][from].1,
+                    (_, None) => continue, // satisfied by initial state
+                };
+                start = start.max(dep_end);
             }
+            row[t] = (start, start + tasks[t].exec_cycles);
         }
+        times.push(row);
     }
     times
 }
@@ -58,18 +58,18 @@ pub fn self_timed_times(graph: &SyncGraph, iterations: u64) -> Vec<Vec<(u64, u64
 /// Average iteration period measured over a finite horizon (converges to
 /// the maximum cycle mean as the horizon grows).
 pub fn measured_period(graph: &SyncGraph, iterations: u64) -> f64 {
-    if iterations == 0 || graph.tasks().is_empty() {
+    if graph.tasks().is_empty() {
         return 0.0;
     }
     let times = self_timed_times(graph, iterations);
-    let last = times.last().expect("nonempty horizon");
-    let first = times.first().expect("nonempty horizon");
-    let makespan_last = last.iter().map(|&(_, e)| e).max().unwrap_or(0);
-    let makespan_first = first.iter().map(|&(_, e)| e).max().unwrap_or(0);
+    let makespan = |row: &[(u64, u64)]| row.iter().map(|&(_, e)| e).max().unwrap_or(0);
+    let (Some(first), Some(last)) = (times.first(), times.last()) else {
+        return 0.0; // an empty horizon
+    };
     if iterations == 1 {
-        makespan_last as f64
+        makespan(last) as f64
     } else {
-        (makespan_last - makespan_first) as f64 / (iterations - 1) as f64
+        (makespan(last) - makespan(first)) as f64 / (iterations - 1) as f64
     }
 }
 

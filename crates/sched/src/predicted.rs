@@ -2,18 +2,19 @@
 //!
 //! The paper's eq. (3) semantics give every task of the synchronization
 //! graph an analytic ASAP start/end time; [`crate::latency`] computes
-//! those by fixed-point iteration. This module packages the numbers the
-//! *runtime* side wants to compare itself against: an iteration-period
-//! estimate (the maximum cycle mean the schedule converges to) and a
-//! **makespan bound** for a finite horizon of iterations — the value a
-//! trace-conformance checker holds an observed execution against.
+//! those in one forward pass per iteration. This module packages the
+//! numbers the *runtime* side wants to compare itself against: an
+//! iteration-period estimate (the maximum cycle mean the schedule
+//! converges to) and a **makespan bound** for a finite horizon of
+//! iterations — the value a trace-conformance checker holds an observed
+//! execution against.
 //!
-//! The bound is computed exactly (fixed point) up to a capped horizon
-//! and extrapolated linearly past it using the worst of the analytic
-//! period and the measured tail increment, rounded up — extrapolation
-//! never undercuts the exact value for a longer horizon, because
-//! self-timed iteration increments are non-increasing toward the steady
-//! state (monotonicity of eq. (3) with fixed initial tokens).
+//! The bound is exact (eq. (3) evaluated iteration by iteration) up to a
+//! capped horizon and extrapolated linearly past it using the worst of
+//! the analytic period and the measured tail increment, rounded up —
+//! extrapolation never undercuts the exact value for a longer horizon,
+//! because self-timed iteration increments are non-increasing toward the
+//! steady state (monotonicity of eq. (3) with fixed initial tokens).
 //!
 //! The numbers cover **computation and synchronization ordering only**:
 //! the sync graph carries no per-message communication costs (channel
@@ -26,8 +27,8 @@ use std::time::Duration;
 use crate::latency::self_timed_times;
 use crate::sync_graph::SyncGraph;
 
-/// Horizon up to which the makespan is computed by exact fixed point;
-/// longer horizons extrapolate from this prefix.
+/// Horizon up to which the makespan is computed exactly; longer horizons
+/// extrapolate from this prefix.
 const EXACT_HORIZON_CAP: u64 = 256;
 
 /// Analytic performance prediction for a self-timed schedule over a
@@ -89,10 +90,15 @@ impl PredictedMetrics {
 }
 
 /// Computes [`PredictedMetrics`] for `iterations` of `graph` under the
-/// self-timed (eq. 3) semantics.
-pub fn predicted_metrics(graph: &SyncGraph, iterations: u64) -> PredictedMetrics {
+/// self-timed (eq. 3) semantics. `period` is `graph`'s
+/// [`SyncGraph::iteration_period`], passed in so that a caller which
+/// already has it does not run the cycle-mean search twice.
+pub fn predicted_metrics(
+    graph: &SyncGraph,
+    iterations: u64,
+    period: Option<f64>,
+) -> PredictedMetrics {
     let tasks = graph.tasks().len();
-    let period = graph.iteration_period();
     if tasks == 0 || iterations == 0 {
         return PredictedMetrics {
             tasks,
@@ -163,7 +169,7 @@ mod tests {
     #[test]
     fn one_iteration_matches_first_completion() {
         let sg = two_proc_pipeline(&[10, 20, 30]);
-        let m = predicted_metrics(&sg, 1);
+        let m = predicted_metrics(&sg, 1, sg.iteration_period());
         assert_eq!(m.first_iteration_makespan, 60);
         assert_eq!(m.makespan_cycles, 60);
         assert_eq!(m.horizon, 1);
@@ -175,7 +181,7 @@ mod tests {
         let sg = two_proc_pipeline(&[10, 40, 10]);
         let mut prev = 0;
         for iters in [1, 2, 4, 8, 32] {
-            let m = predicted_metrics(&sg, iters).makespan_cycles;
+            let m = predicted_metrics(&sg, iters, sg.iteration_period()).makespan_cycles;
             assert!(m >= prev, "{iters} iterations: {m} < {prev}");
             prev = m;
         }
@@ -185,8 +191,8 @@ mod tests {
     fn extrapolated_bound_dominates_exact_fixpoint() {
         let sg = two_proc_pipeline(&[10, 20, 5]);
         // 300 > EXACT_HORIZON_CAP forces the extrapolated path; the
-        // directly computed fixpoint must stay under the bound.
-        let predicted = predicted_metrics(&sg, 300).makespan_cycles;
+        // directly computed schedule must stay under the bound.
+        let predicted = predicted_metrics(&sg, 300, sg.iteration_period()).makespan_cycles;
         let exact = self_timed_times(&sg, 300)
             .last()
             .unwrap()
@@ -208,14 +214,14 @@ mod tests {
     #[test]
     fn slack_adds_per_iteration_and_fixed_terms() {
         let sg = two_proc_pipeline(&[10, 10]);
-        let m = predicted_metrics(&sg, 5);
+        let m = predicted_metrics(&sg, 5, sg.iteration_period());
         assert_eq!(m.makespan_with_slack(7, 100), m.makespan_cycles + 35 + 100);
     }
 
     #[test]
     fn zero_iterations_predict_zero() {
         let sg = two_proc_pipeline(&[10, 10]);
-        let m = predicted_metrics(&sg, 0);
+        let m = predicted_metrics(&sg, 0, sg.iteration_period());
         assert_eq!(m.makespan_cycles, 0);
         assert_eq!(m.first_iteration_makespan, 0);
     }
@@ -223,7 +229,7 @@ mod tests {
     #[test]
     fn op_deadline_scales_with_clock_and_safety_factor() {
         let sg = two_proc_pipeline(&[10, 20, 30]);
-        let m = predicted_metrics(&sg, 1);
+        let m = predicted_metrics(&sg, 1, sg.iteration_period());
         // 60 cycles at 1 MHz = 60 µs per iteration; ×10 safety = 600 µs.
         let d = m.op_deadline(1_000_000, 10.0).unwrap();
         assert_eq!(d, Duration::from_micros(600));
@@ -235,7 +241,7 @@ mod tests {
     #[test]
     fn op_deadline_uses_worst_of_fill_and_amortized_cost() {
         let sg = two_proc_pipeline(&[10, 40, 10]);
-        let m = predicted_metrics(&sg, 64);
+        let m = predicted_metrics(&sg, 64, sg.iteration_period());
         let amortized = m.makespan_cycles.div_ceil(m.horizon);
         let worst = m.first_iteration_makespan.max(amortized);
         let d = m.op_deadline(1_000_000, 1.0).unwrap();
@@ -245,11 +251,11 @@ mod tests {
     #[test]
     fn op_deadline_degenerate_inputs_yield_none() {
         let sg = two_proc_pipeline(&[10, 10]);
-        let m = predicted_metrics(&sg, 4);
+        let m = predicted_metrics(&sg, 4, sg.iteration_period());
         assert_eq!(m.op_deadline(0, 10.0), None);
         assert_eq!(m.op_deadline(1_000_000, 0.0), None);
         assert_eq!(m.op_deadline(1_000_000, -1.0), None);
-        let empty = predicted_metrics(&sg, 0);
+        let empty = predicted_metrics(&sg, 0, sg.iteration_period());
         assert_eq!(empty.op_deadline(1_000_000, 10.0), None);
     }
 }

@@ -9,7 +9,7 @@
 use spi_dataflow::{Firing, PrecedenceGraph};
 
 use crate::assign::{Assignment, ProcId};
-use crate::error::Result;
+use crate::error::{Result, SchedError};
 
 /// A self-timed schedule: the assignment plus a total order per processor.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,12 +25,11 @@ impl SelfTimedSchedule {
     ///
     /// # Errors
     ///
-    /// [`crate::SchedError::UnassignedFiring`] if the assignment does not cover
-    /// every firing of `pg`.
+    /// [`SchedError::UnassignedFiring`] if the assignment does not cover
+    /// every firing of `pg`; [`SchedError::ZeroDelayCycle`] if `pg`'s
+    /// delay-0 precedence edges form a cycle (the graph deadlocks).
     pub fn from_assignment(pg: &PrecedenceGraph, assignment: Assignment) -> Result<Self> {
-        let topo = pg
-            .topological_order()
-            .expect("APG of a consistent graph is acyclic");
+        let topo = pg.topological_order().ok_or(SchedError::ZeroDelayCycle)?;
         let mut order = vec![Vec::new(); assignment.processor_count()];
         for f in topo {
             let p = assignment.processor(f)?;
@@ -90,6 +89,22 @@ mod tests {
         g.add_edge(b, c, 1, 1, 0, 4).unwrap();
         let pg = PrecedenceGraph::expand(&g).unwrap();
         (g, pg)
+    }
+
+    #[test]
+    fn a_delay_free_cycle_is_a_typed_error() {
+        // A ⇄ B with no initial token: neither may fire first.
+        let mut g = SdfGraph::new();
+        let a = g.add_actor("A", 10);
+        let b = g.add_actor("B", 10);
+        g.add_edge(a, b, 1, 1, 0, 4).unwrap();
+        g.add_edge(b, a, 1, 1, 0, 4).unwrap();
+        let pg = PrecedenceGraph::expand(&g).unwrap();
+        let assign = Assignment::by_actor(&pg, 2, |x| ProcId(x.0)).unwrap();
+        let err = SelfTimedSchedule::from_assignment(&pg, assign).unwrap_err();
+        assert_eq!(err, crate::SchedError::ZeroDelayCycle);
+        let err = Assignment::hlfet(&g, &pg, 2).unwrap_err();
+        assert_eq!(err, crate::SchedError::ZeroDelayCycle);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use spi_dataflow::EdgeId;
 
-use crate::analysis::max_cycle_mean;
+use crate::analysis::{max_cycle_mean, topological_order};
 use crate::error::{Result, SchedError};
 use crate::ipc_graph::{IpcEdgeKind, IpcGraph, Task, TaskId};
 
@@ -451,32 +451,14 @@ impl SyncGraph {
 
     /// `true` if the delay-0 subgraph has a cycle (self-timed deadlock).
     pub fn has_zero_delay_cycle(&self) -> bool {
-        let n = self.tasks.len();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            if e.delay == 0 {
-                adj[e.from.0].push(e.to.0);
-            }
-        }
-        // Kahn's algorithm: cycle iff not all nodes drain.
-        let mut indeg = vec![0usize; n];
-        for row in &adj {
-            for &v in row {
-                indeg[v] += 1;
-            }
-        }
-        let mut stack: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-        let mut seen = 0;
-        while let Some(u) = stack.pop() {
-            seen += 1;
-            for &v in &adj[u] {
-                indeg[v] -= 1;
-                if indeg[v] == 0 {
-                    stack.push(v);
-                }
-            }
-        }
-        seen != n
+        self.zero_delay_order().is_err()
+    }
+
+    /// Task indices in a topological order of the delay-0 subgraph, or
+    /// `Err` with the tasks on or behind a zero-delay cycle.
+    pub(crate) fn zero_delay_order(&self) -> std::result::Result<Vec<usize>, Vec<usize>> {
+        let zero_delay = self.edges.iter().filter(|e| e.delay == 0);
+        topological_order(self.tasks.len(), zero_delay.map(|e| (e.from.0, e.to.0)))
     }
 
     /// Renders the graph in Graphviz DOT, the form in which the paper

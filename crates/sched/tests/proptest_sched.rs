@@ -5,7 +5,7 @@ use spi_dataflow::{PrecedenceGraph, SdfGraph};
 use spi_platform::rng::{for_each_case, SplitMix64};
 use spi_sched::{
     latency, maximum_cycle_ratio, Assignment, IpcGraph, ProcId, Protocol, SelfTimedSchedule,
-    SyncGraph, WeightedEdge,
+    SyncGraph, SyncKind, WeightedEdge,
 };
 
 /// A live random pipeline with a delayed feedback edge, plus a
@@ -184,4 +184,162 @@ fn latency_is_monotone_under_added_constraints() {
             assert!(after[0][t].1 <= before[0][t].1);
         }
     });
+}
+
+/// The eq. (3) evaluation `latency::self_timed_times` replaced, kept as
+/// the reference: every task of every iteration scans every edge, and the
+/// sweep repeats until nothing changes.
+fn sweep_reference(graph: &SyncGraph, iterations: u64) -> Vec<Vec<(u64, u64)>> {
+    let n = graph.tasks().len();
+    let iters = iterations as usize;
+    let exec: Vec<u64> = graph.tasks().iter().map(|t| t.exec_cycles).collect();
+    let mut times = vec![vec![(0u64, 0u64); n]; iters];
+    let mut changed = true;
+    let mut sweeps = 0;
+    while changed && sweeps < n * iters + 2 {
+        changed = false;
+        sweeps += 1;
+        for k in 0..iters {
+            for t in 0..n {
+                let mut start = 0u64;
+                for e in graph.edges() {
+                    if e.to.0 != t {
+                        continue;
+                    }
+                    let dep_iter = k as i64 - e.delay as i64;
+                    if dep_iter < 0 {
+                        continue;
+                    }
+                    let (_, dep_end) = times[dep_iter as usize][e.from.0];
+                    start = start.max(dep_end);
+                }
+                let end = start + exec[t];
+                if times[k][t] != (start, end) {
+                    times[k][t] = (start, end);
+                    changed = true;
+                }
+            }
+        }
+    }
+    times
+}
+
+/// A live multirate graph — a chain, forward skip edges and one delayed
+/// feedback edge, rates drawn so the balance equations hold — on a
+/// random actor-to-processor map, with a random protocol per IPC edge.
+fn random_sync(rng: &mut SplitMix64) -> SyncGraph {
+    let n = rng.gen_range(2..7usize);
+    let q: Vec<u32> = (0..n).map(|_| rng.gen_range(1..=3u32)).collect();
+    let mut g = SdfGraph::new();
+    let actors: Vec<_> = (0..n)
+        .map(|i| g.add_actor(format!("v{i}"), rng.gen_range(1..40u64)))
+        .collect();
+    let gcd = |mut a: u32, mut b: u32| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    // `u → v` at rates q[v] / g and q[u] / g balances for any u, v.
+    let mut edge = |u: usize, v: usize, delay: u64| {
+        let d = gcd(q[u], q[v]);
+        g.add_edge(actors[u], actors[v], q[v] / d, q[u] / d, delay, 4)
+            .expect("edge");
+    };
+    for i in 1..n {
+        edge(i - 1, i, 0);
+    }
+    for _ in 0..rng.gen_range(0..3usize) {
+        let u = rng.gen_range(0..n - 1);
+        edge(u, rng.gen_range(u + 1..n), 0);
+    }
+    // At least one iteration's worth of tokens keeps the loop live.
+    let per_iter = u64::from(q[0] * q[n - 1] / gcd(q[0], q[n - 1]));
+    edge(
+        n - 1,
+        0,
+        per_iter * rng.gen_range(1..=2u64) + rng.gen_range(0..3u64),
+    );
+
+    let procs = rng.gen_range(1..4usize);
+    let map: Vec<usize> = (0..n).map(|_| rng.gen_range(0..procs)).collect();
+    let pg = PrecedenceGraph::expand(&g).expect("consistent");
+    let assign = Assignment::by_actor(&pg, procs, |a| ProcId(map[a.0])).expect("assigned");
+    let st = SelfTimedSchedule::from_assignment(&pg, assign).expect("scheduled");
+    let ipc = IpcGraph::build(&g, &pg, &st).expect("built");
+    SyncGraph::from_ipc(&ipc, |e| match rng.gen_bool(0.5) {
+        true => Protocol::Ubs {
+            ack_window: rng.gen_range(1..=3u64),
+        },
+        false => Protocol::Bbs {
+            capacity: e.delay + rng.gen_range(1..=3u64),
+        },
+    })
+    .expect("live")
+}
+
+#[test]
+fn one_pass_matches_the_sweep_before_and_after_resync() {
+    let mut resync_edges = 0;
+    for_each_case(64, |rng| {
+        let before = random_sync(rng);
+        let mut after = before.clone();
+        after.resynchronize_certified(rng.gen_bool(0.5));
+        let added = after.edges().iter().filter(|e| e.kind == SyncKind::Resync);
+        resync_edges += added.count();
+        // The sweep's solution is unique, so its rows at horizon 64 are
+        // its rows at every shorter horizon; one drawn horizon is swept
+        // on its own as well.
+        let drawn = rng.gen_range(1..=64u64);
+        for sg in [&before, &after] {
+            let reference = sweep_reference(sg, 64);
+            let times = latency::self_timed_times(sg, drawn);
+            assert_eq!(times, sweep_reference(sg, drawn), "horizon {drawn}");
+            for h in 1..=64 {
+                let times = latency::self_timed_times(sg, h);
+                assert_eq!(times[..], reference[..h as usize], "horizon {h}");
+                let doubled = latency::self_timed_times(sg, 2 * h);
+                assert_eq!(doubled[..h as usize], times[..], "horizon {h} vs {}", 2 * h);
+            }
+        }
+    });
+    assert!(resync_edges > 0, "no generated graph gained a Resync edge");
+}
+
+#[test]
+fn a_chain_numbered_against_its_edges_is_one_pass() {
+    // A zero-delay chain whose tasks are numbered from its end: every
+    // edge runs from a higher to a lower task index, so the sweep needs
+    // one pass per task to carry the chain's first start forward.
+    let execs = [3u64, 5, 7, 11, 13, 17];
+    let n = execs.len();
+    let mut g = SdfGraph::new();
+    let actors: Vec<_> = execs
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| g.add_actor(format!("v{i}"), c))
+        .collect();
+    for w in actors.windows(2) {
+        g.add_edge(w[0], w[1], 1, 1, 0, 4).expect("edge");
+    }
+    let pg = PrecedenceGraph::expand(&g).expect("consistent");
+    let assign = Assignment::by_actor(&pg, n, |a| ProcId(n - 1 - a.0)).expect("assigned");
+    let st = SelfTimedSchedule::from_assignment(&pg, assign).expect("scheduled");
+    let ipc = IpcGraph::build(&g, &pg, &st).expect("built");
+    let sg = SyncGraph::from_ipc(&ipc, |_| Protocol::Ubs { ack_window: 1 }).expect("live");
+    assert!(sg
+        .edges()
+        .iter()
+        .filter(|e| e.delay == 0)
+        .all(|e| e.from.0 > e.to.0));
+
+    let times = latency::self_timed_times(&sg, 4);
+    assert_eq!(times, sweep_reference(&sg, 4));
+    // Task `n − 1 − i` runs actor `i`, which ends its first firing at the
+    // chain's prefix sum.
+    let mut end = 0;
+    for (i, &c) in execs.iter().enumerate() {
+        end += c;
+        assert_eq!(times[0][n - 1 - i], (end - c, end), "actor {i}");
+    }
 }

@@ -378,7 +378,7 @@ impl SpiSystemBuilder {
         let lowered = lower(&sched, &sync_graph, &mut plans)?;
         let library =
             SpiLibraryReport::for_system(&plans, &sched.actor_proc, &self.actor_resources);
-        let predicted = self.predict(&sync_graph, &plans);
+        let predicted = self.predict(&sync_graph, sync.period_estimate, &plans);
         self.plan_batches(predicted.as_ref(), &mut plans)?;
         let analysis = self.verify(&sched, &sync_graph, cert.as_ref(), &plans, &library);
         let planned = Planned {
@@ -579,7 +579,12 @@ impl SpiSystemBuilder {
     /// paper's baseline configuration is predictable this way: a
     /// shared/ordered bus serializes transfers and heterogeneous
     /// processor speeds rescale compute outside the sync model.
-    fn predict(&self, sync: &SyncGraph, plans: &Plans) -> Option<PredictedMetrics> {
+    fn predict(
+        &self,
+        sync: &SyncGraph,
+        period: Option<f64>,
+        plans: &Plans,
+    ) -> Option<PredictedMetrics> {
         if !matches!(self.mode, SchedulingMode::SelfTimed)
             || self.bus.is_some()
             || self.ordered_transactions.is_some()
@@ -587,7 +592,7 @@ impl SpiSystemBuilder {
         {
             return None;
         }
-        let base = spi_sched::predicted_metrics(sync, self.iterations);
+        let base = spi_sched::predicted_metrics(sync, self.iterations, period);
         let mut per_iter = 0u64;
         let mut fixed = 0u64;
         for plan in plans.values() {

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# The CI allocation gate: the lowered data plane's, the supervised
-# port's and the trace capture's allocation counts must not creep back.
+# The CI allocation and set-up gate: the lowered data plane's, the
+# supervised port's and the trace capture's allocation counts must not
+# creep back, and neither may the cost of building application 1.
 # Runs the benchmark's two application workloads and the supervised and
 # traced self-loops with `--trace 1` for two seconds each, reads the JSON
 # line the run prints last, and fails if a run reports a failed
@@ -13,6 +14,12 @@
 # (the payload closure's `Vec` and the ring's received `Vec`). The
 # checkpoint log copies into a reused buffer and a captured event lands
 # in a preallocated slot, so one more allocation a message would read 3.
+#
+# Then it runs des_app1 with `--trace 0` (the tier that prints
+# `setup_s`) and fails if building the four-PE system takes more than
+# 4 ms. A timing, so the ceiling is loose: it reads ≈ 0.5 ms with eq. (3)
+# evaluated in one pass, ≈ 16 ms with the sweep it replaced
+# (EXPERIMENTS.md, "Building a system: eq. (3) in one pass").
 #
 # Usage: scripts/alloc_gate.sh
 set -eu
@@ -39,8 +46,25 @@ gate() {
   fi
 }
 
+setup_gate() {
+  workload=$1
+  ceiling=$2
+  line=$(bash benchmark/run.sh --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  setup=$(printf '%s\n' "$line" | sed -n 's/.*"setup_s": {"value": \([0-9.eE+-]*\).*/\1/p')
+  if [ -z "$setup" ]; then
+    echo "setup gate: $workload printed no setup_s: $line" >&2
+    exit 1
+  fi
+  echo "== setup gate: $workload setup_s=$setup (ceiling $ceiling)"
+  if ! awk -v s="$setup" -v c="$ceiling" 'BEGIN { exit !(s <= c) }'; then
+    echo "setup gate: $workload takes $setup s to build, ceiling $ceiling s" >&2
+    exit 1
+  fi
+}
+
 gate des_app1 90
 gate app1_lpc 28
 gate selfloop8_supervised 2.1
 gate selfloop8_traced 2.1
+setup_gate des_app1 0.004
 echo "alloc gate OK"
