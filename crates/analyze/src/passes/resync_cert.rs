@@ -1,7 +1,7 @@
 //! SPI061/SPI062 — resynchronization certification.
 //!
-//! A certified resynchronization run ([`spi_sched::SyncGraph::
-//! resynchronize_certified`]) claims, for every synchronization edge it
+//! A resynchronization run ([`spi_sched::SyncGraph::resynchronize`])
+//! claims, for every synchronization edge it
 //! removed, a witness path in the final graph that path-implies the
 //! removed constraint, and for every edge it added, a net-cost
 //! justification (the addition made ≥ 2 removals possible). This pass
@@ -131,7 +131,7 @@ fn check_proof(sync: &SyncGraph, p: &RedundancyProof) -> Result<(), String> {
 fn spi061(msg: String) -> Diagnostic {
     Diagnostic::new("SPI061", Severity::Error, Locus::System, msg).with_suggestion(
         "a removed synchronization edge must be path-implied by the final graph; \
-         re-run resynchronize_certified and do not hand-edit the sync graph afterwards",
+         re-run resynchronize and do not hand-edit the sync graph afterwards",
     )
 }
 
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn valid_certificate_is_silent() {
         let (g, mut sync) = pipeline();
-        let (_, cert) = sync.resynchronize_certified(true);
+        let cert = sync.resynchronize();
         let out = run_pass(&g, &sync, &cert);
         assert!(out.is_empty(), "{out:?}");
     }
@@ -189,7 +189,7 @@ mod tests {
     #[test]
     fn unproven_removal_trips_spi061() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true);
+        let mut cert = sync.resynchronize();
         let p = cert.removals.pop().expect("pipeline removes two acks");
         cert.unproven.push(p.edge);
         let out = run_pass(&g, &sync, &cert);
@@ -199,7 +199,7 @@ mod tests {
     #[test]
     fn tampered_witness_delay_trips_spi061() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true);
+        let mut cert = sync.resynchronize();
         cert.removals[0].witness_delay += 1;
         let out = run_pass(&g, &sync, &cert);
         assert!(out.iter().any(|d| d.code == "SPI061"), "{out:?}");
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn phantom_addition_trips_spi062() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true);
+        let mut cert = sync.resynchronize();
         cert.additions.push(spi_sched::ResyncAddition {
             edge: spi_sched::SyncEdge {
                 from: TaskId(0),
@@ -226,7 +226,7 @@ mod tests {
     #[test]
     fn inconsistent_totals_trip_spi062() {
         let (g, mut sync) = pipeline();
-        let (_, mut cert) = sync.resynchronize_certified(true);
+        let mut cert = sync.resynchronize();
         cert.report.edges_removed += 1;
         let out = run_pass(&g, &sync, &cert);
         assert!(out.iter().any(|d| d.code == "SPI062"), "{out:?}");

@@ -25,35 +25,12 @@ impl Pass for SyncCoverage {
             return;
         }
 
-        // Min-plus all-pairs shortest delay over the sync graph.
-        const INF: u64 = u64::MAX / 4;
-        let mut dist = vec![vec![INF; n]; n];
-        for (i, row) in dist.iter_mut().enumerate() {
-            row[i] = 0;
-        }
-        for e in sync.edges() {
-            let d = &mut dist[e.from.0][e.to.0];
-            *d = (*d).min(e.delay);
-        }
-        for k in 0..n {
-            for i in 0..n {
-                if dist[i][k] == INF {
-                    continue;
-                }
-                for j in 0..n {
-                    let via = dist[i][k].saturating_add(dist[k][j]);
-                    if via < dist[i][j] {
-                        dist[i][j] = via;
-                    }
-                }
-            }
-        }
-
         for e in ipc.ipc_edges() {
             let IpcEdgeKind::Ipc { via } = e.kind else {
                 continue;
             };
-            if dist[e.from.0][e.to.0] > e.delay {
+            let shortest = sync.min_delay(e.from, e.to);
+            if shortest.is_none_or(|d| d > e.delay) {
                 let src = ipc.task(e.from);
                 let dst = ipc.task(e.to);
                 let src_actor = input.actor_name(src.firing.actor);
@@ -73,11 +50,7 @@ impl Pass for SyncCoverage {
                             dst.firing.k,
                             dst.proc,
                             e.delay,
-                            if dist[e.from.0][e.to.0] == INF {
-                                "none".to_string()
-                            } else {
-                                dist[e.from.0][e.to.0].to_string()
-                            },
+                            shortest.map_or("none".to_string(), |d| d.to_string()),
                             dst.proc,
                             src.proc,
                         ),

@@ -8,7 +8,6 @@
 //! multipliers over each connected component and scales by the lcm of the
 //! denominators, per Lee & Messerschmitt's classic formulation.
 
-use std::collections::VecDeque;
 use std::ops::Index;
 
 use crate::error::{DataflowError, Result};
@@ -182,19 +181,21 @@ impl SdfGraph {
             if frac[start].is_some() {
                 continue;
             }
-            frac[start] = Some(Ratio::new(1, 1)?);
-            let mut members = vec![start];
-            let mut queue = VecDeque::from([start]);
-            while let Some(v) = queue.pop_front() {
-                let fv = frac[v].expect("visited actors have a ratio");
+            let one = Ratio::new(1, 1)?;
+            frac[start] = Some(one);
+            // Each visited actor with its ratio, in visiting order; the
+            // list doubles as the work queue: `members[head..]` is due.
+            let mut members = vec![(start, one)];
+            let mut head = 0;
+            while let Some(&(v, fv)) = members.get(head) {
+                head += 1;
                 for &(u, my_rate, other_rate, eid) in &adj[v] {
                     // q[u] = q[v] * my_rate / other_rate
                     let fu = fv.mul(my_rate, other_rate)?;
                     match frac[u] {
                         None => {
                             frac[u] = Some(fu);
-                            members.push(u);
-                            queue.push_back(u);
+                            members.push((u, fu));
                         }
                         Some(existing) => {
                             if existing != fu {
@@ -209,13 +210,11 @@ impl SdfGraph {
 
             // Scale this component to the minimal positive integer vector.
             let mut denom_lcm: i128 = 1;
-            for &v in &members {
-                let r = frac[v].expect("member has ratio");
+            for &(_, r) in &members {
                 denom_lcm = lcm_i128(denom_lcm, r.den).ok_or(DataflowError::Overflow)?;
             }
             let mut num_gcd: i128 = 0;
-            for &v in &members {
-                let r = frac[v].expect("member has ratio");
+            for &(_, r) in &members {
                 let scaled = r
                     .num
                     .checked_mul(denom_lcm / r.den)
@@ -223,8 +222,7 @@ impl SdfGraph {
                 num_gcd = gcd_i128(num_gcd, scaled.abs());
             }
             let num_gcd = num_gcd.max(1);
-            for &v in &members {
-                let r = frac[v].expect("member has ratio");
+            for &(v, r) in &members {
                 let scaled = r.num * (denom_lcm / r.den) / num_gcd;
                 frac[v] = Some(Ratio {
                     num: scaled,

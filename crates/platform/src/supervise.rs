@@ -155,8 +155,13 @@ impl SupervisionPolicy {
 // Frames
 // ---------------------------------------------------------------------
 
-/// Slice-by-16 lookup tables: `t[k][b]` is the CRC contribution of
-/// byte `b` positioned `k` bytes from the end of a 16-byte block.
+/// The CRC-32C (Castagnoli) polynomial, bit-reflected: the one the
+/// SSE4.2 `crc32` instruction computes.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// Slice-by-16 CRC-32C lookup tables (Castagnoli polynomial, reflected):
+/// `t[k][b]` is the CRC contribution of byte `b` positioned `k` bytes
+/// from the end of a 16-byte block.
 fn crc_tables() -> &'static [[u32; 256]; 16] {
     static TABLES: std::sync::OnceLock<Box<[[u32; 256]; 16]>> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
@@ -165,7 +170,7 @@ fn crc_tables() -> &'static [[u32; 256]; 16] {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
+                    CRC32C_POLY ^ (c >> 1)
                 } else {
                     c >> 1
                 };
@@ -191,18 +196,13 @@ fn crc_tables() -> &'static [[u32; 256]; 16] {
 /// not the signal processing — on the critical path. Two fast paths
 /// keep it off:
 ///
-/// * x86-64 with SSE4.2: the hardware `crc32` instruction (CRC-32C,
-///   Castagnoli polynomial) at ~0.07 ns/byte with **no** lookup-table
-///   cache footprint next to the application's working set;
-/// * elsewhere: slice-by-16 software CRC-32 (IEEE 802.3, reflected) at
-///   ~0.5 ns/byte.
+/// * x86-64 with SSE4.2: the hardware `crc32` instruction at
+///   ~0.07 ns/byte with **no** lookup-table cache footprint next to the
+///   application's working set;
+/// * elsewhere: slice-by-16 software tables at ~0.5 ns/byte.
 ///
-/// The polynomial choice is invisible outside one run: frames are
-/// never persisted and never cross machines. Supervised `spi-net` runs
-/// do exchange them between *processes*, but on one host — Unix
-/// sockets, with every worker spawned from the launcher's own
-/// executable — so both ends detect the same CPU features and always
-/// pick the same path.
+/// Both compute CRC-32C (Castagnoli polynomial), so a frame checks the
+/// same on either path.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("sse4.2") {
@@ -234,7 +234,7 @@ unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
     !c
 }
 
-/// Software CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-16.
+/// Software CRC-32C, slice-by-16.
 fn crc32_sw(bytes: &[u8]) -> u32 {
     let t = crc_tables();
     let mut c = !0u32;
@@ -884,25 +884,40 @@ mod tests {
     }
 
     #[test]
-    fn crc32_software_matches_ieee_vectors() {
-        // Standard IEEE CRC-32 check values for the portable path.
+    fn crc32_software_matches_crc32c_vectors() {
+        // Standard CRC-32C (Castagnoli) check values for the portable
+        // path.
         assert_eq!(crc32_sw(b""), 0);
-        assert_eq!(crc32_sw(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_sw(b"123456789"), 0xE306_9283);
         // The 9-byte vector exercises only the bytewise tail; check a
-        // long input against a independently computed reference too.
+        // long input against a bitwise reference too.
         let buf: Vec<u8> = (0..512u32).map(|i| (i * 31 + 7) as u8).collect();
         let mut want = !0u32;
         for &b in &buf {
             want ^= u32::from(b);
             for _ in 0..8 {
                 want = if want & 1 != 0 {
-                    0xEDB8_8320 ^ (want >> 1)
+                    0x82F6_3B78 ^ (want >> 1)
                 } else {
                     want >> 1
                 };
             }
         }
         assert_eq!(crc32_sw(&buf), !want);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn crc32_software_matches_the_hardware_path() {
+        if !std::is_x86_feature_detected!("sse4.2") {
+            return;
+        }
+        let mut rng = crate::rng::SplitMix64::seed_from_u64(32);
+        for _ in 0..200 {
+            let len = rng.gen_range(0..=4096usize);
+            let buf: Vec<u8> = (0..len).map(|_| rng.gen_range(0..=255u8)).collect();
+            assert_eq!(crc32_sw(&buf), crc32(&buf), "{len} bytes");
+        }
     }
 
     #[cfg(target_arch = "x86_64")]

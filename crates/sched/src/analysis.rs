@@ -8,9 +8,6 @@
 //! detection — robust for the small, possibly non-strongly-connected
 //! graphs that app schedules produce.
 
-use crate::ipc_graph::Task;
-use crate::sync_graph::SyncEdge;
-
 /// A generic weighted edge for cycle-ratio computation: traversing the
 /// edge accrues `weight` time and consumes `delay` tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,21 +71,6 @@ pub fn maximum_cycle_ratio(n: usize, edges: &[WeightedEdge]) -> Option<f64> {
         }
     }
     Some(0.5 * (lo + hi))
-}
-
-/// Convenience wrapper over a synchronization graph's tasks and edges:
-/// edge weight = execution time of the source task.
-pub fn max_cycle_mean(tasks: &[Task], edges: &[SyncEdge]) -> Option<f64> {
-    let wedges: Vec<WeightedEdge> = edges
-        .iter()
-        .map(|e| WeightedEdge {
-            from: e.from.0,
-            to: e.to.0,
-            weight: tasks[e.from.0].exec_cycles,
-            delay: e.delay,
-        })
-        .collect();
-    maximum_cycle_ratio(tasks.len(), &wedges)
 }
 
 /// Classic parallel-speedup bounds of one graph iteration: the total
@@ -178,6 +160,73 @@ pub(crate) fn topological_order(
         Ok(order)
     } else {
         Err((0..n).filter(|&i| indeg[i] > 0).collect())
+    }
+}
+
+/// The min-plus path-delay table over nodes `0..n` and the
+/// `(from, to, delay)` triples of `edges` (Floyd–Warshall):
+/// `dist[u][v]` is the least total delay on a `u → v` path (0 for
+/// `u == v`, `u64::MAX` when unreachable) and `next[u][v]` the first hop
+/// of one such path (`usize::MAX` when unreachable). Of parallel edges
+/// the first listed of the least delay sets the hop.
+///
+/// This is the one place the crate computes that quantity: eq. (2)'s Γ,
+/// redundant-edge removal, resynchronization, its witness paths and the
+/// analyzer's SPI050 coverage check all read this table.
+pub(crate) struct PathDelays {
+    pub(crate) dist: Vec<Vec<u64>>,
+    pub(crate) next: Vec<Vec<usize>>,
+}
+
+impl PathDelays {
+    pub(crate) fn new(n: usize, edges: impl IntoIterator<Item = (usize, usize, u64)>) -> Self {
+        let mut dist = vec![vec![u64::MAX; n]; n];
+        let mut next = vec![vec![usize::MAX; n]; n];
+        for i in 0..n {
+            dist[i][i] = 0;
+            next[i][i] = i;
+        }
+        for (u, v, delay) in edges {
+            if delay < dist[u][v] {
+                dist[u][v] = delay;
+                next[u][v] = v;
+            }
+        }
+        for k in 0..n {
+            for i in 0..n {
+                if dist[i][k] == u64::MAX {
+                    continue;
+                }
+                for j in 0..n {
+                    if dist[k][j] == u64::MAX {
+                        continue;
+                    }
+                    let via = dist[i][k] + dist[k][j];
+                    if via < dist[i][j] {
+                        dist[i][j] = via;
+                        next[i][j] = next[i][k];
+                    }
+                }
+            }
+        }
+        PathDelays { dist, next }
+    }
+
+    /// The nodes along the recorded least-delay `u → v` path, endpoints
+    /// inclusive, or `None` when `v` is unreachable from `u` (Floyd–
+    /// Warshall's path reconstruction, exact when no cycle has negative
+    /// delay).
+    pub(crate) fn path(&self, u: usize, v: usize) -> Option<Vec<usize>> {
+        if self.next[u][v] == usize::MAX {
+            return None;
+        }
+        let mut path = vec![u];
+        let mut cur = u;
+        while cur != v {
+            cur = self.next[cur][v];
+            path.push(cur);
+        }
+        Some(path)
     }
 }
 

@@ -19,6 +19,7 @@ use std::collections::HashMap;
 
 use spi_dataflow::{EdgeId, Firing, PrecedenceGraph, SdfGraph};
 
+use crate::analysis::PathDelays;
 use crate::assign::ProcId;
 use crate::error::Result;
 use crate::selftimed::SelfTimedSchedule;
@@ -171,95 +172,41 @@ impl IpcGraph {
             .filter(|e| matches!(e.kind, IpcEdgeKind::Ipc { .. }))
     }
 
-    /// Minimum-delay directed path from `from` to `to` over all edges,
-    /// or `None` when unreachable (min-plus Dijkstra; all delays ≥ 0).
-    ///
-    /// When `from == to` this is the minimum-delay *cycle* through the
-    /// task (at least one edge is traversed).
-    pub fn min_delay_path(&self, from: TaskId, to: TaskId) -> Option<u64> {
-        if from == to {
-            return self
-                .edges
-                .iter()
-                .filter(|e| e.from == from)
-                .filter_map(|e| {
-                    if e.to == to {
-                        Some(e.delay)
-                    } else {
-                        self.dijkstra(e.to, to).map(|d| d + e.delay)
-                    }
-                })
-                .min();
-        }
-        self.dijkstra(from, to)
-    }
-
-    fn dijkstra(&self, from: TaskId, to: TaskId) -> Option<u64> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = self.tasks.len();
-        let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
-        for e in &self.edges {
-            adj[e.from.0].push((e.to.0, e.delay));
-        }
-        let mut dist = vec![u64::MAX; n];
-        dist[from.0] = 0;
-        let mut heap = BinaryHeap::new();
-        heap.push(Reverse((0u64, from.0)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
-                continue;
-            }
-            if u == to.0 {
-                return Some(d);
-            }
-            for &(v, w) in &adj[u] {
-                let nd = d + w;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    heap.push(Reverse((nd, v)));
-                }
-            }
-        }
-        None
-    }
-
-    /// Paper eq. (2): bound, in *packed tokens*, on the occupancy of the
-    /// IPC buffer behind `edge`:
+    /// Paper eq. (2) per application edge, in *packed tokens*:
     /// `B(e)/c(e) = Γ + delay(e)`, with `Γ` the minimum delay on a
     /// directed feedback path from `snk(e)` to `src(e)` (the cycle it
-    /// closes with `e` limits sender/receiver drift).
+    /// closes with `e` limits sender/receiver drift). `None` means no
+    /// feedback path exists — the edge is genuinely unbounded and the
+    /// UBS protocol is mandatory.
     ///
-    /// Returns `None` when no feedback path exists — then the edge is
-    /// genuinely unbounded and the UBS protocol is mandatory.
-    pub fn ipc_buffer_bound_tokens(&self, edge: &IpcEdge) -> Option<u64> {
-        let gamma = self.min_delay_path(edge.to, edge.from)?;
-        Some(gamma + edge.delay)
-    }
-
-    /// Eq. (2) bounds folded per application edge: a dataflow edge can
-    /// induce several IPC-edge instances (one per precedence instance),
-    /// and a runtime buffer must cover the *worst* of them, so bounds
-    /// fold with MAX; any unbounded instance makes the whole edge
-    /// unbounded (`None`). This is the canonical edge→bound map used by
-    /// both the SPI lowering and the analyzer's protocol lints.
+    /// A dataflow edge can induce several IPC-edge instances (one per
+    /// precedence instance), and a runtime buffer must cover the *worst*
+    /// of them, so bounds fold with MAX; any unbounded instance makes
+    /// the whole edge unbounded. This is the canonical edge→bound map
+    /// used by both the SPI lowering and the analyzer's protocol lints.
     pub fn buffer_bounds_by_edge(&self) -> HashMap<EdgeId, Option<u64>> {
+        let delays = PathDelays::new(
+            self.tasks.len(),
+            self.edges.iter().map(|e| (e.from.0, e.to.0, e.delay)),
+        );
         let mut bounds: HashMap<EdgeId, Option<u64>> = HashMap::new();
         for e in self.ipc_edges() {
             let IpcEdgeKind::Ipc { via } = e.kind else {
                 continue;
             };
-            match self.ipc_buffer_bound_tokens(e) {
-                Some(b) => {
+            // An IPC edge crosses processors, so `to != from` and Γ is a
+            // path, never the empty one.
+            match delays.dist[e.to.0][e.from.0] {
+                u64::MAX => {
+                    bounds.insert(via, None);
+                }
+                gamma => {
                     // `None` (an unbounded instance seen earlier) is
                     // absorbing; otherwise fold with MAX.
                     let slot = bounds.entry(via).or_insert(Some(0));
                     if let Some(cur) = slot {
-                        *slot = Some((*cur).max(b));
+                        *slot = Some((*cur).max(gamma + e.delay));
                     }
-                }
-                None => {
-                    bounds.insert(via, None);
                 }
             }
         }
@@ -322,36 +269,39 @@ mod tests {
 
     #[test]
     fn eq2_bound_on_simple_split() {
+        // A on one processor feeds B on another, and nothing flows back:
+        // the loopbacks only cycle within a processor, so no path leads
+        // from B's task to A's. Without a feedback path the edge is
+        // unbounded.
         let (_, _, ipc) = two_proc();
-        let e = *ipc.ipc_edges().next().unwrap();
-        // Feedback path B → (loopback, delay 1) → B? No: Γ is the min
-        // delay from snk (B's task) back to src (A's task). Path:
-        // B --loopback(1)--> B ... there is no B→A data edge, but the
-        // loopback edges only cycle within a processor. With no feedback
-        // path the bound is None? Here B and A live on different
-        // processors with only the forward IPC edge — unbounded.
-        assert_eq!(ipc.ipc_buffer_bound_tokens(&e), None);
+        let via = EdgeId(0);
+        assert_eq!(ipc.buffer_bounds_by_edge(), HashMap::from([(via, None)]));
     }
 
-    #[test]
-    fn eq2_bound_with_feedback_edge() {
-        // A ⇄ B across two processors: feedback delay 2 bounds the buffer.
+    /// A → B (delay 0) across two processors, and one B → A feedback
+    /// edge per entry of `feedback`.
+    fn with_feedback(feedback: &[u64]) -> IpcGraph {
         let mut g = SdfGraph::new();
         let a = g.add_actor("A", 10);
         let b = g.add_actor("B", 20);
         g.add_edge(a, b, 1, 1, 0, 4).unwrap();
-        g.add_edge(b, a, 1, 1, 2, 4).unwrap();
+        for &d in feedback {
+            g.add_edge(b, a, 1, 1, d, 4).unwrap();
+        }
         let pg = PrecedenceGraph::expand(&g).unwrap();
         let assign = Assignment::by_actor(&pg, 2, |x| ProcId(x.0)).unwrap();
         let st = SelfTimedSchedule::from_assignment(&pg, assign).unwrap();
-        let ipc = IpcGraph::build(&g, &pg, &st).unwrap();
-        let forward = ipc
-            .ipc_edges()
-            .find(|e| e.delay == 0)
-            .copied()
-            .expect("forward edge");
-        // Γ = 2 along the B→A feedback edge; bound = 2 + 0.
-        assert_eq!(ipc.ipc_buffer_bound_tokens(&forward), Some(2));
+        IpcGraph::build(&g, &pg, &st).unwrap()
+    }
+
+    #[test]
+    fn eq2_bound_with_feedback_edge() {
+        // A ⇄ B: feedback delay 2 bounds the forward buffer (Γ = 2,
+        // bound 2 + 0); the feedback edge's own Γ is the forward edge's
+        // 0, so its bound is its delay 2.
+        let bounds = with_feedback(&[2]).buffer_bounds_by_edge();
+        assert_eq!(bounds[&EdgeId(0)], Some(2));
+        assert_eq!(bounds[&EdgeId(1)], Some(2));
     }
 
     #[test]
@@ -378,17 +328,13 @@ mod tests {
     }
 
     #[test]
-    fn min_delay_path_prefers_fewest_delays() {
-        let (_, _, ipc) = two_proc();
-        let t0 = TaskId(0);
-        let t1 = TaskId(1);
-        // A's task to B's task via the zero-delay IPC edge.
-        let (src, dst) = if ipc.task(t0).firing.actor.0 == 0 {
-            (t0, t1)
-        } else {
-            (t1, t0)
-        };
-        assert_eq!(ipc.min_delay_path(src, dst), Some(0));
+    fn eq2_gamma_is_the_least_delay_feedback_path() {
+        // Two feedback paths from B back to A, of delay 3 and 1: Γ is the
+        // smaller, whichever edge is listed first.
+        for feedback in [[3, 1], [1, 3]] {
+            let bounds = with_feedback(&feedback).buffer_bounds_by_edge();
+            assert_eq!(bounds[&EdgeId(0)], Some(1), "feedback {feedback:?}");
+        }
     }
 
     #[test]

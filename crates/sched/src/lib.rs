@@ -32,7 +32,7 @@
 //! let st = SelfTimedSchedule::from_assignment(&pg, assign)?;
 //! let ipc = IpcGraph::build(&g, &pg, &st)?;
 //! let mut sync = SyncGraph::from_ipc(&ipc, |_| Protocol::Ubs { ack_window: 1 })?;
-//! let report = sync.resynchronize(true);
+//! let report = sync.resynchronize().report;
 //! assert!(report.sync_cost_after <= report.sync_cost_before);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -51,9 +51,7 @@ mod predicted;
 mod selftimed;
 mod sync_graph;
 
-pub use analysis::{
-    max_cycle_mean, maximum_cycle_ratio, speedup_bounds, SpeedupBounds, WeightedEdge,
-};
+pub use analysis::{maximum_cycle_ratio, speedup_bounds, SpeedupBounds, WeightedEdge};
 pub use assign::{Assignment, Partition, ProcId};
 pub use batch::{
     batch_plan, BatchPlan, BATCH_MAX_MSGS_CAP, FLUSH_AFTER_DEFAULT, FLUSH_AFTER_MAX,

@@ -1,11 +1,15 @@
 //! Property tests of the scheduling and synchronization layer, each a
-//! seeded loop over 64 cases (`SPI_CHAOS_SEED=<case>` replays one).
+//! seeded loop over 64 or more cases (`SPI_CHAOS_SEED=<case>` replays
+//! one).
 
-use spi_dataflow::{PrecedenceGraph, SdfGraph};
+use std::collections::HashMap;
+
+use spi_dataflow::{EdgeId, PrecedenceGraph, SdfGraph};
 use spi_platform::rng::{for_each_case, SplitMix64};
 use spi_sched::{
-    latency, maximum_cycle_ratio, Assignment, IpcGraph, ProcId, Protocol, SelfTimedSchedule,
-    SyncGraph, SyncKind, WeightedEdge,
+    latency, maximum_cycle_ratio, Assignment, IpcEdgeKind, IpcGraph, ProcId, Protocol,
+    RedundancyProof, ResyncAddition, ResyncCertificate, ResyncReport, SelfTimedSchedule, SyncEdge,
+    SyncGraph, SyncKind, Task, TaskId, WeightedEdge,
 };
 
 /// A live random pipeline with a delayed feedback edge, plus a
@@ -57,7 +61,7 @@ fn resync_never_increases_cost_or_breaks_liveness() {
         let (g, procs) = scenario(rng);
         let mut sg = build_sync(&g, procs, 2);
         let before = sg.sync_cost();
-        let report = sg.resynchronize(true);
+        let report = sg.resynchronize().report;
         assert!(report.sync_cost_after <= before);
         assert_eq!(report.sync_cost_after, sg.sync_cost());
         assert!(!sg.has_zero_delay_cycle());
@@ -102,7 +106,7 @@ fn resync_preserves_original_constraints() {
         let (g, procs) = scenario(rng);
         let original = build_sync(&g, procs, 1);
         let mut optimized = original.clone();
-        optimized.resynchronize(false);
+        optimized.resynchronize();
         assert_enforced(&original, &optimized);
     });
 }
@@ -228,6 +232,11 @@ fn sweep_reference(graph: &SyncGraph, iterations: u64) -> Vec<Vec<(u64, u64)>> {
 /// feedback edge, rates drawn so the balance equations hold — on a
 /// random actor-to-processor map, with a random protocol per IPC edge.
 fn random_sync(rng: &mut SplitMix64) -> SyncGraph {
+    random_ipc_sync(rng).1
+}
+
+/// [`random_sync`] together with the IPC graph it derives from.
+fn random_ipc_sync(rng: &mut SplitMix64) -> (IpcGraph, SyncGraph) {
     let n = rng.gen_range(2..7usize);
     let q: Vec<u32> = (0..n).map(|_| rng.gen_range(1..=3u32)).collect();
     let mut g = SdfGraph::new();
@@ -267,7 +276,7 @@ fn random_sync(rng: &mut SplitMix64) -> SyncGraph {
     let assign = Assignment::by_actor(&pg, procs, |a| ProcId(map[a.0])).expect("assigned");
     let st = SelfTimedSchedule::from_assignment(&pg, assign).expect("scheduled");
     let ipc = IpcGraph::build(&g, &pg, &st).expect("built");
-    SyncGraph::from_ipc(&ipc, |e| match rng.gen_bool(0.5) {
+    let sync = SyncGraph::from_ipc(&ipc, |e| match rng.gen_bool(0.5) {
         true => Protocol::Ubs {
             ack_window: rng.gen_range(1..=3u64),
         },
@@ -275,7 +284,8 @@ fn random_sync(rng: &mut SplitMix64) -> SyncGraph {
             capacity: e.delay + rng.gen_range(1..=3u64),
         },
     })
-    .expect("live")
+    .expect("live");
+    (ipc, sync)
 }
 
 #[test]
@@ -284,7 +294,7 @@ fn one_pass_matches_the_sweep_before_and_after_resync() {
     for_each_case(64, |rng| {
         let before = random_sync(rng);
         let mut after = before.clone();
-        after.resynchronize_certified(rng.gen_bool(0.5));
+        after.resynchronize();
         let added = after.edges().iter().filter(|e| e.kind == SyncKind::Resync);
         resync_edges += added.count();
         // The sweep's solution is unique, so its rows at horizon 64 are
@@ -342,4 +352,320 @@ fn a_chain_numbered_against_its_edges_is_one_pass() {
         end += c;
         assert_eq!(times[0][n - 1 - i], (end - c, end), "actor {i}");
     }
+}
+
+// ---- The recomputing resynchronization and eq. (2) Γ, as reference ----
+//
+// `SyncGraph` keeps one path-delay table current across removals and
+// additions, and eq. (2) reads Γ from one table. What follows is the
+// code that replaced: a Floyd–Warshall rerun after every removed edge
+// and a Dijkstra per IPC edge. The properties hold the table to it.
+
+/// All-pairs least delays and first hops (min-plus Floyd–Warshall).
+fn reference_table(n: usize, edges: &[SyncEdge]) -> (Vec<Vec<u64>>, Vec<Vec<usize>>) {
+    let mut dist = vec![vec![u64::MAX; n]; n];
+    let mut next = vec![vec![usize::MAX; n]; n];
+    for (i, row) in dist.iter_mut().enumerate() {
+        row[i] = 0;
+        next[i][i] = i;
+    }
+    for e in edges {
+        let d = &mut dist[e.from.0][e.to.0];
+        if e.delay < *d {
+            *d = e.delay;
+            next[e.from.0][e.to.0] = e.to.0;
+        }
+    }
+    for k in 0..n {
+        for i in 0..n {
+            if dist[i][k] == u64::MAX {
+                continue;
+            }
+            for j in 0..n {
+                if dist[k][j] == u64::MAX {
+                    continue;
+                }
+                let via = dist[i][k] + dist[k][j];
+                if via < dist[i][j] {
+                    dist[i][j] = via;
+                    next[i][j] = next[i][k];
+                }
+            }
+        }
+    }
+    (dist, next)
+}
+
+fn reference_walk(next: &[Vec<usize>], u: usize, v: usize) -> Option<Vec<TaskId>> {
+    if next[u][v] == usize::MAX {
+        return None;
+    }
+    let mut path = vec![TaskId(u)];
+    let mut cur = u;
+    while cur != v {
+        cur = next[cur][v];
+        path.push(TaskId(cur));
+        if path.len() > next.len() + 1 {
+            return None;
+        }
+    }
+    Some(path)
+}
+
+fn reference_redundant(n: usize, edges: &[SyncEdge]) -> Vec<usize> {
+    let (dist, _) = reference_table(n, edges);
+    let mut out = Vec::new();
+    for (i, e) in edges.iter().enumerate() {
+        if !e.kind.is_removable() {
+            continue;
+        }
+        let redundant = edges.iter().enumerate().any(|(j, e2)| {
+            j != i
+                && e2.from == e.from
+                && e2.delay <= e.delay
+                && dist[e2.to.0][e.to.0] != u64::MAX
+                && e2.delay + dist[e2.to.0][e.to.0] <= e.delay
+        });
+        if redundant {
+            out.push(i);
+        }
+    }
+    out
+}
+
+/// The removal loop: the lowest-index redundant edge goes, then the
+/// table is rebuilt.
+fn reference_remove(n: usize, edges: &mut Vec<SyncEdge>) -> Vec<SyncEdge> {
+    let mut removed = Vec::new();
+    while let Some(&i) = reference_redundant(n, edges).first() {
+        removed.push(edges.remove(i));
+    }
+    removed
+}
+
+fn reference_mcm(tasks: &[Task], edges: &[SyncEdge]) -> Option<f64> {
+    let wedges: Vec<WeightedEdge> = edges
+        .iter()
+        .map(|e| WeightedEdge {
+            from: e.from.0,
+            to: e.to.0,
+            weight: tasks[e.from.0].exec_cycles,
+            delay: e.delay,
+        })
+        .collect();
+    maximum_cycle_ratio(tasks.len(), &wedges)
+}
+
+fn reference_killed_by(edges: &[SyncEdge], u: usize, v: usize, dist: &[Vec<u64>]) -> usize {
+    let reach = |a: usize, b: usize| (dist[a][b] != u64::MAX).then(|| dist[a][b]);
+    edges
+        .iter()
+        .filter(|e| {
+            e.kind.is_removable()
+                && reach(e.from.0, u)
+                    .and_then(|a| reach(v, e.to.0).map(|b| a + b))
+                    .map(|through| through <= e.delay)
+                    .unwrap_or(false)
+        })
+        .count()
+}
+
+/// The greedy loop with its throughput guard: a fresh table every
+/// round, and the removal loop above on every trial.
+fn reference_resync(tasks: &[Task], edges: &mut Vec<SyncEdge>) -> ResyncCertificate {
+    let n = tasks.len();
+    let cost = |edges: &[SyncEdge]| edges.iter().filter(|e| e.kind.is_removable()).count();
+    let baseline_cost = cost(edges);
+    let mut removed_edges = reference_remove(n, edges);
+    let mut additions: Vec<ResyncAddition> = Vec::new();
+    let base_mcm = reference_mcm(tasks, edges);
+    loop {
+        let (dist, _) = reference_table(n, edges);
+        let mut best: Option<(usize, usize, usize)> = None;
+        for u in 0..n {
+            for v in 0..n {
+                if u == v || tasks[u].proc == tasks[v].proc || dist[v][u] == 0 || dist[u][v] == 0 {
+                    continue;
+                }
+                let gain = reference_killed_by(edges, u, v, &dist);
+                if gain >= 2 && best.is_none_or(|(g, ..)| gain > g) {
+                    best = Some((gain, u, v));
+                }
+            }
+        }
+        let Some((_, u, v)) = best else { break };
+        let candidate = SyncEdge {
+            from: TaskId(u),
+            to: TaskId(v),
+            delay: 0,
+            kind: SyncKind::Resync,
+        };
+        let mut trial = edges.clone();
+        trial.push(candidate);
+        let killed = reference_remove(n, &mut trial);
+        if killed.len() < 2 {
+            break;
+        }
+        let new_mcm = reference_mcm(tasks, &trial);
+        let worse = match (base_mcm, new_mcm) {
+            (Some(b), Some(n)) => n > b + 1e-9,
+            (None, Some(_)) => true,
+            _ => false,
+        };
+        if worse {
+            break;
+        }
+        *edges = trial;
+        let kills = killed.len();
+        let (undone, killed): (Vec<_>, Vec<_>) =
+            (killed.into_iter()).partition(|e| additions.iter().any(|a| a.edge == *e));
+        additions.retain(|a| !undone.contains(&a.edge));
+        additions.push(ResyncAddition {
+            edge: candidate,
+            killed: kills,
+        });
+        removed_edges.extend(killed);
+    }
+
+    let (dist, next) = reference_table(n, edges);
+    let mut removals = Vec::new();
+    let mut unproven = Vec::new();
+    for e in removed_edges {
+        let proved = (dist[e.from.0][e.to.0] != u64::MAX && dist[e.from.0][e.to.0] <= e.delay)
+            .then(|| reference_walk(&next, e.from.0, e.to.0))
+            .flatten();
+        match proved {
+            Some(witness) => removals.push(RedundancyProof {
+                edge: e,
+                witness_delay: dist[e.from.0][e.to.0],
+                witness,
+            }),
+            None => unproven.push(e),
+        }
+    }
+    let report = ResyncReport {
+        sync_cost_before: baseline_cost,
+        sync_cost_after: cost(edges),
+        edges_added: additions.len(),
+        edges_removed: removals.len() + unproven.len(),
+    };
+    ResyncCertificate {
+        removals,
+        unproven,
+        additions,
+        report,
+    }
+}
+
+/// Eq. (2) per application edge with Γ from one Dijkstra per IPC edge
+/// (each rebuilding its adjacency list), folded with MAX, `None`
+/// absorbing.
+fn reference_bounds(ipc: &IpcGraph) -> HashMap<EdgeId, Option<u64>> {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let dijkstra = |from: TaskId, to: TaskId| -> Option<u64> {
+        let n = ipc.tasks().len();
+        let mut adj: Vec<Vec<(usize, u64)>> = vec![Vec::new(); n];
+        for e in ipc.edges() {
+            adj[e.from.0].push((e.to.0, e.delay));
+        }
+        let mut dist = vec![u64::MAX; n];
+        dist[from.0] = 0;
+        let mut heap = BinaryHeap::new();
+        heap.push(Reverse((0u64, from.0)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if d > dist[u] {
+                continue;
+            }
+            if u == to.0 {
+                return Some(d);
+            }
+            for &(v, w) in &adj[u] {
+                if d + w < dist[v] {
+                    dist[v] = d + w;
+                    heap.push(Reverse((d + w, v)));
+                }
+            }
+        }
+        None
+    };
+    let mut bounds: HashMap<EdgeId, Option<u64>> = HashMap::new();
+    for e in ipc.ipc_edges() {
+        let IpcEdgeKind::Ipc { via } = e.kind else {
+            continue;
+        };
+        match dijkstra(e.to, e.from) {
+            Some(gamma) => {
+                let slot = bounds.entry(via).or_insert(Some(0));
+                if let Some(cur) = slot {
+                    *slot = Some((*cur).max(gamma + e.delay));
+                }
+            }
+            None => {
+                bounds.insert(via, None);
+            }
+        }
+    }
+    bounds
+}
+
+#[test]
+fn one_table_matches_the_recomputing_reference() {
+    let (mut added, mut removed, mut resynced) = (0, 0, 0);
+    for_each_case(600, |rng| {
+        let (ipc, sg) = random_ipc_sync(rng);
+        assert_eq!(ipc.buffer_bounds_by_edge(), reference_bounds(&ipc));
+        let n = sg.tasks().len();
+
+        let mut reduced = sg.clone();
+        let mut want = sg.edges().to_vec();
+        assert_eq!(reduced.remove_redundant(), reference_remove(n, &mut want));
+        assert_eq!(reduced.edges(), &want[..]);
+
+        let mut after = sg.clone();
+        let cert = after.resynchronize();
+        let mut want = sg.edges().to_vec();
+        let reference = reference_resync(sg.tasks(), &mut want);
+        assert_eq!(after.edges(), &want[..]);
+        assert_eq!(cert, reference);
+        assert_eq!(cert.render(), reference.render());
+        added += cert.additions.len();
+        removed += cert.report.edges_removed;
+        resynced += usize::from(!cert.additions.is_empty());
+    });
+    println!("{added} additions ({resynced} graphs) and {removed} removals matched");
+    assert!(added > 0, "no generated graph gained a Resync edge");
+}
+
+/// Least delays from `source` by Bellman–Ford over `sg`'s edges.
+fn bellman_ford(sg: &SyncGraph, source: usize) -> Vec<Option<u64>> {
+    let mut dist = vec![None; sg.tasks().len()];
+    dist[source] = Some(0);
+    for _ in 0..sg.tasks().len() {
+        for e in sg.edges() {
+            if let Some(d) = dist[e.from.0].map(|d: u64| d + e.delay) {
+                if dist[e.to.0].is_none_or(|cur| d < cur) {
+                    dist[e.to.0] = Some(d);
+                }
+            }
+        }
+    }
+    dist
+}
+
+#[test]
+fn min_delay_matches_bellman_ford_before_and_after_resync() {
+    for_each_case(200, |rng| {
+        let before = random_sync(rng);
+        let mut after = before.clone();
+        after.resynchronize();
+        for sg in [&before, &after] {
+            for s in 0..sg.tasks().len() {
+                let want = bellman_ford(sg, s);
+                for (t, &want) in want.iter().enumerate() {
+                    assert_eq!(sg.min_delay(TaskId(s), TaskId(t)), want, "t{s} -> t{t}");
+                }
+            }
+        }
+    });
 }

@@ -542,11 +542,11 @@ impl SpiSystemBuilder {
             _ => unreachable!("protocol_of is only called for IPC edges"),
         })?;
         let dot_before = graph.to_dot("before resynchronization");
-        // The certified variant records a redundancy proof (witness path
-        // in the final graph) for every removed edge; the SPI061/SPI062
-        // analyzer pass re-verifies the certificate in `verify`.
-        let resynced = self.resync.then(|| graph.resynchronize_certified(true));
-        let (report, cert) = resynced.unzip();
+        // The certificate holds a redundancy proof (witness path in the
+        // final graph) for every removed edge; the SPI061/SPI062 analyzer
+        // pass re-verifies it in `verify`.
+        let cert = self.resync.then(|| graph.resynchronize());
+        let report = cert.as_ref().map(|c| c.report);
         let dot_after = graph.to_dot("after resynchronization");
         // An edge keeps its acknowledgements if any Ack sync edge for it
         // survived the optimization.

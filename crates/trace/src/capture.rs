@@ -31,7 +31,7 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use spi_platform::{PeId, ProbeEvent, ProbeKind, Tracer};
@@ -299,6 +299,13 @@ impl RingTracer {
         self.out_of_range.store(0, Ordering::Relaxed);
     }
 
+    /// The label table. A panic while it was held cannot leave it half
+    /// written — an intern only pushes one whole label — so a poisoned
+    /// lock still guards a valid table.
+    fn labels(&self) -> MutexGuard<'_, Vec<String>> {
+        self.labels.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Consumes the capture into an owned [`Trace`]: each PE's flush
     /// stream merged into its own stream by timestamp (own event first
     /// on a tie), then the PEs merged by [`Trace::linearize`] under
@@ -308,7 +315,7 @@ impl RingTracer {
     /// edge bounds, predicted makespan) — typically via
     /// `SpiSystem::trace_meta`.
     pub fn finish(&self, mut meta: TraceMeta) -> Trace {
-        meta.labels = self.labels.lock().expect("label lock").clone();
+        meta.labels = self.labels().clone();
         meta.dropped += self.dropped();
         let mut events = Vec::with_capacity(self.captured());
         for (pe, b) in self.pes.iter().enumerate() {
@@ -326,7 +333,7 @@ impl Tracer for RingTracer {
     }
 
     fn intern(&self, label: &str) -> u32 {
-        let mut labels = self.labels.lock().expect("label lock");
+        let mut labels = self.labels();
         if let Some(i) = labels.iter().position(|l| l == label) {
             return i as u32;
         }
