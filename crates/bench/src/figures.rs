@@ -148,8 +148,7 @@ pub fn fig3_dot(n_pes: usize) -> (String, String) {
     })
     .expect("valid config");
     let sys = app.system(1).expect("buildable system");
-    let (b, a) = sys.sync_graph_dot();
-    (b.to_string(), a.to_string())
+    sys.sync_graph_dot()
 }
 
 /// Figure 5 as drawings: Graphviz DOT `(before, after)`.
@@ -160,8 +159,7 @@ pub fn fig5_dot(n_pes: usize) -> (String, String) {
     })
     .expect("valid config");
     let sys = app.system(1).expect("buildable system");
-    let (b, a) = sys.sync_graph_dot();
-    (b.to_string(), a.to_string())
+    sys.sync_graph_dot()
 }
 
 /// Figure 5: resynchronization of the 2-PE particle-filter

@@ -1,12 +1,15 @@
-//! Throughput analysis: maximum cycle mean / cycle ratio.
+//! Throughput analysis: the maximum cycle ratio, exactly.
 //!
 //! For a self-timed implementation, the asymptotic iteration period
 //! equals the *maximum cycle ratio* of the synchronization graph:
 //! `max over cycles C of (Σ execution time on C) / (Σ delay on C)`
-//! (Sriram & Bhattacharyya). This module computes it with a
-//! binary-search (Lawler) scheme over Bellman–Ford positive-cycle
-//! detection — robust for the small, possibly non-strongly-connected
-//! graphs that app schedules produce.
+//! (Sriram & Bhattacharyya). This module computes it with Howard's
+//! policy iteration (Cochet-Terrasson et al. 1998) over the integer
+//! weights and delays, so the ratio comes back as the exact pair of sums
+//! of one critical cycle — robust for the small, possibly
+//! non-strongly-connected graphs that app schedules produce.
+
+use std::cmp::Ordering;
 
 /// A generic weighted edge for cycle-ratio computation: traversing the
 /// edge accrues `weight` time and consumes `delay` tokens.
@@ -22,13 +25,101 @@ pub struct WeightedEdge {
     pub delay: u64,
 }
 
-/// Maximum cycle ratio `max_C Σweight/Σdelay` of a directed graph.
+/// The ratio `weight / delay` of a cycle, kept as the exact pair of its
+/// sums. Equality and order are by value (`6/2 == 3/1`). A positive
+/// weight over zero delay is +∞ (a self-timed deadlock); `0/0`, a cycle
+/// that costs nothing and holds no token, constrains nothing and reads
+/// as 0.
+#[derive(Debug, Clone, Copy)]
+pub struct CycleRatio {
+    /// Σ weight along the cycle.
+    pub weight: u64,
+    /// Σ delay along the cycle.
+    pub delay: u64,
+}
+
+impl CycleRatio {
+    /// `true` for a positive weight over zero delay.
+    pub fn is_infinite(self) -> bool {
+        self.delay == 0 && self.weight > 0
+    }
+
+    /// The ratio as a float, for display and wall-clock arithmetic.
+    pub fn as_f64(self) -> f64 {
+        let (num, den) = self.terms();
+        match den {
+            0 => f64::INFINITY,
+            _ => num as f64 / den as f64,
+        }
+    }
+
+    /// Numerator and denominator with `0/0` read as `0/1` and every
+    /// infinite ratio as `1/0`, so cross-multiplication orders them.
+    fn terms(self) -> (u64, u64) {
+        match (self.weight, self.delay) {
+            (0, 0) => (0, 1),
+            (_, 0) => (1, 0),
+            terms => terms,
+        }
+    }
+
+    /// The same value in lowest terms (`0/1` for zero).
+    fn reduced(self) -> CycleRatio {
+        let (num, den) = self.terms();
+        let g = gcd(num, den);
+        CycleRatio {
+            weight: num / g,
+            delay: den / g,
+        }
+    }
+}
+
+impl PartialEq for CycleRatio {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for CycleRatio {}
+
+impl PartialOrd for CycleRatio {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for CycleRatio {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let ((a, b), (c, d)) = (self.terms(), other.terms());
+        (u128::from(a) * u128::from(d)).cmp(&(u128::from(c) * u128::from(b)))
+    }
+}
+
+/// A cycle of maximum ratio: its ratio and its edges, as indices into
+/// the edge list given to [`maximum_cycle_ratio`], in traversal order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CriticalCycle {
+    /// Σ weight and Σ delay of [`CriticalCycle::edges`].
+    pub ratio: CycleRatio,
+    /// The cycle's edges; each one's `to` is the next one's `from`, and
+    /// the last one's `to` is the first one's `from`.
+    pub edges: Vec<usize>,
+}
+
+/// Maximum cycle ratio `max_C Σweight/Σdelay` of a directed graph over
+/// nodes `0..n`, with one cycle that attains it.
 ///
-/// Returns:
-/// * `None` if the graph has no directed cycle;
-/// * `Some(f64::INFINITY)` if some cycle has positive weight and zero
-///   delay (a self-timed deadlock);
-/// * the finite maximum otherwise (to ~1e-9 relative precision).
+/// Returns `None` if the graph has no directed cycle. A cycle with
+/// positive weight and zero delay (a self-timed deadlock) gives an
+/// infinite ratio; a graph whose only cycles weigh nothing gives 0.
+///
+/// Howard's policy iteration: every node that reaches a cycle follows
+/// one out-edge (its policy), each node takes the ratio of the policy
+/// cycle it runs into and a potential relative to that cycle, and a node
+/// switches to an edge that leads to a larger ratio, or at an equal
+/// ratio to a larger potential, until none can. Ratios and potentials
+/// are integers (potentials are scaled by the ratio's reduced
+/// denominator), so every comparison is exact and the iteration stops.
 ///
 /// # Examples
 ///
@@ -40,37 +131,181 @@ pub struct WeightedEdge {
 ///     WeightedEdge { from: 0, to: 1, weight: 10, delay: 0 },
 ///     WeightedEdge { from: 1, to: 0, weight: 20, delay: 1 },
 /// ];
-/// let mcr = maximum_cycle_ratio(2, &edges).expect("cyclic");
-/// assert!((mcr - 30.0).abs() < 1e-6);
+/// let critical = maximum_cycle_ratio(2, &edges).expect("cyclic");
+/// assert_eq!((critical.ratio.weight, critical.ratio.delay), (30, 1));
+/// assert_eq!(critical.edges, [0, 1]);
 /// ```
-pub fn maximum_cycle_ratio(n: usize, edges: &[WeightedEdge]) -> Option<f64> {
-    if n == 0 || edges.is_empty() {
-        return None;
+pub fn maximum_cycle_ratio(n: usize, edges: &[WeightedEdge]) -> Option<CriticalCycle> {
+    // Kahn's algorithm on the reversed graph drains exactly the nodes
+    // that reach no cycle; the others are live.
+    let live = topological_order(n, edges.iter().map(|e| (e.to, e.from))).err()?;
+    let mut alive = vec![false; n];
+    for &u in &live {
+        alive[u] = true;
     }
-    if !has_cycle(n, edges, |_| true) {
-        return None;
+    let kept: Vec<usize> = (0..edges.len()).filter(|&i| alive[edges[i].to]).collect();
+    // Every live node starts on its heaviest out-edge.
+    let mut policy = vec![usize::MAX; n];
+    for &i in &kept {
+        let u = edges[i].from;
+        if policy[u] == usize::MAX || edges[i].weight > edges[policy[u]].weight {
+            policy[u] = i;
+        }
     }
-    // Zero-delay positive-weight cycle → infinite ratio.
-    if has_cycle(n, edges, |e| e.delay == 0) {
-        // Check the zero-delay cycle actually accrues weight; a cycle of
-        // zero-weight zero-delay edges is a degenerate no-op.
-        if has_positive_cycle(n, edges, f64::INFINITY) {
-            return Some(f64::INFINITY);
+    let zero = CycleRatio {
+        weight: 0,
+        delay: 1,
+    };
+    let mut howard = Howard {
+        edges,
+        live,
+        policy,
+        ratio: vec![zero; n],
+        value: vec![0; n],
+    };
+    loop {
+        let best = match howard.evaluate() {
+            Ok(best) => best,
+            Err(deadlock) => return Some(howard.cycle(deadlock)),
+        };
+        if !howard.improve(&kept) {
+            return Some(howard.cycle(best));
+        }
+    }
+}
+
+/// Howard's policy-iteration state: the edge each live node follows,
+/// the ratio (in lowest terms) of the policy cycle it runs into, and its
+/// potential relative to that cycle's root, scaled by the ratio's
+/// denominator.
+struct Howard<'a> {
+    edges: &'a [WeightedEdge],
+    live: Vec<usize>,
+    policy: Vec<usize>,
+    ratio: Vec<CycleRatio>,
+    value: Vec<i128>,
+}
+
+impl Howard<'_> {
+    /// `w − ratio · d` for edge `e`, scaled by the ratio's denominator.
+    fn cost(&self, e: usize, ratio: CycleRatio) -> i128 {
+        let e = &self.edges[e];
+        let (num, den) = (i128::from(ratio.weight), i128::from(ratio.delay));
+        den * i128::from(e.weight) - num * i128::from(e.delay)
+    }
+
+    /// The node `u`'s policy edge leads to.
+    fn next(&self, u: usize) -> usize {
+        self.edges[self.policy[u]].to
+    }
+
+    /// Value determination: the ratio and potential of every live node
+    /// under the current policy. Returns a node on a policy cycle of the
+    /// largest ratio, or `Err` with a node on a positive zero-delay
+    /// cycle, whose infinite ratio nothing beats.
+    fn evaluate(&mut self) -> Result<usize, usize> {
+        // 0: not reached yet, 1: on the walk in progress, 2: evaluated.
+        let mut state = vec![0u8; self.policy.len()];
+        let (mut walk, mut best) = (Vec::new(), None::<(CycleRatio, usize)>);
+        for &start in &self.live {
+            let mut u = start;
+            walk.clear();
+            while state[u] == 0 {
+                state[u] = 1;
+                walk.push(u);
+                u = self.next(u);
+            }
+            let mut tree = walk.len();
+            if state[u] == 1 {
+                // `u` closes a new policy cycle, `walk[at..]`.
+                let at = walk.iter().position(|&x| x == u).unwrap_or(0);
+                let sum = self.sum(walk[at..].iter().map(|&x| self.policy[x]));
+                if sum.is_infinite() {
+                    return Err(u);
+                }
+                if best.is_none_or(|(b, _)| sum > b) {
+                    best = Some((sum, u));
+                }
+                // The root is the cycle's least node, at potential 0: a
+                // cycle an improvement left intact keeps its potentials,
+                // which is what makes the iteration terminate. Rotated to
+                // the walk's end, every other node follows it backwards.
+                let root = (at..walk.len()).min_by_key(|&i| walk[i]).unwrap_or(at);
+                walk[at..].rotate_left(root - at + 1);
+                tree -= 1;
+                let root = walk[tree];
+                (self.ratio[root], self.value[root], state[root]) = (sum.reduced(), 0, 2);
+            }
+            for &x in walk[..tree].iter().rev() {
+                let next = self.next(x);
+                self.ratio[x] = self.ratio[next];
+                self.value[x] = self.cost(self.policy[x], self.ratio[x]) + self.value[next];
+                state[x] = 2;
+            }
+        }
+        // Every live node reaches a policy cycle, so one was found.
+        Ok(best.map_or(self.live[0], |(_, u)| u))
+    }
+
+    /// Policy improvement over the `kept` edges (those into live nodes).
+    /// First order: a node moves to the out-edge whose head reaches the
+    /// largest ratio, if that beats its own. Only when no node can,
+    /// second order: among the edges to an equal ratio, a node moves to
+    /// the one of strictly largest potential. Returns whether any moved.
+    fn improve(&mut self, kept: &[usize]) -> bool {
+        let mut choice = vec![usize::MAX; self.policy.len()];
+        let mut best = self.ratio.clone();
+        for &i in kept {
+            let (u, v) = (self.edges[i].from, self.edges[i].to);
+            if self.ratio[v] > best[u] {
+                (best[u], choice[u]) = (self.ratio[v], i);
+            }
+        }
+        if choice.iter().all(|&c| c == usize::MAX) {
+            let mut best = self.value.clone();
+            for &i in kept {
+                let (u, v) = (self.edges[i].from, self.edges[i].to);
+                let potential = self.cost(i, self.ratio[u]) + self.value[v];
+                if self.ratio[v] == self.ratio[u] && potential > best[u] {
+                    (best[u], choice[u]) = (potential, i);
+                }
+            }
+        }
+        let mut moved = false;
+        for (u, &c) in choice.iter().enumerate().filter(|&(_, &c)| c != usize::MAX) {
+            self.policy[u] = c;
+            moved = true;
+        }
+        moved
+    }
+
+    /// The policy cycle through `u`, with its exact sums.
+    fn cycle(&self, u: usize) -> CriticalCycle {
+        let (mut edges, mut x) = (Vec::new(), u);
+        loop {
+            edges.push(self.policy[x]);
+            x = self.next(x);
+            if x == u {
+                let ratio = self.sum(edges.iter().copied());
+                return CriticalCycle { ratio, edges };
+            }
         }
     }
 
-    let mut lo = 0.0_f64;
-    let mut hi: f64 = edges.iter().map(|e| e.weight as f64).sum::<f64>().max(1.0);
-    // λ < MCR  ⟺  a positive cycle exists under weights w − λ·d.
-    for _ in 0..100 {
-        let mid = 0.5 * (lo + hi);
-        if has_positive_cycle(n, edges, mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
+    /// Σ weight and Σ delay over `edges`.
+    fn sum(&self, edges: impl Iterator<Item = usize>) -> CycleRatio {
+        let (weight, delay) = edges.fold((0, 0), |(w, d), i| {
+            (w + self.edges[i].weight, d + self.edges[i].delay)
+        });
+        CycleRatio { weight, delay }
     }
-    Some(0.5 * (lo + hi))
+}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
 }
 
 /// Classic parallel-speedup bounds of one graph iteration: the total
@@ -230,54 +465,14 @@ impl PathDelays {
     }
 }
 
-/// Cycle detection over the subgraph of edges passing `filter`.
-fn has_cycle(n: usize, edges: &[WeightedEdge], filter: impl Fn(&WeightedEdge) -> bool) -> bool {
-    let kept = edges.iter().filter(|e| filter(e)).map(|e| (e.from, e.to));
-    topological_order(n, kept).is_err()
-}
-
-/// Does a cycle with `Σ(w − λ·d) > 0` exist? (Bellman–Ford, run from a
-/// virtual super-source so disconnected components are covered.)
-///
-/// For `λ = ∞` the test degenerates to: does a positive-weight cycle of
-/// zero-delay edges exist?
-fn has_positive_cycle(n: usize, edges: &[WeightedEdge], lambda: f64) -> bool {
-    let cost = |e: &WeightedEdge| -> f64 {
-        if lambda.is_infinite() {
-            if e.delay > 0 {
-                return f64::NEG_INFINITY;
-            }
-            e.weight as f64
-        } else {
-            e.weight as f64 - lambda * e.delay as f64
-        }
-    };
-    // Longest-path relaxation; start every node at 0 (super-source).
-    let mut dist = vec![0.0_f64; n];
-    for _ in 0..n {
-        let mut changed = false;
-        for e in edges {
-            let c = cost(e);
-            if c == f64::NEG_INFINITY {
-                continue;
-            }
-            let cand = dist[e.from] + c;
-            if cand > dist[e.to] + 1e-12 {
-                dist[e.to] = cand;
-                changed = true;
-            }
-        }
-        if !changed {
-            return false;
-        }
-    }
-    // Still relaxing after n rounds → positive cycle.
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Σ weight and Σ delay of the critical cycle.
+    fn sums(n: usize, edges: &[WeightedEdge]) -> Option<(u64, u64)> {
+        maximum_cycle_ratio(n, edges).map(|c| (c.ratio.weight, c.ratio.delay))
+    }
 
     #[test]
     fn simple_loop_ratio() {
@@ -295,8 +490,9 @@ mod tests {
                 delay: 2,
             },
         ];
-        let mcr = maximum_cycle_ratio(2, &edges).unwrap();
-        assert!((mcr - 6.0).abs() < 1e-6, "(5+7)/2 = 6, got {mcr}");
+        // (5 + 7) / 2, through both edges.
+        assert_eq!(sums(2, &edges), Some((12, 2)));
+        assert_eq!(maximum_cycle_ratio(2, &edges).unwrap().edges, [0, 1]);
     }
 
     #[test]
@@ -334,7 +530,10 @@ mod tests {
                 delay: 0,
             },
         ];
-        assert_eq!(maximum_cycle_ratio(2, &edges), Some(f64::INFINITY));
+        let critical = maximum_cycle_ratio(2, &edges).unwrap();
+        assert!(critical.ratio.is_infinite());
+        assert_eq!(critical.ratio.as_f64(), f64::INFINITY);
+        assert_eq!(sums(2, &edges), Some((10, 0)));
     }
 
     #[test]
@@ -360,8 +559,7 @@ mod tests {
                 delay: 1,
             },
         ];
-        let mcr = maximum_cycle_ratio(3, &edges).unwrap();
-        assert!((mcr - 15.0).abs() < 1e-6, "got {mcr}");
+        assert_eq!(sums(3, &edges), Some((30, 2)));
     }
 
     #[test]
@@ -380,8 +578,7 @@ mod tests {
                 delay: 1,
             },
         ];
-        let mcr = maximum_cycle_ratio(4, &edges).unwrap();
-        assert!((mcr - 9.0).abs() < 1e-6);
+        assert_eq!(sums(4, &edges), Some((9, 1)));
     }
 
     #[test]
@@ -467,7 +664,70 @@ mod tests {
                 delay: 4,
             },
         ];
-        let mcr = maximum_cycle_ratio(3, &edges).unwrap();
-        assert!((mcr - 2.0).abs() < 1e-6, "got {mcr}");
+        assert_eq!(sums(3, &edges), Some((8, 4)));
+    }
+
+    #[test]
+    fn a_lone_weightless_tokenless_cycle_is_exactly_zero() {
+        let edges = [
+            WeightedEdge {
+                from: 0,
+                to: 1,
+                weight: 0,
+                delay: 0,
+            },
+            WeightedEdge {
+                from: 1,
+                to: 0,
+                weight: 0,
+                delay: 0,
+            },
+        ];
+        let critical = maximum_cycle_ratio(2, &edges).unwrap();
+        assert_eq!((critical.ratio.weight, critical.ratio.delay), (0, 0));
+        assert_eq!(critical.ratio.as_f64(), 0.0);
+        assert_eq!(
+            critical.ratio,
+            CycleRatio {
+                weight: 0,
+                delay: 7
+            }
+        );
+    }
+
+    #[test]
+    fn ratios_compare_by_value() {
+        let r = |weight, delay| CycleRatio { weight, delay };
+        assert_eq!(r(6, 2), r(3, 1));
+        assert!(r(7, 2) > r(3, 1));
+        assert!(r(1, 0) > r(u64::MAX, 1));
+        assert_eq!(r(1, 0), r(5, 0));
+        assert!(r(0, 0) < r(1, 9));
+        let lowest = |r: CycleRatio| (r.reduced().weight, r.reduced().delay);
+        assert_eq!(lowest(r(0, 0)), (0, 1));
+        assert_eq!(lowest(r(12, 8)), (3, 2));
+    }
+
+    #[test]
+    fn nodes_that_reach_no_cycle_are_skipped() {
+        // 0 → 1 → 2 ⇄ 3, with 2 ⇄ 3 the only cycle; 4 is a sink.
+        let e = |from, to, weight, delay| WeightedEdge {
+            from,
+            to,
+            weight,
+            delay,
+        };
+        let edges = [
+            e(0, 1, 50, 0),
+            e(1, 2, 50, 0),
+            e(2, 3, 4, 1),
+            e(3, 2, 6, 1),
+            e(3, 4, 99, 0),
+        ];
+        let critical = maximum_cycle_ratio(5, &edges).unwrap();
+        assert_eq!((critical.ratio.weight, critical.ratio.delay), (10, 2));
+        let mut cycle = critical.edges.clone();
+        cycle.sort_unstable();
+        assert_eq!(cycle, [2, 3]);
     }
 }

@@ -10,7 +10,10 @@
 //!   eq. (2) IPC buffer bound;
 //! * [`SyncGraph`] — synchronization-only view with redundant-edge
 //!   elimination and greedy [`SyncGraph::resynchronize`] (§4.1);
-//! * [`maximum_cycle_ratio`] — iteration-period (throughput) analysis.
+//! * [`maximum_cycle_ratio`] — the iteration period (throughput) as an
+//!   exact [`CycleRatio`], by Howard's policy iteration, and
+//!   [`PeriodicRegime`] — eq. (3) up to its periodic regime, so a
+//!   predicted makespan is exact at any horizon.
 //!
 //! # Examples
 //!
@@ -51,7 +54,9 @@ mod predicted;
 mod selftimed;
 mod sync_graph;
 
-pub use analysis::{maximum_cycle_ratio, speedup_bounds, SpeedupBounds, WeightedEdge};
+pub use analysis::{
+    maximum_cycle_ratio, speedup_bounds, CriticalCycle, CycleRatio, SpeedupBounds, WeightedEdge,
+};
 pub use assign::{Assignment, Partition, ProcId};
 pub use batch::{
     batch_plan, BatchPlan, BATCH_MAX_MSGS_CAP, FLUSH_AFTER_DEFAULT, FLUSH_AFTER_MAX,
@@ -59,7 +64,7 @@ pub use batch::{
 };
 pub use error::{Result, SchedError};
 pub use ipc_graph::{IpcEdge, IpcEdgeKind, IpcGraph, Task, TaskId};
-pub use latency::{measured_period, self_timed_times};
+pub use latency::{self_timed_times, PeriodicRegime};
 pub use predicted::{predicted_metrics, PredictedMetrics};
 pub use selftimed::SelfTimedSchedule;
 pub use sync_graph::{

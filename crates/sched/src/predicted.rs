@@ -9,12 +9,10 @@
 //! iterations — the value a trace-conformance checker holds an observed
 //! execution against.
 //!
-//! The bound is exact (eq. (3) evaluated iteration by iteration) up to a
-//! capped horizon and extrapolated linearly past it using the worst of
-//! the analytic period and the measured tail increment, rounded up —
-//! extrapolation never undercuts the exact value for a longer horizon,
-//! because self-timed iteration increments are non-increasing toward the
-//! steady state (monotonicity of eq. (3) with fixed initial tokens).
+//! The bound is exact at every horizon: eq. (3) is evaluated iteration
+//! by iteration only until the end times repeat up to a per-task shift
+//! ([`crate::latency::PeriodicRegime`]), and every later iteration
+//! follows from that period in closed form.
 //!
 //! The numbers cover **computation and synchronization ordering only**:
 //! the sync graph carries no per-message communication costs (channel
@@ -24,12 +22,9 @@
 
 use std::time::Duration;
 
-use crate::latency::self_timed_times;
+use crate::analysis::CycleRatio;
+use crate::latency::PeriodicRegime;
 use crate::sync_graph::SyncGraph;
-
-/// Horizon up to which the makespan is computed exactly; longer horizons
-/// extrapolate from this prefix.
-const EXACT_HORIZON_CAP: u64 = 256;
 
 /// Analytic performance prediction for a self-timed schedule over a
 /// finite horizon.
@@ -41,9 +36,9 @@ pub struct PredictedMetrics {
     pub horizon: u64,
     /// Completion cycle of the first iteration (pipeline fill latency).
     pub first_iteration_makespan: u64,
-    /// Steady-state iteration period from maximum-cycle-mean analysis;
+    /// Steady-state iteration period, the exact maximum cycle ratio;
     /// `None` when the graph is acyclic (unbounded pipelining).
-    pub iteration_period: Option<f64>,
+    pub iteration_period: Option<CycleRatio>,
     /// Compute-only makespan bound for `horizon` iterations, in cycles.
     pub makespan_cycles: u64,
 }
@@ -92,51 +87,19 @@ impl PredictedMetrics {
 /// Computes [`PredictedMetrics`] for `iterations` of `graph` under the
 /// self-timed (eq. 3) semantics. `period` is `graph`'s
 /// [`SyncGraph::iteration_period`], passed in so that a caller which
-/// already has it does not run the cycle-mean search twice.
+/// already has it does not run the cycle-ratio search twice.
 pub fn predicted_metrics(
     graph: &SyncGraph,
     iterations: u64,
-    period: Option<f64>,
+    period: Option<CycleRatio>,
 ) -> PredictedMetrics {
-    let tasks = graph.tasks().len();
-    if tasks == 0 || iterations == 0 {
-        return PredictedMetrics {
-            tasks,
-            horizon: iterations,
-            first_iteration_makespan: 0,
-            iteration_period: period,
-            makespan_cycles: 0,
-        };
-    }
-
-    let exact_horizon = iterations.min(EXACT_HORIZON_CAP);
-    let times = self_timed_times(graph, exact_horizon);
-    let makespan_at = |k: usize| -> u64 { times[k].iter().map(|&(_, e)| e).max().unwrap_or(0) };
-    let first_iteration_makespan = makespan_at(0);
-    let exact_makespan = makespan_at(exact_horizon as usize - 1);
-
-    let makespan_cycles = if iterations <= exact_horizon {
-        exact_makespan
-    } else {
-        // Extrapolate with the larger of the analytic period and the
-        // measured tail increment (conservative for schedules still
-        // settling at the cap), rounded up.
-        let tail_inc = if exact_horizon >= 2 {
-            exact_makespan - makespan_at(exact_horizon as usize - 2)
-        } else {
-            exact_makespan
-        };
-        let per_iter = period.unwrap_or(0.0).max(tail_inc as f64);
-        let remaining = iterations - exact_horizon;
-        exact_makespan.saturating_add((per_iter * remaining as f64).ceil() as u64)
-    };
-
+    let regime = PeriodicRegime::new(graph, iterations);
     PredictedMetrics {
-        tasks,
+        tasks: graph.tasks().len(),
         horizon: iterations,
-        first_iteration_makespan,
+        first_iteration_makespan: regime.makespan(iterations.min(1)),
         iteration_period: period,
-        makespan_cycles,
+        makespan_cycles: regime.makespan(iterations),
     }
 }
 
@@ -145,6 +108,7 @@ mod tests {
     use super::*;
     use crate::assign::{Assignment, ProcId};
     use crate::ipc_graph::IpcGraph;
+    use crate::latency::self_timed_times;
     use crate::selftimed::SelfTimedSchedule;
     use crate::sync_graph::Protocol;
     use spi_dataflow::{PrecedenceGraph, SdfGraph};
@@ -188,27 +152,18 @@ mod tests {
     }
 
     #[test]
-    fn extrapolated_bound_dominates_exact_fixpoint() {
+    fn long_horizons_equal_eq3_iteration_by_iteration() {
         let sg = two_proc_pipeline(&[10, 20, 5]);
-        // 300 > EXACT_HORIZON_CAP forces the extrapolated path; the
-        // directly computed schedule must stay under the bound.
-        let predicted = predicted_metrics(&sg, 300, sg.iteration_period()).makespan_cycles;
-        let exact = self_timed_times(&sg, 300)
-            .last()
-            .unwrap()
-            .iter()
-            .map(|&(_, e)| e)
-            .max()
-            .unwrap();
-        assert!(
-            predicted >= exact,
-            "extrapolation must be conservative: {predicted} < {exact}"
-        );
-        // ...but not uselessly loose.
-        assert!(
-            predicted <= exact.saturating_mul(2),
-            "{predicted} vs {exact}"
-        );
+        let exact = self_timed_times(&sg, 600);
+        for h in [1, 2, 255, 256, 257, 300, 600] {
+            let predicted = predicted_metrics(&sg, h, sg.iteration_period()).makespan_cycles;
+            let row = &exact[h as usize - 1];
+            assert_eq!(
+                predicted,
+                row.iter().map(|&(_, e)| e).max().unwrap(),
+                "h = {h}"
+            );
+        }
     }
 
     #[test]

@@ -23,7 +23,9 @@
 
 use spi_dataflow::EdgeId;
 
-use crate::analysis::{maximum_cycle_ratio, topological_order, PathDelays, WeightedEdge};
+use crate::analysis::{
+    maximum_cycle_ratio, topological_order, CycleRatio, PathDelays, WeightedEdge,
+};
 use crate::error::{Result, SchedError};
 use crate::ipc_graph::{IpcEdgeKind, IpcGraph, Task, TaskId};
 
@@ -341,7 +343,8 @@ impl SyncGraph {
                 break; // stale estimate; no profitable candidate remains
             }
             let base = *base_mcm.get_or_insert_with(|| self.iteration_period());
-            if mcm_worse(base, trial.iteration_period()) {
+            // `None` (acyclic) orders below every ratio.
+            if trial.iteration_period() > base {
                 // Blacklist by just stopping: a finer implementation
                 // would skip this candidate; in practice profitable
                 // candidates that hurt throughput are rare on these
@@ -491,10 +494,10 @@ impl SyncGraph {
         out
     }
 
-    /// Estimated iteration period in cycles: the maximum cycle mean of
-    /// the graph (`None` if the graph is acyclic, which cannot happen for
-    /// well-formed schedules since every processor has a loopback).
-    pub fn iteration_period(&self) -> Option<f64> {
+    /// The iteration period in cycles: the maximum cycle ratio of the
+    /// graph, exact (`None` if the graph is acyclic, which cannot happen
+    /// for well-formed schedules since every processor has a loopback).
+    pub fn iteration_period(&self) -> Option<CycleRatio> {
         let edges: Vec<WeightedEdge> = (self.edges.iter())
             .map(|e| WeightedEdge {
                 from: e.from.0,
@@ -503,7 +506,7 @@ impl SyncGraph {
                 delay: e.delay,
             })
             .collect();
-        maximum_cycle_ratio(self.tasks.len(), &edges)
+        maximum_cycle_ratio(self.tasks.len(), &edges).map(|c| c.ratio)
     }
 }
 
@@ -513,14 +516,6 @@ fn path_delays(n: usize, edges: &[SyncEdge]) -> PathDelays {
 
 fn reach(dist: &[Vec<u64>], a: usize, b: usize) -> Option<u64> {
     (dist[a][b] != u64::MAX).then(|| dist[a][b])
-}
-
-fn mcm_worse(base: Option<f64>, new: Option<f64>) -> bool {
-    match (base, new) {
-        (Some(b), Some(n)) => n > b + 1e-9,
-        (None, Some(_)) => true,
-        _ => false,
-    }
 }
 
 /// Outcome of a resynchronization pass.
@@ -903,6 +898,9 @@ mod tests {
         let sg = two_proc_pipeline();
         let period = sg.iteration_period();
         assert!(period.is_some());
-        assert!(period.unwrap() >= 20.0, "P0 runs A and C: ≥ 20 cycles");
+        assert!(
+            period.unwrap().as_f64() >= 20.0,
+            "P0 runs A and C: ≥ 20 cycles"
+        );
     }
 }

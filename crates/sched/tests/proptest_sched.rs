@@ -7,9 +7,9 @@ use std::collections::HashMap;
 use spi_dataflow::{EdgeId, PrecedenceGraph, SdfGraph};
 use spi_platform::rng::{for_each_case, SplitMix64};
 use spi_sched::{
-    latency, maximum_cycle_ratio, Assignment, IpcEdgeKind, IpcGraph, ProcId, Protocol,
-    RedundancyProof, ResyncAddition, ResyncCertificate, ResyncReport, SelfTimedSchedule, SyncEdge,
-    SyncGraph, SyncKind, Task, TaskId, WeightedEdge,
+    latency, maximum_cycle_ratio, predicted_metrics, Assignment, CycleRatio, IpcEdgeKind, IpcGraph,
+    PeriodicRegime, ProcId, Protocol, RedundancyProof, ResyncAddition, ResyncCertificate,
+    ResyncReport, SelfTimedSchedule, SyncEdge, SyncGraph, SyncKind, Task, TaskId, WeightedEdge,
 };
 
 /// A live random pipeline with a delayed feedback edge, plus a
@@ -124,24 +124,6 @@ fn redundancy_removal_preserves_constraints() {
 }
 
 #[test]
-fn measured_period_never_beats_mcm() {
-    // The analytic maximum cycle mean lower-bounds the asymptotic
-    // period; the measured finite-horizon period converges from above
-    // (up to transient effects within tolerance).
-    for_each_case(64, |rng| {
-        let (g, procs) = scenario(rng);
-        let sg = build_sync(&g, procs, 2);
-        if let Some(mcm) = sg.iteration_period() {
-            let measured = latency::measured_period(&sg, 48);
-            assert!(
-                measured >= mcm * 0.95,
-                "measured {measured} far below analytic bound {mcm}"
-            );
-        }
-    });
-}
-
-#[test]
 fn mcr_scales_linearly_with_weights() {
     for_each_case(64, |rng| {
         let (w1, w2) = (rng.gen_range(1..50u64), rng.gen_range(1..50u64));
@@ -167,9 +149,15 @@ fn mcr_scales_linearly_with_weights() {
                 ..*e
             })
             .collect();
-        let r1 = maximum_cycle_ratio(2, &base).expect("cyclic");
-        let r2 = maximum_cycle_ratio(2, &scaled).expect("cyclic");
-        assert!((r2 - r1 * scale as f64).abs() < 1e-6 * r2.max(1.0));
+        let r1 = maximum_cycle_ratio(2, &base).expect("cyclic").ratio;
+        let r2 = maximum_cycle_ratio(2, &scaled).expect("cyclic").ratio;
+        assert_eq!(
+            r2,
+            CycleRatio {
+                weight: r1.weight * scale,
+                delay: r1.delay
+            }
+        );
     });
 }
 
@@ -453,7 +441,7 @@ fn reference_mcm(tasks: &[Task], edges: &[SyncEdge]) -> Option<f64> {
             delay: e.delay,
         })
         .collect();
-    maximum_cycle_ratio(tasks.len(), &wedges)
+    bisection_reference(tasks.len(), &wedges)
 }
 
 fn reference_killed_by(edges: &[SyncEdge], u: usize, v: usize, dist: &[Vec<u64>]) -> usize {
@@ -665,6 +653,344 @@ fn min_delay_matches_bellman_ford_before_and_after_resync() {
                 for (t, &want) in want.iter().enumerate() {
                     assert_eq!(sg.min_delay(TaskId(s), TaskId(t)), want, "t{s} -> t{t}");
                 }
+            }
+        }
+    });
+}
+
+// ---- The bisected cycle ratio and Karp's algorithm, as reference ----
+//
+// `maximum_cycle_ratio` is Howard's policy iteration over the integer
+// weights and delays. What follows is the search it replaced (100
+// bisection steps, each a Bellman–Ford positive-cycle test) and an
+// exact Karp-style O(n·m) computation; the properties hold it to both.
+
+/// The replaced `maximum_cycle_ratio`: `None` if acyclic, +∞ for a
+/// positive zero-delay cycle, else 100 bisection steps on `λ` with a
+/// Bellman–Ford test for a cycle of positive `Σ(w − λ·d)`.
+fn bisection_reference(n: usize, edges: &[WeightedEdge]) -> Option<f64> {
+    let has_cycle = |keep: &dyn Fn(&WeightedEdge) -> bool| {
+        let mut indeg = vec![0usize; n];
+        for e in edges.iter().filter(|e| keep(e)) {
+            indeg[e.to] += 1;
+        }
+        let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
+        let mut drained = 0;
+        while let Some(u) = ready.pop() {
+            drained += 1;
+            for e in edges.iter().filter(|e| keep(e) && e.from == u) {
+                indeg[e.to] -= 1;
+                if indeg[e.to] == 0 {
+                    ready.push(e.to);
+                }
+            }
+        }
+        drained < n
+    };
+    let has_positive_cycle = |lambda: f64| {
+        let cost = |e: &WeightedEdge| {
+            if lambda.is_infinite() {
+                if e.delay > 0 {
+                    return f64::NEG_INFINITY;
+                }
+                e.weight as f64
+            } else {
+                e.weight as f64 - lambda * e.delay as f64
+            }
+        };
+        let mut dist = vec![0.0_f64; n];
+        for _ in 0..n {
+            let mut changed = false;
+            for e in edges {
+                let c = cost(e);
+                if c == f64::NEG_INFINITY {
+                    continue;
+                }
+                let cand = dist[e.from] + c;
+                if cand > dist[e.to] + 1e-12 {
+                    dist[e.to] = cand;
+                    changed = true;
+                }
+            }
+            if !changed {
+                return false;
+            }
+        }
+        true
+    };
+    if n == 0 || edges.is_empty() || !has_cycle(&|_| true) {
+        return None;
+    }
+    if has_cycle(&|e| e.delay == 0) && has_positive_cycle(f64::INFINITY) {
+        return Some(f64::INFINITY);
+    }
+    let mut lo = 0.0_f64;
+    let mut hi: f64 = edges.iter().map(|e| e.weight as f64).sum::<f64>().max(1.0);
+    for _ in 0..100 {
+        let mid = 0.5 * (lo + hi);
+        if has_positive_cycle(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(0.5 * (lo + hi))
+}
+
+/// What Karp's reference finds.
+#[derive(Debug, PartialEq)]
+enum KarpRatio {
+    Acyclic,
+    Infinite,
+    /// `numerator / denominator` in lowest terms.
+    Finite(i128, i128),
+}
+
+/// The maximum cycle ratio by Karp's theorem, exactly. Every cycle with
+/// a token is cut after each delayed edge: `H` has an edge `x → v` for a
+/// delayed edge `x → y` followed by the heaviest zero-delay `y ⇝ v`
+/// path, and an `H` edge of delay `d` is a chain of `d` unit edges. A
+/// cycle's ratio is then a cycle mean of `H`, and Karp's
+/// `max_v min_k (D_N(v) − D_k(v)) / (N − k)` over walks of exactly `k`
+/// edges starting anywhere gives the largest.
+fn karp_reference(n: usize, edges: &[WeightedEdge]) -> KarpRatio {
+    // Heaviest zero-delay paths by Bellman–Ford; still relaxing after n
+    // rounds means a positive zero-delay cycle.
+    let mut heaviest = vec![vec![None::<i128>; n]; n];
+    for (y, row) in heaviest.iter_mut().enumerate() {
+        row[y] = Some(0);
+        for round in 0..=n {
+            let mut changed = false;
+            for e in edges.iter().filter(|e| e.delay == 0) {
+                if let Some(d) = row[e.from].map(|d| d + i128::from(e.weight)) {
+                    if row[e.to].is_none_or(|cur| d > cur) {
+                        row[e.to] = Some(d);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+            if round == n {
+                return KarpRatio::Infinite;
+            }
+        }
+    }
+    // `H` with unit delays: node ids past `n` are chain links.
+    let mut unit: Vec<(usize, usize, i128)> = Vec::new();
+    let mut nodes = n;
+    for e in edges.iter().filter(|e| e.delay > 0) {
+        for (v, &path) in heaviest[e.to].iter().enumerate() {
+            let Some(path) = path else { continue };
+            let mut at = e.from;
+            for _ in 1..e.delay {
+                unit.push((at, nodes, 0));
+                at = nodes;
+                nodes += 1;
+            }
+            unit.push((at, v, i128::from(e.weight) + path));
+        }
+    }
+    // D_k(v): the heaviest walk of exactly k unit edges ending at v.
+    let mut walks = vec![vec![Some(0i128); nodes]];
+    for k in 1..=nodes {
+        let mut next = vec![None; nodes];
+        for &(u, v, w) in &unit {
+            if let Some(d) = walks[k - 1][u].map(|d| d + w) {
+                if next[v].is_none_or(|cur| d > cur) {
+                    next[v] = Some(d);
+                }
+            }
+        }
+        walks.push(next);
+    }
+    let mut best: Option<(i128, i128)> = None;
+    for (v, &last) in walks[nodes].iter().enumerate() {
+        let Some(last) = last else {
+            continue;
+        };
+        let worst = (0..nodes)
+            .filter_map(|k| Some((last - walks[k][v]?, (nodes - k) as i128)))
+            .reduce(|a, b| if b.0 * a.1 < a.0 * b.1 { b } else { a });
+        if let Some(w) = worst {
+            if best.is_none_or(|b| w.0 * b.1 > b.0 * w.1) {
+                best = Some(w);
+            }
+        }
+    }
+    match best {
+        Some((num, den)) => {
+            let (mut a, mut b) = (num, den);
+            while b != 0 {
+                (a, b) = (b, a % b);
+            }
+            KarpRatio::Finite(num / a, den / a)
+        }
+        // Cycles, but none with a token, and none of them positive.
+        None if (0..n).any(|y| {
+            heaviest[y].iter().enumerate().any(|(v, p)| {
+                p.is_some()
+                    && edges
+                        .iter()
+                        .any(|e| e.delay == 0 && e.from == v && e.to == y)
+            })
+        }) =>
+        {
+            KarpRatio::Finite(0, 1)
+        }
+        None => KarpRatio::Acyclic,
+    }
+}
+
+/// A random graph over up to 8 nodes: any edge may be a self-loop or
+/// parallel to another, weights and delays may be zero, and components
+/// need not connect. One graph in six is acyclic (edges only go up).
+fn random_weighted(rng: &mut SplitMix64) -> (usize, Vec<WeightedEdge>) {
+    let n = rng.gen_range(1..9usize);
+    let acyclic = rng.gen_range(0..6u32) == 0;
+    let edges = (0..rng.gen_range(n..3 * n + 1))
+        .filter_map(|_| {
+            let (mut from, mut to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if acyclic {
+                if from == to {
+                    return None;
+                }
+                (from, to) = (from.min(to), from.max(to));
+            }
+            Some(WeightedEdge {
+                from,
+                to,
+                weight: rng.gen_range(0..30u64) * u64::from(rng.gen_range(0..5u32) != 0),
+                delay: rng.gen_range(0..4u64) * u64::from(rng.gen_bool(0.85)),
+            })
+        })
+        .collect();
+    (n, edges)
+}
+
+/// Holds `maximum_cycle_ratio` on one graph to both references and
+/// checks its cycle; returns what Karp found.
+fn check_against_references(n: usize, edges: &[WeightedEdge]) -> KarpRatio {
+    let karp = karp_reference(n, edges);
+    let bisected = bisection_reference(n, edges);
+    let Some(critical) = maximum_cycle_ratio(n, edges) else {
+        assert_eq!(karp, KarpRatio::Acyclic, "{edges:?}");
+        assert_eq!(bisected, None);
+        return karp;
+    };
+    // The cycle is a cycle of the graph with exactly that ratio.
+    let cycle = &critical.edges;
+    assert!(!cycle.is_empty());
+    for (i, &e) in cycle.iter().enumerate() {
+        let next = cycle[(i + 1) % cycle.len()];
+        assert_eq!(edges[e].to, edges[next].from, "{edges:?}: cycle {cycle:?}");
+    }
+    let weight = cycle.iter().map(|&e| edges[e].weight).sum();
+    let delay = cycle.iter().map(|&e| edges[e].delay).sum();
+    assert_eq!(
+        (critical.ratio.weight, critical.ratio.delay),
+        (weight, delay)
+    );
+    let ratio = critical.ratio;
+    match karp {
+        KarpRatio::Acyclic => panic!("{edges:?}: Howard found {ratio:?}, Karp no cycle"),
+        KarpRatio::Infinite => {
+            assert!(ratio.is_infinite(), "{edges:?}: {ratio:?}");
+            assert_eq!(bisected, Some(f64::INFINITY));
+        }
+        KarpRatio::Finite(num, den) => {
+            let (w, d) = (i128::from(ratio.weight), i128::from(ratio.delay.max(1)));
+            assert!(!ratio.is_infinite(), "{edges:?}: {ratio:?}");
+            assert_eq!(w * den, num * d, "{edges:?}: {ratio:?} vs Karp {num}/{den}");
+            let bisected = bisected.expect("cyclic");
+            let exact = ratio.as_f64();
+            assert!(
+                (bisected - exact).abs() <= 1e-9 * exact.max(1.0),
+                "{edges:?}: bisection {bisected} vs {exact}"
+            );
+        }
+    }
+    karp
+}
+
+#[test]
+fn howard_matches_karp_exactly_and_the_bisection_closely() {
+    let (mut acyclic, mut infinite, mut finite) = (0, 0, 0);
+    for_each_case(2000, |rng| {
+        let (n, edges) = random_weighted(rng);
+        match check_against_references(n, &edges) {
+            KarpRatio::Acyclic => acyclic += 1,
+            KarpRatio::Infinite => infinite += 1,
+            KarpRatio::Finite(..) => finite += 1,
+        }
+    });
+    println!("{acyclic} acyclic, {infinite} infinite, {finite} finite graphs matched");
+    assert!(acyclic > 0 && infinite > 0 && finite > 0);
+
+    let e = |from, to, weight, delay| WeightedEdge {
+        from,
+        to,
+        weight,
+        delay,
+    };
+    // A lone weightless, tokenless cycle is exactly 0; the bisection
+    // returned `hi · 2⁻¹⁰⁰` there.
+    let lone = [e(0, 1, 0, 0), e(1, 0, 0, 0)];
+    assert_eq!(check_against_references(2, &lone), KarpRatio::Finite(0, 1));
+    assert_eq!(
+        maximum_cycle_ratio(2, &lone)
+            .expect("cyclic")
+            .ratio
+            .as_f64(),
+        0.0
+    );
+    assert!(bisection_reference(2, &lone).expect("cyclic") > 0.0);
+    // A positive zero-delay cycle beside a finite one is +∞.
+    let stuck = [e(0, 0, 5, 1), e(1, 2, 1, 0), e(2, 1, 0, 0)];
+    assert_eq!(check_against_references(3, &stuck), KarpRatio::Infinite);
+    // Self-loops, parallel edges and two components.
+    let mixed = [
+        e(0, 0, 7, 2),
+        e(1, 2, 3, 1),
+        e(1, 2, 9, 1),
+        e(2, 1, 4, 2),
+        e(3, 3, 0, 0),
+    ];
+    assert_eq!(
+        check_against_references(4, &mixed),
+        KarpRatio::Finite(13, 3)
+    );
+    assert_eq!(
+        check_against_references(3, &[e(0, 1, 4, 0), e(1, 2, 4, 1)]),
+        KarpRatio::Acyclic
+    );
+}
+
+#[test]
+fn the_periodic_regime_grows_by_the_cycle_ratio_and_matches_eq3() {
+    let horizons = [1u64, 255, 256, 257, 500, 5_000];
+    for_each_case(64, |rng| {
+        let before = random_sync(rng);
+        let mut after = before.clone();
+        after.resynchronize();
+        for sg in [&before, &after] {
+            // Over one cyclicity c, the regime's makespan grows by c · λ.
+            let lambda = sg.iteration_period().expect("every processor loops back");
+            let regime = PeriodicRegime::new(sg, 100_000);
+            let (c, increment) = regime.period().expect("eq. (3) turns periodic");
+            assert_eq!(
+                u128::from(increment) * u128::from(lambda.delay),
+                u128::from(c) * u128::from(lambda.weight),
+                "c = {c}, increment {increment}, λ = {lambda:?}"
+            );
+            // Every horizon is exact.
+            let times = latency::self_timed_times(sg, 5_000);
+            for h in horizons {
+                let want = times[h as usize - 1].iter().map(|&(_, e)| e).max();
+                let m = predicted_metrics(sg, h, Some(lambda));
+                assert_eq!(Some(m.makespan_cycles), want, "h = {h}");
+                assert_eq!(m.first_iteration_makespan, regime.makespan(1));
             }
         }
     });

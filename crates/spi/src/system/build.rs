@@ -16,8 +16,8 @@ use spi_analyze::{AnalysisReport, EdgeDecl, TransportDecl};
 use spi_dataflow::{ActorId, EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::{ChannelId, ChannelSpec, ResourceEstimate, Tracer};
 use spi_sched::{
-    Assignment, BatchPlan, IpcEdgeKind, IpcGraph, Partition, PredictedMetrics, ProcId, Protocol,
-    ResyncCertificate, SelfTimedSchedule, SyncGraph, SyncKind,
+    Assignment, BatchPlan, CycleRatio, IpcEdgeKind, IpcGraph, Partition, PredictedMetrics, ProcId,
+    Protocol, ResyncCertificate, SelfTimedSchedule, SyncGraph, SyncKind,
 };
 
 use super::lower;
@@ -374,13 +374,13 @@ impl SpiSystemBuilder {
         for (via, bound) in sched.ipc.buffer_bounds_by_edge() {
             plans.insert(via, self.plan_edge(&sched, via, bound));
         }
-        let (sync_graph, sync, cert) = self.synchronize(&sched.ipc, &mut plans)?;
-        let lowered = lower(&sched, &sync_graph, &mut plans)?;
+        let (sync, cert) = self.synchronize(&sched.ipc, &mut plans)?;
+        let lowered = lower(&sched, &sync.graph, &mut plans)?;
         let library =
             SpiLibraryReport::for_system(&plans, &sched.actor_proc, &self.actor_resources);
-        let predicted = self.predict(&sync_graph, sync.period_estimate, &plans);
+        let predicted = self.predict(&sync.graph, sync.period_estimate, &plans);
         self.plan_batches(predicted.as_ref(), &mut plans)?;
-        let analysis = self.verify(&sched, &sync_graph, cert.as_ref(), &plans, &library);
+        let analysis = self.verify(&sched, &sync.graph, cert.as_ref(), &plans, &library);
         let planned = Planned {
             sync,
             plans,
@@ -536,18 +536,19 @@ impl SpiSystemBuilder {
         &self,
         ipc: &IpcGraph,
         plans: &mut Plans,
-    ) -> Result<(SyncGraph, SyncOutcome, Option<ResyncCertificate>)> {
+    ) -> Result<(SyncOutcome, Option<ResyncCertificate>)> {
         let mut graph = SyncGraph::from_ipc(ipc, |e| match e.kind {
             IpcEdgeKind::Ipc { via } => plans[&via].sync_protocol(),
             _ => unreachable!("protocol_of is only called for IPC edges"),
         })?;
-        let dot_before = graph.to_dot("before resynchronization");
+        // The figures draw the graph before and after; `sync_graph_dot`
+        // renders them on demand.
+        let before = self.resync.then(|| graph.clone());
         // The certificate holds a redundancy proof (witness path in the
         // final graph) for every removed edge; the SPI061/SPI062 analyzer
         // pass re-verifies it in `verify`.
         let cert = self.resync.then(|| graph.resynchronize());
         let report = cert.as_ref().map(|c| c.report);
-        let dot_after = graph.to_dot("after resynchronization");
         // An edge keeps its acknowledgements if any Ack sync edge for it
         // survived the optimization.
         for plan in plans.values_mut() {
@@ -558,13 +559,12 @@ impl SpiSystemBuilder {
                     .any(|s| matches!(s.kind, SyncKind::Ack { via } if via == plan.edge));
         }
         let outcome = SyncOutcome {
-            cost_after: graph.sync_cost(),
             report,
             period_estimate: graph.iteration_period(),
-            dot_before,
-            dot_after,
+            before,
+            graph,
         };
-        Ok((graph, outcome, cert))
+        Ok((outcome, cert))
     }
 
     /// Predicted-makespan bound for trace conformance, supervision
@@ -582,7 +582,7 @@ impl SpiSystemBuilder {
     fn predict(
         &self,
         sync: &SyncGraph,
-        period: Option<f64>,
+        period: Option<CycleRatio>,
         plans: &Plans,
     ) -> Option<PredictedMetrics> {
         if !matches!(self.mode, SchedulingMode::SelfTimed)

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use spi_dataflow::EdgeId;
 use spi_platform::{ChannelId, Machine, SimReport, Tracer};
-use spi_sched::{Partition, Protocol, ResyncReport};
+use spi_sched::{CycleRatio, Partition, Protocol, ResyncReport, SyncGraph};
 
 use super::build::{EdgePlan, Plans};
 use super::lower::recorded_failure;
@@ -15,13 +15,14 @@ use crate::error::Result;
 use crate::library::SpiLibraryReport;
 use crate::message::SpiPhase;
 
-/// What the synchronization graph looked like once optimized.
+/// The synchronization graph once optimized, and what the optimization
+/// reported.
 pub(super) struct SyncOutcome {
-    pub(super) cost_after: usize,
     pub(super) report: Option<ResyncReport>,
-    pub(super) period_estimate: Option<f64>,
-    pub(super) dot_before: String,
-    pub(super) dot_after: String,
+    pub(super) period_estimate: Option<CycleRatio>,
+    /// The graph before resynchronization, when the pass ran.
+    pub(super) before: Option<SyncGraph>,
+    pub(super) graph: SyncGraph,
 }
 
 /// A built, runnable SPI system.
@@ -74,12 +75,12 @@ impl SpiSystem {
 
     /// Removable synchronization edges remaining after optimization.
     pub fn sync_cost(&self) -> usize {
-        self.sync.cost_after
+        self.sync.graph.sync_cost()
     }
 
-    /// Analytic iteration-period estimate (max cycle mean), in cycles.
+    /// Analytic iteration period (the maximum cycle ratio), in cycles.
     pub fn iteration_period_estimate(&self) -> Option<f64> {
-        self.sync.period_estimate
+        self.sync.period_estimate.map(CycleRatio::as_f64)
     }
 
     /// Hardware cost report of the generated system.
@@ -90,8 +91,13 @@ impl SpiSystem {
     /// Graphviz DOT of the synchronization graph before and after the
     /// optimization passes — the raw material of the paper's figures 3
     /// and 5.
-    pub fn sync_graph_dot(&self) -> (&str, &str) {
-        (&self.sync.dot_before, &self.sync.dot_after)
+    pub fn sync_graph_dot(&self) -> (String, String) {
+        let after = &self.sync.graph;
+        let before = self.sync.before.as_ref().unwrap_or(after);
+        (
+            before.to_dot("before resynchronization"),
+            after.to_dot("after resynchronization"),
+        )
     }
 
     /// The predicted self-timed makespan bound in cycles for this
@@ -271,7 +277,7 @@ impl SpiSystem {
             edge_channels: self.plans.values().map(|p| (p.edge, p.data_ch)).collect(),
             sim,
             resync: self.sync.report,
-            sync_cost: self.sync.cost_after,
+            sync_cost: self.sync.graph.sync_cost(),
             clock_mhz: self.clock_mhz,
             iterations: self.iterations,
             library: self.library,

@@ -17,9 +17,12 @@
 #
 # Then it runs des_app1 with `--trace 0` (the tier that prints
 # `setup_s`) and fails if building the four-PE system takes more than
-# 4 ms. A timing, so the ceiling is loose: it reads ≈ 0.5 ms with eq. (3)
-# evaluated in one pass, ≈ 16 ms with the sweep it replaced
-# (EXPERIMENTS.md, "Building a system: eq. (3) in one pass").
+# 1 ms. A timing, so the ceiling is loose: it reads ≈ 0.13 ms with the
+# cycle ratio by policy iteration and eq. (3) evaluated up to its
+# periodic regime, ≈ 0.3 ms with the bisection and the 256-iteration
+# horizon they replaced, and ≈ 16 ms with the sweep before that
+# (EXPERIMENTS.md, "Building a system: eq. (3) exactly" and "... in one
+# pass").
 #
 # Usage: scripts/alloc_gate.sh
 set -eu
@@ -66,5 +69,5 @@ gate des_app1 90
 gate app1_lpc 28
 gate selfloop8_supervised 2.1
 gate selfloop8_traced 2.1
-setup_gate des_app1 0.004
+setup_gate des_app1 0.001
 echo "alloc gate OK"
