@@ -6,7 +6,7 @@
 //! builder's pre-flight adds the schedule-level sections once they exist.
 
 use spi_dataflow::{EdgeId, LengthSignal, SdfGraph, VtsConversion};
-use spi_platform::{Device, ResourceEstimate};
+use spi_platform::ResourceEstimate;
 use spi_sched::{IpcGraph, Protocol, ResyncCertificate, SyncGraph};
 
 /// What a lowering decided for one dataflow edge with at least one IPC
@@ -18,6 +18,10 @@ pub struct EdgeDecl {
     pub edge: EdgeId,
     /// Protocol chosen for it.
     pub protocol: Protocol,
+    /// Its eq. (2) bound in tokens under the schedule
+    /// ([`IpcGraph::buffer_bounds_by_edge`]: the worst of its IPC
+    /// instances); `None` when some instance has no bound.
+    pub bound_tokens: Option<u64>,
     /// Transport allocated for its data channel, when declared; enables
     /// the SPI043/SPI044 capacity checks.
     pub transport: Option<TransportDecl>,
@@ -70,11 +74,9 @@ pub struct AnalysisInput<'a> {
     /// The lowering's per-edge decisions: protocol and declared
     /// transports, one entry per dataflow edge with an IPC instance.
     pub edges: Option<&'a [EdgeDecl]>,
-    /// Aggregated hardware cost of the system.
+    /// Aggregated hardware cost of the system, checked against the
+    /// paper's Virtex-4 SX35.
     pub resources: Option<ResourceEstimate>,
-    /// Target device; defaults to the paper's Virtex-4 SX35 when
-    /// `resources` is given without one.
-    pub device: Option<Device>,
 }
 
 impl<'a> AnalysisInput<'a> {
@@ -89,7 +91,6 @@ impl<'a> AnalysisInput<'a> {
             resync_cert: None,
             edges: None,
             resources: None,
-            device: None,
         }
     }
 
@@ -131,10 +132,9 @@ impl<'a> AnalysisInput<'a> {
         self
     }
 
-    /// Attaches the aggregated resource estimate (and optional device).
-    pub fn with_resources(mut self, used: ResourceEstimate, device: Option<Device>) -> Self {
+    /// Attaches the aggregated resource estimate.
+    pub fn with_resources(mut self, used: ResourceEstimate) -> Self {
         self.resources = Some(used);
-        self.device = device;
         self
     }
 

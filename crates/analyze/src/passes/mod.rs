@@ -22,7 +22,7 @@
 //! | SPI060 | warning  | resync-fixpoint | redundant synchronization edges remain after optimization |
 //! | SPI061 | error    | resync-certification | removed sync edge whose redundancy proof is missing or does not re-verify |
 //! | SPI062 | error    | resync-certification | resync addition that does not pay for itself, or inconsistent certificate totals |
-//! | SPI070 | warning/error | resource-overcommit | device utilization above 80 % (error above 100 %) |
+//! | SPI070 | warning  | resource-overcommit | device utilization above 80 % (the design cannot place above 100 %) |
 //!
 //! The `SPI08x`–`SPI10x` ranges are reserved for the *runtime* replay
 //! in `spi_trace::check` (`spi-lint trace-check`): one pass over a

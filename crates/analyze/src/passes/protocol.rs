@@ -40,19 +40,12 @@ impl Pass for ProtocolLints {
             return;
         };
 
-        // The eq. (2) bound folded over every IPC instance of each edge:
-        // the edge's buffer must hold the worst instance; one unbounded
-        // instance makes the whole edge unbounded.
-        let bounds = ipc.buffer_bounds_by_edge();
-
         let mut entries: Vec<_> = decls.iter().collect();
         entries.sort_by_key(|d| d.edge);
         for entry in entries {
-            let (edge, protocol) = (entry.edge, entry.protocol);
-            let Some(&bound) = bounds.get(&edge) else {
-                // Not an IPC edge under this schedule; no protocol runs.
-                continue;
-            };
+            // The eq. (2) bound folded over the edge's IPC instances, as
+            // the lowering sized it.
+            let (edge, protocol, bound) = (entry.edge, entry.protocol, entry.bound_tokens);
             let e = input.graph.edge(edge);
             let pair = format!("{} -> {}", input.actor_name(e.src), input.actor_name(e.dst));
             match (protocol, bound) {

@@ -3,9 +3,8 @@
 //! The aggregated estimate (SPI library + actor implementations + IPC
 //! FIFOs) must fit the device; the paper's platform is a Virtex-4 SX35.
 //! Above 100 % the design cannot place; above 80 % routing typically
-//! fails timing closure. Overcommit is an error only when the input
-//! *declares* a target device — against the defaulted SX35 it is a
-//! warning, since a simulated system need not fit real silicon.
+//! fails timing closure. Both are warnings: a simulated system need not
+//! fit real silicon.
 
 use spi_platform::Device;
 
@@ -21,8 +20,7 @@ impl Pass for ResourceOvercommit {
         let Some(used) = input.resources else {
             return;
         };
-        let declared = input.device.is_some();
-        let device = input.device.unwrap_or_else(Device::virtex4_sx35);
+        let device = Device::virtex4_sx35();
         let pct = device.utilization(&used);
         let categories = [
             ("slices", used.slices, device.capacity.slices, pct.slices),
@@ -37,13 +35,9 @@ impl Pass for ResourceOvercommit {
             ("DSP48s", used.dsp48, device.capacity.dsp48, pct.dsp48),
         ];
         for (name, amount, capacity, percent) in categories {
-            let severity = if percent > 100.0 && declared {
-                Severity::Error
-            } else if percent > 80.0 {
-                Severity::Warning
-            } else {
+            if percent <= 80.0 {
                 continue;
-            };
+            }
             let verdict = if percent > 100.0 {
                 "the design cannot place"
             } else {
@@ -52,7 +46,7 @@ impl Pass for ResourceOvercommit {
             out.push(
                 Diagnostic::new(
                     "SPI070",
-                    severity,
+                    Severity::Warning,
                     Locus::System,
                     format!(
                         "{name}: {amount} of {capacity} used ({percent:.1} % of {}); {verdict}",

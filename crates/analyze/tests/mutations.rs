@@ -80,11 +80,19 @@ fn derive(
     let st = SelfTimedSchedule::from_assignment(&pg, assignment).unwrap();
     let ipc = IpcGraph::build(&cg, &pg, &st).unwrap();
 
-    let bounds = ipc.buffer_bounds_by_edge();
-    let protocols: HashMap<EdgeId, Protocol> = bounds
-        .iter()
-        .map(|(&via, &b)| (via, protocol_of(via, b)))
+    let mut edges: Vec<EdgeDecl> = ipc
+        .buffer_bounds_by_edge()
+        .into_iter()
+        .map(|(edge, bound_tokens)| EdgeDecl {
+            edge,
+            protocol: protocol_of(edge, bound_tokens),
+            bound_tokens,
+            transport: None,
+            net_transport: None,
+        })
         .collect();
+    edges.sort_by_key(|e| e.edge);
+    let protocols: HashMap<EdgeId, Protocol> = edges.iter().map(|e| (e.edge, e.protocol)).collect();
     let sync = SyncGraph::from_ipc(&ipc, |e| {
         let IpcEdgeKind::Ipc { via } = e.kind else {
             unreachable!()
@@ -92,16 +100,6 @@ fn derive(
         protocols[&via]
     })
     .unwrap();
-    let mut edges: Vec<EdgeDecl> = protocols
-        .into_iter()
-        .map(|(edge, protocol)| EdgeDecl {
-            edge,
-            protocol,
-            transport: None,
-            net_transport: None,
-        })
-        .collect();
-    edges.sort_by_key(|e| e.edge);
     Derived {
         vts,
         ipc,
@@ -323,10 +321,11 @@ fn mutation_bbs_without_bound_fires_spi041() {
     let sync = SyncGraph::from_ipc(&ipc, |_| Protocol::Ubs { ack_window: 4 }).unwrap();
     let edges: Vec<EdgeDecl> = ipc
         .buffer_bounds_by_edge()
-        .into_keys()
-        .map(|edge| EdgeDecl {
+        .into_iter()
+        .map(|(edge, bound_tokens)| EdgeDecl {
             edge,
             protocol: Protocol::Bbs { capacity: 4 },
+            bound_tokens,
             transport: None,
             net_transport: None,
         })
@@ -641,7 +640,7 @@ fn the_lowered_batch_plan_stays_clean_of_spi046() {
     // edge), the halved small windows and the unbatched plan.
     assert_eq!(spi_sched::batch_plan(32, None).max_msgs, 8);
     for window in 1..=40 {
-        let lowered = spi_sched::batch_plan(window, None).max_msgs;
+        let lowered = spi_sched::batch_plan(window, None).max_msgs as u64;
         assert_eq!(
             spi046(window, lowered),
             Vec::<String>::new(),
@@ -742,35 +741,24 @@ fn mutation_unoptimized_sync_graph_fires_spi060() {
 fn mutation_overcommitted_device_fires_spi070() {
     let g = good_graph();
     let sx35 = Device::virtex4_sx35();
-    // 120 % of the device's slices.
+    // 120 % of the device's slices: the design cannot place, which is
+    // advisory — a simulated system need not fit real silicon.
     let used = ResourceEstimate::new(sx35.capacity.slices * 12 / 10, 100, 100, 10, 10);
-    let report =
-        Analyzer::default_pipeline().run(&AnalysisInput::new(&g).with_resources(used, Some(sx35)));
+    let report = Analyzer::default_pipeline().run(&AnalysisInput::new(&g).with_resources(used));
     let spi070: Vec<_> = report.with_code("SPI070").collect();
-    assert!(
-        spi070.iter().any(|d| d.severity == Severity::Error),
-        "declared device + >100% is an error: {}",
-        report.render_human()
-    );
-
-    // Same estimate against the *defaulted* device: advisory only —
-    // a simulated system need not fit real silicon.
-    let report =
-        Analyzer::default_pipeline().run(&AnalysisInput::new(&g).with_resources(used, None));
-    assert!(report.with_code("SPI070").next().is_some());
+    assert!(!spi070.is_empty(), "got: {}", report.render_human());
+    assert!(spi070.iter().all(|d| d.severity == Severity::Warning));
+    assert!(spi070[0].message.contains("cannot place"));
     assert!(!report.has_errors(), "got: {}", report.render_human());
 
-    // 85 % utilization: timing-closure warning either way.
+    // 85 % utilization: a timing-closure warning.
     let warn_used = ResourceEstimate::new(sx35.capacity.slices * 85 / 100, 0, 0, 0, 0);
-    let report = Analyzer::default_pipeline()
-        .run(&AnalysisInput::new(&g).with_resources(warn_used, Some(sx35)));
-    assert!(
-        report
-            .with_code("SPI070")
-            .any(|d| d.severity == Severity::Warning),
-        "got: {}",
-        report.render_human()
-    );
+    let report =
+        Analyzer::default_pipeline().run(&AnalysisInput::new(&g).with_resources(warn_used));
+    let spi070: Vec<_> = report.with_code("SPI070").collect();
+    assert_eq!(spi070.len(), 1, "got: {}", report.render_human());
+    assert_eq!(spi070[0].severity, Severity::Warning);
+    assert!(spi070[0].message.contains("timing closure"));
 }
 
 // ---- report plumbing ----------------------------------------------------

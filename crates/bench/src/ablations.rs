@@ -5,7 +5,7 @@ use spi_apps::{ErrorStageApp, ErrorStageConfig, PrognosisApp, PrognosisConfig};
 use spi_dataflow::LengthSignal;
 use spi_platform::{ChannelSpec, Machine, Program};
 
-use crate::mpi::MpiEndpoint;
+use crate::mpi::{MpiEndpoint, CONTROL_BYTES, ENVELOPE_BYTES};
 
 /// One ablation comparison: a label plus the two measured values.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,14 +51,18 @@ impl std::fmt::Display for AblationRow {
 /// envelope, matching cycles, rendezvous above the eager limit).
 pub fn ablation_spi_vs_mpi(payload_bytes: usize, messages: u64) -> AblationRow {
     // ---- MPI side ----------------------------------------------------
+    let n = payload_bytes;
     let mut m = Machine::new();
+    // The largest data message is an eager one: envelope plus payload.
     let data = m.add_channel(ChannelSpec {
         capacity_bytes: 1 << 20,
-        ..ChannelSpec::default()
+        max_message_bytes: ENVELOPE_BYTES + n,
     });
-    let ctrl = m.add_channel(ChannelSpec::default());
+    let ctrl = m.add_channel(ChannelSpec {
+        capacity_bytes: 4096,
+        max_message_bytes: CONTROL_BYTES,
+    });
     let ep = MpiEndpoint::new(data, Some(ctrl));
-    let n = payload_bytes;
     m.add_pe(Program::new(
         ep.send_ops(n, move |_| vec![0xA5; n])
             .expect("control channel supplied"),
@@ -337,7 +341,7 @@ pub fn ablation_ordered_vs_arbitrated(n_pes: usize, frames: u64) -> AblationRow 
         app.configure(&mut builder);
         builder.iterations(frames);
         if ordered {
-            builder.ordered_transactions(1);
+            builder.ordered_transactions();
         } else {
             builder.shared_bus(spi_platform::BusSpec {
                 arbitration_cycles: 8,

@@ -41,30 +41,6 @@ pub const EAGER_LIMIT_BYTES: usize = 256;
 /// Size of a rendezvous control message (RTS or CTS).
 pub const CONTROL_BYTES: usize = 8;
 
-/// Configuration of the MPI baseline's cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MpiConfig {
-    /// Envelope bytes prepended to every message.
-    pub envelope_bytes: usize,
-    /// Receive-side matching cost per message.
-    pub match_cycles: u64,
-    /// Send-side marshaling cost per message.
-    pub marshal_cycles: u64,
-    /// Eager/rendezvous threshold.
-    pub eager_limit_bytes: usize,
-}
-
-impl Default for MpiConfig {
-    fn default() -> Self {
-        MpiConfig {
-            envelope_bytes: ENVELOPE_BYTES,
-            match_cycles: MATCH_CYCLES,
-            marshal_cycles: MARSHAL_CYCLES,
-            eager_limit_bytes: EAGER_LIMIT_BYTES,
-        }
-    }
-}
-
 /// Builder of MPI-style operation sequences for one logical channel pair.
 ///
 /// For rendezvous transfers the caller must supply a *reverse* control
@@ -75,18 +51,12 @@ pub struct MpiEndpoint {
     pub data: ChannelId,
     /// Control channel (receiver→sender), required for rendezvous.
     pub control: Option<ChannelId>,
-    /// Cost model.
-    pub config: MpiConfig,
 }
 
 impl MpiEndpoint {
-    /// Creates an endpoint with the default cost model.
+    /// Creates an endpoint over `data` and, for rendezvous, `control`.
     pub fn new(data: ChannelId, control: Option<ChannelId>) -> Self {
-        MpiEndpoint {
-            data,
-            control,
-            config: MpiConfig::default(),
-        }
+        MpiEndpoint { data, control }
     }
 
     /// Channel used for clear-to-send, or the typed construction error
@@ -113,20 +83,18 @@ impl MpiEndpoint {
         payload_bound: usize,
         mut payload: impl FnMut(&mut PeLocal) -> Vec<u8> + Send + 'static,
     ) -> Result<Vec<Op>> {
-        let cfg = self.config;
         let mut ops = Vec::new();
         // Marshal the envelope.
         ops.push(Op::Compute {
             label: "mpi:marshal".into(),
-            work: Box::new(move |_| cfg.marshal_cycles),
+            work: Box::new(|_| MARSHAL_CYCLES),
         });
-        if payload_bound > cfg.eager_limit_bytes {
+        if payload_bound > EAGER_LIMIT_BYTES {
             let control = self.control_for_rendezvous(payload_bound)?;
             // Request-to-send carrying the envelope.
-            let env = cfg.envelope_bytes;
             ops.push(Op::Send {
                 channel: self.data,
-                payload: Box::new(move |_| vec![0u8; env]),
+                payload: Box::new(|_| vec![0u8; ENVELOPE_BYTES]),
             });
             // Wait for clear-to-send.
             ops.push(Op::Recv { channel: control });
@@ -144,11 +112,10 @@ impl MpiEndpoint {
             });
         } else {
             // Eager: envelope + payload in one message.
-            let env = cfg.envelope_bytes;
             ops.push(Op::Send {
                 channel: self.data,
                 payload: Box::new(move |l| {
-                    let mut msg = vec![0u8; env];
+                    let mut msg = vec![0u8; ENVELOPE_BYTES];
                     msg.extend(payload(l));
                     msg
                 }),
@@ -164,11 +131,10 @@ impl MpiEndpoint {
     ///
     /// As [`MpiEndpoint::send_ops`].
     pub fn recv_ops(&self, payload_bound: usize, store_key: &str) -> Result<Vec<Op>> {
-        let cfg = self.config;
         let key = store_key.to_string();
         let data = self.data;
         let mut ops = Vec::new();
-        if payload_bound > cfg.eager_limit_bytes {
+        if payload_bound > EAGER_LIMIT_BYTES {
             let control = self.control_for_rendezvous(payload_bound)?;
             // Receive the RTS, match it, send CTS, then the payload.
             ops.push(Op::Recv { channel: data });
@@ -176,7 +142,7 @@ impl MpiEndpoint {
                 label: "mpi:match".into(),
                 work: Box::new(move |l| {
                     let _ = l.take_from(data);
-                    cfg.match_cycles
+                    MATCH_CYCLES
                 }),
             });
             ops.push(Op::Send {
@@ -198,9 +164,9 @@ impl MpiEndpoint {
                 label: "mpi:match+deliver".into(),
                 work: Box::new(move |l| {
                     let msg = l.take_from(data).expect("eager message");
-                    let payload = msg[cfg.envelope_bytes.min(msg.len())..].to_vec();
+                    let payload = msg[ENVELOPE_BYTES.min(msg.len())..].to_vec();
                     l.store.insert(key.clone(), payload);
-                    cfg.match_cycles
+                    MATCH_CYCLES
                 }),
             });
         }
@@ -216,7 +182,10 @@ mod tests {
     #[test]
     fn eager_transfer_carries_envelope_overhead() {
         let mut m = Machine::new();
-        let ch = m.add_channel(ChannelSpec::default());
+        let ch = m.add_channel(ChannelSpec {
+            capacity_bytes: 4096,
+            max_message_bytes: ENVELOPE_BYTES + 64,
+        });
         let ep = MpiEndpoint::new(ch, None);
         let mut sender = ep.send_ops(64, |_| vec![7u8; 64]).unwrap();
         let mut s_ops = Vec::new();
@@ -232,13 +201,16 @@ mod tests {
     #[test]
     fn rendezvous_used_above_eager_limit() {
         let mut m = Machine::new();
+        let n = EAGER_LIMIT_BYTES + 100;
         let data = m.add_channel(ChannelSpec {
             capacity_bytes: 8192,
-            ..ChannelSpec::default()
+            max_message_bytes: n,
         });
-        let ctrl = m.add_channel(ChannelSpec::default());
+        let ctrl = m.add_channel(ChannelSpec {
+            capacity_bytes: 4096,
+            max_message_bytes: CONTROL_BYTES,
+        });
         let ep = MpiEndpoint::new(data, Some(ctrl));
-        let n = EAGER_LIMIT_BYTES + 100;
         m.add_pe(Program::new(
             ep.send_ops(n, move |_| vec![3u8; n]).unwrap(),
             1,
@@ -272,7 +244,10 @@ mod tests {
     #[test]
     fn repeated_eager_messages_in_order() {
         let mut m = Machine::new();
-        let ch = m.add_channel(ChannelSpec::default());
+        let ch = m.add_channel(ChannelSpec {
+            capacity_bytes: 4096,
+            max_message_bytes: ENVELOPE_BYTES + 4,
+        });
         let ep = MpiEndpoint::new(ch, None);
         m.add_pe(Program::new(
             ep.send_ops(4, |l| vec![l.iter as u8; 4]).unwrap(),

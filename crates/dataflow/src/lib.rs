@@ -59,5 +59,5 @@ pub use error::{DataflowError, Result};
 pub use graph::{Actor, ActorId, Edge, EdgeId, Rate, SdfGraph};
 pub use hsdf::{Firing, Precedence, PrecedenceGraph};
 pub use rates::{gcd, lcm, RepetitionVector};
-pub use schedule::{BufferBounds, FirePolicy, FlatSchedule, ScheduleReport, ValidationReport};
+pub use schedule::{BufferBounds, FlatSchedule, ScheduleReport, ValidationReport};
 pub use vts::{LengthSignal, PackError, TokenPacker, VtsConversion, VtsEdge};

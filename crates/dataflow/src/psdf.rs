@@ -349,7 +349,7 @@ fn check_all(g: &PsdfGraph, valuations: Vec<Vec<u32>>) -> Result<()> {
     for v in valuations {
         let sdf = g.instantiate(&v)?;
         sdf.repetition_vector()?;
-        sdf.class_s_schedule(crate::schedule::FirePolicy::FewestFirings)?;
+        sdf.class_s_schedule()?;
     }
     Ok(())
 }

@@ -82,51 +82,34 @@ pub struct ScheduleReport {
     pub bounds: BufferBounds,
 }
 
-/// Policy for choosing among simultaneously fireable actors.
-///
-/// Different policies witness different (all valid) buffer bounds; the
-/// default `FewestFirings` keeps actors in lock-step, which empirically
-/// yields tight bounds on signal-processing graphs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum FirePolicy {
-    /// Fire the fireable actor with the fewest completed firings
-    /// (ties broken by actor id). Keeps the graph in lock-step.
-    #[default]
-    FewestFirings,
-    /// Fire the fireable actor with the smallest id. Tends to run
-    /// producers ahead and witnesses looser (more conservative) bounds.
-    LowestId,
-}
-
 impl SdfGraph {
     /// Builds an admissible single-processor schedule by class-S
-    /// simulation, also measuring per-edge buffer bounds.
+    /// simulation, also measuring per-edge buffer bounds. Among the
+    /// actors that can fire, the one with the fewest completed firings
+    /// goes first (ties to the lowest id): the graph runs in lock-step,
+    /// which yields tight bounds on signal-processing graphs.
     ///
     /// # Errors
     ///
     /// * Everything [`SdfGraph::repetition_vector`] can return.
     /// * [`DataflowError::Deadlock`] if no admissible schedule exists
     ///   (some cycle has insufficient initial tokens).
-    pub fn class_s_schedule(&self, policy: FirePolicy) -> Result<ScheduleReport> {
+    pub fn class_s_schedule(&self) -> Result<ScheduleReport> {
         let q = self.repetition_vector()?;
-        self.simulate_schedule(&q, policy)
+        self.simulate_schedule(&q)
     }
 
-    /// Convenience wrapper: schedule with the default policy and return
-    /// only the buffer bounds (`c_sdf` of paper eq. 1).
+    /// Convenience wrapper: schedule and return only the buffer bounds
+    /// (`c_sdf` of paper eq. 1).
     ///
     /// # Errors
     ///
     /// Same as [`SdfGraph::class_s_schedule`].
     pub fn sdf_buffer_bounds(&self) -> Result<BufferBounds> {
-        Ok(self.class_s_schedule(FirePolicy::FewestFirings)?.bounds)
+        Ok(self.class_s_schedule()?.bounds)
     }
 
-    fn simulate_schedule(
-        &self,
-        q: &RepetitionVector,
-        policy: FirePolicy,
-    ) -> Result<ScheduleReport> {
+    fn simulate_schedule(&self, q: &RepetitionVector) -> Result<ScheduleReport> {
         let n = self.actor_count();
         let mut tokens: Vec<u64> = self.edges().map(|(_, e)| e.delay).collect();
         let mut max_tokens = tokens.clone();
@@ -148,12 +131,9 @@ impl SdfGraph {
         };
 
         loop {
-            let candidate = match policy {
-                FirePolicy::FewestFirings => (0..n)
-                    .filter(|&a| fireable(a, &fired, &tokens))
-                    .min_by_key(|&a| (fired[a], a)),
-                FirePolicy::LowestId => (0..n).find(|&a| fireable(a, &fired, &tokens)),
-            };
+            let candidate = (0..n)
+                .filter(|&a| fireable(a, &fired, &tokens))
+                .min_by_key(|&a| (fired[a], a));
             let Some(a) = candidate else { break };
 
             for &e in &in_edges[a] {
@@ -210,7 +190,7 @@ impl SdfGraph {
         let vts = crate::vts::VtsConversion::convert(self)?;
         let graph = vts.graph();
         let q = graph.repetition_vector()?;
-        let report = graph.class_s_schedule(FirePolicy::FewestFirings)?;
+        let report = graph.class_s_schedule()?;
         let mut total_buffer_bytes = 0u64;
         for (eid, bound) in report.bounds.iter() {
             total_buffer_bytes += bound * vts.bytes_per_packed_token(eid)?;
@@ -240,7 +220,7 @@ mod tests {
     #[test]
     fn schedule_respects_repetition_vector() {
         let (g, a, b, c, ..) = chain();
-        let report = g.class_s_schedule(FirePolicy::FewestFirings).unwrap();
+        let report = g.class_s_schedule().unwrap();
         let q = g.repetition_vector().unwrap();
         let count = |x: ActorId| {
             report
@@ -260,7 +240,7 @@ mod tests {
     fn schedule_is_admissible_prefixwise() {
         // Replaying the schedule must never drive an edge negative.
         let (g, ..) = chain();
-        let report = g.class_s_schedule(FirePolicy::LowestId).unwrap();
+        let report = g.class_s_schedule().unwrap();
         let mut tokens: Vec<i64> = g.edges().map(|(_, e)| e.delay as i64).collect();
         for &f in report.schedule.firings() {
             for e in g.in_edges(f) {
@@ -300,7 +280,7 @@ mod tests {
         let b = g.add_actor("B", 1);
         g.add_edge(a, b, 1, 1, 0, 4).unwrap();
         g.add_edge(b, a, 1, 1, 0, 4).unwrap();
-        match g.class_s_schedule(FirePolicy::FewestFirings) {
+        match g.class_s_schedule() {
             Err(DataflowError::Deadlock { starved }) => {
                 assert_eq!(starved.len(), 2);
             }
@@ -315,7 +295,7 @@ mod tests {
         let b = g.add_actor("B", 1);
         g.add_edge(a, b, 1, 1, 0, 4).unwrap();
         g.add_edge(b, a, 1, 1, 1, 4).unwrap();
-        let report = g.class_s_schedule(FirePolicy::FewestFirings).unwrap();
+        let report = g.class_s_schedule().unwrap();
         assert_eq!(report.schedule.len(), 2);
         assert_eq!(report.schedule.firings()[0], a);
     }
@@ -330,21 +310,9 @@ mod tests {
         g.add_edge(a, b, 1, 3, 0, 4).unwrap();
         g.add_edge(b, a, 3, 1, 2, 4).unwrap();
         assert!(matches!(
-            g.class_s_schedule(FirePolicy::FewestFirings),
+            g.class_s_schedule(),
             Err(DataflowError::Deadlock { .. })
         ));
-    }
-
-    #[test]
-    fn policies_witness_valid_but_possibly_different_bounds() {
-        let (g, ..) = chain();
-        let lock = g.class_s_schedule(FirePolicy::FewestFirings).unwrap();
-        let eager = g.class_s_schedule(FirePolicy::LowestId).unwrap();
-        // Both valid; eager producer-first can only need as much or more.
-        for (e, b) in lock.bounds.iter() {
-            assert!(eager.bounds.bound(e) >= 1 || b == 0 || b > 0);
-        }
-        assert_eq!(lock.schedule.len(), eager.schedule.len());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property tests of the dataflow crate's core invariants, each a seeded
 //! loop over 64 cases (`SPI_CHAOS_SEED=<case>` replays one).
 
-use spi_dataflow::{CsdfGraph, FirePolicy, PhaseRates, PrecedenceGraph, SdfGraph, VtsConversion};
+use spi_dataflow::{CsdfGraph, PhaseRates, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::rng::{for_each_case, SplitMix64};
 
 /// A random consistent chain graph with bounded rates and delays.
@@ -29,9 +29,7 @@ fn class_s_bounds_are_sufficient_for_replay() {
     // to its delay count.
     for_each_case(64, |rng| {
         let g = chain(rng);
-        let report = g
-            .class_s_schedule(FirePolicy::FewestFirings)
-            .expect("chains are live");
+        let report = g.class_s_schedule().expect("chains are live");
         let mut tokens: Vec<u64> = g.edges().map(|(_, e)| e.delay).collect();
         for &f in report.schedule.firings() {
             for e in g.in_edges(f) {

@@ -518,7 +518,6 @@ mod tests {
         TransportKind::Locked.instantiate(&spi_platform::ChannelSpec {
             capacity_bytes: 64,
             max_message_bytes: 8,
-            ..Default::default()
         })
     }
 

@@ -20,7 +20,6 @@ fn pipeline() -> (Vec<ChannelSpec>, Vec<Program>) {
     let channels = vec![ChannelSpec {
         capacity_bytes: 16,
         max_message_bytes: 4,
-        ..ChannelSpec::default()
     }];
     let producer = Program::new(
         vec![Op::Send {
@@ -180,7 +179,6 @@ fn restart_replays_two_receives_byte_identically() {
         let spec = ChannelSpec {
             capacity_bytes: 16,
             max_message_bytes: 4,
-            ..ChannelSpec::default()
         };
         let producer = Program::new(
             vec![

@@ -4,19 +4,20 @@
 //! `current_exe()`:
 //!
 //! ```text
-//! spi-noded launch --app filterbank --nodes 2 --iters 8 \
-//!     [--supervised] [--chaos] [--local ring|pointer|locked] \
-//!     [--trace-out PATH]
-//! spi-noded worker --app filterbank --nodes 2 --iters 8 \
-//!     --node I --dir DIR [--supervised] [--chaos] [--local K]
+//! spi-noded launch --nodes 2 --iters 8 [--supervised] [--chaos] \
+//!     [--force-ubs] [--timeout-secs S] [--trace-out PATH]
+//! spi-noded worker --nodes 2 --iters 8 --node I --dir DIR \
+//!     [--supervised] [--chaos] [--force-ubs] [--timeout-secs S]
 //! ```
 //!
-//! `launch` builds the partitioned system, spawns one worker per node,
-//! drives the control handshake (manifest cross-check, socket barrier,
-//! clock sync), then verifies the distributed artifact byte-for-byte
-//! against a fresh single-process run of the same application and
-//! writes the merged distributed trace. Exit status: 0 on byte-identical
-//! output with a conformant trace, 1 otherwise.
+//! The application is the filter bank, and channels with both ends on
+//! one node are rings. `launch` builds the partitioned system, spawns
+//! one worker per node (restarting the whole run up to twice when a
+//! worker fails), drives the control handshake (manifest cross-check,
+//! socket barrier, clock sync), then verifies the distributed artifact
+//! byte-for-byte against a fresh single-process run of the same
+//! application and writes the merged distributed trace. Exit status: 0
+//! on byte-identical output with a conformant trace, 1 otherwise.
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -33,9 +34,9 @@ use spi_platform::{ChannelId, SupervisionPolicy, ThreadedRunner, Tracer, Transpo
 use spi_sched::Partition;
 use spi_trace::{ClockKind, RingTracer, TraceMeta};
 
-const USAGE: &str = "usage: spi-noded <launch|worker> --app filterbank --nodes N --iters K \
-[--supervised] [--chaos] [--force-ubs] [--local ring|pointer|locked] [--timeout-secs S] \
-[--trace-out PATH] [--restarts N] (worker adds: --node I --dir DIR)";
+const USAGE: &str = "usage: spi-noded <launch|worker> --nodes N --iters K \
+[--supervised] [--chaos] [--force-ubs] [--timeout-secs S] [--trace-out PATH] \
+(worker adds: --node I --dir DIR)";
 
 /// Processors in the filter bank's canonical assignment.
 const FILTERBANK_PROCS: usize = 3;
@@ -43,7 +44,6 @@ const FILTERBANK_PROCS: usize = 3;
 #[derive(Clone)]
 struct Args {
     mode: String,
-    app: String,
     nodes: usize,
     iters: u64,
     node: usize,
@@ -51,10 +51,8 @@ struct Args {
     supervised: bool,
     chaos: bool,
     force_ubs: bool,
-    local: TransportKind,
     timeout_secs: u64,
     trace_out: PathBuf,
-    restarts: u32,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -65,7 +63,6 @@ fn parse_args() -> Result<Args, String> {
     }
     let mut a = Args {
         mode,
-        app: "filterbank".into(),
         nodes: 2,
         iters: 8,
         node: usize::MAX,
@@ -73,15 +70,12 @@ fn parse_args() -> Result<Args, String> {
         supervised: false,
         chaos: false,
         force_ubs: false,
-        local: TransportKind::Ring,
         timeout_secs: 10,
         trace_out: PathBuf::from("target/net/filterbank_distributed.trace"),
-        restarts: 2,
     };
     while let Some(flag) = argv.next() {
         let mut val = |name: &str| argv.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
-            "--app" => a.app = val("--app")?,
             "--nodes" => {
                 a.nodes = val("--nodes")?
                     .parse()
@@ -97,34 +91,18 @@ fn parse_args() -> Result<Args, String> {
             "--supervised" => a.supervised = true,
             "--chaos" => a.chaos = true,
             "--force-ubs" => a.force_ubs = true,
-            "--local" => {
-                a.local = match val("--local")?.as_str() {
-                    "ring" => TransportKind::Ring,
-                    "pointer" => TransportKind::Pointer,
-                    "locked" => TransportKind::Locked,
-                    other => return Err(format!("unknown --local transport {other}")),
-                }
-            }
             "--timeout-secs" => {
                 a.timeout_secs = val("--timeout-secs")?
                     .parse()
                     .map_err(|e| format!("--timeout-secs: {e}"))?
             }
             "--trace-out" => a.trace_out = PathBuf::from(val("--trace-out")?),
-            "--restarts" => {
-                a.restarts = val("--restarts")?
-                    .parse()
-                    .map_err(|e| format!("--restarts: {e}"))?
-            }
             other => return Err(format!("unknown flag {other}\n{USAGE}")),
         }
     }
     // Socket-level chaos only makes sense under the recovery protocol.
     if a.chaos {
         a.supervised = true;
-    }
-    if a.app != "filterbank" {
-        return Err(format!("unknown --app {} (only: filterbank)", a.app));
     }
     if a.nodes == 0 || a.nodes > FILTERBANK_PROCS {
         return Err(format!(
@@ -309,7 +287,6 @@ fn worker_run(
             dep,
             a.node,
             &a.dir,
-            a.local,
             a.supervised,
             Some(&probe_tracer),
             move || {
@@ -355,7 +332,7 @@ fn worker_run(
     }
 
     let mut runner = ThreadedRunner::new()
-        .transport(a.local)
+        .transport(TransportKind::Ring)
         .timeout(Duration::from_secs(a.timeout_secs))
         .tracer(tracer.clone());
     if let Some(policy) = policy {
@@ -398,20 +375,12 @@ fn launch_main(a: &Args) -> Result<(), NetError> {
 
     let mut worker_args = vec![
         "worker".to_string(),
-        "--app".into(),
-        a.app.clone(),
         "--nodes".into(),
         a.nodes.to_string(),
         "--iters".into(),
         a.iters.to_string(),
         "--timeout-secs".into(),
         a.timeout_secs.to_string(),
-        "--local".into(),
-        match a.local {
-            TransportKind::Ring => "ring".into(),
-            TransportKind::Pointer => "pointer".into(),
-            TransportKind::Locked => "locked".into(),
-        },
     ];
     if a.supervised {
         worker_args.push("--supervised".into());
@@ -429,7 +398,6 @@ fn launch_main(a: &Args) -> Result<(), NetError> {
         worker_args,
         nodes: a.nodes,
         supervised: a.supervised,
-        max_restarts: a.restarts,
         run_deadline: Duration::from_secs(a.timeout_secs.saturating_mul(4).max(60)),
     };
     let outcome = launch(&spec, &dep, meta)?;
@@ -440,7 +408,7 @@ fn launch_main(a: &Args) -> Result<(), NetError> {
     let ref_system = ref_app
         .system(a.iters)
         .map_err(|e| NetError::Protocol(format!("reference build: {e}")))?;
-    ref_system.run_threaded_with(&ThreadedRunner::new().transport(a.local))?;
+    ref_system.run_threaded_with(&ThreadedRunner::new().transport(TransportKind::Ring))?;
     let expect = encode_output(&ref_app);
 
     let got: Vec<&Vec<u8>> = outcome.artifacts.iter().filter(|a| !a.is_empty()).collect();

@@ -21,8 +21,7 @@
 //! Fault path: a child that dies or closes its control socket before
 //! `Done` aborts the attempt; the launcher kills the remaining
 //! children and — mirroring the supervised runner's restart budget —
-//! retries the whole run in a fresh attempt directory up to
-//! [`LaunchSpec::max_restarts`] times.
+//! retries the whole run in a fresh attempt directory, up to twice.
 
 use std::io::Read;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -40,6 +39,10 @@ use crate::wire::{put_bytes, put_str, put_u32, put_u64, read_record, write_recor
 
 /// File name of the control socket inside a run directory.
 pub const CONTROL_SOCKET: &str = "control.sock";
+
+/// Whole-run restarts on child failure, mirroring the supervised
+/// runner's restart policy at process granularity.
+const MAX_RESTARTS: u32 = 2;
 
 /// Clock-sync rounds per node; the minimum-RTT sample wins.
 pub const CLOCK_SYNC_ROUNDS: usize = 7;
@@ -401,9 +404,6 @@ pub struct LaunchSpec {
     /// Whether workers run supervised (manifest flag; workers size
     /// their endpoints with frame headers to match).
     pub supervised: bool,
-    /// Whole-run restart budget on child failure, mirroring the
-    /// supervised runner's restart policy at process granularity.
-    pub max_restarts: u32,
     /// Overall deadline for each attempt's execute phase.
     pub run_deadline: Duration,
 }
@@ -456,7 +456,7 @@ pub fn launch(
         ATTEMPT_SALT.fetch_add(1, Ordering::Relaxed)
     ));
     let mut last_err = None;
-    for attempt in 0..=spec.max_restarts {
+    for attempt in 0..=MAX_RESTARTS {
         let dir = base.join(format!("a{attempt}"));
         match try_launch(spec, &manifest, &dir, meta.clone()) {
             Ok(mut outcome) => {

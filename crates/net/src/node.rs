@@ -78,7 +78,7 @@ pub fn deploy(system: SpiSystem) -> Result<Deployment, NetError> {
             sender: plan.src_proc,
             receiver: plan.dst_proc,
         };
-        let batch = plan.batch.map_or(BatchParams::disabled(), Into::into);
+        let batch = plan.batch.unwrap_or_default();
         ends.push((plan.data_ch.0, data, batch));
         if let Some(ack) = plan.ack_ch {
             let back = ChannelRole {
@@ -152,7 +152,8 @@ pub fn socket_path(dir: &Path, ch: usize) -> PathBuf {
 /// READY and waits for the launcher's PROCEED — i.e. for *every* node's
 /// binds), then senders connect and, last, each listener accepts its
 /// sender (a connect needs only the bind, so no two nodes can wait on
-/// each other here). Under supervision each endpoint is
+/// each other here). A channel with both ends on this node is a
+/// [`TransportKind::Ring`]. Under supervision each endpoint is
 /// sized with [`framed_spec`], matching what the supervised runner
 /// expects of pre-built endpoints.
 ///
@@ -174,7 +175,6 @@ pub fn build_endpoints(
     d: &Deployment,
     node: usize,
     dir: &Path,
-    local_kind: TransportKind,
     supervised: bool,
     tracer: Option<&Arc<dyn Tracer>>,
     barrier: impl FnOnce() -> Result<(), NetError>,
@@ -215,7 +215,7 @@ pub fn build_endpoints(
                 }
                 Some(Box::new(sender))
             }
-            (true, true) => Some(local_kind.instantiate(&eff[ch])),
+            (true, true) => Some(TransportKind::Ring.instantiate(&eff[ch])),
             (false, true) => None, // bound above, accepted below
             (false, false) => Some(Box::new(UnmappedChannel {
                 spec: eff[ch],

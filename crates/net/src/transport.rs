@@ -241,51 +241,10 @@ fn eof() -> io::Error {
 // Batching configuration
 // ---------------------------------------------------------------------
 
-/// Sender-side record-coalescing parameters. Lowered per edge from the
-/// schedule (`spi_sched::BatchPlan`) for distributed runs; the default
-/// is the unbatched legacy path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchParams {
-    /// Most records coalesced into one write of the staging buffer; `1`
-    /// writes every record immediately. Must leave the edge's credit
-    /// window room for at least two batches, or the two ends take turns
-    /// (the SPI046 analyzer lint holds the declared form to that).
-    pub max_msgs: usize,
-    /// Nagle deadline: a pending batch older than this is flushed even
-    /// if partial. Ignored when `max_msgs == 1`.
-    pub flush_after: Duration,
-}
-
-impl BatchParams {
-    /// The unbatched legacy path: one record per write, no deadline.
-    pub fn disabled() -> BatchParams {
-        BatchParams {
-            max_msgs: 1,
-            flush_after: Duration::ZERO,
-        }
-    }
-
-    /// Whether this configuration coalesces records at all.
-    pub fn is_batched(&self) -> bool {
-        self.max_msgs > 1
-    }
-}
-
-impl Default for BatchParams {
-    fn default() -> Self {
-        BatchParams::disabled()
-    }
-}
-
-impl From<spi_sched::BatchPlan> for BatchParams {
-    /// The schedule's plan for an edge, in this transport's units.
-    fn from(plan: spi_sched::BatchPlan) -> Self {
-        BatchParams {
-            max_msgs: plan.max_msgs as usize,
-            flush_after: plan.flush_after,
-        }
-    }
-}
+/// Sender-side record-coalescing parameters: the schedule's per-edge
+/// plan, lowered by `spi_sched::batch_plan` for distributed runs. The
+/// default is the unbatched path.
+pub use spi_sched::BatchPlan as BatchParams;
 
 /// Receiver-side credit-acknowledgement coalescing, derived from the
 /// edge's [`BatchParams`] (the sender's batch decides how often credit
@@ -1502,7 +1461,6 @@ mod tests {
         let spec = ChannelSpec {
             capacity_bytes: 64,
             max_message_bytes: 8,
-            ..ChannelSpec::default()
         };
         let mut s = Scripted::new(2, || Ok(0));
         s.blocked = || Ok(0);

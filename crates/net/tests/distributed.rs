@@ -12,16 +12,7 @@ use spi_trace::Trace;
 fn run_launch(extra: &[&str], trace_name: &str) -> Trace {
     let trace_out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(trace_name);
     let out = Command::new(env!("CARGO_BIN_EXE_spi-noded"))
-        .args([
-            "launch",
-            "--app",
-            "filterbank",
-            "--nodes",
-            "2",
-            "--iters",
-            "8",
-            "--trace-out",
-        ])
+        .args(["launch", "--nodes", "2", "--iters", "8", "--trace-out"])
         .arg(&trace_out)
         .args(extra)
         .output()

@@ -30,7 +30,6 @@ fn coalesced_ack_accounting_never_exceeds_the_eq2_window() {
         let spec = ChannelSpec {
             capacity_bytes: capacity,
             max_message_bytes: max_msg,
-            ..ChannelSpec::default()
         };
         let (tx, rx) = loopback_with(
             &spec,

@@ -20,7 +20,6 @@ fn spec(capacity: usize, max_msg: usize) -> ChannelSpec {
     ChannelSpec {
         capacity_bytes: capacity,
         max_message_bytes: max_msg,
-        ..ChannelSpec::default()
     }
 }
 

@@ -84,7 +84,6 @@ fn a_frame_sent_and_consumed_in_place_allocates_nothing() {
     let spec = ChannelSpec {
         capacity_bytes: 32 * FRAME,
         max_message_bytes: FRAME,
-        ..ChannelSpec::default()
     };
     for max_msgs in [1usize, 16] {
         let batch = BatchParams {

@@ -8,8 +8,10 @@
 //! * [`Machine`] / [`Program`] / [`Op`] — PEs execute looped
 //!   compute/send/receive programs with real payload bytes, so runs are
 //!   simultaneously functional and timed;
-//! * [`ChannelSpec`] — FIFO capacity, word width, wire latency and
-//!   per-message occupancy;
+//! * [`ChannelSpec`] — a FIFO's eq. (2) capacity and eq. (1) message
+//!   bound; its word width, wire latency and per-message occupancy are
+//!   the platform's constants ([`WORD_BYTES`], [`CYCLES_PER_WORD`],
+//!   [`SEND_OVERHEAD_CYCLES`], [`RECV_OVERHEAD_CYCLES`]);
 //! * [`ResourceEstimate`] / [`Device`] — the additive area model standing
 //!   in for ISE synthesis reports (tables 1–2);
 //! * [`Transport`] / [`LockedTransport`] / [`RingTransport`] — pluggable
@@ -38,7 +40,8 @@
 //! use spi_platform::{ChannelSpec, Machine, Op, Program};
 //!
 //! let mut m = Machine::new();
-//! let ch = m.add_channel(ChannelSpec::default());
+//! // Room for 256 messages of at most 16 bytes.
+//! let ch = m.add_channel(ChannelSpec { capacity_bytes: 4096, max_message_bytes: 16 });
 //! m.add_pe(Program::new(vec![
 //!     Op::Compute { label: "produce".into(), work: Box::new(|_| 10) },
 //!     Op::Send { channel: ch, payload: Box::new(|_| vec![0u8; 16]) },
@@ -74,8 +77,9 @@ pub use pool::{BufferPool, Token, TokenBuf};
 pub use resource::{components, Device, ResourceEstimate, ResourcePercent};
 pub use runner::{ThreadedPeResult, ThreadedRunner, TransportDecorator, DEFAULT_DEADLOCK_TIMEOUT};
 pub use sim::{
-    BusSpec, ByteQueue, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op,
-    OrderedBusSpec, PayloadFn, PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn,
+    BusSpec, ByteQueue, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op, PayloadFn,
+    PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn, CYCLES_PER_WORD,
+    ORDERED_SLOT_CYCLES, RECV_OVERHEAD_CYCLES, SEND_OVERHEAD_CYCLES, WORD_BYTES,
 };
 #[cfg(feature = "verify-shim")]
 pub use supervise::protocol;

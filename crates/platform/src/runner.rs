@@ -232,8 +232,7 @@ impl ThreadedRunner {
         programs: Vec<Program>,
         endpoints: impl FnOnce() -> Vec<Box<dyn Transport>>,
     ) -> Result<Vec<ThreadedPeResult>> {
-        let unusable = |c: &ChannelSpec| c.capacity_bytes == 0 || c.max_message_bytes == 0;
-        if let Some(i) = channels.iter().position(unusable) {
+        if let Some(i) = channels.iter().position(|c| !c.is_usable()) {
             return Err(PlatformError::ZeroCapacity {
                 channel: ChannelId(i),
             });
@@ -711,7 +710,6 @@ mod tests {
         let channels = vec![ChannelSpec {
             capacity_bytes: 4,
             max_message_bytes: 4,
-            ..ChannelSpec::default()
         }];
         for kind in kinds() {
             let producer = Program::new(
@@ -772,7 +770,6 @@ mod tests {
         for kind in kinds() {
             let channels = vec![ChannelSpec {
                 capacity_bytes: 4,
-                word_bytes: 4,
                 ..ChannelSpec::default()
             }];
             let producer = Program::new(
@@ -817,7 +814,6 @@ mod tests {
             let channels = vec![ChannelSpec {
                 capacity_bytes: 16,
                 max_message_bytes: 4,
-                ..ChannelSpec::default()
             }];
             let producer = Program::new(
                 vec![Op::Send {

@@ -9,10 +9,13 @@
 //! DSP kernels actually run inside compute closures) and a timed one
 //! (every operation advances a cycle-accurate clock).
 //!
-//! Costs are intentionally explicit: channel word width, per-word wire
-//! latency, per-message sender/receiver occupancy. Protocol layers (SPI,
-//! the MPI baseline) lower to these primitives, so their overhead
-//! differences are measured, not assumed.
+//! Costs are intentionally explicit and fixed: the FIFO's timing is a
+//! property of the platform ([`WORD_BYTES`]-wide words at
+//! [`CYCLES_PER_WORD`], [`SEND_OVERHEAD_CYCLES`] and
+//! [`RECV_OVERHEAD_CYCLES`] of framing per message), and a channel is
+//! declared by its eq. (1) message bound and eq. (2) buffer bound alone.
+//! Protocol layers (SPI, the MPI baseline) lower to these primitives, so
+//! their overhead differences are measured, not assumed.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -43,49 +46,54 @@ impl fmt::Display for ChannelId {
     }
 }
 
-/// Static parameters of a FIFO channel.
+/// Channel word width in bytes: a 32-bit FPGA FIFO moves 4 B per word.
+pub const WORD_BYTES: usize = 4;
+
+/// Cycles for one word to traverse a channel.
+pub const CYCLES_PER_WORD: u64 = 1;
+
+/// Fixed cycles of sender-side occupancy per message (handshake, header
+/// emission).
+pub const SEND_OVERHEAD_CYCLES: u64 = 2;
+
+/// Fixed cycles of receiver-side occupancy per message (header parse,
+/// pointer update).
+pub const RECV_OVERHEAD_CYCLES: u64 = 2;
+
+/// A FIFO channel as the paper declares it: its eq. (2) buffer bound and
+/// its eq. (1) message bound. Its timing is the platform's (the
+/// constants above).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelSpec {
     /// Buffer capacity in bytes (a full FIFO blocks the sender).
     pub capacity_bytes: usize,
-    /// Channel word width in bytes (a 32-bit FPGA FIFO moves 4 B/cycle).
-    pub word_bytes: u32,
-    /// Cycles for one word to traverse the channel.
-    pub cycles_per_word: u64,
-    /// Fixed cycles of sender-side occupancy per message (handshake,
-    /// header emission).
-    pub send_overhead_cycles: u64,
-    /// Fixed cycles of receiver-side occupancy per message (header
-    /// parse, pointer update).
-    pub recv_overhead_cycles: u64,
     /// Largest single message the channel carries, in bytes — the packed
     /// token size `c(e) = c_sdf(e) · b_max(e)` plus header when derived
-    /// from the paper's eq. (1). Slot-based transports size their slots
-    /// from it, so it is always declared: the threaded runner refuses a
-    /// spec where it is 0.
+    /// from the paper's eq. (1). Every engine refuses a larger send, and
+    /// slot-based transports size their slots from it, so it is always
+    /// declared: a spec where it is 0 is unusable.
     pub max_message_bytes: usize,
 }
 
 impl Default for ChannelSpec {
     fn default() -> Self {
-        // A 32-bit FIFO moving one word per cycle with 2-cycle framing at
-        // each end — typical of the System-Generator-era FIFO cores.
         ChannelSpec {
             capacity_bytes: 4096,
-            word_bytes: 4,
-            cycles_per_word: 1,
-            send_overhead_cycles: 2,
-            recv_overhead_cycles: 2,
-            max_message_bytes: 4, // one channel word
+            max_message_bytes: WORD_BYTES, // one channel word
         }
     }
 }
 
 impl ChannelSpec {
-    /// Cycles to push `bytes` of payload through the channel wire.
-    pub fn wire_cycles(&self, bytes: usize) -> u64 {
-        let words = (bytes as u64).div_ceil(u64::from(self.word_bytes.max(1)));
-        words * self.cycles_per_word
+    /// Cycles to push `bytes` of payload through a channel wire.
+    pub fn wire_cycles(bytes: usize) -> u64 {
+        bytes.div_ceil(WORD_BYTES) as u64 * CYCLES_PER_WORD
+    }
+
+    /// Whether the channel can carry anything: a buffer and a message
+    /// bound. Both engines refuse a spec without them up front.
+    pub(crate) fn is_usable(&self) -> bool {
+        self.capacity_bytes > 0 && self.max_message_bytes > 0
     }
 }
 
@@ -366,13 +374,14 @@ impl SimReport {
 ///
 /// # Examples
 ///
-/// A producer PE streams two words to a consumer PE:
+/// A producer PE streams two words to a consumer PE over a FIFO with
+/// room for four one-word messages:
 ///
 /// ```
 /// use spi_platform::{Machine, ChannelSpec, Op, Program};
 ///
 /// let mut m = Machine::new();
-/// let ch = m.add_channel(ChannelSpec::default());
+/// let ch = m.add_channel(ChannelSpec { capacity_bytes: 16, max_message_bytes: 4 });
 /// let producer = m.add_pe(Program::new(vec![
 ///     Op::Send { channel: ch, payload: Box::new(|_| vec![1, 2, 3, 4]) },
 /// ], 2));
@@ -391,7 +400,7 @@ pub struct Machine {
     budget_cycles: u64,
     tracer: Option<Arc<dyn Tracer>>,
     bus: Option<BusSpec>,
-    ordered_bus: Option<OrderedBusSpec>,
+    ordered_bus: Option<Vec<ChannelId>>,
 }
 
 /// A shared interconnect: every channel transfer serializes through one
@@ -403,28 +412,10 @@ pub struct BusSpec {
     pub arbitration_cycles: u64,
 }
 
-/// An *ordered-transactions* interconnect (Sriram): bus grants follow a
-/// compile-time cyclic order of channels, so no run-time arbitration is
-/// needed — a transfer whose channel is next in the order proceeds with
-/// only `slot_overhead_cycles`; one out of turn waits for its slot.
-/// Channels absent from the order (and sends issued from a PE's
-/// prologue) bypass the ordering.
-///
-/// The order is a contract the programs must be able to meet: the bus
-/// never skips a slot, so each PE's gated sends must appear in the order
-/// its program issues them, and no gated send may find its channel full
-/// when its slot comes up — the PE that would drain it may be waiting
-/// for a later slot, and the run ends in
-/// [`PlatformError::Deadlock`](crate::PlatformError).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OrderedBusSpec {
-    /// The cyclic grant order, one entry per steady-state send per
-    /// iteration (a channel may appear multiple times).
-    pub order: Vec<ChannelId>,
-    /// Cycles per granted slot (address strobe etc.), typically smaller
-    /// than an arbitrated bus's `arbitration_cycles`.
-    pub slot_overhead_cycles: u64,
-}
+/// Cycles per granted slot of an ordered-transactions bus (address
+/// strobe etc.): smaller than an arbitrated bus's
+/// [`BusSpec::arbitration_cycles`], since no arbitration runs.
+pub const ORDERED_SLOT_CYCLES: u64 = 1;
 
 impl Default for Machine {
     fn default() -> Self {
@@ -461,11 +452,23 @@ impl Machine {
         self.ordered_bus = None;
     }
 
-    /// Routes transfers through an ordered-transactions bus: grants
-    /// follow the compile-time `spec.order` cyclically, eliminating
-    /// arbitration.
-    pub fn set_ordered_bus(&mut self, spec: OrderedBusSpec) {
-        self.ordered_bus = Some(spec);
+    /// Routes transfers through an *ordered-transactions* bus
+    /// (Sriram): bus grants follow `order`, a compile-time cyclic order
+    /// of channels with one entry per steady-state send per iteration
+    /// (a channel may appear more than once), so no run-time arbitration
+    /// is needed — a transfer whose channel is next in the order
+    /// proceeds after [`ORDERED_SLOT_CYCLES`]; one out of turn waits for
+    /// its slot. Channels absent from the order (and sends issued from a
+    /// PE's prologue) bypass the ordering.
+    ///
+    /// The order is a contract the programs must be able to meet: the
+    /// bus never skips a slot, so each PE's gated sends must appear in
+    /// the order its program issues them, and no gated send may find its
+    /// channel full when its slot comes up — the PE that would drain it
+    /// may be waiting for a later slot, and the run ends in
+    /// [`PlatformError::Deadlock`](crate::PlatformError).
+    pub fn set_ordered_bus(&mut self, order: Vec<ChannelId>) {
+        self.ordered_bus = Some(order);
         self.bus = None;
     }
 
@@ -568,7 +571,7 @@ struct Engine {
     /// one pointer test per emission site.
     probe: Option<Arc<dyn Tracer>>,
     bus: Option<BusSpec>,
-    ordered_bus: Option<OrderedBusSpec>,
+    ordered_bus: Option<Vec<ChannelId>>,
     /// Position in the ordered-bus grant sequence.
     grant_idx: usize,
     /// Cycle at which the shared bus frees up (bus modes only).
@@ -577,12 +580,10 @@ struct Engine {
 
 impl Engine {
     fn new(m: Machine) -> Result<Self> {
-        for (i, c) in m.channels.iter().enumerate() {
-            if c.capacity_bytes == 0 {
-                return Err(PlatformError::ZeroCapacity {
-                    channel: ChannelId(i),
-                });
-            }
+        if let Some(i) = m.channels.iter().position(|c| !c.is_usable()) {
+            return Err(PlatformError::ZeroCapacity {
+                channel: ChannelId(i),
+            });
         }
         let channels = m
             .channels
@@ -787,9 +788,11 @@ impl Engine {
                     let data_len = pe.pending_send.as_ref().expect("just set").len();
                     let in_prologue = pe.in_prologue;
                     let spec = self.channels[ch.0].spec;
-                    if data_len > spec.capacity_bytes {
-                        // Payload sizes are dynamic, so this can only be
-                        // checked at send time. Abort the whole run.
+                    if data_len > spec.max_message_bytes.min(spec.capacity_bytes) {
+                        // eq. (1), as every transport admits a message:
+                        // payload sizes are dynamic, so this can only be
+                        // checked at send time. Abort the whole run with
+                        // the error the threaded runner returns.
                         pe.state = PeState::BlockedSend(ch);
                         pe.blocked_since = self.now;
                         self.fault = Some(PlatformError::MessageExceedsCapacity {
@@ -802,9 +805,9 @@ impl Engine {
                     // Ordered-transactions bus: out-of-turn steady-state
                     // sends wait for their slot (prologue sends and
                     // channels outside the order bypass).
-                    if let Some(ob) = &self.ordered_bus {
-                        let gated = !in_prologue && !ob.order.is_empty() && ob.order.contains(&ch);
-                        if gated && ob.order[self.grant_idx % ob.order.len()] != ch {
+                    if let Some(order) = &self.ordered_bus {
+                        let gated = !in_prologue && !order.is_empty() && order.contains(&ch);
+                        if gated && order[self.grant_idx % order.len()] != ch {
                             let pe = &mut self.pes[id.0];
                             pe.state = PeState::BlockedBus(ch);
                             pe.blocked_since = self.now;
@@ -817,30 +820,28 @@ impl Engine {
                     }
                     if self.channels[ch.0].used_bytes + data_len <= spec.capacity_bytes {
                         let data = self.pes[id.0].pending_send.take().expect("pending");
-                        let send_busy = spec.send_overhead_cycles;
-                        let wire = spec.wire_cycles(data.len());
+                        let sent = self.now + SEND_OVERHEAD_CYCLES;
+                        let wire = ChannelSpec::wire_cycles(data.len());
                         let mut advanced_order = false;
                         let arrival = match (&self.bus, &self.ordered_bus) {
-                            (None, None) => self.now + send_busy + wire,
+                            (None, None) => sent + wire,
                             (Some(bus), _) => {
                                 // Shared bus: the transfer occupies the
                                 // single interconnect after arbitration.
-                                let grant = self.bus_free.max(self.now + send_busy)
-                                    + bus.arbitration_cycles;
+                                let grant = self.bus_free.max(sent) + bus.arbitration_cycles;
                                 self.bus_free = grant + wire;
                                 self.bus_free
                             }
-                            (None, Some(ob)) => {
+                            (None, Some(order)) => {
                                 let gated =
-                                    !in_prologue && !ob.order.is_empty() && ob.order.contains(&ch);
-                                let slot = ob.slot_overhead_cycles;
+                                    !in_prologue && !order.is_empty() && order.contains(&ch);
                                 if gated {
                                     advanced_order = true;
-                                    let grant = self.bus_free.max(self.now + send_busy) + slot;
+                                    let grant = self.bus_free.max(sent) + ORDERED_SLOT_CYCLES;
                                     self.bus_free = grant + wire;
                                     self.bus_free
                                 } else {
-                                    self.now + send_busy + wire
+                                    sent + wire
                                 }
                             }
                         };
@@ -871,12 +872,9 @@ impl Engine {
                         if advanced_order {
                             self.wake_bus_waiters();
                         }
-                        if send_busy > 0 {
-                            let resume = self.now + send_busy;
-                            self.pes[id.0].stats.finish_cycle = resume;
-                            self.schedule(resume, Event::PeReady(id));
-                            return;
-                        }
+                        self.pes[id.0].stats.finish_cycle = sent;
+                        self.schedule(sent, Event::PeReady(id));
+                        return;
                     } else {
                         pe.state = PeState::BlockedSend(ch);
                         pe.blocked_since = self.now;
@@ -901,7 +899,6 @@ impl Engine {
                 Op::Recv { channel } => {
                     let ch = *channel;
                     if let Some(data) = self.channels[ch.0].available.pop_front() {
-                        let spec = self.channels[ch.0].spec;
                         self.channels[ch.0].used_bytes -= data.len();
                         if let Some(t) = &self.probe {
                             let c = &self.channels[ch.0];
@@ -923,13 +920,10 @@ impl Engine {
                         self.advance_pc(id.0);
                         // Freed space: wake blocked senders on this channel.
                         self.wake_senders(ch);
-                        let recv_busy = spec.recv_overhead_cycles;
-                        if recv_busy > 0 {
-                            let resume = self.now + recv_busy;
-                            self.pes[id.0].stats.finish_cycle = resume;
-                            self.schedule(resume, Event::PeReady(id));
-                            return;
-                        }
+                        let resume = self.now + RECV_OVERHEAD_CYCLES;
+                        self.pes[id.0].stats.finish_cycle = resume;
+                        self.schedule(resume, Event::PeReady(id));
+                        return;
                     } else {
                         pe.state = PeState::BlockedRecv(ch);
                         pe.blocked_since = self.now;
@@ -1006,14 +1000,19 @@ impl Engine {
 mod tests {
     use super::*;
 
+    /// A channel of exactly one 8-byte message.
     fn tight_channel() -> ChannelSpec {
         ChannelSpec {
             capacity_bytes: 8,
-            word_bytes: 4,
-            cycles_per_word: 1,
-            send_overhead_cycles: 1,
-            recv_overhead_cycles: 1,
-            max_message_bytes: 0,
+            max_message_bytes: 8,
+        }
+    }
+
+    /// The default 4 KiB channel, declaring messages of up to `max` bytes.
+    fn carrying(max: usize) -> ChannelSpec {
+        ChannelSpec {
+            max_message_bytes: max,
+            ..ChannelSpec::default()
         }
     }
 
@@ -1139,10 +1138,21 @@ mod tests {
             4,
         ));
         let report = m.run().unwrap();
-        assert!(
-            report.pe[0].send_stall_cycles > 0,
-            "sender must have stalled"
+        // The first message arrives after the send framing and its two
+        // words of wire; from then on every message waits for the
+        // receiver, which frames each receive and computes 100 cycles:
+        // 2 + 8/4 · 1 + 4 · (2 + 100) = 412.
+        let first = SEND_OVERHEAD_CYCLES + ChannelSpec::wire_cycles(8);
+        assert_eq!(first, 4);
+        assert_eq!(
+            report.makespan_cycles,
+            first + 4 * (RECV_OVERHEAD_CYCLES + 100)
         );
+        // The sender blocks three times: once until the first receive
+        // (at cycle 4, after its own framing to cycle 2), then for a
+        // whole receive-to-receive interval before each of the last two
+        // sends: 2 + 2 · 100 = 202.
+        assert_eq!(report.pe[0].send_stall_cycles, 2 + 2 * 100);
         assert_eq!(report.channels[0].messages, 4);
     }
 
@@ -1215,15 +1225,46 @@ mod tests {
         };
         m.add_channel(bad);
         assert!(matches!(m.run(), Err(PlatformError::ZeroCapacity { .. })));
+        // Nor can a channel that declares no message bound.
+        let mut m = Machine::new();
+        m.add_channel(carrying(0));
+        assert!(matches!(m.run(), Err(PlatformError::ZeroCapacity { .. })));
+    }
+
+    #[test]
+    fn a_message_above_the_declared_bound_is_refused() {
+        // eq. (1): the channel carries messages of at most 4 bytes, and
+        // has room for a thousand of them. A 5-byte send ends the run
+        // with the threaded runner's error, before anything is enqueued.
+        let mut m = Machine::new();
+        let ch = m.add_channel(ChannelSpec::default());
+        m.add_pe(Program::new(
+            vec![Op::Send {
+                channel: ch,
+                payload: Box::new(|_| vec![0; 5]),
+            }],
+            1,
+        ));
+        m.add_pe(Program::new(vec![Op::Recv { channel: ch }], 1));
+        match m.run() {
+            Err(PlatformError::MessageExceedsCapacity {
+                channel,
+                bytes,
+                capacity,
+            }) => {
+                assert_eq!((channel, bytes, capacity), (ch, 5, 4096));
+            }
+            other => panic!("expected the eq. (1) refusal, got {other:?}"),
+        }
     }
 
     #[test]
     fn wire_latency_scales_with_message_size() {
-        let spec = ChannelSpec::default(); // 4 B words, 1 cycle/word
-        assert_eq!(spec.wire_cycles(4), 1);
-        assert_eq!(spec.wire_cycles(5), 2);
-        assert_eq!(spec.wire_cycles(400), 100);
-        assert_eq!(spec.wire_cycles(0), 0);
+        // 4 B words, 1 cycle per word.
+        assert_eq!(ChannelSpec::wire_cycles(4), 1);
+        assert_eq!(ChannelSpec::wire_cycles(5), 2);
+        assert_eq!(ChannelSpec::wire_cycles(400), 100);
+        assert_eq!(ChannelSpec::wire_cycles(0), 0);
     }
 
     #[test]
@@ -1352,7 +1393,7 @@ mod tests {
     fn engine_is_deterministic() {
         let build = || {
             let mut m = Machine::new();
-            let c1 = m.add_channel(ChannelSpec::default());
+            let c1 = m.add_channel(carrying(8));
             let c2 = m.add_channel(tight_channel());
             m.add_pe(Program::new(
                 vec![
@@ -1390,7 +1431,7 @@ mod tests {
     #[test]
     fn peak_bytes_tracks_high_water_mark() {
         let mut m = Machine::new();
-        let ch = m.add_channel(ChannelSpec::default());
+        let ch = m.add_channel(carrying(16));
         // Producer bursts 3 × 16 B before the consumer wakes up.
         m.add_pe(Program::new(
             vec![Op::Send {
@@ -1423,7 +1464,7 @@ mod tests {
                 m.set_shared_bus(b);
             }
             for _ in 0..2 {
-                let ch = m.add_channel(ChannelSpec::default());
+                let ch = m.add_channel(carrying(4000));
                 m.add_pe(Program::new(
                     vec![Op::Send {
                         channel: ch,
@@ -1455,10 +1496,7 @@ mod tests {
         let ch0 = m.add_channel(ChannelSpec::default());
         let ch1 = m.add_channel(ChannelSpec::default());
         let ch2 = m.add_channel(ChannelSpec::default());
-        m.set_ordered_bus(OrderedBusSpec {
-            order: vec![ch1, ch0, ch2],
-            slot_overhead_cycles: 1,
-        });
+        m.set_ordered_bus(vec![ch1, ch0, ch2]);
         let sender = |channel| {
             let payload: PayloadFn = Box::new(|_| vec![0; 4]);
             Program::new(vec![Op::Send { channel, payload }], 3)
@@ -1496,10 +1534,7 @@ mod tests {
         let mut m = Machine::new();
         let listed = m.add_channel(ChannelSpec::default());
         let unlisted = m.add_channel(ChannelSpec::default());
-        m.set_ordered_bus(OrderedBusSpec {
-            order: vec![listed],
-            slot_overhead_cycles: 1,
-        });
+        m.set_ordered_bus(vec![listed]);
         m.add_pe(Program::new(
             vec![
                 Op::Send {

@@ -323,7 +323,6 @@ pub fn framed_spec(spec: &ChannelSpec) -> ChannelSpec {
     ChannelSpec {
         max_message_bytes: spec.max_message_bytes + FRAME_HEADER_BYTES,
         capacity_bytes: spec.capacity_bytes + slots * FRAME_HEADER_BYTES,
-        ..*spec
     }
 }
 
@@ -954,7 +953,6 @@ mod tests {
         let spec = ChannelSpec {
             capacity_bytes: 64,
             max_message_bytes: 16,
-            ..ChannelSpec::default()
         };
         let framed = framed_spec(&spec);
         assert_eq!(framed.max_message_bytes, 24);

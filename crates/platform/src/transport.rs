@@ -1581,7 +1581,6 @@ mod tests {
         let spec = ChannelSpec {
             capacity_bytes: 48,
             max_message_bytes: 6,
-            ..ChannelSpec::default()
         };
         let ring = TransportKind::Ring.instantiate(&spec);
         assert_eq!(ring.capacity_bytes(), 48);

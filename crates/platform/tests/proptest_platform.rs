@@ -15,7 +15,7 @@ fn every_sent_message_is_delivered_in_order() {
         let mut m = Machine::new();
         let ch = m.add_channel(ChannelSpec {
             capacity_bytes: cap,
-            ..ChannelSpec::default()
+            max_message_bytes: sizes.iter().copied().max().unwrap_or(1),
         });
         let sizes_p = sizes.clone();
         let n = sizes.len() as u64;

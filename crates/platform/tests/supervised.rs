@@ -17,7 +17,6 @@ fn pipeline() -> (Vec<ChannelSpec>, Vec<Program>) {
     let channels = vec![ChannelSpec {
         capacity_bytes: 16,
         max_message_bytes: 4,
-        ..ChannelSpec::default()
     }];
     let producer = Program::new(
         vec![Op::Send {
@@ -160,7 +159,6 @@ fn assert_stalled_timeout(kind: TransportKind) {
     let spec = ChannelSpec {
         capacity_bytes: 4,
         max_message_bytes: 4,
-        ..ChannelSpec::default()
     };
     let t = kind.instantiate(&spec);
     t.send(&[1, 2, 3, 4], Duration::from_millis(10)).unwrap();

@@ -149,7 +149,6 @@ fn runner_pipeline_stress_under_all_transports() {
             .map(|_| ChannelSpec {
                 capacity_bytes: 8,
                 max_message_bytes: 4,
-                ..ChannelSpec::default()
             })
             .collect();
         let mut programs = vec![Program::new(

@@ -66,7 +66,7 @@ impl CycleRatio {
     /// The same value in lowest terms (`0/1` for zero).
     fn reduced(self) -> CycleRatio {
         let (num, den) = self.terms();
-        let g = gcd(num, den);
+        let g = spi_dataflow::gcd(num, den);
         CycleRatio {
             weight: num / g,
             delay: den / g,
@@ -299,13 +299,6 @@ impl Howard<'_> {
         });
         CycleRatio { weight, delay }
     }
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 /// Classic parallel-speedup bounds of one graph iteration: the total

@@ -21,7 +21,7 @@ use std::time::Duration;
 /// Upper clamp on a lowered batch: past a few dozen records per
 /// `write` the syscall amortization is already >95% and larger batches
 /// only add latency.
-pub const BATCH_MAX_MSGS_CAP: u64 = 32;
+pub const BATCH_MAX_MSGS_CAP: usize = 32;
 
 /// What a cross-core wake-up costs: how long after its peer acts a
 /// thread asleep in the kernel is running again. ≈ 20 µs on the
@@ -47,13 +47,16 @@ pub const FLUSH_AFTER_MAX: Duration = Duration::from_millis(2);
 pub const FLUSH_AFTER_DEFAULT: Duration = Duration::from_micros(200);
 
 /// Per-edge batching parameters lowered from the schedule, consumed by
-/// the network transport (`spi-net`) when a cross-partition edge is
-/// instantiated.
+/// the network transport (`spi-net`, which re-exports it as
+/// `BatchParams`) when a cross-partition edge is instantiated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPlan {
     /// Most records a sender may coalesce into one write of its staging
     /// buffer. `1` disables batching (the one-record-per-write path).
-    pub max_msgs: u64,
+    /// Must leave the edge's credit window room for at least two
+    /// batches, or the two ends take turns (the SPI046 analyzer lint
+    /// holds the declared form to that).
+    pub max_msgs: usize,
     /// Nagle deadline: a pending batch older than this is flushed even
     /// if it is not full. Irrelevant when `max_msgs == 1`.
     pub flush_after: Duration,
@@ -103,7 +106,8 @@ impl Default for BatchPlan {
 /// falling back to [`FLUSH_AFTER_DEFAULT`] when no prediction exists.
 pub fn batch_plan(window_msgs: u64, op_deadline: Option<Duration>) -> BatchPlan {
     let batches = if window_msgs >= 8 { 4 } else { 2 };
-    let max_msgs = (window_msgs / batches).min(BATCH_MAX_MSGS_CAP);
+    // At most the cap, so the narrowing is lossless.
+    let max_msgs = (window_msgs / batches).min(BATCH_MAX_MSGS_CAP as u64) as usize;
     if max_msgs <= 1 {
         return BatchPlan::disabled();
     }
@@ -139,12 +143,12 @@ mod tests {
         // Four batches per window wherever four batches of two fit;
         // the two halves below that.
         for w in 4..=7 {
-            assert_eq!(batch_plan(w, None).max_msgs, w / 2, "window {w}");
+            assert_eq!(batch_plan(w, None).max_msgs as u64, w / 2, "window {w}");
         }
         for w in 8..=128 {
             let p = batch_plan(w, None);
-            assert_eq!(p.max_msgs, w / 4, "window {w}");
-            assert!(p.is_batched() && 4 * p.max_msgs <= w, "window {w}");
+            assert_eq!(p.max_msgs as u64, w / 4, "window {w}");
+            assert!(p.is_batched() && 4 * p.max_msgs as u64 <= w, "window {w}");
         }
         // The benchmark's edge: 32 slots for a loop of 16 tokens.
         assert_eq!(batch_plan(32, None).max_msgs, 8);

@@ -30,7 +30,6 @@ fn byte_spec(capacity_bytes: usize) -> ChannelSpec {
     ChannelSpec {
         capacity_bytes,
         max_message_bytes: 4,
-        ..ChannelSpec::default()
     }
 }
 

@@ -78,7 +78,6 @@ fn a_refused_ack_reaches_a_sender_its_consumer_no_longer_waits_for() {
     let spec = ChannelSpec {
         capacity_bytes: 4,
         max_message_bytes: 4,
-        ..ChannelSpec::default()
     };
     let seeds = env_seed("SPI_SIM_SEED").map_or(0..400, |s| s..s + 1);
     for seed in seeds {

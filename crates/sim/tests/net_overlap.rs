@@ -35,7 +35,7 @@ fn filter_idle(seed: u64, batch: BatchParams) -> Duration {
 
 #[test]
 fn the_lowered_batch_keeps_the_bottleneck_pe_fed() {
-    let lowered = BatchParams::from(spi_sched::batch_plan(2 * u64::from(TOKENS), None));
+    let lowered = spi_sched::batch_plan(2 * u64::from(TOKENS), None);
     assert_eq!(
         lowered.max_msgs as u32,
         TOKENS / 2,

@@ -14,7 +14,9 @@ use std::sync::Arc;
 
 use spi_analyze::{AnalysisReport, EdgeDecl, TransportDecl};
 use spi_dataflow::{ActorId, EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
-use spi_platform::{ChannelId, ChannelSpec, ResourceEstimate, Tracer};
+use spi_platform::{
+    ChannelId, ChannelSpec, ResourceEstimate, Tracer, RECV_OVERHEAD_CYCLES, SEND_OVERHEAD_CYCLES,
+};
 use spi_sched::{
     Assignment, BatchPlan, CycleRatio, IpcEdgeKind, IpcGraph, Partition, PredictedMetrics, ProcId,
     Protocol, ResyncCertificate, SelfTimedSchedule, SyncGraph, SyncKind,
@@ -26,6 +28,9 @@ use crate::actors::SharedActor;
 use crate::error::{Result, SpiError};
 use crate::library::SpiLibraryReport;
 use crate::message::{self, SpiPhase};
+
+/// The platform clock in MHz: cycles to microseconds.
+pub(super) const CLOCK_MHZ: f64 = 100.0;
 
 /// Size of a UBS acknowledgement message (the edge id).
 pub const ACK_BYTES: usize = 2;
@@ -89,15 +94,13 @@ pub struct SpiSystemBuilder {
     actor_resources: HashMap<ActorId, ResourceEstimate>,
     pub(super) initial_payloads: HashMap<EdgeId, Vec<Vec<u8>>>,
     pub(super) iterations: u64,
-    clock_mhz: f64,
-    pub(super) channel_template: ChannelSpec,
     resync: bool,
     force_ubs: bool,
     signal: LengthSignal,
     pub(super) bus: Option<spi_platform::BusSpec>,
     pub(super) mode: SchedulingMode,
     pub(super) proc_speeds: HashMap<ProcId, (u64, u64)>,
-    pub(super) ordered_transactions: Option<u64>,
+    pub(super) ordered_transactions: bool,
     pub(super) tracer: Option<Arc<dyn Tracer>>,
     partition: Option<Partition>,
 }
@@ -111,15 +114,13 @@ impl SpiSystemBuilder {
             actor_resources: HashMap::new(),
             initial_payloads: HashMap::new(),
             iterations: 1,
-            clock_mhz: 100.0,
-            channel_template: ChannelSpec::default(),
             resync: true,
             force_ubs: false,
             signal: LengthSignal::Header,
             bus: None,
             mode: SchedulingMode::SelfTimed,
             proc_speeds: HashMap::new(),
-            ordered_transactions: None,
+            ordered_transactions: false,
             tracer: None,
             partition: None,
         }
@@ -143,10 +144,10 @@ impl SpiSystemBuilder {
     /// (Sriram; the "other scheduling models" the paper's conclusion
     /// points to): a compile-time global bus-access order derived from
     /// the synchronization graph's analytic send times replaces
-    /// run-time arbitration. `slot_overhead_cycles` is the per-slot
-    /// cost of the order controller.
-    pub fn ordered_transactions(&mut self, slot_overhead_cycles: u64) -> &mut Self {
-        self.ordered_transactions = Some(slot_overhead_cycles);
+    /// run-time arbitration; each grant costs
+    /// [`spi_platform::ORDERED_SLOT_CYCLES`].
+    pub fn ordered_transactions(&mut self) -> &mut Self {
+        self.ordered_transactions = true;
         self
     }
 
@@ -220,19 +221,6 @@ impl SpiSystemBuilder {
     /// Number of graph iterations to simulate.
     pub fn iterations(&mut self, n: u64) -> &mut Self {
         self.iterations = n;
-        self
-    }
-
-    /// Platform clock in MHz (for µs conversion).
-    pub fn clock_mhz(&mut self, mhz: f64) -> &mut Self {
-        self.clock_mhz = mhz;
-        self
-    }
-
-    /// Template for inter-processor FIFO channels (capacity is derived
-    /// per edge; the other fields are taken from this template).
-    pub fn channel_template(&mut self, spec: ChannelSpec) -> &mut Self {
-        self.channel_template = spec;
         self
     }
 
@@ -346,7 +334,6 @@ impl SpiSystemBuilder {
             machine,
             plans: planned.plans,
             sync: planned.sync,
-            clock_mhz: self.clock_mhz,
             library: planned.library,
             iterations: self.iterations,
             analysis: planned.analysis,
@@ -505,13 +492,7 @@ impl SpiSystemBuilder {
             bound_msgs: (phase == SpiPhase::Static).then_some(msgs),
             protocol,
             ack_kept: false,
-            cost: MessageCost::new(
-                phase,
-                self.signal,
-                payload_max,
-                msg_max,
-                &self.channel_template,
-            ),
+            cost: MessageCost::new(phase, self.signal, payload_max, msg_max),
             // Declaring the packed-token message size makes the channel
             // a valid substrate for slot-based transports: a ring of
             // `msgs` fixed slots is exactly the allocation, and the same
@@ -587,7 +568,7 @@ impl SpiSystemBuilder {
     ) -> Option<PredictedMetrics> {
         if !matches!(self.mode, SchedulingMode::SelfTimed)
             || self.bus.is_some()
-            || self.ordered_transactions.is_some()
+            || self.ordered_transactions
             || !self.proc_speeds.is_empty()
         {
             return None;
@@ -630,7 +611,7 @@ impl SpiSystemBuilder {
         let Some(partition) = &self.partition else {
             return Ok(());
         };
-        let clock_hz = (self.clock_mhz * 1e6) as u64;
+        let clock_hz = (CLOCK_MHZ * 1e6) as u64;
         let op_deadline = predicted.and_then(|m| m.op_deadline(clock_hz, 1.0));
         for plan in plans.values_mut() {
             // Out-of-range processors surface as a scheduling error
@@ -663,7 +644,7 @@ impl SpiSystemBuilder {
             .with_ipc(&s.ipc)
             .with_sync(sync)
             .with_edges(&decls)
-            .with_resources(library.full_system(), None);
+            .with_resources(library.full_system());
         if let Some(cert) = cert {
             input = input.with_resync_cert(cert);
         }
@@ -716,8 +697,8 @@ pub(super) fn cumulative_messages(j: i64, c: i64, d: i64, p: i64) -> i64 {
     num.div_euclid(p) + i64::from(num.rem_euclid(p) != 0)
 }
 
-/// Per-message cycle costs of one edge on the configured channel
-/// hardware, as the engines charge them. [`MessageCost::decode_cycles`]
+/// Per-message cycle costs of one edge on the platform's FIFOs, as the
+/// engines charge them. [`MessageCost::decode_cycles`]
 /// is what the generated `SPI_receive` adds per message; the other
 /// figures are the worst-case per-message slack of the predicted
 /// makespan.
@@ -741,13 +722,7 @@ pub struct MessageCost {
 }
 
 impl MessageCost {
-    fn new(
-        phase: SpiPhase,
-        signal: LengthSignal,
-        payload_max: usize,
-        msg_max: usize,
-        spec: &ChannelSpec,
-    ) -> Self {
+    fn new(phase: SpiPhase, signal: LengthSignal, payload_max: usize, msg_max: usize) -> Self {
         // Constant header parse; the delimiter ablation instead scans
         // the payload.
         let (decode_fixed, decode_per_byte) = match (phase, signal) {
@@ -755,18 +730,18 @@ impl MessageCost {
             (SpiPhase::Dynamic, LengthSignal::Header) => (2, 0),
             (SpiPhase::Dynamic, LengthSignal::Delimiter) => (2, 1),
         };
-        let fill_cycles = spec.send_overhead_cycles + spec.wire_cycles(msg_max);
-        let grant_cycles = spec.send_overhead_cycles + spec.wire_cycles(ACK_BYTES);
+        let fill_cycles = SEND_OVERHEAD_CYCLES + ChannelSpec::wire_cycles(msg_max);
+        let grant_cycles = SEND_OVERHEAD_CYCLES + ChannelSpec::wire_cycles(ACK_BYTES);
         MessageCost {
             decode_fixed,
             decode_per_byte,
             data_cycles: 1 // header emission inside the firing
                 + fill_cycles
-                + spec.recv_overhead_cycles
+                + RECV_OVERHEAD_CYCLES
                 + decode_fixed
                 + decode_per_byte * payload_max as u64,
             fill_cycles,
-            ack_cycles: grant_cycles + spec.recv_overhead_cycles + 1, // credit-consume compute
+            ack_cycles: grant_cycles + RECV_OVERHEAD_CYCLES + 1, // credit-consume compute
             grant_cycles,
         }
     }
@@ -789,7 +764,7 @@ pub(super) type Plans = HashMap<EdgeId, EdgePlan>;
 /// |---|---|
 /// | `phase`, `payload_max`, `msg_max` | channel specs, generated encode/decode, [`SpiSystem::buffer_report`], resource report |
 /// | `recv_counts`, `fill_msgs`, `prime_tokens` | generated receive ops, prologue, ordered-bus grant order |
-/// | `max_burst`, `msgs_per_iter`, `bound_tokens` | protocol choice, credit window, sync graph, eq. (2) capacity |
+/// | `max_burst`, `msgs_per_iter`, `bound_tokens` | protocol choice, credit window, sync graph, eq. (2) capacity, analyzer (SPI040–SPI045, through `EdgeDecl::bound_tokens`) |
 /// | `protocol`, `ack_kept`, `bound_msgs` | sync graph, ack channels, analyzer, [`SpiSystem::trace_meta`] |
 /// | `cost` | generated `SPI_receive`, predicted makespan (and through it the supervision and flush deadlines) |
 /// | `transport`, `batch` | analyzer (SPI043–SPI046), [`SpiSystem::trace_meta`], `spi-net` deployment |
@@ -834,7 +809,7 @@ pub struct EdgePlan {
     pub protocol: Protocol,
     /// Whether UBS acknowledgements survived resynchronization.
     pub ack_kept: bool,
-    /// Per-message cycle costs on the configured channel hardware.
+    /// Per-message cycle costs on the platform's FIFOs.
     pub cost: MessageCost,
     /// The data channel's allocation as declared to the analyzer:
     /// `msg_max`, the message count `bound_msgs` states (computed on
@@ -879,9 +854,10 @@ impl EdgePlan {
         EdgeDecl {
             edge: self.edge,
             protocol: self.protocol,
+            bound_tokens: self.bound_tokens,
             transport: Some(self.transport),
             net_transport: self.batch.map(|batch| TransportDecl {
-                batch_msgs: Some(batch.max_msgs),
+                batch_msgs: Some(batch.max_msgs as u64),
                 ..self.transport
             }),
         }

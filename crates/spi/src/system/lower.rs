@@ -36,12 +36,9 @@ pub(super) fn machine(
     if let Some(bus) = b.bus {
         machine.set_shared_bus(bus);
     }
-    add_channels(&mut machine, plans, b.channel_template);
-    if let Some(slot) = b.ordered_transactions {
-        machine.set_ordered_bus(spi_platform::OrderedBusSpec {
-            order: grant_order(s, sync, plans),
-            slot_overhead_cycles: slot,
-        });
+    add_channels(&mut machine, plans);
+    if b.ordered_transactions {
+        machine.set_ordered_bus(grant_order(s, sync, plans));
     }
     let gen = Lowering {
         graph: s.vts.graph(),
@@ -69,20 +66,18 @@ pub(super) fn machine(
 /// Allocates the machine's channels in edge order — each edge's data
 /// channel, then its acknowledgement channel if the acks were kept — and
 /// records the ids in the plans.
-fn add_channels(machine: &mut Machine, plans: &mut Plans, template: ChannelSpec) {
+fn add_channels(machine: &mut Machine, plans: &mut Plans) {
     let mut in_edge_order: Vec<&mut EdgePlan> = plans.values_mut().collect();
     in_edge_order.sort_by_key(|p| p.edge);
     for plan in in_edge_order {
         plan.data_ch = machine.add_channel(ChannelSpec {
             capacity_bytes: plan.transport.capacity_bytes as usize,
             max_message_bytes: plan.msg_max,
-            ..template
         });
         if plan.ack_kept {
             plan.ack_ch = Some(machine.add_channel(ChannelSpec {
                 capacity_bytes: ack_channel_bytes(plan),
                 max_message_bytes: ACK_BYTES,
-                ..template
             }));
         }
     }

@@ -9,7 +9,7 @@ use spi_dataflow::EdgeId;
 use spi_platform::{ChannelId, Machine, SimReport, Tracer};
 use spi_sched::{CycleRatio, Partition, Protocol, ResyncReport, SyncGraph};
 
-use super::build::{EdgePlan, Plans};
+use super::build::{EdgePlan, Plans, CLOCK_MHZ};
 use super::lower::recorded_failure;
 use crate::error::Result;
 use crate::library::SpiLibraryReport;
@@ -30,7 +30,6 @@ pub struct SpiSystem {
     pub(super) machine: Machine,
     pub(super) plans: Plans,
     pub(super) sync: SyncOutcome,
-    pub(super) clock_mhz: f64,
     pub(super) library: SpiLibraryReport,
     pub(super) iterations: u64,
     pub(super) analysis: spi_analyze::AnalysisReport,
@@ -122,7 +121,7 @@ impl SpiSystem {
     /// (same conditions as [`SpiSystem::predicted_makespan_cycles`]);
     /// callers then keep the policy's configured default.
     pub fn supervision_deadline(&self, safety_factor: f64) -> Option<std::time::Duration> {
-        let clock_hz = (self.clock_mhz * 1e6) as u64;
+        let clock_hz = (CLOCK_MHZ * 1e6) as u64;
         let d = self
             .predicted
             .as_ref()?
@@ -185,7 +184,7 @@ impl SpiSystem {
             if let Some(batch) = p.batch.filter(|b| b.is_batched()) {
                 meta.batch_bounds.push(spi_trace::BatchBound {
                     channel: p.data_ch,
-                    max_msgs: batch.max_msgs,
+                    max_msgs: batch.max_msgs as u64,
                 });
             }
         }
@@ -278,7 +277,7 @@ impl SpiSystem {
             sim,
             resync: self.sync.report,
             sync_cost: self.sync.graph.sync_cost(),
-            clock_mhz: self.clock_mhz,
+            clock_mhz: CLOCK_MHZ,
             iterations: self.iterations,
             library: self.library,
         })

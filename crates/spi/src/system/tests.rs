@@ -292,7 +292,7 @@ fn ordered_transactions_run_and_serialize_grants() {
         });
         b.iterations(12);
         if ordered {
-            b.ordered_transactions(1);
+            b.ordered_transactions();
         }
         let sys = b.build(3, |x| ProcId(x.0)).unwrap();
         sys.run().unwrap()
@@ -327,7 +327,7 @@ fn ordered_grants_keep_each_processors_send_order() {
         30
     });
     b.actor(z, |_: &mut Firing| 30);
-    b.iterations(6).ordered_transactions(1);
+    b.iterations(6).ordered_transactions();
     let sys = b.build(3, |a| ProcId(a.0)).unwrap();
     assert!(sys.edge_plans().values().all(|p| p.ack_kept));
     let report = sys.run().expect("every grant slot is reachable");

@@ -129,7 +129,7 @@ fn fanout_ordered(knobs: impl Knobs) -> Recipe {
     });
     builder.actor(b, |_: &mut Firing| 30);
     builder.actor(c, |_: &mut Firing| 30);
-    knobs(builder.iterations(ITERATIONS).ordered_transactions(1));
+    knobs(builder.iterations(ITERATIONS).ordered_transactions());
     (builder, 3, Box::new(|actor| ProcId(actor.0)))
 }
 

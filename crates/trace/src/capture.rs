@@ -613,7 +613,6 @@ mod tests {
             let spec = ChannelSpec {
                 capacity_bytes: 16,
                 max_message_bytes: 4,
-                ..ChannelSpec::default()
             };
             let tracer = Arc::new(RingTracer::new(2, 256));
             let mut runner = ThreadedRunner::new().transport(kind).tracer(tracer.clone());

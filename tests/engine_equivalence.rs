@@ -104,7 +104,7 @@ fn engines_agree_with_prologues_and_backpressure() {
     let build = || {
         let specs = vec![ChannelSpec {
             capacity_bytes: 8, // tight: forces back-pressure
-            ..ChannelSpec::default()
+            max_message_bytes: 4,
         }];
         let ch = ChannelId(0);
         let mut producer = Program::new(

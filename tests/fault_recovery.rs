@@ -181,7 +181,6 @@ fn a_tracer_does_not_change_which_planned_faults_fire() {
             let channels = vec![ChannelSpec {
                 capacity_bytes: 16,
                 max_message_bytes: 4,
-                ..ChannelSpec::default()
             }];
             let producer = Program::new(
                 vec![Op::Send {

@@ -1,7 +1,7 @@
 //! Property tests over cross-crate invariants, each a seeded loop over
 //! 64 cases (`SPI_CHAOS_SEED=<case>` replays one).
 
-use spi_repro::dataflow::{FirePolicy, LengthSignal, SdfGraph, TokenPacker, VtsConversion};
+use spi_repro::dataflow::{LengthSignal, SdfGraph, TokenPacker, VtsConversion};
 use spi_repro::dsp::huffman::HuffmanCode;
 use spi_repro::dsp::particle::{allocate_counts, plan_exchanges};
 use spi_repro::platform::rng::{for_each_case, SplitMix64};
@@ -39,9 +39,7 @@ fn chain_schedules_return_edges_to_delay_count() {
             g.add_edge(prev, next, p, c, d, 4).expect("edge");
             prev = next;
         }
-        let report = g
-            .class_s_schedule(FirePolicy::FewestFirings)
-            .expect("live chain");
+        let report = g.class_s_schedule().expect("live chain");
         // Replay and check conservation.
         let mut tokens: Vec<i64> = g.edges().map(|(_, e)| e.delay as i64).collect();
         for &f in report.schedule.firings() {

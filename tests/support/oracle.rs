@@ -34,7 +34,7 @@ use std::time::Duration;
 
 use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_repro::dataflow::VtsConversion;
-use spi_repro::dataflow::{Actor, ActorId, Edge, EdgeId, FirePolicy, LengthSignal, SdfGraph};
+use spi_repro::dataflow::{Actor, ActorId, Edge, EdgeId, LengthSignal, SdfGraph};
 use spi_repro::fault::{FaultKind, FaultPlan, FaultSpec, InjectionLog};
 use spi_repro::platform::rng::SplitMix64;
 use spi_repro::platform::TransportKind::{Locked, Pointer, Ring};
@@ -140,7 +140,7 @@ impl Generated {
             Bus::Shared => b.shared_bus(BusSpec {
                 arbitration_cycles: 4,
             }),
-            Bus::Ordered => b.ordered_transactions(1),
+            Bus::Ordered => b.ordered_transactions(),
         };
         if let Some(nodes) = self.nodes {
             b.partition(Partition::blocks(self.procs, nodes).expect("nodes ≤ processors"));
@@ -402,7 +402,7 @@ fn noise(seed: u64, len: usize) -> Vec<u8> {
 /// `class_s_schedule` order over plain FIFOs of tokens.
 fn reference(g: &Generated) -> Vec<Vec<u64>> {
     let vts = VtsConversion::convert(&g.graph).expect("convertible");
-    let order = vts.graph().class_s_schedule(FirePolicy::FewestFirings);
+    let order = vts.graph().class_s_schedule();
     let (order, shapes) = (order.expect("live").schedule, shapes(&g.graph));
     let delay_tokens = |(id, e): (EdgeId, &Edge)| {
         let token = vec![0; e.token_bytes as usize * usize::from(!e.is_dynamic())];
@@ -481,7 +481,7 @@ impl Backend {
         }
         // Cross-partition edges batch as `spi_net::deploy` lowers them.
         let plans = sys.edge_plans().values();
-        let batches = plans.filter_map(|p| Some((p.data_ch.0, p.batch?.into())));
+        let batches = plans.filter_map(|p| Some((p.data_ch.0, p.batch?)));
         let mut batch: HashMap<usize, BatchParams> = batches.collect();
         let (specs, mut programs) = sys.into_parts();
         if let Some(faults) = faults {
