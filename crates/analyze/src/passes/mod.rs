@@ -28,7 +28,7 @@
 //! in `spi_trace::check` (`spi-lint trace-check`): one pass over a
 //! captured, linearized execution trace holds it to the same static
 //! bounds these passes verify up front, to the supervision budgets
-//! (`SPI090`–`SPI095`), and to the happens-before order its sends and
+//! (`SPI090`, `SPI092`–`SPI094`), and to the happens-before order its sends and
 //! receives imply:
 //!
 //! | Code   | Severity | Pass | Finding |
@@ -46,6 +46,8 @@
 //! | SPI103 | error    | trace-check | buffer-slot reuse precedes the receive that frees the slot |
 //! | SPI104 | warning  | trace-check | unpaired blocking-window marker (Block without Unblock) |
 //! | SPI105 | warning  | trace-check | endpoint shared by several PEs (ordered, but fragile) |
+//! | SPI091 | —        | retired | degraded-token budget: supervision delivers no stand-in token |
+//! | SPI095 | —        | retired | degraded-token advisory, likewise |
 //! | SPI106 | —        | retired | dropped events: SPI084 reports the same condition |
 
 mod deadlock;

@@ -57,11 +57,12 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use spi_platform::rng::SplitMix64;
@@ -80,7 +81,7 @@ pub enum FaultKind {
     },
     /// The link stalls for `millis` milliseconds before delivering —
     /// long enough to trip receiver deadlines and exercise the retry
-    /// path (or, past the retry budget, degradation).
+    /// path (or, past the retry budget, a fail-stop).
     Stall {
         /// Stall length in milliseconds.
         millis: u64,
@@ -365,9 +366,11 @@ impl FaultyTransport {
         let Some(&kind) = self.faults.get(&message_index) else {
             return msg.forward(inner, wait);
         };
+        // A poisoned log still holds every record pushed before the
+        // panic that poisoned it: keep appending.
         self.log
             .lock()
-            .expect("injection log")
+            .unwrap_or_else(PoisonError::into_inner)
             .push(InjectionRecord {
                 channel: self.channel,
                 message_index,

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use spi_fault::{FaultKind, FaultPlan, InjectionLog};
 use spi_platform::{
-    ChannelId, ChannelSpec, DegradePolicy, Op, PeLocal, PlatformError, Program, SupervisionPolicy,
+    ChannelId, ChannelSpec, Op, PeLocal, PlatformError, Program, SupervisionPolicy,
     ThreadedPeResult, ThreadedRunner, TransportKind,
 };
 
@@ -118,52 +118,9 @@ fn fail_policy_names_the_faulted_edge() {
                 assert_eq!(attempts, 4, "first try + 3 retries ({kind:?})");
             }
             // The receiver may hit its own budget first and also names
-            // the edge; under Fail either is a correct outcome.
+            // the edge; either is a correct outcome.
             other => panic!("expected RetryBudgetExhausted under {kind:?}, got {other}"),
         }
-    }
-}
-
-/// A policy that degrades `degrade`'s way after the retry budget.
-fn degrading(degrade: DegradePolicy) -> SupervisionPolicy {
-    (fast_policy().with_degrade(degrade)).with_deadline(Duration::from_millis(50))
-}
-
-#[test]
-fn substitute_policy_fills_lost_token_with_zeros() {
-    for kind in kinds() {
-        // Every attempt at token 2: the first try and 3 retries.
-        let plan = on_ch0(FaultKind::Drop, 2..=5);
-        let consumer = supervised(kind, degrading(DegradePolicy::Substitute), plan);
-        // Token 2 is unrecoverable: the sender skips it after its
-        // budget, the receiver sees the sequence gap and substitutes a
-        // zero token shaped like the last delivered one.
-        assert_eq!(consumer.store["acc"], vec![0, 1, 0, 3, 4, 5], "{kind:?}");
-        assert_eq!(consumer.leftover_inbox, 0);
-    }
-}
-
-#[test]
-fn substitute_for_a_lost_first_token_has_the_declared_size() {
-    for kind in kinds() {
-        let plan = on_ch0(FaultKind::Drop, 0..=3);
-        let consumer = supervised(kind, degrading(DegradePolicy::Substitute), plan);
-        // Nothing has been delivered yet to size the substitute from:
-        // it takes the spec's 4-byte message bound, not zero bytes
-        // (which the consumer would fold as 0xEE).
-        assert_eq!(consumer.store["acc"], vec![0, 1, 2, 3, 4, 5], "{kind:?}");
-    }
-}
-
-#[test]
-fn skip_policy_drops_lost_token_and_continues() {
-    for kind in kinds() {
-        let plan = on_ch0(FaultKind::Drop, 2..=5);
-        let consumer = supervised(kind, degrading(DegradePolicy::Skip), plan);
-        // The receive op where token 2 went missing delivers the next
-        // arrived token instead; the final receive finds the stream
-        // dry, degrades to an empty token (folded as 0xEE).
-        assert_eq!(consumer.store["acc"], vec![0, 1, 3, 4, 5, 0xEE], "{kind:?}");
     }
 }
 

@@ -19,6 +19,8 @@
 //! application and writes the merged distributed trace. Exit status: 0
 //! on byte-identical output with a conformant trace, 1 otherwise.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -187,8 +189,9 @@ fn chaos_plan(a: &Args, dep: &Deployment) -> FaultPlan {
     plan
 }
 
-fn encode_output(app: &FilterBankApp) -> Vec<u8> {
-    let rows = app.output.lock().expect("output lock");
+fn encode_output(app: &FilterBankApp) -> Result<Vec<u8>, NetError> {
+    let rows = (app.output.lock())
+        .map_err(|_| NetError::Protocol("an actor panicked writing the output".into()))?;
     let mut buf = Vec::new();
     put_u64(&mut buf, rows.len() as u64);
     for row in rows.iter() {
@@ -197,7 +200,7 @@ fn encode_output(app: &FilterBankApp) -> Vec<u8> {
             buf.extend_from_slice(&v.to_le_bytes());
         }
     }
-    buf
+    Ok(buf)
 }
 
 // ---------------------------------------------------------------------
@@ -345,7 +348,7 @@ fn worker_run(
 
     let trace = tracer.finish(TraceMeta::new(ClockKind::Nanos));
     let artifact = if procs.contains(&0) {
-        encode_output(app)
+        encode_output(app)?
     } else {
         Vec::new()
     };
@@ -409,7 +412,7 @@ fn launch_main(a: &Args) -> Result<(), NetError> {
         .system(a.iters)
         .map_err(|e| NetError::Protocol(format!("reference build: {e}")))?;
     ref_system.run_threaded_with(&ThreadedRunner::new().transport(TransportKind::Ring))?;
-    let expect = encode_output(&ref_app);
+    let expect = encode_output(&ref_app)?;
 
     let got: Vec<&Vec<u8>> = outcome.artifacts.iter().filter(|a| !a.is_empty()).collect();
     if got.len() != 1 {

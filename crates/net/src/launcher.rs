@@ -455,23 +455,25 @@ pub fn launch(
         std::process::id(),
         ATTEMPT_SALT.fetch_add(1, Ordering::Relaxed)
     ));
-    let mut last_err = None;
-    for attempt in 0..=MAX_RESTARTS {
+    let mut attempt = 0;
+    let outcome = loop {
         let dir = base.join(format!("a{attempt}"));
         match try_launch(spec, &manifest, &dir, meta.clone()) {
             Ok(mut outcome) => {
                 outcome.attempts = attempt + 1;
-                let _ = std::fs::remove_dir_all(&base);
-                return Ok(outcome);
+                break Ok(outcome);
             }
             Err(e) => {
                 eprintln!("spi-net: attempt {attempt} failed: {e}");
-                last_err = Some(e);
+                if attempt == MAX_RESTARTS {
+                    break Err(e);
+                }
+                attempt += 1;
             }
         }
-    }
+    };
     let _ = std::fs::remove_dir_all(&base);
-    Err(last_err.expect("at least one attempt ran"))
+    outcome
 }
 
 fn try_launch(
@@ -537,7 +539,8 @@ fn try_launch(
             Err(e) => return Err(e.into()),
         }
     }
-    let mut conns: Vec<UnixStream> = conns.into_iter().map(Option::unwrap).collect();
+    // Every node said Hello once, so every slot is filled.
+    let mut conns: Vec<UnixStream> = conns.into_iter().flatten().collect();
 
     // Manifest out, Ready back (the bind phase), then release the
     // connect phase on every node at once.
@@ -591,11 +594,11 @@ fn try_launch(
 
     // Execute phase: collect Done from every node.
     let run_deadline = Instant::now() + spec.run_deadline;
-    let mut dones: Vec<Option<NodeDone>> = (0..spec.nodes).map(|_| None).collect();
+    let mut dones = Vec::with_capacity(conns.len());
     for (node, conn) in conns.iter_mut().enumerate() {
         let mut live = liveness_probe(&mut reaper.0);
         match recv_ctl_deadline(conn, run_deadline, &mut live)? {
-            CtlMsg::Done(d) => dones[node] = Some(d),
+            CtlMsg::Done(d) => dones.push(d),
             other => {
                 return Err(NetError::Protocol(format!(
                     "node {node}: expected Done, got {other:?}"
@@ -614,7 +617,6 @@ fn try_launch(
     let mut artifacts = Vec::with_capacity(spec.nodes);
     let mut node_traces = Vec::with_capacity(spec.nodes);
     for (node, done) in dones.into_iter().enumerate() {
-        let done = done.expect("every node reported Done");
         if !done.ok {
             return Err(NetError::NodeFailed {
                 node,

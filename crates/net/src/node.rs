@@ -227,10 +227,9 @@ pub fn build_endpoints(
     for (ch, bound) in listeners {
         slots[ch] = Some(Box::new(bound.accept()?));
     }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("every channel slot filled"))
-        .collect())
+    (slots.into_iter().enumerate())
+        .map(|(ch, s)| s.ok_or(NetError::UncoveredChannel(ch)))
+        .collect()
 }
 
 /// Placeholder endpoint for a channel whose two ends both live on other

@@ -390,14 +390,19 @@ impl<'a> WireReader<'a> {
         }
     }
 
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], WireDecodeError> {
+        let mut a = [0; N];
+        a.copy_from_slice(self.take(N, what)?);
+        Ok(a)
+    }
+
     /// Reads a `u32`.
     ///
     /// # Errors
     ///
     /// [`WireDecodeError`] on truncation.
     pub fn u32(&mut self, what: &str) -> Result<u32, WireDecodeError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        self.array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a `u64`.
@@ -406,8 +411,7 @@ impl<'a> WireReader<'a> {
     ///
     /// [`WireDecodeError`] on truncation.
     pub fn u64(&mut self, what: &str) -> Result<u64, WireDecodeError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a `u32` element count for a sequence of `item_bytes`-byte

@@ -68,7 +68,8 @@ pub enum PlatformError {
         idle: Duration,
     },
     /// Sequence-checked frames revealed tokens that were lost on the
-    /// named edge and the degradation policy forbids substituting them.
+    /// named edge: the run stops rather than deliver a token the
+    /// schedule did not produce.
     TokensLost {
         /// The receiving PE.
         pe: PeId,
@@ -215,7 +216,7 @@ impl fmt::Display for PlatformError {
             } => write!(
                 f,
                 "{missing} token(s) lost on {channel} before {pe}; \
-                 the degradation policy forbids substitution"
+                 supervision stops rather than substitute them"
             ),
             PlatformError::RestartBudgetExhausted { pe, restarts, iter } => write!(
                 f,

@@ -25,10 +25,10 @@
 //!   occupancy, block/unblock); the `spi-trace` crate supplies the
 //!   lock-free capture buffer, exporters, and the conformance checker
 //!   that validates the paper's eq. (2) bounds against observed runs;
-//! * [`SupervisionPolicy`] / [`DegradePolicy`] — supervised execution
-//!   for the threaded runner: CRC-checked sequence-numbered frames,
-//!   bounded retry with backoff, UBS-style substitute/skip degradation
-//!   and iteration-boundary checkpoint/restart, with every recovery
+//! * [`SupervisionPolicy`] — supervised execution for the threaded
+//!   runner: CRC-checked sequence-numbered frames, bounded retry with
+//!   backoff, fail-stop past the budget and iteration-boundary
+//!   checkpoint/restart (at most [`MAX_RESTARTS`] per PE), with every recovery
 //!   decision emitted as a `Fault*` probe event. [`TransportDecorator`]
 //!   is the seam deterministic fault injectors (`spi-fault`) plug into;
 //! * [`rng`] — the workspace's one seeded generator and the case loop
@@ -84,8 +84,8 @@ pub use sim::{
 #[cfg(feature = "verify-shim")]
 pub use supervise::protocol;
 pub use supervise::{
-    decode_frame, encode_frame_into, framed_spec, DegradePolicy, FrameError, SupervisionPolicy,
-    FRAME_HEADER_BYTES,
+    decode_frame, encode_frame_into, framed_spec, FrameError, SupervisionPolicy,
+    FRAME_HEADER_BYTES, MAX_RESTARTS,
 };
 pub use trace::{payload_digest, FlushReason, ProbeEvent, ProbeKind, Tracer};
 pub use transport::{

@@ -144,11 +144,12 @@ impl ThreadedRunner {
     /// Enables supervised execution: every message travels in a
     /// CRC-checked, sequence-numbered frame; transient channel failures
     /// (injected faults, per-op deadline misses) are retried with
-    /// exponential backoff inside the policy's budgets; unrecoverable
-    /// tokens are degraded per [`crate::DegradePolicy`]; and a compute
-    /// closure that panics rolls its PE back to the iteration-boundary
-    /// checkpoint and replays (receives from a local log, transmitted
-    /// sends not re-sent), up to the restart budget. All fault handling
+    /// exponential backoff inside the policy's budgets; a token the
+    /// budget cannot recover stops the run with a typed error; and a
+    /// compute closure that panics rolls its PE back to the
+    /// iteration-boundary checkpoint and replays (receives from a local
+    /// log, transmitted sends not re-sent), up to [`crate::MAX_RESTARTS`]
+    /// times. All fault handling
     /// is emitted through the attached [`Tracer`] as `Fault*` events.
     ///
     /// Under supervision, the policy's `op_deadline` replaces the

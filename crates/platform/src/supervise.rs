@@ -1,4 +1,4 @@
-//! Supervised execution: framed channels, bounded retry, degradation
+//! Supervised execution: framed channels, bounded retry, fail-stop
 //! and checkpoint/restart for the OS-thread runner.
 //!
 //! The DATE 2008 resynchronization result assumes IPC messages arrive
@@ -21,14 +21,17 @@
 //!   retransmitted under the *same* sequence number; the receiver
 //!   discards CRC-failed frames and stale duplicates, which makes the
 //!   retransmission protocol idempotent without a reverse channel.
-//! * **Degradation** — when a token cannot be recovered inside the
-//!   retry budget, [`DegradePolicy`] picks the UBS-style fallback:
-//!   substitute a neutral (zero) token of the edge's shape, skip it, or
-//!   fail the run with an error naming the edge.
+//! * **Fail-stop** — a token the retry budget cannot recover stops the
+//!   run with an error naming the edge
+//!   ([`PlatformError::RetryBudgetExhausted`], or
+//!   [`PlatformError::TokensLost`] for a gap in the sequence). The
+//!   eq. (1)/(2) bounds and the predicted periods hold only for tokens
+//!   the schedule produced, so no stand-in token is ever delivered.
 //! * **Checkpoint / restart** — each PE snapshots its functional state
 //!   (all of [`PeLocal`]: store, inbox, indexed queues and staged
 //!   sends) at every iteration boundary. A panicking compute
-//!   closure rolls the iteration back and replays it: receives are
+//!   closure rolls the iteration back and replays it, at most
+//!   [`MAX_RESTARTS`] times per PE: receives are
 //!   replayed from a local log (the transport is not touched again) and
 //!   already-transmitted sends are not re-sent, so a restart can never
 //!   push channel occupancy past the eq. (2) bound. Replay assumes
@@ -41,9 +44,9 @@
 //! runner's one op walk, with checkpoint / restart as an adaptor around
 //! it. Every fault-handling decision is emitted through the
 //! [`crate::Tracer`] as a `FaultRetry` / `FaultCorrupt` /
-//! `FaultDegraded` / `FaultRestart` probe event; the `spi-trace`
-//! conformance checker holds those events against the declared budgets
-//! (diagnostics SPI090–SPI095).
+//! `FaultRestart` probe event; the `spi-trace` conformance checker
+//! holds those events against the declared budgets (diagnostics
+//! SPI090, SPI092–SPI094).
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,6 +63,10 @@ use crate::transport::TransportError;
 /// `[seq: u32 LE][crc32: u32 LE]`.
 pub const FRAME_HEADER_BYTES: usize = 8;
 
+/// Checkpoint restarts allowed per PE before a panicking compute
+/// closure is fatal ([`PlatformError::RestartBudgetExhausted`]).
+pub const MAX_RESTARTS: u32 = 1;
+
 /// Base of the exponential backoff between retries
 /// (`base · 2^(attempt−1)`, capped at [`MAX_BACKOFF`]). Deadline-miss
 /// retries skip the backoff — the deadline already waited.
@@ -68,28 +75,8 @@ const BACKOFF_BASE: Duration = Duration::from_micros(500);
 /// Longest single exponential-backoff sleep between retries.
 const MAX_BACKOFF: Duration = Duration::from_millis(100);
 
-/// What a supervised receiver does with a token it cannot recover
-/// within the retry budget (and with the hole left by a lost token).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DegradePolicy {
-    /// Abort the run with an error naming the faulted edge. The
-    /// strictest policy — used when byte-identical output is required.
-    #[default]
-    Fail,
-    /// Skip the missing token (UBS skip semantics): the receive
-    /// delivers the next token that actually arrived, or an empty
-    /// payload when the stream ran dry.
-    Skip,
-    /// Substitute a neutral token: zero-filled, sized like the last
-    /// token delivered on the channel (tokens have a fixed packed size
-    /// c(e), so the substitute is shape-correct) — and, until one has
-    /// been delivered, like the channel's declared
-    /// [`ChannelSpec::max_message_bytes`], so a lost *first* token is
-    /// still a token of the edge's shape rather than an empty one.
-    Substitute,
-}
-
-/// Bounded-recovery configuration for [`crate::ThreadedRunner`].
+/// Bounded-recovery configuration for [`crate::ThreadedRunner`]:
+/// recover a token exactly within the retry budget, or stop the run.
 ///
 /// All bounds are *declared*: the trace-conformance checker verifies
 /// the observed fault handling stayed inside them.
@@ -100,12 +87,8 @@ pub struct SupervisionPolicy {
     /// available: no single token should take longer than the whole
     /// schedule was predicted to.
     pub op_deadline: Duration,
-    /// Retries after the first failed attempt before degrading.
+    /// Retries after the first failed attempt before the run stops.
     pub max_retries: u32,
-    /// What to do with a token the retry budget could not recover.
-    pub degrade: DegradePolicy,
-    /// Checkpoint restarts allowed per PE before a panic is fatal.
-    pub max_restarts: u32,
 }
 
 impl Default for SupervisionPolicy {
@@ -113,15 +96,12 @@ impl Default for SupervisionPolicy {
         SupervisionPolicy {
             op_deadline: Duration::from_secs(2),
             max_retries: 3,
-            degrade: DegradePolicy::Fail,
-            max_restarts: 1,
         }
     }
 }
 
 impl SupervisionPolicy {
-    /// The "retry" policy: `retries` attempts beyond the first, strict
-    /// [`DegradePolicy::Fail`] degradation — recover exactly or stop.
+    /// `retries` attempts beyond the first, then fail-stop.
     pub fn retry(retries: u32) -> Self {
         SupervisionPolicy {
             max_retries: retries,
@@ -133,20 +113,6 @@ impl SupervisionPolicy {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.op_deadline = deadline;
-        self
-    }
-
-    /// Overrides the degradation policy.
-    #[must_use]
-    pub fn with_degrade(mut self, degrade: DegradePolicy) -> Self {
-        self.degrade = degrade;
-        self
-    }
-
-    /// Overrides the restart budget.
-    #[must_use]
-    pub fn with_restarts(mut self, restarts: u32) -> Self {
-        self.max_restarts = restarts;
         self
     }
 }
@@ -331,15 +297,15 @@ pub fn framed_spec(spec: &ChannelSpec) -> ChannelSpec {
 // ---------------------------------------------------------------------
 
 /// The supervision protocol with the I/O taken out: sequence numbering,
-/// stale-duplicate discard, gap handling per [`DegradePolicy`], the
-/// retry-budget verdicts and substitute sizing, as one send-side and
-/// one receive-side state machine per channel. Nothing in here touches
-/// a transport, a tracer or a clock — `Supervised` does that and asks
-/// these machines for every decision, and `spi_verify::framing` drives
-/// the same machines against an adversarial channel (which is why the
-/// module is exported, under `verify-shim` only).
+/// stale-duplicate discard, gap detection and the retry-budget
+/// verdicts, as one send-side and one receive-side state machine per
+/// channel. Nothing in here touches a transport, a tracer or a clock —
+/// `Supervised` does that and asks these machines for every decision,
+/// and `spi_verify::framing` drives the same machines against an
+/// adversarial channel (which is why the module is exported, under
+/// `verify-shim` only).
 pub mod protocol {
-    use super::{decode_frame, encode_frame_into, DegradePolicy, FRAME_HEADER_BYTES};
+    use super::{decode_frame, encode_frame_into, FRAME_HEADER_BYTES};
     use crate::pool::Token;
 
     /// A fault-handling step a machine took on the way to its verdict.
@@ -351,11 +317,6 @@ pub mod protocol {
         Retry(u32),
         /// A frame failed its CRC and was discarded.
         Corrupt,
-        /// One lost token was skipped or substituted.
-        Degraded {
-            /// `true` for a zero-filled substitute, `false` for a skip.
-            substituted: bool,
-        },
     }
 
     /// What the sender does after a transmission attempt failed.
@@ -363,19 +324,14 @@ pub mod protocol {
     pub enum SendVerdict {
         /// Retransmit the same frame; 1-based attempt number.
         Retry(u32),
-        /// Budget spent under `Skip` / `Substitute`: the token is
-        /// abandoned and its sequence number burned, so the receiver
-        /// sees the gap and degrades under its own policy.
-        Skip,
-        /// Budget spent under `Fail`: stop the run. Carries the attempts
-        /// made (first try plus retries).
+        /// Budget spent: stop the run. Carries the attempts made (first
+        /// try plus retries).
         Fail(u32),
     }
 
     /// Sender side of one channel.
     #[derive(Debug, Clone)]
     pub struct SendSide {
-        policy: DegradePolicy,
         max_retries: u32,
         /// Sequence number of the token in flight.
         seq: u32,
@@ -385,9 +341,8 @@ pub mod protocol {
 
     impl SendSide {
         /// A sender at sequence number 0.
-        pub fn new(policy: DegradePolicy, max_retries: u32) -> Self {
+        pub fn new(max_retries: u32) -> Self {
             SendSide {
-                policy,
                 max_retries,
                 seq: 0,
                 attempt: 0,
@@ -412,14 +367,9 @@ pub mod protocol {
         pub fn failed(&mut self) -> SendVerdict {
             self.attempt += 1;
             if self.attempt <= self.max_retries {
-                return SendVerdict::Retry(self.attempt);
-            }
-            match self.policy {
-                DegradePolicy::Fail => SendVerdict::Fail(self.attempt),
-                DegradePolicy::Skip | DegradePolicy::Substitute => {
-                    self.sent();
-                    SendVerdict::Skip
-                }
+                SendVerdict::Retry(self.attempt)
+            } else {
+                SendVerdict::Fail(self.attempt)
             }
         }
     }
@@ -429,35 +379,25 @@ pub mod protocol {
     pub enum RecvVerdict {
         /// The next token of the stream, intact and in order.
         Deliver(Token),
-        /// A stand-in for a token that is lost for good: zero-filled
-        /// under `Substitute`, empty under `Skip` (the stream ran dry).
-        StandIn(Token),
         /// Nothing to hand over yet: read the transport (again).
         Read,
-        /// `Fail` policy, a frame from the future arrived: stop the run.
-        /// Carries the number of tokens missing before that frame.
+        /// A frame from the future arrived: stop the run. Carries the
+        /// number of tokens missing before that frame.
         Lost(u32),
-        /// `Fail` policy, retry budget spent: stop the run. Carries the
-        /// attempts made (first try plus retries).
+        /// Retry budget spent: stop the run. Carries the attempts made
+        /// (first try plus retries).
         Exhausted(u32),
     }
 
-    /// Receiver side of one channel. A receive op is [`RecvSide::begin`],
-    /// then [`RecvSide::frame`] / [`RecvSide::timeout`] for as long as
-    /// the verdict is [`RecvVerdict::Read`]; every op ends in exactly
-    /// one token or a fail-stop.
+    /// Receiver side of one channel. A receive op feeds
+    /// [`RecvSide::frame`] / [`RecvSide::timeout`] for as long as the
+    /// verdict is [`RecvVerdict::Read`]; every op ends in exactly one
+    /// token or a fail-stop.
     #[derive(Debug, Clone)]
     pub struct RecvSide {
-        policy: DegradePolicy,
         max_retries: u32,
         /// Next sequence number to deliver.
         expected: u32,
-        /// A frame from the future, held back while the receive ops
-        /// before it hand out substitutes for the tokens it overtook.
-        parked: Option<(u32, Vec<u8>)>,
-        /// Size of a substitute: the channel's declared message bound
-        /// until a token has been delivered, that token's size after.
-        token_bytes: usize,
         /// Failed attempts of the receive op in progress.
         attempt: u32,
         /// Frames numbered below `expected` are discarded. Only the
@@ -466,15 +406,11 @@ pub mod protocol {
     }
 
     impl RecvSide {
-        /// A receiver expecting sequence number 0 on a channel whose
-        /// logical spec declares `max_message_bytes`.
-        pub fn new(policy: DegradePolicy, max_retries: u32, max_message_bytes: usize) -> Self {
+        /// A receiver expecting sequence number 0.
+        pub fn new(max_retries: u32) -> Self {
             RecvSide {
-                policy,
                 max_retries,
                 expected: 0,
-                parked: None,
-                token_bytes: max_message_bytes,
                 attempt: 0,
                 dedup: true,
             }
@@ -493,16 +429,6 @@ pub mod protocol {
             }
         }
 
-        /// Starts a receive op. A parked frame is looked at before the
-        /// transport is touched again.
-        pub fn begin(&mut self, note: impl FnMut(Note)) -> RecvVerdict {
-            self.attempt = 0;
-            match self.parked.take() {
-                Some((seq, payload)) => self.accept(seq, Token::Owned(payload), note),
-                None => RecvVerdict::Read,
-            }
-        }
-
         /// A frame came off the transport. Pooled leases flow through
         /// unchanged: the CRC check reads the frame in place and the
         /// verified header is stripped by a pointer bump, not a copy.
@@ -510,7 +436,7 @@ pub mod protocol {
             match decode_frame(&frame).map(|(seq, _)| seq) {
                 Ok(seq) => {
                     frame.trim_front(FRAME_HEADER_BYTES);
-                    self.accept(seq, frame, note)
+                    self.accept(seq, frame)
                 }
                 // The sender was told (typed error) and retransmits;
                 // wait for the clean copy.
@@ -525,66 +451,91 @@ pub mod protocol {
         pub fn timeout(&mut self, note: impl FnMut(Note)) -> RecvVerdict {
             self.missed(true, note)
         }
-        fn accept(&mut self, seq: u32, payload: Token, mut note: impl FnMut(Note)) -> RecvVerdict {
-            let stale = seq < self.expected;
+
+        fn accept(&mut self, seq: u32, payload: Token) -> RecvVerdict {
+            // Serial-number arithmetic: sequence numbers wrap, so a frame
+            // is stale when it lies less than half the number space
+            // behind `expected`.
+            let ahead = seq.wrapping_sub(self.expected);
+            let stale = (ahead as i32) < 0;
             if stale && self.dedup {
                 // A duplicate of a delivered token (injected, or a
                 // retransmission that raced its original): no attempt
                 // consumed.
                 return RecvVerdict::Read;
             }
-            if stale || seq == self.expected {
-                return self.deliver(payload);
+            if stale || ahead == 0 {
+                self.expected = self.expected.wrapping_add(1);
+                self.attempt = 0;
+                return RecvVerdict::Deliver(payload);
             }
-            // A frame from the future: tokens `expected..seq` were
-            // abandoned upstream.
-            let missing = seq.wrapping_sub(self.expected);
-            match self.policy {
-                DegradePolicy::Fail => RecvVerdict::Lost(missing),
-                DegradePolicy::Skip => {
-                    (0..missing).for_each(|_| note(Note::Degraded { substituted: false }));
-                    self.expected = seq;
-                    self.deliver(payload)
-                }
-                // One substitute per receive op keeps the one-token-
-                // per-op contract; the frame waits in `parked`, and a
-                // wider gap is re-derived from it by the next op.
-                // Parking releases a pooled frame's slot (cold path).
-                DegradePolicy::Substitute => {
-                    self.parked = Some((seq, payload.into_vec()));
-                    self.stand_in(note)
-                }
-            }
+            // A frame from the future: tokens `expected..seq` are gone.
+            RecvVerdict::Lost(ahead)
         }
 
-        fn deliver(&mut self, payload: Token) -> RecvVerdict {
-            self.expected = self.expected.wrapping_add(1);
-            self.token_bytes = payload.len();
-            RecvVerdict::Deliver(payload)
-        }
-
-        /// One failed attempt; past the budget the token is given up.
+        /// One failed attempt; past the budget the op fails.
         fn missed(&mut self, timed_out: bool, mut note: impl FnMut(Note)) -> RecvVerdict {
             self.attempt += 1;
             if self.attempt > self.max_retries {
-                return match self.policy {
-                    DegradePolicy::Fail => RecvVerdict::Exhausted(self.attempt),
-                    DegradePolicy::Skip | DegradePolicy::Substitute => self.stand_in(note),
-                };
+                return RecvVerdict::Exhausted(self.attempt);
             }
             if timed_out {
                 note(Note::Retry(self.attempt));
             }
             RecvVerdict::Read
         }
+    }
 
-        /// Gives up on token `expected` (never under `Fail`).
-        fn stand_in(&mut self, mut note: impl FnMut(Note)) -> RecvVerdict {
-            let substituted = self.policy == DegradePolicy::Substitute;
-            note(Note::Degraded { substituted });
-            self.expected = self.expected.wrapping_add(1);
-            let len = if substituted { self.token_bytes } else { 0 };
-            RecvVerdict::StandIn(Token::Owned(vec![0u8; len]))
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        /// A sender / receiver pair part-way through a long stream, two
+        /// tokens before the sequence number wraps, and the frames of
+        /// the next `n` tokens.
+        fn near_the_wrap(n: u8) -> (RecvSide, Vec<Vec<u8>>) {
+            let mut tx = SendSide::new(1);
+            let mut rx = RecvSide::new(1);
+            (tx.seq, rx.expected) = (u32::MAX - 1, u32::MAX - 1);
+            let frames = (0..n)
+                .map(|i| {
+                    let mut frame = Vec::new();
+                    tx.frame_into(&mut frame, &[i]);
+                    tx.sent();
+                    frame
+                })
+                .collect();
+            (rx, frames)
+        }
+
+        /// What the receiver makes of `frames[k]` for each `k` in `wire`.
+        fn feed(rx: &mut RecvSide, frames: &[Vec<u8>], wire: &[usize]) -> Vec<String> {
+            let verdict = |v: RecvVerdict| match v {
+                RecvVerdict::Deliver(token) => format!("deliver {}", token[0]),
+                other => format!("{other:?}"),
+            };
+            (wire.iter())
+                .map(|&k| verdict(rx.frame(Token::Owned(frames[k].clone()), |_| {})))
+                .collect()
+        }
+
+        #[test]
+        fn a_duplicate_across_the_wrap_is_discarded() {
+            // Tokens u32::MAX − 1, u32::MAX, 0, 1; the one numbered
+            // u32::MAX comes twice, the second time after `expected`
+            // has wrapped to 0.
+            let (mut rx, frames) = near_the_wrap(4);
+            let got = feed(&mut rx, &frames, &[0, 1, 1, 2, 3]);
+            let want = ["deliver 0", "deliver 1", "Read", "deliver 2", "deliver 3"];
+            assert_eq!(got, want);
+            assert_eq!(rx.expected, 2);
+        }
+
+        #[test]
+        fn a_gap_across_the_wrap_is_a_loss_of_its_width() {
+            // Tokens u32::MAX − 1, u32::MAX and 0 never arrive.
+            let (mut rx, frames) = near_the_wrap(4);
+            assert_eq!(feed(&mut rx, &frames, &[3]), ["Lost(3)"]);
         }
     }
 }
@@ -628,9 +579,9 @@ fn failed_at(since: &Cell<Option<Instant>>, waited: Option<Duration>) {
 
 impl<'a> Supervised<'a> {
     fn new(io: PeIo<'a>, policy: SupervisionPolicy) -> Self {
-        let chan = |spec: &ChannelSpec| Chan {
-            tx: SendSide::new(policy.degrade, policy.max_retries),
-            rx: RecvSide::new(policy.degrade, policy.max_retries, spec.max_message_bytes),
+        let chan = |_| Chan {
+            tx: SendSide::new(policy.max_retries),
+            rx: RecvSide::new(policy.max_retries),
         };
         Supervised {
             io,
@@ -704,7 +655,6 @@ impl Port for Supervised<'_> {
                         self.backoff(attempt);
                     }
                 }
-                SendVerdict::Skip => break Ok(()),
                 SendVerdict::Fail(attempts) => {
                     break Err(self.exhausted(ch, BlockKind::Send, attempts, failing_since.get()))
                 }
@@ -728,14 +678,18 @@ impl Port for Supervised<'_> {
                     attempt,
                 },
                 Note::Corrupt => ProbeKind::FaultCorrupt { channel: ch },
-                Note::Degraded { substituted } => ProbeKind::FaultDegraded {
-                    channel: ch,
-                    substituted,
-                },
             })
         };
-        let mut verdict = self.chans[ch.0].rx.begin(note);
         loop {
+            let rx = &mut self.chans[ch.0].rx;
+            let verdict = match io.endpoints[ch.0].recv_token(deadline) {
+                Ok(frame) => rx.frame(frame, note),
+                Err(TransportError::Timeout { .. }) => {
+                    failed_at(&failing_since, Some(deadline));
+                    rx.timeout(note)
+                }
+                Err(e) => return Err(io.failed(ch, BlockKind::Recv, &e, 0)),
+            };
             match verdict {
                 RecvVerdict::Deliver(token) => {
                     if let Some(t) = io.probe {
@@ -743,7 +697,6 @@ impl Port for Supervised<'_> {
                     }
                     return Ok(token);
                 }
-                RecvVerdict::StandIn(token) => return Ok(token),
                 RecvVerdict::Read => {}
                 RecvVerdict::Lost(missing) => {
                     return Err(PlatformError::TokensLost {
@@ -756,15 +709,6 @@ impl Port for Supervised<'_> {
                     return Err(self.exhausted(ch, BlockKind::Recv, attempts, failing_since.get()))
                 }
             }
-            let rx = &mut self.chans[ch.0].rx;
-            verdict = match io.endpoints[ch.0].recv_token(deadline) {
-                Ok(frame) => rx.frame(frame, note),
-                Err(TransportError::Timeout { .. }) => {
-                    failed_at(&failing_since, Some(deadline));
-                    rx.timeout(note)
-                }
-                Err(e) => return Err(io.failed(ch, BlockKind::Recv, &e, 0)),
-            };
         }
     }
 }
@@ -855,7 +799,7 @@ impl Port for Checkpointed<'_> {
         if catch_unwind(AssertUnwindSafe(|| work(local))).is_ok() {
             return Ok(Flow::Next);
         }
-        if !self.armed || self.restarts >= self.port.policy.max_restarts {
+        if !self.armed || self.restarts >= MAX_RESTARTS {
             return Err(PlatformError::RestartBudgetExhausted {
                 pe: self.port.io.pe,
                 restarts: self.restarts,
@@ -970,17 +914,10 @@ mod tests {
         let strict = SupervisionPolicy {
             op_deadline: Duration::from_secs(2),
             max_retries: 3,
-            degrade: DegradePolicy::Fail,
-            max_restarts: 1,
         };
-        assert_eq!(p, strict, "four settable values, strict by default");
-        let p = SupervisionPolicy::retry(5)
-            .with_deadline(Duration::from_millis(50))
-            .with_degrade(DegradePolicy::Substitute)
-            .with_restarts(2);
+        assert_eq!(p, strict, "two settable values");
+        let p = SupervisionPolicy::retry(5).with_deadline(Duration::from_millis(50));
         assert_eq!(p.max_retries, 5);
         assert_eq!(p.op_deadline, Duration::from_millis(50));
-        assert_eq!(p.degrade, DegradePolicy::Substitute);
-        assert_eq!(p.max_restarts, 2);
     }
 }

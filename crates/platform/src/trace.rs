@@ -106,16 +106,6 @@ pub enum ProbeKind {
         /// The channel the corrupt frame arrived on.
         channel: ChannelId,
     },
-    /// A token the supervisor gave up waiting for was degraded per the
-    /// configured policy — substituted with a neutral token (UBS
-    /// substitute semantics) or skipped outright.
-    FaultDegraded {
-        /// The channel missing the token.
-        channel: ChannelId,
-        /// `true` when a neutral token was substituted, `false` when
-        /// the token was skipped.
-        substituted: bool,
-    },
     /// A supervised PE restored its iteration-boundary checkpoint and
     /// restarted the iteration after a panic.
     FaultRestart {

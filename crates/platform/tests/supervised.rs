@@ -143,12 +143,12 @@ fn restart_budget_exhaustion_is_fatal_and_descriptive() {
         }),
     });
     let err = ThreadedRunner::new()
-        .supervise(fast_policy().with_restarts(2))
+        .supervise(fast_policy())
         .run(&channels, programs)
         .unwrap_err();
     match err {
         PlatformError::RestartBudgetExhausted { restarts, iter, .. } => {
-            assert_eq!(restarts, 2);
+            assert_eq!(restarts, spi_platform::MAX_RESTARTS);
             assert_eq!(iter, 2);
         }
         other => panic!("expected RestartBudgetExhausted, got {other}"),

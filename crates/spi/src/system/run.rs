@@ -132,11 +132,8 @@ impl SpiSystem {
     /// As [`SpiSystem::trace_meta`], additionally stamping the
     /// supervision budgets of `policy` into the metadata so the trace
     /// checker can hold the observed fault events against them
-    /// (diagnostics SPI090–SPI092). The degraded-token budget is derived
-    /// from the degradation policy: strict `Fail` declares **zero**
-    /// tolerated deviations, while `Skip`/`Substitute` declare the
-    /// deviation unbounded (the advisory SPI095 still reports every
-    /// degraded token).
+    /// (diagnostics SPI090 and SPI092): the policy's retry budget and
+    /// the per-PE restart budget [`spi_platform::MAX_RESTARTS`].
     pub fn trace_meta_supervised(
         &self,
         clock: spi_trace::ClockKind,
@@ -145,11 +142,7 @@ impl SpiSystem {
         let mut meta = self.trace_meta(clock);
         meta.supervision = Some(spi_trace::SupervisionBounds {
             max_retries: u64::from(policy.max_retries),
-            max_degraded: match policy.degrade {
-                spi_platform::DegradePolicy::Fail => 0,
-                _ => u64::MAX,
-            },
-            max_restarts: u64::from(policy.max_restarts),
+            max_restarts: u64::from(spi_platform::MAX_RESTARTS),
         });
         meta
     }

@@ -29,11 +29,9 @@
 //! | SPI085 | error    | conservation violated: more receives than sends |
 //! | SPI086 | error    | a batched flush exceeded the channel's declared batching budget |
 //! | SPI090 | error    | a retry attempt exceeded the supervision retry budget |
-//! | SPI091 | error    | more tokens degraded than the declared budget |
 //! | SPI092 | error    | a PE restarted more times than the restart budget |
-//! | SPI093 | error    | unresolved corruption: a corrupt frame was never followed by a delivery or degradation |
+//! | SPI093 | error    | unresolved corruption: a corrupt frame was never followed by a delivery |
 //! | SPI094 | warning  | corrupt frames observed (recovered by retransmission) |
-//! | SPI095 | warning  | degraded tokens present; output may deviate from fault-free |
 //! | SPI100 | error    | a receive precedes its matching send in the stream |
 //! | SPI101 | error    | concurrent (unordered) sends on one channel from different PEs — producer endpoint race |
 //! | SPI102 | error    | concurrent (unordered) receives on one channel from different PEs — consumer endpoint race |
@@ -42,13 +40,15 @@
 //! | SPI105 | warning  | channel endpoint shared by more than one PE (ordered, so not a race, but outside the point-to-point contract) |
 //!
 //! (SPI106, "the race check ran on a partial stream", is retired:
-//! SPI084 reports the same dropped-events condition.)
+//! SPI084 reports the same dropped-events condition. SPI091 and SPI095,
+//! the degraded-token budget and advisory, are retired: supervision
+//! never delivers a stand-in token.)
 //!
-//! The supervision-budget checks (`SPI090`–`SPI092`) run only when the
+//! The supervision-budget checks (`SPI090`, `SPI092`) run only when the
 //! trace metadata carries [`SupervisionBounds`](crate::SupervisionBounds)
 //! — an unsupervised trace
-//! has no budgets to conform to. `SPI093`–`SPI095` fire on the fault
-//! events alone.
+//! has no budgets to conform to. `SPI093` and `SPI094` fire on the
+//! fault events alone.
 //!
 //! The batching-budget check (`SPI086`) runs only for channels listed
 //! in the metadata's [`BatchBound`](crate::BatchBound)s — the bounds
@@ -198,13 +198,11 @@ pub fn check(trace: &Trace) -> ConformanceReport {
     let mut worst_occ: HashMap<usize, (u64, u64, u64)> = HashMap::new(); // ch -> (occ_bytes, occ_msgs, ts)
     let mut worst_msg: HashMap<usize, (u64, u64)> = HashMap::new(); // ch -> (bytes, ts)
 
-    // Supervision replay: fault events accumulated for SPI090–SPI095.
+    // Supervision replay: fault events accumulated for SPI090–SPI094.
     let mut worst_retry: HashMap<usize, (u32, u64)> = HashMap::new(); // ch -> (attempt, ts)
     let mut corrupt_frames: HashMap<usize, u64> = HashMap::new(); // ch -> count
     let mut unresolved_corrupt: HashMap<usize, u64> = HashMap::new(); // ch -> ts of last corrupt
     let mut restarts: HashMap<usize, (u64, u64)> = HashMap::new(); // pe -> (count, last iter)
-    let mut substituted_tokens = 0u64;
-    let mut skipped_tokens = 0u64;
 
     // Batching replay: worst observed flush per declared channel.
     let batch_bounds: HashMap<usize, u64> = meta
@@ -320,20 +318,6 @@ pub fn check(trace: &Trace) -> ConformanceReport {
             ProbeKind::FaultCorrupt { channel } => {
                 *corrupt_frames.entry(channel.0).or_insert(0) += 1;
                 unresolved_corrupt.insert(channel.0, ev.ts);
-            }
-            ProbeKind::FaultDegraded {
-                channel,
-                substituted,
-            } => {
-                if substituted {
-                    substituted_tokens += 1;
-                } else {
-                    skipped_tokens += 1;
-                }
-                // Degradation also resolves a pending corruption: the
-                // supervisor gave up on the frame and declared it, per
-                // the UBS substitute/skip semantics.
-                unresolved_corrupt.remove(&channel.0);
             }
             ProbeKind::FaultRestart { iter } => {
                 let r = restarts.entry(ev.pe.0).or_insert((0, iter));
@@ -512,9 +496,9 @@ pub fn check(trace: &Trace) -> ConformanceReport {
         );
     }
 
-    // --- Supervision conformance (SPI090–SPI095) ---------------------
+    // --- Supervision conformance (SPI090, SPI092–SPI094) -------------
     // Budget checks only make sense against declared budgets; the
-    // observational checks (SPI093–SPI095) fire on the events alone.
+    // observational checks (SPI093, SPI094) fire on the events alone.
     if let Some(sup) = meta.supervision {
         for (&ch, &(attempt, ts)) in &worst_retry {
             if u64::from(attempt) > sup.max_retries {
@@ -538,25 +522,6 @@ pub fn check(trace: &Trace) -> ConformanceReport {
                     ),
                 );
             }
-        }
-        let degraded_total = substituted_tokens + skipped_tokens;
-        if degraded_total > sup.max_degraded {
-            diagnostics.push(
-                Diagnostic::new(
-                    "SPI091",
-                    Severity::Error,
-                    Locus::System,
-                    format!(
-                        "{} token(s) degraded ({} substituted, {} skipped) exceeds the \
-                         declared budget of {}",
-                        degraded_total, substituted_tokens, skipped_tokens, sup.max_degraded
-                    ),
-                )
-                .with_suggestion(
-                    "more tokens deviated from fault-free output than the degradation \
-                     budget allows; the run should have failed instead of degrading",
-                ),
-            );
         }
         for (&pe, &(count, last_iter)) in &restarts {
             if count > sup.max_restarts {
@@ -588,15 +553,15 @@ pub fn check(trace: &Trace) -> ConformanceReport {
                 locus_for(&bounds, ChannelId(ch)),
                 format!(
                     "unresolved corruption on {}: corrupt frame at t={} was never \
-                     followed by a delivery or a declared degradation on that channel",
+                     followed by a delivery on that channel",
                     ChannelId(ch),
                     ts
                 ),
             )
             .with_suggestion(
-                "every CRC rejection must end in a retransmitted delivery or an \
-                 explicit degrade event; a dangling corruption means the supervisor \
-                 lost track of a token",
+                "every CRC rejection must end in a retransmitted delivery; a \
+                 dangling corruption means the supervisor lost track of a token \
+                 (or the run stopped before the retransmission landed)",
             ),
         );
     }
@@ -617,25 +582,6 @@ pub fn check(trace: &Trace) -> ConformanceReport {
             .with_suggestion(
                 "corruption was detected and handled; persistent corruption on one \
                  edge suggests a faulty transport or an injection plan left enabled",
-            ),
-        );
-    }
-
-    if substituted_tokens + skipped_tokens > 0 {
-        diagnostics.push(
-            Diagnostic::new(
-                "SPI095",
-                Severity::Warning,
-                Locus::System,
-                format!(
-                    "{} substituted and {} skipped token(s): output may deviate from \
-                     the fault-free run",
-                    substituted_tokens, skipped_tokens
-                ),
-            )
-            .with_suggestion(
-                "degradation is declared-and-bounded (UBS semantics), but downstream \
-                 consumers of this run's output should know it is not byte-exact",
             ),
         );
     }
@@ -873,7 +819,6 @@ mod tests {
         let mut meta = bounded_meta();
         meta.supervision = Some(crate::model::SupervisionBounds {
             max_retries: 2,
-            max_degraded: 1,
             max_restarts: 1,
         });
         meta
@@ -1126,45 +1071,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_over_budget_fires_spi091_and_always_warns_spi095() {
-        let events = vec![
-            fault(
-                1,
-                1,
-                ProbeKind::FaultDegraded {
-                    channel: ChannelId(0),
-                    substituted: true,
-                },
-            ),
-            fault(
-                2,
-                1,
-                ProbeKind::FaultDegraded {
-                    channel: ChannelId(0),
-                    substituted: false,
-                },
-            ),
-        ];
-        // 2 degraded > max_degraded = 1: error + advisory warning.
-        let r = check(&Trace {
-            meta: supervised_meta(),
-            events: events.clone(),
-        });
-        assert_eq!(codes(&r), vec!["SPI091", "SPI095"]);
-        assert!(r.diagnostics[0]
-            .message
-            .contains("1 substituted, 1 skipped"));
-
-        // Unsupervised: the deviation is still worth a warning.
-        let r = check(&Trace {
-            meta: bounded_meta(),
-            events,
-        });
-        assert_eq!(codes(&r), vec!["SPI095"]);
-        assert!(!r.has_errors());
-    }
-
-    #[test]
     fn restarts_over_budget_fire_spi092_per_pe() {
         let events = vec![
             fault(1, 2, ProbeKind::FaultRestart { iter: 3 }),
@@ -1204,8 +1110,8 @@ mod tests {
         // the second send; conservation only fires on excess receives.
         assert_eq!(codes(&r), vec!["SPI094"]);
 
-        // Corrupt frame with no later delivery or degradation: the
-        // supervisor lost a token.
+        // Corrupt frame with no later delivery: the supervisor lost a
+        // token.
         let dangling = vec![
             recv(1, 0, 16, 0xaa, 0, 0),
             fault(
@@ -1223,35 +1129,6 @@ mod tests {
         assert!(codes(&r).contains(&"SPI093"));
         assert!(codes(&r).contains(&"SPI094"));
         assert!(r.has_errors());
-    }
-
-    #[test]
-    fn degradation_resolves_pending_corruption() {
-        // Corrupt then degrade on the same channel: the loss was
-        // declared, so no SPI093 — just the two advisories.
-        let events = vec![
-            fault(
-                1,
-                1,
-                ProbeKind::FaultCorrupt {
-                    channel: ChannelId(0),
-                },
-            ),
-            fault(
-                2,
-                1,
-                ProbeKind::FaultDegraded {
-                    channel: ChannelId(0),
-                    substituted: true,
-                },
-            ),
-        ];
-        let r = check(&Trace {
-            meta: supervised_meta(),
-            events,
-        });
-        assert_eq!(codes(&r), vec!["SPI094", "SPI095"]);
-        assert!(!r.has_errors());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   Gantt chart.
 //! * [`check`] — the one replay: holds a trace to the eq. (1)/(2)
 //!   bounds, per-channel FIFO, token conservation, the predicted
-//!   makespan and the supervision budgets (`SPI080`–`SPI095`), and
+//!   makespan and the supervision budgets (`SPI080`–`SPI094`), and
 //!   rebuilds its happens-before order with vector clocks to report
 //!   premature receives, endpoint races and slot-reuse violations
 //!   (`SPI100`–`SPI105`).

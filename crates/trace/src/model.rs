@@ -86,11 +86,7 @@ pub struct SupervisionBounds {
     /// Retries allowed per channel operation beyond the first attempt
     /// (`SupervisionPolicy::max_retries`).
     pub max_retries: u64,
-    /// Total tokens the run may degrade (substitute or skip) before it
-    /// is considered out of spec.
-    pub max_degraded: u64,
-    /// Checkpoint restarts allowed per PE
-    /// (`SupervisionPolicy::max_restarts`).
+    /// Checkpoint restarts allowed per PE (`spi_platform::MAX_RESTARTS`).
     pub max_restarts: u64,
 }
 
@@ -182,8 +178,8 @@ impl Trace {
         }
         if let Some(s) = m.supervision {
             out.push_str(&format!(
-                "# supervision retries {} degraded {} restarts {}\n",
-                s.max_retries, s.max_degraded, s.max_restarts
+                "# supervision retries {} restarts {}\n",
+                s.max_retries, s.max_restarts
             ));
         }
         for (i, l) in m.labels.iter().enumerate() {
@@ -234,10 +230,6 @@ impl Trace {
                     out.push_str(&format!("fr {} {attempt}", channel.0));
                 }
                 ProbeKind::FaultCorrupt { channel } => out.push_str(&format!("fc {}", channel.0)),
-                ProbeKind::FaultDegraded {
-                    channel,
-                    substituted,
-                } => out.push_str(&format!("fd {} {}", channel.0, u8::from(substituted))),
                 ProbeKind::FaultRestart { iter } => out.push_str(&format!("fx {iter}")),
                 ProbeKind::BatchFlush {
                     channel,
@@ -336,8 +328,8 @@ fn parse_meta_line(
         }
         "supervision" => {
             let f: Vec<&str> = val.split_whitespace().collect();
-            // "retries <r> degraded <d> restarts <s>"
-            if f.len() != 6 || f[0] != "retries" || f[2] != "degraded" || f[4] != "restarts" {
+            // "retries <r> restarts <s>"
+            if f.len() != 4 || f[0] != "retries" || f[2] != "restarts" {
                 return Err(TraceParseError::at(
                     n,
                     format!("malformed supervision line {val:?}"),
@@ -345,8 +337,7 @@ fn parse_meta_line(
             }
             meta.supervision = Some(SupervisionBounds {
                 max_retries: parse_u64(f[1], n, "retries")?,
-                max_degraded: parse_u64(f[3], n, "degraded")?,
-                max_restarts: parse_u64(f[5], n, "restarts")?,
+                max_restarts: parse_u64(f[3], n, "restarts")?,
             });
         }
         "label" => {
@@ -478,10 +469,6 @@ fn parse_event_line(rest: &str, n: usize) -> Result<ProbeEvent, TraceParseError>
         },
         "fc" => ProbeKind::FaultCorrupt {
             channel: ChannelId(arg(3)? as usize),
-        },
-        "fd" => ProbeKind::FaultDegraded {
-            channel: ChannelId(arg(3)? as usize),
-            substituted: arg(4)? != 0,
         },
         "fx" => ProbeKind::FaultRestart { iter: arg(3)? },
         "bf" => {
@@ -623,7 +610,6 @@ mod tests {
         let mut t = sample_trace();
         t.meta.supervision = Some(SupervisionBounds {
             max_retries: 3,
-            max_degraded: 5,
             max_restarts: 1,
         });
         t.events.extend([
@@ -645,31 +631,13 @@ mod tests {
             ProbeEvent {
                 ts: 22,
                 pe: PeId(1),
-                kind: ProbeKind::FaultDegraded {
-                    channel: ChannelId(1),
-                    substituted: true,
-                },
-            },
-            ProbeEvent {
-                ts: 23,
-                pe: PeId(1),
-                kind: ProbeKind::FaultDegraded {
-                    channel: ChannelId(2),
-                    substituted: false,
-                },
-            },
-            ProbeEvent {
-                ts: 24,
-                pe: PeId(1),
                 kind: ProbeKind::FaultRestart { iter: 7 },
             },
         ]);
         let text = t.to_native();
-        assert!(text.contains("# supervision retries 3 degraded 5 restarts 1"));
+        assert!(text.contains("# supervision retries 3 restarts 1"));
         assert!(text.contains("fr 1 2"));
         assert!(text.contains("fc 1"));
-        assert!(text.contains("fd 1 1"));
-        assert!(text.contains("fd 2 0"));
         assert!(text.contains("fx 7"));
         let back = Trace::from_native(&text).unwrap();
         assert_eq!(back, t);
@@ -733,9 +701,16 @@ mod tests {
 
     #[test]
     fn malformed_supervision_line_is_rejected() {
-        let err =
-            Trace::from_native("# spi-trace v1\n# supervision retries 3 degraded 5\n").unwrap_err();
-        assert!(err.to_string().contains("malformed supervision"));
+        // Truncated, and the six-field line that also declared a
+        // degraded-token budget.
+        for line in ["retries 3", "retries 3 degraded 0 restarts 1"] {
+            let text = format!("# spi-trace v1\n# supervision {line}\n");
+            let err = Trace::from_native(&text).unwrap_err();
+            assert!(err.to_string().contains("malformed supervision"), "{line}");
+        }
+        // Nor is `fd` an event kind.
+        let err = Trace::from_native("# spi-trace v1\nE 1 0 fd 1 1\n").unwrap_err();
+        assert_eq!(err.line, 2);
     }
 
     #[test]

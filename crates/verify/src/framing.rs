@@ -9,24 +9,21 @@
 //! them: the [`spi_platform::protocol`] send-side and receive-side
 //! machines that `ThreadedRunner`'s supervised port asks for every
 //! decision (numbering, CRC discard, stale-duplicate dedup, gap
-//! handling per [`DegradePolicy`], retry / skip / fail verdicts,
-//! substitute sizing). Nothing here decodes a frame or looks at a
-//! sequence number. What each receive op hands to its PE is checked
-//! against the policy's contract:
+//! detection, retry / fail verdicts). Nothing here decodes a frame or
+//! looks at a sequence number. What each receive op hands to its PE is
+//! checked against the one contract, recover exactly or stop:
 //!
-//! * no corrupted payload is ever delivered (CRC must catch it), and a
-//!   stand-in for a lost token has the shape the policy promises (a
-//!   zero token of the edge's size under `Substitute`, empty under
-//!   `Skip`);
+//! * no corrupted payload is ever delivered (CRC must catch it);
 //! * no message is delivered twice (dedup must catch duplicates);
-//! * genuine messages arrive in send order;
-//! * under [`DegradePolicy::Fail`], a run that completes delivered
-//!   everything — loss is only allowed to surface as a fail-stop.
+//! * messages arrive in send order;
+//! * a run that completes delivered everything — loss is only allowed
+//!   to surface as a fail-stop.
 //!
 //! Header corruption is the interesting adversary move: the CRC covers
 //! only the payload, so a flipped sequence byte yields a *valid* frame
 //! with the wrong sequence number. The receiver's dedup/gap machinery
-//! must degrade it safely (discard or policy-gap), never mis-deliver.
+//! must handle it safely (discard, or stop on the gap), never
+//! mis-deliver.
 //!
 //! Timing is not part of the adversary: a receive op waits for the
 //! channel for as long as the sender is still working, and its deadline
@@ -35,7 +32,7 @@
 use std::collections::VecDeque;
 
 use spi_platform::protocol::{RecvSide, RecvVerdict, SendSide, SendVerdict};
-use spi_platform::{DegradePolicy, Token, FRAME_HEADER_BYTES};
+use spi_platform::{Token, FRAME_HEADER_BYTES};
 
 /// Bounds and protocol parameters for [`explore_framing`].
 #[derive(Debug, Clone, Copy)]
@@ -45,10 +42,8 @@ pub struct FramingOptions {
     pub messages: usize,
     /// Total adversarial actions (drop/corrupt/duplicate) per run.
     pub fault_budget: usize,
-    /// Retransmissions per message before the sender degrades.
+    /// Retransmissions per message before the sender stops the run.
     pub max_retries: u32,
-    /// Gap/loss handling contract being checked.
-    pub policy: DegradePolicy,
 }
 
 impl Default for FramingOptions {
@@ -57,7 +52,6 @@ impl Default for FramingOptions {
             messages: 3,
             fault_budget: 2,
             max_retries: 2,
-            policy: DegradePolicy::Fail,
         }
     }
 }
@@ -66,7 +60,7 @@ impl Default for FramingOptions {
 #[derive(Debug, Clone)]
 pub struct FramingViolation {
     /// What went wrong (`corrupt-delivered`, `duplicate-delivered`,
-    /// `order-violation`, `lost-under-fail`).
+    /// `order-violation`, `lost-without-stop`).
     pub kind: &'static str,
     /// The channel behavior, one entry per transmission attempt.
     pub actions: Vec<&'static str>,
@@ -102,15 +96,13 @@ fn payload_of(msg: usize) -> [u8; TOKEN_BYTES] {
 struct Run {
     tx: SendSide,
     rx: RecvSide,
-    /// Messages the sender is done with (transmitted or abandoned).
+    /// Messages the transport took.
     done_msgs: usize,
     faults_used: usize,
     /// Frames the channel let through that the receiver has not read.
     wire: VecDeque<Vec<u8>>,
-    /// A receive op has begun and is waiting for the channel.
-    mid_op: bool,
-    /// What each finished receive op handed over: `(genuine, bytes)`.
-    yields: Vec<(bool, Vec<u8>)>,
+    /// What each finished receive op handed over.
+    yields: Vec<Vec<u8>>,
     aborted: bool,
     script: Vec<&'static str>,
 }
@@ -118,8 +110,7 @@ struct Run {
 /// Exhaustively explores the framing protocol at the given bounds and
 /// returns every contract violation (with its adversary script).
 pub fn explore_framing(opts: &FramingOptions) -> FramingExploration {
-    let rx = RecvSide::new(opts.policy, opts.max_retries, TOKEN_BYTES);
-    explore(opts, rx)
+    explore(opts, RecvSide::new(opts.max_retries))
 }
 
 /// [`explore_framing`] over a given receive-side machine (the shipped
@@ -148,12 +139,11 @@ fn dfs(opts: &FramingOptions, run: Run, out: &mut FramingExploration) {
 impl Run {
     fn new(opts: &FramingOptions, rx: RecvSide) -> Run {
         Run {
-            tx: SendSide::new(opts.policy, opts.max_retries),
+            tx: SendSide::new(opts.max_retries),
             rx,
             done_msgs: 0,
             faults_used: 0,
             wire: VecDeque::new(),
-            mid_op: false,
             yields: Vec::new(),
             aborted: false,
             script: Vec::new(),
@@ -198,7 +188,6 @@ impl Run {
         } else {
             match self.tx.failed() {
                 SendVerdict::Retry(_) => {}
-                SendVerdict::Skip => self.done_msgs += 1,
                 SendVerdict::Fail(_) => self.aborted = true,
             }
         }
@@ -208,30 +197,22 @@ impl Run {
     }
 
     /// Runs receive ops for as long as they have something to act on:
-    /// a parked frame, a frame on the wire, or — once the stream is
-    /// `dry` — the deadline.
+    /// a frame on the wire or — once the stream is `dry` — the
+    /// deadline.
     fn receive(&mut self, opts: &FramingOptions, dry: bool) {
         while !self.aborted && self.yields.len() < opts.messages {
-            let verdict = if !std::mem::replace(&mut self.mid_op, true) {
-                self.rx.begin(|_| {})
-            } else if let Some(frame) = self.wire.pop_front() {
+            let verdict = if let Some(frame) = self.wire.pop_front() {
                 self.rx.frame(Token::Owned(frame), |_| {})
             } else if dry {
                 self.rx.timeout(|_| {})
             } else {
                 return;
             };
-            let (genuine, token) = match verdict {
-                RecvVerdict::Read => continue,
-                RecvVerdict::Deliver(token) => (true, token),
-                RecvVerdict::StandIn(token) => (false, token),
-                RecvVerdict::Lost(_) | RecvVerdict::Exhausted(_) => {
-                    self.aborted = true;
-                    return;
-                }
-            };
-            self.yields.push((genuine, token.into_vec()));
-            self.mid_op = false;
+            match verdict {
+                RecvVerdict::Read => {}
+                RecvVerdict::Deliver(token) => self.yields.push(token.into_vec()),
+                RecvVerdict::Lost(_) | RecvVerdict::Exhausted(_) => self.aborted = true,
+            }
         }
     }
 }
@@ -245,20 +226,13 @@ fn check_run(opts: &FramingOptions, run: &Run, out: &mut FramingExploration) {
         });
     };
 
-    let stand_in = match opts.policy {
-        DegradePolicy::Substitute => vec![0u8; TOKEN_BYTES],
-        DegradePolicy::Skip | DegradePolicy::Fail => Vec::new(),
-    };
     let mut genuine = Vec::new();
-    for (pos, (is_genuine, bytes)) in run.yields.iter().enumerate() {
-        if !is_genuine && *bytes == stand_in {
-            continue;
-        }
-        match (0..opts.messages).find(|&m| *is_genuine && bytes[..] == payload_of(m)) {
+    for (pos, bytes) in run.yields.iter().enumerate() {
+        match (0..opts.messages).find(|&m| bytes[..] == payload_of(m)) {
             Some(m) => genuine.push(m),
             None => violate(
                 "corrupt-delivered",
-                format!("receive op {pos} yielded {bytes:?}: no sent payload, no {stand_in:?}"),
+                format!("receive op {pos} yielded {bytes:?}: no sent payload"),
             ),
         }
     }
@@ -275,11 +249,11 @@ fn check_run(opts: &FramingOptions, run: &Run, out: &mut FramingExploration) {
             );
         }
     }
-    if opts.policy == DegradePolicy::Fail && !run.aborted && genuine.len() < opts.messages {
+    if !run.aborted && genuine.len() < opts.messages {
         violate(
-            "lost-under-fail",
+            "lost-without-stop",
             format!(
-                "run completed under Fail with {}/{} messages delivered",
+                "run completed with {}/{} messages delivered",
                 genuine.len(),
                 opts.messages
             ),
@@ -291,78 +265,48 @@ fn check_run(opts: &FramingOptions, run: &Run, out: &mut FramingExploration) {
 mod tests {
     use super::*;
 
-    const POLICIES: [DegradePolicy; 3] = [
-        DegradePolicy::Fail,
-        DegradePolicy::Skip,
-        DegradePolicy::Substitute,
-    ];
-
-    /// Explores `opts` under each policy; returns the script counts.
-    fn clean_counts(opts: FramingOptions) -> [u64; 3] {
-        POLICIES.map(|policy| {
-            let ex = explore_framing(&FramingOptions { policy, ..opts });
-            let first = ex.violations.first();
-            assert!(first.is_none(), "{policy:?}: {first:?}");
-            ex.states_explored
-        })
+    /// Explores `opts`; returns the script count.
+    fn clean_count(opts: FramingOptions) -> u64 {
+        let ex = explore_framing(&opts);
+        let first = ex.violations.first();
+        assert!(first.is_none(), "{first:?}");
+        ex.states_explored
     }
 
     // Exact pins, like the ring bounds: a moved count needs a DESIGN.md
     // §12 note saying why.
     #[test]
     fn shipped_protocol_clean_under_all_policies() {
-        assert_eq!(clean_counts(FramingOptions::default()), [81, 97, 97]);
+        assert_eq!(clean_count(FramingOptions::default()), 81);
     }
 
     /// One retry and two faults is the smallest bound where the
-    /// adversary can make the sender abandon message 0, so the first
-    /// thing the receiver ever sees is a gap — with no delivered token
-    /// to size a substitute from.
+    /// adversary can spend the sender's budget on message 0, so the run
+    /// stops before the receiver has seen a single token.
     #[test]
-    fn first_token_loss_is_clean_under_all_policies() {
+    fn sender_budget_exhaustion_on_message_0_stops_cleanly() {
         let opts = FramingOptions {
             max_retries: 1,
             ..FramingOptions::default()
         };
-        assert_eq!(clean_counts(opts), [81, 97, 97]);
+        assert_eq!(clean_count(opts), 81);
+        let mut run = Run::new(&opts, RecvSide::new(opts.max_retries));
+        for action in ["drop", "drop"] {
+            run.attempt(&opts, action);
+        }
+        assert!(run.aborted && run.yields.is_empty());
     }
 
     #[test]
     fn seeded_dedup_mutant_is_caught() {
         let opts = FramingOptions::default();
-        let shipped = RecvSide::new(opts.policy, opts.max_retries, TOKEN_BYTES);
-        let ex = explore(&opts, shipped.without_dedup());
+        let ex = explore(&opts, RecvSide::new(opts.max_retries).without_dedup());
         // A script that kills it must actually use the duplicate move
         // (a flipped sequence byte re-delivers a stale frame as well).
         let caught = |v: &FramingViolation| {
             v.kind == "duplicate-delivered" && v.actions.contains(&"duplicate")
         };
         assert!(ex.violations.iter().any(caught), "{:?}", ex.violations);
-    }
-
-    /// Two abandoned messages, then a delivery: the frame that arrives
-    /// is two tokens early. The shipped receiver hands out one
-    /// substitute per receive op and keeps the frame parked meanwhile.
-    #[test]
-    fn substitute_yields_one_token_per_receive_op() {
-        let opts = FramingOptions {
-            max_retries: 0,
-            policy: DegradePolicy::Substitute,
-            ..FramingOptions::default()
-        };
-        let rx = RecvSide::new(opts.policy, opts.max_retries, TOKEN_BYTES);
-        let mut run = Run::new(&opts, rx);
-        for action in ["drop", "drop", "deliver"] {
-            run.attempt(&opts, action);
-        }
-        let zeros = vec![0u8; TOKEN_BYTES];
-        let want = [
-            (false, zeros.clone()),
-            (false, zeros),
-            (true, payload_of(2).to_vec()),
-        ];
-        assert_eq!(run.yields, want);
-        assert!(explore_framing(&opts).violations.is_empty());
     }
 
     #[test]

@@ -17,9 +17,8 @@
 //! 2. **Framing-protocol exploration** ([`framing`]) — exhaustive DFS
 //!    over adversarial channel behavior (drop / corrupt / duplicate
 //!    within a fault budget) against the real supervision seq/crc
-//!    framing codecs, checking the delivered stream respects the
-//!    configured [`DegradePolicy`](spi_platform::DegradePolicy)
-//!    semantics at the bound.
+//!    framing codecs, checking that every run at the bound either
+//!    delivers the sent stream exactly or stops.
 //!
 //! The companion `spi-analyze` pass `ResyncCertification` (SPI061 /
 //! SPI062) closes the loop on the static side: every synchronization

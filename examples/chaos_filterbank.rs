@@ -4,12 +4,12 @@
 //!
 //! One benign fault per inter-processor data edge — a dropped frame, a
 //! corrupted frame, a duplicated frame, a delayed frame — is injected
-//! through the `FaultyTransport` decorator while the run is supervised
-//! under the strict `Fail` degradation policy: convergence therefore
-//! means the recovery was **byte-exact**. Every fault, retry and CRC
+//! through the `FaultyTransport` decorator while the run is supervised.
+//! Supervision recovers a token exactly or stops the run, so
+//! convergence means the recovery was **byte-exact**. Every fault, retry and CRC
 //! rejection is emitted through the tracer, and the metadata carries
 //! the policy budgets, so `spi-lint trace-check` verifies the recovery
-//! stayed inside them (diagnostics SPI090–SPI095) on top of the usual
+//! stayed inside them (diagnostics SPI090, SPI092–SPI094) on top of the usual
 //! eq. (1)/(2), FIFO and conservation replay.
 //!
 //! Produces `target/faulted_filterbank.trace`; the CI
@@ -53,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max(Duration::from_millis(25));
     let policy = SupervisionPolicy::retry(3).with_deadline(deadline);
     println!(
-        "supervision: deadline {deadline:?} (analytic ×50 safety), {} retries, degrade=Fail",
+        "supervision: deadline {deadline:?} (analytic ×50 safety), {} retries, then stop",
         policy.max_retries
     );
 

@@ -18,7 +18,8 @@
 //!    forever — and print a minimized interleaving witness.
 //! 3. **Framing under fire.** The supervision seq/crc framing runs
 //!    against an exhaustive adversary (drop / corrupt / duplicate
-//!    within a fault budget) for each degrade policy.
+//!    within a fault budget): every run delivers the stream exactly or
+//!    stops.
 //!
 //! Run with: `cargo run --release --example verify_ring`
 //! (debug works too; release explores ~3x faster).
@@ -78,24 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- Act 3: framing vs. adversarial channel ---------------------
     println!("[3/3] supervision framing vs. adversarial channel...");
-    for policy in [
-        spi_repro::platform::DegradePolicy::Fail,
-        spi_repro::platform::DegradePolicy::Skip,
-        spi_repro::platform::DegradePolicy::Substitute,
-    ] {
-        let opts = FramingOptions {
-            policy,
-            ..FramingOptions::default()
-        };
-        let ex = explore_framing(&opts);
-        println!(
-            "      {policy:?}: {} adversary scripts, {} violations",
-            ex.states_explored,
-            ex.violations.len()
-        );
-        if let Some(v) = ex.violations.first() {
-            return Err(format!("framing violated {}: {}", v.kind, v.detail).into());
-        }
+    let ex = explore_framing(&FramingOptions::default());
+    println!(
+        "      recover exactly or stop: {} adversary scripts, {} violations",
+        ex.states_explored,
+        ex.violations.len()
+    );
+    if let Some(v) = ex.violations.first() {
+        return Err(format!("framing violated {}: {}", v.kind, v.detail).into());
     }
     println!("\nall three engines agree: the protocols hold at their bounds.");
     Ok(())

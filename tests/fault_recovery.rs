@@ -8,8 +8,9 @@
 //! on random systems over every threaded backend; here each [`FaultKind`]
 //! is pinned, one at a time, against the paper's evaluation application,
 //! and the decimated band outputs are compared against a fault-free
-//! reference run. The degrade policy is `Fail`, so success *means*
-//! exactness — there is no substitution path that could mask corruption.
+//! reference run. Supervision recovers a token exactly or stops, so
+//! success *means* exactness — there is no substitution path that could
+//! mask corruption.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -19,7 +20,7 @@ use spi_repro::dataflow::SdfGraph;
 use spi_repro::fault::{FaultKind, FaultPlan};
 use spi_repro::platform::{
     ChannelId, ChannelSpec, Op, Program, SupervisionPolicy, ThreadedPeResult, ThreadedRunner,
-    TransportKind,
+    TransportKind, MAX_RESTARTS,
 };
 use spi_repro::sched::ProcId;
 use spi_repro::spi::{Firing, SpiSystem, SpiSystemBuilder};
@@ -47,7 +48,7 @@ fn reference() -> Vec<Vec<f64>> {
 
 /// The strict policy every recovery test runs under: generous per-op
 /// deadline (faults are injected, not timing-related), bounded retries,
-/// no degradation allowed.
+/// then a fail-stop.
 fn strict() -> SupervisionPolicy {
     SupervisionPolicy::retry(3).with_deadline(Duration::from_secs(2))
 }
@@ -308,8 +309,7 @@ fn trace_meta_supervised_declares_policy_budgets() {
     let meta = system.trace_meta_supervised(ClockKind::Nanos, &policy);
     let bounds = meta.supervision.expect("supervised meta declares bounds");
     assert_eq!(bounds.max_retries, 3);
-    assert_eq!(bounds.max_degraded, 0, "Fail policy tolerates no deviation");
-    assert_eq!(bounds.max_restarts, u64::from(policy.max_restarts));
+    assert_eq!(bounds.max_restarts, u64::from(MAX_RESTARTS));
     // The bounds survive the native-format roundtrip the CI gate uses.
     let parsed = spi_repro::trace::Trace::from_native(
         &spi_repro::trace::Trace {

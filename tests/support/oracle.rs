@@ -60,7 +60,7 @@ const RETRIES: u32 = 2;
 /// `deadline × (retries + 1)`: whoever waits on it gives up first.
 const BUSTING_STALL_MS: u64 = DEADLINE.as_millis() as u64 * (RETRIES as u64 + 2);
 
-/// The supervised runs' strict policy: retry, never degrade.
+/// The supervised runs' policy: retry, then stop.
 fn policy() -> SupervisionPolicy {
     SupervisionPolicy::retry(RETRIES).with_deadline(DEADLINE)
 }
