@@ -4,11 +4,12 @@
 # crates/bench/golden/ (one `<binary>.txt` each). Every number those
 # binaries print is a deterministic function of the program (DES
 # cycles, eq. (1)/(2) bounds, area totals), so any difference is a
-# behaviour change.
+# behaviour change. `spi-lint` is held the same way on the DIF fixtures
+# in crates/bench/lint/: its `--format json` report on each one, with
+# and without `--procs 2` (`spi_lint.<fixture>[.procs2].txt`).
 #
 #   1. build the binaries once (release),
-#   2. run each one (spi_lint excepted: it reads files and is driven by
-#      the trace / net jobs) and compare its stdout with its golden,
+#   2. run each one and compare its stdout with its golden,
 #   3. self-test: flip one byte of a copy of a golden and require the
 #      comparison against that copy to FAIL.
 #
@@ -25,6 +26,8 @@ BIN="${CARGO_TARGET_DIR:-target}/release"
 MODE="${1:-check}"
 case "$MODE" in check | --regen) ;; *) echo "usage: $0 [--regen]" >&2; exit 2 ;; esac
 
+# The figure, table and ablation binaries (spi_lint reads files; it is
+# run on the fixtures below).
 names() {
   for src in crates/bench/src/bin/*.rs; do
     name=$(basename "$src" .rs)
@@ -32,13 +35,35 @@ names() {
   done
 }
 
-# compare DIR OUT: every binary's stdout in OUT against DIR's golden.
+# run OUT: every binary's stdout, and spi-lint's reports, into OUT.
+run() {
+  for name in $(names); do
+    scripts/with_timeout.sh 300 "$BIN/$name" > "$1/$name.txt"
+  done
+  for dif in crates/bench/lint/*.dif; do
+    fixture=$(basename "$dif" .dif)
+    for procs in "" 2; do
+      # Exit status 1 means error diagnostics, which some fixtures are
+      # there to produce; 2 (usage or parse) is a failure.
+      status=0
+      "$BIN/spi-lint" --format json ${procs:+--procs "$procs"} "$dif" \
+        > "$1/spi_lint.$fixture${procs:+.procs$procs}.txt" || status=$?
+      if [ "$status" -gt 1 ]; then
+        echo "spi-lint failed on $dif (exit $status)" >&2
+        exit 1
+      fi
+    done
+  done
+}
+
+# compare DIR OUT: every golden in DIR against the same file in OUT.
 compare() {
   status=0
-  for name in $(names); do
-    if ! cmp -s "$1/$name.txt" "$2/$name.txt"; then
+  for golden in "$1"/*.txt; do
+    name=$(basename "$golden")
+    if ! cmp -s "$golden" "$2/$name"; then
       echo "MISMATCH $name:" >&2
-      diff "$1/$name.txt" "$2/$name.txt" >&2 || true
+      diff "$golden" "$2/$name" >&2 || true
       status=1
     fi
   done
@@ -50,9 +75,7 @@ cargo build --release -q -p spi-bench --bins
 
 OUT=$(mktemp -d)
 trap 'rm -rf "$OUT"' EXIT INT TERM
-for name in $(names); do
-  scripts/with_timeout.sh 300 "$BIN/$name" > "$OUT/$name.txt"
-done
+run "$OUT"
 
 if [ "$MODE" = --regen ]; then
   mkdir -p "$GOLDEN"
@@ -63,7 +86,11 @@ if [ "$MODE" = --regen ]; then
   exit 0
 fi
 
-echo "== bench golden: $(names | wc -l) binaries against $GOLDEN"
+echo "== bench golden: $(ls "$OUT" | wc -l) outputs against $GOLDEN"
+[ "$(ls "$GOLDEN" | wc -l)" = "$(ls "$OUT" | wc -l)" ] || {
+  echo "MISMATCH: $(ls "$GOLDEN" | wc -l) goldens for $(ls "$OUT" | wc -l) outputs" >&2
+  exit 1
+}
 compare "$GOLDEN" "$OUT"
 
 echo "== bench golden: self-test — a corrupted golden must fail the check"
