@@ -1,5 +1,7 @@
 //! The pass pipeline and its report.
 
+use spi_dataflow::VtsConversion;
+
 use crate::diag::{Diagnostic, Severity};
 use crate::input::AnalysisInput;
 use crate::passes;
@@ -45,8 +47,28 @@ impl Analyzer {
         self
     }
 
-    /// Runs every pass over `input`.
+    /// Runs every pass over `input`. Without a VTS conversion in
+    /// `input`, the graph is converted once here for every pass that
+    /// reads it.
     pub fn run(&self, input: &AnalysisInput<'_>) -> AnalysisReport {
+        let converted = match input.vts {
+            Some(_) => None,
+            // Conversion fails only on a zero rate bound, which SPI002
+            // reports; the passes that need the conversion then stay
+            // silent.
+            None => VtsConversion::convert(input.graph).ok(),
+        };
+        let with_vts;
+        let input = match &converted {
+            Some(vts) => {
+                with_vts = AnalysisInput {
+                    vts: Some(vts),
+                    ..*input
+                };
+                &with_vts
+            }
+            None => input,
+        };
         let mut diagnostics = Vec::new();
         for pass in &self.passes {
             pass.run(input, &mut diagnostics);

@@ -2,8 +2,10 @@
 //!
 //! Passes degrade gracefully: each one inspects only the sections of
 //! [`AnalysisInput`] it understands and stays silent when its section is
-//! absent. A graph-only input therefore runs the graph-level passes; the
-//! builder's pre-flight adds the schedule-level sections once they exist.
+//! absent. A graph-only input therefore runs the graph-level passes (the
+//! analyzer converts the graph to VTS once for them); the builder's one
+//! analysis adds the schedule-level sections, its own VTS conversion
+//! among them.
 
 use spi_dataflow::{EdgeId, LengthSignal, SdfGraph, VtsConversion};
 use spi_platform::ResourceEstimate;
@@ -58,8 +60,8 @@ pub struct TransportDecl {
 pub struct AnalysisInput<'a> {
     /// The SDF graph under analysis (possibly with dynamic-rate edges).
     pub graph: &'a SdfGraph,
-    /// VTS conversion of `graph`, if already computed. When absent, VTS
-    /// passes convert on the fly.
+    /// VTS conversion of `graph`, if already computed. When absent,
+    /// [`crate::Analyzer::run`] converts once for every pass.
     pub vts: Option<&'a VtsConversion>,
     /// Length-signalling scheme chosen for dynamic tokens.
     pub signal: Option<LengthSignal>,

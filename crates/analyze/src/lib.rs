@@ -10,10 +10,11 @@
 //!
 //! Three consumers drive the design:
 //!
-//! * **builder pre-flight** — `SpiSystemBuilder::build` runs the
-//!   pipeline before and during construction; error diagnostics abort
-//!   the build with the full explanation instead of a bare scheduler
-//!   error, warnings are collected on the built system;
+//! * **the builder** — `SpiSystemBuilder::build` runs the pipeline
+//!   once, over the full schedule it built; error diagnostics abort the
+//!   build, warnings are collected on the built system. A graph that
+//!   cannot be scheduled is explained by the graph-level passes, whose
+//!   errors replace the bare scheduler error;
 //! * **`spi-lint`** — a CLI that analyzes DIF files and renders the
 //!   report for humans or as JSON;
 //! * **tests** — randomized stress tests use the analyzer as an oracle:

@@ -8,7 +8,7 @@
 //! | SPI004 | warning  | well-formedness | disconnected subgraph |
 //! | SPI010 | error    | rate-consistency | inconsistent balance equations, with the offending cycle |
 //! | SPI020 | error    | deadlock-witness | delay-free cycle (or starved actor set) that deadlocks the schedule |
-//! | SPI030 | error    | vts-soundness | dynamic edge with `b_max = 0` (unusable rate bound or zero token size) |
+//! | SPI030 | error    | vts-soundness | dynamic edge with `b_max = 0` (zero token size) |
 //! | SPI031 | —        | retired | declared FIFO depth below the eq. (1) packed capacity (no caller declared depths) |
 //! | SPI032 | warning  | vts-soundness | delimiter signalling: worst-case frame expansion |
 //! | SPI040 | warning  | protocol-lints | UBS chosen although a static eq. (2) bound exists (§5.1 prefers BBS) |

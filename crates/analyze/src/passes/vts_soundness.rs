@@ -8,7 +8,7 @@
 //! below the eq. (1) packed capacity) is retired: no caller declared
 //! depths, so it could not fire.
 
-use spi_dataflow::{DataflowError, LengthSignal, TokenPacker, VtsConversion};
+use spi_dataflow::{LengthSignal, TokenPacker};
 
 use crate::analyzer::Pass;
 use crate::diag::{Diagnostic, Locus, Severity};
@@ -40,32 +40,8 @@ impl Pass for VtsSoundness {
             }
         }
 
-        let owned;
-        let vts: &VtsConversion = match input.vts {
-            Some(v) => v,
-            None => match VtsConversion::convert(graph) {
-                Ok(v) => {
-                    owned = v;
-                    &owned
-                }
-                Err(DataflowError::MissingRateBound { edge }) => {
-                    out.push(
-                        Diagnostic::new(
-                            "SPI030",
-                            Severity::Error,
-                            Locus::Edge(edge),
-                            format!(
-                                "dynamic edge {edge} has no usable rate bound; the VTS \
-                                 conversion cannot size its packed tokens (b_max undefined)"
-                            ),
-                        )
-                        .with_suggestion("declare a positive bound on the dynamic rate"),
-                    );
-                    return;
-                }
-                Err(_) => return,
-            },
-        };
+        // No conversion: a zero rate bound, which SPI002 reports.
+        let Some(vts) = input.vts else { return };
 
         for info in vts.converted_edges() {
             let e = graph.edge(info.edge);

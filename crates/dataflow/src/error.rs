@@ -24,6 +24,17 @@ pub enum DataflowError {
     Inconsistent {
         /// The edge whose balance equation first contradicted the others.
         edge: EdgeId,
+        /// The undirected cycle `edge` closes through the solver's
+        /// spanning tree: from the tree paths' meeting point down to
+        /// `edge`'s source, then from its destination back up.
+        cycle: Vec<ActorId>,
+        /// The firing ratio of `edge`'s destination that the spanning
+        /// tree fixes, relative to the first actor of its component, as
+        /// `(numerator, denominator)` in lowest terms.
+        assigned: (u64, u64),
+        /// The ratio `edge`'s own rates imply for its destination:
+        /// the source's ratio × produce / consume.
+        implied: (u64, u64),
     },
     /// The graph contains a dynamic-rate port where a pure-SDF graph is
     /// required (run VTS conversion first).
@@ -67,7 +78,7 @@ impl fmt::Display for DataflowError {
                     "zero token rate declared on edge {edge}; SDF rates must be positive"
                 )
             }
-            DataflowError::Inconsistent { edge } => {
+            DataflowError::Inconsistent { edge, .. } => {
                 write!(f, "balance equations are inconsistent at edge {edge}")
             }
             DataflowError::DynamicRate { edge } => write!(
@@ -109,7 +120,12 @@ mod tests {
             DataflowError::UnknownActor(ActorId(3)),
             DataflowError::UnknownEdge(EdgeId(7)),
             DataflowError::ZeroRate { edge: EdgeId(0) },
-            DataflowError::Inconsistent { edge: EdgeId(1) },
+            DataflowError::Inconsistent {
+                edge: EdgeId(1),
+                cycle: vec![ActorId(0), ActorId(1)],
+                assigned: (1, 1),
+                implied: (2, 3),
+            },
             DataflowError::DynamicRate { edge: EdgeId(2) },
             DataflowError::Deadlock {
                 starved: vec![ActorId(0)],

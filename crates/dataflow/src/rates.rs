@@ -11,7 +11,7 @@
 use std::ops::Index;
 
 use crate::error::{DataflowError, Result};
-use crate::graph::{ActorId, SdfGraph};
+use crate::graph::{ActorId, EdgeId, SdfGraph};
 
 /// The repetition vector of a consistent SDF graph.
 ///
@@ -166,6 +166,8 @@ impl SdfGraph {
         let n = self.actor_count();
         // Fractional firing ratios per actor, None until visited.
         let mut frac: Vec<Option<Ratio>> = vec![None; n];
+        // The spanning-tree parent each actor was reached from.
+        let mut parent: Vec<Option<usize>> = vec![None; n];
 
         // Adjacency: (neighbor, my_rate, neighbor_rate, edge_id)
         // Balance: q[me] * my_rate = q[neighbor] * neighbor_rate
@@ -195,15 +197,13 @@ impl SdfGraph {
                     match frac[u] {
                         None => {
                             frac[u] = Some(fu);
+                            parent[u] = Some(v);
                             members.push((u, fu));
                         }
-                        Some(existing) => {
-                            if existing != fu {
-                                return Err(DataflowError::Inconsistent {
-                                    edge: crate::graph::EdgeId(eid),
-                                });
-                            }
+                        Some(existing) if existing != fu => {
+                            return Err(self.inconsistency(EdgeId(eid), &frac, &parent));
                         }
+                        Some(_) => {}
                     }
                 }
             }
@@ -240,6 +240,56 @@ impl SdfGraph {
             counts.push(u64::try_from(r.num).map_err(|_| DataflowError::Overflow)?);
         }
         Ok(RepetitionVector { counts })
+    }
+
+    /// The [`DataflowError::Inconsistent`] witness for `edge`, whose
+    /// balance equation contradicts the ratios `frac` the spanning tree
+    /// `parent` assigned to both its endpoints.
+    fn inconsistency(
+        &self,
+        edge: EdgeId,
+        frac: &[Option<Ratio>],
+        parent: &[Option<usize>],
+    ) -> DataflowError {
+        let e = self.edge(edge);
+        let path_from_root = |mut x: usize| {
+            let mut path = vec![x];
+            while let Some(up) = parent[x] {
+                path.push(up);
+                x = up;
+            }
+            path.reverse();
+            path
+        };
+        let (to_src, to_dst) = (path_from_root(e.src.0), path_from_root(e.dst.0));
+        let shared = to_src
+            .iter()
+            .zip(&to_dst)
+            .take_while(|(a, b)| a == b)
+            .count();
+        // The meeting point down to the source, then the destination
+        // back up to just below the meeting point.
+        let cycle = to_src[shared.saturating_sub(1)..]
+            .iter()
+            .chain(to_dst[shared..].iter().rev())
+            .map(|&a| ActorId(a))
+            .collect();
+        let pair = |r: Ratio| Some((u64::try_from(r.num).ok()?, u64::try_from(r.den).ok()?));
+        let witness = || {
+            let implied = frac[e.src.0]?
+                .mul(i128::from(e.produce.bound()), i128::from(e.consume.bound()))
+                .ok()?;
+            Some((pair(frac[e.dst.0]?)?, pair(implied)?))
+        };
+        match witness() {
+            Some((assigned, implied)) => DataflowError::Inconsistent {
+                edge,
+                cycle,
+                assigned,
+                implied,
+            },
+            None => DataflowError::Overflow,
+        }
     }
 
     /// Returns `true` if the graph is sample-rate consistent.
@@ -299,11 +349,41 @@ mod tests {
         g.add_edge(a, b, 1, 1, 0, 4).unwrap();
         g.add_edge(b, c, 1, 1, 0, 4).unwrap();
         g.add_edge(a, c, 2, 1, 0, 4).unwrap();
-        assert!(matches!(
+        // The BFS from A fixes q(C) = 2 through e2, then meets e1, whose
+        // 1:1 implies q(C) = q(B) = 1.
+        assert_eq!(
             g.repetition_vector(),
-            Err(DataflowError::Inconsistent { .. })
-        ));
+            Err(DataflowError::Inconsistent {
+                edge: EdgeId(1),
+                cycle: vec![a, b, c],
+                assigned: (2, 1),
+                implied: (1, 1),
+            })
+        );
         assert!(!g.is_consistent());
+    }
+
+    #[test]
+    fn an_inconsistency_met_against_an_edge_is_stated_at_its_destination() {
+        // The BFS from A reaches B and C at ratio 1, then meets e2 from
+        // its destination B: the witness is still q(B), which C's ratio
+        // and e2's 2:1 put at 2.
+        let mut g = SdfGraph::new();
+        let a = g.add_actor("A", 1);
+        let b = g.add_actor("B", 1);
+        let c = g.add_actor("C", 1);
+        g.add_edge(a, b, 1, 1, 0, 4).unwrap();
+        g.add_edge(a, c, 1, 1, 0, 4).unwrap();
+        g.add_edge(c, b, 2, 1, 0, 4).unwrap();
+        assert_eq!(
+            g.repetition_vector(),
+            Err(DataflowError::Inconsistent {
+                edge: EdgeId(2),
+                cycle: vec![a, c, b],
+                assigned: (1, 1),
+                implied: (2, 1),
+            })
+        );
     }
 
     #[test]

@@ -217,15 +217,18 @@ fn batched_sender_still_enforces_the_credit_window() {
 
 /// Stages `payload` on `tx` from a helper thread that then stays alive
 /// without ever waiting inside spi-net — an owner gone off to compute —
-/// until the returned handle is dropped. Also returns when the record
-/// was staged.
+/// until the returned handle is dropped. Also returns an instant taken
+/// just before the record was staged: a lower bound on when its batch
+/// started, so a helper descheduled around `try_send` can only make a
+/// wait measured from it look longer, never shorter.
 fn stage_and_wander(tx: &Arc<NetSender>, payload: &'static [u8]) -> (mpsc::Sender<()>, Instant) {
     let tx = Arc::clone(tx);
     let (release, parked) = mpsc::channel::<()>();
     let (staged, when) = mpsc::channel();
     std::thread::spawn(move || {
+        let before = Instant::now();
         tx.try_send(payload).expect("stage");
-        staged.send(Instant::now()).expect("report");
+        staged.send(before).expect("report");
         let _ = parked.recv();
     });
     (release, when.recv().expect("helper staged the record"))

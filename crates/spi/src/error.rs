@@ -52,8 +52,10 @@ pub enum SpiError {
         /// The declared bound.
         bound: usize,
     },
-    /// The static pre-flight analysis found error-severity diagnostics;
-    /// the system was not built. Each diagnostic explains one defect.
+    /// The build's analysis — or, when the graph could not be
+    /// scheduled, the graph-level passes — found error-severity
+    /// diagnostics; the system was not built. Each diagnostic explains
+    /// one defect.
     Analysis {
         /// Error-severity diagnostics, most severe first.
         diagnostics: Vec<spi_analyze::Diagnostic>,

@@ -248,23 +248,24 @@ impl SpiSystemBuilder {
     /// Builds with an automatic actor→processor mapping: HLFET list
     /// scheduling runs at firing granularity, then each actor adopts the
     /// processor that received the plurality of its firings (ties to the
-    /// lowest processor id).
+    /// lowest processor id). The VTS conversion and precedence graph
+    /// HLFET ran on are the ones the build schedules.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SpiSystemBuilder::build`].
     pub fn build_auto(self, processors: usize) -> Result<SpiSystem> {
-        preflight(&self.graph, self.signal)?;
-        let vts = VtsConversion::convert(&self.graph)?;
-        let pg = PrecedenceGraph::expand(vts.graph())?;
-        let firing_assign = Assignment::hlfet(vts.graph(), &pg, processors)?;
         // Per actor, the firings each processor received.
         let mut votes: HashMap<ActorId, Vec<usize>> = HashMap::new();
-        for &f in pg.firings() {
-            let ballots = votes.entry(f.actor).or_insert_with(|| vec![0; processors]);
-            ballots[firing_assign.processor(f)?.0] += 1;
-        }
-        self.build(processors, move |a| {
+        let expanded = self.expand().and_then(|(vts, pg)| {
+            let firing_assign = Assignment::hlfet(vts.graph(), &pg, processors)?;
+            for &f in pg.firings() {
+                let ballots = votes.entry(f.actor).or_insert_with(|| vec![0; processors]);
+                ballots[firing_assign.processor(f)?.0] += 1;
+            }
+            Ok((vts, pg))
+        });
+        self.build_expanded(expanded, processors, move |a| {
             let best = votes.get(&a).and_then(|ballots| {
                 (0..ballots.len()).max_by_key(|&p| (ballots[p], std::cmp::Reverse(p)))
             });
@@ -277,13 +278,14 @@ impl SpiSystemBuilder {
     /// inter-processor edge, synchronizes, and runs the analyzer over
     /// the result. Needs no actor implementations. The report is
     /// returned whole — error diagnostics included, where `build` would
-    /// fail on them — and is the graph-level report alone when that
-    /// already has errors (scheduling a malformed graph is meaningless).
-    /// `spi-lint --procs` is this call.
+    /// fail on them. When scheduling fails on a graph the graph-level
+    /// passes find errors in, the report is theirs alone, explaining
+    /// the failure. `spi-lint --procs` is this call.
     ///
     /// # Errors
     ///
-    /// Any dataflow/scheduling error from the underlying analyses;
+    /// Any dataflow/scheduling error from the underlying analyses on a
+    /// graph without graph-level errors;
     /// [`SpiError::ActorSplitAcrossProcessors`] if the assignment puts
     /// firings of one actor on different processors.
     pub fn plan(
@@ -291,24 +293,23 @@ impl SpiSystemBuilder {
         processors: usize,
         assign: impl FnMut(ActorId) -> ProcId,
     ) -> Result<AnalysisReport> {
-        let report = graph_level(&self.graph, self.signal);
-        if report.has_errors() {
-            return Ok(report);
-        }
-        Ok(self
-            .planned(processors, assign, |_, _, _| Ok(()))?
-            .1
-            .analysis)
+        self.expand()
+            .and_then(|expanded| self.planned(expanded, processors, assign, |_, _, _| Ok(())))
+            .map(|(_, planned)| planned.analysis)
+            .or_else(|error| self.explain(error))
     }
 
-    /// Runs the full SPI flow and produces a runnable system.
+    /// Runs the full SPI flow and produces a runnable system. A built
+    /// system is analysed once, with the full picture (see
+    /// [`SpiSystem::analysis`]).
     ///
     /// # Errors
     ///
-    /// [`SpiError::Analysis`] when the static pre-flight finds
-    /// error-severity diagnostics (ill-formed graph, inconsistent rates,
-    /// deadlock, unsound VTS bounds, uncovered IPC edges…) — the
-    /// diagnostics explain each defect;
+    /// [`SpiError::Analysis`] when the analyzer finds error-severity
+    /// diagnostics (ill-formed graph, inconsistent rates, deadlock,
+    /// unsound VTS bounds, uncovered IPC edges…) — the diagnostics
+    /// explain each defect. A graph that cannot be scheduled is
+    /// explained by the graph-level passes when they find an error;
     /// [`SpiError::MissingActorImpl`] for unregistered actors;
     /// otherwise as [`SpiSystemBuilder::plan`].
     pub fn build(
@@ -316,20 +317,38 @@ impl SpiSystemBuilder {
         processors: usize,
         assign: impl FnMut(ActorId) -> ProcId,
     ) -> Result<SpiSystem> {
-        // Graph-level pre-flight: explain structural defects before the
-        // raw scheduler errors would surface them.
-        preflight(&self.graph, self.signal)?;
-        if let Some((a, _)) = (self.graph.actors()).find(|(a, _)| !self.impls.contains_key(a)) {
-            return Err(SpiError::MissingActorImpl(a));
-        }
+        let expanded = self.expand();
+        self.build_expanded(expanded, processors, assign)
+    }
+
+    /// [`SpiSystemBuilder::build`] from the graph's VTS conversion and
+    /// precedence graph, or from the error that stopped them.
+    fn build_expanded(
+        self,
+        expanded: Result<(VtsConversion, PrecedenceGraph)>,
+        processors: usize,
+        assign: impl FnMut(ActorId) -> ProcId,
+    ) -> Result<SpiSystem> {
         let lower = |s: &Scheduled, sync: &SyncGraph, plans: &mut Plans| {
             lower::machine(&self, s, sync, plans)
         };
-        let (machine, planned) = self.planned(processors, assign, lower)?;
-        // Errors here mean the lowering itself is unsound — abort rather
-        // than hand out a racy or overcommitted system; warnings (e.g.
-        // SPI040 under `force_ubs`) ride along on the built system.
-        fail_on_errors(&planned.analysis)?;
+        let planned = expanded.and_then(|expanded| {
+            if let Some((a, _)) = (self.graph.actors()).find(|(a, _)| !self.impls.contains_key(a)) {
+                return Err(SpiError::MissingActorImpl(a));
+            }
+            self.planned(expanded, processors, assign, lower)
+        });
+        let (machine, planned) = match planned {
+            Ok(built) => built,
+            Err(error) => return Err(analysis_error(&self.explain(error)?)),
+        };
+        // Errors here are a defect of the graph that scheduling did not
+        // trip over, or an unsound lowering — abort rather than hand out
+        // a racy or overcommitted system; warnings (e.g. SPI040 under
+        // `force_ubs`) ride along on the built system.
+        if planned.analysis.has_errors() {
+            return Err(analysis_error(&planned.analysis));
+        }
         Ok(SpiSystem {
             machine,
             plans: planned.plans,
@@ -343,16 +362,39 @@ impl SpiSystemBuilder {
         })
     }
 
+    /// Why a build that did not reach its analysis failed: the
+    /// graph-level passes' report when it has errors (scheduling a
+    /// malformed graph is meaningless, and the diagnostics say why),
+    /// `error` itself otherwise.
+    fn explain(&self, error: SpiError) -> Result<AnalysisReport> {
+        let input = spi_analyze::AnalysisInput::new(&self.graph).with_signal(self.signal);
+        let report = spi_analyze::Analyzer::default_pipeline().run(&input);
+        if report.has_errors() {
+            Ok(report)
+        } else {
+            Err(error)
+        }
+    }
+
+    /// The VTS conversion and its precedence graph: what every schedule
+    /// of the graph starts from.
+    fn expand(&self) -> Result<(VtsConversion, PrecedenceGraph)> {
+        let vts = VtsConversion::convert(&self.graph)?;
+        let pg = PrecedenceGraph::expand(vts.graph())?;
+        Ok((vts, pg))
+    }
+
     /// Schedule → one [`EdgePlan`] per inter-processor edge →
     /// synchronization → `lower` (the one step [`SpiSystemBuilder::plan`]
     /// leaves out) → predicted makespan → batch plans → analysis.
     fn planned<M>(
         &self,
+        (vts, pg): (VtsConversion, PrecedenceGraph),
         processors: usize,
         assign: impl FnMut(ActorId) -> ProcId,
         lower: impl FnOnce(&Scheduled, &SyncGraph, &mut Plans) -> Result<M>,
     ) -> Result<(M, Planned)> {
-        let sched = self.schedule(processors, assign)?;
+        let sched = self.schedule(vts, pg, processors, assign)?;
         // A channel's capacity must cover its longest-resident message,
         // so the eq. (2) bound is folded with MAX over the edge's
         // precedence instances; any unbounded instance forces UBS
@@ -378,15 +420,14 @@ impl SpiSystemBuilder {
         Ok((lowered, planned))
     }
 
-    /// VTS conversion, precedence expansion, assignment, self-timed
-    /// schedule and IPC graph.
+    /// Assignment, self-timed schedule and IPC graph.
     fn schedule(
         &self,
+        vts: VtsConversion,
+        pg: PrecedenceGraph,
         processors: usize,
         assign: impl FnMut(ActorId) -> ProcId,
     ) -> Result<Scheduled> {
-        let vts = VtsConversion::convert(&self.graph)?;
-        let pg = PrecedenceGraph::expand(vts.graph())?;
         let assignment = Assignment::by_actor(&pg, processors, assign)?;
 
         // Every actor must live on exactly one processor.
@@ -520,6 +561,7 @@ impl SpiSystemBuilder {
     ) -> Result<(SyncOutcome, Option<ResyncCertificate>)> {
         let mut graph = SyncGraph::from_ipc(ipc, |e| match e.kind {
             IpcEdgeKind::Ipc { via } => plans[&via].sync_protocol(),
+            // `from_ipc` asks only for the IPC edges' protocols.
             _ => unreachable!("protocol_of is only called for IPC edges"),
         })?;
         // The figures draw the graph before and after; `sync_graph_dot`
@@ -626,9 +668,10 @@ impl SpiSystemBuilder {
         Ok(())
     }
 
-    /// Schedule-level verification: re-runs the analyzer with the full
-    /// picture (VTS, IPC graph, optimized sync graph, every edge's
-    /// protocol and transport, resource totals).
+    /// The build's one analyzer run, with the full picture (VTS, IPC
+    /// graph, optimized sync graph, every edge's protocol and
+    /// transport, resource totals): the graph-level passes and the
+    /// schedule-level ones together.
     fn verify(
         &self,
         s: &Scheduled,
@@ -652,25 +695,12 @@ impl SpiSystemBuilder {
     }
 }
 
-/// Graph-level static analysis gate shared by [`SpiSystemBuilder::build`]
-/// and [`SpiSystemBuilder::build_auto`].
-fn preflight(graph: &SdfGraph, signal: LengthSignal) -> Result<()> {
-    fail_on_errors(&graph_level(graph, signal))
-}
-
-fn graph_level(graph: &SdfGraph, signal: LengthSignal) -> AnalysisReport {
-    let input = spi_analyze::AnalysisInput::new(graph).with_signal(signal);
-    spi_analyze::Analyzer::default_pipeline().run(&input)
-}
-
-/// Error-severity diagnostics fail the build.
-fn fail_on_errors(report: &AnalysisReport) -> Result<()> {
-    if report.has_errors() {
-        return Err(SpiError::Analysis {
-            diagnostics: report.errors().cloned().collect(),
-        });
+/// The [`SpiError::Analysis`] carrying `report`'s error-severity
+/// diagnostics.
+fn analysis_error(report: &AnalysisReport) -> SpiError {
+    SpiError::Analysis {
+        diagnostics: report.errors().cloned().collect(),
     }
-    Ok(())
 }
 
 /// What planning fixes about a system, lowered or not.

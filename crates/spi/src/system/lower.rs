@@ -9,6 +9,7 @@
 //! fills). Every number used here is read from the plan.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::PoisonError;
 
 use spi_dataflow::{ActorId, EdgeId, SdfGraph, VtsConversion};
 use spi_platform::{ByteQueue, ChannelId, ChannelSpec, Machine, Op, PeLocal, Program};
@@ -138,8 +139,8 @@ pub(super) fn frame_push(queue: &mut ByteQueue, bytes: &[u8]) {
 /// Pops one frame; `None`, with nothing consumed, if the queue is empty
 /// or ends inside the frame.
 pub(super) fn frame_pop(queue: &mut ByteQueue) -> Option<&[u8]> {
-    let prefix = queue.pending().get(..4)?;
-    let len = u32::from_le_bytes(prefix.try_into().expect("4 bytes")) as usize;
+    let prefix: [u8; 4] = queue.pending().get(..4)?.try_into().ok()?;
+    let len = u32::from_le_bytes(prefix) as usize;
     queue.take(len.checked_add(4)?).map(|frame| &frame[4..])
 }
 
@@ -355,14 +356,13 @@ impl Lowering<'_> {
         // 2. The firing's compute op: decode messages, gather inputs,
         //    run the actor, stage outputs.
         let port = |eid: EdgeId, rate: u32| {
-            let dynamic = self.vts.edge_info(eid).is_some();
+            let packed = self.vts.edge_info(eid);
             Port {
                 edge: eid,
-                dynamic,
-                bytes: if dynamic {
-                    self.vts.bytes_per_packed_token(eid).expect("edge exists") as usize
-                } else {
-                    rate as usize * self.graph.edge(eid).token_bytes as usize
+                dynamic: packed.is_some(),
+                bytes: match packed {
+                    Some(info) => info.b_max as usize,
+                    None => rate as usize * self.graph.edge(eid).token_bytes as usize,
                 },
                 cross: self.plans.get(&eid).map(|p| p.phase),
             }
@@ -492,7 +492,11 @@ impl FiringBody {
         }
         // Fire.
         let mut ctx = Firing::new(l.iter, self.k, inputs);
-        let cycles = self.actor.lock().expect("actor lock").fire(&mut ctx);
+        // A panic inside `fire` poisons the lock; a supervised restart
+        // replays the firing on the same actor, which replay already
+        // assumes is deterministic, so the poisoned guard is taken as is.
+        let actor = self.actor.lock();
+        let cycles = actor.unwrap_or_else(PoisonError::into_inner).fire(&mut ctx);
         let outputs = ctx.into_outputs();
         // Stage outputs.
         for p in &self.produces {

@@ -603,3 +603,41 @@ fn queues_of_edges_that_never_drain_stay_bounded() {
         );
     }
 }
+
+#[test]
+fn a_supervised_restart_recovers_a_panic_inside_an_actor() {
+    // The sink panics once, inside `fire`, in iteration 3: the actor's
+    // lock is poisoned, and the replayed firing must still run it.
+    use spi_platform::{SupervisionPolicy, ThreadedRunner, TransportKind};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Mutex};
+
+    const ITERS: u64 = 6;
+    let mut g = SdfGraph::new();
+    let src = g.add_actor("src", 20);
+    let snk = g.add_actor("snk", 20);
+    let e = g.add_edge(src, snk, 1, 1, 0, 4).unwrap();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let panicked = AtomicBool::new(false);
+    let mut b = SpiSystemBuilder::new(g);
+    b.actor(src, move |ctx: &mut Firing| {
+        ctx.set_output(e, (ctx.iter as u32).to_le_bytes().to_vec());
+        20
+    });
+    let sink_seen = Arc::clone(&seen);
+    b.actor(snk, move |ctx: &mut Firing| {
+        if ctx.iter == 3 && !panicked.swap(true, Ordering::Relaxed) {
+            panic!("transient fault inside the actor");
+        }
+        let got = u32::from_le_bytes(ctx.input(e).try_into().expect("4 bytes"));
+        sink_seen.lock().unwrap().push(got);
+        20
+    });
+    b.iterations(ITERS);
+    let runner = ThreadedRunner::new()
+        .transport(TransportKind::Ring)
+        .supervise(SupervisionPolicy::retry(3));
+    let system = b.build(2, |a| ProcId(a.0)).unwrap();
+    system.run_threaded_with(&runner).unwrap();
+    assert_eq!(*seen.lock().unwrap(), (0..ITERS as u32).collect::<Vec<_>>());
+}
