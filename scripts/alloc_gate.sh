@@ -17,12 +17,13 @@
 #
 # Then it runs des_app1 with `--trace 0` (the tier that prints
 # `setup_s`) and fails if building the four-PE system takes more than
-# 1 ms. A timing, so the ceiling is loose: it reads ≈ 0.13 ms with the
-# cycle ratio by policy iteration and eq. (3) evaluated up to its
-# periodic regime, ≈ 0.3 ms with the bisection and the 256-iteration
-# horizon they replaced, and ≈ 16 ms with the sweep before that
-# (EXPERIMENTS.md, "Building a system: eq. (3) exactly" and "... in one
-# pass").
+# 1 ms. A timing, so the ceiling is loose: it reads ≈ 0.10 ms with one
+# analyzer run per build, ≈ 0.13 ms with the graph-level pre-flight run
+# that also ran before (and with the cycle ratio by policy iteration and
+# eq. (3) evaluated up to its periodic regime), ≈ 0.3 ms with the
+# bisection and the 256-iteration horizon those replaced, and ≈ 16 ms
+# with the sweep before that (EXPERIMENTS.md, "Building a system: one
+# analysis per build", "... eq. (3) exactly" and "... in one pass").
 #
 # Usage: scripts/alloc_gate.sh
 set -eu
