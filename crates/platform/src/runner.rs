@@ -17,10 +17,22 @@
 //! There is one executor, [`run_pes`]: it walks each PE's ops through a
 //! [`Port`], and whether a run is supervised only decides which port
 //! that is ([`Direct`] here, `Supervised` in [`crate::supervise`]).
+//!
+//! A traced PE reads the clock only where something finished or a wait
+//! changed: a `Recv` after the take, a `FiringEnd`, a `Block*` /
+//! `Unblock*` edge, a fault event, and the PE's first event. A `Send`
+//! and a `FiringBegin` carry the stamp of the PE's last event, which is
+//! when the walk started the op — the stamp the DES gives both. So a
+//! `[Send, Recv, Compute]` iteration reads the clock twice, each PE's
+//! stream is non-decreasing by construction, and a `Send` that did not
+//! wait is stamped before its push, hence no later than the `Recv` of
+//! its message (see [`PeIo::record`]).
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::error::{BlockKind, BlockedOp, PlatformError, Result};
@@ -132,7 +144,9 @@ impl ThreadedRunner {
     /// Attaches a [`Tracer`] probe sink: every PE thread emits firing
     /// begin/end, send/receive (with payload digest and post-op channel
     /// occupancy) and block/unblock events through it, timestamped with
-    /// [`Tracer::now`] (monotonic nanoseconds). Blocking detection works
+    /// [`Tracer::now`] (monotonic nanoseconds) — read where an event
+    /// finished something, while a send and a firing's begin carry their
+    /// PE's last stamp (module docs). Blocking detection works
     /// by attempting the non-blocking variant first, so a tracer whose
     /// [`Tracer::enabled`] is `false` keeps the untraced fast path.
     #[must_use]
@@ -257,20 +271,67 @@ impl ThreadedRunner {
 }
 
 /// One PE's view of a run: its id, the channels' logical specs and
-/// endpoints, and the probe sink. Every port embeds one.
-#[derive(Clone, Copy)]
+/// endpoints, the probe sink and the stamp of the PE's last event. Every
+/// port owns one.
 pub(crate) struct PeIo<'a> {
     pub(crate) pe: PeId,
     pub(crate) specs: &'a [ChannelSpec],
     pub(crate) endpoints: &'a [Box<dyn Transport>],
     pub(crate) probe: Option<&'a dyn Tracer>,
+    /// The stamp of the last event this PE recorded; `None` before its
+    /// first.
+    last: Option<u64>,
 }
 
-impl PeIo<'_> {
-    pub(crate) fn emit(&self, kind: ProbeKind) {
-        if let Some(t) = self.probe {
-            t.record(self.pe, t.now(), kind);
+impl<'a> PeIo<'a> {
+    fn new(
+        pe: PeId,
+        specs: &'a [ChannelSpec],
+        endpoints: &'a [Box<dyn Transport>],
+        probe: Option<&'a dyn Tracer>,
+    ) -> Self {
+        PeIo {
+            pe,
+            specs,
+            endpoints,
+            probe,
+            last: None,
         }
+    }
+
+    /// Records `kind` at `at`, which becomes the PE's last stamp.
+    fn record_at(&mut self, t: &dyn Tracer, at: u64, kind: ProbeKind) {
+        self.last = Some(at);
+        t.record(self.pe, at, kind);
+    }
+
+    /// Records `kind` under the stamping rule: a `Send` or a
+    /// `FiringBegin` carries the stamp of the PE's last event — the walk
+    /// started the op then, and a `Send` that did not wait pushed after
+    /// it — and every other event, or a PE's first, reads the clock.
+    /// A `Send` that recorded a wait carries its `UnblockSend` stamp,
+    /// taken after the push.
+    #[inline]
+    fn record(&mut self, t: &dyn Tracer, kind: ProbeKind) {
+        let at = match (kind, self.last) {
+            (ProbeKind::Send { .. } | ProbeKind::FiringBegin { .. }, Some(last)) => last,
+            _ => t.now(),
+        };
+        self.record_at(t, at, kind);
+    }
+
+    pub(crate) fn emit(&mut self, kind: ProbeKind) {
+        if let Some(t) = self.probe {
+            self.emit_traced(t, kind);
+        }
+    }
+
+    // Kept out of line so that the walk's untraced firing edges stay one
+    // branch each: inlined, the stamping rule slowed the bare `selfloop8`
+    // walk by ≈ 2 % (EXPERIMENTS.md, "Stamps where something finished").
+    #[inline(never)]
+    fn emit_traced(&mut self, t: &dyn Tracer, kind: ProbeKind) {
+        self.record(t, kind);
     }
 
     /// Records the Send / Recv event for `data` having moved through
@@ -279,7 +340,7 @@ impl PeIo<'_> {
     /// so the occupancies reported are the logical ones the analyzer's
     /// bounds are about.
     pub(crate) fn moved(
-        &self,
+        &mut self,
         t: &dyn Tracer,
         dir: BlockKind,
         channel: ChannelId,
@@ -288,7 +349,7 @@ impl PeIo<'_> {
     ) {
         let (occ_bytes, occ_msgs) = self.endpoints[channel.0].snapshot();
         let occ_bytes = occ_bytes.saturating_sub(occ_msgs * header) as u32;
-        let (occ_msgs, bytes, at) = (occ_msgs as u32, data.len() as u32, t.now());
+        let (occ_msgs, bytes) = (occ_msgs as u32, data.len() as u32);
         let digest = payload_digest(data);
         let kind = match dir {
             BlockKind::Send => ProbeKind::Send {
@@ -306,7 +367,7 @@ impl PeIo<'_> {
                 occ_msgs,
             },
         };
-        t.record(self.pe, at, kind);
+        self.record(t, kind);
     }
 
     /// Maps a transport failure nothing will retry to the platform
@@ -380,6 +441,10 @@ pub(crate) trait Port {
 
     /// An iteration of the program's loop is about to start.
     fn begin_iteration(&mut self, _local: &PeLocal) {}
+
+    /// Records a probe event of the walk's own (a firing edge) through
+    /// the port's [`PeIo`], which keeps the PE's last stamp.
+    fn emit(&mut self, kind: ProbeKind);
 }
 
 /// The one PE executor: a named thread per program, firing labels
@@ -393,24 +458,25 @@ fn run_pes<'a, P: Port>(
     programs: Vec<Program>,
     make_port: impl Fn(PeIo<'a>) -> P + Sync,
 ) -> Result<Vec<ThreadedPeResult>> {
+    // A PE thread only pushes to `errors`, so a poisoned lock still
+    // holds every error pushed before the panic.
     let errors: Mutex<Vec<PlatformError>> = Mutex::new(Vec::new());
-    let results: Mutex<Vec<Option<ThreadedPeResult>>> =
-        Mutex::new((0..programs.len()).map(|_| None).collect());
+    let mut results: Vec<ThreadedPeResult> = (programs.iter())
+        .map(|_| ThreadedPeResult {
+            store: HashMap::new(),
+            leftover_inbox: 0,
+        })
+        .collect();
 
     crate::shim::scope(|scope| {
-        for (idx, mut program) in programs.into_iter().enumerate() {
-            let (errors, results, make_port) = (&errors, &results, &make_port);
-            let io = PeIo {
-                pe: PeId(idx),
-                specs,
-                endpoints,
-                probe,
-            };
+        let pes = programs.into_iter().zip(results.iter_mut()).enumerate();
+        for (idx, (mut program, result)) in pes {
+            let (errors, make_port) = (&errors, &make_port);
             // Firing labels are static across iterations; intern them
             // up front so the hot loop never touches the tracer's
             // (locking) intern table.
             let intern = |ops: &[Op]| -> Vec<u32> {
-                let label = |op: &Op| match (op, io.probe) {
+                let label = |op: &Op| match (op, probe) {
                     (Op::Compute { label, .. }, Some(t)) => t.intern(label),
                     _ => 0,
                 };
@@ -418,28 +484,29 @@ fn run_pes<'a, P: Port>(
             };
             let labels = (intern(&program.prologue), intern(&program.ops));
             scope.spawn_named(format!("pe{idx}"), move || {
-                let mut port = make_port(io);
+                let mut port = make_port(PeIo::new(PeId(idx), specs, endpoints, probe));
                 let mut local = PeLocal::default();
                 let mut walk = || -> Result<()> {
                     // Prologue ops run before the first iteration
                     // boundary; nothing restarts them.
-                    run_ops(&mut port, io, &mut program.prologue, &labels.0, &mut local)?;
+                    run_ops(&mut port, &mut program.prologue, &labels.0, &mut local)?;
                     for iter in 0..program.iterations {
                         local.iter = iter;
                         port.begin_iteration(&local);
-                        while run_ops(&mut port, io, &mut program.ops, &labels.1, &mut local)?
+                        while run_ops(&mut port, &mut program.ops, &labels.1, &mut local)?
                             == Flow::Restart
                         {}
                     }
                     Ok(())
                 };
                 if let Err(err) = walk() {
-                    errors.lock().expect("errors lock").push(err);
+                    let mut errors = errors.lock().unwrap_or_else(PoisonError::into_inner);
+                    errors.push(err);
                 }
-                results.lock().expect("results lock")[idx] = Some(ThreadedPeResult {
+                *result = ThreadedPeResult {
                     store: std::mem::take(&mut local.store),
                     leftover_inbox: local.inbox.len(),
-                });
+                };
             });
         }
     });
@@ -448,7 +515,7 @@ fn run_pes<'a, P: Port>(
     // single report; any other error fails the run by itself, first
     // come first.
     let (mut blocked, mut detail) = (Vec::new(), Vec::new());
-    for err in errors.into_inner().expect("errors lock") {
+    for err in errors.into_inner().unwrap_or_else(PoisonError::into_inner) {
         match err {
             PlatformError::Deadlock {
                 blocked: b,
@@ -463,17 +530,13 @@ fn run_pes<'a, P: Port>(
     if !blocked.is_empty() {
         return Err(PlatformError::Deadlock { blocked, detail });
     }
-    let results = results.into_inner().expect("results lock").into_iter();
-    Ok(results
-        .map(|r| r.expect("every PE thread stores a result"))
-        .collect())
+    Ok(results)
 }
 
 /// Runs `ops` once, in order. `labels` is parallel to `ops` (id 0 for
 /// everything but compute ops).
 fn run_ops<P: Port>(
     port: &mut P,
-    io: PeIo<'_>,
     ops: &mut [Op],
     labels: &[u32],
     local: &mut PeLocal,
@@ -481,11 +544,11 @@ fn run_ops<P: Port>(
     for (op, &label) in ops.iter_mut().zip(labels) {
         match op {
             Op::Compute { work, .. } => {
-                io.emit(ProbeKind::FiringBegin { label });
+                port.emit(ProbeKind::FiringBegin { label });
                 if port.compute(work, local)? == Flow::Restart {
                     return Ok(Flow::Restart);
                 }
-                io.emit(ProbeKind::FiringEnd { label });
+                port.emit(ProbeKind::FiringEnd { label });
             }
             Op::Send { channel, payload } => {
                 let data = payload(local);
@@ -531,7 +594,7 @@ impl Direct<'_> {
     // `selfloop8` the difference is 4 ns of a 106 ns iteration.
     #[inline(never)]
     fn stalling<T>(
-        &self,
+        &mut self,
         t: &dyn Tracer,
         channel: ChannelId,
         dir: BlockKind,
@@ -556,13 +619,13 @@ impl Direct<'_> {
         if res.is_err() {
             // Never resumed: keep the block edge so the trace shows
             // where the PE was stuck.
-            t.record(self.io.pe, blocked_at, stalled);
+            self.io.record_at(t, blocked_at, stalled);
             return res;
         }
         let resumed_at = t.now();
         if resumed_at.saturating_sub(blocked_at) >= STALL_RECORD_NS {
-            t.record(self.io.pe, blocked_at, stalled);
-            t.record(self.io.pe, resumed_at, resumed);
+            self.io.record_at(t, blocked_at, stalled);
+            self.io.record_at(t, resumed_at, resumed);
         }
         res
     }
@@ -595,6 +658,11 @@ impl Port for Direct<'_> {
                 .inspect(|token| self.io.moved(t, dir, channel, token, 0)),
         };
         got.map_err(|e| self.io.failed(channel, dir, &e, 0))
+    }
+
+    #[inline]
+    fn emit(&mut self, kind: ProbeKind) {
+        self.io.emit(kind);
     }
 }
 
@@ -840,6 +908,176 @@ mod tests {
                 ),
                 "{kind:?}: {err:?}"
             );
+        }
+    }
+
+    /// A `Vec`-backed [`Tracer`] that sees each PE's stream as recorded,
+    /// before any merge. Its clock is a count of its own reads
+    /// (`counting`) or nanoseconds since it was made.
+    struct Recording {
+        counting: bool,
+        epoch: std::time::Instant,
+        reads: std::sync::atomic::AtomicU64,
+        events: Mutex<Vec<crate::trace::ProbeEvent>>,
+    }
+
+    impl Recording {
+        fn new(counting: bool) -> Arc<Self> {
+            Arc::new(Recording {
+                counting,
+                epoch: std::time::Instant::now(),
+                reads: Default::default(),
+                events: Mutex::default(),
+            })
+        }
+
+        fn reads(&self) -> u64 {
+            self.reads.load(std::sync::atomic::Ordering::Relaxed)
+        }
+
+        /// PE `pe`'s events, in the order it recorded them.
+        fn stream(&self, pe: usize) -> Vec<(u64, ProbeKind)> {
+            let events = self.events.lock().unwrap();
+            (events.iter().filter(|e| e.pe == PeId(pe)))
+                .map(|e| (e.ts, e.kind))
+                .collect()
+        }
+    }
+
+    impl Tracer for Recording {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn intern(&self, _: &str) -> u32 {
+            0
+        }
+        fn record(&self, pe: PeId, ts: u64, kind: ProbeKind) {
+            let ev = crate::trace::ProbeEvent { ts, pe, kind };
+            self.events.lock().unwrap().push(ev);
+        }
+        fn now(&self) -> u64 {
+            let n = 1 + self
+                .reads
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if self.counting {
+                n
+            } else {
+                self.epoch.elapsed().as_nanos() as u64
+            }
+        }
+    }
+
+    fn non_decreasing(stream: &[(u64, ProbeKind)]) -> bool {
+        stream.windows(2).all(|w| w[0].0 <= w[1].0)
+    }
+
+    #[test]
+    fn a_traced_iteration_reads_the_clock_twice() {
+        // A `[Send, Recv, Compute]` self-loop: the `Recv` and the
+        // `FiringEnd` read the clock, the `Send` and the `FiringBegin`
+        // carry the last stamp, and the PE's first event reads it once.
+        const ITERS: u64 = 100;
+        for supervised in [false, true] {
+            let ops = vec![
+                Op::Send {
+                    channel: ChannelId(0),
+                    payload: Box::new(|l| l.iter.to_le_bytes().to_vec()),
+                },
+                Op::Recv {
+                    channel: ChannelId(0),
+                },
+                Op::Compute {
+                    label: "drain".into(),
+                    work: Box::new(|l| l.take_from(ChannelId(0)).map_or(1, |_| 0)),
+                },
+            ];
+            let tracer = Recording::new(true);
+            let mut runner = ThreadedRunner::new()
+                .transport(TransportKind::Ring)
+                .tracer(tracer.clone());
+            if supervised {
+                runner = runner.supervise(SupervisionPolicy::default());
+            }
+            let spec = ChannelSpec {
+                capacity_bytes: 64,
+                max_message_bytes: 8,
+            };
+            runner.run(&[spec], vec![Program::new(ops, ITERS)]).unwrap();
+            let stream = tracer.stream(0);
+            assert_eq!(tracer.reads(), 2 * ITERS + 1, "supervised: {supervised}");
+            assert_eq!(stream.len() as u64, 4 * ITERS, "supervised: {supervised}");
+            assert!(non_decreasing(&stream), "supervised: {supervised}");
+        }
+    }
+
+    #[test]
+    fn raw_streams_stamp_each_recv_no_earlier_than_its_send_started() {
+        // Before any merge: each PE's stamps never decrease, and the
+        // k-th `Recv` on the channel is stamped no earlier than the k-th
+        // `Send` started — at its own stamp, or at its `BlockSend`
+        // when it waited (such a `Send` carries its `UnblockSend` stamp,
+        // taken after the push). A four-message channel makes the
+        // producer wait often.
+        const MSGS: u64 = 3_000;
+        let ch = ChannelId(0);
+        let spec = ChannelSpec {
+            capacity_bytes: 16,
+            max_message_bytes: 4,
+        };
+        for kind in kinds() {
+            let producer = Program::new(
+                vec![
+                    Op::Compute {
+                        label: "make".into(),
+                        work: Box::new(|_| 0),
+                    },
+                    Op::Send {
+                        channel: ch,
+                        payload: Box::new(|l| (l.iter as u32).to_le_bytes().to_vec()),
+                    },
+                ],
+                MSGS,
+            );
+            let consumer = Program::new(
+                vec![
+                    Op::Recv { channel: ch },
+                    Op::Compute {
+                        label: "use".into(),
+                        work: Box::new(|l| l.take_from(ChannelId(0)).map_or(1, |_| 0)),
+                    },
+                ],
+                MSGS,
+            );
+            let tracer = Recording::new(false);
+            ThreadedRunner::new()
+                .transport(kind)
+                .tracer(tracer.clone())
+                .run(&[spec], vec![producer, consumer])
+                .unwrap();
+            let (tx, rx) = (tracer.stream(0), tracer.stream(1));
+            assert!(non_decreasing(&tx) && non_decreasing(&rx), "{kind:?}");
+            let mut started = Vec::new();
+            let (mut blocked_at, mut waited) = (None, 0);
+            for &(ts, kind) in &tx {
+                match kind {
+                    ProbeKind::BlockSend { .. } => blocked_at = Some(ts),
+                    ProbeKind::Send { .. } => {
+                        waited += usize::from(blocked_at.is_some());
+                        started.push(blocked_at.take().unwrap_or(ts));
+                    }
+                    _ => {}
+                }
+            }
+            let received = rx
+                .iter()
+                .filter(|(_, k)| matches!(k, ProbeKind::Recv { .. }));
+            let received: Vec<u64> = received.map(|&(ts, _)| ts).collect();
+            assert_eq!(
+                (started.len(), received.len()),
+                (MSGS as usize, MSGS as usize)
+            );
+            let early = (started.iter().zip(&received)).position(|(sent, got)| got < sent);
+            assert_eq!(early, None, "{kind:?}: {waited} sends waited");
         }
     }
 

@@ -48,6 +48,8 @@
 //! holds those events against the declared budgets (diagnostics
 //! SPI090, SPI092–SPI094).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -189,12 +191,12 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let mut c: u64 = 0xFFFF_FFFF;
-    let mut chunks = bytes.chunks_exact(8);
-    for ch in &mut chunks {
-        c = _mm_crc32_u64(c, u64::from_le_bytes(ch.try_into().expect("8 bytes")));
+    let (words, tail) = bytes.as_chunks::<8>();
+    for &w in words {
+        c = _mm_crc32_u64(c, u64::from_le_bytes(w));
     }
     let mut c = c as u32;
-    for &b in chunks.remainder() {
+    for &b in tail {
         c = _mm_crc32_u8(c, b);
     }
     !c
@@ -204,12 +206,15 @@ unsafe fn crc32c_hw(bytes: &[u8]) -> u32 {
 fn crc32_sw(bytes: &[u8]) -> u32 {
     let t = crc_tables();
     let mut c = !0u32;
-    let mut blocks = bytes.chunks_exact(16);
-    for b in &mut blocks {
-        let w0 = u32::from_le_bytes(b[0..4].try_into().expect("4 bytes")) ^ c;
-        let w1 = u32::from_le_bytes(b[4..8].try_into().expect("4 bytes"));
-        let w2 = u32::from_le_bytes(b[8..12].try_into().expect("4 bytes"));
-        let w3 = u32::from_le_bytes(b[12..16].try_into().expect("4 bytes"));
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for &b in blocks {
+        let b = u128::from_le_bytes(b);
+        let (w0, w1, w2, w3) = (
+            b as u32 ^ c,
+            (b >> 32) as u32,
+            (b >> 64) as u32,
+            (b >> 96) as u32,
+        );
         c = t[15][(w0 & 0xFF) as usize]
             ^ t[14][((w0 >> 8) & 0xFF) as usize]
             ^ t[13][((w0 >> 16) & 0xFF) as usize]
@@ -227,7 +232,7 @@ fn crc32_sw(bytes: &[u8]) -> u32 {
             ^ t[1][((w3 >> 16) & 0xFF) as usize]
             ^ t[0][(w3 >> 24) as usize];
     }
-    for &b in blocks.remainder() {
+    for &b in tail {
         c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
@@ -256,12 +261,11 @@ pub fn encode_frame_into(frame: &mut Vec<u8>, seq: u32, payload: &[u8]) {
 
 /// Splits and verifies a supervision frame, returning `(seq, payload)`.
 pub fn decode_frame(frame: &[u8]) -> std::result::Result<(u32, &[u8]), FrameError> {
-    if frame.len() < FRAME_HEADER_BYTES {
+    let Some((&header, payload)) = frame.split_first_chunk::<FRAME_HEADER_BYTES>() else {
         return Err(FrameError::Truncated);
-    }
-    let seq = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-    let payload = &frame[FRAME_HEADER_BYTES..];
+    };
+    let header = u64::from_le_bytes(header);
+    let (seq, crc) = (header as u32, (header >> 32) as u32);
     if crc32(payload) != crc {
         return Err(FrameError::BadCrc);
     }
@@ -584,9 +588,9 @@ impl<'a> Supervised<'a> {
             rx: RecvSide::new(policy.max_retries),
         };
         Supervised {
+            chans: io.specs.iter().map(chan).collect(),
             io,
             policy,
-            chans: io.specs.iter().map(chan).collect(),
             frame_buf: Vec::new(),
         }
     }
@@ -664,43 +668,47 @@ impl Port for Supervised<'_> {
         sent
     }
 
+    fn emit(&mut self, kind: ProbeKind) {
+        self.io.emit(kind);
+    }
+
     fn recv(&mut self, ch: ChannelId) -> Result<Token> {
-        let io = self.io;
-        let deadline = self.policy.op_deadline;
+        let (ep, deadline) = (&self.io.endpoints[ch.0], self.policy.op_deadline);
         let failing_since = Cell::new(None);
-        let note = |n: Note| {
-            if n == Note::Corrupt {
-                failed_at(&failing_since, None);
-            }
-            io.emit(match n {
-                Note::Retry(attempt) => ProbeKind::FaultRetry {
-                    channel: ch,
-                    attempt,
-                },
-                Note::Corrupt => ProbeKind::FaultCorrupt { channel: ch },
-            })
-        };
         loop {
+            let io = &mut self.io;
+            let note = |n: Note| {
+                if n == Note::Corrupt {
+                    failed_at(&failing_since, None);
+                }
+                io.emit(match n {
+                    Note::Retry(attempt) => ProbeKind::FaultRetry {
+                        channel: ch,
+                        attempt,
+                    },
+                    Note::Corrupt => ProbeKind::FaultCorrupt { channel: ch },
+                })
+            };
             let rx = &mut self.chans[ch.0].rx;
-            let verdict = match io.endpoints[ch.0].recv_token(deadline) {
+            let verdict = match ep.recv_token(deadline) {
                 Ok(frame) => rx.frame(frame, note),
                 Err(TransportError::Timeout { .. }) => {
                     failed_at(&failing_since, Some(deadline));
                     rx.timeout(note)
                 }
-                Err(e) => return Err(io.failed(ch, BlockKind::Recv, &e, 0)),
+                Err(e) => return Err(self.io.failed(ch, BlockKind::Recv, &e, 0)),
             };
             match verdict {
                 RecvVerdict::Deliver(token) => {
-                    if let Some(t) = io.probe {
-                        io.moved(t, BlockKind::Recv, ch, &token, FRAME_HEADER_BYTES);
+                    if let Some(t) = self.io.probe {
+                        (self.io).moved(t, BlockKind::Recv, ch, &token, FRAME_HEADER_BYTES);
                     }
                     return Ok(token);
                 }
                 RecvVerdict::Read => {}
                 RecvVerdict::Lost(missing) => {
                     return Err(PlatformError::TokensLost {
-                        pe: io.pe,
+                        pe: self.io.pe,
                         channel: ch,
                         missing,
                     })
@@ -807,12 +815,14 @@ impl Port for Checkpointed<'_> {
             });
         }
         self.restarts += 1;
-        self.port
-            .io
-            .emit(ProbeKind::FaultRestart { iter: local.iter });
+        self.port.emit(ProbeKind::FaultRestart { iter: local.iter });
         local.copy_from(&self.saved);
         (self.cursor, self.skip) = (0, self.sent);
         Ok(Flow::Restart)
+    }
+
+    fn emit(&mut self, kind: ProbeKind) {
+        self.port.emit(kind);
     }
 }
 

@@ -20,7 +20,14 @@
 //! DES stamps events with its **simulation cycle**, the threaded runner
 //! with **monotonic nanoseconds** since the tracer's epoch
 //! ([`Tracer::now`]). Trace consumers learn which from the trace
-//! metadata.
+//! metadata. Both engines stamp a [`ProbeKind::Send`] and a
+//! [`ProbeKind::FiringBegin`] with the moment the PE started the op: the
+//! DES at its current cycle, the runner with the stamp of the PE's last
+//! event, so it reads the clock only where something finished or a wait
+//! changed (`crate::runner`'s module docs). Each PE's stream is
+//! therefore non-decreasing.
+
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::sim::{ChannelId, PeId};
 
@@ -32,7 +39,9 @@ use crate::sim::{ChannelId, PeId};
 pub enum ProbeKind {
     /// An actor firing (compute op) started. `label` is an id interned
     /// via [`Tracer::intern`] (firing labels are static per program, so
-    /// emitters intern once, outside the iteration loop).
+    /// emitters intern once, outside the iteration loop). Stamped when
+    /// the PE started the firing: in the threaded runner, with the stamp
+    /// of the PE's previous event.
     FiringBegin {
         /// Interned compute label.
         label: u32,
@@ -42,7 +51,11 @@ pub enum ProbeKind {
         /// Interned compute label.
         label: u32,
     },
-    /// A message was committed into a channel.
+    /// A message was committed into a channel. Stamped when the PE
+    /// started the op: in the threaded runner, with the stamp of the PE's
+    /// previous event, which precedes the push — or, when the send
+    /// recorded a wait, with its [`ProbeKind::UnblockSend`]'s, which
+    /// follows it.
     Send {
         /// Destination channel.
         channel: ChannelId,
@@ -52,14 +65,14 @@ pub enum ProbeKind {
         /// per-edge FIFO order and cross-engine agreement without
         /// storing bytes.
         digest: u64,
-        /// Channel occupancy in bytes observed just after the send
+        /// Channel occupancy in bytes observed just after the push
         /// (exact in the DES; a racy-but-conservative snapshot from
         /// [`crate::Transport::len_bytes`] in the threaded runner).
         occ_bytes: u32,
-        /// Channel occupancy in messages observed just after the send.
+        /// Channel occupancy in messages observed just after the push.
         occ_msgs: u32,
     },
-    /// A message was taken out of a channel.
+    /// A message was taken out of a channel. Stamped after the take.
     Recv {
         /// Source channel.
         channel: ChannelId,
@@ -244,12 +257,12 @@ pub fn payload_digest(bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |chunk: &[u8]| {
-        let mut words = chunk.chunks_exact(8);
-        for w in &mut words {
-            h ^= u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+        let (words, tail) = chunk.as_chunks::<8>();
+        for &w in words {
+            h ^= u64::from_le_bytes(w);
             h = h.wrapping_mul(PRIME);
         }
-        for &b in words.remainder() {
+        for &b in tail {
             h ^= u64::from(b);
             h = h.wrapping_mul(PRIME);
         }

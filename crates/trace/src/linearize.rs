@@ -2,10 +2,14 @@
 //! trace.
 //!
 //! A PE is one thread, so its own probe order is its operation order —
-//! the only interleaving a capture certifies. Across PEs, timestamps
-//! are not causal order: a `Send` probe is stamped after the push, so a
-//! receiver that pops first can stamp its `Recv` earlier, and a merged
-//! multi-process capture adds clock-offset error on top. The merge here
+//! the only interleaving a capture certifies. In one process the raw
+//! stamps already order most `Recv`s after their `Send`s: the threaded
+//! runner stamps a `Send` when the walk started it, before the push, and
+//! a `Recv` after the take. What timestamps alone do not order is a
+//! `Send` that recorded a wait (it carries its `UnblockSend` stamp,
+//! taken after the push), a merged multi-process capture (clock-offset
+//! error), and the eq. (2) window (a send is stamped when started, which
+//! can precede the receive that freed its slot). The merge here
 //! therefore emits events under the happens-before constraints of the
 //! paper's synchronization graph `G_s`:
 //!
