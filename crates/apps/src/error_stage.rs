@@ -18,13 +18,14 @@ use std::sync::{Arc, Mutex};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
-use spi_dsp::lpc::{cost, prediction_error_range};
+use spi_dsp::fft::autocorrelation_into;
+use spi_dsp::lpc::{cost, prediction_errors};
 use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::speech::{autocorr_via_fft, solve_normal_equations, synth_frame};
-use crate::util::{f64s_from_bytes, f64s_to_bytes};
+use crate::speech::{solve_normal_equations_into, synth_frame_into};
+use crate::util::{f64s, f64s_to_bytes, put_f64s};
 
 /// Configuration of the error-stage subsystem.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,12 +79,44 @@ pub struct ErrorStageApp {
 }
 
 /// What the I/O processor derives from one input frame before it sends
-/// anything (figure 3): the samples and their predictor coefficients.
+/// anything (figure 3): the samples and their predictor coefficients,
+/// refilled in place frame after frame.
 struct Analysis {
     iter: u64,
     order: usize,
     frame: Vec<f64>,
     coeffs: Vec<f64>,
+    /// Autocorrelation lags, then the normal equations' LU factors.
+    lags: Vec<f64>,
+    lu: (Vec<f64>, Vec<usize>),
+}
+
+impl Analysis {
+    /// Buffers sized for the longest frame and the highest order `cfg`
+    /// declares, so that no refill grows them.
+    fn new(cfg: ErrorStageConfig) -> Self {
+        let order = cfg.order;
+        Analysis {
+            iter: 0,
+            order: 0,
+            frame: Vec::with_capacity(cfg.frame.max(order * 4 + cfg.n_pes)),
+            coeffs: Vec::with_capacity(order),
+            lags: Vec::with_capacity(order + 1),
+            lu: (Vec::with_capacity(order * order), Vec::with_capacity(order)),
+        }
+    }
+
+    /// The I/O-side analysis of iteration `iter`'s frame (actors A, B
+    /// and C of figure 2, which this subsystem keeps on the I/O
+    /// processor).
+    fn refill(&mut self, cfg: ErrorStageConfig, iter: u64) {
+        let (frame_len, order) = dims(cfg, iter);
+        synth_frame_into(cfg.seed, iter, frame_len, &mut self.frame);
+        autocorrelation_into(&self.frame, order, &mut self.lags);
+        solve_normal_equations_into(&self.lags, order, &mut self.lu, &mut self.coeffs);
+        self.iter = iter;
+        self.order = order;
+    }
 }
 
 impl ErrorStageApp {
@@ -103,7 +136,7 @@ impl ErrorStageApp {
             )));
         }
         let n = config.n_pes;
-        let bytes_section = ((config.frame / n + config.order + 1) * 8) as u32;
+        let bytes_section = (section_len(config) * 8) as u32;
         let bytes_coeff = (config.order * 8 + 8) as u32;
         let bytes_errors = ((config.frame / n + 1) * 8) as u32;
 
@@ -188,6 +221,8 @@ impl ErrorStageApp {
         // The frame analysis, shared by the n io_send actors: whichever
         // fires first in an iteration computes it. Keyed by iteration,
         // so a replayed firing finds the values it saw the first time.
+        // Its buffers are sized by the first firing, not by the build,
+        // which then allocates what it did before they existed.
         let analysis: Arc<Mutex<Option<Analysis>>> = Arc::new(Mutex::new(None));
 
         for i in 0..n {
@@ -209,7 +244,9 @@ impl ErrorStageApp {
                     Some(current) if current.iter == ctx.iter => current,
                     stale => {
                         analyses.fetch_add(1, Ordering::Relaxed);
-                        stale.insert(analyse(cfg, ctx.iter))
+                        let analysis = stale.get_or_insert_with(|| Analysis::new(cfg));
+                        analysis.refill(cfg, ctx.iter);
+                        analysis
                     }
                 };
                 let start = i * frame.len() / n;
@@ -218,22 +255,38 @@ impl ErrorStageApp {
                 ctx.set_output(sec, f64s_to_bytes(&frame[hist_start..end]));
                 let mut payload = Vec::with_capacity(8 + coeffs.len() * 8);
                 payload.extend((*order as u64).to_le_bytes());
-                payload.extend(f64s_to_bytes(coeffs));
+                put_f64s(&mut payload, coeffs.iter().copied());
                 ctx.set_output(coe, payload);
                 cost::read_cycles(end - hist_start)
             });
             builder.actor_resources(self.io_send[i], components::io_interface());
 
             // ----- D_i: the hardware error generator ---------------------
+            // Section and coefficients are decoded into buffers the
+            // actor keeps, sized for its edges' bounds by its first
+            // firing, and the errors are written straight into the
+            // output bytes.
+            let mut scratch = None;
             builder.actor(self.d_error[i], move |ctx: &mut Firing| {
-                let section = f64s_from_bytes(ctx.input(sec));
-                let raw = ctx.input(coe);
-                let order = u64::from_le_bytes(raw[..8].try_into().expect("order header")) as usize;
-                let coeffs = f64s_from_bytes(&raw[8..]);
+                let (section, coeffs) = scratch.get_or_insert_with(|| {
+                    (
+                        Vec::with_capacity(section_len(cfg)),
+                        Vec::with_capacity(cfg.order),
+                    )
+                });
+                section.clear();
+                section.extend(f64s(ctx.input(sec)));
+                let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
+                let order = u64::from_le_bytes(*order) as usize;
+                coeffs.clear();
+                coeffs.extend(f64s(raw));
                 let hist = if i == 0 { 0 } else { order.min(section.len()) };
-                let errors = prediction_error_range(&section, &coeffs, hist, section.len());
-                ctx.set_output(err, f64s_to_bytes(&errors));
-                cost::error_cycles(errors.len(), order)
+                let errors = prediction_errors(section, coeffs, hist, section.len());
+                let count = errors.len();
+                let mut bytes = Vec::with_capacity(8 * count);
+                put_f64s(&mut bytes, errors);
+                ctx.set_output(err, bytes);
+                cost::error_cycles(count, order)
             });
             builder.actor_resources(
                 self.d_error[i],
@@ -244,8 +297,9 @@ impl ErrorStageApp {
             let acc = Arc::clone(&frame_acc);
             let out = Arc::clone(&self.residual_energy);
             builder.actor(self.io_recv[i], move |ctx: &mut Firing| {
-                let errors = f64s_from_bytes(ctx.input(err));
-                let energy: f64 = errors.iter().map(|e| e * e).sum();
+                let errors = f64s(ctx.input(err));
+                let count = errors.len();
+                let energy: f64 = errors.map(|e| e * e).sum();
                 let mut a = acc.lock().expect("frame accumulator");
                 if a.0 != ctx.iter {
                     *a = (ctx.iter, 0.0, 0);
@@ -255,7 +309,7 @@ impl ErrorStageApp {
                 if a.2 == n {
                     out.lock().expect("residuals").push(a.1);
                 }
-                cost::read_cycles(errors.len())
+                cost::read_cycles(count)
             });
         }
     }
@@ -266,18 +320,10 @@ impl ErrorStageApp {
     }
 }
 
-/// The I/O-side analysis of iteration `iter`'s frame (actors A, B and C
-/// of figure 2, which this subsystem keeps on the I/O processor).
-fn analyse(cfg: ErrorStageConfig, iter: u64) -> Analysis {
-    let (frame_len, order) = dims(cfg, iter);
-    let frame = synth_frame(cfg.seed, iter, frame_len);
-    let coeffs = solve_normal_equations(&autocorr_via_fft(&frame, order), order);
-    Analysis {
-        iter,
-        order,
-        frame,
-        coeffs,
-    }
+/// The most samples a frame section holds: a PE's share of the longest
+/// frame plus `order` samples of history.
+fn section_len(cfg: ErrorStageConfig) -> usize {
+    cfg.frame / cfg.n_pes + cfg.order + 1
 }
 
 /// Run-time frame length and order for an iteration.
@@ -296,10 +342,12 @@ fn dims(cfg: ErrorStageConfig, iter: u64) -> (usize, usize) {
 mod tests {
     use std::time::Duration;
 
+    use spi_dsp::lpc::prediction_error_range;
     use spi_fault::{FaultKind, FaultPlan};
     use spi_platform::{Op, SupervisionPolicy, ThreadedRunner, TransportKind};
 
     use super::*;
+    use crate::speech::{autocorr_via_fft, solve_normal_equations, synth_frame};
 
     /// Application 1 as the benchmark runs it: 512-sample frames, order
     /// 10, both varying at run time.

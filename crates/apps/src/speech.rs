@@ -13,13 +13,13 @@
 //! situation of §5.2. Processor 0 hosts A/B/C/E (the I/O + front-end
 //! side); processors 1..=n each host one error-generation PE.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
 use spi_dsp::fft::fft_cycles;
 use spi_dsp::huffman::{huffman_cycles, HuffmanCode};
-use spi_dsp::lpc::{cost, lu_decompose, lu_solve, prediction_error_range, Quantizer};
+use spi_dsp::lpc::{cost, lu_decompose_into, lu_solve_into, prediction_error_range, Quantizer};
 use spi_platform::components;
 use spi_sched::ProcId;
 
@@ -361,23 +361,52 @@ impl SpeechApp {
     }
 }
 
+/// Largest phase offset of a frame: `(iter % 16)·31`.
+const MAX_SHIFT: usize = 15 * 31;
+
+/// The tones of every phase a frame of at most `2^k` samples reaches,
+/// `sin(0.11·ph) + 0.5·sin(0.037·ph)` for `ph < MAX_SHIFT + 2^k`, one
+/// slot per `k`, built by whichever caller gets there first.
+static TONES: [OnceLock<Box<[f64]>>; usize::BITS as usize] =
+    [const { OnceLock::new() }; usize::BITS as usize];
+
+fn tones(len: usize) -> &'static [f64] {
+    let k = len.next_power_of_two().trailing_zeros() as usize;
+    TONES[k].get_or_init(|| {
+        (0..MAX_SHIFT + (1 << k))
+            .map(|ph| {
+                let ph = ph as f64;
+                (ph * 0.11).sin() + 0.5 * (ph * 0.037).sin()
+            })
+            .collect()
+    })
+}
+
 /// Deterministic synthetic "speech": a few sinusoids + AR(1) noise.
 pub fn synth_frame(seed: u64, iter: u64, len: usize) -> Vec<f64> {
+    let mut frame = Vec::new();
+    synth_frame_into(seed, iter, len, &mut frame);
+    frame
+}
+
+/// [`synth_frame`] into `out`, which is cleared first. The phase of
+/// sample `t` is the integer `t + (iter % 16)·31`, so its tones are
+/// read from a table; the noise is drawn per sample.
+pub fn synth_frame_into(seed: u64, iter: u64, len: usize, out: &mut Vec<f64>) {
     let mut state = seed
         .wrapping_mul(6364136223846793005)
         .wrapping_add(iter.wrapping_mul(1442695040888963407));
     let mut noise_prev = 0.0;
-    (0..len)
-        .map(|t| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let u = ((state >> 11) as f64) / ((1u64 << 53) as f64) - 0.5;
-            noise_prev = 0.7 * noise_prev + 0.3 * u;
-            let ph = t as f64 + (iter % 16) as f64 * 31.0;
-            (ph * 0.11).sin() + 0.5 * (ph * 0.037).sin() + 0.25 * noise_prev
-        })
-        .collect()
+    let shift = (iter % 16) as usize * 31;
+    out.clear();
+    out.extend(tones(len)[shift..shift + len].iter().map(|&tone| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let u = ((state >> 11) as f64) / ((1u64 << 53) as f64) - 0.5;
+        noise_prev = 0.7 * noise_prev + 0.3 * u;
+        tone + 0.25 * noise_prev
+    }));
 }
 
 /// Autocorrelation lags `0..=order` via the FFT power-spectrum method
@@ -390,20 +419,36 @@ pub fn autocorr_via_fft(frame: &[f64], order: usize) -> Vec<f64> {
 /// (Toeplitz system via LU, as the paper's actor C does). Falls back to
 /// zero coefficients on singular systems (silent frames).
 pub fn solve_normal_equations(r: &[f64], order: usize) -> Vec<f64> {
+    let mut coeffs = Vec::new();
+    solve_normal_equations_into(r, order, &mut (Vec::new(), Vec::new()), &mut coeffs);
+    coeffs
+}
+
+/// [`solve_normal_equations`] into `coeffs`, with the matrix and its
+/// row permutation kept in `lu` between calls.
+pub fn solve_normal_equations_into(
+    r: &[f64],
+    order: usize,
+    lu: &mut (Vec<f64>, Vec<usize>),
+    coeffs: &mut Vec<f64>,
+) {
     let m = order.min(r.len().saturating_sub(1));
+    coeffs.clear();
     if m == 0 {
-        return Vec::new();
+        return;
     }
-    let mut matrix = vec![0.0; m * m];
+    let (matrix, perm) = lu;
+    matrix.clear();
+    matrix.resize(m * m, 0.0);
     for i in 0..m {
         for j in 0..m {
             matrix[i * m + j] = r[i.abs_diff(j)];
         }
         matrix[i * m + i] += 1e-9 * (r[0].abs() + 1.0);
     }
-    match lu_decompose(&mut matrix, m) {
-        Ok(perm) => lu_solve(&matrix, m, &perm, &r[1..=m]),
-        Err(_) => vec![0.0; m],
+    match lu_decompose_into(matrix, m, perm) {
+        Ok(()) => lu_solve_into(matrix, m, perm, &r[1..=m], coeffs),
+        Err(_) => coeffs.resize(m, 0.0),
     }
 }
 
@@ -438,6 +483,87 @@ mod tests {
             ..Default::default()
         })
         .is_err());
+    }
+
+    /// The closed form the tone table stands for: both sines computed
+    /// per sample.
+    fn synth_frame_untabled(seed: u64, iter: u64, len: usize) -> Vec<f64> {
+        let mut state = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(iter.wrapping_mul(1442695040888963407));
+        let mut noise_prev = 0.0;
+        (0..len)
+            .map(|t| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let u = ((state >> 11) as f64) / ((1u64 << 53) as f64) - 0.5;
+                noise_prev = 0.7 * noise_prev + 0.3 * u;
+                let ph = t as f64 + (iter % 16) as f64 * 31.0;
+                (ph * 0.11).sin() + 0.5 * (ph * 0.037).sin() + 0.25 * noise_prev
+            })
+            .collect()
+    }
+
+    fn assert_bit_identical(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (t, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}, sample {t}: {g} vs {w}");
+        }
+    }
+
+    #[test]
+    fn tabled_tones_are_bit_identical_to_the_closed_form() {
+        // Every phase `iter % 16` at every length 0..=2048: a length
+        // reads the table of its size class, and a shorter frame is a
+        // prefix of a longer one of the same seed and iteration, so each
+        // length is held to a prefix of one untabled frame.
+        let mut frame = Vec::new();
+        for iter in 16..32 {
+            let want = synth_frame_untabled(7, iter, 2048);
+            for len in 0..=2048 {
+                synth_frame_into(7, iter, len, &mut frame);
+                assert_bit_identical(&frame, &want[..len], &format!("iter {iter}, len {len}"));
+            }
+        }
+        // Seeds other than the first, lengths either side of a class
+        // boundary.
+        for seed in [0, 3, u64::MAX] {
+            for len in [1, 255, 256, 257, 511, 512, 513, 1023, 1024, 1025] {
+                let iter = seed.wrapping_add(len as u64);
+                let what = format!("seed {seed}, iter {iter}, len {len}");
+                let want = synth_frame_untabled(seed, iter, len);
+                assert_bit_identical(&synth_frame(seed, iter, len), &want, &what);
+            }
+        }
+        // Three samples as the untabled code produced them.
+        assert_eq!(synth_frame(7, 0, 256)[0].to_bits(), 0x3fa0_9865_fd26_bffd);
+        assert_eq!(
+            synth_frame(5, 13, 512)[300].to_bits(),
+            0x3ff5_7a15_ad1e_7812
+        );
+        assert_eq!(
+            synth_frame(9, 47, 2048)[2047].to_bits(),
+            0xbfe3_ecf8_c220_1a7e
+        );
+    }
+
+    #[test]
+    fn tone_table_built_by_two_threads_at_once_is_the_closed_form() {
+        // 2¹²-sample frames are this test's own size class: both threads
+        // race to build its table, and whoever loses reads the winner's.
+        let len = 3000;
+        let barrier = std::sync::Barrier::new(2);
+        let run = |iter| {
+            barrier.wait();
+            synth_frame(11, iter, len)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let other = s.spawn(|| run(4));
+            (run(5), other.join().expect("synthesis thread"))
+        });
+        assert_bit_identical(&a, &synth_frame_untabled(11, 5, len), "thread one");
+        assert_bit_identical(&b, &synth_frame_untabled(11, 4, len), "thread two");
     }
 
     #[test]

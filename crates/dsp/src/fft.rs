@@ -140,12 +140,20 @@ pub fn ifft(data: &mut [Complex]) -> Result<(), FftError> {
 
 fn transform(data: &mut [Complex], inverse: bool) -> Result<(), FftError> {
     let n = data.len();
+    if n > 1 && !n.is_power_of_two() {
+        return Err(FftError::NotPowerOfTwo { len: n });
+    }
+    butterflies(data, inverse);
+    Ok(())
+}
+
+/// The transform proper, of a length that is a power of two or at most
+/// one.
+fn butterflies(data: &mut [Complex], inverse: bool) {
+    let n = data.len();
     if n <= 1 {
         // Zero- and one-point transforms are identities.
-        return Ok(());
-    }
-    if !n.is_power_of_two() {
-        return Err(FftError::NotPowerOfTwo { len: n });
+        return;
     }
     let plan = plan(n);
     for (i, &j) in plan.rev.iter().enumerate() {
@@ -165,12 +173,11 @@ fn transform(data: &mut [Complex], inverse: bool) -> Result<(), FftError> {
         }
         half *= 2;
     }
-    Ok(())
 }
 
 thread_local! {
     /// The real-input path's packed half-size buffer and power spectrum,
-    /// kept per thread so a frame analysis allocates only its result.
+    /// kept per thread so a frame analysis allocates at most its result.
     static SCRATCH: RefCell<(Vec<Complex>, Vec<f64>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -196,7 +203,8 @@ fn real_forward(
             slot.im = x;
         }
     });
-    transform(z, false).expect("half of a power of two ≥ 2");
+    // Callers pass a power of two n ≥ 2, so n/2 is a power of two.
+    butterflies(z, false);
     let w = &plan(n).twiddles[m..];
     move |k| {
         if k % m == 0 {
@@ -242,19 +250,26 @@ pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>, FftError> {
 /// correlation is the linear one, then its inverse transform at the
 /// kept lags.
 pub fn autocorrelation(frame: &[f64], max_lag: usize) -> Vec<f64> {
+    let mut lags = Vec::new();
+    autocorrelation_into(frame, max_lag, &mut lags);
+    lags
+}
+
+/// [`autocorrelation`] into `lags`, which is cleared first.
+pub fn autocorrelation_into(frame: &[f64], max_lag: usize, lags: &mut Vec<f64>) {
+    lags.clear();
     if frame.len() <= 1 {
-        return vec![frame.first().map_or(0.0, |x| x * x)];
+        lags.push(frame.first().map_or(0.0, |x| x * x));
+        return;
     }
     let n = (2 * frame.len()).next_power_of_two();
-    let lags = max_lag.min(frame.len() - 1) + 1;
+    let count = max_lag.min(frame.len() - 1) + 1;
     SCRATCH.with_borrow_mut(|(z, power)| {
         let bin = real_forward(frame.iter().copied(), n, z);
         power.clear();
         power.extend((0..=n / 2).map(|k| bin(k).norm_sqr()));
-        (0..lags)
-            .map(|lag| inverse_at_lag(power, lag) / n as f64)
-            .collect()
-    })
+        lags.extend((0..count).map(|lag| inverse_at_lag(power, lag) / n as f64));
+    });
 }
 
 /// `Σ P[k]·cos(2πk·lag/n)` over all `n ≥ 4` bins of a real signal's

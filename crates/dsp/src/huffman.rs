@@ -73,16 +73,6 @@ impl HuffmanCode {
     ///
     /// [`HuffmanError::EmptyInput`] if `freq` is empty.
     pub fn from_frequencies(freq: &HashMap<u16, u64>) -> Result<Self, HuffmanError> {
-        if freq.is_empty() {
-            return Err(HuffmanError::EmptyInput);
-        }
-        // Degenerate single-symbol alphabet: one 1-bit code.
-        if freq.len() == 1 {
-            let &s = freq.keys().next().expect("nonempty");
-            let lengths = vec![(s, 1u8)];
-            return Ok(Self::canonicalize(lengths));
-        }
-
         // Tree build: heap of (weight, tiebreak, node).
         #[derive(Debug)]
         enum Node {
@@ -98,17 +88,20 @@ impl HuffmanCode {
             heap.push(Reverse((w, tie as u64, arena.len() - 1)));
         }
         let mut tie = entries.len() as u64;
-        while heap.len() > 1 {
-            let Reverse((w1, _, i1)) = heap.pop().expect("len>1");
-            let Reverse((w2, _, i2)) = heap.pop().expect("len>1");
-            // Move children out of the arena via placeholder swap.
-            let left = std::mem::replace(&mut arena[i1], Node::Leaf(0));
-            let right = std::mem::replace(&mut arena[i2], Node::Leaf(0));
-            arena.push(Node::Internal(Box::new(left), Box::new(right)));
-            heap.push(Reverse((w1 + w2, tie, arena.len() - 1)));
-            tie += 1;
-        }
-        let Reverse((_, _, root)) = heap.pop().expect("one root");
+        let root = loop {
+            match (heap.pop(), heap.pop()) {
+                (Some(Reverse((w1, _, i1))), Some(Reverse((w2, _, i2)))) => {
+                    // Move children out of the arena via placeholder swap.
+                    let left = std::mem::replace(&mut arena[i1], Node::Leaf(0));
+                    let right = std::mem::replace(&mut arena[i2], Node::Leaf(0));
+                    arena.push(Node::Internal(Box::new(left), Box::new(right)));
+                    heap.push(Reverse((w1 + w2, tie, arena.len() - 1)));
+                    tie += 1;
+                }
+                (Some(Reverse((_, _, root))), None) => break root,
+                (None, _) => return Err(HuffmanError::EmptyInput),
+            }
+        };
 
         // Collect code lengths.
         let mut lengths: Vec<(u16, u8)> = Vec::new();

@@ -63,15 +63,30 @@ pub fn autocorrelation(frame: &[f64], order: usize) -> Vec<f64> {
 ///
 /// [`LpcError::SingularMatrix`] if a pivot column is all (near-)zeros.
 pub fn lu_decompose(a: &mut [f64], n: usize) -> Result<Vec<usize>, LpcError> {
+    let mut perm = Vec::new();
+    lu_decompose_into(a, n, &mut perm).map(|()| perm)
+}
+
+/// [`lu_decompose`] with the row permutation written into `perm`.
+///
+/// # Errors
+///
+/// As [`lu_decompose`]; a NaN chosen as the pivot reads as singular.
+pub fn lu_decompose_into(a: &mut [f64], n: usize, perm: &mut Vec<usize>) -> Result<(), LpcError> {
     assert_eq!(a.len(), n * n, "matrix must be n*n");
-    let mut perm: Vec<usize> = (0..n).collect();
+    perm.clear();
+    perm.extend(0..n);
     for col in 0..n {
-        // Partial pivot.
-        let (pivot_row, pivot_val) = (col..n)
-            .map(|r| (r, a[r * n + col].abs()))
-            .max_by(|x, y| x.1.partial_cmp(&y.1).expect("no NaN pivots"))
-            .expect("nonempty column");
-        if pivot_val < 1e-12 {
+        // Partial pivot: the last row holding the column's largest
+        // magnitude.
+        let mut pivot_row = col;
+        for r in col + 1..n {
+            if a[r * n + col].abs() >= a[pivot_row * n + col].abs() {
+                pivot_row = r;
+            }
+        }
+        let pivot_val = a[pivot_row * n + col].abs();
+        if pivot_val.is_nan() || pivot_val < 1e-12 {
             return Err(LpcError::SingularMatrix { column: col });
         }
         if pivot_row != col {
@@ -88,31 +103,38 @@ pub fn lu_decompose(a: &mut [f64], n: usize) -> Result<Vec<usize>, LpcError> {
             }
         }
     }
-    Ok(perm)
+    Ok(())
 }
 
 /// Solves `A x = b` given the in-place LU factors and permutation from
 /// [`lu_decompose`].
 pub fn lu_solve(lu: &[f64], n: usize, perm: &[usize], b: &[f64]) -> Vec<f64> {
+    let mut x = Vec::new();
+    lu_solve_into(lu, n, perm, b, &mut x);
+    x
+}
+
+/// [`lu_solve`] into `x`, which is cleared first; the forward pass's
+/// intermediate vector lives in `x` until the back pass overwrites it.
+pub fn lu_solve_into(lu: &[f64], n: usize, perm: &[usize], b: &[f64], x: &mut Vec<f64>) {
+    x.clear();
+    x.resize(n, 0.0);
     // Forward substitution on permuted b.
-    let mut y = vec![0.0; n];
     for i in 0..n {
         let mut acc = b[perm[i]];
         for j in 0..i {
-            acc -= lu[i * n + j] * y[j];
+            acc -= lu[i * n + j] * x[j];
         }
-        y[i] = acc;
+        x[i] = acc;
     }
     // Back substitution.
-    let mut x = vec![0.0; n];
     for i in (0..n).rev() {
-        let mut acc = y[i];
+        let mut acc = x[i];
         for j in (i + 1)..n {
             acc -= lu[i * n + j] * x[j];
         }
         x[i] = acc / lu[i * n + i];
     }
-    x
 }
 
 /// Predictor coefficients of `frame` at the given model order, via the
@@ -173,16 +195,25 @@ pub fn prediction_error(frame: &[f64], coeffs: &[f64]) -> Vec<f64> {
 /// sections). The PE still needs `coeffs.len()` samples of history before
 /// `start`, which the caller supplies by sending an overlapping section.
 pub fn prediction_error_range(frame: &[f64], coeffs: &[f64], start: usize, end: usize) -> Vec<f64> {
-    (start..end.min(frame.len()))
-        .map(|t| {
-            let predicted: f64 = coeffs
-                .iter()
-                .enumerate()
-                .map(|(k, &a)| if t > k { a * frame[t - k - 1] } else { 0.0 })
-                .sum();
-            frame[t] - predicted
-        })
-        .collect()
+    prediction_errors(frame, coeffs, start, end).collect()
+}
+
+/// The samples of [`prediction_error_range`], one at a time, for a
+/// caller that writes them somewhere other than a fresh `Vec`.
+pub fn prediction_errors<'a>(
+    frame: &'a [f64],
+    coeffs: &'a [f64],
+    start: usize,
+    end: usize,
+) -> impl ExactSizeIterator<Item = f64> + 'a {
+    (start..end.min(frame.len())).map(move |t| {
+        let predicted: f64 = coeffs
+            .iter()
+            .enumerate()
+            .map(|(k, &a)| if t > k { a * frame[t - k - 1] } else { 0.0 })
+            .sum();
+        frame[t] - predicted
+    })
 }
 
 /// LPC synthesis: reconstructs the signal from a (possibly quantized)

@@ -244,7 +244,7 @@ pub fn allocate_counts(partial_sums: &[f64], total_count: usize) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         let fa = exact[a] - exact[a].floor();
         let fb = exact[b] - exact[b].floor();
-        fb.partial_cmp(&fa).expect("no NaN").then(a.cmp(&b))
+        fb.total_cmp(&fa).then(a.cmp(&b))
     });
     for &i in order.iter().take(total_count - assigned) {
         counts[i] += 1;

@@ -8,12 +8,14 @@
 # operation or more allocations an iteration than its ceiling.
 # `allocs_per_iter` is a count made by the benchmark's own allocator and
 # repeats exactly on a given build, so the ceilings sit close to the
-# figures (EXPERIMENTS.md, "The lowered data plane by index", "The
-# supervision ledger" and "Owner-claimed trace slots"): des_app1 73.9,
-# app1_lpc 24.1, and 2.0002 for both self-loops — the bare loop's count
-# (the payload closure's `Vec` and the ring's received `Vec`). The
-# checkpoint log copies into a reused buffer and a captured event lands
-# in a preallocated slot, so one more allocation a message would read 3.
+# figures (EXPERIMENTS.md, "Application 1's input from a phase table",
+# "The supervision ledger" and "Owner-claimed trace slots"): des_app1
+# 47.968, app1_lpc 13.122 — the framework's allocations plus three
+# output buffers per error PE; the actors' own work allocates nothing
+# after their first firing — and 2.0002 for both self-loops — the bare loop's count (the payload
+# closure's `Vec` and the ring's received `Vec`). The checkpoint log
+# copies into a reused buffer and a captured event lands in a
+# preallocated slot, so one more allocation a message would read 3.
 #
 # Then it runs des_app1 with `--trace 0` (the tier that prints
 # `setup_s`) and fails if building the four-PE system takes more than
@@ -66,8 +68,8 @@ setup_gate() {
   fi
 }
 
-gate des_app1 90
-gate app1_lpc 28
+gate des_app1 48.1
+gate app1_lpc 13.2
 gate selfloop8_supervised 2.1
 gate selfloop8_traced 2.1
 setup_gate des_app1 0.001
