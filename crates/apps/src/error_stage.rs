@@ -14,7 +14,7 @@
 //! table 1 (FPGA area of the 4-PE implementation).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
@@ -234,7 +234,7 @@ impl ErrorStageApp {
             let analysis = Arc::clone(&analysis);
             let analyses = Arc::clone(&self.analyses);
             builder.actor(self.io_send[i], move |ctx: &mut Firing| {
-                let mut shared = analysis.lock().expect("frame analysis");
+                let mut shared = analysis.lock().unwrap_or_else(PoisonError::into_inner);
                 let Analysis {
                     order,
                     frame,
@@ -276,6 +276,8 @@ impl ErrorStageApp {
                 });
                 section.clear();
                 section.extend(f64s(ctx.input(sec)));
+                // io_send_i's payload always begins with the 8-byte order.
+                #[allow(clippy::expect_used)]
                 let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
                 let order = u64::from_le_bytes(*order) as usize;
                 coeffs.clear();
@@ -300,14 +302,14 @@ impl ErrorStageApp {
                 let errors = f64s(ctx.input(err));
                 let count = errors.len();
                 let energy: f64 = errors.map(|e| e * e).sum();
-                let mut a = acc.lock().expect("frame accumulator");
+                let mut a = acc.lock().unwrap_or_else(PoisonError::into_inner);
                 if a.0 != ctx.iter {
                     *a = (ctx.iter, 0.0, 0);
                 }
                 a.1 += energy;
                 a.2 += 1;
                 if a.2 == n {
-                    out.lock().expect("residuals").push(a.1);
+                    out.lock().unwrap_or_else(PoisonError::into_inner).push(a.1);
                 }
                 cost::read_cycles(count)
             });

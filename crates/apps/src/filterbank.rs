@@ -8,7 +8,7 @@
 //! graph is reduced to SDF ([`spi_dataflow::CsdfGraph::to_sdf`]) and
 //! lowered through the ordinary SPI flow onto `3` processors.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, CsdfGraph, EdgeId, PhaseRates, SdfGraph};
@@ -87,25 +87,14 @@ impl FilterBankApp {
         let c_low = csdf.add_actor("low-band", fir_cycles(config.frame, config.taps));
         let c_high = csdf.add_actor("high-band", fir_cycles(config.frame, config.taps));
         let c_sink = csdf.add_actor("combine", 30);
-        let one = || PhaseRates::constant(1).expect("positive");
-        csdf.add_edge(
-            c_src,
-            c_low,
-            PhaseRates::new(vec![1, 0]).expect("valid"),
-            one(),
-            0,
-            8,
-        )?;
-        csdf.add_edge(
-            c_src,
-            c_high,
-            PhaseRates::new(vec![0, 1]).expect("valid"),
-            one(),
-            0,
-            8,
-        )?;
-        csdf.add_edge(c_low, c_sink, one(), one(), 0, 8)?;
-        csdf.add_edge(c_high, c_sink, one(), one(), 0, 8)?;
+        let rates = |phases: Vec<u32>| {
+            PhaseRates::new(phases)
+                .ok_or_else(|| AppError::Config("phase rates with no positive rate".into()))
+        };
+        csdf.add_edge(c_src, c_low, rates(vec![1, 0])?, rates(vec![1])?, 0, 8)?;
+        csdf.add_edge(c_src, c_high, rates(vec![0, 1])?, rates(vec![1])?, 0, 8)?;
+        csdf.add_edge(c_low, c_sink, rates(vec![1])?, rates(vec![1])?, 0, 8)?;
+        csdf.add_edge(c_high, c_sink, rates(vec![1])?, rates(vec![1])?, 0, 8)?;
         let reduction = csdf.to_sdf()?;
 
         // For the lowered system we re-express the reduction with
@@ -214,7 +203,10 @@ impl FilterBankApp {
             let mut merged = f64s_from_bytes(ctx.input(e_ls));
             merged.extend(f64s_from_bytes(ctx.input(e_hs)));
             let n = merged.len();
-            output.lock().expect("output").push(merged);
+            output
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(merged);
             30 + n as u64
         });
 

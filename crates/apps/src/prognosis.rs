@@ -17,7 +17,7 @@
 //! observation source lives on PE 0.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
@@ -253,9 +253,11 @@ impl PrognosisApp {
             let state = Arc::clone(&states[i]);
             let my_sum_edges: Vec<EdgeId> = (0..n).map(|j| self.sum_edges[&(i, j)]).collect();
             builder.actor(self.stage1[i], move |ctx: &mut Firing| {
+                // The observation actor sends exactly one f64 an iteration.
+                #[allow(clippy::expect_used)]
                 let y =
                     f64::from_le_bytes(ctx.input(obs_edge).try_into().expect("8-byte observation"));
-                let mut st = state.lock().expect("pe state");
+                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                 st.rng = SplitMix64::seed_from_u64(
                     cfg.seed ^ ctx.iter.wrapping_mul(0x5851F42D) ^ (i as u64),
                 );
@@ -299,15 +301,19 @@ impl PrognosisApp {
                 }
                 let total_w: f64 = sums_w.iter().sum();
                 if i == 0 {
-                    estimates.lock().expect("estimates").push(if total_w > 0.0 {
+                    let estimate = if total_w > 0.0 {
                         total_wx / total_w
                     } else {
                         0.0
-                    });
+                    };
+                    estimates
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(estimate);
                 }
                 // Proportional allocation + local systematic resample.
                 let alloc = allocate_counts(&sums_w, total);
-                let mut st = state.lock().expect("pe state");
+                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                 let mut rng = st.rng.clone();
                 let drawn =
                     systematic_draw(&st.filter.particles, &st.filter.weights, alloc[i], &mut rng);
@@ -343,7 +349,7 @@ impl PrognosisApp {
                 (0..n).map(|j| (j, self.particle_edges[&(j, i)])).collect();
             let pooled = Arc::clone(&self.pooled_particles);
             builder.actor(self.stage3[i], move |ctx: &mut Firing| {
-                let mut st = state.lock().expect("pe state");
+                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
                 let mut merged = std::mem::take(&mut st.kept);
                 for &(j, e) in &in_particle_edges {
                     if j == i {
@@ -355,7 +361,7 @@ impl PrognosisApp {
                 debug_assert_eq!(received, per_pe, "every PE ends balanced");
                 // Contribute to the pooled global view of this step.
                 {
-                    let mut pool = pooled.lock().expect("pooled particles");
+                    let mut pool = pooled.lock().unwrap_or_else(PoisonError::into_inner);
                     let step = ctx.iter as usize;
                     if pool.len() <= step {
                         pool.resize(step + 1, Vec::new());
@@ -385,7 +391,10 @@ impl PrognosisApp {
         threshold: f64,
         horizon: usize,
     ) -> Option<(f64, usize, usize)> {
-        let pool = self.pooled_particles.lock().expect("pooled particles");
+        let pool = self
+            .pooled_particles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let last = pool.last()?.clone();
         drop(pool);
         if last.is_empty() {
@@ -404,7 +413,10 @@ impl PrognosisApp {
     /// RMS tracking error of the collected estimates against ground
     /// truth, skipping a `burn_in` prefix.
     pub fn tracking_rmse(&self, burn_in: usize) -> f64 {
-        let est = self.estimates.lock().expect("estimates");
+        let est = self
+            .estimates
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let pairs: Vec<(f64, f64)> = est
             .iter()
             .zip(&self.truth)

@@ -13,18 +13,18 @@
 //! situation of §5.2. Processor 0 hosts A/B/C/E (the I/O + front-end
 //! side); processors 1..=n each host one error-generation PE.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
-use spi_dsp::fft::fft_cycles;
+use spi_dsp::fft::{autocorrelation_into, fft_cycles};
 use spi_dsp::huffman::{huffman_cycles, HuffmanCode};
 use spi_dsp::lpc::{cost, lu_decompose_into, lu_solve_into, prediction_error_range, Quantizer};
 use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::util::{f64s_from_bytes, f64s_to_bytes};
+use crate::util::{f64s, f64s_from_bytes, f64s_to_bytes, put_f64s};
 
 /// Configuration of the speech-compression system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,6 +131,8 @@ pub struct SpeechApp {
     pub e_huffman: ActorId,
     /// A→D section edges.
     pub section_edges: Vec<EdgeId>,
+    /// B→C lag edge.
+    lags_edge: EdgeId,
     /// C→D coefficient edges.
     pub coeff_edges: Vec<EdgeId>,
     /// C→E coefficient edge (kept with the bitstream for decoding).
@@ -178,7 +180,7 @@ impl SpeechApp {
         // A → B: the full frame (dynamic: run-time frame length).
         g.add_dynamic_edge(a, b, 1, 1, 0, bytes_frame)?;
         // B → C: autocorrelation lags (dynamic: order varies).
-        g.add_dynamic_edge(b, c, 1, 1, 0, bytes_coeff * 2)?;
+        let lags_edge = g.add_dynamic_edge(b, c, 1, 1, 0, bytes_coeff * 2)?;
         // C → E: the coefficients also travel to the coder, which stores
         // them with the bitstream so frames stay decodable.
         let coeff_to_coder = g.add_dynamic_edge(c, e, 1, 1, 0, bytes_coeff)?;
@@ -201,6 +203,7 @@ impl SpeechApp {
             d_error: d,
             e_huffman: e,
             section_edges,
+            lags_edge,
             coeff_edges,
             coeff_to_coder,
             error_edges,
@@ -256,19 +259,25 @@ impl SpeechApp {
         });
 
         // ----- Actor B: FFT → autocorrelation via power spectrum -------
-        let bc = self
-            .graph
-            .out_edges(self.b_fft)
-            .first()
-            .copied()
-            .expect("B has one out edge");
+        // The frame is decoded, and its lags computed, into buffers the
+        // actor keeps, sized by its first firing; the lags are written
+        // straight into the payload.
+        let bc = self.lags_edge;
+        let mut scratch = None;
         builder.actor(self.b_fft, move |ctx: &mut Firing| {
-            let frame = f64s_from_bytes(ctx.input(ab));
+            let (frame, lags) = scratch.get_or_insert_with(|| {
+                (
+                    Vec::with_capacity(cfg.max_frame),
+                    Vec::with_capacity(cfg.max_order + 1),
+                )
+            });
+            frame.clear();
+            frame.extend(f64s(ctx.input(ab)));
             let order = cfg.order(ctx.iter);
-            let r = autocorr_via_fft(&frame, order);
-            let mut payload = Vec::with_capacity(8 * (r.len() + 1));
+            autocorrelation_into(frame, order, lags);
+            let mut payload = Vec::with_capacity(8 * (lags.len() + 1));
             payload.extend((order as u64).to_le_bytes());
-            payload.extend(f64s_to_bytes(&r));
+            put_f64s(&mut payload, lags.iter().copied());
             ctx.set_output(bc, payload);
             fft_cycles(frame.len().next_power_of_two())
         });
@@ -277,9 +286,11 @@ impl SpeechApp {
         let coeff_edges = self.coeff_edges.clone();
         let coeff_to_coder = self.coeff_to_coder;
         builder.actor(self.c_lu, move |ctx: &mut Firing| {
-            let raw = ctx.input(bc);
-            let order = u64::from_le_bytes(raw[..8].try_into().expect("order header")) as usize;
-            let r = f64s_from_bytes(&raw[8..]);
+            // B's payload always begins with the 8-byte order.
+            #[allow(clippy::expect_used)]
+            let (order, raw) = ctx.input(bc).split_first_chunk().expect("order header");
+            let order = u64::from_le_bytes(*order) as usize;
+            let r = f64s_from_bytes(raw);
             let coeffs = solve_normal_equations(&r, order);
             let mut payload = Vec::with_capacity(8 + coeffs.len() * 8);
             payload.extend((order as u64).to_le_bytes());
@@ -298,9 +309,11 @@ impl SpeechApp {
             let err = self.error_edges[i];
             builder.actor(di, move |ctx: &mut Firing| {
                 let section = f64s_from_bytes(ctx.input(sec));
-                let raw = ctx.input(coe);
-                let order = u64::from_le_bytes(raw[..8].try_into().expect("order header")) as usize;
-                let coeffs = f64s_from_bytes(&raw[8..]);
+                // C's payload always begins with the 8-byte order.
+                #[allow(clippy::expect_used)]
+                let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
+                let order = u64::from_le_bytes(*order) as usize;
+                let coeffs = f64s_from_bytes(raw);
                 // History samples precede the section's own range.
                 let hist = section.len().min(if i == 0 { 0 } else { order });
                 let errors = prediction_error_range(&section, &coeffs, hist, section.len());
@@ -331,17 +344,20 @@ impl SpeechApp {
                 }
                 Err(_) => (None, Vec::new(), 0),
             };
-            output.lock().expect("output lock").push(CompressedFrame {
-                iter: ctx.iter,
-                frame_len: residual.len(),
-                order: cfg.order(ctx.iter),
-                bits,
-                bitlen,
-                residual_energy: energy,
-                code,
-                quantizer: q,
-                coeffs,
-            });
+            output
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(CompressedFrame {
+                    iter: ctx.iter,
+                    frame_len: residual.len(),
+                    order: cfg.order(ctx.iter),
+                    bits,
+                    bitlen,
+                    residual_energy: energy,
+                    code,
+                    quantizer: q,
+                    coeffs,
+                });
             huffman_cycles(symbols.len())
         });
 

@@ -50,9 +50,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocator calls so far, sampled as `io_send0` begins iterations
 /// 200, 300 and 400. The first 200 iterations are left out: a frame
 /// length met for the first time in the process may build a tone table
-/// and an FFT plan (a frame of exactly 256 samples first comes at
-/// iteration 175), and the data plane's buffers grow to the largest
-/// message so far.
+/// or an FFT plan, and the data plane's buffers grow to the largest
+/// message so far. Both transform sizes (1024 and 512 points) are met
+/// by iteration 1, but the tone table of 256-sample frames is built at
+/// iteration 175, where a frame of exactly 256 samples first comes.
 static MARKS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
 
 const PES: u64 = 2;

@@ -1,7 +1,8 @@
 //! Planned radix-2 FFT (actor "B" of application 1): one butterfly body
 //! over per-size twiddle and bit-reversal tables, the real-input
 //! transform built on it, and the power-spectrum autocorrelation the
-//! LPC front-end takes from that.
+//! LPC front-end takes from that, on the smallest transform whose
+//! circular correlation equals the linear one at every kept lag.
 
 use std::cell::RefCell;
 use std::f64::consts::PI;
@@ -44,6 +45,10 @@ impl Complex {
 
     fn conj(self) -> Complex {
         Complex::new(self.re, -self.im)
+    }
+
+    fn scale(self, s: f64) -> Complex {
+        Complex::new(s * self.re, s * self.im)
     }
 
     fn norm_sqr(self) -> f64 {
@@ -150,18 +155,37 @@ fn transform(data: &mut [Complex], inverse: bool) -> Result<(), FftError> {
 /// The transform proper, of a length that is a power of two or at most
 /// one.
 fn butterflies(data: &mut [Complex], inverse: bool) {
+    for (i, &j) in bit_reversal(data.len()).iter().enumerate() {
+        if i < j {
+            data.swap(i, j);
+        }
+    }
+    stages(data, inverse);
+}
+
+/// `i ↦ i` with its log₂ n bits reversed, for a power of two `n`.
+fn bit_reversal(n: usize) -> &'static [usize] {
+    if n <= 1 {
+        &[0]
+    } else {
+        &plan(n).rev
+    }
+}
+
+/// The butterfly stages of [`butterflies`], over points already in
+/// bit-reversed order.
+fn stages(data: &mut [Complex], inverse: bool) {
     let n = data.len();
     if n <= 1 {
         // Zero- and one-point transforms are identities.
         return;
     }
     let plan = plan(n);
-    for (i, &j) in plan.rev.iter().enumerate() {
-        if i < j {
-            data.swap(i, j);
-        }
-    }
     let mut half = 1;
+    if n >= 4 {
+        first_two_stages(data, inverse);
+        half = 4;
+    }
     while half < n {
         let stage = &plan.twiddles[half..2 * half];
         for block in data.chunks_exact_mut(2 * half) {
@@ -175,49 +199,64 @@ fn butterflies(data: &mut [Complex], inverse: bool) {
     }
 }
 
+/// Stages `half = 1` and `half = 2` as one radix-4 pass over blocks of
+/// four bit-reversed points: their twiddles are `1` and `∓i`, so the
+/// pass is additions and a swap of parts, with no multiply.
+fn first_two_stages(data: &mut [Complex], inverse: bool) {
+    for block in data.as_chunks_mut::<4>().0 {
+        let [a, b, c, d] = *block;
+        let (s0, s1, s2, s3) = (a.add(b), a.sub(b), c.add(d), c.sub(d));
+        // s3·W_4 with W_4 = −i forward and +i inverse.
+        let t = if inverse {
+            Complex::new(-s3.im, s3.re)
+        } else {
+            Complex::new(s3.im, -s3.re)
+        };
+        *block = [s0.add(s2), s1.add(t), s0.sub(s2), s1.sub(t)];
+    }
+}
+
 thread_local! {
-    /// The real-input path's packed half-size buffer and power spectrum,
-    /// kept per thread so a frame analysis allocates at most its result.
-    static SCRATCH: RefCell<(Vec<Complex>, Vec<f64>)> =
+    /// The real-input path's packed half-size buffer and folded power
+    /// spectrum, kept per thread so a frame analysis allocates at most
+    /// its result.
+    static SCRATCH: RefCell<(Vec<Complex>, Vec<[f64; 2]>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// Forward transform of `samples` (at most `n` of them, zero-padded to
 /// `n`, a power of two ≥ 2): the `n` real points go through one
-/// `n/2`-point complex transform in `z`, as `z[j] = x[2j] + i·x[2j+1]`,
-/// and the returned untangle step yields spectrum bin `k ∈ 0..=n/2`
-/// from `z[k]` and `z[n/2 − k]`.
-fn real_forward(
-    samples: impl IntoIterator<Item = f64>,
+/// `n/2`-point complex transform in `z`, as `z[j] = x[2j] + i·x[2j+1]`.
+/// The returned untangle step gives, for `k ∈ 0..=n/4`, the halves
+/// `(e, t)` of spectrum bins `k` and `n/2 − k`, which are `½(e + t)` and
+/// `½·conj(e − t)`: both come from `z[k]` and `z[n/2 − k]` (`z[0]` for
+/// `k = 0`), so one step yields two bins.
+fn real_forward<'z>(
+    samples: &[f64],
     n: usize,
-    z: &mut Vec<Complex>,
-) -> impl Fn(usize) -> Complex + '_ {
+    z: &'z mut Vec<Complex>,
+) -> impl Fn(usize) -> (Complex, Complex) + 'z {
     let m = n / 2;
+    // Callers pass a power of two n ≥ 2, so n/2 is a power of two; the
+    // points go straight to their bit-reversed slots.
+    let rev = bit_reversal(m);
+    let (pairs, odd) = samples.as_chunks::<2>();
     z.clear();
     z.resize(m, Complex::default());
-    samples.into_iter().enumerate().for_each(|(i, x)| {
-        let slot = &mut z[i / 2];
-        if i % 2 == 0 {
-            slot.re = x;
-        } else {
-            slot.im = x;
-        }
-    });
-    // Callers pass a power of two n ≥ 2, so n/2 is a power of two.
-    butterflies(z, false);
+    for (&slot, &[re, im]) in rev.iter().zip(pairs) {
+        z[slot] = Complex::new(re, im);
+    }
+    if let [re] = *odd {
+        z[rev[pairs.len()]] = Complex::new(re, 0.0);
+    }
+    stages(z, false);
     let w = &plan(n).twiddles[m..];
     move |k| {
-        if k % m == 0 {
-            // Bins 0 and n/2 pair z[0] with itself and come out real.
-            let im = if k == 0 { z[0].im } else { -z[0].im };
-            return Complex::new(z[0].re + im, 0.0);
-        }
-        // X[k] = E[k] + W_n^k·O[k], with E = even/2 and O = odd/2i the
+        // X[k] = E[k] + W_n^k·O[k], with E = e/2 and O = odd/2i the
         // spectra of the even- and odd-indexed samples.
-        let (a, b) = (z[k], z[m - k].conj());
-        let (even, odd) = (a.add(b), a.sub(b));
-        let t = Complex::new(odd.im, -odd.re).mul(w[k]);
-        Complex::new(0.5 * (even.re + t.re), 0.5 * (even.im + t.im))
+        let (a, b) = (z[k], z[(m - k) & (m - 1)].conj());
+        let (e, odd) = (a.add(b), a.sub(b));
+        (e, Complex::new(odd.im, -odd.re).mul(w[k]))
     }
 }
 
@@ -235,20 +274,36 @@ pub fn fft_real(signal: &[f64]) -> Result<Vec<Complex>, FftError> {
     if !n.is_power_of_two() {
         return Err(FftError::NotPowerOfTwo { len: n });
     }
+    let m = n / 2;
+    let mut spectrum = vec![Complex::default(); n];
     SCRATCH.with_borrow_mut(|(z, _)| {
-        let bin = real_forward(signal.iter().copied(), n, z);
-        let lower = (0..=n / 2).map(&bin);
-        let upper = (1..n / 2).rev().map(|k| bin(k).conj());
-        Ok(lower.chain(upper).collect())
-    })
+        let halves = real_forward(signal, n, z);
+        // At k = n/4 both name one bin; the ½(e + t) form is written last.
+        for k in 0..=m / 2 {
+            let (e, t) = halves(k);
+            spectrum[m - k] = e.sub(t).conj().scale(0.5);
+            spectrum[k] = e.add(t).scale(0.5);
+        }
+    });
+    // The upper half mirrors the lower.
+    for k in 1..m {
+        spectrum[n - k] = spectrum[k].conj();
+    }
+    Ok(spectrum)
 }
 
 /// Autocorrelation lags `0..=max_lag` (clamped to `len − 1`; one `0.0`
 /// for an empty frame) by the Wiener–Khinchin route a hardware FFT
-/// front-end takes: power spectrum of the frame zero-padded to
-/// `n = (2·len).next_power_of_two()` points, so the circular
-/// correlation is the linear one, then its inverse transform at the
-/// kept lags.
+/// front-end takes: power spectrum of the frame zero-padded to `n`
+/// points, then its inverse transform at the kept lags.
+///
+/// The inverse transform is the circular correlation, which at lag `L`
+/// is `r[L] + r[n − L]`, and `r[j]` is zero for `j ≥ len`. Keeping
+/// `count` lags, every `n − L` is at least `n − count + 1`, so
+/// `n = (len + count − 1).next_power_of_two()` (at least 4, the
+/// smallest size the cosine sum folds) is the smallest transform whose
+/// kept lags are exact: `2·len` points are needed only to keep all of
+/// them.
 pub fn autocorrelation(frame: &[f64], max_lag: usize) -> Vec<f64> {
     let mut lags = Vec::new();
     autocorrelation_into(frame, max_lag, &mut lags);
@@ -262,38 +317,59 @@ pub fn autocorrelation_into(frame: &[f64], max_lag: usize, lags: &mut Vec<f64>) 
         lags.push(frame.first().map_or(0.0, |x| x * x));
         return;
     }
-    let n = (2 * frame.len()).next_power_of_two();
     let count = max_lag.min(frame.len() - 1) + 1;
-    SCRATCH.with_borrow_mut(|(z, power)| {
-        let bin = real_forward(frame.iter().copied(), n, z);
-        power.clear();
-        power.extend((0..=n / 2).map(|k| bin(k).norm_sqr()));
-        lags.extend((0..count).map(|lag| inverse_at_lag(power, lag) / n as f64));
+    let n = (frame.len() + count - 1).next_power_of_two().max(4);
+    SCRATCH.with_borrow_mut(|(z, folded)| {
+        let halves = real_forward(frame, n, z);
+        // Bins k and n/2 − k of the power spectrum are ¼|e ± t|², so
+        // their sum is ½(|e|² + |t|²) and their difference Re(e·t̄).
+        folded.clear();
+        folded.extend((0..=n / 4).map(|k| {
+            let (e, t) = halves(k);
+            [
+                0.5 * (e.norm_sqr() + t.norm_sqr()),
+                e.re * t.re + e.im * t.im,
+            ]
+        }));
+        lags.extend((0..count).map(|lag| inverse_at_lag(folded, lag) / n as f64));
     });
 }
 
 /// `Σ P[k]·cos(2πk·lag/n)` over all `n ≥ 4` bins of a real signal's
-/// power spectrum, given as its `n/2 + 1` non-negative-frequency bins:
-/// the unscaled inverse transform of a real, even spectrum at one lag.
-/// The sum is folded twice — `P[n − k] = P[k]`, and bins `k` and
-/// `n/2 − k` see the same cosine up to `(−1)^lag` — and the cosines are
-/// read off the plan's last twiddle run, whose `n/2` entries span half a
-/// turn.
-fn inverse_at_lag(power: &[f64], lag: usize) -> f64 {
-    let m = power.len() - 1;
+/// power spectrum `P`: the unscaled inverse transform of a real, even
+/// spectrum at one lag. The sum is folded twice — `P[n − k] = P[k]`,
+/// and bins `k` and `n/2 − k` see the same cosine up to `(−1)^lag` — so
+/// it takes `folded[k] = [P[k] + P[n/2 − k], P[k] − P[n/2 − k]]` for
+/// `k ∈ 0..=n/4`, and reads the first at even lags, the second at odd.
+/// The cosines come off the plan's last twiddle run, whose `n/2` entries
+/// span half a turn: `cos(2πj/n)` is `w[j mod n/2].re` with its sign bit
+/// flipped when `j mod n` is in the second half turn, i.e. when bit
+/// log₂(n/2) of `j` is set.
+fn inverse_at_lag(folded: &[[f64; 2]], lag: usize) -> f64 {
+    let m = 2 * (folded.len() - 1);
     let w = &plan(2 * m).twiddles[m..];
-    let sign = if lag.is_multiple_of(2) { 1.0 } else { -1.0 };
+    let half_turn = m.trailing_zeros();
+    let parity = lag & 1;
     let term = |k: usize| {
-        let j = (k * lag) & (2 * m - 1);
-        let cos = if j < m { w[j].re } else { -w[j - m].re };
-        (power[k] + sign * power[m - k]) * cos
+        let j = k * lag;
+        let flip = ((j >> half_turn) & 1) as u64;
+        let cos = f64::from_bits(w[j & (m - 1)].re.to_bits() ^ (flip << 63));
+        folded[k][parity] * cos
     };
     // Four independent partial sums, so the additions pipeline.
-    let mut acc = [0.0; 4];
-    for k in 1..m / 2 {
-        acc[k % 4] += term(k);
+    let (mut a0, mut a1, mut a2, mut a3) = (0.0, 0.0, 0.0, 0.0);
+    let mut k = 1;
+    while k + 4 <= m / 2 {
+        a0 += term(k);
+        a1 += term(k + 1);
+        a2 += term(k + 2);
+        a3 += term(k + 3);
+        k += 4;
     }
-    term(0) + term(m / 2) + 2.0 * ((acc[0] + acc[1]) + (acc[2] + acc[3]))
+    for k in k..m / 2 {
+        a0 += term(k);
+    }
+    term(0) + term(m / 2) + 2.0 * ((a0 + a1) + (a2 + a3))
 }
 
 /// Cycle-cost model of a streaming FFT core: `~5·N·log2(N)` cycles plus
@@ -503,8 +579,8 @@ mod tests {
     #[test]
     fn autocorrelation_lag_count_at_the_edges() {
         // (len, max_lag) → max_lag.min(len − 1) + 1 lags. Frames of 0
-        // and 1 samples need no transform; 2 and 3 samples pad to 4 and
-        // 8 points, the two smallest half-size transforms the cosine
+        // and 1 samples need no transform; 2 samples pad to 4 points and
+        // 3 samples at 3 lags to 8, the two smallest sizes the cosine
         // sum's fold sees (its middle bin is then bin 1 and bin 2).
         assert_eq!(autocorrelation(&[], 4), vec![0.0]);
         assert_eq!(autocorrelation(&[3.0], 4), vec![9.0]);
@@ -520,6 +596,47 @@ mod tests {
         close(autocorrelation(&[1.0, 2.0], 9), &[5.0, 2.0]);
         close(autocorrelation(&[1.0, 2.0, 3.0], 2), &[14.0, 8.0, 3.0]);
         close(autocorrelation(&[1.0, 2.0, 3.0], 3), &[14.0, 8.0, 3.0]);
+    }
+
+    /// `autocorrelation` of a seeded frame of `len` samples against the
+    /// direct lag sum, every lag within `1e-12·r0`.
+    fn assert_exact_lags(len: usize, max_lag: usize) {
+        let frame: Vec<f64> = signal(len, len as u64).iter().map(|z| z.re).collect();
+        let want = crate::lpc::autocorrelation(&frame, max_lag.min(len.saturating_sub(1)));
+        let got = autocorrelation(&frame, max_lag);
+        assert_eq!(got.len(), want.len(), "len {len}, max_lag {max_lag}");
+        for (lag, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert!(
+                (g - w).abs() <= 1e-12 * want[0],
+                "len {len}, max_lag {max_lag}, lag {lag}: {g} vs {w}"
+            );
+        }
+    }
+
+    #[test]
+    fn autocorrelation_is_exact_either_side_of_every_padding_size() {
+        // The transform has (len + count − 1).next_power_of_two() points:
+        // with len + count − 1 = 2^k + 1 the kept lag count − 1 is the
+        // one a transform of 2^k points would fold r[len − 1] into.
+        for k in 2..=10 {
+            for span in [(1 << k) - 1, 1 << k, (1 << k) + 1] {
+                // len ≥ count, so that max_lag = count − 1 is not clamped.
+                for count in (1..=17usize).filter(|&count| 2 * count <= span + 1) {
+                    assert_exact_lags(span + 1 - count, count - 1);
+                }
+            }
+        }
+    }
+
+    /// The long form: `cargo test -p spi-dsp --release -- --include-ignored`.
+    #[test]
+    #[ignore = "every frame length to 4096 at every order to 16; the nightly verify tier runs it"]
+    fn autocorrelation_is_exact_at_every_length_and_order() {
+        for len in 1..=4096 {
+            for order in 0..=16 {
+                assert_exact_lags(len, order);
+            }
+        }
     }
 
     #[test]

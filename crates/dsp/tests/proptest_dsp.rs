@@ -61,7 +61,7 @@ fn fft_autocorrelation_matches_direct() {
         let want = autocorrelation(&signal, lags);
         assert_eq!(got.len(), lags + 1);
         for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() <= 1e-9 * want[0], "{a} vs {b}");
+            assert!((a - b).abs() <= 1e-12 * want[0], "{a} vs {b}");
         }
     });
 }
