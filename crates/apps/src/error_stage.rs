@@ -24,7 +24,7 @@ use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::speech::{solve_normal_equations_into, synth_frame_into};
+use crate::speech::{frame_dims, solve_normal_equations_into, synth_frame_into};
 use crate::util::{f64s, f64s_to_bytes, put_f64s};
 
 /// Configuration of the error-stage subsystem.
@@ -330,14 +330,7 @@ fn section_len(cfg: ErrorStageConfig) -> usize {
 
 /// Run-time frame length and order for an iteration.
 fn dims(cfg: ErrorStageConfig, iter: u64) -> (usize, usize) {
-    if !cfg.vary_rates {
-        return (cfg.frame, cfg.order);
-    }
-    let span = cfg.frame / 2;
-    let offset = ((iter.wrapping_mul(2654435761) >> 7) as usize) % (span + 1);
-    let frame = (cfg.frame - offset).max(cfg.order * 4 + cfg.n_pes);
-    let order = 2 + ((iter.wrapping_mul(40503) >> 3) as usize) % cfg.order.max(3).saturating_sub(1);
-    (frame, order.min(cfg.order))
+    frame_dims(cfg.frame, cfg.order, cfg.n_pes, cfg.vary_rates, iter)
 }
 
 #[cfg(test)]

@@ -55,24 +55,41 @@ impl Default for SpeechConfig {
 }
 
 impl SpeechConfig {
-    fn frame_len(&self, iter: u64) -> usize {
-        if !self.vary_rates {
-            return self.max_frame;
-        }
-        // Deterministic pseudo-variation in [max/2, max], n_pes-aligned.
-        let span = self.max_frame / 2;
-        let offset = ((iter.wrapping_mul(2654435761) >> 7) as usize) % (span + 1);
-        let len = self.max_frame - offset;
-        // Keep sections non-empty and history available.
-        len.max(self.max_order * 2 + self.n_pes)
+    /// Frame length and model order of iteration `iter`.
+    fn dims(&self, iter: u64) -> (usize, usize) {
+        frame_dims(
+            self.max_frame,
+            self.max_order,
+            self.n_pes,
+            self.vary_rates,
+            iter,
+        )
     }
+}
 
-    fn order(&self, iter: u64) -> usize {
-        if !self.vary_rates {
-            return self.max_order;
-        }
-        2 + ((iter.wrapping_mul(40503) >> 3) as usize) % (self.max_order - 1)
+/// Run-time frame length and model order of iteration `iter` of
+/// application 1 — the full pipeline and the error stage alike — for
+/// frames of at most `max_frame` samples and models of order at most
+/// `max_order`, split over `n_pes` error PEs. Without `vary_rates` they
+/// are the maxima. With it, the length varies pseudo-randomly in
+/// `[max_frame − max_frame/2, max_frame]` but not below
+/// `4·max_order + n_pes`, so every PE's section is non-empty and has its
+/// history, and the order in `2..=max_order`.
+pub fn frame_dims(
+    max_frame: usize,
+    max_order: usize,
+    n_pes: usize,
+    vary_rates: bool,
+    iter: u64,
+) -> (usize, usize) {
+    if !vary_rates {
+        return (max_frame, max_order);
     }
+    let span = max_frame / 2;
+    let offset = ((iter.wrapping_mul(2654435761) >> 7) as usize) % (span + 1);
+    let frame = (max_frame - offset).max(max_order * 4 + n_pes);
+    let order = 2 + ((iter.wrapping_mul(40503) >> 3) as usize) % max_order.max(3).saturating_sub(1);
+    (frame, order.min(max_order))
 }
 
 /// One compressed frame collected at actor E — everything a decoder
@@ -162,10 +179,13 @@ impl SpeechApp {
             )));
         }
         let n = config.n_pes;
-        let bytes_frame = (config.max_frame * 8) as u32;
-        let bytes_section = ((config.max_frame / n + config.max_order + 1) * 8) as u32;
+        // The longest run-time frame: `frame_dims` lifts a short one to
+        // `4·max_order + n_pes`, which can exceed `max_frame`.
+        let longest = config.max_frame.max(4 * config.max_order + n);
+        let bytes_frame = (longest * 8) as u32;
+        let bytes_section = ((longest / n + config.max_order + 1) * 8) as u32;
         let bytes_coeff = (config.max_order * 8 + 8) as u32;
-        let bytes_errors = ((config.max_frame / n + 1) * 8) as u32;
+        let bytes_errors = ((longest / n + 1) * 8) as u32;
 
         let mut g = SdfGraph::new();
         let a = g.add_actor("A:read", cost::read_cycles(config.max_frame));
@@ -242,8 +262,7 @@ impl SpeechApp {
         let ab = self.graph.out_edges(self.a_read)[0];
         let section_edges = self.section_edges.clone();
         builder.actor(self.a_read, move |ctx: &mut Firing| {
-            let frame_len = cfg.frame_len(ctx.iter);
-            let order = cfg.order(ctx.iter);
+            let (frame_len, order) = cfg.dims(ctx.iter);
             let frame = synth_frame(cfg.seed, ctx.iter, frame_len);
             // Full frame to the FFT stage.
             ctx.set_output(ab, f64s_to_bytes(&frame));
@@ -273,7 +292,7 @@ impl SpeechApp {
             });
             frame.clear();
             frame.extend(f64s(ctx.input(ab)));
-            let order = cfg.order(ctx.iter);
+            let order = cfg.dims(ctx.iter).1;
             autocorrelation_into(frame, order, lags);
             let mut payload = Vec::with_capacity(8 * (lags.len() + 1));
             payload.extend((order as u64).to_le_bytes());
@@ -350,7 +369,7 @@ impl SpeechApp {
                 .push(CompressedFrame {
                     iter: ctx.iter,
                     frame_len: residual.len(),
-                    order: cfg.order(ctx.iter),
+                    order: cfg.dims(ctx.iter).1,
                     bits,
                     bitlen,
                     residual_energy: energy,
@@ -607,12 +626,26 @@ mod tests {
     fn frame_lengths_vary_within_bounds() {
         let cfg = SpeechConfig::default();
         for iter in 0..100 {
-            let len = cfg.frame_len(iter);
+            let (len, m) = cfg.dims(iter);
             assert!(len <= cfg.max_frame);
             assert!(len >= cfg.max_frame / 2 - 1);
-            let m = cfg.order(iter);
             assert!(m >= 2 && m <= cfg.max_order);
         }
+    }
+
+    #[test]
+    fn frames_lifted_above_max_frame_fit_their_edges() {
+        // 4·8 + 2 = 34 > 32: every frame is lifted to the floor
+        // `frame_dims` shares with the error stage, and the edges carry it.
+        let app = SpeechApp::new(SpeechConfig {
+            max_frame: 32,
+            ..Default::default()
+        })
+        .unwrap();
+        app.system(8).unwrap().run().unwrap();
+        let frames = app.output.lock().unwrap();
+        assert_eq!(frames.len(), 8);
+        assert!(frames.iter().all(|f| f.frame_len == 34), "{frames:?}");
     }
 
     #[test]

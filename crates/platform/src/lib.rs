@@ -58,6 +58,7 @@
 // the SSE4.2 hardware CRC in `supervise` need scoped
 // `#[allow(unsafe_code)]`; everything else stays safe Rust.
 #![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 mod error;
 #[cfg(feature = "verify-shim")]

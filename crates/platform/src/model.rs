@@ -51,7 +51,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::rng::SplitMix64;
@@ -264,9 +264,6 @@ struct St {
     current: Option<usize>,
     /// Mutex object id -> owning thread.
     lock_owner: HashMap<usize, usize>,
-    /// Set by [`waive_wake_rule`]: this run holds a wait list that
-    /// unparks under its lock on purpose.
-    wake_rule_waived: bool,
     /// Label of object `i + 1`, in creation order — which the scenario
     /// (explore) or the schedule (everything after) makes deterministic.
     labels: Vec<&'static str>,
@@ -296,7 +293,6 @@ impl Session {
                 threads: Vec::new(),
                 current: None,
                 lock_owner: HashMap::new(),
-                wake_rule_waived: false,
                 labels: Vec::new(),
                 panicked: None,
                 abort: false,
@@ -311,7 +307,7 @@ impl Session {
     }
 
     fn lock_st(&self) -> MutexGuard<'_, St> {
-        self.st.lock().expect("model session state")
+        self.st.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Adds a thread to the session. Called *before* the real thread
@@ -351,7 +347,7 @@ impl Session {
                 if st.current == Some(me.tid) {
                     return Some(st);
                 }
-                st = me.wake.wait(st).expect("model session state");
+                st = me.wake.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         }
         drop(st);
@@ -472,14 +468,6 @@ pub(crate) fn park(dur: Duration) -> bool {
 /// Returns `true` when the unpark was handled by the session.
 pub(crate) fn unpark(target: ThreadId) -> bool {
     target.is_some_and(|t| point(|_, _| Op::Unpark(t)))
-}
-
-/// Exempts the calling thread's session from [`wake_under_lock`]. For
-/// the reverted-wakeup regression oracle alone, whose wait list keeps
-/// the pre-PR 3 wake path — unparks under the lock included — so that
-/// the lost wakeup it is kept for stays the failure its runs report.
-pub(crate) fn waive_wake_rule() {
-    with_ctx(|ctx| ctx.sess.lock_st().wake_rule_waived = true);
 }
 
 /// The condvar wait protocol: atomically (in the model's view, at this
@@ -919,9 +907,6 @@ fn apply_grant(st: &mut St, choice: usize, op: Op) {
 /// model do not show. Reported as the waker's failure.
 fn wake_under_lock(st: &St, waker: usize, op: Op) -> Option<FailureKind> {
     let Op::Unpark(woken) = op else { return None };
-    if st.wake_rule_waived {
-        return None;
-    }
     let owned = st.lock_owner.iter().filter(|&(_, &t)| t == waker);
     let held = owned.map(|(&m, _)| m).min()?;
     Some(FailureKind::Panic {
@@ -991,6 +976,9 @@ fn describe_blocked(op: Option<Op>, st: &St) -> String {
 /// The controller loop for one run: wait for quiescence, pick an
 /// enabled thread per `choice`, apply the grant's model effects, and
 /// advance the virtual clock when nothing can run.
+// Invariant: an enabled or chosen thread has a pending op (that is
+// what being enabled means), so its `expect`s cannot fire.
+#[allow(clippy::expect_used)]
 fn drive(sess: &Session, mut choice: Choice<'_>, max_steps: usize) -> Outcome {
     let strict_park = sess.clock.strict_park();
     let logging = !matches!(choice, Choice::Dfs(_));
@@ -1006,7 +994,10 @@ fn drive(sess: &Session, mut choice: Choice<'_>, max_steps: usize) -> Outcome {
         while !(st.current.is_none()
             && st.threads.iter().all(|t| t.finished || t.pending.is_some()))
         {
-            st = sess.ctrl_cv.wait(st).expect("model session state");
+            st = sess
+                .ctrl_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if let Some((tid, message)) = st.panicked.clone() {
             break End::Failed(FailureKind::Panic {
@@ -1233,6 +1224,9 @@ enum SlotState {
 }
 
 impl WorkerPool {
+    // An exploration cannot run without its worker threads, as
+    // `std::thread::spawn` would say.
+    #[allow(clippy::expect_used)]
     fn new(n: usize) -> Self {
         let slots: Vec<Arc<Slot>> = (0..n)
             .map(|_| {
@@ -1251,21 +1245,22 @@ impl WorkerPool {
                     .name(format!("spi-verify-worker-{i}"))
                     .spawn(move || loop {
                         let job = {
-                            let mut s = slot.state.lock().expect("pool slot");
+                            let mut s = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
                             loop {
                                 match std::mem::replace(&mut *s, SlotState::Busy) {
                                     SlotState::Run(f) => break Some(f),
                                     SlotState::Exit => break None,
                                     keep => {
                                         *s = keep;
-                                        s = slot.cv.wait(s).expect("pool slot");
+                                        s = slot.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
                                     }
                                 }
                             }
                         };
                         let Some(f) = job else { break };
                         f();
-                        *slot.state.lock().expect("pool slot") = SlotState::Idle;
+                        *slot.state.lock().unwrap_or_else(PoisonError::into_inner) =
+                            SlotState::Idle;
                         slot.cv.notify_all();
                     })
                     .expect("spawn pool worker")
@@ -1285,9 +1280,9 @@ impl WorkerPool {
 
     fn wait_idle(&self, i: usize) -> MutexGuard<'_, SlotState> {
         let slot = &self.slots[i];
-        let mut s = slot.state.lock().expect("pool slot");
+        let mut s = slot.state.lock().unwrap_or_else(PoisonError::into_inner);
         while !matches!(*s, SlotState::Idle) {
-            s = slot.cv.wait(s).expect("pool slot");
+            s = slot.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         s
     }
@@ -1424,6 +1419,9 @@ pub fn explore(opts: &ModelOptions, scenario: impl Fn(&mut Scenario)) -> Explora
 // run / replay / shrink: seeded or forced + virtual clock, under "main"
 // ---------------------------------------------------------------------------
 
+// A simulated run cannot start without its root thread, as
+// `std::thread::spawn` would say.
+#[allow(clippy::expect_used)]
 fn run_rooted(opts: &SimOptions, choice: Choice<'_>, scenario: &(impl Fn() + Sync)) -> SimRun {
     let seed = match choice {
         Choice::Seeded(_) => opts.seed,

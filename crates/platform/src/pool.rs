@@ -88,9 +88,10 @@ impl PoolInner {
         std::slice::from_raw_parts_mut(self.slab[base].get(), len as usize)
     }
 
+    // Conserved indices: the free ring always has room for every slot
+    // it was built for, so this cannot legitimately fail.
+    #[allow(clippy::expect_used)]
     fn release(&self, slot: u32) {
-        // Conserved indices: the free ring always has room for every
-        // slot it was built for, so this cannot legitimately fail.
         self.free
             .try_send(&slot.to_le_bytes())
             .expect("free ring can always take a released slot back");
@@ -134,6 +135,8 @@ impl fmt::Debug for BufferPool {
 impl BufferPool {
     /// Creates a pool of `slots` slots (at least one) of `slot_bytes`
     /// (at least one byte) each. All allocation happens here.
+    // Invariant: a fresh free ring holds every slot index.
+    #[allow(clippy::expect_used)]
     pub fn new(slots: usize, slot_bytes: usize) -> Self {
         let slots = slots.max(1);
         let slot_bytes = slot_bytes.max(1);

@@ -100,6 +100,7 @@ impl SampleRange<f64> for Range<f64> {
 /// # Panics
 ///
 /// If `SPI_CHAOS_SEED` is set to something other than a case number.
+#[allow(clippy::expect_used)]
 pub fn cases(default: u64) -> Vec<u64> {
     match std::env::var("SPI_CHAOS_SEED") {
         Ok(s) => vec![s.trim().parse().expect("SPI_CHAOS_SEED is a case number")],

@@ -28,8 +28,6 @@
 //! wait is stamped before its push, hence no later than the `Recv` of
 //! its message (see [`PeIo::record`]).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};

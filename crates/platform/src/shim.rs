@@ -271,10 +271,7 @@ impl<T> Mutex<T> {
     /// The real acquisition behind a granted (or unmodeled) lock.
     #[inline]
     fn lock_real(&self) -> MutexGuard<'_, T> {
-        let inner = self.inner.lock().unwrap_or_else(|poisoned| {
-            assert!(std::thread::panicking(), "shim mutex poisoned");
-            poisoned.into_inner()
-        });
+        let inner = unpoisoned(self.inner.lock());
         MutexGuard {
             inner: Some(inner),
             lock: self,
@@ -304,6 +301,15 @@ impl<T> Mutex<T> {
     }
 }
 
+/// What a std lock or wait returned, panicking on poisoning unless the
+/// caller is itself unwinding (see [`Mutex::lock`]).
+fn unpoisoned<G>(r: std::sync::LockResult<G>) -> G {
+    r.unwrap_or_else(|poisoned| {
+        assert!(std::thread::panicking(), "shim mutex poisoned");
+        poisoned.into_inner()
+    })
+}
+
 /// Guard returned by [`Mutex::lock`]; release is a schedule point.
 #[derive(Debug)]
 pub struct MutexGuard<'a, T> {
@@ -315,6 +321,9 @@ pub struct MutexGuard<'a, T> {
 
 impl<T> std::ops::Deref for MutexGuard<'_, T> {
     type Target = T;
+    // Invariant: `inner` is taken only by a condvar wait, which
+    // consumes the guard.
+    #[allow(clippy::expect_used)]
     #[inline]
     fn deref(&self) -> &T {
         self.inner.as_ref().expect("guard taken")
@@ -322,6 +331,8 @@ impl<T> std::ops::Deref for MutexGuard<'_, T> {
 }
 
 impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
+    // Invariant: as in `deref`.
+    #[allow(clippy::expect_used)]
     #[inline]
     fn deref_mut(&mut self) -> &mut T {
         self.inner.as_mut().expect("guard taken")
@@ -410,6 +421,8 @@ impl Condvar {
         self.wait_inner(guard, Some(dur))
     }
 
+    // Invariant: a live guard still holds its `inner` (see `deref`).
+    #[allow(clippy::expect_used)]
     fn wait_inner<'a, T>(
         &self,
         guard: MutexGuard<'a, T>,
@@ -433,10 +446,7 @@ impl Condvar {
         }
         match dur {
             Some(d) => {
-                let (inner, res) = self
-                    .inner
-                    .wait_timeout(inner, d)
-                    .expect("shim mutex poisoned");
+                let (inner, res) = unpoisoned(self.inner.wait_timeout(inner, d));
                 (
                     MutexGuard {
                         inner: Some(inner),
@@ -446,7 +456,7 @@ impl Condvar {
                 )
             }
             None => {
-                let inner = self.inner.wait(inner).expect("shim mutex poisoned");
+                let inner = unpoisoned(self.inner.wait(inner));
                 (
                     MutexGuard {
                         inner: Some(inner),
@@ -578,6 +588,11 @@ pub fn session_id() -> usize {
 /// operation becomes a schedule point and the run does not complete
 /// until it exits — a background thread that never terminates surfaces
 /// as a hang the controller reports instead of a leaked OS thread.
+///
+/// # Panics
+///
+/// If the OS refuses the thread, as [`std::thread::spawn`] does.
+#[allow(clippy::expect_used)]
 pub fn spawn(name: &'static str, f: impl FnOnce() + Send + 'static) {
     let child = engine::Children::here().enroll(name);
     std::thread::Builder::new()
@@ -618,6 +633,12 @@ pub struct Scope<'scope, 'env: 'scope> {
 impl<'scope, 'env> Scope<'scope, 'env> {
     /// Spawns a scoped thread with a deterministic display name for
     /// model traces and event logs.
+    ///
+    /// # Panics
+    ///
+    /// If the OS refuses the thread, as [`std::thread::Scope::spawn`]
+    /// does.
+    #[allow(clippy::expect_used)]
     pub fn spawn_named<F>(&self, name: String, f: F)
     where
         F: FnOnce() + Send + 'scope,

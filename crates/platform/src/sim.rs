@@ -709,15 +709,11 @@ impl Engine {
 
     fn handle_arrival(&mut self, ch: ChannelId) {
         let c = &mut self.channels[ch.0];
-        while let Some(&(arrival, _)) = c.in_flight.front() {
-            if arrival <= self.now {
-                let (_, data) = c.in_flight.pop_front().expect("front exists");
-                c.stats.messages += 1;
-                c.stats.bytes += data.len() as u64;
-                c.available.push_back(data);
-            } else {
-                break;
-            }
+        let now = self.now;
+        while let Some((_, data)) = c.in_flight.pop_front_if(|(arrival, _)| *arrival <= now) {
+            c.stats.messages += 1;
+            c.stats.bytes += data.len() as u64;
+            c.available.push_back(data);
         }
         // Wake any PE blocked receiving on this channel.
         let waiters: Vec<usize> = self
@@ -781,11 +777,12 @@ impl Engine {
                 Op::Send { channel, payload } => {
                     let ch = *channel;
                     // Produce the payload once, retry delivery as needed.
-                    if pe.pending_send.is_none() {
-                        pe.local.iter = pe.iter;
-                        pe.pending_send = Some(payload(&mut pe.local));
-                    }
-                    let data_len = pe.pending_send.as_ref().expect("just set").len();
+                    let data_len = (pe.pending_send)
+                        .get_or_insert_with(|| {
+                            pe.local.iter = pe.iter;
+                            payload(&mut pe.local)
+                        })
+                        .len();
                     let in_prologue = pe.in_prologue;
                     let spec = self.channels[ch.0].spec;
                     if data_len > spec.max_message_bytes.min(spec.capacity_bytes) {
@@ -819,6 +816,8 @@ impl Engine {
                         }
                     }
                     if self.channels[ch.0].used_bytes + data_len <= spec.capacity_bytes {
+                        // Invariant: filled at the top of this arm.
+                        #[allow(clippy::expect_used)]
                         let data = self.pes[id.0].pending_send.take().expect("pending");
                         let sent = self.now + SEND_OVERHEAD_CYCLES;
                         let wire = ChannelSpec::wire_cycles(data.len());

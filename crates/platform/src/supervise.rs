@@ -48,8 +48,6 @@
 //! holds those events against the declared budgets (diagnostics
 //! SPI090, SPI092–SPI094).
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -404,9 +402,6 @@ pub mod protocol {
         expected: u32,
         /// Failed attempts of the receive op in progress.
         attempt: u32,
-        /// Frames numbered below `expected` are discarded. Only the
-        /// `verify-shim` mutant (`RecvSide::without_dedup`) clears it.
-        dedup: bool,
     }
 
     impl RecvSide {
@@ -416,20 +411,6 @@ pub mod protocol {
                 max_retries,
                 expected: 0,
                 attempt: 0,
-                dedup: true,
-            }
-        }
-
-        /// The same receiver with stale frames delivered as if they were
-        /// in order. This is the framing explorer's regression oracle —
-        /// `spi-verify` asserts it reports `duplicate-delivered` for
-        /// this variant and nothing for the shipped one. Never reachable
-        /// from production builds.
-        #[cfg(feature = "verify-shim")]
-        pub fn without_dedup(self) -> Self {
-            RecvSide {
-                dedup: false,
-                ..self
             }
         }
 
@@ -461,14 +442,13 @@ pub mod protocol {
             // is stale when it lies less than half the number space
             // behind `expected`.
             let ahead = seq.wrapping_sub(self.expected);
-            let stale = (ahead as i32) < 0;
-            if stale && self.dedup {
+            if (ahead as i32) < 0 {
                 // A duplicate of a delivered token (injected, or a
                 // retransmission that raced its original): no attempt
                 // consumed.
                 return RecvVerdict::Read;
             }
-            if stale || ahead == 0 {
+            if ahead == 0 {
                 self.expected = self.expected.wrapping_add(1);
                 self.attempt = 0;
                 return RecvVerdict::Deliver(payload);

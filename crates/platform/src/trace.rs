@@ -27,8 +27,6 @@
 //! changed (`crate::runner`'s module docs). Each PE's stream is
 //! therefore non-decreasing.
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
 use crate::sim::{ChannelId, PeId};
 
 /// What a probe observed. Every variant is `Copy` and fixed-size so a

@@ -56,7 +56,7 @@ use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::pool::{BufferPool, Token, TokenBuf};
@@ -440,6 +440,12 @@ impl LockedTransport {
         }
     }
 
+    /// The queue lock, taken poison-tolerantly: nothing panics while
+    /// holding it part-way through an update.
+    fn locked(&self) -> MutexGuard<'_, LockedInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Takes the queue lock and holds it until `blocked` stops holding,
     /// sleeping on `cv` for at most `wait` (`None`: not at all — a
     /// blocked queue answers `would_block`). `peer_ops` reads the
@@ -454,7 +460,7 @@ impl LockedTransport {
         blocked: impl Fn(&LockedInner) -> bool,
         peer_ops: impl Fn(&LockedInner) -> u64,
     ) -> Result<MutexGuard<'_, LockedInner>, TransportError> {
-        let mut inner = self.inner.lock().expect("transport lock");
+        let mut inner = self.locked();
         if !blocked(&inner) {
             return Ok(inner);
         }
@@ -477,9 +483,8 @@ impl LockedTransport {
                     idle: now.duration_since(progress_at),
                 });
             }
-            let (guard, _) = cv
-                .wait_timeout(inner, deadline - now)
-                .expect("transport lock");
+            let (guard, _) =
+                (cv.wait_timeout(inner, deadline - now)).unwrap_or_else(PoisonError::into_inner);
             inner = guard;
         }
         Ok(inner)
@@ -525,7 +530,7 @@ impl LockedTransport {
             |q| q.queue.is_empty(),
             |q| q.pushes,
         )?;
-        let data = inner.queue.pop_front().expect("unblocked on a message");
+        let data = inner.queue.pop_front().ok_or(TransportError::Empty)?;
         inner.used_bytes -= data.len();
         inner.pops += 1;
         drop(inner);
@@ -544,15 +549,15 @@ impl Transport for LockedTransport {
     }
 
     fn len_bytes(&self) -> usize {
-        self.inner.lock().expect("transport lock").used_bytes
+        self.locked().used_bytes
     }
 
     fn occupancy(&self) -> usize {
-        self.inner.lock().expect("transport lock").queue.len()
+        self.locked().queue.len()
     }
 
     fn snapshot(&self) -> (usize, usize) {
-        let inner = self.inner.lock().expect("transport lock");
+        let inner = self.locked();
         (inner.used_bytes, inner.queue.len())
     }
 
@@ -603,12 +608,6 @@ impl Transport for LockedTransport {
 struct WaitList {
     waiting: shim::AtomicUsize,
     threads: shim::Mutex<Vec<shim::ThreadHandle>>,
-    /// Pre-PR 3 wake behavior: dequeue entries while waking. Only the
-    /// `verify-shim` regression oracle can set this (see
-    /// [`RingTransport::new_with_reverted_wakeup`]); production
-    /// constructors always leave it `false`. Kept as a plain field so
-    /// the production wake path stays byte-identical either way.
-    wake_dequeues: bool,
 }
 
 impl WaitList {
@@ -616,7 +615,6 @@ impl WaitList {
         WaitList {
             waiting: shim::AtomicUsize::labeled(0, waiting_label),
             threads: shim::Mutex::labeled(Vec::new(), list_label),
-            wake_dequeues: false,
         }
     }
     /// Wakes every registered thread. Entries are *not* removed — only
@@ -649,19 +647,7 @@ impl WaitList {
         if self.waiting.load(Ordering::Acquire) == 0 {
             return;
         }
-        let mut threads = self.threads.lock();
-        if self.wake_dequeues {
-            // The mechanically reverted PR 3 bug, reachable only from
-            // the model-checker oracle, lock held across the unparks as
-            // it was then: draining on wake orphans a waiter that
-            // re-parks after its token was absorbed elsewhere — the
-            // next wake finds an empty list.
-            for t in threads.drain(..) {
-                t.unpark();
-            }
-            self.waiting.store(0, Ordering::Release);
-            return;
-        }
+        let threads = self.threads.lock();
         let Some((first, rest)) = threads.split_first() else {
             return;
         };
@@ -823,23 +809,6 @@ impl RingTransport {
                 would_block: TransportError::Full,
             },
         }
-    }
-
-    /// Like [`RingTransport::new`], but with the PR 3 lost-wakeup fix
-    /// mechanically reverted (wake-all *with* dequeue). This is the
-    /// model checker's regression oracle — `spi-verify` asserts the
-    /// explorer finds a deadlocking schedule for this variant and none
-    /// for the fixed one. Never reachable from production builds. The
-    /// reverted wake path also unparks under its lock, so building one
-    /// inside a session waives the engine's wake-up rule for that run:
-    /// the lost wakeup stays what the oracle's runs report.
-    #[cfg(feature = "verify-shim")]
-    pub fn new_with_reverted_wakeup(capacity_bytes: usize, slot_bytes: usize) -> Self {
-        crate::model::waive_wake_rule();
-        let mut t = Self::new(capacity_bytes, slot_bytes);
-        t.consumer.waiters.wake_dequeues = true;
-        t.producer.waiters.wake_dequeues = true;
-        t
     }
 
     /// Number of message slots.
@@ -1117,6 +1086,8 @@ fn decode_desc(d: &[u8]) -> (u32, u32, u32) {
 /// descriptor field here, a slot index on the pool's free ring — read
 /// in place (the rings' receive body hands out slot bytes, so neither
 /// reader allocates).
+// Invariant: fixed-layout rings carry whole words (their slot size).
+#[allow(clippy::expect_used)]
 pub(crate) fn le_u32(word: &[u8]) -> u32 {
     u32::from_le_bytes(word.try_into().expect("4-byte word"))
 }

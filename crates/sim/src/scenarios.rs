@@ -134,20 +134,15 @@ pub fn fir_pipeline(iterations: u64, faulted: bool) {
     );
 }
 
-/// The PR 3 lost-wakeup oracle at whole-system scale: one producer
+/// The PR 3 lost-wakeup scenario at whole-system scale: one producer
 /// pushes two messages through a single-slot ring while two consumers
-/// share the receive endpoint, each taking one message. With
-/// `reverted`, the ring's wait list uses the pre-PR 3
-/// wake-all-*with*-dequeue behavior; under `strict_park` scheduling
-/// (park deadlines never fire) the lost wakeup then surfaces as a
-/// deadlock on some seeds. With `reverted = false` this must complete
-/// on every seed.
-pub fn ring_shared_consumers(reverted: bool) {
-    let ring = Arc::new(if reverted {
-        RingTransport::new_with_reverted_wakeup(4, 4)
-    } else {
-        RingTransport::new(4, 4)
-    });
+/// share the receive endpoint, each taking one message. Under
+/// `strict_park` scheduling (park deadlines never fire) a wait list
+/// that loses a wakeup deadlocks it on some seeds, so it must complete
+/// on every seed; `mutants/pr3_wake_dequeue_sim.patch` is the wait list
+/// that fails it.
+pub fn ring_shared_consumers() {
+    let ring = Arc::new(RingTransport::new(4, 4));
     shim::scope(|s| {
         let p = Arc::clone(&ring);
         s.spawn_named("producer".into(), move || {

@@ -102,13 +102,14 @@ fn seed_sweep_net_round_trip_batched() {
 
 #[test]
 fn fixed_ring_never_deadlocks_under_strict_park() {
-    // The shipped wait-list fix survives the same adversarial
-    // scheduling that kills the reverted variant (see lost_wakeup.rs).
+    // Park deadlines never fire, so a lost wakeup is a deadlock: the
+    // wait list of `mutants/pr3_wake_dequeue_sim.patch` deadlocks here
+    // within 200 seeds (`scripts/mutants.sh pr3_wake_dequeue_sim`).
     let base = SimOptions {
         strict_park: true,
         ..SimOptions::seeded(0)
     };
-    sweep(TEST, &base, 40, || scenarios::ring_shared_consumers(false));
+    sweep(TEST, &base, 40, scenarios::ring_shared_consumers);
 }
 
 #[test]

@@ -14,12 +14,8 @@ fn main() {
     let t = Instant::now();
     let (name, ex) = match which {
         0 => ("spsc m=2 s=1", explore_ring_spsc(2, 1, &opts)),
-        1 => ("shared clean", explore_ring_shared_consumers(false, &opts)),
-        2 => (
-            "shared reverted",
-            explore_ring_shared_consumers(true, &opts),
-        ),
-        3 => ("spsc m=3 s=1", explore_ring_spsc(3, 1, &opts)),
+        1 => ("shared consumers", explore_ring_shared_consumers(&opts)),
+        2 => ("spsc m=3 s=1", explore_ring_spsc(3, 1, &opts)),
         _ => ("spsc m=3 s=2", explore_ring_spsc(3, 2, &opts)),
     };
     println!(

@@ -10,10 +10,11 @@
 //!    enumerates every thread interleaving (up to happens-before
 //!    equivalence, via DFS with sleep-set pruning) of the
 //!    [`RingTransport`](spi_platform::RingTransport) ring + waitlist
-//!    protocol at small bounds. The regression oracle
-//!    [`ring::explore_ring_shared_consumers`] mechanically reverts the
-//!    PR 3 lost-wakeup fix and asserts the explorer rediscovers the
-//!    bug as a deadlocking schedule with a minimized interleaving.
+//!    protocol at small bounds. The scenarios run the shipped code;
+//!    that they can fail is shown by the mutant registry (`mutants/`,
+//!    `scripts/mutants.sh`), whose PR 3 lost-wakeup entry
+//!    [`ring::explore_ring_shared_consumers`] must report as a
+//!    deadlocking schedule with a minimized interleaving.
 //! 2. **Framing-protocol exploration** ([`framing`]) — exhaustive DFS
 //!    over adversarial channel behavior (drop / corrupt / duplicate
 //!    within a fault budget) against the real supervision seq/crc

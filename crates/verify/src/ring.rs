@@ -16,19 +16,20 @@
 //!   one send body and one receive body taking the wait as a parameter,
 //!   this puts the non-blocking answers (and the hand-over from a
 //!   failed attempt to the parking claim) inside an exhaustive bound.
-//! * [`explore_ring_shared_consumers`] — the regression oracle for the
-//!   PR 3 lost-wakeup fix. Two consumers share the receive endpoint
-//!   (the documented memory-safe-but-slower mode). With the fix
-//!   mechanically reverted (wake-all *with* dequeue), one consumer's
-//!   wake token can be absorbed by the other, it re-parks after its
-//!   wait-list entry was drained, and the next publish finds nobody
-//!   registered: a deadlock the explorer finds without needing any
-//!   preemption. With the fix in place the same scenario is
-//!   deadlock-free. Notably the strict 2-thread SPSC topology cannot
-//!   expose the dequeue revert under sequential consistency — the
+//! * [`explore_ring_shared_consumers`] — the scenario behind the PR 3
+//!   lost-wakeup fix. Two consumers share the receive endpoint (the
+//!   documented memory-safe-but-slower mode). A wait list that drains
+//!   its entries while waking loses a wakeup here: one consumer's wake
+//!   token is absorbed by the other, it re-parks after its entry was
+//!   drained, and the next publish finds nobody registered — a
+//!   deadlock the explorer finds without needing any preemption. The
+//!   shipped wait list must stay clean; the registry entries
+//!   `mutants/pr3_wake_dequeue.patch` and
+//!   `mutants/pr23_unpark_under_lock.patch` are the wait lists that
+//!   fail it (DESIGN.md §12). The strict 2-thread SPSC topology
+//!   cannot expose the dequeue bug under sequential consistency — the
 //!   `ready()` recheck after every park always rescues the single
-//!   consumer — which is exactly why the oracle uses the shared
-//!   endpoint mode (see DESIGN.md §12).
+//!   consumer — which is why the scenario uses the shared endpoint.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -156,18 +157,13 @@ pub fn explore_try_then_block_spsc<T: Transport + 'static>(
     })
 }
 
-/// The PR 3 regression oracle: one producer sends two messages through
-/// a single-slot ring while two consumers share the receive endpoint,
-/// each taking one message. With `reverted_wakeup` the wait list uses
-/// the pre-PR 3 wake-all-with-dequeue behavior and the exploration
-/// must report a deadlock; with the shipped fix it must not.
-pub fn explore_ring_shared_consumers(reverted_wakeup: bool, opts: &ModelOptions) -> Exploration {
+/// The PR 3 lost-wakeup scenario: one producer sends two messages
+/// through a single-slot ring while two consumers share the receive
+/// endpoint, each taking one message. The shipped wait list must not
+/// deadlock on any schedule.
+pub fn explore_ring_shared_consumers(opts: &ModelOptions) -> Exploration {
     explore(opts, move |sc| {
-        let ring = Arc::new(if reverted_wakeup {
-            RingTransport::new_with_reverted_wakeup(4, 4)
-        } else {
-            RingTransport::new(4, 4)
-        });
+        let ring = Arc::new(RingTransport::new(4, 4));
         let p = Arc::clone(&ring);
         sc.thread("producer", move || {
             for i in 0..2u32 {

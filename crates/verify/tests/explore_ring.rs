@@ -14,15 +14,16 @@
 //!    job;
 //! 2. the shared-consumer scenario is clean with the shipped wait-list
 //!    within a fixed schedule budget (its full space is too large to
-//!    exhaust in tier-1; the budget is ~3x the depth at which the
-//!    reverted-wakeup bug is found, so the budget is known to reach
-//!    bug-revealing depths);
-//! 3. with the PR 3 lost-wakeup fix mechanically reverted
-//!    (`new_with_reverted_wakeup`: wake-all *with* dequeue), the same
-//!    scenario deadlocks, and the explorer reports it with a minimized
-//!    interleaving trace — the regression oracle;
+//!    exhaust in tier-1);
+//! 3. that budget reaches the PR 3 lost wakeup: with the wait list
+//!    draining its entries while waking (registry entry
+//!    `mutants/pr3_wake_dequeue.patch`, run by `scripts/mutants.sh`)
+//!    claim 2's test fails with a deadlock, and its report carries the
+//!    minimized witness and its context-switch count (5);
 //! 4. that witness is a schedule of *the* engine, not of one of two:
-//!    fed to the simulator's `replay` it reproduces the same deadlock;
+//!    claim 2's failure path feeds it to the simulator's `replay`,
+//!    which must reproduce the same failure step for step (the same
+//!    registry entry expects the report to say so);
 //! 5. the non-blocking calls are inside a bound as well: the traced
 //!    runner's try-then-block pattern is exhaustive and pinned at the
 //!    tier-1 bounds of claim 1, over the ring and the pointer transport;
@@ -30,10 +31,9 @@
 //!    a lock: the engine fails a run in which a thread is granted an
 //!    `unpark` while it owns a shim mutex (`explore_condvar.rs` shows
 //!    the rule firing), so a clean exploration is also that assertion.
-//!    Claim 3's reverted wait list unparks under its lock as PR 3's did;
-//!    constructing it waives the rule, and the deadlock is what it finds.
-
-use std::sync::OnceLock;
+//!    Registry entry `mutants/pr23_unpark_under_lock.patch`, PR 3's
+//!    wait list as it was (drain and unpark under the lock), fails
+//!    claim 2's test through that rule.
 
 use spi_platform::{PointerTransport, RingTransport};
 use spi_sim::{replay, scenarios, SimOptions};
@@ -119,73 +119,29 @@ fn pointer_try_then_block_exhaustive_at_minimal_bound() {
 #[test]
 fn shared_consumers_clean_with_shipped_waitlist() {
     // The full clean space exceeds 500k runs; explore a fixed budget.
-    // The reverted-wakeup oracle below finds its deadlock after ~3k
-    // schedules, so a 10k-run budget is deep enough to be meaningful.
+    // A wait list that drains on wake deadlocks here well inside it
+    // (`scripts/mutants.sh pr3_wake_dequeue` holds that), so the
+    // budget is known to reach bug-revealing depths.
     let opts = ModelOptions {
-        max_schedules: 10_000,
+        max_schedules: 40_000,
         ..ModelOptions::default()
     };
-    let ex = explore_ring_shared_consumers(false, &opts);
+    let ex = explore_ring_shared_consumers(&opts);
     if let Some(f) = &ex.failure {
-        panic!("shipped wait-list failed:\n{f}");
+        panic!(
+            "shipped wait-list failed:\n{f}\nwitness: {} context switches\n{}",
+            f.context_switches,
+            replayed(f)
+        );
     }
 }
 
-/// The minimized witness of the reverted-wakeup exploration, found once
-/// for the two tests that examine it (it is the suite's long pole).
-fn lost_wakeup_witness() -> &'static Failure {
-    static WITNESS: OnceLock<Failure> = OnceLock::new();
-    WITNESS.get_or_init(|| {
-        explore_ring_shared_consumers(true, &ModelOptions::default())
-            .failure
-            .expect("explorer must rediscover the PR 3 lost-wakeup deadlock")
-    })
-}
-
-#[test]
-fn reverted_wakeup_rediscovers_pr3_lost_wakeup() {
-    let failure = lost_wakeup_witness();
-    match &failure.kind {
-        FailureKind::Deadlock { blocked } => {
-            assert!(
-                blocked.iter().any(|b| b.contains("consumer")),
-                "deadlock should strand a consumer, got {blocked:?}"
-            );
-        }
-        other => panic!("expected a deadlock, found {other:?}\n{failure}"),
-    }
-    assert!(
-        !failure.trace.is_empty(),
-        "failure must carry an interleaving trace"
-    );
-    assert_eq!(
-        failure.context_switches, 5,
-        "the minimized witness is 5 context switches:\n{failure}"
-    );
-    // The minimized witness is part of the oracle's value: print it so
-    // `cargo test -- --nocapture` shows the exact schedule.
-    println!("minimized lost-wakeup witness:\n{failure}");
-}
-
-/// Names of the threads a deadlock left blocked.
-fn blocked_threads(kind: &FailureKind) -> Vec<&str> {
-    match kind {
-        FailureKind::Deadlock { blocked } => blocked
-            .iter()
-            .map(|b| b.split(':').next().expect("name: reason"))
-            .collect(),
-        other => panic!("expected a deadlock, found {other:?}"),
-    }
-}
-
-/// The witness `explore` (depth-first, frozen clock, pooled threads)
-/// finds is replayed by `replay` (forced, virtual clock, threads spawned
-/// under a `main` root): same operations, same enabled-set rule, same
-/// grant effects, so the same schedule strands the same consumers.
-#[test]
-fn explored_witness_replays_under_the_simulator() {
-    let witness = lost_wakeup_witness();
-
+/// What the simulator's `replay` (forced, virtual clock, threads
+/// spawned under a `main` root) makes of a witness `explore`
+/// (depth-first, frozen clock, pooled threads) found: the same
+/// operations, enabled-set rule and grant effects must strand the same
+/// threads, or fail the same thread, step for step.
+fn replayed(witness: &Failure) -> String {
     // The simulator's scenario spawns the same three threads in the same
     // order, under a root thread 0 that is granted its start, spawns
     // them and then only joins them: explore's thread `t` is replay's
@@ -198,20 +154,32 @@ fn explored_witness_replays_under_the_simulator() {
         strict_park: true,
         ..SimOptions::default()
     };
-    let run = replay(&opts, &schedule, || scenarios::ring_shared_consumers(true));
-
-    let replayed = run
-        .failure
-        .expect("the explored schedule must not diverge or complete under replay");
-    assert_eq!(run.schedule[..schedule.len()], schedule[..]);
-    let mut stranded = blocked_threads(&replayed.kind);
-    stranded.retain(|t| *t != "main");
-    assert_eq!(stranded, blocked_threads(&witness.kind), "{replayed}");
+    let run = replay(&opts, &schedule, scenarios::ring_shared_consumers);
+    let Some(r) = run.failure else {
+        return "replay under the simulator: diverged or completed".into();
+    };
     // Step for step the same operations on the same objects (only the
     // park slices differ: a virtual clock arms them, a frozen one does
     // not).
-    let unarmed = |op: &str| op.split(" (deadline").next().expect("op text").to_string();
-    for (w, r) in witness.trace.iter().zip(&replayed.trace) {
-        assert_eq!((&w.thread, unarmed(&w.op)), (&r.thread, unarmed(&r.op)));
+    let unarmed = |op: &str| op.split(" (deadline").next().unwrap_or(op).to_string();
+    let same_steps = (witness.trace.iter().zip(&r.trace))
+        .all(|(w, r)| (&w.thread, unarmed(&w.op)) == (&r.thread, unarmed(&r.op)));
+    let same = run.schedule.starts_with(&schedule)
+        && same_steps
+        && outcome(&witness.kind) == outcome(&r.kind);
+    let verdict = if same { "reproduces" } else { "diverges from" };
+    format!("replay under the simulator {verdict} the witness:\n{r}")
+}
+
+/// A failure with the simulator's root thread left out of a deadlock's
+/// blocked threads.
+fn outcome(kind: &FailureKind) -> String {
+    match kind {
+        FailureKind::Deadlock { blocked } => {
+            let names = blocked.iter().map(|b| b.split(':').next().unwrap_or(b));
+            let stranded: Vec<&str> = names.filter(|t| *t != "main").collect();
+            format!("deadlock {stranded:?}")
+        }
+        other => format!("{other:?}"),
     }
 }

@@ -1,9 +1,8 @@
 //! Bounded model checking walkthrough: exhaustively explore the
-//! `RingTransport` protocol, rediscover a real historical bug, and
-//! stress the supervision framing codecs against an adversarial
-//! channel.
+//! `RingTransport` protocol and stress the supervision framing codecs
+//! against an adversarial channel.
 //!
-//! Three acts:
+//! Two acts:
 //!
 //! 1. **Exhaustive SPSC exploration.** Two real OS threads push two
 //!    messages through a one-slot ring while the model-checking shim
@@ -11,27 +10,23 @@
 //!    happens-before equivalence, via sleep-set pruning). No cap is
 //!    hit, so the "no deadlock / no FIFO violation / no panic" verdict
 //!    holds for *every* schedule at this bound.
-//! 2. **The regression oracle.** The PR 3 lost-wakeup fix is
-//!    mechanically reverted (wake-all *with* dequeue) and the explorer
-//!    is pointed at the shared-consumer scenario that motivated it.
-//!    It must rediscover the bug — a deadlock where a consumer parks
-//!    forever — and print a minimized interleaving witness.
-//! 3. **Framing under fire.** The supervision seq/crc framing runs
+//! 2. **Framing under fire.** The supervision seq/crc framing runs
 //!    against an exhaustive adversary (drop / corrupt / duplicate
 //!    within a fault budget): every run delivers the stream exactly or
 //!    stops.
 //!
+//! That each checker can fail is shown by the mutant registry
+//! (`mutants/`, `scripts/mutants.sh`): the PR 3 lost wakeup, for one,
+//! is a patch the shared-consumer exploration must catch.
+//!
 //! Run with: `cargo run --release --example verify_ring`
 //! (debug works too; release explores ~3x faster).
 
-use spi_repro::verify::{
-    explore_framing, explore_ring_shared_consumers, explore_ring_spsc, FailureKind, FramingOptions,
-    ModelOptions,
-};
+use spi_repro::verify::{explore_framing, explore_ring_spsc, FramingOptions, ModelOptions};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---- Act 1: exhaustive SPSC exploration -------------------------
-    println!("[1/3] exhaustive SPSC exploration (2 messages, 1-slot ring)...");
+    println!("[1/2] exhaustive SPSC exploration (2 messages, 1-slot ring)...");
     let opts = ModelOptions::default();
     let ex = explore_ring_spsc(2, 1, &opts);
     println!(
@@ -44,41 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (None, false) => println!("      verdict: deadlock-free and FIFO at this bound.\n"),
     }
 
-    // ---- Act 2: rediscover the PR 3 lost wakeup ---------------------
-    println!("[2/3] reverting the PR 3 lost-wakeup fix and re-exploring...");
-    let ex = explore_ring_shared_consumers(true, &opts);
-    let failure = ex
-        .failure
-        .ok_or("explorer failed to rediscover the reverted lost-wakeup bug")?;
-    println!(
-        "      rediscovered after {} schedules ({} pruned):",
-        ex.schedules, ex.pruned
-    );
-    match &failure.kind {
-        FailureKind::Deadlock { blocked } => {
-            println!("      deadlock, blocked threads: {}", blocked.join(", "))
-        }
-        other => return Err(format!("expected a deadlock, found {other:?}").into()),
-    }
-    println!("      minimized witness:\n{failure}");
-
-    // Sanity: the shipped wait-list survives the same scenario within
-    // the same schedule budget the bug was found under.
-    let budget = ModelOptions {
-        max_schedules: 10_000,
-        ..ModelOptions::default()
-    };
-    let clean = explore_ring_shared_consumers(false, &budget);
-    if let Some(f) = &clean.failure {
-        return Err(format!("shipped wait-list failed:\n{f}").into());
-    }
-    println!(
-        "      shipped wait-list: clean across {} schedules at the same depth.\n",
-        clean.schedules
-    );
-
-    // ---- Act 3: framing vs. adversarial channel ---------------------
-    println!("[3/3] supervision framing vs. adversarial channel...");
+    // ---- Act 2: framing vs. adversarial channel ---------------------
+    println!("[2/2] supervision framing vs. adversarial channel...");
     let ex = explore_framing(&FramingOptions::default());
     println!(
         "      recover exactly or stop: {} adversary scripts, {} violations",
@@ -88,6 +50,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(v) = ex.violations.first() {
         return Err(format!("framing violated {}: {}", v.kind, v.detail).into());
     }
-    println!("\nall three engines agree: the protocols hold at their bounds.");
+    println!("\nboth engines agree: the protocols hold at their bounds.");
     Ok(())
 }

@@ -3,15 +3,16 @@
 # self-tests proving the gate can actually fail.
 #
 #   1. full spi-sim suite (determinism, replay, flush edges, virtual
-#      time, golden snapshots, PR 3 rediscovery),
+#      time, golden snapshots, strict-park shared consumers),
 #   2. the golden snapshot tests in a second fresh process — the
 #      ISSUE's acceptance gate that the same seed yields a
 #      byte-identical event log across consecutive runs,
 #   3. a seed sweep widened to SPI_SIM_RUNS seeds,
 #   4. deliberate-regression self-test A: the simulator must rediscover
-#      the PR 3 lost-wakeup deadlock in the mechanically reverted ring
-#      (runs as part of the suite, re-run here standalone for a clear
-#      log line),
+#      the PR 3 lost-wakeup deadlock in a ring whose wait list drains on
+#      wake (registry entry mutants/pr3_wake_dequeue_sim.patch, applied
+#      to a scratch copy by scripts/mutants.sh: a 200-seed strict-park
+#      sweep must print its SPI_SIM_SEED= replay line),
 #   5. deliberate-regression self-test B: flip one byte of a committed
 #      golden log and require the snapshot test to FAIL, then restore.
 #
@@ -32,8 +33,8 @@ scripts/with_timeout.sh 300 cargo test -p spi-sim --test golden -q
 echo "== sim gate: ${RUNS}-seed sweep"
 SPI_SIM_SWEEP="$RUNS" scripts/with_timeout.sh 1800 cargo test -p spi-sim --test whole_system -q
 
-echo "== sim gate: self-test A — rediscover the PR 3 lost wakeup in the reverted ring"
-scripts/with_timeout.sh 600 cargo test -p spi-sim --test lost_wakeup -q -- --nocapture
+echo "== sim gate: self-test A — rediscover the PR 3 lost wakeup (registry mutant)"
+scripts/with_timeout.sh 600 scripts/mutants.sh pr3_wake_dequeue_sim
 
 echo "== sim gate: self-test B — snapshot harness must detect a corrupted golden log"
 cp "$GOLDEN" "$GOLDEN.orig"

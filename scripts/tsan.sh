@@ -76,7 +76,7 @@ else
   for round in 1 2 3; do
     cargo test --release -p spi-net --test transport --test proptest_net --test wire "$@"
   done
-  echo "-- bounded model checking (exhaustive tier-1 + regression oracle)"
+  echo "-- bounded model checking (exhaustive tier-1 + shared consumers)"
   cargo test --release -p spi-verify "$@"
 fi
 echo "== transport concurrency checks passed =="
