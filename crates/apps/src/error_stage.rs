@@ -19,13 +19,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
 use spi_dsp::fft::autocorrelation_into;
-use spi_dsp::lpc::{cost, prediction_errors};
+use spi_dsp::lpc::{cost, prediction_errors_into};
 use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::speech::{frame_dims, solve_normal_equations_into, synth_frame_into};
-use crate::util::{f64s, f64s_to_bytes, put_f64s};
+use crate::speech::{frame_dims, longest_frame, solve_normal_equations_into, synth_frame_into};
+use crate::util::{f64s, f64s_into, f64s_to_bytes, put_f64s};
 
 /// Configuration of the error-stage subsystem.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,7 +99,7 @@ impl Analysis {
         Analysis {
             iter: 0,
             order: 0,
-            frame: Vec::with_capacity(cfg.frame.max(order * 4 + cfg.n_pes)),
+            frame: Vec::with_capacity(longest_frame(cfg.frame, order, cfg.n_pes)),
             coeffs: Vec::with_capacity(order),
             lags: Vec::with_capacity(order + 1),
             lu: (Vec::with_capacity(order * order), Vec::with_capacity(order)),
@@ -138,7 +138,8 @@ impl ErrorStageApp {
         let n = config.n_pes;
         let bytes_section = (section_len(config) * 8) as u32;
         let bytes_coeff = (config.order * 8 + 8) as u32;
-        let bytes_errors = ((config.frame / n + 1) * 8) as u32;
+        let longest = longest_frame(config.frame, config.order, n);
+        let bytes_errors = ((longest / n + 1) * 8) as u32;
 
         let mut g = SdfGraph::new();
         let mut io_send = Vec::new();
@@ -255,40 +256,37 @@ impl ErrorStageApp {
                 ctx.set_output(sec, f64s_to_bytes(&frame[hist_start..end]));
                 let mut payload = Vec::with_capacity(8 + coeffs.len() * 8);
                 payload.extend((*order as u64).to_le_bytes());
-                put_f64s(&mut payload, coeffs.iter().copied());
+                put_f64s(&mut payload, coeffs);
                 ctx.set_output(coe, payload);
                 cost::read_cycles(end - hist_start)
             });
             builder.actor_resources(self.io_send[i], components::io_interface());
 
             // ----- D_i: the hardware error generator ---------------------
-            // Section and coefficients are decoded into buffers the
-            // actor keeps, sized for its edges' bounds by its first
-            // firing, and the errors are written straight into the
-            // output bytes.
+            // Section, coefficients and errors live in buffers the actor
+            // keeps, sized for its edges' bounds by its first firing;
+            // the output bytes are the one allocation a firing.
             let mut scratch = None;
             builder.actor(self.d_error[i], move |ctx: &mut Firing| {
-                let (section, coeffs) = scratch.get_or_insert_with(|| {
+                let (section, coeffs, errors) = scratch.get_or_insert_with(|| {
                     (
                         Vec::with_capacity(section_len(cfg)),
                         Vec::with_capacity(cfg.order),
+                        Vec::with_capacity(section_len(cfg)),
                     )
                 });
-                section.clear();
-                section.extend(f64s(ctx.input(sec)));
+                f64s_into(ctx.input(sec), section);
                 // io_send_i's payload always begins with the 8-byte order.
                 #[allow(clippy::expect_used)]
                 let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
                 let order = u64::from_le_bytes(*order) as usize;
-                coeffs.clear();
-                coeffs.extend(f64s(raw));
+                f64s_into(raw, coeffs);
                 let hist = if i == 0 { 0 } else { order.min(section.len()) };
-                let errors = prediction_errors(section, coeffs, hist, section.len());
-                let count = errors.len();
-                let mut bytes = Vec::with_capacity(8 * count);
+                prediction_errors_into(section, coeffs, hist, section.len(), errors);
+                let mut bytes = Vec::with_capacity(8 * errors.len());
                 put_f64s(&mut bytes, errors);
                 ctx.set_output(err, bytes);
-                cost::error_cycles(count, order)
+                cost::error_cycles(errors.len(), order)
             });
             builder.actor_resources(
                 self.d_error[i],
@@ -325,7 +323,7 @@ impl ErrorStageApp {
 /// The most samples a frame section holds: a PE's share of the longest
 /// frame plus `order` samples of history.
 fn section_len(cfg: ErrorStageConfig) -> usize {
-    cfg.frame / cfg.n_pes + cfg.order + 1
+    longest_frame(cfg.frame, cfg.order, cfg.n_pes) / cfg.n_pes + cfg.order + 1
 }
 
 /// Run-time frame length and order for an iteration.
@@ -412,6 +410,30 @@ mod tests {
             sys.run_threaded_with(&ring()).unwrap();
             assert_residuals(&threaded, FRAMES, "ring");
         }
+    }
+
+    #[test]
+    fn frames_lifted_above_the_configured_length_fit_their_edges() {
+        // `frame_dims` lifts every frame of this configuration to
+        // 4·8 + 3 = 35 samples, above `frame`: the section and error
+        // edges are sized for the lifted frame, or a section exceeds its
+        // VTS bound.
+        const FRAMES: u64 = 8;
+        let cfg = ErrorStageConfig {
+            n_pes: 3,
+            frame: 32,
+            order: 8,
+            vary_rates: true,
+            seed: 5,
+        };
+        assert_eq!(dims(cfg, 1).0, 35);
+        let des = ErrorStageApp::new(cfg).unwrap();
+        des.system(FRAMES).unwrap().run().unwrap();
+        assert_residuals(&des, FRAMES, "DES");
+        let threaded = ErrorStageApp::new(cfg).unwrap();
+        let sys = threaded.system(FRAMES).unwrap();
+        sys.run_threaded_with(&ring()).unwrap();
+        assert_residuals(&threaded, FRAMES, "ring");
     }
 
     #[test]

@@ -19,12 +19,12 @@ use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
 use spi_dsp::fft::{autocorrelation_into, fft_cycles};
 use spi_dsp::huffman::{huffman_cycles, HuffmanCode};
-use spi_dsp::lpc::{cost, lu_decompose_into, lu_solve_into, prediction_error_range, Quantizer};
+use spi_dsp::lpc::{cost, lu_decompose_into, lu_solve_into, prediction_errors_into, Quantizer};
 use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::util::{f64s, f64s_from_bytes, f64s_to_bytes, put_f64s};
+use crate::util::{f64s_from_bytes, f64s_into, f64s_to_bytes, put_f64s};
 
 /// Configuration of the speech-compression system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,6 +65,12 @@ impl SpeechConfig {
             iter,
         )
     }
+
+    /// The most samples a frame section holds: a PE's share of the
+    /// longest frame plus `max_order` samples of history.
+    fn section_len(&self) -> usize {
+        longest_frame(self.max_frame, self.max_order, self.n_pes) / self.n_pes + self.max_order + 1
+    }
 }
 
 /// Run-time frame length and model order of iteration `iter` of
@@ -90,6 +96,12 @@ pub fn frame_dims(
     let frame = (max_frame - offset).max(max_order * 4 + n_pes);
     let order = 2 + ((iter.wrapping_mul(40503) >> 3) as usize) % max_order.max(3).saturating_sub(1);
     (frame, order.min(max_order))
+}
+
+/// The longest frame [`frame_dims`] returns for these bounds: it lifts a
+/// short one to `4·max_order + n_pes`, which can exceed `max_frame`.
+pub(crate) fn longest_frame(max_frame: usize, max_order: usize, n_pes: usize) -> usize {
+    max_frame.max(4 * max_order + n_pes)
 }
 
 /// One compressed frame collected at actor E — everything a decoder
@@ -179,11 +191,9 @@ impl SpeechApp {
             )));
         }
         let n = config.n_pes;
-        // The longest run-time frame: `frame_dims` lifts a short one to
-        // `4·max_order + n_pes`, which can exceed `max_frame`.
-        let longest = config.max_frame.max(4 * config.max_order + n);
+        let longest = longest_frame(config.max_frame, config.max_order, n);
         let bytes_frame = (longest * 8) as u32;
-        let bytes_section = ((longest / n + config.max_order + 1) * 8) as u32;
+        let bytes_section = (config.section_len() * 8) as u32;
         let bytes_coeff = (config.max_order * 8 + 8) as u32;
         let bytes_errors = ((longest / n + 1) * 8) as u32;
 
@@ -290,13 +300,12 @@ impl SpeechApp {
                     Vec::with_capacity(cfg.max_order + 1),
                 )
             });
-            frame.clear();
-            frame.extend(f64s(ctx.input(ab)));
+            f64s_into(ctx.input(ab), frame);
             let order = cfg.dims(ctx.iter).1;
             autocorrelation_into(frame, order, lags);
             let mut payload = Vec::with_capacity(8 * (lags.len() + 1));
             payload.extend((order as u64).to_le_bytes());
-            put_f64s(&mut payload, lags.iter().copied());
+            put_f64s(&mut payload, lags);
             ctx.set_output(bc, payload);
             fft_cycles(frame.len().next_power_of_two())
         });
@@ -322,21 +331,33 @@ impl SpeechApp {
         });
 
         // ----- Actors D_i: parallel prediction-error generation --------
+        // Section, coefficients and errors live in buffers the actor
+        // keeps, sized for its edges' bounds by its first firing; the
+        // output bytes are the one allocation a firing.
+        let section_len = cfg.section_len();
         for (i, &di) in self.d_error.iter().enumerate() {
             let sec = self.section_edges[i];
             let coe = self.coeff_edges[i];
             let err = self.error_edges[i];
+            let mut scratch = None;
             builder.actor(di, move |ctx: &mut Firing| {
-                let section = f64s_from_bytes(ctx.input(sec));
+                let (section, coeffs, errors) = scratch.get_or_insert_with(|| {
+                    (
+                        Vec::with_capacity(section_len),
+                        Vec::with_capacity(cfg.max_order),
+                        Vec::with_capacity(section_len),
+                    )
+                });
+                f64s_into(ctx.input(sec), section);
                 // C's payload always begins with the 8-byte order.
                 #[allow(clippy::expect_used)]
                 let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
                 let order = u64::from_le_bytes(*order) as usize;
-                let coeffs = f64s_from_bytes(raw);
+                f64s_into(raw, coeffs);
                 // History samples precede the section's own range.
                 let hist = section.len().min(if i == 0 { 0 } else { order });
-                let errors = prediction_error_range(&section, &coeffs, hist, section.len());
-                ctx.set_output(err, f64s_to_bytes(&errors));
+                prediction_errors_into(section, coeffs, hist, section.len(), errors);
+                ctx.set_output(err, f64s_to_bytes(errors));
                 cost::error_cycles(errors.len(), order)
             });
             builder.actor_resources(di, components::error_generator(cfg.max_order as u64));

@@ -1,16 +1,24 @@
 //! Byte-level helpers shared by the application actor implementations.
+//!
+//! Both directions are one bulk pass over whole 8-byte samples: the
+//! encoder grows its output once and fills the new span, the decoder
+//! extends a buffer from an exactly sized iterator.
 
 /// Serializes a slice of `f64` samples to little-endian bytes.
 pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(values.len() * 8);
-    put_f64s(&mut out, values.iter().copied());
+    put_f64s(&mut out, values);
     out
 }
 
-/// Appends `values` to `out` as little-endian bytes.
-pub fn put_f64s(out: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Appends `values` to `out` as little-endian bytes, in one resized
+/// span.
+pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
+    let at = out.len();
+    out.resize(at + 8 * values.len(), 0);
+    let (span, _) = out[at..].as_chunks_mut::<8>();
+    for (bytes, v) in span.iter_mut().zip(values) {
+        *bytes = v.to_le_bytes();
     }
 }
 
@@ -20,6 +28,13 @@ pub fn put_f64s(out: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) {
 /// occur on well-formed SPI payloads, whose sizes are whole tokens).
 pub fn f64s_from_bytes(bytes: &[u8]) -> Vec<f64> {
     f64s(bytes).collect()
+}
+
+/// [`f64s_from_bytes`] into `out`, which is cleared first: a kept
+/// buffer with room for the samples is not reallocated.
+pub fn f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(f64s(bytes));
 }
 
 /// The samples of [`f64s_from_bytes`], read one at a time.
@@ -42,5 +57,32 @@ mod tests {
     fn empty_and_partial() {
         assert!(f64s_from_bytes(&[]).is_empty());
         assert!(f64s_from_bytes(&[1, 2, 3]).is_empty());
+    }
+
+    #[test]
+    fn bulk_codecs_roundtrip_bit_for_bit_after_a_prefix() {
+        let xs = [-0.0, f64::INFINITY, f64::NAN, 1.0 / 3.0, -2.5e-310, 7.0];
+        // Appends after what the buffer holds, like a payload header.
+        let mut bytes = vec![0xAB; 3];
+        put_f64s(&mut bytes, &xs);
+        assert_eq!(bytes.len(), 3 + 8 * xs.len());
+        assert_eq!(bytes[..3], [0xAB; 3]);
+        for (chunk, x) in bytes[3..].chunks(8).zip(&xs) {
+            assert_eq!(chunk, x.to_le_bytes());
+        }
+        // A trailing partial sample is dropped; a kept buffer is
+        // cleared first and keeps its allocation.
+        let mut back = Vec::with_capacity(16);
+        back.push(9.0);
+        let kept = back.as_ptr();
+        let mut payload = bytes[3..].to_vec();
+        payload.extend([1, 2, 3, 4, 5]);
+        f64s_into(&payload, &mut back);
+        assert_eq!(back.as_ptr(), kept);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&xs));
+        assert_eq!(bits(&f64s_from_bytes(&payload)), bits(&xs));
+        f64s_into(&[1, 2, 3], &mut back);
+        assert!(back.is_empty());
     }
 }

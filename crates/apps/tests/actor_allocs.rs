@@ -71,16 +71,14 @@ const ITERATIONS: u64 = 410;
 /// | `io_recv_i` | the `Firing`'s input list (no output) | 1 |
 /// | every cross send | the framed message (`message::encode`): section, coefficients, errors | 3 |
 ///
-/// plus the DES's wake-up lists of the arrivals that find their
-/// receiver blocked, which at this configuration are all the
-/// allocations made outside the firings: 4 an iteration.
-///
-/// Nothing for the frame analysis (synthesis, autocorrelation, normal
-/// equations), which is refilled in place in buffers the first firing
-/// sized for the longest frame; nothing for decoding a section or
-/// coefficients, which `D_i` does into buffers it keeps; nothing for
-/// the residual energy, summed straight from the bytes.
-const ALLOCS_PER_ITERATION: u64 = PES * (3 + 3 + 1 + 3) + 4;
+/// Nothing outside the firings: the DES wakes a blocked PE from one
+/// stack it keeps for the run. Nothing for the frame analysis
+/// (synthesis, autocorrelation, normal equations), which is refilled in
+/// place in buffers the first firing sized for the longest frame;
+/// nothing for decoding a section or coefficients, or for the errors,
+/// which `D_i` computes into buffers it keeps; nothing for the residual
+/// energy, summed straight from the bytes.
+const ALLOCS_PER_ITERATION: u64 = PES * (3 + 3 + 1 + 3);
 
 #[test]
 fn error_stage_actors_allocate_only_their_outputs() {

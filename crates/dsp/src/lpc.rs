@@ -5,6 +5,13 @@
 //! equations, which the paper solves with **LU decomposition** (actor
 //! "C"); the prediction error (actor "D") plus quantized coefficients
 //! form the compressed representation.
+//!
+//! Actor D has one kernel, [`prediction_errors_into`], behind the owned
+//! [`prediction_error`] and [`prediction_error_range`]. It loops over
+//! coefficients on the outside and samples on the inside, the
+//! multiply-accumulate datapath the paper puts on each error PE, and
+//! keeps each residual's summation order, so its values are the
+//! per-sample definition's (the function's docs say why).
 
 /// Errors from the LPC pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,18 +182,7 @@ pub fn predictor_coefficients(frame: &[f64], order: usize) -> Result<Vec<f64>, L
 /// `e[t] = x[t] − Σ_k a[k]·x[t−k]`, with out-of-range history treated as
 /// zero.
 pub fn prediction_error(frame: &[f64], coeffs: &[f64]) -> Vec<f64> {
-    frame
-        .iter()
-        .enumerate()
-        .map(|(t, &x)| {
-            let predicted: f64 = coeffs
-                .iter()
-                .enumerate()
-                .map(|(k, &a)| if t > k { a * frame[t - k - 1] } else { 0.0 })
-                .sum();
-            x - predicted
-        })
-        .collect()
+    prediction_error_range(frame, coeffs, 0, frame.len())
 }
 
 /// Prediction error restricted to samples `[start, end)` — the unit of
@@ -195,25 +191,51 @@ pub fn prediction_error(frame: &[f64], coeffs: &[f64]) -> Vec<f64> {
 /// sections). The PE still needs `coeffs.len()` samples of history before
 /// `start`, which the caller supplies by sending an overlapping section.
 pub fn prediction_error_range(frame: &[f64], coeffs: &[f64], start: usize, end: usize) -> Vec<f64> {
-    prediction_errors(frame, coeffs, start, end).collect()
+    let mut out = Vec::new();
+    prediction_errors_into(frame, coeffs, start, end, &mut out);
+    out
 }
 
-/// The samples of [`prediction_error_range`], one at a time, for a
-/// caller that writes them somewhere other than a fresh `Vec`.
-pub fn prediction_errors<'a>(
-    frame: &'a [f64],
-    coeffs: &'a [f64],
+/// [`prediction_error_range`] into `out`, which is cleared first: the
+/// one prediction-error kernel.
+///
+/// Coefficients run on the outside and samples on the inside, so the
+/// inner loop is a multiply-add over independent samples that the
+/// compiler spreads over the vector lanes. It changes no value: each
+/// `out[t]` starts from −0.0, the value `f64`'s `Sum` starts from, and
+/// adds `a[k]·x[t−k−1]` in ascending `k`, the per-sample sum's order. A
+/// sample `t ≤ k` has no history for coefficient `k` and skips it where
+/// the per-sample sum adds `+0.0`, which can only turn a −0.0 sum into
+/// +0.0; so every residual equals the per-sample one, bit for bit
+/// unless it is zero.
+pub fn prediction_errors_into(
+    frame: &[f64],
+    coeffs: &[f64],
     start: usize,
     end: usize,
-) -> impl ExactSizeIterator<Item = f64> + 'a {
-    (start..end.min(frame.len())).map(move |t| {
-        let predicted: f64 = coeffs
-            .iter()
-            .enumerate()
-            .map(|(k, &a)| if t > k { a * frame[t - k - 1] } else { 0.0 })
-            .sum();
-        frame[t] - predicted
-    })
+    out: &mut Vec<f64>,
+) {
+    let end = end.min(frame.len());
+    out.clear();
+    if start >= end {
+        return;
+    }
+    out.resize(end - start, -0.0);
+    for (k, &a) in coeffs.iter().enumerate() {
+        // The first sample with history for `k`; later coefficients
+        // start no earlier.
+        let first = start.max(k + 1);
+        if first >= end {
+            break;
+        }
+        let history = &frame[first - k - 1..end - k - 1];
+        for (acc, &x) in out[first - start..].iter_mut().zip(history) {
+            *acc += a * x;
+        }
+    }
+    for (e, &x) in out.iter_mut().zip(&frame[start..end]) {
+        *e = x - *e;
+    }
 }
 
 /// LPC synthesis: reconstructs the signal from a (possibly quantized)
@@ -388,6 +410,82 @@ mod tests {
         for (a, b) in reassembled.iter().zip(&full) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    /// The per-sample definition of actor D's residual, as the kernel
+    /// computed it before it looped over coefficients: each sample sums
+    /// its terms with `Sum`, adding `0.0` for missing history.
+    fn per_sample_reference(frame: &[f64], coeffs: &[f64], start: usize, end: usize) -> Vec<f64> {
+        (start..end.min(frame.len()))
+            .map(|t| {
+                let predicted: f64 = coeffs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &a)| if t > k { a * frame[t - k - 1] } else { 0.0 })
+                    .sum();
+                frame[t] - predicted
+            })
+            .collect()
+    }
+
+    /// Equal to the reference on every finite input, and bit for bit
+    /// wherever the residual is nonzero (a zero may differ in sign).
+    fn assert_exact(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (t, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(g == w, "{what}, sample {t}: {g:e} vs reference {w:e}");
+            if *w != 0.0 {
+                assert_eq!(g.to_bits(), w.to_bits(), "{what}, sample {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn prediction_errors_equal_the_per_sample_definition() {
+        let mut rng = spi_platform::rng::SplitMix64::seed_from_u64(44);
+        // A kept buffer, dirty from the previous call: the kernel
+        // clears it.
+        let mut out = vec![f64::NAN; 3];
+        for order in 0..=16usize {
+            let mut coeffs: Vec<f64> = (0..order).map(|_| rng.gen_range(-1.5..1.5)).collect();
+            if order > 2 {
+                coeffs[1] = 0.0;
+            }
+            for len in [0, 1, order, order + 1, 2 * order + 3, 70] {
+                let mut frame: Vec<f64> = (0..len).map(|_| rng.gen_range(-8.0..8.0)).collect();
+                // Zeros of both signs, in the history and as samples.
+                for (t, x) in frame.iter_mut().enumerate() {
+                    match t % 7 {
+                        3 => *x = 0.0,
+                        5 => *x = -0.0,
+                        _ => {}
+                    }
+                }
+                let starts = [0, 1, order.saturating_sub(1), order, order + 1];
+                for start in starts {
+                    for end in [0, start, start + 1, len / 2, len, len + 5] {
+                        let want = per_sample_reference(&frame, &coeffs, start, end);
+                        prediction_errors_into(&frame, &coeffs, start, end, &mut out);
+                        let what = format!("order {order}, len {len}, [{start}, {end})");
+                        assert_exact(&out, &want, &what);
+                        assert_exact(
+                            &prediction_error_range(&frame, &coeffs, start, end),
+                            &want,
+                            &what,
+                        );
+                    }
+                }
+                assert_exact(
+                    &prediction_error(&frame, &coeffs),
+                    &per_sample_reference(&frame, &coeffs, 0, len),
+                    &format!("order {order}, len {len}, whole frame"),
+                );
+            }
+        }
+        // Empty coefficients leave the signal as it is.
+        let frame = [1.0, -2.0, 0.5];
+        assert_eq!(prediction_error(&frame, &[]), frame);
+        assert!(prediction_error(&[], &[0.5, 0.25]).is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use spi_dsp::fft::{fft, fft_real, ifft, Complex};
 use spi_dsp::huffman::HuffmanCode;
-use spi_dsp::lpc::{autocorrelation, prediction_error, Quantizer};
+use spi_dsp::lpc::{autocorrelation, prediction_error, prediction_errors_into, Quantizer};
 use spi_dsp::particle::{systematic_draw, CrackModel};
 use spi_platform::rng::{for_each_case, SplitMix64};
 
@@ -85,6 +85,41 @@ fn prediction_error_of_zero_coeffs_is_signal() {
         let len = rng.gen_range(4..32);
         let signal = samples(rng, len, 5.0);
         assert_eq!(prediction_error(&signal, &[]), signal);
+    });
+}
+
+/// Actor D's kernel against the per-sample sum it replaced, on random
+/// frames, orders to 16 and ranges that may start inside the history,
+/// be empty or run past the frame: equal everywhere, bit for bit
+/// wherever the residual is nonzero.
+#[test]
+fn prediction_errors_are_the_per_sample_sum() {
+    for_each_case(64, |rng| {
+        let len = rng.gen_range(0..600usize);
+        let order = rng.gen_range(0..17usize);
+        let frame = samples(rng, len, 10.0);
+        let coeffs = samples(rng, order, 1.0);
+        let start = rng.gen_range(0..len + order + 2);
+        let end = rng.gen_range(0..len + 8);
+        let mut got = samples(rng, 4, 1.0);
+        prediction_errors_into(&frame, &coeffs, start, end, &mut got);
+        let want: Vec<f64> = (start..end.min(len))
+            .map(|t| {
+                let predicted: f64 = coeffs
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &a)| if t > k { a * frame[t - k - 1] } else { 0.0 })
+                    .sum();
+                frame[t] - predicted
+            })
+            .collect();
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert!(
+                g == w && (*w == 0.0 || g.to_bits() == w.to_bits()),
+                "{g:e} vs {w:e}"
+            );
+        }
     });
 }
 

@@ -342,7 +342,7 @@ fn worker_run(
         runner = runner.supervise(policy);
     }
     let results = runner.run_with_endpoints(&dep.specs, endpoints, programs)?;
-    if let Some(err) = results.iter().find_map(|r| spi::recorded_failure(&r.store)) {
+    if let Some(err) = spi::root_failure(results.iter().map(|r| &r.store)) {
         return Err(NetError::Protocol(err.to_string()));
     }
 

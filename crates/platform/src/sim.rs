@@ -20,6 +20,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::error::{BlockKind, BlockedOp, PlatformError, Result};
@@ -576,6 +577,10 @@ struct Engine {
     grant_idx: usize,
     /// Cycle at which the shared bus frees up (bus modes only).
     bus_free: u64,
+    /// The PEs a wake-up is stepping, one range per nested wake-up:
+    /// each pushes its snapshot above its caller's range and truncates
+    /// back when done, so the run allocates it once.
+    wakeups: Vec<usize>,
 }
 
 impl Engine {
@@ -624,6 +629,7 @@ impl Engine {
             ordered_bus: m.ordered_bus,
             grant_idx: 0,
             bus_free: 0,
+            wakeups: Vec::new(),
         })
     }
 
@@ -716,14 +722,9 @@ impl Engine {
             c.available.push_back(data);
         }
         // Wake any PE blocked receiving on this channel.
-        let waiters: Vec<usize> = self
-            .pes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.state == PeState::BlockedRecv(ch))
-            .map(|(i, _)| i)
-            .collect();
-        for i in waiters {
+        let waiters = self.snapshot_waiters(|state| state == PeState::BlockedRecv(ch));
+        for slot in waiters.clone() {
+            let i = self.wakeups[slot];
             self.pes[i].state = PeState::Ready;
             self.pes[i].stats.recv_stall_cycles += self.now - self.pes[i].blocked_since;
             if let Some(t) = &self.probe {
@@ -731,6 +732,22 @@ impl Engine {
             }
             self.step_pe(PeId(i));
         }
+        self.wakeups.truncate(waiters.start);
+    }
+
+    /// Pushes the PEs whose state `blocked` matches, in index order,
+    /// onto the wake-up stack and returns their slots. A PE the caller
+    /// steps may wake others; that nested call's slots lie above these
+    /// and are gone again when it returns.
+    fn snapshot_waiters(&mut self, blocked: impl Fn(PeState) -> bool) -> Range<usize> {
+        let start = self.wakeups.len();
+        let matching = self
+            .pes
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| blocked(p.state));
+        self.wakeups.extend(matching.map(|(i, _)| i));
+        start..self.wakeups.len()
     }
 
     /// Advances one PE until it blocks, finishes, or schedules a timed
@@ -953,14 +970,9 @@ impl Engine {
     /// Re-steps PEs waiting for their ordered-bus slot; the one whose
     /// channel matches the new grant position proceeds.
     fn wake_bus_waiters(&mut self) {
-        let waiters: Vec<usize> = self
-            .pes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| matches!(p.state, PeState::BlockedBus(_)))
-            .map(|(i, _)| i)
-            .collect();
-        for i in waiters {
+        let waiters = self.snapshot_waiters(|state| matches!(state, PeState::BlockedBus(_)));
+        for slot in waiters.clone() {
+            let i = self.wakeups[slot];
             // Stepping an earlier waiter re-enters this function when its
             // send advances the order, and that inner call may already
             // have woken this one.
@@ -974,17 +986,13 @@ impl Engine {
             }
             self.step_pe(PeId(i));
         }
+        self.wakeups.truncate(waiters.start);
     }
 
     fn wake_senders(&mut self, ch: ChannelId) {
-        let waiters: Vec<usize> = self
-            .pes
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.state == PeState::BlockedSend(ch))
-            .map(|(i, _)| i)
-            .collect();
-        for i in waiters {
+        let waiters = self.snapshot_waiters(|state| state == PeState::BlockedSend(ch));
+        for slot in waiters.clone() {
+            let i = self.wakeups[slot];
             self.pes[i].state = PeState::Ready;
             self.pes[i].stats.send_stall_cycles += self.now - self.pes[i].blocked_since;
             if let Some(t) = &self.probe {
@@ -992,6 +1000,7 @@ impl Engine {
             }
             self.step_pe(PeId(i));
         }
+        self.wakeups.truncate(waiters.start);
     }
 }
 

@@ -45,6 +45,6 @@ pub use message::{
     header_bytes, static_frame_bytes, SpiPhase, DYNAMIC_HEADER_BYTES, STATIC_HEADER_BYTES,
 };
 pub use system::{
-    recorded_failure, BufferRow, EdgePlan, MessageCost, SchedulingMode, SpiRunReport, SpiSystem,
-    SpiSystemBuilder, ACK_BYTES,
+    recorded_failure, root_failure, BufferRow, EdgePlan, MessageCost, SchedulingMode, SpiRunReport,
+    SpiSystem, SpiSystemBuilder, ACK_BYTES,
 };

@@ -95,11 +95,23 @@ fn ack_channel_bytes(plan: &EdgePlan) -> usize {
 
 const FAIL_KEY: &str = "__spi_error";
 
-fn fail(local: &mut PeLocal, msg: String) {
+/// Which part of a firing failed: decoding what it received, or
+/// checking and framing what the actor produced. A PE that has failed
+/// sends empty messages from then on, so an `Input` failure may be
+/// another PE's failure seen downstream; an `Output` failure never is.
+/// [`root_failure`] prefers the lower discriminant.
+#[derive(Clone, Copy)]
+enum FailedAt {
+    Output = 0,
+    Input = 1,
+}
+
+/// Records the PE's first failure, its [`FailedAt`] as the first byte.
+fn fail(local: &mut PeLocal, at: FailedAt, msg: String) {
     local
         .store
         .entry(FAIL_KEY.to_string())
-        .or_insert_with(|| msg.into_bytes());
+        .or_insert_with(|| [&[at as u8], msg.as_bytes()].concat());
 }
 
 /// Lowered programs keep nothing in the store, so a run without a
@@ -113,8 +125,24 @@ fn failed(local: &PeLocal) -> bool {
 /// ([`super::SpiSystem::into_parts`]) checks each PE's result for.
 pub fn recorded_failure(store: &HashMap<String, Vec<u8>>) -> Option<SpiError> {
     store.get(FAIL_KEY).map(|err| SpiError::ActorFailed {
-        message: String::from_utf8_lossy(err).into_owned(),
+        message: String::from_utf8_lossy(err.get(1..).unwrap_or_default()).into_owned(),
     })
+}
+
+/// The failure that caused the others among the final stores of a run's
+/// PEs, in PE order: the first PE whose own outputs failed (a bound or
+/// size check, framing), else the first PE that failed at all. A failed
+/// PE's empty messages make its receivers fail to decode, never to
+/// produce, so an output failure is where a cascade starts.
+pub fn root_failure<'a>(
+    stores: impl IntoIterator<Item = &'a HashMap<String, Vec<u8>>>,
+) -> Option<SpiError> {
+    let store = stores
+        .into_iter()
+        .filter_map(|store| Some((store.get(FAIL_KEY)?.first().copied(), store)))
+        .min_by_key(|(at, _)| *at)?
+        .1;
+    recorded_failure(store)
 }
 
 /// The slot of `edge` in one of a PE's two tables, which are indexed by
@@ -447,13 +475,14 @@ impl FiringBody {
         if failed(l) {
             return 0;
         }
-        self.try_run(l).unwrap_or_else(|msg| {
-            fail(l, msg);
+        self.try_run(l).unwrap_or_else(|(at, msg)| {
+            fail(l, at, msg);
             0
         })
     }
 
-    fn try_run(&self, l: &mut PeLocal) -> std::result::Result<u64, String> {
+    fn try_run(&self, l: &mut PeLocal) -> std::result::Result<u64, (FailedAt, String)> {
+        use FailedAt::{Input, Output};
         let mut overhead = 0u64;
         // Decode incoming messages into edge queues.
         for r in &self.receives {
@@ -463,9 +492,9 @@ impl FiringBody {
                 // the slot until it is pushed into the edge queue.
                 let msg = l
                     .take_token_from(r.channel)
-                    .ok_or_else(|| format!("missing message on {}", r.edge))?;
+                    .ok_or_else(|| (Input, format!("missing message on {}", r.edge)))?;
                 let payload = message::decode_borrowed(r.phase, &msg, r.edge, r.payload_max)
-                    .map_err(|e| e.to_string())?;
+                    .map_err(|e| (Input, e.to_string()))?;
                 overhead += r.cost.decode_cycles(payload.len());
                 match r.phase {
                     SpiPhase::Static => slot(&mut l.queues, r.edge).push(payload),
@@ -487,7 +516,7 @@ impl FiringBody {
                     q.take(c.bytes)
                 }
             });
-            let data = data.ok_or_else(|| format!("input underflow on {}", c.edge))?;
+            let data = data.ok_or_else(|| (Input, format!("input underflow on {}", c.edge)))?;
             inputs.push((c.edge, data));
         }
         // Fire.
@@ -505,23 +534,24 @@ impl FiringBody {
             let (edge, got) = (p.edge, bytes.len());
             if p.dynamic && got > p.bytes {
                 let bound = p.bytes;
-                return Err(SpiError::VtsBoundExceeded { edge, got, bound }.to_string());
+                let err = SpiError::VtsBoundExceeded { edge, got, bound };
+                return Err((Output, err.to_string()));
             }
             if !p.dynamic && got != p.bytes {
                 let expected = p.bytes;
-                return Err(SpiError::StaticSizeMismatch {
+                let err = SpiError::StaticSizeMismatch {
                     edge,
                     got,
                     expected,
-                }
-                .to_string());
+                };
+                return Err((Output, err.to_string()));
             }
             match p.cross {
                 // Frame now (SPI_send header cost) and stash for the
                 // Send op that follows.
                 Some(phase) => {
-                    *slot(&mut l.staged, p.edge) =
-                        message::encode(phase, p.edge, bytes).map_err(|e| e.to_string())?;
+                    *slot(&mut l.staged, p.edge) = message::encode(phase, p.edge, bytes)
+                        .map_err(|e| (Output, e.to_string()))?;
                     overhead += 1;
                 }
                 None if p.dynamic => frame_push(slot(&mut l.queues, p.edge), bytes),

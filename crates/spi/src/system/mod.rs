@@ -32,7 +32,7 @@ mod lower;
 mod run;
 
 pub use build::{EdgePlan, MessageCost, SchedulingMode, SpiSystemBuilder, ACK_BYTES};
-pub use lower::recorded_failure;
+pub use lower::{recorded_failure, root_failure};
 pub use run::{BufferRow, SpiRunReport, SpiSystem};
 
 #[cfg(test)]

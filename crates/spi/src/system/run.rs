@@ -10,7 +10,7 @@ use spi_platform::{ChannelId, Machine, SimReport, Tracer};
 use spi_sched::{CycleRatio, Partition, Protocol, ResyncReport, SyncGraph};
 
 use super::build::{EdgePlan, Plans, CLOCK_MHZ};
-use super::lower::recorded_failure;
+use super::lower::root_failure;
 use crate::error::Result;
 use crate::library::SpiLibraryReport;
 use crate::message::SpiPhase;
@@ -217,7 +217,8 @@ impl SpiSystem {
     /// # Errors
     ///
     /// Platform errors (a timeout surfaces as deadlock) and
-    /// [`crate::SpiError::ActorFailed`] if any actor recorded a failure.
+    /// [`crate::SpiError::ActorFailed`] if any actor recorded a failure
+    /// (the one [`crate::root_failure`] names).
     pub fn run_threaded(self) -> Result<Vec<spi_platform::ThreadedPeResult>> {
         self.run_threaded_with(&spi_platform::ThreadedRunner::new())
     }
@@ -240,7 +241,7 @@ impl SpiSystem {
         };
         let (channels, programs) = self.machine.into_parts();
         let results = runner.run(&channels, programs)?;
-        match results.iter().find_map(|r| recorded_failure(&r.store)) {
+        match root_failure(results.iter().map(|r| &r.store)) {
             Some(err) => Err(err),
             None => Ok(results),
         }
@@ -259,10 +260,10 @@ impl SpiSystem {
     ///
     /// Platform errors (deadlock, budget) and
     /// [`crate::SpiError::ActorFailed`] if any actor recorded a failure during
-    /// the run.
+    /// the run (the one [`crate::root_failure`] names).
     pub fn run(self) -> Result<SpiRunReport> {
         let sim = self.machine.run()?;
-        if let Some(err) = sim.locals.iter().find_map(|l| recorded_failure(&l.store)) {
+        if let Some(err) = root_failure(sim.locals.iter().map(|l| &l.store)) {
             return Err(err);
         }
         Ok(SpiRunReport {

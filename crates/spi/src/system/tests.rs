@@ -100,6 +100,52 @@ fn vts_bound_violation_detected() {
 }
 
 #[test]
+fn a_run_reports_the_failure_that_caused_the_others() {
+    // A on P1 exceeds its bound; B on P0 then receives the failed PE's
+    // empty message and fails to decode it. P0 comes first in PE order,
+    // but the run names A's failure on both engines.
+    let system = || {
+        let mut g = SdfGraph::new();
+        let a = g.add_actor("A", 1);
+        let b_ = g.add_actor("B", 1);
+        let e = g.add_dynamic_edge(a, b_, 4, 4, 0, 1).unwrap();
+        let mut b = SpiSystemBuilder::new(g);
+        b.actor(a, move |ctx: &mut Firing| {
+            ctx.set_output(e, vec![0; 100]);
+            1
+        });
+        b.actor(b_, |_: &mut Firing| 1);
+        b.iterations(3);
+        b.build(2, |x| ProcId(1 - x.0)).unwrap()
+    };
+    let (specs, programs) = system().into_parts();
+    let mut machine = spi_platform::Machine::new();
+    for spec in &specs {
+        machine.add_channel(*spec);
+    }
+    for program in programs {
+        machine.add_pe(program);
+    }
+    let stores: Vec<_> = machine
+        .run()
+        .unwrap()
+        .locals
+        .into_iter()
+        .map(|l| l.store)
+        .collect();
+    let message = |err: Option<SpiError>| match err {
+        Some(SpiError::ActorFailed { message }) => message,
+        other => panic!("expected an actor failure, got {other:?}"),
+    };
+    assert!(message(super::recorded_failure(&stores[0])).contains("decode failed"));
+    let vts = "produced 100 bytes, exceeding the VTS bound 4";
+    assert!(message(super::recorded_failure(&stores[1])).contains(vts));
+    assert!(message(super::root_failure(&stores)).contains(vts));
+    assert!(message(system().run().err()).contains(vts));
+    assert!(message(system().run_threaded().err()).contains(vts));
+}
+
+#[test]
 fn static_size_mismatch_detected() {
     let mut g = SdfGraph::new();
     let a = g.add_actor("A", 1);

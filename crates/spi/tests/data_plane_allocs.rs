@@ -65,13 +65,13 @@ static MARKS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64:
 /// | `b` | the actor's output `Vec` | 1 |
 /// | `b` | the framed message for `b -> d` | 1 |
 /// | `d` | the `Firing`'s input list (two inputs, no output) | 1 |
-/// | DES | the wake-up list of an arrival that finds its receiver blocked: `b` on `a -> b`, `d` on `b -> d` | 2 |
 ///
 /// Nothing for a queue push, take or frame, nothing for a staged send
 /// (the framed message *is* the staged buffer, and the `Send` op moves
 /// it into the channel), nothing for a received message (decoded
-/// borrowed, copied into the queue's own buffer).
-const ALLOCS_PER_ITERATION: u64 = 11;
+/// borrowed, copied into the queue's own buffer), nothing for waking a
+/// blocked PE (the DES keeps one wake-up stack a run).
+const ALLOCS_PER_ITERATION: u64 = 9;
 
 #[test]
 fn lowered_data_plane_allocates_only_what_is_attributed() {

@@ -8,11 +8,12 @@
 # operation or more allocations an iteration than its ceiling.
 # `allocs_per_iter` is a count made by the benchmark's own allocator and
 # repeats exactly on a given build, so the ceilings sit close to the
-# figures (EXPERIMENTS.md, "Application 1's input from a phase table",
-# "The supervision ledger" and "Owner-claimed trace slots"): des_app1
-# 47.968, app1_lpc 13.122 — the framework's allocations plus three
-# output buffers per error PE; the actors' own work allocates nothing
-# after their first firing — and 2.0002 for both self-loops — the bare loop's count (the payload
+# figures (EXPERIMENTS.md, "Actor D at machine width", "The
+# supervision ledger" and "Owner-claimed trace slots"): des_app1
+# 40.230, app1_lpc 13.124 — the framework's allocations plus three
+# output buffers per error PE; the actors' own work and the DES's
+# wake-ups allocate nothing after their first use — and 2.0002 for
+# both self-loops — the bare loop's count (the payload
 # closure's `Vec` and the ring's received `Vec`). The checkpoint log
 # copies into a reused buffer and a captured event lands in a
 # preallocated slot, so one more allocation a message would read 3.
@@ -68,7 +69,7 @@ setup_gate() {
   fi
 }
 
-gate des_app1 48.1
+gate des_app1 40.33
 gate app1_lpc 13.2
 gate selfloop8_supervised 2.1
 gate selfloop8_traced 2.1

@@ -43,7 +43,7 @@ use spi_repro::platform::{Program, SupervisionPolicy, ThreadedRunner, Transport,
 use spi_repro::sched::{Partition, ProcId};
 use spi_repro::sim::{sim_stream_pair, SimStream};
 use spi_repro::spi::SpiSystemBuilder;
-use spi_repro::spi::{recorded_failure, Firing, SchedulingMode, SpiPhase, SpiSystem};
+use spi_repro::spi::{root_failure, Firing, SchedulingMode, SpiPhase, SpiSystem};
 use spi_repro::trace::{ClockKind, ProbeKind, RingTracer};
 
 /// Systems the tier-1 test checks; `CHAOS_CASES` overrides.
@@ -505,7 +505,7 @@ impl Backend {
             }
         };
         let stores = results.map(|results| {
-            if let Some(e) = results.iter().find_map(|r| recorded_failure(&r.store)) {
+            if let Some(e) = root_failure(results.iter().map(|r| &r.store)) {
                 panic!("{self:?}: {e}");
             }
             results.into_iter().map(|r| r.store).collect()
