@@ -45,8 +45,3 @@ pub mod passes;
 pub use analyzer::{AnalysisReport, Analyzer, Pass};
 pub use diag::{Diagnostic, Locus, Severity};
 pub use input::{AnalysisInput, EdgeDecl, TransportDecl};
-
-/// Convenience: run the default pipeline on a bare graph.
-pub fn analyze_graph(graph: &spi_dataflow::SdfGraph) -> AnalysisReport {
-    Analyzer::default_pipeline().run(&AnalysisInput::new(graph))
-}

@@ -9,10 +9,16 @@
 //! and model order are not known before run time, so all three transfers
 //! use `SPI_dynamic`.
 //!
+//! Figure 3's subsystem is figure 2's stage D, so this module also
+//! holds what the whole pipeline ([`SpeechApp`](crate::SpeechApp))
+//! shares with it: the one configuration, the frame layout, actor D and
+//! the D_i → P(1 + i) assignment.
+//!
 //! This module drives figure 3 (resynchronization of the 3-PE sync
 //! graph), figure 6 (execution time vs sample size for n = 1..4) and
 //! table 1 (FPGA area of the 4-PE implementation).
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -24,19 +30,22 @@ use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::speech::{frame_dims, longest_frame, solve_normal_equations_into, synth_frame_into};
-use crate::util::{f64s, f64s_into, f64s_to_bytes, put_f64s};
+use crate::speech::{frame_dims, synth_frame_into, Predictor};
+use crate::util::{f64s, f64s_into, f64s_to_bytes, order_payload, read_order_payload};
 
-/// Configuration of the error-stage subsystem.
+/// Configuration of application 1, for both of its graphs: figure 2's
+/// whole pipeline ([`SpeechApp`](crate::SpeechApp)) and this error
+/// stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStageConfig {
     /// Number of error-generation PEs (paper: 1–4).
     pub n_pes: usize,
-    /// Frame length ("sample size" of figure 6).
+    /// Nominal (maximum) frame length ("sample size" of figure 6).
     pub frame: usize,
-    /// LPC model order.
+    /// Maximum LPC model order.
     pub order: usize,
-    /// Vary frame/order at run time (exercises SPI_dynamic payloads).
+    /// Vary frame length and order at run time (the paper's dynamic
+    /// scenario); without it they stay at `frame` and `order`.
     pub vary_rates: bool,
     /// RNG seed for the synthetic input.
     pub seed: u64,
@@ -52,6 +61,118 @@ impl Default for ErrorStageConfig {
             seed: 3,
         }
     }
+}
+
+impl ErrorStageConfig {
+    /// Application 1's one validation rule: at least one error PE, an
+    /// order of at least 1, and a frame of at least four times the
+    /// order.
+    pub(crate) fn validate(&self) -> Result<()> {
+        if self.n_pes == 0 {
+            return Err(AppError::Config("n_pes must be positive".into()));
+        }
+        if self.order == 0 || self.frame < 4 * self.order {
+            return Err(AppError::Config(format!(
+                "frame {} too short for order {}",
+                self.frame, self.order
+            )));
+        }
+        Ok(())
+    }
+
+    /// Frame length and model order of iteration `iter`.
+    pub(crate) fn dims(&self, iter: u64) -> (usize, usize) {
+        frame_dims(self.frame, self.order, self.n_pes, self.vary_rates, iter)
+    }
+
+    /// The longest frame [`frame_dims`] returns: it lifts a short one
+    /// to `4·order + n_pes`, which can exceed `frame`.
+    pub(crate) fn longest_frame(&self) -> usize {
+        self.frame.max(4 * self.order + self.n_pes)
+    }
+
+    /// The most samples a frame section holds: a PE's share of the
+    /// longest frame plus `order` samples of history.
+    fn section_len(&self) -> usize {
+        self.longest_frame() / self.n_pes + self.order + 1
+    }
+
+    /// Byte bounds of application 1's edges, sized for the longest
+    /// frame and the highest order: `[frame, section, coeffs, errors]`
+    /// bound a whole frame, a PE's section (its share plus history), an
+    /// order and its coefficients (lags take twice that), and a PE's
+    /// error values.
+    pub(crate) fn edge_bytes(&self) -> [u32; 4] {
+        let longest = self.longest_frame();
+        [
+            longest,
+            self.section_len(),
+            self.order + 1,
+            longest / self.n_pes + 1,
+        ]
+        .map(|samples| (samples * 8) as u32)
+    }
+
+    /// The samples of a `frame_len`-sample frame that error PE `i`
+    /// receives: its share, from `i·frame_len/n_pes` up to
+    /// `(i + 1)·frame_len/n_pes`, after up to `order` samples of
+    /// history.
+    pub(crate) fn section(&self, i: usize, frame_len: usize, order: usize) -> Range<usize> {
+        let start = i * frame_len / self.n_pes;
+        start.saturating_sub(order)..(i + 1) * frame_len / self.n_pes
+    }
+}
+
+/// Registers error PE `i`'s actor `D_i`, and its resources, on
+/// `builder`: the one actor D of both graphs. It reads its section and
+/// its order and coefficients from the `sec` and `coe` edges and sends
+/// the prediction error of the section's own samples on `err`.
+///
+/// Section, coefficients and errors live in buffers the actor keeps,
+/// sized for its edges' bounds by its first firing; the output bytes
+/// are the one allocation a firing.
+pub(crate) fn error_actor(
+    builder: &mut SpiSystemBuilder,
+    cfg: ErrorStageConfig,
+    i: usize,
+    d: ActorId,
+    [sec, coe, err]: [EdgeId; 3],
+) {
+    let mut scratch = None;
+    builder.actor(d, move |ctx: &mut Firing| {
+        let (section, coeffs, errors) = scratch.get_or_insert_with(|| {
+            let samples = cfg.edge_bytes()[1] as usize / 8;
+            (
+                Vec::with_capacity(samples),
+                Vec::with_capacity(cfg.order),
+                Vec::with_capacity(samples),
+            )
+        });
+        f64s_into(ctx.input(sec), section);
+        let order = read_order_payload(ctx.input(coe), coeffs);
+        // History samples precede the section's own range.
+        let hist = if i == 0 { 0 } else { order.min(section.len()) };
+        prediction_errors_into(section, coeffs, hist, section.len(), errors);
+        ctx.set_output(err, f64s_to_bytes(errors));
+        cost::error_cycles(errors.len(), order)
+    });
+    builder.actor_resources(d, components::error_generator(cfg.order as u64));
+}
+
+/// Finishes `builder` on `1 + d_error.len()` processors: error
+/// generator `D_i` on P(1 + i), every other actor on the I/O
+/// processor P0.
+pub(crate) fn build_on_error_pes(
+    builder: SpiSystemBuilder,
+    d_error: &[ActorId],
+) -> spi::Result<SpiSystem> {
+    let d_actors = d_error.to_vec();
+    builder.build(1 + d_actors.len(), move |actor| {
+        match d_actors.iter().position(|&d| d == actor) {
+            Some(i) => ProcId(1 + i),
+            None => ProcId(0),
+        }
+    })
 }
 
 /// The assembled subsystem.
@@ -79,30 +200,24 @@ pub struct ErrorStageApp {
 }
 
 /// What the I/O processor derives from one input frame before it sends
-/// anything (figure 3): the samples and their predictor coefficients,
-/// refilled in place frame after frame.
+/// anything (figure 3): the samples and their predictor, refilled in
+/// place frame after frame.
 struct Analysis {
     iter: u64,
     order: usize,
     frame: Vec<f64>,
-    coeffs: Vec<f64>,
-    /// Autocorrelation lags, then the normal equations' LU factors.
-    lags: Vec<f64>,
-    lu: (Vec<f64>, Vec<usize>),
+    predictor: Predictor,
 }
 
 impl Analysis {
     /// Buffers sized for the longest frame and the highest order `cfg`
     /// declares, so that no refill grows them.
     fn new(cfg: ErrorStageConfig) -> Self {
-        let order = cfg.order;
         Analysis {
             iter: 0,
             order: 0,
-            frame: Vec::with_capacity(longest_frame(cfg.frame, order, cfg.n_pes)),
-            coeffs: Vec::with_capacity(order),
-            lags: Vec::with_capacity(order + 1),
-            lu: (Vec::with_capacity(order * order), Vec::with_capacity(order)),
+            frame: Vec::with_capacity(cfg.longest_frame()),
+            predictor: Predictor::new(cfg.order),
         }
     }
 
@@ -110,10 +225,10 @@ impl Analysis {
     /// and C of figure 2, which this subsystem keeps on the I/O
     /// processor).
     fn refill(&mut self, cfg: ErrorStageConfig, iter: u64) {
-        let (frame_len, order) = dims(cfg, iter);
+        let (frame_len, order) = cfg.dims(iter);
         synth_frame_into(cfg.seed, iter, frame_len, &mut self.frame);
-        autocorrelation_into(&self.frame, order, &mut self.lags);
-        solve_normal_equations_into(&self.lags, order, &mut self.lu, &mut self.coeffs);
+        autocorrelation_into(&self.frame, order, &mut self.predictor.lags);
+        self.predictor.solve(order);
         self.iter = iter;
         self.order = order;
     }
@@ -126,48 +241,28 @@ impl ErrorStageApp {
     ///
     /// [`AppError::Config`] for degenerate configurations.
     pub fn new(config: ErrorStageConfig) -> Result<Self> {
-        if config.n_pes == 0 {
-            return Err(AppError::Config("n_pes must be positive".into()));
-        }
-        if config.frame < 4 * config.order.max(1) || config.order < 1 {
-            return Err(AppError::Config(format!(
-                "frame {} too short for order {}",
-                config.frame, config.order
-            )));
-        }
+        config.validate()?;
         let n = config.n_pes;
-        let bytes_section = (section_len(config) * 8) as u32;
-        let bytes_coeff = (config.order * 8 + 8) as u32;
-        let longest = longest_frame(config.frame, config.order, n);
-        let bytes_errors = ((longest / n + 1) * 8) as u32;
+        let [_, section, coeffs, errors] = config.edge_bytes();
 
         let mut g = SdfGraph::new();
-        let mut io_send = Vec::new();
-        let mut d_error = Vec::new();
-        let mut io_recv = Vec::new();
-        let mut section_edges = Vec::new();
-        let mut coeff_edges = Vec::new();
-        let mut error_edges = Vec::new();
         // Creation order matters for the self-timed schedule on the I/O
         // processor: all send interfaces first, then the PEs, then the
         // receive interfaces, so P0 feeds every PE before collecting.
-        for i in 0..n {
-            io_send.push(g.add_actor(format!("io_send{i}"), cost::read_cycles(config.frame / n)));
-        }
-        for i in 0..n {
-            d_error.push(g.add_actor(
-                format!("D{i}"),
-                cost::error_cycles(config.frame / n, config.order),
-            ));
-        }
-        for i in 0..n {
-            io_recv.push(g.add_actor(format!("io_recv{i}"), cost::read_cycles(config.frame / n)));
-        }
+        let mut actors = |name: &str, cycles: u64| -> Vec<ActorId> {
+            (0..n)
+                .map(|i| g.add_actor(format!("{name}{i}"), cycles))
+                .collect()
+        };
+        let io_send = actors("io_send", cost::read_cycles(config.frame / n));
+        let d_error = actors("D", cost::error_cycles(config.frame / n, config.order));
+        let io_recv = actors("io_recv", cost::read_cycles(config.frame / n));
+        let (mut section_edges, mut coeff_edges, mut error_edges) = (vec![], vec![], vec![]);
         for i in 0..n {
             let (s, d, r) = (io_send[i], d_error[i], io_recv[i]);
-            section_edges.push(g.add_dynamic_edge(s, d, 1, 1, 0, bytes_section)?);
-            coeff_edges.push(g.add_dynamic_edge(s, d, 1, 1, 0, bytes_coeff)?);
-            error_edges.push(g.add_dynamic_edge(d, r, 1, 1, 0, bytes_errors)?);
+            section_edges.push(g.add_dynamic_edge(s, d, 1, 1, 0, section)?);
+            coeff_edges.push(g.add_dynamic_edge(s, d, 1, 1, 0, coeffs)?);
+            error_edges.push(g.add_dynamic_edge(d, r, 1, 1, 0, errors)?);
         }
         Ok(ErrorStageApp {
             graph: g,
@@ -203,13 +298,7 @@ impl ErrorStageApp {
     ///
     /// Any SPI build error.
     pub fn build_with(&self, builder: SpiSystemBuilder) -> spi::Result<SpiSystem> {
-        let d_actors = self.d_error.clone();
-        builder.build(1 + self.config.n_pes, move |actor| {
-            match d_actors.iter().position(|&d| d == actor) {
-                Some(i) => ProcId(1 + i),
-                None => ProcId(0),
-            }
-        })
+        build_on_error_pes(builder, &self.d_error)
     }
 
     /// Registers actor implementations and resources on `builder`.
@@ -227,21 +316,15 @@ impl ErrorStageApp {
         let analysis: Arc<Mutex<Option<Analysis>>> = Arc::new(Mutex::new(None));
 
         for i in 0..n {
-            let sec = self.section_edges[i];
-            let coe = self.coeff_edges[i];
-            let err = self.error_edges[i];
+            let edges = [&self.section_edges, &self.coeff_edges, &self.error_edges].map(|e| e[i]);
+            let [sec, coe, err] = edges;
 
             // ----- io_send_i: frame section + coefficients ---------------
             let analysis = Arc::clone(&analysis);
             let analyses = Arc::clone(&self.analyses);
             builder.actor(self.io_send[i], move |ctx: &mut Firing| {
                 let mut shared = analysis.lock().unwrap_or_else(PoisonError::into_inner);
-                let Analysis {
-                    order,
-                    frame,
-                    coeffs,
-                    ..
-                } = match &mut *shared {
+                let current = match &mut *shared {
                     Some(current) if current.iter == ctx.iter => current,
                     stale => {
                         analyses.fetch_add(1, Ordering::Relaxed);
@@ -250,48 +333,16 @@ impl ErrorStageApp {
                         analysis
                     }
                 };
-                let start = i * frame.len() / n;
-                let end = (i + 1) * frame.len() / n;
-                let hist_start = start.saturating_sub(*order);
-                ctx.set_output(sec, f64s_to_bytes(&frame[hist_start..end]));
-                let mut payload = Vec::with_capacity(8 + coeffs.len() * 8);
-                payload.extend((*order as u64).to_le_bytes());
-                put_f64s(&mut payload, coeffs);
-                ctx.set_output(coe, payload);
-                cost::read_cycles(end - hist_start)
+                let section = cfg.section(i, current.frame.len(), current.order);
+                let cycles = cost::read_cycles(section.len());
+                ctx.set_output(sec, f64s_to_bytes(&current.frame[section]));
+                ctx.set_output(coe, order_payload(current.order, &current.predictor.coeffs));
+                cycles
             });
             builder.actor_resources(self.io_send[i], components::io_interface());
 
             // ----- D_i: the hardware error generator ---------------------
-            // Section, coefficients and errors live in buffers the actor
-            // keeps, sized for its edges' bounds by its first firing;
-            // the output bytes are the one allocation a firing.
-            let mut scratch = None;
-            builder.actor(self.d_error[i], move |ctx: &mut Firing| {
-                let (section, coeffs, errors) = scratch.get_or_insert_with(|| {
-                    (
-                        Vec::with_capacity(section_len(cfg)),
-                        Vec::with_capacity(cfg.order),
-                        Vec::with_capacity(section_len(cfg)),
-                    )
-                });
-                f64s_into(ctx.input(sec), section);
-                // io_send_i's payload always begins with the 8-byte order.
-                #[allow(clippy::expect_used)]
-                let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
-                let order = u64::from_le_bytes(*order) as usize;
-                f64s_into(raw, coeffs);
-                let hist = if i == 0 { 0 } else { order.min(section.len()) };
-                prediction_errors_into(section, coeffs, hist, section.len(), errors);
-                let mut bytes = Vec::with_capacity(8 * errors.len());
-                put_f64s(&mut bytes, errors);
-                ctx.set_output(err, bytes);
-                cost::error_cycles(errors.len(), order)
-            });
-            builder.actor_resources(
-                self.d_error[i],
-                components::error_generator(cfg.order as u64),
-            );
+            error_actor(builder, cfg, i, self.d_error[i], edges);
 
             // ----- io_recv_i: collect error values -----------------------
             let acc = Arc::clone(&frame_acc);
@@ -320,17 +371,6 @@ impl ErrorStageApp {
     }
 }
 
-/// The most samples a frame section holds: a PE's share of the longest
-/// frame plus `order` samples of history.
-fn section_len(cfg: ErrorStageConfig) -> usize {
-    longest_frame(cfg.frame, cfg.order, cfg.n_pes) / cfg.n_pes + cfg.order + 1
-}
-
-/// Run-time frame length and order for an iteration.
-fn dims(cfg: ErrorStageConfig, iter: u64) -> (usize, usize) {
-    frame_dims(cfg.frame, cfg.order, cfg.n_pes, cfg.vary_rates, iter)
-}
-
 #[cfg(test)]
 mod tests {
     use std::time::Duration;
@@ -341,6 +381,7 @@ mod tests {
 
     use super::*;
     use crate::speech::{autocorr_via_fft, solve_normal_equations, synth_frame};
+    use crate::SpeechApp;
 
     /// Application 1 as the benchmark runs it: 512-sample frames, order
     /// 10, both varying at run time.
@@ -367,7 +408,7 @@ mod tests {
     fn serial_residuals(cfg: ErrorStageConfig, count: u64) -> Vec<f64> {
         (0..count)
             .map(|iter| {
-                let (len, order) = dims(cfg, iter);
+                let (len, order) = cfg.dims(iter);
                 let frame = synth_frame(cfg.seed, iter, len);
                 let coeffs = solve_normal_equations(&autocorr_via_fft(&frame, order), order);
                 (0..cfg.n_pes)
@@ -426,7 +467,7 @@ mod tests {
             vary_rates: true,
             seed: 5,
         };
-        assert_eq!(dims(cfg, 1).0, 35);
+        assert_eq!(cfg.dims(1).0, 35);
         let des = ErrorStageApp::new(cfg).unwrap();
         des.system(FRAMES).unwrap().run().unwrap();
         assert_residuals(&des, FRAMES, "DES");
@@ -434,6 +475,40 @@ mod tests {
         let sys = threaded.system(FRAMES).unwrap();
         sys.run_threaded_with(&ring()).unwrap();
         assert_residuals(&threaded, FRAMES, "ring");
+    }
+
+    #[test]
+    fn the_pipeline_and_the_error_stage_agree_on_every_frame() {
+        // Figure 2's pipeline and figure 3's error stage are one
+        // application: per frame, the residual energy E collects equals
+        // the one the I/O processor reassembles, at every PE count and
+        // on frames `frame_dims` lifts above `frame`.
+        const FRAMES: u64 = 10;
+        let lifted = ErrorStageConfig {
+            n_pes: 3,
+            frame: 32,
+            order: 8,
+            vary_rates: true,
+            seed: 5,
+        };
+        for cfg in (1..=4).map(|n| app(n).config).chain([lifted]) {
+            let pipeline = SpeechApp::new(cfg).unwrap();
+            pipeline.system(FRAMES).unwrap().run().unwrap();
+            let stage = ErrorStageApp::new(cfg).unwrap();
+            stage.system(FRAMES).unwrap().run().unwrap();
+            let frames = pipeline.output.lock().unwrap();
+            let want = stage.residual_energy.lock().unwrap();
+            assert_eq!(frames.len(), FRAMES as usize, "{cfg:?}");
+            assert_eq!(want.len(), FRAMES as usize, "{cfg:?}");
+            for (f, w) in frames.iter().zip(want.iter()) {
+                let g = f.residual_energy;
+                assert!(
+                    (g - w).abs() <= 1e-9 * w.abs(),
+                    "{cfg:?}, frame {}: pipeline {g} vs error stage {w}",
+                    f.iter
+                );
+            }
+        }
     }
 
     #[test]

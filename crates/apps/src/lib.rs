@@ -33,4 +33,4 @@ pub use error::{AppError, Result};
 pub use error_stage::{ErrorStageApp, ErrorStageConfig};
 pub use filterbank::{FilterBankApp, FilterBankConfig};
 pub use prognosis::{PrognosisApp, PrognosisConfig};
-pub use speech::{CompressedFrame, SpeechApp, SpeechConfig};
+pub use speech::{CompressedFrame, SpeechApp};

@@ -12,6 +12,10 @@
 //! the D stage is *dynamic* and exercises `SPI_dynamic`, exactly the
 //! situation of §5.2. Processor 0 hosts A/B/C/E (the I/O + front-end
 //! side); processors 1..=n each host one error-generation PE.
+//!
+//! Stage D is figure 3's error stage: the configuration
+//! ([`ErrorStageConfig`]), the frame layout, actor D and the processor
+//! assignment are written once, in [`crate::error_stage`].
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
@@ -19,59 +23,12 @@ use spi::{Firing, SpiSystem, SpiSystemBuilder};
 use spi_dataflow::{ActorId, EdgeId, SdfGraph};
 use spi_dsp::fft::{autocorrelation_into, fft_cycles};
 use spi_dsp::huffman::{huffman_cycles, HuffmanCode};
-use spi_dsp::lpc::{cost, lu_decompose_into, lu_solve_into, prediction_errors_into, Quantizer};
+use spi_dsp::lpc::{cost, lu_decompose_into, lu_solve_into, Quantizer};
 use spi_platform::components;
-use spi_sched::ProcId;
 
-use crate::error::{AppError, Result};
-use crate::util::{f64s_from_bytes, f64s_into, f64s_to_bytes, put_f64s};
-
-/// Configuration of the speech-compression system.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeechConfig {
-    /// Number of PEs parallelizing actor D.
-    pub n_pes: usize,
-    /// Nominal (maximum) frame length in samples.
-    pub max_frame: usize,
-    /// Maximum LPC model order.
-    pub max_order: usize,
-    /// If `true`, frame length and order vary per iteration (the paper's
-    /// dynamic scenario); if `false`, they stay at their maxima.
-    pub vary_rates: bool,
-    /// RNG seed for the synthetic input signal.
-    pub seed: u64,
-}
-
-impl Default for SpeechConfig {
-    fn default() -> Self {
-        SpeechConfig {
-            n_pes: 2,
-            max_frame: 256,
-            max_order: 8,
-            vary_rates: true,
-            seed: 7,
-        }
-    }
-}
-
-impl SpeechConfig {
-    /// Frame length and model order of iteration `iter`.
-    fn dims(&self, iter: u64) -> (usize, usize) {
-        frame_dims(
-            self.max_frame,
-            self.max_order,
-            self.n_pes,
-            self.vary_rates,
-            iter,
-        )
-    }
-
-    /// The most samples a frame section holds: a PE's share of the
-    /// longest frame plus `max_order` samples of history.
-    fn section_len(&self) -> usize {
-        longest_frame(self.max_frame, self.max_order, self.n_pes) / self.n_pes + self.max_order + 1
-    }
-}
+use crate::error::Result;
+use crate::error_stage::{build_on_error_pes, error_actor, ErrorStageConfig};
+use crate::util::{f64s, f64s_into, f64s_to_bytes, order_payload, read_order_payload};
 
 /// Run-time frame length and model order of iteration `iter` of
 /// application 1 — the full pipeline and the error stage alike — for
@@ -80,7 +37,7 @@ impl SpeechConfig {
 /// are the maxima. With it, the length varies pseudo-randomly in
 /// `[max_frame − max_frame/2, max_frame]` but not below
 /// `4·max_order + n_pes`, so every PE's section is non-empty and has its
-/// history, and the order in `2..=max_order`.
+/// history, and the order in `2..=max_order` (1 when `max_order` is 1).
 pub fn frame_dims(
     max_frame: usize,
     max_order: usize,
@@ -96,12 +53,6 @@ pub fn frame_dims(
     let frame = (max_frame - offset).max(max_order * 4 + n_pes);
     let order = 2 + ((iter.wrapping_mul(40503) >> 3) as usize) % max_order.max(3).saturating_sub(1);
     (frame, order.min(max_order))
-}
-
-/// The longest frame [`frame_dims`] returns for these bounds: it lifts a
-/// short one to `4·max_order + n_pes`, which can exceed `max_frame`.
-pub(crate) fn longest_frame(max_frame: usize, max_order: usize, n_pes: usize) -> usize {
-    max_frame.max(4 * max_order + n_pes)
 }
 
 /// One compressed frame collected at actor E — everything a decoder
@@ -168,7 +119,7 @@ pub struct SpeechApp {
     pub coeff_to_coder: EdgeId,
     /// D→E error edges.
     pub error_edges: Vec<EdgeId>,
-    config: SpeechConfig,
+    config: ErrorStageConfig,
     /// Frames compressed by E (shared with the running system).
     pub output: Arc<Mutex<Vec<CompressedFrame>>>,
 }
@@ -178,50 +129,34 @@ impl SpeechApp {
     ///
     /// # Errors
     ///
-    /// [`AppError`] if the configuration is degenerate (zero PEs, frame
-    /// shorter than twice the order).
-    pub fn new(config: SpeechConfig) -> Result<Self> {
-        if config.n_pes == 0 {
-            return Err(AppError::Config("n_pes must be positive".into()));
-        }
-        if config.max_frame < 4 * config.max_order || config.max_order < 2 {
-            return Err(AppError::Config(format!(
-                "frame {} too short for order {}",
-                config.max_frame, config.max_order
-            )));
-        }
+    /// [`AppError`](crate::AppError) if the configuration is degenerate
+    /// (zero PEs, frame shorter than four times the order).
+    pub fn new(config: ErrorStageConfig) -> Result<Self> {
+        config.validate()?;
         let n = config.n_pes;
-        let longest = longest_frame(config.max_frame, config.max_order, n);
-        let bytes_frame = (longest * 8) as u32;
-        let bytes_section = (config.section_len() * 8) as u32;
-        let bytes_coeff = (config.max_order * 8 + 8) as u32;
-        let bytes_errors = ((longest / n + 1) * 8) as u32;
+        let [frame, section, coeffs, errors] = config.edge_bytes();
 
         let mut g = SdfGraph::new();
-        let a = g.add_actor("A:read", cost::read_cycles(config.max_frame));
-        let b = g.add_actor("B:fft", fft_cycles(config.max_frame.next_power_of_two()));
-        let c = g.add_actor("C:lu", cost::lu_cycles(config.max_frame, config.max_order));
-        let e = g.add_actor("E:huffman", huffman_cycles(config.max_frame));
+        let a = g.add_actor("A:read", cost::read_cycles(config.frame));
+        let b = g.add_actor("B:fft", fft_cycles(config.frame.next_power_of_two()));
+        let c = g.add_actor("C:lu", cost::lu_cycles(config.frame, config.order));
+        let e = g.add_actor("E:huffman", huffman_cycles(config.frame));
         let mut d = Vec::new();
-        let mut section_edges = Vec::new();
-        let mut coeff_edges = Vec::new();
-        let mut error_edges = Vec::new();
+        let (mut section_edges, mut coeff_edges, mut error_edges) = (vec![], vec![], vec![]);
 
         // A → B: the full frame (dynamic: run-time frame length).
-        g.add_dynamic_edge(a, b, 1, 1, 0, bytes_frame)?;
+        g.add_dynamic_edge(a, b, 1, 1, 0, frame)?;
         // B → C: autocorrelation lags (dynamic: order varies).
-        let lags_edge = g.add_dynamic_edge(b, c, 1, 1, 0, bytes_coeff * 2)?;
+        let lags_edge = g.add_dynamic_edge(b, c, 1, 1, 0, coeffs * 2)?;
         // C → E: the coefficients also travel to the coder, which stores
         // them with the bitstream so frames stay decodable.
-        let coeff_to_coder = g.add_dynamic_edge(c, e, 1, 1, 0, bytes_coeff)?;
+        let coeff_to_coder = g.add_dynamic_edge(c, e, 1, 1, 0, coeffs)?;
+        let d_cycles = cost::error_cycles(config.frame / n, config.order);
         for i in 0..n {
-            let di = g.add_actor(
-                format!("D{i}:error"),
-                cost::error_cycles(config.max_frame / n, config.max_order),
-            );
-            section_edges.push(g.add_dynamic_edge(a, di, 1, 1, 0, bytes_section)?);
-            coeff_edges.push(g.add_dynamic_edge(c, di, 1, 1, 0, bytes_coeff)?);
-            error_edges.push(g.add_dynamic_edge(di, e, 1, 1, 0, bytes_errors)?);
+            let di = g.add_actor(format!("D{i}:error"), d_cycles);
+            section_edges.push(g.add_dynamic_edge(a, di, 1, 1, 0, section)?);
+            coeff_edges.push(g.add_dynamic_edge(c, di, 1, 1, 0, coeffs)?);
+            error_edges.push(g.add_dynamic_edge(di, e, 1, 1, 0, errors)?);
             d.push(di);
         }
 
@@ -252,145 +187,105 @@ impl SpeechApp {
         let mut builder = SpiSystemBuilder::new(self.graph.clone());
         self.configure(&mut builder);
         builder.iterations(iterations);
-        let d_actors = self.d_error.clone();
-        let sys = builder.build(1 + self.config.n_pes, move |actor| {
-            match d_actors.iter().position(|&d| d == actor) {
-                Some(i) => ProcId(1 + i),
-                None => ProcId(0),
-            }
-        })?;
-        Ok(sys)
+        Ok(build_on_error_pes(builder, &self.d_error)?)
     }
 
     /// Registers every actor implementation and resource estimate on
     /// `builder` (exposed so benches can tweak builder options first).
+    ///
+    /// Every actor keeps its working buffers between firings, sized by
+    /// its first one; a firing allocates its outputs, and E the parts
+    /// of the [`CompressedFrame`] it keeps.
     pub fn configure(&self, builder: &mut SpiSystemBuilder) {
         let cfg = self.config;
-        let n = cfg.n_pes;
 
         // ----- Actor A: synthetic speech-like frames ------------------
         let ab = self.graph.out_edges(self.a_read)[0];
         let section_edges = self.section_edges.clone();
+        let mut frame = None;
         builder.actor(self.a_read, move |ctx: &mut Firing| {
+            let frame = frame.get_or_insert_with(|| Vec::with_capacity(cfg.longest_frame()));
             let (frame_len, order) = cfg.dims(ctx.iter);
-            let frame = synth_frame(cfg.seed, ctx.iter, frame_len);
+            synth_frame_into(cfg.seed, ctx.iter, frame_len, frame);
             // Full frame to the FFT stage.
-            ctx.set_output(ab, f64s_to_bytes(&frame));
+            ctx.set_output(ab, f64s_to_bytes(frame));
             // Overlapping sections (with `order` samples of history) to
             // each error PE.
             for (i, &edge) in section_edges.iter().enumerate() {
-                let start = i * frame_len / n;
-                let end = (i + 1) * frame_len / n;
-                let hist_start = start.saturating_sub(order);
-                ctx.set_output(edge, f64s_to_bytes(&frame[hist_start..end]));
+                let section = cfg.section(i, frame_len, order);
+                ctx.set_output(edge, f64s_to_bytes(&frame[section]));
             }
             cost::read_cycles(frame_len)
         });
 
         // ----- Actor B: FFT → autocorrelation via power spectrum -------
         // The frame is decoded, and its lags computed, into buffers the
-        // actor keeps, sized by its first firing; the lags are written
-        // straight into the payload.
+        // actor keeps; the lags are written straight into the payload.
         let bc = self.lags_edge;
         let mut scratch = None;
         builder.actor(self.b_fft, move |ctx: &mut Firing| {
             let (frame, lags) = scratch.get_or_insert_with(|| {
                 (
-                    Vec::with_capacity(cfg.max_frame),
-                    Vec::with_capacity(cfg.max_order + 1),
+                    Vec::with_capacity(cfg.longest_frame()),
+                    Vec::with_capacity(cfg.order + 1),
                 )
             });
             f64s_into(ctx.input(ab), frame);
             let order = cfg.dims(ctx.iter).1;
             autocorrelation_into(frame, order, lags);
-            let mut payload = Vec::with_capacity(8 * (lags.len() + 1));
-            payload.extend((order as u64).to_le_bytes());
-            put_f64s(&mut payload, lags);
-            ctx.set_output(bc, payload);
+            ctx.set_output(bc, order_payload(order, lags));
             fft_cycles(frame.len().next_power_of_two())
         });
 
         // ----- Actor C: LU solve for predictor coefficients -----------
         let coeff_edges = self.coeff_edges.clone();
         let coeff_to_coder = self.coeff_to_coder;
+        let mut predictor = None;
         builder.actor(self.c_lu, move |ctx: &mut Firing| {
-            // B's payload always begins with the 8-byte order.
-            #[allow(clippy::expect_used)]
-            let (order, raw) = ctx.input(bc).split_first_chunk().expect("order header");
-            let order = u64::from_le_bytes(*order) as usize;
-            let r = f64s_from_bytes(raw);
-            let coeffs = solve_normal_equations(&r, order);
-            let mut payload = Vec::with_capacity(8 + coeffs.len() * 8);
-            payload.extend((order as u64).to_le_bytes());
-            payload.extend(f64s_to_bytes(&coeffs));
+            let predictor = predictor.get_or_insert_with(|| Predictor::new(cfg.order));
+            let order = read_order_payload(ctx.input(bc), &mut predictor.lags);
+            predictor.solve(order);
+            let payload = order_payload(order, &predictor.coeffs);
             for &edge in &coeff_edges {
                 ctx.set_output(edge, payload.clone());
             }
             ctx.set_output(coeff_to_coder, payload);
-            cost::lu_cycles(r.len() * 16, order)
+            cost::lu_cycles(predictor.lags.len() * 16, order)
         });
 
         // ----- Actors D_i: parallel prediction-error generation --------
-        // Section, coefficients and errors live in buffers the actor
-        // keeps, sized for its edges' bounds by its first firing; the
-        // output bytes are the one allocation a firing.
-        let section_len = cfg.section_len();
         for (i, &di) in self.d_error.iter().enumerate() {
-            let sec = self.section_edges[i];
-            let coe = self.coeff_edges[i];
-            let err = self.error_edges[i];
-            let mut scratch = None;
-            builder.actor(di, move |ctx: &mut Firing| {
-                let (section, coeffs, errors) = scratch.get_or_insert_with(|| {
-                    (
-                        Vec::with_capacity(section_len),
-                        Vec::with_capacity(cfg.max_order),
-                        Vec::with_capacity(section_len),
-                    )
-                });
-                f64s_into(ctx.input(sec), section);
-                // C's payload always begins with the 8-byte order.
-                #[allow(clippy::expect_used)]
-                let (order, raw) = ctx.input(coe).split_first_chunk().expect("order header");
-                let order = u64::from_le_bytes(*order) as usize;
-                f64s_into(raw, coeffs);
-                // History samples precede the section's own range.
-                let hist = section.len().min(if i == 0 { 0 } else { order });
-                prediction_errors_into(section, coeffs, hist, section.len(), errors);
-                ctx.set_output(err, f64s_to_bytes(errors));
-                cost::error_cycles(errors.len(), order)
-            });
-            builder.actor_resources(di, components::error_generator(cfg.max_order as u64));
+            let edges = [&self.section_edges, &self.coeff_edges, &self.error_edges];
+            error_actor(builder, cfg, i, di, edges.map(|e| e[i]));
         }
 
         // ----- Actor E: quantize + Huffman-code the residual -----------
         let error_edges = self.error_edges.clone();
-        let coder_coeffs = self.coeff_to_coder;
         let output = Arc::clone(&self.output);
+        let mut scratch = None;
         builder.actor(self.e_huffman, move |ctx: &mut Firing| {
-            let mut residual = Vec::new();
-            for &edge in &error_edges {
-                residual.extend(f64s_from_bytes(ctx.input(edge)));
-            }
-            let raw_coeffs = ctx.input(coder_coeffs);
-            let coeffs = f64s_from_bytes(&raw_coeffs[8.min(raw_coeffs.len())..]);
+            let (residual, symbols) = scratch.get_or_insert_with(|| {
+                let longest = cfg.longest_frame();
+                (Vec::with_capacity(longest), Vec::with_capacity(longest))
+            });
+            residual.clear();
+            residual.extend(error_edges.iter().flat_map(|&edge| f64s(ctx.input(edge))));
+            let mut coeffs = Vec::new();
+            let order = read_order_payload(ctx.input(coeff_to_coder), &mut coeffs);
             let energy: f64 = residual.iter().map(|e| e * e).sum();
             let q = Quantizer::new(4.0, 8);
-            let symbols: Vec<u16> = residual.iter().map(|&e| q.quantize(e)).collect();
-            let (code, bits, bitlen) = match HuffmanCode::from_symbols(&symbols) {
-                Ok(code) => {
-                    let (bits, bitlen) = code.encode(&symbols).unwrap_or((Vec::new(), 0));
-                    (Some(code), bits, bitlen)
-                }
-                Err(_) => (None, Vec::new(), 0),
-            };
+            symbols.clear();
+            symbols.extend(residual.iter().map(|&e| q.quantize(e)));
+            let code = HuffmanCode::from_symbols(symbols).ok();
+            let encoded = code.as_ref().and_then(|code| code.encode(symbols).ok());
+            let (bits, bitlen) = encoded.unwrap_or_default();
             output
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .push(CompressedFrame {
                     iter: ctx.iter,
                     frame_len: residual.len(),
-                    order: cfg.dims(ctx.iter).1,
+                    order,
                     bits,
                     bitlen,
                     residual_energy: energy,
@@ -403,16 +298,14 @@ impl SpeechApp {
 
         // ----- Resource estimates for the front-end actors -------------
         builder.actor_resources(self.a_read, components::io_interface());
-        builder.actor_resources(
-            self.b_fft,
-            components::fft_core(cfg.max_frame.next_power_of_two() as u64),
-        );
-        builder.actor_resources(self.c_lu, components::lu_solver(cfg.max_order as u64));
+        let fft_points = cfg.frame.next_power_of_two() as u64;
+        builder.actor_resources(self.b_fft, components::fft_core(fft_points));
+        builder.actor_resources(self.c_lu, components::lu_solver(cfg.order as u64));
         builder.actor_resources(self.e_huffman, components::huffman_encoder());
     }
 
     /// The configuration this app was built with.
-    pub fn config(&self) -> SpeechConfig {
+    pub fn config(&self) -> ErrorStageConfig {
         self.config
     }
 }
@@ -508,13 +401,41 @@ pub fn solve_normal_equations_into(
     }
 }
 
+/// Actor C's normal-equation solve in buffers kept between frames,
+/// sized for models of order at most the one it was made for:
+/// autocorrelation lags in, predictor coefficients out.
+pub(crate) struct Predictor {
+    /// Autocorrelation lags `0..=order`, the solve's input.
+    pub lags: Vec<f64>,
+    /// The normal equations' LU factors and row permutation.
+    lu: (Vec<f64>, Vec<usize>),
+    /// Predictor coefficients, the solve's output.
+    pub coeffs: Vec<f64>,
+}
+
+impl Predictor {
+    pub(crate) fn new(order: usize) -> Self {
+        Predictor {
+            lags: Vec::with_capacity(order + 1),
+            lu: (Vec::with_capacity(order * order), Vec::with_capacity(order)),
+            coeffs: Vec::with_capacity(order),
+        }
+    }
+
+    /// Solves the order-`order` normal equations of `lags` into
+    /// `coeffs` ([`solve_normal_equations_into`]).
+    pub(crate) fn solve(&mut self, order: usize) {
+        solve_normal_equations_into(&self.lags, order, &mut self.lu, &mut self.coeffs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn graph_matches_figure2_topology() {
-        let app = SpeechApp::new(SpeechConfig {
+        let app = SpeechApp::new(ErrorStageConfig {
             n_pes: 3,
             ..Default::default()
         })
@@ -528,14 +449,19 @@ mod tests {
 
     #[test]
     fn degenerate_configs_rejected() {
-        assert!(SpeechApp::new(SpeechConfig {
+        assert!(SpeechApp::new(ErrorStageConfig {
             n_pes: 0,
             ..Default::default()
         })
         .is_err());
-        assert!(SpeechApp::new(SpeechConfig {
-            max_frame: 8,
-            max_order: 8,
+        assert!(SpeechApp::new(ErrorStageConfig {
+            frame: 8,
+            order: 8,
+            ..Default::default()
+        })
+        .is_err());
+        assert!(SpeechApp::new(ErrorStageConfig {
+            order: 0,
             ..Default::default()
         })
         .is_err());
@@ -645,12 +571,15 @@ mod tests {
 
     #[test]
     fn frame_lengths_vary_within_bounds() {
-        let cfg = SpeechConfig::default();
+        let cfg = ErrorStageConfig {
+            vary_rates: true,
+            ..Default::default()
+        };
         for iter in 0..100 {
             let (len, m) = cfg.dims(iter);
-            assert!(len <= cfg.max_frame);
-            assert!(len >= cfg.max_frame / 2 - 1);
-            assert!(m >= 2 && m <= cfg.max_order);
+            assert!(len <= cfg.frame);
+            assert!(len >= cfg.frame / 2 - 1);
+            assert!(m >= 2 && m <= cfg.order);
         }
     }
 
@@ -658,8 +587,10 @@ mod tests {
     fn frames_lifted_above_max_frame_fit_their_edges() {
         // 4·8 + 2 = 34 > 32: every frame is lifted to the floor
         // `frame_dims` shares with the error stage, and the edges carry it.
-        let app = SpeechApp::new(SpeechConfig {
-            max_frame: 32,
+        let app = SpeechApp::new(ErrorStageConfig {
+            frame: 32,
+            vary_rates: true,
+            seed: 7,
             ..Default::default()
         })
         .unwrap();
@@ -671,11 +602,12 @@ mod tests {
 
     #[test]
     fn end_to_end_two_pes_compresses_frames() {
-        let app = SpeechApp::new(SpeechConfig {
+        let app = SpeechApp::new(ErrorStageConfig {
             n_pes: 2,
-            max_frame: 128,
-            max_order: 6,
-            ..Default::default()
+            frame: 128,
+            order: 6,
+            vary_rates: true,
+            seed: 7,
         })
         .unwrap();
         let sys = app.system(5).unwrap();
@@ -691,10 +623,10 @@ mod tests {
 
     #[test]
     fn frames_decompress_with_reasonable_snr() {
-        let cfg = SpeechConfig {
+        let cfg = ErrorStageConfig {
             n_pes: 2,
-            max_frame: 192,
-            max_order: 8,
+            frame: 192,
+            order: 8,
             vary_rates: false,
             seed: 3,
         };
@@ -704,7 +636,7 @@ mod tests {
         let frames = app.output.lock().unwrap();
         for f in frames.iter() {
             let decoded = f.decompress().expect("decodable frame");
-            let original = synth_frame(cfg.seed, f.iter, cfg.max_frame);
+            let original = synth_frame(cfg.seed, f.iter, cfg.frame);
             assert_eq!(decoded.len(), original.len());
             let err: f64 = decoded
                 .iter()
@@ -723,10 +655,10 @@ mod tests {
     fn parallel_output_matches_serial_reference() {
         // The 3-PE pipeline's residual must equal a serial computation of
         // the same frames.
-        let cfg = SpeechConfig {
+        let cfg = ErrorStageConfig {
             n_pes: 3,
-            max_frame: 96,
-            max_order: 4,
+            frame: 96,
+            order: 4,
             vary_rates: false,
             seed: 11,
         };
@@ -736,9 +668,9 @@ mod tests {
         let frames = app.output.lock().unwrap();
         for f in frames.iter() {
             // Serial reference.
-            let frame = synth_frame(cfg.seed, f.iter, cfg.max_frame);
-            let r = autocorr_via_fft(&frame, cfg.max_order);
-            let coeffs = solve_normal_equations(&r, cfg.max_order);
+            let frame = synth_frame(cfg.seed, f.iter, cfg.frame);
+            let r = autocorr_via_fft(&frame, cfg.order);
+            let coeffs = solve_normal_equations(&r, cfg.order);
             let serial: f64 = spi_dsp::lpc::prediction_error(&frame, &coeffs)
                 .iter()
                 .map(|e| e * e)

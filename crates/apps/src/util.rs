@@ -43,6 +43,26 @@ pub fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     samples.iter().map(|&b| f64::from_le_bytes(b))
 }
 
+/// A model order and its `f64` values (autocorrelation lags or
+/// predictor coefficients) as one payload: the order as 8
+/// little-endian bytes, then the values.
+pub(crate) fn order_payload(order: usize, values: &[f64]) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(8 + 8 * values.len());
+    payload.extend((order as u64).to_le_bytes());
+    put_f64s(&mut payload, values);
+    payload
+}
+
+/// Reads an [`order_payload`]: its values into `values`, which is
+/// cleared first, and its order as the result.
+pub(crate) fn read_order_payload(payload: &[u8], values: &mut Vec<f64>) -> usize {
+    // Every such payload is written by `order_payload`, order first.
+    #[allow(clippy::expect_used)]
+    let (order, raw) = payload.split_first_chunk().expect("order header");
+    f64s_into(raw, values);
+    u64::from_le_bytes(*order) as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,6 +103,17 @@ mod tests {
         assert_eq!(bits(&back), bits(&xs));
         assert_eq!(bits(&f64s_from_bytes(&payload)), bits(&xs));
         f64s_into(&[1, 2, 3], &mut back);
+        assert!(back.is_empty());
+    }
+
+    #[test]
+    fn an_order_payload_reads_back_its_order_and_values() {
+        let mut back = vec![9.0];
+        let payload = order_payload(3, &[0.5, -1.25, 2.0]);
+        assert_eq!(payload.len(), 8 + 3 * 8);
+        assert_eq!(read_order_payload(&payload, &mut back), 3);
+        assert_eq!(back, [0.5, -1.25, 2.0]);
+        assert_eq!(read_order_payload(&order_payload(7, &[]), &mut back), 7);
         assert!(back.is_empty());
     }
 }

@@ -2,7 +2,7 @@
 
 use spi_apps::{
     ErrorStageApp, ErrorStageConfig, FilterBankApp, FilterBankConfig, PrognosisApp,
-    PrognosisConfig, SpeechApp, SpeechConfig,
+    PrognosisConfig, SpeechApp,
 };
 
 #[test]
@@ -58,10 +58,10 @@ fn prognosis_rmse_improves_with_more_particles() {
 
 #[test]
 fn speech_app_with_single_pe_and_max_order() {
-    let app = SpeechApp::new(SpeechConfig {
+    let app = SpeechApp::new(ErrorStageConfig {
         n_pes: 1,
-        max_frame: 128,
-        max_order: 16,
+        frame: 128,
+        order: 16,
         vary_rates: true,
         seed: 77,
     })
@@ -117,7 +117,7 @@ fn filterbank_extreme_decimation() {
 #[test]
 fn speech_resource_report_scales_with_pes() {
     let spi_slices = |n: usize| {
-        let app = SpeechApp::new(SpeechConfig {
+        let app = SpeechApp::new(ErrorStageConfig {
             n_pes: n,
             ..Default::default()
         })

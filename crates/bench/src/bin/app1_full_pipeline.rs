@@ -3,7 +3,7 @@
 //! Huffman) bounds the achievable speedup — Amdahl in action, with the
 //! analytic Brent bound printed alongside the measurement.
 
-use spi_apps::{SpeechApp, SpeechConfig};
+use spi_apps::{ErrorStageConfig, SpeechApp};
 use spi_sched::speedup_bounds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -14,10 +14,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut base = None;
     for n in [1usize, 2, 3, 4, 6] {
-        let cfg = SpeechConfig {
+        let cfg = ErrorStageConfig {
             n_pes: n,
-            max_frame: 512,
-            max_order: 10,
+            frame: 512,
+            order: 10,
             vary_rates: false,
             seed: 7,
         };

@@ -2,7 +2,8 @@
 //! Sweeps the residual quantizer depth and reports bits/sample vs
 //! reconstruction SNR using the full SPI pipeline + the decoder.
 
-use spi_apps::speech::{synth_frame, SpeechApp, SpeechConfig};
+use spi_apps::speech::synth_frame;
+use spi_apps::{ErrorStageConfig, SpeechApp};
 use spi_dsp::huffman::HuffmanCode;
 use spi_dsp::lpc::{prediction_error, synthesize, Quantizer};
 
@@ -10,10 +11,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Application-1 codec rate–distortion (extension study)\n");
 
     // Run the pipeline once to obtain residuals + coefficients per frame.
-    let cfg = SpeechConfig {
+    let cfg = ErrorStageConfig {
         n_pes: 2,
-        max_frame: 256,
-        max_order: 8,
+        frame: 256,
+        order: 8,
         vary_rates: false,
         seed: 12,
     };
@@ -30,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (mut total_bits, mut total_samples) = (0usize, 0usize);
         let (mut sig, mut err) = (0.0f64, 0.0f64);
         for f in &frames {
-            let original = synth_frame(cfg.seed, f.iter, cfg.max_frame);
+            let original = synth_frame(cfg.seed, f.iter, cfg.frame);
             // Re-quantize the residual at the swept depth.
             let residual = prediction_error(&original, &f.coeffs);
             let q = Quantizer::new(4.0, bits);

@@ -1,8 +1,6 @@
 //! Regeneration of the paper's figures.
 
-use spi_apps::{
-    ErrorStageApp, ErrorStageConfig, PrognosisApp, PrognosisConfig, SpeechApp, SpeechConfig,
-};
+use spi_apps::{ErrorStageApp, ErrorStageConfig, PrognosisApp, PrognosisConfig, SpeechApp};
 use spi_dataflow::{SdfGraph, VtsConversion};
 
 /// One point of a scaling figure (figures 6 and 7).
@@ -55,7 +53,7 @@ pub fn fig1_vts() -> String {
 
 /// Figure 2: application 1's dataflow graph.
 pub fn fig2_graph(n_pes: usize) -> String {
-    let app = SpeechApp::new(SpeechConfig {
+    let app = SpeechApp::new(ErrorStageConfig {
         n_pes,
         ..Default::default()
     })

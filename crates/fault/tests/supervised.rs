@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use spi_fault::{FaultKind, FaultPlan, InjectionLog};
 use spi_platform::{
-    ChannelId, ChannelSpec, Op, PeLocal, PlatformError, Program, SupervisionPolicy,
-    ThreadedPeResult, ThreadedRunner, TransportKind,
+    ChannelId, ChannelSpec, Op, PeLocal, PeLocalSnapshot, PlatformError, Program,
+    SupervisionPolicy, ThreadedRunner, TransportKind,
 };
 
 const ITERS: u64 = 6;
@@ -67,7 +67,7 @@ fn on_ch0(kind: FaultKind, indices: impl IntoIterator<Item = u64>) -> FaultPlan 
 fn run(
     runner: ThreadedRunner,
     plan: FaultPlan,
-) -> (Result<Vec<ThreadedPeResult>, PlatformError>, InjectionLog) {
+) -> (Result<Vec<PeLocalSnapshot>, PlatformError>, InjectionLog) {
     let (decorator, log) = plan.into_decorator().expect("valid plan");
     let (channels, programs) = pipeline();
     let outcome = runner
@@ -76,7 +76,7 @@ fn run(
     (outcome, log)
 }
 
-fn supervised(kind: TransportKind, policy: SupervisionPolicy, plan: FaultPlan) -> ThreadedPeResult {
+fn supervised(kind: TransportKind, policy: SupervisionPolicy, plan: FaultPlan) -> PeLocalSnapshot {
     let runner = ThreadedRunner::new().transport(kind).supervise(policy);
     let (outcome, _) = run(runner, plan);
     outcome

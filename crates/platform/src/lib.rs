@@ -76,7 +76,7 @@ mod transport;
 pub use error::{BlockKind, BlockedOp, PlatformError, Result};
 pub use pool::{BufferPool, Token, TokenBuf};
 pub use resource::{components, Device, ResourceEstimate, ResourcePercent};
-pub use runner::{ThreadedPeResult, ThreadedRunner, TransportDecorator, DEFAULT_DEADLOCK_TIMEOUT};
+pub use runner::{ThreadedRunner, TransportDecorator, DEFAULT_DEADLOCK_TIMEOUT};
 pub use sim::{
     BusSpec, ByteQueue, ChannelId, ChannelSpec, ChannelStats, ComputeFn, Machine, Op, PayloadFn,
     PeId, PeLocal, PeLocalSnapshot, PeStats, Program, SimReport, WaitFn, CYCLES_PER_WORD,

@@ -28,14 +28,13 @@
 //! wait is stamped before its push, hence no later than the `Recv` of
 //! its message (see [`PeIo::record`]).
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::error::{BlockKind, BlockedOp, PlatformError, Result};
 use crate::pool::Token;
-use crate::sim::{ChannelId, ChannelSpec, ComputeFn, Op, PeId, PeLocal, Program};
+use crate::sim::{ChannelId, ChannelSpec, ComputeFn, Op, PeId, PeLocal, PeLocalSnapshot, Program};
 use crate::supervise::{framed_spec, Checkpointed, SupervisionPolicy};
 use crate::trace::{payload_digest, ProbeKind, Tracer};
 use crate::transport::{Transport, TransportError, TransportKind};
@@ -53,15 +52,6 @@ pub type TransportDecorator =
 /// so half a minute of no progress is unambiguous even on a loaded CI
 /// machine.
 pub const DEFAULT_DEADLOCK_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Functional result of one PE's threaded execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ThreadedPeResult {
-    /// Final keyed store of the PE.
-    pub store: HashMap<String, Vec<u8>>,
-    /// Messages left unconsumed in the PE's inbox.
-    pub leftover_inbox: usize,
-}
 
 /// Builder-style configuration for threaded execution.
 ///
@@ -196,7 +186,7 @@ impl ThreadedRunner {
         &self,
         channels: &[ChannelSpec],
         programs: Vec<Program>,
-    ) -> Result<Vec<ThreadedPeResult>> {
+    ) -> Result<Vec<PeLocalSnapshot>> {
         let instantiate = |(i, spec): (usize, &ChannelSpec)| {
             // Supervision inflates the physical spec by one frame
             // header per slot; the decorator wraps the result so
@@ -232,7 +222,7 @@ impl ThreadedRunner {
         channels: &[ChannelSpec],
         endpoints: Vec<Box<dyn Transport>>,
         programs: Vec<Program>,
-    ) -> Result<Vec<ThreadedPeResult>> {
+    ) -> Result<Vec<PeLocalSnapshot>> {
         self.launch(channels, programs, || endpoints)
     }
 
@@ -244,7 +234,7 @@ impl ThreadedRunner {
         channels: &[ChannelSpec],
         programs: Vec<Program>,
         endpoints: impl FnOnce() -> Vec<Box<dyn Transport>>,
-    ) -> Result<Vec<ThreadedPeResult>> {
+    ) -> Result<Vec<PeLocalSnapshot>> {
         if let Some(i) = channels.iter().position(|c| !c.is_usable()) {
             return Err(PlatformError::ZeroCapacity {
                 channel: ChannelId(i),
@@ -455,16 +445,11 @@ fn run_pes<'a, P: Port>(
     probe: Option<&'a dyn Tracer>,
     programs: Vec<Program>,
     make_port: impl Fn(PeIo<'a>) -> P + Sync,
-) -> Result<Vec<ThreadedPeResult>> {
+) -> Result<Vec<PeLocalSnapshot>> {
     // A PE thread only pushes to `errors`, so a poisoned lock still
     // holds every error pushed before the panic.
     let errors: Mutex<Vec<PlatformError>> = Mutex::new(Vec::new());
-    let mut results: Vec<ThreadedPeResult> = (programs.iter())
-        .map(|_| ThreadedPeResult {
-            store: HashMap::new(),
-            leftover_inbox: 0,
-        })
-        .collect();
+    let mut results = vec![PeLocalSnapshot::default(); programs.len()];
 
     crate::shim::scope(|scope| {
         let pes = programs.into_iter().zip(results.iter_mut()).enumerate();
@@ -501,10 +486,7 @@ fn run_pes<'a, P: Port>(
                     let mut errors = errors.lock().unwrap_or_else(PoisonError::into_inner);
                     errors.push(err);
                 }
-                *result = ThreadedPeResult {
-                    store: std::mem::take(&mut local.store),
-                    leftover_inbox: local.inbox.len(),
-                };
+                *result = PeLocalSnapshot::from(local);
             });
         }
     });

@@ -345,13 +345,23 @@ pub struct SimReport {
     pub locals: Vec<PeLocalSnapshot>,
 }
 
-/// Snapshot of a PE's local memory after simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Snapshot of a PE's local memory after a run, on the DES or on
+/// threads: the functional result of its program.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PeLocalSnapshot {
     /// The PE's keyed store.
     pub store: HashMap<String, Vec<u8>>,
-    /// Unconsumed inbox payloads.
+    /// Messages left unconsumed in the PE's inbox.
     pub leftover_inbox: usize,
+}
+
+impl From<PeLocal> for PeLocalSnapshot {
+    fn from(local: PeLocal) -> Self {
+        PeLocalSnapshot {
+            leftover_inbox: local.inbox.len(),
+            store: local.store,
+        }
+    }
 }
 
 impl SimReport {
@@ -705,10 +715,7 @@ impl Engine {
             locals: self
                 .pes
                 .into_iter()
-                .map(|p| PeLocalSnapshot {
-                    store: p.local.store,
-                    leftover_inbox: p.local.inbox.len(),
-                })
+                .map(|p| PeLocalSnapshot::from(p.local))
                 .collect(),
         })
     }

@@ -48,13 +48,6 @@ impl<'a> Firing<'a> {
         found.map_or(&[], |&(_, bytes)| bytes)
     }
 
-    /// Takes the input bytes of `edge` as an owned buffer; the context
-    /// no longer holds them.
-    pub fn take_input(&mut self, edge: EdgeId) -> Vec<u8> {
-        let found = self.inputs.iter_mut().find(|(e, _)| *e == edge);
-        found.map_or_else(Vec::new, |(_, bytes)| std::mem::take(bytes).to_vec())
-    }
-
     /// Sets the bytes produced on `edge` this firing.
     ///
     /// Static edges must produce exactly `produce_rate × token_bytes`;
@@ -141,15 +134,6 @@ mod tests {
         assert_eq!(ctx.output(EdgeId(1)), Some(&[9u8, 9][..]));
         assert_eq!(ctx.output(EdgeId(2)), None);
         assert_eq!(ctx.into_outputs(), vec![(EdgeId(1), vec![9, 9])]);
-    }
-
-    #[test]
-    fn take_input_moves_bytes() {
-        let bytes = [7; 100];
-        let mut ctx = Firing::new(0, 0, vec![(EdgeId(0), &bytes[..])]);
-        let data = ctx.take_input(EdgeId(0));
-        assert_eq!(data.len(), 100);
-        assert!(ctx.input(EdgeId(0)).is_empty());
     }
 
     #[test]

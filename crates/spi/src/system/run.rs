@@ -219,7 +219,7 @@ impl SpiSystem {
     /// Platform errors (a timeout surfaces as deadlock) and
     /// [`crate::SpiError::ActorFailed`] if any actor recorded a failure
     /// (the one [`crate::root_failure`] names).
-    pub fn run_threaded(self) -> Result<Vec<spi_platform::ThreadedPeResult>> {
+    pub fn run_threaded(self) -> Result<Vec<spi_platform::PeLocalSnapshot>> {
         self.run_threaded_with(&spi_platform::ThreadedRunner::new())
     }
 
@@ -232,7 +232,7 @@ impl SpiSystem {
     pub fn run_threaded_with(
         self,
         runner: &spi_platform::ThreadedRunner,
-    ) -> Result<Vec<spi_platform::ThreadedPeResult>> {
+    ) -> Result<Vec<spi_platform::PeLocalSnapshot>> {
         // A tracer attached at build time follows the system onto
         // whichever engine runs it.
         let runner = match &self.tracer {

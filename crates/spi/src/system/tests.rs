@@ -175,7 +175,7 @@ fn feedback_edge_gets_bbs_and_pipeline_fill() {
     let bwd = g.add_edge(b_, a, 1, 1, 1, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        let prev = ctx.take_input(bwd);
+        let prev = ctx.input(bwd).to_vec();
         ctx.set_output(fwd, prev); // echo the fed-back value
         20
     });
@@ -203,12 +203,12 @@ fn force_ubs_changes_protocols() {
     let bwd = g.add_edge(b_, a, 1, 1, 1, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        let x = ctx.take_input(bwd);
+        let x = ctx.input(bwd).to_vec();
         ctx.set_output(fwd, x);
         20
     });
     b.actor(b_, move |ctx: &mut Firing| {
-        let x = ctx.take_input(fwd);
+        let x = ctx.input(fwd).to_vec();
         ctx.set_output(bwd, x);
         20
     });
@@ -429,12 +429,12 @@ fn build_auto_maps_parallel_stages_apart() {
         10
     });
     b.actor(b_, move |ctx: &mut Firing| {
-        let x = ctx.take_input(ab);
+        let x = ctx.input(ab).to_vec();
         ctx.set_output(bd, x);
         100
     });
     b.actor(c_, move |ctx: &mut Firing| {
-        let x = ctx.take_input(ac);
+        let x = ctx.input(ac).to_vec();
         ctx.set_output(cd, x);
         100
     });

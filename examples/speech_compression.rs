@@ -3,13 +3,13 @@
 //!
 //! Run with: `cargo run --example speech_compression`
 
-use spi_apps::{SpeechApp, SpeechConfig};
+use spi_apps::{ErrorStageConfig, SpeechApp};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let config = SpeechConfig {
+    let config = ErrorStageConfig {
         n_pes: 3,
-        max_frame: 256,
-        max_order: 8,
+        frame: 256,
+        order: 8,
         vary_rates: true, // frame length & order vary per frame
         seed: 2026,
     };

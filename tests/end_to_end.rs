@@ -1,9 +1,7 @@
 //! Cross-crate integration tests: the full stack from dataflow model to
 //! timed simulation, exercised through realistic configurations.
 
-use spi_repro::apps::{
-    ErrorStageApp, ErrorStageConfig, PrognosisApp, PrognosisConfig, SpeechApp, SpeechConfig,
-};
+use spi_repro::apps::{ErrorStageApp, ErrorStageConfig, PrognosisApp, PrognosisConfig, SpeechApp};
 use spi_repro::dataflow::SdfGraph;
 use spi_repro::sched::ProcId;
 use spi_repro::spi::{Firing, SpiSystemBuilder};
@@ -13,10 +11,10 @@ fn speech_pipeline_scales_and_stays_correct() {
     // Period decreases with PE count while every configuration produces
     // identical residual energies (vary_rates off for exact comparison).
     let run = |n: usize| {
-        let app = SpeechApp::new(SpeechConfig {
+        let app = SpeechApp::new(ErrorStageConfig {
             n_pes: n,
-            max_frame: 240,
-            max_order: 6,
+            frame: 240,
+            order: 6,
             vary_rates: false,
             seed: 5,
         })

@@ -19,7 +19,7 @@ use spi_repro::apps::{FilterBankApp, FilterBankConfig};
 use spi_repro::dataflow::SdfGraph;
 use spi_repro::fault::{FaultKind, FaultPlan};
 use spi_repro::platform::{
-    ChannelId, ChannelSpec, Op, Program, SupervisionPolicy, ThreadedPeResult, ThreadedRunner,
+    ChannelId, ChannelSpec, Op, PeLocalSnapshot, Program, SupervisionPolicy, ThreadedRunner,
     TransportKind, MAX_RESTARTS,
 };
 use spi_repro::sched::ProcId;
@@ -231,7 +231,7 @@ fn a_tracer_does_not_change_which_planned_faults_fire() {
 /// behind from then on.
 #[test]
 fn restart_rolls_back_the_lowered_data_plane() {
-    let run = |panic_at: Option<u64>| -> (Vec<ThreadedPeResult>, Vec<(u8, u8)>) {
+    let run = |panic_at: Option<u64>| -> (Vec<PeLocalSnapshot>, Vec<(u8, u8)>) {
         let mut g = SdfGraph::new();
         let a = g.add_actor("a", 10);
         let b = g.add_actor("b", 10);

@@ -32,6 +32,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use spi_analyze::{AnalysisInput, Analyzer};
 use spi_net::{BatchParams, NetReceiver, NetSender};
 use spi_repro::dataflow::VtsConversion;
 use spi_repro::dataflow::{Actor, ActorId, Edge, EdgeId, LengthSignal, SdfGraph};
@@ -663,7 +664,7 @@ impl Covered {
 /// every threaded run to the DES's stores (or, on the error path, to a
 /// typed error); returns what of [`Covered`] the system exercises.
 pub fn check(g: &Generated) -> Covered {
-    let lint = spi_analyze::analyze_graph(&g.graph);
+    let lint = Analyzer::default_pipeline().run(&AnalysisInput::new(&g.graph));
     assert!(!lint.has_errors(), "analyzer: {}", lint.render_human());
     let want = reference(g);
     let mut covered = Covered::default();
