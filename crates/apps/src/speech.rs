@@ -31,17 +31,14 @@ use crate::error_stage::{build_on_error_pes, error_actor, ErrorStageConfig};
 use crate::util::{f64s, f64s_into, f64s_to_bytes, order_payload, read_order_payload};
 
 /// Run-time frame length and model order of iteration `iter` of
-/// application 1 — the full pipeline and the error stage alike — for
-/// frames of at most `max_frame` samples and models of order at most
-/// `max_order`, split over `n_pes` error PEs. Without `vary_rates` they
-/// are the maxima. With it, the length varies pseudo-randomly in
-/// `[max_frame − max_frame/2, max_frame]` but not below
-/// `4·max_order + n_pes`, so every PE's section is non-empty and has its
-/// history, and the order in `2..=max_order` (1 when `max_order` is 1).
+/// application 1 (both graphs): `max_frame` and `max_order` without
+/// `vary_rates`. With it, the length varies pseudo-randomly in
+/// `[max_frame − max_frame/2, max_frame]` but not below `4·max_order`,
+/// and the order in `2..=max_order` (1 when `max_order` is 1). The PE
+/// count plays no part.
 pub fn frame_dims(
     max_frame: usize,
     max_order: usize,
-    n_pes: usize,
     vary_rates: bool,
     iter: u64,
 ) -> (usize, usize) {
@@ -50,7 +47,7 @@ pub fn frame_dims(
     }
     let span = max_frame / 2;
     let offset = ((iter.wrapping_mul(2654435761) >> 7) as usize) % (span + 1);
-    let frame = (max_frame - offset).max(max_order * 4 + n_pes);
+    let frame = (max_frame - offset).max(max_order * 4);
     let order = 2 + ((iter.wrapping_mul(40503) >> 3) as usize) % max_order.max(3).saturating_sub(1);
     (frame, order.min(max_order))
 }
@@ -129,8 +126,8 @@ impl SpeechApp {
     ///
     /// # Errors
     ///
-    /// [`AppError`](crate::AppError) if the configuration is degenerate
-    /// (zero PEs, frame shorter than four times the order).
+    /// [`AppError`](crate::AppError) for a configuration application
+    /// 1's validation refuses.
     pub fn new(config: ErrorStageConfig) -> Result<Self> {
         config.validate()?;
         let n = config.n_pes;
@@ -204,7 +201,7 @@ impl SpeechApp {
         let section_edges = self.section_edges.clone();
         let mut frame = None;
         builder.actor(self.a_read, move |ctx: &mut Firing| {
-            let frame = frame.get_or_insert_with(|| Vec::with_capacity(cfg.longest_frame()));
+            let frame = frame.get_or_insert_with(|| Vec::with_capacity(cfg.frame));
             let (frame_len, order) = cfg.dims(ctx.iter);
             synth_frame_into(cfg.seed, ctx.iter, frame_len, frame);
             // Full frame to the FFT stage.
@@ -212,8 +209,7 @@ impl SpeechApp {
             // Overlapping sections (with `order` samples of history) to
             // each error PE.
             for (i, &edge) in section_edges.iter().enumerate() {
-                let section = cfg.section(i, frame_len, order);
-                ctx.set_output(edge, f64s_to_bytes(&frame[section]));
+                ctx.set_output(edge, cfg.section(i, frame, order));
             }
             cost::read_cycles(frame_len)
         });
@@ -226,7 +222,7 @@ impl SpeechApp {
         builder.actor(self.b_fft, move |ctx: &mut Firing| {
             let (frame, lags) = scratch.get_or_insert_with(|| {
                 (
-                    Vec::with_capacity(cfg.longest_frame()),
+                    Vec::with_capacity(cfg.frame),
                     Vec::with_capacity(cfg.order + 1),
                 )
             });
@@ -265,8 +261,7 @@ impl SpeechApp {
         let mut scratch = None;
         builder.actor(self.e_huffman, move |ctx: &mut Firing| {
             let (residual, symbols) = scratch.get_or_insert_with(|| {
-                let longest = cfg.longest_frame();
-                (Vec::with_capacity(longest), Vec::with_capacity(longest))
+                (Vec::with_capacity(cfg.frame), Vec::with_capacity(cfg.frame))
             });
             residual.clear();
             residual.extend(error_edges.iter().flat_map(|&edge| f64s(ctx.input(edge))));
@@ -584,20 +579,25 @@ mod tests {
     }
 
     #[test]
-    fn frames_lifted_above_max_frame_fit_their_edges() {
-        // 4·8 + 2 = 34 > 32: every frame is lifted to the floor
-        // `frame_dims` shares with the error stage, and the edges carry it.
-        let app = SpeechApp::new(ErrorStageConfig {
-            frame: 32,
-            vary_rates: true,
-            seed: 7,
-            ..Default::default()
-        })
-        .unwrap();
-        app.system(8).unwrap().run().unwrap();
-        let frames = app.output.lock().unwrap();
-        assert_eq!(frames.len(), 8);
-        assert!(frames.iter().all(|f| f.frame_len == 34), "{frames:?}");
+    fn frames_never_exceed_the_configured_length() {
+        // Every frame lies between the shortest frame validation counts
+        // PEs against and `frame`, both reached, at the floor and away
+        // from it, whatever the PE count.
+        for (frame, order) in [(32, 8), (40, 10), (41, 10), (45, 8), (64, 10), (512, 10)] {
+            for n_pes in [1, 7, 16] {
+                let cfg = ErrorStageConfig {
+                    n_pes,
+                    frame,
+                    order,
+                    vary_rates: true,
+                    seed: 0,
+                };
+                let lens: Vec<usize> = (0..4096).map(|iter| cfg.dims(iter).0).collect();
+                assert!(lens.iter().all(|&len| len <= frame), "{cfg:?}");
+                assert_eq!(lens.iter().max(), Some(&frame), "{cfg:?}");
+                assert_eq!(lens.iter().min(), Some(&cfg.shortest_frame()), "{cfg:?}");
+            }
+        }
     }
 
     #[test]
@@ -653,8 +653,9 @@ mod tests {
 
     #[test]
     fn parallel_output_matches_serial_reference() {
-        // The 3-PE pipeline's residual must equal a serial computation of
-        // the same frames.
+        // The 3-PE pipeline's residual is a serial computation of the
+        // same frames: every section carries its history, and E sums
+        // the residual in frame order, so the energy is the serial one.
         let cfg = ErrorStageConfig {
             n_pes: 3,
             frame: 96,
@@ -667,7 +668,6 @@ mod tests {
         sys.run().unwrap();
         let frames = app.output.lock().unwrap();
         for f in frames.iter() {
-            // Serial reference.
             let frame = synth_frame(cfg.seed, f.iter, cfg.frame);
             let r = autocorr_via_fft(&frame, cfg.order);
             let coeffs = solve_normal_equations(&r, cfg.order);
@@ -675,16 +675,7 @@ mod tests {
                 .iter()
                 .map(|e| e * e)
                 .sum();
-            // The parallel version recomputes history-dependent samples
-            // within sections, so tiny boundary differences are expected
-            // only at section starts where history is truncated — the
-            // energies must agree closely.
-            let rel = (f.residual_energy - serial).abs() / serial.max(1e-9);
-            assert!(
-                rel < 0.2,
-                "parallel {} vs serial {serial}",
-                f.residual_energy
-            );
+            assert_eq!(f.residual_energy, serial, "frame {}", f.iter);
         }
     }
 }
