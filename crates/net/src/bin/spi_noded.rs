@@ -143,7 +143,7 @@ fn build_system(a: &Args, app: &FilterBankApp) -> Result<spi::SpiSystem, NetErro
     app.system_with(a.iters, |b| {
         b.partition(partition);
         if a.force_ubs {
-            // A UBS edge's window is its 17-record credit window, so the
+            // A UBS edge's window is its 16-record credit window, so the
             // schedule lowers 4-record batch plans; the default BBS
             // windows on the filter bank are too shallow to batch.
             b.force_ubs(true);

@@ -44,20 +44,12 @@ impl SpiLibraryReport {
                     components::spi_send_dynamic() + components::spi_receive_dynamic()
                 }
             };
-            // The IPC FIFO sized by the plan, in payload bytes: the
-            // eq. (2) capacity for BBS, the credit window plus one for
-            // UBS.
-            let fifo_bytes = match plan.protocol {
-                spi_sched::Protocol::Bbs { capacity } => capacity.max(1) * plan.payload_max as u64,
-                spi_sched::Protocol::Ubs { ack_window } => {
-                    (ack_window + 1) * plan.payload_max as u64
-                }
-            };
-            spi += components::ipc_fifo(fifo_bytes);
-            // Ack path (a static send/receive mini-pair + tiny FIFO).
+            // The IPC FIFO the lowering allocates.
+            spi += components::ipc_fifo(plan.transport.capacity_bytes);
+            // Ack path (a static send/receive mini-pair and its FIFO).
             if plan.ack_kept {
                 spi += components::spi_send_static() + components::spi_receive_static();
-                spi += components::ipc_fifo(16);
+                spi += components::ipc_fifo(plan.ack_channel_bytes() as u64);
             }
         }
         // One SPI_init per processor that terminates at least one edge.
@@ -101,11 +93,10 @@ impl SpiLibraryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spi_sched::Protocol;
 
     /// The plan of a lowered two-processor pipeline, re-labelled; the
-    /// report reads only the phase, protocol, payload bound, ack flag
-    /// and processors.
+    /// report reads only the phase, the channel sizes, the ack flag
+    /// and the processors.
     fn plan(edge: usize, phase: SpiPhase, ack: bool) -> EdgePlan {
         let mut g = spi_dataflow::SdfGraph::new();
         let (a, b) = (g.add_actor("a", 1), g.add_actor("b", 1));
@@ -117,11 +108,6 @@ mod tests {
         EdgePlan {
             edge: EdgeId(edge),
             phase,
-            protocol: if ack {
-                Protocol::Ubs { ack_window: 1 }
-            } else {
-                Protocol::Bbs { capacity: 2 }
-            },
             ack_kept: ack,
             ..system.edge_plans()[&e].clone()
         }

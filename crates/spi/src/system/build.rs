@@ -500,17 +500,18 @@ impl SpiSystemBuilder {
                 ack_window: ACK_WINDOW.max(max_burst).max(msgs_per_iter),
             },
         };
-        // The messages the data channel holds.
+        // The messages the data channel holds: the most its protocol
+        // lets be in flight.
         let msgs = match protocol {
-            // eq. (2): tokens-in-flight bound, plus one, × messages per
+            // eq. (2): the tokens-in-flight bound × messages per
             // iteration of drift.
-            Protocol::Bbs { capacity } => (capacity + 1) * msgs_per_iter,
+            Protocol::Bbs { capacity } => capacity * msgs_per_iter,
             // The credit window: every data message past the pipeline
             // fills (sent without a credit) takes one of `ack_window`
-            // credits; plus one message of slack. An edge whose acks
-            // resynchronization removed is held to the same depth by the
-            // path that made them redundant.
-            Protocol::Ubs { ack_window } => ack_window + fill_msgs + 1,
+            // credits. An edge whose acks resynchronization removed is
+            // held to the same depth by the path that made them
+            // redundant.
+            Protocol::Ubs { ack_window } => ack_window + fill_msgs,
         };
         EdgePlan {
             edge: via,
@@ -830,9 +831,9 @@ pub struct EdgePlan {
     /// eq. (2) bound in tokens, when it exists.
     pub bound_tokens: Option<u64>,
     /// Message-count capacity the data channel was provisioned for:
-    /// `(capacity + 1) · msgs_per_iter` under BBS, `ack_window +
-    /// fill_msgs + 1` under UBS. `None` for dynamic messages, which may
-    /// be shorter than `msg_max`. The runtime conformance checker holds
+    /// `capacity · msgs_per_iter` under BBS, `ack_window + fill_msgs`
+    /// under UBS. `None` for dynamic messages, which may be shorter
+    /// than `msg_max`. The runtime conformance checker holds
     /// observed occupancy against this.
     pub bound_msgs: Option<u64>,
     /// Chosen protocol, with its BBS capacity or UBS credit window.
@@ -863,6 +864,16 @@ impl EdgePlan {
             Protocol::Ubs { ack_window } => ack_window,
             Protocol::Bbs { .. } => 0,
         }
+    }
+
+    /// Bytes of the edge's acknowledgement channel. It never fills: the
+    /// consumer acknowledges the edge's pipeline-fill messages too, which
+    /// the producer sent from its prologue without taking a credit, so
+    /// up to `window + fill_msgs` acks are outstanding at once — plus
+    /// one. (On the ordered bus a sender blocked for space in its grant
+    /// slot would stall every other sender.)
+    pub fn ack_channel_bytes(&self) -> usize {
+        (((self.ack_window() + self.fill_msgs) as usize + 1) * ACK_BYTES).max(16)
     }
 
     /// The protocol as the synchronization graph counts it: its delays

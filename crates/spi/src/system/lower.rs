@@ -77,20 +77,11 @@ fn add_channels(machine: &mut Machine, plans: &mut Plans) {
         });
         if plan.ack_kept {
             plan.ack_ch = Some(machine.add_channel(ChannelSpec {
-                capacity_bytes: ack_channel_bytes(plan),
+                capacity_bytes: plan.ack_channel_bytes(),
                 max_message_bytes: ACK_BYTES,
             }));
         }
     }
-}
-
-/// An acknowledgement channel never fills: the consumer acknowledges the
-/// edge's pipeline-fill messages too, which the producer sent from its
-/// prologue without taking a credit, so up to `window + fill_msgs` acks
-/// are outstanding at once — plus one. (On the ordered bus a sender
-/// blocked for space in its grant slot would stall every other sender.)
-fn ack_channel_bytes(plan: &EdgePlan) -> usize {
-    (((plan.ack_window() + plan.fill_msgs) as usize + 1) * ACK_BYTES).max(16)
 }
 
 const FAIL_KEY: &str = "__spi_error";

@@ -269,11 +269,8 @@ impl SpiSystem {
         Ok(SpiRunReport {
             edge_channels: self.plans.values().map(|p| (p.edge, p.data_ch)).collect(),
             sim,
-            resync: self.sync.report,
-            sync_cost: self.sync.graph.sync_cost(),
             clock_mhz: CLOCK_MHZ,
             iterations: self.iterations,
-            library: self.library,
         })
     }
 }
@@ -312,16 +309,10 @@ impl std::fmt::Display for BufferRow {
 pub struct SpiRunReport {
     /// Raw platform statistics (timing, traffic, final PE state).
     pub sim: SimReport,
-    /// Resynchronization outcome.
-    pub resync: Option<ResyncReport>,
-    /// Final synchronization cost.
-    pub sync_cost: usize,
     /// Clock for µs conversion.
     pub clock_mhz: f64,
     /// Iterations simulated.
     pub iterations: u64,
-    /// Hardware cost report.
-    pub library: SpiLibraryReport,
     /// Data channel of each inter-processor edge.
     pub edge_channels: HashMap<EdgeId, ChannelId>,
 }

@@ -6,14 +6,13 @@ use spi_sched::{ProcId, Protocol};
 
 use super::build::cumulative_messages;
 use super::lower::{frame_pop, frame_push};
-use super::{SchedulingMode, SpiRunReport, SpiSystemBuilder};
+use super::{SchedulingMode, SpiRunReport, SpiSystem, SpiSystemBuilder};
 use crate::actors::Firing;
 use crate::error::SpiError;
 use crate::message::SpiPhase;
 
-/// Builds and runs a 2-proc pipeline with a payload check, returning
-/// the run report.
-fn run_pipeline(iterations: u64) -> SpiRunReport {
+/// Builds a 2-proc pipeline with a payload check.
+fn pipeline(iterations: u64) -> SpiSystem {
     let mut g = SdfGraph::new();
     let src = g.add_actor("src", 20);
     let snk = g.add_actor("snk", 20);
@@ -29,8 +28,12 @@ fn run_pipeline(iterations: u64) -> SpiRunReport {
         20
     });
     b.iterations(iterations);
-    let sys = b.build(2, |a| ProcId(a.0)).unwrap();
-    sys.run().unwrap()
+    b.build(2, |a| ProcId(a.0)).unwrap()
+}
+
+/// Runs [`pipeline`], returning the run report.
+fn run_pipeline(iterations: u64) -> SpiRunReport {
+    pipeline(iterations).run().unwrap()
 }
 
 #[test]
@@ -523,8 +526,9 @@ fn utilization_is_bounded_and_reflects_load() {
 
 #[test]
 fn resync_report_present_by_default() {
-    let report = run_pipeline(3);
-    assert!(report.resync.is_some());
+    let sys = pipeline(3);
+    assert!(sys.resync_report().is_some());
+    sys.run().unwrap();
 }
 
 #[test]

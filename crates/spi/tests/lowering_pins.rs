@@ -171,9 +171,9 @@ fn psdf_envelope() -> Recipe {
 }
 
 /// Two processors on two nodes: a forward edge closed by a feedback edge
-/// carrying 15 delay tokens, so each cross edge's eq. (2) window is 16
-/// messages and its socket batches a quarter of it — PR 20's
-/// `batch_plan` rule, which no smaller window shows.
+/// carrying 15 delay tokens, so the feedback edge's eq. (2) window is 16
+/// messages (the forward edge's 15) and each socket batches a quarter of
+/// its window — the `batch_plan` rule, which no window under 8 shows.
 fn loop_window_16() -> Recipe {
     let mut g = SdfGraph::new();
     let a = g.add_actor("a", 20);

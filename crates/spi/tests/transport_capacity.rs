@@ -1,14 +1,15 @@
 //! The ring transport must be byte-accurate to the paper's static
 //! bounds: for every BBS data channel the builder emits, the allocated
 //! ring is exactly the eq. (2) sizing derived from `sched::ipc_graph` —
-//! `slots = (bound ∨ (d_max+1)) + 1 slack) × q_src` messages of
-//! `header + payload_max` bytes each, nothing rounded up to a power of
-//! two, nothing approximated by message counts. A UBS data channel is
-//! its credit window by the same rule.
+//! `slots = (bound ∨ (d_max+1)) × q_src` messages of `header +
+//! payload_max` bytes each, nothing rounded up to a power of two, no
+//! slack slot. A UBS data channel is its credit window by the same
+//! rule, `window + fill` messages, and a kept ack channel is
+//! `EdgePlan::ack_channel_bytes`.
 
 use std::collections::HashMap;
 
-use spi::{SpiSystem, SpiSystemBuilder, STATIC_HEADER_BYTES};
+use spi::{SpiSystem, SpiSystemBuilder, ACK_BYTES, STATIC_HEADER_BYTES};
 use spi_dataflow::{EdgeId, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::{ChannelSpec, RingTransport, Transport};
 use spi_sched::{Assignment, IpcEdgeKind, IpcGraph, ProcId, SelfTimedSchedule};
@@ -105,7 +106,7 @@ fn ring_capacity_equals_eq2_bytes_from_ipc_graph() {
         );
         let cap_tokens = bound.max(d_max[&row.edge] + 1);
         let q_src = q[cg.edge(row.edge).src];
-        let expected_msgs = (cap_tokens + 1) * q_src;
+        let expected_msgs = cap_tokens * q_src;
         assert_eq!(row.message_bytes_max, STATIC_HEADER_BYTES + 4);
         assert_eq!(row.capacity_bytes, specs[row.edge.0].capacity_bytes as u64);
         assert_ring_of(&specs[row.edge.0], row.edge, expected_msgs);
@@ -114,9 +115,10 @@ fn ring_capacity_equals_eq2_bytes_from_ipc_graph() {
 
 /// Forced onto UBS, each edge's data channel holds its credit window:
 /// `ack_window` credited messages past the `fill_msgs` the producer
-/// sends without a credit (two on the delayed feedback edge), plus one.
-/// The same holds for an edge whose acknowledgements resynchronization
-/// removed.
+/// sends without a credit (two on the delayed feedback edge). The same
+/// holds for an edge whose acknowledgements resynchronization removed;
+/// an edge that keeps them has an ack channel of
+/// `EdgePlan::ack_channel_bytes` in `ACK_BYTES` messages.
 #[test]
 fn ubs_ring_capacity_is_the_credit_window() {
     let mut acks_seen = [false; 2];
@@ -125,7 +127,7 @@ fn ubs_ring_capacity_is_the_credit_window() {
         let plans = sys.edge_plans().clone();
         let (specs, _programs) = sys.into_parts();
         for plan in plans.values() {
-            let msgs = plan.ack_window() + plan.fill_msgs + 1;
+            let msgs = plan.ack_window() + plan.fill_msgs;
             assert!(plan.ack_window() > 0, "edge {} is UBS", plan.edge);
             assert_eq!(
                 plan.transport.capacity_bytes,
@@ -135,6 +137,12 @@ fn ubs_ring_capacity_is_the_credit_window() {
             );
             assert_eq!(plan.bound_msgs, Some(msgs), "edge {}", plan.edge);
             assert_ring_of(&specs[plan.data_ch.0], plan.edge, msgs);
+            if let Some(ack_ch) = plan.ack_ch {
+                let ack = &specs[ack_ch.0];
+                assert_eq!(ack.capacity_bytes, plan.ack_channel_bytes());
+                assert_eq!(ack.max_message_bytes, ACK_BYTES);
+            }
+            assert_eq!(plan.ack_ch.is_some(), plan.ack_kept);
             acks_seen[usize::from(plan.ack_kept)] = true;
         }
         let fills: Vec<u64> = plans.values().map(|p| p.fill_msgs).collect();
