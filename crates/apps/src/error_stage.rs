@@ -30,7 +30,7 @@ use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
 use crate::speech::{frame_dims, synth_frame_into, Predictor};
-use crate::util::{f64s, f64s_into, f64s_to_bytes, order_payload, put_f64s, read_order_payload};
+use crate::util::{f64s, f64s_into, put_f64s, put_order_payload, read_order_payload};
 
 /// Configuration of application 1, for both of its graphs: figure 2's
 /// whole pipeline ([`SpeechApp`](crate::SpeechApp)) and this error
@@ -105,17 +105,16 @@ impl ErrorStageConfig {
         [self.frame, share + self.order, self.order + 1, share].map(|samples| (samples * 8) as u32)
     }
 
-    /// Error PE `i`'s section of `frame` for a model of order `order`,
-    /// as its payload: its share, `i·len/n_pes..(i + 1)·len/n_pes`, after
-    /// [`history`] samples, zeros where they precede the frame (a zero
-    /// adds nothing to a prediction, so the share's errors are exact).
-    pub(crate) fn section(&self, i: usize, frame: &[f64], order: usize) -> Vec<u8> {
+    /// Appends error PE `i`'s section of `frame` for a model of order
+    /// `order` to `payload`: its share, `i·len/n_pes..(i + 1)·len/n_pes`,
+    /// after [`history`] samples, zeros where they precede the frame (a
+    /// zero adds nothing to a prediction, so the share's errors are
+    /// exact).
+    pub(crate) fn section(&self, i: usize, frame: &[f64], order: usize, payload: &mut Vec<u8>) {
         let (len, hist) = (frame.len(), history(i, order));
         let (start, end) = (i * len / self.n_pes, (i + 1) * len / self.n_pes);
-        let mut payload = Vec::with_capacity(8 * (hist + end - start));
-        payload.resize(8 * hist.saturating_sub(start), 0);
-        put_f64s(&mut payload, &frame[start.saturating_sub(hist)..end]);
-        payload
+        payload.resize(payload.len() + 8 * hist.saturating_sub(start), 0);
+        put_f64s(payload, &frame[start.saturating_sub(hist)..end]);
     }
 }
 
@@ -131,8 +130,8 @@ fn history(i: usize, order: usize) -> usize {
 /// the prediction error of the section's own samples on `err`.
 ///
 /// Section, coefficients and errors live in buffers the actor keeps,
-/// sized for its edges' bounds by its first firing; the output bytes
-/// are the one allocation a firing.
+/// sized for its edges' bounds by its first firing, and the errors are
+/// written into the slot the firing lends: a firing allocates nothing.
 pub(crate) fn error_actor(
     builder: &mut SpiSystemBuilder,
     cfg: ErrorStageConfig,
@@ -153,7 +152,7 @@ pub(crate) fn error_actor(
         f64s_into(ctx.input(sec), section);
         let order = read_order_payload(ctx.input(coe), coeffs);
         prediction_errors_into(section, coeffs, history(i, order), section.len(), errors);
-        ctx.set_output(err, f64s_to_bytes(errors));
+        put_f64s(ctx.output(err), errors);
         cost::error_cycles(errors.len(), order)
     });
     builder.actor_resources(d, components::error_generator(cfg.order as u64));
@@ -333,10 +332,10 @@ impl ErrorStageApp {
                         analysis
                     }
                 };
-                let section = cfg.section(i, &current.frame, current.order);
+                let section = ctx.output(sec);
+                cfg.section(i, &current.frame, current.order, section);
                 let cycles = cost::read_cycles(section.len() / 8);
-                ctx.set_output(sec, section);
-                ctx.set_output(coe, order_payload(current.order, &current.predictor.coeffs));
+                put_order_payload(ctx.output(coe), current.order, &current.predictor.coeffs);
                 cycles
             });
             builder.actor_resources(self.io_send[i], components::io_interface());

@@ -17,7 +17,7 @@ use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::util::{f64s_from_bytes, f64s_to_bytes};
+use crate::util::{f64s_from_bytes, put_f64s};
 
 /// Configuration of the filter bank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,8 +174,8 @@ impl FilterBankApp {
         builder.actor(self.source, move |ctx: &mut Firing| {
             let even = synth(cfg.seed, 2 * ctx.iter, cfg.frame);
             let odd = synth(cfg.seed, 2 * ctx.iter + 1, cfg.frame);
-            ctx.set_output(e_sl, f64s_to_bytes(&even));
-            ctx.set_output(e_sh, f64s_to_bytes(&odd));
+            put_f64s(ctx.output(e_sl), &even);
+            put_f64s(ctx.output(e_sh), &odd);
             40
         });
 
@@ -184,7 +184,7 @@ impl FilterBankApp {
             let frame = f64s_from_bytes(ctx.input(e_sl));
             let filtered = low_fir.process(&frame);
             let out = decimate(&filtered, cfg.low_decimation);
-            ctx.set_output(e_ls, f64s_to_bytes(&out));
+            put_f64s(ctx.output(e_ls), &out);
             // The MAC pipeline runs over every input sample.
             fir_cycles(frame.len().max(1), cfg.taps)
         });
@@ -194,7 +194,7 @@ impl FilterBankApp {
             let frame = f64s_from_bytes(ctx.input(e_sh));
             let filtered = high_fir.process(&frame);
             let out = decimate(&filtered, cfg.high_decimation);
-            ctx.set_output(e_hs, f64s_to_bytes(&out));
+            put_f64s(ctx.output(e_hs), &out);
             fir_cycles(frame.len().max(1), cfg.taps)
         });
 

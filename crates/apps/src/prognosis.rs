@@ -30,7 +30,7 @@ use spi_platform::rng::SplitMix64;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::util::{f64s_from_bytes, f64s_to_bytes};
+use crate::util::{f64s_from_bytes, put_f64s};
 
 /// Configuration of the prognosis system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -240,7 +240,7 @@ impl PrognosisApp {
         builder.actor(self.obs, move |ctx: &mut Firing| {
             let y = observations[ctx.iter as usize];
             for &e in &obs_edges {
-                ctx.set_output(e, y.to_le_bytes().to_vec());
+                ctx.output(e).extend(y.to_le_bytes());
             }
             10
         });
@@ -273,9 +273,8 @@ impl PrognosisApp {
                     .map(|(p, w)| p * w)
                     .sum();
                 st.rng = rng;
-                let payload = f64s_to_bytes(&[sum_w, sum_wx]);
                 for &e in &my_sum_edges {
-                    ctx.set_output(e, payload.clone());
+                    put_f64s(ctx.output(e), &[sum_w, sum_wx]);
                 }
                 cost::estimate_cycles(per_pe) + cost::update_cycles(per_pe)
             });
@@ -327,19 +326,13 @@ impl PrognosisApp {
                 let mut cursor = 0usize;
                 for x in plan.iter().filter(|x| x.from == i) {
                     let chunk = &st.surplus[cursor..cursor + x.count];
-                    ctx.set_output(out_particle_edges[x.to], f64s_to_bytes(chunk));
+                    put_f64s(ctx.output(out_particle_edges[x.to]), chunk);
                     cursor += x.count;
                 }
-                // Local trigger + any unsent edges get empty payloads.
-                for (j, &e) in out_particle_edges.iter().enumerate() {
-                    if ctx.output(e).is_none() {
-                        if j == i {
-                            ctx.set_output(e, (st.kept.len() as u64).to_le_bytes().to_vec());
-                        } else {
-                            ctx.set_output(e, Vec::new());
-                        }
-                    }
-                }
+                // Local trigger (no exchange targets its own PE); an edge
+                // without an exchange sends its empty slot.
+                let kept = st.kept.len() as u64;
+                ctx.output(out_particle_edges[i]).extend(kept.to_le_bytes());
                 cost::resample_cycles(per_pe)
             });
 

@@ -28,7 +28,7 @@ use spi_platform::components;
 
 use crate::error::Result;
 use crate::error_stage::{build_on_error_pes, error_actor, ErrorStageConfig};
-use crate::util::{f64s, f64s_into, f64s_to_bytes, order_payload, read_order_payload};
+use crate::util::{f64s, f64s_into, put_f64s, put_order_payload, read_order_payload};
 
 /// Run-time frame length and model order of iteration `iter` of
 /// application 1 (both graphs): `max_frame` and `max_order` without
@@ -191,8 +191,9 @@ impl SpeechApp {
     /// `builder` (exposed so benches can tweak builder options first).
     ///
     /// Every actor keeps its working buffers between firings, sized by
-    /// its first one; a firing allocates its outputs, and E the parts
-    /// of the [`CompressedFrame`] it keeps.
+    /// its first one, and writes its outputs into the slots the firing
+    /// lends: a firing allocates only the parts of the
+    /// [`CompressedFrame`] E keeps.
     pub fn configure(&self, builder: &mut SpiSystemBuilder) {
         let cfg = self.config;
 
@@ -205,18 +206,18 @@ impl SpeechApp {
             let (frame_len, order) = cfg.dims(ctx.iter);
             synth_frame_into(cfg.seed, ctx.iter, frame_len, frame);
             // Full frame to the FFT stage.
-            ctx.set_output(ab, f64s_to_bytes(frame));
+            put_f64s(ctx.output(ab), frame);
             // Overlapping sections (with `order` samples of history) to
             // each error PE.
             for (i, &edge) in section_edges.iter().enumerate() {
-                ctx.set_output(edge, cfg.section(i, frame, order));
+                cfg.section(i, frame, order, ctx.output(edge));
             }
             cost::read_cycles(frame_len)
         });
 
         // ----- Actor B: FFT → autocorrelation via power spectrum -------
         // The frame is decoded, and its lags computed, into buffers the
-        // actor keeps; the lags are written straight into the payload.
+        // actor keeps; the lags are written straight into the lent slot.
         let bc = self.lags_edge;
         let mut scratch = None;
         builder.actor(self.b_fft, move |ctx: &mut Firing| {
@@ -229,7 +230,7 @@ impl SpeechApp {
             f64s_into(ctx.input(ab), frame);
             let order = cfg.dims(ctx.iter).1;
             autocorrelation_into(frame, order, lags);
-            ctx.set_output(bc, order_payload(order, lags));
+            put_order_payload(ctx.output(bc), order, lags);
             fft_cycles(frame.len().next_power_of_two())
         });
 
@@ -241,11 +242,9 @@ impl SpeechApp {
             let predictor = predictor.get_or_insert_with(|| Predictor::new(cfg.order));
             let order = read_order_payload(ctx.input(bc), &mut predictor.lags);
             predictor.solve(order);
-            let payload = order_payload(order, &predictor.coeffs);
-            for &edge in &coeff_edges {
-                ctx.set_output(edge, payload.clone());
+            for &edge in coeff_edges.iter().chain([&coeff_to_coder]) {
+                put_order_payload(ctx.output(edge), order, &predictor.coeffs);
             }
-            ctx.set_output(coeff_to_coder, payload);
             cost::lu_cycles(predictor.lags.len() * 16, order)
         });
 

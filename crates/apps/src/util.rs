@@ -4,13 +4,6 @@
 //! encoder grows its output once and fills the new span, the decoder
 //! extends a buffer from an exactly sized iterator.
 
-/// Serializes a slice of `f64` samples to little-endian bytes.
-pub fn f64s_to_bytes(values: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 8);
-    put_f64s(&mut out, values);
-    out
-}
-
 /// Appends `values` to `out` as little-endian bytes, in one resized
 /// span.
 pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
@@ -43,20 +36,18 @@ pub fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     samples.iter().map(|&b| f64::from_le_bytes(b))
 }
 
-/// A model order and its `f64` values (autocorrelation lags or
-/// predictor coefficients) as one payload: the order as 8
+/// Appends a model order and its `f64` values (autocorrelation lags or
+/// predictor coefficients) to `out` as one payload: the order as 8
 /// little-endian bytes, then the values.
-pub(crate) fn order_payload(order: usize, values: &[f64]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(8 + 8 * values.len());
-    payload.extend((order as u64).to_le_bytes());
-    put_f64s(&mut payload, values);
-    payload
+pub(crate) fn put_order_payload(out: &mut Vec<u8>, order: usize, values: &[f64]) {
+    out.extend((order as u64).to_le_bytes());
+    put_f64s(out, values);
 }
 
-/// Reads an [`order_payload`]: its values into `values`, which is
+/// Reads a [`put_order_payload`]: its values into `values`, which is
 /// cleared first, and its order as the result.
 pub(crate) fn read_order_payload(payload: &[u8], values: &mut Vec<f64>) -> usize {
-    // Every such payload is written by `order_payload`, order first.
+    // Every such payload is written by `put_order_payload`, order first.
     #[allow(clippy::expect_used)]
     let (order, raw) = payload.split_first_chunk().expect("order header");
     f64s_into(raw, values);
@@ -70,7 +61,9 @@ mod tests {
     #[test]
     fn roundtrip() {
         let xs = vec![0.0, -1.5, 3.25e10, f64::MIN_POSITIVE];
-        assert_eq!(f64s_from_bytes(&f64s_to_bytes(&xs)), xs);
+        let mut bytes = Vec::new();
+        put_f64s(&mut bytes, &xs);
+        assert_eq!(f64s_from_bytes(&bytes), xs);
     }
 
     #[test]
@@ -109,11 +102,14 @@ mod tests {
     #[test]
     fn an_order_payload_reads_back_its_order_and_values() {
         let mut back = vec![9.0];
-        let payload = order_payload(3, &[0.5, -1.25, 2.0]);
+        let mut payload = Vec::new();
+        put_order_payload(&mut payload, 3, &[0.5, -1.25, 2.0]);
         assert_eq!(payload.len(), 8 + 3 * 8);
         assert_eq!(read_order_payload(&payload, &mut back), 3);
         assert_eq!(back, [0.5, -1.25, 2.0]);
-        assert_eq!(read_order_payload(&order_payload(7, &[]), &mut back), 7);
+        payload.clear();
+        put_order_payload(&mut payload, 7, &[]);
+        assert_eq!(read_order_payload(&payload, &mut back), 7);
         assert!(back.is_empty());
     }
 }

@@ -1,9 +1,10 @@
 //! Steady-state allocation profile of application 1's error stage on
 //! the discrete-event simulator: the actors' own work — the frame
 //! analysis, decoding sections and coefficients, the prediction error,
-//! the residual energy — allocates nothing once the system is built, so
-//! an iteration costs the framework's allocations plus the three output
-//! buffers each error PE's transfers carry.
+//! the residual energy — allocates nothing once the system is built,
+//! and the actors write their outputs into slots the lowered firings
+//! keep, so an iteration costs only the framed messages each error
+//! PE's transfers carry.
 //!
 //! This file holds a single `#[test]` on purpose: the counting
 //! allocator is per-binary, and a sibling test allocating concurrently
@@ -64,21 +65,19 @@ const ITERATIONS: u64 = 410;
 ///
 /// | per error PE | allocation | count |
 /// |---|---|---|
-/// | `io_send_i` | the `Firing`'s output list | 1 |
-/// | `io_send_i` | its two outputs: the frame section, the order and coefficients | 2 |
-/// | `D_i` | the `Firing`'s input list and output list | 2 |
-/// | `D_i` | its output: the error values | 1 |
-/// | `io_recv_i` | the `Firing`'s input list (no output) | 1 |
 /// | every cross send | the framed message (`message::encode`): section, coefficients, errors | 3 |
 ///
-/// Nothing outside the firings: the DES wakes a blocked PE from one
-/// stack it keeps for the run. Nothing for the frame analysis
-/// (synthesis, autocorrelation, normal equations), which is refilled in
-/// place in buffers the first firing sized for the longest frame;
-/// nothing for decoding a section or coefficients, or for the errors,
-/// which `D_i` computes into buffers it keeps; nothing for the residual
-/// energy, summed straight from the bytes.
-const ALLOCS_PER_ITERATION: u64 = PES * (3 + 3 + 1 + 3);
+/// Nothing for a firing's input list or its outputs: `io_send_i` writes
+/// the section and the order and coefficients, and `D_i` the error
+/// values, into output slots the lowered firing keeps, grown by the
+/// longest frame so far. Nothing outside the firings: the DES wakes a
+/// blocked PE from one stack it keeps for the run. Nothing for the
+/// frame analysis (synthesis, autocorrelation, normal equations), which
+/// is refilled in place in buffers the first firing sized for the
+/// longest frame; nothing for decoding a section or coefficients, or
+/// for the errors, which `D_i` computes into buffers it keeps; nothing
+/// for the residual energy, summed straight from the bytes.
+const ALLOCS_PER_ITERATION: u64 = PES * 3;
 
 #[test]
 fn error_stage_actors_allocate_only_their_outputs() {

@@ -1,8 +1,8 @@
 //! Steady-state allocation profile of application 1's figure-2
 //! pipeline (A → B → C → D × n → E) on the discrete-event simulator:
-//! every actor keeps its working buffers between firings, so an
-//! iteration costs the framework's allocations, the actors' outputs and
-//! what E keeps in each `CompressedFrame`.
+//! every actor keeps its working buffers between firings and writes its
+//! outputs into slots the lowered firings keep, so an iteration costs
+//! the framed messages and what E keeps in each `CompressedFrame`.
 //!
 //! This file holds a single `#[test]` on purpose: the counting
 //! allocator is per-binary, and a sibling test allocating concurrently
@@ -60,26 +60,21 @@ const ITERATIONS: u64 = 410;
 ///
 /// | actor | allocation | count |
 /// |---|---|---|
-/// | A | the `Firing`'s output list | 1 |
-/// | A | its outputs: the frame, two sections | 3 |
-/// | B | the `Firing`'s input list and output list | 2 |
-/// | B | its output: the order and lags | 1 |
-/// | C | the `Firing`'s input list and output list | 2 |
-/// | C | its outputs: the order and coefficients, and two copies | 3 |
-/// | `D_i`, each | the `Firing`'s input list and output list | 2 × 2 |
-/// | `D_i`, each | its output: the error values | 2 × 1 |
-/// | E | the `Firing`'s input list (no output) | 1 |
 /// | E | the frame's coefficients | 1 |
 /// | every cross send | the framed message: two sections, two coefficients, two errors | 6 |
 ///
-/// Nothing for A's frame, B's frame and lags, C's lags, LU factors and
-/// coefficients, `D_i`'s section, coefficients and errors, or E's
-/// residual and symbols: each actor keeps them between firings. What
-/// else E allocates is the frame's Huffman code and bitstream, which
-/// the `CompressedFrame` keeps; how many allocations building a code
-/// takes depends on how many distinct symbols the frame has, so the
-/// test counts them by building the same code again.
-const ALLOCS_PER_ITERATION: u64 = 4 + 3 + 5 + 2 * 3 + 2 + 6;
+/// Nothing for a firing's input list or its outputs: A's frame and
+/// sections, B's order and lags, C's order and coefficients (written
+/// once into each of its three slots) and `D_i`'s error values go
+/// into output slots the lowered firings keep. Nothing for A's frame,
+/// B's frame and lags, C's lags, LU factors and coefficients, `D_i`'s
+/// section, coefficients and errors, or E's residual and symbols: each
+/// actor keeps them between firings. What else E allocates is the
+/// frame's Huffman code and bitstream, which the `CompressedFrame`
+/// keeps; how many allocations building a code takes depends on how
+/// many distinct symbols the frame has, so the test counts them by
+/// building the same code again.
+const ALLOCS_PER_ITERATION: u64 = 1 + 6;
 
 #[test]
 fn pipeline_actors_allocate_only_their_outputs_and_the_compressed_frame() {

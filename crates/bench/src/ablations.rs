@@ -86,7 +86,7 @@ pub fn ablation_spi_vs_mpi(payload_bytes: usize, messages: u64) -> AblationRow {
         .expect("edge");
     let mut b = SpiSystemBuilder::new(g);
     b.actor(src, move |ctx: &mut spi::Firing| {
-        ctx.set_output(e, vec![0xA5; n]);
+        ctx.output(e).resize(n, 0xA5);
         1
     });
     b.actor(snk, |_: &mut spi::Firing| 1);
@@ -232,7 +232,7 @@ pub fn ablation_selftimed_vs_static(jitter_percent: u32, iterations: u64) -> Abl
             let out_edge = edges.get(i).copied();
             b.actor(a, move |ctx: &mut spi::Firing| {
                 if let Some(e) = out_edge {
-                    ctx.set_output(e, vec![0; 4]);
+                    ctx.output(e).resize(4, 0);
                 }
                 // Deterministic jitter in [1−j, 1+j] around the mean.
                 let h = ctx
@@ -376,10 +376,10 @@ pub fn ablation_vts_vs_worst_case(max_tokens: u32, iterations: u64) -> AblationR
         let mut b = SpiSystemBuilder::new(g);
         let payload = (max_tokens * 4) as usize;
         b.actor(a, move |ctx: &mut spi::Firing| {
-            let mut buf = vec![0u8; payload];
-            let n = actual(ctx.iter);
-            buf[..n.min(payload)].fill(0xFF); // real data padded to max
-            ctx.set_output(e, buf);
+            let n = actual(ctx.iter).min(payload);
+            let buf = ctx.output(e);
+            buf.resize(n, 0xFF); // real data padded to max
+            buf.resize(payload, 0);
             1
         });
         b.actor(b_, |_: &mut spi::Firing| 1);
@@ -398,7 +398,8 @@ pub fn ablation_vts_vs_worst_case(max_tokens: u32, iterations: u64) -> AblationR
             .expect("edge");
         let mut b = SpiSystemBuilder::new(g);
         b.actor(a, move |ctx: &mut spi::Firing| {
-            ctx.set_output(e, vec![0xFF; actual(ctx.iter)]);
+            let iter = ctx.iter;
+            ctx.output(e).resize(actual(iter), 0xFF);
             1
         });
         b.actor(b_, |_: &mut spi::Firing| 1);

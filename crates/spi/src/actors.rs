@@ -9,66 +9,57 @@
 //! protocols, acknowledgements — is the SPI system's concern, invisible
 //! here.
 
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use spi_dataflow::EdgeId;
+use spi_platform::ByteQueue;
 
 /// Per-firing context handed to an actor implementation.
 ///
-/// Inputs are lent, not copied: each is a range of the edge's queue on
-/// the firing PE, valid for the firing. A firing has a handful of
-/// ports, so both lists are plain vectors searched by edge.
+/// The library owns the buffers and lends them: each input is a range
+/// of the pending bytes of the edge's queue on the firing PE (`queues`
+/// is indexed by `EdgeId`), and each output a slot the lowered firing
+/// keeps, cleared when the firing starts. A firing has a handful of
+/// ports, so both lists are searched by edge.
 #[derive(Debug, Default)]
 pub struct Firing<'a> {
     /// Graph iteration this firing belongs to.
     pub iter: u64,
     /// Index of this firing within the actor's repetitions (0-based).
     pub k: u64,
-    inputs: Vec<(EdgeId, &'a [u8])>,
-    outputs: Vec<(EdgeId, Vec<u8>)>,
+    pub(crate) queues: &'a [ByteQueue],
+    pub(crate) inputs: &'a [(EdgeId, Range<usize>)],
+    pub(crate) outputs: &'a mut [(EdgeId, Vec<u8>)],
+    /// Where an edge the actor does not produce is written.
+    pub(crate) discard: Vec<u8>,
 }
 
 impl<'a> Firing<'a> {
-    /// Creates a context with the given consumed inputs.
-    pub fn new(iter: u64, k: u64, inputs: Vec<(EdgeId, &'a [u8])>) -> Self {
-        Firing {
-            iter,
-            k,
-            inputs,
-            outputs: Vec::new(),
-        }
-    }
-
     /// The bytes consumed from `edge` this firing.
     ///
     /// For a static edge this is exactly `consume_rate × token_bytes`;
     /// for a dynamic (VTS) edge it is one packed token of variable size.
     pub fn input(&self, edge: EdgeId) -> &'a [u8] {
         let found = self.inputs.iter().find(|(e, _)| *e == edge);
-        found.map_or(&[], |&(_, bytes)| bytes)
+        found
+            .and_then(|(_, range)| self.queues.get(edge.0)?.pending().get(range.clone()))
+            .unwrap_or_default()
     }
 
-    /// Sets the bytes produced on `edge` this firing.
+    /// The slot `edge`'s output is written into, empty when the firing
+    /// starts (an unwritten output sends nothing); for an edge the actor
+    /// does not produce, a slot that is thrown away.
     ///
     /// Static edges must produce exactly `produce_rate × token_bytes`;
     /// dynamic edges at most their VTS bound. Violations surface as
     /// [`crate::SpiError::StaticSizeMismatch`] /
     /// [`crate::SpiError::VtsBoundExceeded`] when the system runs.
-    pub fn set_output(&mut self, edge: EdgeId, bytes: Vec<u8>) {
+    pub fn output(&mut self, edge: EdgeId) -> &mut Vec<u8> {
         match self.outputs.iter_mut().find(|(e, _)| *e == edge) {
-            Some((_, staged)) => *staged = bytes,
-            None => self.outputs.push((edge, bytes)),
+            Some((_, slot)) => slot,
+            None => &mut self.discard,
         }
-    }
-
-    /// The output staged for `edge`, if any.
-    pub fn output(&self, edge: EdgeId) -> Option<&[u8]> {
-        let found = self.outputs.iter().find(|(e, _)| *e == edge);
-        found.map(|(_, bytes)| bytes.as_slice())
-    }
-
-    pub(crate) fn into_outputs(self) -> Vec<(EdgeId, Vec<u8>)> {
-        self.outputs
     }
 }
 
@@ -124,16 +115,31 @@ mod tests {
 
     #[test]
     fn firing_io_roundtrip() {
-        let mut ctx = Firing::new(5, 1, vec![(EdgeId(0), &[1, 2, 3][..])]);
+        let mut queues = vec![ByteQueue::default(); 2];
+        queues[1].push(&[7, 1, 2, 3, 4]);
+        let inputs = [(EdgeId(1), 1..4)];
+        let mut outputs = [(EdgeId(2), Vec::new()), (EdgeId(3), Vec::with_capacity(8))];
+        let mut ctx = Firing {
+            iter: 5,
+            k: 1,
+            queues: &queues,
+            inputs: &inputs,
+            outputs: &mut outputs,
+            discard: Vec::new(),
+        };
         assert_eq!(ctx.iter, 5);
         assert_eq!(ctx.k, 1);
-        assert_eq!(ctx.input(EdgeId(0)), &[1, 2, 3]);
-        assert_eq!(ctx.input(EdgeId(9)), &[] as &[u8]);
-        ctx.set_output(EdgeId(1), vec![8]);
-        ctx.set_output(EdgeId(1), vec![9, 9]);
-        assert_eq!(ctx.output(EdgeId(1)), Some(&[9u8, 9][..]));
-        assert_eq!(ctx.output(EdgeId(2)), None);
-        assert_eq!(ctx.into_outputs(), vec![(EdgeId(1), vec![9, 9])]);
+        assert_eq!(ctx.input(EdgeId(1)), &[1, 2, 3]);
+        assert_eq!(ctx.input(EdgeId(0)), &[] as &[u8]);
+        ctx.output(EdgeId(2)).push(8);
+        ctx.output(EdgeId(2)).extend([9, 9]);
+        // An edge the actor does not produce takes the write and drops it.
+        ctx.output(EdgeId(9)).extend([5; 4]);
+        drop(ctx);
+        assert_eq!(outputs[0], (EdgeId(2), vec![8, 9, 9]));
+        // An unwritten output is empty and keeps its buffer.
+        assert_eq!(outputs[1], (EdgeId(3), vec![]));
+        assert!(outputs[1].1.capacity() >= 8);
     }
 
     #[test]

@@ -75,7 +75,8 @@ pub enum SchedulingMode {
 ///
 /// let mut builder = SpiSystemBuilder::new(g);
 /// builder.actor(src, move |ctx: &mut Firing| {
-///     ctx.set_output(e, (ctx.iter as u32).to_le_bytes().to_vec());
+///     let sample = ctx.iter as u32;
+///     ctx.output(e).extend(sample.to_le_bytes());
 ///     50
 /// });
 /// builder.actor(snk, move |ctx: &mut Firing| {

@@ -9,6 +9,7 @@
 //! fills). Every number used here is read from the plan.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Range;
 use std::sync::PoisonError;
 
 use spi_dataflow::{ActorId, EdgeId, SdfGraph, VtsConversion};
@@ -155,12 +156,13 @@ pub(super) fn frame_push(queue: &mut ByteQueue, bytes: &[u8]) {
     queue.push(bytes);
 }
 
-/// Pops one frame; `None`, with nothing consumed, if the queue is empty
-/// or ends inside the frame.
-pub(super) fn frame_pop(queue: &mut ByteQueue) -> Option<&[u8]> {
-    let prefix: [u8; 4] = queue.pending().get(..4)?.try_into().ok()?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    queue.take(len.checked_add(4)?).map(|frame| &frame[4..])
+/// Where the first frame's payload lies in a queue's `pending` bytes;
+/// `None` if they are empty or end inside the frame. Taking up to the
+/// range's end consumes the frame.
+pub(super) fn next_frame(pending: &[u8]) -> Option<Range<usize>> {
+    let prefix: [u8; 4] = pending.get(..4)?.try_into().ok()?;
+    let end = (u32::from_le_bytes(prefix) as usize).checked_add(4)?;
+    (end <= pending.len()).then_some(4..end)
 }
 
 fn ack_send(edge: EdgeId, ack_ch: ChannelId) -> Op {
@@ -386,7 +388,7 @@ impl Lowering<'_> {
                 cross: self.plans.get(&eid).map(|p| p.phase),
             }
         };
-        let body = FiringBody {
+        let mut body = FiringBody {
             k: f.k,
             actor: self.impls[&actor].clone(),
             receives,
@@ -398,6 +400,8 @@ impl Lowering<'_> {
                 .iter()
                 .map(|&e| port(e, self.graph.edge(e).produce.bound()))
                 .collect(),
+            inputs: Vec::new(),
+            outputs: out_edges.iter().map(|&e| (e, Vec::new())).collect(),
         };
         ops.push(Op::Compute {
             label: format!("fire:{}#{}", self.graph.actor(actor).name, f.k),
@@ -416,7 +420,7 @@ impl Lowering<'_> {
                 ops.push(Op::Compute {
                     label: format!("spi:credit:{edge}"),
                     work: Box::new(move |l| {
-                        let _ = l.take_from(ack_ch);
+                        drop(l.take_token_from(ack_ch));
                         1
                     }),
                 });
@@ -449,20 +453,25 @@ struct Port {
     cross: Option<SpiPhase>,
 }
 
-/// Everything a firing's compute op needs at run time.
+/// Everything a firing's compute op needs at run time, and the lists
+/// it lends the actor, kept from one firing to the next: the inputs as
+/// ranges of their queues, and one output slot per `produces` port, in
+/// port order.
 struct FiringBody {
     k: u64,
     actor: SharedActor,
     receives: Vec<Receive>,
     consumes: Vec<Port>,
     produces: Vec<Port>,
+    inputs: Vec<(EdgeId, Range<usize>)>,
+    outputs: Vec<(EdgeId, Vec<u8>)>,
 }
 
 impl FiringBody {
     /// Returns the cycles the firing took. A failure is recorded in the
     /// PE's store (see [`recorded_failure`]) and turns every later
     /// firing of that PE into a no-op.
-    fn run(&self, l: &mut PeLocal) -> u64 {
+    fn run(&mut self, l: &mut PeLocal) -> u64 {
         if failed(l) {
             return 0;
         }
@@ -472,7 +481,7 @@ impl FiringBody {
         })
     }
 
-    fn try_run(&self, l: &mut PeLocal) -> std::result::Result<u64, (FailedAt, String)> {
+    fn try_run(&mut self, l: &mut PeLocal) -> std::result::Result<u64, (FailedAt, String)> {
         use FailedAt::{Input, Output};
         let mut overhead = 0u64;
         // Decode incoming messages into edge queues.
@@ -493,35 +502,43 @@ impl FiringBody {
                 }
             }
         }
-        // Gather this firing's inputs, lent out of the edge queues: the
-        // in-edges come in ascending order, so one pass over the table
-        // borrows each queue once.
-        let mut inputs = Vec::with_capacity(self.consumes.len());
-        let mut queues = l.queues.iter_mut().enumerate();
+        // Find this firing's inputs in the edge queues; the queues move
+        // past them once the actor has read them.
+        self.inputs.clear();
         for c in &self.consumes {
-            let queue = queues.find(|(slot, _)| *slot == c.edge.0).map(|(_, q)| q);
-            let data = queue.and_then(|q| {
-                if c.dynamic {
-                    frame_pop(q)
-                } else {
-                    q.take(c.bytes)
-                }
-            });
-            let data = data.ok_or_else(|| (Input, format!("input underflow on {}", c.edge)))?;
-            inputs.push((c.edge, data));
+            let range = match l.queues.get(c.edge.0).map(ByteQueue::pending) {
+                Some(pending) if c.dynamic => next_frame(pending),
+                Some(pending) => (c.bytes <= pending.len()).then_some(0..c.bytes),
+                None => None,
+            };
+            let range = range.ok_or_else(|| (Input, format!("input underflow on {}", c.edge)))?;
+            self.inputs.push((c.edge, range));
         }
-        // Fire.
-        let mut ctx = Firing::new(l.iter, self.k, inputs);
+        // Fire, into slots emptied now (a replay after a panic in the
+        // actor must not find the bytes the failed firing wrote), each
+        // sized for its port's bound by its first firing.
+        for ((_, slot), p) in self.outputs.iter_mut().zip(&self.produces) {
+            slot.clear();
+            slot.reserve(p.bytes);
+        }
+        let mut ctx = Firing {
+            iter: l.iter,
+            k: self.k,
+            queues: &l.queues,
+            inputs: &self.inputs,
+            outputs: &mut self.outputs,
+            discard: Vec::new(),
+        };
         // A panic inside `fire` poisons the lock; a supervised restart
         // replays the firing on the same actor, which replay already
         // assumes is deterministic, so the poisoned guard is taken as is.
         let actor = self.actor.lock();
         let cycles = actor.unwrap_or_else(PoisonError::into_inner).fire(&mut ctx);
-        let outputs = ctx.into_outputs();
+        for (edge, range) in &self.inputs {
+            l.queues[edge.0].take(range.end);
+        }
         // Stage outputs.
-        for p in &self.produces {
-            let found = outputs.iter().find(|(e, _)| *e == p.edge);
-            let bytes = found.map_or(&[][..], |(_, bytes)| bytes);
+        for (p, (_, bytes)) in self.produces.iter().zip(&self.outputs) {
             let (edge, got) = (p.edge, bytes.len());
             if p.dynamic && got > p.bytes {
                 let bound = p.bytes;

@@ -5,7 +5,7 @@ use spi_platform::{ByteQueue, Op, PeLocal};
 use spi_sched::{ProcId, Protocol};
 
 use super::build::cumulative_messages;
-use super::lower::{frame_pop, frame_push};
+use super::lower::{frame_push, next_frame};
 use super::{SchedulingMode, SpiRunReport, SpiSystem, SpiSystemBuilder};
 use crate::actors::Firing;
 use crate::error::SpiError;
@@ -19,7 +19,8 @@ fn pipeline(iterations: u64) -> SpiSystem {
     let e = g.add_edge(src, snk, 1, 1, 0, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(src, move |ctx: &mut Firing| {
-        ctx.set_output(e, (ctx.iter as u32).to_le_bytes().to_vec());
+        let iter = ctx.iter;
+        ctx.output(e).extend((iter as u32).to_le_bytes());
         20
     });
     b.actor(snk, move |ctx: &mut Firing| {
@@ -69,7 +70,7 @@ fn dynamic_edge_uses_spi_dynamic_and_transfers_variable_payloads() {
     b.actor(a, move |ctx: &mut Firing| {
         // Variable size: iter mod 17 bytes (0..=16).
         let n = (ctx.iter % 17) as usize;
-        ctx.set_output(e, vec![0xAB; n]);
+        ctx.output(e).resize(n, 0xAB);
         20
     });
     b.actor(b_, move |ctx: &mut Firing| {
@@ -93,7 +94,7 @@ fn vts_bound_violation_detected() {
     let e = g.add_dynamic_edge(a, b_, 4, 4, 0, 1).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(e, vec![0; 100]); // exceeds bound 4
+        ctx.output(e).resize(100, 0); // exceeds bound 4
         1
     });
     b.actor(b_, |_: &mut Firing| 1);
@@ -114,7 +115,7 @@ fn a_run_reports_the_failure_that_caused_the_others() {
         let e = g.add_dynamic_edge(a, b_, 4, 4, 0, 1).unwrap();
         let mut b = SpiSystemBuilder::new(g);
         b.actor(a, move |ctx: &mut Firing| {
-            ctx.set_output(e, vec![0; 100]);
+            ctx.output(e).resize(100, 0);
             1
         });
         b.actor(b_, |_: &mut Firing| 1);
@@ -156,7 +157,7 @@ fn static_size_mismatch_detected() {
     let e = g.add_edge(a, b_, 2, 2, 0, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(e, vec![0; 3]); // needs exactly 8
+        ctx.output(e).resize(3, 0); // needs exactly 8
         1
     });
     b.actor(b_, |_: &mut Firing| 1);
@@ -178,13 +179,13 @@ fn feedback_edge_gets_bbs_and_pipeline_fill() {
     let bwd = g.add_edge(b_, a, 1, 1, 1, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        let prev = ctx.input(bwd).to_vec();
-        ctx.set_output(fwd, prev); // echo the fed-back value
+        let prev = ctx.input(bwd);
+        ctx.output(fwd).extend_from_slice(prev); // echo the fed-back value
         20
     });
     b.actor(b_, move |ctx: &mut Firing| {
         let x = u32::from_le_bytes(ctx.input(fwd).try_into().expect("4B"));
-        ctx.set_output(bwd, (x + 1).to_le_bytes().to_vec());
+        ctx.output(bwd).extend((x + 1).to_le_bytes());
         20
     });
     b.iterations(10);
@@ -206,13 +207,13 @@ fn force_ubs_changes_protocols() {
     let bwd = g.add_edge(b_, a, 1, 1, 1, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        let x = ctx.input(bwd).to_vec();
-        ctx.set_output(fwd, x);
+        let x = ctx.input(bwd);
+        ctx.output(fwd).extend_from_slice(x);
         20
     });
     b.actor(b_, move |ctx: &mut Firing| {
-        let x = ctx.input(fwd).to_vec();
-        ctx.set_output(bwd, x);
+        let x = ctx.input(fwd);
+        ctx.output(bwd).extend_from_slice(x);
         20
     });
     b.iterations(5);
@@ -235,7 +236,7 @@ fn multirate_static_edge_reassembles_tokens() {
     b.actor(a, move |ctx: &mut Firing| {
         // Global token index = (iter*3 + k)*2 + {0,1}.
         let base = (ctx.iter * 3 + ctx.k) * 2;
-        ctx.set_output(e, vec![base as u8, base as u8 + 1]);
+        ctx.output(e).extend([base as u8, base as u8 + 1]);
         10
     });
     b.actor(b_, move |ctx: &mut Firing| {
@@ -260,7 +261,7 @@ fn single_processor_has_no_channels() {
     let e = g.add_edge(a, b_, 1, 1, 0, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(e, vec![1, 2, 3, 4]);
+        ctx.output(e).extend([1, 2, 3, 4]);
         10
     });
     b.actor(b_, move |ctx: &mut Firing| {
@@ -283,7 +284,7 @@ fn local_delay_edge_primes_queue() {
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
         let prev = u32::from_le_bytes(ctx.input(e).try_into().expect("4B"));
-        ctx.set_output(e, (prev + 1).to_le_bytes().to_vec());
+        ctx.output(e).extend((prev + 1).to_le_bytes());
         10
     });
     b.iterations(7);
@@ -327,8 +328,8 @@ fn ordered_transactions_run_and_serialize_grants() {
         let e2 = g.add_edge(a, c_, 1, 1, 0, 64).unwrap();
         let mut b = SpiSystemBuilder::new(g);
         b.actor(a, move |ctx: &mut Firing| {
-            ctx.set_output(e1, vec![1; 64]);
-            ctx.set_output(e2, vec![2; 64]);
+            ctx.output(e1).resize(64, 1);
+            ctx.output(e2).resize(64, 2);
             30
         });
         b.actor(b_, move |ctx: &mut Firing| {
@@ -368,11 +369,11 @@ fn ordered_grants_keep_each_processors_send_order() {
     let e1 = g.add_edge(x, y, 1, 1, 0, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(x, move |ctx: &mut Firing| {
-        ctx.set_output(e1, vec![1; 4]);
+        ctx.output(e1).resize(4, 1);
         30
     });
     b.actor(y, move |ctx: &mut Firing| {
-        ctx.set_output(e0, vec![2; 4]);
+        ctx.output(e0).resize(4, 2);
         30
     });
     b.actor(z, |_: &mut Firing| 30);
@@ -395,7 +396,7 @@ fn software_io_processor_shifts_the_bottleneck() {
         let e = g.add_edge(io, hw, 1, 1, 0, 16).unwrap();
         let mut b = SpiSystemBuilder::new(g);
         b.actor(io, move |ctx: &mut Firing| {
-            ctx.set_output(e, vec![0; 16]);
+            ctx.output(e).resize(16, 0);
             100
         });
         b.actor(hw, |_: &mut Firing| 100);
@@ -427,18 +428,18 @@ fn build_auto_maps_parallel_stages_apart() {
     let cd = g.add_edge(c_, d_, 1, 1, 0, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(ab, vec![1, 0, 0, 0]);
-        ctx.set_output(ac, vec![2, 0, 0, 0]);
+        ctx.output(ab).extend([1, 0, 0, 0]);
+        ctx.output(ac).extend([2, 0, 0, 0]);
         10
     });
     b.actor(b_, move |ctx: &mut Firing| {
-        let x = ctx.input(ab).to_vec();
-        ctx.set_output(bd, x);
+        let x = ctx.input(ab);
+        ctx.output(bd).extend_from_slice(x);
         100
     });
     b.actor(c_, move |ctx: &mut Firing| {
-        let x = ctx.input(ac).to_vec();
-        ctx.set_output(cd, x);
+        let x = ctx.input(ac);
+        ctx.output(cd).extend_from_slice(x);
         100
     });
     b.actor(d_, move |ctx: &mut Firing| {
@@ -460,7 +461,7 @@ fn fully_static_mode_runs_and_is_slower_or_equal() {
         let e = g.add_edge(a, b_, 1, 1, 0, 4).unwrap();
         let mut b = SpiSystemBuilder::new(g);
         b.actor(a, move |ctx: &mut Firing| {
-            ctx.set_output(e, vec![0; 4]);
+            ctx.output(e).resize(4, 0);
             30
         });
         b.actor(b_, |_: &mut Firing| 50);
@@ -487,7 +488,8 @@ fn fully_static_with_underestimated_costs_stays_correct() {
     let e = g.add_edge(a, b_, 1, 1, 0, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(e, (ctx.iter as u32).to_le_bytes().to_vec());
+        let iter = ctx.iter;
+        ctx.output(e).extend((iter as u32).to_le_bytes());
         40
     });
     b.actor(b_, move |ctx: &mut Firing| {
@@ -560,7 +562,8 @@ fn local_delay_edge_is_primed_when_its_producer_fires_first() {
     let e = g.add_edge(a, b_, 1, 1, 1, 4).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(e, (ctx.iter as u32 + 100).to_le_bytes().to_vec());
+        let iter = ctx.iter;
+        ctx.output(e).extend((iter as u32 + 100).to_le_bytes());
         10
     });
     b.actor(b_, move |ctx: &mut Firing| {
@@ -579,22 +582,28 @@ fn local_delay_edge_is_primed_when_its_producer_fires_first() {
 
 #[test]
 fn frames_pop_whole_or_not_at_all() {
+    let pop = |q: &mut ByteQueue| {
+        let range = next_frame(q.pending())?;
+        let frame = q.pending()[range.clone()].to_vec();
+        q.take(range.end);
+        Some(frame)
+    };
     let mut q = ByteQueue::default();
-    assert_eq!(frame_pop(&mut q), None);
+    assert_eq!(pop(&mut q), None);
     frame_push(&mut q, &[1, 2, 3]);
     frame_push(&mut q, &[]);
-    assert_eq!(frame_pop(&mut q), Some(&[1, 2, 3][..]));
-    assert_eq!(frame_pop(&mut q), Some(&[][..]));
+    assert_eq!(pop(&mut q), Some(vec![1, 2, 3]));
+    assert_eq!(pop(&mut q), Some(vec![]));
     // A truncated length prefix, then a whole prefix whose payload is
     // short: neither consumes anything.
     q.push(&[5, 0, 0]);
-    assert_eq!(frame_pop(&mut q), None);
+    assert_eq!(pop(&mut q), None);
     q.push(&[0, 9, 9]);
-    assert_eq!(frame_pop(&mut q), None);
+    assert_eq!(pop(&mut q), None);
     assert_eq!(q.pending(), [5, 0, 0, 0, 9, 9]);
     q.push(&[9, 9, 9]);
-    assert_eq!(frame_pop(&mut q), Some(&[9; 5][..]));
-    assert_eq!(frame_pop(&mut q), None);
+    assert_eq!(pop(&mut q), Some(vec![9; 5]));
+    assert_eq!(pop(&mut q), None);
 }
 
 #[test]
@@ -611,12 +620,13 @@ fn queues_of_edges_that_never_drain_stay_bounded() {
     let multirate = g.add_edge(b_, c, 2, 3, 5, 2).unwrap();
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(dynamic, vec![7; (ctx.iter % 17) as usize]);
+        let iter = ctx.iter;
+        ctx.output(dynamic).resize((iter % 17) as usize, 7);
         30
     });
     b.actor(b_, move |ctx: &mut Firing| {
-        ctx.set_output(feedback, vec![0; 4]);
-        ctx.set_output(multirate, vec![1; 4]);
+        ctx.output(feedback).resize(4, 0);
+        ctx.output(multirate).resize(4, 1);
         40
     });
     b.actor(c, |_: &mut Firing| 25);
@@ -671,7 +681,8 @@ fn a_supervised_restart_recovers_a_panic_inside_an_actor() {
     let panicked = AtomicBool::new(false);
     let mut b = SpiSystemBuilder::new(g);
     b.actor(src, move |ctx: &mut Firing| {
-        ctx.set_output(e, (ctx.iter as u32).to_le_bytes().to_vec());
+        let iter = ctx.iter;
+        ctx.output(e).extend((iter as u32).to_le_bytes());
         20
     });
     let sink_seen = Arc::clone(&seen);

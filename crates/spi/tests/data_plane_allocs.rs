@@ -58,20 +58,19 @@ static MARKS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64:
 ///
 /// | firing | allocation | count |
 /// |---|---|---|
-/// | `a` | the `Firing`'s output list | 1 |
-/// | `a` | the actor's two output `Vec`s | 2 |
 /// | `a` | the framed message for `a -> b` (`message::encode`) | 1 |
-/// | `b` | the `Firing`'s input list and output list | 2 |
-/// | `b` | the actor's output `Vec` | 1 |
 /// | `b` | the framed message for `b -> d` | 1 |
-/// | `d` | the `Firing`'s input list (two inputs, no output) | 1 |
 ///
-/// Nothing for a queue push, take or frame, nothing for a staged send
-/// (the framed message *is* the staged buffer, and the `Send` op moves
-/// it into the channel), nothing for a received message (decoded
-/// borrowed, copied into the queue's own buffer), nothing for waking a
-/// blocked PE (the DES keeps one wake-up stack a run).
-const ALLOCS_PER_ITERATION: u64 = 9;
+/// Nothing for a firing's inputs or outputs: each lowered firing keeps
+/// its input list (ranges of the edge queues) and one output slot per
+/// produced edge, which the actor writes into and the first firing
+/// sized for the edge's bound. Nothing for a queue push, take or frame,
+/// nothing for a staged send (the framed message *is* the staged
+/// buffer, and the `Send` op moves it into the channel), nothing for a
+/// received message (decoded borrowed, copied into the queue's own
+/// buffer), nothing for waking a blocked PE (the DES keeps one wake-up
+/// stack a run).
+const ALLOCS_PER_ITERATION: u64 = 2;
 
 #[test]
 fn lowered_data_plane_allocates_only_what_is_attributed() {
@@ -88,13 +87,14 @@ fn lowered_data_plane_allocates_only_what_is_attributed() {
             MARKS[mark].store(ALLOCS.load(Ordering::Relaxed), Ordering::Relaxed);
         }
         // 1..=64 bytes, a different size every iteration.
-        ctx.set_output(ab, vec![ctx.iter as u8; 1 + (ctx.iter % 64) as usize]);
-        ctx.set_output(ad, (ctx.iter as u32).to_le_bytes().to_vec());
+        let iter = ctx.iter;
+        ctx.output(ab).resize(1 + (iter % 64) as usize, iter as u8);
+        ctx.output(ad).extend((iter as u32).to_le_bytes());
         10
     });
     builder.actor(b, move |ctx: &mut Firing| {
         let sum: u64 = ctx.input(ab).iter().map(|&x| u64::from(x)).sum();
-        ctx.set_output(bd, sum.to_le_bytes().to_vec());
+        ctx.output(bd).extend(sum.to_le_bytes());
         10
     });
     builder.actor(d, move |ctx: &mut Firing| {

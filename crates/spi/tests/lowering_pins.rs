@@ -98,12 +98,13 @@ fn delayed(knobs: impl Knobs) -> Recipe {
     let multirate = g.add_edge(b, c, 2, 3, 5, 2).unwrap();
     let mut builder = SpiSystemBuilder::new(g);
     builder.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(dynamic, vec![7; (ctx.iter % 17) as usize]);
+        let iter = ctx.iter;
+        ctx.output(dynamic).resize((iter % 17) as usize, 7);
         30
     });
     builder.actor(b, move |ctx: &mut Firing| {
-        ctx.set_output(feedback, vec![0; 4]);
-        ctx.set_output(multirate, vec![1; 4]);
+        ctx.output(feedback).resize(4, 0);
+        ctx.output(multirate).resize(4, 1);
         40
     });
     builder.actor(c, |_: &mut Firing| 25);
@@ -123,8 +124,8 @@ fn fanout_ordered(knobs: impl Knobs) -> Recipe {
     let ac = g.add_edge(a, c, 1, 1, 0, 8).unwrap();
     let mut builder = SpiSystemBuilder::new(g);
     builder.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(ab, vec![1; 4]);
-        ctx.set_output(ac, vec![2; 8]);
+        ctx.output(ab).resize(4, 1);
+        ctx.output(ac).resize(8, 2);
         30
     });
     builder.actor(b, |_: &mut Firing| 30);
@@ -154,12 +155,14 @@ fn psdf_envelope() -> Recipe {
     let m_at = |iter: u64| (2 + (iter * 3) % 7) as usize;
     let mut builder = SpiSystemBuilder::new(psdf.vts_envelope().expect("bounded domains"));
     builder.actor(reader, move |ctx: &mut Firing| {
-        ctx.set_output(data, vec![0x11; n_at(ctx.iter) * 8]);
+        let iter = ctx.iter;
+        ctx.output(data).resize(n_at(iter) * 8, 0x11);
         30
     });
     builder.actor(solver, move |ctx: &mut Firing| {
         assert_eq!(ctx.input(data).len(), n_at(ctx.iter) * 8);
-        ctx.set_output(coef, vec![0x22; m_at(ctx.iter) * 8]);
+        let iter = ctx.iter;
+        ctx.output(coef).resize(m_at(iter) * 8, 0x22);
         80
     });
     builder.actor(sink, move |ctx: &mut Firing| {
@@ -182,11 +185,11 @@ fn loop_window_16() -> Recipe {
     let back = g.add_edge(b, a, 1, 1, 15, 8).unwrap();
     let mut builder = SpiSystemBuilder::new(g);
     builder.actor(a, move |ctx: &mut Firing| {
-        ctx.set_output(forward, vec![3; 8]);
+        ctx.output(forward).resize(8, 3);
         20
     });
     builder.actor(b, move |ctx: &mut Firing| {
-        ctx.set_output(back, vec![4; 8]);
+        ctx.output(back).resize(8, 4);
         20
     });
     builder.iterations(ITERATIONS).partition(blocks(2, 2));

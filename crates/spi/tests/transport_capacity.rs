@@ -32,11 +32,11 @@ fn built(configure: impl Fn(&mut SpiSystemBuilder) -> &mut SpiSystemBuilder) -> 
     let (a, b) = (g.edge(fwd).src, g.edge(fb).src);
     let mut builder = SpiSystemBuilder::new(g);
     builder.actor(a, move |ctx: &mut spi::Firing| {
-        ctx.set_output(fwd, vec![1u8; 4]);
+        ctx.output(fwd).resize(4, 1);
         5
     });
     builder.actor(b, move |ctx: &mut spi::Firing| {
-        ctx.set_output(fb, vec![2u8; 4]);
+        ctx.output(fb).resize(4, 2);
         5
     });
     configure(builder.iterations(3));

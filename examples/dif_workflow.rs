@@ -42,13 +42,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     builder.actor(reader, move |ctx: &mut Firing| {
         let s = (ctx.iter * 2 + ctx.k) as f64;
         let samples = [s.sin(), (s + 0.5).sin()];
-        ctx.set_output(e_in, samples.iter().flat_map(|x| x.to_le_bytes()).collect());
+        ctx.output(e_in)
+            .extend(samples.iter().flat_map(|x| x.to_le_bytes()));
         40
     });
     builder.actor(upsample, move |ctx: &mut Firing| {
         let x = f64::from_le_bytes(ctx.input(e_in).try_into().expect("one sample"));
         // 1 → 3 zero-order hold.
-        ctx.set_output(e_out, [x; 3].iter().flat_map(|v| v.to_le_bytes()).collect());
+        ctx.output(e_out)
+            .extend([x; 3].iter().flat_map(|v| v.to_le_bytes()));
         120
     });
     builder.actor(writer, move |ctx: &mut Firing| {

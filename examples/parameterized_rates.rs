@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let m_at = |iter: u64| 2 + (iter * 3) % 7; // 2..=8
     builder.actor(reader, move |ctx: &mut Firing| {
         let n_now = n_at(ctx.iter) as usize;
-        ctx.set_output(e_data, vec![0x11; n_now * 8]);
+        ctx.output(e_data).resize(n_now * 8, 0x11);
         30
     });
     builder.actor(solver, move |ctx: &mut Firing| {
@@ -62,7 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "frame length follows the schedule"
         );
         let m_now = m_at(ctx.iter) as usize;
-        ctx.set_output(e_coef, vec![0x22; m_now * 8]);
+        ctx.output(e_coef).resize(m_now * 8, 0x22);
         80
     });
     builder.actor(sink, move |ctx: &mut Firing| {

@@ -26,15 +26,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Implement the actors. Each firing reads its exact inputs and
-    //    stages its exact outputs; SPI handles everything in between.
+    //    writes its exact outputs into the slots SPI lends it; SPI
+    //    handles everything in between.
     let mut builder = SpiSystemBuilder::new(graph);
     builder.actor(producer, move |ctx: &mut Firing| {
         // Two 4-byte tokens per firing: consecutive sample indices.
         let base = (ctx.iter * 3 + ctx.k) * 2;
-        let mut payload = Vec::with_capacity(8);
+        let payload = ctx.output(edge);
         payload.extend((base as u32).to_le_bytes());
         payload.extend((base as u32 + 1).to_le_bytes());
-        ctx.set_output(edge, payload);
         40
     });
     builder.actor(consumer, move |ctx: &mut Firing| {

@@ -36,8 +36,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut builder = SpiSystemBuilder::new(graph);
     builder.actor(a, move |ctx: &mut Firing| {
         let tokens = (ctx.iter % 11) as usize; // 0..=10 raw tokens
-        let payload: Vec<u8> = (0..tokens).flat_map(|t| (t as u32).to_le_bytes()).collect();
-        ctx.set_output(edge, payload);
+        let payload = (0..tokens).flat_map(|t| (t as u32).to_le_bytes());
+        ctx.output(edge).extend(payload);
         30
     });
     builder.actor(b, move |ctx: &mut Firing| {

@@ -8,13 +8,15 @@
 # operation or more allocations an iteration than its ceiling.
 # `allocs_per_iter` is a count made by the benchmark's own allocator and
 # repeats exactly on a given build, so the ceilings sit close to the
-# figures (EXPERIMENTS.md, "Actor D at machine width", "The
+# figures (EXPERIMENTS.md, "A firing lends kept buffers", "The
 # supervision ledger" and "Owner-claimed trace slots"): des_app1
-# 40.230, app1_lpc 13.124 — the framework's allocations plus three
-# output buffers per error PE; the actors' own work and the DES's
-# wake-ups allocate nothing after their first use — and 2.0002 for
-# both self-loops — the bare loop's count (the payload
-# closure's `Vec` and the ring's received `Vec`). The checkpoint log
+# 12.27 — one framed message per cross send, three per error PE —
+# and app1_lpc 6.134 — those three and the ring's received `Vec` per
+# message; the actors write into output slots their firings keep, and
+# the actors' own work, the firings' lists and the DES's wake-ups
+# allocate nothing after their first use — and 2.0002 for both
+# self-loops — the bare loop's count (the payload closure's `Vec` and
+# the ring's received `Vec`). The checkpoint log
 # copies into a reused buffer and a captured event lands in a
 # preallocated slot, so one more allocation a message would read 3.
 #
@@ -69,8 +71,8 @@ setup_gate() {
   fi
 }
 
-gate des_app1 40.33
-gate app1_lpc 13.2
+gate des_app1 12.3
+gate app1_lpc 6.2
 gate selfloop8_supervised 2.1
 gate selfloop8_traced 2.1
 setup_gate des_app1 0.001

@@ -98,7 +98,7 @@ fn stateful_actor_accumulates_across_iterations() {
     let mut total = 0u64;
     builder.actor(a, move |ctx: &mut Firing| {
         total += ctx.iter + 1;
-        ctx.set_output(e, total.to_le_bytes().to_vec());
+        ctx.output(e).extend(total.to_le_bytes());
         10
     });
     builder.actor(b, move |ctx: &mut Firing| {
@@ -127,18 +127,18 @@ fn three_stage_pipeline_with_feedback_runs_sustained() {
     builder.actor(src, move |ctx: &mut Firing| {
         let gain = f64::from_le_bytes(ctx.input(fb).try_into().expect("8B"));
         let x = (ctx.iter as f64 + 1.0) * (1.0 + gain);
-        ctx.set_output(e1, x.to_le_bytes().to_vec());
+        ctx.output(e1).extend(x.to_le_bytes());
         20
     });
     builder.actor(work, move |ctx: &mut Firing| {
         let x = f64::from_le_bytes(ctx.input(e1).try_into().expect("8B"));
-        ctx.set_output(e2, (x * 2.0).to_le_bytes().to_vec());
+        ctx.output(e2).extend((x * 2.0).to_le_bytes());
         40
     });
     builder.actor(sink, move |ctx: &mut Firing| {
         let x = f64::from_le_bytes(ctx.input(e2).try_into().expect("8B"));
         // Send back a bounded gain.
-        ctx.set_output(fb, (0.1 * x.tanh()).to_le_bytes().to_vec());
+        ctx.output(fb).extend((0.1 * x.tanh()).to_le_bytes());
         20
     });
     builder.iterations(30);

@@ -85,7 +85,8 @@ fn csdf_reduction_feeds_spi_directly() {
     let mut b = SpiSystemBuilder::new(g);
     b.actor(src, move |ctx: &mut spi_repro::spi::Firing| {
         // One SDF firing = the 2-phase cycle = 3 raw tokens.
-        ctx.set_output(e, vec![ctx.iter as u8; 3 * 4]);
+        let iter = ctx.iter;
+        ctx.output(e).resize(3 * 4, iter as u8);
         20
     });
     b.actor(snk, move |ctx: &mut spi_repro::spi::Firing| {
@@ -108,7 +109,7 @@ fn fully_static_and_bus_compose() {
         let e = g.add_edge(a, b_, 1, 1, 0, 64).expect("edge");
         let mut b = SpiSystemBuilder::new(g);
         b.actor(a, move |ctx: &mut spi_repro::spi::Firing| {
-            ctx.set_output(e, vec![0; 64]);
+            ctx.output(e).resize(64, 0);
             50
         });
         b.actor(b_, |_: &mut spi_repro::spi::Firing| 50);
@@ -176,7 +177,8 @@ fn psdf_envelope_runs_identically_on_real_threads() {
         let m_at = |iter: u64| (2 + (iter * 3) % 7) as usize;
         let mut b = SpiSystemBuilder::new(psdf.vts_envelope().expect("bounded domains"));
         b.actor(reader, move |ctx: &mut Firing| {
-            ctx.set_output(data, vec![ctx.iter as u8; n_at(ctx.iter) * 8]);
+            let iter = ctx.iter;
+            ctx.output(data).resize(n_at(iter) * 8, iter as u8);
             30
         });
         b.actor(solver, move |ctx: &mut Firing| {
@@ -184,7 +186,8 @@ fn psdf_envelope_runs_identically_on_real_threads() {
             let digest = frame
                 .iter()
                 .fold(frame.len() as u8, |d, x| d.wrapping_add(*x));
-            ctx.set_output(coef, vec![digest; m_at(ctx.iter) * 8]);
+            let iter = ctx.iter;
+            ctx.output(coef).resize(m_at(iter) * 8, digest);
             80
         });
         let seen = Arc::new(Mutex::new(Vec::new()));
@@ -213,7 +216,7 @@ fn trace_gantt_covers_all_pes() {
     let e = g.add_edge(a, b_, 1, 1, 0, 4).expect("edge");
     let mut b = SpiSystemBuilder::new(g);
     b.actor(a, move |ctx: &mut spi_repro::spi::Firing| {
-        ctx.set_output(e, vec![0; 4]);
+        ctx.output(e).resize(4, 0);
         10
     });
     b.actor(b_, |_: &mut spi_repro::spi::Firing| 10);

@@ -228,10 +228,20 @@ fn a_tracer_does_not_change_which_planned_faults_fire() {
 /// pushed its token on the local edge, staged its message and sent it.
 /// The replay fires `a` again: a checkpoint that forgot the queues
 /// would leave that token queued twice, and `b` would run one token
-/// behind from then on.
+/// behind from then on. In the second case `b`'s actor itself panics
+/// once, after it has written the first byte of its output into the
+/// slot its firing lends: the replay must start from an empty slot, or
+/// `c` receives that byte twice.
 #[test]
 fn restart_rolls_back_the_lowered_data_plane() {
-    let run = |panic_at: Option<u64>| -> (Vec<PeLocalSnapshot>, Vec<(u8, u8)>) {
+    /// Where the one panic of iteration 2 strikes.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Panic {
+        AroundTheFiring,
+        InsideTheActor,
+    }
+    const PANIC_ITER: u64 = 2;
+    let run = |panic: Option<Panic>| -> (Vec<PeLocalSnapshot>, Vec<Vec<u8>>) {
         let mut g = SdfGraph::new();
         let a = g.add_actor("a", 10);
         let b = g.add_actor("b", 10);
@@ -239,27 +249,37 @@ fn restart_rolls_back_the_lowered_data_plane() {
         let ab = g.add_edge(a, b, 1, 1, 1, 1).unwrap();
         let ac = g.add_edge(a, c, 1, 1, 0, 1).unwrap();
         let bc = g.add_dynamic_edge(b, c, 4, 4, 0, 1).unwrap();
-        let seen: Arc<Mutex<Vec<(u8, u8)>>> = Arc::default();
+        let seen: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
         let sink = Arc::clone(&seen);
         let mut builder = SpiSystemBuilder::new(g);
         builder.actor(a, move |ctx: &mut Firing| {
-            ctx.set_output(ab, vec![ctx.iter as u8 + 1]);
-            ctx.set_output(ac, vec![ctx.iter as u8 + 1]);
+            let iter = ctx.iter;
+            ctx.output(ab).push(iter as u8 + 1);
+            ctx.output(ac).push(iter as u8 + 1);
             10
         });
+        let mut armed = panic == Some(Panic::InsideTheActor);
         builder.actor(b, move |ctx: &mut Firing| {
-            ctx.set_output(bc, ctx.input(ab).to_vec());
+            let (bytes, iter) = (ctx.input(ab), ctx.iter);
+            let out = ctx.output(bc);
+            for &byte in bytes {
+                out.push(byte);
+                if iter == PANIC_ITER && std::mem::take(&mut armed) {
+                    panic!("injected fault inside b in iteration {iter}");
+                }
+            }
             10
         });
         builder.actor(c, move |ctx: &mut Firing| {
-            let pair = (ctx.input(ac)[0], ctx.input(bc)[0]);
-            sink.lock().unwrap().push(pair);
+            sink.lock()
+                .unwrap()
+                .push([ctx.input(ac), ctx.input(bc)].concat());
             10
         });
         builder.iterations(ITERATIONS);
         let system = builder.build(2, |x| ProcId(usize::from(x == c))).unwrap();
         let (specs, mut programs) = system.into_parts();
-        if let Some(iter) = panic_at {
+        if panic == Some(Panic::AroundTheFiring) {
             let fire_b = programs[0].ops.iter_mut().find_map(|op| match op {
                 Op::Compute { label, work } if label == "fire:b#0" => Some(work),
                 _ => None,
@@ -268,8 +288,8 @@ fn restart_rolls_back_the_lowered_data_plane() {
             let mut inner = std::mem::replace(work, Box::new(|_| 0));
             let mut armed = true;
             *work = Box::new(move |l| {
-                if l.iter == iter && std::mem::take(&mut armed) {
-                    panic!("injected fault in iteration {iter}");
+                if l.iter == PANIC_ITER && std::mem::take(&mut armed) {
+                    panic!("injected fault in iteration {PANIC_ITER}");
                 }
                 inner(l)
             });
@@ -282,9 +302,18 @@ fn restart_rolls_back_the_lowered_data_plane() {
         (results, seen)
     };
     let clean = run(None);
-    let want: Vec<(u8, u8)> = (0..ITERATIONS as u8).map(|i| (i + 1, i)).collect();
+    let want: Vec<Vec<u8>> = (0..ITERATIONS as u8).map(|i| vec![i + 1, i]).collect();
     assert_eq!(clean.1, want, "b forwards what a produced an iteration ago");
-    assert_eq!(run(Some(2)), clean);
+    assert_eq!(
+        run(Some(Panic::AroundTheFiring)),
+        clean,
+        "a panic around b's firing"
+    );
+    assert_eq!(
+        run(Some(Panic::InsideTheActor)),
+        clean,
+        "a panic inside b's actor"
+    );
 }
 
 #[test]

@@ -158,7 +158,7 @@ impl Generated {
                 logs.lock().expect("logs")[shape.actor.0].insert((ctx.iter, ctx.k), digest);
                 outputs
                     .into_iter()
-                    .for_each(|(e, bytes)| ctx.set_output(e, bytes));
+                    .for_each(|(e, bytes)| ctx.output(e).extend(bytes));
                 cycles
             });
         }
