@@ -17,7 +17,7 @@ use spi_platform::components;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::util::{f64s_from_bytes, put_f64s};
+use crate::util::f64s;
 
 /// Configuration of the filter bank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,36 +172,34 @@ impl FilterBankApp {
         // emits a frame on EACH branch per firing (even frame to low,
         // odd frame to high).
         builder.actor(self.source, move |ctx: &mut Firing| {
-            let even = synth(cfg.seed, 2 * ctx.iter, cfg.frame);
-            let odd = synth(cfg.seed, 2 * ctx.iter + 1, cfg.frame);
-            put_f64s(ctx.output(e_sl), &even);
-            put_f64s(ctx.output(e_sh), &odd);
+            let iter = ctx.iter;
+            for (e, frame_idx) in [(e_sl, 2 * iter), (e_sh, 2 * iter + 1)] {
+                let frame = synth(cfg.seed, frame_idx, cfg.frame);
+                ctx.output(e).extend(frame.flat_map(f64::to_le_bytes));
+            }
             40
         });
 
-        let mut low_fir = Fir::lowpass(cfg.taps, 0.2);
-        builder.actor(self.low, move |ctx: &mut Firing| {
-            let frame = f64s_from_bytes(ctx.input(e_sl));
-            let filtered = low_fir.process(&frame);
-            let out = decimate(&filtered, cfg.low_decimation);
-            put_f64s(ctx.output(e_ls), &out);
-            // The MAC pipeline runs over every input sample.
-            fir_cycles(frame.len().max(1), cfg.taps)
-        });
-
-        let mut high_fir = Fir::lowpass(cfg.taps, 0.05);
-        builder.actor(self.high, move |ctx: &mut Firing| {
-            let frame = f64s_from_bytes(ctx.input(e_sh));
-            let filtered = high_fir.process(&frame);
-            let out = decimate(&filtered, cfg.high_decimation);
-            put_f64s(ctx.output(e_hs), &out);
-            fir_cycles(frame.len().max(1), cfg.taps)
-        });
+        // A branch filters its frame into a buffer it keeps and writes
+        // the decimated band into its slot.
+        let branch = |input, output, mut fir: Fir, factor| {
+            let mut filtered = Vec::new();
+            move |ctx: &mut Firing| {
+                fir.process(f64s(ctx.input(input)), &mut filtered);
+                let band = decimate(&filtered, factor);
+                ctx.output(output).extend(band.flat_map(f64::to_le_bytes));
+                // The MAC pipeline runs over every input sample.
+                fir_cycles(filtered.len().max(1), cfg.taps)
+            }
+        };
+        let low_fir = Fir::lowpass(cfg.taps, 0.2);
+        builder.actor(self.low, branch(e_sl, e_ls, low_fir, cfg.low_decimation));
+        let high_fir = Fir::lowpass(cfg.taps, 0.05);
+        builder.actor(self.high, branch(e_sh, e_hs, high_fir, cfg.high_decimation));
 
         let output = Arc::clone(&self.output);
         builder.actor(self.sink, move |ctx: &mut Firing| {
-            let mut merged = f64s_from_bytes(ctx.input(e_ls));
-            merged.extend(f64s_from_bytes(ctx.input(e_hs)));
+            let merged: Vec<f64> = f64s(ctx.input(e_ls)).chain(f64s(ctx.input(e_hs))).collect();
             let n = merged.len();
             output
                 .lock()
@@ -222,14 +220,13 @@ impl FilterBankApp {
     }
 }
 
-/// Deterministic synthetic input: mixed low + high tones.
-fn synth(seed: u64, frame_idx: u64, len: usize) -> Vec<f64> {
-    (0..len)
-        .map(|t| {
-            let ph = (frame_idx as f64 * len as f64 + t as f64) + (seed % 97) as f64;
-            (ph * 0.05).sin() + 0.5 * (ph * 2.4).sin()
-        })
-        .collect()
+/// Deterministic synthetic input: mixed low + high tones, one sample
+/// at a time.
+fn synth(seed: u64, frame_idx: u64, len: usize) -> impl Iterator<Item = f64> {
+    (0..len).map(move |t| {
+        let ph = (frame_idx as f64 * len as f64 + t as f64) + (seed % 97) as f64;
+        (ph * 0.05).sin() + 0.5 * (ph * 2.4).sin()
+    })
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use spi_platform::rng::SplitMix64;
 use spi_sched::ProcId;
 
 use crate::error::{AppError, Result};
-use crate::util::{f64s_from_bytes, put_f64s};
+use crate::util::{f64s, put_f64s};
 
 /// Configuration of the prognosis system.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,10 +63,12 @@ impl Default for PrognosisConfig {
 #[derive(Debug)]
 struct PeState {
     filter: ParticleFilter,
+    /// The stream stage 1 seeds each step and stage 2's draw continues.
     rng: SplitMix64,
-    /// Local resample result awaiting the exchange step.
+    /// Stage 2's draws, up to every particle of the step; stage 2
+    /// ships those past this PE's share and keeps the share, which
+    /// stage 3 merges with what arrives.
     kept: Vec<f64>,
-    surplus: Vec<f64>,
 }
 
 /// The assembled application.
@@ -228,8 +230,7 @@ impl PrognosisApp {
                 Arc::new(Mutex::new(PeState {
                     filter,
                     rng,
-                    kept: Vec::new(),
-                    surplus: Vec::new(),
+                    kept: Vec::with_capacity(total),
                 }))
             })
             .collect();
@@ -257,12 +258,11 @@ impl PrognosisApp {
                 #[allow(clippy::expect_used)]
                 let y =
                     f64::from_le_bytes(ctx.input(obs_edge).try_into().expect("8-byte observation"));
-                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+                let st = &mut *state.lock().unwrap_or_else(PoisonError::into_inner);
                 st.rng = SplitMix64::seed_from_u64(
                     cfg.seed ^ ctx.iter.wrapping_mul(0x5851F42D) ^ (i as u64),
                 );
-                let mut rng = st.rng.clone();
-                st.filter.predict(&mut rng);
+                st.filter.predict(&mut st.rng);
                 st.filter.update_unnormalized(y);
                 let sum_w: f64 = st.filter.weights.iter().sum();
                 let sum_wx: f64 = st
@@ -272,7 +272,6 @@ impl PrognosisApp {
                     .zip(&st.filter.weights)
                     .map(|(p, w)| p * w)
                     .sum();
-                st.rng = rng;
                 for &e in &my_sum_edges {
                     put_f64s(ctx.output(e), &[sum_w, sum_wx]);
                 }
@@ -289,14 +288,18 @@ impl PrognosisApp {
             let out_particle_edges: Vec<EdgeId> =
                 (0..n).map(|j| self.particle_edges[&(i, j)]).collect();
             let estimates = Arc::clone(&self.estimates);
+            let (mut sums_w, mut alloc) = (Vec::new(), Vec::new());
             builder.actor(self.stage2[i], move |ctx: &mut Firing| {
                 // Gather all partial sums (same values on every PE).
-                let mut sums_w = vec![0.0; n];
+                sums_w.clear();
                 let mut total_wx = 0.0;
-                for (j, &e) in in_sum_edges.iter().enumerate() {
-                    let v = f64s_from_bytes(ctx.input(e));
-                    sums_w[j] = v[0];
-                    total_wx += v[1];
+                for &e in &in_sum_edges {
+                    let mut sums = f64s(ctx.input(e));
+                    // Stage 1 writes its two sums on every sum edge.
+                    #[allow(clippy::expect_used)]
+                    let (w, wx) = (sums.next().expect("sum"), sums.next().expect("sum"));
+                    sums_w.push(w);
+                    total_wx += wx;
                 }
                 let total_w: f64 = sums_w.iter().sum();
                 if i == 0 {
@@ -311,44 +314,43 @@ impl PrognosisApp {
                         .push(estimate);
                 }
                 // Proportional allocation + local systematic resample.
-                let alloc = allocate_counts(&sums_w, total);
-                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut rng = st.rng.clone();
-                let drawn =
-                    systematic_draw(&st.filter.particles, &st.filter.weights, alloc[i], &mut rng);
-                st.rng = rng;
-                let target = per_pe;
-                let keep = target.min(drawn.len());
-                st.kept = drawn[..keep].to_vec();
-                st.surplus = drawn[keep..].to_vec();
+                allocate_counts(&sums_w, total, &mut alloc);
+                let st = &mut *state.lock().unwrap_or_else(PoisonError::into_inner);
+                let (particles, weights) = (&st.filter.particles, &st.filter.weights);
+                st.kept.clear();
+                st.kept
+                    .extend(systematic_draw(particles, weights, alloc[i], &mut st.rng));
                 // Ship surplus per the (identically computed) plan.
-                let plan = plan_exchanges(&alloc, target);
-                let mut cursor = 0usize;
-                for x in plan.iter().filter(|x| x.from == i) {
-                    let chunk = &st.surplus[cursor..cursor + x.count];
+                let keep = per_pe.min(st.kept.len());
+                let mut cursor = keep;
+                for x in plan_exchanges(&alloc, per_pe).filter(|x| x.from == i) {
+                    let chunk = &st.kept[cursor..cursor + x.count];
                     put_f64s(ctx.output(out_particle_edges[x.to]), chunk);
                     cursor += x.count;
                 }
+                st.kept.truncate(keep);
                 // Local trigger (no exchange targets its own PE); an edge
                 // without an exchange sends its empty slot.
-                let kept = st.kept.len() as u64;
-                ctx.output(out_particle_edges[i]).extend(kept.to_le_bytes());
+                ctx.output(out_particle_edges[i])
+                    .extend((keep as u64).to_le_bytes());
                 cost::resample_cycles(per_pe)
             });
 
             // ----- Stage 3: merge incoming particles --------------------
             let state = Arc::clone(&states[i]);
-            let in_particle_edges: Vec<(usize, EdgeId)> =
-                (0..n).map(|j| (j, self.particle_edges[&(j, i)])).collect();
+            // The edge from this PE's own stage 2 is a trigger only.
+            let in_particle_edges: Vec<EdgeId> = (0..n)
+                .filter(|&j| j != i)
+                .map(|j| self.particle_edges[&(j, i)])
+                .collect();
             let pooled = Arc::clone(&self.pooled_particles);
             builder.actor(self.stage3[i], move |ctx: &mut Firing| {
-                let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
-                let mut merged = std::mem::take(&mut st.kept);
-                for &(j, e) in &in_particle_edges {
-                    if j == i {
-                        continue; // trigger only
-                    }
-                    merged.extend(f64s_from_bytes(ctx.input(e)));
+                let st = &mut *state.lock().unwrap_or_else(PoisonError::into_inner);
+                let merged = &mut st.filter.particles;
+                merged.clear();
+                merged.extend_from_slice(&st.kept);
+                for &e in &in_particle_edges {
+                    merged.extend(f64s(ctx.input(e)));
                 }
                 let received = merged.len();
                 debug_assert_eq!(received, per_pe, "every PE ends balanced");
@@ -357,13 +359,14 @@ impl PrognosisApp {
                     let mut pool = pooled.lock().unwrap_or_else(PoisonError::into_inner);
                     let step = ctx.iter as usize;
                     if pool.len() <= step {
-                        pool.resize(step + 1, Vec::new());
+                        pool.resize_with(step + 1, || Vec::with_capacity(total));
                     }
-                    pool[step].extend_from_slice(&merged);
+                    pool[step].extend_from_slice(merged);
                 }
-                st.filter.particles = merged;
-                st.filter.weights = vec![1.0 / received.max(1) as f64; received];
-                st.surplus.clear();
+                st.filter.weights.clear();
+                st.filter
+                    .weights
+                    .resize(received, 1.0 / received.max(1) as f64);
                 cost::resample_cycles(received / 2 + 1)
             });
         }
@@ -427,7 +430,135 @@ impl PrognosisApp {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use spi_platform::{ThreadedRunner, TransportKind};
+
     use super::*;
+
+    /// Application 2's steps straight from the kernels, with no graph,
+    /// no schedule and no messages (§5.3): each PE's filter and stream
+    /// seeded as the stages seed them, the partial sums gathered in PE
+    /// order, `allocate_counts`, each PE's local draw, and
+    /// `plan_exchanges` moving the draws past a PE's share to the PEs
+    /// short of theirs, which append them after their own in sender
+    /// order. Returns each step's estimate and its pooled particles,
+    /// sorted.
+    fn serial_steps(cfg: PrognosisConfig, observations: &[f64]) -> (Vec<f64>, Vec<Vec<f64>>) {
+        let n = cfg.n_pes;
+        let per_pe = cfg.particles / n;
+        let mut filters: Vec<ParticleFilter> = (0..n)
+            .map(|i| {
+                let mut rng = SplitMix64::seed_from_u64(cfg.seed ^ (0x9E37 + i as u64));
+                ParticleFilter::new(cfg.model, per_pe, 0.5, 1.5, &mut rng)
+            })
+            .collect();
+        let (mut estimates, mut pools) = (Vec::new(), Vec::new());
+        for (step, &y) in observations.iter().enumerate() {
+            let mut rngs = Vec::new();
+            let (mut sums_w, mut total_wx) = (Vec::new(), 0.0);
+            for (i, filter) in filters.iter_mut().enumerate() {
+                let seed = cfg.seed ^ (step as u64).wrapping_mul(0x5851F42D) ^ (i as u64);
+                let mut rng = SplitMix64::seed_from_u64(seed);
+                filter.predict(&mut rng);
+                filter.update_unnormalized(y);
+                let weighted = filter.particles.iter().zip(&filter.weights);
+                sums_w.push(filter.weights.iter().sum::<f64>());
+                total_wx += weighted.map(|(p, w)| p * w).sum::<f64>();
+                rngs.push(rng);
+            }
+            let total_w: f64 = sums_w.iter().sum();
+            estimates.push(if total_w > 0.0 {
+                total_wx / total_w
+            } else {
+                0.0
+            });
+            let mut alloc = Vec::new();
+            allocate_counts(&sums_w, per_pe * n, &mut alloc);
+            let drawn: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    let filter = &filters[i];
+                    systematic_draw(&filter.particles, &filter.weights, alloc[i], &mut rngs[i])
+                        .collect()
+                })
+                .collect();
+            // moved[to][from]: what the plan moves between two PEs.
+            let mut moved = vec![vec![Vec::new(); n]; n];
+            let mut shipped = vec![per_pe; n];
+            for x in plan_exchanges(&alloc, per_pe) {
+                let chunk = &drawn[x.from][shipped[x.from]..shipped[x.from] + x.count];
+                moved[x.to][x.from].extend_from_slice(chunk);
+                shipped[x.from] += x.count;
+            }
+            for ((filter, own), arrivals) in filters.iter_mut().zip(&drawn).zip(moved) {
+                filter.particles = own[..per_pe.min(own.len())].to_vec();
+                filter.particles.extend(arrivals.into_iter().flatten());
+                filter.weights = vec![1.0 / filter.particles.len() as f64; filter.particles.len()];
+            }
+            let mut pool: Vec<f64> = filters.iter().flat_map(|f| f.particles.clone()).collect();
+            pool.sort_by(f64::total_cmp);
+            pools.push(pool);
+        }
+        (estimates, pools)
+    }
+
+    fn ring() -> ThreadedRunner {
+        ThreadedRunner::new()
+            .transport(TransportKind::Ring)
+            .timeout(Duration::from_secs(10))
+    }
+
+    #[test]
+    fn estimates_and_pools_equal_the_serial_steps_on_both_engines() {
+        // At every PE count, on the DES and on the threaded ring, every
+        // step's estimate equals the serial reference's bit for bit, and
+        // so does the pooled particle set as a multiset (on threads the
+        // PEs append to it in no fixed order). 100 particles at n = 3
+        // leave one particle out of the working count.
+        const STEPS: usize = 30;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for n_pes in 1..=4 {
+            for particles in [100, 300] {
+                let cfg = PrognosisConfig {
+                    n_pes,
+                    particles,
+                    steps: STEPS,
+                    ..Default::default()
+                };
+                let scenario = PrognosisApp::new(cfg).unwrap().observations;
+                let (estimates, pools) = serial_steps(cfg, &scenario);
+                for engine in ["DES", "ring"] {
+                    let what = format!("n = {n_pes}, {particles} particles, {engine}");
+                    let app = PrognosisApp::new(cfg).unwrap();
+                    let sys = app.system(STEPS as u64).unwrap();
+                    let run = match engine {
+                        "DES" => sys.run().map(drop),
+                        _ => sys.run_threaded_with(&ring()).map(drop),
+                    };
+                    run.unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let got_estimates = app.estimates.lock().unwrap();
+                    let got_pools = app.pooled_particles.lock().unwrap();
+                    assert_eq!(got_estimates.len(), STEPS, "{what}");
+                    assert_eq!(got_pools.len(), STEPS, "{what}");
+                    for step in 0..STEPS {
+                        let (got, want) = (got_estimates[step], estimates[step]);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{what}, step {step}: estimate {got} vs serial {want}"
+                        );
+                        let mut pool = got_pools[step].clone();
+                        pool.sort_by(f64::total_cmp);
+                        assert_eq!(
+                            bits(&pool),
+                            bits(&pools[step]),
+                            "{what}, step {step}: pooled particles"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn graph_matches_figure4_distribution() {

@@ -2,7 +2,8 @@
 //!
 //! Both directions are one bulk pass over whole 8-byte samples: the
 //! encoder grows its output once and fills the new span, the decoder
-//! extends a buffer from an exactly sized iterator.
+//! is an exactly sized iterator over the bytes, which an actor reads in
+//! place or extends a kept buffer from.
 
 /// Appends `values` to `out` as little-endian bytes, in one resized
 /// span.
@@ -15,22 +16,17 @@ pub fn put_f64s(out: &mut Vec<u8>, values: &[f64]) {
     }
 }
 
-/// Deserializes little-endian bytes back to `f64` samples.
-///
-/// Trailing bytes that do not complete a sample are ignored (they cannot
-/// occur on well-formed SPI payloads, whose sizes are whole tokens).
-pub fn f64s_from_bytes(bytes: &[u8]) -> Vec<f64> {
-    f64s(bytes).collect()
-}
-
-/// [`f64s_from_bytes`] into `out`, which is cleared first: a kept
+/// Reads little-endian bytes into `out`, which is cleared first: a kept
 /// buffer with room for the samples is not reallocated.
 pub fn f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
     out.clear();
     out.extend(f64s(bytes));
 }
 
-/// The samples of [`f64s_from_bytes`], read one at a time.
+/// Reads little-endian bytes back as `f64` samples, one at a time.
+///
+/// Trailing bytes that do not complete a sample are ignored (they cannot
+/// occur on well-formed SPI payloads, whose sizes are whole tokens).
 pub fn f64s(bytes: &[u8]) -> impl ExactSizeIterator<Item = f64> + '_ {
     let (samples, _) = bytes.as_chunks::<8>();
     samples.iter().map(|&b| f64::from_le_bytes(b))
@@ -63,13 +59,13 @@ mod tests {
         let xs = vec![0.0, -1.5, 3.25e10, f64::MIN_POSITIVE];
         let mut bytes = Vec::new();
         put_f64s(&mut bytes, &xs);
-        assert_eq!(f64s_from_bytes(&bytes), xs);
+        assert_eq!(f64s(&bytes).collect::<Vec<_>>(), xs);
     }
 
     #[test]
     fn empty_and_partial() {
-        assert!(f64s_from_bytes(&[]).is_empty());
-        assert!(f64s_from_bytes(&[1, 2, 3]).is_empty());
+        assert_eq!(f64s(&[]).len(), 0);
+        assert_eq!(f64s(&[1, 2, 3]).len(), 0);
     }
 
     #[test]
@@ -94,7 +90,7 @@ mod tests {
         assert_eq!(back.as_ptr(), kept);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&xs));
-        assert_eq!(bits(&f64s_from_bytes(&payload)), bits(&xs));
+        assert_eq!(bits(&f64s(&payload).collect::<Vec<_>>()), bits(&xs));
         f64s_into(&[1, 2, 3], &mut back);
         assert!(back.is_empty());
     }

@@ -59,10 +59,11 @@ impl Fir {
         false
     }
 
-    /// Filters one frame, carrying state across calls.
-    pub fn process(&mut self, frame: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(frame.len());
-        for &x in frame {
+    /// Filters one frame into `out`, which is cleared first, carrying
+    /// state across calls.
+    pub fn process(&mut self, frame: impl IntoIterator<Item = f64>, out: &mut Vec<f64>) {
+        out.clear();
+        for x in frame {
             // history holds the previous len-1 inputs, newest first.
             let mut acc = self.taps[0] * x;
             for (k, &h) in self.history.iter().enumerate() {
@@ -74,7 +75,6 @@ impl Fir {
                 self.history[0] = x;
             }
         }
-        out
     }
 
     /// Resets the filter state.
@@ -83,12 +83,10 @@ impl Fir {
     }
 }
 
-/// Decimates by `factor`, keeping every `factor`-th sample (offset 0).
-pub fn decimate(frame: &[f64], factor: usize) -> Vec<f64> {
-    if factor <= 1 {
-        return frame.to_vec();
-    }
-    frame.iter().step_by(factor).copied().collect()
+/// Decimates by `factor`, keeping every `factor`-th sample (offset 0);
+/// a factor of 0 or 1 keeps every sample.
+pub fn decimate(frame: &[f64], factor: usize) -> impl Iterator<Item = f64> + '_ {
+    frame.iter().step_by(factor.max(1)).copied()
 }
 
 /// Upsamples by `factor` (zero insertion).
@@ -117,13 +115,16 @@ mod tests {
     fn identity_filter_passes_through() {
         let mut f = Fir::new(vec![1.0]);
         let x = vec![1.0, -2.0, 3.0];
-        assert_eq!(f.process(&x), x);
+        let mut out = vec![9.0];
+        f.process(x.iter().copied(), &mut out);
+        assert_eq!(out, x);
     }
 
     #[test]
     fn moving_average_smooths_steps() {
         let mut f = Fir::moving_average(4);
-        let out = f.process(&[4.0; 8]);
+        let mut out = Vec::new();
+        f.process([4.0; 8], &mut out);
         // After the filter fills, output settles at the input level.
         assert!((out[7] - 4.0).abs() < 1e-12);
         assert!(out[0] < 4.0, "transient while history is zero");
@@ -133,10 +134,14 @@ mod tests {
     fn state_carries_across_frames() {
         let x: Vec<f64> = (0..16).map(|i| (i as f64 * 0.4).sin()).collect();
         let mut whole = Fir::moving_average(3);
-        let expected = whole.process(&x);
+        let mut expected = Vec::new();
+        whole.process(x.iter().copied(), &mut expected);
         let mut split = Fir::moving_average(3);
-        let mut got = split.process(&x[..7]);
-        got.extend(split.process(&x[7..]));
+        let (mut got, mut tail) = (Vec::new(), Vec::new());
+        split.process(x[..7].iter().copied(), &mut got);
+        split.process(x[7..].iter().copied(), &mut tail);
+        got.extend(tail);
+        assert_eq!(got.len(), expected.len());
         for (a, b) in got.iter().zip(&expected) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -152,9 +157,10 @@ mod tests {
         let high: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * 0.4 * i as f64).sin())
             .collect();
-        let low_out = f.process(&low);
+        let (mut low_out, mut high_out) = (Vec::new(), Vec::new());
+        f.process(low, &mut low_out);
         f.reset();
-        let high_out = f.process(&high);
+        f.process(high, &mut high_out);
         let energy = |v: &[f64]| v[64..].iter().map(|x| x * x).sum::<f64>();
         assert!(
             energy(&low_out) > 20.0 * energy(&high_out),
@@ -167,17 +173,22 @@ mod tests {
     #[test]
     fn decimate_and_upsample() {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        assert_eq!(decimate(&x, 2), vec![1.0, 3.0, 5.0]);
-        assert_eq!(decimate(&x, 1), x);
+        let decimated = |factor| decimate(&x, factor).collect::<Vec<_>>();
+        assert_eq!(decimated(2), [1.0, 3.0, 5.0]);
+        assert_eq!(decimated(4), [1.0, 5.0]);
+        assert_eq!(decimated(1), x);
+        assert_eq!(decimated(0), x);
         assert_eq!(upsample(&[1.0, 2.0], 3), vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]
     fn reset_clears_history() {
         let mut f = Fir::moving_average(3);
-        f.process(&[9.0; 5]);
+        let mut out = Vec::new();
+        f.process([9.0; 5], &mut out);
         f.reset();
-        let out = f.process(&[0.0; 3]);
+        f.process([0.0; 3], &mut out);
+        assert_eq!(out.len(), 3);
         assert!(out.iter().all(|&x| x == 0.0));
     }
 

@@ -87,14 +87,16 @@ pub fn gaussian(rng: &mut SplitMix64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A sampling-importance-resampling particle filter over crack length.
+/// The particles and importance weights of a sampling-importance-resampling
+/// filter over crack length; each PE of the distributed filter holds one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParticleFilter {
     /// The dynamics/observation model.
     pub model: CrackModel,
     /// Particle states (crack lengths).
     pub particles: Vec<f64>,
-    /// Normalized importance weights (sum = 1).
+    /// Importance weights: uniform after a resampling step, scaled by
+    /// the likelihood of each observation, never normalized.
     pub weights: Vec<f64>,
 }
 
@@ -117,24 +119,6 @@ impl ParticleFilter {
         }
     }
 
-    /// Update step (actor "U"): reweight against observation `y` and
-    /// normalize.
-    pub fn update(&mut self, y: f64) {
-        let mut total = 0.0;
-        for (p, w) in self.particles.iter().zip(self.weights.iter_mut()) {
-            *w *= self.model.likelihood(*p, y);
-            total += *w;
-        }
-        if total <= 0.0 {
-            let n = self.weights.len() as f64;
-            self.weights.fill(1.0 / n);
-        } else {
-            for w in &mut self.weights {
-                *w /= total;
-            }
-        }
-    }
-
     /// Update step without normalization: reweight against `y` but keep
     /// raw likelihood-scaled weights. The distributed implementation
     /// needs this — partial weight sums from different PEs are only
@@ -144,71 +128,45 @@ impl ParticleFilter {
             *w *= self.model.likelihood(*p, y);
         }
     }
-
-    /// Minimum-mean-square-error estimate (weighted mean).
-    pub fn estimate(&self) -> f64 {
-        self.particles
-            .iter()
-            .zip(&self.weights)
-            .map(|(p, w)| p * w)
-            .sum()
-    }
-
-    /// Effective sample size `1 / Σ w²` — resampling is usually triggered
-    /// when this falls below `N/2`.
-    pub fn effective_sample_size(&self) -> f64 {
-        let s: f64 = self.weights.iter().map(|w| w * w).sum();
-        if s <= 0.0 {
-            0.0
-        } else {
-            1.0 / s
-        }
-    }
-
-    /// Systematic resampling (actor "S", serial reference): replaces
-    /// particles by replicas with multiplicities proportional to weight
-    /// and resets weights to uniform.
-    pub fn systematic_resample(&mut self, rng: &mut SplitMix64) {
-        let n = self.particles.len();
-        let new = systematic_draw(&self.particles, &self.weights, n, rng);
-        self.particles = new;
-        self.weights.fill(1.0 / n as f64);
-    }
 }
 
 /// Draws `count` particles with multiplicities proportional to `weights`
 /// via the low-variance systematic scheme. The paper's scheme: "new
 /// samples are exact replicas of some of the old samples, occurring with
 /// multiplicities proportional to their previous weights."
-pub fn systematic_draw(
-    particles: &[f64],
-    weights: &[f64],
+///
+/// The one random offset is drawn from `rng` before this returns; the
+/// draws come one at a time, so a caller writes them wherever they go.
+/// Weights that sum to no more than zero replicate the particles in
+/// turn, and no particles draw nothing.
+pub fn systematic_draw<'a>(
+    particles: &'a [f64],
+    weights: &'a [f64],
     count: usize,
     rng: &mut SplitMix64,
-) -> Vec<f64> {
+) -> impl Iterator<Item = f64> + 'a {
     assert_eq!(particles.len(), weights.len());
-    if particles.is_empty() || count == 0 {
-        return Vec::new();
-    }
+    let count = if particles.is_empty() { 0 } else { count };
     let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        // Degenerate: uniform replication.
-        return (0..count).map(|i| particles[i % particles.len()]).collect();
-    }
+    let degenerate = total <= 0.0;
     let step = total / count as f64;
-    let mut u = rng.gen_range(0.0..step);
-    let mut out = Vec::with_capacity(count);
-    let mut cum = weights[0];
-    let mut i = 0;
-    for _ in 0..count {
+    let mut u = if degenerate || count == 0 {
+        0.0
+    } else {
+        rng.gen_range(0.0..step)
+    };
+    let (mut cum, mut i) = (weights.first().copied().unwrap_or(0.0), 0);
+    (0..count).map(move |k| {
+        if degenerate {
+            return particles[k % particles.len()];
+        }
         while u > cum && i + 1 < particles.len() {
             i += 1;
             cum += weights[i];
         }
-        out.push(particles[i]);
         u += step;
-    }
-    out
+        particles[i]
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -217,39 +175,34 @@ pub fn systematic_draw(
 
 /// Proportional allocation of `total_count` resampled particles to PEs
 /// given their partial weight sums, using the largest-remainder method so
-/// the counts sum exactly to `total_count`.
-pub fn allocate_counts(partial_sums: &[f64], total_count: usize) -> Vec<usize> {
+/// the counts sum exactly to `total_count`. The counts go into `counts`,
+/// which is cleared first, one per PE.
+pub fn allocate_counts(partial_sums: &[f64], total_count: usize, counts: &mut Vec<usize>) {
+    counts.clear();
     let total: f64 = partial_sums.iter().sum();
     let n = partial_sums.len();
     if n == 0 {
-        return Vec::new();
+        return;
     }
     if total <= 0.0 {
         // Degenerate: spread evenly.
         let base = total_count / n;
-        let mut counts = vec![base; n];
-        for c in counts.iter_mut().take(total_count - base * n) {
-            *c += 1;
-        }
-        return counts;
+        let extra = total_count - base * n;
+        counts.extend((0..n).map(|i| base + usize::from(i < extra)));
+        return;
     }
-    let exact: Vec<f64> = partial_sums
-        .iter()
-        .map(|&s| s / total * total_count as f64)
-        .collect();
-    let mut counts: Vec<usize> = exact.iter().map(|&e| e.floor() as usize).collect();
-    let assigned: usize = counts.iter().sum();
-    // Distribute the remainder by largest fractional part.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let fa = exact[a] - exact[a].floor();
-        let fb = exact[b] - exact[b].floor();
-        fb.total_cmp(&fa).then(a.cmp(&b))
-    });
-    for &i in order.iter().take(total_count - assigned) {
-        counts[i] += 1;
-    }
-    counts
+    let exact = |i: usize| partial_sums[i] / total * total_count as f64;
+    let fraction = |i: usize| exact(i) - exact(i).floor();
+    let assigned: usize = (0..n).map(|i| exact(i).floor() as usize).sum();
+    // The remainder goes one unit each to the PEs with the largest
+    // fractional parts, the lower index first on a tie: a PE gets one
+    // if fewer than `remainder` PEs come before it in that order.
+    let remainder = total_count - assigned;
+    let ahead = |i: usize| {
+        let before = |j: usize| fraction(i).total_cmp(&fraction(j)).then(j.cmp(&i)).is_lt();
+        (0..n).filter(|&j| before(j)).count()
+    };
+    counts.extend((0..n).map(|i| exact(i).floor() as usize + usize::from(ahead(i) < remainder)));
 }
 
 /// One planned particle transfer between PEs during intra-resampling.
@@ -265,50 +218,47 @@ pub struct Exchange {
 
 /// Plans the intra-resampling exchanges: PEs whose allocated `counts`
 /// exceed `target` ship surplus particles to PEs below `target`, so all
-/// PEs end with exactly `target` particles.
+/// PEs end with exactly `target` particles. Surplus and deficit PEs are
+/// paired in index order, one exchange at a time.
 ///
 /// # Panics
 ///
 /// Panics if `counts.len() * target != counts.iter().sum()` — allocation
 /// and target must be consistent.
-pub fn plan_exchanges(counts: &[usize], target: usize) -> Vec<Exchange> {
+pub fn plan_exchanges(counts: &[usize], target: usize) -> impl Iterator<Item = Exchange> + '_ {
     let total: usize = counts.iter().sum();
     assert_eq!(
         total,
         counts.len() * target,
         "allocation must redistribute exactly the global particle count"
     );
-    let mut surplus: Vec<(usize, usize)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c > target)
-        .map(|(i, &c)| (i, c - target))
-        .collect();
-    let mut deficit: Vec<(usize, usize)> = counts
-        .iter()
-        .enumerate()
-        .filter(|&(_, &c)| c < target)
-        .map(|(i, &c)| (i, target - c))
-        .collect();
-    let mut plan = Vec::new();
-    let (mut si, mut di) = (0, 0);
-    while si < surplus.len() && di < deficit.len() {
-        let move_n = surplus[si].1.min(deficit[di].1);
-        plan.push(Exchange {
-            from: surplus[si].0,
-            to: deficit[di].0,
-            count: move_n,
-        });
-        surplus[si].1 -= move_n;
-        deficit[di].1 -= move_n;
-        if surplus[si].1 == 0 {
-            si += 1;
+    let pes = counts.iter().copied().enumerate();
+    let mut surplus = pes
+        .clone()
+        .map(move |(i, c)| (i, c.saturating_sub(target)))
+        .filter(|&(_, spare)| spare > 0);
+    let mut deficit = pes
+        .map(move |(i, c)| (i, target.saturating_sub(c)))
+        .filter(|&(_, short)| short > 0);
+    let (mut from, mut to) = (surplus.next(), deficit.next());
+    std::iter::from_fn(move || {
+        let (sender, receiver) = (from.as_mut()?, to.as_mut()?);
+        let count = sender.1.min(receiver.1);
+        sender.1 -= count;
+        receiver.1 -= count;
+        let exchange = Exchange {
+            from: sender.0,
+            to: receiver.0,
+            count,
+        };
+        if sender.1 == 0 {
+            from = surplus.next();
         }
-        if deficit[di].1 == 0 {
-            di += 1;
+        if receiver.1 == 0 {
+            to = deficit.next();
         }
-    }
-    plan
+        Some(exchange)
+    })
 }
 
 /// Remaining-useful-life estimate: propagates each particle forward
@@ -387,6 +337,8 @@ mod tests {
 
     #[test]
     fn filter_tracks_simulated_crack() {
+        // One PE's filter alone: predict, reweight, estimate from the
+        // weighted sums, and resample every step.
         let mut r = rng();
         let model = CrackModel::default();
         let (truth, obs) = model.simulate(1.0, 60, &mut r);
@@ -394,13 +346,18 @@ mod tests {
         let mut errs = Vec::new();
         for (t, &y) in obs.iter().enumerate() {
             pf.predict(&mut r);
-            pf.update(y);
-            if pf.effective_sample_size() < 150.0 {
-                pf.systematic_resample(&mut r);
-            }
+            pf.update_unnormalized(y);
+            let weighted: f64 = pf
+                .particles
+                .iter()
+                .zip(&pf.weights)
+                .map(|(p, w)| p * w)
+                .sum();
             if t >= 10 {
-                errs.push((pf.estimate() - truth[t]).abs());
+                errs.push((weighted / pf.weights.iter().sum::<f64>() - truth[t]).abs());
             }
+            pf.particles = systematic_draw(&pf.particles, &pf.weights, 300, &mut r).collect();
+            pf.weights.fill(1.0 / 300.0);
         }
         let mean_err = errs.iter().sum::<f64>() / errs.len() as f64;
         assert!(
@@ -410,22 +367,12 @@ mod tests {
     }
 
     #[test]
-    fn weights_stay_normalized() {
-        let mut r = rng();
-        let model = CrackModel::default();
-        let mut pf = ParticleFilter::new(model, 100, 0.5, 1.5, &mut r);
-        pf.predict(&mut r);
-        pf.update(1.0);
-        let sum: f64 = pf.weights.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn systematic_resample_concentrates_on_heavy_particles() {
         let mut r = rng();
         let particles = vec![1.0, 2.0, 3.0, 4.0];
         let weights = vec![0.0, 0.9, 0.1, 0.0];
-        let drawn = systematic_draw(&particles, &weights, 1000, &mut r);
+        let drawn: Vec<f64> = systematic_draw(&particles, &weights, 1000, &mut r).collect();
+        assert_eq!(drawn.len(), 1000);
         let n2 = drawn.iter().filter(|&&p| p == 2.0).count();
         let n4 = drawn.iter().filter(|&&p| p == 4.0).count();
         assert!(
@@ -436,24 +383,22 @@ mod tests {
     }
 
     #[test]
-    fn ess_detects_degeneracy() {
-        let model = CrackModel::default();
-        let pf_uniform = ParticleFilter {
-            model,
-            particles: vec![1.0; 100],
-            weights: vec![0.01; 100],
-        };
-        assert!((pf_uniform.effective_sample_size() - 100.0).abs() < 1e-6);
-        let mut degen = pf_uniform.clone();
-        degen.weights = vec![0.0; 100];
-        degen.weights[3] = 1.0;
-        assert!((degen.effective_sample_size() - 1.0).abs() < 1e-9);
+    fn degenerate_draws_take_no_random_offset() {
+        // Zero weights replicate the particles in turn; no particles or
+        // no count draw nothing. None of them moves the stream.
+        let mut r = rng();
+        let zero: Vec<f64> = systematic_draw(&[1.0, 2.0], &[0.0, 0.0], 5, &mut r).collect();
+        assert_eq!(zero, [1.0, 2.0, 1.0, 2.0, 1.0]);
+        assert_eq!(systematic_draw(&[], &[], 5, &mut r).count(), 0);
+        assert_eq!(systematic_draw(&[1.0], &[1.0], 0, &mut r).count(), 0);
+        assert_eq!(r.next_u64(), rng().next_u64());
     }
 
     #[test]
     fn allocate_counts_sums_exactly() {
         let sums = [0.5, 0.25, 0.125, 0.125];
-        let counts = allocate_counts(&sums, 200);
+        let mut counts = vec![7];
+        allocate_counts(&sums, 200, &mut counts);
         assert_eq!(counts.iter().sum::<usize>(), 200);
         assert_eq!(counts, vec![100, 50, 25, 25]);
     }
@@ -461,28 +406,42 @@ mod tests {
     #[test]
     fn allocate_counts_handles_remainders() {
         let sums = [1.0, 1.0, 1.0];
-        let counts = allocate_counts(&sums, 100);
+        let mut counts = Vec::new();
+        allocate_counts(&sums, 100, &mut counts);
         assert_eq!(counts.iter().sum::<usize>(), 100);
-        assert!(counts.iter().all(|&c| c == 33 || c == 34));
+        assert_eq!(counts, [34, 33, 33], "a tie goes to the lower index");
+        // The largest fractional part comes first, then the lower index.
+        allocate_counts(&[0.3, 1.0, 1.0, 0.3], 10, &mut counts);
+        assert_eq!(counts, [1, 4, 4, 1]);
+        allocate_counts(&[1.0, 2.0, 1.0], 5, &mut counts);
+        assert_eq!(counts, [1, 3, 1]);
     }
 
     #[test]
     fn allocate_counts_degenerate_weights() {
-        let counts = allocate_counts(&[0.0, 0.0], 10);
+        let mut counts = Vec::new();
+        allocate_counts(&[0.0, 0.0], 10, &mut counts);
         assert_eq!(counts.iter().sum::<usize>(), 10);
+        allocate_counts(&[0.0, 0.0, 0.0], 11, &mut counts);
+        assert_eq!(counts, [4, 4, 3]);
+        allocate_counts(&[], 11, &mut counts);
+        assert!(counts.is_empty());
     }
 
     #[test]
     fn exchange_plan_balances_all_pes() {
         let counts = vec![70, 10, 20, 100];
         let target = 50;
-        let plan = plan_exchanges(&counts, target);
+        let plan: Vec<Exchange> = plan_exchanges(&counts, target).collect();
         let mut after = counts.clone();
         for x in &plan {
             after[x.from] -= x.count;
             after[x.to] += x.count;
         }
         assert!(after.iter().all(|&c| c == target), "after: {after:?}");
+        // Surplus and deficit PEs pair in index order.
+        let x = |from, to, count| Exchange { from, to, count };
+        assert_eq!(plan, [x(0, 1, 20), x(3, 1, 20), x(3, 2, 30)]);
         // Surplus PEs only send; deficit PEs only receive.
         for x in &plan {
             assert!(counts[x.from] > target);
@@ -493,7 +452,7 @@ mod tests {
 
     #[test]
     fn exchange_plan_empty_when_balanced() {
-        assert!(plan_exchanges(&[50, 50], 50).is_empty());
+        assert_eq!(plan_exchanges(&[50, 50], 50).count(), 0);
     }
 
     #[test]
@@ -515,7 +474,7 @@ mod tests {
         let weights: Vec<f64> = raw.iter().map(|w| w / total).collect();
 
         // Global reference.
-        let global = systematic_draw(&particles, &weights, n, &mut r);
+        let global: Vec<f64> = systematic_draw(&particles, &weights, n, &mut r).collect();
         let gmean = global.iter().sum::<f64>() / n as f64;
 
         // Distributed: split halves.
@@ -525,7 +484,8 @@ mod tests {
             .into_iter()
             .map(|range| range.map(|i| weights[i]).sum())
             .collect();
-        let alloc = allocate_counts(&partial, n);
+        let mut alloc = Vec::new();
+        allocate_counts(&partial, n, &mut alloc);
         let mut pooled = Vec::new();
         for (range, &count) in halves.into_iter().zip(&alloc) {
             let idx: Vec<usize> = range.collect();

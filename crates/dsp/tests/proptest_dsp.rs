@@ -170,7 +170,7 @@ fn systematic_draw_multiplicities_proportional() {
         );
         let total: f64 = weights.iter().sum();
         let expected = heavy_weight / total * 8000.0;
-        let got = drawn.iter().filter(|&&p| p == heavy_idx as f64).count() as f64;
+        let got = drawn.filter(|&p| p == heavy_idx as f64).count() as f64;
         // Systematic resampling has very low variance: within ±1 of the
         // proportional share per 1000 draws.
         assert!((got - expected).abs() <= 8.0 + expected * 0.01);

@@ -127,11 +127,11 @@ fn allocation_and_exchange_always_balance() {
         let per_pe = rng.gen_range(1..50usize);
         let n = weights.len();
         let total = per_pe * n;
-        let counts = allocate_counts(&weights, total);
+        let mut counts = Vec::new();
+        allocate_counts(&weights, total, &mut counts);
         assert_eq!(counts.iter().sum::<usize>(), total);
-        let plan = plan_exchanges(&counts, per_pe);
         let mut after = counts.clone();
-        for x in &plan {
+        for x in plan_exchanges(&counts, per_pe) {
             assert!(x.count > 0);
             after[x.from] -= x.count;
             after[x.to] += x.count;
