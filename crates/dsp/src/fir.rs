@@ -89,19 +89,6 @@ pub fn decimate(frame: &[f64], factor: usize) -> impl Iterator<Item = f64> + '_ 
     frame.iter().step_by(factor.max(1)).copied()
 }
 
-/// Upsamples by `factor` (zero insertion).
-pub fn upsample(frame: &[f64], factor: usize) -> Vec<f64> {
-    if factor <= 1 {
-        return frame.to_vec();
-    }
-    let mut out = Vec::with_capacity(frame.len() * factor);
-    for &x in frame {
-        out.push(x);
-        out.extend(std::iter::repeat_n(0.0, factor - 1));
-    }
-    out
-}
-
 /// Cycle cost of an `n`-sample frame through a `t`-tap MAC pipeline.
 pub fn fir_cycles(n: usize, t: usize) -> u64 {
     (n as u64) * (t as u64) + 16
@@ -171,14 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn decimate_and_upsample() {
+    fn decimate_keeps_every_factor_th_sample() {
         let x = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
         let decimated = |factor| decimate(&x, factor).collect::<Vec<_>>();
         assert_eq!(decimated(2), [1.0, 3.0, 5.0]);
         assert_eq!(decimated(4), [1.0, 5.0]);
         assert_eq!(decimated(1), x);
         assert_eq!(decimated(0), x);
-        assert_eq!(upsample(&[1.0, 2.0], 3), vec![1.0, 0.0, 0.0, 2.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -418,6 +418,15 @@ pub(crate) trait Port {
     /// Transmits one logical token.
     fn send(&mut self, channel: ChannelId, data: &[u8]) -> Result<()>;
 
+    /// Transmits one logical token of a run of consecutive sends,
+    /// which sits in the run where `run` says. A port that defers wakes
+    /// publishes it without waking its consumer, wakes `run.before`
+    /// before it can wait or fail, and wakes `run.after` once it has
+    /// published. The default sends, and so wakes, at once.
+    fn send_in_run(&mut self, channel: ChannelId, data: &[u8], _run: &Run) -> Result<()> {
+        self.send(channel, data)
+    }
+
     /// Receives one logical token.
     fn recv(&mut self, channel: ChannelId) -> Result<Token>;
 
@@ -455,28 +464,18 @@ fn run_pes<'a, P: Port>(
         let pes = programs.into_iter().zip(results.iter_mut()).enumerate();
         for (idx, (mut program, result)) in pes {
             let (errors, make_port) = (&errors, &make_port);
-            // Firing labels are static across iterations; intern them
-            // up front so the hot loop never touches the tracer's
-            // (locking) intern table.
-            let intern = |ops: &[Op]| -> Vec<u32> {
-                let label = |op: &Op| match (op, probe) {
-                    (Op::Compute { label, .. }, Some(t)) => t.intern(label),
-                    _ => 0,
-                };
-                ops.iter().map(label).collect()
-            };
-            let labels = (intern(&program.prologue), intern(&program.ops));
+            let plans = (plan(&program.prologue, probe), plan(&program.ops, probe));
             scope.spawn_named(format!("pe{idx}"), move || {
                 let mut port = make_port(PeIo::new(PeId(idx), specs, endpoints, probe));
                 let mut local = PeLocal::default();
                 let mut walk = || -> Result<()> {
                     // Prologue ops run before the first iteration
                     // boundary; nothing restarts them.
-                    run_ops(&mut port, &mut program.prologue, &labels.0, &mut local)?;
+                    run_ops(&mut port, &mut program.prologue, &plans.0, &mut local)?;
                     for iter in 0..program.iterations {
                         local.iter = iter;
                         port.begin_iteration(&local);
-                        while run_ops(&mut port, &mut program.ops, &labels.1, &mut local)?
+                        while run_ops(&mut port, &mut program.ops, &plans.1, &mut local)?
                             == Flow::Restart
                         {}
                     }
@@ -513,17 +512,78 @@ fn run_pes<'a, P: Port>(
     Ok(results)
 }
 
-/// Runs `ops` once, in order. `labels` is parallel to `ops` (id 0 for
-/// everything but compute ops).
+/// The walk's view of a program's ops, fixed once per program.
+struct Plan {
+    /// One code per op: a compute op's interned firing label (0
+    /// untraced); for a send in a run of two or more consecutive sends,
+    /// one more than the index of its place in `runs`; 0 for every
+    /// other op, which the walk takes as it comes.
+    codes: Vec<u32>,
+    /// Where each send of a run sits in it.
+    runs: Vec<Run>,
+}
+
+/// A send's place in a run of consecutive sends: it publishes without
+/// waking its consumer (DESIGN §9, "Who wakes whom").
+pub(crate) struct Run {
+    /// The channels the run published on before this send, each once:
+    /// woken before this send can wait or fail.
+    before: Box<[ChannelId]>,
+    /// The channels woken once this send has published: every channel
+    /// of the run, each once, on its last send; none on the others.
+    after: Box<[ChannelId]>,
+}
+
+/// The walk's view of `ops`. Firing labels are static across
+/// iterations, so they are interned here and the hot loop never
+/// touches the tracer's (locking) intern table. A run of two or more
+/// consecutive sends publishes quietly and wakes its consumers after
+/// its last publish: the PE issues the run back to back, so a consumer
+/// woken early would only find the rest of the run still to come.
+fn plan(ops: &[Op], probe: Option<&dyn Tracer>) -> Plan {
+    let sent = |op: &Op| match op {
+        Op::Send { channel, .. } => Some(*channel),
+        _ => None,
+    };
+    let mut plan = Plan {
+        codes: Vec::with_capacity(ops.len()),
+        runs: Vec::new(),
+    };
+    for chunk in ops.chunk_by(|a, b| sent(a).is_some() && sent(b).is_some()) {
+        // The run's channels so far, each once, in publishing order.
+        let mut woken: Vec<ChannelId> = Vec::new();
+        for (i, op) in chunk.iter().enumerate() {
+            let code = match (op, sent(op)) {
+                (Op::Compute { label, .. }, _) => probe.map_or(0, |t| t.intern(label)),
+                (_, Some(channel)) if chunk.len() >= 2 => {
+                    let before = woken.as_slice().into();
+                    if !woken.contains(&channel) {
+                        woken.push(channel);
+                    }
+                    let last = i + 1 == chunk.len();
+                    let after = if last { woken.as_slice() } else { &[] }.into();
+                    plan.runs.push(Run { before, after });
+                    plan.runs.len() as u32
+                }
+                _ => 0,
+            };
+            plan.codes.push(code);
+        }
+    }
+    plan
+}
+
+/// Runs `ops` once, in order, as `plan` says.
 fn run_ops<P: Port>(
     port: &mut P,
     ops: &mut [Op],
-    labels: &[u32],
+    plan: &Plan,
     local: &mut PeLocal,
 ) -> Result<Flow> {
-    for (op, &label) in ops.iter_mut().zip(labels) {
+    for (op, &code) in ops.iter_mut().zip(&plan.codes) {
         match op {
             Op::Compute { work, .. } => {
+                let label = code;
                 port.emit(ProbeKind::FiringBegin { label });
                 if port.compute(work, local)? == Flow::Restart {
                     return Ok(Flow::Restart);
@@ -532,7 +592,14 @@ fn run_ops<P: Port>(
             }
             Op::Send { channel, payload } => {
                 let data = payload(local);
-                port.send(*channel, &data)?;
+                match code {
+                    0 => port.send(*channel, &data)?,
+                    n => {
+                        // Keeps the eager send the walk's straight line.
+                        std::hint::cold_path();
+                        port.send_in_run(*channel, &data, &plan.runs[n as usize - 1])?;
+                    }
+                }
             }
             Op::Recv { channel } => {
                 let token = port.recv(*channel)?;
@@ -624,6 +691,39 @@ impl Port for Direct<'_> {
                 .inspect(|()| self.io.moved(t, dir, channel, data, 0)),
         };
         sent.map_err(|e| self.io.failed(channel, dir, &e, data.len()))
+    }
+
+    /// A quiet publish first. If it does not go through, the blocking
+    /// send may wait and an error ends the walk, so the run's earlier
+    /// consumers are woken first; the blocking send then wakes its own.
+    // Out of line, like `stalling`, and called from a cold branch, so
+    // that a send in no run keeps the walk's code: a first form that
+    // inlined this path read ≈ 5 % slower on the bare `selfloop8` walk.
+    #[inline(never)]
+    fn send_in_run(&mut self, channel: ChannelId, data: &[u8], run: &Run) -> Result<()> {
+        let (ep, timeout, dir) = (&self.io.endpoints[channel.0], self.timeout, BlockKind::Send);
+        let wake = |channels: &[ChannelId]| {
+            for channel in channels {
+                self.io.endpoints[channel.0].wake();
+            }
+        };
+        let sent = match ep.try_send_quiet(data) {
+            Ok(()) => Ok(()),
+            attempt => {
+                wake(&run.before);
+                match self.io.probe {
+                    None if attempt == Err(TransportError::Full) => ep.send(data, timeout),
+                    None => attempt,
+                    Some(t) => self.stalling(t, channel, dir, attempt, || ep.send(data, timeout)),
+                }
+            }
+        };
+        sent.map_err(|e| self.io.failed(channel, dir, &e, data.len()))?;
+        if let Some(t) = self.io.probe {
+            self.io.moved(t, dir, channel, data, 0);
+        }
+        wake(&run.after);
+        Ok(())
     }
 
     #[inline]
@@ -1066,5 +1166,240 @@ mod tests {
         let shown = format!("{:?}", ThreadedRunner::new());
         assert!(shown.contains("kind: Locked"), "{shown}");
         assert!(shown.contains("timeout: 30s"), "{shown}");
+    }
+
+    fn send(channel: usize, payload: impl FnMut(&mut PeLocal) -> Vec<u8> + Send + 'static) -> Op {
+        Op::Send {
+            channel: ChannelId(channel),
+            payload: Box::new(payload),
+        }
+    }
+
+    fn recv(channel: usize) -> Op {
+        Op::Recv {
+            channel: ChannelId(channel),
+        }
+    }
+
+    /// A compute op appending the first byte of each message waiting
+    /// from `channel` to the store's `key`.
+    fn keep(channel: usize, key: &'static str) -> Op {
+        Op::Compute {
+            label: "keep".into(),
+            work: Box::new(move |l| {
+                while let Some(m) = l.take_from(ChannelId(channel)) {
+                    l.store.entry(key.into()).or_default().push(m[0]);
+                }
+                0
+            }),
+        }
+    }
+
+    #[test]
+    fn consecutive_sends_form_runs() {
+        let ops = vec![
+            send(0, |_| vec![]),
+            send(1, |_| vec![]),
+            recv(9),
+            send(2, |_| vec![]),
+            keep(9, "x"),
+            send(1, |_| vec![]),
+            send(1, |_| vec![]),
+        ];
+        let ids = |chs: &[ChannelId]| chs.iter().map(|c| c.0).collect::<Vec<_>>();
+        let plan = plan(&ops, None);
+        let runs: Vec<_> = (ops.iter().zip(&plan.codes))
+            .map(|(op, &code)| match (op, code) {
+                (Op::Send { .. }, 1..) => {
+                    let run = &plan.runs[code as usize - 1];
+                    Some((ids(&run.before), ids(&run.after)))
+                }
+                _ => None,
+            })
+            .collect();
+        let none = Vec::new;
+        assert_eq!(
+            runs,
+            [
+                Some((none(), none())),
+                Some((vec![0], vec![0, 1])),
+                None,
+                None,
+                None,
+                Some((none(), none())),
+                Some((vec![1], vec![1])),
+            ]
+        );
+    }
+
+    /// Application 1's hand-off, `[Send, Send, Recv]` against
+    /// `[Recv, Recv, Send]`, and a run of two sends into a one-message
+    /// channel, on every transport: each ends with the stores the DES
+    /// computes.
+    #[test]
+    fn send_runs_end_with_the_des_stores() {
+        type Shape = fn() -> (Vec<ChannelSpec>, Vec<Program>);
+        fn spec(bytes: usize) -> ChannelSpec {
+            ChannelSpec {
+                capacity_bytes: bytes,
+                max_message_bytes: bytes,
+            }
+        }
+        let hand_off: Shape = || {
+            let producer = vec![
+                send(0, |l| vec![l.iter as u8; 8]),
+                send(1, |l| vec![2 * l.iter as u8; 8]),
+                recv(2),
+                keep(2, "sums"),
+            ];
+            let fold = Op::Compute {
+                label: "fold".into(),
+                work: Box::new(|l| {
+                    let (a, b) = (l.take_from(ChannelId(0)), l.take_from(ChannelId(1)));
+                    let sum = a.zip(b).map_or(0, |(a, b)| a[0].wrapping_add(b[0]));
+                    l.store.insert("sum".into(), vec![sum]);
+                    0
+                }),
+            };
+            let consumer = vec![recv(0), recv(1), fold, send(2, |l| l.store["sum"].clone())];
+            let programs = [producer, consumer].map(|ops| Program::new(ops, 40));
+            (vec![spec(8), spec(8), spec(1)], programs.into())
+        };
+        let full: Shape = || {
+            let producer = vec![
+                send(0, |l| vec![2 * l.iter as u8; 4]),
+                send(0, |l| vec![2 * l.iter as u8 + 1; 4]),
+            ];
+            let consumer = vec![recv(0), keep(0, "got"), recv(0), keep(0, "got")];
+            let programs = [producer, consumer].map(|ops| Program::new(ops, 40));
+            (vec![spec(4)], programs.into())
+        };
+        for (name, shape) in [("hand-off", hand_off), ("full channel", full)] {
+            let mut des = crate::sim::Machine::new();
+            let (specs, programs) = shape();
+            for spec in specs {
+                des.add_channel(spec);
+            }
+            for program in programs {
+                des.add_pe(program);
+            }
+            let want = des.run().unwrap().locals;
+            assert!(want.iter().any(|l| !l.store.is_empty()), "{name}");
+            for kind in kinds() {
+                let (specs, programs) = shape();
+                let got = ThreadedRunner::new()
+                    .transport(kind)
+                    .timeout(Duration::from_secs(10))
+                    .run(&specs, programs)
+                    .unwrap();
+                assert_eq!(got, want, "{name} over {kind:?}");
+            }
+        }
+    }
+
+    /// Records each quiet publish and each wake on a channel.
+    struct Logged {
+        channel: usize,
+        inner: Box<dyn Transport>,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Logged {
+        fn note(&self, what: String) {
+            self.log.lock().unwrap().push(what);
+        }
+    }
+
+    impl Transport for Logged {
+        fn capacity_bytes(&self) -> usize {
+            self.inner.capacity_bytes()
+        }
+        fn max_message_bytes(&self) -> usize {
+            self.inner.max_message_bytes()
+        }
+        fn len_bytes(&self) -> usize {
+            self.inner.len_bytes()
+        }
+        fn occupancy(&self) -> usize {
+            self.inner.occupancy()
+        }
+        fn try_send(&self, data: &[u8]) -> std::result::Result<(), TransportError> {
+            self.inner.try_send(data)
+        }
+        fn try_recv(&self) -> std::result::Result<Vec<u8>, TransportError> {
+            self.inner.try_recv()
+        }
+        fn send_with(
+            &self,
+            len: usize,
+            fill: &mut dyn FnMut(&mut [u8]),
+            timeout: Duration,
+        ) -> std::result::Result<(), TransportError> {
+            self.inner.send_with(len, fill, timeout)
+        }
+        fn recv_with(
+            &self,
+            consume: &mut dyn FnMut(&[u8]),
+            timeout: Duration,
+        ) -> std::result::Result<(), TransportError> {
+            self.inner.recv_with(consume, timeout)
+        }
+        fn try_send_quiet(&self, data: &[u8]) -> std::result::Result<(), TransportError> {
+            let sent = self.inner.try_send_quiet(data);
+            self.note(format!("quiet ch{}: {sent:?}", self.channel));
+            sent
+        }
+        fn wake(&self) {
+            self.note(format!("wake ch{}", self.channel));
+            self.inner.wake();
+        }
+    }
+
+    #[test]
+    fn a_send_failing_inside_a_run_wakes_the_run_first() {
+        // The run's second send can never fit its channel: the first
+        // send's consumer is woken before the error ends the walk.
+        let specs = [
+            ChannelSpec::default(),
+            ChannelSpec {
+                capacity_bytes: 16,
+                max_message_bytes: 4,
+            },
+        ];
+        for kind in kinds() {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let logged = Arc::clone(&log);
+            let producer = vec![send(0, |_| vec![1; 4]), send(1, |_| vec![2; 9])];
+            let programs = vec![Program::new(producer, 1), Program::new(vec![recv(0)], 1)];
+            let err = ThreadedRunner::new()
+                .transport(kind)
+                .timeout(Duration::from_secs(10))
+                .decorate_transports(Arc::new(move |ch, inner| {
+                    let log = Arc::clone(&logged);
+                    Box::new(Logged {
+                        channel: ch.0,
+                        inner,
+                        log,
+                    })
+                }))
+                .run(&specs, programs);
+            assert!(
+                matches!(
+                    err,
+                    Err(PlatformError::MessageExceedsCapacity { bytes: 9, .. })
+                ),
+                "{kind:?}: {err:?}"
+            );
+            let too_large = TransportError::TooLarge { bytes: 9, max: 4 };
+            assert_eq!(
+                *log.lock().unwrap(),
+                [
+                    "quiet ch0: Ok(())".to_string(),
+                    format!("quiet ch1: Err({too_large:?})"),
+                    "wake ch0".to_string(),
+                ],
+                "{kind:?}"
+            );
+        }
     }
 }

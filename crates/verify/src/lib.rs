@@ -10,7 +10,8 @@
 //!    enumerates every thread interleaving (up to happens-before
 //!    equivalence, via DFS with sleep-set pruning) of the
 //!    [`RingTransport`](spi_platform::RingTransport) ring + waitlist
-//!    protocol at small bounds. The scenarios run the shipped code;
+//!    protocol at small bounds, and ([`walk`]) of the threaded
+//!    runner's op walk over it. The scenarios run the shipped code;
 //!    that they can fail is shown by the mutant registry (`mutants/`,
 //!    `scripts/mutants.sh`), whose PR 3 lost-wakeup entry
 //!    [`ring::explore_ring_shared_consumers`] must report as a
@@ -32,6 +33,7 @@
 
 pub mod framing;
 pub mod ring;
+pub mod walk;
 
 pub use framing::{explore_framing, FramingExploration, FramingOptions, FramingViolation};
 pub use ring::{
@@ -41,3 +43,4 @@ pub use ring::{
 pub use spi_platform::model::{
     explore, Exploration, Failure, FailureKind, ModelOptions, Scenario, Step,
 };
+pub use walk::explore_send_run;
