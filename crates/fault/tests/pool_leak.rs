@@ -65,8 +65,8 @@ fn every_fault_kind_returns_its_slot() {
 
 #[test]
 fn mixed_fault_burst_returns_all_slots() {
-    // All kinds in one run, clustered early so duplicates contend for
-    // slots while later messages are still in flight.
+    // All kinds in one run, clustered early so the faulted sends overlap
+    // while later messages are still in flight.
     let plan = FaultPlan::new()
         .inject(ChannelId(0), 0, FaultKind::Duplicate)
         .inject(ChannelId(0), 1, FaultKind::Drop)

@@ -259,8 +259,8 @@ impl ThreadedRunner {
 }
 
 /// One PE's view of a run: its id, the channels' logical specs and
-/// endpoints, the probe sink and the stamp of the PE's last event. Every
-/// port owns one.
+/// endpoints, the probe sink, the stamp of the PE's last event and the
+/// wakes its quiet sends owe. Every port owns one.
 pub(crate) struct PeIo<'a> {
     pub(crate) pe: PeId,
     pub(crate) specs: &'a [ChannelSpec],
@@ -269,6 +269,9 @@ pub(crate) struct PeIo<'a> {
     /// The stamp of the last event this PE recorded; `None` before its
     /// first.
     last: Option<u64>,
+    /// The channels this PE published on quietly and has not woken
+    /// since, each once, in publishing order.
+    owed: Vec<ChannelId>,
 }
 
 impl<'a> PeIo<'a> {
@@ -284,7 +287,37 @@ impl<'a> PeIo<'a> {
             endpoints,
             probe,
             last: None,
+            owed: Vec::new(),
         }
+    }
+
+    /// The first attempt of every send: publishes `data` on `channel`
+    /// without waking its consumer and owes the channel that wake. An
+    /// attempt that does not go through is followed by a wait or an
+    /// error, so the PE pays what it owes first (DESIGN §9, "Who wakes
+    /// whom").
+    pub(crate) fn send_quiet(
+        &mut self,
+        channel: ChannelId,
+        data: &[u8],
+    ) -> std::result::Result<(), TransportError> {
+        let sent = self.endpoints[channel.0].try_send_quiet(data);
+        match sent {
+            Ok(()) if !self.owed.contains(&channel) => self.owed.push(channel),
+            Ok(()) => {}
+            Err(_) => self.pay(),
+        }
+        sent
+    }
+
+    /// Wakes every channel this PE owes a wake, each once. The walk
+    /// calls it before any op that can wait or fail and when its op
+    /// list ends; a send calls it before its blocking fallback.
+    pub(crate) fn pay(&mut self) {
+        for channel in &self.owed {
+            self.endpoints[channel.0].wake();
+        }
+        self.owed.clear();
     }
 
     /// Records `kind` at `at`, which becomes the PE's last stamp.
@@ -414,18 +447,10 @@ pub(crate) enum Flow {
 /// How one PE moves tokens and fires actors. The op walk in
 /// [`run_pes`] is written once against this; what differs between an
 /// unsupervised and a supervised run is only the port.
-pub(crate) trait Port {
-    /// Transmits one logical token.
+pub(crate) trait Port<'a> {
+    /// Transmits one logical token. Its first attempt is
+    /// [`PeIo::send_quiet`].
     fn send(&mut self, channel: ChannelId, data: &[u8]) -> Result<()>;
-
-    /// Transmits one logical token of a run of consecutive sends,
-    /// which sits in the run where `run` says. A port that defers wakes
-    /// publishes it without waking its consumer, wakes `run.before`
-    /// before it can wait or fail, and wakes `run.after` once it has
-    /// published. The default sends, and so wakes, at once.
-    fn send_in_run(&mut self, channel: ChannelId, data: &[u8], _run: &Run) -> Result<()> {
-        self.send(channel, data)
-    }
 
     /// Receives one logical token.
     fn recv(&mut self, channel: ChannelId) -> Result<Token>;
@@ -439,16 +464,16 @@ pub(crate) trait Port {
     /// An iteration of the program's loop is about to start.
     fn begin_iteration(&mut self, _local: &PeLocal) {}
 
-    /// Records a probe event of the walk's own (a firing edge) through
-    /// the port's [`PeIo`], which keeps the PE's last stamp.
-    fn emit(&mut self, kind: ProbeKind);
+    /// The port's [`PeIo`]: the walk records its firing edges and pays
+    /// the owed wakes through it.
+    fn io(&mut self) -> &mut PeIo<'a>;
 }
 
 /// The one PE executor: a named thread per program, firing labels
 /// interned up front, the prologue and then the iterations walked op by
 /// op through the port `make_port` builds for each PE, results and
 /// errors collected.
-fn run_pes<'a, P: Port>(
+fn run_pes<'a, P: Port<'a>>(
     specs: &'a [ChannelSpec],
     endpoints: &'a [Box<dyn Transport>],
     probe: Option<&'a dyn Tracer>,
@@ -464,18 +489,28 @@ fn run_pes<'a, P: Port>(
         let pes = programs.into_iter().zip(results.iter_mut()).enumerate();
         for (idx, (mut program, result)) in pes {
             let (errors, make_port) = (&errors, &make_port);
-            let plans = (plan(&program.prologue, probe), plan(&program.ops, probe));
+            // Firing labels are static across iterations; intern them
+            // up front so the hot loop never touches the tracer's
+            // (locking) intern table.
+            let intern = |ops: &[Op]| -> Vec<u32> {
+                let label = |op: &Op| match (op, probe) {
+                    (Op::Compute { label, .. }, Some(t)) => t.intern(label),
+                    _ => 0,
+                };
+                ops.iter().map(label).collect()
+            };
+            let labels = (intern(&program.prologue), intern(&program.ops));
             scope.spawn_named(format!("pe{idx}"), move || {
                 let mut port = make_port(PeIo::new(PeId(idx), specs, endpoints, probe));
                 let mut local = PeLocal::default();
                 let mut walk = || -> Result<()> {
                     // Prologue ops run before the first iteration
                     // boundary; nothing restarts them.
-                    run_ops(&mut port, &mut program.prologue, &plans.0, &mut local)?;
+                    run_ops(&mut port, &mut program.prologue, &labels.0, &mut local)?;
                     for iter in 0..program.iterations {
                         local.iter = iter;
                         port.begin_iteration(&local);
-                        while run_ops(&mut port, &mut program.ops, &plans.1, &mut local)?
+                        while run_ops(&mut port, &mut program.ops, &labels.1, &mut local)?
                             == Flow::Restart
                         {}
                     }
@@ -512,96 +547,34 @@ fn run_pes<'a, P: Port>(
     Ok(results)
 }
 
-/// The walk's view of a program's ops, fixed once per program.
-struct Plan {
-    /// One code per op: a compute op's interned firing label (0
-    /// untraced); for a send in a run of two or more consecutive sends,
-    /// one more than the index of its place in `runs`; 0 for every
-    /// other op, which the walk takes as it comes.
-    codes: Vec<u32>,
-    /// Where each send of a run sits in it.
-    runs: Vec<Run>,
-}
-
-/// A send's place in a run of consecutive sends: it publishes without
-/// waking its consumer (DESIGN §9, "Who wakes whom").
-pub(crate) struct Run {
-    /// The channels the run published on before this send, each once:
-    /// woken before this send can wait or fail.
-    before: Box<[ChannelId]>,
-    /// The channels woken once this send has published: every channel
-    /// of the run, each once, on its last send; none on the others.
-    after: Box<[ChannelId]>,
-}
-
-/// The walk's view of `ops`. Firing labels are static across
-/// iterations, so they are interned here and the hot loop never
-/// touches the tracer's (locking) intern table. A run of two or more
-/// consecutive sends publishes quietly and wakes its consumers after
-/// its last publish: the PE issues the run back to back, so a consumer
-/// woken early would only find the rest of the run still to come.
-fn plan(ops: &[Op], probe: Option<&dyn Tracer>) -> Plan {
-    let sent = |op: &Op| match op {
-        Op::Send { channel, .. } => Some(*channel),
-        _ => None,
-    };
-    let mut plan = Plan {
-        codes: Vec::with_capacity(ops.len()),
-        runs: Vec::new(),
-    };
-    for chunk in ops.chunk_by(|a, b| sent(a).is_some() && sent(b).is_some()) {
-        // The run's channels so far, each once, in publishing order.
-        let mut woken: Vec<ChannelId> = Vec::new();
-        for (i, op) in chunk.iter().enumerate() {
-            let code = match (op, sent(op)) {
-                (Op::Compute { label, .. }, _) => probe.map_or(0, |t| t.intern(label)),
-                (_, Some(channel)) if chunk.len() >= 2 => {
-                    let before = woken.as_slice().into();
-                    if !woken.contains(&channel) {
-                        woken.push(channel);
-                    }
-                    let last = i + 1 == chunk.len();
-                    let after = if last { woken.as_slice() } else { &[] }.into();
-                    plan.runs.push(Run { before, after });
-                    plan.runs.len() as u32
-                }
-                _ => 0,
-            };
-            plan.codes.push(code);
-        }
-    }
-    plan
-}
-
-/// Runs `ops` once, in order, as `plan` says.
-fn run_ops<P: Port>(
+/// Runs `ops` once, in order. `labels` is parallel to `ops` (id 0 for
+/// everything but compute ops). A send publishes quietly and owes its
+/// consumer a wake; the PE pays what it owes before an op that can wait
+/// or fail and when the list ends, so a run of consecutive sends wakes
+/// each of its consumers once, after its last publish.
+fn run_ops<'a, P: Port<'a>>(
     port: &mut P,
     ops: &mut [Op],
-    plan: &Plan,
+    labels: &[u32],
     local: &mut PeLocal,
 ) -> Result<Flow> {
-    for (op, &code) in ops.iter_mut().zip(&plan.codes) {
+    for (op, &label) in ops.iter_mut().zip(labels) {
         match op {
             Op::Compute { work, .. } => {
-                let label = code;
-                port.emit(ProbeKind::FiringBegin { label });
+                let io = port.io();
+                io.pay();
+                io.emit(ProbeKind::FiringBegin { label });
                 if port.compute(work, local)? == Flow::Restart {
                     return Ok(Flow::Restart);
                 }
-                port.emit(ProbeKind::FiringEnd { label });
+                port.io().emit(ProbeKind::FiringEnd { label });
             }
             Op::Send { channel, payload } => {
                 let data = payload(local);
-                match code {
-                    0 => port.send(*channel, &data)?,
-                    n => {
-                        // Keeps the eager send the walk's straight line.
-                        std::hint::cold_path();
-                        port.send_in_run(*channel, &data, &plan.runs[n as usize - 1])?;
-                    }
-                }
+                port.send(*channel, &data)?;
             }
             Op::Recv { channel } => {
+                port.io().pay();
                 let token = port.recv(*channel)?;
                 local.inbox.push_back((*channel, token));
             }
@@ -609,6 +582,7 @@ fn run_ops<P: Port>(
             Op::WaitUntil { .. } => {}
         }
     }
+    port.io().pay();
     Ok(Flow::Next)
 }
 
@@ -621,8 +595,9 @@ fn run_ops<P: Port>(
 /// always captured.
 const STALL_RECORD_NS: u64 = 1_000;
 
-/// The unsupervised [`Port`]: each op is one transport call bounded by
-/// the deadlock timeout.
+/// The unsupervised [`Port`]: a send is a quiet publish and, on
+/// `Full`, one blocking call; a receive is one blocking call. Each
+/// blocking call is bounded by the deadlock timeout.
 struct Direct<'a> {
     io: PeIo<'a>,
     timeout: Duration,
@@ -633,9 +608,9 @@ impl Direct<'_> {
     /// variant went first and came to `attempt`: a `Full` / `Empty`
     /// answer marks the block edge, and the Block/Unblock pair is
     /// emitted retroactively once the blocking call resolves — but only
-    /// when the wait reached [`STALL_RECORD_NS`]. (Without a probe an op
-    /// is the single blocking call, so tracing costs nothing when
-    /// disabled.)
+    /// when the wait reached [`STALL_RECORD_NS`]. (Without a probe a
+    /// receive is the single blocking call and a send the same quiet
+    /// publish, so tracing costs nothing when disabled.)
     // Kept out of line (and `send` / `recv` marked for inlining) so that
     // an untraced op stays small enough to be inlined into the walk: on
     // `selfloop8` the difference is 4 ns of a 106 ns iteration.
@@ -678,52 +653,18 @@ impl Direct<'_> {
     }
 }
 
-impl Port for Direct<'_> {
+impl<'a> Port<'a> for Direct<'a> {
     #[inline]
     fn send(&mut self, channel: ChannelId, data: &[u8]) -> Result<()> {
         let (ep, timeout, dir) = (&self.io.endpoints[channel.0], self.timeout, BlockKind::Send);
-        let sent = match self.io.probe {
-            None => ep.send(data, timeout),
-            Some(t) => self
-                .stalling(t, channel, dir, ep.try_send(data), || {
-                    ep.send(data, timeout)
-                })
+        let sent = match (self.io.send_quiet(channel, data), self.io.probe) {
+            (Err(TransportError::Full), None) => ep.send(data, timeout),
+            (attempt, None) => attempt,
+            (attempt, Some(t)) => self
+                .stalling(t, channel, dir, attempt, || ep.send(data, timeout))
                 .inspect(|()| self.io.moved(t, dir, channel, data, 0)),
         };
         sent.map_err(|e| self.io.failed(channel, dir, &e, data.len()))
-    }
-
-    /// A quiet publish first. If it does not go through, the blocking
-    /// send may wait and an error ends the walk, so the run's earlier
-    /// consumers are woken first; the blocking send then wakes its own.
-    // Out of line, like `stalling`, and called from a cold branch, so
-    // that a send in no run keeps the walk's code: a first form that
-    // inlined this path read ≈ 5 % slower on the bare `selfloop8` walk.
-    #[inline(never)]
-    fn send_in_run(&mut self, channel: ChannelId, data: &[u8], run: &Run) -> Result<()> {
-        let (ep, timeout, dir) = (&self.io.endpoints[channel.0], self.timeout, BlockKind::Send);
-        let wake = |channels: &[ChannelId]| {
-            for channel in channels {
-                self.io.endpoints[channel.0].wake();
-            }
-        };
-        let sent = match ep.try_send_quiet(data) {
-            Ok(()) => Ok(()),
-            attempt => {
-                wake(&run.before);
-                match self.io.probe {
-                    None if attempt == Err(TransportError::Full) => ep.send(data, timeout),
-                    None => attempt,
-                    Some(t) => self.stalling(t, channel, dir, attempt, || ep.send(data, timeout)),
-                }
-            }
-        };
-        sent.map_err(|e| self.io.failed(channel, dir, &e, data.len()))?;
-        if let Some(t) = self.io.probe {
-            self.io.moved(t, dir, channel, data, 0);
-        }
-        wake(&run.after);
-        Ok(())
     }
 
     #[inline]
@@ -741,8 +682,8 @@ impl Port for Direct<'_> {
     }
 
     #[inline]
-    fn emit(&mut self, kind: ProbeKind) {
-        self.io.emit(kind);
+    fn io(&mut self) -> &mut PeIo<'a> {
+        &mut self.io
     }
 }
 
@@ -1195,43 +1136,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn consecutive_sends_form_runs() {
-        let ops = vec![
-            send(0, |_| vec![]),
-            send(1, |_| vec![]),
-            recv(9),
-            send(2, |_| vec![]),
-            keep(9, "x"),
-            send(1, |_| vec![]),
-            send(1, |_| vec![]),
-        ];
-        let ids = |chs: &[ChannelId]| chs.iter().map(|c| c.0).collect::<Vec<_>>();
-        let plan = plan(&ops, None);
-        let runs: Vec<_> = (ops.iter().zip(&plan.codes))
-            .map(|(op, &code)| match (op, code) {
-                (Op::Send { .. }, 1..) => {
-                    let run = &plan.runs[code as usize - 1];
-                    Some((ids(&run.before), ids(&run.after)))
-                }
-                _ => None,
-            })
-            .collect();
-        let none = Vec::new;
-        assert_eq!(
-            runs,
-            [
-                Some((none(), none())),
-                Some((vec![0], vec![0, 1])),
-                None,
-                None,
-                None,
-                Some((none(), none())),
-                Some((vec![1], vec![1])),
-            ]
-        );
-    }
-
     /// Application 1's hand-off, `[Send, Send, Recv]` against
     /// `[Recv, Recv, Send]`, and a run of two sends into a one-message
     /// channel, on every transport: each ends with the stores the DES
@@ -1397,6 +1301,55 @@ mod tests {
                     "quiet ch0: Ok(())".to_string(),
                     format!("quiet ch1: Err({too_large:?})"),
                     "wake ch0".to_string(),
+                ],
+                "{kind:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pe_pays_each_owed_wake_once_before_it_can_wait() {
+        // Two runs of sends around a firing: every send publishes
+        // quietly, the firing first wakes channels 0 and 1 once each,
+        // and channel 2 is woken when the op list ends.
+        let programs = || {
+            let producer = vec![
+                send(0, |_| vec![1]),
+                send(1, |_| vec![2]),
+                send(0, |_| vec![3]),
+                keep(9, "none"),
+                send(2, |_| vec![4]),
+            ];
+            let consumers = [vec![recv(0), recv(0)], vec![recv(1)], vec![recv(2)]];
+            let pes = std::iter::once(producer).chain(consumers);
+            pes.map(|ops| Program::new(ops, 1)).collect()
+        };
+        for kind in kinds() {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let logged = Arc::clone(&log);
+            ThreadedRunner::new()
+                .transport(kind)
+                .timeout(Duration::from_secs(10))
+                .decorate_transports(Arc::new(move |ch, inner| {
+                    let log = Arc::clone(&logged);
+                    Box::new(Logged {
+                        channel: ch.0,
+                        inner,
+                        log,
+                    })
+                }))
+                .run(&[ChannelSpec::default(); 3], programs())
+                .unwrap();
+            assert_eq!(
+                *log.lock().unwrap(),
+                [
+                    "quiet ch0: Ok(())",
+                    "quiet ch1: Ok(())",
+                    "quiet ch0: Ok(())",
+                    "wake ch0",
+                    "wake ch1",
+                    "quiet ch2: Ok(())",
+                    "wake ch2",
                 ],
                 "{kind:?}"
             );

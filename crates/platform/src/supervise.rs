@@ -600,7 +600,7 @@ impl<'a> Supervised<'a> {
     }
 }
 
-impl Port for Supervised<'_> {
+impl<'a> Port<'a> for Supervised<'a> {
     fn send(&mut self, ch: ChannelId, data: &[u8]) -> Result<()> {
         // The frame is built once and retransmitted as is; its buffer
         // goes back to the port afterwards, so framing stops allocating
@@ -610,8 +610,14 @@ impl Port for Supervised<'_> {
         let ep = &self.io.endpoints[ch.0];
         let deadline = self.policy.op_deadline;
         let failing_since = Cell::new(None);
+        // A quiet publish first, as on the direct port; on `Full` the
+        // blocking send waits, and every retransmission is one too.
+        let mut outcome = match self.io.send_quiet(ch, &frame) {
+            Err(TransportError::Full) => ep.send(&frame, deadline),
+            outcome => outcome,
+        };
         let sent = loop {
-            let err = match ep.send(&frame, deadline) {
+            let err = match outcome {
                 Ok(()) => {
                     self.chans[ch.0].tx.sent();
                     if let Some(t) = self.io.probe {
@@ -643,13 +649,14 @@ impl Port for Supervised<'_> {
                     break Err(self.exhausted(ch, BlockKind::Send, attempts, failing_since.get()))
                 }
             }
+            outcome = ep.send(&frame, deadline);
         };
         self.frame_buf = frame;
         sent
     }
 
-    fn emit(&mut self, kind: ProbeKind) {
-        self.io.emit(kind);
+    fn io(&mut self) -> &mut PeIo<'a> {
+        &mut self.io
     }
 
     fn recv(&mut self, ch: ChannelId) -> Result<Token> {
@@ -750,7 +757,7 @@ impl<'a> Checkpointed<'a> {
     }
 }
 
-impl Port for Checkpointed<'_> {
+impl<'a> Port<'a> for Checkpointed<'a> {
     fn send(&mut self, ch: ChannelId, data: &[u8]) -> Result<()> {
         if self.skip > 0 {
             // Transmitted before the rollback: the payload closure
@@ -795,14 +802,14 @@ impl Port for Checkpointed<'_> {
             });
         }
         self.restarts += 1;
-        self.port.emit(ProbeKind::FaultRestart { iter: local.iter });
+        self.io().emit(ProbeKind::FaultRestart { iter: local.iter });
         local.copy_from(&self.saved);
         (self.cursor, self.skip) = (0, self.sent);
         Ok(Flow::Restart)
     }
 
-    fn emit(&mut self, kind: ProbeKind) {
-        self.port.emit(kind);
+    fn io(&mut self) -> &mut PeIo<'a> {
+        &mut self.port.io
     }
 }
 

@@ -324,10 +324,12 @@ pub trait Transport: Send + Sync {
     /// Non-blocking send that publishes the message without waking a
     /// consumer parked on the channel: that wake is left to
     /// [`Transport::wake`], which the caller owes the channel before it
-    /// makes any call that can wait. The runner's walk sends a run of
-    /// consecutive sends this way and wakes each consumer once, after
-    /// the run's last publish (DESIGN §9, "Who wakes whom"). The
-    /// default is [`Transport::try_send`], which wakes at once.
+    /// makes any call that can wait. The runner makes every send's
+    /// first attempt this way and wakes each owed channel once, before
+    /// the PE can wait or stop — so a run of consecutive sends wakes
+    /// its consumers after its last publish (DESIGN §9, "Who wakes
+    /// whom"). The default is [`Transport::try_send`], which wakes at
+    /// once.
     ///
     /// # Errors
     ///
@@ -343,8 +345,8 @@ pub trait Transport: Send + Sync {
 
     /// The buffer pool backing this transport's payloads, when it has
     /// one ([`PointerTransport`]; decorators forward their inner
-    /// transport's pool). Fault injectors use it to stage duplicated
-    /// payloads in pool slots instead of fresh heap buffers.
+    /// transport's pool), for a caller that leases its payloads from
+    /// the channel's own slab.
     fn pool(&self) -> Option<&BufferPool> {
         None
     }
@@ -1142,6 +1144,14 @@ pub(crate) fn le_u32(word: &[u8]) -> u32 {
 ///   lease over the slot bytes; dropping the lease releases the slot
 ///   back to the pool — the UBS-style acknowledgement closing the
 ///   flow-control loop.
+///
+/// So a received message keeps its pool slot, and counts against the
+/// channel, until its consumer drops the lease: in the runner, until
+/// the firing that consumes it takes it out of the PE's inbox. The DES,
+/// [`LockedTransport`] and [`RingTransport`] free the space on receive.
+/// A program that receives more messages of a channel before one
+/// firing than the pool has slots deadlocks here only; a lowered
+/// program never does (DESIGN §13, "Slot-lease lifetimes").
 ///
 /// Steady state touches the payload bytes exactly as many times as the
 /// application requires and performs **zero heap allocations** per

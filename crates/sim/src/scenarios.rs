@@ -115,8 +115,8 @@ pub fn fir_pipeline(iterations: u64, faulted: bool) {
     if faulted {
         // Delays perturb timing, the duplicate perturbs the stream;
         // none of them lose a message, so the pipeline still completes
-        // (the duplicated token shifts which samples the filter sees,
-        // leaving at most one undelivered message behind).
+        // (the duplicate follows its original, and what the filter does
+        // not read, at most one message, stays behind).
         let plan = FaultPlan::new()
             .inject(ChannelId(0), 1, FaultKind::Delay { micros: 300 })
             .inject(ChannelId(0), 2, FaultKind::Duplicate)

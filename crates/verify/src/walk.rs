@@ -1,5 +1,5 @@
-//! The runner's op walk under the explorer: a run of consecutive sends
-//! that publishes quietly and wakes its consumer once, at its end.
+//! The runner's op walk under the explorer: a run of consecutive sends,
+//! each published quietly, whose consumer is woken once for the run.
 //!
 //! [`explore_send_run`] runs the shipped [`ThreadedRunner`] (its
 //! `Direct` port, untraced) on two PEs inside an exploration —
@@ -8,10 +8,10 @@
 //! producer's program is one run of two sends on a one-message channel;
 //! the consumer receives and keeps each message in turn. The second
 //! send finds the channel full while the consumer may be parked on the
-//! first, whose publish woke nobody: unless the walk wakes the run's
-//! earlier consumers before its blocking fallback, both PEs park for
-//! good, and the frozen model clock turns that into a reported
-//! deadlock (registry entry `mutants/deferred_wake_unflushed.patch`).
+//! first, whose publish woke nobody: unless the PE pays the wake it
+//! owes before its blocking fallback, both PEs park for good, and the
+//! frozen model clock turns that into a reported deadlock (registry
+//! entry `mutants/deferred_wake_unflushed.patch`).
 
 use std::time::Duration;
 
@@ -57,7 +57,7 @@ pub fn explore_send_run(kind: TransportKind, opts: &ModelOptions) -> Exploration
             // and a join depends on every step; the consumer finishes
             // after the producer's last publish, so its join meets only
             // the producer's trailing wakes (the other order explores
-            // 51 328 schedules over the ring instead of 13 637).
+            // several times as many schedules).
             let results = ThreadedRunner::new()
                 .transport(kind)
                 .timeout(NEVER)

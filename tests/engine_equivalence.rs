@@ -183,6 +183,18 @@ fn generated_systems_agree_with_the_reference() {
     }
 }
 
+/// System 414 fires a duplicate or a corruption on an acknowledgement
+/// channel, whose last credits are never read. While the injector put
+/// the extra frame into the channel it took one of the
+/// `window + fill_msgs + 1` slots, and the supervised run on `Locked`
+/// exhausted its retry budget sending on ch1. The extra frame now
+/// waits beside the channel.
+#[test]
+fn an_ack_channel_extra_frame_takes_no_credit_slot() {
+    let covered = oracle::check_seed(414);
+    assert!(covered.ack_extras > 0, "{covered:?}");
+}
+
 /// `lowering_pins.rs`'s `delayed` graph on the ordered-transactions bus:
 /// e2 keeps its acknowledgements and carries two pipeline-fill messages,
 /// which the consumer acknowledges on top of the credit window. Its ack

@@ -232,17 +232,12 @@ fn generate(seed: u64, max_actors: usize, max_iterations: u64) -> Generated {
 /// seventy is the budget-busting stall alone, on the first message of a
 /// data channel, which its consumer always waits for. The others are
 /// `FaultPlan::random` over every channel and as many messages as the
-/// busiest carries, less any duplicate or corruption on an ack channel:
-/// both leave a stray frame that the receiver drops only when it reads
-/// past it, an ack channel's last credits are never read, and its
-/// `window + fill_msgs + 1` slots have no room for a stray among them.
-/// One system in ten also panics once in a firing.
+/// busiest carries. One system in ten also panics once in a firing.
 fn draw_faults(rng: &mut SplitMix64, g: &Generated) -> Faults {
     let (sys, _) = g.build(Arc::new(RingTracer::new(g.procs, 1)));
     let planned = planned_messages(&sys, g.iterations);
     let mut data: Vec<ChannelId> = sys.edge_plans().values().map(|p| p.data_ch).collect();
     data.sort_unstable();
-    let acks: Vec<ChannelId> = sys.edge_plans().values().filter_map(|p| p.ack_ch).collect();
     let channels = sys.into_parts().0.len();
     let plan = if rng.gen_bool(0.015) {
         let stall = FaultKind::Stall {
@@ -251,14 +246,7 @@ fn draw_faults(rng: &mut SplitMix64, g: &Generated) -> Faults {
         FaultPlan::new().inject(data[rng.gen_range(0..data.len())], 0, stall)
     } else {
         let busiest = planned.values().copied().max().unwrap_or(0);
-        let random = FaultPlan::random(rng.next_u64(), channels, busiest, rng.gen_range(0..=6));
-        let stray = |f: &FaultSpec| {
-            matches!(f.kind, FaultKind::Duplicate | FaultKind::Corrupt) && acks.contains(&f.channel)
-        };
-        let kept = random.faults().iter().filter(|f| !stray(f));
-        kept.fold(FaultPlan::new(), |plan, f| {
-            plan.inject(f.channel, f.message_index, f.kind)
-        })
+        FaultPlan::random(rng.next_u64(), channels, busiest, rng.gen_range(0..=6))
     };
     let panic_once = rng.gen_bool(0.1).then(|| {
         let actor = ActorId(rng.gen_range(0..g.graph.actor_count()));
@@ -577,6 +565,9 @@ pub struct Covered {
     /// Injections that fired over the threaded runs, per kind in
     /// [`FIRED`] order.
     pub fired: [u64; 5],
+    /// Duplicates and corruptions that fired on ack channels, whose
+    /// last credits are never read: the extra frame must take no slot.
+    pub ack_extras: u64,
     /// Checkpoint restarts over the threaded runs.
     pub restarts: u64,
     /// Threaded runs that ended in the budget-busting stall's error.
@@ -623,6 +614,11 @@ impl Covered {
         ];
         let fired = FIRED.iter().zip(self.fired);
         floors.extend(fired.map(|(&(what, floor), count)| (what, count, floor)));
+        floors.push((
+            "ack-channel duplicates and corruptions",
+            self.ack_extras,
+            36,
+        ));
         floors
     }
 
@@ -638,6 +634,7 @@ impl Covered {
         for (sum, fired) in self.fired.iter_mut().zip(other.fired) {
             *sum += fired;
         }
+        self.ack_extras += other.ack_extras;
         self.restarts += other.restarts;
         self.error_path += other.error_path;
     }
@@ -677,6 +674,7 @@ pub fn check(g: &Generated) -> Covered {
             covered = Covered::structure(g, &sys);
         }
         let planned = planned_messages(&sys, g.iterations);
+        let acks: Vec<ChannelId> = sys.edge_plans().values().filter_map(|p| p.ack_ch).collect();
         let meta = match (backend, faults) {
             (Backend::Des, _) => sys.trace_meta(ClockKind::Cycles),
             (_, None) => sys.trace_meta(ClockKind::Nanos),
@@ -731,6 +729,8 @@ pub fn check(g: &Generated) -> Covered {
         }
         for r in fired.iter() {
             covered.fired[fired_index(r.kind)] += 1;
+            let extra = matches!(r.kind, FaultKind::Duplicate | FaultKind::Corrupt);
+            covered.ack_extras += u64::from(extra && acks.contains(&r.channel));
         }
         let logs = std::mem::take(&mut *logs.lock().expect("logs"));
         let seen = logs.into_iter().map(|log| log.into_values().collect());
