@@ -170,8 +170,10 @@ fn supervision_policy(a: &Args, system: &spi::SpiSystem) -> Option<SupervisionPo
 /// The deterministic chaos plan shared by every process: walk the
 /// cross-partition channels in id order and inject one drop, one
 /// corruption, and one duplication. Each fault triggers on the node
-/// hosting the channel's sender; the other nodes' identical plans stay
-/// inert there.
+/// hosting the channel's sender; the node hosting its receiver makes
+/// the duplicate's and the corruption's extra frame from the same plan
+/// (`spi_fault::FaultyTransport`), so the receiver's sequence dedup and
+/// CRC check see them.
 fn chaos_plan(a: &Args, dep: &Deployment) -> FaultPlan {
     let mut plan = FaultPlan::new();
     if !a.chaos {

@@ -56,8 +56,17 @@ fn two_process_run_is_byte_identical_and_trace_conformant() {
 fn two_process_chaos_run_recovers_to_identical_output() {
     // --chaos injects one drop, one corruption, and one duplication on
     // cross-partition sockets; supervision must recover all three and
-    // the launcher still demands byte-identical output.
+    // the launcher still demands byte-identical output. The corrupt
+    // copy crosses the socket, and the receiving PE's CRC check
+    // rejects it.
     let trace = run_launch(&["--chaos"], "e2e_chaos.trace");
+    assert!(
+        trace
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, spi_trace::ProbeKind::FaultCorrupt { .. })),
+        "no CRC rejection in the faulted merged trace"
+    );
     let report = spi_trace::check(&trace);
     assert!(
         !report.has_errors(),

@@ -9,10 +9,11 @@ use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use spi_fault::{FaultKind, FaultPlan};
 use spi_net::wire::{read_record, write_record};
 use spi_net::{loopback, loopback_with, socket_path, BatchParams, NetReceiver, NetSender};
 use spi_platform::{
-    decode_frame, encode_frame_into, ChannelSpec, FrameError, Transport, TransportError,
+    decode_frame, encode_frame_into, ChannelId, ChannelSpec, FrameError, Transport, TransportError,
     FRAME_HEADER_BYTES,
 };
 
@@ -149,6 +150,41 @@ fn peer_disconnect_surfaces_as_timeout_not_hang() {
         "closed peer must fail fast, waited {:?}",
         start.elapsed()
     );
+}
+
+#[test]
+fn a_fault_plan_wrapping_each_end_apart_delivers_its_extra_frames() {
+    // `spi-noded --chaos` wraps each process's end of a socket in its
+    // own decorator from the same plan: the duplicate and the corrupt
+    // copy must still reach the receiver, behind the message each
+    // follows, for its sequence dedup and its CRC check to see them.
+    let (decorator, _log) = FaultPlan::new()
+        .inject(ChannelId(0), 0, FaultKind::Duplicate)
+        .inject(ChannelId(0), 2, FaultKind::Corrupt)
+        .into_decorator()
+        .expect("valid plan");
+    let (tx, rx) = loopback(&spec(1024, 64)).expect("loopback");
+    let (tx, rx) = (
+        decorator(ChannelId(0), Box::new(tx)),
+        decorator(ChannelId(0), Box::new(rx)),
+    );
+    let t = Duration::from_secs(5);
+    let mut frame = Vec::new();
+    for seq in 0..3 {
+        encode_frame_into(&mut frame, seq, &[seq as u8; 8]);
+        let sent = tx.send(&frame, t);
+        if seq == 2 {
+            assert!(matches!(sent, Err(TransportError::Injected { .. })));
+            tx.send(&frame, t).expect("the retransmission");
+        } else {
+            sent.expect("send");
+        }
+    }
+    let got: Vec<_> = (0..5)
+        .map(|_| decode_frame(&rx.recv(t).expect("recv")).map(|(seq, _)| seq))
+        .collect();
+    assert_eq!(got, [Ok(0), Ok(0), Ok(1), Ok(2), Err(FrameError::BadCrc)]);
+    assert_eq!(rx.try_recv(), Err(TransportError::Empty));
 }
 
 #[test]
