@@ -12,8 +12,8 @@ use spi_platform::ResourceEstimate;
 use spi_sched::{IpcGraph, Protocol, ResyncCertificate, SyncGraph};
 
 /// What a lowering decided for one dataflow edge with at least one IPC
-/// instance: its synchronization protocol and what the execution layer
-/// allocated for it.
+/// instance: its synchronization protocol and the eq. (2) bound it was
+/// chosen against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeDecl {
     /// The dataflow edge.
@@ -24,36 +24,6 @@ pub struct EdgeDecl {
     /// ([`IpcGraph::buffer_bounds_by_edge`]: the worst of its IPC
     /// instances); `None` when some instance has no bound.
     pub bound_tokens: Option<u64>,
-    /// Transport allocated for its data channel, when declared; enables
-    /// the SPI043/SPI044 capacity checks.
-    pub transport: Option<TransportDecl>,
-    /// Socket transport of a **cross-partition** edge of a distributed
-    /// deployment: the sender-side credit window it was granted (SPI045)
-    /// and its record batch (SPI046). `None` for edges inside one node.
-    pub net_transport: Option<TransportDecl>,
-}
-
-/// Runtime transport declared for one edge's data channel: what the
-/// execution layer actually allocated, checked by SPI043 against the
-/// statically required eq. (2) bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransportDecl {
-    /// Total payload capacity of the channel in bytes.
-    pub capacity_bytes: u64,
-    /// Framed size of the largest message (packed token + header).
-    pub message_bytes_max: u64,
-    /// Slot count of the buffer pool backing a pointer-exchange
-    /// transport, when one is used. `None` for copying transports.
-    /// Checked by SPI044 against the channel's message capacity.
-    pub pool_slots: Option<u64>,
-    /// Most records the sending endpoint may coalesce into one write,
-    /// when the transport batches (`spi-net`'s staged fast path). `None`
-    /// for unbatched transports. Checked by SPI046
-    /// against the credit window in messages: a batch larger than the
-    /// window can never fill before the window forces a flush, so the
-    /// configuration is lying about its own amortization, and one
-    /// larger than half of it runs the edge in lock-step.
-    pub batch_msgs: Option<u64>,
 }
 
 /// Everything a pass may inspect. Only `graph` is mandatory.
@@ -73,8 +43,8 @@ pub struct AnalysisInput<'a> {
     /// Proof artifact of a certified resynchronization run; checked by
     /// the `ResyncCertification` pass (SPI061/SPI062) against `sync`.
     pub resync_cert: Option<&'a ResyncCertificate>,
-    /// The lowering's per-edge decisions: protocol and declared
-    /// transports, one entry per dataflow edge with an IPC instance.
+    /// The lowering's per-edge protocol decisions, one entry per
+    /// dataflow edge with an IPC instance.
     pub edges: Option<&'a [EdgeDecl]>,
     /// Aggregated hardware cost of the system, checked against the
     /// paper's Virtex-4 SX35.
@@ -127,8 +97,8 @@ impl<'a> AnalysisInput<'a> {
         self
     }
 
-    /// Attaches the per-edge protocol decisions and transport
-    /// declarations, enabling the SPI040–SPI046 protocol lints.
+    /// Attaches the per-edge protocol decisions, enabling the
+    /// SPI040–SPI042 protocol lints.
     pub fn with_edges(mut self, edges: &'a [EdgeDecl]) -> Self {
         self.edges = Some(edges);
         self

@@ -44,4 +44,4 @@ pub mod passes;
 
 pub use analyzer::{AnalysisReport, Analyzer, Pass};
 pub use diag::{Diagnostic, Locus, Severity};
-pub use input::{AnalysisInput, EdgeDecl, TransportDecl};
+pub use input::{AnalysisInput, EdgeDecl};

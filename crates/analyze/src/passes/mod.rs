@@ -14,10 +14,10 @@
 //! | SPI040 | warning  | protocol-lints | UBS chosen although a static eq. (2) bound exists (§5.1 prefers BBS) |
 //! | SPI041 | error    | protocol-lints | BBS chosen with no provable buffer bound |
 //! | SPI042 | error    | protocol-lints | BBS capacity below the eq. (2) bound |
-//! | SPI043 | warning  | protocol-lints | declared transport capacity below the eq. (2) byte requirement |
-//! | SPI044 | warning  | protocol-lints | pointer-exchange pool with fewer slots than the channel's eq. (1) message capacity |
-//! | SPI045 | warning  | protocol-lints | cross-partition socket credit window below the eq. (2) byte requirement |
-//! | SPI046 | warning  | protocol-lints | configured record batch exceeds the credit window in messages, or leaves it fewer than two batches (lock-step) |
+//! | SPI043 | —        | retired | declared transport capacity below the eq. (2) bytes (the builder sizes the channel from one slot count) |
+//! | SPI044 | —        | retired | pointer-exchange pool below the channel's message capacity (the pool is derived from the capacity) |
+//! | SPI045 | —        | retired | socket credit window below the eq. (2) bytes (the window is the in-memory channel's capacity) |
+//! | SPI046 | —        | retired | record batch beyond half the credit window (`spi_sched::batch_plan`'s own tests hold it) |
 //! | SPI050 | error    | sync-coverage | IPC edge not enforced by any synchronization path (data race) |
 //! | SPI060 | warning  | resync-fixpoint | redundant synchronization edges remain after optimization |
 //! | SPI061 | error    | resync-certification | removed sync edge whose redundancy proof is missing or does not re-verify |

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use spi_analyze::{AnalysisInput, Analyzer, EdgeDecl, Severity, TransportDecl};
+use spi_analyze::{AnalysisInput, Analyzer, EdgeDecl, Severity};
 use spi_dataflow::{EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::{Device, ResourceEstimate};
 use spi_sched::{
@@ -37,35 +37,8 @@ struct Derived {
     vts: VtsConversion,
     ipc: IpcGraph,
     sync: SyncGraph,
-    /// One entry per IPC edge, ascending, with no transport declared.
+    /// One entry per IPC edge, ascending.
     edges: Vec<EdgeDecl>,
-}
-
-/// A generously sized, unbatched copying transport of 6-byte messages:
-/// no edge of these graphs can require more.
-const ROOMY: TransportDecl = TransportDecl {
-    capacity_bytes: 1 << 20,
-    message_bytes_max: 6,
-    pool_slots: None,
-    batch_msgs: None,
-};
-
-/// `edges` with transports declared: `transport(i)` for the i-th edge's
-/// in-memory channel, `net(i)` for its cross-partition socket.
-fn declare(
-    edges: &[EdgeDecl],
-    transport: impl Fn(usize) -> Option<TransportDecl>,
-    net: impl Fn(usize) -> Option<TransportDecl>,
-) -> Vec<EdgeDecl> {
-    edges
-        .iter()
-        .enumerate()
-        .map(|(i, e)| EdgeDecl {
-            transport: transport(i),
-            net_transport: net(i),
-            ..*e
-        })
-        .collect()
 }
 
 fn derive(
@@ -87,8 +60,6 @@ fn derive(
             edge,
             protocol: protocol_of(edge, bound_tokens),
             bound_tokens,
-            transport: None,
-            net_transport: None,
         })
         .collect();
     edges.sort_by_key(|e| e.edge);
@@ -326,8 +297,6 @@ fn mutation_bbs_without_bound_fires_spi041() {
             edge,
             protocol: Protocol::Bbs { capacity: 4 },
             bound_tokens,
-            transport: None,
-            net_transport: None,
         })
         .collect();
     assert!(!edges.is_empty(), "schedule must cross processors");
@@ -383,270 +352,6 @@ fn mutation_undersized_bbs_fires_spi042() {
         report.render_human()
     );
     assert!(report.has_errors());
-}
-
-#[test]
-fn mutation_undersized_transport_fires_spi043() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    // Declare one byte of runtime buffer for every edge — far below any
-    // eq. (2) requirement — while the protocol choices stay sound.
-    let starved = TransportDecl {
-        capacity_bytes: 1,
-        ..ROOMY
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| Some(starved), |_| None)),
-    );
-    let spi043: Vec<_> = report.with_code("SPI043").collect();
-    assert!(!spi043.is_empty(), "got: {}", report.render_human());
-    assert!(spi043.iter().all(|d| d.severity == Severity::Warning));
-    assert!(
-        spi043[0].message.contains("eq. (2)"),
-        "names the bound it checks against"
-    );
-}
-
-#[test]
-fn adequately_sized_transport_stays_clean_of_spi043() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| Some(ROOMY), |_| None)),
-    );
-    assert!(
-        !codes(&report).contains(&"SPI043"),
-        "got: {}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn mutation_starved_pointer_pool_fires_spi044() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    // The byte capacity is generous (SPI043 stays quiet), but the
-    // pointer-exchange pool declares a single slot — far below the
-    // `capacity / message` count the channel is supposed to hold.
-    let starved_pool = TransportDecl {
-        pool_slots: Some(1),
-        ..ROOMY
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| Some(starved_pool), |_| None)),
-    );
-    let spi044: Vec<_> = report.with_code("SPI044").collect();
-    assert!(!spi044.is_empty(), "got: {}", report.render_human());
-    assert!(spi044.iter().all(|d| d.severity == Severity::Warning));
-    assert!(
-        spi044[0].message.contains("eq. (1)"),
-        "names the packed-token capacity it checks against"
-    );
-    assert!(
-        !codes(&report).contains(&"SPI043"),
-        "the byte capacity itself is sound; only the pool is starved"
-    );
-}
-
-#[test]
-fn matching_pointer_pool_stays_clean_of_spi044() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    // PointerTransport::new's sizing rule: one slot per message the
-    // declared capacity holds. Also covers copying transports, which
-    // declare no pool at all.
-    let sized = |i: usize| {
-        Some(TransportDecl {
-            pool_slots: i.is_multiple_of(2).then_some((1 << 20) / 6),
-            ..ROOMY
-        })
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, sized, |_| None)),
-    );
-    assert!(
-        !codes(&report).contains(&"SPI044"),
-        "got: {}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn mutation_starved_credit_window_fires_spi045() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    // The in-memory transports are generous (SPI043 quiet), but the
-    // cross-partition socket edges grant a one-byte credit window.
-    let starved_net = TransportDecl {
-        capacity_bytes: 1,
-        ..ROOMY
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| Some(ROOMY), |_| Some(starved_net))),
-    );
-    let spi045: Vec<_> = report.with_code("SPI045").collect();
-    assert!(!spi045.is_empty(), "got: {}", report.render_human());
-    assert!(spi045.iter().all(|d| d.severity == Severity::Warning));
-    assert!(
-        spi045[0].message.contains("credit window"),
-        "names the mechanism that under-runs the bound"
-    );
-    assert!(
-        !codes(&report).contains(&"SPI043"),
-        "only the socket window is starved, not the in-memory buffers"
-    );
-}
-
-#[test]
-fn adequate_credit_window_stays_clean_of_spi045() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| None, |_| Some(ROOMY))),
-    );
-    assert!(
-        !codes(&report).contains(&"SPI045"),
-        "got: {}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn mutation_oversized_batch_fires_spi046() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    // A generous credit window (SPI045 quiet) of 1 MiB / 6-byte
-    // messages, but the batch claims more records than the window can
-    // ever hold in flight.
-    let over_batched = TransportDecl {
-        batch_msgs: Some(((1u64 << 20) / 6) + 1),
-        ..ROOMY
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| None, |_| Some(over_batched))),
-    );
-    let spi046: Vec<_> = report.with_code("SPI046").collect();
-    assert!(!spi046.is_empty(), "got: {}", report.render_human());
-    assert!(spi046.iter().all(|d| d.severity == Severity::Warning));
-    assert!(
-        spi046[0].message.contains("credit window"),
-        "names the bound the batch outruns"
-    );
-    assert!(
-        !codes(&report).contains(&"SPI045"),
-        "the window itself is adequately sized"
-    );
-}
-
-#[test]
-fn window_bounded_batch_stays_clean_of_spi046() {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    // Batches at (and below) the window's message capacity are sound;
-    // unbatched transports declare nothing at all.
-    let bounded = |i: usize| {
-        Some(TransportDecl {
-            batch_msgs: i.is_multiple_of(2).then_some((1u64 << 20) / 6 / 2),
-            ..ROOMY
-        })
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| None, bounded)),
-    );
-    assert!(
-        !codes(&report).contains(&"SPI046"),
-        "got: {}",
-        report.render_human()
-    );
-}
-
-/// SPI046 findings when every cross-partition socket of the bounded
-/// graph carries a `window_msgs`-message window and batches `batch_msgs`.
-fn spi046(window_msgs: u64, batch_msgs: u64) -> Vec<String> {
-    let g = bounded_graph();
-    let d = derive(&g, 2, default_protocol);
-    let socket = TransportDecl {
-        capacity_bytes: window_msgs * ROOMY.message_bytes_max,
-        batch_msgs: Some(batch_msgs),
-        ..ROOMY
-    };
-    let report = Analyzer::default_pipeline().run(
-        &AnalysisInput::new(&g)
-            .with_vts(&d.vts)
-            .with_ipc(&d.ipc)
-            .with_sync(&d.sync)
-            .with_edges(&declare(&d.edges, |_| None, |_| Some(socket))),
-    );
-    report
-        .with_code("SPI046")
-        .map(|d| {
-            assert_eq!(d.severity, Severity::Warning);
-            d.message.clone()
-        })
-        .collect()
-}
-
-#[test]
-fn mutation_lock_step_batch_fires_spi046() {
-    // The whole window in one batch, and one record more than half of
-    // it: either way a second batch cannot be staged while the first is
-    // consumed. (Half the window was the lowering rule until PR 20 and
-    // is the configuration measured as lock-step on `fir2k_net`; it
-    // still leaves two batches and stays clean.)
-    for batch in [32, 32 / 2 + 1] {
-        let found = spi046(32, batch);
-        assert!(!found.is_empty(), "batch {batch} of a 32-message window");
-        assert!(found[0].contains("lock-step"), "got: {}", found[0]);
-    }
-    assert_eq!(spi046(32, 32 / 2), Vec::<String>::new());
-}
-
-#[test]
-fn the_lowered_batch_plan_stays_clean_of_spi046() {
-    // What `batch_plan` lowers is what the lint holds a declaration to,
-    // at every window: the quarter rule (8 of 32, the benchmark's
-    // edge), the halved small windows and the unbatched plan.
-    assert_eq!(spi_sched::batch_plan(32, None).max_msgs, 8);
-    for window in 1..=40 {
-        let lowered = spi_sched::batch_plan(window, None).max_msgs as u64;
-        assert_eq!(
-            spi046(window, lowered),
-            Vec::<String>::new(),
-            "window {window}"
-        );
-    }
 }
 
 // ---- sync coverage ------------------------------------------------------

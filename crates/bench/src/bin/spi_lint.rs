@@ -103,7 +103,7 @@ fn lint_file(path: &str, opts: &Options) -> Result<spi_analyze::AnalysisReport, 
         None => Analyzer::default_pipeline().run(&AnalysisInput::new(&graph).with_signal(signal)),
         // The builder's own plan: the checks `build` would enforce on
         // this graph under a round-robin actor assignment (like the
-        // stress harness), SPI043–SPI046 included.
+        // stress harness), the protocol lints SPI040–SPI042 included.
         Some(procs) => {
             let mut builder = SpiSystemBuilder::new(graph);
             builder

@@ -54,8 +54,9 @@ pub struct BatchPlan {
     /// Most records a sender may coalesce into one write of its staging
     /// buffer. `1` disables batching (the one-record-per-write path).
     /// Must leave the edge's credit window room for at least two
-    /// batches, or the two ends take turns (the SPI046 analyzer lint
-    /// holds the declared form to that).
+    /// batches, or the two ends take turns
+    /// (`tests::batch_never_exceeds_half_the_credit_window` holds
+    /// [`batch_plan`] to that at every window).
     pub max_msgs: usize,
     /// Nagle deadline: a pending batch older than this is flushed even
     /// if it is not full. Irrelevant when `max_msgs == 1`.

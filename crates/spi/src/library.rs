@@ -45,7 +45,7 @@ impl SpiLibraryReport {
                 }
             };
             // The IPC FIFO the lowering allocates.
-            spi += components::ipc_fifo(plan.transport.capacity_bytes);
+            spi += components::ipc_fifo(plan.capacity_bytes());
             // Ack path (a static send/receive mini-pair and its FIFO).
             if plan.ack_kept {
                 spi += components::spi_send_static() + components::spi_receive_static();

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use spi_analyze::{AnalysisReport, EdgeDecl, TransportDecl};
+use spi_analyze::{AnalysisReport, EdgeDecl};
 use spi_dataflow::{ActorId, EdgeId, LengthSignal, PrecedenceGraph, SdfGraph, VtsConversion};
 use spi_platform::{
     ChannelId, ChannelSpec, ResourceEstimate, Tracer, RECV_OVERHEAD_CYCLES, SEND_OVERHEAD_CYCLES,
@@ -131,10 +131,8 @@ impl SpiSystemBuilder {
     /// deployment (`spi-net`). Intra-partition edges keep their
     /// in-memory transports; edges crossing a partition boundary lower
     /// to socket channels whose sender-side credit window is sized from
-    /// the same eq. (2)-derived [`ChannelSpec`]. The build re-runs the
-    /// protocol lints over the cross-partition channels (SPI045 warns
-    /// when a credit window under-runs the eq. (2) byte requirement),
-    /// and [`SpiSystem::partition`] exposes the mapping to the node
+    /// the same eq. (2)-derived [`ChannelSpec`], and
+    /// [`SpiSystem::partition`] exposes the mapping to the node
     /// launcher.
     pub fn partition(&mut self, partition: Partition) -> &mut Self {
         self.partition = Some(partition);
@@ -503,7 +501,7 @@ impl SpiSystemBuilder {
         };
         // The messages the data channel holds: the most its protocol
         // lets be in flight.
-        let msgs = match protocol {
+        let slots = match protocol {
             // eq. (2): the tokens-in-flight bound × messages per
             // iteration of drift.
             Protocol::Bbs { capacity } => capacity * msgs_per_iter,
@@ -527,26 +525,10 @@ impl SpiSystemBuilder {
             prime_tokens: edge.delay % u64::from(edge.produce.bound()),
             max_burst,
             bound_tokens,
-            // Static-phase messages are always exactly `msg_max` bytes,
-            // so the byte capacity implies a message-count bound the
-            // runtime checker can hold occupancy against. Dynamic
-            // messages may be shorter, letting more of them legitimately
-            // fit in the same bytes.
-            bound_msgs: (phase == SpiPhase::Static).then_some(msgs),
+            slots,
             protocol,
             ack_kept: false,
             cost: MessageCost::new(phase, self.signal, payload_max, msg_max),
-            // Declaring the packed-token message size makes the channel
-            // a valid substrate for slot-based transports: a ring of
-            // `msgs` fixed slots is exactly the allocation, and the same
-            // count is the pool a pointer-exchange transport derives
-            // (SPI044).
-            transport: TransportDecl {
-                capacity_bytes: msgs * msg_max as u64,
-                message_bytes_max: msg_max as u64,
-                pool_slots: Some(msgs),
-                batch_msgs: None,
-            },
             batch: None,
             data_ch: ChannelId(0),
             ack_ch: None,
@@ -646,11 +628,11 @@ impl SpiSystemBuilder {
     }
 
     /// Cross-partition edges additionally lower to socket channels: the
-    /// sender-side credit window is the in-memory channel's capacity
+    /// sender-side credit window is the in-memory channel's `slots`
     /// (eq. (2) under BBS, the credit window under UBS), the record
-    /// batch is bounded by that window in messages (so SPI046 can hold
-    /// it against the window), and the Nagle flush deadline comes from
-    /// the predicted per-iteration wall time at this system's clock.
+    /// batch is bounded by that window in messages, and the Nagle flush
+    /// deadline comes from the predicted per-iteration wall time at this
+    /// system's clock.
     fn plan_batches(&self, predicted: Option<&PredictedMetrics>, plans: &mut Plans) -> Result<()> {
         let Some(partition) = &self.partition else {
             return Ok(());
@@ -663,17 +645,16 @@ impl SpiSystemBuilder {
             partition.node_of(plan.src_proc)?;
             partition.node_of(plan.dst_proc)?;
             if partition.is_cross(plan.src_proc, plan.dst_proc) {
-                let window_msgs = plan.transport.capacity_bytes / plan.msg_max as u64;
-                plan.batch = Some(spi_sched::batch_plan(window_msgs, op_deadline));
+                plan.batch = Some(spi_sched::batch_plan(plan.slots, op_deadline));
             }
         }
         Ok(())
     }
 
     /// The build's one analyzer run, with the full picture (VTS, IPC
-    /// graph, optimized sync graph, every edge's protocol and
-    /// transport, resource totals): the graph-level passes and the
-    /// schedule-level ones together.
+    /// graph, optimized sync graph, every edge's protocol, resource
+    /// totals): the graph-level passes and the schedule-level ones
+    /// together.
     fn verify(
         &self,
         s: &Scheduled,
@@ -796,10 +777,11 @@ pub(super) type Plans = HashMap<EdgeId, EdgePlan>;
 /// |---|---|
 /// | `phase`, `payload_max`, `msg_max` | channel specs, generated encode/decode, [`SpiSystem::buffer_report`], resource report |
 /// | `recv_counts`, `fill_msgs`, `prime_tokens` | generated receive ops, prologue, ordered-bus grant order |
-/// | `max_burst`, `msgs_per_iter`, `bound_tokens` | protocol choice, credit window, sync graph, eq. (2) capacity, analyzer (SPI040–SPI045, through `EdgeDecl::bound_tokens`) |
-/// | `protocol`, `ack_kept`, `bound_msgs` | sync graph, ack channels, analyzer, [`SpiSystem::trace_meta`] |
+/// | `max_burst`, `msgs_per_iter`, `bound_tokens` | protocol choice, credit window, sync graph, eq. (2) capacity, analyzer (SPI040–SPI042, through `EdgeDecl::bound_tokens`) |
+/// | `protocol`, `ack_kept` | sync graph, ack channels, analyzer, [`SpiSystem::trace_meta`] |
+/// | `slots` (and [`EdgePlan::capacity_bytes`], [`EdgePlan::bound_msgs`]) | data channel spec, resource report, batch plan, [`SpiSystem::trace_meta`], [`SpiSystem::buffer_report`] |
 /// | `cost` | generated `SPI_receive`, predicted makespan (and through it the supervision and flush deadlines) |
-/// | `transport`, `batch` | analyzer (SPI043–SPI046), [`SpiSystem::trace_meta`], `spi-net` deployment |
+/// | `batch` | [`SpiSystem::trace_meta`], `spi-net` deployment |
 /// | `src_proc`, `dst_proc`, `data_ch`, `ack_ch` | program generation, `spi-net` endpoint roles |
 #[derive(Debug, Clone)]
 pub struct EdgePlan {
@@ -831,23 +813,17 @@ pub struct EdgePlan {
     pub max_burst: u64,
     /// eq. (2) bound in tokens, when it exists.
     pub bound_tokens: Option<u64>,
-    /// Message-count capacity the data channel was provisioned for:
-    /// `capacity · msgs_per_iter` under BBS, `ack_window + fill_msgs`
-    /// under UBS. `None` for dynamic messages, which may be shorter
-    /// than `msg_max`. The runtime conformance checker holds
-    /// observed occupancy against this.
-    pub bound_msgs: Option<u64>,
+    /// Messages the data channel holds, the most its protocol lets be
+    /// in flight: `capacity · msgs_per_iter` under BBS (eq. (2)),
+    /// `ack_window + fill_msgs` under UBS. A ring of this many
+    /// `msg_max`-byte slots is exactly the allocation.
+    pub slots: u64,
     /// Chosen protocol, with its BBS capacity or UBS credit window.
     pub protocol: Protocol,
     /// Whether UBS acknowledgements survived resynchronization.
     pub ack_kept: bool,
     /// Per-message cycle costs on the platform's FIFOs.
     pub cost: MessageCost,
-    /// The data channel's allocation as declared to the analyzer:
-    /// `msg_max`, the message count `bound_msgs` states (computed on
-    /// dynamic edges too) times `msg_max` in bytes, and that count as
-    /// the slot count a pointer-exchange transport derives.
-    pub transport: TransportDecl,
     /// Record batching of the edge's socket, for edges that cross the
     /// partition of a distributed build; unbatchable edges (windows of
     /// ≤ 3 messages) carry the disabled plan. `None` otherwise.
@@ -858,7 +834,37 @@ pub struct EdgePlan {
     pub ack_ch: Option<ChannelId>,
 }
 
+impl std::fmt::Display for EdgePlan {
+    /// One row of [`SpiSystem::buffer_report`]: edge, phase, protocol,
+    /// the data channel's bytes and its largest message.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{:>4}  {:<8}  {:<22}  {:>6} B  ≤{} B/msg",
+            self.edge.to_string(),
+            format!("{:?}", self.phase),
+            format!("{:?}", self.protocol),
+            self.capacity_bytes(),
+            self.msg_max,
+        )
+    }
+}
+
 impl EdgePlan {
+    /// Bytes of the data channel: `slots` messages of `msg_max` bytes.
+    pub fn capacity_bytes(&self) -> u64 {
+        self.slots * self.msg_max as u64
+    }
+
+    /// The data channel's bound in messages, which the runtime
+    /// conformance checker holds observed occupancy against: `slots` on
+    /// a static edge, whose messages are all exactly `msg_max` bytes.
+    /// `None` on a dynamic edge, where shorter messages may
+    /// legitimately fit more of them in the same bytes.
+    pub fn bound_msgs(&self) -> Option<u64> {
+        (self.phase == SpiPhase::Static).then_some(self.slots)
+    }
+
     /// The UBS credit window in messages; zero under BBS.
     pub fn ack_window(&self) -> u64 {
         match self.protocol {
@@ -889,19 +895,12 @@ impl EdgePlan {
         }
     }
 
-    /// What the analyzer checks about this edge. The socket of a
-    /// cross-partition edge inherits the in-memory channel's window and
-    /// adds its record batch.
+    /// What the analyzer checks about this edge.
     fn decl(&self) -> EdgeDecl {
         EdgeDecl {
             edge: self.edge,
             protocol: self.protocol,
             bound_tokens: self.bound_tokens,
-            transport: Some(self.transport),
-            net_transport: self.batch.map(|batch| TransportDecl {
-                batch_msgs: Some(batch.max_msgs as u64),
-                ..self.transport
-            }),
         }
     }
 }

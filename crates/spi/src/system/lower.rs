@@ -73,7 +73,7 @@ fn add_channels(machine: &mut Machine, plans: &mut Plans) {
     in_edge_order.sort_by_key(|p| p.edge);
     for plan in in_edge_order {
         plan.data_ch = machine.add_channel(ChannelSpec {
-            capacity_bytes: plan.transport.capacity_bytes as usize,
+            capacity_bytes: plan.capacity_bytes() as usize,
             max_message_bytes: plan.msg_max,
         });
         if plan.ack_kept {

@@ -33,7 +33,7 @@ mod run;
 
 pub use build::{EdgePlan, MessageCost, SchedulingMode, SpiSystemBuilder, ACK_BYTES};
 pub use lower::{recorded_failure, root_failure};
-pub use run::{BufferRow, SpiRunReport, SpiSystem};
+pub use run::{SpiRunReport, SpiSystem};
 
 #[cfg(test)]
 mod tests;

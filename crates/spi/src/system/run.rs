@@ -7,13 +7,12 @@ use std::sync::Arc;
 
 use spi_dataflow::EdgeId;
 use spi_platform::{ChannelId, Machine, SimReport, Tracer};
-use spi_sched::{CycleRatio, Partition, Protocol, ResyncReport, SyncGraph};
+use spi_sched::{CycleRatio, Partition, ResyncReport, SyncGraph};
 
 use super::build::{EdgePlan, Plans, CLOCK_MHZ};
 use super::lower::root_failure;
 use crate::error::Result;
 use crate::library::SpiLibraryReport;
-use crate::message::SpiPhase;
 
 /// The synchronization graph once optimized, and what the optimization
 /// reported.
@@ -162,15 +161,13 @@ impl SpiSystem {
         if clock == spi_trace::ClockKind::Cycles {
             meta.predicted_makespan_cycles = self.predicted_makespan_cycles();
         }
-        let mut plans: Vec<&EdgePlan> = self.plans.values().collect();
-        plans.sort_by_key(|p| p.edge);
-        for p in plans {
+        for p in self.buffer_report() {
             meta.edges.push(spi_trace::EdgeBound {
                 edge: p.edge,
                 channel: p.data_ch,
-                capacity_bytes: p.transport.capacity_bytes,
-                max_message_bytes: p.transport.message_bytes_max,
-                bound_tokens: p.bound_msgs,
+                capacity_bytes: p.capacity_bytes(),
+                max_message_bytes: p.msg_max as u64,
+                bound_msgs: p.bound_msgs(),
             });
             // Batching budgets for cross-partition channels: the
             // checker's SPI086 holds every observed flush against these.
@@ -185,23 +182,14 @@ impl SpiSystem {
     }
 
     /// Per-edge buffer sizing report: the paper's bounded-memory story
-    /// (eqs. 1–2) made concrete. One row per inter-processor edge with
-    /// its protocol (the eq.-(2)-derived BBS capacity or the UBS credit
-    /// window) and the bytes actually reserved for the FIFO.
-    pub fn buffer_report(&self) -> Vec<BufferRow> {
-        let mut rows: Vec<BufferRow> = self
-            .plans
-            .values()
-            .map(|p| BufferRow {
-                edge: p.edge,
-                phase: p.phase,
-                protocol: p.protocol,
-                capacity_bytes: p.transport.capacity_bytes,
-                message_bytes_max: p.msg_max,
-            })
-            .collect();
-        rows.sort_by_key(|r| r.edge);
-        rows
+    /// (eqs. 1–2) made concrete. One plan per inter-processor edge, in
+    /// edge order; each prints as a row with its protocol (the
+    /// eq.-(2)-derived BBS capacity or the UBS credit window) and the
+    /// bytes actually reserved for the FIFO.
+    pub fn buffer_report(&self) -> Vec<&EdgePlan> {
+        let mut plans: Vec<&EdgePlan> = self.plans.values().collect();
+        plans.sort_by_key(|p| p.edge);
+        plans
     }
 
     /// Executes the system on OS threads instead of the discrete-event
@@ -272,35 +260,6 @@ impl SpiSystem {
             clock_mhz: CLOCK_MHZ,
             iterations: self.iterations,
         })
-    }
-}
-
-/// One row of [`SpiSystem::buffer_report`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BufferRow {
-    /// The application edge.
-    pub edge: EdgeId,
-    /// SPI_static or SPI_dynamic.
-    pub phase: SpiPhase,
-    /// Chosen protocol (BBS capacity is the eq.-(2)-derived size).
-    pub protocol: Protocol,
-    /// Bytes reserved for the edge's FIFO.
-    pub capacity_bytes: u64,
-    /// Largest single message (header + payload bound).
-    pub message_bytes_max: usize,
-}
-
-impl std::fmt::Display for BufferRow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{:>4}  {:<8}  {:<22}  {:>6} B  ≤{} B/msg",
-            self.edge.to_string(),
-            format!("{:?}", self.phase),
-            format!("{:?}", self.protocol),
-            self.capacity_bytes,
-            self.message_bytes_max,
-        )
     }
 }
 

@@ -230,7 +230,7 @@ fn dump(name: &str, recipe: &dyn Fn() -> Recipe) -> Vec<String> {
     out.extend(plans.iter().map(|p| {
         let (edge, phase, protocol) = (p.edge, p.phase, p.protocol);
         let (payload_max, src, dst) = (p.payload_max, p.src_proc, p.dst_proc);
-        let (bound_tokens, bound_msgs) = (p.bound_tokens, p.bound_msgs);
+        let (bound_tokens, bound_msgs) = (p.bound_tokens, p.bound_msgs());
         let (ack_kept, data, ack) = (p.ack_kept, p.data_ch, p.ack_ch);
         format!(
             "plan {edge} {phase:?} payload_max={payload_max} {src}->{dst} {protocol:?} \
@@ -250,10 +250,11 @@ fn dump(name: &str, recipe: &dyn Fn() -> Recipe) -> Vec<String> {
     let meta = sys.trace_meta(ClockKind::Cycles);
     out.extend(meta.edges.iter().map(|e| {
         let (edge, channel, capacity) = (e.edge, e.channel, e.capacity_bytes);
-        let (max_message, bound_tokens) = (e.max_message_bytes, e.bound_tokens);
+        let (max_message, bound_msgs) = (e.max_message_bytes, e.bound_msgs);
+        // The pins file keeps this field's former name as its key.
         format!(
             "bound {edge} {channel} capacity={capacity} max_message={max_message} \
-             bound_tokens={bound_tokens:?}"
+             bound_tokens={bound_msgs:?}"
         )
     }));
     let budgets = meta.batch_bounds.iter();

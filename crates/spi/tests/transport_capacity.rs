@@ -5,13 +5,14 @@
 //! payload_max` bytes each, nothing rounded up to a power of two, no
 //! slack slot. A UBS data channel is its credit window by the same
 //! rule, `window + fill` messages, and a kept ack channel is
-//! `EdgePlan::ack_channel_bytes`.
+//! `EdgePlan::ack_channel_bytes`. A pointer-exchange transport built
+//! from the same spec gets a pool of exactly `EdgePlan::slots` slots.
 
 use std::collections::HashMap;
 
-use spi::{SpiSystem, SpiSystemBuilder, ACK_BYTES, STATIC_HEADER_BYTES};
+use spi::{EdgePlan, SpiSystem, SpiSystemBuilder, ACK_BYTES, STATIC_HEADER_BYTES};
 use spi_dataflow::{EdgeId, PrecedenceGraph, SdfGraph, VtsConversion};
-use spi_platform::{ChannelSpec, RingTransport, Transport};
+use spi_platform::{ChannelSpec, PointerTransport, RingTransport, Transport};
 use spi_sched::{Assignment, IpcEdgeKind, IpcGraph, ProcId, SelfTimedSchedule};
 
 /// Two actors on two processors exchanging tokens in both directions;
@@ -43,10 +44,12 @@ fn built(configure: impl Fn(&mut SpiSystemBuilder) -> &mut SpiSystemBuilder) -> 
     builder.build(2, |a| ProcId(a.0)).expect("buildable")
 }
 
-/// Asserts `edge`'s data channel `spec` is `msgs` slots of `msg_max`
-/// bytes, and so is the ring built from it.
-fn assert_ring_of(spec: &ChannelSpec, edge: EdgeId, msgs: u64) {
-    let msg_max = STATIC_HEADER_BYTES + 4; // header + 1 token × 4 B
+/// Asserts `plan`'s data channel `spec` is `msgs` slots of `msg_max`
+/// bytes, and so are the ring and the pointer-exchange pool built from
+/// it.
+fn assert_ring_of(spec: &ChannelSpec, plan: &EdgePlan, msgs: u64) {
+    let (edge, msg_max) = (plan.edge, STATIC_HEADER_BYTES + 4); // header + 1 token × 4 B
+    assert_eq!(plan.slots, msgs, "edge {edge}: the plan's slot count");
     assert_eq!(
         spec.max_message_bytes, msg_max,
         "slot size is the packed token"
@@ -61,6 +64,14 @@ fn assert_ring_of(spec: &ChannelSpec, edge: EdgeId, msgs: u64) {
     assert_eq!(ring.capacity_bytes(), msgs as usize * msg_max);
     assert_eq!(ring.slots(), msgs as usize);
     assert_eq!(ring.max_message_bytes(), msg_max);
+    // A pointer-exchange transport derives its pool from the same spec:
+    // one slot per message the channel holds.
+    let pointer = PointerTransport::new(spec.capacity_bytes, spec.max_message_bytes);
+    assert_eq!(
+        pointer.slots() as u64,
+        plan.slots,
+        "edge {edge}: pool slots"
+    );
 }
 
 #[test]
@@ -89,27 +100,25 @@ fn ring_capacity_equals_eq2_bytes_from_ipc_graph() {
 
     // Build the runnable system with the same assignment.
     let sys = built(|b| b);
-    let plans = sys.edge_plans().clone();
-    let report = sys.buffer_report();
+    let report: Vec<EdgePlan> = sys.buffer_report().into_iter().cloned().collect();
     let (specs, _programs) = sys.into_parts();
 
     // Channels are created in sorted edge order (data channel first per
     // edge; BBS keeps no ack channel), so channel i belongs to edge i.
     assert_eq!(report.len(), 2, "both edges cross processors");
     assert_eq!(specs.len(), 2, "BBS needs no ack channels");
-    for row in &report {
-        let bound = bounds[&row.edge].expect("feedback makes every edge bounded");
-        assert_eq!(
-            plans[&row.edge].bound_tokens,
-            Some(bound),
-            "plan agrees with ipc_graph"
-        );
-        let cap_tokens = bound.max(d_max[&row.edge] + 1);
-        let q_src = q[cg.edge(row.edge).src];
+    for plan in &report {
+        let bound = bounds[&plan.edge].expect("feedback makes every edge bounded");
+        assert_eq!(plan.bound_tokens, Some(bound), "plan agrees with ipc_graph");
+        let cap_tokens = bound.max(d_max[&plan.edge] + 1);
+        let q_src = q[cg.edge(plan.edge).src];
         let expected_msgs = cap_tokens * q_src;
-        assert_eq!(row.message_bytes_max, STATIC_HEADER_BYTES + 4);
-        assert_eq!(row.capacity_bytes, specs[row.edge.0].capacity_bytes as u64);
-        assert_ring_of(&specs[row.edge.0], row.edge, expected_msgs);
+        assert_eq!(plan.msg_max, STATIC_HEADER_BYTES + 4);
+        assert_eq!(
+            plan.capacity_bytes(),
+            specs[plan.edge.0].capacity_bytes as u64
+        );
+        assert_ring_of(&specs[plan.edge.0], plan, expected_msgs);
     }
 }
 
@@ -130,13 +139,13 @@ fn ubs_ring_capacity_is_the_credit_window() {
             let msgs = plan.ack_window() + plan.fill_msgs;
             assert!(plan.ack_window() > 0, "edge {} is UBS", plan.edge);
             assert_eq!(
-                plan.transport.capacity_bytes,
+                plan.capacity_bytes(),
                 msgs * plan.msg_max as u64,
                 "edge {} (resync {resync})",
                 plan.edge
             );
-            assert_eq!(plan.bound_msgs, Some(msgs), "edge {}", plan.edge);
-            assert_ring_of(&specs[plan.data_ch.0], plan.edge, msgs);
+            assert_eq!(plan.bound_msgs(), Some(msgs), "edge {}", plan.edge);
+            assert_ring_of(&specs[plan.data_ch.0], plan, msgs);
             if let Some(ack_ch) = plan.ack_ch {
                 let ack = &specs[ack_ch.0];
                 assert_eq!(ack.capacity_bytes, plan.ack_channel_bytes());

@@ -3,39 +3,56 @@
 //! frame in place, exchange the slot descriptor, decode borrowed —
 //! must touch the global allocator exactly zero times per message.
 //!
-//! This file holds a single `#[test]` on purpose: the counting
-//! allocator is per-binary, and a sibling test allocating concurrently
-//! would pollute the measurement window.
+//! The counting allocator counts only what the measuring thread
+//! allocates, inside [`counted`]: the harness and any other thread of
+//! the test process may allocate at any time.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 use spi::{decode_static_borrowed, encode_static_into, static_frame_bytes, STATIC_HEADER_BYTES};
 use spi_dataflow::EdgeId;
 use spi_platform::{PointerTransport, RingTransport, Token, Transport};
 
-/// Counts allocation calls; frees are uncounted (a steady state that
-/// allocates nothing frees nothing).
+/// Counts allocation calls made on a thread inside [`counted`]; frees
+/// are uncounted (a steady state that allocates nothing frees nothing).
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocations while it runs [`counted`], else `None`.
+    /// `const`-initialised, so reading it never allocates.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+/// Counts one allocation if this thread is measuring.
+fn count() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCS.try_with(|n| n.set(n.get().map(|n| n + 1)));
+}
+
+/// The allocations `f` makes on the calling thread.
+fn counted(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|n| n.set(Some(0)));
+    f();
+    ALLOCS.with(|n| n.take()).unwrap_or(0)
+}
 
 // The platform crate denies unsafe except in its two vetted modules;
 // this test binary needs it only to delegate to the system allocator.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -93,12 +110,12 @@ fn pointer_path_steady_state_allocates_nothing() {
         roundtrip_lease(&t, &payload);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..4096 {
-        roundtrip_in_place(&t, &payload);
-        roundtrip_lease(&t, &payload);
-    }
-    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    let delta = counted(|| {
+        for _ in 0..4096 {
+            roundtrip_in_place(&t, &payload);
+            roundtrip_lease(&t, &payload);
+        }
+    });
     assert_eq!(
         delta, 0,
         "pointer exchange must be allocation-free in steady state \
@@ -109,14 +126,15 @@ fn pointer_path_steady_state_allocates_nothing() {
     // heap buffer per received message, so the same traffic over a
     // RingTransport must register.
     let ring = RingTransport::new(8 * frame, frame);
-    let before = ALLOCS.load(Ordering::SeqCst);
-    for _ in 0..32 {
-        ring.send(&payload[..STATIC_HEADER_BYTES], T).expect("send");
-        let msg = ring.recv(T).expect("recv");
-        assert_eq!(msg.len(), STATIC_HEADER_BYTES);
-    }
+    let copies = counted(|| {
+        for _ in 0..32 {
+            ring.send(&payload[..STATIC_HEADER_BYTES], T).expect("send");
+            let msg = ring.recv(T).expect("recv");
+            assert_eq!(msg.len(), STATIC_HEADER_BYTES);
+        }
+    });
     assert!(
-        ALLOCS.load(Ordering::SeqCst) > before,
+        copies > 0,
         "counting allocator failed to observe the copying path"
     );
 }

@@ -35,7 +35,7 @@
 //! | SPI100 | error    | a receive precedes its matching send in the stream |
 //! | SPI101 | error    | concurrent (unordered) sends on one channel from different PEs — producer endpoint race |
 //! | SPI102 | error    | concurrent (unordered) receives on one channel from different PEs — consumer endpoint race |
-//! | SPI103 | error    | slot reuse: send `n+B` precedes receive `n` on a `B`-token-bounded channel (eq. (2) window) |
+//! | SPI103 | error    | slot reuse: send `n+B` precedes receive `n` on a channel bounded at `B` messages (eq. (2) window) |
 //! | SPI104 | warning  | block/unblock events unpaired — blocking instrumentation incomplete |
 //! | SPI105 | warning  | channel endpoint shared by more than one PE (ordered, so not a race, but outside the point-to-point contract) |
 //!
@@ -370,9 +370,9 @@ pub fn check(trace: &Trace) -> ConformanceReport {
     for (ch, (occ_bytes, occ_msgs, ts)) in &worst_occ {
         let b = bounds[ch];
         let over_bytes = *occ_bytes > b.capacity_bytes;
-        let over_msgs = b.bound_tokens.is_some_and(|t| *occ_msgs > t);
+        let over_msgs = b.bound_msgs.is_some_and(|t| *occ_msgs > t);
         if over_bytes || over_msgs {
-            let bound_desc = match b.bound_tokens {
+            let bound_desc = match b.bound_msgs {
                 Some(t) => format!("{} B / {} msg", b.capacity_bytes, t),
                 None => format!("{} B", b.capacity_bytes),
             };
@@ -674,9 +674,9 @@ fn replay_channel(
         }
     }
 
-    // Slot reuse: with a B-token bound, send n+B overwrites the slot
+    // Slot reuse: with a bound of B messages, send n+B overwrites the slot
     // receive n vacates, so it must come later in the stream.
-    if let Some(b) = bounds.get(&channel.0).and_then(|b| b.bound_tokens) {
+    if let Some(b) = bounds.get(&channel.0).and_then(|b| b.bound_msgs) {
         let lapped = r.recvs.iter().enumerate().find_map(|(n, recv)| {
             let send = r.sends.get(n.checked_add(usize::try_from(b).ok()?)?)?;
             (send.pos < recv.pos).then_some((n, recv, send))
@@ -686,7 +686,7 @@ fn replay_channel(
                 "SPI103",
                 Severity::Error,
                 format!(
-                    "{channel}: send #{} (t={}) precedes receive #{n} (t={}) on a {b}-token \
+                    "{channel}: send #{} (t={}) precedes receive #{n} (t={}) on a {b}-message \
                      channel — the eq. (2) reuse window was violated",
                     n as u64 + b,
                     send.ts,
@@ -749,7 +749,7 @@ fn record_occupancy(
     bound: &EdgeBound,
 ) {
     let over_bytes = u64::from(occ_bytes) > bound.capacity_bytes;
-    let over_msgs = bound.bound_tokens.is_some_and(|t| u64::from(occ_msgs) > t);
+    let over_msgs = bound.bound_msgs.is_some_and(|t| u64::from(occ_msgs) > t);
     if over_bytes || over_msgs {
         let w = worst.entry(channel.0).or_insert((0, 0, ts));
         if u64::from(occ_bytes) >= w.0 {
@@ -778,7 +778,7 @@ mod tests {
             channel: ChannelId(0),
             capacity_bytes: 64,
             max_message_bytes: 16,
-            bound_tokens: Some(4),
+            bound_msgs: Some(4),
         });
         meta
     }
@@ -875,7 +875,7 @@ mod tests {
     fn token_count_over_bound_fires_spi080_even_under_byte_capacity() {
         let trace = Trace {
             meta: bounded_meta(),
-            // 5 msgs > bound_tokens=4, but 40 B < 64 B capacity.
+            // 5 msgs > bound_msgs=4, but 40 B < 64 B capacity.
             events: vec![send(1, 0, 8, 1, 40, 5)],
         };
         let r = check(&trace);
@@ -1167,9 +1167,9 @@ mod tests {
         codes(&check(&Trace { meta, events }))
     }
 
-    fn one_token_meta() -> TraceMeta {
+    fn one_message_meta() -> TraceMeta {
         let mut meta = bounded_meta();
-        meta.edges[0].bound_tokens = Some(1);
+        meta.edges[0].bound_msgs = Some(1);
         meta
     }
 
@@ -1214,7 +1214,7 @@ mod tests {
 
     #[test]
     fn spi103_slot_reuse_window() {
-        // Send #1 precedes receive #0 on a one-token channel. The
+        // Send #1 precedes receive #0 on a one-message channel. The
         // timestamps say otherwise; the stream position decides.
         let events = vec![
             send_on(1, 0, 0),
@@ -1222,7 +1222,7 @@ mod tests {
             recv_on(5, 1, 0),
             recv_on(10, 1, 0),
         ];
-        assert_eq!(codes_of(one_token_meta(), events), vec!["SPI103"]);
+        assert_eq!(codes_of(one_message_meta(), events), vec!["SPI103"]);
     }
 
     #[test]
@@ -1255,7 +1255,7 @@ mod tests {
         // The producer waits for the consumer's ack (channel 1) before
         // reusing the slot.
         let trace = Trace {
-            meta: one_token_meta(),
+            meta: one_message_meta(),
             events: vec![
                 send_on(1, 0, 0),
                 recv_on(2, 1, 0),

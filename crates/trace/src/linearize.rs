@@ -15,7 +15,7 @@
 //!
 //! * the k-th `Recv` on a channel only after the k-th `Send`;
 //! * on a channel whose [`EdgeBound`](crate::EdgeBound) carries
-//!   `bound_tokens = B`, send `n+B` only after receive `n` (the eq. (2)
+//!   `bound_msgs = B`, send `n+B` only after receive `n` (the eq. (2)
 //!   slot-reuse window).
 //!
 //! Within those constraints events are taken in timestamp order, and
@@ -47,7 +47,7 @@ impl Trace {
     /// calls it on every capture.
     pub fn linearize(&mut self) {
         let bound: HashMap<usize, u64> = (self.meta.edges.iter())
-            .filter_map(|b| b.bound_tokens.map(|t| (b.channel.0, t)))
+            .filter_map(|b| b.bound_msgs.map(|t| (b.channel.0, t)))
             .collect();
         let mut per_pe: BTreeMap<usize, Vec<ProbeEvent>> = BTreeMap::new();
         for ev in self.events.drain(..) {
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn slot_reuse_window_is_respected_in_the_linearization() {
-        // One-token channel: send #1 must not be emitted before
+        // One-message channel: send #1 must not be emitted before
         // receive #0 even though its timestamp is earlier.
         let mut meta = TraceMeta::new(ClockKind::Nanos);
         meta.edges.push(EdgeBound {
@@ -179,7 +179,7 @@ mod tests {
             channel: ChannelId(0),
             capacity_bytes: 8,
             max_message_bytes: 8,
-            bound_tokens: Some(1),
+            bound_msgs: Some(1),
         });
         let trace = linearized(
             meta,

@@ -61,9 +61,12 @@ pub struct EdgeBound {
     /// Largest legal packed message in bytes (eq. 1 `c(e)` including
     /// the header), fixed at compile time by the token-size bound.
     pub max_message_bytes: u64,
-    /// Message-count form of the buffer bound (`Γ + delay(e)`), when
-    /// the protocol bounds it; `None` for unbounded UBS edges.
-    pub bound_tokens: Option<u64>,
+    /// The buffer bound in messages — the data channel's slot count,
+    /// `EdgePlan::bound_msgs` — on an edge whose messages are all
+    /// `max_message_bytes` long; `None` where shorter messages may fit
+    /// more (dynamic edges). A native trace file keeps the key `tokens`
+    /// for it, so stored traces still parse.
+    pub bound_msgs: Option<u64>,
 }
 
 /// The declared batching budget of one channel: the most records its
@@ -187,7 +190,7 @@ impl Trace {
         }
         for e in &m.edges {
             let tokens = e
-                .bound_tokens
+                .bound_msgs
                 .map_or_else(|| "inf".to_string(), |t| t.to_string());
             out.push_str(&format!(
                 "# edge {} ch {} cap {} max {} tokens {}\n",
@@ -369,7 +372,7 @@ fn parse_meta_line(
                 channel: ChannelId(parse_u64(f[2], n, "channel")? as usize),
                 capacity_bytes: parse_u64(f[4], n, "cap")?,
                 max_message_bytes: parse_u64(f[6], n, "max")?,
-                bound_tokens: if f[8] == "inf" {
+                bound_msgs: if f[8] == "inf" {
                     None
                 } else {
                     Some(parse_u64(f[8], n, "tokens")?)
@@ -537,14 +540,14 @@ mod tests {
             channel: ChannelId(1),
             capacity_bytes: 64,
             max_message_bytes: 16,
-            bound_tokens: Some(4),
+            bound_msgs: Some(4),
         });
         meta.edges.push(EdgeBound {
             edge: EdgeId(1),
             channel: ChannelId(2),
             capacity_bytes: 32,
             max_message_bytes: 8,
-            bound_tokens: None,
+            bound_msgs: None,
         });
         let events = vec![
             ProbeEvent {

@@ -648,7 +648,7 @@ impl Covered {
             cross_dynamic: u64::from(plans().any(|p| p.phase == SpiPhase::Dynamic)),
             delayed_or_feedback: u64::from(g.graph.edges().any(|(_, e)| e.delay > 0)),
             acknowledged: u64::from(plans().any(|p| p.ack_kept)),
-            static_ubs: u64::from(plans().any(|p| p.ack_window() > 0 && p.bound_msgs.is_some())),
+            static_ubs: u64::from(plans().any(|p| p.ack_window() > 0 && p.bound_msgs().is_some())),
             ordered_bus_acked_fills: u64::from(matches!(g.bus, Bus::Ordered) && acked_fills()),
             partitioned: u64::from(g.nodes.is_some()),
             supervised: u64::from(g.faults.is_some()),
